@@ -164,7 +164,7 @@ COMMANDS
   ablation-index     text/value index on vs off (centralized)
   ablation-fragmode  per-document page-decode cost: hot vs cold, FragMode1 vs 2
   ablation-localization  fragment pruning on vs off (8 fragments)
-  throughput         multi-client QPS/latency: threads vs worker pool ± result cache
+  throughput         multi-client QPS/latency: worker pool with and without the result cache
   chaos              QPS/latency under a seeded fault schedule: fault-free vs
                      faulted vs faulted+allow_partial (same --seed = same schedule)
   rebalance          skewed placement (everything on node 0) measured, advised,
@@ -413,8 +413,8 @@ fn ablation_localization(args: &Args) {
     }
 }
 
-/// Multi-client closed-loop throughput: transient threads vs the
-/// persistent worker pool, with and without the result cache.
+/// Multi-client closed-loop throughput of the persistent worker pool,
+/// with and without the result cache.
 fn throughput_bench(args: &Args) {
     let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
     let config = partix_bench::throughput::ThroughputConfig {

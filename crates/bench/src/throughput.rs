@@ -4,11 +4,9 @@
 //! (`DispatchMode::Simulated`). This benchmark instead measures the
 //! *coordinator runtime* under concurrent clients — N closed-loop
 //! clients each issue their next query as soon as the previous one
-//! returns, cycling a fixed repeated-query workload. Three
+//! returns, cycling a fixed repeated-query workload. Two
 //! configurations are compared:
 //!
-//! * `threads`      — [`DispatchMode::Threads`]: one transient OS thread
-//!   per sub-query per call (the pre-pool baseline);
 //! * `pool-nocache` — [`DispatchMode::Pool`]: persistent per-node worker
 //!   pools, result cache off;
 //! * `pool`         — worker pools plus the sub-query result cache.
@@ -47,7 +45,7 @@ impl Default for ThroughputConfig {
 }
 
 /// The compared coordinator configurations, in report order.
-pub const MODES: [&str; 3] = ["threads", "pool-nocache", "pool"];
+pub const MODES: [&str; 2] = ["pool-nocache", "pool"];
 
 /// Per-stage latency samples accumulated over a run's queries, one
 /// vector per coordinator stage of the [`StageBreakdown`].
@@ -169,13 +167,10 @@ impl RunResult {
 /// Build a fresh middleware in one of the [`MODES`].
 fn build_px(docs: &[partix_xml::Document], fragments: usize, mode: &str) -> PartiX {
     let mut px = setup::horizontal(docs, fragments);
+    px.set_dispatch(DispatchMode::Pool);
     match mode {
-        "threads" => px.set_dispatch(DispatchMode::Threads),
-        "pool-nocache" => px.set_dispatch(DispatchMode::Pool),
-        "pool" => {
-            px.set_dispatch(DispatchMode::Pool);
-            px.set_result_cache_enabled(true);
-        }
+        "pool-nocache" => {}
+        "pool" => px.set_result_cache_enabled(true),
         other => panic!("unknown throughput mode {other}"),
     }
     px
@@ -334,11 +329,10 @@ pub fn run_with(config: &ThroughputConfig, remote: bool) -> Vec<RunResult> {
                 .map(|r| r.qps)
                 .unwrap_or(0.0)
         };
-        let baseline = qps_of("threads");
+        let baseline = qps_of("pool-nocache");
         if baseline > 0.0 {
             println!(
-                "  {clients:>2} client(s): pool {:.2}x, pool+cache {:.2}x vs per-query threads",
-                qps_of("pool-nocache") / baseline,
+                "  {clients:>2} client(s): result cache {:.2}x vs pool alone",
                 qps_of("pool") / baseline,
             );
         }

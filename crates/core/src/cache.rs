@@ -168,7 +168,7 @@ impl ResultKey {
 /// A cached site result: everything needed to replay the sub-query
 /// answer without touching the node. Elapsed time is deliberately not
 /// kept — a hit costs (approximately) nothing and is reported as such.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CachedSite {
     pub items: Sequence,
     pub result_bytes: usize,

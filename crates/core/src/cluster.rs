@@ -142,6 +142,19 @@ impl Node {
         }
     }
 
+    /// Fetch a whole collection for a query, keeping "the driver could
+    /// not read it" apart from "empty" (see
+    /// [`PartixDriver::try_fetch_collection`]).
+    pub fn try_fetch_docs(
+        &self,
+        collection: &str,
+    ) -> Result<Vec<Arc<partix_xml::Document>>, DriverError> {
+        match &*self.driver.read() {
+            Some(driver) => driver.try_fetch_collection(collection),
+            None => PartixDriver::try_fetch_collection(&*self.db, collection),
+        }
+    }
+
     /// Probe the active driver's health (a real ping for network-backed
     /// drivers) and fold the verdict into the availability/suspect
     /// machinery: a failed probe marks the node suspect for `cooldown`,

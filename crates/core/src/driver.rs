@@ -53,9 +53,21 @@ pub trait PartixDriver: Send + Sync {
     /// Store documents into a named collection (created on demand).
     fn store(&self, collection: &str, docs: Vec<Document>);
 
-    /// Fetch a whole collection (empty when absent) — used by the
-    /// reconstruction fallback.
+    /// Fetch a whole collection (empty when absent). Infallible by
+    /// signature, so a driver that can fail answers empty — fine for
+    /// publication-side readers (advisor sampling, rebalancing), wrong
+    /// for queries, which fetch through
+    /// [`PartixDriver::try_fetch_collection`].
     fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>>;
+
+    /// Fetch a whole collection for the reconstruction fallback, telling
+    /// "absent" (`Ok`, empty) from "could not be read" (`Err`): a rebuilt
+    /// document set silently missing a fragment is wrong data. Drivers
+    /// that can fail must override the default, which keeps drivers
+    /// predating this method source-compatible.
+    fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
+        Ok(self.fetch_collection(collection))
+    }
 
     /// Names of the collections this node holds.
     fn collections(&self) -> Vec<String>;
@@ -133,9 +145,7 @@ impl PartixDriver for Database {
 /// [`DriverError::Unavailable`] until the directory is reopened.
 impl PartixDriver for DurableDb {
     fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
-        if self.is_dead() {
-            return Err(DriverError::Unavailable("node is down (killed mid-write)".into()));
-        }
+        self.health_check()?;
         PartixDriver::execute(&**self.db(), query)
     }
 
@@ -147,6 +157,11 @@ impl PartixDriver for DurableDb {
 
     fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>> {
         PartixDriver::fetch_collection(&**self.db(), collection)
+    }
+
+    fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.health_check()?;
+        Ok(self.fetch_collection(collection))
     }
 
     fn collections(&self) -> Vec<String> {
@@ -208,14 +223,19 @@ impl InstrumentedDriver {
     pub fn calls(&self) -> usize {
         self.calls.load(Ordering::Acquire)
     }
+
+    fn injected_failure(&self) -> Result<(), DriverError> {
+        if self.failing.load(Ordering::Acquire) {
+            return Err(DriverError::Failed("injected DBMS failure".into()));
+        }
+        Ok(())
+    }
 }
 
 impl PartixDriver for InstrumentedDriver {
     fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
         self.calls.fetch_add(1, Ordering::AcqRel);
-        if self.failing.load(Ordering::Acquire) {
-            return Err(DriverError::Failed("injected DBMS failure".into()));
-        }
+        self.injected_failure()?;
         let mut out = self.inner.execute(query)?;
         if let Some(out) = &mut out {
             out.stats.elapsed += self.delay_secs;
@@ -231,6 +251,11 @@ impl PartixDriver for InstrumentedDriver {
         self.inner.fetch_collection(collection)
     }
 
+    fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.injected_failure()?;
+        self.inner.try_fetch_collection(collection)
+    }
+
     fn collections(&self) -> Vec<String> {
         self.inner.collections()
     }
@@ -240,9 +265,7 @@ impl PartixDriver for InstrumentedDriver {
     }
 
     fn health_check(&self) -> Result<(), DriverError> {
-        if self.failing.load(Ordering::Acquire) {
-            return Err(DriverError::Failed("injected DBMS failure".into()));
-        }
+        self.injected_failure()?;
         self.inner.health_check()
     }
 
@@ -251,9 +274,7 @@ impl PartixDriver for InstrumentedDriver {
     }
 
     fn write(&self, op: &WriteOp) -> Result<u32, DriverError> {
-        if self.failing.load(Ordering::Acquire) {
-            return Err(DriverError::Failed("injected DBMS failure".into()));
-        }
+        self.injected_failure()?;
         self.inner.write(op)
     }
 }

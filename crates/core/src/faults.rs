@@ -72,7 +72,8 @@ impl fmt::Display for Fault {
 /// Cumulative injection counters of one [`FaultInjector`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectionStats {
-    /// Queries that reached the injector.
+    /// Query-path calls (executes and reconstruction fetches) that
+    /// reached the injector.
     pub calls: usize,
     /// Calls answered with [`DriverError::Failed`].
     pub injected_errors: usize,
@@ -83,8 +84,10 @@ pub struct InjectionStats {
 }
 
 /// A [`PartixDriver`] decorator applying a fixed list of [`Fault`]s to
-/// every query. Stores and fetches pass through unfaulted — publication
-/// is not under test, query dispatch is.
+/// every query-path call: executes and the reconstruction fallback's
+/// fetches ([`PartixDriver::try_fetch_collection`]). Stores and plain
+/// fetches pass through unfaulted — publication is not under test, query
+/// dispatch is.
 pub struct FaultInjector {
     inner: Arc<dyn PartixDriver>,
     faults: Vec<Fault>,
@@ -137,6 +140,37 @@ impl FaultInjector {
         }
     }
 
+    /// Count one query-path call (an execute or a reconstruction fetch)
+    /// and apply the schedule to it: sleep the latency faults, then fail
+    /// the call if its number says so.
+    fn inject(&self) -> Result<(), DriverError> {
+        let call = self.calls.fetch_add(1, Ordering::AcqRel);
+        let delay: u64 = self
+            .faults
+            .iter()
+            .map(|f| match f {
+                Fault::Latency { millis } => *millis,
+                _ => 0,
+            })
+            .sum();
+        if delay > 0 {
+            self.delayed_calls.fetch_add(1, Ordering::AcqRel);
+            std::thread::sleep(Duration::from_millis(delay));
+        }
+        if let Some(err) = self.verdict(call) {
+            match &err {
+                DriverError::Unavailable(_) => {
+                    self.injected_outages.fetch_add(1, Ordering::AcqRel)
+                }
+                DriverError::Failed(_) => {
+                    self.injected_errors.fetch_add(1, Ordering::AcqRel)
+                }
+            };
+            return Err(err);
+        }
+        Ok(())
+    }
+
     /// The fault verdict for call number `call` (0-based), ignoring
     /// latency faults. `None` = the call goes through to the inner
     /// driver.
@@ -174,30 +208,7 @@ impl FaultInjector {
 
 impl PartixDriver for FaultInjector {
     fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
-        let call = self.calls.fetch_add(1, Ordering::AcqRel);
-        let delay: u64 = self
-            .faults
-            .iter()
-            .map(|f| match f {
-                Fault::Latency { millis } => *millis,
-                _ => 0,
-            })
-            .sum();
-        if delay > 0 {
-            self.delayed_calls.fetch_add(1, Ordering::AcqRel);
-            std::thread::sleep(Duration::from_millis(delay));
-        }
-        if let Some(err) = self.verdict(call) {
-            match &err {
-                DriverError::Unavailable(_) => {
-                    self.injected_outages.fetch_add(1, Ordering::AcqRel)
-                }
-                DriverError::Failed(_) => {
-                    self.injected_errors.fetch_add(1, Ordering::AcqRel)
-                }
-            };
-            return Err(err);
-        }
+        self.inject()?;
         self.inner.execute(query)
     }
 
@@ -207,6 +218,11 @@ impl PartixDriver for FaultInjector {
 
     fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>> {
         self.inner.fetch_collection(collection)
+    }
+
+    fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.inject()?;
+        self.inner.try_fetch_collection(collection)
     }
 
     fn collections(&self) -> Vec<String> {
@@ -225,7 +241,7 @@ impl PartixDriver for FaultInjector {
         self.inner.counts_wire_bytes()
     }
 
-    /// Writes pass through unfaulted, like stores and fetches: the fault
+    /// Writes pass through unfaulted, like stores: the fault
     /// schedules target the query path, while write-path crash testing
     /// injects at the WAL stages ([`partix_storage::WalStage`]) where the
     /// recovery outcome is deterministic.

@@ -28,13 +28,16 @@
 //! * [`localize`] — data localization: decides which fragments can
 //!   contribute to a query, using predicate co-satisfiability (horizontal)
 //!   and path-overlap analysis (vertical/hybrid).
-//! * [`service`] — the Distributed Query Service: decomposes a query into
-//!   per-fragment sub-queries, runs them in parallel (one thread per
-//!   node), composes the result (union / aggregate combination /
+//! * [`service`] — the Distributed Query Service: one plan → run →
+//!   compose pipeline that decomposes a query into per-fragment tasks
+//!   (sub-queries, or whole-fragment fetches for the reconstruction
+//!   fallback), runs every task through the same retry / failover /
+//!   deadline loop, composes the result (union / aggregate combination /
 //!   reconstruction join) and reports the cluster-timing breakdown.
 //! * [`runtime`] — persistent per-node worker pools backing
 //!   [`DispatchMode::Pool`]: concurrent `execute` calls share a bounded
-//!   set of threads instead of spawning per sub-query.
+//!   set of node workers ([`DispatchMode::Simulated`] runs the same
+//!   pipeline inline, one task after the other).
 //! * [`cache`] — coordinator-side plan and sub-query result caches, the
 //!   latter invalidated by per-collection write epochs.
 //! * [`faults`] — deterministic fault injection: seeded per-node fault

@@ -1,12 +1,13 @@
 //! Persistent per-node worker pools for [`DispatchMode::Pool`](crate::DispatchMode).
 //!
-//! `DispatchMode::Threads` spawns one OS thread per sub-query per call —
-//! fine for a single query, ruinous under concurrent clients. The pool
-//! instead keeps a fixed set of worker threads *per node* (mirroring one
-//! connection pool per remote site in a real deployment), each draining
-//! a bounded task queue. Concurrent `PartiX::execute` calls share the
-//! same workers; the bounded queues provide backpressure instead of
-//! unbounded thread growth.
+//! Spawning one OS thread per node call is fine for a single query and
+//! ruinous under concurrent clients. The pool instead keeps a fixed set
+//! of worker threads *per node* (mirroring one connection pool per
+//! remote site in a real deployment), each draining a bounded task
+//! queue. Concurrent `PartiX::execute` calls share the same workers; the
+//! bounded queues provide backpressure instead of unbounded thread
+//! growth. Every node call of the query path — a sub-query attempt or a
+//! reconstruction fetch — is one job.
 //!
 //! Each node's queue is a [`DrrScheduler`]: one FIFO lane per
 //! [`PriorityClass`], drained deficit-round-robin so an aggressive
@@ -283,18 +284,19 @@ mod tests {
             })
         ));
         rx.recv().unwrap();
-        // wait for the unwind to finish dropping the job's captures
+        // wait for the unwind to finish dropping the job's captures. The
+        // gauges are process-global and sibling tests run pooled queries
+        // meanwhile (some hold a job for hundreds of ms), so "released"
+        // is "back at or below the baseline", not "equal to it": a leak
+        // would keep a gauge above its baseline for good
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while reg.gauge("pool.queue.depth").get() > total_before {
+        while reg.gauge("pool.queue.depth").get() > total_before
+            || reg.gauge(class_depth_gauge(PriorityClass::Batch)).get() > class_before
+        {
             assert!(std::time::Instant::now() < deadline, "gauge leaked by panic");
             std::thread::yield_now();
         }
         std::panic::set_hook(prior);
-        assert_eq!(reg.gauge("pool.queue.depth").get(), total_before);
-        assert_eq!(
-            reg.gauge(class_depth_gauge(PriorityClass::Batch)).get(),
-            class_before
-        );
     }
 
     #[test]

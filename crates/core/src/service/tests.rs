@@ -1,0 +1,579 @@
+#![cfg(test)]
+
+use super::*;
+use crate::catalog::Placement;
+use partix_frag::{FragmentDef, FragmentationSchema};
+use partix_path::{PathExpr, Predicate};
+use partix_query::Item;
+use partix_schema::builtin::virtual_store;
+use partix_schema::{CollectionDef, RepoKind};
+use partix_xml::{parse, Document};
+
+fn items(n: usize) -> Vec<Document> {
+    (0..n)
+        .map(|i| {
+            let section = ["CD", "DVD", "BOOK"][i % 3];
+            let quality = if i % 2 == 0 { "good" } else { "poor" };
+            let mut d = parse(&format!(
+                "<Item><Code>{i}</Code><Name>item {i}</Name><Section>{section}</Section>\
+                 <Price>{}</Price>\
+                 <Characteristics><Description>a {quality} product</Description></Characteristics></Item>",
+                5 + i
+            ))
+            .unwrap();
+            d.name = Some(format!("i{i:04}"));
+            d
+        })
+        .collect()
+}
+
+fn horizontal_px(nodes: usize) -> PartiX {
+    let px = PartiX::new(nodes, NetworkModel::default());
+    let citems = CollectionDef::new(
+        "items",
+        Arc::new(virtual_store()),
+        PathExpr::parse("/Store/Items/Item").unwrap(),
+        RepoKind::MultipleDocuments,
+    );
+    let design = FragmentationSchema::new(
+        citems,
+        vec![
+            FragmentDef::horizontal(
+                "f_cd",
+                Predicate::parse(r#"/Item/Section = "CD""#).unwrap(),
+            ),
+            FragmentDef::horizontal(
+                "f_dvd",
+                Predicate::parse(r#"/Item/Section = "DVD""#).unwrap(),
+            ),
+            FragmentDef::horizontal(
+                "f_rest",
+                Predicate::parse(r#"/Item/Section != "CD" and /Item/Section != "DVD""#)
+                    .unwrap(),
+            ),
+        ],
+    )
+    .unwrap();
+    px.register_distribution(Distribution {
+        design,
+        placements: vec![
+            Placement { fragment: "f_cd".into(), node: 0 },
+            Placement { fragment: "f_dvd".into(), node: 1 % nodes },
+            Placement { fragment: "f_rest".into(), node: 2 % nodes },
+        ],
+    })
+    .unwrap();
+    px.publish("items", &items(30)).unwrap();
+    px.publish_centralized(0, "items_central", &items(30)).unwrap();
+    px
+}
+
+#[test]
+fn distributed_equals_centralized_selection() {
+    let px = horizontal_px(3);
+    let q = |coll: &str| {
+        format!(
+            r#"for $i in collection("{coll}")/Item
+               where contains($i//Description, "good")
+               return $i/Code"#
+        )
+    };
+    let distributed = px.execute(&q("items")).unwrap();
+    let centralized = px.execute_centralized(0, &q("items_central")).unwrap();
+    let mut a: Vec<String> =
+        distributed.items.iter().map(Item::serialize).collect();
+    let mut b: Vec<String> =
+        centralized.items.iter().map(Item::serialize).collect();
+    a.sort();
+    b.sort();
+    assert_eq!(a, b);
+    assert_eq!(distributed.report.sites.len(), 3);
+}
+
+#[test]
+fn localization_prunes_to_single_fragment() {
+    let px = horizontal_px(3);
+    let result = px
+        .execute(
+            r#"for $i in collection("items")/Item
+               where $i/Section = "CD" return $i/Code"#,
+        )
+        .unwrap();
+    assert_eq!(result.report.sites.len(), 1);
+    assert_eq!(result.report.fragments_pruned, 2);
+    assert_eq!(result.report.sites[0].fragment, "f_cd");
+    assert_eq!(result.items.len(), 10);
+}
+
+#[test]
+fn count_combines_partials() {
+    let px = horizontal_px(3);
+    let result = px
+        .execute(r#"count(for $i in collection("items")/Item return $i)"#)
+        .unwrap();
+    assert_eq!(result.items, vec![Item::Num(30.0)]);
+    assert_eq!(result.report.sites.len(), 3);
+}
+
+#[test]
+fn sum_min_max_combine() {
+    let px = horizontal_px(3);
+    // prices are 5..34 → sum = 585, min 5, max 34
+    let sum = px
+        .execute(r#"sum(for $i in collection("items")/Item return number($i/Price))"#)
+        .unwrap();
+    assert_eq!(sum.items, vec![Item::Num(585.0)]);
+    let min = px
+        .execute(r#"min(for $i in collection("items")/Item return number($i/Price))"#)
+        .unwrap();
+    assert_eq!(min.items, vec![Item::Num(5.0)]);
+    let max = px
+        .execute(r#"max(for $i in collection("items")/Item return number($i/Price))"#)
+        .unwrap();
+    assert_eq!(max.items, vec![Item::Num(34.0)]);
+}
+
+#[test]
+fn avg_weighted_combination() {
+    let px = horizontal_px(3);
+    let avg = px
+        .execute(r#"avg(for $i in collection("items")/Item return number($i/Price))"#)
+        .unwrap();
+    assert_eq!(avg.items, vec![Item::Num(585.0 / 30.0)]);
+}
+
+#[test]
+fn node_failure_reported() {
+    let px = horizontal_px(3);
+    px.cluster().node(1).unwrap().set_available(false);
+    let err = px
+        .execute(r#"count(for $i in collection("items")/Item return $i)"#)
+        .unwrap_err();
+    assert!(matches!(err, PartixError::NodeUnavailable { node: 1, .. }));
+    // queries localized away from node 1 still work
+    let ok = px
+        .execute(
+            r#"count(for $i in collection("items")/Item
+                     where $i/Section = "CD" return $i)"#,
+        )
+        .unwrap();
+    assert_eq!(ok.items, vec![Item::Num(10.0)]);
+}
+
+#[test]
+fn passthrough_for_undistributed_collections() {
+    let px = horizontal_px(2);
+    let result = px
+        .execute(r#"count(for $i in collection("items_central")/Item return $i)"#)
+        .unwrap();
+    assert_eq!(result.items, vec![Item::Num(30.0)]);
+    assert_eq!(result.report.sites[0].fragment, "<passthrough>");
+}
+
+/// f_cd replicated on nodes 0 and 2; f_rest on node 1.
+fn replicated_px() -> PartiX {
+    let px = PartiX::new(3, NetworkModel::default());
+    let citems = CollectionDef::new(
+        "items",
+        Arc::new(virtual_store()),
+        PathExpr::parse("/Store/Items/Item").unwrap(),
+        RepoKind::MultipleDocuments,
+    );
+    let design = FragmentationSchema::new(
+        citems,
+        vec![
+            FragmentDef::horizontal(
+                "f_cd",
+                Predicate::parse(r#"/Item/Section = "CD""#).unwrap(),
+            ),
+            FragmentDef::horizontal(
+                "f_rest",
+                Predicate::parse(r#"not(/Item/Section = "CD")"#).unwrap(),
+            ),
+        ],
+    )
+    .unwrap();
+    px.register_distribution(Distribution {
+        design,
+        placements: vec![
+            Placement { fragment: "f_cd".into(), node: 0 },
+            Placement { fragment: "f_cd".into(), node: 2 },
+            Placement { fragment: "f_rest".into(), node: 1 },
+        ],
+    })
+    .unwrap();
+    px.publish("items", &items(30)).unwrap();
+    px
+}
+
+#[test]
+fn replicated_fragment_fails_over() {
+    let px = replicated_px();
+    // replica copies landed on both nodes
+    assert_eq!(px.cluster().node(0).unwrap().db.collection_len("f_cd").unwrap(), 10);
+    assert_eq!(px.cluster().node(2).unwrap().db.collection_len("f_cd").unwrap(), 10);
+    let q = r#"count(for $i in collection("items")/Item where $i/Section = "CD" return $i)"#;
+    // primary up: node 0 answers
+    let result = px.execute(q).unwrap();
+    assert_eq!(result.items, vec![Item::Num(10.0)]);
+    assert_eq!(result.report.sites[0].node, 0);
+    // primary down: the query fails over to node 2
+    px.cluster().node(0).unwrap().set_available(false);
+    let result = px.execute(q).unwrap();
+    assert_eq!(result.items, vec![Item::Num(10.0)]);
+    assert_eq!(result.report.sites[0].node, 2);
+    // both replicas down: the error is reported
+    px.cluster().node(2).unwrap().set_available(false);
+    assert!(matches!(
+        px.execute(q),
+        Err(PartixError::NodeUnavailable { .. })
+    ));
+}
+
+#[test]
+fn round_robin_rotates_across_replicas() {
+    let px = replicated_px();
+    let q = r#"count(for $i in collection("items")/Item where $i/Section = "CD" return $i)"#;
+    let served: Vec<usize> = (0..4)
+        .map(|_| {
+            let result = px.execute(q).unwrap();
+            assert_eq!(result.items, vec![Item::Num(10.0)]);
+            result.report.sites[0].node
+        })
+        .collect();
+    // consecutive queries alternate between the two replicas instead
+    // of hammering the first placement
+    assert_eq!(served, vec![0, 2, 0, 2]);
+}
+
+#[test]
+fn retry_recovers_from_transient_driver_failures() {
+    use crate::faults::{Fault, FaultInjector};
+    let px = horizontal_px(3);
+    // node 1's DBMS alternates: one call up, one call down
+    let node = px.cluster().node(1).unwrap();
+    FaultInjector::install(node, vec![Fault::FlipFlop { up: 1, down: 1 }]);
+    let q = r#"count(for $i in collection("items")/Item return $i)"#;
+    // call 0 on node 1 is served cleanly
+    let first = px.execute(q).unwrap();
+    assert_eq!(first.items, vec![Item::Num(30.0)]);
+    assert_eq!(first.report.retries, 0);
+    // call 1 fails, the retry (call 2) lands in the up-phase
+    let second = px.execute(q).unwrap();
+    assert_eq!(second.items, vec![Item::Num(30.0)]);
+    assert_eq!(second.report.retries, 1);
+    assert_eq!(second.report.failovers, 0); // sole replica: same node
+    let faulty_site =
+        second.report.sites.iter().find(|s| s.fragment == "f_dvd").unwrap();
+    assert_eq!(faulty_site.retries, 1);
+}
+
+#[test]
+fn deadline_expiry_fails_over_to_replica() {
+    use crate::faults::{Fault, FaultInjector};
+    let mut px = replicated_px();
+    px.set_dispatch(DispatchMode::Pool);
+    px.set_retry_policy(RetryPolicy {
+        timeout: Some(Duration::from_millis(40)),
+        ..RetryPolicy::default()
+    });
+    // node 0's replica of f_cd answers far too slowly; node 2 is fast
+    let slow = px.cluster().node(0).unwrap();
+    FaultInjector::install(slow, vec![Fault::Latency { millis: 400 }]);
+    let q = r#"count(for $i in collection("items")/Item where $i/Section = "CD" return $i)"#;
+    let result = px.execute(q).unwrap();
+    assert_eq!(result.items, vec![Item::Num(10.0)]);
+    assert_eq!(result.report.sites[0].node, 2, "{}", result.report);
+    assert_eq!(result.report.timeouts, 1);
+    assert_eq!(result.report.failovers, 1);
+    // the slow node is left suspect, so the next query (whose
+    // round-robin turn would be node 0's) routes around it
+    assert!(px.cluster().node(0).unwrap().is_suspect());
+    let again = px.execute(q).unwrap();
+    assert_eq!(again.report.sites[0].node, 2);
+    assert_eq!(again.report.timeouts, 0);
+}
+
+#[test]
+fn allow_partial_degrades_instead_of_failing() {
+    let px = horizontal_px(3);
+    px.cluster().node(1).unwrap().set_available(false);
+    let q = r#"count(for $i in collection("items")/Item return $i)"#;
+    // strict mode still fails
+    assert!(px.execute(q).is_err());
+    // degraded mode answers from the two live fragments
+    let result = px
+        .execute_with(q, ExecOptions { allow_partial: true, ..ExecOptions::default() })
+        .unwrap();
+    assert_eq!(result.items, vec![Item::Num(20.0)]);
+    assert!(result.report.partial);
+    assert_eq!(result.report.sites.len(), 2);
+    assert_eq!(result.report.skipped.len(), 1);
+    assert_eq!(result.report.skipped[0].fragment, "f_dvd");
+    // with every node down the answer is empty but typed
+    px.cluster().node(0).unwrap().set_available(false);
+    px.cluster().node(2).unwrap().set_available(false);
+    let empty = px
+        .execute_with(q, ExecOptions { allow_partial: true, ..ExecOptions::default() })
+        .unwrap();
+    assert!(empty.report.partial);
+    assert_eq!(empty.report.skipped.len(), 3);
+    assert!(empty.report.sites.is_empty());
+}
+
+#[test]
+fn parse_error_surfaces() {
+    let px = horizontal_px(2);
+    assert!(matches!(px.execute("for $"), Err(PartixError::Parse(_))));
+}
+
+fn vertical_px() -> PartiX {
+    let px = PartiX::new(3, NetworkModel::default());
+    let articles = CollectionDef::new(
+        "articles",
+        Arc::new(partix_schema::builtin::xbench_article()),
+        PathExpr::parse("/article").unwrap(),
+        RepoKind::MultipleDocuments,
+    );
+    let p = |s: &str| PathExpr::parse(s).unwrap();
+    let design = FragmentationSchema::new(
+        articles,
+        vec![
+            FragmentDef::vertical(
+                "f_spine",
+                p("/article"),
+                vec![p("/article/prolog"), p("/article/body"), p("/article/epilog")],
+            ),
+            FragmentDef::vertical("f_prolog", p("/article/prolog"), vec![]),
+            FragmentDef::vertical("f_body", p("/article/body"), vec![]),
+            FragmentDef::vertical("f_epilog", p("/article/epilog"), vec![]),
+        ],
+    )
+    .unwrap();
+    px.register_distribution(Distribution {
+        design,
+        placements: vec![
+            Placement { fragment: "f_spine".into(), node: 0 },
+            Placement { fragment: "f_prolog".into(), node: 0 },
+            Placement { fragment: "f_body".into(), node: 1 },
+            Placement { fragment: "f_epilog".into(), node: 2 },
+        ],
+    })
+    .unwrap();
+    let docs: Vec<Document> = (0..6)
+        .map(|i| {
+            let mut d = parse(&format!(
+                r#"<article id="a{i}"><prolog><title>Title {i}</title>
+                   <authors><author><name>Author {i}</name></author></authors>
+                   <genre>g{}</genre><pub_date>2005-0{}-01</pub_date></prolog>
+                   <body><abstract>xml data {i}</abstract>
+                   <section><heading>h</heading><p>body text {i}</p></section></body>
+                   <epilog><references><reference><ref_title>r</ref_title><year>1999</year></reference></references>
+                   <country>BR</country><word_count>{}</word_count></epilog></article>"#,
+                i % 3,
+                (i % 9) + 1,
+                100 + i
+            ))
+            .unwrap();
+            d.name = Some(format!("a{i}"));
+            d
+        })
+        .collect();
+    px.publish("articles", &docs).unwrap();
+    px.publish_centralized(0, "articles_central", &docs).unwrap();
+    px
+}
+
+#[test]
+fn vertical_single_fragment_query() {
+    let px = vertical_px();
+    let result = px
+        .execute(r#"for $t in collection("articles")/article/prolog/title return $t"#)
+        .unwrap();
+    assert_eq!(result.items.len(), 6);
+    // only the prolog fragment is consulted
+    assert_eq!(result.report.sites.len(), 1);
+    assert_eq!(result.report.sites[0].fragment, "f_prolog");
+    assert!(!result.report.reconstructed);
+}
+
+#[test]
+fn vertical_multi_fragment_reconstructs() {
+    let px = vertical_px();
+    let q = r#"for $a in collection("articles")/article
+               where contains($a/body/abstract, "xml")
+               return $a/prolog/title"#;
+    let result = px.execute(q).unwrap();
+    assert!(result.report.reconstructed);
+    assert_eq!(result.items.len(), 6);
+    // same answer as centralized
+    let centralized = px
+        .execute_centralized(
+            0,
+            &q.replace("collection(\"articles\")", "collection(\"articles_central\")"),
+        )
+        .unwrap();
+    let a: Vec<String> = result.items.iter().map(Item::serialize).collect();
+    let b: Vec<String> = centralized.items.iter().map(Item::serialize).collect();
+    assert_eq!(a, b);
+}
+
+#[test]
+fn vertical_aggregate_on_one_fragment() {
+    let px = vertical_px();
+    let result = px
+        .execute(r#"count(collection("articles")/article/epilog/references/reference)"#)
+        .unwrap();
+    assert_eq!(result.items, vec![Item::Num(6.0)]);
+    assert_eq!(result.report.sites.len(), 1);
+    assert_eq!(result.report.sites[0].fragment, "f_epilog");
+}
+
+/// Regression for the round-robin replica index arithmetic: the
+/// per-fragment rotation counter wraps around usize::MAX on long
+/// runs, and `nodes[(start + k) % len]` then overflow-panics in
+/// debug builds. Seed the counter at the edge and step across it.
+#[test]
+fn replica_rotation_survives_counter_wraparound() {
+    let px = replicated_px();
+    *px.rotation.lock().entry("f_cd".to_owned()).or_insert(0) = usize::MAX - 1;
+    let q = r#"count(for $i in collection("items")/Item where $i/Section = "CD" return $i)"#;
+    // crosses usize::MAX - 1 → MAX → 0 without panicking, and keeps
+    // alternating between the two replicas
+    let served: Vec<usize> = (0..4)
+        .map(|_| {
+            let result = px.execute(q).unwrap();
+            assert_eq!(result.items, vec![Item::Num(10.0)]);
+            result.report.sites[0].node
+        })
+        .collect();
+    let alternated = served == vec![0, 2, 0, 2] || served == vec![2, 0, 2, 0];
+    assert!(alternated, "served: {served:?}");
+    assert_eq!(*px.rotation.lock().get("f_cd").unwrap(), 2);
+}
+
+#[test]
+fn invalid_distributions_are_typed_errors() {
+    use crate::catalog::DistributionError;
+    let px = PartiX::new(2, NetworkModel::default());
+    let citems = CollectionDef::new(
+        "items",
+        Arc::new(virtual_store()),
+        PathExpr::parse("/Store/Items/Item").unwrap(),
+        RepoKind::MultipleDocuments,
+    );
+    let design = FragmentationSchema::new(
+        citems,
+        vec![
+            FragmentDef::horizontal(
+                "f_cd",
+                Predicate::parse(r#"/Item/Section = "CD""#).unwrap(),
+            ),
+            FragmentDef::horizontal(
+                "f_rest",
+                Predicate::parse(r#"not(/Item/Section = "CD")"#).unwrap(),
+            ),
+        ],
+    )
+    .unwrap();
+    // out-of-range node index: the cluster has 2 nodes
+    let err = px
+        .register_distribution(Distribution {
+            design: design.clone(),
+            placements: vec![
+                Placement { fragment: "f_cd".into(), node: 0 },
+                Placement { fragment: "f_rest".into(), node: 5 },
+            ],
+        })
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        PartixError::InvalidDistribution(DistributionError::NodeOutOfRange {
+            node: 5,
+            nodes: 2,
+            ..
+        })
+    ));
+    // placement naming a fragment the design does not define
+    let err = px
+        .register_distribution(Distribution {
+            design: design.clone(),
+            placements: vec![
+                Placement { fragment: "f_cd".into(), node: 0 },
+                Placement { fragment: "f_rest".into(), node: 1 },
+                Placement { fragment: "f_ghost".into(), node: 1 },
+            ],
+        })
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        PartixError::InvalidDistribution(DistributionError::UnknownFragment { .. })
+    ));
+    // nothing was registered by the failed attempts
+    assert!(px.catalog().distribution("items").is_none());
+}
+
+/// Swapping a collection's placements while queries are in flight
+/// must never produce a wrong answer: in-flight queries either
+/// finish against the old placements or are replanned against the
+/// new ones (the replan loop of `run_admitted`), and both hold the full
+/// data.
+#[test]
+fn placement_swap_under_concurrent_queries() {
+    let px = horizontal_px(3);
+    let q = r#"count(for $i in collection("items")/Item return $i)"#;
+    let swapped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        let px = &px;
+        for _ in 0..4 {
+            let swapped = Arc::clone(&swapped);
+            scope.spawn(move || {
+                for _ in 0..40 {
+                    let result = px.execute(q).unwrap();
+                    assert_eq!(result.items, vec![Item::Num(30.0)]);
+                    if swapped.load(std::sync::atomic::Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+        scope.spawn(|| {
+            // move every fragment onto different nodes, repeatedly,
+            // while the query threads hammer the collection; data is
+            // already resident everywhere it needs to be only for
+            // the *original* placements, so replicate first
+            let dist = Arc::clone(px.catalog().distribution("items").unwrap());
+            for round in 0..6usize {
+                let rotate = round % 3;
+                let placements: Vec<Placement> = dist
+                    .placements
+                    .iter()
+                    .map(|p| {
+                        let node = (p.node + rotate) % 3;
+                        // keep the data available on the new node
+                        let docs: Vec<Document> = px
+                            .cluster()
+                            .node(p.node)
+                            .unwrap()
+                            .fetch_docs(&p.fragment)
+                            .iter()
+                            .map(|d| (**d).clone())
+                            .collect();
+                        let target = px.cluster().node(node).unwrap();
+                        if target.fetch_docs(&p.fragment).is_empty() && !docs.is_empty() {
+                            target.store_docs(&p.fragment, docs);
+                        }
+                        Placement { fragment: p.fragment.clone(), node }
+                    })
+                    .collect();
+                px.register_distribution(Distribution {
+                    design: dist.design.clone(),
+                    placements,
+                })
+                .unwrap();
+                swapped.store(true, std::sync::atomic::Ordering::Release);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+    });
+}

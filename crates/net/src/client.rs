@@ -341,9 +341,16 @@ impl PartixDriver for RemoteDriver {
     }
 
     fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>> {
-        match self.request(&Request::Fetch { collection: collection.to_owned() }) {
-            Ok(Response::Docs(docs)) => docs.into_iter().map(Arc::new).collect(),
-            _ => Vec::new(),
+        self.try_fetch_collection(collection).unwrap_or_default()
+    }
+
+    fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
+        match self.request(&Request::Fetch { collection: collection.to_owned() })? {
+            Response::Docs(docs) => Ok(docs.into_iter().map(Arc::new).collect()),
+            other => Err(DriverError::Unavailable(format!(
+                "{}: mismatched response {other:?} to Fetch",
+                self.addr
+            ))),
         }
     }
 

@@ -207,17 +207,22 @@ impl Collection {
         self.name_map.get(name).and_then(|slots| slots.first().copied())
     }
 
+    /// The stored form of one document, shareable outside the collection
+    /// lock (a refcount bump either way). `slot` must be live.
+    fn handle(&self, slot: u32) -> DocHandle {
+        match self.mode {
+            StorageMode::Hot => DocHandle::Hot(Arc::clone(
+                self.docs[slot as usize].as_ref().expect("live slot"),
+            )),
+            StorageMode::Cold => {
+                DocHandle::Cold(self.pages[slot as usize].clone().expect("live slot"))
+            }
+        }
+    }
+
     /// Materialize one document (decoding if cold). `slot` must be live.
     fn fetch(&self, slot: u32) -> Arc<Document> {
-        match self.mode {
-            StorageMode::Hot => {
-                Arc::clone(self.docs[slot as usize].as_ref().expect("live slot"))
-            }
-            StorageMode::Cold => Arc::new(
-                binary::decode(self.pages[slot as usize].as_ref().expect("live slot"))
-                    .expect("pages written by insert() always decode"),
-            ),
-        }
+        self.handle(slot).materialize()
     }
 
     fn all(&self) -> Vec<Arc<Document>> {
@@ -268,6 +273,14 @@ impl Collection {
 
     pub(crate) fn fetch_slots(&self, slots: &[u32]) -> Vec<Arc<Document>> {
         slots.iter().map(|&s| self.fetch(s)).collect()
+    }
+
+    /// Snapshot the stored forms of `slots` (all live) for readers that
+    /// materialize them after releasing the collection lock: a slot
+    /// number means nothing once a concurrent delete tombstoned it or a
+    /// compaction renumbered it, a handle still holds the document.
+    pub(crate) fn handles(&self, slots: &[u32]) -> Vec<DocHandle> {
+        slots.iter().map(|&s| self.handle(s)).collect()
     }
 
     /// Raw binary pages of the live documents (for persistence and for
@@ -345,6 +358,24 @@ impl Collection {
                     self.docs.push(None);
                 }
             }
+        }
+    }
+}
+
+/// One document as a collection stores it, detached from the collection.
+pub(crate) enum DocHandle {
+    Hot(Arc<Document>),
+    Cold(bytes::Bytes),
+}
+
+impl DocHandle {
+    /// The document itself, decoding a cold page.
+    pub(crate) fn materialize(&self) -> Arc<Document> {
+        match self {
+            DocHandle::Hot(doc) => Arc::clone(doc),
+            DocHandle::Cold(page) => Arc::new(
+                binary::decode(page).expect("pages written by insert() always decode"),
+            ),
         }
     }
 }

@@ -32,9 +32,9 @@
 //! — the same error a sequential left-to-right scan would have hit
 //! first.
 
-use crate::db::{Collection, Database};
+use crate::db::{Database, DocHandle};
 use crate::exec::{index_candidates, ExecError, QueryOutput, QueryStats};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use partix_query::morsel::{self, MorselPartial, MorselPlan};
 use partix_query::pushdown::QueryAnalysis;
 use partix_query::{CollectionProvider, EvalError, Item, Query};
@@ -150,10 +150,12 @@ impl CollectionProvider for MorselView {
 /// Everything a morsel job needs, shared across workers for one query.
 struct QueryCtx {
     plan: MorselPlan,
-    coll: Arc<RwLock<Collection>>,
-    /// Candidate slots in document order; `bounds[i]` is morsel `i`'s
-    /// half-open range into it.
-    slots: Vec<u32>,
+    /// Candidate documents in document order, snapshotted under one read
+    /// guard so every morsel sees the collection as of that moment
+    /// whatever writers do meanwhile; `bounds[i]` is morsel `i`'s
+    /// half-open range into it. Cold pages are decoded by the morsel
+    /// that claims them, outside the lock.
+    docs: Vec<DocHandle>,
     bounds: Vec<(usize, usize)>,
     /// Next unclaimed morsel — the shared work-stealing cursor.
     next: AtomicUsize,
@@ -168,7 +170,7 @@ impl QueryCtx {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             let Some(&(lo, hi)) = self.bounds.get(i) else { break };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let docs = self.coll.read().fetch_slots(&self.slots[lo..hi]);
+                let docs = self.docs[lo..hi].iter().map(DocHandle::materialize).collect();
                 let view =
                     MorselView { collection: self.plan.collection.clone(), docs };
                 morsel::eval_partial(&self.plan, &view)
@@ -207,11 +209,11 @@ impl Database {
         };
 
         let mut stats = QueryStats::default();
-        let slots: Vec<u32> = {
+        let docs = {
             let guard = coll.read();
             stats.collection_size = guard.len();
             // same index pre-filter as the sequential path, minus the
-            // document materialization (each morsel fetches its own)
+            // document materialization (each morsel decodes its own)
             let probed = analysis.and_then(|a| {
                 if !self.index_enabled() || a.collection != plan.collection {
                     return None;
@@ -219,24 +221,20 @@ impl Database {
                 let pred = a.doc_predicate.as_ref()?;
                 index_candidates(&guard, pred, self.value_index_enabled())
             });
-            match probed {
-                Some(slots) => {
-                    stats.index_used = true;
-                    slots
-                }
-                // tombstoned slots hold no document — scan live ones only
-                None => guard.live_slots(),
+            stats.index_used = probed.is_some();
+            // tombstoned slots hold no document — scan live ones only
+            let slots = probed.unwrap_or_else(|| guard.live_slots());
+            if slots.len() / config.min_docs < 2 {
+                return Ok(None);
             }
+            guard.handles(&slots)
         };
-        stats.docs_scanned = slots.len();
+        stats.docs_scanned = docs.len();
 
-        let morsels = (slots.len() / config.min_docs).min(config.max_workers);
-        if morsels < 2 {
-            return Ok(None);
-        }
+        let morsels = (docs.len() / config.min_docs).min(config.max_workers);
         // contiguous, near-even split preserving document order
         let mut bounds = Vec::with_capacity(morsels);
-        let (base, extra) = (slots.len() / morsels, slots.len() % morsels);
+        let (base, extra) = (docs.len() / morsels, docs.len() % morsels);
         let mut lo = 0;
         for i in 0..morsels {
             let hi = lo + base + usize::from(i < extra);
@@ -247,8 +245,7 @@ impl Database {
         let (tx, rx) = mpsc::channel();
         let ctx = Arc::new(QueryCtx {
             plan,
-            coll,
-            slots,
+            docs,
             bounds,
             next: AtomicUsize::new(0),
             tx,

@@ -30,10 +30,19 @@ cargo test -q --test observability --offline
 
 # network gate: the wire protocol's property tests (round-trips plus
 # hostile frames), the local-vs-remote differential suite over loopback
-# TCP, and the listener kill/restart chaos test.
+# TCP, the listener kill/restart chaos test, and — by name, so that
+# renaming or filtering it away fails the gate — the vertical kill
+# matrix (every node killed in turn under every QV query: the healthy
+# answer or a typed error, never a reconstruction over a missing
+# fragment).
 cargo test -q -p partix-net --offline
 cargo test -q --test remote_differential --offline
 cargo test -q --test concurrency --offline remote_chaos
+if ! cargo test -q --test remote_differential --offline vertical_kill_matrix \
+    | grep -q "test result: ok. 1 passed"; then
+    echo "verify: FAIL — the vertical kill matrix did not run and pass" >&2
+    exit 1
+fi
 
 # streaming gate: the PXN2 streamed-vs-buffered differential (every
 # query family, hot and cold caches, seeded faults, coordinator killed
@@ -90,6 +99,27 @@ cargo test -q -p partix-storage --test write_path --offline
 
 # any clippy warning fails the gate
 cargo clippy --workspace --offline -- -D warnings
+
+# one query path: inside the query service only the dispatch module may
+# call into a node (execute or fetch), and the per-call-thread dispatch
+# mode stays deleted.
+SERVICE=crates/core/src/service
+if grep -nE 'fetch_docs\(|try_fetch_collection\(|\.execute_query\(' \
+    $(ls "$SERVICE"/*.rs | grep -vE '/(dispatch|tests)\.rs$'); then
+    echo "verify: FAIL — a node call outside $SERVICE/dispatch.rs" >&2
+    exit 1
+fi
+if grep -rn 'DispatchMode::Threads' crates src tests examples; then
+    echo "verify: FAIL — DispatchMode::Threads reappeared" >&2
+    exit 1
+fi
+
+# the frozen benchmark package (benchmark/, BENCHMARK.json) compiles
+# against the product crates: a change that breaks it must fail here,
+# not in the pipeline. --check validates the manifest, --quick runs all
+# four workloads on ~100 KB with every answer checked.
+bash benchmark/run.sh --check > /dev/null
+bash benchmark/run.sh --quick > /dev/null
 
 # the throughput JSON must carry per-stage attribution and the measured
 # tracing overhead — a quick 2-client run regenerates a scratch copy

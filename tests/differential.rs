@@ -9,7 +9,9 @@
 //! under injected faults must return either the oracle answer or a typed
 //! `PartixError` — never silently wrong data.
 
-use partix::engine::{ExecOptions, FaultPlan, PartiX, RetryPolicy};
+use partix::engine::{
+    ExecOptions, Fault, FaultInjector, FaultPlan, PartiX, PartixError, RetryPolicy,
+};
 use partix::frag::FragMode;
 use partix::gen::{ArticleProfile, ItemProfile};
 use partix::query::Item;
@@ -185,4 +187,73 @@ fn vertical_under_faults_never_returns_wrong_data() {
     });
     FaultPlan::from_seed(0xD1FF, 3, 0.7).install(&px);
     assert_no_wrong_data(&px, &oracle, &workload, "vert-faulted");
+}
+
+/// The reconstruction fallback fetches whole fragments, and those
+/// fetches run through the same fault schedules, retry loop and typed
+/// errors as sub-queries: under seeded plans an answered reconstruction
+/// is the oracle's, a flapping node costs a retry and nothing else, and
+/// a wedged node is a typed error — never a document set rebuilt from
+/// what happened to arrive.
+#[test]
+fn reconstruction_under_faults_retries_or_fails_typed() {
+    let docs = partix::gen::gen_articles(8, ArticleProfile::SMALL, 41);
+    let clean = setup::vertical(&docs);
+    let (workload, oracle): (Vec<_>, Vec<_>) = queries::vertical(setup::DIST)
+        .into_iter()
+        .filter_map(|(id, q)| {
+            let result = clean.execute(&q).unwrap_or_else(|e| panic!("{id}: {e}"));
+            result.report.reconstructed.then(|| ((id, q), canonical(&result.items)))
+        })
+        .unzip();
+    assert!(workload.len() >= 4, "QV4/QV7/QV8/QV10 reconstruct");
+    let faulted = || {
+        let px = setup::vertical(&docs);
+        px.set_retry_policy(RetryPolicy {
+            timeout: Some(Duration::from_millis(200)),
+            ..RetryPolicy::default()
+        });
+        px
+    };
+
+    for seed in [3u64, 0xD1FF, 0xBAD5EED] {
+        let px = faulted();
+        let injectors = FaultPlan::from_seed(seed, 3, 1.0).install(&px);
+        assert_no_wrong_data(&px, &oracle, &workload, &format!("rebuild-{seed:#x}"));
+        // node 0 holds the spine, the first fragment every reconstruction
+        // fetches: its injector saw each of those fetches
+        let spine = injectors[0].as_ref().expect("rate 1.0 faults every node");
+        assert!(
+            spine.stats().calls >= workload.len(),
+            "seed {seed:#x}: fetches bypassed the injector",
+        );
+    }
+
+    // f_body's only node answers every other call: the failed fetch is
+    // retried on it and the answer is unharmed
+    let px = faulted();
+    FaultInjector::install(
+        px.cluster().node(1).expect("node 1"),
+        vec![Fault::FlipFlop { up: 1, down: 1 }],
+    );
+    let mut retries = 0;
+    for (k, (id, query)) in workload.iter().enumerate() {
+        let result = px.execute(query).unwrap_or_else(|e| panic!("flapping/{id}: {e}"));
+        assert_eq!(canonical(&result.items), oracle[k], "flapping/{id}");
+        retries += result.report.retries;
+    }
+    assert!(retries > 0, "no fetch was retried");
+
+    // f_epilog's only node rejects every call: a typed error
+    let px = faulted();
+    FaultInjector::install(
+        px.cluster().node(2).expect("node 2"),
+        vec![Fault::ErrorAfter { ok_calls: 0 }],
+    );
+    for (id, query) in &workload {
+        match px.execute(query) {
+            Err(PartixError::SubQuery { node: 2, .. }) => {}
+            other => panic!("wedged/{id}: expected a typed error from node 2, got {other:?}"),
+        }
+    }
 }

@@ -78,32 +78,48 @@ fn assert_breakdown_consistent(
 }
 
 /// Fault-free: the breakdown is consistent in every dispatch mode and
-/// attributes one sub-query per fragment with zero fault counters.
+/// attributes one sub-query per fragment with zero fault counters — for
+/// decomposed queries, for a passthrough query (no distributed
+/// collection) and for a vertical reconstruction query alike: all three
+/// go through the one pipeline, so none builds a report of its own.
 #[test]
 fn stage_breakdown_consistent_fault_free() {
     let docs = gen_items(80, ItemProfile::Small, 23);
-    let workload = queries::horizontal(setup::DIST);
-    for mode in [DispatchMode::Simulated, DispatchMode::Threads, DispatchMode::Pool] {
-        let mut px = setup::horizontal_replicated(&docs, 4, 2);
-        px.set_dispatch(mode);
-        for (id, query) in &workload {
-            let begun = Instant::now();
-            let result = px.execute(query).expect("fault-free query");
-            let wall_s = begun.elapsed().as_secs_f64();
-            let context = format!("{mode:?}/{id}");
-            assert_breakdown_consistent(&result, wall_s, &context);
-            assert_eq!(result.report.retries, 0, "{context}");
-            // every answered site has a matching attribution entry with
-            // real execution time behind it
-            assert_eq!(
-                result.report.stages.subqueries.len(),
-                result.report.sites.len(),
-                "{context}"
-            );
-            assert!(
-                result.report.stages.dispatch_s > 0.0,
-                "{context}: dispatch stage unmeasured"
-            );
+    let articles = partix::gen::gen_articles(8, partix::gen::ArticleProfile::SMALL, 23);
+    let mut workload = queries::horizontal(setup::DIST);
+    workload.push(("passthrough", format!(r#"count(collection("{}")/Item)"#, setup::CENTRAL)));
+    let reconstructing: Vec<_> = queries::vertical(setup::DIST)
+        .into_iter()
+        .filter(|(id, _)| ["QV4", "QV7"].contains(id))
+        .collect();
+    for mode in [DispatchMode::Simulated, DispatchMode::Pool] {
+        let mut horizontal = setup::horizontal_replicated(&docs, 4, 2);
+        horizontal.set_dispatch(mode);
+        let mut vertical = setup::vertical(&articles);
+        vertical.set_dispatch(mode);
+        for (px, workload, reconstructs) in
+            [(&horizontal, &workload, false), (&vertical, &reconstructing, true)]
+        {
+            for (id, query) in workload {
+                let begun = Instant::now();
+                let result = px.execute(query).expect("fault-free query");
+                let wall_s = begun.elapsed().as_secs_f64();
+                let context = format!("{mode:?}/{id}");
+                assert_breakdown_consistent(&result, wall_s, &context);
+                assert_eq!(result.report.retries, 0, "{context}");
+                // every answered site has a matching attribution entry
+                // with real execution time behind it
+                assert_eq!(
+                    result.report.stages.subqueries.len(),
+                    result.report.sites.len(),
+                    "{context}"
+                );
+                assert!(
+                    result.report.stages.dispatch_s > 0.0,
+                    "{context}: dispatch stage unmeasured"
+                );
+                assert_eq!(result.report.reconstructed, reconstructs, "{context}");
+            }
         }
     }
 }

@@ -207,3 +207,38 @@ fn killed_server_yields_typed_error_and_restart_heals() {
     let healed = px.execute(&q).expect("restarted server answers");
     assert_eq!(canonical(&healed.items), healthy);
 }
+
+/// Vertical kill matrix: every node of the vertical design killed in
+/// turn, every query of the workload run against the hole. Single-
+/// fragment queries routed elsewhere keep answering; queries that need
+/// the dead node — sub-queries and the reconstruction fallback's
+/// whole-fragment fetches alike — fail typed. The outlawed outcome is a
+/// reconstruction that silently joins an empty fragment in place of the
+/// unreachable one. A restart heals every query.
+#[test]
+fn vertical_kill_matrix_yields_healthy_answer_or_typed_error() {
+    let docs = partix::gen::gen_articles(10, ArticleProfile::SMALL, 29);
+    let workload = queries::vertical(setup::DIST);
+    let px = setup::vertical(&docs);
+    px.set_retry_policy(RetryPolicy {
+        timeout: Some(Duration::from_millis(500)),
+        ..RetryPolicy::default()
+    });
+    let mut wire = RemoteCluster::attach(&px);
+    let healthy = local_answers(&px, &workload, "vert-kill/healthy");
+
+    for victim in 0..wire.len() {
+        wire.kill(victim);
+        let label = format!("vert-kill/n{victim}");
+        let answered = assert_no_wrong_data(&px, &healthy, &workload, &label);
+        assert!(answered < workload.len(), "{label}: no query noticed the dead node");
+
+        wire.restart(victim);
+        for (k, (id, query)) in workload.iter().enumerate() {
+            let healed = px
+                .execute(query)
+                .unwrap_or_else(|e| panic!("{label}/{id} after restart: {e}"));
+            assert_eq!(canonical(&healed.items), healthy[k], "{label}/{id} after restart");
+        }
+    }
+}

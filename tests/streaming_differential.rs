@@ -15,7 +15,7 @@
 //! but an answered stream is always the oracle answer, never a silent
 //! truncation (the `StreamEnd` totals make short streams detectable).
 
-use partix::engine::{DispatchMode, FaultPlan, PartiX, RetryPolicy};
+use partix::engine::{DispatchMode, ExecOptions, FaultPlan, PartiX, RetryPolicy};
 use partix::frag::FragMode;
 use partix::gen::{ArticleProfile, ItemProfile};
 use partix::query::Item;
@@ -53,8 +53,7 @@ const STREAMED: StreamOpts = StreamOpts { allow_partial: false, buffered: false,
 const BUFFERED: StreamOpts = StreamOpts { allow_partial: false, buffered: true, tenant: None };
 
 /// Put one coordinator in front of `px` and hand back a connected
-/// client. Dispatch goes to worker pools so the streamed path really
-/// streams (simulated dispatch falls back to buffered emission).
+/// client. Dispatch goes to worker pools, the serving configuration.
 fn serve(mut px: PartiX) -> (Arc<PartiX>, StreamServer, StreamClient) {
     px.set_dispatch(DispatchMode::Pool);
     let px = Arc::new(px);
@@ -171,6 +170,88 @@ fn hybrid_streamed_matches_buffered_both_frag_modes() {
         let workload = queries::hybrid(setup::DIST);
         assert_streaming_differential(&px, &client, &workload, &label, false);
     }
+}
+
+/// The slices `execute_streamed_with` emits for `query`, in order.
+fn stream_slices(px: &PartiX, query: &str) -> Vec<Vec<Item>> {
+    let mut slices = Vec::new();
+    px.execute_streamed_with(query, ExecOptions::default(), &mut |items| {
+        slices.push(items);
+        true
+    })
+    .unwrap_or_else(|e| panic!("streamed {query}: {e}"));
+    slices
+}
+
+/// The buffered answer is the streamed one, collected: for every query
+/// family of all three designs, in both dispatch modes, `execute` returns
+/// exactly the concatenation of the slices a stream emits.
+#[test]
+fn buffered_answer_is_the_concatenated_stream_in_every_design_and_mode() {
+    let items = setup::quick_items(60);
+    let articles = partix::gen::gen_articles(8, ArticleProfile::SMALL, 29);
+    let store = partix::gen::gen_store(40, ItemProfile::Small, 31);
+    type Design<'a> = (&'a str, Box<dyn Fn() -> PartiX + 'a>, Vec<(&'static str, String)>);
+    let designs: Vec<Design> = vec![
+        ("hor", Box::new(|| setup::horizontal(&items, 4)), queries::horizontal(setup::DIST)),
+        ("vert", Box::new(|| setup::vertical(&articles)), queries::vertical(setup::DIST)),
+        (
+            "hyb-single",
+            Box::new(|| setup::hybrid(&store, FragMode::SingleDoc)),
+            queries::hybrid(setup::DIST),
+        ),
+        (
+            "hyb-many",
+            Box::new(|| setup::hybrid(&store, FragMode::ManySmallDocs)),
+            queries::hybrid(setup::DIST),
+        ),
+    ];
+    for (label, build, workload) in &designs {
+        for mode in [DispatchMode::Simulated, DispatchMode::Pool] {
+            let mut px = build();
+            px.set_dispatch(mode);
+            for (id, query) in workload {
+                let buffered = px.execute(query).unwrap_or_else(|e| panic!("{label}/{id}: {e}"));
+                let streamed: Vec<Item> = stream_slices(&px, query).into_iter().flatten().collect();
+                assert_eq!(
+                    exact(&buffered.items),
+                    exact(&streamed),
+                    "{label}/{mode:?}/{id}: buffered answer is not the collected stream",
+                );
+            }
+        }
+    }
+}
+
+/// Simulated dispatch streams like pooled dispatch does: a concatenation
+/// goes out one slice per contributing site, in fragment order — not as
+/// one buffered answer at the end.
+#[test]
+fn simulated_stream_emits_one_slice_per_site_in_fragment_order() {
+    let docs = setup::quick_items(80);
+    let px = setup::horizontal(&docs, 4);
+    assert_eq!(px.dispatch_mode(), DispatchMode::Simulated);
+    let query = |collection: &str| {
+        format!(r#"for $i in collection("{collection}")/Item return $i/Code"#)
+    };
+    let report = px.execute(&query(setup::DIST)).expect("buffered run").report;
+    // what each site contributes: the same query against its fragment,
+    // asked of the node directly
+    let per_site: Vec<String> = report
+        .sites
+        .iter()
+        .map(|site| {
+            let out = px
+                .execute_centralized(site.node, &query(&site.fragment))
+                .unwrap_or_else(|e| panic!("{}: {e}", site.fragment));
+            exact(&out.items)
+        })
+        .filter(|items| !items.is_empty())
+        .collect();
+    assert_eq!(per_site.len(), 4, "every section group holds items");
+    let slices: Vec<String> =
+        stream_slices(&px, &query(setup::DIST)).iter().map(|s| exact(s)).collect();
+    assert_eq!(slices, per_site);
 }
 
 // ------------------------------------------------------ faulted runs --
