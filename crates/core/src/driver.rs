@@ -64,7 +64,12 @@ pub trait PartixDriver: Send + Sync {
     /// "absent" (`Ok`, empty) from "could not be read" (`Err`): a rebuilt
     /// document set silently missing a fragment is wrong data. Drivers
     /// that can fail must override the default, which keeps drivers
-    /// predating this method source-compatible.
+    /// predating this method source-compatible — and so must every
+    /// decorator wrapping another driver, by forwarding to the inner
+    /// driver's `try_fetch_collection`: the default would route a wrapped
+    /// fallible driver through its infallible
+    /// [`PartixDriver::fetch_collection`] and turn its error back into an
+    /// empty fragment.
     fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
         Ok(self.fetch_collection(collection))
     }

@@ -167,57 +167,57 @@ impl PartiX {
             emit_ready_prefix(&mut gathered.slots, &resolved, &mut cursor, sink)?;
         }
         let run = |lane, i: usize| self.run_subquery_guarded(&tasks[i], class, trace, lane + 1);
-        let inline = self.dispatch == DispatchMode::Simulated;
-        std::thread::scope(|scope| {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            let pending = pending.into_iter().enumerate();
-            let done: Box<dyn Iterator<Item = _>> = if inline {
-                // one after the other, each run when the loop below asks
-                // for it
-                Box::new(pending.map(|(lane, (i, epochs))| (i, epochs, run(lane, i))))
-            } else {
-                // every retry loop on its own coordinator thread (bounded
-                // by the fragment count), answers in completion order
-                for (lane, (i, epochs)) in pending {
+        type Done = (usize, Vec<(usize, u64)>, Result<SiteSlot, RunFailure>);
+        let mut absorb = |(i, epochs, outcome): Done| {
+            match outcome {
+                Ok(slot) => {
+                    if use_cache {
+                        // under the replica that actually answered —
+                        // after a failover not the planner's pick
+                        let node = slot.stage.as_ref().map_or(tasks[i].node, |s| s.node);
+                        let key = result_key(&tasks[i], node, &epochs);
+                        self.result_cache.insert(key, slot.output.answer.clone());
+                    }
+                    gathered.slots[i] = Some(slot);
+                }
+                Err(RunFailure { error, stage }) if allow_partial => {
+                    gathered.failed.push(*stage);
+                    let fragment = tasks[i].fragment.clone();
+                    gathered.skipped.push(SkippedFragment { fragment, error: error.to_string() });
+                }
+                Err(failure) => return Err(failure.error),
+            }
+            resolved[i] = true;
+            if streams {
+                emit_ready_prefix(&mut gathered.slots, &resolved, &mut cursor, sink)?;
+            }
+            Ok(())
+        };
+        // the second (and last) thing the dispatch mode decides, next to
+        // `attempt`: whether the retry loops overlap
+        if self.dispatch == DispatchMode::Simulated || pending.len() < 2 {
+            // on the calling thread, one after the other: the sequential
+            // reference — and all a lone task needs
+            for (lane, (i, epochs)) in pending.into_iter().enumerate() {
+                absorb((i, epochs, run(lane, i)))?;
+            }
+        } else {
+            // every retry loop on its own coordinator thread (bounded by
+            // the fragment count), answers in completion order. An early
+            // return drops the receiver, which fails the remaining sends
+            // harmlessly; the scope still joins every thread
+            std::thread::scope(|scope| {
+                let (tx, rx) = crossbeam::channel::unbounded();
+                for (lane, (i, epochs)) in pending.into_iter().enumerate() {
                     let tx = tx.clone();
                     scope.spawn(move || {
                         let _ = tx.send((i, epochs, run(lane, i)));
                     });
                 }
                 drop(tx);
-                Box::new(rx.iter())
-            };
-            // an early return drops the receiver, which fails the remaining
-            // sends harmlessly; the scope still joins every coordinator
-            // thread
-            for (i, epochs, outcome) in done {
-                match outcome {
-                    Ok(slot) => {
-                        if use_cache {
-                            // under the replica that actually answered —
-                            // after a failover not the planner's pick
-                            let node = slot.stage.as_ref().map_or(tasks[i].node, |s| s.node);
-                            let key = result_key(&tasks[i], node, &epochs);
-                            self.result_cache.insert(key, slot.output.answer.clone());
-                        }
-                        gathered.slots[i] = Some(slot);
-                    }
-                    Err(failure) if allow_partial => {
-                        gathered.failed.push(*failure.stage);
-                        gathered.skipped.push(SkippedFragment {
-                            fragment: tasks[i].fragment.clone(),
-                            error: failure.error.to_string(),
-                        });
-                    }
-                    Err(failure) => return Err(failure.error),
-                }
-                resolved[i] = true;
-                if streams {
-                    emit_ready_prefix(&mut gathered.slots, &resolved, &mut cursor, sink)?;
-                }
-            }
-            Ok(())
-        })?;
+                rx.iter().try_for_each(&mut absorb)
+            })?;
+        }
         gathered.dispatch_s = dispatch_start.elapsed().as_secs_f64();
         trace.record("dispatch", 0, dispatch_start);
         Ok(gathered)
@@ -350,12 +350,14 @@ impl PartiX {
     }
 
     /// One attempt against one node, honouring the per-attempt deadline —
-    /// the only place the dispatch mode decides anything. A pooled
-    /// attempt runs on the node's workers and is abandoned on expiry (a
-    /// late answer is discarded — the channel's receiver is gone); an
-    /// inline attempt cannot be interrupted, so its deadline is checked
-    /// after the fact. On success the answer is paired with the time the
-    /// attempt spent queued before a worker picked it up (zero inline).
+    /// where the dispatch mode decides where a node call runs (its one
+    /// other say is in [`PartiX::gather`]: whether retry loops overlap).
+    /// A pooled attempt runs on the node's workers and is abandoned on
+    /// expiry (a late answer is discarded — the channel's receiver is
+    /// gone); an inline attempt cannot be interrupted, so its deadline is
+    /// checked after the fact. On success the answer is paired with the
+    /// time the attempt spent queued before a worker picked it up (zero
+    /// inline).
     fn attempt(
         &self,
         node: &Arc<Node>,

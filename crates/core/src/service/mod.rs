@@ -63,7 +63,8 @@ pub struct DistributedResult {
 }
 
 /// How sub-queries reach their nodes. The pipeline is the same in both
-/// modes; they differ only in where a node call runs.
+/// modes; they differ only in where a node call runs and whether the
+/// tasks of one query overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Run every sub-query inline on the calling thread, one after the
@@ -731,35 +732,37 @@ impl PartiX {
     ) -> Result<QueryReport, PartixError> {
         const MAX_REPLANS: usize = 3;
         let parse_start = Instant::now();
-        let (query, plan_cache_hit, parse_s) = match source {
+        let parsed; // keeps a text query's plan alive
+        let (query, plan_cache_hit, parse_s): (&Query, _, _) = match source {
             Source::Text(text) => {
-                let (query, hit) = if self.plan_cache_enabled() {
+                let hit;
+                (parsed, hit) = if self.plan_cache_enabled() {
                     self.plan_cache.get_or_parse(text).map_err(PartixError::Parse)?
                 } else {
                     (Arc::new(parse_query(text).map_err(PartixError::Parse)?), false)
                 };
                 let parse_s = parse_start.elapsed().as_secs_f64();
                 trace.record("parse", 0, parse_start);
-                (query, hit, parse_s)
+                (&parsed, hit, parse_s)
             }
             // pre-parsed entry: there was no parse stage to time
-            Source::Parsed(query) => (Arc::new(query.clone()), false, 0.0),
+            Source::Parsed(query) => (query, false, 0.0),
         };
         let mut replans = 0;
         loop {
-            let before = self.target_distribution(&query);
+            let before = self.target_distribution(query);
             // one pass of the pipeline, stage by stage
             let query_start = Instant::now();
-            let plan = self.plan(&query, before.clone(), options)?;
+            let plan = self.plan(query, before.clone(), options)?;
             let localize_s = query_start.elapsed().as_secs_f64();
             trace.record("localize", 0, query_start);
             let gathered = self.gather(&plan, options, trace, sink)?;
             let timing = Timing { parse_s, localize_s, query_start };
-            let mut report = self.assemble(&query, plan, gathered, timing, trace, sink)?;
+            let mut report = self.assemble(query, plan, gathered, timing, trace, sink)?;
             report.plan_cache_hit = plan_cache_hit;
             // `before` is still held, so its address cannot have been
             // reused by a distribution registered since
-            let after = self.target_distribution(&query);
+            let after = self.target_distribution(query);
             if before.as_ref().map(Arc::as_ptr) == after.as_ref().map(Arc::as_ptr) {
                 return Ok(report);
             }

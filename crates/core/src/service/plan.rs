@@ -67,7 +67,7 @@ impl PartiX {
     /// its collections that has one (`None`: passthrough).
     pub(super) fn plan(
         &self,
-        query: &Arc<Query>,
+        query: &Query,
         dist: Option<Arc<Distribution>>,
         options: ExecOptions,
     ) -> Result<Plan, PartixError> {
@@ -76,7 +76,8 @@ impl PartiX {
                 node: 0,
                 fragment: "<passthrough>".into(),
                 replicas: vec![0],
-                op: TaskOp::Execute { query: Arc::clone(query), avg: false },
+                // the one plan that ships the query itself, hence the copy
+                op: TaskOp::Execute { query: Arc::new(query.clone()), avg: false },
             };
             return Ok(Plan {
                 tasks: vec![Arc::new(task)],

@@ -34,12 +34,12 @@ cargo test -q --test observability --offline
 # renaming or filtering it away fails the gate — the vertical kill
 # matrix (every node killed in turn under every QV query: the healthy
 # answer or a typed error, never a reconstruction over a missing
-# fragment).
+# fragment), bare and through a forwarding driver decorator.
 cargo test -q -p partix-net --offline
 cargo test -q --test remote_differential --offline
 cargo test -q --test concurrency --offline remote_chaos
 if ! cargo test -q --test remote_differential --offline vertical_kill_matrix \
-    | grep -q "test result: ok. 1 passed"; then
+    | grep -q "test result: ok. 2 passed"; then
     echo "verify: FAIL — the vertical kill matrix did not run and pass" >&2
     exit 1
 fi

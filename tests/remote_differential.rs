@@ -11,12 +11,17 @@
 //! the oracle answer or a typed error — never silently wrong data. A
 //! killed node server must likewise surface as a typed error.
 
-use partix::engine::{ExecOptions, FaultPlan, PartiX, RetryPolicy};
+use partix::engine::{
+    DriverError, ExecOptions, FaultPlan, PartiX, PartixDriver, RetryPolicy,
+};
 use partix::frag::FragMode;
 use partix::gen::{ArticleProfile, ItemProfile};
-use partix::query::Item;
+use partix::query::{Item, Query};
+use partix::storage::QueryOutput;
+use partix::xml::Document;
 use partix_bench::remote::RemoteCluster;
 use partix_bench::{queries, setup};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Canonical serialization: one line per item, sorted (fragment
@@ -214,9 +219,12 @@ fn killed_server_yields_typed_error_and_restart_heals() {
 /// the dead node — sub-queries and the reconstruction fallback's
 /// whole-fragment fetches alike — fail typed. The outlawed outcome is a
 /// reconstruction that silently joins an empty fragment in place of the
-/// unreachable one. A restart heals every query.
-#[test]
-fn vertical_kill_matrix_yields_healthy_answer_or_typed_error() {
+/// unreachable one. A restart heals every query. `decorate` wraps every
+/// remote driver (see [`Forwarding`]) once the cluster is on the wire.
+fn vertical_kill_matrix(
+    label: &str,
+    decorate: impl Fn(Arc<dyn PartixDriver>) -> Arc<dyn PartixDriver>,
+) {
     let docs = partix::gen::gen_articles(10, ArticleProfile::SMALL, 29);
     let workload = queries::vertical(setup::DIST);
     let px = setup::vertical(&docs);
@@ -225,11 +233,14 @@ fn vertical_kill_matrix_yields_healthy_answer_or_typed_error() {
         ..RetryPolicy::default()
     });
     let mut wire = RemoteCluster::attach(&px);
-    let healthy = local_answers(&px, &workload, "vert-kill/healthy");
+    for node in px.cluster().nodes() {
+        node.set_driver(decorate(Arc::clone(wire.driver(node.id)) as Arc<dyn PartixDriver>));
+    }
+    let healthy = local_answers(&px, &workload, &format!("{label}/healthy"));
 
     for victim in 0..wire.len() {
         wire.kill(victim);
-        let label = format!("vert-kill/n{victim}");
+        let label = format!("{label}/n{victim}");
         let answered = assert_no_wrong_data(&px, &healthy, &workload, &label);
         assert!(answered < workload.len(), "{label}: no query noticed the dead node");
 
@@ -241,4 +252,49 @@ fn vertical_kill_matrix_yields_healthy_answer_or_typed_error() {
             assert_eq!(canonical(&healed.items), healthy[k], "{label}/{id} after restart");
         }
     }
+}
+
+#[test]
+fn vertical_kill_matrix_yields_healthy_answer_or_typed_error() {
+    vertical_kill_matrix("vert-kill", |driver| driver);
+}
+
+/// A driver decorator that adds nothing: every call goes to the wrapped
+/// driver, `try_fetch_collection` included — the one forward a wrapper
+/// must not leave to the trait's default, which answers through the
+/// infallible `fetch_collection` and would hand the reconstruction an
+/// empty fragment for an unreachable node.
+struct Forwarding(Arc<dyn PartixDriver>);
+
+impl PartixDriver for Forwarding {
+    fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
+        self.0.execute(query)
+    }
+
+    fn store(&self, collection: &str, docs: Vec<Document>) {
+        self.0.store(collection, docs);
+    }
+
+    fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>> {
+        self.0.fetch_collection(collection)
+    }
+
+    fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.0.try_fetch_collection(collection)
+    }
+
+    fn collections(&self) -> Vec<String> {
+        self.0.collections()
+    }
+
+    fn counts_wire_bytes(&self) -> bool {
+        self.0.counts_wire_bytes()
+    }
+}
+
+/// The kill matrix holds behind a wrapped `RemoteDriver` too — the shape
+/// every tracing or metering decorator has.
+#[test]
+fn vertical_kill_matrix_through_a_forwarding_decorator() {
+    vertical_kill_matrix("vert-kill/decorated", |driver| Arc::new(Forwarding(driver)));
 }
