@@ -181,7 +181,7 @@ COMMANDS
                      50% write ratios; reports read/write p50/p99, WAL
                      append/fsync counts, and an oracle-verified final state
   storage            hot vs cold-indexed vs cold-scan over ≈80 KB and ≈5 MB
-                     document classes, plus PXB1/PXB2/zero-copy-view decode
+                     document classes, plus PXB1/PXB2/validate-only decode
                      costs; the gate is byte-identical answers across
                      configurations
   multitenant        two tenants on one coordinator: a well-behaved

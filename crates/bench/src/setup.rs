@@ -55,10 +55,8 @@ pub fn sections_predicate(root: &str, sections: &[&str]) -> Predicate {
 /// centralized copy of the same documents on node 0.
 ///
 /// Like every experiment database, collections are stored **cold**
-/// (binary pages decoded on access), modelling a disk-based DBMS like
-/// eXist whose query cost scales with the data it pages through. This is
-/// what makes document size matter (ItemsSHor vs ItemsLHor) as it did in
-/// the paper.
+/// (compact binary pages, read in place), modelling a disk-based DBMS
+/// like eXist whose query cost scales with the data it pages through.
 pub fn horizontal(docs: &[Document], n_fragments: usize) -> PartiX {
     horizontal_replicated(docs, n_fragments, 1)
 }

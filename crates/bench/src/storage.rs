@@ -5,21 +5,22 @@
 //!
 //! Three configurations run the same workload on the same corpus:
 //!
-//! * `hot` — documents stay decoded in memory (the in-memory ceiling);
-//! * `cold_indexed` — binary pages, value/path indexes on: equality
-//!   predicates are pre-filtered from the index and only candidate
-//!   pages are decoded;
-//! * `cold_scan` — binary pages, every index off: each query decodes
-//!   the entire collection (the old cold behaviour).
+//! * `hot` — documents held as arenas (the in-memory ceiling);
+//! * `cold_indexed` — binary pages read in place, value/path indexes on:
+//!   equality predicates are pre-filtered from the index and only
+//!   candidate pages are touched;
+//! * `cold_scan` — binary pages, every index off: each query walks the
+//!   entire collection (before pages were read in place it also decoded
+//!   every page, which is what this configuration used to measure).
 //!
 //! The correctness gate is `identical`: every configuration must
 //! serialize byte-identical answers (hot is the oracle). Speedups are
 //! reported, not gated — they depend on selectivity and host speed.
 //!
-//! A separate decode microbench times the legacy varint format (PXB1),
-//! the arena format (PXB2), and the zero-copy page view over the same
-//! corpus, giving the per-format decode cost the query numbers are
-//! built from. Results land in `BENCH_storage.json`.
+//! A separate decode microbench times the legacy varint format (PXB1,
+//! decoded into an arena), the arena format (PXB2: one copy of the page,
+//! validated and adopted) and validation alone over the same corpus.
+//! Results land in `BENCH_storage.json`.
 
 use crate::output::json;
 use partix_gen::{gen_items, ItemProfile, SECTIONS};
@@ -76,9 +77,9 @@ pub struct StorageQueryResult {
 pub struct DecodeResult {
     /// Legacy varint decode (PXB1), total ms per repetition.
     pub v1_ms: f64,
-    /// Arena bulk decode (PXB2), total ms per repetition.
+    /// PXB2 decode (copy the page, validate, adopt), total ms per repetition.
     pub v2_ms: f64,
-    /// Zero-copy view construction only (validate, no materialize).
+    /// Validation only (`PageView::parse`).
     pub view_ms: f64,
     pub v1_over_v2: f64,
     pub v1_over_view: f64,
@@ -216,8 +217,7 @@ fn run_class(
 }
 
 /// Decode microbench: the same corpus encoded in both page formats,
-/// each decoded end-to-end; the view row only validates (the zero-copy
-/// path cold index builds and probes run on).
+/// each decoded end-to-end; the view row only validates.
 fn decode_bench(docs: &[Document], reps: usize) -> DecodeResult {
     let v1_pages: Vec<_> = docs.iter().map(binary::encode_v1).collect();
     let v2_pages: Vec<_> = docs.iter().map(binary::encode).collect();

@@ -532,11 +532,13 @@ fn get_cmp_op(r: &mut Reader<'_>) -> Result<CmpOp, ProtocolError> {
 // Documents
 // ---------------------------------------------------------------------
 
+/// A page-backed document ships its page as it is.
 pub fn put_document(w: &mut Writer, doc: &Document) {
-    let enc = binary::encode(doc);
-    w.put_bytes(&enc);
+    w.put_bytes(&binary::encode(doc));
 }
 
+/// One copy out of the frame, validated and adopted: the document reads
+/// the page in place.
 pub fn get_document(r: &mut Reader<'_>) -> Result<Document, ProtocolError> {
     let raw = r.bytes("document")?;
     binary::decode(raw).map_err(|e| ProtocolError::Malformed(format!("document: {e}")))
@@ -574,8 +576,14 @@ pub fn put_item(w: &mut Writer, item: &Item) {
             match node.kind() {
                 NodeKind::Element => {
                     w.put_u8(0);
-                    let sub = doc.subtree(*id).expect("element subtree");
-                    put_document(w, &sub);
+                    // a whole document goes out as it is (minus name and
+                    // origin, like any subtree); only an inner element
+                    // needs the deep copy
+                    if *id == NodeId::ROOT {
+                        w.put_bytes(&binary::encode_bare(doc));
+                    } else {
+                        put_document(w, &doc.subtree(*id).expect("element subtree"));
+                    }
                 }
                 NodeKind::Attribute => {
                     w.put_u8(1);
@@ -748,6 +756,36 @@ mod tests {
         for (a, b) in items.iter().zip(back.iter()) {
             assert_eq!(a.serialize(), b.serialize());
             assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn root_item_ships_the_document_itself_minus_its_identity() {
+        let mut doc = parse(r#"<a k="v"><b>text</b><c/></a>"#).unwrap();
+        doc.name = Some("d1".into());
+        // arena and page-backed senders, and a relay of a received item
+        let paged = Document::from_page(binary::encode(&doc)).unwrap();
+        let mut frames = Vec::new();
+        for sender in [Arc::new(doc.clone()), Arc::new(paged)] {
+            let mut w = Writer::new();
+            put_item(&mut w, &Item::Node(sender, NodeId::ROOT));
+            frames.push(w.into_bytes());
+        }
+        let Item::Node(received, id) = get_item(&mut Reader::new(&frames[0])).unwrap() else {
+            panic!("node item expected");
+        };
+        assert_eq!((&*received, id), (&doc, NodeId::ROOT));
+        assert_eq!(received.name, None, "items carry no document identity");
+        let mut relay = Writer::new();
+        put_item(&mut relay, &Item::Node(received, id));
+        frames.push(relay.into_bytes());
+        // exactly what shipping the deep copy used to write
+        let mut expect = Writer::new();
+        expect.put_u8(0);
+        put_document(&mut expect, &doc.subtree(NodeId::ROOT).unwrap());
+        let expect = expect.into_bytes();
+        for frame in &frames {
+            assert_eq!(frame, &expect);
         }
     }
 

@@ -3,20 +3,26 @@
 use crate::index::{PathIndex, TextIndex, ValueIndex};
 use parking_lot::RwLock;
 use partix_query::{CollectionProvider, EvalError};
-use partix_xml::{binary, Document, PageView};
+use partix_xml::{binary, Document};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// How a collection keeps its documents.
+/// How a collection keeps its documents. The mode only picks the
+/// representation a document is given when it is inserted; every read
+/// afterwards hands out the stored `Arc<Document>` as it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageMode {
-    /// Pre-parsed in memory (eXist's paged DOM — the fast path).
+    /// Owned arenas (eXist's paged DOM in memory): the fastest to read
+    /// and the form updates build on. A page arriving from disk or over
+    /// the wire is converted once, at insert.
     #[default]
     Hot,
-    /// Compact binary pages decoded on every access. Models the
-    /// per-document parse cost the paper observed when a fragment is
-    /// stored as many small documents (FragMode1).
+    /// Compact binary pages, validated at insert and **read in place** —
+    /// no per-access decode, and the first write to a fetched document
+    /// copies it. What is left of the per-document cost the paper
+    /// observed for fragments stored as many small documents (FragMode1)
+    /// is the index probe and the evaluator's own per-document overhead.
     Cold,
 }
 
@@ -61,19 +67,15 @@ const COMPACT_MIN_DEAD: usize = 64;
 /// Slots are **stable**: deleting a document tombstones its slot (the
 /// per-slot entry goes to `None`) instead of shifting every later slot
 /// down. Index entries for dead slots go stale harmlessly — every probe
-/// filters through the liveness check — and the vectors are compacted
+/// filters through the liveness check — and the vector is compacted
 /// (with an index rebuild) only once tombstones dominate.
 pub struct Collection {
     pub name: String,
     pub mode: StorageMode,
-    /// Hot documents (shared with query results); `None` = tombstone.
+    /// The documents, in the representation `mode` picked at insert and
+    /// shared with query results; `None` = tombstone. A document's name
+    /// is read off the document itself (no page is decoded for it).
     docs: Vec<Option<Arc<Document>>>,
-    /// Cold pages (decoded per access when `mode == Cold`); `None` =
-    /// tombstone.
-    pages: Vec<Option<bytes::Bytes>>,
-    /// Per-slot document names — lets `doc("name")` lookups resolve
-    /// without decoding any cold page.
-    names: Vec<Option<String>>,
     /// name → live slots carrying it, ascending. Documents stored through
     /// the raw `store` path may duplicate names; lookups resolve to the
     /// lowest slot, matching the old first-match scan.
@@ -91,8 +93,6 @@ impl Collection {
             name: name.to_owned(),
             mode,
             docs: Vec::new(),
-            pages: Vec::new(),
-            names: Vec::new(),
             name_map: HashMap::new(),
             live: 0,
             value_index: ValueIndex::default(),
@@ -110,95 +110,53 @@ impl Collection {
         self.live == 0
     }
 
-    /// Number of physical slots, tombstones included. Slot numbers run
-    /// `0..physical_len()`; only [`Collection::is_live`] ones hold data.
-    fn physical_len(&self) -> usize {
-        self.names.len()
-    }
-
     fn is_live(&self, slot: u32) -> bool {
-        match self.mode {
-            StorageMode::Hot => matches!(self.docs.get(slot as usize), Some(Some(_))),
-            StorageMode::Cold => matches!(self.pages.get(slot as usize), Some(Some(_))),
-        }
+        matches!(self.docs.get(slot as usize), Some(Some(_)))
     }
 
-    /// All live slots, ascending — the full-scan candidate list.
+    /// All live slots, ascending — the full-scan candidate list. Slot
+    /// numbers run over the physical vector, tombstones included.
     pub(crate) fn live_slots(&self) -> Vec<u32> {
-        (0..self.physical_len() as u32).filter(|&s| self.is_live(s)).collect()
+        (0..self.docs.len() as u32).filter(|&s| self.is_live(s)).collect()
     }
 
-    /// Total size of the stored pages/documents in bytes (approximate for
-    /// hot collections).
+    /// Total size of the stored documents in bytes: page lengths for
+    /// page-backed documents, approximate for arenas.
     pub fn byte_size(&self) -> usize {
-        match self.mode {
-            StorageMode::Hot => {
-                self.docs.iter().flatten().map(|d| d.approx_size()).sum()
-            }
-            StorageMode::Cold => self.pages.iter().flatten().map(bytes::Bytes::len).sum(),
-        }
-    }
-
-    fn register_name(&mut self, slot: u32, name: Option<&str>) {
-        self.names.push(name.map(str::to_owned));
-        if let Some(name) = name {
-            // appends keep each slot list ascending
-            self.name_map.entry(name.to_owned()).or_default().push(slot);
-        }
-        self.live += 1;
+        self.docs.iter().flatten().map(|d| d.stored_bytes()).sum()
     }
 
     fn insert(&mut self, doc: Document) {
         self.insert_shared(Arc::new(doc));
     }
 
-    /// Insert an already-shared document without deep-copying it: hot
-    /// collections adopt the `Arc` directly (one refcount bump), cold
-    /// collections encode through the shared reference.
+    /// Insert an already-shared document. A document already in the
+    /// representation this collection keeps is adopted as it is (one
+    /// refcount bump); otherwise it is converted once, here.
     fn insert_shared(&mut self, doc: Arc<Document>) {
-        let slot = self.physical_len() as u32;
-        self.value_index.insert(slot, &*doc);
-        self.text_index.insert(slot, &*doc);
-        self.path_index.insert(slot, &*doc);
-        self.register_name(slot, doc.name.as_deref());
-        match self.mode {
-            StorageMode::Hot => {
-                self.docs.push(Some(doc));
-                self.pages.push(None);
-            }
-            StorageMode::Cold => {
-                self.pages.push(Some(binary::encode(&doc)));
-                self.docs.push(None);
-            }
+        let doc = match self.mode {
+            StorageMode::Hot => Document::arena_backed(doc),
+            StorageMode::Cold => Document::page_backed(doc),
+        };
+        let slot = self.docs.len() as u32;
+        self.value_index.insert(slot, &doc);
+        self.text_index.insert(slot, &doc);
+        self.path_index.insert(slot, &doc);
+        if let Some(name) = &doc.name {
+            // appends keep each slot list ascending
+            self.name_map.entry(name.clone()).or_default().push(slot);
         }
+        self.live += 1;
+        self.docs.push(Some(doc));
     }
 
-    /// Ingest an already-encoded binary page. Cold collections keep the
-    /// page verbatim and index it through the zero-copy [`PageView`] —
-    /// **no document is materialized**; hot collections decode it once.
+    /// Ingest an already-encoded binary page: validated once, here, and
+    /// kept verbatim by a cold collection (a legacy PXB1 page is decoded
+    /// and re-encoded).
     fn insert_page(&mut self, page: bytes::Bytes) -> Result<(), StorageError> {
-        let view = PageView::parse(&page)
+        let doc = Document::from_page(page)
             .map_err(|e| StorageError::Corrupt(format!("bad page: {e}")))?;
-        let slot = self.physical_len() as u32;
-        self.value_index.insert(slot, &view);
-        self.text_index.insert(slot, &view);
-        self.path_index.insert(slot, &view);
-        let name = view.name().map(str::to_owned);
-        match self.mode {
-            StorageMode::Hot => {
-                let doc = view.to_document();
-                drop(view);
-                self.register_name(slot, name.as_deref());
-                self.docs.push(Some(Arc::new(doc)));
-                self.pages.push(None);
-            }
-            StorageMode::Cold => {
-                drop(view);
-                self.register_name(slot, name.as_deref());
-                self.pages.push(Some(page));
-                self.docs.push(None);
-            }
-        }
+        self.insert(doc);
         Ok(())
     }
 
@@ -207,26 +165,13 @@ impl Collection {
         self.name_map.get(name).and_then(|slots| slots.first().copied())
     }
 
-    /// The stored form of one document, shareable outside the collection
-    /// lock (a refcount bump either way). `slot` must be live.
-    fn handle(&self, slot: u32) -> DocHandle {
-        match self.mode {
-            StorageMode::Hot => DocHandle::Hot(Arc::clone(
-                self.docs[slot as usize].as_ref().expect("live slot"),
-            )),
-            StorageMode::Cold => {
-                DocHandle::Cold(self.pages[slot as usize].clone().expect("live slot"))
-            }
-        }
-    }
-
-    /// Materialize one document (decoding if cold). `slot` must be live.
+    /// One stored document (a refcount bump). `slot` must be live.
     fn fetch(&self, slot: u32) -> Arc<Document> {
-        self.handle(slot).materialize()
+        Arc::clone(self.docs[slot as usize].as_ref().expect("live slot"))
     }
 
     fn all(&self) -> Vec<Arc<Document>> {
-        self.live_slots().into_iter().map(|s| self.fetch(s)).collect()
+        self.docs.iter().flatten().cloned().collect()
     }
 
     /// Drop dead index entries and sort: probe results are ascending
@@ -271,27 +216,18 @@ impl Collection {
         self.text_index.lookup_contains(needle).map(|set| self.live_sorted(set))
     }
 
+    /// The documents in `slots` (all live). Readers keep them after
+    /// releasing the collection lock: a slot number means nothing once a
+    /// concurrent delete tombstoned it or a compaction renumbered it, the
+    /// `Arc` still holds the document.
     pub(crate) fn fetch_slots(&self, slots: &[u32]) -> Vec<Arc<Document>> {
         slots.iter().map(|&s| self.fetch(s)).collect()
-    }
-
-    /// Snapshot the stored forms of `slots` (all live) for readers that
-    /// materialize them after releasing the collection lock: a slot
-    /// number means nothing once a concurrent delete tombstoned it or a
-    /// compaction renumbered it, a handle still holds the document.
-    pub(crate) fn handles(&self, slots: &[u32]) -> Vec<DocHandle> {
-        slots.iter().map(|&s| self.handle(s)).collect()
     }
 
     /// Raw binary pages of the live documents (for persistence and for
     /// shipping to other nodes).
     pub fn pages(&self) -> Vec<bytes::Bytes> {
-        match self.mode {
-            StorageMode::Hot => {
-                self.docs.iter().flatten().map(|d| binary::encode(d)).collect()
-            }
-            StorageMode::Cold => self.pages.iter().flatten().cloned().collect(),
-        }
+        self.docs.iter().flatten().map(|d| binary::encode(d)).collect()
     }
 
     /// Remove the document named `name`, if present. O(1): the slot is
@@ -304,78 +240,26 @@ impl Collection {
         if slots.is_empty() {
             self.name_map.remove(name);
         }
-        let idx = slot as usize;
-        self.names[idx] = None;
-        self.docs[idx] = None;
-        self.pages[idx] = None;
+        self.docs[slot as usize] = None;
         self.live -= 1;
         self.maybe_compact();
         true
     }
 
     fn maybe_compact(&mut self) {
-        let dead = self.physical_len() - self.live;
+        let dead = self.docs.len() - self.live;
         if dead >= COMPACT_MIN_DEAD && dead > self.live {
             self.compact();
         }
     }
 
     /// Drop tombstones, renumber slots, and rebuild the name map and all
-    /// indexes. Cold collections rebuild their indexes through the
-    /// zero-copy page view — no document is decoded.
+    /// indexes.
     fn compact(&mut self) {
-        let old_docs = std::mem::take(&mut self.docs);
-        let old_pages = std::mem::take(&mut self.pages);
-        let old_names = std::mem::take(&mut self.names);
-        self.name_map.clear();
-        self.live = 0;
-        self.value_index = ValueIndex::default();
-        self.text_index = TextIndex::default();
-        self.path_index = PathIndex::default();
-        for ((doc, page), name) in old_docs.into_iter().zip(old_pages).zip(old_names) {
-            let slot = self.physical_len() as u32;
-            match self.mode {
-                StorageMode::Hot => {
-                    let Some(doc) = doc else { continue };
-                    self.value_index.insert(slot, &*doc);
-                    self.text_index.insert(slot, &*doc);
-                    self.path_index.insert(slot, &*doc);
-                    self.register_name(slot, name.as_deref());
-                    self.docs.push(Some(doc));
-                    self.pages.push(None);
-                }
-                StorageMode::Cold => {
-                    let Some(page) = page else { continue };
-                    {
-                        let view = PageView::parse(&page)
-                            .expect("pages written by insert() always parse");
-                        self.value_index.insert(slot, &view);
-                        self.text_index.insert(slot, &view);
-                        self.path_index.insert(slot, &view);
-                    }
-                    self.register_name(slot, name.as_deref());
-                    self.pages.push(Some(page));
-                    self.docs.push(None);
-                }
-            }
-        }
-    }
-}
-
-/// One document as a collection stores it, detached from the collection.
-pub(crate) enum DocHandle {
-    Hot(Arc<Document>),
-    Cold(bytes::Bytes),
-}
-
-impl DocHandle {
-    /// The document itself, decoding a cold page.
-    pub(crate) fn materialize(&self) -> Arc<Document> {
-        match self {
-            DocHandle::Hot(doc) => Arc::clone(doc),
-            DocHandle::Cold(page) => Arc::new(
-                binary::decode(page).expect("pages written by insert() always decode"),
-            ),
+        let survivors = std::mem::take(&mut self.docs);
+        *self = Collection::new(&self.name, self.mode);
+        for doc in survivors.into_iter().flatten() {
+            self.insert_shared(doc);
         }
     }
 }
@@ -486,8 +370,8 @@ impl Database {
     }
 
     /// Store shared documents without deep-copying them (hot collections
-    /// adopt the `Arc`s directly) — the zero-copy path used when the
-    /// coordinator re-materializes fetched fragments.
+    /// adopt arena `Arc`s directly, cold ones page-backed `Arc`s) — the
+    /// path used when the coordinator stores rebuilt fragments.
     pub fn store_all_shared(
         &self,
         collection: &str,
@@ -503,9 +387,9 @@ impl Database {
     }
 
     /// Ingest already-encoded binary pages into a collection (which must
-    /// exist — create it first to pick the storage mode). Cold
-    /// collections keep the pages verbatim and index them through the
-    /// zero-copy page view, so a load never materializes documents.
+    /// exist — create it first to pick the storage mode). Every page is
+    /// validated; cold collections then keep it verbatim and read it in
+    /// place, so a load never decodes a document.
     pub fn store_pages(
         &self,
         collection: &str,
@@ -632,9 +516,6 @@ impl CollectionProvider for Database {
     }
 
     fn document(&self, name: &str) -> Result<Arc<Document>, EvalError> {
-        // name scan first, so only the one matching document is ever
-        // decoded — a cold collection used to pay a full decode per
-        // stored page just to answer (or miss) a doc("…") lookup
         for coll in self.collections.read().values() {
             let guard = coll.read();
             if let Some(slot) = guard.slot_by_name(name) {
@@ -709,7 +590,7 @@ mod tests {
     #[test]
     fn document_lookup_works_cold_without_full_decode() {
         let db = make_db(StorageMode::Cold);
-        // the name side-table answers the scan; only i3's page decodes
+        // the name map answers the lookup; no other page is touched
         let d = db.document("i3").unwrap();
         assert_eq!(d.root().child_element("D").unwrap().text(), "goodness");
         assert!(db.document("zzz").is_err());

@@ -455,15 +455,60 @@ mod tests {
         assert_eq!(intersect_sorted(&[1, 2], &[3]), Vec::<u32>::new());
     }
 
+    /// The QH1–QH8 templates of the paper's horizontal query set (the
+    /// fixture's items carry no `Name`, so selections return `Code`).
+    const QH: [&str; 8] = [
+        r#"for $i in collection("items")/Item where $i/Section = "CD" return $i/Code"#,
+        r#"for $i in collection("items")/Item
+           where $i/Section = "CD" or $i/Section = "DVD" return $i/Code"#,
+        r#"for $i in collection("items")/Item where number($i/Price) < 12 return $i/Code"#,
+        r#"for $i in collection("items")/Item where exists($i/Release) return $i/Code"#,
+        r#"for $i in collection("items")/Item
+           where contains($i//Description, "good") return $i/Code"#,
+        r#"for $i in collection("items")/Item
+           where $i/Section = "CD" and contains($i//Description, "good") return $i"#,
+        r#"count(for $i in collection("items")/Item where $i/Section = "CD" return $i)"#,
+        r#"count(for $i in collection("items")/Item
+                 where contains($i//Description, "good") return $i)"#,
+    ];
+
     #[test]
     fn cold_collection_executes_identically() {
+        use crate::parallel::MorselConfig;
         let hot = db();
+        let mut extra = parse(
+            "<Item><Code>i9</Code><Section>CD</Section><Release>2005</Release>\
+             <Price>3</Price><Characteristics><Description>x</Description>\
+             </Characteristics></Item>",
+        )
+        .unwrap();
+        extra.name = Some("i9".to_owned());
+        hot.store("items", extra);
         let cold = Database::new();
         cold.create_collection("items", StorageMode::Cold).unwrap();
         for doc in partix_query::CollectionProvider::collection(&hot, "items").unwrap() {
             cold.store("items", (*doc).clone());
         }
-        let q = r#"count(for $i in collection("items")/Item where $i/Section = "CD" return $i)"#;
-        assert_eq!(hot.execute(q).unwrap().items, cold.execute(q).unwrap().items);
+        for workers in [1, 4] {
+            for value_index in [false, true] {
+                for db in [&hot, &cold] {
+                    db.set_morsel_config(MorselConfig { max_workers: workers, min_docs: 1 });
+                    db.set_value_index_enabled(value_index);
+                }
+                let mut split = false;
+                for q in QH {
+                    let (h, c) = (hot.execute(q).unwrap(), cold.execute(q).unwrap());
+                    assert_eq!(h.items, c.items, "{q}");
+                    assert_eq!(h.serialize(), c.serialize(), "{q}");
+                    assert!(!h.items.is_empty(), "{q} selects nothing");
+                    assert_eq!(h.stats.docs_scanned, c.stats.docs_scanned, "{q}");
+                    assert_eq!(h.stats.index_used, c.stats.index_used, "{q}");
+                    assert_eq!(h.stats.result_bytes, c.stats.result_bytes, "{q}");
+                    assert_eq!(h.stats.morsels, c.stats.morsels, "{q}");
+                    split |= h.stats.morsels >= 2;
+                }
+                assert_eq!(split, workers > 1, "morsels on means some scan splits");
+            }
+        }
     }
 }

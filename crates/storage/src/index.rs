@@ -32,29 +32,25 @@
 //! unioned into every probe — those documents are re-scanned rather than
 //! wrongly ruled out.
 //!
-//! Indexes build from anything implementing [`TreeAccess`], so a cold
-//! collection can index a binary page through the zero-copy
-//! [`partix_xml::PageView`] without materializing a [`Document`].
-//!
-//! [`Document`]: partix_xml::Document
+//! Indexes build from a [`Document`] through its read API, so a cold
+//! collection indexes a page-backed document without decoding it.
 
-use partix_xml::{NodeKind, TreeAccess};
+use partix_xml::{Document, NodeKind, NodeRef};
 use std::collections::{HashMap, HashSet};
 
 /// Set of document slots (indices into the collection's slot vector).
 pub type DocSet = HashSet<u32>;
 
-/// Walk every node reachable from the root of `tree` in document order,
-/// calling `visit(id, kind, label_path)`. The label path of a node is its
+/// Walk every node of `doc`, calling `visit(node, label_path)`. The label path of a node is its
 /// root-to-node label sequence joined with `/`; attribute segments are
 /// prefixed `@`. Text nodes are visited with their parent's path.
-fn walk_paths<T: TreeAccess + ?Sized>(tree: &T, mut visit: impl FnMut(u32, NodeKind, &str)) {
+fn walk_paths(doc: &Document, mut visit: impl FnMut(NodeRef<'_>, &str)) {
     let mut path = String::new();
-    // (node id, length of the parent's label path)
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    while let Some((id, plen)) = stack.pop() {
+    // (node, length of the parent's label path)
+    let mut stack = vec![(doc.root(), 0)];
+    while let Some((node, plen)) = stack.pop() {
         path.truncate(plen);
-        let kind = tree.node_kind(id);
+        let kind = node.kind();
         if kind != NodeKind::Text {
             if !path.is_empty() {
                 path.push('/');
@@ -62,15 +58,10 @@ fn walk_paths<T: TreeAccess + ?Sized>(tree: &T, mut visit: impl FnMut(u32, NodeK
             if kind == NodeKind::Attribute {
                 path.push('@');
             }
-            path.push_str(tree.node_label(id));
+            path.push_str(node.label());
         }
-        visit(id, kind, &path);
-        let child_plen = path.len();
-        let mut child = tree.node_first_child(id);
-        while let Some(c) = child {
-            stack.push((c, child_plen));
-            child = tree.node_next_sibling(c);
-        }
+        visit(node, &path);
+        stack.extend(node.children().map(|c| (c, path.len())));
     }
 }
 
@@ -93,18 +84,17 @@ pub struct ValueIndex {
 }
 
 impl ValueIndex {
-    /// Index every attribute and element of `tree`.
-    pub fn insert(&mut self, slot: u32, tree: &impl TreeAccess) {
-        walk_paths(tree, |id, kind, path| match kind {
+    /// Index every attribute and element of `doc`.
+    pub fn insert(&mut self, slot: u32, doc: &Document) {
+        walk_paths(doc, |node, path| match node.kind() {
             NodeKind::Attribute => {
                 // label-keyed probes use the bare attribute name (a final
                 // `@a` test and a final `a` name test share the label
                 // namespace in relative-path fallbacks); path keys carry
                 // the `@` marker so `Item/@id` and `Item/id` stay distinct
-                let value = tree.node_value(id).unwrap_or("");
-                let label = tree.node_label(id);
+                let value = node.value().unwrap_or("");
                 for slot_map in [
-                    self.by_label.entry(label.to_owned()).or_default(),
+                    self.by_label.entry(node.label().to_owned()).or_default(),
                     self.by_path.entry(path.to_owned()).or_default(),
                 ] {
                     slot_map.values.entry(value.to_owned()).or_default().insert(slot);
@@ -116,18 +106,15 @@ impl ValueIndex {
                 // a composite string value the index does not store
                 let mut concat = String::new();
                 let mut composite = false;
-                let mut child = tree.node_first_child(id);
-                while let Some(c) = child {
-                    match tree.node_kind(c) {
+                for c in node.children() {
+                    match c.kind() {
                         NodeKind::Element => composite = true,
-                        NodeKind::Text => concat.push_str(tree.node_value(c).unwrap_or("")),
+                        NodeKind::Text => concat.push_str(c.value().unwrap_or("")),
                         NodeKind::Attribute => {}
                     }
-                    child = tree.node_next_sibling(c);
                 }
-                let label = tree.node_label(id);
                 for slot_map in [
-                    self.by_label.entry(label.to_owned()).or_default(),
+                    self.by_label.entry(node.label().to_owned()).or_default(),
                     self.by_path.entry(path.to_owned()).or_default(),
                 ] {
                     if composite {
@@ -181,13 +168,10 @@ pub struct PathIndex {
 }
 
 impl PathIndex {
-    pub fn insert(&mut self, slot: u32, tree: &impl TreeAccess) {
-        walk_paths(tree, |id, kind, path| {
-            if kind != NodeKind::Text {
-                self.labels
-                    .entry(tree.node_label(id).to_owned())
-                    .or_default()
-                    .insert(slot);
+    pub fn insert(&mut self, slot: u32, doc: &Document) {
+        walk_paths(doc, |node, path| {
+            if node.kind() != NodeKind::Text {
+                self.labels.entry(node.label().to_owned()).or_default().insert(slot);
                 self.paths.entry(path.to_owned()).or_default().insert(slot);
             }
         });
@@ -220,9 +204,9 @@ pub struct TextIndex {
 }
 
 impl TextIndex {
-    pub fn insert(&mut self, slot: u32, tree: &impl TreeAccess) {
-        for id in 0..tree.node_count() as u32 {
-            if let Some(value) = tree.node_value(id) {
+    pub fn insert(&mut self, slot: u32, doc: &Document) {
+        for node in doc.root().descendants_or_self() {
+            if let Some(value) = node.value() {
                 for word in tokenize(value) {
                     self.words.entry(word).or_default().insert(slot);
                 }
@@ -265,7 +249,7 @@ fn longest_token(needle: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partix_xml::{parse, Document};
+    use partix_xml::parse;
 
     fn doc(xml: &str) -> Document {
         parse(xml).unwrap()
@@ -388,12 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn indexes_build_identically_from_page_view() {
+    fn indexes_build_identically_from_a_page_backed_document() {
         let xml = r#"<Store><Item id="1"><Section>CD</Section><D>good one</D></Item>
                      <Item id="2"><Section><b>D</b>VD</Section><D/></Item></Store>"#;
         let document = doc(xml);
-        let page = partix_xml::binary::encode(&document);
-        let view = partix_xml::PageView::parse(&page).unwrap();
+        let view = Document::from_page(partix_xml::binary::encode(&document)).unwrap();
 
         let (mut v1, mut v2) = (ValueIndex::default(), ValueIndex::default());
         v1.insert(3, &document);

@@ -9,9 +9,10 @@
 //! Features mirroring what the paper relies on:
 //!
 //! * **Named collections** of parsed XML documents, stored either hot
-//!   (pre-parsed in memory) or cold (as compact binary pages decoded on
-//!   access — used to study per-document parse cost, the effect behind
-//!   the paper's FragMode1 vs FragMode2 discussion).
+//!   (owned arenas) or cold (compact binary pages, validated at insert
+//!   and read in place). Either way a collection is one vector of
+//!   `Arc<Document>`; the mode only picks the representation built at
+//!   insert.
 //! * **Automatic indexes** (the paper: *"Some indexes were automatically
 //!   created by the eXist DBMS to speed up text search operations and
 //!   path expressions evaluation"*): a leaf-value index and a full-text

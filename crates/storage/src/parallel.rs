@@ -21,10 +21,6 @@
 //! morsel; pool workers only ever accelerate it. Jobs never block on
 //! other jobs.
 //!
-//! For cold collections the win is twofold: morsel workers decode the
-//! binary pages in parallel too, attacking exactly the per-document
-//! parse cost the paper measured for many-small-documents fragments.
-//!
 //! ## Determinism
 //!
 //! Results are byte-identical to sequential execution. When several
@@ -32,7 +28,7 @@
 //! — the same error a sequential left-to-right scan would have hit
 //! first.
 
-use crate::db::{Database, DocHandle};
+use crate::db::Database;
 use crate::exec::{index_candidates, ExecError, QueryOutput, QueryStats};
 use parking_lot::Mutex;
 use partix_query::morsel::{self, MorselPartial, MorselPlan};
@@ -153,9 +149,8 @@ struct QueryCtx {
     /// Candidate documents in document order, snapshotted under one read
     /// guard so every morsel sees the collection as of that moment
     /// whatever writers do meanwhile; `bounds[i]` is morsel `i`'s
-    /// half-open range into it. Cold pages are decoded by the morsel
-    /// that claims them, outside the lock.
-    docs: Vec<DocHandle>,
+    /// half-open range into it.
+    docs: Vec<Arc<Document>>,
     bounds: Vec<(usize, usize)>,
     /// Next unclaimed morsel — the shared work-stealing cursor.
     next: AtomicUsize,
@@ -170,9 +165,10 @@ impl QueryCtx {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             let Some(&(lo, hi)) = self.bounds.get(i) else { break };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let docs = self.docs[lo..hi].iter().map(DocHandle::materialize).collect();
-                let view =
-                    MorselView { collection: self.plan.collection.clone(), docs };
+                let view = MorselView {
+                    collection: self.plan.collection.clone(),
+                    docs: self.docs[lo..hi].to_vec(),
+                };
                 morsel::eval_partial(&self.plan, &view)
             }))
             .unwrap_or_else(|_| {
@@ -212,8 +208,7 @@ impl Database {
         let docs = {
             let guard = coll.read();
             stats.collection_size = guard.len();
-            // same index pre-filter as the sequential path, minus the
-            // document materialization (each morsel decodes its own)
+            // same index pre-filter as the sequential path
             let probed = analysis.and_then(|a| {
                 if !self.index_enabled() || a.collection != plan.collection {
                     return None;
@@ -227,7 +222,7 @@ impl Database {
             if slots.len() / config.min_docs < 2 {
                 return Ok(None);
             }
-            guard.handles(&slots)
+            guard.fetch_slots(&slots)
         };
         stats.docs_scanned = docs.len();
 

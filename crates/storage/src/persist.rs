@@ -5,7 +5,6 @@
 //! `MANIFEST` listing collections and their storage modes.
 
 use crate::db::{Database, StorageError, StorageMode};
-use partix_xml::binary;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -63,19 +62,10 @@ impl Database {
                 .filter(|p| p.extension().is_some_and(|e| e == "pxb"))
                 .collect();
             entries.sort();
-            // pages load verbatim: cold collections index through the
-            // zero-copy page view and never decode a document here; only
-            // legacy-format pages pay a decode+re-encode
+            // pages load verbatim: validated once by `store_pages`, kept
+            // as they are by cold collections
             for path in entries {
-                let bytes = fs::read(&path)?;
-                let page = if bytes.starts_with(b"PXB1") {
-                    let doc = binary::decode(&bytes).map_err(|e| {
-                        StorageError::Corrupt(format!("{}: {e}", path.display()))
-                    })?;
-                    binary::encode(&doc)
-                } else {
-                    bytes::Bytes::from(bytes)
-                };
+                let page = bytes::Bytes::from(fs::read(&path)?);
                 db.store_pages(name, [page]).map_err(|e| match e {
                     StorageError::Corrupt(msg) => {
                         StorageError::Corrupt(format!("{}: {msg}", path.display()))
@@ -142,6 +132,24 @@ mod tests {
         db.save_to(&dir).unwrap(); // second save replaces, not duplicates
         let loaded = Database::load_from(&dir).unwrap();
         assert_eq!(loaded.collection_len("hotc").unwrap(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn legacy_pages_still_load() {
+        let dir = tmp_dir("legacy");
+        sample_db().save_to(&dir).unwrap();
+        let mut old = parse("<Item><Code>old</Code></Item>").unwrap();
+        old.name = Some("legacy".into());
+        for coll in ["hotc", "coldc"] {
+            let page = partix_xml::binary::encode_v1(&old);
+            fs::write(dir.join(coll).join("00000000.pxb"), page).unwrap();
+        }
+        let loaded = Database::load_from(&dir).unwrap();
+        for coll in ["hotc", "coldc"] {
+            assert_eq!(&*loaded.collection(coll).unwrap()[0], &old, "{coll}");
+        }
+        assert_eq!(loaded.document("legacy").unwrap().root().text(), "old");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,16 +7,23 @@
 //! * **PXB2** (current, written by [`encode`]) mirrors the in-memory arena
 //!   layout exactly: a symbol table, one shared text heap, and
 //!   **fixed-width little-endian node records**. Because records are
-//!   fixed-width, a page can be *navigated in place* without decoding —
-//!   [`PageView`] validates a page once and then serves node kind / label /
-//!   value / link reads straight from the bytes (implementing
-//!   [`TreeAccess`]), which is what lets cold collections build and probe
-//!   indexes without materializing documents. Full decoding is a bulk
-//!   copy: two UTF-8 validations (symbol heap, text heap) and a straight
-//!   record walk with **zero per-node heap allocations**.
+//!   fixed-width and keep the arena's node ids, a page is *read in place*:
+//!   [`Document::from_page`] validates it once and the resulting document
+//!   serves node kind / label / value / link reads straight from the
+//!   bytes. Nothing is decoded until the document is first mutated, which
+//!   copies it into an arena ([`Page::to_arena`]). [`PageView::parse`] is
+//!   the same validation over a borrowed slice.
 //! * **PXB1** (legacy, LEB128 varints, per-node value strings) is still
-//!   decoded for old pages and can be produced via [`encode_v1`]; the
-//!   storage microbench uses it as the before/after baseline.
+//!   decoded (always into an arena) for old pages and can be produced via
+//!   [`encode_v1`]; the storage microbench uses it as the before/after
+//!   baseline.
+//!
+//! Validation is the only line of defence for a page read in place: every
+//! span and link is range-checked, both heaps are UTF-8 with spans on
+//! character boundaries, and the links must form one tree — the
+//! `first_child` / `next_sibling` walk from the root reaches every node
+//! exactly once, and `parent`, `prev_sibling` and `last_child` agree with
+//! that walk. Traversals of a validated page therefore terminate.
 //!
 //! ```text
 //! PXB2 layout (all integers little-endian):
@@ -36,8 +43,11 @@
 
 use crate::dewey::Dewey;
 use crate::error::XmlError;
-use crate::tree::{Arena, Document, Node, NodeKind, OptId, Origin, Sym, TreeAccess, ValueSpan};
+use crate::tree::{
+    Arena, ArenaTree, Document, Node, NodeId, NodeKind, OptId, Origin, Repr, Sym, ValueSpan,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC_V2: &[u8; 4] = b"PXB2";
 const MAGIC_V1: &[u8; 4] = b"PXB1";
@@ -45,6 +55,9 @@ const MAGIC_V1: &[u8; 4] = b"PXB1";
 /// Fixed record width of a PXB2 node: kind byte + eight u32 fields.
 const NODE_SIZE: usize = 1 + 8 * 4;
 const HEADER_SIZE: usize = 16;
+/// The symbol table follows the magic and the header.
+const SYM_TABLE_AT: usize = 4 + HEADER_SIZE;
+const NONE: u32 = u32::MAX;
 
 #[inline]
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
@@ -54,6 +67,10 @@ fn read_u32(bytes: &[u8], off: usize) -> u32 {
 #[inline]
 fn put_u32(buf: &mut BytesMut, v: u32) {
     buf.put_slice(&v.to_le_bytes());
+}
+
+fn corrupt(what: &str) -> XmlError {
+    XmlError::CorruptBinary(what.into())
 }
 
 fn kind_to_u8(kind: NodeKind) -> u8 {
@@ -73,36 +90,86 @@ fn kind_from_u8(byte: u8) -> Result<NodeKind, XmlError> {
     }
 }
 
-/// Encode a document into the current (PXB2) binary page form.
+/// Encode a document into the current (PXB2) binary page form. A
+/// page-backed document is not re-encoded: its page is shared when the
+/// meta tail still says what `name` / `origin` say, else the body
+/// sections are copied and only the tail is rewritten.
 pub fn encode(doc: &Document) -> Bytes {
-    let sym_heap_len: usize = doc.symbols.iter().map(|s| s.len()).sum();
-    let size = 4
-        + HEADER_SIZE
-        + doc.symbols.len() * 8
+    encode_with(doc, doc.name.as_deref(), doc.origin.as_ref())
+}
+
+/// [`encode`] without `name` and `origin` — what a shipped result item
+/// carries.
+pub fn encode_bare(doc: &Document) -> Bytes {
+    encode_with(doc, None, None)
+}
+
+fn put_meta(buf: &mut BytesMut, name: Option<&str>, origin: Option<&Origin>) {
+    match name {
+        None => buf.put_u8(0),
+        Some(name) => {
+            buf.put_u8(1);
+            put_u32(buf, name.len() as u32);
+            buf.put_slice(name.as_bytes());
+        }
+    }
+    match origin {
+        None => buf.put_u8(0),
+        Some(origin) => {
+            buf.put_u8(1);
+            put_u32(buf, origin.source_doc.len() as u32);
+            buf.put_slice(origin.source_doc.as_bytes());
+            put_u32(buf, origin.dewey.components().len() as u32);
+            for &c in origin.dewey.components() {
+                put_u32(buf, c);
+            }
+        }
+    }
+}
+
+fn encode_with(doc: &Document, name: Option<&str>, origin: Option<&Origin>) -> Bytes {
+    let tree = match &doc.repr {
+        Repr::Arena(tree) => tree,
+        Repr::Page(page) => {
+            let (body, tail) = page.bytes.split_at(page.layout.meta_at);
+            let mut meta = BytesMut::with_capacity(64);
+            put_meta(&mut meta, name, origin);
+            if tail == &meta[..] {
+                return page.bytes.clone();
+            }
+            let mut buf = BytesMut::with_capacity(body.len() + meta.len());
+            buf.put_slice(body);
+            buf.put_slice(&meta);
+            return buf.freeze();
+        }
+    };
+    let sym_heap_len: usize = tree.symbols.iter().map(|s| s.len()).sum();
+    let size = SYM_TABLE_AT
+        + tree.symbols.len() * 8
         + sym_heap_len
-        + doc.len() * NODE_SIZE
-        + doc.text.len()
+        + tree.nodes.len() * NODE_SIZE
+        + tree.text.len()
         + 64;
     let mut buf = BytesMut::with_capacity(size);
     buf.put_slice(MAGIC_V2);
-    put_u32(&mut buf, doc.len() as u32);
-    put_u32(&mut buf, doc.symbols.len() as u32);
+    put_u32(&mut buf, tree.nodes.len() as u32);
+    put_u32(&mut buf, tree.symbols.len() as u32);
     put_u32(&mut buf, sym_heap_len as u32);
-    put_u32(&mut buf, doc.text.len() as u32);
+    put_u32(&mut buf, tree.text.len() as u32);
     let mut off = 0u32;
-    for sym in &doc.symbols {
+    for sym in &tree.symbols {
         put_u32(&mut buf, off);
         put_u32(&mut buf, sym.len() as u32);
         off += sym.len() as u32;
     }
-    for sym in &doc.symbols {
+    for sym in &tree.symbols {
         buf.put_slice(sym.as_bytes());
     }
-    for node in doc.arena.iter() {
+    for node in tree.nodes.iter() {
         buf.put_u8(kind_to_u8(node.kind));
         put_u32(&mut buf, node.label.0);
         let (voff, vlen) = if node.value.is_none() {
-            (u32::MAX, 0)
+            (NONE, 0)
         } else {
             (node.value.off, node.value.len)
         };
@@ -118,94 +185,76 @@ pub fn encode(doc: &Document) -> Bytes {
             put_u32(&mut buf, link.raw());
         }
     }
-    buf.put_slice(doc.text.as_bytes());
-    match doc.name.as_deref() {
-        None => buf.put_u8(0),
-        Some(name) => {
-            buf.put_u8(1);
-            put_u32(&mut buf, name.len() as u32);
-            buf.put_slice(name.as_bytes());
-        }
-    }
-    match &doc.origin {
-        None => buf.put_u8(0),
-        Some(origin) => {
-            buf.put_u8(1);
-            put_u32(&mut buf, origin.source_doc.len() as u32);
-            buf.put_slice(origin.source_doc.as_bytes());
-            put_u32(&mut buf, origin.dewey.components().len() as u32);
-            for &c in origin.dewey.components() {
-                put_u32(&mut buf, c);
-            }
-        }
-    }
+    buf.put_slice(tree.text.as_bytes());
+    put_meta(&mut buf, name, origin);
     buf.freeze()
 }
 
-/// Decode a binary page (either wire version) into a [`Document`].
+/// Decode a binary page (either wire version) into a [`Document`]. A
+/// PXB2 page is copied once and adopted ([`Document::from_page`]).
 pub fn decode(buf: &[u8]) -> Result<Document, XmlError> {
-    if buf.len() >= 4 && &buf[..4] == MAGIC_V2 {
-        return PageView::parse(buf).map(|view| view.to_document());
+    if buf.starts_with(MAGIC_V1) {
+        return decode_v1(&buf[4..]); // decoded, not adopted: no copy to make
     }
-    if buf.len() >= 4 && &buf[..4] == MAGIC_V1 {
-        return decode_v1(&buf[4..]);
-    }
-    Err(XmlError::CorruptBinary("bad magic".into()))
+    Document::from_page(Bytes::copy_from_slice(buf))
 }
 
-/// A validated zero-copy view over a PXB2 page.
-///
-/// Construction walks the page once to check every span and link; after
-/// that, node reads are bounds-check-free slices into the borrowed bytes.
-/// Implements [`TreeAccess`], so index builders and label probes can walk
-/// a cold page without allocating a [`Document`].
-pub struct PageView<'a> {
-    /// `sym_count × (off, len)` pairs.
-    sym_table: &'a [u8],
-    sym_heap: &'a str,
-    /// `node_count × NODE_SIZE` records.
-    nodes: &'a [u8],
-    text_heap: &'a str,
+/// Links by slot, as the records store them.
+const PARENT: usize = 0;
+const FIRST_CHILD: usize = 1;
+const LAST_CHILD: usize = 2;
+const NEXT_SIBLING: usize = 3;
+const PREV_SIBLING: usize = 4;
+
+/// Where the sections of a validated PXB2 page start. Reading through a
+/// layout never fails on the page it was validated against.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
     node_count: u32,
-    sym_count: u32,
-    name: Option<&'a str>,
-    origin_source: Option<&'a str>,
-    origin_dewey: Vec<u32>,
+    sym_heap_at: usize,
+    nodes_at: usize,
+    text_at: usize,
+    meta_at: usize,
 }
 
-impl<'a> PageView<'a> {
-    /// Validate `buf` as a PXB2 page and return a navigable view.
-    pub fn parse(buf: &'a [u8]) -> Result<PageView<'a>, XmlError> {
-        if buf.len() < 4 + HEADER_SIZE || &buf[..4] != MAGIC_V2 {
-            return Err(XmlError::CorruptBinary("bad magic".into()));
+/// The meta tail of a page.
+struct Meta<'a> {
+    name: Option<&'a str>,
+    origin: Option<Origin>,
+}
+
+impl Layout {
+    /// Validate `buf` as a PXB2 page (see the module docs for what that
+    /// guarantees).
+    fn validate(buf: &[u8]) -> Result<(Layout, Meta<'_>), XmlError> {
+        if buf.len() < SYM_TABLE_AT || &buf[..4] != MAGIC_V2 {
+            return Err(corrupt("bad magic"));
         }
         let node_count = read_u32(buf, 4) as usize;
         let sym_count = read_u32(buf, 8) as usize;
         let sym_heap_len = read_u32(buf, 12) as usize;
         let text_heap_len = read_u32(buf, 16) as usize;
         if node_count == 0 {
-            return Err(XmlError::CorruptBinary("document has no nodes".into()));
+            return Err(corrupt("document has no nodes"));
         }
         let body_len = (sym_count as u64) * 8
             + sym_heap_len as u64
             + (node_count as u64) * NODE_SIZE as u64
             + text_heap_len as u64;
-        if body_len + 4 + HEADER_SIZE as u64 > buf.len() as u64 {
-            return Err(XmlError::CorruptBinary("page shorter than header claims".into()));
+        if body_len + SYM_TABLE_AT as u64 > buf.len() as u64 {
+            return Err(corrupt("page shorter than header claims"));
         }
-        let mut at = 4 + HEADER_SIZE;
-        let sym_table = &buf[at..at + sym_count * 8];
-        at += sym_count * 8;
-        let sym_heap = std::str::from_utf8(&buf[at..at + sym_heap_len])
-            .map_err(|_| XmlError::CorruptBinary("symbol heap not utf-8".into()))?;
-        at += sym_heap_len;
-        let nodes = &buf[at..at + node_count * NODE_SIZE];
-        at += node_count * NODE_SIZE;
-        let text_heap = std::str::from_utf8(&buf[at..at + text_heap_len])
-            .map_err(|_| XmlError::CorruptBinary("text heap not utf-8".into()))?;
-        at += text_heap_len;
+        let sym_heap_at = SYM_TABLE_AT + sym_count * 8;
+        let nodes_at = sym_heap_at + sym_heap_len;
+        let text_at = nodes_at + node_count * NODE_SIZE;
+        let meta_at = text_at + text_heap_len;
+        let sym_table = &buf[SYM_TABLE_AT..sym_heap_at];
+        let sym_heap = std::str::from_utf8(&buf[sym_heap_at..nodes_at])
+            .map_err(|_| corrupt("symbol heap not utf-8"))?;
+        let nodes = &buf[nodes_at..text_at];
+        let text_heap = std::str::from_utf8(&buf[text_at..meta_at])
+            .map_err(|_| corrupt("text heap not utf-8"))?;
 
-        // validate symbol spans
         for i in 0..sym_count {
             let off = read_u32(sym_table, i * 8) as u64;
             let len = read_u32(sym_table, i * 8 + 4) as u64;
@@ -213,227 +262,262 @@ impl<'a> PageView<'a> {
                 || !sym_heap.is_char_boundary(off as usize)
                 || !sym_heap.is_char_boundary((off + len) as usize)
             {
-                return Err(XmlError::CorruptBinary("symbol span out of range".into()));
+                return Err(corrupt("symbol span out of range"));
             }
         }
-        // validate node records
-        for i in 0..node_count {
-            let rec = &nodes[i * NODE_SIZE..(i + 1) * NODE_SIZE];
+        for rec in nodes.chunks_exact(NODE_SIZE) {
             kind_from_u8(rec[0])?;
             if read_u32(rec, 1) as usize >= sym_count {
-                return Err(XmlError::CorruptBinary("label out of range".into()));
+                return Err(corrupt("label out of range"));
             }
             let voff = read_u32(rec, 5);
-            let vlen = read_u32(rec, 9);
-            if voff != u32::MAX {
-                let end = voff as u64 + vlen as u64;
+            if voff != NONE {
+                let end = voff as u64 + read_u32(rec, 9) as u64;
                 if end > text_heap_len as u64
                     || !text_heap.is_char_boundary(voff as usize)
                     || !text_heap.is_char_boundary(end as usize)
                 {
-                    return Err(XmlError::CorruptBinary("value span out of range".into()));
+                    return Err(corrupt("value span out of range"));
                 }
             }
             for link in 0..5 {
                 let raw = read_u32(rec, 13 + link * 4);
-                if raw != u32::MAX && raw as usize >= node_count {
-                    return Err(XmlError::CorruptBinary("node link out of range".into()));
+                if raw != NONE && raw as usize >= node_count {
+                    return Err(corrupt("node link out of range"));
                 }
             }
         }
-        let root = &nodes[..NODE_SIZE];
-        if root[0] != 0 || read_u32(root, 13) != u32::MAX {
-            return Err(XmlError::CorruptBinary("root must be a parentless element".into()));
+        if nodes[0] != 0 {
+            return Err(corrupt("root must be an element"));
         }
+        check_tree(node_count, |id, slot| {
+            read_u32(nodes, id as usize * NODE_SIZE + 13 + slot * 4)
+        })?;
 
-        // meta tail
-        let mut tail = &buf[at..];
+        let mut tail = &buf[meta_at..];
         let name = get_tagged_str(&mut tail)?;
-        let (origin_source, origin_dewey) = match get_u8(&mut tail)? {
-            0 => (None, Vec::new()),
+        let origin = match get_u8(&mut tail)? {
+            0 => None,
             1 => {
-                let source = get_str_u32(&mut tail)?;
+                let source_doc = get_str_u32(&mut tail)?.to_owned();
                 let count = get_u32(&mut tail)? as usize;
                 if count * 4 > tail.len() {
-                    return Err(XmlError::CorruptBinary("dewey too long".into()));
+                    return Err(corrupt("dewey too long"));
                 }
                 let mut components = Vec::with_capacity(count);
                 for _ in 0..count {
                     components.push(get_u32(&mut tail)?);
                 }
-                (Some(source), components)
+                Some(Origin { source_doc, dewey: Dewey::from_vec(components) })
             }
             k => return Err(XmlError::CorruptBinary(format!("bad origin tag {k}"))),
         };
-
-        Ok(PageView {
-            sym_table,
-            sym_heap,
-            nodes,
-            text_heap,
-            node_count: node_count as u32,
-            sym_count: sym_count as u32,
-            name,
-            origin_source,
-            origin_dewey,
-        })
+        let layout =
+            Layout { node_count: node_count as u32, sym_heap_at, nodes_at, text_at, meta_at };
+        Ok((layout, Meta { name, origin }))
     }
 
     #[inline]
-    fn record(&self, id: u32) -> &'a [u8] {
-        let at = id as usize * NODE_SIZE;
-        &self.nodes[at..at + NODE_SIZE]
-    }
-
-    #[inline]
-    fn sym(&self, idx: u32) -> &'a str {
-        let off = read_u32(self.sym_table, idx as usize * 8) as usize;
-        let len = read_u32(self.sym_table, idx as usize * 8 + 4) as usize;
-        &self.sym_heap[off..off + len]
-    }
-
-    #[inline]
-    fn link(&self, id: u32, slot: usize) -> Option<u32> {
-        let raw = read_u32(self.record(id), 13 + slot * 4);
-        if raw == u32::MAX {
-            None
-        } else {
-            Some(raw)
+    fn node(&self, buf: &[u8], id: NodeId) -> Node {
+        let at = self.nodes_at + id.index() * NODE_SIZE;
+        let rec: &[u8; NODE_SIZE] = buf[at..at + NODE_SIZE].try_into().expect("record width");
+        let link = |slot: usize| OptId::from_raw(read_u32(rec, 13 + slot * 4));
+        Node {
+            kind: match rec[0] {
+                0 => NodeKind::Element,
+                1 => NodeKind::Attribute,
+                _ => NodeKind::Text,
+            },
+            label: Sym(read_u32(rec, 1)),
+            value: ValueSpan { off: read_u32(rec, 5), len: read_u32(rec, 9) },
+            parent: link(PARENT),
+            first_child: link(FIRST_CHILD),
+            last_child: link(LAST_CHILD),
+            next_sibling: link(NEXT_SIBLING),
+            prev_sibling: link(PREV_SIBLING),
         }
+    }
+
+    #[inline]
+    fn sym<'b>(&self, buf: &'b [u8], sym: Sym) -> &'b str {
+        let entry = SYM_TABLE_AT + sym.0 as usize * 8;
+        let at = self.sym_heap_at + read_u32(buf, entry) as usize;
+        let len = read_u32(buf, entry + 4) as usize;
+        std::str::from_utf8(&buf[at..at + len]).expect("span validated with the page")
+    }
+}
+
+/// Check that `node_count` records linked through `link(id, slot)` (raw
+/// values, in range) form one tree rooted at node 0: the pre-order walk
+/// over `first_child` / `next_sibling` visits every node exactly once,
+/// and `parent`, `prev_sibling` and `last_child` agree with it. A node
+/// can only be entered from the one predecessor its own back links name,
+/// so no node is visited twice; the count then proves none is missed.
+fn check_tree(node_count: usize, link: impl Fn(u32, usize) -> u32) -> Result<(), XmlError> {
+    let bad = || corrupt("node links do not form a tree");
+    if [PARENT, NEXT_SIBLING, PREV_SIBLING].iter().any(|&slot| link(0, slot) != NONE) {
+        return Err(corrupt("root must be a parentless element"));
+    }
+    let (mut cur, mut seen) = (0u32, 1usize);
+    'walk: loop {
+        if seen > node_count {
+            return Err(bad());
+        }
+        let child = link(cur, FIRST_CHILD);
+        if child != NONE {
+            if link(child, PARENT) != cur || link(child, PREV_SIBLING) != NONE {
+                return Err(bad());
+            }
+            (cur, seen) = (child, seen + 1);
+            continue;
+        }
+        if link(cur, LAST_CHILD) != NONE {
+            return Err(bad());
+        }
+        // subtree done: on to the next sibling, climbing while there is none
+        while cur != 0 {
+            let (parent, next) = (link(cur, PARENT), link(cur, NEXT_SIBLING));
+            if next != NONE {
+                if link(next, PARENT) != parent || link(next, PREV_SIBLING) != cur {
+                    return Err(bad());
+                }
+                (cur, seen) = (next, seen + 1);
+                continue 'walk;
+            }
+            if link(parent, LAST_CHILD) != cur {
+                return Err(bad());
+            }
+            cur = parent;
+        }
+        break;
+    }
+    if seen == node_count {
+        Ok(())
+    } else {
+        Err(bad())
+    }
+}
+
+/// A validated PXB2 page, shared, with its layout: what a page-backed
+/// [`Document`] reads from.
+#[derive(Debug, Clone)]
+pub(crate) struct Page {
+    bytes: Bytes,
+    layout: Layout,
+}
+
+static CONVERSIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Page → arena conversions made by this process so far (test support:
+/// a read of a page-backed document must never add to it).
+#[doc(hidden)]
+pub fn page_conversions() -> u64 {
+    CONVERSIONS.load(Ordering::Relaxed)
+}
+
+impl Page {
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    pub(crate) fn node_count(&self) -> usize {
+        self.layout.node_count as usize
+    }
+
+    pub(crate) fn text_len(&self) -> usize {
+        self.layout.meta_at - self.layout.text_at
+    }
+
+    #[inline]
+    pub(crate) fn node(&self, id: NodeId) -> Node {
+        self.layout.node(&self.bytes, id)
+    }
+
+    #[inline]
+    pub(crate) fn sym(&self, sym: Sym) -> &str {
+        self.layout.sym(&self.bytes, sym)
+    }
+
+    #[inline]
+    pub(crate) fn value(&self, span: ValueSpan) -> Option<&str> {
+        if span.is_none() {
+            return None;
+        }
+        let at = self.layout.text_at + span.off as usize;
+        Some(
+            std::str::from_utf8(&self.bytes[at..at + span.len as usize])
+                .expect("span validated with the page"),
+        )
+    }
+
+    /// Transcribe the page into an owned arena — the copy-on-write step.
+    /// Records are copied field for field (same node ids) and both heaps
+    /// wholesale.
+    pub(crate) fn to_arena(&self) -> ArenaTree {
+        CONVERSIONS.fetch_add(1, Ordering::Relaxed);
+        let mut nodes = Arena::with_capacity(self.node_count());
+        for i in 0..self.layout.node_count {
+            nodes.push(self.node(NodeId(i)));
+        }
+        let sym_count = (self.layout.sym_heap_at - SYM_TABLE_AT) / 8;
+        let mut tree = ArenaTree { nodes, ..ArenaTree::default() };
+        for i in 0..sym_count as u32 {
+            // not `intern`: a page may list one label twice, and ids must stay
+            let s: Box<str> = self.sym(Sym(i)).into();
+            tree.symbol_map.insert(s.clone(), Sym(i));
+            tree.symbols.push(s);
+        }
+        let heap = &self.bytes[self.layout.text_at..self.layout.meta_at];
+        tree.text = std::str::from_utf8(heap).expect("heap validated with the page").to_owned();
+        tree
+    }
+}
+
+impl Document {
+    /// Validate `page` as a PXB2 page and adopt it: the document reads
+    /// the page in place and shares it with every clone. Validation
+    /// happens here, once; anything malformed is
+    /// [`XmlError::CorruptBinary`]. A legacy PXB1 page cannot be read in
+    /// place and is decoded into an arena instead.
+    pub fn from_page(page: Bytes) -> Result<Document, XmlError> {
+        if page.starts_with(MAGIC_V1) {
+            return decode_v1(&page[4..]);
+        }
+        let (layout, meta) = Layout::validate(&page)?;
+        let (name, origin) = (meta.name.map(str::to_owned), meta.origin);
+        Ok(Document { repr: Repr::Page(Page { bytes: page, layout }), name, origin })
+    }
+}
+
+/// A validated view over a borrowed PXB2 page: [`PageView::parse`] is the
+/// page validator ([`Document::from_page`] runs the same checks and keeps
+/// the page).
+pub struct PageView<'a> {
+    buf: &'a [u8],
+    layout: Layout,
+    meta: Meta<'a>,
+}
+
+impl<'a> PageView<'a> {
+    /// Validate `buf` as a PXB2 page.
+    pub fn parse(buf: &'a [u8]) -> Result<PageView<'a>, XmlError> {
+        let (layout, meta) = Layout::validate(buf)?;
+        Ok(PageView { buf, layout, meta })
     }
 
     /// The page's document name, if any.
     pub fn name(&self) -> Option<&'a str> {
-        self.name
+        self.meta.name
     }
 
     /// Fragment origin recorded on the page, if any.
     pub fn origin(&self) -> Option<Origin> {
-        self.origin_source.map(|source| Origin {
-            source_doc: source.to_owned(),
-            dewey: Dewey::from_vec(self.origin_dewey.clone()),
-        })
+        self.meta.origin.clone()
     }
 
     /// Label of the root element.
     pub fn root_label(&self) -> &'a str {
-        self.sym(read_u32(self.record(0), 1))
-    }
-
-    /// Concatenated text content below `id` — the subtree string value,
-    /// computed from the page without materializing a document.
-    pub fn string_value(&self, id: u32) -> String {
-        let rec = self.record(id);
-        if rec[0] != 0 {
-            // attribute or text: the direct value
-            return self.value_str(rec).unwrap_or("").to_owned();
-        }
-        let mut out = String::new();
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            let rec = self.record(cur);
-            if rec[0] == 2 {
-                out.push_str(self.value_str(rec).unwrap_or(""));
-            }
-            // push children in reverse document order so pops are in order
-            let mut kids = Vec::new();
-            let mut child = self.link(cur, 1);
-            while let Some(c) = child {
-                kids.push(c);
-                child = self.link(c, 3);
-            }
-            for &k in kids.iter().rev() {
-                stack.push(k);
-            }
-        }
-        out
-    }
-
-    #[inline]
-    fn value_str(&self, rec: &[u8]) -> Option<&'a str> {
-        let off = read_u32(rec, 5);
-        if off == u32::MAX {
-            None
-        } else {
-            let len = read_u32(rec, 9);
-            Some(&self.text_heap[off as usize..(off + len) as usize])
-        }
-    }
-
-    /// Materialize the page into an owned [`Document`]. This is the bulk
-    /// decode path: no per-node allocations — node records are copied
-    /// field-for-field and both heaps are copied wholesale.
-    pub fn to_document(&self) -> Document {
-        let mut arena = Arena::with_capacity(self.node_count as usize);
-        for i in 0..self.node_count {
-            let rec = self.record(i);
-            let voff = read_u32(rec, 5);
-            let value = if voff == u32::MAX {
-                ValueSpan::NONE
-            } else {
-                ValueSpan { off: voff, len: read_u32(rec, 9) }
-            };
-            arena.push(Node {
-                kind: kind_from_u8(rec[0]).expect("validated at parse"),
-                label: Sym(read_u32(rec, 1)),
-                value,
-                parent: OptId::from_raw(read_u32(rec, 13)),
-                first_child: OptId::from_raw(read_u32(rec, 17)),
-                last_child: OptId::from_raw(read_u32(rec, 21)),
-                next_sibling: OptId::from_raw(read_u32(rec, 25)),
-                prev_sibling: OptId::from_raw(read_u32(rec, 29)),
-            });
-        }
-        let mut symbols = Vec::with_capacity(self.sym_count as usize);
-        let mut symbol_map =
-            std::collections::HashMap::with_capacity(self.sym_count as usize);
-        for i in 0..self.sym_count {
-            let s: Box<str> = self.sym(i).into();
-            symbol_map.insert(s.clone(), Sym(i));
-            symbols.push(s);
-        }
-        Document {
-            arena,
-            text: self.text_heap.to_owned(),
-            symbols,
-            symbol_map,
-            name: self.name.map(str::to_owned),
-            origin: self.origin(),
-        }
-    }
-}
-
-impl TreeAccess for PageView<'_> {
-    fn node_count(&self) -> usize {
-        self.node_count as usize
-    }
-
-    fn node_kind(&self, id: u32) -> NodeKind {
-        kind_from_u8(self.record(id)[0]).expect("validated at parse")
-    }
-
-    fn node_label(&self, id: u32) -> &str {
-        self.sym(read_u32(self.record(id), 1))
-    }
-
-    fn node_value(&self, id: u32) -> Option<&str> {
-        self.value_str(self.record(id))
-    }
-
-    fn node_first_child(&self, id: u32) -> Option<u32> {
-        self.link(id, 1)
-    }
-
-    fn node_next_sibling(&self, id: u32) -> Option<u32> {
-        self.link(id, 3)
-    }
-
-    fn node_parent(&self, id: u32) -> Option<u32> {
-        self.link(id, 0)
-    }
-
-    fn doc_name(&self) -> Option<&str> {
-        self.name
+        self.layout.sym(self.buf, self.layout.node(self.buf, NodeId::ROOT).label)
     }
 }
 
@@ -473,6 +557,14 @@ fn get_tagged_str<'a>(buf: &mut &'a [u8]) -> Result<Option<&'a str>, XmlError> {
 /// microbench can compare old-format decode cost against the arena page,
 /// and so older persisted repositories remain writable in tests.
 pub fn encode_v1(doc: &Document) -> Bytes {
+    let converted;
+    let tree = match &doc.repr {
+        Repr::Arena(tree) => tree,
+        Repr::Page(page) => {
+            converted = page.to_arena();
+            &converted
+        }
+    };
     let mut buf = BytesMut::with_capacity(doc.approx_size());
     buf.put_slice(MAGIC_V1);
     put_opt_str(&mut buf, doc.name.as_deref());
@@ -487,15 +579,15 @@ pub fn encode_v1(doc: &Document) -> Bytes {
             }
         }
     }
-    put_varint(&mut buf, doc.symbols.len() as u64);
-    for sym in &doc.symbols {
+    put_varint(&mut buf, tree.symbols.len() as u64);
+    for sym in &tree.symbols {
         put_str(&mut buf, sym);
     }
-    put_varint(&mut buf, doc.len() as u64);
-    for node in doc.arena.iter() {
+    put_varint(&mut buf, tree.nodes.len() as u64);
+    for node in tree.nodes.iter() {
         buf.put_u8(kind_to_u8(node.kind));
         put_varint(&mut buf, node.label.0 as u64);
-        put_opt_str(&mut buf, node.value.get(&doc.text));
+        put_opt_str(&mut buf, node.value.get(&tree.text));
         for link in [
             node.parent,
             node.first_child,
@@ -532,12 +624,11 @@ fn decode_v1(mut buf: &[u8]) -> Result<Document, XmlError> {
     if sym_count > buf.len() {
         return Err(XmlError::CorruptBinary("symbol table too long".into()));
     }
-    let mut symbols = Vec::with_capacity(sym_count);
-    let mut symbol_map = std::collections::HashMap::with_capacity(sym_count);
+    let mut tree = ArenaTree::default();
     for i in 0..sym_count {
         let s: Box<str> = get_str(&mut buf)?.into();
-        symbol_map.insert(s.clone(), Sym(i as u32));
-        symbols.push(s);
+        tree.symbol_map.insert(s.clone(), Sym(i as u32));
+        tree.symbols.push(s);
     }
     let node_count = get_varint(&mut buf)? as usize;
     if node_count == 0 {
@@ -546,19 +637,18 @@ fn decode_v1(mut buf: &[u8]) -> Result<Document, XmlError> {
     if node_count > buf.len() {
         return Err(XmlError::CorruptBinary("node table too long".into()));
     }
-    let mut arena = Arena::with_capacity(node_count);
-    let mut text = String::new();
+    tree.nodes = Arena::with_capacity(node_count);
     for _ in 0..node_count {
         let kind = kind_from_u8(get_u8(&mut buf)?)?;
         let label_idx = get_varint(&mut buf)? as usize;
-        if label_idx >= symbols.len() {
+        if label_idx >= tree.symbols.len() {
             return Err(XmlError::CorruptBinary("label out of range".into()));
         }
         let value = match get_opt_str(&mut buf)? {
             None => ValueSpan::NONE,
             Some(s) => {
-                let off = text.len() as u32;
-                text.push_str(&s);
+                let off = tree.text.len() as u32;
+                tree.text.push_str(&s);
                 ValueSpan { off, len: s.len() as u32 }
             }
         };
@@ -573,7 +663,7 @@ fn decode_v1(mut buf: &[u8]) -> Result<Document, XmlError> {
                 *link = OptId::from_raw(id as u32);
             }
         }
-        arena.push(Node {
+        tree.nodes.push(Node {
             kind,
             label: Sym(label_idx as u32),
             value,
@@ -584,11 +674,16 @@ fn decode_v1(mut buf: &[u8]) -> Result<Document, XmlError> {
             prev_sibling: links[4],
         });
     }
-    let root = arena.get(0);
-    if root.kind != NodeKind::Element || !root.parent.is_none() {
-        return Err(XmlError::CorruptBinary("root must be a parentless element".into()));
+    if tree.nodes.get(0).kind != NodeKind::Element {
+        return Err(corrupt("root must be an element"));
     }
-    Ok(Document { arena, text, symbols, symbol_map, name, origin })
+    check_tree(node_count, |id, slot| {
+        let node = tree.nodes.get(id as usize);
+        [node.parent, node.first_child, node.last_child, node.next_sibling, node.prev_sibling]
+            [slot]
+            .raw()
+    })?;
+    Ok(Document::from_arena(tree, name, origin))
 }
 
 fn put_varint(buf: &mut BytesMut, mut v: u64) {
@@ -731,39 +826,52 @@ mod tests {
     }
 
     #[test]
-    fn page_view_agrees_with_document() {
+    fn page_view_reads_the_meta_tail_and_root() {
         let doc = sample();
         let bytes = encode(&doc);
         let view = PageView::parse(&bytes).unwrap();
-        assert_eq!(view.node_count(), doc.len());
         assert_eq!(view.name(), doc.name.as_deref());
         assert_eq!(view.origin(), doc.origin);
         assert_eq!(view.root_label(), doc.root_label());
-        for id in doc.ids() {
-            let raw = id.index() as u32;
-            assert_eq!(view.node_kind(raw), doc.node_kind(raw));
-            assert_eq!(view.node_label(raw), doc.node_label(raw));
-            assert_eq!(view.node_value(raw), doc.node_value(raw));
-            assert_eq!(view.node_first_child(raw), doc.node_first_child(raw));
-            assert_eq!(view.node_next_sibling(raw), doc.node_next_sibling(raw));
-            assert_eq!(view.node_parent(raw), doc.node_parent(raw));
-        }
     }
 
     #[test]
-    fn page_view_string_value() {
-        let doc = parse("<a><b>one</b><c>two<d>three</d></c></a>").unwrap();
+    fn page_backed_document_reads_in_place_and_shares_its_page() {
+        let doc = sample();
         let bytes = encode(&doc);
-        let view = PageView::parse(&bytes).unwrap();
-        assert_eq!(view.string_value(0), "onetwothree");
-        for id in doc.ids() {
-            let raw = id.index() as u32;
-            assert_eq!(
-                view.string_value(raw),
-                doc.get(id).unwrap().text(),
-                "node {raw}"
-            );
+        let paged = Document::from_page(bytes.clone()).unwrap();
+        assert!(matches!(paged.repr, Repr::Page(_)));
+        assert_eq!(paged, doc);
+        assert_eq!(paged.approx_size(), doc.approx_size());
+        assert_eq!(crate::to_string(&paged), crate::to_string(&doc));
+        // unmodified: encode hands the page back, no copy
+        assert_eq!(encode(&paged), bytes);
+        // a reassigned name rewrites the tail only
+        let mut renamed = paged.clone();
+        renamed.name = Some("elsewhere".into());
+        assert!(matches!(renamed.repr, Repr::Page(_)));
+        let back = decode(&encode(&renamed)).unwrap();
+        assert_eq!(back.name.as_deref(), Some("elsewhere"));
+        assert_eq!(back, doc);
+        assert_eq!(decode(&encode_bare(&paged)).unwrap().name, None);
+    }
+
+    #[test]
+    fn first_mutation_copies_on_write() {
+        let doc = sample();
+        let paged = Document::from_page(encode(&doc)).unwrap();
+        let mut edited = paged.clone();
+        let ids: Vec<_> = paged.ids().collect();
+        let added = edited.add_element(NodeId::ROOT, "Extra");
+        assert!(matches!(edited.repr, Repr::Arena(_)));
+        assert!(matches!(paged.repr, Repr::Page(_)), "other clones keep the page");
+        assert_eq!(added.index(), doc.len(), "new ids continue after the page's");
+        for id in ids {
+            assert_eq!(edited.label_of(id), paged.label_of(id));
+            assert_eq!(edited.value_of(id), paged.value_of(id));
         }
+        assert_eq!(paged, doc);
+        assert_ne!(edited, doc);
     }
 
     #[test]

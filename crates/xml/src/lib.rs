@@ -7,8 +7,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`Document`] — an arena-based ordered labelled tree with O(1) child /
-//!   sibling navigation and cheap subtree copies.
+//! * [`Document`] — an ordered labelled tree with O(1) child / sibling
+//!   navigation and cheap subtree copies; it either owns a growable arena
+//!   or reads a validated binary page in place (copy-on-write).
 //! * [`Dewey`] — Dewey ordinal node identifiers, stable across
 //!   fragmentation, used by the reconstruction join (paper Sec. 3.3:
 //!   *"We keep an ID in each vertical fragment for reconstruction
@@ -36,4 +37,4 @@ pub use dewey::Dewey;
 pub use error::{ParseError, XmlError};
 pub use parser::{parse, parse_with, ParseOptions};
 pub use serializer::{to_string, to_string_pretty, Serializer};
-pub use tree::{Document, NodeId, NodeKind, NodeRef, Origin, TreeAccess};
+pub use tree::{Document, NodeId, NodeKind, NodeRef, Origin};

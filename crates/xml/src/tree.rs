@@ -17,13 +17,21 @@
 //! Labels are interned per-document so repeated element names (the common
 //! case in the paper's repositories: thousands of `Item` elements) cost
 //! four bytes per node. The same layout is what the binary page format
-//! serializes verbatim (see [`crate::binary`]), which is what makes cold
-//! page decoding a bulk copy instead of a per-node rebuild.
+//! serializes verbatim (see [`crate::binary`]): same node ids, same
+//! links, same heap spans.
+//!
+//! That is why a [`Document`] has a second representation: instead of
+//! owning an arena it can be **backed by a validated PXB2 page** and serve
+//! every read straight from the page's records. The two are
+//! observationally identical; the first mutation of a page-backed
+//! document copies it into an arena (copy-on-write, node ids preserved).
 
+use crate::binary::Page;
 use crate::dewey::Dewey;
 use crate::error::XmlError;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node within its [`Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,11 +70,6 @@ impl OptId {
         } else {
             Some(NodeId(self.0))
         }
-    }
-
-    #[inline]
-    pub(crate) fn is_none(self) -> bool {
-        self.0 == u32::MAX
     }
 
     /// Raw wire value (`u32::MAX` = none) — what the page format stores.
@@ -187,19 +190,94 @@ impl Arena {
     }
 }
 
+/// The owned, growable representation: node arena, value heap and the
+/// interned labels.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ArenaTree {
+    pub(crate) nodes: Arena,
+    /// Shared value heap: every attribute value and text-node content.
+    pub(crate) text: String,
+    pub(crate) symbols: Vec<Box<str>>,
+    pub(crate) symbol_map: HashMap<Box<str>, Sym>,
+}
+
+impl ArenaTree {
+    pub(crate) fn intern(&mut self, s: &str) -> Sym {
+        if let Some(&sym) = self.symbol_map.get(s) {
+            return sym;
+        }
+        let sym = Sym(self.symbols.len() as u32);
+        let boxed: Box<str> = s.into();
+        self.symbols.push(boxed.clone());
+        self.symbol_map.insert(boxed, sym);
+        sym
+    }
+
+    /// Append a string to the value heap, returning its span.
+    fn push_value(&mut self, s: &str) -> ValueSpan {
+        let off = self.text.len();
+        assert!(
+            off + s.len() < u32::MAX as usize,
+            "document value heap too large"
+        );
+        self.text.push_str(s);
+        ValueSpan { off: off as u32, len: s.len() as u32 }
+    }
+
+    /// Append a childless node as the last child of `parent`.
+    fn push_node(
+        &mut self,
+        parent: Option<NodeId>,
+        kind: NodeKind,
+        label: &str,
+        value: Option<&str>,
+    ) -> NodeId {
+        let label = self.intern(label);
+        let value = value.map_or(ValueSpan::NONE, |v| self.push_value(v));
+        let id = NodeId(self.nodes.push(Node {
+            kind,
+            label,
+            value,
+            parent: parent.map_or(OptId::NONE, OptId::some),
+            first_child: OptId::NONE,
+            last_child: OptId::NONE,
+            next_sibling: OptId::NONE,
+            prev_sibling: OptId::NONE,
+        }));
+        let Some(parent) = parent else { return id };
+        let prev_last = self.nodes.get(parent.index()).last_child;
+        match prev_last.get() {
+            Some(last) => {
+                self.nodes.get_mut(last.index()).next_sibling = OptId::some(id);
+                self.nodes.get_mut(id.index()).prev_sibling = OptId::some(last);
+            }
+            None => self.nodes.get_mut(parent.index()).first_child = OptId::some(id),
+        }
+        self.nodes.get_mut(parent.index()).last_child = OptId::some(id);
+        id
+    }
+}
+
+/// What holds a document's tree: an owned arena, or a validated page
+/// read in place. Nothing outside this crate can tell them apart.
+#[derive(Debug, Clone)]
+pub(crate) enum Repr {
+    Arena(ArenaTree),
+    Page(Page),
+}
+
 /// An XML document: a data tree with interned labels.
 ///
 /// The root node (id [`NodeId::ROOT`]) is always an element. Documents may
 /// carry a `name` (their identity inside a collection) and an `origin`
 /// recording where a fragment's content came from in the source repository;
 /// both are preserved by the binary format.
+///
+/// A document either owns its tree or reads it from a shared binary page
+/// ([`Document::from_page`]); see the module docs.
 #[derive(Debug, Clone)]
 pub struct Document {
-    pub(crate) arena: Arena,
-    /// Shared value heap: every attribute value and text-node content.
-    pub(crate) text: String,
-    pub(crate) symbols: Vec<Box<str>>,
-    pub(crate) symbol_map: HashMap<Box<str>, Sym>,
+    pub(crate) repr: Repr,
     /// Identity of this document within its collection (e.g. `"item0042"`).
     pub name: Option<String>,
     /// Provenance of a fragment document: source document name plus the
@@ -218,31 +296,71 @@ pub struct Origin {
 impl Document {
     /// Create a document whose root element is named `root_label`.
     pub fn new(root_label: &str) -> Document {
-        let mut doc = Document {
-            arena: Arena::default(),
-            text: String::new(),
-            symbols: Vec::new(),
-            symbol_map: HashMap::new(),
-            name: None,
-            origin: None,
-        };
-        let sym = doc.intern(root_label);
-        doc.arena.push(Node {
-            kind: NodeKind::Element,
-            label: sym,
-            value: ValueSpan::NONE,
-            parent: OptId::NONE,
-            first_child: OptId::NONE,
-            last_child: OptId::NONE,
-            next_sibling: OptId::NONE,
-            prev_sibling: OptId::NONE,
-        });
-        doc
+        let mut tree = ArenaTree::default();
+        tree.push_node(None, NodeKind::Element, root_label, None);
+        Document::from_arena(tree, None, None)
+    }
+
+    pub(crate) fn from_arena(
+        tree: ArenaTree,
+        name: Option<String>,
+        origin: Option<Origin>,
+    ) -> Document {
+        Document { repr: Repr::Arena(tree), name, origin }
+    }
+
+    /// The tree for writing. A page-backed document is copied into an
+    /// arena first; other clones of the page are untouched.
+    fn arena_mut(&mut self) -> &mut ArenaTree {
+        if let Repr::Page(page) = &self.repr {
+            self.repr = Repr::Arena(page.to_arena());
+        }
+        match &mut self.repr {
+            Repr::Arena(tree) => tree,
+            Repr::Page(_) => unreachable!("converted above"),
+        }
+    }
+
+    /// `doc` with an owned arena: itself, or a converted copy when it is
+    /// page-backed.
+    pub fn arena_backed(doc: Arc<Document>) -> Arc<Document> {
+        match &doc.repr {
+            Repr::Arena(_) => doc,
+            Repr::Page(page) => Arc::new(Document::from_arena(
+                page.to_arena(),
+                doc.name.clone(),
+                doc.origin.clone(),
+            )),
+        }
+    }
+
+    /// `doc` backed by its binary page: itself, or an encoded copy when
+    /// it owns an arena.
+    pub fn page_backed(doc: Arc<Document>) -> Arc<Document> {
+        match &doc.repr {
+            Repr::Page(_) => doc,
+            Repr::Arena(_) => Arc::new(
+                Document::from_page(crate::binary::encode(&doc))
+                    .expect("the encoder writes valid pages"),
+            ),
+        }
+    }
+
+    /// Bytes this document occupies as held: the page length when
+    /// page-backed, [`Document::approx_size`] for an arena.
+    pub fn stored_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Arena(_) => self.approx_size(),
+            Repr::Page(page) => page.len(),
+        }
     }
 
     /// Number of nodes in the document (including the root).
     pub fn len(&self) -> usize {
-        self.arena.len()
+        match &self.repr {
+            Repr::Arena(tree) => tree.nodes.len(),
+            Repr::Page(page) => page.node_count(),
+        }
     }
 
     /// A document always has at least its root node.
@@ -260,39 +378,26 @@ impl Document {
         self.label_of(NodeId::ROOT)
     }
 
-    pub(crate) fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.symbol_map.get(s) {
-            return sym;
-        }
-        let sym = Sym(self.symbols.len() as u32);
-        let boxed: Box<str> = s.into();
-        self.symbols.push(boxed.clone());
-        self.symbol_map.insert(boxed, sym);
-        sym
-    }
-
     pub(crate) fn sym_str(&self, sym: Sym) -> &str {
-        &self.symbols[sym.0 as usize]
+        match &self.repr {
+            Repr::Arena(tree) => &tree.symbols[sym.0 as usize],
+            Repr::Page(page) => page.sym(sym),
+        }
     }
 
-    /// Append a string to the value heap, returning its span.
-    pub(crate) fn push_value(&mut self, s: &str) -> ValueSpan {
-        let off = self.text.len();
-        assert!(
-            off + s.len() < u32::MAX as usize,
-            "document value heap too large"
-        );
-        self.text.push_str(s);
-        ValueSpan { off: off as u32, len: s.len() as u32 }
-    }
-
-    pub(crate) fn node(&self, id: NodeId) -> &Node {
-        self.arena.get(id.index())
+    /// The record of `id`, by value: an arena slot or a decoded page
+    /// record (unused fields cost nothing once inlined).
+    #[inline]
+    pub(crate) fn node(&self, id: NodeId) -> Node {
+        match &self.repr {
+            Repr::Arena(tree) => *tree.nodes.get(id.index()),
+            Repr::Page(page) => page.node(id),
+        }
     }
 
     /// Borrow a node by id.
     pub fn get(&self, id: NodeId) -> Option<NodeRef<'_>> {
-        if id.index() < self.arena.len() {
+        if id.index() < self.len() {
             Some(NodeRef { doc: self, id })
         } else {
             None
@@ -312,7 +417,11 @@ impl Document {
     /// Direct value of `id` (text content of a text node, value of an
     /// attribute). `None` for elements.
     pub fn value_of(&self, id: NodeId) -> Option<&str> {
-        self.node(id).value.get(&self.text)
+        let span = self.node(id).value;
+        match &self.repr {
+            Repr::Arena(tree) => span.get(&tree.text),
+            Repr::Page(page) => page.value(span),
+        }
     }
 
     pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
@@ -321,17 +430,7 @@ impl Document {
 
     /// Append a child element under `parent`, returning the new node's id.
     pub fn add_element(&mut self, parent: NodeId, label: &str) -> NodeId {
-        let sym = self.intern(label);
-        self.push_node(parent, Node {
-            kind: NodeKind::Element,
-            label: sym,
-            value: ValueSpan::NONE,
-            parent: OptId::some(parent),
-            first_child: OptId::NONE,
-            last_child: OptId::NONE,
-            next_sibling: OptId::NONE,
-            prev_sibling: OptId::NONE,
-        })
+        self.arena_mut().push_node(Some(parent), NodeKind::Element, label, None)
     }
 
     /// Append an attribute `name="value"` to element `parent`.
@@ -339,69 +438,24 @@ impl Document {
     /// Attributes precede element children in sibling order, matching the
     /// convention that `@a` steps address them positionally before content.
     pub fn add_attribute(&mut self, parent: NodeId, name: &str, value: &str) -> NodeId {
-        let sym = self.intern(name);
-        let span = self.push_value(value);
-        self.push_node(parent, Node {
-            kind: NodeKind::Attribute,
-            label: sym,
-            value: span,
-            parent: OptId::some(parent),
-            first_child: OptId::NONE,
-            last_child: OptId::NONE,
-            next_sibling: OptId::NONE,
-            prev_sibling: OptId::NONE,
-        })
+        self.arena_mut().push_node(Some(parent), NodeKind::Attribute, name, Some(value))
     }
 
     /// Append a text child under `parent`.
     pub fn add_text(&mut self, parent: NodeId, text: &str) -> NodeId {
-        let sym = self.intern("");
-        let span = self.push_value(text);
-        self.push_node(parent, Node {
-            kind: NodeKind::Text,
-            label: sym,
-            value: span,
-            parent: OptId::some(parent),
-            first_child: OptId::NONE,
-            last_child: OptId::NONE,
-            next_sibling: OptId::NONE,
-            prev_sibling: OptId::NONE,
-        })
-    }
-
-    fn push_node(&mut self, parent: NodeId, node: Node) -> NodeId {
-        let id = NodeId(self.arena.push(node));
-        let prev_last = self.arena.get(parent.index()).last_child;
-        match prev_last.get() {
-            Some(last) => {
-                self.arena.get_mut(last.index()).next_sibling = OptId::some(id);
-                self.arena.get_mut(id.index()).prev_sibling = OptId::some(last);
-            }
-            None => self.arena.get_mut(parent.index()).first_child = OptId::some(id),
-        }
-        self.arena.get_mut(parent.index()).last_child = OptId::some(id);
-        id
+        self.arena_mut().push_node(Some(parent), NodeKind::Text, "", Some(text))
     }
 
     /// Deep-copy the subtree rooted at `src_id` in `src` as the last child
     /// of `dst_parent` in `self`. Returns the id of the copied root.
     pub fn graft(&mut self, dst_parent: NodeId, src: &Document, src_id: NodeId) -> NodeId {
         let src_node = src.node(src_id);
-        let new_id = match src_node.kind {
-            NodeKind::Element => {
-                let label = src.sym_str(src_node.label).to_owned();
-                self.add_element(dst_parent, &label)
-            }
-            NodeKind::Attribute => {
-                let label = src.sym_str(src_node.label).to_owned();
-                let value = src_node.value.get(&src.text).unwrap_or("").to_owned();
-                self.add_attribute(dst_parent, &label, &value)
-            }
-            NodeKind::Text => {
-                let value = src_node.value.get(&src.text).unwrap_or("").to_owned();
-                self.add_text(dst_parent, &value)
-            }
-        };
+        let new_id = self.arena_mut().push_node(
+            Some(dst_parent),
+            src_node.kind,
+            src.sym_str(src_node.label),
+            src.value_of(src_id),
+        );
         let mut child = src_node.first_child.get();
         while let Some(c) = child {
             self.graft(new_id, src, c);
@@ -426,8 +480,9 @@ impl Document {
     ) -> NodeId {
         let new_id = self.graft(dst_parent, src, src_id); // appended last
         debug_assert!(ordinal >= 1);
+        let nodes = &mut self.arena_mut().nodes;
         // locate the node currently at `ordinal` (excluding the new node)
-        let mut before = self.arena.get(dst_parent.index()).first_child.get();
+        let mut before = nodes.get(dst_parent.index()).first_child.get();
         let mut count = 1u32;
         while let Some(b) = before {
             if b == new_id {
@@ -438,25 +493,25 @@ impl Document {
                 break;
             }
             count += 1;
-            before = self.arena.get(b.index()).next_sibling.get();
+            before = nodes.get(b.index()).next_sibling.get();
         }
         let Some(before) = before else {
             return new_id; // ordinal beyond child count: stay appended
         };
         // unlink new_id from the tail
-        let prev = self.arena.get(new_id.index()).prev_sibling;
+        let prev = nodes.get(new_id.index()).prev_sibling;
         if let Some(p) = prev.get() {
-            self.arena.get_mut(p.index()).next_sibling = OptId::NONE;
+            nodes.get_mut(p.index()).next_sibling = OptId::NONE;
         }
-        self.arena.get_mut(dst_parent.index()).last_child = prev;
+        nodes.get_mut(dst_parent.index()).last_child = prev;
         // splice before `before`
-        let before_prev = self.arena.get(before.index()).prev_sibling;
-        self.arena.get_mut(new_id.index()).prev_sibling = before_prev;
-        self.arena.get_mut(new_id.index()).next_sibling = OptId::some(before);
-        self.arena.get_mut(before.index()).prev_sibling = OptId::some(new_id);
+        let before_prev = nodes.get(before.index()).prev_sibling;
+        nodes.get_mut(new_id.index()).prev_sibling = before_prev;
+        nodes.get_mut(new_id.index()).next_sibling = OptId::some(before);
+        nodes.get_mut(before.index()).prev_sibling = OptId::some(new_id);
         match before_prev.get() {
-            Some(bp) => self.arena.get_mut(bp.index()).next_sibling = OptId::some(new_id),
-            None => self.arena.get_mut(dst_parent.index()).first_child = OptId::some(new_id),
+            Some(bp) => nodes.get_mut(bp.index()).next_sibling = OptId::some(new_id),
+            None => nodes.get_mut(dst_parent.index()).first_child = OptId::some(new_id),
         }
         new_id
     }
@@ -475,7 +530,7 @@ impl Document {
     /// Fails with [`XmlError::WrongNodeKind`] if `id` is not an element
     /// (attribute/text subtrees are not well-formed documents).
     pub fn subtree(&self, id: NodeId) -> Result<Document, XmlError> {
-        if id.index() >= self.arena.len() {
+        if id.index() >= self.len() {
             return Err(XmlError::InvalidNodeId);
         }
         if self.kind_of(id) != NodeKind::Element {
@@ -528,14 +583,17 @@ impl Document {
 
     /// Total number of element nodes.
     pub fn element_count(&self) -> usize {
-        self.arena.iter().filter(|n| n.kind == NodeKind::Element).count()
+        self.nodes().filter(|n| n.kind == NodeKind::Element).count()
     }
 
     /// Approximate serialized size in bytes (used by the transmission-time
     /// model without actually serializing).
     pub fn approx_size(&self) -> usize {
-        let mut size = self.text.len();
-        for node in self.arena.iter() {
+        let mut size = match &self.repr {
+            Repr::Arena(tree) => tree.text.len(),
+            Repr::Page(page) => page.text_len(),
+        };
+        for node in self.nodes() {
             size += match node.kind {
                 // <label></label>
                 NodeKind::Element => 2 * self.sym_str(node.label).len() + 5,
@@ -547,62 +605,14 @@ impl Document {
         size
     }
 
+    /// Every node record, in id order.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
+        (0..self.len() as u32).map(|i| self.node(NodeId(i)))
+    }
+
     /// All node ids in document order (pre-order).
     pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         DescendantIds { doc: self, next: Some(NodeId::ROOT), stop: NodeId::ROOT }
-    }
-}
-
-/// Uniform read access to a node tree, implemented both by the in-memory
-/// [`Document`] arena and by the zero-copy binary page view
-/// ([`crate::binary::PageView`]). Lets consumers (index builders, probes)
-/// walk either representation without materializing a `Document`.
-pub trait TreeAccess {
-    /// Number of nodes; ids are `0..count`, 0 is the root element.
-    fn node_count(&self) -> usize;
-    fn node_kind(&self, id: u32) -> NodeKind;
-    /// Element/attribute name; empty for text nodes.
-    fn node_label(&self, id: u32) -> &str;
-    /// Attribute value or text content; `None` for elements.
-    fn node_value(&self, id: u32) -> Option<&str>;
-    fn node_first_child(&self, id: u32) -> Option<u32>;
-    fn node_next_sibling(&self, id: u32) -> Option<u32>;
-    fn node_parent(&self, id: u32) -> Option<u32>;
-    /// The document's name inside its collection, if any.
-    fn doc_name(&self) -> Option<&str>;
-}
-
-impl TreeAccess for Document {
-    fn node_count(&self) -> usize {
-        self.arena.len()
-    }
-
-    fn node_kind(&self, id: u32) -> NodeKind {
-        self.kind_of(NodeId(id))
-    }
-
-    fn node_label(&self, id: u32) -> &str {
-        self.label_of(NodeId(id))
-    }
-
-    fn node_value(&self, id: u32) -> Option<&str> {
-        self.value_of(NodeId(id))
-    }
-
-    fn node_first_child(&self, id: u32) -> Option<u32> {
-        self.node(NodeId(id)).first_child.get().map(|n| n.0)
-    }
-
-    fn node_next_sibling(&self, id: u32) -> Option<u32> {
-        self.node(NodeId(id)).next_sibling.get().map(|n| n.0)
-    }
-
-    fn node_parent(&self, id: u32) -> Option<u32> {
-        self.node(NodeId(id)).parent.get().map(|n| n.0)
-    }
-
-    fn doc_name(&self) -> Option<&str> {
-        self.name.as_deref()
     }
 }
 
@@ -996,10 +1006,11 @@ mod tests {
     #[test]
     fn interning_reuses_symbols() {
         let mut doc = Document::new("a");
-        let before = doc.symbols.len();
-        doc.add_element(NodeId::ROOT, "a");
-        doc.add_element(NodeId::ROOT, "a");
-        assert_eq!(doc.symbols.len(), before);
+        let root_sym = doc.node(NodeId::ROOT).label;
+        let a = doc.add_element(NodeId::ROOT, "a");
+        let b = doc.add_element(NodeId::ROOT, "a");
+        assert_eq!(doc.node(a).label, root_sym);
+        assert_eq!(doc.node(b).label, root_sym);
     }
 
     #[test]
@@ -1054,20 +1065,5 @@ mod tests {
         assert!(std::mem::size_of::<Node>() <= 36, "{}", std::mem::size_of::<Node>());
         assert_eq!(std::mem::size_of::<OptId>(), 4);
         assert_eq!(std::mem::size_of::<Option<NodeId>>(), 8);
-    }
-
-    #[test]
-    fn tree_access_matches_noderef() {
-        let doc = sample();
-        for id in doc.ids() {
-            let raw = id.0;
-            let r = doc.get(id).unwrap();
-            assert_eq!(doc.node_kind(raw), r.kind());
-            assert_eq!(doc.node_label(raw), r.label());
-            assert_eq!(doc.node_value(raw), r.value());
-            assert_eq!(doc.node_first_child(raw), r.first_child().map(|n| n.id().0));
-            assert_eq!(doc.node_next_sibling(raw), r.next_sibling().map(|n| n.id().0));
-            assert_eq!(doc.node_parent(raw), r.parent().map(|n| n.id().0));
-        }
     }
 }

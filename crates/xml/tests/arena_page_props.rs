@@ -1,12 +1,15 @@
 //! Arena/page property tests: for random documents covering attributes,
 //! mixed content, deep nesting and empty elements, `decode(encode(doc))`
-//! reproduces the document exactly, the zero-copy [`PageView`] agrees
-//! with the arena node-for-node, Dewey ids survive the round trip, and
-//! the legacy PXB1 wire format decodes to the same tree as PXB2.
+//! reproduces the document exactly, a page-backed document agrees with
+//! the arena on every read and copies itself on the first write, Dewey
+//! ids survive the round trip, the legacy PXB1 wire format decodes to the
+//! same tree as PXB2 — and hostile pages (truncated, bit-flipped, links
+//! rewritten) give a typed error or a document every reader terminates
+//! on.
 //!
 //! `PARTIX_PROPTEST_CASES` overrides every block's case count.
 
-use partix_xml::{binary, Dewey, Document, NodeId, NodeKind, Origin, PageView, TreeAccess};
+use partix_xml::{binary, to_string, Dewey, Document, NodeId, NodeKind, Origin, PageView, XmlError};
 use proptest::prelude::*;
 
 /// Per-block case budget, overridable with `PARTIX_PROPTEST_CASES`.
@@ -109,6 +112,131 @@ fn build(doc: &mut Document, parent: NodeId, tree: &Tree) {
     }
 }
 
+/// More than one arena chunk (1 024 nodes): a flat run of small items,
+/// three nodes each.
+fn arb_big_document() -> impl Strategy<Value = Document> {
+    prop::collection::vec((0..LABELS.len(), arb_text(), arb_text()), 350..450).prop_map(|items| {
+        let mut doc = Document::new("Store");
+        for (label, id, text) in &items {
+            let e = doc.add_element(NodeId::ROOT, LABELS[*label]);
+            doc.add_attribute(e, "id", id);
+            doc.add_text(e, text);
+        }
+        doc
+    })
+}
+
+/// The two representations of one document must be indistinguishable
+/// through the public read API.
+fn assert_same_reads(arena: &Document, paged: &Document) {
+    assert_eq!(paged, arena);
+    assert_eq!(paged.len(), arena.len());
+    assert_eq!(paged.name, arena.name);
+    assert_eq!(paged.origin, arena.origin);
+    assert_eq!(paged.root_label(), arena.root_label());
+    assert_eq!(paged.element_count(), arena.element_count());
+    assert_eq!(paged.approx_size(), arena.approx_size());
+    assert_eq!(to_string(paged), to_string(arena));
+    assert_eq!(paged.ids().collect::<Vec<_>>(), arena.ids().collect::<Vec<_>>());
+    for id in arena.ids() {
+        let (a, p) = (arena.get(id).unwrap(), paged.get(id).unwrap());
+        assert_eq!(p.kind(), a.kind());
+        assert_eq!(p.label(), a.label());
+        assert_eq!(p.value(), a.value());
+        assert_eq!(paged.kind_of(id), arena.kind_of(id));
+        assert_eq!(paged.label_of(id), arena.label_of(id));
+        assert_eq!(paged.value_of(id), arena.value_of(id));
+        assert_eq!(paged.parent_of(id), arena.parent_of(id));
+        assert_eq!(p.parent().map(|n| n.id()), a.parent().map(|n| n.id()));
+        assert_eq!(p.first_child().map(|n| n.id()), a.first_child().map(|n| n.id()));
+        assert_eq!(p.next_sibling().map(|n| n.id()), a.next_sibling().map(|n| n.id()));
+        assert_eq!(
+            p.children().map(|n| n.id()).collect::<Vec<_>>(),
+            a.children().map(|n| n.id()).collect::<Vec<_>>()
+        );
+        assert_eq!(p.text(), a.text());
+        let dewey = arena.dewey_of(id);
+        assert_eq!(paged.dewey_of(id), dewey);
+        assert_eq!(paged.node_at_dewey(&dewey), Some(id));
+        if a.kind() == NodeKind::Element {
+            assert_eq!(paged.subtree(id).unwrap(), arena.subtree(id).unwrap());
+        } else {
+            assert!(paged.subtree(id).is_err());
+        }
+    }
+}
+
+/// Everything a reader does to a document it was handed; on a validated
+/// page all of it must terminate without a panic.
+fn exercise(doc: &Document) {
+    assert_eq!(doc.root().descendants_or_self().count(), doc.len());
+    for id in doc.ids() {
+        let node = doc.get(id).unwrap();
+        let _ = (node.kind(), node.label(), node.value(), node.text());
+        assert!(node.children().count() < doc.len());
+        assert_eq!(doc.node_at_dewey(&doc.dewey_of(id)), Some(id));
+    }
+    let _ = (to_string(doc), doc.approx_size(), doc.element_count());
+    assert_eq!(&doc.subtree(NodeId::ROOT).unwrap(), doc);
+    let _ = binary::encode(doc);
+}
+
+/// Byte offset of link `slot` (0 parent, 1 first_child, 2 last_child,
+/// 3 next_sibling, 4 prev_sibling) of node `id` in a PXB2 page — the
+/// layout is spelled out in `partix_xml::binary`'s module docs.
+fn link_at(page: &[u8], id: usize, slot: usize) -> usize {
+    let u32_at = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().unwrap()) as usize;
+    let (sym_count, sym_heap_len) = (u32_at(8), u32_at(12));
+    20 + sym_count * 8 + sym_heap_len + id * 33 + 13 + slot * 4
+}
+
+fn set_link(page: &mut [u8], id: usize, slot: usize, to: u32) {
+    let at = link_at(page, id, slot);
+    page[at..at + 4].copy_from_slice(&to.to_le_bytes());
+}
+
+/// A typed error, or a document every reader terminates on.
+fn decode_hostile(page: &[u8]) {
+    match binary::decode(page) {
+        Ok(doc) => exercise(&doc),
+        Err(XmlError::CorruptBinary(_)) => assert!(PageView::parse(page).is_err()),
+        Err(other) => panic!("untyped failure: {other:?}"),
+    }
+}
+
+/// Regression: the validator range-checked links but not their shape, so
+/// this page decoded `Ok` and `root().children()` never ended.
+#[test]
+fn link_cycle_is_rejected() {
+    // <a><b>x</b><c/></a>: a = 0, b = 1, "x" = 2, c = 3
+    let doc = partix_xml::parse("<a><b>x</b><c/></a>").unwrap();
+    let mut page = binary::encode(&doc).to_vec();
+    set_link(&mut page, 1, 3, 1); // b.next_sibling = b
+    assert!(matches!(binary::decode(&page), Err(XmlError::CorruptBinary(_))));
+    assert!(PageView::parse(&page).is_err());
+}
+
+#[test]
+fn inconsistent_links_are_rejected() {
+    let good = binary::encode(&partix_xml::parse("<a><b>x</b><c/></a>").unwrap()).to_vec();
+    const NONE: u32 = u32::MAX;
+    for (id, slot, to) in [
+        (3, 0, 1),    // c claims b as parent
+        (3, 4, NONE), // c forgets its predecessor
+        (0, 2, 1),    // a's child chain ends at c, not b
+        (1, 3, NONE), // c becomes unreachable
+        (3, 1, 0),    // the root as somebody's child
+        (2, 2, 2),    // a leaf with a last child
+        (0, 3, 3),    // the root with a sibling
+        (1, 3, 2),    // b's next sibling is its own child
+    ] {
+        let mut page = good.clone();
+        set_link(&mut page, id, slot, to);
+        assert!(binary::decode(&page).is_err(), "node {id} slot {slot} -> {to}");
+    }
+    decode_hostile(&good);
+}
+
 proptest! {
     #![proptest_config(cases(256))]
 
@@ -131,33 +259,102 @@ proptest! {
         prop_assert_eq!(binary::encode(&decoded), bytes);
     }
 
-    /// The zero-copy page view serves exactly what the arena serves,
-    /// node for node, without materializing a document.
+    /// A page-backed document serves exactly what the arena serves, node
+    /// for node, and re-encodes to the bytes it was made from.
     #[test]
-    fn page_view_agrees_node_for_node(doc in arb_document()) {
+    fn page_backed_document_agrees_on_every_read(doc in arb_document()) {
         let bytes = binary::encode(&doc);
         let view = PageView::parse(&bytes).unwrap();
-        prop_assert_eq!(view.node_count(), doc.len());
-        prop_assert_eq!(view.doc_name(), doc.name.as_deref());
-        for id in 0..doc.len() as u32 {
-            prop_assert_eq!(view.node_kind(id), doc.node_kind(id));
-            prop_assert_eq!(view.node_label(id), doc.node_label(id));
-            prop_assert_eq!(view.node_value(id), doc.node_value(id));
-            prop_assert_eq!(view.node_parent(id), doc.node_parent(id));
-            prop_assert_eq!(view.node_first_child(id), doc.node_first_child(id));
-            prop_assert_eq!(view.node_next_sibling(id), doc.node_next_sibling(id));
-        }
+        prop_assert_eq!(view.name(), doc.name.as_deref());
+        prop_assert_eq!(view.origin(), doc.origin.clone());
+        prop_assert_eq!(view.root_label(), doc.root_label());
+        let paged = Document::from_page(bytes.clone()).unwrap();
+        assert_same_reads(&doc, &paged);
+        assert_same_reads(&doc, &paged.clone());
+        prop_assert_eq!(binary::encode(&paged), bytes);
+        // a reassigned name lives in the meta tail only
+        let mut renamed = paged.clone();
+        renamed.name = Some("renamed".into());
+        let mut expect = doc.clone();
+        expect.name = Some("renamed".into());
+        prop_assert_eq!(binary::encode(&renamed), binary::encode(&expect));
+        prop_assert_eq!(
+            binary::decode(&binary::encode_bare(&paged)).unwrap().name,
+            None
+        );
+    }
+
+    /// The first mutation of a page-backed document copies it: every
+    /// existing node id keeps its meaning, the result is the document an
+    /// arena would have become, and other clones of the page are untouched.
+    #[test]
+    fn first_mutation_copies_on_write(doc in arb_document(), extra in arb_tree(), which in 0usize..4) {
+        let bytes = binary::encode(&doc);
+        let paged = Document::from_page(bytes.clone()).unwrap();
+        let mut donor = Document::new("donor");
+        build(&mut donor, NodeId::ROOT, &extra);
+        let mutate = |d: &mut Document| match which {
+            0 => d.add_element(NodeId::ROOT, "added"),
+            1 => d.add_text(NodeId::ROOT, "added text"),
+            2 => d.add_attribute(NodeId::ROOT, "added", "value"),
+            _ => d.graft(NodeId::ROOT, &donor, NodeId::ROOT),
+        };
+        let (mut edited, mut expect) = (paged.clone(), doc.clone());
+        let (new_id, expect_id) = (mutate(&mut edited), mutate(&mut expect));
+        prop_assert_eq!(new_id, expect_id);
+        prop_assert_eq!(new_id.index(), doc.len());
+        assert_same_reads(&expect, &edited);
+        prop_assert_eq!(binary::encode(&edited), binary::encode(&expect));
         for id in doc.ids() {
-            let raw = id.index() as u32;
-            let node = doc.get(id).unwrap();
-            // string-value: direct value for attributes/text, descendant
-            // text concatenation for elements
-            let expect = match node.kind() {
-                NodeKind::Element => node.text(),
-                _ => node.value().unwrap_or("").to_owned(),
-            };
-            prop_assert_eq!(view.string_value(raw), expect);
+            prop_assert_eq!(edited.kind_of(id), doc.kind_of(id));
+            prop_assert_eq!(edited.label_of(id), doc.label_of(id));
+            prop_assert_eq!(edited.value_of(id), doc.value_of(id));
+            prop_assert_eq!(edited.parent_of(id), doc.parent_of(id));
         }
+        assert_same_reads(&doc, &paged);
+        prop_assert_eq!(binary::encode(&paged), bytes);
+        // a page-backed document is as good a graft source as an arena
+        let (mut into_a, mut into_b) = (Document::new("w"), Document::new("w"));
+        into_a.graft(NodeId::ROOT, &paged, NodeId::ROOT);
+        into_b.insert_graft_at(NodeId::ROOT, 1, &doc, NodeId::ROOT);
+        prop_assert_eq!(&into_a, &into_b);
+    }
+
+    /// Every proper prefix of a page is rejected with a typed error.
+    #[test]
+    fn every_truncation_is_rejected(doc in arb_document()) {
+        let bytes = binary::encode(&doc);
+        for cut in 0..bytes.len() {
+            prop_assert!(matches!(
+                binary::decode(&bytes[..cut]),
+                Err(XmlError::CorruptBinary(_))
+            ), "prefix of {cut} B");
+        }
+    }
+
+    /// Random byte flips: a typed error, or a document on which every
+    /// traversal terminates.
+    #[test]
+    fn byte_flips_never_hang_or_panic(doc in arb_document(), flips in prop::collection::vec((any::<usize>(), 1u8..255), 1..4)) {
+        let mut page = binary::encode(&doc).to_vec();
+        for (at, mask) in flips {
+            let at = at % page.len();
+            page[at] ^= mask;
+        }
+        decode_hostile(&page);
+    }
+
+    /// Random link rewrites — the mutation the shape check exists for:
+    /// in-range targets, so only the tree check can catch them.
+    #[test]
+    fn link_rewrites_never_hang_or_panic(doc in arb_document(), rewrites in prop::collection::vec((any::<usize>(), 0usize..5, any::<usize>()), 1..4)) {
+        let mut page = binary::encode(&doc).to_vec();
+        for (id, slot, to) in rewrites {
+            // one in eight rewrites writes "none"
+            let to = if to % 8 == 0 { u32::MAX } else { (to % doc.len()) as u32 };
+            set_link(&mut page, id % doc.len(), slot, to);
+        }
+        decode_hostile(&page);
     }
 
     /// The legacy varint format and the arena format decode to the same
@@ -184,5 +381,24 @@ proptest! {
         prop_assert_eq!(&doc, &decoded);
         prop_assert_eq!(decoded.dewey_of(cur).depth(), depth);
         prop_assert_eq!(decoded.root().text(), "bottom");
+    }
+}
+
+proptest! {
+    #![proptest_config(cases(16))]
+
+    /// Documents spanning several arena chunks: same reads, same bytes,
+    /// and the copy-on-write step keeps ids across chunk boundaries.
+    #[test]
+    fn big_documents_agree_too(doc in arb_big_document()) {
+        prop_assert!(doc.len() > 1024);
+        let bytes = binary::encode(&doc);
+        let paged = Document::from_page(bytes.clone()).unwrap();
+        assert_same_reads(&doc, &paged);
+        let (mut edited, mut expect) = (paged.clone(), doc.clone());
+        let last = doc.ids().last().unwrap();
+        prop_assert_eq!(edited.add_text(last, "tail"), expect.add_text(last, "tail"));
+        assert_same_reads(&expect, &edited);
+        prop_assert_eq!(binary::encode(&paged), bytes);
     }
 }

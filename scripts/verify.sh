@@ -89,13 +89,25 @@ cargo test -q --test morsel_differential --offline
 cargo test -q -p partix-query --offline morsel
 cargo test -q -p partix-storage --offline morsel
 
-# storage gate: the arena/page round-trip property suite (random
-# documents with attributes, mixed content, deep nesting, empty
-# elements — decode(encode(doc)) and the zero-copy view must agree
-# node-for-node with Dewey ids intact) and the write-path regressions
+# storage gate: the arena/page property suite (random documents with
+# attributes, mixed content, deep nesting, empty elements — the arena
+# and the page-backed form must agree on every read with Dewey ids
+# intact, the first write copies, hostile pages give a typed error or a
+# document every reader terminates on) and the write-path regressions
 # (name-map scale churn, tombstone compaction, value-index soundness).
+# By name, so that renaming or filtering them away fails the gate: the
+# link-cycle regression and "a cold read converts nothing".
 cargo test -q -p partix-xml --test arena_page_props --offline
 cargo test -q -p partix-storage --test write_path --offline
+for named in "partix-xml arena_page_props link_cycle_is_rejected" \
+    "partix-storage cold_reads cold_reads_never_convert"; do
+    read -r package suite name <<< "$named"
+    if ! cargo test -q -p "$package" --test "$suite" --offline "$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
 
 # any clippy warning fails the gate
 cargo clippy --workspace --offline -- -D warnings
@@ -111,6 +123,13 @@ if grep -nE 'fetch_docs\(|try_fetch_collection\(|\.execute_query\(' \
 fi
 if grep -rn 'DispatchMode::Threads' crates src tests examples; then
     echo "verify: FAIL — DispatchMode::Threads reappeared" >&2
+    exit 1
+fi
+
+# one document type: storage holds `Arc<Document>`s and never decodes —
+# the per-access materialization stays deleted.
+if grep -rnE 'DocHandle|fn materialize|to_document\(' crates/storage/src; then
+    echo "verify: FAIL — a decode step reappeared under crates/storage/src" >&2
     exit 1
 fi
 
