@@ -17,11 +17,12 @@ use partix_xml::{binary, Document, NodeId, NodeKind};
 use std::sync::Arc;
 
 /// Decoder recursion cap: deeper expression trees are rejected so a
-/// hostile payload cannot overflow the stack. Real query ASTs nest a
-/// handful of levels; 128 leaves two orders of magnitude of headroom
-/// while keeping worst-case decode recursion well inside a 2 MiB test
-/// thread stack even with debug-build frame sizes.
-pub const MAX_EXPR_DEPTH: usize = 128;
+/// hostile payload cannot overflow the stack — of this decoder, or of
+/// anything that walks the tree afterwards. The same bound, counted the
+/// same way, as the query parser's ([`partix_path::MAX_DEPTH`]): one
+/// level per node, one per `for` / `let` clause (each scopes what follows
+/// it, and the evaluator nests accordingly), and as many steps per path.
+pub const MAX_EXPR_DEPTH: usize = partix_path::MAX_DEPTH;
 
 fn malformed(what: &str) -> ProtocolError {
     ProtocolError::Malformed(what.to_owned())
@@ -376,9 +377,9 @@ fn get_expr(r: &mut Reader<'_>, depth: usize) -> Result<Expr, ProtocolError> {
         0 => {
             let n = r.seq_len("flwor clauses")?;
             let mut clauses = Vec::with_capacity(n);
-            for _ in 0..n {
+            for i in 0..n {
                 let binding_kind = r.u8("clause tag")?;
-                let binding = get_binding(r, depth + 1)?;
+                let binding = get_binding(r, depth + 1 + i)?;
                 clauses.push(match binding_kind {
                     0 => Clause::For(binding),
                     1 => Clause::Let(binding),
@@ -387,6 +388,8 @@ fn get_expr(r: &mut Reader<'_>, depth: usize) -> Result<Expr, ProtocolError> {
                     }
                 });
             }
+            // what follows the clauses sits below all of them
+            let depth = depth + clauses.len();
             let where_clause = if r.bool("where present")? {
                 Some(Box::new(get_expr(r, depth + 1)?))
             } else {
@@ -493,6 +496,9 @@ fn get_path_source(r: &mut Reader<'_>) -> Result<PathSource, ProtocolError> {
 fn get_path_expr(r: &mut Reader<'_>) -> Result<PathExpr, ProtocolError> {
     let absolute = r.bool("path absolute")?;
     let n = r.seq_len("path steps")?;
+    if n > MAX_EXPR_DEPTH {
+        return Err(malformed("path longer than the depth cap"));
+    }
     let mut steps = Vec::with_capacity(n);
     for _ in 0..n {
         let axis = match r.u8("axis")? {
@@ -790,6 +796,19 @@ mod tests {
     }
 
     #[test]
+    fn document_page_listing_a_label_twice_is_malformed() {
+        // the encoder never writes such a page; read in place it would
+        // answer label tests wrongly, so the frame is refused
+        let mut w = Writer::new();
+        put_document(&mut w, &parse("<ab><cd/></ab>").unwrap());
+        let mut frame = w.into_bytes();
+        let at = frame.windows(2).position(|w| w == b"cd").unwrap();
+        frame[at..at + 2].copy_from_slice(b"ab");
+        let err = get_document(&mut Reader::new(&frame)).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(ref m) if m.contains("twice")), "{err}");
+    }
+
+    #[test]
     fn output_roundtrips_stats() {
         let out = QueryOutput {
             items: vec![Item::Num(7.0)],
@@ -837,6 +856,39 @@ mod tests {
         bytes.push(3);
         bytes.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
         let err = decode_query(&bytes).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(ref m) if m.contains("depth")), "{err}");
+    }
+
+    #[test]
+    fn depth_cap_counts_clauses_and_steps() {
+        // every clause nests the evaluation of what follows it, and the
+        // step matcher recurses per step: both count towards the cap
+        let clause = |i: usize| {
+            Clause::For(Binding { var: format!("v{i}"), expr: Expr::Num(1.0) })
+        };
+        let flwor = |clauses: usize| Query {
+            expr: Expr::Flwor {
+                clauses: (0..clauses).map(clause).collect(),
+                where_clause: None,
+                order_by: None,
+                ret: Box::new(Expr::Num(1.0)),
+            },
+        };
+        assert!(decode_query(&encode_query(&flwor(MAX_EXPR_DEPTH - 1))).is_ok());
+        let err = decode_query(&encode_query(&flwor(10 * MAX_EXPR_DEPTH))).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(ref m) if m.contains("depth")), "{err}");
+
+        let path = |steps: usize| Query {
+            expr: Expr::Path(PathSource {
+                start: PathStart::Collection("c".into()),
+                path: PathExpr {
+                    absolute: false,
+                    steps: vec![Step::child("a"); steps],
+                },
+            }),
+        };
+        assert!(decode_query(&encode_query(&path(MAX_EXPR_DEPTH))).is_ok());
+        let err = decode_query(&encode_query(&path(MAX_EXPR_DEPTH + 1))).unwrap_err();
         assert!(matches!(err, ProtocolError::Malformed(ref m) if m.contains("depth")), "{err}");
     }
 

@@ -26,6 +26,6 @@ pub mod parse;
 pub mod pred;
 
 pub use ast::{Axis, NodeTest, PathExpr, Step};
-pub use eval::{eval_path, eval_path_from};
-pub use parse::PathParseError;
+pub use eval::{eval_path, eval_path_from, Matcher, Resolved};
+pub use parse::{PathParseError, MAX_DEPTH};
 pub use pred::{CmpOp, Predicate, Value};

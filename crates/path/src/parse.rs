@@ -19,6 +19,16 @@ impl fmt::Display for PathParseError {
 
 impl std::error::Error for PathParseError {}
 
+/// Deepest nesting — and longest path, in steps — the path, predicate and
+/// query parsers accept. The parsers, every walk over what they build
+/// (analysis, lowering, evaluation, `Drop`) and the step matcher recurse
+/// once per level, so this bound is what keeps a hostile text from
+/// overflowing a 2 MiB thread stack. The paper's query sets nest a
+/// handful of levels; 128 is what still fits that stack with room to
+/// spare in an unoptimised build, where one level of a recursive-descent
+/// parse costs ≈ 11 KB.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a path expression like `/Store/Items//Item[2]/@id`.
 pub fn parse_path(input: &str) -> Result<PathExpr, PathParseError> {
     let mut p = Cursor::new(input);
@@ -53,11 +63,24 @@ struct Cursor<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Open `(` / `not(` groups around the cursor.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn new(input: &'a str) -> Cursor<'a> {
-        Cursor { input, bytes: input.as_bytes(), pos: 0 }
+        Cursor { input, bytes: input.as_bytes(), pos: 0, depth: 0 }
+    }
+
+    /// Parse a parenthesised group's inside, one level deeper.
+    fn nested(&mut self) -> Result<Predicate, PathParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let inner = self.or_expr();
+        self.depth -= 1;
+        inner
     }
 
     fn error(&self, message: impl Into<String>) -> PathParseError {
@@ -154,6 +177,9 @@ impl<'a> Cursor<'a> {
             if matches!(test, NodeTest::Attribute(_)) && position.is_some() {
                 return Err(self.error("attribute steps cannot have positions"));
             }
+            if steps.len() == MAX_DEPTH {
+                return Err(self.error(format!("path longer than {MAX_DEPTH} steps")));
+            }
             steps.push(Step { axis, test, position });
             if self.eat("//") {
                 axis = Axis::Descendant;
@@ -215,7 +241,7 @@ impl<'a> Cursor<'a> {
     fn atom(&mut self) -> Result<Predicate, PathParseError> {
         self.skip_ws();
         if self.eat("(") {
-            let inner = self.or_expr()?;
+            let inner = self.nested()?;
             self.skip_ws();
             if !self.eat(")") {
                 return Err(self.error("expected ')'"));
@@ -228,7 +254,7 @@ impl<'a> Cursor<'a> {
             if !self.eat("(") {
                 return Err(self.error("expected '(' after not"));
             }
-            let inner = self.or_expr()?;
+            let inner = self.nested()?;
             self.skip_ws();
             if !self.eat(")") {
                 return Err(self.error("expected ')'"));

@@ -1,9 +1,10 @@
 //! Simple predicates (paper Sec. 3.1) and their evaluation.
 
 use crate::ast::PathExpr;
-use crate::eval::{eval_path, string_value};
-use partix_xml::Document;
+use crate::eval::Matcher;
+use partix_xml::{Document, NodeRef};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Comparison operator `θ ∈ {=, <, >, ≠, ≤, ≥}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,31 +137,35 @@ impl Predicate {
         crate::parse::parse_predicate(input)
     }
 
-    /// Evaluate against a document.
+    /// Evaluate against a document. Existential forms stop at the first
+    /// witness, and node values are compared where they lie.
     pub fn eval(&self, doc: &Document) -> bool {
         match self {
             Predicate::Cmp { path, op, value } => {
-                let nodes = eval_path(doc, path);
-                nodes.iter().any(|&id| {
-                    let s = string_value(doc, id);
-                    compare_string(&s, *op, value)
-                })
+                any_node(doc, path, |node| compare_string(&node.string_value(), *op, value))
             }
             Predicate::FnCmp { func, path, op, value } => {
-                let nodes = eval_path(doc, path);
                 let lhs = match func {
-                    ValueFn::Count => nodes.len() as f64,
-                    ValueFn::StringLength => match nodes.first() {
-                        Some(&id) => string_value(doc, id).chars().count() as f64,
+                    ValueFn::Count => {
+                        let mut count = 0usize;
+                        any_node(doc, path, |_| {
+                            count += 1;
+                            false
+                        });
+                        count as f64
+                    }
+                    ValueFn::StringLength => match first_node(doc, path) {
+                        Some(node) => node.string_value().chars().count() as f64,
                         None => return false,
                     },
-                    ValueFn::Number => match nodes.first() {
-                        Some(&id) => match string_value(doc, id).trim().parse::<f64>() {
-                            Ok(n) => n,
-                            Err(_) => return false,
-                        },
-                        None => return false,
-                    },
+                    ValueFn::Number => {
+                        let number = first_node(doc, path)
+                            .and_then(|n| n.string_value().trim().parse().ok());
+                        match number {
+                            Some(n) => n,
+                            None => return false,
+                        }
+                    }
                 };
                 let rhs = match value {
                     Value::Num(n) => *n,
@@ -172,15 +177,15 @@ impl Predicate {
                 op.holds(&lhs, &rhs)
             }
             Predicate::Bool(bf) => match bf {
-                BoolFn::Contains(path, needle) => eval_path(doc, path)
-                    .iter()
-                    .any(|&id| string_value(doc, id).contains(needle.as_str())),
-                BoolFn::StartsWith(path, needle) => eval_path(doc, path)
-                    .iter()
-                    .any(|&id| string_value(doc, id).starts_with(needle.as_str())),
-                BoolFn::Empty(path) => eval_path(doc, path).is_empty(),
+                BoolFn::Contains(path, needle) => {
+                    any_node(doc, path, |node| node.string_value().contains(needle.as_str()))
+                }
+                BoolFn::StartsWith(path, needle) => {
+                    any_node(doc, path, |node| node.string_value().starts_with(needle.as_str()))
+                }
+                BoolFn::Empty(path) => first_node(doc, path).is_none(),
             },
-            Predicate::Exists(path) => !eval_path(doc, path).is_empty(),
+            Predicate::Exists(path) => first_node(doc, path).is_some(),
             Predicate::And(ps) => ps.iter().all(|p| p.eval(doc)),
             Predicate::Or(ps) => ps.iter().any(|p| p.eval(doc)),
             Predicate::Not(p) => !p.eval(doc),
@@ -258,6 +263,45 @@ impl fmt::Display for Predicate {
             Predicate::Not(p) => write!(f, "not({p})"),
         }
     }
+}
+
+/// True if `holds` of some node `path` selects in `doc` ([`eval_path`]'s
+/// reading of absolute and relative paths); the walk ends at the first.
+///
+/// [`eval_path`]: crate::eval_path
+fn any_node<'d>(
+    doc: &'d Document,
+    path: &PathExpr,
+    mut holds: impl FnMut(NodeRef<'d>) -> bool,
+) -> bool {
+    let mut matcher = Matcher::new(&path.steps);
+    let Some(resolved) = matcher.resolve(doc) else {
+        return false;
+    };
+    let mut emit = |id| {
+        let node = doc.get(id).expect("the walk yields nodes of doc");
+        if holds(node) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    };
+    let flow = if path.absolute {
+        resolved.walk_absolute(doc, &mut emit)
+    } else {
+        resolved.walk(doc.root(), &mut emit)
+    };
+    flow.is_break()
+}
+
+/// The first node `path` selects in `doc`.
+fn first_node<'d>(doc: &'d Document, path: &PathExpr) -> Option<NodeRef<'d>> {
+    let mut first = None;
+    any_node(doc, path, |node| {
+        first = Some(node);
+        true
+    });
+    first
 }
 
 /// Compare a node's string value against a literal. Numeric literals

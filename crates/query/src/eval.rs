@@ -1,13 +1,40 @@
-//! The query evaluator.
+//! The query evaluator: runs a lowered [`Program`] as a stream.
+//!
+//! Nothing here returns a sequence per expression. `Run::eval` *pushes*
+//! the items of an expression into the sink its consumer supplies, as
+//! borrowed [`ItemRef`]s: a consumer that only tests or counts them
+//! (`where`, a comparison, `exists`, `count`) allocates nothing, and one
+//! that keeps them copies what it keeps. The rules:
+//!
+//! * **Sinks.** A sink must not hold on to the borrowed item it is
+//!   handed. It may return `Halt::Done` to end its producer early, but
+//!   only when lowering marked the producer as unable to fail — otherwise
+//!   the rest of it still has to run, because it may raise the error the
+//!   query is due.
+//! * **Slots.** Variables are positions in the chain of bindings made on
+//!   the way down (`Env`); a `for` binds a borrowed item, a `let` a
+//!   slice it materialised. No names, no maps, no copies per tuple.
+//! * **Symbols.** A path resolves its labels against each context
+//!   document once ([`Matcher::resolve`]) before it walks it; a run keeps
+//!   one matcher per path, so resolving allocates nothing per document.
+//! * **Errors stay lazy and keep their order.** Only an expression that
+//!   is evaluated can fail. A FLWOR is evaluated tuple by tuple, but
+//!   reports the error a clause-by-clause evaluation would have met first
+//!   (see `Tuples`).
 
-use crate::ast::{Clause, Expr, PathSource, PathStart, Query, SortDir};
-use crate::func::call_function;
-use crate::value::{effective_boolean, general_compare, Item, Sequence};
-use partix_path::eval_path_from;
-use partix_path::PathExpr;
+use crate::ast::{ArithOp, SortDir};
+use crate::func::{self, Func};
+use crate::lower::{ClauseKind, Flwor, Node, Program};
+use crate::morsel::MorselPartial;
+use crate::value::{value_compare, Ebv, Item, ItemRef, Sequence};
+use crate::Query;
+use partix_path::Matcher;
 use partix_xml::{Document, NodeId, NodeKind};
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Supplies stored collections/documents to the evaluator — implemented
@@ -19,19 +46,6 @@ pub trait CollectionProvider {
 
     /// A single stored document by name.
     fn document(&self, name: &str) -> Result<Arc<Document>, EvalError>;
-
-    /// Optional index-assisted pre-filter: documents of `name` that *may*
-    /// satisfy `predicate`. The default scans everything; storage engines
-    /// override this with index lookups. Implementations may
-    /// over-approximate but must never drop a qualifying document.
-    fn collection_filtered(
-        &self,
-        name: &str,
-        predicate: &partix_path::Predicate,
-    ) -> Result<Vec<Arc<Document>>, EvalError> {
-        let _ = predicate;
-        self.collection(name)
-    }
 }
 
 /// Evaluation failure.
@@ -78,10 +92,7 @@ impl MemProvider {
         name: &str,
         docs: impl IntoIterator<Item = Document>,
     ) -> &mut Self {
-        self.collections
-            .entry(name.to_owned())
-            .or_default()
-            .extend(docs.into_iter().map(Arc::new));
+        self.collections.entry(name.to_owned()).or_default().extend(docs.into_iter().map(Arc::new));
         self
     }
 }
@@ -114,281 +125,527 @@ impl<'a> Evaluator<'a> {
         Evaluator { provider }
     }
 
-    /// Evaluate a whole query.
+    /// Evaluate a whole query: lower it, run it.
     pub fn eval(&self, query: &Query) -> Result<Sequence, EvalError> {
-        let env = Env::default();
-        self.eval_expr(&query.expr, &env)
+        Program::lower(query).run(self.provider)
     }
+}
 
-    fn eval_expr(&self, expr: &Expr, env: &Env) -> Result<Sequence, EvalError> {
-        match expr {
-            Expr::Str(s) => Ok(vec![Item::Str(s.clone())]),
-            Expr::Num(n) => Ok(vec![Item::Num(*n)]),
-            Expr::Text(t) => Ok(vec![Item::Str(t.clone())]),
-            Expr::Path(ps) => self.eval_path_source(ps, env),
-            Expr::Seq(es) => {
-                let mut out = Vec::new();
-                for e in es {
-                    out.extend(self.eval_expr(e, env)?);
-                }
-                Ok(out)
-            }
-            Expr::Cmp { lhs, op, rhs } => {
-                let l = self.eval_expr(lhs, env)?;
-                let r = self.eval_expr(rhs, env)?;
-                Ok(vec![Item::Bool(general_compare(&l, *op, &r))])
-            }
-            Expr::Arith { lhs, op, rhs } => {
-                // XQuery arithmetic: empty operand -> empty result;
-                // otherwise atomize the first item of each side
-                let l = self.eval_expr(lhs, env)?;
-                let r = self.eval_expr(rhs, env)?;
-                let (Some(a), Some(b)) = (l.first(), r.first()) else {
-                    return Ok(vec![]);
-                };
-                let (Some(a), Some(b)) = (a.number_value(), b.number_value()) else {
-                    return Err(EvalError::TypeError(format!(
-                        "arithmetic {op} needs numeric operands"
-                    )));
-                };
-                use crate::ast::ArithOp;
-                let v = match op {
-                    ArithOp::Add => a + b,
-                    ArithOp::Sub => a - b,
-                    ArithOp::Mul => a * b,
-                    ArithOp::Div => a / b,
-                    ArithOp::Mod => a % b,
-                };
-                Ok(vec![Item::Num(v)])
-            }
-            Expr::Neg(e) => {
-                let v = self.eval_expr(e, env)?;
-                match v.first() {
-                    None => Ok(vec![]),
-                    Some(item) => match item.number_value() {
-                        Some(n) => Ok(vec![Item::Num(-n)]),
-                        None => Err(EvalError::TypeError(
-                            "unary minus needs a numeric operand".into(),
-                        )),
-                    },
-                }
-            }
-            Expr::If { cond, then, els } => {
-                if effective_boolean(&self.eval_expr(cond, env)?) {
-                    self.eval_expr(then, env)
-                } else {
-                    self.eval_expr(els, env)
-                }
-            }
-            Expr::And(es) => {
-                for e in es {
-                    if !effective_boolean(&self.eval_expr(e, env)?) {
-                        return Ok(vec![Item::Bool(false)]);
-                    }
-                }
-                Ok(vec![Item::Bool(true)])
-            }
-            Expr::Or(es) => {
-                for e in es {
-                    if effective_boolean(&self.eval_expr(e, env)?) {
-                        return Ok(vec![Item::Bool(true)]);
-                    }
-                }
-                Ok(vec![Item::Bool(false)])
-            }
-            Expr::Call { name, args } => {
-                let mut arg_values = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_values.push(self.eval_expr(a, env)?);
-                }
-                call_function(name, arg_values)
-            }
-            Expr::Element { name, attrs, children } => {
-                let mut doc = Document::new(name);
-                for (k, v) in attrs {
-                    doc.add_attribute(NodeId::ROOT, k, v);
-                }
-                for child in children {
-                    let seq = self.eval_expr(child, env)?;
-                    for item in seq {
-                        append_item(&mut doc, NodeId::ROOT, &item);
-                    }
-                }
-                Ok(vec![Item::Node(Arc::new(doc), NodeId::ROOT)])
-            }
-            Expr::Flwor { clauses, where_clause, order_by, ret } => {
-                let mut tuples = self.flwor_tuples(clauses, where_clause.as_deref(), env)?;
-                if let Some((key, dir)) = order_by {
-                    let mut keyed: Vec<(SortKey, Env)> = Vec::with_capacity(tuples.len());
-                    for tuple in tuples {
-                        let seq = self.eval_expr(key, &tuple)?;
-                        keyed.push((SortKey::from_sequence(&seq), tuple));
-                    }
-                    keyed.sort_by(|a, b| a.0.compare(&b.0));
-                    if *dir == SortDir::Descending {
-                        keyed.reverse();
-                    }
-                    tuples = keyed.into_iter().map(|(_, t)| t).collect();
-                }
-                let mut out = Vec::new();
-                for tuple in &tuples {
-                    out.extend(self.eval_expr(ret, tuple)?);
-                }
-                Ok(out)
-            }
+/// Why a producer stopped before its end.
+#[derive(Debug)]
+pub(crate) enum Halt {
+    /// The sink has seen enough.
+    Done,
+    Error(EvalError),
+}
+
+impl From<EvalError> for Halt {
+    fn from(error: EvalError) -> Halt {
+        Halt::Error(error)
+    }
+}
+
+impl Halt {
+    /// The outcome of a whole evaluation: `Done` is a normal end.
+    pub(crate) fn finish(flow: Flow) -> Result<(), EvalError> {
+        match flow {
+            Ok(()) | Err(Halt::Done) => Ok(()),
+            Err(Halt::Error(error)) => Err(error),
         }
     }
+}
 
-    /// Materialize a FLWOR's tuple stream: expand `for`/`let` clauses in
-    /// source order, then apply the `where` filter. Tuples come out in
-    /// binding order (document order for collection-driven clauses) —
-    /// `order by` is *not* applied here.
-    fn flwor_tuples(
+pub(crate) type Flow = Result<(), Halt>;
+
+/// Where an expression's items go; see the module docs for the rules.
+pub(crate) type Sink<'s> = dyn FnMut(ItemRef<'_>) -> Flow + 's;
+
+impl Program {
+    /// Run against a provider: the whole query, every collection and
+    /// document read through `provider`.
+    pub fn run(&self, provider: &dyn CollectionProvider) -> Result<Sequence, EvalError> {
+        self.run_whole(Source { lent: None, provider: Some(provider) })
+    }
+
+    /// [`Program::run`] with `docs` lent to the driving scan
+    /// ([`Program::driving_collection`]) in place of its collection — the
+    /// documents an index shortlisted, say. Every other read, a second
+    /// scan of that same collection included, goes to `provider`.
+    pub fn run_lending(
         &self,
-        clauses: &[Clause],
-        where_clause: Option<&Expr>,
-        env: &Env,
-    ) -> Result<Vec<Env>, EvalError> {
-        let mut tuples = vec![env.clone()];
-        for clause in clauses {
-            match clause {
-                Clause::For(binding) => {
-                    let mut next = Vec::new();
-                    for tuple in &tuples {
-                        let seq = self.eval_expr(&binding.expr, tuple)?;
-                        for item in seq {
-                            let mut t = tuple.clone();
-                            t.bind(&binding.var, vec![item]);
-                            next.push(t);
-                        }
-                    }
-                    tuples = next;
-                }
-                Clause::Let(binding) => {
-                    for tuple in &mut tuples {
-                        let seq = self.eval_expr(&binding.expr, tuple)?;
-                        tuple.bind(&binding.var, seq);
-                    }
-                }
-            }
-        }
-        if let Some(w) = where_clause {
-            let mut kept = Vec::with_capacity(tuples.len());
-            for tuple in tuples {
-                if effective_boolean(&self.eval_expr(w, &tuple)?) {
-                    kept.push(tuple);
-                }
-            }
-            tuples = kept;
-        }
-        Ok(tuples)
+        provider: &dyn CollectionProvider,
+        docs: &[Arc<Document>],
+    ) -> Result<Sequence, EvalError> {
+        self.run_whole(Source { lent: Some(docs), provider: Some(provider) })
     }
 
-    /// Evaluate a bare expression with no bindings in scope — the entry
-    /// point morsel execution uses to run a decomposed query core.
-    pub fn eval_root(&self, expr: &Expr) -> Result<Sequence, EvalError> {
-        self.eval_expr(expr, &Env::default())
+    /// Run a decomposable program's core over one morsel: `docs` stands
+    /// for the scanned collection. Partials of consecutive morsels merge
+    /// ([`crate::morsel::merge`]) into exactly what [`Program::run`] gives
+    /// over all the documents.
+    ///
+    /// # Panics
+    /// If the program is not decomposable ([`Program::is_decomposable`]):
+    /// a morsel has no provider for what else such a program reads.
+    pub fn run_morsel(&self, docs: &[Arc<Document>]) -> Result<MorselPartial, EvalError> {
+        assert!(self.decomposable, "run_morsel needs a decomposable program");
+        self.partial(Source { lent: Some(docs), provider: None })
     }
 
-    /// Evaluate an ordered FLWOR **without sorting**, returning each
-    /// surviving tuple's sort key alongside its `return` items, in tuple
-    /// (document) order. Morsel execution concatenates these partials
-    /// across morsels and performs one global stable sort at the merge —
-    /// yielding exactly the sequence the sequential evaluator produces
-    /// (which also stable-sorts the full tuple stream).
-    pub fn eval_flwor_keyed(
+    fn run_whole(&self, source: Source<'_>) -> Result<Sequence, EvalError> {
+        crate::morsel::merge(self, vec![self.partial(source)?])
+    }
+
+    /// The core's result over `source`, in the form the merge takes.
+    fn partial(&self, source: Source<'_>) -> Result<MorselPartial, EvalError> {
+        let matchers = self.paths.iter().map(|steps| RefCell::new(Matcher::new(steps))).collect();
+        let run = Run { source, matchers };
+        let mut partial = self.empty_partial();
+        let flow = match &mut partial {
+            MorselPartial::Keyed(pairs) => match &self.core {
+                Node::Flwor(flwor) => run.flwor_keyed(flwor, pairs),
+                _ => unreachable!("only a FLWOR core is ordered"),
+            },
+            MorselPartial::Count(count) => run.eval(&self.core, None, &mut |_| {
+                *count += 1;
+                Ok(())
+            }),
+            MorselPartial::Plain(items) => run.eval(&self.core, None, &mut |item| {
+                items.push(item.to_item());
+                Ok(())
+            }),
+        };
+        Halt::finish(flow).map(|()| partial)
+    }
+}
+
+/// Where a run reads stored data from.
+struct Source<'a> {
+    /// What the driving scan reads, when the caller lends it: a morsel,
+    /// or the candidates an index shortlisted.
+    lent: Option<&'a [Arc<Document>]>,
+    /// Everything else, and the driving scan too when nothing is lent. A
+    /// morsel has none: a decomposable program reads nothing but its
+    /// driving scan, so any other access is a genuine error.
+    provider: Option<&'a dyn CollectionProvider>,
+}
+
+impl<'a> Source<'a> {
+    fn collection(&self, name: &str, driving: bool) -> Result<Cow<'a, [Arc<Document>]>, EvalError> {
+        match (self.lent.filter(|_| driving), self.provider) {
+            (Some(docs), _) => Ok(Cow::Borrowed(docs)),
+            (None, Some(provider)) => provider.collection(name).map(Cow::Owned),
+            (None, None) => Err(EvalError::UnknownCollection(name.to_owned())),
+        }
+    }
+
+    fn document(&self, name: &str) -> Result<Arc<Document>, EvalError> {
+        match self.provider {
+            Some(provider) => provider.document(name),
+            None => Err(EvalError::UnknownDocument(name.to_owned())),
+        }
+    }
+}
+
+/// What a variable is bound to.
+#[derive(Clone, Copy)]
+enum Bound<'a> {
+    /// A `for` variable: the current item of its sequence.
+    One(ItemRef<'a>),
+    /// A `let` variable: its whole sequence.
+    Many(&'a [Item]),
+}
+
+/// One binding and the chain of those made before it. A variable is the
+/// number of hops up this chain, fixed at lowering.
+struct Env<'a> {
+    bound: Bound<'a>,
+    up: Scope<'a>,
+}
+
+type Scope<'a> = Option<&'a Env<'a>>;
+
+fn lookup(env: Scope<'_>, hops: usize) -> Bound<'_> {
+    let mut env = env.expect("lowering resolved the variable");
+    for _ in 0..hops {
+        env = env.up.expect("lowering resolved the variable");
+    }
+    env.bound
+}
+
+/// One evaluation of a program.
+struct Run<'a> {
+    source: Source<'a>,
+    /// One matcher per path of the program ([`Program::paths`]), each
+    /// resolved again for every document its path walks. The expression
+    /// tree is evaluated strictly nested and a node is never inside
+    /// itself, so a path's matcher is never needed while it is in use.
+    matchers: Vec<RefCell<Matcher<'a>>>,
+}
+
+impl Run<'_> {
+    /// Push the items of `node` into `out`.
+    fn eval(&self, node: &Node, env: Scope<'_>, out: &mut Sink<'_>) -> Flow {
+        match node {
+            Node::Const(item) => out(item.as_ref()),
+            Node::Var(hops) => match lookup(env, *hops) {
+                Bound::One(item) => out(item),
+                Bound::Many(items) => items.iter().try_for_each(|item| out(item.as_ref())),
+            },
+            Node::Unbound(name) => Err(EvalError::UnboundVariable(name.clone()).into()),
+            Node::VarPath { hops, path } => match lookup(env, *hops) {
+                Bound::One(item) => self.walk_from(item, *path, out),
+                Bound::Many(items) => {
+                    items.iter().try_for_each(|item| self.walk_from(item.as_ref(), *path, out))
+                }
+            },
+            Node::Collection { name, path, driving } => {
+                let docs = self.source.collection(name, *driving)?;
+                docs.iter().try_for_each(|doc| self.walk_absolute(doc, *path, out))
+            }
+            Node::Doc { name, path } => {
+                self.walk_absolute(&self.source.document(name)?, *path, out)
+            }
+            Node::Seq(nodes) => nodes.iter().try_for_each(|node| self.eval(node, env, out)),
+            Node::Cmp { lhs, op, rhs, pure } => {
+                let holds = match (&**lhs, &**rhs) {
+                    (lhs, Node::Const(c)) => {
+                        self.any(lhs, env, *pure, |a| value_compare(a, *op, c.as_ref()))?
+                    }
+                    (Node::Const(c), rhs) => {
+                        self.any(rhs, env, *pure, |b| value_compare(c.as_ref(), *op, b))?
+                    }
+                    (lhs, rhs) => {
+                        let left = self.collect(lhs, env)?;
+                        self.any(rhs, env, *pure, |b| {
+                            left.iter().any(|a| value_compare(a.as_ref(), *op, b))
+                        })?
+                    }
+                };
+                out(ItemRef::Bool(holds))
+            }
+            Node::Arith { lhs, op, rhs } => self.arith(lhs, *op, rhs, env, out),
+            Node::Neg(operand) => match self.first_number(operand, env)? {
+                None => Ok(()),
+                Some(Some(n)) => out(ItemRef::Num(-n)),
+                Some(None) => {
+                    Err(EvalError::TypeError("unary minus needs a numeric operand".into()).into())
+                }
+            },
+            Node::If { cond, then, els } => {
+                let branch = if self.truth(cond, env)? { then } else { els };
+                self.eval(branch, env, out)
+            }
+            Node::And(terms) => {
+                for term in terms {
+                    if !self.truth(term, env)? {
+                        return out(ItemRef::Bool(false));
+                    }
+                }
+                out(ItemRef::Bool(true))
+            }
+            Node::Or(terms) => {
+                for term in terms {
+                    if self.truth(term, env)? {
+                        return out(ItemRef::Bool(true));
+                    }
+                }
+                out(ItemRef::Bool(false))
+            }
+            Node::Call { func, args, pure } => self.call(func, args, *pure, env, out),
+            Node::Element { name, attrs, children } => {
+                self.element(name, attrs, children, env, out)
+            }
+            Node::Flwor(flwor) => self.flwor(flwor, env, out),
+        }
+    }
+
+    fn collect(&self, node: &Node, env: Scope<'_>) -> Result<Sequence, Halt> {
+        func::collect(&mut |sink| self.eval(node, env, sink))
+    }
+
+    fn any(
         &self,
-        expr: &Expr,
-    ) -> Result<Vec<(SortKey, Sequence)>, EvalError> {
-        let Expr::Flwor { clauses, where_clause, order_by, ret } = expr else {
-            return Err(EvalError::TypeError(
-                "keyed evaluation needs an ordered FLWOR".into(),
-            ));
+        node: &Node,
+        env: Scope<'_>,
+        stop: bool,
+        holds: impl FnMut(ItemRef<'_>) -> bool,
+    ) -> Result<bool, Halt> {
+        func::any(&mut |sink| self.eval(node, env, sink), stop, holds)
+    }
+
+    /// Effective boolean value of `node`.
+    fn truth(&self, node: &Node, env: Scope<'_>) -> Result<bool, Halt> {
+        let mut ebv = Ebv::default();
+        self.eval(node, env, &mut |item| {
+            ebv.push(item);
+            Ok(())
+        })?;
+        Ok(ebv.value())
+    }
+
+    /// Numeric value of the first item of `node`: `None` if it is empty,
+    /// `Some(None)` if the item is not a number.
+    fn first_number(&self, node: &Node, env: Scope<'_>) -> Result<Option<Option<f64>>, Halt> {
+        func::first(&mut |sink| self.eval(node, env, sink), false, |item| item.number_value())
+    }
+
+    fn arith(
+        &self,
+        lhs: &Node,
+        op: ArithOp,
+        rhs: &Node,
+        env: Scope<'_>,
+        out: &mut Sink<'_>,
+    ) -> Flow {
+        // XQuery arithmetic: empty operand -> empty result; otherwise
+        // atomize the first item of each side
+        let a = self.first_number(lhs, env)?;
+        let b = self.first_number(rhs, env)?;
+        let (Some(a), Some(b)) = (a, b) else {
+            return Ok(());
         };
-        let Some((key, _)) = order_by else {
-            return Err(EvalError::TypeError(
-                "keyed evaluation needs an order by clause".into(),
-            ));
+        let (Some(a), Some(b)) = (a, b) else {
+            let message = format!("arithmetic {op} needs numeric operands");
+            return Err(EvalError::TypeError(message).into());
         };
-        let env = Env::default();
-        let tuples = self.flwor_tuples(clauses, where_clause.as_deref(), &env)?;
-        let mut out = Vec::with_capacity(tuples.len());
-        for tuple in &tuples {
-            let k = SortKey::from_sequence(&self.eval_expr(key, tuple)?);
-            out.push((k, self.eval_expr(ret, tuple)?));
+        out(ItemRef::Num(match op {
+            ArithOp::Add => a + b,
+            ArithOp::Sub => a - b,
+            ArithOp::Mul => a * b,
+            ArithOp::Div => a / b,
+            ArithOp::Mod => a % b,
+        }))
+    }
+
+    fn call(
+        &self,
+        func: &Func,
+        args: &[Node],
+        pure: bool,
+        env: Scope<'_>,
+        out: &mut Sink<'_>,
+    ) -> Flow {
+        use func::Builtin::{Contains, StartsWith};
+        // a literal needle is borrowed from the program, and the haystack
+        // streams against it
+        if let (Func::Builtin(test @ (Contains | StartsWith)), [hay, Node::Const(needle)]) =
+            (func, args)
+        {
+            let needle = needle.as_ref().string_value();
+            let found =
+                self.any(hay, env, pure, |item| test.string_test(&item.string_value(), &needle))?;
+            return out(ItemRef::Bool(found));
         }
-        Ok(out)
+        func::call(func, args.len(), &|i, sink| self.eval(&args[i], env, sink), pure, out)
     }
 
-    fn eval_path_source(&self, ps: &PathSource, env: &Env) -> Result<Sequence, EvalError> {
-        match &ps.start {
-            PathStart::Collection(name) => {
-                let docs = self.provider.collection(name)?;
-                let mut out = Vec::new();
-                for doc in docs {
-                    for id in eval_absolute(&doc, &ps.path) {
-                        out.push(Item::Node(Arc::clone(&doc), id));
-                    }
-                }
-                Ok(out)
+    fn element(
+        &self,
+        name: &str,
+        attrs: &[(String, String)],
+        children: &[Node],
+        env: Scope<'_>,
+        out: &mut Sink<'_>,
+    ) -> Flow {
+        let mut doc = Document::new(name);
+        for (k, v) in attrs {
+            doc.add_attribute(NodeId::ROOT, k, v);
+        }
+        for child in children {
+            self.eval(child, env, &mut |item| {
+                append_item(&mut doc, NodeId::ROOT, item);
+                Ok(())
+            })?;
+        }
+        out(ItemRef::Node(&Arc::new(doc), NodeId::ROOT))
+    }
+
+    fn flwor(&self, flwor: &Flwor, env: Scope<'_>, out: &mut Sink<'_>) -> Flow {
+        let tuples = Tuples::new(flwor);
+        let Some((key, dir)) = &flwor.order else {
+            self.bind(&tuples, 0, env, &mut |env| {
+                tuples.attempt(Phase::Return, || self.eval(&flwor.ret, env, out)).map(|_| ())
+            })?;
+            return tuples.finish();
+        };
+        // only the survivors of the `where` are kept, each as its sort
+        // key and the values its clauses bound
+        let mut survivors: Vec<(SortKey, Vec<Owned>)> = Vec::new();
+        self.bind(&tuples, 0, env, &mut |tuple| {
+            if let Some(key) = tuples.attempt(Phase::Order, || self.sort_key(key, tuple))? {
+                survivors.push((key, Owned::snapshot(tuple, flwor.clauses.len())));
             }
-            PathStart::Doc(name) => {
-                let doc = self.provider.document(name)?;
-                Ok(eval_absolute(&doc, &ps.path)
-                    .into_iter()
-                    .map(|id| Item::Node(Arc::clone(&doc), id))
-                    .collect())
+            Ok(())
+        })?;
+        tuples.finish()?;
+        sort_tuples(&mut survivors, *dir);
+        for (_, values) in &survivors {
+            rebind(values, env, &mut |tuple| self.eval(&flwor.ret, tuple, out))?;
+        }
+        Ok(())
+    }
+
+    /// An ordered FLWOR over one morsel, **unsorted**: each surviving
+    /// tuple's sort key with its `return` items, in tuple (document)
+    /// order. The merge concatenates these across morsels and sorts once.
+    fn flwor_keyed(&self, flwor: &Flwor, pairs: &mut Vec<(SortKey, Sequence)>) -> Flow {
+        let (key, _) = flwor.order.as_ref().expect("a keyed partial needs an order by");
+        let tuples = Tuples::new(flwor);
+        self.bind(&tuples, 0, None, &mut |tuple| {
+            let Some(key) = tuples.attempt(Phase::Order, || self.sort_key(key, tuple))? else {
+                return Ok(());
+            };
+            if let Some(items) =
+                tuples.attempt(Phase::Return, || self.collect(&flwor.ret, tuple))?
+            {
+                pairs.push((key, items));
             }
-            PathStart::Var(var) => {
-                let bound = env.lookup(var)?;
-                if ps.path.steps.is_empty() {
-                    return Ok(bound.clone());
-                }
-                let mut out = Vec::new();
-                for item in bound {
-                    if let Item::Node(doc, id) = item {
-                        for hit in eval_path_from(doc, &[*id], &ps.path) {
-                            out.push(Item::Node(Arc::clone(doc), hit));
-                        }
+            Ok(())
+        })?;
+        tuples.finish()
+    }
+
+    /// Bind clauses `at..` over `env` and hand every tuple that passes
+    /// the `where` to `tuple`.
+    fn bind(
+        &self,
+        tuples: &Tuples<'_>,
+        at: usize,
+        env: Scope<'_>,
+        tuple: &mut dyn FnMut(Scope<'_>) -> Flow,
+    ) -> Flow {
+        let flwor = tuples.flwor;
+        let Some((kind, expr)) = flwor.clauses.get(at) else {
+            let keep = match &flwor.filter {
+                Some(filter) => tuples.attempt(Phase::Where, || self.truth(filter, env))?,
+                None => Some(true),
+            };
+            return if keep == Some(true) { tuple(env) } else { Ok(()) };
+        };
+        match kind {
+            ClauseKind::For => tuples
+                .attempt(Phase::Clause(at), || {
+                    self.eval(expr, env, &mut |item| {
+                        let inner = Env { bound: Bound::One(item), up: env };
+                        self.bind(tuples, at + 1, Some(&inner), tuple)
+                    })
+                })
+                .map(|_| ()),
+            ClauseKind::Let => {
+                match tuples.attempt(Phase::Clause(at), || self.collect(expr, env))? {
+                    Some(items) => {
+                        let inner = Env { bound: Bound::Many(&items), up: env };
+                        self.bind(tuples, at + 1, Some(&inner), tuple)
                     }
+                    None => Ok(()),
                 }
-                Ok(out)
             }
         }
     }
-}
 
-/// Evaluate a stored relative path against a document as if absolute
-/// (first step tests the root element) — the `collection("c")/Item`
-/// convention.
-fn eval_absolute(doc: &Document, path: &PathExpr) -> Vec<NodeId> {
-    let mut p = path.clone();
-    p.absolute = true;
-    partix_path::eval_path(doc, &p)
-}
-
-/// Variable bindings.
-#[derive(Debug, Clone, Default)]
-struct Env {
-    vars: HashMap<String, Sequence>,
-}
-
-impl Env {
-    fn bind(&mut self, var: &str, seq: Sequence) {
-        self.vars.insert(var.to_owned(), seq);
+    /// The nodes path `path` selects from `item` (nothing unless it is a
+    /// node).
+    fn walk_from(&self, item: ItemRef<'_>, path: usize, out: &mut Sink<'_>) -> Flow {
+        let ItemRef::Node(doc, id) = item else {
+            return Ok(());
+        };
+        let mut matcher = self.matchers[path].borrow_mut();
+        let Some(resolved) = matcher.resolve(doc) else {
+            return Ok(());
+        };
+        let ctx = doc.get(id).expect("node belongs to doc");
+        to_flow(resolved.walk(ctx, &mut |hit| to_control(out(ItemRef::Node(doc, hit)))))
     }
 
-    fn lookup(&self, var: &str) -> Result<&Sequence, EvalError> {
-        self.vars
-            .get(var)
-            .ok_or_else(|| EvalError::UnboundVariable(var.to_owned()))
+    /// The nodes path `path` selects in `doc`, read as an absolute path
+    /// (the first step tests the root element) — the
+    /// `collection("c")/Item` convention.
+    fn walk_absolute(&self, doc: &Arc<Document>, path: usize, out: &mut Sink<'_>) -> Flow {
+        let mut matcher = self.matchers[path].borrow_mut();
+        let Some(resolved) = matcher.resolve(doc) else {
+            return Ok(());
+        };
+        to_flow(resolved.walk_absolute(doc, &mut |hit| to_control(out(ItemRef::Node(doc, hit)))))
+    }
+
+    fn sort_key(&self, key: &Node, env: Scope<'_>) -> Result<SortKey, Halt> {
+        let first = func::first(&mut |sink| self.eval(key, env, sink), false, |item| {
+            match item.number_value() {
+                Some(n) => SortKey::Num(n),
+                None => SortKey::Str(item.string_value().into_owned()),
+            }
+        })?;
+        Ok(first.unwrap_or(SortKey::Empty))
+    }
+}
+
+/// The tuple stream of one FLWOR evaluation, and the order of its errors.
+///
+/// Tuples are streamed: each is bound, tested and returned before the
+/// next is bound. Evaluated clause by clause instead — every binding of
+/// the first clause, then every binding of the second, … then every
+/// `where`, every sort key, every `return` — the same expressions run on
+/// the same tuples, but a failure in an earlier *phase* of a later tuple
+/// would be met before a failure in a later phase of an earlier tuple.
+/// That is the error this reports: after a failure in phase `p` the
+/// stream goes on, running only phases before `p`, and a failure there
+/// replaces the first. Nothing is returned from then on, and the FLWOR
+/// ends in the error left standing.
+struct Tuples<'f> {
+    flwor: &'f Flwor,
+    /// The error left standing, and the phase it struck in: phases from
+    /// that one on no longer run.
+    failed: RefCell<Option<(Phase, EvalError)>>,
+}
+
+/// The order a clause-by-clause evaluation works in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    /// The binding expression of clause `i`.
+    Clause(usize),
+    Where,
+    Order,
+    Return,
+}
+
+impl<'f> Tuples<'f> {
+    fn new(flwor: &'f Flwor) -> Tuples<'f> {
+        Tuples { flwor, failed: RefCell::new(None) }
+    }
+
+    /// Run `phase` for one tuple. `None`: the phase no longer runs, or
+    /// has just failed.
+    fn attempt<T>(
+        &self,
+        phase: Phase,
+        run: impl FnOnce() -> Result<T, Halt>,
+    ) -> Result<Option<T>, Halt> {
+        if self.failed.borrow().as_ref().is_some_and(|(limit, _)| phase >= *limit) {
+            return Ok(None);
+        }
+        match run() {
+            Ok(value) => Ok(Some(value)),
+            Err(Halt::Done) => Err(Halt::Done),
+            Err(Halt::Error(error)) => {
+                *self.failed.borrow_mut() = Some((phase, error));
+                Ok(None)
+            }
+        }
+    }
+
+    fn finish(&self) -> Flow {
+        match self.failed.borrow_mut().take() {
+            Some((_, error)) => Err(error.into()),
+            None => Ok(()),
+        }
     }
 }
 
 /// Orderable key for `order by`: numeric when possible, else string.
 ///
-/// Public so morsel execution can carry per-tuple keys across the merge
-/// boundary (see [`Evaluator::eval_flwor_keyed`]).
+/// Public because morsel partials carry per-tuple keys across the merge
+/// boundary ([`MorselPartial::Keyed`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SortKey {
     Empty,
@@ -397,16 +654,6 @@ pub enum SortKey {
 }
 
 impl SortKey {
-    pub fn from_sequence(seq: &Sequence) -> SortKey {
-        match seq.first() {
-            None => SortKey::Empty,
-            Some(item) => match item.number_value() {
-                Some(n) => SortKey::Num(n),
-                None => SortKey::Str(item.string_value()),
-            },
-        }
-    }
-
     /// Total order over keys (named `compare` rather than implementing
     /// `Ord`: NaN keys collapse to `Equal`, which `Ord` must not do).
     pub fn compare(&self, other: &SortKey) -> std::cmp::Ordering {
@@ -423,14 +670,73 @@ impl SortKey {
     }
 }
 
+/// `order by` over keyed tuples: a stable sort ascending, reversed as a
+/// whole for `descending`.
+pub(crate) fn sort_tuples<T>(keyed: &mut [(SortKey, T)], dir: SortDir) {
+    keyed.sort_by(|a, b| a.0.compare(&b.0));
+    if dir == SortDir::Descending {
+        keyed.reverse();
+    }
+}
+
+/// A binding kept past its tuple (`order by` sorts before it returns).
+enum Owned {
+    One(Item),
+    Many(Vec<Item>),
+}
+
+impl Owned {
+    /// The innermost `count` bindings of `env`, outermost first.
+    fn snapshot(env: Scope<'_>, count: usize) -> Vec<Owned> {
+        let mut values = Vec::with_capacity(count);
+        let mut env = env;
+        for _ in 0..count {
+            let binding = env.expect("one binding per clause");
+            values.push(match binding.bound {
+                Bound::One(item) => Owned::One(item.to_item()),
+                Bound::Many(items) => Owned::Many(items.to_vec()),
+            });
+            env = binding.up;
+        }
+        values.reverse();
+        values
+    }
+}
+
+/// Bind `values` again on top of `env`, outermost first, then run `then`.
+fn rebind(values: &[Owned], env: Scope<'_>, then: &mut dyn FnMut(Scope<'_>) -> Flow) -> Flow {
+    let Some((first, rest)) = values.split_first() else {
+        return then(env);
+    };
+    let bound = match first {
+        Owned::One(item) => Bound::One(item.as_ref()),
+        Owned::Many(items) => Bound::Many(items),
+    };
+    rebind(rest, Some(&Env { bound, up: env }), then)
+}
+
+fn to_control(flow: Flow) -> ControlFlow<Halt> {
+    match flow {
+        Ok(()) => ControlFlow::Continue(()),
+        Err(halt) => ControlFlow::Break(halt),
+    }
+}
+
+fn to_flow(control: ControlFlow<Halt>) -> Flow {
+    match control {
+        ControlFlow::Continue(()) => Ok(()),
+        ControlFlow::Break(halt) => Err(halt),
+    }
+}
+
 /// Append an item into a document being constructed.
-fn append_item(doc: &mut Document, parent: NodeId, item: &Item) {
+fn append_item(doc: &mut Document, parent: NodeId, item: ItemRef<'_>) {
     match item {
-        Item::Node(src, id) => {
-            let node = src.get(*id).expect("node belongs to doc");
+        ItemRef::Node(src, id) => {
+            let node = src.get(id).expect("node belongs to doc");
             match node.kind() {
                 NodeKind::Element => {
-                    doc.graft(parent, src, *id);
+                    doc.graft(parent, src, id);
                 }
                 NodeKind::Attribute => {
                     doc.add_attribute(parent, node.label(), node.value().unwrap_or(""));

@@ -1,190 +1,339 @@
 //! Built-in functions of the XQuery subset.
+//!
+//! Every built-in is implemented once, against *feeds*: `feed(i, sink)`
+//! pushes the items of argument `i` into `sink`. The evaluator feeds from
+//! its lowered argument expressions, so `count(…)` counts and `sum(…)`
+//! adds as the items stream by; the morsel merge feeds from the sequence
+//! it holds. Either way the items arrive in the same order, which keeps
+//! floating-point folds bit-identical.
 
-use crate::eval::EvalError;
-use crate::value::{effective_boolean, format_number, Item, Sequence};
+use crate::eval::{EvalError, Flow, Halt, Sink};
+use crate::value::{format_number, Ebv, Item, ItemRef, Sequence};
 
-/// Dispatch a function call on already-evaluated arguments.
-pub fn call_function(name: &str, mut args: Vec<Sequence>) -> Result<Sequence, EvalError> {
-    match name {
-        "count" => {
-            let arg = one_arg(name, &mut args)?;
-            Ok(vec![Item::Num(arg.len() as f64)])
+/// The built-in functions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Builtin {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+    Empty,
+    Exists,
+    Not,
+    Contains,
+    StartsWith,
+    String,
+    Number,
+    StringLength,
+    Concat,
+    Data,
+    DistinctValues,
+    Round,
+    StringJoin,
+}
+
+impl Builtin {
+    const ALL: [Builtin; 18] = [
+        Builtin::Count,
+        Builtin::Sum,
+        Builtin::Avg,
+        Builtin::Min,
+        Builtin::Max,
+        Builtin::Empty,
+        Builtin::Exists,
+        Builtin::Not,
+        Builtin::Contains,
+        Builtin::StartsWith,
+        Builtin::String,
+        Builtin::Number,
+        Builtin::StringLength,
+        Builtin::Concat,
+        Builtin::Data,
+        Builtin::DistinctValues,
+        Builtin::Round,
+        Builtin::StringJoin,
+    ];
+
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Builtin::Count => "count",
+            Builtin::Sum => "sum",
+            Builtin::Avg => "avg",
+            Builtin::Min => "min",
+            Builtin::Max => "max",
+            Builtin::Empty => "empty",
+            Builtin::Exists => "exists",
+            Builtin::Not => "not",
+            Builtin::Contains => "contains",
+            Builtin::StartsWith => "starts-with",
+            Builtin::String => "string",
+            Builtin::Number => "number",
+            Builtin::StringLength => "string-length",
+            Builtin::Concat => "concat",
+            Builtin::Data => "data",
+            Builtin::DistinctValues => "distinct-values",
+            Builtin::Round => "round",
+            Builtin::StringJoin => "string-join",
         }
-        "sum" => {
-            let arg = one_arg(name, &mut args)?;
-            let mut total = 0.0;
-            for item in &arg {
-                total += item.number_value().ok_or_else(|| {
-                    EvalError::TypeError(format!(
-                        "sum(): item {:?} is not numeric",
-                        item.string_value()
-                    ))
-                })?;
-            }
-            Ok(vec![Item::Num(total)])
+    }
+
+    /// How many arguments the function takes; `None` = any number.
+    pub(crate) fn arity(self) -> Option<usize> {
+        match self {
+            Builtin::Concat => None,
+            Builtin::Contains | Builtin::StartsWith | Builtin::StringJoin => Some(2),
+            _ => Some(1),
         }
-        "avg" => {
-            let arg = one_arg(name, &mut args)?;
-            if arg.is_empty() {
-                return Ok(vec![]);
-            }
-            let mut total = 0.0;
-            for item in &arg {
-                total += item.number_value().ok_or_else(|| {
-                    EvalError::TypeError(format!(
-                        "avg(): item {:?} is not numeric",
-                        item.string_value()
-                    ))
-                })?;
-            }
-            Ok(vec![Item::Num(total / arg.len() as f64)])
+    }
+
+    /// True if a call with the right number of arguments cannot fail on
+    /// any argument values.
+    pub(crate) fn infallible(self) -> bool {
+        !matches!(self, Builtin::Sum | Builtin::Avg)
+    }
+
+    /// The string test of `contains` / `starts-with`.
+    pub(crate) fn string_test(self, hay: &str, needle: &str) -> bool {
+        match self {
+            Builtin::StartsWith => hay.starts_with(needle),
+            _ => hay.contains(needle),
         }
-        "min" | "max" => {
-            let arg = one_arg(name, &mut args)?;
-            if arg.is_empty() {
-                return Ok(vec![]);
-            }
-            // numeric if every item is numeric; else string comparison
-            let nums: Option<Vec<f64>> = arg.iter().map(Item::number_value).collect();
-            match nums {
-                Some(nums) => {
-                    let v = if name == "min" {
-                        nums.into_iter().fold(f64::INFINITY, f64::min)
-                    } else {
-                        nums.into_iter().fold(f64::NEG_INFINITY, f64::max)
-                    };
-                    Ok(vec![Item::Num(v)])
-                }
-                None => {
-                    let mut strs: Vec<String> =
-                        arg.iter().map(Item::string_value).collect();
-                    strs.sort();
-                    let v = if name == "min" {
-                        strs.remove(0)
-                    } else {
-                        strs.pop().expect("non-empty")
-                    };
-                    Ok(vec![Item::Str(v)])
-                }
-            }
-        }
-        "empty" => {
-            let arg = one_arg(name, &mut args)?;
-            Ok(vec![Item::Bool(arg.is_empty())])
-        }
-        "exists" => {
-            let arg = one_arg(name, &mut args)?;
-            Ok(vec![Item::Bool(!arg.is_empty())])
-        }
-        "not" => {
-            let arg = one_arg(name, &mut args)?;
-            Ok(vec![Item::Bool(!effective_boolean(&arg))])
-        }
-        "contains" => {
-            let (haystack, needle) = two_args(name, &mut args)?;
-            let needle = first_string(&needle);
-            Ok(vec![Item::Bool(
-                haystack.iter().any(|item| item.string_value().contains(&needle)),
-            )])
-        }
-        "starts-with" => {
-            let (haystack, needle) = two_args(name, &mut args)?;
-            let needle = first_string(&needle);
-            Ok(vec![Item::Bool(
-                haystack.iter().any(|item| item.string_value().starts_with(&needle)),
-            )])
-        }
-        "string" => {
-            let arg = one_arg(name, &mut args)?;
-            Ok(match arg.first() {
-                Some(item) => vec![Item::Str(item.string_value())],
-                None => vec![Item::Str(String::new())],
-            })
-        }
-        "number" => {
-            let arg = one_arg(name, &mut args)?;
-            Ok(match arg.first().and_then(Item::number_value) {
-                Some(n) => vec![Item::Num(n)],
-                None => vec![],
-            })
-        }
-        "string-length" => {
-            let arg = one_arg(name, &mut args)?;
-            let len = arg.first().map_or(0, |i| i.string_value().chars().count());
-            Ok(vec![Item::Num(len as f64)])
-        }
-        "concat" => {
-            let mut out = String::new();
-            for arg in &args {
-                if let Some(item) = arg.first() {
-                    out.push_str(&item.string_value());
-                }
-            }
-            Ok(vec![Item::Str(out)])
-        }
-        "data" => {
-            let arg = one_arg(name, &mut args)?;
-            Ok(arg.iter().map(|i| Item::Str(i.string_value())).collect())
-        }
-        "distinct-values" => {
-            let arg = one_arg(name, &mut args)?;
-            let mut seen = std::collections::HashSet::new();
-            let mut out = Vec::new();
-            for item in &arg {
-                let v = item.string_value();
-                if seen.insert(v.clone()) {
-                    out.push(Item::Str(v));
-                }
-            }
-            Ok(out)
-        }
-        "round" => {
-            let arg = one_arg(name, &mut args)?;
-            Ok(match arg.first().and_then(Item::number_value) {
-                Some(n) => vec![Item::Num(n.round())],
-                None => vec![],
-            })
-        }
-        "string-join" => {
-            let (items, sep) = two_args(name, &mut args)?;
-            let sep = first_string(&sep);
-            let joined = items
-                .iter()
-                .map(Item::string_value)
-                .collect::<Vec<_>>()
-                .join(&sep);
-            Ok(vec![Item::Str(joined)])
-        }
-        _ => Err(EvalError::UnknownFunction(name.to_owned())),
     }
 }
 
-fn one_arg(name: &str, args: &mut Vec<Sequence>) -> Result<Sequence, EvalError> {
-    if args.len() != 1 {
-        return Err(EvalError::BadArity {
-            function: name.to_owned(),
-            expected: 1,
-            found: args.len(),
-        });
-    }
-    Ok(args.pop().expect("checked length"))
+/// A called function, resolved by name once: a built-in, or a name that
+/// is an error only if the call is ever evaluated.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Func {
+    Builtin(Builtin),
+    Unknown(String),
 }
 
-fn two_args(name: &str, args: &mut Vec<Sequence>) -> Result<(Sequence, Sequence), EvalError> {
-    if args.len() != 2 {
-        return Err(EvalError::BadArity {
-            function: name.to_owned(),
-            expected: 2,
-            found: args.len(),
-        });
+impl Func {
+    pub(crate) fn named(name: &str) -> Func {
+        match Builtin::ALL.into_iter().find(|b| b.name() == name) {
+            Some(builtin) => Func::Builtin(builtin),
+            None => Func::Unknown(name.to_owned()),
+        }
     }
-    let second = args.pop().expect("checked length");
-    let first = args.pop().expect("checked length");
-    Ok((first, second))
 }
 
-fn first_string(seq: &Sequence) -> String {
-    seq.first().map(Item::string_value).unwrap_or_default()
+/// Pushes the items of argument `i` into a sink.
+pub(crate) type Feed<'f> = dyn Fn(usize, &mut Sink<'_>) -> Flow + 'f;
+
+/// Call `func` on `argc` arguments read through `feed`, pushing the
+/// result into `out`. Every argument is read in full, in order, before an
+/// unknown function or a wrong argument count is reported; with `stop`
+/// (the caller knows no argument can fail) existential tests end their
+/// argument at the first witness.
+pub(crate) fn call(
+    func: &Func,
+    argc: usize,
+    feed: &Feed<'_>,
+    stop: bool,
+    out: &mut Sink<'_>,
+) -> Flow {
+    let drain = || (0..argc).try_for_each(|i| feed(i, &mut |_| Ok(())));
+    let builtin = match func {
+        Func::Builtin(builtin) => *builtin,
+        Func::Unknown(name) => {
+            drain()?;
+            return Err(EvalError::UnknownFunction(name.clone()).into());
+        }
+    };
+    if let Some(expected) = builtin.arity().filter(|&n| n != argc) {
+        drain()?;
+        let function = builtin.name().to_owned();
+        return Err(EvalError::BadArity { function, expected, found: argc }.into());
+    }
+    // one function per built-in: an argument that nests calls recurses
+    // through this frame, which should not hold every built-in's locals
+    match builtin {
+        Builtin::Count => count(feed, out),
+        Builtin::Sum | Builtin::Avg => total(builtin, feed, out),
+        Builtin::Min | Builtin::Max => extreme(builtin, feed, out),
+        Builtin::Empty | Builtin::Exists => {
+            let any = any(&mut |sink| feed(0, sink), stop, |_| true)?;
+            out(ItemRef::Bool(any == (builtin == Builtin::Exists)))
+        }
+        Builtin::Not => not(feed, out),
+        Builtin::Contains | Builtin::StartsWith => string_test(builtin, feed, out),
+        Builtin::String | Builtin::Concat => concat(argc, feed, out),
+        Builtin::Number | Builtin::Round => {
+            let first = first(&mut |sink| feed(0, sink), stop, |item| item.number_value())?;
+            match first.flatten() {
+                Some(n) if builtin == Builtin::Round => out(ItemRef::Num(n.round())),
+                Some(n) => out(ItemRef::Num(n)),
+                None => Ok(()),
+            }
+        }
+        Builtin::StringLength => {
+            let len =
+                first(&mut |sink| feed(0, sink), stop, |item| item.string_value().chars().count())?;
+            out(ItemRef::Num(len.unwrap_or(0) as f64))
+        }
+        Builtin::Data => feed(0, &mut |item| out(ItemRef::Str(&item.string_value()))),
+        Builtin::DistinctValues => distinct_values(feed, out),
+        Builtin::StringJoin => string_join(feed, out),
+    }
+}
+
+fn count(feed: &Feed<'_>, out: &mut Sink<'_>) -> Flow {
+    let mut count = 0usize;
+    feed(0, &mut |_| {
+        count += 1;
+        Ok(())
+    })?;
+    out(ItemRef::Num(count as f64))
+}
+
+/// `sum` / `avg`: added up in item order.
+fn total(builtin: Builtin, feed: &Feed<'_>, out: &mut Sink<'_>) -> Flow {
+    // a non-numeric item is reported only once the argument has been
+    // read to its end: an error in the argument comes first
+    let (mut total, mut count, mut bad) = (0.0, 0usize, None);
+    feed(0, &mut |item| {
+        count += 1;
+        match item.number_value() {
+            Some(n) if bad.is_none() => total += n,
+            None if bad.is_none() => bad = Some(item.string_value().into_owned()),
+            _ => {}
+        }
+        Ok(())
+    })?;
+    if let Some(value) = bad {
+        let name = builtin.name();
+        return Err(EvalError::TypeError(format!("{name}(): item {value:?} is not numeric")).into());
+    }
+    match builtin {
+        Builtin::Sum => out(ItemRef::Num(total)),
+        _ if count == 0 => Ok(()),
+        _ => out(ItemRef::Num(total / count as f64)),
+    }
+}
+
+/// `min` / `max`: numeric if every item is numeric, else by string.
+fn extreme(builtin: Builtin, feed: &Feed<'_>, out: &mut Sink<'_>) -> Flow {
+    let items = collect(&mut |sink| feed(0, sink))?;
+    if items.is_empty() {
+        return Ok(());
+    }
+    let nums: Option<Vec<f64>> = items.iter().map(Item::number_value).collect();
+    match nums {
+        Some(nums) if builtin == Builtin::Min => {
+            out(ItemRef::Num(nums.into_iter().fold(f64::INFINITY, f64::min)))
+        }
+        Some(nums) => out(ItemRef::Num(nums.into_iter().fold(f64::NEG_INFINITY, f64::max))),
+        None => {
+            let strs = items.iter().map(Item::string_value);
+            let pick = if builtin == Builtin::Min { strs.min() } else { strs.max() };
+            out(ItemRef::Str(&pick.expect("non-empty")))
+        }
+    }
+}
+
+fn not(feed: &Feed<'_>, out: &mut Sink<'_>) -> Flow {
+    let mut ebv = Ebv::default();
+    feed(0, &mut |item| {
+        ebv.push(item);
+        Ok(())
+    })?;
+    out(ItemRef::Bool(!ebv.value()))
+}
+
+/// `contains` / `starts-with` with a needle that is itself computed.
+fn string_test(builtin: Builtin, feed: &Feed<'_>, out: &mut Sink<'_>) -> Flow {
+    let hay = collect(&mut |sink| feed(0, sink))?;
+    let needle = first_string(feed, 1)?;
+    let found = hay.iter().any(|item| builtin.string_test(&item.as_ref().string_value(), &needle));
+    out(ItemRef::Bool(found))
+}
+
+/// `concat` — and `string`, which is `concat` of one argument.
+fn concat(argc: usize, feed: &Feed<'_>, out: &mut Sink<'_>) -> Flow {
+    let mut joined = String::new();
+    for i in 0..argc {
+        joined.push_str(&first_string(feed, i)?);
+    }
+    out(ItemRef::Str(&joined))
+}
+
+fn distinct_values(feed: &Feed<'_>, out: &mut Sink<'_>) -> Flow {
+    let mut seen = std::collections::HashSet::new();
+    feed(0, &mut |item| {
+        let value = item.string_value();
+        if seen.contains(&*value) {
+            return Ok(());
+        }
+        out(ItemRef::Str(&value))?;
+        seen.insert(value.into_owned());
+        Ok(())
+    })
+}
+
+fn string_join(feed: &Feed<'_>, out: &mut Sink<'_>) -> Flow {
+    let items = collect(&mut |sink| feed(0, sink))?;
+    let sep = first_string(feed, 1)?;
+    let joined = items.iter().map(Item::string_value).collect::<Vec<_>>().join(&sep);
+    out(ItemRef::Str(&joined))
+}
+
+/// Everything `produce` pushes, owned.
+pub(crate) fn collect(produce: &mut dyn FnMut(&mut Sink<'_>) -> Flow) -> Result<Sequence, Halt> {
+    let mut items = Vec::new();
+    produce(&mut |item| {
+        items.push(item.to_item());
+        Ok(())
+    })?;
+    Ok(items)
+}
+
+/// True if `holds` of some item `produce` pushes. With `stop` the
+/// producer is cut short at the first such item — sound only when
+/// nothing it would still do can fail.
+pub(crate) fn any(
+    produce: &mut dyn FnMut(&mut Sink<'_>) -> Flow,
+    stop: bool,
+    mut holds: impl FnMut(ItemRef<'_>) -> bool,
+) -> Result<bool, Halt> {
+    let mut found = false;
+    let flow = produce(&mut |item| {
+        if !found && holds(item) {
+            found = true;
+            if stop {
+                return Err(Halt::Done);
+            }
+        }
+        Ok(())
+    });
+    match flow {
+        // only the sink above says `Done` in here, and only once found
+        Err(Halt::Done) if stop && found => Ok(true),
+        flow => flow.map(|()| found),
+    }
+}
+
+/// `take` of the first item `produce` pushes, if any; `stop` as in [`any`].
+pub(crate) fn first<T>(
+    produce: &mut dyn FnMut(&mut Sink<'_>) -> Flow,
+    stop: bool,
+    take: impl FnOnce(ItemRef<'_>) -> T,
+) -> Result<Option<T>, Halt> {
+    let (mut take, mut taken) = (Some(take), None);
+    any(produce, stop, |item| {
+        if let Some(take) = take.take() {
+            taken = Some(take(item));
+        }
+        true
+    })?;
+    Ok(taken)
+}
+
+/// String value of the first item of argument `i`; empty if it has none.
+fn first_string(feed: &Feed<'_>, i: usize) -> Result<String, Halt> {
+    let first = first(&mut |sink| feed(i, sink), false, |item| item.string_value().into_owned())?;
+    Ok(first.unwrap_or_default())
 }
 
 /// Render a sequence the way the PartiX driver ships results: one line
@@ -206,6 +355,22 @@ pub fn serialize_sequence(seq: &Sequence) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dispatch a function call on already-evaluated arguments.
+    fn call_function(name: &str, args: Vec<Sequence>) -> Result<Sequence, EvalError> {
+        let mut out = Vec::new();
+        let flow = call(
+            &Func::named(name),
+            args.len(),
+            &|i, sink| args[i].iter().try_for_each(|item| sink(item.as_ref())),
+            false,
+            &mut |item| {
+                out.push(item.to_item());
+                Ok(())
+            },
+        );
+        Halt::finish(flow).map(|()| out)
+    }
 
     fn num(n: f64) -> Sequence {
         vec![Item::Num(n)]

@@ -23,6 +23,27 @@
 //! This covers every query shape in the paper's evaluation: selections
 //! with predicates, text searches, existential tests, and aggregations.
 //!
+//! ## Pipeline: parse → lower → run
+//!
+//! * [`parse_query`] turns text into a [`Query`] — the [`ast`] every
+//!   analysis, rewrite and the wire codec work on. The parser bounds
+//!   nesting ([`partix_path::MAX_DEPTH`]), so everything downstream may
+//!   recurse over what it accepts.
+//! * [`Program::lower`] resolves that tree once per evaluation: variables
+//!   to binding slots, function names to built-ins, literals to items,
+//!   paths to matcher slots; it marks the driving collection scan and
+//!   splits a decomposable query into core and wrappers ([`lower`]).
+//! * [`Program::run`] streams the result out of a [`CollectionProvider`];
+//!   [`Program::run_lending`] does so with the driving scan reading a
+//!   borrowed slice of documents (an index's shortlist) instead of its
+//!   collection; [`Program::run_morsel`] runs a decomposable program's
+//!   core over such a slice. Expressions push borrowed items into the sink of
+//!   whatever consumes them, so a document the `where` clause rejects
+//!   costs no allocation ([`eval`]). [`Evaluator::eval`] is lower + run.
+//!
+//! There is one evaluator. The AST interpreter it replaced lives on only
+//! as the oracle of the differential suite (`tests/reference/`).
+//!
 //! ## Beyond evaluation
 //!
 //! Two analyses make distribution possible:
@@ -37,14 +58,17 @@
 //!   re-rooted documents, producing the sub-query actually sent to a node.
 //!
 //! A third analysis, [`morsel`], enables *intra*-fragment parallelism: it
-//! splits a decomposable query at its driving collection scan so the
-//! storage engine can evaluate disjoint document batches on worker
-//! threads and merge the partials back into the exact sequential answer.
+//! finds a decomposable query's driving collection scan, so the storage
+//! engine can run the program's core over disjoint document batches on
+//! worker threads and merge the partials — items, a count, or keyed
+//! tuples awaiting the global sort — back into the exact answer of the
+//! unsplit run.
 
 pub mod ast;
 pub mod eval;
 pub mod func;
 pub mod lexer;
+pub mod lower;
 pub mod morsel;
 pub mod parser;
 pub mod pushdown;
@@ -53,5 +77,6 @@ pub mod value;
 
 pub use ast::{Expr, PathSource, PathStart, Query};
 pub use eval::{CollectionProvider, EvalError, Evaluator, MemProvider, SortKey};
+pub use lower::Program;
 pub use parser::{parse_query, QueryParseError};
-pub use value::{Item, Sequence};
+pub use value::{Item, ItemRef, Sequence};

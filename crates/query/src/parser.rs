@@ -7,7 +7,7 @@
 
 use crate::ast::{ArithOp, Binding, Clause, Expr, PathSource, PathStart, Query, SortDir};
 use crate::lexer::{tokenize, Spanned, Token};
-use partix_path::{Axis, CmpOp, NodeTest, PathExpr, Step};
+use partix_path::{Axis, CmpOp, NodeTest, PathExpr, Step, MAX_DEPTH};
 use std::fmt;
 
 /// Parse error with byte offset into the query text.
@@ -29,7 +29,7 @@ impl std::error::Error for QueryParseError {}
 pub fn parse_query(input: &str) -> Result<Query, QueryParseError> {
     let tokens = tokenize(input)
         .map_err(|e| QueryParseError { offset: e.offset, message: e.message })?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, height: 0 };
     let expr = p.expr()?;
     p.expect(&Token::Eof)?;
     Ok(Query { expr })
@@ -38,6 +38,15 @@ pub fn parse_query(input: &str) -> Result<Query, QueryParseError> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Open nested constructs around the cursor: bounds the parser's own
+    /// recursion.
+    depth: usize,
+    /// Height of the expression parsed last, counted the way everything
+    /// that walks an `Expr` recurses over it: one level per node — a
+    /// chain of `n` binary operators is `n` levels, since it nests to the
+    /// left — and one per `for` / `let` clause, each of which scopes what
+    /// follows it. Bounded by [`MAX_DEPTH`] like `depth`.
+    height: usize,
 }
 
 impl Parser {
@@ -87,16 +96,44 @@ impl Parser {
         }
     }
 
+    fn too_deep(&self) -> QueryParseError {
+        self.error(format!("expression nested deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Go one nesting level down; the caller comes back up with
+    /// `self.depth -= 1` once the nested construct is parsed.
+    fn enter(&mut self) -> Result<(), QueryParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Record a node just built over children of height `children`.
+    fn built(&mut self, children: usize) -> Result<(), QueryParseError> {
+        self.height = children + 1;
+        if self.height > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
     fn expr(&mut self) -> Result<Expr, QueryParseError> {
-        if self.at_name("for") || self.at_name("let") {
+        self.enter()?;
+        let parsed = if self.at_name("for") || self.at_name("let") {
             self.flwor()
         } else {
             self.or_expr()
-        }
+        };
+        self.depth -= 1;
+        parsed
     }
 
     fn flwor(&mut self) -> Result<Expr, QueryParseError> {
         let mut clauses = Vec::new();
+        // each part sits below the clauses bound before it
+        let mut height = 0;
         loop {
             if self.eat_name("for") {
                 loop {
@@ -105,6 +142,7 @@ impl Parser {
                         return Err(self.error("expected 'in'"));
                     }
                     let expr = self.or_expr()?;
+                    height = height.max(clauses.len() + self.height);
                     clauses.push(Clause::For(Binding { var, expr }));
                     if self.peek() != &Token::Comma {
                         break;
@@ -116,6 +154,7 @@ impl Parser {
                     let var = self.var_name()?;
                     self.expect(&Token::Assign)?;
                     let expr = self.or_expr()?;
+                    height = height.max(clauses.len() + self.height);
                     clauses.push(Clause::Let(Binding { var, expr }));
                     if self.peek() != &Token::Comma {
                         break;
@@ -127,7 +166,9 @@ impl Parser {
             }
         }
         let where_clause = if self.eat_name("where") {
-            Some(Box::new(self.or_expr()?))
+            let filter = self.or_expr()?;
+            height = height.max(clauses.len() + self.height);
+            Some(Box::new(filter))
         } else {
             None
         };
@@ -136,6 +177,7 @@ impl Parser {
                 return Err(self.error("expected 'by' after 'order'"));
             }
             let key = self.or_expr()?;
+            height = height.max(clauses.len() + self.height);
             let dir = if self.eat_name("descending") {
                 SortDir::Descending
             } else {
@@ -150,6 +192,7 @@ impl Parser {
             return Err(self.error("expected 'return'"));
         }
         let ret = Box::new(self.expr()?);
+        self.built(height.max(clauses.len() + self.height))?;
         Ok(Expr::Flwor { clauses, where_clause, order_by, ret })
     }
 
@@ -163,22 +206,44 @@ impl Parser {
         }
     }
 
+    // The operator levels pass a lone operand straight through and leave
+    // the loops to `joined` / `chain`: nesting goes through every level,
+    // and in an unoptimised build each level's frame is paid per nesting.
+
     fn or_expr(&mut self) -> Result<Expr, QueryParseError> {
-        let mut terms = vec![self.and_expr()?];
-        while self.at_name("or") {
-            self.bump();
-            terms.push(self.and_expr()?);
+        let first = self.and_expr()?;
+        if self.at_name("or") {
+            self.joined("or", first, Parser::and_expr, Expr::Or)
+        } else {
+            Ok(first)
         }
-        Ok(if terms.len() == 1 { terms.pop().expect("one") } else { Expr::Or(terms) })
     }
 
     fn and_expr(&mut self) -> Result<Expr, QueryParseError> {
-        let mut terms = vec![self.cmp_expr()?];
-        while self.at_name("and") {
-            self.bump();
-            terms.push(self.cmp_expr()?);
+        let first = self.cmp_expr()?;
+        if self.at_name("and") {
+            self.joined("and", first, Parser::cmp_expr, Expr::And)
+        } else {
+            Ok(first)
         }
-        Ok(if terms.len() == 1 { terms.pop().expect("one") } else { Expr::And(terms) })
+    }
+
+    /// `first keyword operand keyword operand …`, joined into one node.
+    fn joined(
+        &mut self,
+        keyword: &str,
+        first: Expr,
+        operand: fn(&mut Parser) -> Result<Expr, QueryParseError>,
+        join: fn(Vec<Expr>) -> Expr,
+    ) -> Result<Expr, QueryParseError> {
+        let mut terms = vec![first];
+        let mut height = self.height;
+        while self.eat_name(keyword) {
+            terms.push(operand(self)?);
+            height = height.max(self.height);
+        }
+        self.built(height)?;
+        Ok(join(terms))
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, QueryParseError> {
@@ -192,152 +257,204 @@ impl Parser {
             Token::Ge => CmpOp::Ge,
             _ => return Ok(lhs),
         };
+        self.comparison(lhs, op)
+    }
+
+    fn comparison(&mut self, lhs: Expr, op: CmpOp) -> Result<Expr, QueryParseError> {
+        let height = self.height;
         self.bump();
         let rhs = self.additive()?;
+        self.built(height.max(self.height))?;
         Ok(Expr::Cmp { lhs: Box::new(lhs), op, rhs: Box::new(rhs) })
     }
 
     // additive ::= multiplicative (('+' | '-') multiplicative)*
     fn additive(&mut self) -> Result<Expr, QueryParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => ArithOp::Add,
-                Token::Minus => ArithOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Arith { lhs: Box::new(lhs), op, rhs: Box::new(rhs) };
+        let lhs = self.multiplicative()?;
+        if self.additive_op().is_some() {
+            self.chain(lhs, Parser::additive_op, Parser::multiplicative)
+        } else {
+            Ok(lhs)
+        }
+    }
+
+    fn additive_op(&self) -> Option<ArithOp> {
+        match self.peek() {
+            Token::Plus => Some(ArithOp::Add),
+            Token::Minus => Some(ArithOp::Sub),
+            _ => None,
         }
     }
 
     // multiplicative ::= unary (('*' | 'div' | 'mod') unary)*
     fn multiplicative(&mut self) -> Result<Expr, QueryParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = if self.peek() == &Token::Star {
-                ArithOp::Mul
-            } else if self.at_name("div") {
-                ArithOp::Div
-            } else if self.at_name("mod") {
-                ArithOp::Mod
-            } else {
-                return Ok(lhs);
-            };
+        let lhs = self.unary()?;
+        if self.multiplicative_op().is_some() {
+            self.chain(lhs, Parser::multiplicative_op, Parser::unary)
+        } else {
+            Ok(lhs)
+        }
+    }
+
+    fn multiplicative_op(&self) -> Option<ArithOp> {
+        if self.peek() == &Token::Star {
+            Some(ArithOp::Mul)
+        } else if self.at_name("div") {
+            Some(ArithOp::Div)
+        } else if self.at_name("mod") {
+            Some(ArithOp::Mod)
+        } else {
+            None
+        }
+    }
+
+    /// `lhs op operand op operand …`, nested to the left.
+    fn chain(
+        &mut self,
+        mut lhs: Expr,
+        operator: fn(&Parser) -> Option<ArithOp>,
+        operand: fn(&mut Parser) -> Result<Expr, QueryParseError>,
+    ) -> Result<Expr, QueryParseError> {
+        while let Some(op) = operator(self) {
+            let height = self.height;
             self.bump();
-            let rhs = self.unary()?;
+            let rhs = operand(self)?;
+            self.built(height.max(self.height))?;
             lhs = Expr::Arith { lhs: Box::new(lhs), op, rhs: Box::new(rhs) };
         }
+        Ok(lhs)
     }
 
     // unary ::= '-' unary | primary
     fn unary(&mut self) -> Result<Expr, QueryParseError> {
         if self.peek() == &Token::Minus {
             self.bump();
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            self.enter()?;
+            let operand = self.unary()?;
+            self.depth -= 1;
+            self.built(self.height)?;
+            return Ok(Expr::Neg(Box::new(operand)));
         }
         self.primary()
     }
 
+    // one method per construct: a nested construct then costs the stack
+    // of its own locals, not of every alternative's
     fn primary(&mut self) -> Result<Expr, QueryParseError> {
-        match self.peek().clone() {
-            Token::Str(s) => {
-                self.bump();
-                Ok(Expr::Str(s))
-            }
-            Token::Num(n) => {
-                self.bump();
-                Ok(Expr::Num(n))
+        match self.peek() {
+            Token::Str(_) | Token::Num(_) => {
+                self.height = 1;
+                Ok(match self.bump() {
+                    Token::Str(s) => Expr::Str(s),
+                    Token::Num(n) => Expr::Num(n),
+                    _ => unreachable!("peeked a literal"),
+                })
             }
             Token::Var(_) => self.path_from_var(),
-            Token::LParen => {
-                self.bump();
-                if self.peek() == &Token::RParen {
-                    self.bump();
-                    return Ok(Expr::Seq(Vec::new()));
-                }
-                let mut items = vec![self.expr()?];
-                while self.peek() == &Token::Comma {
-                    self.bump();
-                    items.push(self.expr()?);
-                }
-                self.expect(&Token::RParen)?;
-                Ok(if items.len() == 1 {
-                    items.pop().expect("one")
-                } else {
-                    Expr::Seq(items)
-                })
-            }
-            Token::TagOpen(name) => {
-                self.bump();
-                self.element_ctor(name)
-            }
+            Token::LParen => self.parenthesized(),
+            Token::TagOpen(_) => match self.bump() {
+                Token::TagOpen(name) => self.element_ctor(name),
+                _ => unreachable!("peeked a tag"),
+            },
             Token::Name(name) if name == "if" && self.peek2() == &Token::LParen => {
-                self.bump();
-                self.bump(); // (
-                let cond = self.expr()?;
-                self.expect(&Token::RParen)?;
-                if !self.eat_name("then") {
-                    return Err(self.error("expected 'then'"));
-                }
-                let then = self.expr()?;
-                if !self.eat_name("else") {
-                    return Err(self.error("expected 'else'"));
-                }
-                let els = self.expr()?;
-                Ok(Expr::If {
-                    cond: Box::new(cond),
-                    then: Box::new(then),
-                    els: Box::new(els),
-                })
+                self.conditional()
             }
-            Token::Name(name) => {
-                if self.peek2() == &Token::LParen {
-                    self.bump();
-                    self.bump(); // (
-                    if name == "collection" || name == "doc" {
-                        let arg = match self.bump() {
-                            Token::Str(s) => s,
-                            other => {
-                                return Err(self.error(format!(
-                                    "{name}() takes a string literal, found {other}"
-                                )))
-                            }
-                        };
-                        self.expect(&Token::RParen)?;
-                        let start = if name == "collection" {
-                            PathStart::Collection(arg)
-                        } else {
-                            PathStart::Doc(arg)
-                        };
-                        let path = self.steps()?;
-                        return Ok(Expr::Path(PathSource { start, path }));
-                    }
-                    // generic function call
-                    let mut args = Vec::new();
-                    if self.peek() != &Token::RParen {
-                        args.push(self.expr()?);
-                        while self.peek() == &Token::Comma {
-                            self.bump();
-                            args.push(self.expr()?);
-                        }
-                    }
-                    self.expect(&Token::RParen)?;
-                    Ok(Expr::Call { name, args })
-                } else {
-                    Err(self.error(format!(
-                        "unexpected name '{name}' — paths must start at collection(), doc() or a variable"
-                    )))
-                }
-            }
+            Token::Name(_) if self.peek2() == &Token::LParen => self.call(),
+            Token::Name(name) => Err(self.error(format!(
+                "unexpected name '{name}' — paths must start at collection(), doc() or a variable"
+            ))),
             other => Err(self.error(format!("unexpected {other}"))),
         }
+    }
+
+    /// `()`, `(e)` or `(e1, e2, …)`.
+    fn parenthesized(&mut self) -> Result<Expr, QueryParseError> {
+        self.bump(); // (
+        if self.peek() == &Token::RParen {
+            self.bump();
+            self.height = 1;
+            return Ok(Expr::Seq(Vec::new()));
+        }
+        let mut items = vec![self.expr()?];
+        let mut height = self.height;
+        while self.peek() == &Token::Comma {
+            self.bump();
+            items.push(self.expr()?);
+            height = height.max(self.height);
+        }
+        self.expect(&Token::RParen)?;
+        if items.len() == 1 {
+            return Ok(items.pop().expect("one"));
+        }
+        self.built(height)?;
+        Ok(Expr::Seq(items))
+    }
+
+    /// `if (cond) then … else …`.
+    fn conditional(&mut self) -> Result<Expr, QueryParseError> {
+        self.bump(); // if
+        self.bump(); // (
+        let cond = Box::new(self.expr()?);
+        let mut height = self.height;
+        self.expect(&Token::RParen)?;
+        if !self.eat_name("then") {
+            return Err(self.error("expected 'then'"));
+        }
+        let then = Box::new(self.expr()?);
+        height = height.max(self.height);
+        if !self.eat_name("else") {
+            return Err(self.error("expected 'else'"));
+        }
+        let els = Box::new(self.expr()?);
+        self.built(height.max(self.height))?;
+        Ok(Expr::If { cond, then, els })
+    }
+
+    /// `name(…)`: a `collection` / `doc` path source, or a function call.
+    fn call(&mut self) -> Result<Expr, QueryParseError> {
+        let Token::Name(name) = self.bump() else {
+            unreachable!("peeked a name");
+        };
+        self.bump(); // (
+        if name == "collection" || name == "doc" {
+            let arg = match self.bump() {
+                Token::Str(s) => s,
+                other => {
+                    return Err(self.error(format!(
+                        "{name}() takes a string literal, found {other}"
+                    )))
+                }
+            };
+            self.expect(&Token::RParen)?;
+            let start = if name == "collection" {
+                PathStart::Collection(arg)
+            } else {
+                PathStart::Doc(arg)
+            };
+            let path = self.steps()?;
+            self.height = 1;
+            return Ok(Expr::Path(PathSource { start, path }));
+        }
+        let mut args = Vec::new();
+        let mut height = 0;
+        if self.peek() != &Token::RParen {
+            args.push(self.expr()?);
+            height = self.height;
+            while self.peek() == &Token::Comma {
+                self.bump();
+                args.push(self.expr()?);
+                height = height.max(self.height);
+            }
+        }
+        self.expect(&Token::RParen)?;
+        self.built(height)?;
+        Ok(Expr::Call { name, args })
     }
 
     fn path_from_var(&mut self) -> Result<Expr, QueryParseError> {
         let var = self.var_name()?;
         let path = self.steps()?;
+        self.height = 1;
         Ok(Expr::Path(PathSource { start: PathStart::Var(var), path }))
     }
 
@@ -375,6 +492,9 @@ impl Parser {
                 }
                 self.expect(&Token::RBracket)?;
             }
+            if steps.len() == MAX_DEPTH {
+                return Err(self.error(format!("path longer than {MAX_DEPTH} steps")));
+            }
             steps.push(Step { axis, test, position });
         }
         Ok(PathExpr { absolute: false, steps })
@@ -400,6 +520,7 @@ impl Parser {
                 Token::Slash => {
                     self.bump();
                     self.expect(&Token::Gt)?;
+                    self.height = 1;
                     return Ok(Expr::Element { name, attrs, children: Vec::new() });
                 }
                 Token::Gt => {
@@ -410,16 +531,21 @@ impl Parser {
             }
         }
         let mut children = Vec::new();
+        let mut height = 0;
         loop {
             match self.peek().clone() {
                 Token::LBrace => {
                     self.bump();
                     children.push(self.expr()?);
+                    height = height.max(self.height);
                     self.expect(&Token::RBrace)?;
                 }
                 Token::TagOpen(child_name) => {
                     self.bump();
+                    self.enter()?;
                     children.push(self.element_ctor(child_name)?);
+                    self.depth -= 1;
+                    height = height.max(self.height);
                 }
                 Token::Lt => {
                     self.bump();
@@ -433,6 +559,7 @@ impl Parser {
                         }
                     }
                     self.expect(&Token::Gt)?;
+                    self.built(height)?;
                     return Ok(Expr::Element { name, attrs, children });
                 }
                 other => {

@@ -14,11 +14,18 @@
 //!
 //! The translation is deliberately conservative: whenever a `where`
 //! conjunct cannot be soundly expressed as a per-document condition it is
-//! dropped (weakening the filter, never losing documents).
+//! dropped (weakening the filter, never losing documents). Only the
+//! driving variable and variables bound to paths hanging off it are
+//! conditions on the driving clause's document — the variable of a second
+//! scan (a join) is not, nor is a `collection(…)` read inside `where` —
+//! and what sits under a negation translates whole and exactly or not at
+//! all. The differential suite holds the result to this: lending the
+//! driving scan only the documents that pass `doc_predicate` must not
+//! change a query's answer.
 
-use crate::ast::{Clause, Expr, PathStart, Query};
+use crate::ast::{Clause, Expr, PathSource, PathStart, Query};
 use partix_path::pred::{BoolFn, ValueFn};
-use partix_path::{PathExpr, Predicate, Value};
+use partix_path::{CmpOp, PathExpr, Predicate, Value};
 use std::collections::HashMap;
 
 /// Result of query analysis.
@@ -54,8 +61,8 @@ pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
     };
     // driving clause + variable → absolute-path environment
     let mut var_paths: HashMap<&str, (String, PathExpr)> = HashMap::new();
-    let mut driving: Option<(String, String, PathExpr)> = None;
-    for clause in clauses {
+    let mut driving: Option<(usize, String, String, PathExpr)> = None;
+    for (at, clause) in clauses.iter().enumerate() {
         let (Clause::For(b) | Clause::Let(b)) = clause;
         if let Expr::Path(ps) = &b.expr {
             let resolved = match &ps.start {
@@ -72,21 +79,54 @@ pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
             if let Some((coll, abs)) = resolved {
                 var_paths.insert(&b.var, (coll.clone(), abs.clone()));
                 if driving.is_none() && matches!(clause, Clause::For(_)) {
-                    driving = Some((coll, b.var.clone(), abs));
+                    driving = Some((at, coll, b.var.clone(), abs));
                 }
             }
         }
     }
-    let (collection, var, binding_path) = driving?;
-    // the translation is exact (per-tuple == per-document) when the
-    // driving binding selects the document root: a single step
-    let exact = binding_path.steps.len() == 1 && !binding_path.has_wildcards();
-    let doc_predicate = where_clause.as_ref().and_then(|w| {
-        translate(w, &var, &binding_path, &var_paths, exact)
-    });
+    let (driving_at, collection, var, binding_path) = driving?;
+    // A variable speaks of the driving clause's document if it is the
+    // driving variable or a later clause binds it to a path hanging off
+    // one that does. A variable of another scan — of any collection, this
+    // one included — ranges over other documents: a test of it says
+    // nothing of this one. A test of a variable is *exact* — true of the
+    // tuple exactly when true of the document — when the driving variable
+    // is the document (`exact_root`) and only `let`s lie between: a `for`
+    // makes a tuple per node, so a test of its variable holds of the
+    // document when it holds of *some* tuple, which a negation or a count
+    // must not rely on.
+    let derived = |root: &PathExpr, exact_root: bool| {
+        let mut vars = Vars::new();
+        vars.insert(var.as_str(), VarPath { path: root.clone(), exact: exact_root });
+        for clause in &clauses[driving_at + 1..] {
+            let (Clause::For(b) | Clause::Let(b)) = clause;
+            let hanging = match &b.expr {
+                Expr::Path(PathSource { start: PathStart::Var(v), path }) => {
+                    vars.get(v.as_str()).map(|base| VarPath {
+                        path: base.path.join(path),
+                        exact: base.exact && matches!(clause, Clause::Let(_)),
+                    })
+                }
+                _ => None,
+            };
+            match hanging {
+                Some(joined) => vars.insert(&b.var, joined),
+                None => vars.remove(b.var.as_str()), // shadowed by something else
+            };
+        }
+        vars
+    };
+    // `collection("c")` with no step binds each root element, whatever
+    // its label: no absolute path names it, so nothing translates
+    let where_clause = where_clause.as_deref().filter(|_| !binding_path.steps.is_empty());
+    // the driving variable is the document when its binding selects the
+    // document root: a single step
+    let exact_root = binding_path.steps.len() == 1 && !binding_path.has_wildcards();
+    let doc_predicate =
+        where_clause.and_then(|w| translate(w, &derived(&binding_path, exact_root), false));
     // tuple-space translation: the driving binding's node becomes the
-    // (pseudo) document root, so translation is exact per tuple
-    let tuple_predicate = where_clause.as_ref().and_then(|w| {
+    // (pseudo) document root, so the driving variable is exact per tuple
+    let tuple_predicate = where_clause.and_then(|w| {
         // correlated collection scans inside `where` cannot be expressed
         // in tuple space — skip translation (conservative: no pruning)
         let mut has_collection_paths = false;
@@ -98,22 +138,7 @@ pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
             absolute: true,
             steps: binding_path.steps.last().cloned().into_iter().collect(),
         };
-        // rebuild the variable environment in tuple space: only chains
-        // hanging off the driving variable resolve
-        let mut tuple_vars: HashMap<&str, (String, PathExpr)> = HashMap::new();
-        tuple_vars.insert(var.as_str(), (collection.clone(), pseudo.clone()));
-        for clause in clauses {
-            let (Clause::For(b) | Clause::Let(b)) = clause;
-            if let Expr::Path(ps) = &b.expr {
-                if let PathStart::Var(v) = &ps.start {
-                    if let Some((coll, base)) = tuple_vars.get(v.as_str()) {
-                        let joined = (coll.clone(), base.join(&ps.path));
-                        tuple_vars.insert(&b.var, joined);
-                    }
-                }
-            }
-        }
-        translate(w, &var, &pseudo, &tuple_vars, true)
+        translate(w, &derived(&pseudo, true), false)
     });
     // footprint: every *value* path — paths whose selected nodes feed
     // comparisons, functions, or the result. `for`/`let` clauses that
@@ -144,7 +169,7 @@ fn collect_value_paths(
     var_paths: &HashMap<&str, (String, PathExpr)>,
     out: &mut Vec<PathExpr>,
 ) {
-    let mut push = |ps: &crate::ast::PathSource| {
+    let mut push = |ps: &PathSource| {
         let abs = match &ps.start {
             PathStart::Collection(c) if c == collection => {
                 let mut p = ps.path.clone();
@@ -268,25 +293,34 @@ fn find_flwor(expr: &Expr) -> Option<&Expr> {
     }
 }
 
-/// Translate a where-expression into a per-document [`Predicate`].
-///
-/// In `exact` mode every construct is translated faithfully. Otherwise
-/// only *existentially sound* constructs survive: a predicate that holds
-/// of some tuple must hold of the whole document.
-fn translate(
-    expr: &Expr,
-    var: &str,
-    binding: &PathExpr,
-    var_paths: &HashMap<&str, (String, PathExpr)>,
+/// What a variable stands for in the space a predicate is written in:
+/// the absolute path of the nodes it is bound to, and whether a test of it
+/// is exact (see [`analyze`]).
+struct VarPath {
+    path: PathExpr,
     exact: bool,
-) -> Option<Predicate> {
+}
+
+type Vars<'q> = HashMap<&'q str, VarPath>;
+
+/// Translate a where-expression into a per-document [`Predicate`] that
+/// holds of a document whenever the expression holds of a tuple from it.
+///
+/// The result may be weaker than `expr` — a conjunct that does not
+/// translate is dropped, a test of an inexact variable holds of the
+/// document when it holds of some tuple — unless `whole` asks for all of
+/// it, exactly, or nothing: what a negation needs, since negating a weaker
+/// condition gives a stronger one.
+fn translate(expr: &Expr, vars: &Vars<'_>, whole: bool) -> Option<Predicate> {
     match expr {
         Expr::And(es) => {
-            // drop untranslatable conjuncts: weaker but still necessary
-            let parts: Vec<Predicate> = es
-                .iter()
-                .filter_map(|e| translate(e, var, binding, var_paths, exact))
-                .collect();
+            let translated = es.iter().map(|e| translate(e, vars, whole));
+            let parts: Vec<Predicate> = if whole {
+                translated.collect::<Option<_>>()?
+            } else {
+                // drop untranslatable conjuncts: weaker but still necessary
+                translated.flatten().collect()
+            };
             match parts.len() {
                 0 => None,
                 1 => parts.into_iter().next(),
@@ -295,114 +329,79 @@ fn translate(
         }
         Expr::Or(es) => {
             // every disjunct must translate, else the condition is lost
-            let parts: Vec<Predicate> = es
-                .iter()
-                .map(|e| translate(e, var, binding, var_paths, exact))
-                .collect::<Option<_>>()?;
+            let parts: Vec<Predicate> =
+                es.iter().map(|e| translate(e, vars, whole)).collect::<Option<_>>()?;
             Some(Predicate::Or(parts))
         }
         Expr::Cmp { lhs, op, rhs } => {
             let (path_expr, literal, op) = match (&**lhs, &**rhs) {
                 (Expr::Path(ps), lit) => (ps, lit, *op),
                 (lit, Expr::Path(ps)) => (ps, lit, op.flip()),
-                _ if exact => return translate_fncmp(expr, var, binding, var_paths),
-                _ => return None,
+                _ => return translate_fncmp(lhs, *op, rhs, vars),
             };
-            let abs = resolve(path_expr, var, binding, var_paths)?;
-            let value = match literal {
-                Expr::Str(s) => Value::Str(s.clone()),
-                Expr::Num(n) => Value::Num(*n),
-                _ => return None,
-            };
-            Some(Predicate::Cmp { path: abs, op, value })
+            let path = resolve(path_expr, vars, whole)?;
+            Some(Predicate::Cmp { path, op, value: literal_value(literal)? })
         }
         Expr::Call { name, args } => match (name.as_str(), args.as_slice()) {
             ("contains", [Expr::Path(ps), Expr::Str(s)]) => {
-                let abs = resolve(ps, var, binding, var_paths)?;
-                Some(Predicate::Bool(BoolFn::Contains(abs, s.clone())))
+                Some(Predicate::Bool(BoolFn::Contains(resolve(ps, vars, whole)?, s.clone())))
             }
             ("starts-with", [Expr::Path(ps), Expr::Str(s)]) => {
-                let abs = resolve(ps, var, binding, var_paths)?;
-                Some(Predicate::Bool(BoolFn::StartsWith(abs, s.clone())))
+                Some(Predicate::Bool(BoolFn::StartsWith(resolve(ps, vars, whole)?, s.clone())))
             }
-            ("exists", [Expr::Path(ps)]) => {
-                let abs = resolve(ps, var, binding, var_paths)?;
-                Some(Predicate::Exists(abs))
+            ("exists", [Expr::Path(ps)]) => Some(Predicate::Exists(resolve(ps, vars, whole)?)),
+            // no node on any tuple's path: only an exact variable says so
+            ("empty", [Expr::Path(ps)]) => {
+                Some(Predicate::Bool(BoolFn::Empty(resolve(ps, vars, true)?)))
             }
-            ("empty", [Expr::Path(ps)]) if exact => {
-                let abs = resolve(ps, var, binding, var_paths)?;
-                Some(Predicate::Bool(BoolFn::Empty(abs)))
-            }
-            ("not", [inner]) if exact => {
-                let p = translate(inner, var, binding, var_paths, exact)?;
-                Some(Predicate::Not(Box::new(p)))
-            }
-            ("count", _) => None, // handled only inside Cmp below
+            ("not", [inner]) => Some(Predicate::Not(Box::new(translate(inner, vars, true)?))),
             _ => None,
         },
-        // count($v/p) θ n — exact mode only
-        _ if exact => translate_fncmp(expr, var, binding, var_paths),
-        Expr::Path(ps) => {
-            // bare path in boolean context: existential test
-            let abs = resolve(ps, var, binding, var_paths)?;
-            Some(Predicate::Exists(abs))
-        }
+        // bare path in boolean context: existential test
+        Expr::Path(ps) => Some(Predicate::Exists(resolve(ps, vars, whole)?)),
         _ => None,
     }
 }
 
-fn translate_fncmp(
-    expr: &Expr,
-    var: &str,
-    binding: &PathExpr,
-    var_paths: &HashMap<&str, (String, PathExpr)>,
-) -> Option<Predicate> {
-    let Expr::Cmp { lhs, op, rhs } = expr else {
-        if let Expr::Path(ps) = expr {
-            let abs = resolve(ps, var, binding, var_paths)?;
-            return Some(Predicate::Exists(abs));
-        }
-        return None;
-    };
-    let (call, lit, op) = match (&**lhs, &**rhs) {
-        (Expr::Call { name, args }, lit) => ((name, args), lit, *op),
+/// `count($v/p) θ n` and the like: a function of *all* the nodes on the
+/// path, so only an exact variable translates.
+fn translate_fncmp(lhs: &Expr, op: CmpOp, rhs: &Expr, vars: &Vars<'_>) -> Option<Predicate> {
+    let ((name, args), literal, op) = match (lhs, rhs) {
+        (Expr::Call { name, args }, lit) => ((name, args), lit, op),
         (lit, Expr::Call { name, args }) => ((name, args), lit, op.flip()),
         _ => return None,
     };
-    let func = match call.0.as_str() {
+    let func = match name.as_str() {
         "count" => ValueFn::Count,
         "string-length" => ValueFn::StringLength,
         "number" => ValueFn::Number,
         _ => return None,
     };
-    let [Expr::Path(ps)] = call.1.as_slice() else {
+    let [Expr::Path(ps)] = args.as_slice() else {
         return None;
     };
-    let abs = resolve(ps, var, binding, var_paths)?;
-    let value = match lit {
-        Expr::Str(s) => Value::Str(s.clone()),
-        Expr::Num(n) => Value::Num(*n),
-        _ => return None,
-    };
-    Some(Predicate::FnCmp { func, path: abs, op, value })
+    let path = resolve(ps, vars, true)?;
+    Some(Predicate::FnCmp { func, path, op, value: literal_value(literal)? })
 }
 
-/// Resolve a path source to an absolute per-document path.
-fn resolve(
-    ps: &crate::ast::PathSource,
-    var: &str,
-    binding: &PathExpr,
-    var_paths: &HashMap<&str, (String, PathExpr)>,
-) -> Option<PathExpr> {
+fn literal_value(literal: &Expr) -> Option<Value> {
+    match literal {
+        Expr::Str(s) => Some(Value::Str(s.clone())),
+        Expr::Num(n) => Some(Value::Num(*n)),
+        _ => None,
+    }
+}
+
+/// The absolute path `ps` selects, if it hangs off a variable that speaks
+/// of the document — an exact one, if `exact` is asked for.
+fn resolve(ps: &PathSource, vars: &Vars<'_>, exact: bool) -> Option<PathExpr> {
     match &ps.start {
-        PathStart::Var(v) if v == var => Some(binding.join(&ps.path)),
-        PathStart::Var(v) => var_paths.get(v.as_str()).map(|(_, base)| base.join(&ps.path)),
-        PathStart::Collection(_) => {
-            let mut p = ps.path.clone();
-            p.absolute = true;
-            Some(p)
+        PathStart::Var(v) => {
+            vars.get(v.as_str()).filter(|var| var.exact || !exact).map(|var| var.path.join(&ps.path))
         }
-        PathStart::Doc(_) => None,
+        // a read of stored data is a condition on the store, not on the
+        // document at hand
+        PathStart::Collection(_) | PathStart::Doc(_) => None,
     }
 }
 
@@ -510,6 +509,78 @@ mod tests {
         assert_eq!(
             a.doc_predicate.unwrap().to_string(),
             "contains(/Item/Characteristics/Description, \"good\")"
+        );
+    }
+
+    fn doc_predicate(src: &str) -> Option<String> {
+        analysis(src).doc_predicate.map(|p| p.to_string())
+    }
+
+    #[test]
+    fn only_the_driving_scans_variables_translate() {
+        // $j ranges over other documents: its test says nothing of $i's
+        assert_eq!(
+            doc_predicate(
+                r#"for $i in collection("items")/Item, $j in collection("items")/Item
+                   where $j/Section = "CD" and $i/Code = "1" return $i"#,
+            )
+            .as_deref(),
+            Some("/Item/Code = \"1\"")
+        );
+        // … whether the other scan reads this collection or another,
+        // and even when it takes the driving variable's name
+        assert_eq!(
+            doc_predicate(
+                r#"for $i in collection("items")/Item, $i in collection("other")/Item
+                   where $i/Section = "CD" return $i"#,
+            ),
+            None
+        );
+        // a read of stored data is no condition on the document at hand
+        assert_eq!(
+            doc_predicate(
+                r#"for $i in collection("items")/Item
+                   where collection("items")/Item/Section = "CD" return $i"#,
+            ),
+            None
+        );
+        // the root element of every document, whatever its label
+        assert_eq!(
+            doc_predicate(r#"for $d in collection("items") where $d/Section = "CD" return $d"#),
+            None
+        );
+    }
+
+    #[test]
+    fn negation_translates_whole_and_exact_or_not_at_all() {
+        // dropping a conjunct under `not` would strengthen the condition
+        assert_eq!(
+            doc_predicate(
+                r#"for $i in collection("items")/Item, $j in collection("items")/Item
+                   where not($i/Section = "CD" and $j/Section = "CD") return $i"#,
+            ),
+            None
+        );
+        // a `for` variable holds of the document if it holds of some
+        // tuple: fine for a test, not for its negation, `empty` or a count
+        let picture = |test: &str| {
+            doc_predicate(&format!(
+                r#"for $i in collection("items")/Item, $p in $i//Picture
+                   where {test} return $p"#
+            ))
+        };
+        assert_eq!(picture(r#"$p/Name = "x""#).as_deref(), Some("/Item//Picture/Name = \"x\""));
+        assert_eq!(picture(r#"not($p/Name = "x")"#), None);
+        assert_eq!(picture(r#"empty($p/Name)"#), None);
+        assert_eq!(picture(r#"count($p/Name) >= 2"#), None);
+        // a `let` makes no tuples of its own
+        assert_eq!(
+            doc_predicate(
+                r#"for $i in collection("items")/Item let $p := $i//Picture
+                   where not($p/Name = "x") return $i"#,
+            )
+            .as_deref(),
+            Some("not(/Item//Picture/Name = \"x\")")
         );
     }
 

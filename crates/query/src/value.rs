@@ -2,6 +2,7 @@
 
 use partix_path::CmpOp;
 use partix_xml::{Document, NodeId, NodeKind, Serializer};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,30 +16,36 @@ pub enum Item {
     Bool(bool),
 }
 
+/// A borrowed view of one item: what flows through the evaluator's sinks.
+/// A sink that keeps an item copies it ([`ItemRef::to_item`]); one that
+/// only tests or counts it allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub enum ItemRef<'a> {
+    Node(&'a Arc<Document>, NodeId),
+    Str(&'a str),
+    Num(f64),
+    Bool(bool),
+}
+
 impl Item {
+    /// Borrow this item.
+    pub fn as_ref(&self) -> ItemRef<'_> {
+        match self {
+            Item::Node(doc, id) => ItemRef::Node(doc, *id),
+            Item::Str(s) => ItemRef::Str(s),
+            Item::Num(n) => ItemRef::Num(*n),
+            Item::Bool(b) => ItemRef::Bool(*b),
+        }
+    }
+
     /// The item's string value (XPath `string()` semantics).
     pub fn string_value(&self) -> String {
-        match self {
-            Item::Node(doc, id) => {
-                let node = doc.get(*id).expect("node belongs to doc");
-                match node.kind() {
-                    NodeKind::Element => node.text(),
-                    _ => node.value().unwrap_or("").to_owned(),
-                }
-            }
-            Item::Str(s) => s.clone(),
-            Item::Num(n) => format_number(*n),
-            Item::Bool(b) => b.to_string(),
-        }
+        self.as_ref().string_value().into_owned()
     }
 
     /// The item's numeric value, if its string value parses.
     pub fn number_value(&self) -> Option<f64> {
-        match self {
-            Item::Num(n) => Some(*n),
-            Item::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => self.string_value().trim().parse().ok(),
-        }
+        self.as_ref().number_value()
     }
 
     /// Serialize for output: XML for nodes, text otherwise.
@@ -88,6 +95,40 @@ impl Item {
     }
 }
 
+impl<'a> ItemRef<'a> {
+    /// An owned copy (a refcount bump for a node).
+    pub fn to_item(self) -> Item {
+        match self {
+            ItemRef::Node(doc, id) => Item::Node(Arc::clone(doc), id),
+            ItemRef::Str(s) => Item::Str(s.to_owned()),
+            ItemRef::Num(n) => Item::Num(n),
+            ItemRef::Bool(b) => Item::Bool(b),
+        }
+    }
+
+    /// The item's string value (XPath `string()` semantics), borrowed
+    /// wherever it lies in one piece.
+    pub fn string_value(self) -> Cow<'a, str> {
+        match self {
+            ItemRef::Node(doc, id) => {
+                doc.get(id).expect("node belongs to doc").string_value()
+            }
+            ItemRef::Str(s) => Cow::Borrowed(s),
+            ItemRef::Num(n) => Cow::Owned(format_number(n)),
+            ItemRef::Bool(b) => Cow::Borrowed(if b { "true" } else { "false" }),
+        }
+    }
+
+    /// The item's numeric value, if its string value parses.
+    pub fn number_value(self) -> Option<f64> {
+        match self {
+            ItemRef::Num(n) => Some(n),
+            ItemRef::Bool(b) => Some(if b { 1.0 } else { 0.0 }),
+            _ => self.string_value().trim().parse().ok(),
+        }
+    }
+}
+
 impl fmt::Display for Item {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.serialize())
@@ -115,12 +156,33 @@ pub type Sequence = Vec<Item>;
 /// value, single number = non-zero, otherwise (any node / non-empty
 /// string) = true.
 pub fn effective_boolean(seq: &Sequence) -> bool {
-    match seq.as_slice() {
-        [] => false,
-        [Item::Bool(b)] => *b,
-        [Item::Num(n)] => *n != 0.0 && !n.is_nan(),
-        [Item::Str(s)] => !s.is_empty(),
-        _ => true,
+    let mut ebv = Ebv::default();
+    seq.iter().for_each(|item| ebv.push(item.as_ref()));
+    ebv.value()
+}
+
+/// The effective boolean value of a sequence seen one item at a time.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Ebv {
+    /// What the sequence is worth so far.
+    value: bool,
+    seen: bool,
+}
+
+impl Ebv {
+    pub(crate) fn push(&mut self, item: ItemRef<'_>) {
+        self.value = self.seen
+            || match item {
+                ItemRef::Bool(b) => b,
+                ItemRef::Num(n) => n != 0.0 && !n.is_nan(),
+                ItemRef::Str(s) => !s.is_empty(),
+                ItemRef::Node(..) => true,
+            };
+        self.seen = true;
+    }
+
+    pub(crate) fn value(self) -> bool {
+        self.value
     }
 }
 
@@ -128,25 +190,19 @@ pub fn effective_boolean(seq: &Sequence) -> bool {
 /// items from the two sequences satisfies `op`. Numeric comparison is used
 /// when either side is a number; string comparison otherwise.
 pub fn general_compare(lhs: &Sequence, op: CmpOp, rhs: &Sequence) -> bool {
-    for a in lhs {
-        for b in rhs {
-            if value_compare(a, op, b) {
-                return true;
-            }
-        }
-    }
-    false
+    lhs.iter().any(|a| rhs.iter().any(|b| value_compare(a.as_ref(), op, b.as_ref())))
 }
 
-fn value_compare(a: &Item, op: CmpOp, b: &Item) -> bool {
-    let numeric = matches!(a, Item::Num(_)) || matches!(b, Item::Num(_));
+/// One pair of a general comparison.
+pub(crate) fn value_compare(a: ItemRef<'_>, op: CmpOp, b: ItemRef<'_>) -> bool {
+    let numeric = matches!(a, ItemRef::Num(_)) || matches!(b, ItemRef::Num(_));
     if numeric {
         match (a.number_value(), b.number_value()) {
             (Some(x), Some(y)) => op.holds(&x, &y),
             _ => false,
         }
     } else {
-        op.holds(&a.string_value().as_str(), &b.string_value().as_str())
+        op.holds(&&*a.string_value(), &&*b.string_value())
     }
 }
 

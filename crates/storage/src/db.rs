@@ -524,21 +524,6 @@ impl CollectionProvider for Database {
         }
         Err(EvalError::UnknownDocument(name.to_owned()))
     }
-
-    fn collection_filtered(
-        &self,
-        name: &str,
-        predicate: &partix_path::Predicate,
-    ) -> Result<Vec<Arc<Document>>, EvalError> {
-        let coll = self
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownCollection(name.to_owned()))?;
-        let guard = coll.read();
-        match crate::exec::index_candidates(&guard, predicate, self.value_index_enabled()) {
-            Some(slots) => Ok(guard.fetch_slots(&slots)),
-            None => Ok(guard.all()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -604,7 +589,7 @@ mod tests {
         let db = make_db(StorageMode::Hot);
         db.set_value_index_enabled(true);
         let pred = Predicate::parse(r#"/Item/Section = "CD""#).unwrap();
-        let docs = db.collection_filtered("items", &pred).unwrap();
+        let docs = db.index_candidates("items", &pred).unwrap();
         assert_eq!(docs.len(), 2);
     }
 
@@ -612,7 +597,7 @@ mod tests {
     fn filtered_contains_is_sound_superset() {
         let db = make_db(StorageMode::Hot);
         let pred = Predicate::parse(r#"contains(/Item/D, "good")"#).unwrap();
-        let docs = db.collection_filtered("items", &pred).unwrap();
+        let docs = db.index_candidates("items", &pred).unwrap();
         // must include i1 (good) and i3 (goodness)
         let names: Vec<_> = docs.iter().map(|d| d.name.clone().unwrap()).collect();
         assert!(names.contains(&"i1".to_owned()));
@@ -661,7 +646,7 @@ mod tests {
         // shared inserts are indexed like owned ones
         let pred = Predicate::parse(r#"/Item/Section = "CD""#).unwrap();
         db.set_value_index_enabled(true);
-        assert_eq!(db.collection_filtered("c", &pred).unwrap().len(), 1);
+        assert_eq!(db.index_candidates("c", &pred).unwrap().len(), 1);
     }
 
     #[test]
@@ -676,12 +661,12 @@ mod tests {
             // slots shifted: index probes must still answer correctly
             db.set_value_index_enabled(true);
             let pred = Predicate::parse(r#"/Item/Section = "CD""#).unwrap();
-            let docs = db.collection_filtered("items", &pred).unwrap();
+            let docs = db.index_candidates("items", &pred).unwrap();
             let names: Vec<_> = docs.iter().map(|d| d.name.clone().unwrap()).collect();
             assert_eq!(names, vec!["i3".to_owned()], "{mode:?}");
             let pred = Predicate::parse(r#"contains(/Item/D, "good")"#).unwrap();
             let names: Vec<_> = db
-                .collection_filtered("items", &pred)
+                .index_candidates("items", &pred)
                 .unwrap()
                 .iter()
                 .map(|d| d.name.clone().unwrap())

@@ -4,7 +4,9 @@ use crate::db::{Collection, Database};
 use partix_path::pred::BoolFn;
 use partix_path::Predicate;
 use partix_query::pushdown;
-use partix_query::{parse_query, EvalError, Evaluator, Item, Sequence};
+use partix_query::{parse_query, EvalError, Item, Program, Sequence};
+use partix_xml::Document;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Statistics of one query execution on one database node.
@@ -20,8 +22,8 @@ pub struct QueryStats {
     pub elapsed: f64,
     /// Total wire size of the result items in bytes.
     pub result_bytes: usize,
-    /// Number of parallel morsels the scan split into; 0 means the
-    /// query ran on the sequential path (see [`crate::parallel`]).
+    /// Number of parallel morsels the scan split into; 0 means it was
+    /// not split (see [`crate::parallel`]).
     pub morsels: usize,
 }
 
@@ -193,45 +195,44 @@ impl Database {
         self.execute_parsed(&query)
     }
 
-    /// Execute an already-parsed query.
+    /// Execute an already-parsed query: lower it once, snapshot the
+    /// candidates of its driving scan — what the indexes shortlist for
+    /// the pushed-down predicate, or every live document — and lend them
+    /// to the program: in morsels (one, on this thread, or several on the
+    /// pool — see [`crate::parallel`]) when it decomposes, else to the
+    /// whole program (joins, `doc(…)`), which reads everything but that
+    /// one scan from this database.
     pub fn execute_parsed(
         &self,
         query: &partix_query::Query,
     ) -> Result<QueryOutput, ExecError> {
         let start = Instant::now();
-        let mut stats = QueryStats::default();
         let analysis = pushdown::analyze(query);
-        // morsel-parallel fast path: decomposable query over a large
-        // enough candidate set (see crate::parallel); exact same answer
-        if let Some(out) = self.try_execute_morsels(query, analysis.as_ref(), start)? {
-            return Ok(out);
-        }
-        // index-assisted scan via a filtered provider view
-        let filtered: Option<FilteredView<'_>> = analysis.as_ref().and_then(|a| {
-            if !self.index_enabled() {
-                return None;
-            }
-            let pred = a.doc_predicate.as_ref()?;
-            let coll = self.get(&a.collection)?;
-            let guard = coll.read();
-            stats.collection_size = guard.len();
-            let slots = index_candidates(&guard, pred, self.value_index_enabled())?;
-            stats.index_used = true;
-            stats.docs_scanned = slots.len();
-            let docs = guard.fetch_slots(&slots);
-            Some(FilteredView { inner: self, collection: a.collection.clone(), docs })
-        });
-        let items = match &filtered {
-            Some(view) => Evaluator::new(view).eval(query),
-            None => {
-                if let Some(a) = &analysis {
-                    if let Some(coll) = self.get(&a.collection) {
-                        let len = coll.read().len();
-                        stats.collection_size = len;
-                        stats.docs_scanned = len;
-                    }
+        let program = Program::lower(query);
+        let mut stats = QueryStats::default();
+        let driving = program.driving_collection().and_then(|name| self.get(name));
+        let items = match driving {
+            Some(coll) => {
+                // the predicate is about the documents of the analysis'
+                // driving clause — this scan, whenever the program has one
+                let predicate = analysis.as_ref().and_then(|a| a.doc_predicate.as_ref());
+                let docs = self.candidates(&coll, predicate, &mut stats);
+                if program.is_decomposable() {
+                    self.scan_morsels(program, docs, &mut stats)
+                } else {
+                    program.run_lending(self, &docs)
                 }
-                Evaluator::new(self).eval(query)
+            }
+            // no scan to lend to (a first `for` over a variable or a
+            // `doc(…)`), or an unknown collection, which is the
+            // evaluator's error to raise
+            None => {
+                if let Some(coll) = analysis.as_ref().and_then(|a| self.get(&a.collection)) {
+                    let len = coll.read().len();
+                    stats.collection_size = len;
+                    stats.docs_scanned = len;
+                }
+                program.run(self)
             }
         }
         .map_err(ExecError::Eval)?;
@@ -239,30 +240,42 @@ impl Database {
         stats.result_bytes = items.iter().map(Item::wire_size).sum();
         Ok(QueryOutput { items, stats })
     }
-}
 
-/// Provider view that substitutes an index-filtered document list for one
-/// collection and delegates everything else.
-struct FilteredView<'a> {
-    inner: &'a Database,
-    collection: String,
-    docs: Vec<std::sync::Arc<partix_xml::Document>>,
-}
-
-impl partix_query::CollectionProvider for FilteredView<'_> {
-    fn collection(
+    /// The one candidate snapshot of a driving scan: the documents the
+    /// indexes shortlist for `predicate`, or every live one, in document
+    /// order — taken under one read guard, so the scan sees the
+    /// collection as of this moment whatever writers do meanwhile.
+    fn candidates(
         &self,
-        name: &str,
-    ) -> Result<Vec<std::sync::Arc<partix_xml::Document>>, EvalError> {
-        if name == self.collection {
-            Ok(self.docs.clone())
-        } else {
-            partix_query::CollectionProvider::collection(self.inner, name)
-        }
+        coll: &parking_lot::RwLock<Collection>,
+        predicate: Option<&Predicate>,
+        stats: &mut QueryStats,
+    ) -> Vec<Arc<Document>> {
+        let guard = coll.read();
+        stats.collection_size = guard.len();
+        let probed = predicate
+            .filter(|_| self.index_enabled())
+            .and_then(|pred| index_candidates(&guard, pred, self.value_index_enabled()));
+        stats.index_used = probed.is_some();
+        // tombstoned slots hold no document — scan live ones only
+        let docs = guard.fetch_slots(&probed.unwrap_or_else(|| guard.live_slots()));
+        stats.docs_scanned = docs.len();
+        docs
     }
 
-    fn document(&self, name: &str) -> Result<std::sync::Arc<partix_xml::Document>, EvalError> {
-        partix_query::CollectionProvider::document(self.inner, name)
+    /// The documents of `collection` the indexes shortlist for `predicate`
+    /// (always a superset of those satisfying it); `None` when the
+    /// collection is unknown or the predicate gives the indexes nothing
+    /// to work with, so a scan would read every document.
+    pub fn index_candidates(
+        &self,
+        collection: &str,
+        predicate: &Predicate,
+    ) -> Option<Vec<Arc<Document>>> {
+        let coll = self.get(collection)?;
+        let guard = coll.read();
+        let slots = index_candidates(&guard, predicate, self.value_index_enabled())?;
+        Some(guard.fetch_slots(&slots))
     }
 }
 
@@ -419,6 +432,89 @@ mod tests {
         assert_eq!(out.items[0], Item::Num(3.0));
         assert!(out.stats.index_used);
         assert_eq!(out.stats.docs_scanned, 3);
+    }
+
+    /// The index prefilter is not the morsel path's alone: a query that
+    /// runs whole still has its driving scan narrowed.
+    #[test]
+    fn prefilter_reaches_queries_that_do_not_decompose() {
+        let db = db();
+        db.set_value_index_enabled(true);
+        for (query, expected) in [
+            // also reads a document
+            (
+                r#"for $i in collection("items")/Item let $x := doc("i4")/Item
+                   where $i/Section = "CD" return concat($i/Code, $x/Code)"#,
+                vec![Item::Str("i1i4".into()), Item::Str("i3i4".into())],
+            ),
+            // a FLWOR under a comparison
+            (
+                r#"(for $i in collection("items")/Item
+                    where $i/Section = "CD" return $i/Price) = "8""#,
+                vec![Item::Bool(true)],
+            ),
+            // a join with a second collection scan
+            (
+                r#"count(for $i in collection("items")/Item, $j in collection("items")/Item
+                         where $i/Section = "CD" return $j)"#,
+                vec![Item::Num(8.0)],
+            ),
+        ] {
+            let out = db.execute(query).unwrap();
+            assert_eq!(out.items, expected, "{query}");
+            assert!(out.stats.index_used, "{query}");
+            assert_eq!(out.stats.docs_scanned, 2, "{query}");
+            assert_eq!(out.stats.collection_size, 4, "{query}");
+            assert_eq!(out.stats.morsels, 0, "{query}");
+        }
+    }
+
+    /// Only the driving scan reads the shortlist. Any other read of the
+    /// same collection sees all of it, so the answer is the same with the
+    /// indexes on or off. Substituting by name (every read of `items`
+    /// sees the candidates) answers 4 to each of these.
+    #[test]
+    fn prefilter_narrows_the_driving_scan_only() {
+        let db = db();
+        db.set_value_index_enabled(true);
+        for (query, expected, index_used) in [
+            (
+                r#"count(for $i in collection("items")/Item, $j in collection("items")/Item
+                         where $i/Section = "CD" return $j)"#,
+                8.0,
+                true,
+            ),
+            (
+                r#"sum(for $i in collection("items")/Item where $i/Section = "CD"
+                       return count(collection("items")/Item))"#,
+                8.0,
+                true,
+            ),
+            (
+                r#"sum(for $i in collection("items")/Item where $i/Section = "CD"
+                       return count(for $j in collection("items")/Item return $j))"#,
+                8.0,
+                true,
+            ),
+            // the first `for` ranges over a variable: no scan to narrow
+            (
+                r#"sum(let $all := collection("items")/Item
+                       for $i in $all where $i/Section = "CD" return count($all))"#,
+                8.0,
+                false,
+            ),
+        ] {
+            db.set_index_enabled(true);
+            let indexed = db.execute(query).unwrap();
+            assert_eq!(indexed.items, [Item::Num(expected)], "{query}");
+            assert_eq!(indexed.stats.index_used, index_used, "{query}");
+            assert_eq!(indexed.stats.docs_scanned, if index_used { 2 } else { 4 }, "{query}");
+            db.set_index_enabled(false);
+            let scanned = db.execute(query).unwrap();
+            assert_eq!(scanned.items, indexed.items, "{query}");
+            assert!(!scanned.stats.index_used, "{query}");
+            assert_eq!(scanned.stats.docs_scanned, 4, "{query}");
+        }
     }
 
     #[test]

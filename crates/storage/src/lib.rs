@@ -16,8 +16,8 @@
 //! * **Automatic indexes** (the paper: *"Some indexes were automatically
 //!   created by the eXist DBMS to speed up text search operations and
 //!   path expressions evaluation"*): a leaf-value index and a full-text
-//!   word index are maintained on insertion and consulted through
-//!   [`partix_query::CollectionProvider::collection_filtered`].
+//!   word index are maintained on insertion and consulted when a query
+//!   takes its candidate snapshot ([`Database::index_candidates`]).
 //! * **Query execution** with per-query statistics (documents scanned,
 //!   index hits, elapsed time) — the measurements every experiment plots.
 //! * **Morsel-driven parallelism** ([`parallel`]): decomposable queries

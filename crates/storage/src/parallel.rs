@@ -4,11 +4,14 @@
 //! its sub-query was sequential — one huge fragment (or a centralized
 //! collection) bounded the whole query. This module closes that gap
 //! (ROADMAP O3): when a query is morsel-decomposable
-//! ([`partix_query::morsel::plan`]), the driving collection's candidate
-//! documents are split into contiguous batches ("morsels") evaluated
+//! ([`partix_query::Program::is_decomposable`]), the driving collection's
+//! candidate documents — one snapshot — are split into contiguous batches
+//! ("morsels"), each lent to the lowered program as a slice and evaluated
 //! concurrently on a shared worker pool, and the partial results are
-//! merged back into the *exact* sequence the sequential evaluator
-//! produces — same items, same order, same `order by` tie-breaking.
+//! merged back into the *exact* sequence the unsplit run produces — same
+//! items, same order, same `order by` tie-breaking. A scan that is not
+//! worth splitting takes the same path with one morsel, on the caller's
+//! thread.
 //!
 //! ## Scheduling
 //!
@@ -29,16 +32,14 @@
 //! first.
 
 use crate::db::Database;
-use crate::exec::{index_candidates, ExecError, QueryOutput, QueryStats};
+use crate::exec::QueryStats;
 use parking_lot::Mutex;
-use partix_query::morsel::{self, MorselPartial, MorselPlan};
-use partix_query::pushdown::QueryAnalysis;
-use partix_query::{CollectionProvider, EvalError, Item, Query};
+use partix_query::morsel::{self, MorselPartial};
+use partix_query::{EvalError, Program, Sequence};
 use partix_xml::Document;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// Hard ceiling on per-query morsel parallelism (and on shared pool
 /// threads) — beyond this, merge and scheduling overheads dominate for
@@ -121,35 +122,11 @@ fn pool() -> &'static MorselPool {
     })
 }
 
-/// Provider view serving exactly one morsel's documents. The plan
-/// guarantees the query touches no other collection and no `doc(…)`
-/// source, so every other access is a genuine error.
-struct MorselView {
-    collection: String,
-    docs: Vec<Arc<Document>>,
-}
-
-impl CollectionProvider for MorselView {
-    fn collection(&self, name: &str) -> Result<Vec<Arc<Document>>, EvalError> {
-        if name == self.collection {
-            Ok(self.docs.clone())
-        } else {
-            Err(EvalError::UnknownCollection(name.to_owned()))
-        }
-    }
-
-    fn document(&self, name: &str) -> Result<Arc<Document>, EvalError> {
-        Err(EvalError::UnknownDocument(name.to_owned()))
-    }
-}
-
 /// Everything a morsel job needs, shared across workers for one query.
 struct QueryCtx {
-    plan: MorselPlan,
-    /// Candidate documents in document order, snapshotted under one read
-    /// guard so every morsel sees the collection as of that moment
-    /// whatever writers do meanwhile; `bounds[i]` is morsel `i`'s
-    /// half-open range into it.
+    program: Program,
+    /// The candidate snapshot, in document order; `bounds[i]` is morsel
+    /// `i`'s half-open range into it, lent to the program as a slice.
     docs: Vec<Arc<Document>>,
     bounds: Vec<(usize, usize)>,
     /// Next unclaimed morsel — the shared work-stealing cursor.
@@ -165,11 +142,7 @@ impl QueryCtx {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             let Some(&(lo, hi)) = self.bounds.get(i) else { break };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let view = MorselView {
-                    collection: self.plan.collection.clone(),
-                    docs: self.docs[lo..hi].to_vec(),
-                };
-                morsel::eval_partial(&self.plan, &view)
+                self.program.run_morsel(&self.docs[lo..hi])
             }))
             .unwrap_or_else(|_| {
                 Err(EvalError::TypeError("morsel worker panicked".into()))
@@ -183,50 +156,25 @@ impl QueryCtx {
 }
 
 impl Database {
-    /// Attempt morsel-parallel execution. Returns `Ok(None)` when the
-    /// query must run on the sequential path: not decomposable, morsels
-    /// disabled, or too few candidate documents to be worth splitting.
-    pub(crate) fn try_execute_morsels(
+    /// Run a decomposable `program` over `docs`, its candidate snapshot:
+    /// as one morsel on the calling thread — morsels disabled, or too few
+    /// candidates to be worth splitting; `stats.morsels` stays 0 — or as
+    /// several across the pool. Either way the partials are merged into
+    /// the answer of the unsplit run.
+    pub(crate) fn scan_morsels(
         &self,
-        query: &Query,
-        analysis: Option<&QueryAnalysis>,
-        start: Instant,
-    ) -> Result<Option<QueryOutput>, ExecError> {
+        program: Program,
+        docs: Vec<Arc<Document>>,
+        stats: &mut QueryStats,
+    ) -> Result<Sequence, EvalError> {
         let config = self.morsel_config();
-        if config.max_workers < 2 {
-            return Ok(None);
+        let splits = docs.len() / config.min_docs.max(1);
+        if config.max_workers < 2 || splits < 2 {
+            let partial = program.run_morsel(&docs)?;
+            return morsel::merge(&program, vec![partial]);
         }
-        let Some(plan) = morsel::plan(query) else {
-            return Ok(None);
-        };
-        // unknown collection: let the sequential path raise the error
-        let Some(coll) = self.get(&plan.collection) else {
-            return Ok(None);
-        };
 
-        let mut stats = QueryStats::default();
-        let docs = {
-            let guard = coll.read();
-            stats.collection_size = guard.len();
-            // same index pre-filter as the sequential path
-            let probed = analysis.and_then(|a| {
-                if !self.index_enabled() || a.collection != plan.collection {
-                    return None;
-                }
-                let pred = a.doc_predicate.as_ref()?;
-                index_candidates(&guard, pred, self.value_index_enabled())
-            });
-            stats.index_used = probed.is_some();
-            // tombstoned slots hold no document — scan live ones only
-            let slots = probed.unwrap_or_else(|| guard.live_slots());
-            if slots.len() / config.min_docs < 2 {
-                return Ok(None);
-            }
-            guard.fetch_slots(&slots)
-        };
-        stats.docs_scanned = docs.len();
-
-        let morsels = (docs.len() / config.min_docs).min(config.max_workers);
+        let morsels = splits.min(config.max_workers);
         // contiguous, near-even split preserving document order
         let mut bounds = Vec::with_capacity(morsels);
         let (base, extra) = (docs.len() / morsels, docs.len() % morsels);
@@ -238,13 +186,7 @@ impl Database {
         }
 
         let (tx, rx) = mpsc::channel();
-        let ctx = Arc::new(QueryCtx {
-            plan,
-            docs,
-            bounds,
-            next: AtomicUsize::new(0),
-            tx,
-        });
+        let ctx = Arc::new(QueryCtx { program, docs, bounds, next: AtomicUsize::new(0), tx });
         let p = pool();
         for _ in 0..(morsels - 1).min(p.workers) {
             let ctx = Arc::clone(&ctx);
@@ -258,21 +200,14 @@ impl Database {
             let (i, result) = rx.recv().expect("every morsel sends exactly once");
             results[i] = Some(result);
         }
-        let mut partials = Vec::with_capacity(morsels);
-        for result in results {
-            // first error by morsel index = the error a sequential
-            // left-to-right scan would have reported
-            partials.push(
-                result.expect("all morsels reported").map_err(ExecError::Eval)?,
-            );
-        }
-
-        let items =
-            morsel::merge(&ctx.plan, partials).map_err(ExecError::Eval)?;
+        // first error by morsel index = the error a sequential
+        // left-to-right scan would have reported
+        let partials = results
+            .into_iter()
+            .map(|result| result.expect("all morsels reported"))
+            .collect::<Result<Vec<_>, _>>()?;
         stats.morsels = morsels;
-        stats.elapsed = start.elapsed().as_secs_f64();
-        stats.result_bytes = items.iter().map(Item::wire_size).sum();
-        Ok(Some(QueryOutput { items, stats }))
+        morsel::merge(&ctx.program, partials)
     }
 }
 
@@ -280,6 +215,8 @@ impl Database {
 mod tests {
     use super::*;
     use crate::db::StorageMode;
+    use crate::exec::ExecError;
+    use partix_query::Item;
     use partix_xml::parse;
 
     fn many_items(n: usize) -> Vec<Document> {

@@ -164,6 +164,42 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A PXB2 page listing a label twice: the encoder never writes one,
+    /// and read in place it would answer label tests wrongly.
+    fn page_listing_a_label_twice() -> Vec<u8> {
+        let mut page = partix_xml::binary::encode(&parse("<ab><cd/></ab>").unwrap()).to_vec();
+        let at = page.windows(2).position(|w| w == b"cd").unwrap();
+        page[at..at + 2].copy_from_slice(b"ab");
+        page
+    }
+
+    #[test]
+    fn page_listing_a_label_twice_is_corrupt_however_it_arrives() {
+        let page = page_listing_a_label_twice();
+        // ingested as a page, into either kind of collection
+        let db = sample_db();
+        for coll in ["hotc", "coldc"] {
+            assert!(matches!(
+                db.store_pages(coll, [page.clone().into()]),
+                Err(StorageError::Corrupt(_))
+            ));
+        }
+        // read back from disk
+        let dir = tmp_dir("twice");
+        db.save_to(&dir).unwrap();
+        fs::write(dir.join("coldc").join("00000000.pxb"), &page).unwrap();
+        assert!(matches!(Database::load_from(&dir), Err(StorageError::Corrupt(_))));
+        fs::remove_dir_all(&dir).unwrap();
+        // replayed from the log
+        let mut record = crate::wal::encode_op(&crate::wal::WriteOp::Put {
+            collection: "coldc".into(),
+            doc: parse("<ab><cd/></ab>").unwrap(),
+        });
+        let at = record.windows(2).position(|w| w == b"cd").unwrap();
+        record[at..at + 2].copy_from_slice(b"ab");
+        assert_eq!(crate::wal::decode_op(&record), None);
+    }
+
     #[test]
     fn load_corrupt_page_fails() {
         let dir = tmp_dir("corrupt");

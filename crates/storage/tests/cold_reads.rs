@@ -64,7 +64,7 @@ fn cold_reads_never_convert() {
     }
     assert_eq!(db.document("d150").unwrap().name.as_deref(), Some("d150"));
     let pred = partix_path::Predicate::parse(r#"/Item/Section = "BOOK""#).unwrap();
-    assert!(!db.collection_filtered("items", &pred).unwrap().is_empty());
+    assert!(!db.index_candidates("items", &pred).unwrap().is_empty());
     assert!(db.collection_bytes("items").unwrap() > 0);
     let dir = std::env::temp_dir().join(format!("partix-cold-reads-{}", std::process::id()));
     db.save_to(&dir).unwrap();

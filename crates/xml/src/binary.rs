@@ -20,7 +20,8 @@
 //!
 //! Validation is the only line of defence for a page read in place: every
 //! span and link is range-checked, both heaps are UTF-8 with spans on
-//! character boundaries, and the links must form one tree — the
+//! character boundaries, no label is listed twice (so a symbol id stands
+//! for its label), and the links must form one tree — the
 //! `first_child` / `next_sibling` walk from the root reaches every node
 //! exactly once, and `parent`, `prev_sibling` and `last_child` agree with
 //! that walk. Traversals of a validated page therefore terminate.
@@ -265,6 +266,9 @@ impl Layout {
                 return Err(corrupt("symbol span out of range"));
             }
         }
+        if !distinct_symbols(sym_table, sym_heap.as_bytes(), sym_count) {
+            return Err(corrupt("symbol listed twice"));
+        }
         for rec in nodes.chunks_exact(NODE_SIZE) {
             kind_from_u8(rec[0])?;
             if read_u32(rec, 1) as usize >= sym_count {
@@ -345,6 +349,19 @@ impl Layout {
         let len = read_u32(buf, entry + 4) as usize;
         std::str::from_utf8(&buf[at..at + len]).expect("span validated with the page")
     }
+}
+
+/// True if no two of the `sym_count` (validated) spans of `table` hold the
+/// same bytes — what lets a label be tested by symbol id.
+fn distinct_symbols(table: &[u8], heap: &[u8], sym_count: usize) -> bool {
+    let mut spans: Vec<&[u8]> = (0..sym_count)
+        .map(|i| {
+            let off = read_u32(table, i * 8) as usize;
+            &heap[off..off + read_u32(table, i * 8 + 4) as usize]
+        })
+        .collect();
+    spans.sort_unstable();
+    spans.windows(2).all(|pair| pair[0] != pair[1])
 }
 
 /// Check that `node_count` records linked through `link(id, slot)` (raw
@@ -438,6 +455,21 @@ impl Page {
         self.layout.sym(&self.bytes, sym)
     }
 
+    /// The symbol whose string is `label`, if the page lists it.
+    pub(crate) fn find_sym(&self, label: &str) -> Option<Sym> {
+        let sym_count = (self.layout.sym_heap_at - SYM_TABLE_AT) / 8;
+        let (table, heap) = self.bytes[SYM_TABLE_AT..].split_at(sym_count * 8);
+        (0..sym_count)
+            .find(|&i| {
+                let len = read_u32(table, i * 8 + 4) as usize;
+                len == label.len() && {
+                    let off = read_u32(table, i * 8) as usize;
+                    &heap[off..off + len] == label.as_bytes()
+                }
+            })
+            .map(|i| Sym(i as u32))
+    }
+
     #[inline]
     pub(crate) fn value(&self, span: ValueSpan) -> Option<&str> {
         if span.is_none() {
@@ -462,10 +494,8 @@ impl Page {
         let sym_count = (self.layout.sym_heap_at - SYM_TABLE_AT) / 8;
         let mut tree = ArenaTree { nodes, ..ArenaTree::default() };
         for i in 0..sym_count as u32 {
-            // not `intern`: a page may list one label twice, and ids must stay
-            let s: Box<str> = self.sym(Sym(i)).into();
-            tree.symbol_map.insert(s.clone(), Sym(i));
-            tree.symbols.push(s);
+            // table order is id order; the symbols are distinct (validated)
+            tree.intern(self.sym(Sym(i)));
         }
         let heap = &self.bytes[self.layout.text_at..self.layout.meta_at];
         tree.text = std::str::from_utf8(heap).expect("heap validated with the page").to_owned();
@@ -625,10 +655,11 @@ fn decode_v1(mut buf: &[u8]) -> Result<Document, XmlError> {
         return Err(XmlError::CorruptBinary("symbol table too long".into()));
     }
     let mut tree = ArenaTree::default();
-    for i in 0..sym_count {
-        let s: Box<str> = get_str(&mut buf)?.into();
-        tree.symbol_map.insert(s.clone(), Sym(i as u32));
-        tree.symbols.push(s);
+    // decoded, not adopted: a label the table lists twice folds into one
+    // symbol here, so a symbol id stands for its label in the arena too
+    let mut labels = Vec::with_capacity(sym_count);
+    for _ in 0..sym_count {
+        labels.push(tree.intern(&get_str(&mut buf)?));
     }
     let node_count = get_varint(&mut buf)? as usize;
     if node_count == 0 {
@@ -641,9 +672,9 @@ fn decode_v1(mut buf: &[u8]) -> Result<Document, XmlError> {
     for _ in 0..node_count {
         let kind = kind_from_u8(get_u8(&mut buf)?)?;
         let label_idx = get_varint(&mut buf)? as usize;
-        if label_idx >= tree.symbols.len() {
+        let Some(&label) = labels.get(label_idx) else {
             return Err(XmlError::CorruptBinary("label out of range".into()));
-        }
+        };
         let value = match get_opt_str(&mut buf)? {
             None => ValueSpan::NONE,
             Some(s) => {
@@ -665,7 +696,7 @@ fn decode_v1(mut buf: &[u8]) -> Result<Document, XmlError> {
         }
         tree.nodes.push(Node {
             kind,
-            label: Sym(label_idx as u32),
+            label,
             value,
             parent: links[0],
             first_child: links[1],

@@ -37,4 +37,4 @@ pub use dewey::Dewey;
 pub use error::{ParseError, XmlError};
 pub use parser::{parse, parse_with, ParseOptions};
 pub use serializer::{to_string, to_string_pretty, Serializer};
-pub use tree::{Document, NodeId, NodeKind, NodeRef, Origin};
+pub use tree::{Document, NodeId, NodeKind, NodeRef, Origin, Sym};

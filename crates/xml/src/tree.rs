@@ -29,6 +29,7 @@
 use crate::binary::Page;
 use crate::dewey::Dewey;
 use crate::error::XmlError;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -46,9 +47,14 @@ impl NodeId {
     }
 }
 
-/// Interned label identifier (element or attribute name).
+/// Interned label identifier (element or attribute name) of one
+/// [`Document`]: opaque, obtained from [`Document::sym`], and meaningful
+/// only for the document that issued it. Within a document two labels are
+/// equal exactly when their symbols are (pages listing a label twice are
+/// rejected at validation), so a label test by `Sym` is one integer
+/// comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Sym(pub(crate) u32);
+pub struct Sym(pub(crate) u32);
 
 /// A niche-packed optional [`NodeId`]: `u32::MAX` is "none". Keeps a
 /// node's five links at 20 bytes total instead of 40.
@@ -211,6 +217,11 @@ impl ArenaTree {
         self.symbols.push(boxed.clone());
         self.symbol_map.insert(boxed, sym);
         sym
+    }
+
+    /// The symbol of `label`, if interned.
+    fn find_sym(&self, label: &str) -> Option<Sym> {
+        self.symbol_map.get(label).copied()
     }
 
     /// Append a string to the value heap, returning its span.
@@ -382,6 +393,17 @@ impl Document {
         match &self.repr {
             Repr::Arena(tree) => &tree.symbols[sym.0 as usize],
             Repr::Page(page) => page.sym(sym),
+        }
+    }
+
+    /// The symbol of `label` in this document, or `None` when no node
+    /// carries it (an arena probes its map, a page scans its — at most a
+    /// few dozen — symbols). Resolve a label once, then test nodes with
+    /// [`NodeRef::is`].
+    pub fn sym(&self, label: &str) -> Option<Sym> {
+        match &self.repr {
+            Repr::Arena(tree) => tree.find_sym(label),
+            Repr::Page(page) => page.find_sym(label),
         }
     }
 
@@ -652,6 +674,15 @@ impl<'a> NodeRef<'a> {
         self.doc.label_of(self.id)
     }
 
+    /// True if this node is of `kind` and labelled `label` — a symbol of
+    /// this node's document ([`Document::sym`]). One record read, no
+    /// string comparison.
+    #[inline]
+    pub fn is(self, kind: NodeKind, label: Sym) -> bool {
+        let node = self.doc.node(self.id);
+        node.kind == kind && node.label == label
+    }
+
     /// Direct value (attribute value or text content). `None` for elements.
     pub fn value(self) -> Option<&'a str> {
         self.doc.value_of(self.id)
@@ -701,19 +732,42 @@ impl<'a> NodeRef<'a> {
 
     /// Concatenated text content of the subtree (the string value).
     pub fn text(self) -> String {
-        let mut out = String::new();
+        self.text_cow().into_owned()
+    }
+
+    /// [`NodeRef::text`] without the copy where there is nothing to
+    /// concatenate: borrowed while the subtree holds at most one text
+    /// node (every leaf element), owned from the second one on.
+    fn text_cow(self) -> Cow<'a, str> {
+        let mut out = Cow::Borrowed("");
         for n in self.descendants_or_self() {
             if n.kind() == NodeKind::Text {
-                out.push_str(n.value().unwrap_or(""));
+                let piece = n.value().unwrap_or("");
+                if out.is_empty() {
+                    out = Cow::Borrowed(piece);
+                } else {
+                    out.to_mut().push_str(piece);
+                }
             }
         }
         out
     }
 
+    /// The XPath string value: the direct value of an attribute or text
+    /// node, the concatenated text content of an element. Borrowed from
+    /// the document except for an element with several text nodes below
+    /// it.
+    pub fn string_value(self) -> Cow<'a, str> {
+        match self.kind() {
+            NodeKind::Element => self.text_cow(),
+            NodeKind::Attribute | NodeKind::Text => Cow::Borrowed(self.value().unwrap_or("")),
+        }
+    }
+
     /// Text content parsed as a number, if the subtree's string value is a
     /// valid decimal.
     pub fn number(self) -> Option<f64> {
-        self.text().trim().parse().ok()
+        self.text_cow().trim().parse().ok()
     }
 
     /// Dewey identifier of this node.

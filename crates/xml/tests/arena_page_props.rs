@@ -237,6 +237,40 @@ fn inconsistent_links_are_rejected() {
     decode_hostile(&good);
 }
 
+/// Overwrite the first `from` in `page` with `to` (same length).
+fn overwrite(page: &mut [u8], from: &[u8], to: &[u8]) {
+    let at = page.windows(from.len()).position(|w| w == from).expect("label is on the page");
+    page[at..at + to.len()].copy_from_slice(to);
+}
+
+/// A label test compares symbol ids, so a PXB2 page — read in place — may
+/// not list a label twice. The encoder never writes such a page; a
+/// foreign one is corrupt, whichever way it comes in.
+#[test]
+fn page_listing_a_label_twice_is_rejected() {
+    let doc = partix_xml::parse("<ab><cd/></ab>").unwrap();
+    let mut page = binary::encode(&doc).to_vec();
+    overwrite(&mut page, b"cd", b"ab"); // the symbol heap now reads "abab"
+    assert!(matches!(binary::decode(&page), Err(XmlError::CorruptBinary(_))));
+    assert!(matches!(Document::from_page(page.clone().into()), Err(XmlError::CorruptBinary(_))));
+    assert!(PageView::parse(&page).is_err());
+}
+
+/// A legacy PXB1 page is decoded, not adopted: a label it lists twice
+/// folds into one symbol, and the document reads like any other.
+#[test]
+fn legacy_page_listing_a_label_twice_still_decodes() {
+    let doc = partix_xml::parse("<ab><cd/></ab>").unwrap();
+    let mut page = binary::encode_v1(&doc).to_vec();
+    overwrite(&mut page, b"cd", b"ab");
+    let decoded = binary::decode(&page).unwrap();
+    assert_eq!(decoded, partix_xml::parse("<ab><ab/></ab>").unwrap());
+    let label = decoded.sym("ab").unwrap();
+    let child = decoded.root().children().next().unwrap();
+    assert!(decoded.root().is(NodeKind::Element, label));
+    assert!(child.is(NodeKind::Element, label));
+}
+
 proptest! {
     #![proptest_config(cases(256))]
 

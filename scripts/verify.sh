@@ -89,6 +89,42 @@ cargo test -q --test morsel_differential --offline
 cargo test -q -p partix-query --offline morsel
 cargo test -q -p partix-storage --offline morsel
 
+# query gate: there is one evaluator, and these hold it in place. By
+# name, so that renaming or filtering them away fails the gate: the
+# lowered evaluator against the reference interpreter (random queries
+# over every Expr variant, arena- and page-backed, every decomposable
+# query split at every document boundary, every driving scan narrowed by
+# its pushed-down predicate — and the generator check that keeps those
+# shares from drying up), the nesting-depth regression
+# (deep texts are a typed error on a 2 MiB thread — in the parsers and
+# over both wire protocols — where they used to abort the process), and
+# the allocation guard (a document the where clause rejects costs no
+# heap allocation; its own binary, the counter is process-wide). The
+# hostile-input suite for the XQuery lexer and parser runs beside them.
+cargo test -q -p partix-query --test parser_hostile --offline
+for named in \
+    "partix-query differential lowered_evaluator_agrees_with_the_reference" \
+    "partix-query differential generator_reaches_decomposable_and_failing_queries" \
+    "partix-query depth deep_queries_are_a_typed_error_on_a_2mib_thread" \
+    "partix-query depth the_deepest_accepted_queries_evaluate_on_a_2mib_thread" \
+    "partix-net deep_queries coordinator_answers_deep_texts_with_an_error_and_keeps_serving" \
+    "partix-net deep_queries node_server_refuses_deep_query_frames_and_keeps_serving" \
+    "partix-storage alloc_guard rejected_documents_cost_no_allocation"; do
+    read -r package suite name <<< "$named"
+    if ! cargo test -q -p "$package" --test "$suite" --offline "$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
+# the index prefilter reaches queries that run whole, and narrows their
+# driving scan only (a join answers the same with the indexes on or off)
+if ! cargo test -q -p partix-storage --lib --offline exec::tests::prefilter_ \
+    | grep -q "test result: ok. 2 passed"; then
+    echo "verify: FAIL — the prefilter tests did not run and pass" >&2
+    exit 1
+fi
+
 # storage gate: the arena/page property suite (random documents with
 # attributes, mixed content, deep nesting, empty elements — the arena
 # and the page-backed form must agree on every read with Dewey ids
@@ -130,6 +166,19 @@ fi
 # the per-access materialization stays deleted.
 if grep -rnE 'DocHandle|fn materialize|to_document\(' crates/storage/src; then
     echo "verify: FAIL — a decode step reappeared under crates/storage/src" >&2
+    exit 1
+fi
+
+# one evaluator: the AST interpreter and its per-tuple environment maps
+# stay deleted from the library (the copy the differential suite compares
+# against lives under crates/query/tests/reference/), and so do the two
+# provider views and the trait method they made redundant.
+if grep -rnE 'fn eval_expr|HashMap<String, Sequence>' crates/query/src; then
+    echo "verify: FAIL — the AST interpreter reappeared under crates/query/src" >&2
+    exit 1
+fi
+if grep -rnE 'FilteredView|MorselView|fn collection_filtered' crates/*/src; then
+    echo "verify: FAIL — a provider view reappeared under crates/*/src" >&2
     exit 1
 fi
 
