@@ -18,5 +18,5 @@
 pub mod join;
 pub mod ops;
 
-pub use join::{reconstruct, ReconstructError};
+pub use join::{reconstruct, Coverage, ReconstructError};
 pub use ops::{project, select, union, Projection};

@@ -2,7 +2,7 @@
 //! serialization, binary pages, path evaluation, predicate evaluation,
 //! index probes, fragmentation operators, and the reconstruction join.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use partix_algebra::Projection;
 use partix_frag::{check_correctness, FragmentDef, Fragmenter, FragmentationSchema};
 use partix_gen::{gen_items, ItemProfile};
@@ -133,11 +133,8 @@ fn bench_frag(c: &mut Criterion) {
         .chain(partix_algebra::project(&rich, &pics))
         .collect();
     group.bench_function("reconstruction_join_100_large", |b| {
-        b.iter_batched(
-            || pieces.clone(),
-            |p| partix_algebra::reconstruct(&p).unwrap(),
-            BatchSize::LargeInput,
-        )
+        // the join only borrows its pieces: nothing to set up per batch
+        b.iter(|| partix_algebra::reconstruct(&pieces, partix_algebra::Coverage::Complete).unwrap())
     });
     group.finish();
 }

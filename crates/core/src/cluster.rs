@@ -142,16 +142,19 @@ impl Node {
         }
     }
 
-    /// Fetch a whole collection for a query, keeping "the driver could
-    /// not read it" apart from "empty" (see
+    /// Fetch a collection for a query — all of it, or the documents
+    /// `filter` selects ([`PartixDriver::try_fetch_filtered`]) — keeping
+    /// "the driver could not read it" apart from "empty" (see
     /// [`PartixDriver::try_fetch_collection`]).
     pub fn try_fetch_docs(
         &self,
         collection: &str,
+        filter: Option<&partix_query::Query>,
     ) -> Result<Vec<Arc<partix_xml::Document>>, DriverError> {
-        match &*self.driver.read() {
-            Some(driver) => driver.try_fetch_collection(collection),
-            None => PartixDriver::try_fetch_collection(&*self.db, collection),
+        let driver = self.active_driver();
+        match filter {
+            Some(filter) => driver.try_fetch_filtered(collection, filter),
+            None => driver.try_fetch_collection(collection),
         }
     }
 

@@ -12,7 +12,8 @@
 //! injection — used by the failure tests and useful for resilience
 //! experiments.
 
-use partix_query::Query;
+use partix_query::{root_documents, EvalError, MemProvider, Program, Query};
+use partix_storage::exec::ExecError;
 use partix_storage::{Database, DurableDb, QueryOutput, WalError, WriteOp};
 use partix_xml::Document;
 use std::fmt;
@@ -74,6 +75,32 @@ pub trait PartixDriver: Send + Sync {
         Ok(self.fetch_collection(collection))
     }
 
+    /// Fetch the documents of `collection` that `filter` selects: a query
+    /// over that collection returning the root elements of the documents
+    /// wanted (`for $d in collection("f_prolog")/prolog where $d/genre =
+    /// "science" return $d`). A fetch, not an [`execute`]: the answer is the
+    /// documents themselves, `name` and `origin` intact, which is what the
+    /// reconstruction matches pieces on. The default fetches the whole
+    /// collection and evaluates the filter here, which is correct for any
+    /// driver — and keeps a driver's faults where
+    /// [`PartixDriver::try_fetch_collection`] injects them; a driver that
+    /// can run the filter where the data lives overrides it, and a
+    /// decorator forwards it so the wrapped driver still can.
+    ///
+    /// [`execute`]: PartixDriver::execute
+    fn try_fetch_filtered(
+        &self,
+        collection: &str,
+        filter: &Query,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        let mut fetched = MemProvider::new();
+        fetched.add_shared(collection, self.try_fetch_collection(collection)?);
+        match Program::lower(filter).run(&fetched) {
+            Ok(items) => Ok(root_documents(items)),
+            Err(error) => Err(DriverError::Failed(error.to_string())),
+        }
+    }
+
     /// Names of the collections this node holds.
     fn collections(&self) -> Vec<String>;
 
@@ -116,9 +143,7 @@ impl PartixDriver for Database {
     fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
         match self.execute_parsed(query) {
             Ok(out) => Ok(Some(out)),
-            Err(partix_storage::exec::ExecError::Eval(
-                partix_query::EvalError::UnknownCollection(_),
-            )) => Ok(None),
+            Err(ExecError::Eval(EvalError::UnknownCollection(_))) => Ok(None),
             Err(other) => Err(DriverError::Failed(other.to_string())),
         }
     }
@@ -129,6 +154,19 @@ impl PartixDriver for Database {
 
     fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>> {
         partix_query::CollectionProvider::collection(self, collection).unwrap_or_default()
+    }
+
+    fn try_fetch_filtered(
+        &self,
+        _collection: &str,
+        filter: &Query,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        match self.fetch_filtered(filter) {
+            Ok(docs) => Ok(docs),
+            // an absent collection is an empty fragment, filtered or not
+            Err(ExecError::Eval(EvalError::UnknownCollection(_))) => Ok(Vec::new()),
+            Err(other) => Err(DriverError::Failed(other.to_string())),
+        }
     }
 
     fn collections(&self) -> Vec<String> {
@@ -167,6 +205,15 @@ impl PartixDriver for DurableDb {
     fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
         self.health_check()?;
         Ok(self.fetch_collection(collection))
+    }
+
+    fn try_fetch_filtered(
+        &self,
+        collection: &str,
+        filter: &Query,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.health_check()?;
+        PartixDriver::try_fetch_filtered(&**self.db(), collection, filter)
     }
 
     fn collections(&self) -> Vec<String> {
@@ -259,6 +306,15 @@ impl PartixDriver for InstrumentedDriver {
     fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
         self.injected_failure()?;
         self.inner.try_fetch_collection(collection)
+    }
+
+    fn try_fetch_filtered(
+        &self,
+        collection: &str,
+        filter: &Query,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.injected_failure()?;
+        self.inner.try_fetch_filtered(collection, filter)
     }
 
     fn collections(&self) -> Vec<String> {

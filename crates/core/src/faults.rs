@@ -85,7 +85,8 @@ pub struct InjectionStats {
 
 /// A [`PartixDriver`] decorator applying a fixed list of [`Fault`]s to
 /// every query-path call: executes and the reconstruction fallback's
-/// fetches ([`PartixDriver::try_fetch_collection`]). Stores and plain
+/// fetches ([`PartixDriver::try_fetch_collection`] and
+/// [`PartixDriver::try_fetch_filtered`]). Stores and plain
 /// fetches pass through unfaulted — publication is not under test, query
 /// dispatch is.
 pub struct FaultInjector {
@@ -223,6 +224,15 @@ impl PartixDriver for FaultInjector {
     fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
         self.inject()?;
         self.inner.try_fetch_collection(collection)
+    }
+
+    fn try_fetch_filtered(
+        &self,
+        collection: &str,
+        filter: &Query,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.inject()?;
+        self.inner.try_fetch_filtered(collection, filter)
     }
 
     fn collections(&self) -> Vec<String> {

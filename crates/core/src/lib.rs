@@ -30,8 +30,9 @@
 //!   and path-overlap analysis (vertical/hybrid).
 //! * [`service`] — the Distributed Query Service: one plan → run →
 //!   compose pipeline that decomposes a query into per-fragment tasks
-//!   (sub-queries, or whole-fragment fetches for the reconstruction
-//!   fallback), runs every task through the same retry / failover /
+//!   (sub-queries, or — for the reconstruction fallback — fetches of the
+//!   fragments the query reads, filtered at their nodes), runs every task
+//!   through the same retry / failover /
 //!   deadline loop, composes the result (union / aggregate combination /
 //!   reconstruction join) and reports the cluster-timing breakdown.
 //! * [`runtime`] — persistent per-node worker pools backing

@@ -88,13 +88,25 @@ fn vertical_relevant(path: &PathExpr, prune: &[PathExpr], footprint: &[PathExpr]
 
 /// Is `q` provably contained in the subtree pruned by one of `prune`?
 ///
-/// Decided via exact step-prefix containment: when `q`'s leading steps
-/// are exactly `g`, every node `q` selects lies under a `g` node —
-/// wildcards *after* the prefix do not affect this. Paths that relate to
-/// `g` only through leading wildcards are left undecided (fragment stays
-/// relevant — conservative).
-pub(crate) fn strictly_inside_any(q: &PathExpr, prune: &[PathExpr]) -> bool {
-    prune.iter().any(|g| q.strip_prefix(g).is_some())
+/// Decided via exact step-prefix containment ([`extends_pinned`]): when
+/// `q`'s leading steps are exactly `g`, every node `q` selects lies under
+/// a `g` node — wildcards *after* the prefix do not affect this. Paths
+/// that relate to `g` only through leading wildcards are left undecided
+/// (fragment stays relevant — conservative).
+fn strictly_inside_any(q: &PathExpr, prune: &[PathExpr]) -> bool {
+    prune.iter().any(|g| extends_pinned(q, g))
+}
+
+/// Does `q` extend `prefix` step for step, pinning every position
+/// `prefix` pins? Then every node `q` selects lies under a `prefix` node.
+/// [`PathExpr::strip_prefix`] alone lets an unpinned step pass for a
+/// pinned one — right for re-rooting onto a fragment that holds only that
+/// occurrence, wrong here: `/a/b/c` also selects under the `b`s that
+/// `/a/b[2]` does not name.
+pub(crate) fn extends_pinned(q: &PathExpr, prefix: &PathExpr) -> bool {
+    let pinned = prefix.steps.iter().zip(&q.steps);
+    q.strip_prefix(prefix).is_some()
+        && pinned.into_iter().all(|(p, q)| p.position.is_none() || p.position == q.position)
 }
 
 /// Re-root a hybrid fragment's unit-level predicate (paths like

@@ -2,17 +2,29 @@
 //! into the query's answer and its [`QueryReport`]. The only place that
 //! builds [`SiteReport`]s and the [`StageBreakdown`] or feeds a finished
 //! query into the metrics registry.
+//!
+//! A reconstruction composes in three steps ([`rebuild_and_evaluate`]):
+//! the source documents that passed every fetch filter are found by
+//! intersecting the `Origin::source_doc` sets the filtered fetches
+//! brought back, their pieces — and no others — are joined back into
+//! documents, and the **original, unmodified query** is lowered once and
+//! run over those. No database is built for that: the evaluator reads a
+//! slice of documents as readily as a stored collection, and a filter can
+//! only ever have withheld documents no tuple comes from.
 
 use super::dispatch::Gathered;
 use super::error::stream_cancelled;
-use super::plan::{Compose, Plan};
+use super::plan::{Compose, Plan, Task, TaskOp};
 use super::{PartiX, PartixError, Sink};
+use crate::catalog::Distribution;
 use crate::compose;
 use crate::metrics;
 use crate::report::{QueryReport, SiteReport};
 use crate::trace::{StageBreakdown, Trace};
-use partix_query::{Item, Query, Sequence};
-use partix_storage::Database;
+use partix_query::{root_documents, MemProvider, Program, Query, Sequence};
+use partix_xml::Document;
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Stage times measured before the compose stage.
@@ -96,25 +108,7 @@ impl PartiX {
             Compose::Combine(rule) => compose::combine(*rule, partials),
             Compose::Passthrough => partials.into_iter().flatten().collect(),
             Compose::Reconstruct { collection, dist } => {
-                // rebuild and evaluate locally; the fetched documents stay
-                // behind their `Arc`s — no deep copy at the fetch boundary
-                let fetched: Vec<_> = plan
-                    .tasks
-                    .iter()
-                    .zip(partials)
-                    .map(|(task, docs)| (task.fragment.clone(), documents_of(docs)))
-                    .collect();
-                let rebuilt =
-                    partix_frag::correctness::reconstruct_any_shared(&dist.design, &fetched)
-                        .map_err(PartixError::Reconstruction)?;
-                let scratch = Database::new();
-                scratch.store_all_shared(collection, rebuilt);
-                let out = scratch.execute_parsed(query).map_err(|e| PartixError::SubQuery {
-                    node: usize::MAX,
-                    fragment: "<coordinator>".into(),
-                    error: e.to_string(),
-                })?;
-                out.items
+                rebuild_and_evaluate(query, collection, dist, &plan.tasks, partials)?
             }
         };
         report.composition = compose_start.elapsed().as_secs_f64();
@@ -144,15 +138,49 @@ impl PartiX {
     }
 }
 
-/// The documents a fetch task brought back (one root-node item each).
-fn documents_of(items: Sequence) -> Vec<std::sync::Arc<partix_xml::Document>> {
-    items
-        .into_iter()
-        .filter_map(|item| match item {
-            Item::Node(doc, _) => Some(doc),
-            _ => None,
-        })
-        .collect()
+/// The compose step of a reconstruction: `fetched[i]` is what fetch task
+/// `tasks[i]` brought back, one root-node item per document.
+fn rebuild_and_evaluate(
+    query: &Query,
+    collection: &str,
+    dist: &Distribution,
+    tasks: &[Arc<Task>],
+    fetched: Vec<Sequence>,
+) -> Result<Sequence, PartixError> {
+    // the fetched documents stay behind their `Arc`s: the join copies
+    // each piece it keeps once, straight into the rebuilt document
+    let mut fragments: Vec<(String, Vec<Arc<Document>>)> = tasks
+        .iter()
+        .zip(fetched)
+        .map(|(task, items)| (task.fragment.clone(), root_documents(items)))
+        .collect();
+    // a source document survives if every filtered fetch returned a piece
+    // of it; the pieces of the others are not worth joining
+    let filtered = |task: &&Arc<Task>| matches!(task.op, TaskOp::Fetch { filter: Some(_) });
+    let source = |doc: &Arc<Document>| doc.origin.as_ref().map(|o| o.source_doc.clone());
+    let mut survivors: Option<HashSet<String>> = None;
+    for (_, (_, docs)) in tasks.iter().zip(&fragments).filter(|(task, _)| filtered(task)) {
+        let passed: HashSet<String> = docs.iter().filter_map(source).collect();
+        match &mut survivors {
+            Some(so_far) => so_far.retain(|doc| passed.contains(doc)),
+            None => survivors = Some(passed),
+        }
+    }
+    if let Some(survivors) = &survivors {
+        // a piece without an origin stays: the join's error to raise
+        let survives = |doc: &Arc<Document>| {
+            doc.origin.as_ref().is_none_or(|o| survivors.contains(&o.source_doc))
+        };
+        for (_, docs) in &mut fragments {
+            docs.retain(survives);
+        }
+    }
+    let rebuilt = partix_frag::correctness::reconstruct_any_shared(&dist.design, &fragments)
+        .map_err(PartixError::Reconstruction)?;
+    // the rebuilt documents stand for the collection, to every scan of it
+    let mut provider = MemProvider::new();
+    provider.add_shared(collection, rebuilt);
+    Program::lower(query).run(&provider).map_err(|e| PartixError::Reconstruction(e.to_string()))
 }
 
 /// Fold one finished query into the process-wide registry (failures are

@@ -1,7 +1,8 @@
 //! The *dispatch* stage: the one way a task reaches a node.
 //!
-//! [`PartiX::gather`] runs a plan's tasks and collects their outcomes in
-//! completion order; each task runs [`PartiX::run_subquery`]'s retry /
+//! [`PartiX::gather`] runs a plan's tasks — sub-queries and fetches,
+//! filtered or whole, alike — and collects their outcomes in completion
+//! order; each task runs [`PartiX::run_subquery`]'s retry /
 //! failover / deadline loop, whose every attempt ends in
 //! [`run_on_node`] — the only function on the query path that calls
 //! into a node.
@@ -271,7 +272,7 @@ impl PartiX {
         let policy = self.retry_policy();
         let verb = match task.op {
             TaskOp::Execute { .. } => "exec",
-            TaskOp::Fetch => "fetch",
+            TaskOp::Fetch { .. } => "fetch",
         };
         // walk the replica ring starting at the planner's pick
         let ring = &task.replicas;
@@ -487,18 +488,20 @@ fn run_on_node(node: &Node, task: &Task) -> Result<SiteOutput, DispatchError> {
                 sum.answer.morsels = sum.answer.morsels.max(count.answer.morsels);
                 Ok(sum)
             }),
-        TaskOp::Fetch => {
+        TaskOp::Fetch { filter } => {
             let begun = Instant::now();
-            node.try_fetch_docs(&task.fragment).map_err(DispatchError::from).map(|docs| {
-                let answer = CachedSite {
-                    result_bytes: docs.iter().map(|d| d.approx_size()).sum(),
-                    docs_scanned: docs.len(),
-                    items: docs.into_iter().map(|d| Item::Node(d, NodeId::ROOT)).collect(),
-                    ..CachedSite::default()
-                };
-                let elapsed = begun.elapsed().as_secs_f64();
-                SiteOutput { answer, elapsed, ..SiteOutput::default() }
-            })
+            node.try_fetch_docs(&task.fragment, filter.as_deref()).map_err(DispatchError::from).map(
+                |docs| {
+                    let answer = CachedSite {
+                        result_bytes: docs.iter().map(|d| d.approx_size()).sum(),
+                        docs_scanned: docs.len(),
+                        items: docs.into_iter().map(|d| Item::Node(d, NodeId::ROOT)).collect(),
+                        ..CachedSite::default()
+                    };
+                    let elapsed = begun.elapsed().as_secs_f64();
+                    SiteOutput { answer, elapsed, ..SiteOutput::default() }
+                },
+            )
         }
     };
     let (send_s, recv_s) = wirespan::take();

@@ -11,9 +11,9 @@
 //!   ([`PartiX::execute`] and friends are thin wrappers over it);
 //! * `plan` — *localize*: catalog lookup, fragment pruning and the
 //!   [`plan::Plan`]: the tasks to run and how to compose their answers;
-//! * `dispatch` — *dispatch*: every task, a sub-query or a
-//!   whole-fragment fetch, runs through one retry / failover / deadline
-//!   loop and one completion-order gather;
+//! * `dispatch` — *dispatch*: every task, a sub-query or a fragment
+//!   fetch, runs through one retry / failover / deadline loop and one
+//!   completion-order gather;
 //! * `assemble` — *compose*: the composition step, and the one place
 //!   that builds the report and feeds the metrics registry.
 //!
@@ -28,9 +28,12 @@
 //!   fragment's documents ([`partix_query::rewrite`]). When a query needs
 //!   data from several vertical fragments at once (the rewrite fails),
 //!   the service falls back to *reconstruct-then-evaluate*: it fetches
-//!   the fragments, rebuilds the source documents with the Dewey join,
-//!   and runs the original query at the coordinator — the expensive path
-//!   the paper identifies for multi-fragment queries.
+//!   the fragments the query reads — each filtered at its node by the
+//!   `where` conjuncts that live entirely inside it — rebuilds the source
+//!   documents that passed every filter with the Dewey join, and runs the
+//!   original query over them at the coordinator: the expensive path the
+//!   paper identifies for multi-fragment queries, cut down to what the
+//!   query reads.
 
 mod assemble;
 mod dispatch;

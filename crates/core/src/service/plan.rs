@@ -1,12 +1,24 @@
 //! The *localize* stage: turn a query into a [`Plan`] — the tasks to run
 //! on the nodes and how their answers compose.
+//!
+//! A query every relevant fragment can answer alone becomes one sub-query
+//! per fragment. One that needs several vertical fragments at once is
+//! answered from rebuilt documents, and the plan reads **only what the
+//! query reads**: it fetches the fragments the footprint reaches
+//! ([`read_set`]), and where a conjunct of the `where` clause lives
+//! entirely inside one of them, that fragment's node filters its pieces
+//! by it ([`fragment_filter`]) before they ship. All fetches of a plan go
+//! out in the one gather round.
 
 use super::{ExecOptions, PartiX, PartixError};
 use crate::catalog::Distribution;
 use crate::compose::{self, Composition};
 use crate::localize;
 use crate::report::SkippedFragment;
-use partix_frag::{FragMode, FragOp};
+use partix_frag::def::FragType;
+use partix_frag::{FragMode, FragOp, FragmentDef, FragmentationSchema};
+use partix_path::analysis::path_may_reach_into;
+use partix_path::PathExpr;
 use partix_query::rewrite::{rewrite_collection_name, rewrite_for_vertical};
 use partix_query::{pushdown, Query};
 use std::sync::Arc;
@@ -16,10 +28,13 @@ pub(super) enum TaskOp {
     /// Run a sub-query. With `avg` the node answers the pair
     /// `[sum, count]` instead (see [`compose::avg_decomposition`]).
     Execute { query: Arc<Query>, avg: bool },
-    /// Fetch the whole fragment. Not expressible as a sub-query: a query
-    /// result ships sub-trees, which drops the document `name`/`origin`
-    /// metadata the reconstruction join matches on.
-    Fetch,
+    /// Fetch the fragment's documents: all of them, or those `filter`
+    /// selects — a sub-query over the fragment, run by the node the
+    /// ordinary indexed way, that returns the root elements of the pieces a
+    /// tuple of the query might come from. Still a fetch and not an
+    /// `Execute`: a query result ships sub-trees, which drops the document
+    /// `name` / `origin` metadata the reconstruction join matches on.
+    Fetch { filter: Option<Arc<Query>> },
 }
 
 /// One unit of work bound for one node. Shared (`Arc`) so pool dispatch
@@ -45,17 +60,18 @@ pub(super) enum Compose {
     /// The query touches no distributed collection: node 0 answers it
     /// as-is.
     Passthrough,
-    /// Multi-fragment fallback: every fragment is fetched, the source
-    /// documents are rebuilt and the original query runs on them at the
-    /// coordinator. A rebuilt document set missing a fragment would be
-    /// silently wrong, not partial.
+    /// Multi-fragment fallback: the fragments the query reads are fetched,
+    /// the source documents that pass every fetch filter are rebuilt from
+    /// their pieces, and the original query runs on them at the
+    /// coordinator. All-or-nothing over the fragments it reads: documents
+    /// rebuilt without one of them would be silently wrong, not partial.
     Reconstruct { collection: String, dist: Arc<Distribution> },
 }
 
 pub(super) struct Plan {
     pub tasks: Vec<Arc<Task>>,
     pub compose: Compose,
-    /// Fragments localization pruned away.
+    /// Fragments no task contacts.
     pub pruned: usize,
     /// Fragments dropped at planning time in degraded mode (every replica
     /// already down).
@@ -103,12 +119,27 @@ impl PartiX {
             .map(|&idx| build_subquery(query, collection, &fragments[idx], analysis.as_ref()))
             .collect();
         let Some(subqueries) = subqueries else {
-            let tasks = fragments
+            // only a vertical design knows, fragment by fragment, what a
+            // query reads; a hybrid one keeps fetching everything
+            let vertical = dist.design.frag_type() == FragType::Vertical;
+            let read = if vertical {
+                read_set(&dist.design, &relevant)
+            } else {
+                (0..fragments.len()).collect()
+            };
+            let driving = analysis.as_ref().filter(|a| vertical && a.collection == *collection);
+            let tests = driving.map_or_else(Vec::new, |a| pushdown::fragment_tests(query, a));
+            let tasks = read
                 .iter()
-                .map(|frag| self.task(&dist, &frag.name, TaskOp::Fetch))
+                .map(|&idx| {
+                    let frag = &fragments[idx];
+                    let filter = driving.and_then(|a| fragment_filter(&dist.design, frag, a, &tests));
+                    self.task(&dist, &frag.name, TaskOp::Fetch { filter: filter.map(Arc::new) })
+                })
                 .collect::<Result<_, _>>()?;
             let compose =
                 Compose::Reconstruct { collection: collection.clone(), dist: Arc::clone(&dist) };
+            let pruned = fragments.len() - read.len();
             return Ok(Plan { tasks, compose, pruned, skipped: Vec::new() });
         };
 
@@ -210,20 +241,119 @@ fn build_subquery(
 
 /// Can a node-level fragment (projection `path` minus `prune`) serve
 /// *every* path the query touches? A syntactically successful rewrite is
-/// not enough: a path extending into a pruned subtree would evaluate to
-/// a silently empty — i.e. wrong — partial result. Each footprint path
-/// must either reach into the fragment's retained subtree or be an
+/// not enough: a path that may extend into a pruned subtree would evaluate
+/// to a silently incomplete — i.e. wrong — partial result. Each footprint
+/// path must either reach into the fragment's retained subtree or be an
 /// ancestor binding on the spine above it.
 fn serves_all_footprint(
-    path: &partix_path::PathExpr,
-    prune: &[partix_path::PathExpr],
+    path: &PathExpr,
+    prune: &[PathExpr],
     analysis: Option<&pushdown::QueryAnalysis>,
 ) -> bool {
-    use partix_path::analysis::path_may_reach_into;
     let Some(analysis) = analysis else {
         return false; // nothing known: force the safe reconstruction path
     };
     analysis.footprint.iter().all(|q| {
-        path_may_reach_into(path, q) && !localize::strictly_inside_any(q, prune)
+        path_may_reach_into(path, q) && !prune.iter().any(|g| path_may_reach_into(g, q))
     })
+}
+
+/// The fragments of a vertical `design` a reconstruction must fetch to
+/// answer a query whose footprint reaches `relevant`, in definition order:
+/// the relevant fragments, and what it takes to put their pieces back
+/// where they were cut.
+///
+/// * The fragment each read one hangs in — its *holder*, the deepest
+///   fragment cut above it — and so on up to the one that holds the
+///   document root: a piece is spliced into the piece that holds its
+///   parent.
+/// * A piece is addressed by child ordinals, down from the root of its
+///   holder's piece, and a fragment that is not read leaves a hole there
+///   that shifts every later sibling. For a fragment cut *by name*, right
+///   under its holder's root (`/article/prolog` out of `/article`), that
+///   only moves the piece among siblings of other names, which nothing can
+///   see: a cut by name takes every child of that name, and only a
+///   wildcard or descendant step — which keeps all fragments relevant —
+///   reads across names. For any other — cut by position (`…/Item[2]`,
+///   whose siblings of the same name the holder keeps) or further down
+///   (`/article/prolog/authors` out of a spine that keeps `prolog`) —
+///   every fragment cut out of the same holder is read: no holes in it.
+fn read_set(design: &FragmentationSchema, relevant: &[usize]) -> Vec<usize> {
+    let steps = |idx: usize| match &design.fragments[idx].op {
+        FragOp::Vertical { projection } => &projection.path.steps[..],
+        _ => unreachable!("a vertical design has vertical fragments only"),
+    };
+    let all = 0..design.fragments.len();
+    let holder = |idx: usize| {
+        let path = steps(idx);
+        // cut above `path`: the same steps, pinning nothing it does not
+        let above = |other: &usize| {
+            let other = steps(*other);
+            other.len() < path.len()
+                && other.iter().zip(path).all(|(o, p)| {
+                    o.axis == p.axis
+                        && o.test == p.test
+                        && (o.position.is_none() || o.position == p.position)
+                })
+        };
+        all.clone().filter(above).max_by_key(|&other| steps(other).len())
+    };
+    let mut read = vec![false; all.len()];
+    let mut todo: Vec<usize> = relevant.to_vec();
+    while let Some(idx) = todo.pop() {
+        if std::mem::replace(&mut read[idx], true) {
+            continue;
+        }
+        let Some(held_in) = holder(idx) else { continue };
+        todo.push(held_in);
+        let path = steps(idx);
+        let named_child = path.len() == steps(held_in).len() + 1
+            && path.last().is_some_and(|step| step.position.is_none());
+        if !named_child {
+            todo.extend(all.clone().filter(|&other| holder(other) == Some(held_in)));
+        }
+    }
+    all.filter(|&idx| read[idx]).collect()
+}
+
+/// The filter the node of vertical fragment `frag` applies to a fetch:
+/// the `tests` (positive top-level conjuncts of the query's `where`, see
+/// [`pushdown::fragment_tests`]) that lie entirely inside the fragment,
+/// re-rooted onto its documents. `None`: fetch all of it.
+///
+/// A test goes to a fragment only if
+/// * the schema says the fragment holds **at most one piece per source
+///   document** — the node tests piece by piece and answers with the
+///   pieces that pass, which is a statement about the document only when
+///   the piece is all the fragment has of it;
+/// * every path of the test extends the fragment's path step for step,
+///   pinning each position the fragment pins (`…/Item/Name` may hold of an
+///   `Item` that `…/Item[2]` does not have), and cannot reach into what
+///   the fragment prunes.
+///
+/// The filter is only ever a necessary condition on the documents a tuple
+/// can come from; the original query still runs over what is rebuilt.
+fn fragment_filter(
+    design: &FragmentationSchema,
+    frag: &FragmentDef,
+    analysis: &pushdown::QueryAnalysis,
+    tests: &[pushdown::FragmentTest<'_>],
+) -> Option<Query> {
+    let FragOp::Vertical { projection } = &frag.op else { return None };
+    let inside = |q: &PathExpr| {
+        localize::extends_pinned(q, &projection.path)
+            && !projection.prune.iter().any(|g| path_may_reach_into(g, q))
+    };
+    let served: Vec<_> =
+        tests.iter().filter(|test| test.paths.iter().all(inside)).map(|test| test.expr).collect();
+    if served.is_empty() {
+        return None;
+    }
+    if !design.collection.document_schema()?.is_single_valued(&projection.path) {
+        return None;
+    }
+    // the binding sits at or above the fragment's root: return the root
+    let below = projection.path.strip_prefix(&analysis.binding_path)?;
+    let filter = pushdown::filter_query(analysis, &served, below);
+    rewrite_for_vertical(&filter, &analysis.collection, &projection.path, &frag.name).ok()
 }

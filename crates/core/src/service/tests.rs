@@ -4,7 +4,7 @@ use super::*;
 use crate::catalog::Placement;
 use partix_frag::{FragmentDef, FragmentationSchema};
 use partix_path::{PathExpr, Predicate};
-use partix_query::Item;
+use partix_query::{parse_query, Item, Query};
 use partix_schema::builtin::virtual_store;
 use partix_schema::{CollectionDef, RepoKind};
 use partix_xml::{parse, Document};
@@ -427,6 +427,352 @@ fn vertical_aggregate_on_one_fragment() {
     assert_eq!(result.items, vec![Item::Num(6.0)]);
     assert_eq!(result.report.sites.len(), 1);
     assert_eq!(result.report.sites[0].fragment, "f_epilog");
+}
+
+/// The fetches the planner builds for a reconstructing query: fragment
+/// and filter, in task order; plus the fragments it reports pruned.
+fn fetch_plan(px: &PartiX, query: &str) -> (Vec<(String, Option<Query>)>, usize) {
+    let query = parse_query(query).unwrap();
+    let plan = px.plan(&query, px.target_distribution(&query), ExecOptions::default()).unwrap();
+    assert!(matches!(plan.compose, plan::Compose::Reconstruct { .. }));
+    let fetches = plan
+        .tasks
+        .iter()
+        .map(|task| match &task.op {
+            plan::TaskOp::Fetch { filter } => {
+                (task.fragment.clone(), filter.as_deref().cloned())
+            }
+            plan::TaskOp::Execute { .. } => panic!("a reconstruction only fetches"),
+        })
+        .collect();
+    (fetches, plan.pruned)
+}
+
+fn fetched(px: &PartiX, query: &str) -> Vec<(String, Option<Query>)> {
+    fetch_plan(px, query).0
+}
+
+fn q(text: &str) -> Option<Query> {
+    Some(parse_query(text).unwrap())
+}
+
+/// The paper's multi-fragment templates read the fragments their
+/// footprint reaches and the spine those hang under — nothing else — and
+/// every positive conjunct of the `where` is tested where its data lives.
+#[test]
+fn reconstruction_fetches_what_the_query_reads() {
+    let px = vertical_px();
+    let c = r#"collection("articles")"#;
+    // QV4: prolog and epilog; the genre test runs on f_prolog's node
+    let qv4 = format!(
+        r#"for $a in {c}/article where $a/prolog/genre = "g1"
+           return ($a/prolog/title, $a/epilog/country)"#
+    );
+    let (fetches, pruned) = fetch_plan(&px, &qv4);
+    assert_eq!(
+        fetches,
+        [
+            ("f_spine".to_owned(), None),
+            (
+                "f_prolog".to_owned(),
+                q(r#"for $a in collection("f_prolog")/prolog where $a/genre = "g1" return $a"#)
+            ),
+            ("f_epilog".to_owned(), None),
+        ]
+    );
+    assert_eq!(pruned, 1);
+    // QV7: body (filtered) and prolog
+    let qv7 = format!(
+        r#"for $a in {c}/article where contains($a/body/abstract, "xml") return $a/prolog/title"#
+    );
+    assert_eq!(
+        fetched(&px, &qv7),
+        [
+            ("f_spine".to_owned(), None),
+            ("f_prolog".to_owned(), None),
+            (
+                "f_body".to_owned(),
+                q(r#"for $a in collection("f_body")/body
+                     where contains($a/abstract, "xml") return $a"#)
+            ),
+        ]
+    );
+    // QV8: one conjunct each to prolog and epilog; `count` of the article
+    // itself reads no body
+    let qv8 = format!(
+        r#"count(for $a in {c}/article
+                 where contains($a/prolog/title, "Title") and $a/epilog/country = "BR"
+                 return $a)"#
+    );
+    assert_eq!(
+        fetched(&px, &qv8),
+        [
+            ("f_spine".to_owned(), None),
+            (
+                "f_prolog".to_owned(),
+                q(r#"for $a in collection("f_prolog")/prolog
+                     where contains($a/title, "Title") return $a"#)
+            ),
+            (
+                "f_epilog".to_owned(),
+                q(r#"for $a in collection("f_epilog")/epilog
+                     where $a/country = "BR" return $a"#)
+            ),
+        ]
+    );
+    // QV10: a descendant step may reach anywhere — everything, unfiltered
+    let (fetches, pruned) = fetch_plan(&px, &format!("count({c}//p)"));
+    let names: Vec<&str> = fetches.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["f_spine", "f_prolog", "f_body", "f_epilog"]);
+    assert!(fetches.iter().all(|(_, filter)| filter.is_none()));
+    assert_eq!(pruned, 0);
+    // two conjuncts on one fragment travel together
+    let both = format!(
+        r#"for $a in {c}/article
+           where $a/prolog/genre = "g1" and exists($a/prolog/pub_date)
+           return ($a/prolog/title, $a/epilog/country)"#
+    );
+    assert_eq!(
+        fetched(&px, &both)[1].1,
+        q(r#"for $a in collection("f_prolog")/prolog
+             where $a/genre = "g1" and exists($a/pub_date) return $a"#)
+    );
+}
+
+/// What must not be pushed: a test a document *without* the part passes,
+/// a disjunction across fragments, and anything at all once the collection
+/// is scanned twice — the second scan must see every document.
+#[test]
+fn negations_cross_fragment_disjunctions_and_self_joins_push_no_filter() {
+    let px = vertical_px();
+    let c = r#"collection("articles")"#;
+    let unfiltered = |query: &str| {
+        let fetches = fetched(&px, query);
+        assert!(fetches.iter().all(|(_, filter)| filter.is_none()), "{query}: {fetches:?}");
+        fetches.into_iter().map(|(name, _)| name).collect::<Vec<_>>()
+    };
+    let ret = "return ($a/prolog/title, $a/epilog/country)";
+    for test in [
+        r#"not($a/prolog/genre = "g1")"#,
+        "empty($a/prolog/genre)",
+        r#"$a/prolog/genre = "g1" or $a/epilog/country = "BR""#,
+        r#"count($a/prolog/authors/author) >= 1"#,
+    ] {
+        let query = format!("for $a in {c}/article where {test} {ret}");
+        // pruning by footprint still applies
+        assert_eq!(unfiltered(&query), ["f_spine", "f_prolog", "f_epilog"], "{test}");
+    }
+    // a pushable conjunct beside one that is not: only the first travels
+    let mixed = format!(
+        r#"for $a in {c}/article
+           where $a/prolog/genre = "g1" and not($a/epilog/country = "AR") {ret}"#
+    );
+    let fetches = fetched(&px, &mixed);
+    assert!(fetches[1].1.is_some() && fetches[2].1.is_none(), "{fetches:?}");
+    // a self-join: both scans see every article
+    let join = format!(
+        r#"for $a in {c}/article, $b in {c}/article
+           where $a/prolog/genre = "g1" and $a/epilog/country = $b/epilog/country
+           return $b/prolog/title"#
+    );
+    assert_eq!(unfiltered(&join), ["f_spine", "f_prolog", "f_epilog"]);
+    let nested = format!(
+        r#"for $a in {c}/article where $a/prolog/genre = "g1"
+           return ($a/epilog/country, count({c}/article/prolog/title))"#
+    );
+    assert_eq!(unfiltered(&nested), ["f_spine", "f_prolog", "f_epilog"]);
+    // the scan read a second time through the variable a `let` gave it:
+    // `count($all)` is of every article, not of those of genre g1
+    for alias in [
+        format!(
+            r#"let $all := {c}/article for $a in $all where $a/prolog/genre = "g1"
+               return (count($all), $a/epilog/country)"#
+        ),
+        format!(
+            r#"let $all := {c}/article for $a in $all
+               where $a/prolog/genre = "g1" and count($all) > 3 return $a/epilog/country"#
+        ),
+    ] {
+        unfiltered(&alias);
+        let serialized = |items: &[Item]| items.iter().map(Item::serialize).collect::<Vec<_>>();
+        let central = alias.replace(r#"collection("articles")"#, r#"collection("articles_central")"#);
+        assert_eq!(
+            serialized(&px.execute(&alias).unwrap().items),
+            serialized(&px.execute_centralized(0, &central).unwrap().items),
+            "{alias}"
+        );
+    }
+}
+
+/// The report says what happened: a fragment counted as pruned was not
+/// contacted, and one that was contacted has a site entry.
+#[test]
+fn pruned_fragments_of_a_reconstruction_are_not_contacted() {
+    let px = vertical_px();
+    let query = r#"for $a in collection("articles")/article where $a/prolog/genre = "g1"
+                   return ($a/prolog/title, $a/epilog/country)"#;
+    let result = px.execute(query).unwrap();
+    assert!(result.report.reconstructed);
+    assert_eq!(result.items.len(), 4);
+    let sites: Vec<&str> = result.report.sites.iter().map(|s| s.fragment.as_str()).collect();
+    assert_eq!(sites, ["f_spine", "f_prolog", "f_epilog"]);
+    assert_eq!(result.report.fragments_pruned, 1);
+    // the filter ran at the node: two of six prolog pieces shipped
+    assert_eq!(result.report.sites[1].docs_scanned, 2);
+    // a dead node that holds nothing the query reads does not fail it
+    px.cluster().node(1).unwrap().set_available(false);
+    let again = px.execute(query).unwrap();
+    assert_eq!(again.items.len(), 4);
+    // … and one that holds a fragment it reads still does, typed
+    px.cluster().node(1).unwrap().set_available(true);
+    px.cluster().node(2).unwrap().set_available(false);
+    assert!(matches!(
+        px.execute(query),
+        Err(PartixError::NodeUnavailable { node: 2, .. })
+    ));
+}
+
+/// An evaluation failure over the rebuilt documents is the coordinator's
+/// own: reported as a reconstruction error with the evaluator's message,
+/// not as a sub-query on node 18446744073709551615.
+#[test]
+fn evaluation_failure_over_rebuilt_documents_is_a_reconstruction_error() {
+    let px = vertical_px();
+    let error = px
+        .execute(
+            r#"for $a in collection("articles")/article
+               return (nosuchfunction($a/prolog/title), $a/epilog/country)"#,
+        )
+        .unwrap_err();
+    match &error {
+        PartixError::Reconstruction(message) => {
+            assert!(message.contains("nosuchfunction"), "{message}")
+        }
+        other => panic!("expected a reconstruction error, got {other:?}"),
+    }
+    assert!(!error.to_string().contains("18446744073709551615"), "{error}");
+}
+
+/// A design that cuts by position: the piece shares its label with
+/// siblings the containing piece keeps, so everything cut under the same
+/// parent is read with it — and a test over the unpinned path is not the
+/// pinned fragment's to decide.
+#[test]
+fn positional_cuts_read_their_siblings_and_take_no_unpinned_test() {
+    let px = PartiX::new(1, NetworkModel::default());
+    let p = |s: &str| PathExpr::parse(s).unwrap();
+    let store = CollectionDef::new(
+        "store",
+        Arc::new(virtual_store()),
+        p("/Store"),
+        RepoKind::SingleDocument,
+    );
+    let design = FragmentationSchema::new(
+        store,
+        vec![
+            FragmentDef::vertical(
+                "f_rest",
+                p("/Store"),
+                vec![p("/Store/Sections"), p("/Store/Items"), p("/Store/Employees")],
+            ),
+            FragmentDef::vertical("f_sections", p("/Store/Sections"), vec![]),
+            FragmentDef::vertical("f_items", p("/Store/Items"), vec![p("/Store/Items/Item[2]")]),
+            FragmentDef::vertical("f_second", p("/Store/Items/Item[2]"), vec![]),
+            FragmentDef::vertical("f_staff", p("/Store/Employees"), vec![]),
+        ],
+    )
+    .unwrap();
+    let placements = design
+        .fragments
+        .iter()
+        .map(|f| Placement { fragment: f.name.clone(), node: 0 })
+        .collect();
+    px.register_distribution(Distribution { design, placements }).unwrap();
+    let names = |query: &str| -> Vec<String> {
+        fetched(&px, query).into_iter().map(|(name, _)| name).collect()
+    };
+    // every Item, pinned or not: the second one and the rest, under the
+    // pieces they hang in
+    let all_items = r#"for $s in collection("store")/Store
+                       where $s/Items/Item/Name = "x" return $s/Employees/Employee/Name"#;
+    assert_eq!(names(all_items), ["f_rest", "f_items", "f_second", "f_staff"]);
+    assert!(fetched(&px, all_items).iter().all(|(_, filter)| filter.is_none()));
+    // the pinned path is the pinned fragment's alone, filter included
+    let second = r#"for $s in collection("store")/Store
+                    where $s/Items/Item[2]/Name = "x" return $s/Employees/Employee/Name"#;
+    let fetches = fetched(&px, second);
+    let read: Vec<&str> = fetches.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(read, ["f_rest", "f_items", "f_second", "f_staff"]);
+    assert_eq!(
+        fetches[2].1,
+        q(r#"for $s in collection("f_second")/Item where $s/Name = "x" return $s"#)
+    );
+}
+
+/// A fragment cut further down than right under the root of the piece it
+/// hangs in (`authors`, out of a spine that keeps `prolog`) is addressed
+/// through ordinals a hole beside `prolog` would shift: it is read with
+/// everything cut out of that spine. Fragments cut by name right under the
+/// root need no such company.
+#[test]
+fn cuts_below_their_holders_root_are_read_with_all_of_the_holders_cuts() {
+    let px = PartiX::new(1, NetworkModel::default());
+    let p = |s: &str| PathExpr::parse(s).unwrap();
+    let articles = CollectionDef::new(
+        "articles",
+        Arc::new(partix_schema::builtin::xbench_article()),
+        p("/article"),
+        RepoKind::MultipleDocuments,
+    );
+    let design = FragmentationSchema::new(
+        articles,
+        vec![
+            FragmentDef::vertical(
+                "f_spine",
+                p("/article"),
+                vec![p("/article/prolog/authors"), p("/article/body"), p("/article/epilog")],
+            ),
+            FragmentDef::vertical("f_authors", p("/article/prolog/authors"), vec![]),
+            FragmentDef::vertical("f_body", p("/article/body"), vec![p("/article/body/section[1]")]),
+            FragmentDef::vertical("f_first", p("/article/body/section[1]"), vec![]),
+            FragmentDef::vertical("f_epilog", p("/article/epilog"), vec![]),
+        ],
+    )
+    .unwrap();
+    let placements = design
+        .fragments
+        .iter()
+        .map(|f| Placement { fragment: f.name.clone(), node: 0 })
+        .collect();
+    px.register_distribution(Distribution { design, placements }).unwrap();
+    let names = |query: &str| -> Vec<String> {
+        fetched(&px, query).into_iter().map(|(name, _)| name).collect()
+    };
+    let c = r#"collection("articles")"#;
+    // authors hangs two levels into the spine: no holes beside prolog,
+    // so body and epilog come too — but not what is cut out of *them*
+    assert_eq!(
+        names(&format!(
+            r#"for $a in {c}/article where $a/prolog/authors/author/name = "x"
+               return $a/prolog/title"#
+        )),
+        ["f_spine", "f_authors", "f_body", "f_epilog"]
+    );
+    // cut by name right under the spine's root: read alone
+    assert_eq!(
+        names(&format!(
+            r#"for $a in {c}/article where $a/epilog/country = "BR" return $a/prolog/title"#
+        )),
+        ["f_spine", "f_epilog"]
+    );
+    // a section, whichever: the one cut by position and the body it hangs in
+    assert_eq!(
+        names(&format!(
+            r#"for $a in {c}/article where $a/epilog/country = "BR"
+               return $a/body/section/heading"#
+        )),
+        ["f_spine", "f_body", "f_first", "f_epilog"]
+    );
 }
 
 /// Regression for the round-robin replica index arithmetic: the

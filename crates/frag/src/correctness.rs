@@ -13,11 +13,13 @@
 //!   compares canonicalized documents.
 
 use crate::def::{FragOp, FragmentationSchema};
-use partix_algebra::join::reconstruct;
+use partix_algebra::join::{reconstruct, Coverage};
 use partix_path::{eval_path, PathExpr};
 use partix_xml::{to_string, Document, NodeId};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One detected violation of a correctness rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +150,7 @@ fn check_vertical(
         }
     }
     // reconstruction: ⋈ Fi == C
-    match reconstruct(&all) {
+    match reconstruct(&all, Coverage::Complete) {
         Ok(rebuilt) => {
             if !same_documents(sources, &rebuilt) {
                 report.violations.push(Violation::NotReconstructible {
@@ -246,6 +248,12 @@ fn check_hybrid(
 /// fragment family. Hybrid reconstruction restores all content; sibling
 /// units selected by different fragments keep fragment order (compare
 /// canonically when order matters).
+///
+/// For a vertical design `fragments` may hold only some of the design's
+/// fragments, by name: one that is not listed was deliberately not read,
+/// and the documents come back without its subtrees
+/// ([`Coverage::Partial`]). With every fragment listed, a piece that has
+/// lost an earlier sibling is an error ([`Coverage::Complete`]).
 pub fn reconstruct_any(
     design: &FragmentationSchema,
     fragments: &[(String, Vec<Document>)],
@@ -254,12 +262,7 @@ pub fn reconstruct_any(
         crate::def::FragType::Horizontal => Ok(partix_algebra::union(
             fragments.iter().map(|(_, d)| d.clone()),
         )),
-        crate::def::FragType::Vertical => {
-            let all: Vec<Document> =
-                fragments.iter().flat_map(|(_, d)| d.iter().cloned()).collect();
-            reconstruct(&all).map_err(|e| e.to_string())
-        }
-        crate::def::FragType::Hybrid => reconstruct_hybrid(design, fragments),
+        _ => rebuild(design, fragments),
     }
 }
 
@@ -267,51 +270,57 @@ pub fn reconstruct_any(
 /// deep-copy: the source collection is the union of the fragments, so
 /// the `Arc`s are re-sorted by document name and returned as-is (the
 /// same ordering [`partix_algebra::union`] produces). Vertical/hybrid
-/// designs must materialize once — the Dewey join builds new documents —
-/// but the fetched inputs are only cloned at that single point.
+/// designs build new documents — the Dewey join copies each piece once,
+/// straight out of the shared document it was fetched as.
 pub fn reconstruct_any_shared(
     design: &FragmentationSchema,
-    fragments: &[(String, Vec<std::sync::Arc<Document>>)],
-) -> Result<Vec<std::sync::Arc<Document>>, String> {
+    fragments: &[(String, Vec<Arc<Document>>)],
+) -> Result<Vec<Arc<Document>>, String> {
     match design.frag_type() {
         crate::def::FragType::Horizontal => {
-            let mut all: Vec<std::sync::Arc<Document>> = fragments
+            let mut all: Vec<Arc<Document>> = fragments
                 .iter()
                 .flat_map(|(_, docs)| docs.iter().cloned())
                 .collect();
             all.sort_by(|a, b| a.name.cmp(&b.name));
             Ok(all)
         }
-        _ => {
-            let materialized: Vec<(String, Vec<Document>)> = fragments
-                .iter()
-                .map(|(name, docs)| {
-                    (name.clone(), docs.iter().map(|d| (**d).clone()).collect())
-                })
-                .collect();
-            Ok(reconstruct_any(design, &materialized)?
-                .into_iter()
-                .map(std::sync::Arc::new)
-                .collect())
-        }
+        _ => Ok(rebuild(design, fragments)?.into_iter().map(Arc::new).collect()),
     }
 }
 
-fn reconstruct_hybrid(
+/// The Dewey join of a vertical or hybrid design, over owned or shared
+/// pieces alike.
+fn rebuild<D: Borrow<Document>>(
     design: &FragmentationSchema,
-    fragments: &[(String, Vec<Document>)],
+    fragments: &[(String, Vec<D>)],
+) -> Result<Vec<Document>, String> {
+    if design.frag_type() == crate::def::FragType::Hybrid {
+        return reconstruct_hybrid(design, fragments);
+    }
+    let read = |def: &crate::def::FragmentDef| fragments.iter().any(|(name, _)| *name == def.name);
+    let coverage =
+        if design.fragments.iter().all(read) { Coverage::Complete } else { Coverage::Partial };
+    let all: Vec<&Document> =
+        fragments.iter().flat_map(|(_, docs)| docs.iter().map(Borrow::borrow)).collect();
+    reconstruct(&all, coverage).map_err(|e| e.to_string())
+}
+
+fn reconstruct_hybrid<D: Borrow<Document>>(
+    design: &FragmentationSchema,
+    fragments: &[(String, Vec<D>)],
 ) -> Result<Vec<Document>, String> {
     // 1. vertical fragments rebuild the spine (with the unit container
     //    pruned); 2. units from hybrid fragments are reinserted under a
     //    recreated container.
-    let vertical: Vec<Document> = fragments
+    let vertical: Vec<&Document> = fragments
         .iter()
         .zip(&design.fragments)
         .filter(|(_, def)| matches!(def.op, FragOp::Vertical { .. }))
-        .flat_map(|((_, docs), _)| docs.iter().cloned())
+        .flat_map(|((_, docs), _)| docs.iter().map(Borrow::borrow))
         .collect();
-    // collect units per (source doc, container path)
-    let mut units: HashMap<String, Vec<Document>> = HashMap::new();
+    // collect units — a document and the unit's node in it — per source doc
+    let mut units: HashMap<String, Vec<(&Document, NodeId)>> = HashMap::new();
     let mut container_path: Option<PathExpr> = None;
     for ((_, docs), def) in fragments.iter().zip(&design.fragments) {
         if let FragOp::Hybrid { unit_path, mode, .. } = &def.op {
@@ -326,6 +335,7 @@ fn reconstruct_hybrid(
                 container_path = Some(parent);
             }
             for doc in docs {
+                let doc: &Document = doc.borrow();
                 match mode {
                     crate::def::FragMode::ManySmallDocs => {
                         let source = doc
@@ -333,16 +343,12 @@ fn reconstruct_hybrid(
                             .as_ref()
                             .map(|o| o.source_doc.clone())
                             .unwrap_or_default();
-                        units.entry(source).or_default().push(doc.clone());
+                        units.entry(source).or_default().push((doc, NodeId::ROOT));
                     }
                     crate::def::FragMode::SingleDoc => {
                         let source = doc.name.clone().unwrap_or_default();
-                        for id in eval_path(doc, &unit_path.clone()) {
-                            units
-                                .entry(source.clone())
-                                .or_default()
-                                .push(doc.subtree(id).map_err(|e| e.to_string())?);
-                        }
+                        let found = eval_path(doc, unit_path).into_iter().map(|id| (doc, id));
+                        units.entry(source).or_default().extend(found);
                     }
                 }
             }
@@ -350,17 +356,16 @@ fn reconstruct_hybrid(
     }
     let container_path =
         container_path.ok_or_else(|| "no hybrid fragments in design".to_owned())?;
-    // rebuild: reconstruct spine from vertical pieces, then insert the
-    // container with the units
-    let spines = reconstruct(&vertical).map_err(|e| e.to_string())?;
+    // rebuild: reconstruct spine from vertical pieces — the unit container
+    // is a hole in them — then insert the container with the units
+    let spines = reconstruct(&vertical, Coverage::Partial).map_err(|e| e.to_string())?;
     let container_label = match &container_path.last_step().map(|s| &s.test) {
         Some(partix_path::NodeTest::Name(n)) => n.clone(),
         _ => return Err("unit container must be a named element".into()),
     };
     let mut out = Vec::new();
-    for spine in spines {
-        let source = spine.name.clone().unwrap_or_default();
-        let mut doc = spine.clone();
+    for mut doc in spines {
+        let source = doc.name.clone().unwrap_or_default();
         // find the container's parent in the spine
         let parent_of_container = container_path
             .parent_path()
@@ -372,13 +377,13 @@ fn reconstruct_hybrid(
             ));
         };
         let container = doc.add_element(attach, &container_label);
-        if let Some(unit_docs) = units.remove(&source) {
-            for unit in &unit_docs {
-                doc.graft(container, unit, NodeId::ROOT);
+        for (unit_doc, unit) in units.remove(&source).unwrap_or_default() {
+            if unit_doc.kind_of(unit) != partix_xml::NodeKind::Element {
+                return Err("a hybrid unit must be an element".into());
             }
+            doc.graft(container, unit_doc, unit);
         }
-        doc.name = Some(source);
-        doc.origin = None;
+        // the container went in last but need not come last: renumber
         out.push(doc.normalized());
     }
     Ok(out)

@@ -284,6 +284,21 @@ impl RemoteDriver {
         }
     }
 
+    /// A `Fetch` round trip; the node applies `filter`, if any.
+    fn fetch(
+        &self,
+        collection: &str,
+        filter: Option<Query>,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        match self.request(&Request::Fetch { collection: collection.to_owned(), filter })? {
+            Response::Docs(docs) => Ok(docs.into_iter().map(Arc::new).collect()),
+            other => Err(DriverError::Unavailable(format!(
+                "{}: mismatched response {other:?} to Fetch",
+                self.addr
+            ))),
+        }
+    }
+
     fn request(&self, req: &Request) -> Result<Response, DriverError> {
         let frame = self.roundtrip(FrameKind::Request, &req.encode(), req.idempotent())?;
         match frame.kind {
@@ -345,13 +360,15 @@ impl PartixDriver for RemoteDriver {
     }
 
     fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
-        match self.request(&Request::Fetch { collection: collection.to_owned() })? {
-            Response::Docs(docs) => Ok(docs.into_iter().map(Arc::new).collect()),
-            other => Err(DriverError::Unavailable(format!(
-                "{}: mismatched response {other:?} to Fetch",
-                self.addr
-            ))),
-        }
+        self.fetch(collection, None)
+    }
+
+    fn try_fetch_filtered(
+        &self,
+        collection: &str,
+        filter: &Query,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.fetch(collection, Some(filter.clone()))
     }
 
     fn collections(&self) -> Vec<String> {

@@ -77,8 +77,13 @@ pub enum Request {
     ExecuteAs { tenant: String, query: Query },
     /// Publish documents into a collection (fragment placement).
     Store { collection: String, docs: Vec<Document> },
-    /// Fetch every document of a collection (reconstruction reads).
-    Fetch { collection: String },
+    /// Fetch the documents of a collection (reconstruction reads): all of
+    /// them, or — with `filter`, a query over that collection returning
+    /// document roots — those the node finds it to select. The filter
+    /// travels in the query codec, depth bound included, under a request
+    /// tag of its own: an unfiltered fetch is the bytes it always was, and
+    /// a peer that predates the filter rejects a filtered one by its tag.
+    Fetch { collection: String, filter: Option<Query> },
     /// List hosted collection names.
     Collections,
     /// Drop a collection.
@@ -103,9 +108,14 @@ impl Request {
                 w.put_str(collection);
                 put_documents(&mut w, docs);
             }
-            Request::Fetch { collection } => {
+            Request::Fetch { collection, filter: None } => {
                 w.put_u8(2);
                 w.put_str(collection);
+            }
+            Request::Fetch { collection, filter: Some(filter) } => {
+                w.put_u8(7);
+                w.put_str(collection);
+                w.put_bytes(&crate::codec::encode_query(filter));
             }
             Request::Collections => w.put_u8(3),
             Request::Drop { collection } => {
@@ -137,7 +147,7 @@ impl Request {
                 let docs = get_documents(&mut r)?;
                 Request::Store { collection, docs }
             }
-            2 => Request::Fetch { collection: r.str("fetch collection")? },
+            2 => Request::Fetch { collection: r.str("fetch collection")?, filter: None },
             3 => Request::Collections,
             4 => Request::Drop { collection: r.str("drop collection")? },
             5 => {
@@ -151,6 +161,11 @@ impl Request {
                 let tenant = decode_tenant_header(r.str("tenant header")?)?;
                 let raw = r.bytes("query payload")?;
                 Request::ExecuteAs { tenant, query: crate::codec::decode_query(raw)? }
+            }
+            7 => {
+                let collection = r.str("fetch collection")?;
+                let filter = crate::codec::decode_query(r.bytes("fetch filter")?)?;
+                Request::Fetch { collection, filter: Some(filter) }
             }
             other => {
                 return Err(ProtocolError::Malformed(format!("bad request tag {other}")))
@@ -316,9 +331,10 @@ mod tests {
         let docs = vec![parse("<a><b>1</b></a>").unwrap(), parse("<a k=\"v\"/>").unwrap()];
         let cases = vec![
             Request::Execute { query: q.clone() },
-            Request::ExecuteAs { tenant: "team-a.prod".into(), query: q },
+            Request::ExecuteAs { tenant: "team-a.prod".into(), query: q.clone() },
             Request::Store { collection: "c".into(), docs },
-            Request::Fetch { collection: "c".into() },
+            Request::Fetch { collection: "c".into(), filter: None },
+            Request::Fetch { collection: "c".into(), filter: Some(q.clone()) },
             Request::Collections,
             Request::Drop { collection: "c".into() },
             Request::Write {
@@ -338,10 +354,28 @@ mod tests {
         }
     }
 
+    /// An unfiltered fetch is the frame peers without the filter speak;
+    /// a filtered one is a tag they reject rather than misread.
+    #[test]
+    fn unfiltered_fetch_keeps_its_bytes_and_a_filter_takes_its_own_tag() {
+        let plain = Request::Fetch { collection: "c".into(), filter: None }.encode();
+        let mut expected = Writer::new();
+        expected.put_u8(2);
+        expected.put_str("c");
+        assert_eq!(plain, expected.into_bytes());
+        let filter = parse_query(r#"for $d in collection("c")/a where $d/b = 1 return $d"#);
+        let filtered = Request::Fetch { collection: "c".into(), filter: filter.ok() }.encode();
+        assert_eq!(filtered[0], 7);
+        // what a peer that knows tags 0–6 does with it
+        let mut unknown = filtered.clone();
+        unknown[0] = 8;
+        assert!(matches!(Request::decode(&unknown), Err(ProtocolError::Malformed(_))));
+    }
+
     #[test]
     fn idempotency_split() {
         assert!(Request::Collections.idempotent());
-        assert!(Request::Fetch { collection: "c".into() }.idempotent());
+        assert!(Request::Fetch { collection: "c".into(), filter: None }.idempotent());
         assert!(!Request::Store { collection: "c".into(), docs: vec![] }.idempotent());
         // a write may have been applied before the connection died — the
         // transport must not silently replay it

@@ -373,14 +373,14 @@ fn serve_request(shared: &ServerShared, request: Request) -> Result<Response, Se
             shared.driver.store(&collection, docs);
             Ok(Response::Stored)
         }
-        Request::Fetch { collection } => {
-            let docs = shared
-                .driver
-                .fetch_collection(&collection)
-                .iter()
-                .map(|d| (**d).clone())
-                .collect();
-            Ok(Response::Docs(docs))
+        Request::Fetch { collection, filter } => {
+            // fallibly, filtered or not: a driver that cannot read the
+            // collection must not answer with an empty fragment
+            let docs = match &filter {
+                Some(filter) => shared.driver.try_fetch_filtered(&collection, filter),
+                None => shared.driver.try_fetch_collection(&collection),
+            }?;
+            Ok(Response::Docs(docs.iter().map(|d| (**d).clone()).collect()))
         }
         Request::Collections => Ok(Response::Names(shared.driver.collections())),
         Request::Drop { collection } => {
@@ -461,7 +461,8 @@ mod tests {
         assert_eq!(kind, FrameKind::Result);
         assert!(matches!(Response::decode(&payload).unwrap(), Response::Stored));
 
-        let (kind, payload) = request(&mut conn, &Request::Fetch { collection: "extra".into() });
+        let fetch = Request::Fetch { collection: "extra".into(), filter: None };
+        let (kind, payload) = request(&mut conn, &fetch);
         assert_eq!(kind, FrameKind::Result);
         match Response::decode(&payload).unwrap() {
             Response::Docs(docs) => assert_eq!(docs.len(), 1),

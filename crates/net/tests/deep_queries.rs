@@ -6,9 +6,10 @@
 //! * PXN2: the text of a stream request is parsed by the coordinator —
 //!   deep texts get a `StreamError`, and the same connection then serves
 //!   the next query.
-//! * PXN1: an `Execute` frame carries the parsed query; a frame whose
-//!   tree is deeper than the bound — in nodes, `for` clauses or path
-//!   steps — is refused, and the server goes on serving.
+//! * PXN1: an `Execute` frame carries the parsed query, a `Fetch` frame
+//!   may carry one as its filter; a frame whose tree is deeper than the
+//!   bound — in nodes, `for` clauses or path steps — is refused, and the
+//!   server goes on serving.
 
 use partix_engine::{MetaService, NetworkModel, PartiX};
 use partix_net::codec::Writer;
@@ -85,8 +86,15 @@ fn node_server_refuses_deep_query_frames_and_keeps_serving() {
     let mut deep_frame = Writer::new();
     deep_frame.put_u8(0);
     deep_frame.put_bytes(&negations);
+    // the same tree as the filter of a fetch: one codec, one bound
+    let mut deep_filter = Writer::new();
+    deep_filter.put_u8(2);
+    deep_filter.put_str("items");
+    deep_filter.put_bool(true);
+    deep_filter.put_bytes(&negations);
     let deep = [
         deep_frame.into_bytes(),
+        deep_filter.into_bytes(),
         // one FLWOR of 10 000 clauses: flat in the tree, nested when run
         execute(Expr::Flwor {
             clauses: (0..10_000)

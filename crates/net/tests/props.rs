@@ -156,7 +156,8 @@ proptest! {
         for request in [
             Request::Execute { query: query.clone() },
             Request::Store { collection: "c".into(), docs: docs.clone() },
-            Request::Fetch { collection: "c".into() },
+            Request::Fetch { collection: "c".into(), filter: None },
+            Request::Fetch { collection: "c".into(), filter: Some(query.clone()) },
             Request::Collections,
             Request::Drop { collection: "c".into() },
         ] {
@@ -364,7 +365,8 @@ proptest! {
     }
 
     /// Truncating a valid *payload* (inside an intact frame) is a typed
-    /// error from the payload decoder.
+    /// error from the payload decoder — a fetch's, with and without its
+    /// filter, like a bare query's.
     #[test]
     fn truncated_payloads_are_typed_errors(text in arb_query_text()) {
         let query = parse_query(text).expect("strategy queries parse");
@@ -375,6 +377,35 @@ proptest! {
                 "prefix of length {cut} decoded as a full query",
             );
         }
+        for filter in [Some(query), None] {
+            let bytes = Request::Fetch { collection: "c".into(), filter }.encode();
+            for cut in 0..bytes.len() {
+                prop_assert!(
+                    Request::decode(&bytes[..cut]).is_err(),
+                    "prefix of length {cut} decoded as a full fetch",
+                );
+            }
+        }
+    }
+
+    /// A fetch whose filter bytes are corrupted decodes to a typed error
+    /// or to some well-formed request — it never panics, and a byte past
+    /// the filter is never ignored.
+    #[test]
+    fn corrupted_fetch_filters_never_panic(
+        text in arb_query_text(),
+        pos in 0usize..4096,
+        flip in 1usize..256,
+    ) {
+        let query = parse_query(text).expect("strategy queries parse");
+        let mut bytes = Request::Fetch { collection: "c".into(), filter: Some(query) }.encode();
+        let pos = pos % bytes.len();
+        bytes[pos] ^= flip as u8;
+        if let Ok(back) = Request::decode(&bytes) {
+            prop_assert_eq!(back.encode(), bytes, "a decoded request re-encodes to its bytes");
+        }
+        bytes.push(0);
+        prop_assert!(Request::decode(&bytes).is_err(), "trailing byte accepted");
     }
 }
 

@@ -92,7 +92,16 @@ impl MemProvider {
         name: &str,
         docs: impl IntoIterator<Item = Document>,
     ) -> &mut Self {
-        self.collections.entry(name.to_owned()).or_default().extend(docs.into_iter().map(Arc::new));
+        self.add_shared(name, docs.into_iter().map(Arc::new))
+    }
+
+    /// [`MemProvider::add_collection`] of documents that are shared already.
+    pub fn add_shared(
+        &mut self,
+        name: &str,
+        docs: impl IntoIterator<Item = Arc<Document>>,
+    ) -> &mut Self {
+        self.collections.entry(name.to_owned()).or_default().extend(docs);
         self
     }
 }

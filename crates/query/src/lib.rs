@@ -79,4 +79,4 @@ pub use ast::{Expr, PathSource, PathStart, Query};
 pub use eval::{CollectionProvider, EvalError, Evaluator, MemProvider, SortKey};
 pub use lower::Program;
 pub use parser::{parse_query, QueryParseError};
-pub use value::{Item, ItemRef, Sequence};
+pub use value::{root_documents, Item, ItemRef, Sequence};

@@ -24,6 +24,7 @@
 //! change a query's answer.
 
 use crate::ast::{Clause, Expr, PathSource, PathStart, Query};
+use crate::morsel::driving_scan;
 use partix_path::pred::{BoolFn, ValueFn};
 use partix_path::{CmpOp, PathExpr, Predicate, Value};
 use std::collections::HashMap;
@@ -144,9 +145,10 @@ pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
     // comparisons, functions, or the result. `for`/`let` clauses that
     // merely bind a variable to a path are skipped: a binding alone does
     // not read data, so it must not make fragments relevant (a bare use
-    // of the variable re-introduces the path from the use site).
+    // of the variable re-introduces the path from the use site — unless
+    // the use only counts document roots).
     let mut footprint: Vec<PathExpr> = Vec::new();
-    collect_value_paths(&query.expr, &collection, &var_paths, &mut footprint);
+    collect_value_paths(&query.expr, &collection, &Scope::new(), false, &mut footprint);
     if footprint.is_empty() {
         // queries that only iterate bindings (e.g. count the binding):
         // the binding itself is the data being read
@@ -162,80 +164,217 @@ pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
     })
 }
 
-/// Collect value paths (see [`analyze`]) into `out`.
-fn collect_value_paths(
-    expr: &Expr,
+/// What a variable bound to a plain path of the analyzed collection
+/// selects, for [`collect_value_paths`].
+#[derive(Clone)]
+struct Bound {
+    path: PathExpr,
+    /// A `for` variable that ranges over the root elements of documents.
+    roots: bool,
+}
+
+type Scope<'q> = HashMap<&'q str, Bound>;
+
+/// Collect value paths (see [`analyze`]) into `out`. `scope` holds the
+/// variables in scope that are bound to plain paths; one bound to anything
+/// else has had the paths of that expression collected whole. `counted`:
+/// only the number of items `expr` yields is used (the argument of
+/// `count` / `exists` / `empty`, through a FLWOR's `return`) — there a
+/// bare `for` variable over document roots reads nothing: every document
+/// has its root, whatever else of it is at hand.
+fn collect_value_paths<'q>(
+    expr: &'q Expr,
     collection: &str,
-    var_paths: &HashMap<&str, (String, PathExpr)>,
+    scope: &Scope<'q>,
+    counted: bool,
     out: &mut Vec<PathExpr>,
 ) {
-    let mut push = |ps: &PathSource| {
-        let abs = match &ps.start {
-            PathStart::Collection(c) if c == collection => {
-                let mut p = ps.path.clone();
-                p.absolute = true;
-                Some(p)
-            }
-            PathStart::Var(v) => var_paths
-                .get(v.as_str())
-                .filter(|(c, _)| c == collection)
-                .map(|(_, base)| base.join(&ps.path)),
-            _ => None,
-        };
-        if let Some(abs) = abs {
-            if !out.contains(&abs) {
-                out.push(abs);
-            }
+    let absolute = |ps: &PathSource, scope: &Scope<'q>| match &ps.start {
+        PathStart::Collection(c) if c != collection => None,
+        // a document read by name may be one of this collection's
+        PathStart::Collection(_) | PathStart::Doc(_) => {
+            Some(PathExpr { absolute: true, ..ps.path.clone() })
+        }
+        PathStart::Var(v) => scope.get(v.as_str()).map(|bound| bound.path.join(&ps.path)),
+    };
+    let mut each = |exprs: &mut dyn Iterator<Item = &'q Expr>| {
+        for e in exprs {
+            collect_value_paths(e, collection, scope, false, out);
         }
     };
     match expr {
-        Expr::Path(ps) => push(ps),
+        Expr::Path(ps) => {
+            let root_of_a_tuple = matches!(&ps.start, PathStart::Var(v)
+                if ps.path.steps.is_empty() && scope.get(v.as_str()).is_some_and(|b| b.roots));
+            if let Some(abs) = absolute(ps, scope).filter(|_| !(counted && root_of_a_tuple)) {
+                if !out.contains(&abs) {
+                    out.push(abs);
+                }
+            }
+        }
         Expr::Flwor { clauses, where_clause, order_by, ret } => {
+            let mut scope = scope.clone();
             for clause in clauses {
                 let (Clause::For(b) | Clause::Let(b)) = clause;
                 // a plain path binding is not a read; anything else is
-                if !matches!(b.expr, Expr::Path(_)) {
-                    collect_value_paths(&b.expr, collection, var_paths, out);
-                }
+                let bound = match &b.expr {
+                    Expr::Path(ps) => absolute(ps, &scope).map(|path| Bound {
+                        roots: matches!(clause, Clause::For(_))
+                            && path.steps.len() == 1
+                            && !path.has_wildcards(),
+                        path,
+                    }),
+                    read => {
+                        collect_value_paths(read, collection, &scope, false, out);
+                        None
+                    }
+                };
+                match bound {
+                    Some(bound) => scope.insert(&b.var, bound),
+                    None => scope.remove(b.var.as_str()),
+                };
             }
-            if let Some(w) = where_clause {
-                collect_value_paths(w, collection, var_paths, out);
+            let order_key = order_by.as_ref().map(|(key, _)| &**key);
+            for read in where_clause.as_deref().into_iter().chain(order_key) {
+                collect_value_paths(read, collection, &scope, false, out);
             }
-            if let Some((k, _)) = order_by {
-                collect_value_paths(k, collection, var_paths, out);
+            collect_value_paths(ret, collection, &scope, counted, out);
+        }
+        Expr::Call { name, args } => {
+            let counts = matches!(name.as_str(), "count" | "exists" | "empty") && args.len() == 1;
+            for arg in args {
+                collect_value_paths(arg, collection, scope, counts, out);
             }
-            collect_value_paths(ret, collection, var_paths, out);
+        }
+        Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
+            each(&mut [&**lhs, &**rhs].into_iter())
+        }
+        Expr::And(es) | Expr::Or(es) | Expr::Seq(es) => each(&mut es.iter()),
+        Expr::Element { children, .. } => each(&mut children.iter()),
+        Expr::Neg(e) => each(&mut std::iter::once(&**e)),
+        Expr::If { cond, then, els } => each(&mut [&**cond, &**then, &**els].into_iter()),
+        Expr::Str(_) | Expr::Num(_) | Expr::Text(_) => {}
+    }
+}
+
+/// A top-level conjunct of a query's `where` that a holder of part of each
+/// document can test on its own; see [`fragment_tests`].
+#[derive(Debug)]
+pub struct FragmentTest<'q> {
+    pub expr: &'q Expr,
+    /// The absolute paths the test reads: at least one.
+    pub paths: Vec<PathExpr>,
+}
+
+/// The top-level conjuncts of the `where` clause that are *positive* tests
+/// of the driving variable: comparisons of its paths with literals or each
+/// other, `contains` / `starts-with` / `exists` of one, a bare path, and
+/// disjunctions or conjunctions of those. Such a test can hold of a tuple
+/// only if a node exists on a path it reads — so whoever holds the subtree
+/// those paths lie in can say, of each document, whether it might
+/// contribute a tuple, and a document with no node there cannot.
+///
+/// Never `not(…)` or `empty(…)` — a document lacking the subtree entirely
+/// satisfies them — nor anything that reads another variable or stored
+/// data. Empty when the driving variable is bound a second time, and
+/// unless the one read of the driving collection in the whole query is the
+/// `collection(…)` path the FLWOR's first `for` ranges over
+/// ([`driving_scan`]): every document must reach any other read of it —
+/// a second scan, a `doc(…)` that may name one of its documents, a use of
+/// a variable a `let` bound to the scan (`let $all := collection("c")/x
+/// for $a in $all … count($all)`) — whatever the `where` says of this one.
+pub fn fragment_tests<'q>(query: &'q Query, analysis: &QueryAnalysis) -> Vec<FragmentTest<'q>> {
+    let Some(Expr::Flwor { clauses, where_clause: Some(filter), .. }) = find_flwor(&query.expr)
+    else {
+        return Vec::new();
+    };
+    let scanned_directly =
+        driving_scan(&query.expr).is_some_and(|(collection, _)| collection == analysis.collection);
+    let mut reads = 0;
+    query.visit_paths(&mut |ps| {
+        reads += usize::from(match &ps.start {
+            PathStart::Collection(c) => *c == analysis.collection,
+            PathStart::Doc(_) => true,
+            PathStart::Var(_) => false,
+        });
+    });
+    let bound = clauses.iter().filter(|clause| {
+        let (Clause::For(b) | Clause::Let(b)) = clause;
+        b.var == analysis.var
+    });
+    if !scanned_directly || reads != 1 || bound.count() != 1 {
+        return Vec::new();
+    }
+    let conjuncts = match &**filter {
+        Expr::And(es) => es.as_slice(),
+        single => std::slice::from_ref(single),
+    };
+    conjuncts
+        .iter()
+        .filter_map(|expr| {
+            let mut reads = Vec::new();
+            let paths = |reads: Vec<&PathExpr>| {
+                reads.into_iter().map(|path| analysis.binding_path.join(path)).collect()
+            };
+            (positive(expr, &analysis.var, &mut reads) && !reads.is_empty())
+                .then(|| FragmentTest { expr, paths: paths(reads) })
+        })
+        .collect()
+}
+
+/// Is `expr` built of positive tests of `$var` and literals only? The
+/// paths it reads, relative to the variable, go to `reads`.
+fn positive<'q>(expr: &'q Expr, var: &str, reads: &mut Vec<&'q PathExpr>) -> bool {
+    match expr {
+        Expr::Str(_) | Expr::Num(_) => true,
+        Expr::Path(PathSource { start: PathStart::Var(v), path }) => {
+            reads.push(path);
+            v == var && !path.steps.is_empty()
         }
         Expr::Cmp { lhs, rhs, .. } => {
-            collect_value_paths(lhs, collection, var_paths, out);
-            collect_value_paths(rhs, collection, var_paths, out);
+            let operand = |e: &Expr| matches!(e, Expr::Str(_) | Expr::Num(_) | Expr::Path(_));
+            operand(lhs) && operand(rhs) && positive(lhs, var, reads) && positive(rhs, var, reads)
         }
-        Expr::And(es) | Expr::Or(es) | Expr::Seq(es) => {
-            for e in es {
-                collect_value_paths(e, collection, var_paths, out);
+        Expr::Call { name, args } => match (name.as_str(), args.as_slice()) {
+            ("contains" | "starts-with", [hay @ Expr::Path(_), Expr::Str(_)]) => {
+                positive(hay, var, reads)
             }
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                collect_value_paths(a, collection, var_paths, out);
-            }
-        }
-        Expr::Element { children, .. } => {
-            for c in children {
-                collect_value_paths(c, collection, var_paths, out);
-            }
-        }
-        Expr::Arith { lhs, rhs, .. } => {
-            collect_value_paths(lhs, collection, var_paths, out);
-            collect_value_paths(rhs, collection, var_paths, out);
-        }
-        Expr::Neg(e) => collect_value_paths(e, collection, var_paths, out),
-        Expr::If { cond, then, els } => {
-            collect_value_paths(cond, collection, var_paths, out);
-            collect_value_paths(then, collection, var_paths, out);
-            collect_value_paths(els, collection, var_paths, out);
-        }
-        Expr::Str(_) | Expr::Num(_) | Expr::Text(_) => {}
+            ("exists", [path @ Expr::Path(_)]) => positive(path, var, reads),
+            _ => false,
+        },
+        // every arm must read a path: `$a/x = 1 or 1 = 1` holds of anything
+        Expr::And(es) | Expr::Or(es) => es.iter().all(|e| {
+            let before = reads.len();
+            positive(e, var, reads) && reads.len() > before
+        }),
+        _ => false,
+    }
+}
+
+/// The query that selects, by `tests`, the documents a tuple might come
+/// from: `for $v in collection(c)/binding where t1 and t2 … return
+/// $v/ret` — `ret` leads from the binding to the root of what the holder
+/// has of each document.
+pub fn filter_query(analysis: &QueryAnalysis, tests: &[&Expr], ret: PathExpr) -> Query {
+    let mut binding = analysis.binding_path.clone();
+    binding.absolute = false;
+    let scan =
+        PathSource { start: PathStart::Collection(analysis.collection.clone()), path: binding };
+    let mut filter: Vec<Expr> = tests.iter().map(|&test| test.clone()).collect();
+    let filter = if filter.len() == 1 { filter.remove(0) } else { Expr::And(filter) };
+    Query {
+        expr: Expr::Flwor {
+            clauses: vec![Clause::For(crate::ast::Binding {
+                var: analysis.var.clone(),
+                expr: Expr::Path(scan),
+            })],
+            where_clause: Some(Box::new(filter)),
+            order_by: None,
+            ret: Box::new(Expr::Path(PathSource {
+                start: PathStart::Var(analysis.var.clone()),
+                path: ret,
+            })),
+        },
     }
 }
 
@@ -581,6 +720,218 @@ mod tests {
             )
             .as_deref(),
             Some("not(/Item//Picture/Name = \"x\")")
+        );
+    }
+
+    fn footprint(src: &str) -> Vec<String> {
+        analysis(src).footprint.iter().map(|p| p.to_string()).collect()
+    }
+
+    #[test]
+    fn counting_document_roots_reads_nothing_through_the_return() {
+        let titled = |wrap: &str| {
+            footprint(&wrap.replace(
+                "{}",
+                r#"for $a in collection("c")/article where $a/prolog/title = "x" return $a"#,
+            ))
+        };
+        // a count needs the tuples, not the articles
+        let title = ["/article/prolog/title"];
+        assert_eq!(titled("count({})"), title);
+        assert_eq!(titled("count({}) > 2"), title);
+        assert_eq!(titled("exists({})"), title);
+        assert_eq!(
+            footprint(
+                r#"for $a in collection("c")/article
+                   where $a/prolog/title = "x" and count($a) = 1 return $a/@id"#
+            ),
+            ["/article/prolog/title", "/article/@id"]
+        );
+        // … unless the articles are kept, summed, or are not the roots
+        let whole = ["/article/prolog/title", "/article"];
+        assert_eq!(titled("{}"), whole);
+        assert_eq!(titled("sum({})"), whole);
+        assert_eq!(
+            footprint(
+                r#"count(for $s in collection("c")/article/body/section
+                         where $s/heading = "x" return $s)"#
+            ),
+            ["/article/body/section/heading", "/article/body/section"]
+        );
+        assert_eq!(
+            footprint(
+                r#"count(for $a in collection("c")/article, $a in $a/body/section
+                         where $a/heading = "x" return $a)"#
+            ),
+            ["/article/body/section/heading", "/article/body/section"]
+        );
+        // a `let` holds all the roots at once: how many is the read
+        assert_eq!(
+            footprint(
+                r#"let $all := collection("c")/article for $a in $all return count($all)"#
+            ),
+            ["/article"]
+        );
+        // nothing else read: the binding is
+        assert_eq!(
+            footprint(r#"count(for $a in collection("c")/article return $a)"#),
+            ["/article"]
+        );
+    }
+
+    #[test]
+    fn footprint_follows_variables_into_nested_flwors_and_named_documents() {
+        // the inner `for` is a binding, its use a read of the body
+        assert_eq!(
+            footprint(
+                r#"for $a in collection("c")/article where $a/prolog/genre = "x"
+                   return (for $s in $a/body/section return $s/heading)"#
+            ),
+            ["/article/prolog/genre", "/article/body/section/heading"]
+        );
+        // a variable bound to anything but a path: that expression's
+        // paths, whole
+        assert_eq!(
+            footprint(
+                r#"for $a in collection("c")/article let $x := ($a/body, $a/epilog)
+                   return $x/abstract"#
+            ),
+            ["/article/body", "/article/epilog"]
+        );
+        // an inner binding shadows an outer one of the same name, inside
+        assert_eq!(
+            footprint(
+                r#"for $a in collection("c")/article
+                   return ((for $a in $a/prolog return $a/title), $a/epilog/country)"#
+            ),
+            ["/article/prolog/title", "/article/epilog/country"]
+        );
+        // `doc(…)` may name a document of this collection
+        assert_eq!(
+            footprint(
+                r#"for $a in collection("c")/article where $a/prolog/genre = "x"
+                   return doc("a1")/article/body/abstract"#
+            ),
+            ["/article/prolog/genre", "/article/body/abstract"]
+        );
+        // another collection's paths are not this one's
+        assert_eq!(
+            footprint(
+                r#"for $a in collection("c")/article, $b in collection("d")/x
+                   where $b/y = $a/@id return $b/z"#
+            ),
+            ["/article/@id"]
+        );
+    }
+
+    fn tests_of(src: &str) -> Vec<Vec<String>> {
+        let query = parse_query(src).unwrap();
+        let analysis = analyze(&query).expect("analyzable");
+        fragment_tests(&query, &analysis)
+            .iter()
+            .map(|test| test.paths.iter().map(|p| p.to_string()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn fragment_tests_are_the_positive_conjuncts_of_the_driving_variable() {
+        let of = |test: &str| {
+            tests_of(&format!(
+                r#"for $a in collection("c")/article where {test} return $a/epilog/country"#
+            ))
+        };
+        assert_eq!(of(r#"$a/prolog/genre = "x""#), [["/article/prolog/genre"]]);
+        assert_eq!(
+            of(r#"contains($a/body/abstract, "x") and "BR" = $a/epilog/country and $a/prolog"#),
+            [["/article/body/abstract"], ["/article/epilog/country"], ["/article/prolog"]]
+        );
+        assert_eq!(
+            of(r#"starts-with($a/prolog/title, "x") and exists($a/@id)"#),
+            [["/article/prolog/title"], ["/article/@id"]]
+        );
+        // a disjunction is one test of all its paths
+        assert_eq!(
+            of(r#"$a/prolog/genre = "x" or $a/epilog/country = "y""#),
+            [["/article/prolog/genre", "/article/epilog/country"]]
+        );
+        assert_eq!(
+            of(r#"$a/prolog/genre = $a/epilog/country"#),
+            [["/article/prolog/genre", "/article/epilog/country"]]
+        );
+        // a document without the part passes these
+        for test in [
+            r#"not($a/prolog/genre = "x")"#,
+            "empty($a/prolog/genre)",
+            r#"$a/prolog/genre = "x" or 1 = 1"#,
+            r#"$a/prolog/genre = "x" or not($a/prolog/title = "y")"#,
+            // functions of all the nodes, of other data, of nothing
+            "count($a/prolog/authors/author) >= 1",
+            r#"number($a/epilog/word_count) > 3"#,
+            r#"$a/prolog/genre = collection("d")/x"#,
+            r#"$a = "x""#,
+            "1 = 1",
+        ] {
+            assert!(of(test).is_empty(), "{test}");
+        }
+        // the rest of a conjunction still counts
+        assert_eq!(
+            of(r#"not($a/prolog/genre = "x") and $a/prolog/title = "t""#),
+            [["/article/prolog/title"]]
+        );
+    }
+
+    #[test]
+    fn a_second_scan_or_binding_leaves_no_fragment_tests() {
+        for src in [
+            r#"for $a in collection("c")/article, $b in collection("c")/article
+               where $a/prolog/genre = "x" return $b"#,
+            r#"for $a in collection("c")/article where $a/prolog/genre = "x"
+               return count(collection("c")/article)"#,
+            r#"(for $a in collection("c")/article where $a/prolog/genre = "x" return $a)
+               = collection("c")/article"#,
+            r#"for $a in collection("c")/article, $a in $a/body/section
+               where $a/heading = "x" return $a"#,
+            // the scan read a second time through a variable
+            r#"let $all := collection("c")/article for $a in $all
+               where $a/prolog/genre = "x" return (count($all), $a/epilog/country)"#,
+            r#"let $all := collection("c")/article for $a in $all
+               where $a/prolog/genre = "x" and count($all) > 3 return $a/epilog/country"#,
+            // a document of it read by name
+            r#"for $a in collection("c")/article where $a/prolog/genre = "x"
+               return doc("a1")/article/epilog/country"#,
+        ] {
+            assert!(tests_of(src).is_empty(), "{src}");
+        }
+        // another collection may be scanned as often as it likes
+        assert_eq!(
+            tests_of(
+                r#"for $a in collection("c")/article, $b in collection("d")/x
+                   where $a/prolog/genre = "x" and $b/y = "z" return $b"#
+            ),
+            [["/article/prolog/genre"]]
+        );
+    }
+
+    #[test]
+    fn filter_query_selects_by_the_tests_and_returns_below_the_binding() {
+        let query = parse_query(
+            r#"for $a in collection("c")/article
+               where $a/prolog/genre = "x" and not($a/prolog/title = "t")
+                     and exists($a/prolog/authors)
+               order by $a/prolog/title return ($a/prolog/title, $a/epilog/country)"#,
+        )
+        .unwrap();
+        let analysis = analyze(&query).unwrap();
+        let tests: Vec<&Expr> =
+            fragment_tests(&query, &analysis).iter().map(|test| test.expr).collect();
+        let filter = filter_query(&analysis, &tests, PathExpr::parse("prolog").unwrap());
+        assert_eq!(
+            filter,
+            parse_query(
+                r#"for $a in collection("c")/article
+                   where $a/prolog/genre = "x" and exists($a/prolog/authors) return $a/prolog"#
+            )
+            .unwrap()
         );
     }
 

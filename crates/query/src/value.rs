@@ -152,6 +152,19 @@ impl PartialEq for Item {
 /// A sequence of items — every expression evaluates to one.
 pub type Sequence = Vec<Item>;
 
+/// The documents whose root element is an item of `items`, in order —
+/// how a fetch carries whole documents, name and origin intact, where a
+/// sequence of items is expected.
+pub fn root_documents(items: Sequence) -> Vec<Arc<Document>> {
+    items
+        .into_iter()
+        .filter_map(|item| match item {
+            Item::Node(doc, NodeId::ROOT) => Some(doc),
+            _ => None,
+        })
+        .collect()
+}
+
 /// XPath *effective boolean value*: empty = false, single boolean = its
 /// value, single number = non-zero, otherwise (any node / non-empty
 /// string) = true.

@@ -241,6 +241,18 @@ impl Database {
         Ok(QueryOutput { items, stats })
     }
 
+    /// The documents `filter` returns the root elements of — a fetch of
+    /// part of a collection, chosen by an ordinary query, run the ordinary
+    /// way (indexes, lowering, morsels): `for $d in collection("f")/r where
+    /// … return $d` answers with the documents themselves, name and origin
+    /// intact, where [`Database::execute_parsed`] would ship their trees.
+    pub fn fetch_filtered(
+        &self,
+        filter: &partix_query::Query,
+    ) -> Result<Vec<Arc<Document>>, ExecError> {
+        Ok(partix_query::root_documents(self.execute_parsed(filter)?.items))
+    }
+
     /// The one candidate snapshot of a driving scan: the documents the
     /// indexes shortlist for `predicate`, or every live one, in document
     /// order — taken under one read guard, so the scan sees the

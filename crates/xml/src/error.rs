@@ -43,6 +43,8 @@ pub enum ParseErrorKind {
     DuplicateAttribute(String),
     /// A name (element/attribute) is empty or starts with an illegal char.
     BadName(String),
+    /// Elements nest deeper than [`crate::MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for ParseError {
@@ -65,6 +67,9 @@ impl fmt::Display for ParseError {
                 write!(f, "duplicate attribute {name:?}")
             }
             ParseErrorKind::BadName(name) => write!(f, "invalid name {name:?}"),
+            ParseErrorKind::TooDeep => {
+                write!(f, "elements nest deeper than {} levels", crate::MAX_DEPTH)
+            }
         }
     }
 }

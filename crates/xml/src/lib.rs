@@ -34,7 +34,7 @@ pub mod tree;
 pub use binary::PageView;
 pub use builder::DocBuilder;
 pub use dewey::Dewey;
-pub use error::{ParseError, XmlError};
-pub use parser::{parse, parse_with, ParseOptions};
+pub use error::{ParseError, ParseErrorKind, XmlError};
+pub use parser::{parse, parse_with, ParseOptions, MAX_DEPTH};
 pub use serializer::{to_string, to_string_pretty, Serializer};
 pub use tree::{Document, NodeId, NodeKind, NodeRef, Origin, Sym};

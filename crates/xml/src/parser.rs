@@ -11,6 +11,13 @@
 use crate::error::{ParseError, ParseErrorKind, Pos};
 use crate::tree::{Document, NodeId};
 
+/// Deepest element nesting [`parse`] accepts. The parser recurses once
+/// per open element, and a stack overflow is an abort no firewall
+/// catches; real repositories nest a dozen levels, and what this lets
+/// through parses, serialises and drops on the 2 MiB stack pool workers
+/// and connection threads run on.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parser configuration.
 #[derive(Debug, Clone)]
 pub struct ParseOptions {
@@ -37,6 +44,7 @@ pub fn parse_with(input: &str, options: &ParseOptions) -> Result<Document, Parse
         pos: 0,
         line: 1,
         line_start: 0,
+        depth: 0,
         options,
     };
     parser.document()
@@ -47,6 +55,8 @@ struct Parser<'a> {
     pos: usize,
     line: u32,
     line_start: usize,
+    /// Elements open around the one being parsed.
+    depth: usize,
     options: &'a ParseOptions,
 }
 
@@ -233,8 +243,23 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse attributes + content of an element whose `<name` has been
-    /// consumed and whose node already exists.
+    /// consumed and whose node already exists, one level down.
     fn element_rest(
+        &mut self,
+        doc: &mut Document,
+        node: NodeId,
+        label: &str,
+    ) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(ParseErrorKind::TooDeep));
+        }
+        self.depth += 1;
+        let result = self.element_body(doc, node, label);
+        self.depth -= 1;
+        result
+    }
+
+    fn element_body(
         &mut self,
         doc: &mut Document,
         node: NodeId,

@@ -76,8 +76,11 @@ fn main() {
     assert_eq!(single.report.sites.len(), 1);
 
     // Multi-fragment query: needs prolog AND epilog — the middleware
-    // fetches the fragments, re-nests them with the Dewey join, and
-    // evaluates at the coordinator (the paper's expensive case).
+    // fetches the fragments the query reads (the country test runs at
+    // the epilog's node, which ships only the pieces that pass),
+    // re-nests the surviving articles with the Dewey join, and evaluates
+    // at the coordinator (the paper's expensive case). The body is never
+    // contacted.
     let multi = px
         .execute(
             r#"for $a in collection("articles")/article
@@ -86,12 +89,20 @@ fn main() {
         )
         .expect("query runs");
     println!(
-        "cross-fragment query: {} titles — reconstructed: {} ({} fragments fetched)",
+        "cross-fragment query: {} titles — reconstructed: {} ({} fragments fetched, {} pruned)",
         multi.items.len(),
         multi.report.reconstructed,
         multi.report.sites.len(),
+        multi.report.fragments_pruned,
     );
+    for site in &multi.report.sites {
+        println!(
+            "  {} on node {}: {} document(s), {} bytes",
+            site.fragment, site.node, site.docs_scanned, site.result_bytes,
+        );
+    }
     assert!(multi.report.reconstructed);
+    assert!(multi.report.sites.iter().all(|site| site.fragment != "f_body"));
 
     // Distributive aggregates still run fragment-locally.
     let agg = px

@@ -44,6 +44,43 @@ if ! cargo test -q --test remote_differential --offline vertical_kill_matrix \
     exit 1
 fi
 
+# reconstruction gate: a multi-fragment vertical query reads only what it
+# reads. By name, so that renaming or filtering them away fails the gate:
+# the property that pruned + filtered fetches answer as fetching
+# everything does and as the centralized run (random vertical designs,
+# collections with articles lacking a part, random queries) and the check
+# that its generator keeps reaching pruned and filtered plans; the planner
+# unit tests (which fragments QV4 / QV7 / QV8 / QV10 contact, which
+# conjuncts travel, that a negation, a self-join and a `let`-aliased scan
+# push nothing, which cuts are read with their holder's other cuts, that a
+# pruned fragment is not contacted and the evaluation error is the
+# coordinator's own); and the XML nesting-depth regression (deep text is
+# a typed error on a 2 MiB thread, where it used to abort the process).
+for named in \
+    "partix properties pruned_filtered_reconstruction_equals_fetch_everything_and_centralized" \
+    "partix properties vertical_generator_reaches_pruned_and_filtered_reconstructions" \
+    "partix-xml depth deep_documents_are_a_typed_error_on_a_2mib_thread" \
+    "partix-xml depth the_deepest_accepted_document_parses_serialises_and_drops_on_a_2mib_thread"; do
+    read -r package suite name <<< "$named"
+    if ! cargo test -q -p "$package" --test "$suite" --offline "$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
+for name in reconstruction_fetches_what_the_query_reads \
+    negations_cross_fragment_disjunctions_and_self_joins_push_no_filter \
+    pruned_fragments_of_a_reconstruction_are_not_contacted \
+    evaluation_failure_over_rebuilt_documents_is_a_reconstruction_error \
+    positional_cuts_read_their_siblings_and_take_no_unpinned_test \
+    cuts_below_their_holders_root_are_read_with_all_of_the_holders_cuts; do
+    if ! cargo test -q -p partix-engine --lib --offline "service::tests::$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
+
 # streaming gate: the PXN2 streamed-vs-buffered differential (every
 # query family, hot and cold caches, seeded faults, coordinator killed
 # mid-stream), the coordinator-replication failover differential (three
@@ -155,6 +192,12 @@ SERVICE=crates/core/src/service
 if grep -nE 'fetch_docs\(|try_fetch_collection\(|\.execute_query\(' \
     $(ls "$SERVICE"/*.rs | grep -vE '/(dispatch|tests)\.rs$'); then
     echo "verify: FAIL — a node call outside $SERVICE/dispatch.rs" >&2
+    exit 1
+fi
+# one reconstruction path, and it builds no database: the rebuilt
+# documents are evaluated as a slice, index-free.
+if grep -nE 'Database::new\(\)|store_all_shared' "$SERVICE"/assemble.rs; then
+    echo "verify: FAIL — a scratch database reappeared in $SERVICE/assemble.rs" >&2
     exit 1
 fi
 if grep -rn 'DispatchMode::Threads' crates src tests examples; then

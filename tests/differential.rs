@@ -189,24 +189,31 @@ fn vertical_under_faults_never_returns_wrong_data() {
     assert_no_wrong_data(&px, &oracle, &workload, "vert-faulted");
 }
 
-/// The reconstruction fallback fetches whole fragments, and those
-/// fetches run through the same fault schedules, retry loop and typed
-/// errors as sub-queries: under seeded plans an answered reconstruction
-/// is the oracle's, a flapping node costs a retry and nothing else, and
-/// a wedged node is a typed error — never a document set rebuilt from
-/// what happened to arrive.
+/// The reconstruction fallback fetches the fragments a query reads, and
+/// those fetches run through the same fault schedules, retry loop and
+/// typed errors as sub-queries: under seeded plans an answered
+/// reconstruction is the oracle's, a flapping node costs a retry and
+/// nothing else, and a wedged node is a typed error to every query that
+/// reads a fragment of it — never a document set rebuilt from what
+/// happened to arrive — and nothing at all to a query that does not.
 #[test]
 fn reconstruction_under_faults_retries_or_fails_typed() {
     let docs = partix::gen::gen_articles(8, ArticleProfile::SMALL, 41);
     let clean = setup::vertical(&docs);
+    let mut reads_epilog = Vec::new();
     let (workload, oracle): (Vec<_>, Vec<_>) = queries::vertical(setup::DIST)
         .into_iter()
         .filter_map(|(id, q)| {
             let result = clean.execute(&q).unwrap_or_else(|e| panic!("{id}: {e}"));
-            result.report.reconstructed.then(|| ((id, q), canonical(&result.items)))
+            result.report.reconstructed.then(|| {
+                reads_epilog.push(result.report.sites.iter().any(|s| s.fragment == "f_epilog"));
+                ((id, q), canonical(&result.items))
+            })
         })
         .unzip();
     assert!(workload.len() >= 4, "QV4/QV7/QV8/QV10 reconstruct");
+    // QV7 reads the body and the prolog only
+    assert_eq!(reads_epilog.iter().filter(|reads| !**reads).count(), 1);
     let faulted = || {
         let px = setup::vertical(&docs);
         px.set_retry_policy(RetryPolicy {
@@ -244,15 +251,19 @@ fn reconstruction_under_faults_retries_or_fails_typed() {
     }
     assert!(retries > 0, "no fetch was retried");
 
-    // f_epilog's only node rejects every call: a typed error
+    // f_epilog's only node rejects every call: a typed error to the
+    // queries that read it, the oracle's answer to the one that does not
     let px = faulted();
     FaultInjector::install(
         px.cluster().node(2).expect("node 2"),
         vec![Fault::ErrorAfter { ok_calls: 0 }],
     );
-    for (id, query) in &workload {
+    for (k, (id, query)) in workload.iter().enumerate() {
         match px.execute(query) {
-            Err(PartixError::SubQuery { node: 2, .. }) => {}
+            Err(PartixError::SubQuery { node: 2, .. }) if reads_epilog[k] => {}
+            Ok(result) if !reads_epilog[k] => {
+                assert_eq!(canonical(&result.items), oracle[k], "wedged/{id}");
+            }
             other => panic!("wedged/{id}: expected a typed error from node 2, got {other:?}"),
         }
     }

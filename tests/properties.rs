@@ -6,6 +6,10 @@
 //!   reconstruction) for random documents and random fragment designs;
 //! * distributed query answers equal centralized answers for random
 //!   workloads;
+//! * a reconstruction that reads only what the query reads — fragments
+//!   pruned by footprint, fetches filtered at the node — answers as the
+//!   one that fetches everything does, and as the centralized run, over
+//!   random vertical designs, collections and queries;
 //! * fault tolerance: random fault schedules against replicated
 //!   repositories never fail (replication ≥ 2, one faulty node) and
 //!   `allow_partial` reports exactly the fragments that lost every
@@ -19,7 +23,7 @@ use partix::engine::{
 };
 use partix::frag::{check_correctness, FragmentDef, Fragmenter, FragmentationSchema};
 use partix::path::{PathExpr, Predicate};
-use partix::query::Item;
+use partix::query::{parse_query, Evaluator, Item, MemProvider};
 use partix::schema::{builtin, CollectionDef, RepoKind};
 use partix::xml::{binary, parse, to_string, to_string_pretty, DocBuilder, Document};
 use proptest::prelude::*;
@@ -336,6 +340,371 @@ proptest! {
         b.sort();
         prop_assert_eq!(a, b, "{:?}", shape);
     }
+}
+
+// ------------------------------------------------ vertical reconstruction --
+
+/// One generated article: which parts it has at all, and what is in them.
+#[derive(Debug, Clone)]
+struct ArticleShape {
+    prolog: Option<(usize, usize, usize)>, // title, genre, authors
+    body: Option<(usize, Vec<usize>)>,     // abstract, heading of each section
+    epilog: Option<(usize, usize, usize)>, // country, references, word count
+}
+
+const TITLES: [&str; 4] = ["T0 xml", "T1 data", "XML T2", "T1 xml"];
+const GENRES: [&str; 3] = ["g0", "g1", "g2"];
+const ABSTRACTS: [&str; 3] = ["xml good", "data poor", "good data"];
+const COUNTRIES: [&str; 3] = ["BR", "AR", "US"];
+
+impl ArticleShape {
+    fn document(&self, i: usize) -> Document {
+        let mut xml = format!(r#"<article id="a{i}">"#);
+        if let Some((title, genre, authors)) = self.prolog {
+            let authors: String =
+                (0..authors).map(|k| format!("<author><name>n{i}{k}</name></author>")).collect();
+            xml += &format!(
+                "<prolog><title>{}</title><authors>{authors}</authors><genre>{}</genre>\
+                 <pub_date>2005-01-0{}</pub_date></prolog>",
+                TITLES[title], GENRES[genre], i % 9 + 1
+            );
+        }
+        if let Some((abstract_, headings)) = &self.body {
+            let sections: String = headings
+                .iter()
+                .enumerate()
+                .map(|(k, h)| {
+                    format!(
+                        "<section><heading>h{h}</heading><p>p{i}{k}</p><p>q{i}{k}</p></section>"
+                    )
+                })
+                .collect();
+            let abstract_ = ABSTRACTS[*abstract_];
+            xml += &format!("<body><abstract>{abstract_}</abstract>{sections}</body>");
+        }
+        if let Some((country, references, words)) = self.epilog {
+            let references: String = (0..references)
+                .map(|k| {
+                    format!(
+                        "<reference><ref_title>r{i}{k}</ref_title><year>199{k}</year></reference>"
+                    )
+                })
+                .collect();
+            xml += &format!(
+                "<epilog><references>{references}</references><country>{}</country>\
+                 <word_count>{}</word_count></epilog>",
+                COUNTRIES[country],
+                100 + words
+            );
+        }
+        let mut doc = parse(&(xml + "</article>")).expect("generated article parses");
+        doc.name = Some(format!("a{i}"));
+        doc
+    }
+}
+
+/// Articles of which roughly one in five lacks its prolog, its body or its
+/// epilog *entirely*: no piece of them in that fragment.
+fn arb_articles() -> impl Strategy<Value = Vec<Document>> {
+    fn part<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+        (0usize..5, inner).prop_map(|(dice, part)| (dice > 0).then_some(part))
+    }
+    let prolog = part((0usize..4, 0usize..3, 1usize..3));
+    let body = part((0usize..3, prop::collection::vec(0usize..3, 1..4)));
+    let epilog = part((0usize..3, 0usize..3, 0usize..50));
+    prop::collection::vec(
+        (prolog, body, epilog)
+            .prop_map(|(prolog, body, epilog)| ArticleShape { prolog, body, epilog }),
+        2..9,
+    )
+    .prop_map(|shapes| shapes.iter().enumerate().map(|(i, s)| s.document(i)).collect())
+}
+
+const ARTICLES: &str = "articles";
+
+/// A random complete vertical design over the article schema: the spine
+/// plus any of the cut paths below, each fragment pruning the cuts made
+/// directly inside it — top-level parts, parts of parts (two levels into
+/// the spine when the part itself is not cut), and up to two `section`s
+/// taken by position out of one `body`, one of them perhaps with its
+/// `heading` cut out in turn (the nested, positional prune chain of
+/// `join.rs::deep_prune_chain`; a cut that could take several nodes of a
+/// document is not a valid design).
+fn arb_vertical_design() -> impl Strategy<Value = (FragmentationSchema, Vec<Placement>)> {
+    let cuts = [
+        "/article/prolog",
+        "/article/prolog/authors",
+        "/article/body",
+        "/article/body/abstract",
+        "/article/epilog",
+        "/article/epilog/references",
+    ];
+    let sections = prop::sample::select(vec![
+        vec![],
+        vec![],
+        vec!["/article/body/section[1]"],
+        vec!["/article/body/section[2]"],
+        vec!["/article/body/section[1]", "/article/body/section[2]"],
+        vec!["/article/body/section[1]", "/article/body/section[3]"],
+        vec!["/article/body/section[2]", "/article/body/section[2]/heading"],
+        vec!["/article/body/section[2]/heading", "/article/body/section[3]"],
+    ]);
+    (prop::collection::vec(any::<bool>(), 6..7), sections, prop::collection::vec(0usize..3, 9..10))
+        .prop_filter("a design cuts somewhere", |(chosen, sections, _)| {
+            chosen.contains(&true) || !sections.is_empty()
+        })
+        .prop_map(move |(chosen, sections, nodes)| {
+            let path = |s: &str| PathExpr::parse(s).unwrap();
+            let mut paths = vec![path("/article")];
+            paths.extend(cuts.iter().zip(&chosen).filter(|(_, on)| **on).map(|(cut, _)| path(cut)));
+            paths.extend(sections.iter().map(|cut| path(cut)));
+            // a cut is pruned from the longest path it hangs under
+            let container = |cut: &PathExpr| {
+                let above = |p: &&PathExpr| {
+                    p.steps.len() < cut.steps.len() && cut.strip_prefix(p).is_some()
+                };
+                paths.iter().filter(above).max_by_key(|p| p.steps.len()).cloned()
+            };
+            let fragments = paths
+                .iter()
+                .enumerate()
+                .map(|(k, p)| {
+                    let prune = paths.iter().filter(|c| container(c).as_ref() == Some(p)).cloned();
+                    FragmentDef::vertical(&format!("f{k}"), p.clone(), prune.collect())
+                })
+                .collect();
+            let collection = CollectionDef::new(
+                ARTICLES,
+                Arc::new(builtin::xbench_article()),
+                path("/article"),
+                RepoKind::MultipleDocuments,
+            );
+            let design = FragmentationSchema::new(collection, fragments).expect("valid design");
+            let placements = (0..paths.len())
+                .map(|k| Placement { fragment: format!("f{k}"), node: nodes[k] })
+                .collect();
+            (design, placements)
+        })
+}
+
+/// Conjuncts a fragment's node may test on its own …
+const PUSHABLE: [&str; 10] = [
+    r#"$a/prolog/genre = "g1""#,
+    r#"contains($a/body/abstract, "xml")"#,
+    r#""BR" = $a/epilog/country"#,
+    r#"starts-with($a/prolog/title, "T1")"#,
+    r#"exists($a/prolog/authors/author/name)"#,
+    r#"$a/@id != "a0""#,
+    r#"$a/body/section[2]/heading = "h1""#,
+    r#"$a/body/section/heading = "h0""#,
+    r#"($a/prolog/genre = "g0" or contains($a/prolog/title, "XML"))"#,
+    r#"$a/epilog/references/reference/year = "1991""#,
+];
+
+/// … and conjuncts none may: an article without the part passes the first
+/// three, the next spans fragments, the rest read all of a path's nodes or
+/// through steps that may lead anywhere.
+const NOT_PUSHABLE: [&str; 7] = [
+    r#"not($a/prolog/genre = "g1")"#,
+    r#"empty($a/epilog/country)"#,
+    r#"not(contains($a/body/abstract, "good"))"#,
+    r#"($a/prolog/genre = "g0" or $a/epilog/country = "AR")"#,
+    r#"count($a/body/section) >= 2"#,
+    r#"$a/*/title = "T1 data""#,
+    r#"contains($a//heading, "h1")"#,
+];
+
+const RETURNS: [&str; 14] = [
+    "$a/body/section[3]/heading",
+    "$a/body/section[2]",
+    "(for $s in $a/body/section return $s/heading)",
+    "$a/prolog/title",
+    "($a/prolog/title, $a/epilog/country)",
+    "$a/body/section[2]/p",
+    "$a/body/section/heading",
+    "$a/body/section[1]/p[2]",
+    "$a//p",
+    "$a/*/title",
+    "$a/@id",
+    "$a",
+    "<r>{$a/prolog/title}{$a/epilog/word_count}</r>",
+    "$a/prolog/authors/author[1]/name",
+];
+
+/// A random query over the distributed articles: conjuncts of both kinds,
+/// positional, wildcard and `//` steps, an aggregate or an `order by`
+/// around it, a self-join of the collection, or the scan bound by a `let`
+/// and read a second time through its variable.
+fn arb_article_query() -> impl Strategy<Value = String> {
+    let conjuncts = prop::collection::vec(
+        // three in four pushable
+        (
+            0usize..4,
+            prop::sample::select(PUSHABLE.to_vec()),
+            prop::sample::select(NOT_PUSHABLE.to_vec()),
+        )
+            .prop_map(|(dice, pushable, not)| if dice > 0 { pushable } else { not }),
+        0..4,
+    );
+    (conjuncts, prop::sample::select(RETURNS.to_vec()), 0usize..11).prop_map(
+        |(mut conjuncts, ret, shape)| {
+            let c = format!(r#"collection("{ARTICLES}")"#);
+            match shape {
+                7 => conjuncts.push("$a/epilog/country = $b/epilog/country"),
+                9 => conjuncts.push("count($all) > 2"),
+                _ => {}
+            }
+            let bindings = match shape {
+                7 => format!("for $a in {c}/article, $b in {c}/article"),
+                8 | 9 => format!("let $all := {c}/article for $a in $all"),
+                _ => format!("for $a in {c}/article"),
+            };
+            let filter = match conjuncts.is_empty() {
+                true => String::new(),
+                false => format!("where {}", conjuncts.join(" and ")),
+            };
+            match shape {
+                0..=2 | 9 => format!("{bindings} {filter} return {ret}"),
+                3 => format!(
+                    "{bindings} {filter} order by $a/prolog/title descending return {ret}"
+                ),
+                4 => format!("count({bindings} {filter} return {ret})"),
+                5 => format!("count({bindings} {filter} return $a)"),
+                6 => format!("sum({bindings} {filter} return number($a/epilog/word_count))"),
+                7 => format!("{bindings} {filter} return ($b/prolog/title, {ret})"),
+                8 => format!("{bindings} {filter} return (count($all), {ret})"),
+                _ => format!("count({bindings} {filter} return $a) > 1"),
+            }
+        },
+    )
+}
+
+/// A cluster holding `docs` under `design`, and centralized on node 0.
+fn vertical_px(
+    docs: &[Document],
+    design: FragmentationSchema,
+    placements: Vec<Placement>,
+) -> PartiX {
+    let px = PartiX::new(3, NetworkModel::default());
+    px.register_distribution(Distribution { design, placements }).unwrap();
+    px.publish(ARTICLES, docs).unwrap();
+    px.publish_centralized(0, "central", docs).unwrap();
+    px
+}
+
+/// Test support, not a product route: the answer of `query` with **every**
+/// fragment fetched whole, all documents rebuilt, and the query run over
+/// them — what a reconstruction was before it read only what the query
+/// reads.
+fn fetch_everything(px: &PartiX, query: &str) -> Result<Vec<Item>, String> {
+    let catalog = px.catalog();
+    let dist = catalog.distribution(ARTICLES).expect("distributed");
+    let fetched: Vec<_> = dist
+        .design
+        .fragments
+        .iter()
+        .map(|frag| {
+            let node = px.cluster().node(dist.nodes_of(&frag.name)[0]).expect("placed");
+            let docs = node.active_driver().try_fetch_collection(&frag.name).expect("fetch");
+            (frag.name.clone(), docs)
+        })
+        .collect();
+    let rebuilt = partix::frag::correctness::reconstruct_any_shared(&dist.design, &fetched)?;
+    let mut provider = MemProvider::new();
+    provider.add_shared(ARTICLES, rebuilt);
+    let query = parse_query(query).map_err(|e| e.to_string())?;
+    Evaluator::new(&provider).eval(&query).map_err(|e| e.to_string())
+}
+
+/// What a case did, for the generator check below.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct PlanShape {
+    reconstructed: bool,
+    pruned: bool,
+    filtered: bool,
+}
+
+/// Distributed ≡ fetch-everything ≡ centralized for one case. A rebuilt
+/// answer keeps the centralized order; a decomposed one is a concatenation
+/// in fragment order, compared as a multiset.
+fn check_vertical_case(
+    docs: &[Document],
+    design: FragmentationSchema,
+    placements: Vec<Placement>,
+    query: &str,
+) -> PlanShape {
+    let fragments = design.fragments.len();
+    let px = vertical_px(docs, design, placements);
+    let serialize = |items: &[Item]| items.iter().map(Item::serialize).collect::<Vec<_>>();
+    let central = px
+        .execute_centralized(0, &query.replace(ARTICLES, "central"))
+        .map(|r| serialize(&r.items))
+        .map_err(|e| e.to_string());
+    let everything = fetch_everything(&px, query).map(|items| serialize(&items));
+    prop_assert_eq!(&everything, &central, "fetch-everything vs centralized: {}", query);
+    let distributed = px.execute(query);
+    let Ok(distributed) = distributed else {
+        prop_assert!(central.is_err(), "{query}: {:?}, centralized {central:?}", distributed.err());
+        return PlanShape::default();
+    };
+    let (mut got, mut expected) = (serialize(&distributed.items), central.expect("answered"));
+    let report = &distributed.report;
+    if !report.reconstructed {
+        got.sort();
+        expected.sort();
+    }
+    prop_assert_eq!(got, expected, "{}\nsites {:?}", query, report.sites);
+    prop_assert_eq!(report.sites.len() + report.fragments_pruned, fragments, "{}", query);
+    let held = |fragment: &str| {
+        let catalog = px.catalog();
+        let node = catalog.distribution(ARTICLES).expect("distributed").nodes_of(fragment)[0];
+        px.cluster().node(node).expect("placed").fetch_docs(fragment).len()
+    };
+    PlanShape {
+        reconstructed: report.reconstructed,
+        pruned: report.reconstructed && report.fragments_pruned > 0,
+        filtered: report.reconstructed
+            && report.sites.iter().any(|site| site.docs_scanned < held(&site.fragment)),
+    }
+}
+
+proptest! {
+    #![proptest_config(cases(48))]
+
+    /// Pruned + filtered ≡ fetch-everything ≡ centralized: for random
+    /// vertical designs, random collections in which some articles lack a
+    /// part entirely, and random queries, reading only what the query reads
+    /// changes no answer.
+    #[test]
+    fn pruned_filtered_reconstruction_equals_fetch_everything_and_centralized(
+        docs in arb_articles(),
+        design in arb_vertical_design(),
+        query in arb_article_query(),
+    ) {
+        check_vertical_case(&docs, design.0, design.1, &query);
+    }
+}
+
+/// The generator reaches what the property is about: among a fixed sample
+/// of cases a good share reconstructs, leaves fragments unread, and has a
+/// node filter its fetch.
+#[test]
+fn vertical_generator_reaches_pruned_and_filtered_reconstructions() {
+    let mut rng = proptest::test_runner::TestRng::from_seed(16);
+    let strategy = (arb_articles(), arb_vertical_design(), arb_article_query());
+    let (mut reconstructed, mut pruned, mut filtered) = (0, 0, 0);
+    let cases = 120;
+    for _ in 0..cases {
+        let (docs, (design, placements), query) =
+            strategy.generate(&mut rng).expect("no filter rejects");
+        let shape = check_vertical_case(&docs, design, placements, &query);
+        reconstructed += usize::from(shape.reconstructed);
+        pruned += usize::from(shape.pruned);
+        filtered += usize::from(shape.filtered);
+    }
+    assert!(reconstructed * 2 >= cases, "{reconstructed} of {cases} cases reconstruct");
+    assert!(pruned * 5 >= cases, "{pruned} of {cases} cases leave a fragment unread");
+    assert!(filtered * 8 >= cases, "{filtered} of {cases} cases filter a fetch");
 }
 
 // --------------------------------------------------- fault schedules --

@@ -107,6 +107,58 @@ fn vertical_remote_matches_local() {
     assert_remote_differential(&px, &local, &workload, "vert-remote");
 }
 
+/// A reconstruction reads only what the query reads over the wire too:
+/// the node of a fragment outside the footprint sees no frame at all, and
+/// a fetch whose filter rode the request brings back the pieces that
+/// pass, not the fragment.
+#[test]
+fn vertical_fetches_cross_the_wire_pruned_and_filtered() {
+    let docs = partix::gen::gen_articles(10, ArticleProfile::SMALL, 29);
+    let px = setup::vertical(&docs);
+    let c = format!("collection(\"{}\")", setup::DIST);
+    let qv4 = format!("for $a in {c}/article return ($a/prolog/title, $a/epilog/country)");
+    let titles_where = |word: &str| {
+        format!(
+            "for $a in {c}/article where contains($a/body/abstract, \"{word}\") \
+             return $a/prolog/title"
+        )
+    };
+    let qv10 = format!("count({c}//p)");
+    let workload: Vec<(&'static str, String)> = vec![
+        ("QV4", qv4),
+        ("QV7", titles_where("good")),
+        ("QV7-none", titles_where("no such word")),
+        ("QV10", qv10),
+    ];
+    let local = local_answers(&px, &workload, "vert-wire");
+    let wire = RemoteCluster::attach(&px);
+    // node 1 holds f_body and nothing else
+    let body_node = || wire.driver(1).stats();
+    let run = |k: usize| {
+        let before = body_node();
+        let (id, query) = &workload[k];
+        let result = px.execute(query).unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(canonical(&result.items), local[k], "{id}");
+        let after = body_node();
+        (result, after.bytes_sent - before.bytes_sent, after.bytes_recv - before.bytes_recv)
+    };
+    // QV4 reads the prolog and the epilog: f_body is not requested
+    let (qv4, sent, received) = run(0);
+    assert!(qv4.report.reconstructed);
+    assert_eq!((sent, received), (0, 0), "QV4 contacted the node of f_body");
+    assert_eq!(qv4.report.fragments_pruned, 1);
+    assert!(qv4.report.sites.iter().all(|site| site.fragment != "f_body"));
+    // QV7 and QV10 both fetch f_body; QV7's request carries the filter
+    // and its answer only the pieces that pass — none, for the last word
+    let (_, some_sent, some_received) = run(1);
+    let (none, none_sent, none_received) = run(2);
+    let (_, whole_sent, whole_received) = run(3);
+    assert!(none.items.is_empty());
+    assert!(some_sent > whole_sent && none_sent > whole_sent, "no filter on the wire");
+    assert!(none_received < some_received && some_received <= whole_received);
+    assert!(none_received * 4 < whole_received, "{none_received} of {whole_received} bytes");
+}
+
 #[test]
 fn hybrid_remote_matches_local_both_frag_modes() {
     let store = partix::gen::gen_store(40, ItemProfile::Small, 31);
@@ -214,13 +266,15 @@ fn killed_server_yields_typed_error_and_restart_heals() {
 }
 
 /// Vertical kill matrix: every node of the vertical design killed in
-/// turn, every query of the workload run against the hole. Single-
-/// fragment queries routed elsewhere keep answering; queries that need
-/// the dead node — sub-queries and the reconstruction fallback's
-/// whole-fragment fetches alike — fail typed. The outlawed outcome is a
-/// reconstruction that silently joins an empty fragment in place of the
-/// unreachable one. A restart heals every query. `decorate` wraps every
-/// remote driver (see [`Forwarding`]) once the cluster is on the wire.
+/// turn, every query of the workload run against the hole. Queries that
+/// read nothing the dead node holds keep answering — single-fragment ones
+/// routed elsewhere, and reconstructions whose footprint does not reach
+/// its fragments; queries that need the dead node — sub-queries and the
+/// reconstruction fallback's fetches, filtered or whole, alike — fail
+/// typed. The outlawed outcome is a reconstruction that silently joins an
+/// empty fragment in place of the unreachable one. A restart heals every
+/// query. `decorate` wraps every remote driver (see [`Forwarding`]) once
+/// the cluster is on the wire.
 fn vertical_kill_matrix(
     label: &str,
     decorate: impl Fn(Arc<dyn PartixDriver>) -> Arc<dyn PartixDriver>,
@@ -237,12 +291,36 @@ fn vertical_kill_matrix(
         node.set_driver(decorate(Arc::clone(wire.driver(node.id)) as Arc<dyn PartixDriver>));
     }
     let healthy = local_answers(&px, &workload, &format!("{label}/healthy"));
+    // the nodes each query contacts, healthy
+    let contacts: Vec<Vec<usize>> = workload
+        .iter()
+        .map(|(_, query)| {
+            let report = px.execute(query).expect("healthy run").report;
+            report.sites.iter().map(|site| site.node).collect()
+        })
+        .collect();
+    // QV4 fetches three fragments and none from node 1, which holds f_body
+    let prunes_a_node = |nodes: &Vec<usize>| nodes.len() == 3 && !nodes.contains(&1);
+    assert!(contacts.iter().any(prunes_a_node), "no reconstruction leaves a node alone");
 
     for victim in 0..wire.len() {
         wire.kill(victim);
         let label = format!("{label}/n{victim}");
         let answered = assert_no_wrong_data(&px, &healthy, &workload, &label);
         assert!(answered < workload.len(), "{label}: no query noticed the dead node");
+        // a query that reads nothing the dead node holds keeps its
+        // answer; one that does fails typed, whatever else it fetched
+        for (k, (id, query)) in workload.iter().enumerate() {
+            match px.execute(query) {
+                Ok(result) => {
+                    assert!(!contacts[k].contains(&victim), "{label}/{id}: answered over a hole");
+                    assert_eq!(canonical(&result.items), healthy[k], "{label}/{id}");
+                }
+                Err(error) => {
+                    assert!(contacts[k].contains(&victim), "{label}/{id}: {error}");
+                }
+            }
+        }
 
         wire.restart(victim);
         for (k, (id, query)) in workload.iter().enumerate() {
@@ -263,7 +341,9 @@ fn vertical_kill_matrix_yields_healthy_answer_or_typed_error() {
 /// driver, `try_fetch_collection` included — the one forward a wrapper
 /// must not leave to the trait's default, which answers through the
 /// infallible `fetch_collection` and would hand the reconstruction an
-/// empty fragment for an unreachable node.
+/// empty fragment for an unreachable node. `try_fetch_filtered` is
+/// forwarded so the filter still runs at the node; its default (fetch it
+/// all through `try_fetch_collection`, filter here) would be as correct.
 struct Forwarding(Arc<dyn PartixDriver>);
 
 impl PartixDriver for Forwarding {
@@ -281,6 +361,14 @@ impl PartixDriver for Forwarding {
 
     fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
         self.0.try_fetch_collection(collection)
+    }
+
+    fn try_fetch_filtered(
+        &self,
+        collection: &str,
+        filter: &Query,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.0.try_fetch_filtered(collection, filter)
     }
 
     fn collections(&self) -> Vec<String> {
