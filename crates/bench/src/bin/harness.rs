@@ -2,6 +2,8 @@
 //! paper's evaluation (Section 5). Run `harness help` for usage.
 
 use partix_bench::output::{human_bytes, Record, Sink};
+use partix_bench::scenario::Knobs;
+use partix_bench::scenarios::{Scenario, SCENARIOS};
 use partix_bench::{queries, runner, setup};
 use partix_frag::FragMode;
 use partix_gen::{ArticleProfile, ItemProfile};
@@ -20,27 +22,29 @@ struct Args {
     reps: usize,
     /// Optional JSON-lines log path.
     log: Option<String>,
-    /// Concurrent-client counts for the throughput benchmark.
+    /// Concurrent-client counts for the scenarios.
     clients: Vec<usize>,
-    /// Queries per client for the throughput benchmark.
+    /// Operations per client for the scenarios.
     queries: usize,
-    /// Output path for the throughput benchmark's JSON document.
-    out: String,
-    /// Fault-schedule seed for the chaos benchmark (hex or decimal).
+    /// Output path for a scenario's JSON record; `BENCH_<scenario>.json`
+    /// when not given.
+    out: Option<String>,
+    /// Fault-schedule / advisor seed (hex or decimal).
     seed: u64,
-    /// Per-node fault probability for the chaos benchmark.
+    /// Per-node fault probability for the chaos scenario.
     rate: f64,
-    /// Replicas per fragment for the chaos benchmark.
+    /// Replicas per fragment for the chaos scenario.
     replicas: usize,
-    /// Per-attempt dispatch deadline for the chaos benchmark (ms).
+    /// Per-attempt dispatch deadline for the chaos scenario (ms).
     timeout_ms: u64,
-    /// Run throughput/chaos over loopback TCP node servers.
+    /// Run chaos/rebalance over loopback TCP node servers.
     remote: bool,
 }
 
-fn parse_args() -> Args {
+/// `argv` without the program name: the command, then flags.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
-        command: std::env::args().nth(1).unwrap_or_else(|| "help".into()),
+        command: argv.next().unwrap_or_else(|| "help".into()),
         scale: 0.02,
         sizes: vec![5, 20, 100, 250],
         frags: vec![2, 4, 8],
@@ -48,14 +52,14 @@ fn parse_args() -> Args {
         log: None,
         clients: vec![1, 4, 16],
         queries: 40,
-        out: "BENCH_throughput.json".into(),
+        out: None,
         seed: 0xC4A0_5EED,
         rate: 0.6,
         replicas: 2,
         timeout_ms: 75,
         remote: false,
     };
-    let rest: Vec<String> = std::env::args().skip(2).collect();
+    let rest: Vec<String> = argv.collect();
     let mut i = 0;
     while i < rest.len() {
         let flag = rest[i].as_str();
@@ -89,7 +93,7 @@ fn parse_args() -> Args {
                     .collect()
             }
             "--queries" => args.queries = value.parse().expect("--queries takes a number"),
-            "--out" => args.out = value.clone(),
+            "--out" => args.out = Some(value.clone()),
             "--seed" => args.seed = parse_seed(&value),
             "--rate" => args.rate = value.parse().expect("--rate takes a probability"),
             "--replicas" => {
@@ -115,8 +119,33 @@ fn parse_seed(value: &str) -> u64 {
     parsed.expect("--seed takes a decimal or 0x-prefixed hex number")
 }
 
+/// Run one scenario and write its record where `--out` says, or to the
+/// file named after the scenario.
+fn run_scenario(args: &Args, scenario: &Scenario) {
+    let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
+    let knobs = Knobs {
+        db_bytes: ((size_mb * MB) as f64 * args.scale) as usize,
+        fragments: args.frags.first().copied().unwrap_or(4),
+        clients: args.clients.clone(),
+        ops_per_client: args.queries,
+        seed: args.seed,
+        rate: args.rate,
+        replicas: args.replicas,
+        timeout_ms: args.timeout_ms,
+        remote: args.remote,
+    };
+    let record = (scenario.run)(&knobs);
+    let out = out_path(args, scenario.name);
+    std::fs::write(&out, record.to_json()).expect("write scenario JSON");
+    println!("wrote {out}");
+}
+
+fn out_path(args: &Args, scenario: &str) -> String {
+    args.out.clone().unwrap_or_else(|| format!("BENCH_{scenario}.json"))
+}
+
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1));
     let mut sink = Sink::new(args.log.as_deref());
     match args.command.as_str() {
         "fig7a" => fig7_horizontal(&args, &mut sink, "fig7a", "ItemsSHor", ItemProfile::Small),
@@ -127,14 +156,6 @@ fn main() {
         "ablation-index" => ablation_index(&args),
         "ablation-fragmode" => ablation_fragmode(&args),
         "ablation-localization" => ablation_localization(&args),
-        "throughput" => throughput_bench(&args),
-        "chaos" => chaos_bench(&args),
-        "rebalance" => rebalance_bench(&args),
-        "scaleout" => scaleout_bench(&args),
-        "morsel" => morsel_bench(&args),
-        "writes" => writes_bench(&args),
-        "storage" => storage_bench(&args),
-        "multitenant" => multitenant_bench(&args),
         "all" => {
             fig7_horizontal(&args, &mut sink, "fig7a", "ItemsSHor", ItemProfile::Small);
             fig7_horizontal(&args, &mut sink, "fig7b", "ItemsLHor", ItemProfile::Large);
@@ -145,7 +166,10 @@ fn main() {
             ablation_fragmode(&args);
             ablation_localization(&args);
         }
-        _ => help(),
+        other => match SCENARIOS.iter().find(|s| s.name == other) {
+            Some(scenario) => run_scenario(&args, scenario),
+            None => help(),
+        },
     }
 }
 
@@ -164,54 +188,39 @@ COMMANDS
   ablation-index     text/value index on vs off (centralized)
   ablation-fragmode  per-document page-decode cost: hot vs cold, FragMode1 vs 2
   ablation-localization  fragment pruning on vs off (8 fragments)
-  throughput         multi-client QPS/latency: worker pool with and without the result cache
+  all                everything above
+
+SCENARIOS (one runner; each writes BENCH_<scenario>.json unless --out is given)
   chaos              QPS/latency under a seeded fault schedule: fault-free vs
                      faulted vs faulted+allow_partial (same --seed = same schedule)
   rebalance          skewed placement (everything on node 0) measured, advised,
                      migrated live, re-measured (same --seed = same advice)
-  scaleout           replicated-coordinator scale-out over the PXN2 streaming
-                     transport: QPS/p50/p99 at 1/2/3 coordinators (shared
-                     nodes + epoch-versioned meta catalog), streamed vs
-                     buffered, gated on oracle-identical answers; --clients
-                     uses the largest entry (default 256)
-  morsel             intra-fragment parallel scans: every query timed
-                     sequentially and morsel-split on one node; the gate is
-                     byte-identical answers (speedup needs spare cores)
-  writes             mixed read/write QPS over WAL-backed nodes at 10% and
-                     50% write ratios; reports read/write p50/p99, WAL
-                     append/fsync counts, and an oracle-verified final state
-  storage            hot vs cold-indexed vs cold-scan over ≈80 KB and ≈5 MB
-                     document classes, plus PXB1/PXB2/validate-only decode
-                     costs; the gate is byte-identical answers across
-                     configurations
-  multitenant        two tenants on one coordinator: a well-behaved
-                     interactive tenant measured alone, then again while a
+  scaleout           1/2/3 replicated coordinators over the PXN2 streaming
+                     transport, streamed vs buffered, every answer oracle-checked
+  multitenant        an interactive tenant measured alone, then again while a
                      quota-capped batch tenant floods at 10x its load; gates
                      on bounded p99 inflation AND oracle-identical answers
-  all                everything above (except throughput, chaos and rebalance)
+  writes             mixed read/write QPS over WAL-backed nodes at 10% and
+                     50% write ratios, with an oracle-verified final state
 
 FLAGS
   --scale F          fraction of the paper's database sizes (default 0.02)
   --sizes A,B,..     database sizes in paper-MB (default 5,20,100,250)
-  --frags A,B,..     fragment counts for fig7a/b; throughput uses the first (default 2,4,8)
+  --frags A,B,..     fragment counts for fig7a/b; scenarios use the first (default 2,4,8)
   --reps N           timed repetitions after warm-up (default 2)
   --log FILE         append JSON-lines records to FILE
-  --clients A,B,..   concurrent clients for throughput (default 1,4,16);
-                     chaos uses the largest entry
-  --queries N        queries per client for throughput/chaos (default 40)
-  --out FILE         throughput/chaos/rebalance/morsel/writes JSON output
-                     (default BENCH_throughput.json; BENCH_chaos.json for
-                     chaos, BENCH_rebalance.json for rebalance,
-                     BENCH_morsel.json for morsel, BENCH_writes.json for
-                     writes, BENCH_multitenant.json for multitenant)
+  --clients A,B,..   concurrent clients (default 1,4,16): scenarios run the
+                     largest entry, multitenant the smallest
+  --queries N        operations per scenario client (default 40)
+  --out FILE         a scenario's JSON record (default BENCH_<scenario>.json)
   --seed S           chaos fault-schedule / rebalance advisor seed, decimal or
                      0x-hex (default 0xC4A05EED)
   --rate P           chaos per-node fault probability (default 0.6)
   --replicas N       chaos replicas per fragment (default 2)
   --timeout-ms N     chaos per-attempt dispatch deadline (default 75)
-  --remote           throughput/chaos/rebalance: put every node behind its own
-                     loopback TCP server (partix-net wire protocol); the
-                     JSON gains remote:true and genuine bytes_shipped"
+  --remote           chaos/rebalance: put every node behind its own loopback
+                     TCP server (partix-net wire protocol); the JSON gains
+                     remote:true and, for rebalance, genuine bytes_shipped"
     );
 }
 
@@ -413,179 +422,6 @@ fn ablation_localization(args: &Args) {
     }
 }
 
-/// Multi-client closed-loop throughput of the persistent worker pool,
-/// with and without the result cache.
-fn throughput_bench(args: &Args) {
-    let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
-    let config = partix_bench::throughput::ThroughputConfig {
-        db_bytes: ((size_mb * MB) as f64 * args.scale) as usize,
-        fragments: args.frags.first().copied().unwrap_or(4),
-        clients: args.clients.clone(),
-        queries_per_client: args.queries,
-    };
-    let results = partix_bench::throughput::run_with(&config, args.remote);
-    let overhead = partix_bench::throughput::measure_trace_overhead(&config);
-    std::fs::write(
-        &args.out,
-        partix_bench::throughput::to_json(&config, &results, overhead),
-    )
-    .expect("write throughput JSON");
-    println!("wrote {}", args.out);
-}
-
-/// Coordinator scale-out over the `PXN2` streaming transport: QPS and
-/// latency at 1/2/3 replicated coordinators, streamed vs buffered, every
-/// answer gated on a centralized oracle.
-fn scaleout_bench(args: &Args) {
-    let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
-    let config = partix_bench::scaleout::ScaleoutConfig {
-        db_bytes: ((size_mb * MB) as f64 * args.scale) as usize,
-        fragments: args.frags.first().copied().unwrap_or(4),
-        clients: args.clients.iter().copied().max().unwrap_or(256),
-        queries_per_client: args.queries,
-        ..Default::default()
-    };
-    let results = partix_bench::scaleout::run(&config);
-    let out = if args.out == "BENCH_throughput.json" {
-        "BENCH_scaleout.json".to_owned()
-    } else {
-        args.out.clone()
-    };
-    std::fs::write(&out, partix_bench::scaleout::to_json(&config, &results))
-        .expect("write scaleout JSON");
-    println!("wrote {out}");
-}
-
-/// Closed-loop throughput under a seeded fault schedule: fault-free vs
-/// faulted (strict) vs faulted with `allow_partial`.
-fn chaos_bench(args: &Args) {
-    let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
-    let config = partix_bench::chaos::ChaosConfig {
-        db_bytes: ((size_mb * MB) as f64 * args.scale) as usize,
-        nodes: args.frags.first().copied().unwrap_or(4),
-        replicas: args.replicas,
-        clients: args.clients.iter().copied().max().unwrap_or(8),
-        queries_per_client: args.queries,
-        seed: args.seed,
-        rate: args.rate,
-        timeout_ms: args.timeout_ms,
-    };
-    let (plan, results) = partix_bench::chaos::run_with(&config, args.remote);
-    let out = if args.out == "BENCH_throughput.json" {
-        "BENCH_chaos.json"
-    } else {
-        args.out.as_str()
-    };
-    std::fs::write(out, partix_bench::chaos::to_json(&config, &plan, &results, args.remote))
-        .expect("write chaos JSON");
-    println!("wrote {out}");
-}
-
-/// The skew → advise → live-rebalance → re-measure experiment.
-fn rebalance_bench(args: &Args) {
-    let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
-    let nodes = args.frags.first().copied().unwrap_or(4);
-    let config = partix_bench::rebalance::RebalanceBenchConfig {
-        db_bytes: ((size_mb * MB) as f64 * args.scale) as usize,
-        fragments: nodes,
-        nodes,
-        clients: args.clients.iter().copied().max().unwrap_or(8),
-        queries_per_client: args.queries,
-        seed: args.seed,
-    };
-    let result = partix_bench::rebalance::run_with(&config, args.remote);
-    let out = if args.out == "BENCH_throughput.json" {
-        "BENCH_rebalance.json"
-    } else {
-        args.out.as_str()
-    };
-    std::fs::write(out, result.to_json()).expect("write rebalance JSON");
-    println!("wrote {out}");
-}
-
-/// Intra-fragment morsel parallelism: sequential vs split scans on one
-/// node's database.
-fn morsel_bench(args: &Args) {
-    let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
-    let config = partix_bench::morsel::MorselBenchConfig {
-        db_bytes: ((size_mb * MB) as f64 * args.scale) as usize,
-        workers: args.frags.first().copied().unwrap_or(4),
-        reps: args.reps,
-        ..Default::default()
-    };
-    let (docs, results) = partix_bench::morsel::run_with(&config);
-    let out = if args.out == "BENCH_throughput.json" {
-        "BENCH_morsel.json"
-    } else {
-        args.out.as_str()
-    };
-    std::fs::write(out, partix_bench::morsel::to_json(&config, docs, &results))
-        .expect("write morsel JSON");
-    println!("wrote {out}");
-}
-
-/// Mixed read/write closed-loop benchmark over WAL-backed nodes with an
-/// oracle-verified final state.
-fn writes_bench(args: &Args) {
-    let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
-    let config = partix_bench::writes::WritesConfig {
-        db_bytes: ((size_mb * MB) as f64 * args.scale) as usize,
-        fragments: args.frags.first().copied().unwrap_or(4),
-        clients: args.clients.iter().copied().max().unwrap_or(4),
-        ops_per_client: args.queries,
-        ..Default::default()
-    };
-    let results = partix_bench::writes::run(&config);
-    let out = if args.out == "BENCH_throughput.json" {
-        "BENCH_writes.json"
-    } else {
-        args.out.as_str()
-    };
-    std::fs::write(out, partix_bench::writes::to_json(&config, &results))
-        .expect("write writes JSON");
-    println!("wrote {out}");
-}
-
-/// Storage-path microbench: hot vs cold-indexed vs cold-scan, plus
-/// per-format page decode costs.
-fn storage_bench(args: &Args) {
-    let config = partix_bench::storage::StorageBenchConfig {
-        reps: args.reps.max(1),
-        ..Default::default()
-    };
-    let classes = partix_bench::storage::run_with(&config);
-    let out = if args.out == "BENCH_throughput.json" {
-        "BENCH_storage.json"
-    } else {
-        args.out.as_str()
-    };
-    std::fs::write(out, partix_bench::storage::to_json(&config, &classes))
-        .expect("write storage JSON");
-    println!("wrote {out}");
-}
-
-/// Two-tenant isolation: well-behaved p99 alone vs under an
-/// admission-controlled flood, gated on oracle-identical answers.
-fn multitenant_bench(args: &Args) {
-    let size_mb = args.sizes.iter().copied().min().unwrap_or(5);
-    let config = partix_bench::multitenant::MultitenantConfig {
-        db_bytes: ((size_mb * MB) as f64 * args.scale) as usize,
-        fragments: args.frags.first().copied().unwrap_or(4),
-        clients: args.clients.iter().copied().min().unwrap_or(4),
-        queries_per_client: args.queries,
-        ..Default::default()
-    };
-    let result = partix_bench::multitenant::run(&config);
-    let out = if args.out == "BENCH_throughput.json" {
-        "BENCH_multitenant.json"
-    } else {
-        args.out.as_str()
-    };
-    std::fs::write(out, partix_bench::multitenant::to_json(&config, &result))
-        .expect("write multitenant JSON");
-    println!("wrote {out}");
-}
-
 /// Ablation: the per-document page-decode (parse) cost behind the
 /// FragMode1 vs FragMode2 gap.
 fn ablation_fragmode(args: &Args) {
@@ -612,5 +448,26 @@ fn ablation_fragmode(args: &Args) {
             "  {label}: {docs_total} fragment documents, distributed {:.5}s (centralized {:.5}s)",
             m.distributed_s, m.centralized_s
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn explicit_out_is_honoured_verbatim_and_the_default_names_the_scenario() {
+        // another scenario's default name is a path like any other
+        for scenario in SCENARIOS {
+            let explicit = args(&[scenario.name, "--out", "BENCH_throughput.json"]);
+            assert_eq!(out_path(&explicit, scenario.name), "BENCH_throughput.json");
+            let default = args(&[scenario.name, "--remote", "--clients", "2,8"]);
+            assert_eq!(out_path(&default, scenario.name), format!("BENCH_{}.json", scenario.name));
+            assert!(default.remote && default.clients == [2, 8]);
+        }
     }
 }

@@ -84,11 +84,6 @@ impl RemoteCluster {
         self.nodes.is_empty()
     }
 
-    /// The address node `i`'s server listens on.
-    pub fn addr(&self, i: usize) -> SocketAddr {
-        self.nodes[i].addr
-    }
-
     /// The remote driver installed on node `i`.
     pub fn driver(&self, i: usize) -> &Arc<RemoteDriver> {
         &self.nodes[i].driver
@@ -134,11 +129,6 @@ impl RemoteCluster {
                 stats.bytes_sent + stats.bytes_recv
             })
             .sum()
-    }
-
-    /// Total reconnects across all drivers (stale-pool recoveries).
-    pub fn reconnects(&self) -> u64 {
-        self.nodes.iter().map(|n| n.driver.stats().reconnects).sum()
     }
 
     /// Total TCP dials across all drivers (initial connects + redials

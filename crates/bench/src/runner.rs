@@ -5,9 +5,8 @@
 //! times; the first (warm-up) execution is discarded and the remaining
 //! runs averaged.
 
-use crate::setup::{CENTRAL, DIST};
+use crate::oracle::{canonical, centralized_text};
 use partix_engine::{PartiX, QueryReport};
-use partix_query::Item;
 
 /// One measured comparison.
 #[derive(Debug, Clone)]
@@ -28,20 +27,18 @@ pub struct Measurement {
     pub result_bytes: usize,
 }
 
-/// Run `query_id`/`query` (written against the [`DIST`] collection) both
-/// ways on `px` and compare. Panics if the distributed answer diverges
-/// from the centralized one — a correctness failure, not a data point.
+/// Run `query_id`/`query` (written against the [`crate::setup::DIST`]
+/// collection) both ways on `px` and compare. Panics if the distributed
+/// answer diverges from the centralized one — a correctness failure, not a
+/// data point.
 pub fn compare(px: &PartiX, query_id: &str, query: &str, reps: usize) -> Measurement {
-    let central_query = query.replace(
-        &format!("collection(\"{DIST}\")"),
-        &format!("collection(\"{CENTRAL}\")"),
-    );
+    let central_query = centralized_text(query);
     // warm-up + equivalence check
     let dist0 = px.execute(query).unwrap_or_else(|e| panic!("{query_id} distributed: {e}"));
     let cent0 = px
         .execute_centralized(0, &central_query)
         .unwrap_or_else(|e| panic!("{query_id} centralized: {e}"));
-    assert_answers_match(query_id, &cent0.items, &dist0.items);
+    assert_eq!(canonical(&cent0.items), canonical(&dist0.items), "{query_id}: answers differ");
 
     let mut cent_total = 0.0;
     let mut dist_total = 0.0;
@@ -71,23 +68,6 @@ pub fn compare(px: &PartiX, query_id: &str, query: &str, reps: usize) -> Measure
         reconstructed: last_report.reconstructed,
         result_bytes: last_report.total_result_bytes(),
     }
-}
-
-/// Multiset equality of result sequences (fragment order may differ from
-/// document order for concatenated partials).
-fn assert_answers_match(query_id: &str, centralized: &[Item], distributed: &[Item]) {
-    let mut a: Vec<String> = centralized.iter().map(Item::serialize).collect();
-    let mut b: Vec<String> = distributed.iter().map(Item::serialize).collect();
-    a.sort();
-    b.sort();
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "{query_id}: centralized returned {} items, distributed {}",
-        a.len(),
-        b.len()
-    );
-    assert_eq!(a, b, "{query_id}: answers differ");
 }
 
 #[cfg(test)]

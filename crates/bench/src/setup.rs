@@ -50,6 +50,25 @@ pub fn sections_predicate(root: &str, sections: &[&str]) -> Predicate {
     }
 }
 
+/// `C_items` fragmented by `Section` into `n_fragments` contiguous section
+/// groups, fragment `f{i}` holding group `i`.
+fn section_design(n_fragments: usize) -> FragmentationSchema {
+    let citems = CollectionDef::new(
+        DIST,
+        Arc::new(virtual_store()),
+        p("/Store/Items/Item"),
+        RepoKind::MultipleDocuments,
+    );
+    let fragments: Vec<FragmentDef> = section_groups(n_fragments)
+        .iter()
+        .enumerate()
+        .map(|(i, group)| {
+            FragmentDef::horizontal(&format!("f{i}"), sections_predicate("/Item/Section", group))
+        })
+        .collect();
+    FragmentationSchema::new(citems, fragments).expect("valid design")
+}
+
 /// Build the horizontal experiment: `C_items` fragmented by `Section`
 /// into `n_fragments` groups, one fragment per node, plus the
 /// centralized copy of the same documents on node 0.
@@ -92,24 +111,7 @@ pub fn horizontal_replicated(
         .db
         .create_collection(CENTRAL, StorageMode::Cold)
         .expect("fresh node");
-    let citems = CollectionDef::new(
-        DIST,
-        Arc::new(virtual_store()),
-        p("/Store/Items/Item"),
-        RepoKind::MultipleDocuments,
-    );
-    let groups = section_groups(n_fragments);
-    let fragments: Vec<FragmentDef> = groups
-        .iter()
-        .enumerate()
-        .map(|(i, group)| {
-            FragmentDef::horizontal(
-                &format!("f{i}"),
-                sections_predicate("/Item/Section", group),
-            )
-        })
-        .collect();
-    let design = FragmentationSchema::new(citems, fragments).expect("valid design");
+    let design = section_design(n_fragments);
     let placements = (0..n_fragments)
         .flat_map(|i| {
             (0..replicas).map(move |r| Placement {
@@ -140,23 +142,7 @@ pub fn skewed_horizontal(docs: &[Document], n_fragments: usize, nodes: usize) ->
             .expect("fresh node");
     }
     node0.db.create_collection(CENTRAL, StorageMode::Cold).expect("fresh node");
-    let citems = CollectionDef::new(
-        DIST,
-        Arc::new(virtual_store()),
-        p("/Store/Items/Item"),
-        RepoKind::MultipleDocuments,
-    );
-    let fragments: Vec<FragmentDef> = section_groups(n_fragments)
-        .iter()
-        .enumerate()
-        .map(|(i, group)| {
-            FragmentDef::horizontal(
-                &format!("f{i}"),
-                sections_predicate("/Item/Section", group),
-            )
-        })
-        .collect();
-    let design = FragmentationSchema::new(citems, fragments).expect("valid design");
+    let design = section_design(n_fragments);
     let placements = (0..n_fragments)
         .map(|i| Placement { fragment: format!("f{i}"), node: 0 })
         .collect();

@@ -229,8 +229,8 @@ fn check_hybrid(
     let rebuilt = reconstruct_any(design, fragments);
     match rebuilt {
         Ok(rebuilt) => {
-            let mut src_canon: Vec<String> = sources.iter().map(canonical).collect();
-            let mut got_canon: Vec<String> = rebuilt.iter().map(canonical).collect();
+            let mut src_canon: Vec<String> = sources.iter().map(order_free_form).collect();
+            let mut got_canon: Vec<String> = rebuilt.iter().map(order_free_form).collect();
             src_canon.sort();
             got_canon.sort();
             if src_canon != got_canon {
@@ -404,7 +404,7 @@ fn same_documents(a: &[Document], b: &[Document]) -> bool {
 
 /// Canonical serialization: children sorted recursively, so documents that
 /// differ only in sibling order compare equal.
-fn canonical(doc: &Document) -> String {
+fn order_free_form(doc: &Document) -> String {
     fn canon(node: partix_xml::NodeRef<'_>) -> String {
         use partix_xml::NodeKind;
         match node.kind() {
@@ -685,7 +685,7 @@ mod tests {
         let frags = Fragmenter::new(design.clone()).fragment_all(&docs);
         let rebuilt = reconstruct_any(&design, &frags).unwrap();
         assert_eq!(rebuilt.len(), 1);
-        assert_eq!(canonical(&rebuilt[0]), canonical(&docs[0]));
+        assert_eq!(order_free_form(&rebuilt[0]), order_free_form(&docs[0]));
     }
 
     #[test]

@@ -372,33 +372,30 @@ impl StreamServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accounting = Arc::new(QueueAccounting::default());
+        let mut server = StreamServer {
+            addr,
+            stop: Arc::clone(&stop),
+            accounting: Arc::clone(&accounting),
+            event_loop: None,
+            workers: Vec::new(),
+        };
+        // Declared after `server`, so when a spawn fails and `?` returns,
+        // the sender is dropped first: the workers already running see the
+        // channel close and end, and dropping `server` joins them.
         let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let rx = job_rx.clone();
-                let handler = Arc::clone(&handler);
-                thread::Builder::new()
-                    .name(format!("pxn2-worker-{i}"))
-                    .spawn(move || worker_loop(rx, handler))
-                    .expect("spawn stream worker")
-            })
-            .collect();
-
-        let loop_stop = Arc::clone(&stop);
-        let loop_accounting = Arc::clone(&accounting);
+        for i in 0..config.workers.max(1) {
+            let rx = job_rx.clone();
+            let handler = Arc::clone(&handler);
+            let worker = thread::Builder::new()
+                .name(format!("pxn2-worker-{i}"))
+                .spawn(move || worker_loop(rx, handler))?;
+            server.workers.push(worker);
+        }
         let event_loop = thread::Builder::new()
             .name("pxn2-events".to_owned())
-            .spawn(move || event_loop(listener, config, loop_stop, loop_accounting, job_tx))
-            .expect("spawn stream event loop");
-
-        Ok(StreamServer {
-            addr,
-            stop,
-            accounting,
-            event_loop: Some(event_loop),
-            workers,
-        })
+            .spawn(move || event_loop(listener, config, stop, accounting, job_tx))?;
+        server.event_loop = Some(event_loop);
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).

@@ -337,7 +337,7 @@ impl Gen {
 
 /// An answer in a form that can be compared exactly: kind, the document
 /// and node id a stored node has, and the serialization (NaN included).
-fn canonical(result: &Result<Sequence, EvalError>) -> Result<Vec<String>, EvalError> {
+fn comparable(result: &Result<Sequence, EvalError>) -> Result<Vec<String>, EvalError> {
     let items = result.as_ref().map_err(Clone::clone)?;
     Ok(items
         .iter()
@@ -369,9 +369,9 @@ fn check(seed: u64) {
     let context = || format!("seed {seed}: {query:?}");
 
     let arena_provider = provider(&arena);
-    let expected = canonical(&reference::Interpreter::new(&arena_provider).eval(&query));
+    let expected = comparable(&reference::Interpreter::new(&arena_provider).eval(&query));
     let lowered = Evaluator::new(&arena_provider).eval(&query);
-    assert_eq!(canonical(&lowered), expected, "arena-backed, {}", context());
+    assert_eq!(comparable(&lowered), expected, "arena-backed, {}", context());
     if let (Ok(a), Ok(b)) = (&lowered, &reference::Interpreter::new(&arena_provider).eval(&query)) {
         // `Item` equality as the suites use it (NaN is unequal to itself)
         let nan = |items: &Sequence| items.iter().any(|i| matches!(i, Item::Num(n) if n.is_nan()));
@@ -379,7 +379,7 @@ fn check(seed: u64) {
     }
     let paged_provider = provider(&paged);
     let over_pages = Evaluator::new(&paged_provider).eval(&query);
-    assert_eq!(canonical(&over_pages), expected, "page-backed, {}", context());
+    assert_eq!(comparable(&over_pages), expected, "page-backed, {}", context());
 
     let program = Program::lower(&query);
     if program.driving_collection() != Some("c") {
@@ -388,7 +388,7 @@ fn check(seed: u64) {
     // lending the driving scan its whole collection changes nothing,
     // whatever else the query reads
     let lent = program.run_lending(&arena_provider, &arena);
-    assert_eq!(canonical(&lent), expected, "driving scan lent, {}", context());
+    assert_eq!(comparable(&lent), expected, "driving scan lent, {}", context());
     // what the storage engine does with an index: the scan reads only the
     // documents that pass the pushed-down predicate
     if let Some(predicate) = pushdown::analyze(&query).and_then(|a| a.doc_predicate) {
@@ -396,7 +396,7 @@ fn check(seed: u64) {
         let narrowed = program.run_lending(&arena_provider, &shortlist);
         // (a document that would have failed may be off the shortlist)
         if expected.is_ok() {
-            assert_eq!(canonical(&narrowed), expected, "narrowed, {}", context());
+            assert_eq!(comparable(&narrowed), expected, "narrowed, {}", context());
         }
     }
     if program.is_decomposable() {
@@ -407,7 +407,7 @@ fn check(seed: u64) {
                 .collect::<Result<Vec<_>, _>>()
                 .and_then(|partials| morsel::merge(&program, partials));
             match &expected {
-                Ok(_) => assert_eq!(canonical(&split), expected, "split, {}", context()),
+                Ok(_) => assert_eq!(comparable(&split), expected, "split, {}", context()),
                 // which of several errors is met first depends on the split
                 Err(_) => assert!(split.is_err(), "split of a failing query, {}", context()),
             }

@@ -151,8 +151,7 @@ impl Collection {
     }
 
     /// Ingest an already-encoded binary page: validated once, here, and
-    /// kept verbatim by a cold collection (a legacy PXB1 page is decoded
-    /// and re-encoded).
+    /// kept verbatim by a cold collection.
     fn insert_page(&mut self, page: bytes::Bytes) -> Result<(), StorageError> {
         let doc = Document::from_page(page)
             .map_err(|e| StorageError::Corrupt(format!("bad page: {e}")))?;

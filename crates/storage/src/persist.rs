@@ -83,6 +83,7 @@ mod tests {
     use super::*;
     use partix_query::CollectionProvider;
     use partix_xml::parse;
+    use proptest::prelude::*;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -136,24 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pages_still_load() {
-        let dir = tmp_dir("legacy");
-        sample_db().save_to(&dir).unwrap();
-        let mut old = parse("<Item><Code>old</Code></Item>").unwrap();
-        old.name = Some("legacy".into());
-        for coll in ["hotc", "coldc"] {
-            let page = partix_xml::binary::encode_v1(&old);
-            fs::write(dir.join(coll).join("00000000.pxb"), page).unwrap();
-        }
-        let loaded = Database::load_from(&dir).unwrap();
-        for coll in ["hotc", "coldc"] {
-            assert_eq!(&*loaded.collection(coll).unwrap()[0], &old, "{coll}");
-        }
-        assert_eq!(loaded.document("legacy").unwrap().root().text(), "old");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn load_missing_manifest_fails() {
         let dir = tmp_dir("nomanifest");
         fs::create_dir_all(&dir).unwrap();
@@ -200,16 +183,78 @@ mod tests {
         assert_eq!(crate::wal::decode_op(&record), None);
     }
 
+    /// A bad page — garbage, or one of the retired PXB1 format — fails the
+    /// load with an error naming its file.
     #[test]
     fn load_corrupt_page_fails() {
         let dir = tmp_dir("corrupt");
         let db = sample_db();
-        db.save_to(&dir).unwrap();
-        fs::write(dir.join("hotc").join("00000000.pxb"), b"garbage").unwrap();
-        assert!(matches!(
-            Database::load_from(&dir),
-            Err(StorageError::Corrupt(_))
-        ));
+        let mut retired = partix_xml::binary::encode(&parse("<Item/>").unwrap()).to_vec();
+        retired[..4].copy_from_slice(b"PXB1");
+        for page in [b"garbage".to_vec(), retired] {
+            db.save_to(&dir).unwrap();
+            let file = dir.join("hotc").join("00000000.pxb");
+            fs::write(&file, page).unwrap();
+            match Database::load_from(&dir) {
+                Err(StorageError::Corrupt(msg)) => {
+                    assert!(msg.contains(&file.display().to_string()), "{msg}")
+                }
+                other => panic!("bad page loaded: {:?}", other.map(|_| ())),
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            std::env::var("PARTIX_PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+        ))]
+
+        /// Hostile bytes on disk: whatever happens to a saved store's page
+        /// files — cut short, bits flipped, overwritten with noise, stamped
+        /// with the retired magic — loading gives `Corrupt` or a database
+        /// whose every document can be read to the end.
+        #[test]
+        fn damaged_page_files_load_as_corrupt_or_a_readable_database(
+            damage in prop::collection::vec(
+                (0usize..3, 0usize..4, any::<usize>(), prop::collection::vec(any::<u8>(), 0..96)),
+                1..4,
+            ),
+        ) {
+            let dir = tmp_dir("hostile");
+            sample_db().save_to(&dir).unwrap();
+            let files = ["hotc/00000000.pxb", "hotc/00000001.pxb", "coldc/00000000.pxb"];
+            for (file, how, at, noise) in damage {
+                let path = dir.join(files[file]);
+                let mut page = fs::read(&path).unwrap();
+                match how {
+                    0 => page.truncate(at % (page.len() + 1)),
+                    1 => {
+                        // an earlier cut may have left the page empty
+                        let len = page.len().max(1);
+                        for (i, bits) in noise.iter().enumerate() {
+                            if let Some(byte) = page.get_mut(at.wrapping_add(i * 7) % len) {
+                                *byte ^= bits;
+                            }
+                        }
+                    }
+                    2 => page = noise,
+                    _ => page.splice(..4.min(page.len()), *b"PXB1").for_each(drop),
+                }
+                fs::write(&path, page).unwrap();
+            }
+            match Database::load_from(&dir) {
+                Err(StorageError::Corrupt(_)) => {}
+                Err(other) => panic!("untyped failure: {other}"),
+                Ok(db) => {
+                    for name in db.collection_names() {
+                        for doc in db.collection(&name).unwrap().iter() {
+                            let _ = partix_xml::to_string(doc);
+                        }
+                    }
+                }
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -2,21 +2,17 @@
 //!
 //! The storage engine keeps documents in this pre-parsed form so that
 //! loading a stored document avoids re-tokenizing XML text — the analogue
-//! of eXist's paged DOM storage. Two wire versions exist:
-//!
-//! * **PXB2** (current, written by [`encode`]) mirrors the in-memory arena
-//!   layout exactly: a symbol table, one shared text heap, and
-//!   **fixed-width little-endian node records**. Because records are
-//!   fixed-width and keep the arena's node ids, a page is *read in place*:
-//!   [`Document::from_page`] validates it once and the resulting document
-//!   serves node kind / label / value / link reads straight from the
-//!   bytes. Nothing is decoded until the document is first mutated, which
-//!   copies it into an arena ([`Page::to_arena`]). [`PageView::parse`] is
-//!   the same validation over a borrowed slice.
-//! * **PXB1** (legacy, LEB128 varints, per-node value strings) is still
-//!   decoded (always into an arena) for old pages and can be produced via
-//!   [`encode_v1`]; the storage microbench uses it as the before/after
-//!   baseline.
+//! of eXist's paged DOM storage. There is one page format, **PXB2**. It
+//! mirrors the in-memory arena layout exactly: a symbol table, one shared
+//! text heap, and **fixed-width little-endian node records**. Because
+//! records are fixed-width and keep the arena's node ids, a page is *read
+//! in place*: [`Document::from_page`] validates it once and the resulting
+//! document serves node kind / label / value / link reads straight from
+//! the bytes. Nothing is decoded until the document is first mutated,
+//! which copies it into an arena ([`Page::to_arena`]). [`PageView::parse`]
+//! is the same validation over a borrowed slice. Bytes that do not start
+//! with the PXB2 magic — a page of the retired PXB1 varint format
+//! included — are [`XmlError::CorruptBinary`] naming the magic found.
 //!
 //! Validation is the only line of defence for a page read in place: every
 //! span and link is range-checked, both heaps are UTF-8 with spans on
@@ -51,7 +47,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC_V2: &[u8; 4] = b"PXB2";
-const MAGIC_V1: &[u8; 4] = b"PXB1";
 
 /// Fixed record width of a PXB2 node: kind byte + eight u32 fields.
 const NODE_SIZE: usize = 1 + 8 * 4;
@@ -191,12 +186,9 @@ fn encode_with(doc: &Document, name: Option<&str>, origin: Option<&Origin>) -> B
     buf.freeze()
 }
 
-/// Decode a binary page (either wire version) into a [`Document`]. A
-/// PXB2 page is copied once and adopted ([`Document::from_page`]).
+/// Decode a binary page into a [`Document`]: the page is copied once and
+/// adopted ([`Document::from_page`]).
 pub fn decode(buf: &[u8]) -> Result<Document, XmlError> {
-    if buf.starts_with(MAGIC_V1) {
-        return decode_v1(&buf[4..]); // decoded, not adopted: no copy to make
-    }
     Document::from_page(Bytes::copy_from_slice(buf))
 }
 
@@ -228,8 +220,14 @@ impl Layout {
     /// Validate `buf` as a PXB2 page (see the module docs for what that
     /// guarantees).
     fn validate(buf: &[u8]) -> Result<(Layout, Meta<'_>), XmlError> {
-        if buf.len() < SYM_TABLE_AT || &buf[..4] != MAGIC_V2 {
-            return Err(corrupt("bad magic"));
+        if !buf.starts_with(MAGIC_V2) {
+            let found = String::from_utf8_lossy(&buf[..buf.len().min(4)]);
+            return Err(XmlError::CorruptBinary(format!(
+                "unsupported page format {found:?} (only \"PXB2\" is read)"
+            )));
+        }
+        if buf.len() < SYM_TABLE_AT {
+            return Err(corrupt("page shorter than its header"));
         }
         let node_count = read_u32(buf, 4) as usize;
         let sym_count = read_u32(buf, 8) as usize;
@@ -507,12 +505,8 @@ impl Document {
     /// Validate `page` as a PXB2 page and adopt it: the document reads
     /// the page in place and shares it with every clone. Validation
     /// happens here, once; anything malformed is
-    /// [`XmlError::CorruptBinary`]. A legacy PXB1 page cannot be read in
-    /// place and is decoded into an arena instead.
+    /// [`XmlError::CorruptBinary`].
     pub fn from_page(page: Bytes) -> Result<Document, XmlError> {
-        if page.starts_with(MAGIC_V1) {
-            return decode_v1(&page[4..]);
-        }
         let (layout, meta) = Layout::validate(&page)?;
         let (name, origin) = (meta.name.map(str::to_owned), meta.origin);
         Ok(Document { repr: Repr::Page(Page { bytes: page, layout }), name, origin })
@@ -579,172 +573,6 @@ fn get_tagged_str<'a>(buf: &mut &'a [u8]) -> Result<Option<&'a str>, XmlError> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy PXB1 (varint) wire format
-// ---------------------------------------------------------------------------
-
-/// Encode a document in the legacy PXB1 form. Kept so the storage
-/// microbench can compare old-format decode cost against the arena page,
-/// and so older persisted repositories remain writable in tests.
-pub fn encode_v1(doc: &Document) -> Bytes {
-    let converted;
-    let tree = match &doc.repr {
-        Repr::Arena(tree) => tree,
-        Repr::Page(page) => {
-            converted = page.to_arena();
-            &converted
-        }
-    };
-    let mut buf = BytesMut::with_capacity(doc.approx_size());
-    buf.put_slice(MAGIC_V1);
-    put_opt_str(&mut buf, doc.name.as_deref());
-    match &doc.origin {
-        None => buf.put_u8(0),
-        Some(origin) => {
-            buf.put_u8(1);
-            put_str(&mut buf, &origin.source_doc);
-            put_varint(&mut buf, origin.dewey.components().len() as u64);
-            for &c in origin.dewey.components() {
-                put_varint(&mut buf, c as u64);
-            }
-        }
-    }
-    put_varint(&mut buf, tree.symbols.len() as u64);
-    for sym in &tree.symbols {
-        put_str(&mut buf, sym);
-    }
-    put_varint(&mut buf, tree.nodes.len() as u64);
-    for node in tree.nodes.iter() {
-        buf.put_u8(kind_to_u8(node.kind));
-        put_varint(&mut buf, node.label.0 as u64);
-        put_opt_str(&mut buf, node.value.get(&tree.text));
-        for link in [
-            node.parent,
-            node.first_child,
-            node.last_child,
-            node.next_sibling,
-            node.prev_sibling,
-        ] {
-            put_varint(&mut buf, link.get().map_or(0, |id| id.index() as u64 + 1));
-        }
-    }
-    buf.freeze()
-}
-
-/// Decode the body of a PXB1 page (magic already consumed).
-fn decode_v1(mut buf: &[u8]) -> Result<Document, XmlError> {
-    let name = get_opt_str(&mut buf)?;
-    let origin = match get_u8(&mut buf)? {
-        0 => None,
-        1 => {
-            let source_doc = get_str(&mut buf)?;
-            let n = get_varint(&mut buf)? as usize;
-            if n > buf.len() {
-                return Err(XmlError::CorruptBinary("dewey too long".into()));
-            }
-            let mut components = Vec::with_capacity(n);
-            for _ in 0..n {
-                components.push(get_varint(&mut buf)? as u32);
-            }
-            Some(Origin { source_doc, dewey: Dewey::from_vec(components) })
-        }
-        k => return Err(XmlError::CorruptBinary(format!("bad origin tag {k}"))),
-    };
-    let sym_count = get_varint(&mut buf)? as usize;
-    if sym_count > buf.len() {
-        return Err(XmlError::CorruptBinary("symbol table too long".into()));
-    }
-    let mut tree = ArenaTree::default();
-    // decoded, not adopted: a label the table lists twice folds into one
-    // symbol here, so a symbol id stands for its label in the arena too
-    let mut labels = Vec::with_capacity(sym_count);
-    for _ in 0..sym_count {
-        labels.push(tree.intern(&get_str(&mut buf)?));
-    }
-    let node_count = get_varint(&mut buf)? as usize;
-    if node_count == 0 {
-        return Err(XmlError::CorruptBinary("document has no nodes".into()));
-    }
-    if node_count > buf.len() {
-        return Err(XmlError::CorruptBinary("node table too long".into()));
-    }
-    tree.nodes = Arena::with_capacity(node_count);
-    for _ in 0..node_count {
-        let kind = kind_from_u8(get_u8(&mut buf)?)?;
-        let label_idx = get_varint(&mut buf)? as usize;
-        let Some(&label) = labels.get(label_idx) else {
-            return Err(XmlError::CorruptBinary("label out of range".into()));
-        };
-        let value = match get_opt_str(&mut buf)? {
-            None => ValueSpan::NONE,
-            Some(s) => {
-                let off = tree.text.len() as u32;
-                tree.text.push_str(&s);
-                ValueSpan { off, len: s.len() as u32 }
-            }
-        };
-        let mut links = [OptId::NONE; 5];
-        for link in &mut links {
-            let raw = get_varint(&mut buf)?;
-            if raw != 0 {
-                let id = raw - 1;
-                if id >= node_count as u64 {
-                    return Err(XmlError::CorruptBinary("node link out of range".into()));
-                }
-                *link = OptId::from_raw(id as u32);
-            }
-        }
-        tree.nodes.push(Node {
-            kind,
-            label,
-            value,
-            parent: links[0],
-            first_child: links[1],
-            last_child: links[2],
-            next_sibling: links[3],
-            prev_sibling: links[4],
-        });
-    }
-    if tree.nodes.get(0).kind != NodeKind::Element {
-        return Err(corrupt("root must be an element"));
-    }
-    check_tree(node_count, |id, slot| {
-        let node = tree.nodes.get(id as usize);
-        [node.parent, node.first_child, node.last_child, node.next_sibling, node.prev_sibling]
-            [slot]
-            .raw()
-    })?;
-    Ok(Document::from_arena(tree, name, origin))
-}
-
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &mut &[u8]) -> Result<u64, XmlError> {
-    let mut out = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = get_u8(buf)?;
-        out |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(out);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(XmlError::CorruptBinary("varint overflow".into()));
-        }
-    }
-}
-
 fn get_u8(buf: &mut &[u8]) -> Result<u8, XmlError> {
     if buf.is_empty() {
         return Err(XmlError::CorruptBinary("unexpected end of buffer".into()));
@@ -752,41 +580,6 @@ fn get_u8(buf: &mut &[u8]) -> Result<u8, XmlError> {
     let b = buf[0];
     buf.advance(1);
     Ok(b)
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, XmlError> {
-    let len = get_varint(buf)? as usize;
-    if buf.len() < len {
-        return Err(XmlError::CorruptBinary("string extends past buffer".into()));
-    }
-    let s = std::str::from_utf8(&buf[..len])
-        .map_err(|_| XmlError::CorruptBinary("invalid utf-8 string".into()))?
-        .to_owned();
-    buf.advance(len);
-    Ok(s)
-}
-
-fn put_opt_str(buf: &mut BytesMut, s: Option<&str>) {
-    match s {
-        None => buf.put_u8(0),
-        Some(s) => {
-            buf.put_u8(1);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn get_opt_str(buf: &mut &[u8]) -> Result<Option<String>, XmlError> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_str(buf)?)),
-        k => Err(XmlError::CorruptBinary(format!("bad option tag {k}"))),
-    }
 }
 
 #[cfg(test)]
@@ -829,17 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_roundtrip_preserves_everything() {
-        let doc = sample();
-        let bytes = encode_v1(&doc);
-        assert_eq!(&bytes[..4], b"PXB1");
-        let decoded = decode(&bytes).unwrap();
-        assert_eq!(doc, decoded);
-        assert_eq!(decoded.name.as_deref(), Some("store0"));
-        assert_eq!(decoded.origin, doc.origin);
-    }
-
-    #[test]
     fn v2_reencode_is_stable() {
         let doc = sample();
         let bytes = encode(&doc);
@@ -852,8 +634,6 @@ mod tests {
         let doc = parse("<a x=\"1\"><b>text &amp; more</b><c/></a>").unwrap();
         let decoded = decode(&encode(&doc)).unwrap();
         assert_eq!(doc, decoded);
-        let decoded_v1 = decode(&encode_v1(&doc)).unwrap();
-        assert_eq!(doc, decoded_v1);
     }
 
     #[test]
@@ -909,17 +689,23 @@ mod tests {
     fn bad_magic_rejected() {
         assert!(matches!(decode(b"NOPE"), Err(XmlError::CorruptBinary(_))));
         assert!(matches!(decode(b""), Err(XmlError::CorruptBinary(_))));
+        // the retired varint format is an unknown magic like any other,
+        // and the error says which one it met
+        let mut retired = encode(&sample()).to_vec();
+        retired[..4].copy_from_slice(b"PXB1");
+        for result in [decode(&retired), Document::from_page(retired.into())] {
+            match result {
+                Err(XmlError::CorruptBinary(what)) => assert!(what.contains("PXB1"), "{what}"),
+                other => panic!("PXB1 page accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn truncated_buffer_rejected() {
-        for bytes in [encode(&sample()), encode_v1(&sample())] {
-            for cut in [5, 10, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    decode(&bytes[..cut]).is_err(),
-                    "decode of {cut}-byte prefix should fail"
-                );
-            }
+        let bytes = encode(&sample());
+        for cut in [5, 10, bytes.len() / 2, bytes.len() - 1] {
+            assert!(decode(&bytes[..cut]).is_err(), "decode of {cut}-byte prefix should fail");
         }
     }
 
@@ -927,24 +713,11 @@ mod tests {
     fn corrupted_bytes_never_panic() {
         // Flip every byte one at a time; decoding must never panic and the
         // result must either be an error or a structurally valid document.
-        for bytes in [encode(&sample()), encode_v1(&sample())] {
-            for i in 4..bytes.len() {
-                let mut broken = bytes.to_vec();
-                broken[i] ^= 0xff;
-                let _ = decode(&broken);
-            }
-        }
-    }
-
-    #[test]
-    fn varint_boundaries() {
-        let mut buf = BytesMut::new();
-        for v in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
-            buf.clear();
-            put_varint(&mut buf, v);
-            let mut slice: &[u8] = &buf;
-            assert_eq!(get_varint(&mut slice).unwrap(), v);
-            assert!(slice.is_empty());
+        let bytes = encode(&sample());
+        for i in 4..bytes.len() {
+            let mut broken = bytes.to_vec();
+            broken[i] ^= 0xff;
+            let _ = decode(&broken);
         }
     }
 }

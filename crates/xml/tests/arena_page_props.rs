@@ -2,10 +2,10 @@
 //! mixed content, deep nesting and empty elements, `decode(encode(doc))`
 //! reproduces the document exactly, a page-backed document agrees with
 //! the arena on every read and copies itself on the first write, Dewey
-//! ids survive the round trip, the legacy PXB1 wire format decodes to the
-//! same tree as PXB2 — and hostile pages (truncated, bit-flipped, links
-//! rewritten) give a typed error or a document every reader terminates
-//! on.
+//! ids survive the round trip — and hostile pages (truncated,
+//! bit-flipped, links rewritten) give a typed error or a document every
+//! reader terminates on. The text parser gets the same treatment: random
+//! and mutated input gives a document that round-trips or a typed error.
 //!
 //! `PARTIX_PROPTEST_CASES` overrides every block's case count.
 
@@ -256,21 +256,6 @@ fn page_listing_a_label_twice_is_rejected() {
     assert!(PageView::parse(&page).is_err());
 }
 
-/// A legacy PXB1 page is decoded, not adopted: a label it lists twice
-/// folds into one symbol, and the document reads like any other.
-#[test]
-fn legacy_page_listing_a_label_twice_still_decodes() {
-    let doc = partix_xml::parse("<ab><cd/></ab>").unwrap();
-    let mut page = binary::encode_v1(&doc).to_vec();
-    overwrite(&mut page, b"cd", b"ab");
-    let decoded = binary::decode(&page).unwrap();
-    assert_eq!(decoded, partix_xml::parse("<ab><ab/></ab>").unwrap());
-    let label = decoded.sym("ab").unwrap();
-    let child = decoded.root().children().next().unwrap();
-    assert!(decoded.root().is(NodeKind::Element, label));
-    assert!(child.is(NodeKind::Element, label));
-}
-
 proptest! {
     #![proptest_config(cases(256))]
 
@@ -391,15 +376,29 @@ proptest! {
         decode_hostile(&page);
     }
 
-    /// The legacy varint format and the arena format decode to the same
-    /// tree — old pages stay readable forever.
+    /// The text parser on hostile input — arbitrary bytes read as lossy
+    /// UTF-8, and valid documents with bytes overwritten, cut out or
+    /// spliced in: `Ok` or a typed `ParseError`, never a panic, and what
+    /// parses serialises to text that parses back to the same document.
     #[test]
-    fn v1_and_v2_decode_identically(doc in arb_document()) {
-        let from_v1 = binary::decode(&binary::encode_v1(&doc)).unwrap();
-        let from_v2 = binary::decode(&binary::encode(&doc)).unwrap();
-        prop_assert_eq!(&from_v1, &from_v2);
-        prop_assert_eq!(&from_v1.name, &from_v2.name);
-        prop_assert_eq!(&from_v1.origin, &from_v2.origin);
+    fn parser_gives_a_document_or_a_typed_error_and_accepted_text_roundtrips(
+        doc in arb_document(),
+        noise in prop::collection::vec(any::<u8>(), 0..48),
+        how in 0usize..4,
+        at in any::<usize>(),
+    ) {
+        let mut text = to_string(&doc).into_bytes();
+        let at = at % (text.len() + 1);
+        match how {
+            0 => text = noise,
+            1 => text.truncate(at),
+            2 => text.splice(at..at, noise).for_each(drop),
+            _ => text.iter_mut().skip(at).zip(&noise).for_each(|(byte, n)| *byte = *n),
+        }
+        if let Ok(parsed) = partix_xml::parse(&String::from_utf8_lossy(&text)) {
+            let again = partix_xml::parse(&to_string(&parsed));
+            prop_assert_eq!(again.as_ref(), Ok(&parsed));
+        }
     }
 
     /// Deep chains cross arena chunk boundaries without losing links.

@@ -225,6 +225,33 @@ if grep -rnE 'FilteredView|MorselView|fn collection_filtered' crates/*/src; then
     exit 1
 fi
 
+# one page format: the PXB1 encoder / decoder stay deleted.
+if grep -rnE 'encode_v1|decode_v1|MAGIC_V1' crates src tests examples; then
+    echo "verify: FAIL — PXB1 code reappeared" >&2
+    exit 1
+fi
+
+# one measuring stick: the harnesses the frozen benchmark replaced and the
+# Criterion stand-in stay deleted, and what is left of crates/bench (the
+# paper-figure harness, one scenario runner, the test fixture) stays small.
+if grep -n 'criterion' Cargo.toml crates/*/Cargo.toml compat/*/Cargo.toml; then
+    echo "verify: FAIL — criterion reappeared in a Cargo.toml" >&2
+    exit 1
+fi
+if grep -nE 'mod (throughput|morsel|storage);' crates/bench/src/lib.rs; then
+    echo "verify: FAIL — a retired harness reappeared in crates/bench" >&2
+    exit 1
+fi
+if [ "$(grep -rn 'fn canonical' crates tests | wc -l)" -ne 1 ]; then
+    echo "verify: FAIL — the canonical answer form has more than one definition" >&2
+    exit 1
+fi
+BENCH_LINES="$(find crates/bench -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+if [ "$BENCH_LINES" -gt 3000 ]; then
+    echo "verify: FAIL — crates/bench is $BENCH_LINES lines (budget 3000)" >&2
+    exit 1
+fi
+
 # the frozen benchmark package (benchmark/, BENCHMARK.json) compiles
 # against the product crates: a change that breaks it must fail here,
 # not in the pipeline. --check validates the manifest, --quick runs all
@@ -232,30 +259,18 @@ fi
 bash benchmark/run.sh --check > /dev/null
 bash benchmark/run.sh --quick > /dev/null
 
-# the throughput JSON must carry per-stage attribution and the measured
-# tracing overhead — a quick 2-client run regenerates a scratch copy
-STAGE_JSON="$(mktemp /tmp/partix-verify-throughput.XXXXXX.json)"
-trap 'rm -f "$STAGE_JSON"' EXIT
-./target/release/harness throughput --clients 2 --queries 10 \
-    --out "$STAGE_JSON" > /dev/null
-for field in parse_p50_ms localize_p99_ms dispatch_p99_ms compose_p50_ms \
-    trace_overhead_pct; do
-    if ! grep -q "\"$field\":" "$STAGE_JSON"; then
-        echo "verify: FAIL — $field missing from throughput JSON" >&2
-        exit 1
-    fi
-done
+# everything below writes its scratch files here; one trap removes the
+# directory and stops any server still running
+SCRATCH="$(mktemp -d)"
+trap 'kill "${SERVE_PID1:-}" "${SERVE_PID2:-}" "${MT_PID:-}" 2>/dev/null || true; rm -rf "$SCRATCH"' EXIT
 
 # serve/ping smoke test: two node servers on ephemeral loopback ports
 # must come up, answer a health ping each, and die cleanly.
-SERVE_LOG1="$(mktemp /tmp/partix-verify-serve1.XXXXXX.log)"
-SERVE_LOG2="$(mktemp /tmp/partix-verify-serve2.XXXXXX.log)"
-trap 'rm -f "$STAGE_JSON" "$SERVE_LOG1" "$SERVE_LOG2"; kill "${SERVE_PID1:-}" "${SERVE_PID2:-}" 2>/dev/null || true' EXIT
-./target/release/partix serve --node 0 --addr 127.0.0.1:0 > "$SERVE_LOG1" &
+./target/release/partix serve --node 0 --addr 127.0.0.1:0 > "$SCRATCH/serve1.log" &
 SERVE_PID1=$!
-./target/release/partix serve --node 1 --addr 127.0.0.1:0 > "$SERVE_LOG2" &
+./target/release/partix serve --node 1 --addr 127.0.0.1:0 > "$SCRATCH/serve2.log" &
 SERVE_PID2=$!
-for log in "$SERVE_LOG1" "$SERVE_LOG2"; do
+for log in "$SCRATCH/serve1.log" "$SCRATCH/serve2.log"; do
     for _ in $(seq 50); do
         grep -q "listening on" "$log" && break
         sleep 0.1
@@ -270,52 +285,39 @@ done
 kill "$SERVE_PID1" "$SERVE_PID2"
 wait "$SERVE_PID1" "$SERVE_PID2" 2>/dev/null || true
 
-# the remote throughput run must ship real bytes over TCP and say so in
-# its JSON: "remote":true plus a nonzero bytes_shipped.
-REMOTE_JSON="$(mktemp /tmp/partix-verify-remote.XXXXXX.json)"
-trap 'rm -f "$STAGE_JSON" "$REMOTE_JSON" "$SERVE_LOG1" "$SERVE_LOG2"' EXIT
-./target/release/harness throughput --remote --clients 2 --queries 10 \
-    --out "$REMOTE_JSON" > /dev/null
-if ! grep -q '"remote":true' "$REMOTE_JSON"; then
-    echo "verify: FAIL — remote run not flagged in throughput JSON" >&2
-    exit 1
-fi
-if ! grep -q '"bytes_shipped":' "$REMOTE_JSON"; then
-    echo "verify: FAIL — bytes_shipped missing from throughput JSON" >&2
-    exit 1
-fi
-if ! grep -Eq '"bytes_shipped":[1-9][0-9]*' "$REMOTE_JSON"; then
-    echo "verify: FAIL — remote run shipped zero wire bytes" >&2
-    exit 1
-fi
-
 # advisor determinism: the advise demo's output is timing-free by
 # construction, so two runs with the same seed must be byte-identical.
-ADVISE_A="$(mktemp /tmp/partix-verify-advise-a.XXXXXX.txt)"
-ADVISE_B="$(mktemp /tmp/partix-verify-advise-b.XXXXXX.txt)"
-REBALANCE_JSON="$(mktemp /tmp/partix-verify-rebalance.XXXXXX.json)"
-trap 'rm -f "$STAGE_JSON" "$REMOTE_JSON" "$SERVE_LOG1" "$SERVE_LOG2" \
-    "$ADVISE_A" "$ADVISE_B" "$REBALANCE_JSON"' EXIT
-./target/release/partix advise 7 > "$ADVISE_A"
-./target/release/partix advise 7 > "$ADVISE_B"
-if ! diff -q "$ADVISE_A" "$ADVISE_B" > /dev/null; then
+./target/release/partix advise 7 > "$SCRATCH/advise-a.txt"
+./target/release/partix advise 7 > "$SCRATCH/advise-b.txt"
+if ! diff -q "$SCRATCH/advise-a.txt" "$SCRATCH/advise-b.txt" > /dev/null; then
     echo "verify: FAIL — partix advise is not deterministic under a seed" >&2
-    diff "$ADVISE_A" "$ADVISE_B" >&2 || true
+    diff "$SCRATCH/advise-a.txt" "$SCRATCH/advise-b.txt" >&2 || true
     exit 1
 fi
 
-# the rebalance benchmark must move real bytes, pass its own
+# The scenario gates: one runner (crates/bench/src/scenario.rs), five
+# definitions, each gated on its correctness fields and never on timing.
+# Every record carries the shared header.
+require_fields() {
+    local json="$1" what="$2"
+    shift 2
+    for field in experiment host_cores git_rev dataset_bytes "$@"; do
+        if ! grep -q "\"$field\":" "$json"; then
+            echo "verify: FAIL — $field missing from $what JSON" >&2
+            exit 1
+        fi
+    done
+}
+
+# the rebalance scenario must move real bytes, pass its own
 # completeness/disjointness re-validation, keep every mid-migration
 # probe answer correct, and record a p99 improvement.
+REBALANCE_JSON="$SCRATCH/rebalance.json"
 ./target/release/harness rebalance --clients 8 --queries 30 \
     --out "$REBALANCE_JSON" > /dev/null
-for field in before_p99_ms after_p99_ms before_qps after_qps \
-    migrated_fragments migrated_bytes rebalance_s during_queries; do
-    if ! grep -q "\"$field\":" "$REBALANCE_JSON"; then
-        echo "verify: FAIL — $field missing from rebalance JSON" >&2
-        exit 1
-    fi
-done
+require_fields "$REBALANCE_JSON" rebalance before_p99_ms after_p99_ms \
+    before_qps after_qps migrated_fragments migrated_bytes rebalance_s \
+    during_queries
 if ! grep -Eq '"migrated_bytes":[1-9][0-9]*' "$REBALANCE_JSON"; then
     echo "verify: FAIL — rebalance migrated zero bytes" >&2
     exit 1
@@ -333,65 +335,13 @@ if ! grep -q '"p99_improved":true' "$REBALANCE_JSON"; then
     exit 1
 fi
 
-# the morsel benchmark gates on answer identity, not speedup: a
-# single-core CI host runs the full split/merge machinery with no
-# parallel gain, so "identical":true (plus the recorded host_cores
-# context and a genuine ≥2-way split somewhere) is the contract.
-MORSEL_JSON="$(mktemp /tmp/partix-verify-morsel.XXXXXX.json)"
-trap 'rm -f "$STAGE_JSON" "$REMOTE_JSON" "$SERVE_LOG1" "$SERVE_LOG2" \
-    "$ADVISE_A" "$ADVISE_B" "$REBALANCE_JSON" "$MORSEL_JSON"' EXIT
-./target/release/harness morsel --reps 1 --out "$MORSEL_JSON" > /dev/null
-for field in host_cores workers seq_ms par_ms speedup best_speedup; do
-    if ! grep -q "\"$field\":" "$MORSEL_JSON"; then
-        echo "verify: FAIL — $field missing from morsel JSON" >&2
-        exit 1
-    fi
-done
-if ! grep -q '"identical":true}$' "$MORSEL_JSON"; then
-    echo "verify: FAIL — a morsel-split answer diverged from sequential" >&2
-    exit 1
-fi
-if ! grep -Eq '"morsels":[2-9]' "$MORSEL_JSON"; then
-    echo "verify: FAIL — no query split into morsels" >&2
-    exit 1
-fi
-
-# the storage benchmark gates on answer identity across storage
-# configurations: hot, cold-with-indexes, and cold-full-scan must
-# serialize byte-identical answers on both document classes; the
-# speedup fields must be present (their magnitude is host-dependent).
-STORAGE_JSON="$(mktemp /tmp/partix-verify-storage.XXXXXX.json)"
-trap 'rm -f "$STAGE_JSON" "$REMOTE_JSON" "$SERVE_LOG1" "$SERVE_LOG2" \
-    "$ADVISE_A" "$ADVISE_B" "$REBALANCE_JSON" "$MORSEL_JSON" \
-    "$STORAGE_JSON"' EXIT
-./target/release/harness storage --reps 1 --out "$STORAGE_JSON" > /dev/null
-for field in hot_ms cold_indexed_ms cold_scan_ms cold_speedup \
-    cold_selection_speedup decode_speedup v1_over_v2 v1_over_view; do
-    if ! grep -q "\"$field\":" "$STORAGE_JSON"; then
-        echo "verify: FAIL — $field missing from storage JSON" >&2
-        exit 1
-    fi
-done
-if ! grep -q '"identical":true}$' "$STORAGE_JSON"; then
-    echo "verify: FAIL — a storage-configuration answer diverged" >&2
-    exit 1
-fi
-
-# the writes benchmark must push a mixed read/write workload through
+# the writes scenario must push a mixed read/write workload through
 # the WAL-backed nodes, fsync every append, and leave a final state
 # byte-identical to the centralized oracle at every write ratio.
-WRITES_JSON="$(mktemp /tmp/partix-verify-writes.XXXXXX.json)"
-trap 'rm -f "$STAGE_JSON" "$REMOTE_JSON" "$SERVE_LOG1" "$SERVE_LOG2" \
-    "$ADVISE_A" "$ADVISE_B" "$REBALANCE_JSON" "$MORSEL_JSON" \
-    "$STORAGE_JSON" "$WRITES_JSON"' EXIT
+WRITES_JSON="$SCRATCH/writes.json"
 ./target/release/harness writes --queries 20 --out "$WRITES_JSON" > /dev/null
-for field in write_ratio qps read_p99_ms write_p99_ms wal_appends \
-    wal_fsyncs; do
-    if ! grep -q "\"$field\":" "$WRITES_JSON"; then
-        echo "verify: FAIL — $field missing from writes JSON" >&2
-        exit 1
-    fi
-done
+require_fields "$WRITES_JSON" writes write_ratio qps read_p99_ms \
+    write_p99_ms wal_appends wal_fsyncs
 if grep -q '"verified":false' "$WRITES_JSON"; then
     echo "verify: FAIL — a writes run diverged from the oracle" >&2
     exit 1
@@ -405,23 +355,15 @@ if ! grep -Eq '"wal_fsyncs":[1-9][0-9]*' "$WRITES_JSON"; then
     exit 1
 fi
 
-# the scale-out benchmark must sweep coordinator counts in both
+# the scale-out scenario must sweep coordinator counts in both
 # transport modes with every answer oracle-verified. The scratch run is
 # deliberately small, so only shape and correctness gate here — the
 # committed BENCH_scaleout.json carries the full-scale scaling gates.
-SCALEOUT_JSON="$(mktemp /tmp/partix-verify-scaleout.XXXXXX.json)"
-trap 'rm -f "$STAGE_JSON" "$REMOTE_JSON" "$SERVE_LOG1" "$SERVE_LOG2" \
-    "$ADVISE_A" "$ADVISE_B" "$REBALANCE_JSON" "$MORSEL_JSON" \
-    "$STORAGE_JSON" "$WRITES_JSON" "$SCALEOUT_JSON"' EXIT
+SCALEOUT_JSON="$SCRATCH/scaleout.json"
 ./target/release/harness scaleout --sizes 1 --scale 0.1 --clients 8 \
     --queries 4 --out "$SCALEOUT_JSON" > /dev/null
-for field in coordinators mode qps p50_ms p99_ms failovers repeats \
-    qps_scales streamed_p99_le_buffered; do
-    if ! grep -q "\"$field\":" "$SCALEOUT_JSON"; then
-        echo "verify: FAIL — $field missing from scaleout JSON" >&2
-        exit 1
-    fi
-done
+require_fields "$SCALEOUT_JSON" scaleout coordinators mode qps p50_ms \
+    p99_ms failovers repeats qps_scales streamed_p99_le_buffered
 if grep -q '"verified":false' "$SCALEOUT_JSON"; then
     echo "verify: FAIL — a scaleout run diverged from the oracle" >&2
     exit 1
@@ -431,24 +373,16 @@ if ! grep -q '"mode":"streamed"' "$SCALEOUT_JSON"; then
     exit 1
 fi
 
-# the multitenant benchmark gates on its correctness fields, never on
+# the multitenant scenario gates on its correctness fields, never on
 # timing: every admitted answer must match the centralized oracle
 # ("verified":true with zero mismatches) and the isolation bound must
 # hold. The scratch run is tiny; the committed BENCH_multitenant.json
 # carries the full-scale isolation numbers and must gate too.
-MT_JSON="$(mktemp /tmp/partix-verify-multitenant.XXXXXX.json)"
-trap 'rm -f "$STAGE_JSON" "$REMOTE_JSON" "$SERVE_LOG1" "$SERVE_LOG2" \
-    "$ADVISE_A" "$ADVISE_B" "$REBALANCE_JSON" "$MORSEL_JSON" \
-    "$STORAGE_JSON" "$WRITES_JSON" "$SCALEOUT_JSON" "$MT_JSON"' EXIT
+MT_JSON="$SCRATCH/multitenant.json"
 ./target/release/harness multitenant --clients 2 --queries 10 \
     --out "$MT_JSON" > /dev/null
-for field in p99_alone_ms p99_contended_ms isolation_factor \
-    oracle_checks oracle_mismatches; do
-    if ! grep -q "\"$field\":" "$MT_JSON"; then
-        echo "verify: FAIL — $field missing from multitenant JSON" >&2
-        exit 1
-    fi
-done
+require_fields "$MT_JSON" multitenant p99_alone_ms p99_contended_ms \
+    isolation_factor oracle_checks oracle_mismatches
 for json in "$MT_JSON" BENCH_multitenant.json; do
     if ! grep -q '"isolation_held":true' "$json"; then
         echo "verify: FAIL — tenant isolation bound not held in $json" >&2
@@ -467,12 +401,8 @@ done
 # two-tenant serve smoke: a node server with a generous tenant and a
 # quota-zero tenant must serve the former and reject the latter with a
 # typed admission error on the wire.
-MT_LOG="$(mktemp /tmp/partix-verify-mtserve.XXXXXX.log)"
-MT_ERR="$(mktemp /tmp/partix-verify-mtserve-err.XXXXXX.log)"
-trap 'rm -f "$STAGE_JSON" "$REMOTE_JSON" "$SERVE_LOG1" "$SERVE_LOG2" \
-    "$ADVISE_A" "$ADVISE_B" "$REBALANCE_JSON" "$MORSEL_JSON" \
-    "$STORAGE_JSON" "$WRITES_JSON" "$SCALEOUT_JSON" "$MT_JSON" \
-    "$MT_LOG" "$MT_ERR"; kill "${MT_PID:-}" 2>/dev/null || true' EXIT
+MT_LOG="$SCRATCH/mtserve.log"
+MT_ERR="$SCRATCH/mtserve-err.log"
 ./target/release/partix serve --node 0 --addr 127.0.0.1:0 \
     --tenant frontend:interactive:8 --tenant suspended:batch:0:0 \
     > "$MT_LOG" &

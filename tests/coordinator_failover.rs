@@ -11,7 +11,7 @@
 use partix::engine::{
     DispatchMode, Distribution, FaultPlan, MetaService, NetworkModel, PartiX, RetryPolicy,
 };
-use partix::query::Item;
+use partix_bench::oracle::canonical;
 use partix_bench::{queries, setup};
 use partix_net::{
     serve_coordinator, CoordinatorPool, StreamClientConfig, StreamOpts, StreamServer,
@@ -26,12 +26,6 @@ const CLIENTS: usize = 6;
 const QUERIES_PER_CLIENT: usize = 30;
 const FRAGMENTS: usize = 4;
 const REPLICAS: usize = 2;
-
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
-}
 
 /// Build the replica fleet: the base engine (which owns publishing)
 /// plus `COORDINATORS - 1` stateless clones over the shared cluster,

@@ -14,25 +14,9 @@ use partix::engine::{
 };
 use partix::frag::FragMode;
 use partix::gen::{ArticleProfile, ItemProfile};
-use partix::query::Item;
+use partix_bench::oracle::{canonical, centralized_text};
 use partix_bench::{queries, setup};
 use std::time::Duration;
-
-/// Canonical serialization: one line per item, sorted. Two answers are
-/// equivalent iff these strings are byte-identical.
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
-}
-
-/// Rewrite a query against [`setup::DIST`] to the centralized copy.
-fn centralized_text(query: &str) -> String {
-    query.replace(
-        &format!("collection(\"{}\")", setup::DIST),
-        &format!("collection(\"{}\")", setup::CENTRAL),
-    )
-}
 
 /// Every query must produce byte-identical canonical output both ways.
 fn assert_differential(px: &PartiX, workload: &[(&'static str, String)], label: &str) {

@@ -12,9 +12,9 @@
 //! `PARTIX_PROPTEST_CASES` overrides the proptest case count.
 
 use partix::gen::{gen_items, ItemProfile};
-use partix::query::Item;
 use partix::storage::{Database, MorselConfig, StorageMode};
 use partix::xml::Document;
+use partix_bench::oracle::canonical;
 use partix_bench::{queries, setup};
 use proptest::prelude::*;
 
@@ -105,21 +105,24 @@ fn db_with(docs: &[Document], mode: StorageMode, config: MorselConfig) -> Databa
     db
 }
 
-/// Canonical serialization for distributed answers: one line per item,
-/// sorted (fragment concatenation order is not document order).
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
-}
-
+/// Morsel-split ≡ sequential in every storage configuration, and the
+/// configurations agree with each other: hot, cold with the text and
+/// value indexes on, and cold with every index off (a full scan of pages
+/// read in place) serialize the same answer for every family.
 #[test]
 fn every_family_matches_sequential_hot_and_cold() {
     let docs = corpus(48);
-    for mode in [StorageMode::Hot, StorageMode::Cold] {
+    let mut hot_answers: Vec<String> = Vec::new();
+    for (mode, indexed) in
+        [(StorageMode::Hot, true), (StorageMode::Cold, true), (StorageMode::Cold, false)]
+    {
         let par = db_with(&docs, mode, PARALLEL);
         let seq = db_with(&docs, mode, SEQUENTIAL);
-        for (id, query, decomposable) in families() {
+        for db in [&par, &seq] {
+            db.set_index_enabled(indexed);
+            db.set_value_index_enabled(indexed);
+        }
+        for (n, (id, query, decomposable)) in families().into_iter().enumerate() {
             let a = par.execute(&query).unwrap_or_else(|e| panic!("{id} parallel: {e}"));
             let b = seq.execute(&query).unwrap_or_else(|e| panic!("{id} sequential: {e}"));
             // exact, order-preserving equality — not canonicalized
@@ -132,6 +135,15 @@ fn every_family_matches_sequential_hot_and_cold() {
             assert_eq!(b.stats.morsels, 0, "{id}: sequential config must not split");
             assert_eq!(a.stats.docs_scanned, b.stats.docs_scanned, "{id}: stats diverge");
             assert_eq!(a.stats.collection_size, b.stats.collection_size, "{id}");
+            assert!(indexed || !b.stats.index_used, "{id}: an index answered with indexes off");
+            match hot_answers.get(n) {
+                None => hot_answers.push(b.serialize()),
+                Some(hot) => assert_eq!(
+                    &b.serialize(),
+                    hot,
+                    "{id} ({mode:?}, indexes {indexed}): differs from hot"
+                ),
+            }
         }
     }
 }

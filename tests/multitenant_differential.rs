@@ -11,26 +11,10 @@ use partix::engine::{
     AdmissionConfig, AdmissionController, ExecOptions, FaultPlan, PartiX, PartixError,
     PriorityClass, RetryPolicy, Tenancy, TenantId, TenantQuotas, TenantRegistry, TenantSpec,
 };
-use partix::query::Item;
+use partix_bench::oracle::{canonical, centralized_text};
 use partix_bench::setup;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Canonical serialization: one line per item, sorted (fragment
-/// concatenation order is not document order).
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
-}
-
-/// Rewrite a query against [`setup::DIST`] to the centralized copy.
-fn centralized_text(query: &str) -> String {
-    query.replace(
-        &format!("collection(\"{}\")", setup::DIST),
-        &format!("collection(\"{}\")", setup::CENTRAL),
-    )
-}
 
 /// The two-tenant registry every test uses: a generous interactive
 /// tenant and a tightly quota-capped batch tenant.

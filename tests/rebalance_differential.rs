@@ -11,42 +11,12 @@
 //! passed and the catalog must hold exactly the target placement.
 
 use partix::engine::{FaultPlan, PartiX, Placement, RetryPolicy};
-use partix::query::Item;
 use partix_advisor::{advise_live, AdvisorConfig, RebalanceOptions, WorkloadProfiler};
+use partix_bench::oracle::{canonical, oracle_answers};
 use partix_bench::remote::RemoteCluster;
 use partix_bench::{queries, setup};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Canonical serialization: one line per item, sorted (fragment
-/// concatenation order is not document order).
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
-}
-
-/// Rewrite a query against [`setup::DIST`] to the centralized copy.
-fn centralized_text(query: &str) -> String {
-    query.replace(
-        &format!("collection(\"{}\")", setup::DIST),
-        &format!("collection(\"{}\")", setup::CENTRAL),
-    )
-}
-
-/// The centralized answers for a workload.
-fn oracle_answers(px: &PartiX, workload: &[(&'static str, String)]) -> Vec<String> {
-    workload
-        .iter()
-        .map(|(id, query)| {
-            canonical(
-                &px.execute_centralized(0, &centralized_text(query))
-                    .unwrap_or_else(|e| panic!("{id} centralized: {e}"))
-                    .items,
-            )
-        })
-        .collect()
-}
 
 /// Every workload query must answer byte-identically to the oracle.
 fn assert_matches_oracle(

@@ -16,29 +16,14 @@ use partix::engine::{
 };
 use partix::frag::FragMode;
 use partix::gen::{ArticleProfile, ItemProfile};
-use partix::query::{Item, Query};
+use partix::query::Query;
 use partix::storage::QueryOutput;
 use partix::xml::Document;
+use partix_bench::oracle::{canonical, centralized_text};
 use partix_bench::remote::RemoteCluster;
 use partix_bench::{queries, setup};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Canonical serialization: one line per item, sorted (fragment
-/// concatenation order is not document order).
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
-}
-
-/// Rewrite a query against [`setup::DIST`] to the centralized copy.
-fn centralized_text(query: &str) -> String {
-    query.replace(
-        &format!("collection(\"{}\")", setup::DIST),
-        &format!("collection(\"{}\")", setup::CENTRAL),
-    )
-}
 
 /// Capture the in-process answers for a workload (run before the remote
 /// drivers are installed).

@@ -19,6 +19,7 @@ use partix::engine::{DispatchMode, ExecOptions, FaultPlan, PartiX, RetryPolicy};
 use partix::frag::FragMode;
 use partix::gen::{ArticleProfile, ItemProfile};
 use partix::query::Item;
+use partix_bench::oracle::{canonical, centralized_text};
 use partix_bench::{queries, setup};
 use partix_net::{
     serve_coordinator, StreamCallError, StreamClient, StreamClientConfig, StreamOpts,
@@ -31,22 +32,6 @@ use std::time::Duration;
 /// the same query must agree item-for-item, not merely as sets.
 fn exact(items: &[Item]) -> String {
     items.iter().map(Item::serialize).collect::<Vec<_>>().join("\n")
-}
-
-/// Canonical (sorted) serialization for oracle comparison — fragment
-/// concatenation order is not document order.
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
-}
-
-/// Rewrite a query against [`setup::DIST`] to the centralized copy.
-fn centralized_text(query: &str) -> String {
-    query.replace(
-        &format!("collection(\"{}\")", setup::DIST),
-        &format!("collection(\"{}\")", setup::CENTRAL),
-    )
 }
 
 const STREAMED: StreamOpts = StreamOpts { allow_partial: false, buffered: false, tenant: None };

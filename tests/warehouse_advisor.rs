@@ -13,6 +13,7 @@ use partix::gen::{gen_warehouse, warehouse_queries, warehouse_workload, Warehous
 use partix::path::{PathExpr, Predicate};
 use partix::query::Item;
 use partix::schema::{CollectionDef, ElementDecl, Occurs, RepoKind, Schema};
+use partix_bench::oracle::canonical;
 use partix_advisor::{
     advise_live, mine_predicates, mined_split_paths, AdvisorConfig, RebalanceOptions,
     WorkloadProfiler,
@@ -28,12 +29,6 @@ const SEED: u64 = 0x00DA_7A1B;
 
 fn p(s: &str) -> PathExpr {
     PathExpr::parse(s).expect("path")
-}
-
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
 }
 
 /// Oracle equality for star-query answers. Aggregates like `sum()` are

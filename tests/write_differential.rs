@@ -27,9 +27,9 @@
 use partix::engine::{PartiX, PartixDriver, WriteError};
 use partix::frag::check_correctness;
 use partix::gen::SECTIONS;
-use partix::query::Item;
 use partix::storage::{DurableDb, WalStage, WriteOp};
 use partix::xml::{parse, Document};
+use partix_bench::oracle::{canonical, centralized_text};
 use partix_bench::{queries, setup};
 use partix_net::{NodeServer, RemoteDriver, ServerConfig};
 use std::path::{Path, PathBuf};
@@ -42,21 +42,6 @@ fn tmp_root(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Canonical serialization: one line per item, sorted (fragment
-/// concatenation order is not document order).
-fn canonical(items: &[Item]) -> String {
-    let mut lines: Vec<String> = items.iter().map(Item::serialize).collect();
-    lines.sort();
-    lines.join("\n")
-}
-
-fn centralized_text(query: &str) -> String {
-    query.replace(
-        &format!("collection(\"{}\")", setup::DIST),
-        &format!("collection(\"{}\")", setup::CENTRAL),
-    )
 }
 
 /// A small read workload: predicate selection, text search, aggregation,
