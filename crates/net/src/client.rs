@@ -28,13 +28,16 @@
 //!
 //! [`NodeServer`]: crate::server::NodeServer
 
-use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError};
+use crate::codec::frame_of;
+use crate::frame::{read_frame, Frame, FrameKind, ProtocolError};
 use crate::message::{Request, Response, WireError};
 use parking_lot::Mutex;
-use partix_engine::{metrics, wirespan, DriverError, PartixDriver};
+use partix_engine::metrics::{self, Counter};
+use partix_engine::{wirespan, DriverError, PartixDriver};
 use partix_query::Query;
 use partix_storage::QueryOutput;
 use partix_xml::Document;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,6 +93,11 @@ pub struct RemoteDriver {
     bytes_recv: AtomicU64,
     connects: AtomicU64,
     reconnects: AtomicU64,
+    /// The global `net.wire.bytes_sent` / `net.wire.bytes_recv` /
+    /// `net.bytes_shipped` counters, looked up once: every call adds to them.
+    wire_sent: Arc<Counter>,
+    wire_recv: Arc<Counter>,
+    shipped: Arc<Counter>,
 }
 
 impl RemoteDriver {
@@ -108,6 +116,9 @@ impl RemoteDriver {
             bytes_recv: AtomicU64::new(0),
             connects: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
+            wire_sent: metrics::global().counter("net.wire.bytes_sent"),
+            wire_recv: metrics::global().counter("net.wire.bytes_recv"),
+            shipped: metrics::global().counter("net.bytes_shipped"),
         }
     }
 
@@ -179,24 +190,20 @@ impl RemoteDriver {
     fn account(&self, sent: u64, recv: u64, send_s: f64, recv_s: f64) {
         self.bytes_sent.fetch_add(sent, Ordering::AcqRel);
         self.bytes_recv.fetch_add(recv, Ordering::AcqRel);
-        let registry = metrics::global();
-        registry.counter("net.wire.bytes_sent").add(sent);
-        registry.counter("net.wire.bytes_recv").add(recv);
+        self.wire_sent.add(sent);
+        self.wire_recv.add(recv);
         // Genuine shipped bytes, replacing the modeled count for this
         // site (see `PartixDriver::counts_wire_bytes`).
-        registry.counter("net.bytes_shipped").add(sent + recv);
+        self.shipped.add(sent + recv);
         wirespan::record(send_s, recv_s);
     }
 
-    /// One request/response exchange on one connection.
-    fn exchange(
-        &self,
-        stream: &mut TcpStream,
-        kind: FrameKind,
-        payload: &[u8],
-    ) -> Result<crate::frame::Frame, ProtocolError> {
+    /// One request/response exchange on one connection: `request` is a
+    /// sealed frame.
+    fn exchange(&self, stream: &mut TcpStream, request: &[u8]) -> Result<Frame, ProtocolError> {
         let send_begun = Instant::now();
-        let sent = write_frame(stream, kind, payload)?;
+        stream.write_all(request)?;
+        let sent = request.len();
         let send_s = send_begun.elapsed().as_secs_f64();
         let recv_begun = Instant::now();
         let answer = read_frame(stream)?;
@@ -213,15 +220,10 @@ impl RemoteDriver {
     /// Run one request with stale-connection recovery: an I/O failure
     /// on a *reused* connection retries exactly once on a fresh dial —
     /// but only for idempotent requests.
-    fn roundtrip(
-        &self,
-        kind: FrameKind,
-        payload: &[u8],
-        idempotent: bool,
-    ) -> Result<crate::frame::Frame, DriverError> {
+    fn roundtrip(&self, request: &[u8], idempotent: bool) -> Result<Frame, DriverError> {
         let conn = self.checkout()?;
         let PooledConn { mut stream, reused } = conn;
-        match self.exchange(&mut stream, kind, payload) {
+        match self.exchange(&mut stream, request) {
             Ok(frame) => {
                 self.checkin(stream);
                 Ok(frame)
@@ -238,7 +240,7 @@ impl RemoteDriver {
                 self.reconnects.fetch_add(1, Ordering::AcqRel);
                 metrics::global().counter("net.reconnects").inc();
                 let mut fresh = self.dial()?;
-                match self.exchange(&mut fresh, kind, payload) {
+                match self.exchange(&mut fresh, request) {
                     Ok(frame) => {
                         self.checkin(fresh);
                         Ok(frame)
@@ -263,9 +265,9 @@ impl RemoteDriver {
         query: &Query,
     ) -> Result<Option<QueryOutput>, WireError> {
         let req = Request::ExecuteAs { tenant: tenant.to_owned(), query: query.clone() };
-        let frame = self
-            .roundtrip(FrameKind::Request, &req.encode(), req.idempotent())
-            .map_err(|e| WireError::failure(true, e.to_string()))?;
+        let frame = self.send(&req).map_err(|e| {
+            WireError::failure(matches!(e, DriverError::Unavailable(_)), e.to_string())
+        })?;
         match frame.kind {
             FrameKind::Result => match Response::decode(&frame.payload) {
                 Ok(Response::Output(out)) => Ok(out),
@@ -299,8 +301,17 @@ impl RemoteDriver {
         }
     }
 
+    /// Frame `req` (encoded straight into its frame) and exchange it. A
+    /// request over the frame cap fails here, unsent: no node would
+    /// accept it, on this connection or another.
+    fn send(&self, req: &Request) -> Result<Frame, DriverError> {
+        let frame = frame_of(FrameKind::Request, |w| req.put(w))
+            .map_err(|e| DriverError::Failed(format!("{}: request not sent: {e}", self.addr)))?;
+        self.roundtrip(&frame, req.idempotent())
+    }
+
     fn request(&self, req: &Request) -> Result<Response, DriverError> {
-        let frame = self.roundtrip(FrameKind::Request, &req.encode(), req.idempotent())?;
+        let frame = self.send(req)?;
         match frame.kind {
             FrameKind::Result => Response::decode(&frame.payload)
                 .map_err(|e| unavailable(&self.addr, e)),
@@ -383,7 +394,8 @@ impl PartixDriver for RemoteDriver {
     }
 
     fn health_check(&self) -> Result<(), DriverError> {
-        let frame = self.roundtrip(FrameKind::HealthPing, &[], true)?;
+        let ping = frame_of(FrameKind::HealthPing, |_| {}).expect("an empty payload fits");
+        let frame = self.roundtrip(&ping, true)?;
         match frame.kind {
             FrameKind::HealthPong => Ok(()),
             other => Err(DriverError::Unavailable(format!(

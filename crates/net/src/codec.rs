@@ -2,13 +2,18 @@
 //! (full AST, so no re-parse on the node side), result sequences, and
 //! documents (via the existing `partix-xml` binary format).
 //!
+//! A payload is encoded either on its own ([`Writer::new`]) or straight
+//! into the frame that carries it (`frame_of`): documents and items are
+//! written in place through `binary::encode_into`, so what a server
+//! sends was assembled in one buffer.
+//!
 //! Decoding is defensive end to end: every read is bounds-checked, every
 //! collection length is validated against the bytes actually remaining,
 //! and expression nesting is capped — malformed payloads yield
 //! [`ProtocolError::Malformed`], never a panic or an unbounded
 //! allocation.
 
-use crate::frame::ProtocolError;
+use crate::frame::{self, FrameKind, ProtocolError};
 use partix_path::{Axis, CmpOp, NodeTest, PathExpr, Step};
 use partix_query::ast::{ArithOp, Binding, Clause, SortDir};
 use partix_query::{Expr, Item, PathSource, PathStart, Query, Sequence};
@@ -76,6 +81,36 @@ impl Writer {
         self.put_u32(b.len() as u32);
         self.buf.extend_from_slice(b);
     }
+
+    /// [`Writer::put_bytes`] of bytes that `fill` appends in place: the
+    /// length prefix is written once they are there.
+    fn put_bytes_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        fill(&mut self.buf);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// The bare payload `put` writes — what a message's `encode()` returns.
+pub(crate) fn payload_of(put: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    put(&mut w);
+    w.into_bytes()
+}
+
+/// The sealed frame of `kind` whose payload `put` writes: the writer it is
+/// handed starts after the frame's header, so the payload is encoded where
+/// it will be sent from. [`ProtocolError::Oversized`] if it outgrew the
+/// frame cap.
+pub(crate) fn frame_of(
+    kind: FrameKind,
+    put: impl FnOnce(&mut Writer),
+) -> Result<Vec<u8>, ProtocolError> {
+    let mut w = Writer { buf: frame::begin_frame(kind) };
+    put(&mut w);
+    frame::seal_frame(w.buf)
 }
 
 /// Bounds-checked read cursor over a payload.
@@ -171,9 +206,7 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 pub fn encode_query(q: &Query) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_expr(&mut w, &q.expr);
-    w.into_bytes()
+    payload_of(|w| put_expr(w, &q.expr))
 }
 
 pub fn decode_query(payload: &[u8]) -> Result<Query, ProtocolError> {
@@ -538,9 +571,10 @@ fn get_cmp_op(r: &mut Reader<'_>) -> Result<CmpOp, ProtocolError> {
 // Documents
 // ---------------------------------------------------------------------
 
-/// A page-backed document ships its page as it is.
+/// The document's page, written in place (a page-backed document's body
+/// is copied as it is).
 pub fn put_document(w: &mut Writer, doc: &Document) {
-    w.put_bytes(&binary::encode(doc));
+    w.put_bytes_with(|buf| binary::encode_into(doc, buf));
 }
 
 /// One copy out of the frame, validated and adopted: the document reads
@@ -586,7 +620,7 @@ pub fn put_item(w: &mut Writer, item: &Item) {
                     // origin, like any subtree); only an inner element
                     // needs the deep copy
                     if *id == NodeId::ROOT {
-                        w.put_bytes(&binary::encode_bare(doc));
+                        w.put_bytes_with(|buf| binary::encode_bare_into(doc, buf));
                     } else {
                         put_document(w, &doc.subtree(*id).expect("element subtree"));
                     }
@@ -643,7 +677,7 @@ pub fn get_item(r: &mut Reader<'_>) -> Result<Item, ProtocolError> {
     })
 }
 
-pub fn put_sequence(w: &mut Writer, items: &Sequence) {
+pub fn put_sequence(w: &mut Writer, items: &[Item]) {
     w.put_u32(items.len() as u32);
     for item in items {
         put_item(w, item);

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Serve `PXN2` stream queries from `px`. The returned server owns its
-/// event loop and workers; drop (or [`StreamServer::shutdown`]) to stop.
+/// threads; drop (or [`StreamServer::shutdown`]) to stop.
 pub fn serve_coordinator(
     addr: &str,
     px: Arc<PartiX>,

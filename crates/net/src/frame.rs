@@ -13,9 +13,24 @@
 //! ```
 //!
 //! The header is fixed-size so a reader always knows how many bytes to
-//! wait for; the length prefix is validated against a hard cap *before*
-//! any allocation, and the checksum is verified before the payload is
-//! handed to the codec. Every way a peer can deviate — wrong magic,
+//! wait for (and asks the socket for all fourteen at once); the length
+//! prefix is validated against a hard cap *before* any allocation, and
+//! the checksum is verified before the payload is handed to the codec.
+//!
+//! A frame is built in one buffer: `begin_frame` lays down the header
+//! with its length and checksum blank, the payload is encoded after it
+//! (`codec::frame_of`), and `seal_frame` — the one place a frame is
+//! sealed — checks the payload against [`MAX_PAYLOAD`] and fills both
+//! fields in. A payload over the cap is a typed
+//! [`ProtocolError::Oversized`] at the sender, not a frame the receiver
+//! has to refuse. [`encode_frame`] / [`write_frame`] are the same two
+//! steps around a payload that already exists.
+//!
+//! The checksum is one kernel, [`crc32`]: slicing-by-8 over `const`
+//! tables (eight table steps per eight input bytes instead of one per
+//! byte), the IEEE polynomial, safe Rust, the same on every CPU. An
+//! answer is checksummed at each end of each hop, so this is paid four
+//! times per byte between a node and a client. Every way a peer can deviate — wrong magic,
 //! unknown version or kind, oversized length, short read, corrupted
 //! payload — surfaces as a typed [`ProtocolError`], never a panic: a
 //! malformed peer must not be able to take down a coordinator or a node
@@ -163,7 +178,10 @@ impl fmt::Display for ProtocolError {
         match self {
             ProtocolError::BadMagic(got) => write!(f, "bad frame magic {got:?}"),
             ProtocolError::UnsupportedVersion(v) => {
-                write!(f, "unsupported protocol version {v} (this build speaks {VERSION})")
+                write!(
+                    f,
+                    "unsupported protocol version {v} (this build speaks {VERSION} and {VERSION2})"
+                )
             }
             ProtocolError::UnknownFrame(k) => write!(f, "unknown frame kind {k}"),
             ProtocolError::Oversized { len, max } => {
@@ -192,18 +210,33 @@ impl From<io::Error> for ProtocolError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `data`.
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `data`,
+/// eight bytes per step: `TABLES[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so the eight lookups of a step are independent of
+/// each other and only their XOR feeds the next step.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const TABLES: [[u32; 256]; 8] = crc32_tables();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][w[4] as usize]
+            ^ TABLES[2][w[5] as usize]
+            ^ TABLES[1][w[6] as usize]
+            ^ TABLES[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -212,17 +245,28 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// Encode a frame into its on-wire bytes (header + payload). The magic
+/// Start a frame of `kind` in a fresh buffer: the header, with the
+/// payload length and checksum left blank for `seal_frame`. The magic
 /// and version bytes follow the kind: streaming kinds are "PXN2"/2,
-/// request/response kinds "PXN1"/1.
-pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+/// request/response kinds "PXN1"/1. The payload is appended after it.
+pub(crate) fn begin_frame(kind: FrameKind) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
     if kind.version() == VERSION2 {
         out.extend_from_slice(&MAGIC2);
         out.push(VERSION2);
@@ -231,10 +275,38 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
         out.push(VERSION);
     }
     out.push(kind as u8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 8]);
     out
+}
+
+/// Seal a frame begun by `begin_frame`: everything after the header is
+/// the payload; its length is checked against [`MAX_PAYLOAD`] and written
+/// into the header with its checksum. The sealed bytes go on the wire as
+/// they are.
+pub(crate) fn seal_frame(mut frame: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
+    let len = frame.len() - HEADER_LEN;
+    if len > MAX_PAYLOAD {
+        return Err(ProtocolError::Oversized { len, max: MAX_PAYLOAD });
+    }
+    let crc = crc32(&frame[HEADER_LEN..]);
+    frame[6..10].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[10..14].copy_from_slice(&crc.to_le_bytes());
+    Ok(frame)
+}
+
+fn frame_around(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+    let mut out = begin_frame(kind);
+    out.extend_from_slice(payload);
+    seal_frame(out)
+}
+
+/// Encode a frame into its on-wire bytes (header + payload).
+///
+/// # Panics
+/// If `payload` exceeds [`MAX_PAYLOAD`]: no peer would accept the frame.
+/// [`write_frame`] returns that as [`ProtocolError::Oversized`] instead.
+pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+    frame_around(kind, payload).expect("payload within the frame cap")
 }
 
 /// Write one frame. Returns the number of bytes put on the wire.
@@ -243,10 +315,10 @@ pub fn write_frame(
     kind: FrameKind,
     payload: &[u8],
 ) -> Result<usize, ProtocolError> {
-    let bytes = encode_frame(kind, payload);
-    w.write_all(&bytes)?;
+    let frame = frame_around(kind, payload)?;
+    w.write_all(&frame)?;
     w.flush()?;
-    Ok(bytes.len())
+    Ok(frame.len())
 }
 
 /// Read one frame. `Ok(None)` means the peer closed the connection
@@ -254,16 +326,11 @@ pub fn write_frame(
 /// connection. An EOF anywhere later is [`ProtocolError::Truncated`].
 /// The returned `usize` is the number of wire bytes consumed.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<(Frame, usize)>, ProtocolError> {
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
+    let mut header = [0u8; HEADER_LEN];
+    if !fill_header(r, &mut header, 0)? {
+        return Ok(None);
     }
-    read_frame_after(r, first[0]).map(Some)
+    read_payload(r, &header).map(Some)
 }
 
 /// Finish reading a frame whose first header byte has already been
@@ -275,14 +342,36 @@ pub fn read_frame_after(
 ) -> Result<(Frame, usize), ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
     header[0] = first;
-    r.read_exact(&mut header[1..]).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtocolError::Truncated { context: "header" }
-        } else {
-            ProtocolError::Io(e.to_string())
+    fill_header(r, &mut header, 1)?;
+    read_payload(r, &header)
+}
+
+/// Fill `header[have..]`, asking for all of it at once (one `read` when
+/// the header has arrived whole, as it nearly always has). `Ok(false)`:
+/// the stream ended before any header byte at all.
+fn fill_header(
+    r: &mut impl Read,
+    header: &mut [u8; HEADER_LEN],
+    mut have: usize,
+) -> Result<bool, ProtocolError> {
+    while have < HEADER_LEN {
+        match r.read(&mut header[have..]) {
+            Ok(0) if have == 0 => return Ok(false),
+            Ok(0) => return Err(ProtocolError::Truncated { context: "header" }),
+            Ok(n) => have += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
         }
-    })?;
-    let (len, expected) = validate_header(&header)?;
+    }
+    Ok(true)
+}
+
+/// Validate `header`, then read and verify the payload it announces.
+fn read_payload(
+    r: &mut impl Read,
+    header: &[u8; HEADER_LEN],
+) -> Result<(Frame, usize), ProtocolError> {
+    let (kind, len, expected) = validate_header(header)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -291,18 +380,22 @@ pub fn read_frame_after(
             ProtocolError::Io(e.to_string())
         }
     })?;
-    let actual = crc32(&payload);
-    if actual != expected {
-        return Err(ProtocolError::ChecksumMismatch { expected, actual });
-    }
-    let kind = FrameKind::from_u8(header[5])?;
+    verify(&payload, expected)?;
     Ok((Frame { kind, payload }, HEADER_LEN + len))
 }
 
+fn verify(payload: &[u8], expected: u32) -> Result<(), ProtocolError> {
+    let actual = crc32(payload);
+    if actual != expected {
+        return Err(ProtocolError::ChecksumMismatch { expected, actual });
+    }
+    Ok(())
+}
+
 /// Validate a complete header: magic/version pairing, known kind for
-/// that version, and payload length under the cap. Returns the payload
-/// length and expected CRC.
-fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(usize, u32), ProtocolError> {
+/// that version, and payload length under the cap. Returns the kind, the
+/// payload length and the expected CRC.
+fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize, u32), ProtocolError> {
     let expect_version = if header[..4] == MAGIC {
         VERSION
     } else if header[..4] == MAGIC2 {
@@ -326,10 +419,10 @@ fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(usize, u32), ProtocolEr
         return Err(ProtocolError::Oversized { len, max: MAX_PAYLOAD });
     }
     let expected = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
-    Ok((len, expected))
+    Ok((kind, len, expected))
 }
 
-/// Incremental decode for nonblocking readers: try to parse one frame
+/// Incremental decode over bytes already in memory: try to parse one frame
 /// from the front of `buf`. `Ok(None)` means the buffer does not yet
 /// hold a complete frame (read more bytes); `Ok(Some((frame, n)))`
 /// consumed `n` bytes. Header-level garbage surfaces immediately, even
@@ -341,16 +434,12 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolError>
     }
     let mut header = [0u8; HEADER_LEN];
     header.copy_from_slice(&buf[..HEADER_LEN]);
-    let (len, expected) = validate_header(&header)?;
+    let (kind, len, expected) = validate_header(&header)?;
     if buf.len() < HEADER_LEN + len {
         return Ok(None);
     }
     let payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-    let actual = crc32(&payload);
-    if actual != expected {
-        return Err(ProtocolError::ChecksumMismatch { expected, actual });
-    }
-    let kind = FrameKind::from_u8(header[5])?;
+    verify(&payload, expected)?;
     Ok(Some((Frame { kind, payload }, HEADER_LEN + len)))
 }
 
@@ -359,11 +448,77 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// The bytewise table walk the sliced kernel replaced: the reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut crc = i as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+            *slot = crc;
+        }
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Seeded xorshift bytes: the differential needs no particular
+    /// distribution, only that it repeats.
+    fn noise(len: usize, mut seed: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            out.extend_from_slice(&seed.to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // standard IEEE test vector
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn crc32_sliced_equals_bytewise_reference() {
+        // every length around the eight-byte step, at every alignment
+        let buf = noise(8 + 256, 0x9E37_79B9_7F4A_7C15);
+        for offset in 0..8 {
+            for len in 0..=256 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "offset {offset}, len {len}");
+            }
+        }
+        // answer-sized buffers, odd lengths included
+        for (seed, len) in [(1, 64 << 10), (2, (256 << 10) + 3), (3, (640 << 10) + 5), (4, 1 << 20)] {
+            let data = noise(len, seed);
+            assert_eq!(crc32(&data), crc32_bytewise(&data), "{len} B");
+        }
+    }
+
+    #[test]
+    fn sealing_checks_the_cap_at_the_sender() {
+        let mut over = begin_frame(FrameKind::Result);
+        assert_eq!(over.len(), HEADER_LEN);
+        over.resize(HEADER_LEN + MAX_PAYLOAD + 1, 7);
+        assert_eq!(
+            seal_frame(over).unwrap_err(),
+            ProtocolError::Oversized { len: MAX_PAYLOAD + 1, max: MAX_PAYLOAD }
+        );
+        let mut sink = Vec::new();
+        let err = write_frame(&mut sink, FrameKind::Result, &vec![0; MAX_PAYLOAD + 1]).unwrap_err();
+        assert!(matches!(err, ProtocolError::Oversized { .. }), "{err}");
+        assert!(sink.is_empty(), "nothing of an oversized frame reaches the wire");
     }
 
     #[test]
@@ -414,10 +569,12 @@ mod tests {
         ));
         let mut bad_version = good.clone();
         bad_version[4] = 9;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bad_version)).unwrap_err(),
-            ProtocolError::UnsupportedVersion(9)
-        ));
+        let err = read_frame(&mut Cursor::new(&bad_version)).unwrap_err();
+        assert!(matches!(err, ProtocolError::UnsupportedVersion(9)));
+        assert_eq!(
+            err.to_string(),
+            "unsupported protocol version 9 (this build speaks 1 and 2)"
+        );
         let mut bad_kind = good.clone();
         bad_kind[5] = 200;
         assert!(matches!(

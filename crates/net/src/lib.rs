@@ -5,11 +5,14 @@
 //! Everything below the driver trait used to run in-process; this crate
 //! makes the hop real:
 //!
-//! * [`frame`] — length-prefixed, checksummed, versioned binary frames.
+//! * [`frame`] — length-prefixed, checksummed, versioned binary frames,
+//!   shared by both protocols: the CRC-32 kernel and the one place a
+//!   frame is sealed (length bound, checksum).
 //! * [`codec`] — defensive payload encoding for queries (full AST),
-//!   result sequences, and documents.
-//! * [`message`] — the request/response vocabulary (the driver trait on
-//!   the wire), including typed, retryability-tagged errors.
+//!   result sequences, and documents, written straight into the frame
+//!   that carries them.
+//! * [`message`] — the PXN1 request/response vocabulary (the driver
+//!   trait on the wire), including typed, retryability-tagged errors.
 //! * [`server`] — [`NodeServer`]: a per-node TCP listener hosting
 //!   fragments behind the existing storage stack, with graceful
 //!   drain-then-close shutdown.
@@ -17,6 +20,17 @@
 //!   `PartixDriver` implementation, so dispatch modes, retry/failover
 //!   policy, fault injection, caching, and tracing all work unchanged
 //!   over real sockets.
+//! * [`stream`] — the PXN2 vocabulary: a query opens a stream, the
+//!   answer comes back as item chunks and one end-of-stream or typed
+//!   error; [`StreamAssembler`] re-checks all of it on arrival.
+//! * [`stream_server`] — [`StreamServer`]: the multiplexed streaming
+//!   endpoint — a blocking reader and a condvar-woken writer per
+//!   connection, a shared worker pool, byte-bounded send queues for
+//!   backpressure.
+//! * [`stream_client`] — [`StreamClient`] (one multiplexed connection)
+//!   and [`CoordinatorPool`] (failover across coordinator replicas).
+//! * [`coord`] — [`serve_coordinator`]: the [`StreamHandler`] that
+//!   answers stream queries from a `PartiX` engine.
 //!
 //! The coordinator never knows whether a node is an in-process
 //! `Database` or a socket away — that is the point: the local-vs-remote
@@ -27,6 +41,8 @@ pub mod client;
 pub mod codec;
 pub mod coord;
 pub mod frame;
+#[cfg(test)]
+mod golden;
 pub mod message;
 pub mod server;
 pub mod stream;

@@ -3,7 +3,7 @@
 //! decodes defensively via the [`crate::codec`] cursor.
 
 use crate::codec::{
-    get_documents, get_output, put_documents, put_output, Reader, Writer,
+    get_documents, get_output, payload_of, put_documents, put_output, Reader, Writer,
 };
 use crate::frame::ProtocolError;
 use partix_query::Query;
@@ -97,7 +97,11 @@ pub enum Request {
 
 impl Request {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`Request::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
         match self {
             Request::Execute { query } => {
                 w.put_u8(0);
@@ -106,7 +110,7 @@ impl Request {
             Request::Store { collection, docs } => {
                 w.put_u8(1);
                 w.put_str(collection);
-                put_documents(&mut w, docs);
+                put_documents(w, docs);
             }
             Request::Fetch { collection, filter: None } => {
                 w.put_u8(2);
@@ -132,7 +136,6 @@ impl Request {
                 w.put_bytes(&crate::codec::encode_query(query));
             }
         }
-        w.into_bytes()
     }
 
     pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {
@@ -206,17 +209,21 @@ pub enum Response {
 
 impl Response {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`Response::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
         match self {
             Response::Output(None) => w.put_u8(0),
             Response::Output(Some(out)) => {
                 w.put_u8(1);
-                put_output(&mut w, out);
+                put_output(w, out);
             }
             Response::Stored => w.put_u8(2),
             Response::Docs(docs) => {
                 w.put_u8(3);
-                put_documents(&mut w, docs);
+                put_documents(w, docs);
             }
             Response::Names(names) => {
                 w.put_u8(4);
@@ -231,7 +238,6 @@ impl Response {
                 w.put_u32(*affected);
             }
         }
-        w.into_bytes()
     }
 
     pub fn decode(payload: &[u8]) -> Result<Response, ProtocolError> {
@@ -288,12 +294,15 @@ impl WireError {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`WireError::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
         w.put_bool(self.retryable);
         w.put_u8(self.code.as_u8());
         w.put_u64(self.retry_after_ms);
         w.put_str(&self.message);
-        w.into_bytes()
     }
 
     pub fn decode(payload: &[u8]) -> Result<WireError, ProtocolError> {

@@ -18,12 +18,13 @@
 //!   frame and the connection is dropped (the stream can no longer be
 //!   trusted).
 
+use crate::codec::frame_of;
 use crate::frame::{read_frame_after, write_frame, FrameKind, ProtocolError};
 use crate::message::{ErrorCode, Request, Response, WireError};
 use partix_engine::{metrics, DriverError, PartixDriver};
 use partix_tenant::{AdmissionController, TenantRegistry};
 use partix_storage::Database;
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -267,18 +268,22 @@ fn answer_frame(
             // error, not kill the handler (and with it the connection
             // and any trust in the node's liveness).
             let result = catch_unwind(AssertUnwindSafe(|| serve_request(shared, request)));
-            let (kind, payload) = match result {
-                Ok(Ok(response)) => (FrameKind::Result, response.encode()),
-                Ok(Err(err)) => (FrameKind::Error, err.into_wire().encode()),
-                Err(panic) => {
-                    let wire = WireError::failure(
-                        false,
-                        format!("node panicked: {}", panic_message(&panic)),
-                    );
-                    (FrameKind::Error, wire.encode())
-                }
+            let answer = match result {
+                // an answer over the frame cap is the node's to refuse:
+                // sent, the coordinator could only drop the connection
+                Ok(Ok(response)) => frame_of(FrameKind::Result, |w| response.put(w))
+                    .map_err(|err| WireError::failure(false, format!("answer not sent: {err}"))),
+                Ok(Err(err)) => Err(err.into_wire()),
+                Err(panic) => Err(WireError::failure(
+                    false,
+                    format!("node panicked: {}", panic_message(&panic)),
+                )),
             };
-            write_frame(&mut stream, kind, &payload)?;
+            let frame = match answer {
+                Ok(frame) => frame,
+                Err(wire) => frame_of(FrameKind::Error, |w| wire.put(w))?,
+            };
+            stream.write_all(&frame)?;
             Ok(())
         }
         // A node server never receives responses — nor `PXN2` stream
@@ -408,6 +413,7 @@ mod tests {
     use super::*;
     use crate::frame::read_frame;
     use partix_query::parse_query;
+    use partix_storage::QueryOutput;
     use partix_xml::parse;
 
     fn items_db() -> Arc<Database> {
@@ -489,6 +495,44 @@ mod tests {
         assert!(!err.retryable);
         // the server hangs up after a framing error
         assert!(read_frame(&mut conn).unwrap().is_none());
+        server.shutdown();
+    }
+
+    /// A driver whose every answer is one string just over the frame cap.
+    struct HugeAnswers;
+
+    impl PartixDriver for HugeAnswers {
+        fn execute(&self, _: &partix_query::Query) -> Result<Option<QueryOutput>, DriverError> {
+            let big = "x".repeat(crate::frame::MAX_PAYLOAD + 1);
+            Ok(Some(QueryOutput {
+                items: vec![partix_query::Item::Str(big)],
+                stats: Default::default(),
+            }))
+        }
+        fn store(&self, _: &str, _: Vec<partix_xml::Document>) {}
+        fn fetch_collection(&self, _: &str) -> Vec<Arc<partix_xml::Document>> {
+            Vec::new()
+        }
+        fn collections(&self) -> Vec<String> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn oversized_answer_is_a_typed_error_and_the_connection_lives() {
+        let mut server =
+            NodeServer::bind_driver("127.0.0.1:0", Arc::new(HugeAnswers), ServerConfig::default())
+                .unwrap();
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        let q = parse_query(r#"collection("items")/Item"#).unwrap();
+        let (kind, payload) = request(&mut conn, &Request::Execute { query: q });
+        assert_eq!(kind, FrameKind::Error);
+        let err = WireError::decode(&payload).unwrap();
+        assert!(!err.retryable, "the same answer would be as large on a retry");
+        assert!(err.message.contains("exceeds the 67108864 B cap"), "{}", err.message);
+        // nothing oversized went out, so the stream position is intact
+        let (kind, _) = request(&mut conn, &Request::Collections);
+        assert_eq!(kind, FrameKind::Result);
         server.shutdown();
     }
 

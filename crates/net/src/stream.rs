@@ -17,9 +17,9 @@
 //! surface as [`ProtocolError::Stream`] — never a panic, and never a
 //! silently wrong or truncated reassembly.
 
-use crate::codec::{get_sequence, put_sequence, Reader, Writer};
+use crate::codec::{get_sequence, payload_of, put_sequence, Reader, Writer};
 use crate::frame::ProtocolError;
-use partix_query::Sequence;
+use partix_query::{Item, Sequence};
 
 /// Default number of items per [`ItemChunk`] when the client does not
 /// ask for a specific granularity.
@@ -59,14 +59,17 @@ pub struct StreamQuery {
 
 impl StreamQuery {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`StreamQuery::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
         w.put_u64(self.stream);
         w.put_str(&self.text);
         w.put_bool(self.allow_partial);
         w.put_bool(self.buffered);
         w.put_u32(self.chunk_items);
         w.put_str(&self.tenant);
-        w.into_bytes()
     }
 
     pub fn decode(payload: &[u8]) -> Result<StreamQuery, ProtocolError> {
@@ -113,11 +116,12 @@ pub struct ItemChunk {
 
 impl ItemChunk {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.stream);
-        w.put_u32(self.seq);
-        put_sequence(&mut w, &self.items);
-        w.into_bytes()
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`ItemChunk::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
+        put_chunk(w, self.stream, self.seq, &self.items);
     }
 
     pub fn decode(payload: &[u8]) -> Result<ItemChunk, ProtocolError> {
@@ -134,6 +138,14 @@ impl ItemChunk {
         }
         Ok(ItemChunk { stream, seq, items })
     }
+}
+
+/// The payload of an [`ItemChunk`] over borrowed items: what a sink ships
+/// without first owning a copy of the slice.
+pub(crate) fn put_chunk(w: &mut Writer, stream: u64, seq: u32, items: &[Item]) {
+    w.put_u64(stream);
+    w.put_u32(seq);
+    put_sequence(w, items);
 }
 
 /// Deterministic per-query statistics shipped with [`StreamEnd`].
@@ -170,7 +182,11 @@ pub struct StreamEnd {
 
 impl StreamEnd {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`StreamEnd::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
         w.put_u64(self.stream);
         w.put_u32(self.chunks);
         w.put_u64(self.items);
@@ -180,7 +196,6 @@ impl StreamEnd {
         w.put_bool(self.stats.partial);
         w.put_u64(self.stats.catalog_epoch);
         w.put_f64(self.stats.elapsed);
-        w.into_bytes()
     }
 
     pub fn decode(payload: &[u8]) -> Result<StreamEnd, ProtocolError> {
@@ -233,13 +248,16 @@ impl StreamError {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`StreamError::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
         w.put_u64(self.stream);
         w.put_bool(self.retryable);
         w.put_u8(self.code.as_u8());
         w.put_u64(self.retry_after_ms);
         w.put_str(&self.message);
-        w.into_bytes()
     }
 
     pub fn decode(payload: &[u8]) -> Result<StreamError, ProtocolError> {
@@ -266,9 +284,12 @@ pub struct CancelStream {
 
 impl CancelStream {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`CancelStream::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
         w.put_u64(self.stream);
-        w.into_bytes()
     }
 
     pub fn decode(payload: &[u8]) -> Result<CancelStream, ProtocolError> {

@@ -17,7 +17,8 @@
 //! mid-workload costs its in-flight queries one retry each — not their
 //! answers.
 
-use crate::frame::{self, encode_frame, FrameKind, ProtocolError};
+use crate::codec::frame_of;
+use crate::frame::{self, FrameKind, ProtocolError};
 use crate::stream::{
     CancelStream, ItemChunk, StreamAssembler, StreamEnd, StreamError, StreamOutcome, StreamQuery,
     StreamStats,
@@ -25,7 +26,7 @@ use crate::stream::{
 use partix_engine::metrics;
 use partix_query::{Item, Sequence};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -125,7 +126,8 @@ impl StreamClient {
         let reader_sock = sock.try_clone().map_err(ProtocolError::from)?;
         let routes: Arc<Routes> = Arc::new(Mutex::new(HashMap::new()));
         let dead = Arc::new(AtomicBool::new(false));
-        let mut rs = reader_sock.try_clone().map_err(ProtocolError::from)?;
+        // buffered: a header and a small payload arrive in one `read`
+        let mut rs = BufReader::new(reader_sock.try_clone().map_err(ProtocolError::from)?);
         let thread_routes = Arc::clone(&routes);
         let thread_dead = Arc::clone(&dead);
         let reader = std::thread::Builder::new()
@@ -180,9 +182,11 @@ impl StreamClient {
             chunk_items: self.config.chunk_items,
             tenant: opts.tenant.clone().unwrap_or_default(),
         };
+        // a query text over the frame cap is refused here, unsent
+        let bytes = frame_of(FrameKind::OpenStream, |w| open.put(w))
+            .map_err(StreamCallError::Protocol)?;
         {
             let mut sock = self.sock.lock().unwrap_or_else(|e| e.into_inner());
-            let bytes = encode_frame(FrameKind::OpenStream, &open.encode());
             sock.write_all(&bytes).and_then(|()| sock.flush()).map_err(|e| {
                 self.dead.store(true, Ordering::Release);
                 StreamCallError::Protocol(ProtocolError::from(e))
@@ -247,8 +251,9 @@ impl StreamClient {
 
     /// Best-effort cancel for an abandoned stream.
     fn cancel(&self, stream: u64) {
+        let bytes = frame_of(FrameKind::CancelStream, |w| CancelStream { stream }.put(w))
+            .expect("a stream id fits a frame");
         let mut sock = self.sock.lock().unwrap_or_else(|e| e.into_inner());
-        let bytes = encode_frame(FrameKind::CancelStream, &CancelStream { stream }.encode());
         let _ = sock.write_all(&bytes).and_then(|()| sock.flush());
     }
 }
@@ -286,7 +291,7 @@ fn payload_stream_id(payload: &[u8]) -> Option<u64> {
     })
 }
 
-fn reader_loop(sock: &mut TcpStream, routes: &Routes, dead: &AtomicBool) {
+fn reader_loop(sock: &mut BufReader<TcpStream>, routes: &Routes, dead: &AtomicBool) {
     let fatal = loop {
         match frame::read_frame(sock) {
             Ok(Some((f, _))) => {

@@ -1,39 +1,49 @@
-//! The non-blocking, event-driven streaming server.
+//! The streaming server: blocking threads that are woken, never polled.
 //!
-//! One *event-loop thread* owns the listener and every connection, all
-//! in nonblocking mode: it accepts, reads bytes into per-connection
-//! buffers (decoding PXN2 frames incrementally with
-//! [`frame::decode_frame`]), and drains per-connection send queues with
-//! partial-write tracking. It never blocks on any one peer, so a stalled
-//! connection cannot stop the others — the readiness loop is the
-//! "no new runtime deps" answer to an async executor.
+//! An *accept thread* blocks in `accept`. Every connection gets two
+//! threads of its own: a *reader* that blocks in `read`, decodes PXN2
+//! frames ([`frame::read_frame`] over a buffered socket) and turns each
+//! [`StreamQuery`] into a job, and a *writer* that sleeps on the
+//! connection's [`SendQueue`] and is notified by every `push`, then
+//! writes the frame with a blocking `write_all`. Between "bytes arrived
+//! or a frame was queued" and "a thread acts on it" there is a kernel or
+//! condvar wake-up and nothing else: no sleep, no timed poll, no idle
+//! wake-ups. (std has no `epoll`; a thread blocked on its own socket is
+//! the readiness notification a std-only workspace does have.)
 //!
-//! Query execution happens on a small pool of *worker threads*. When a
-//! complete [`StreamQuery`] frame arrives, the event loop enqueues a job;
-//! a worker runs the [`StreamHandler`] and pushes `ItemChunk` /
-//! `StreamEnd` / `StreamError` frames into that connection's
-//! [`SendQueue`].
+//! Query execution happens on a small pool of *worker threads* shared by
+//! all connections. A worker runs the [`StreamHandler`] and pushes
+//! `ItemChunk` / `StreamEnd` / `StreamError` frames — each encoded
+//! straight into its frame buffer — into that connection's queue.
 //!
 //! Backpressure is the send queue's byte bound: a producer pushing into a
-//! full queue blocks *on that queue's condvar* until the event loop
-//! drains it (i.e. until the client reads). A slow reader therefore
-//! stalls only the workers serving *its* streams, holds at most
-//! `send_queue_bytes` + one frame of coordinator memory, and never
-//! touches the event loop — other clients keep streaming at full rate.
-//! The global queue depth is exported as the `net.stream.queue_bytes`
+//! full queue blocks *on that queue's condvar* until the connection's
+//! writer has put a frame on the socket (i.e. until the client reads). A
+//! slow reader therefore blocks its own writer thread in `write`, fills
+//! its own queue, and stalls only the workers serving *its* streams; it
+//! holds at most `send_queue_bytes` + one frame of coordinator memory (a
+//! frame stays counted until it is written out) and touches no thread
+//! another connection depends on — other clients keep streaming at full
+//! rate. The global queue depth is exported as the `net.stream.queue_bytes`
 //! gauge (peak in `net.stream.queue_peak`), which the backpressure test
 //! asserts stays bounded.
+//!
+//! Shutdown needs no poll either: the blocked `accept` is woken by a
+//! throwaway connection (as [`crate::NodeServer`] does it), blocked reads
+//! and writes by `shutdown(2)` on a handle to the same socket, blocked
+//! producers and writers by closing the queue.
 
-use crate::frame::{self, encode_frame, Frame, FrameKind, ProtocolError};
+use crate::codec::frame_of;
+use crate::frame::{self, Frame, FrameKind, ProtocolError};
 use crate::stream::{
-    CancelStream, ItemChunk, StreamError, StreamQuery, StreamStats, MAX_CHUNK_ITEMS,
+    put_chunk, CancelStream, StreamEnd, StreamError, StreamQuery, StreamStats, MAX_CHUNK_ITEMS,
 };
-use partix_engine::metrics;
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use partix_engine::metrics::{self, Counter, Gauge};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -46,8 +56,6 @@ pub struct StreamServerConfig {
     /// queue holds this many bytes (one frame may always be queued, so a
     /// single frame larger than the bound still makes progress).
     pub send_queue_bytes: usize,
-    /// Event-loop sleep when no connection made progress.
-    pub poll_interval: Duration,
     /// Cap on concurrently open streams per connection; an `OpenStream`
     /// beyond it is answered with a retryable [`StreamError`].
     pub max_streams_per_conn: usize,
@@ -58,7 +66,6 @@ impl Default for StreamServerConfig {
         StreamServerConfig {
             workers: 8,
             send_queue_bytes: 256 * 1024,
-            poll_interval: Duration::from_micros(500),
             max_streams_per_conn: 64,
         }
     }
@@ -131,39 +138,61 @@ where
 // Send queue
 // ---------------------------------------------------------------------
 
-/// Server-wide accounting shared by all queues (gauge + peak).
-#[derive(Default)]
+/// Server-wide accounting shared by all queues (gauge + peak), with the
+/// metric handles looked up once at bind.
 struct QueueAccounting {
     queued_bytes: AtomicUsize,
     peak_bytes: AtomicUsize,
     chunks_sent: AtomicU64,
+    queue_gauge: Arc<Gauge>,
+    chunks_counter: Arc<Counter>,
+    conns_gauge: Arc<Gauge>,
 }
 
 impl QueueAccounting {
+    fn new() -> QueueAccounting {
+        let registry = metrics::global();
+        QueueAccounting {
+            queued_bytes: AtomicUsize::new(0),
+            peak_bytes: AtomicUsize::new(0),
+            chunks_sent: AtomicU64::new(0),
+            queue_gauge: registry.gauge("net.stream.queue_bytes"),
+            chunks_counter: registry.counter("net.stream.chunks"),
+            conns_gauge: registry.gauge("net.stream.conns"),
+        }
+    }
+
     fn add(&self, n: usize) {
         let now = self.queued_bytes.fetch_add(n, Ordering::Relaxed) + n;
         self.peak_bytes.fetch_max(now, Ordering::Relaxed);
-        metrics::global().gauge("net.stream.queue_bytes").set(now as i64);
+        self.queue_gauge.set(now as i64);
     }
 
     fn sub(&self, n: usize) {
         let now = self.queued_bytes.fetch_sub(n, Ordering::Relaxed).saturating_sub(n);
-        metrics::global().gauge("net.stream.queue_bytes").set(now as i64);
+        self.queue_gauge.set(now as i64);
     }
 }
 
 struct QueueState {
-    frames: std::collections::VecDeque<Vec<u8>>,
+    frames: VecDeque<Vec<u8>>,
+    /// Bytes the bound is on: the queued frames plus the one being written.
     queued_bytes: usize,
-    /// Bytes of the front frame already written to the socket.
-    front_written: usize,
+    /// Length of the frame the writer has taken and not yet written out
+    /// (0: none). It stays in `queued_bytes` until it is on the socket.
+    writing: usize,
+    /// Set after a protocol violation: nothing more is read; once the
+    /// queue is flushed and no stream is live, the connection is dropped.
+    draining: bool,
 }
 
 /// Bounded per-connection outbound queue. Producers (workers) block on
-/// `space` when full; the event-loop thread pops and writes.
+/// `space` when full; the connection's writer thread sleeps on `ready`
+/// and is woken by `push`.
 struct SendQueue {
     state: Mutex<QueueState>,
     space: Condvar,
+    ready: Condvar,
     closed: AtomicBool,
     capacity: usize,
     accounting: Arc<QueueAccounting>,
@@ -173,86 +202,111 @@ impl SendQueue {
     fn new(capacity: usize, accounting: Arc<QueueAccounting>) -> SendQueue {
         SendQueue {
             state: Mutex::new(QueueState {
-                frames: std::collections::VecDeque::new(),
+                frames: VecDeque::new(),
                 queued_bytes: 0,
-                front_written: 0,
+                writing: 0,
+                draining: false,
             }),
             space: Condvar::new(),
+            ready: Condvar::new(),
             closed: AtomicBool::new(false),
             capacity,
             accounting,
         }
     }
 
-    /// Queue one encoded frame, blocking while the queue is over its
-    /// byte bound. Returns `Err(SinkClosed)` once the queue is closed.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queue one sealed frame and wake the writer, blocking while the
+    /// queue is over its byte bound. Returns `Err(SinkClosed)` once the
+    /// queue is closed.
     fn push(&self, bytes: Vec<u8>) -> Result<(), SinkClosed> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.lock();
         loop {
+            // `close` flips the flag before it takes the lock to notify, so
+            // a producer that saw it unset here is waiting by then
             if self.closed.load(Ordering::Acquire) {
                 return Err(SinkClosed);
             }
-            if state.queued_bytes < self.capacity || state.frames.is_empty() {
+            let idle = state.frames.is_empty() && state.writing == 0;
+            if state.queued_bytes < self.capacity || idle {
                 break;
             }
-            let (next, _) = self
-                .space
-                .wait_timeout(state, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
-            state = next;
+            state = self.space.wait(state).unwrap_or_else(|e| e.into_inner());
         }
         state.queued_bytes += bytes.len();
         self.accounting.add(bytes.len());
         state.frames.push_back(bytes);
+        drop(state);
+        self.ready.notify_one();
         Ok(())
     }
 
-    /// Close the queue and wake every blocked producer.
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let drained = state.queued_bytes;
-        state.frames.clear();
-        state.queued_bytes = 0;
-        state.front_written = 0;
+    /// The writer's wait: the next frame to put on the socket, or `None`
+    /// once the queue is closed — or, when draining, flushed with no
+    /// stream of `live` left to add to it.
+    fn next(&self, live: &LiveStreams) -> Option<Vec<u8>> {
+        let mut state = self.lock();
+        loop {
+            if self.closed.load(Ordering::Acquire) {
+                return None;
+            }
+            if let Some(frame) = state.frames.pop_front() {
+                state.writing = frame.len();
+                return Some(frame);
+            }
+            if state.draining && live.lock().unwrap_or_else(|e| e.into_inner()).is_empty() {
+                return None;
+            }
+            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// The frame handed out by [`SendQueue::next`] is on the socket: its
+    /// bytes leave the bound and blocked producers may go on.
+    fn written(&self) {
+        let mut state = self.lock();
+        let len = std::mem::take(&mut state.writing);
+        state.queued_bytes -= len;
         drop(state);
-        self.accounting.sub(drained);
+        self.accounting.sub(len);
         self.space.notify_all();
     }
 
-    /// Write as much queued data as the socket accepts right now.
-    /// Returns `(made_progress, io_result)`. The lock is held across the
-    /// write, but the socket is nonblocking so the syscall returns
-    /// immediately — producers wait microseconds, not a peer's RTT.
-    fn drain_into(&self, sock: &mut TcpStream) -> (bool, io::Result<()>) {
-        let mut progressed = false;
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            let Some(front) = state.frames.front() else {
-                return (progressed, Ok(()));
-            };
-            let front_len = front.len();
-            let offset = state.front_written;
-            match sock.write(&front[offset..]) {
-                Ok(0) => {
-                    return (progressed, Err(io::Error::from(io::ErrorKind::WriteZero)));
-                }
-                Ok(n) => {
-                    progressed = true;
-                    state.front_written += n;
-                    if state.front_written >= front_len {
-                        state.frames.pop_front();
-                        state.front_written = 0;
-                        state.queued_bytes = state.queued_bytes.saturating_sub(front_len);
-                        self.accounting.sub(front_len);
-                        self.space.notify_all();
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (progressed, Ok(())),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return (progressed, Err(e)),
-            }
+    /// Stop taking input after a protocol violation; the writer drops the
+    /// connection once what is queued (and what live streams still add)
+    /// has been flushed.
+    fn drain(&self) {
+        self.lock().draining = true;
+        self.ready.notify_one();
+    }
+
+    /// Have the writer look again: a stream finished, which may have been
+    /// the last thing a draining connection waited for.
+    fn stream_done(&self) {
+        // through the lock, so a writer between its check and its wait
+        // cannot miss this
+        drop(self.lock());
+        self.ready.notify_one();
+    }
+
+    /// Close the queue, drop what it holds and wake every blocked
+    /// producer and the writer. False if it was closed already.
+    fn close(&self) -> bool {
+        if self.closed.swap(true, Ordering::AcqRel) {
+            return false;
         }
+        let mut state = self.lock();
+        let drained = std::mem::take(&mut state.queued_bytes);
+        state.frames.clear();
+        state.writing = 0;
+        drop(state);
+        self.accounting.sub(drained);
+        self.space.notify_all();
+        self.ready.notify_one();
+        true
     }
 }
 
@@ -263,10 +317,14 @@ impl SendQueue {
 struct StreamSink {
     stream: u64,
     chunk_items: usize,
-    queue: Arc<SendQueue>,
+    conn: Arc<Conn>,
     cancelled: Arc<AtomicBool>,
     seq: AtomicUsize,
     items_sent: AtomicU64,
+    /// Why a chunk could not be framed (it outgrew the frame cap): the
+    /// stream ends with this as a typed error instead of a frame no
+    /// client would accept.
+    refused: OnceLock<ProtocolError>,
 }
 
 impl StreamSink {
@@ -279,15 +337,17 @@ impl StreamSink {
         if self.cancelled.load(Ordering::Acquire) {
             return Err(SinkClosed);
         }
-        let chunk = ItemChunk {
-            stream: self.stream,
-            seq: self.next_seq()?,
-            items: items.to_vec(),
-        };
-        self.queue.push(encode_frame(FrameKind::ItemChunk, &chunk.encode()))?;
+        let seq = self.next_seq()?;
+        let frame = frame_of(FrameKind::ItemChunk, |w| put_chunk(w, self.stream, seq, items))
+            .map_err(|err| {
+                let _ = self.refused.set(err);
+                SinkClosed
+            })?;
+        self.conn.queue.push(frame)?;
         self.items_sent.fetch_add(items.len() as u64, Ordering::Relaxed);
-        self.queue.accounting.chunks_sent.fetch_add(1, Ordering::Relaxed);
-        metrics::global().counter("net.stream.chunks").inc();
+        let accounting = &self.conn.queue.accounting;
+        accounting.chunks_sent.fetch_add(1, Ordering::Relaxed);
+        accounting.chunks_counter.inc();
         Ok(())
     }
 }
@@ -305,43 +365,53 @@ impl ChunkSink for StreamSink {
     }
 
     fn is_closed(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire) || self.queue.closed.load(Ordering::Acquire)
+        self.cancelled.load(Ordering::Acquire) || self.conn.queue.closed.load(Ordering::Acquire)
     }
 }
 
 // ---------------------------------------------------------------------
-// Connection state (owned by the event loop)
+// Connection state (shared by its reader, its writer and the workers)
 // ---------------------------------------------------------------------
 
-/// Streams still producing on a connection, shared with workers so they
-/// can deregister on completion and cancellation can reach them.
-type LiveStreams = Arc<Mutex<HashMap<u64, Arc<AtomicBool>>>>;
+/// Streams still producing on a connection, so that workers can
+/// deregister on completion and cancellation can reach them.
+type LiveStreams = Mutex<HashMap<u64, Arc<AtomicBool>>>;
 
 struct Conn {
+    /// A handle to the socket the reader and the writer block on, kept to
+    /// shut it down under them.
     sock: TcpStream,
-    read_buf: Vec<u8>,
-    queue: Arc<SendQueue>,
+    queue: SendQueue,
     live: LiveStreams,
-    /// Set after a protocol violation: stop reading, flush the queue,
-    /// then drop the connection.
-    poisoned: bool,
 }
 
 impl Conn {
+    /// Cancel the live streams, release the queue and wake whatever is
+    /// blocked on the socket. Idempotent: the reader, the writer and
+    /// `shutdown` may each get here.
     fn close(&self) {
+        if !self.queue.close() {
+            return;
+        }
         for (_, cancel) in self.live.lock().unwrap_or_else(|e| e.into_inner()).drain() {
             cancel.store(true, Ordering::Release);
         }
-        self.queue.close();
-        let _ = self.sock.shutdown(std::net::Shutdown::Both);
+        let _ = self.sock.shutdown(Shutdown::Both);
+        self.queue.accounting.conns_gauge.dec();
     }
+}
+
+/// A connection and the two threads serving it.
+struct ConnThreads {
+    conn: Arc<Conn>,
+    reader: JoinHandle<()>,
+    writer: JoinHandle<()>,
 }
 
 struct Job {
     query: StreamQuery,
-    queue: Arc<SendQueue>,
+    conn: Arc<Conn>,
     cancel: Arc<AtomicBool>,
-    live: LiveStreams,
 }
 
 // ---------------------------------------------------------------------
@@ -349,13 +419,13 @@ struct Job {
 // ---------------------------------------------------------------------
 
 /// Handle to a running streaming server. Dropping it (or calling
-/// [`StreamServer::shutdown`]) stops the event loop, cancels live
-/// streams, and joins all threads.
+/// [`StreamServer::shutdown`]) stops accepting, cancels live streams, and
+/// joins all threads.
 pub struct StreamServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accounting: Arc<QueueAccounting>,
-    event_loop: Option<JoinHandle<()>>,
+    accept_thread: Option<JoinHandle<Vec<ConnThreads>>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -368,15 +438,14 @@ impl StreamServer {
         config: StreamServerConfig,
     ) -> io::Result<StreamServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let accounting = Arc::new(QueueAccounting::default());
+        let accounting = Arc::new(QueueAccounting::new());
         let mut server = StreamServer {
             addr,
             stop: Arc::clone(&stop),
             accounting: Arc::clone(&accounting),
-            event_loop: None,
+            accept_thread: None,
             workers: Vec::new(),
         };
         // Declared after `server`, so when a spawn fails and `?` returns,
@@ -391,10 +460,10 @@ impl StreamServer {
                 .spawn(move || worker_loop(rx, handler))?;
             server.workers.push(worker);
         }
-        let event_loop = thread::Builder::new()
-            .name("pxn2-events".to_owned())
-            .spawn(move || event_loop(listener, config, stop, accounting, job_tx))?;
-        server.event_loop = Some(event_loop);
+        let accept_thread = thread::Builder::new()
+            .name("pxn2-accept".to_owned())
+            .spawn(move || accept_loop(listener, config, stop, accounting, job_tx))?;
+        server.accept_thread = Some(accept_thread);
         Ok(server)
     }
 
@@ -422,11 +491,26 @@ impl StreamServer {
     /// Stop accepting, cancel live streams, close every connection, and
     /// join all threads. Clients with streams in flight observe a
     /// truncated stream (typed error), never a fabricated end-of-stream.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.event_loop.take() {
-            let _ = h.join();
+        if let Some(accept_thread) = self.accept_thread.take() {
+            // The accept loop blocks in accept(); poke it awake with a
+            // throwaway connection so it sees the flag.
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
+            let conns = accept_thread.join().unwrap_or_default();
+            // closing a connection wakes its reader (socket shut down), its
+            // writer and its blocked producers (queue closed)
+            for served in &conns {
+                served.conn.close();
+            }
+            for served in conns {
+                let _ = served.reader.join();
+                let _ = served.writer.join();
+            }
         }
+        // every job sender is gone with the threads above: workers drain
+        // what is queued (against closed sinks) and exit
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -440,158 +524,174 @@ impl Drop for StreamServer {
 }
 
 fn worker_loop(rx: crossbeam::channel::Receiver<Job>, handler: Arc<dyn StreamHandler>) {
-    while let Ok(job) = rx.recv() {
+    while let Ok(Job { query, conn, cancel }) = rx.recv() {
         let sink = StreamSink {
-            stream: job.query.stream,
-            chunk_items: job.query.chunk_size(),
-            queue: Arc::clone(&job.queue),
-            cancelled: Arc::clone(&job.cancel),
+            stream: query.stream,
+            chunk_items: query.chunk_size(),
+            conn,
+            cancelled: cancel,
             seq: AtomicUsize::new(0),
             items_sent: AtomicU64::new(0),
+            refused: OnceLock::new(),
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handler.run(&job.query, &sink)
+            handler.run(&query, &sink)
         }));
         let cancelled = sink.is_closed();
-        let frame_bytes = match outcome {
-            Ok(Ok(stats)) => {
-                let end = crate::stream::StreamEnd {
-                    stream: job.query.stream,
+        let failure = |retryable: bool, message: String| {
+            error_frame(&StreamError::failure(query.stream, retryable, message))
+        };
+        let last_frame = match (sink.refused.get(), outcome) {
+            (Some(err), _) => failure(false, format!("chunk not sent: {err}")),
+            (None, Ok(Ok(stats))) => {
+                let end = StreamEnd {
+                    stream: query.stream,
                     chunks: sink.seq.load(Ordering::Relaxed) as u32,
                     items: sink.items_sent.load(Ordering::Relaxed),
                     stats,
                 };
-                encode_frame(FrameKind::StreamEnd, &end.encode())
+                frame_of(FrameKind::StreamEnd, |w| end.put(w)).expect("fixed-size payload")
             }
-            Ok(Err(fail)) => {
-                let err = StreamError {
-                    stream: job.query.stream,
-                    retryable: fail.retryable,
-                    code: fail.code,
-                    retry_after_ms: fail.retry_after_ms,
-                    message: fail.message,
-                };
-                encode_frame(FrameKind::StreamError, &err.encode())
-            }
-            Err(_) => {
+            (None, Ok(Err(fail))) => error_frame(&StreamError {
+                stream: query.stream,
+                retryable: fail.retryable,
+                code: fail.code,
+                retry_after_ms: fail.retry_after_ms,
+                message: fail.message,
+            }),
+            (None, Err(_)) => {
                 metrics::global().counter("net.stream.handler_panics").inc();
-                let err = StreamError::failure(
-                    job.query.stream,
-                    false,
-                    "internal error: stream handler panicked",
-                );
-                encode_frame(FrameKind::StreamError, &err.encode())
+                failure(false, "internal error: stream handler panicked".to_owned())
             }
         };
+        let conn = sink.conn;
         if !cancelled {
-            let _ = job.queue.push(frame_bytes);
+            let _ = conn.queue.push(last_frame);
         }
-        job.live
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&job.query.stream);
+        conn.live.lock().unwrap_or_else(|e| e.into_inner()).remove(&query.stream);
+        conn.queue.stream_done();
     }
 }
 
-fn event_loop(
+/// A `StreamError` frame. Its message is an error's `Display` — kilobytes
+/// at most, far under the frame cap.
+fn error_frame(err: &StreamError) -> Vec<u8> {
+    frame_of(FrameKind::StreamError, |w| err.put(w)).expect("an error message fits a frame")
+}
+
+/// Accept until told to stop, giving every connection its reader and its
+/// writer. Returns the connections still open, for `shutdown` to close
+/// and join.
+fn accept_loop(
     listener: TcpListener,
     config: StreamServerConfig,
     stop: Arc<AtomicBool>,
     accounting: Arc<QueueAccounting>,
     jobs: crossbeam::channel::Sender<Job>,
+) -> Vec<ConnThreads> {
+    let config = Arc::new(config);
+    let mut conns: Vec<ConnThreads> = Vec::new();
+    loop {
+        match listener.accept() {
+            Ok((sock, _)) => {
+                if stop.load(Ordering::Acquire) {
+                    // the shutdown poke (or a late client) — refuse
+                    let _ = sock.shutdown(Shutdown::Both);
+                    break;
+                }
+                conns.retain(|c| !(c.reader.is_finished() && c.writer.is_finished()));
+                // a connection whose threads cannot be had is dropped
+                if let Ok(served) = serve(sock, &config, &accounting, &jobs) {
+                    conns.push(served);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+    }
+    conns
+}
+
+/// Start the reader and the writer of one accepted connection.
+fn serve(
+    sock: TcpStream,
+    config: &Arc<StreamServerConfig>,
+    accounting: &Arc<QueueAccounting>,
+    jobs: &crossbeam::channel::Sender<Job>,
+) -> io::Result<ConnThreads> {
+    let _ = sock.set_nodelay(true);
+    let (read_half, write_half) = (sock.try_clone()?, sock.try_clone()?);
+    let conn = Arc::new(Conn {
+        sock,
+        queue: SendQueue::new(config.send_queue_bytes, Arc::clone(accounting)),
+        live: Mutex::new(HashMap::new()),
+    });
+    accounting.conns_gauge.inc();
+    let spawned = (|| {
+        let writer = {
+            let conn = Arc::clone(&conn);
+            thread::Builder::new()
+                .name("pxn2-writer".to_owned())
+                .spawn(move || write_loop(&conn, write_half))?
+        };
+        let reader = {
+            let (conn, config, jobs) = (Arc::clone(&conn), Arc::clone(config), jobs.clone());
+            thread::Builder::new()
+                .name("pxn2-reader".to_owned())
+                .spawn(move || read_loop(&conn, read_half, &config, &jobs))?
+        };
+        Ok((reader, writer))
+    })();
+    match spawned {
+        Ok((reader, writer)) => Ok(ConnThreads { conn, reader, writer }),
+        Err(e) => {
+            // a writer already running ends on the closed queue
+            conn.close();
+            Err(e)
+        }
+    }
+}
+
+/// The connection's writer: sleep until a frame is queued, put it on the
+/// socket, repeat. A peer that does not read blocks this thread only.
+fn write_loop(conn: &Conn, mut sock: TcpStream) {
+    while let Some(frame) = conn.queue.next(&conn.live) {
+        if sock.write_all(&frame).is_err() {
+            break;
+        }
+        conn.queue.written();
+    }
+    conn.close();
+}
+
+/// The connection's reader: block for the next frame, dispatch it.
+fn read_loop(
+    conn: &Arc<Conn>,
+    sock: TcpStream,
+    config: &StreamServerConfig,
+    jobs: &crossbeam::channel::Sender<Job>,
 ) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = [0u8; 16 * 1024];
-    while !stop.load(Ordering::Acquire) {
-        let mut progressed = false;
-
-        // Accept everything ready.
-        loop {
-            match listener.accept() {
-                Ok((sock, _)) => {
-                    if sock.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = sock.set_nodelay(true);
-                    metrics::global().gauge("net.stream.conns").inc();
-                    conns.push(Conn {
-                        sock,
-                        read_buf: Vec::new(),
-                        queue: Arc::new(SendQueue::new(
-                            config.send_queue_bytes,
-                            Arc::clone(&accounting),
-                        )),
-                        live: Arc::new(Mutex::new(HashMap::new())),
-                        poisoned: false,
-                    });
-                    progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
+    // buffered: an `OpenStream` arrives in one `read`, header and payload
+    let mut sock = BufReader::new(sock);
+    loop {
+        let fate = match frame::read_frame(&mut sock) {
+            Ok(Some((frame, _))) => dispatch_frame(conn, config, jobs, frame),
+            // the peer is gone (or `close` shut the socket down under us)
+            Ok(None) | Err(ProtocolError::Truncated { .. } | ProtocolError::Io(_)) => {
+                Err(ConnFate::Dead)
             }
-        }
-
-        // Service every connection: read, parse, dispatch, write.
-        let mut i = 0;
-        while i < conns.len() {
-            let mut dead = false;
-            {
-                let conn = &mut conns[i];
-                if !conn.poisoned {
-                    match service_reads(conn, &config, &jobs, &mut scratch) {
-                        Ok(p) => progressed |= p,
-                        Err(ConnFate::Dead) => dead = true,
-                        Err(ConnFate::Poisoned) => conn.poisoned = true,
-                    }
-                }
-                if !dead {
-                    let (p, res) = conn.queue.drain_into(&mut conn.sock);
-                    progressed |= p;
-                    if res.is_err() {
-                        dead = true;
-                    }
-                    // A poisoned connection is dropped once its typed
-                    // protocol-error frame has been flushed.
-                    if conn.poisoned {
-                        let empty = conn
-                            .queue
-                            .state
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .frames
-                            .is_empty();
-                        let idle = conn
-                            .live
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .is_empty();
-                        if empty && idle {
-                            dead = true;
-                        }
-                    }
-                }
+            Err(violation) => {
+                poison(conn, &violation);
+                Err(ConnFate::Poisoned)
             }
-            if dead {
-                let conn = conns.swap_remove(i);
-                conn.close();
-                metrics::global().gauge("net.stream.conns").dec();
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-
-        if !progressed {
-            thread::sleep(config.poll_interval);
+        };
+        match fate {
+            Ok(()) => {}
+            Err(ConnFate::Dead) => return conn.close(),
+            // the writer flushes the typed error, then drops the connection
+            Err(ConnFate::Poisoned) => return conn.queue.drain(),
         }
     }
-
-    for conn in conns.drain(..) {
-        conn.close();
-        metrics::global().gauge("net.stream.conns").dec();
-    }
-    drop(jobs); // workers drain and exit
 }
 
 enum ConnFate {
@@ -602,53 +702,17 @@ enum ConnFate {
     Poisoned,
 }
 
-/// Read whatever is available and dispatch every complete frame.
-fn service_reads(
-    conn: &mut Conn,
-    config: &StreamServerConfig,
-    jobs: &crossbeam::channel::Sender<Job>,
-    scratch: &mut [u8],
-) -> Result<bool, ConnFate> {
-    let mut progressed = false;
-    loop {
-        match conn.sock.read(scratch) {
-            Ok(0) => return Err(ConnFate::Dead),
-            Ok(n) => {
-                progressed = true;
-                conn.read_buf.extend_from_slice(&scratch[..n]);
-                // Parse every complete frame in the buffer.
-                loop {
-                    match frame::decode_frame(&conn.read_buf) {
-                        Ok(None) => break,
-                        Ok(Some((frame, consumed))) => {
-                            conn.read_buf.drain(..consumed);
-                            dispatch_frame(conn, config, jobs, frame)?;
-                        }
-                        Err(e) => {
-                            poison(conn, &e);
-                            return Err(ConnFate::Poisoned);
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(progressed),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(ConnFate::Dead),
-        }
-    }
-}
-
 /// Queue a best-effort typed error for a protocol violation; the
 /// connection is dropped after it flushes. Stream id 0 marks a
 /// connection-level fault (no individual stream is at fault).
-fn poison(conn: &mut Conn, err: &ProtocolError) {
+fn poison(conn: &Conn, err: &ProtocolError) {
     metrics::global().counter("net.stream.protocol_errors").inc();
     let e = StreamError::failure(0, false, format!("protocol violation: {err}"));
-    let _ = conn.queue.push(encode_frame(FrameKind::StreamError, &e.encode()));
+    let _ = conn.queue.push(error_frame(&e));
 }
 
 fn dispatch_frame(
-    conn: &mut Conn,
+    conn: &Arc<Conn>,
     config: &StreamServerConfig,
     jobs: &crossbeam::channel::Sender<Job>,
     frame: Frame,
@@ -681,19 +745,14 @@ fn dispatch_frame(
                     true,
                     format!("connection stream limit ({}) reached", config.max_streams_per_conn),
                 );
-                let _ = conn.queue.push(encode_frame(FrameKind::StreamError, &e.encode()));
+                let _ = conn.queue.push(error_frame(&e));
                 return Ok(());
             }
             let cancel = Arc::new(AtomicBool::new(false));
             live.insert(query.stream, Arc::clone(&cancel));
             drop(live);
             metrics::global().counter("net.stream.opens").inc();
-            let job = Job {
-                query,
-                queue: Arc::clone(&conn.queue),
-                cancel,
-                live: Arc::clone(&conn.live),
-            };
+            let job = Job { query, conn: Arc::clone(conn), cancel };
             if jobs.send(job).is_err() {
                 return Err(ConnFate::Dead);
             }
@@ -733,7 +792,9 @@ fn dispatch_frame(
 mod tests {
     use super::*;
     use crate::frame::write_frame;
+    use crate::stream::ItemChunk;
     use partix_query::{Item, Sequence};
+    use std::io::Read;
 
     fn echo_handler() -> Arc<dyn StreamHandler> {
         Arc::new(
@@ -750,6 +811,61 @@ mod tests {
                 Ok(StreamStats { sites: 1, ..StreamStats::default() })
             },
         )
+    }
+
+    /// The query text is an item count; items go out in batches of 256, so
+    /// a big stream is many frames and never one big allocation. "hold"
+    /// produces nothing until its sink closes.
+    fn count_handler() -> Arc<dyn StreamHandler> {
+        Arc::new(
+            |q: &StreamQuery, sink: &dyn ChunkSink| -> Result<StreamStats, StreamFailure> {
+                let closed = |_| StreamFailure::failure(true, "sink closed");
+                if q.text == "hold" {
+                    while !sink.is_closed() {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    return Err(closed(SinkClosed));
+                }
+                let n: usize = q.text.parse().unwrap_or(0);
+                let batch: Vec<Item> = (0..256).map(|i| Item::Num(i as f64)).collect();
+                let mut sent = 0;
+                while sent < n {
+                    let take = batch.len().min(n - sent);
+                    sink.emit(&batch[..take]).map_err(closed)?;
+                    sent += take;
+                }
+                Ok(StreamStats::default())
+            },
+        )
+    }
+
+    /// `shutdown()` on its own thread; panics if it has not returned within
+    /// `secs` — the bound is generous, a server that waits for a peer, a
+    /// poll tick or a timeout blows through it.
+    fn shutdown_within(mut server: StreamServer, secs: u64) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(secs))
+            .expect("shutdown() did not return in time");
+        stopper.join().unwrap();
+    }
+
+    /// Open a stream far larger than queue and socket buffers on a raw
+    /// socket that never reads, and wait until its producer is blocked at
+    /// the queue bound.
+    fn stall_a_reader(server: &StreamServer, queue_cap: usize) -> TcpStream {
+        let mut stalled = TcpStream::connect(server.addr()).unwrap();
+        open(&mut stalled, 1, "2000000");
+        let begun = std::time::Instant::now();
+        while server.queued_bytes() < queue_cap {
+            assert!(begun.elapsed() < Duration::from_secs(10), "the queue never filled");
+            thread::sleep(Duration::from_millis(1));
+        }
+        stalled
     }
 
     fn read_outcome(
@@ -940,5 +1056,140 @@ mod tests {
                 "{e}"
             );
         }
+    }
+
+    #[test]
+    fn shutdown_returns_with_an_idle_connection_open() {
+        let server =
+            StreamServer::bind("127.0.0.1:0", echo_handler(), StreamServerConfig::default())
+                .unwrap();
+        let mut idle = TcpStream::connect(server.addr()).unwrap();
+        // served once, so the connection's threads are known to be up
+        open(&mut idle, 1, "3");
+        assert_eq!(read_outcome(&mut idle, 1).unwrap().0.len(), 3);
+        shutdown_within(server, 10);
+        assert!(matches!(frame::read_frame(&mut idle), Ok(None) | Err(_)));
+    }
+
+    #[test]
+    fn shutdown_returns_with_a_producer_blocked_on_a_reader_that_stopped() {
+        const QUEUE_CAP: usize = 32 * 1024;
+        let config = StreamServerConfig { send_queue_bytes: QUEUE_CAP, ..Default::default() };
+        let server = StreamServer::bind("127.0.0.1:0", count_handler(), config).unwrap();
+        let mut stalled = stall_a_reader(&server, QUEUE_CAP);
+        shutdown_within(server, 10);
+        // what did arrive is whole chunks, then the stream is cut short:
+        // never a fabricated end-of-stream
+        loop {
+            match frame::read_frame(&mut stalled) {
+                Ok(Some((frame, _))) => assert_eq!(frame.kind, FrameKind::ItemChunk),
+                Ok(None) | Err(ProtocolError::Truncated { .. } | ProtocolError::Io(_)) => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_returns_with_a_half_written_header_on_the_socket() {
+        let server =
+            StreamServer::bind("127.0.0.1:0", echo_handler(), StreamServerConfig::default())
+                .unwrap();
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        open(&mut sock, 1, "3");
+        assert_eq!(read_outcome(&mut sock, 1).unwrap().0.len(), 3);
+        let q = StreamQuery {
+            stream: 2,
+            text: "3".into(),
+            allow_partial: false,
+            buffered: false,
+            chunk_items: 10,
+            tenant: String::new(),
+        };
+        let bytes = frame::encode_frame(FrameKind::OpenStream, &q.encode());
+        sock.write_all(&bytes[..5]).unwrap();
+        shutdown_within(server, 10);
+    }
+
+    #[test]
+    fn a_connection_stalled_at_its_queue_bound_does_not_slow_another() {
+        const QUEUE_CAP: usize = 32 * 1024;
+        let config = StreamServerConfig { send_queue_bytes: QUEUE_CAP, ..Default::default() };
+        let server = StreamServer::bind("127.0.0.1:0", count_handler(), config).unwrap();
+        let _stalled = stall_a_reader(&server, QUEUE_CAP);
+        // its writer is blocked in `write`, its producer on the queue; the
+        // other connection has a reader, a writer and a queue of its own
+        let mut fast = TcpStream::connect(server.addr()).unwrap();
+        for stream in 1..=200 {
+            open(&mut fast, stream, "25");
+            let (items, outcome) = read_outcome(&mut fast, stream).unwrap();
+            assert_eq!(items.len(), 25);
+            assert!(matches!(outcome, crate::stream::StreamOutcome::Complete(_)));
+        }
+        // one batch frame of slack per connection over the bound
+        let peak = server.peak_queue_bytes();
+        assert!(peak <= QUEUE_CAP + 2 * 16 * 1024, "peak queue depth {peak} B");
+        shutdown_within(server, 10);
+    }
+
+    #[test]
+    fn a_cancelled_stream_frees_its_slot() {
+        let config = StreamServerConfig { max_streams_per_conn: 1, ..Default::default() };
+        let mut server = StreamServer::bind("127.0.0.1:0", count_handler(), config).unwrap();
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        open(&mut sock, 1, "hold");
+        // frames are dispatched in order, so stream 1 holds the only slot
+        open(&mut sock, 2, "5");
+        match read_outcome(&mut sock, 2).unwrap().1 {
+            crate::stream::StreamOutcome::Failed(e) => {
+                assert!(e.retryable && e.message.contains("stream limit"), "{}", e.message)
+            }
+            other => panic!("{other:?}"),
+        }
+        write_frame(&mut sock, FrameKind::CancelStream, &CancelStream { stream: 1 }.encode())
+            .unwrap();
+        // the slot is free once the worker has seen the cancel: retry, as a
+        // client told "retryable" would
+        let begun = std::time::Instant::now();
+        let mut stream = 3;
+        let items = loop {
+            open(&mut sock, stream, "5");
+            match read_outcome(&mut sock, stream).unwrap() {
+                (items, crate::stream::StreamOutcome::Complete(_)) => break items,
+                (_, crate::stream::StreamOutcome::Failed(e)) => assert!(e.retryable),
+            }
+            assert!(begun.elapsed() < Duration::from_secs(10), "the slot was never freed");
+            stream += 1;
+        };
+        assert_eq!(items.len(), 5);
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_chunk_ends_the_stream_with_a_typed_error() {
+        let handler: Arc<dyn StreamHandler> = Arc::new(
+            |_q: &StreamQuery, sink: &dyn ChunkSink| -> Result<StreamStats, StreamFailure> {
+                sink.emit(&[Item::Num(1.0)]).map_err(|_| StreamFailure::failure(true, "closed"))?;
+                let big = Item::Str("x".repeat(frame::MAX_PAYLOAD + 1));
+                sink.emit(&[big]).map_err(|_| StreamFailure::failure(true, "closed"))?;
+                Ok(StreamStats::default())
+            },
+        );
+        let mut server =
+            StreamServer::bind("127.0.0.1:0", handler, StreamServerConfig::default()).unwrap();
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        open(&mut sock, 1, "big");
+        let (items, outcome) = read_outcome(&mut sock, 1).unwrap();
+        assert_eq!(items.len(), 1, "the chunk that fit arrived");
+        match outcome {
+            crate::stream::StreamOutcome::Failed(e) => {
+                assert!(!e.retryable, "the same chunk would be as large on a retry");
+                assert!(e.message.contains("exceeds the 67108864 B cap"), "{}", e.message);
+            }
+            other => panic!("{other:?}"),
+        }
+        // the connection is intact: nothing oversized went out
+        open(&mut sock, 2, "small");
+        assert!(read_outcome(&mut sock, 2).is_ok());
+        server.shutdown();
     }
 }

@@ -43,7 +43,7 @@ use crate::error::XmlError;
 use crate::tree::{
     Arena, ArenaTree, Document, Node, NodeId, NodeKind, OptId, Origin, Repr, Sym, ValueSpan,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC_V2: &[u8; 4] = b"PXB2";
@@ -54,6 +54,9 @@ const HEADER_SIZE: usize = 16;
 /// The symbol table follows the magic and the header.
 const SYM_TABLE_AT: usize = 4 + HEADER_SIZE;
 const NONE: u32 = u32::MAX;
+/// Room reserved past a page body for its meta tail, so that a named
+/// document's tail does not regrow the buffer the body was sized for.
+const META_HINT: usize = 64;
 
 #[inline]
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
@@ -61,8 +64,8 @@ fn read_u32(bytes: &[u8], off: usize) -> u32 {
 }
 
 #[inline]
-fn put_u32(buf: &mut BytesMut, v: u32) {
-    buf.put_slice(&v.to_le_bytes());
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 fn corrupt(what: &str) -> XmlError {
@@ -87,34 +90,48 @@ fn kind_from_u8(byte: u8) -> Result<NodeKind, XmlError> {
 }
 
 /// Encode a document into the current (PXB2) binary page form. A
-/// page-backed document is not re-encoded: its page is shared when the
-/// meta tail still says what `name` / `origin` say, else the body
-/// sections are copied and only the tail is rewritten.
+/// page-backed document whose meta tail still says what `name` / `origin`
+/// say is not re-encoded: its page is shared.
 pub fn encode(doc: &Document) -> Bytes {
-    encode_with(doc, doc.name.as_deref(), doc.origin.as_ref())
+    if let Repr::Page(page) = &doc.repr {
+        let mut meta = Vec::with_capacity(64);
+        put_meta(&mut meta, doc.name.as_deref(), doc.origin.as_ref());
+        if page.bytes[page.layout.meta_at..] == meta[..] {
+            return page.bytes.clone();
+        }
+    }
+    let mut out = Vec::new();
+    encode_into(doc, &mut out);
+    Bytes::from(out)
 }
 
-/// [`encode`] without `name` and `origin` — what a shipped result item
-/// carries.
-pub fn encode_bare(doc: &Document) -> Bytes {
-    encode_with(doc, None, None)
+/// Append the page [`encode`] returns to `out` — what lets a caller that
+/// frames documents build its frame in one buffer.
+pub fn encode_into(doc: &Document, out: &mut Vec<u8>) {
+    write_page(doc, doc.name.as_deref(), doc.origin.as_ref(), out);
 }
 
-fn put_meta(buf: &mut BytesMut, name: Option<&str>, origin: Option<&Origin>) {
+/// [`encode_into`] without `name` and `origin` — what a shipped result
+/// item carries.
+pub fn encode_bare_into(doc: &Document, out: &mut Vec<u8>) {
+    write_page(doc, None, None, out);
+}
+
+fn put_meta(buf: &mut Vec<u8>, name: Option<&str>, origin: Option<&Origin>) {
     match name {
-        None => buf.put_u8(0),
+        None => buf.push(0),
         Some(name) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_u32(buf, name.len() as u32);
-            buf.put_slice(name.as_bytes());
+            buf.extend_from_slice(name.as_bytes());
         }
     }
     match origin {
-        None => buf.put_u8(0),
+        None => buf.push(0),
         Some(origin) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_u32(buf, origin.source_doc.len() as u32);
-            buf.put_slice(origin.source_doc.as_bytes());
+            buf.extend_from_slice(origin.source_doc.as_bytes());
             put_u32(buf, origin.dewey.components().len() as u32);
             for &c in origin.dewey.components() {
                 put_u32(buf, c);
@@ -123,67 +140,66 @@ fn put_meta(buf: &mut BytesMut, name: Option<&str>, origin: Option<&Origin>) {
     }
 }
 
-fn encode_with(doc: &Document, name: Option<&str>, origin: Option<&Origin>) -> Bytes {
-    let tree = match &doc.repr {
-        Repr::Arena(tree) => tree,
+/// The one PXB2 writer: the body sections, then the meta tail. A page's
+/// body is copied as it is; an arena's is sized first and its fixed-width
+/// records are written at their offsets.
+fn write_page(doc: &Document, name: Option<&str>, origin: Option<&Origin>, out: &mut Vec<u8>) {
+    match &doc.repr {
         Repr::Page(page) => {
-            let (body, tail) = page.bytes.split_at(page.layout.meta_at);
-            let mut meta = BytesMut::with_capacity(64);
-            put_meta(&mut meta, name, origin);
-            if tail == &meta[..] {
-                return page.bytes.clone();
-            }
-            let mut buf = BytesMut::with_capacity(body.len() + meta.len());
-            buf.put_slice(body);
-            buf.put_slice(&meta);
-            return buf.freeze();
+            out.reserve(page.layout.meta_at + META_HINT);
+            out.extend_from_slice(&page.bytes[..page.layout.meta_at]);
         }
-    };
+        Repr::Arena(tree) => write_body(tree, out),
+    }
+    put_meta(out, name, origin);
+}
+
+fn write_body(tree: &ArenaTree, out: &mut Vec<u8>) {
     let sym_heap_len: usize = tree.symbols.iter().map(|s| s.len()).sum();
-    let size = SYM_TABLE_AT
-        + tree.symbols.len() * 8
-        + sym_heap_len
-        + tree.nodes.len() * NODE_SIZE
-        + tree.text.len()
-        + 64;
-    let mut buf = BytesMut::with_capacity(size);
-    buf.put_slice(MAGIC_V2);
-    put_u32(&mut buf, tree.nodes.len() as u32);
-    put_u32(&mut buf, tree.symbols.len() as u32);
-    put_u32(&mut buf, sym_heap_len as u32);
-    put_u32(&mut buf, tree.text.len() as u32);
-    let mut off = 0u32;
-    for sym in &tree.symbols {
-        put_u32(&mut buf, off);
-        put_u32(&mut buf, sym.len() as u32);
-        off += sym.len() as u32;
+    let sym_heap_at = SYM_TABLE_AT + tree.symbols.len() * 8;
+    let nodes_at = sym_heap_at + sym_heap_len;
+    let text_at = nodes_at + tree.nodes.len() * NODE_SIZE;
+    let meta_at = text_at + tree.text.len();
+    let start = out.len();
+    out.reserve(meta_at + META_HINT);
+    out.resize(start + meta_at, 0);
+    let body = &mut out[start..];
+
+    body[..4].copy_from_slice(MAGIC_V2);
+    for (slot, v) in [tree.nodes.len(), tree.symbols.len(), sym_heap_len, tree.text.len()]
+        .into_iter()
+        .enumerate()
+    {
+        body[4 + slot * 4..8 + slot * 4].copy_from_slice(&(v as u32).to_le_bytes());
     }
-    for sym in &tree.symbols {
-        buf.put_slice(sym.as_bytes());
+    let (table, heap) = body[SYM_TABLE_AT..nodes_at].split_at_mut(tree.symbols.len() * 8);
+    let mut off = 0usize;
+    for (sym, entry) in tree.symbols.iter().zip(table.chunks_exact_mut(8)) {
+        entry[..4].copy_from_slice(&(off as u32).to_le_bytes());
+        entry[4..].copy_from_slice(&(sym.len() as u32).to_le_bytes());
+        heap[off..off + sym.len()].copy_from_slice(sym.as_bytes());
+        off += sym.len();
     }
-    for node in tree.nodes.iter() {
-        buf.put_u8(kind_to_u8(node.kind));
-        put_u32(&mut buf, node.label.0);
-        let (voff, vlen) = if node.value.is_none() {
-            (NONE, 0)
-        } else {
-            (node.value.off, node.value.len)
-        };
-        put_u32(&mut buf, voff);
-        put_u32(&mut buf, vlen);
-        for link in [
-            node.parent,
-            node.first_child,
-            node.last_child,
-            node.next_sibling,
-            node.prev_sibling,
-        ] {
-            put_u32(&mut buf, link.raw());
+    let (nodes, text) = body[nodes_at..].split_at_mut(text_at - nodes_at);
+    text.copy_from_slice(tree.text.as_bytes());
+    for (node, rec) in tree.nodes.iter().zip(nodes.chunks_exact_mut(NODE_SIZE)) {
+        let rec: &mut [u8; NODE_SIZE] = rec.try_into().expect("record width");
+        let value = if node.value.is_none() { (NONE, 0) } else { (node.value.off, node.value.len) };
+        rec[0] = kind_to_u8(node.kind);
+        let fields = [
+            node.label.0,
+            value.0,
+            value.1,
+            node.parent.raw(),
+            node.first_child.raw(),
+            node.last_child.raw(),
+            node.next_sibling.raw(),
+            node.prev_sibling.raw(),
+        ];
+        for (field, slot) in fields.iter().zip(rec[1..].chunks_exact_mut(4)) {
+            slot.copy_from_slice(&field.to_le_bytes());
         }
     }
-    buf.put_slice(tree.text.as_bytes());
-    put_meta(&mut buf, name, origin);
-    buf.freeze()
 }
 
 /// Decode a binary page into a [`Document`]: the page is copied once and
@@ -664,7 +680,9 @@ mod tests {
         let back = decode(&encode(&renamed)).unwrap();
         assert_eq!(back.name.as_deref(), Some("elsewhere"));
         assert_eq!(back, doc);
-        assert_eq!(decode(&encode_bare(&paged)).unwrap().name, None);
+        let mut bare = Vec::new();
+        encode_bare_into(&paged, &mut bare);
+        assert_eq!(decode(&bare).unwrap().name, None);
     }
 
     #[test]

@@ -126,6 +126,92 @@ fn arb_big_document() -> impl Strategy<Value = Document> {
     })
 }
 
+/// The PXB2 page of a document built by appends only, written from the
+/// format description through the public read API — the reference the
+/// sized writer (`binary::encode_into`) is held to. Appends intern labels
+/// and lay values on the heap in node-id order, so both tables follow
+/// from a walk over the ids.
+fn reference_page(doc: &Document, identity: bool) -> Vec<u8> {
+    const NONE: u32 = u32::MAX;
+    let ids: Vec<NodeId> = doc.ids().collect();
+    let mut symbols: Vec<&str> = Vec::new();
+    let mut heap = String::new();
+    let mut records = Vec::new();
+    let link = |id: Option<NodeId>| id.map_or(NONE, |id| id.index() as u32);
+    for &id in &ids {
+        let node = doc.get(id).unwrap();
+        let label = symbols.iter().position(|s| *s == node.label()).unwrap_or_else(|| {
+            symbols.push(node.label());
+            symbols.len() - 1
+        });
+        let value = match node.value() {
+            None => (NONE, 0),
+            Some(v) => {
+                heap.push_str(v);
+                ((heap.len() - v.len()) as u32, v.len() as u32)
+            }
+        };
+        let siblings: Vec<NodeId> =
+            node.parent().map(|p| p.children().map(|n| n.id()).collect()).unwrap_or_default();
+        let at = siblings.iter().position(|s| *s == id);
+        let prev = at.and_then(|at| at.checked_sub(1)).map(|at| siblings[at]);
+        records.push(match node.kind() {
+            NodeKind::Element => 0u8,
+            NodeKind::Attribute => 1,
+            NodeKind::Text => 2,
+        });
+        for field in [
+            label as u32,
+            value.0,
+            value.1,
+            link(doc.parent_of(id)),
+            link(node.first_child().map(|n| n.id())),
+            link(node.children().last().map(|n| n.id())),
+            link(node.next_sibling().map(|n| n.id())),
+            link(prev),
+        ] {
+            records.extend_from_slice(&field.to_le_bytes());
+        }
+    }
+    let mut page = b"PXB2".to_vec();
+    let sym_heap: String = symbols.concat();
+    for len in [ids.len(), symbols.len(), sym_heap.len(), heap.len()] {
+        page.extend_from_slice(&(len as u32).to_le_bytes());
+    }
+    let mut off = 0u32;
+    for sym in &symbols {
+        page.extend_from_slice(&off.to_le_bytes());
+        page.extend_from_slice(&(sym.len() as u32).to_le_bytes());
+        off += sym.len() as u32;
+    }
+    page.extend_from_slice(sym_heap.as_bytes());
+    page.extend_from_slice(&records);
+    page.extend_from_slice(heap.as_bytes());
+    let put_str = |page: &mut Vec<u8>, s: &str| {
+        page.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        page.extend_from_slice(s.as_bytes());
+    };
+    match doc.name.as_deref().filter(|_| identity) {
+        None => page.push(0),
+        Some(name) => {
+            page.push(1);
+            put_str(&mut page, name);
+        }
+    }
+    match doc.origin.as_ref().filter(|_| identity) {
+        None => page.push(0),
+        Some(origin) => {
+            page.push(1);
+            put_str(&mut page, &origin.source_doc);
+            page.extend_from_slice(&(origin.dewey.components().len() as u32).to_le_bytes());
+            for c in origin.dewey.components() {
+                page.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+    }
+    page
+}
+
 /// The two representations of one document must be indistinguishable
 /// through the public read API.
 fn assert_same_reads(arena: &Document, paged: &Document) {
@@ -297,10 +383,34 @@ proptest! {
         let mut expect = doc.clone();
         expect.name = Some("renamed".into());
         prop_assert_eq!(binary::encode(&renamed), binary::encode(&expect));
-        prop_assert_eq!(
-            binary::decode(&binary::encode_bare(&paged)).unwrap().name,
-            None
-        );
+        let mut bare = Vec::new();
+        binary::encode_bare_into(&paged, &mut bare);
+        prop_assert_eq!(binary::decode(&bare).unwrap().name, None);
+    }
+
+    /// The sized writer against the format spelled out field by field
+    /// (`reference_page`): arena and page-backed, with the document's
+    /// identity and bare, appended after whatever the buffer already
+    /// holds — and what it wrote decodes to the document.
+    #[test]
+    fn encode_into_writes_the_reference_page(doc in arb_document(), prefix in 0usize..40) {
+        let full = reference_page(&doc, true);
+        let bare = reference_page(&doc, false);
+        let paged = Document::from_page(full.clone().into()).unwrap();
+        prop_assert_eq!(&binary::encode(&doc)[..], &full[..]);
+        for sender in [&doc, &paged] {
+            let mut out = vec![0xA5; prefix];
+            binary::encode_into(sender, &mut out);
+            prop_assert_eq!(&out[..prefix], &vec![0xA5; prefix][..]);
+            prop_assert_eq!(&out[prefix..], &full[..]);
+            prop_assert_eq!(&binary::decode(&out[prefix..]).unwrap(), &doc);
+            let mut out = vec![0xA5; prefix];
+            binary::encode_bare_into(sender, &mut out);
+            prop_assert_eq!(&out[prefix..], &bare[..]);
+            let back = binary::decode(&out[prefix..]).unwrap();
+            prop_assert_eq!((&back.name, &back.origin), (&None, &None));
+            prop_assert_eq!(&back, &doc);
+        }
     }
 
     /// The first mutation of a page-backed document copies it: every
@@ -432,6 +542,7 @@ proptest! {
         let last = doc.ids().last().unwrap();
         prop_assert_eq!(edited.add_text(last, "tail"), expect.add_text(last, "tail"));
         assert_same_reads(&expect, &edited);
+        prop_assert_eq!(&bytes[..], &reference_page(&doc, true)[..]);
         prop_assert_eq!(binary::encode(&paged), bytes);
     }
 }

@@ -44,6 +44,30 @@ if ! cargo test -q --test remote_differential --offline vertical_kill_matrix \
     exit 1
 fi
 
+# wire gate: the frame layer's speed rests on two things that tests pin
+# and nothing else would notice breaking. By name, so that renaming or
+# filtering them away fails the gate: the sliced CRC-32 against the
+# bytewise reference (every length 0..=256 at every alignment, answer-sized
+# buffers, the IEEE vectors), the golden `Result` and `ItemChunk` frames
+# written by the encoder this one replaced (the wire is byte-identical, so
+# an older peer still interoperates), and the page writer against the
+# format spelled out field by field.
+for name in frame::tests::crc32_sliced_equals_bytewise_reference \
+    frame::tests::crc32_known_vectors \
+    golden::result_frame_is_reproduced_bit_for_bit \
+    golden::item_chunk_frame_is_reproduced_bit_for_bit; do
+    if ! cargo test -q -p partix-net --lib --offline "$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
+if ! cargo test -q -p partix-xml --test arena_page_props --offline \
+    encode_into_writes_the_reference_page | grep -q "test result: ok. 1 passed"; then
+    echo "verify: FAIL — encode_into_writes_the_reference_page did not run and pass" >&2
+    exit 1
+fi
+
 # reconstruction gate: a multi-fragment vertical query reads only what it
 # reads. By name, so that renaming or filtering them away fails the gate:
 # the property that pruned + filtered fetches answer as fetching
@@ -222,6 +246,24 @@ if grep -rnE 'fn eval_expr|HashMap<String, Sequence>' crates/query/src; then
 fi
 if grep -rnE 'FilteredView|MorselView|fn collection_filtered' crates/*/src; then
     echo "verify: FAIL — a provider view reappeared under crates/*/src" >&2
+    exit 1
+fi
+
+# one woken server, one checksum: the stream server's sleep-poll loop
+# stays deleted (no sleep, no timed wait, no nonblocking socket outside its
+# tests), and crates/net has one `crc32` outside test modules.
+non_test() { sed '/^#\[cfg(test)\]/,$d' "$@"; }
+if non_test crates/net/src/stream_server.rs \
+    | grep -nE 'thread::sleep|poll_interval|wait_timeout|set_nonblocking'; then
+    echo "verify: FAIL — a sleep or timed poll reappeared in stream_server.rs" >&2
+    exit 1
+fi
+CRC_IMPLS=0
+for file in crates/net/src/*.rs; do
+    CRC_IMPLS=$((CRC_IMPLS + $(non_test "$file" | grep -c 'fn crc32(' || true)))
+done
+if [ "$CRC_IMPLS" -ne 1 ]; then
+    echo "verify: FAIL — crates/net has $CRC_IMPLS crc32 implementations outside tests (want 1)" >&2
     exit 1
 fi
 
