@@ -307,7 +307,7 @@ pub fn scaleout(knobs: &Knobs) -> Fields {
         let tally = fleet.run(
             // sticky with rotated primaries: fleet-level round-robin, one
             // warm connection per client (a colocated fleet with per-query
-            // rotation would pay coords× the connections and reader
+            // rotation would pay coords× the connections and server
             // threads, burying the scale-out signal under client overhead)
             |client| {
                 let mut addrs = addrs.clone();

@@ -667,7 +667,6 @@ pub fn serve(
                 controller: partix_engine::AdmissionController::default(),
             })
         }),
-        ..partix_net::ServerConfig::default()
     };
     let server = partix_net::NodeServer::bind_driver(addr, std::sync::Arc::new(db), config)
         .map_err(|e| err(format!("serve: cannot bind {addr}: {e}")))?;
@@ -676,7 +675,7 @@ pub fn serve(
     Ok((server, local))
 }
 
-/// `partix serve --coordinator`: expose a database directory as a `PXN2`
+/// `partix serve --coordinator`: expose a database directory as a
 /// streaming coordinator. The engine runs the database as its node 0, an
 /// epoch-versioned [`partix_engine::MetaService`] is attached (so more
 /// coordinators could share the catalog), and sub-query results stream
@@ -710,9 +709,9 @@ pub fn serve_coordinator(
     Ok((server, local))
 }
 
-/// `partix exec`: run one query against a node server over the `PXN1`
-/// wire protocol, optionally as a named tenant. With `--tenant` the
-/// request rides an `ExecuteAs` frame through the server's admission
+/// `partix exec`: run one query against a node server over the wire,
+/// optionally as a named tenant. With `--tenant` the request rides an
+/// `ExecuteAs` call through the server's admission
 /// control, and a rejection comes back as a *typed* error carrying the
 /// server's verdict code and retry hint — rendered here, never a hang
 /// or a silent drop.
@@ -790,8 +789,8 @@ pub fn stream_query(addrs: &str, text: &str, tenant: Option<&str>) -> Result<Str
 }
 
 /// `partix ping`: health-check a running node server over the wire.
-/// [`partix_net::RemoteDriver::connect`] dials and exchanges a
-/// ping/pong frame pair, so success means the server spoke the protocol.
+/// [`partix_net::RemoteDriver::connect`] dials and has a `Ping` call
+/// answered, so success means the server spoke the protocol.
 pub fn ping(addr: &str) -> Result<String, CliError> {
     let sock: std::net::SocketAddr =
         addr.parse().map_err(|_| err(format!("ping: bad address {addr} (want HOST:PORT)")))?;
@@ -898,13 +897,13 @@ USAGE
                                                     over-quota ones get a
                                                     typed rejection with a
                                                     retry-after hint
-  partix serve --coordinator --addr <HOST:PORT>     run a PXN2 streaming
+  partix serve --coordinator --addr <HOST:PORT>     run a streaming
                 [--data <db-dir>] [--tenant SPEC]...  coordinator: answers
                                                     stream chunk-by-chunk
                                                     as sub-queries finish;
                                                     --tenant as above
   partix exec <HOST:PORT> '<xquery>'                run a query on a node
-                [--tenant NAME]                     server (PXN1); --tenant
+                [--tenant NAME]                     server; --tenant
                                                     runs it under that
                                                     tenant's quotas and
                                                     priority class

@@ -19,6 +19,7 @@ use partix_query::ast::{ArithOp, Binding, Clause, SortDir};
 use partix_query::{Expr, Item, PathSource, PathStart, Query, Sequence};
 use partix_storage::{QueryOutput, QueryStats};
 use partix_xml::{binary, Document, NodeId, NodeKind};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Decoder recursion cap: deeper expression trees are rejected so a
@@ -584,10 +585,13 @@ pub fn get_document(r: &mut Reader<'_>) -> Result<Document, ProtocolError> {
     binary::decode(raw).map_err(|e| ProtocolError::Malformed(format!("document: {e}")))
 }
 
-pub fn put_documents(w: &mut Writer, docs: &[Document]) {
+/// A document list, encoded from wherever the documents live: a `Store`
+/// holds them by value, a `Fetch` answer behind the `Arc`s storage handed
+/// out.
+pub fn put_documents<D: Borrow<Document>>(w: &mut Writer, docs: &[D]) {
     w.put_u32(docs.len() as u32);
     for doc in docs {
-        put_document(w, doc);
+        put_document(w, doc.borrow());
     }
 }
 

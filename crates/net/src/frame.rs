@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     4  magic  "PXN1"
-//!      4     1  version (currently 1)
+//!      0     4  magic  "PXN2"
+//!      4     1  version (2)
 //!      5     1  frame kind (see [`FrameKind`])
 //!      6     4  payload length, u32 little-endian
 //!     10     4  CRC-32 (IEEE) of the payload, u32 little-endian
@@ -23,8 +23,8 @@
 //! sealed — checks the payload against [`MAX_PAYLOAD`] and fills both
 //! fields in. A payload over the cap is a typed
 //! [`ProtocolError::Oversized`] at the sender, not a frame the receiver
-//! has to refuse. [`encode_frame`] / [`write_frame`] are the same two
-//! steps around a payload that already exists.
+//! has to refuse. [`encode_frame`] is the same two steps around a payload
+//! that already exists.
 //!
 //! The checksum is one kernel, [`crc32`]: slicing-by-8 over `const`
 //! tables (eight table steps per eight input bytes instead of one per
@@ -36,36 +36,30 @@
 //! malformed peer must not be able to take down a coordinator or a node
 //! server.
 //!
-//! Versioning: the version byte names the *frame semantics*. A receiver
-//! rejects versions it does not know with
-//! [`ProtocolError::UnsupportedVersion`] (no silent best-effort parsing),
-//! so incompatible peers fail fast at the first frame. New frame kinds
-//! within a version are likewise rejected by older peers via
-//! [`ProtocolError::UnknownFrame`].
-//!
-//! Version 2 ("PXN2") adds the chunked-streaming kinds: a query opens a
-//! *stream* (client-chosen 64-bit id, multiplexed over one connection)
-//! and the answer comes back as zero or more [`FrameKind::ItemChunk`]
-//! frames followed by exactly one [`FrameKind::StreamEnd`] (success) or
-//! [`FrameKind::StreamError`] (typed failure). The header layout is
-//! byte-identical to version 1 — only the magic, version byte, and the
-//! set of legal kinds differ — so one reader handles both and a
-//! version-1-only peer rejects a v2 frame at the magic/version check.
+//! There is one protocol, "PXN2", and every payload starts with a
+//! client-chosen 64-bit *stream id*. An opening frame — a
+//! [`FrameKind::OpenStream`] at a coordinator, a [`FrameKind::Call`] at a
+//! node — is answered by zero or more [`FrameKind::ItemChunk`] frames and
+//! exactly one terminal frame: [`FrameKind::StreamEnd`],
+//! [`FrameKind::Reply`] or [`FrameKind::StreamError`]. A receiver rejects
+//! versions it does not know with [`ProtocolError::UnsupportedVersion`]
+//! and kinds it does not know with [`ProtocolError::UnknownFrame`] (no
+//! silent best-effort parsing). The request / response protocol this one
+//! replaced, "PXN1", had the same header under its own magic: a frame of
+//! it is refused by a [`ProtocolError::BadMagic`] that names it.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
-/// Frame magic: "PXN1" (PartiX Net, layout 1).
-pub const MAGIC: [u8; 4] = *b"PXN1";
+/// Frame magic: "PXN2" (PartiX Net, protocol 2).
+pub const MAGIC: [u8; 4] = *b"PXN2";
 
-/// Frame magic for streaming frames: "PXN2".
-pub const MAGIC2: [u8; 4] = *b"PXN2";
+/// Magic of the retired request / response protocol, recognised only to
+/// be refused by name.
+const RETIRED_MAGIC: [u8; 4] = *b"PXN1";
 
-/// Current protocol version for request/response frames.
-pub const VERSION: u8 = 1;
-
-/// Protocol version for streaming frames.
-pub const VERSION2: u8 = 2;
+/// Protocol version.
+pub const VERSION: u8 = 2;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 14;
@@ -74,68 +68,45 @@ pub const HEADER_LEN: usize = 14;
 /// rejected before any allocation happens.
 pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 
-/// What a frame carries.
+/// What a frame carries. Kinds 1–5 belonged to the retired protocol and
+/// stay unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Coordinator → node: an encoded [`crate::message::Request`].
-    Request = 1,
-    /// Node → coordinator: an encoded [`crate::message::Response`].
-    Result = 2,
-    /// Node → coordinator: an encoded [`crate::message::WireError`].
-    Error = 3,
-    /// Coordinator → node: liveness probe (empty payload).
-    HealthPing = 4,
-    /// Node → coordinator: probe answer (empty payload).
-    HealthPong = 5,
-    /// v2, client → coordinator: open a result stream
+    /// Client → coordinator: open a result stream
     /// ([`crate::stream::StreamQuery`]).
     OpenStream = 6,
-    /// v2, coordinator → client: one chunk of result items
+    /// Server → client: one chunk of result items
     /// ([`crate::stream::ItemChunk`]).
     ItemChunk = 7,
-    /// v2, coordinator → client: successful end of a stream with totals
+    /// Coordinator → client: successful end of a stream with totals
     /// and stats ([`crate::stream::StreamEnd`]).
     StreamEnd = 8,
-    /// v2, coordinator → client: typed failure of one stream
+    /// Server → client: typed failure of one stream or call
     /// ([`crate::stream::StreamError`]).
     StreamError = 9,
-    /// v2, client → coordinator: abandon a stream; the server stops
-    /// producing chunks for it ([`crate::stream::CancelStream`]).
+    /// Client → server: abandon a stream. Clients of this build close the
+    /// connection instead; a server reads the frame and ignores it.
     CancelStream = 10,
+    /// Coordinator → node: one driver request
+    /// ([`crate::message::Call`]).
+    Call = 11,
+    /// Node → coordinator: the answer to a call
+    /// ([`crate::message::Reply`]).
+    Reply = 12,
 }
 
 impl FrameKind {
     fn from_u8(b: u8) -> Result<FrameKind, ProtocolError> {
         Ok(match b {
-            1 => FrameKind::Request,
-            2 => FrameKind::Result,
-            3 => FrameKind::Error,
-            4 => FrameKind::HealthPing,
-            5 => FrameKind::HealthPong,
             6 => FrameKind::OpenStream,
             7 => FrameKind::ItemChunk,
             8 => FrameKind::StreamEnd,
             9 => FrameKind::StreamError,
             10 => FrameKind::CancelStream,
+            11 => FrameKind::Call,
+            12 => FrameKind::Reply,
             other => return Err(ProtocolError::UnknownFrame(other)),
         })
-    }
-
-    /// The protocol version a kind belongs to. A kind arriving inside a
-    /// frame of the other version is rejected as [`ProtocolError::UnknownFrame`].
-    pub fn version(self) -> u8 {
-        match self {
-            FrameKind::Request
-            | FrameKind::Result
-            | FrameKind::Error
-            | FrameKind::HealthPing
-            | FrameKind::HealthPong => VERSION,
-            FrameKind::OpenStream
-            | FrameKind::ItemChunk
-            | FrameKind::StreamEnd
-            | FrameKind::StreamError
-            | FrameKind::CancelStream => VERSION2,
-        }
     }
 }
 
@@ -165,9 +136,9 @@ pub enum ProtocolError {
     /// The payload passed framing but does not decode.
     Malformed(String),
     /// A frame was well-formed on its own but violates stream state:
-    /// duplicate or out-of-order chunk sequence, a chunk for an unknown
-    /// or finished stream, a chunk-count mismatch at end-of-stream, or
-    /// an oversized chunk.
+    /// duplicate or out-of-order chunk sequence, a frame of another
+    /// stream, a chunk-count mismatch at end-of-stream, an oversized
+    /// chunk, or a kind the receiving side never takes.
     Stream(String),
     /// Transport-level I/O failure.
     Io(String),
@@ -176,12 +147,12 @@ pub enum ProtocolError {
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ProtocolError::BadMagic(RETIRED_MAGIC) => {
+                write!(f, "frame magic \"PXN1\": that protocol is retired, this build speaks PXN2")
+            }
             ProtocolError::BadMagic(got) => write!(f, "bad frame magic {got:?}"),
             ProtocolError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (this build speaks {VERSION} and {VERSION2})"
-                )
+                write!(f, "unsupported protocol version {v} (this build speaks {VERSION})")
             }
             ProtocolError::UnknownFrame(k) => write!(f, "unknown frame kind {k}"),
             ProtocolError::Oversized { len, max } => {
@@ -202,10 +173,13 @@ impl std::error::Error for ProtocolError {}
 
 impl From<io::Error> for ProtocolError {
     fn from(e: io::Error) -> ProtocolError {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtocolError::Truncated { context: "frame" }
-        } else {
-            ProtocolError::Io(e.to_string())
+        match e.kind() {
+            io::ErrorKind::UnexpectedEof => ProtocolError::Truncated { context: "frame" },
+            // a socket's read / write deadline passing, as the platform names it
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                ProtocolError::Io(format!("timed out waiting for the peer: {e}"))
+            }
+            _ => ProtocolError::Io(e.to_string()),
         }
     }
 }
@@ -262,18 +236,12 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 }
 
 /// Start a frame of `kind` in a fresh buffer: the header, with the
-/// payload length and checksum left blank for `seal_frame`. The magic
-/// and version bytes follow the kind: streaming kinds are "PXN2"/2,
-/// request/response kinds "PXN1"/1. The payload is appended after it.
+/// payload length and checksum left blank for `seal_frame`. The payload
+/// is appended after it.
 pub(crate) fn begin_frame(kind: FrameKind) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    if kind.version() == VERSION2 {
-        out.extend_from_slice(&MAGIC2);
-        out.push(VERSION2);
-    } else {
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-    }
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
     out.push(kind as u8);
     out.extend_from_slice(&[0; 8]);
     out
@@ -294,31 +262,16 @@ pub(crate) fn seal_frame(mut frame: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
     Ok(frame)
 }
 
-fn frame_around(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-    let mut out = begin_frame(kind);
-    out.extend_from_slice(payload);
-    seal_frame(out)
-}
-
 /// Encode a frame into its on-wire bytes (header + payload).
 ///
 /// # Panics
 /// If `payload` exceeds [`MAX_PAYLOAD`]: no peer would accept the frame.
-/// [`write_frame`] returns that as [`ProtocolError::Oversized`] instead.
+/// Senders of answers go through `codec::frame_of`, which returns that as
+/// [`ProtocolError::Oversized`] instead.
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    frame_around(kind, payload).expect("payload within the frame cap")
-}
-
-/// Write one frame. Returns the number of bytes put on the wire.
-pub fn write_frame(
-    w: &mut impl Write,
-    kind: FrameKind,
-    payload: &[u8],
-) -> Result<usize, ProtocolError> {
-    let frame = frame_around(kind, payload)?;
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(frame.len())
+    let mut out = begin_frame(kind);
+    out.extend_from_slice(payload);
+    seal_frame(out).expect("payload within the frame cap")
 }
 
 /// Read one frame. `Ok(None)` means the peer closed the connection
@@ -326,121 +279,51 @@ pub fn write_frame(
 /// connection. An EOF anywhere later is [`ProtocolError::Truncated`].
 /// The returned `usize` is the number of wire bytes consumed.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<(Frame, usize)>, ProtocolError> {
+    // the header, asking for all of it at once (one `read` when it has
+    // arrived whole, as it nearly always has)
     let mut header = [0u8; HEADER_LEN];
-    if !fill_header(r, &mut header, 0)? {
-        return Ok(None);
-    }
-    read_payload(r, &header).map(Some)
-}
-
-/// Finish reading a frame whose first header byte has already been
-/// consumed (the node server polls for that byte so shutdown can drain
-/// idle connections).
-pub fn read_frame_after(
-    r: &mut impl Read,
-    first: u8,
-) -> Result<(Frame, usize), ProtocolError> {
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first;
-    fill_header(r, &mut header, 1)?;
-    read_payload(r, &header)
-}
-
-/// Fill `header[have..]`, asking for all of it at once (one `read` when
-/// the header has arrived whole, as it nearly always has). `Ok(false)`:
-/// the stream ended before any header byte at all.
-fn fill_header(
-    r: &mut impl Read,
-    header: &mut [u8; HEADER_LEN],
-    mut have: usize,
-) -> Result<bool, ProtocolError> {
+    let mut have = 0;
     while have < HEADER_LEN {
         match r.read(&mut header[have..]) {
-            Ok(0) if have == 0 => return Ok(false),
+            Ok(0) if have == 0 => return Ok(None),
             Ok(0) => return Err(ProtocolError::Truncated { context: "header" }),
             Ok(n) => have += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(true)
-}
-
-/// Validate `header`, then read and verify the payload it announces.
-fn read_payload(
-    r: &mut impl Read,
-    header: &[u8; HEADER_LEN],
-) -> Result<(Frame, usize), ProtocolError> {
-    let (kind, len, expected) = validate_header(header)?;
+    let (kind, len, expected) = validate_header(&header)?;
     let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtocolError::Truncated { context: "payload" }
-        } else {
-            ProtocolError::Io(e.to_string())
-        }
+    r.read_exact(&mut payload).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => ProtocolError::Truncated { context: "payload" },
+        _ => e.into(),
     })?;
-    verify(&payload, expected)?;
-    Ok((Frame { kind, payload }, HEADER_LEN + len))
-}
-
-fn verify(payload: &[u8], expected: u32) -> Result<(), ProtocolError> {
-    let actual = crc32(payload);
+    let actual = crc32(&payload);
     if actual != expected {
         return Err(ProtocolError::ChecksumMismatch { expected, actual });
     }
-    Ok(())
+    Ok(Some((Frame { kind, payload }, HEADER_LEN + len)))
 }
 
-/// Validate a complete header: magic/version pairing, known kind for
-/// that version, and payload length under the cap. Returns the kind, the
-/// payload length and the expected CRC.
+/// Validate a complete header: magic, version, known kind, and payload
+/// length under the cap. Returns the kind, the payload length and the
+/// expected CRC.
 fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize, u32), ProtocolError> {
-    let expect_version = if header[..4] == MAGIC {
-        VERSION
-    } else if header[..4] == MAGIC2 {
-        VERSION2
-    } else {
+    if header[..4] != MAGIC {
         let mut got = [0u8; 4];
         got.copy_from_slice(&header[..4]);
         return Err(ProtocolError::BadMagic(got));
-    };
-    if header[4] != expect_version {
+    }
+    if header[4] != VERSION {
         return Err(ProtocolError::UnsupportedVersion(header[4]));
     }
     let kind = FrameKind::from_u8(header[5])?;
-    if kind.version() != expect_version {
-        // A v1 kind under the PXN2 magic (or vice versa) is as unknown
-        // to this layer as an unassigned byte.
-        return Err(ProtocolError::UnknownFrame(header[5]));
-    }
     let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
     if len > MAX_PAYLOAD {
         return Err(ProtocolError::Oversized { len, max: MAX_PAYLOAD });
     }
     let expected = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
     Ok((kind, len, expected))
-}
-
-/// Incremental decode over bytes already in memory: try to parse one frame
-/// from the front of `buf`. `Ok(None)` means the buffer does not yet
-/// hold a complete frame (read more bytes); `Ok(Some((frame, n)))`
-/// consumed `n` bytes. Header-level garbage surfaces immediately, even
-/// before the payload arrives, so a hostile peer cannot park a huge
-/// bogus length in the buffer.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolError> {
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header.copy_from_slice(&buf[..HEADER_LEN]);
-    let (kind, len, expected) = validate_header(&header)?;
-    if buf.len() < HEADER_LEN + len {
-        return Ok(None);
-    }
-    let payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-    verify(&payload, expected)?;
-    Ok(Some((Frame { kind, payload }, HEADER_LEN + len)))
 }
 
 #[cfg(test)]
@@ -508,27 +391,24 @@ mod tests {
 
     #[test]
     fn sealing_checks_the_cap_at_the_sender() {
-        let mut over = begin_frame(FrameKind::Result);
+        let mut over = begin_frame(FrameKind::Reply);
         assert_eq!(over.len(), HEADER_LEN);
         over.resize(HEADER_LEN + MAX_PAYLOAD + 1, 7);
         assert_eq!(
             seal_frame(over).unwrap_err(),
             ProtocolError::Oversized { len: MAX_PAYLOAD + 1, max: MAX_PAYLOAD }
         );
-        let mut sink = Vec::new();
-        let err = write_frame(&mut sink, FrameKind::Result, &vec![0; MAX_PAYLOAD + 1]).unwrap_err();
-        assert!(matches!(err, ProtocolError::Oversized { .. }), "{err}");
-        assert!(sink.is_empty(), "nothing of an oversized frame reaches the wire");
     }
 
     #[test]
     fn frame_roundtrip() {
         let payload = b"hello frames".to_vec();
-        let bytes = encode_frame(FrameKind::Request, &payload);
+        let bytes = encode_frame(FrameKind::Call, &payload);
         assert_eq!(bytes.len(), HEADER_LEN + payload.len());
+        assert_eq!((&bytes[..4], bytes[4]), (&b"PXN2"[..], VERSION));
         let (frame, n) = read_frame(&mut Cursor::new(&bytes)).unwrap().unwrap();
         assert_eq!(n, bytes.len());
-        assert_eq!(frame.kind, FrameKind::Request);
+        assert_eq!(frame.kind, FrameKind::Call);
         assert_eq!(frame.payload, payload);
     }
 
@@ -539,7 +419,7 @@ mod tests {
 
     #[test]
     fn truncated_header_and_payload_are_typed() {
-        let bytes = encode_frame(FrameKind::Result, b"abc");
+        let bytes = encode_frame(FrameKind::Reply, b"abc");
         for cut in 1..bytes.len() {
             let err = read_frame(&mut Cursor::new(&bytes[..cut])).unwrap_err();
             assert!(
@@ -551,7 +431,7 @@ mod tests {
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let mut bytes = encode_frame(FrameKind::Result, b"abcdef");
+        let mut bytes = encode_frame(FrameKind::Reply, b"abcdef");
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         let err = read_frame(&mut Cursor::new(&bytes)).unwrap_err();
@@ -560,7 +440,7 @@ mod tests {
 
     #[test]
     fn bad_magic_version_kind_and_length_are_typed() {
-        let good = encode_frame(FrameKind::HealthPing, &[]);
+        let good = encode_frame(FrameKind::CancelStream, &[]);
         let mut bad_magic = good.clone();
         bad_magic[0] = b'Q';
         assert!(matches!(
@@ -573,7 +453,7 @@ mod tests {
         assert!(matches!(err, ProtocolError::UnsupportedVersion(9)));
         assert_eq!(
             err.to_string(),
-            "unsupported protocol version 9 (this build speaks 1 and 2)"
+            "unsupported protocol version 9 (this build speaks 2)"
         );
         let mut bad_kind = good.clone();
         bad_kind[5] = 200;
@@ -590,57 +470,28 @@ mod tests {
     }
 
     #[test]
-    fn v2_frame_roundtrip_and_magic_pairing() {
-        let bytes = encode_frame(FrameKind::ItemChunk, b"chunk");
-        assert_eq!(&bytes[..4], b"PXN2");
-        assert_eq!(bytes[4], VERSION2);
-        let (frame, n) = read_frame(&mut Cursor::new(&bytes)).unwrap().unwrap();
-        assert_eq!(n, bytes.len());
-        assert_eq!(frame.kind, FrameKind::ItemChunk);
-        assert_eq!(frame.payload, b"chunk");
-
-        // a v1 kind under the PXN2 magic is rejected, and vice versa
-        let mut crossed = encode_frame(FrameKind::ItemChunk, b"");
-        crossed[5] = FrameKind::Request as u8;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&crossed)).unwrap_err(),
-            ProtocolError::UnknownFrame(1)
-        ));
-        let mut crossed = encode_frame(FrameKind::Request, b"");
-        crossed[5] = FrameKind::OpenStream as u8;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&crossed)).unwrap_err(),
-            ProtocolError::UnknownFrame(6)
-        ));
-        // PXN2 magic with a version-1 byte fails the version check
-        let mut crossed = encode_frame(FrameKind::OpenStream, b"");
-        crossed[4] = VERSION;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&crossed)).unwrap_err(),
-            ProtocolError::UnsupportedVersion(1)
-        ));
-    }
-
-    #[test]
-    fn decode_frame_is_incremental() {
-        let bytes = encode_frame(FrameKind::StreamEnd, b"the end");
-        for cut in 0..bytes.len() {
-            assert_eq!(decode_frame(&bytes[..cut]).unwrap(), None, "cut at {cut}");
+    fn the_retired_protocol_is_refused_by_name() {
+        // a PXN1 health ping, as a peer of the previous build sends it
+        let mut ping = encode_frame(FrameKind::CancelStream, &[]);
+        ping[..6].copy_from_slice(b"PXN1\x01\x04");
+        let err = read_frame(&mut Cursor::new(&ping)).unwrap_err();
+        assert_eq!(err, ProtocolError::BadMagic(*b"PXN1"));
+        let text = err.to_string();
+        assert!(text.contains("PXN1") && text.contains("retired"), "{text}");
+        // its kinds are unassigned under the live magic, its version unknown
+        for kind in 1..=5 {
+            let mut frame = encode_frame(FrameKind::CancelStream, &[]);
+            frame[5] = kind;
+            assert_eq!(
+                read_frame(&mut Cursor::new(&frame)).unwrap_err(),
+                ProtocolError::UnknownFrame(kind)
+            );
         }
-        let (frame, n) = decode_frame(&bytes).unwrap().unwrap();
-        assert_eq!(n, bytes.len());
-        assert_eq!(frame.kind, FrameKind::StreamEnd);
-        // trailing bytes of the next frame are left alone
-        let mut two = bytes.clone();
-        two.extend_from_slice(&bytes);
-        let (_, n) = decode_frame(&two).unwrap().unwrap();
-        assert_eq!(n, bytes.len());
-        // header garbage surfaces before the payload arrives
-        let mut bogus = bytes.clone();
-        bogus[0] = b'Q';
-        assert!(matches!(
-            decode_frame(&bogus[..HEADER_LEN]).unwrap_err(),
-            ProtocolError::BadMagic(_)
-        ));
+        let mut frame = encode_frame(FrameKind::OpenStream, b"");
+        frame[4] = 1;
+        assert_eq!(
+            read_frame(&mut Cursor::new(&frame)).unwrap_err(),
+            ProtocolError::UnsupportedVersion(1)
+        );
     }
 }

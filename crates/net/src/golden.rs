@@ -1,13 +1,21 @@
-//! Golden wire bytes: one `Result` frame and one `ItemChunk` frame as the
+//! Golden wire bytes: one `ItemChunk` frame and one node answer as the
 //! commit *before* the one-buffer frame writer produced them
 //! (`tests/fixtures/*.hex`, written there by this module's builders over
 //! the old `encode_frame(kind, &message.encode())`). The writer must
-//! reproduce them bit for bit — a peer built then still interoperates —
-//! and so must the payload-then-frame path that tests and tools use.
+//! reproduce them bit for bit — a coordinator client built then still
+//! interoperates — and so must the payload-then-frame path that tests and
+//! tools use.
+//!
+//! The node answer was a `PXN1` `Result` frame then. `reply_frame.hex` is
+//! that file re-headed as the `Reply` frame that replaced it: magic,
+//! version and kind changed, stream id 9 put in front of the payload (so
+//! length and frame checksum moved with it), and the `Response` bytes
+//! behind the id left as that encoder wrote them — the test holds them to
+//! the old file's length and CRC.
 
 use crate::codec::frame_of;
-use crate::frame::{encode_frame, read_frame, FrameKind};
-use crate::message::Response;
+use crate::frame::{crc32, encode_frame, read_frame, FrameKind};
+use crate::message::{Reply, Response};
 use crate::stream::{put_chunk, ItemChunk};
 use partix_query::{Item, Sequence};
 use partix_storage::{QueryOutput, QueryStats};
@@ -56,8 +64,8 @@ fn unhex(text: &str) -> Vec<u8> {
 }
 
 #[test]
-fn result_frame_is_reproduced_bit_for_bit() {
-    let golden = unhex(include_str!("../tests/fixtures/result_frame.hex"));
+fn reply_frame_is_reproduced_bit_for_bit() {
+    let golden = unhex(include_str!("../tests/fixtures/reply_frame.hex"));
     let response = Response::Output(Some(QueryOutput {
         items: golden_items(),
         stats: QueryStats {
@@ -69,13 +77,18 @@ fn result_frame_is_reproduced_bit_for_bit() {
             morsels: 3,
         },
     }));
+    let reply = Reply { stream: 9, response };
     // what a node server sends
-    assert_eq!(frame_of(FrameKind::Result, |w| response.put(w)).unwrap(), golden);
-    assert_eq!(encode_frame(FrameKind::Result, &response.encode()), golden);
-    // and the parent's bytes still read as what they said
+    assert_eq!(frame_of(FrameKind::Reply, |w| reply.put(w)).unwrap(), golden);
+    assert_eq!(encode_frame(FrameKind::Reply, &reply.encode()), golden);
+    // the response behind the stream id is the retired `Result` frame's
+    // payload: its length and its checksum, from that frame's header
     let (frame, n) = read_frame(&mut golden.as_slice()).unwrap().unwrap();
-    assert_eq!((frame.kind, n), (FrameKind::Result, golden.len()));
-    let Response::Output(Some(out)) = Response::decode(&frame.payload).unwrap() else {
+    assert_eq!((frame.kind, n), (FrameKind::Reply, golden.len()));
+    assert_eq!(frame.payload[..8], 9u64.to_le_bytes());
+    assert_eq!((frame.payload[8..].len(), crc32(&frame.payload[8..])), (1012, 0x0DB6_D1D7));
+    // and the bytes still read as what they said
+    let Response::Output(Some(out)) = Reply::decode(&frame.payload).unwrap().response else {
         panic!("an output expected");
     };
     assert_eq!(out.items, golden_items());

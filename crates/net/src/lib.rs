@@ -3,34 +3,33 @@
 //! PartiX is middleware that ships localized sub-queries to the nodes
 //! hosting each fragment and composes their answers (PAPER Sec. 4).
 //! Everything below the driver trait used to run in-process; this crate
-//! makes the hop real:
+//! makes the hop real, and every hop is the same kind of hop: one frame
+//! format, one server, one client.
 //!
-//! * [`frame`] — length-prefixed, checksummed, versioned binary frames,
-//!   shared by both protocols: the CRC-32 kernel and the one place a
-//!   frame is sealed (length bound, checksum).
+//! * [`frame`] — length-prefixed, checksummed binary frames under one
+//!   magic: the CRC-32 kernel and the one place a frame is sealed (length
+//!   bound, checksum).
 //! * [`codec`] — defensive payload encoding for queries (full AST),
 //!   result sequences, and documents, written straight into the frame
 //!   that carries them.
-//! * [`message`] — the PXN1 request/response vocabulary (the driver
-//!   trait on the wire), including typed, retryability-tagged errors.
-//! * [`server`] — [`NodeServer`]: a per-node TCP listener hosting
-//!   fragments behind the existing storage stack, with graceful
-//!   drain-then-close shutdown.
-//! * [`client`] — [`RemoteDriver`]: a connection-pooled
-//!   `PartixDriver` implementation, so dispatch modes, retry/failover
-//!   policy, fault injection, caching, and tracing all work unchanged
-//!   over real sockets.
-//! * [`stream`] — the PXN2 vocabulary: a query opens a stream, the
+//! * [`message`] — the node vocabulary (the driver trait on the wire:
+//!   `Request` in a `Call`, `Response` in a `Reply`) and the one typed,
+//!   retryability-tagged failure, [`WireError`].
+//! * [`stream`] — the streaming vocabulary: a query opens a stream, the
 //!   answer comes back as item chunks and one end-of-stream or typed
 //!   error; [`StreamAssembler`] re-checks all of it on arrival.
-//! * [`stream_server`] — [`StreamServer`]: the multiplexed streaming
-//!   endpoint — a blocking reader and a condvar-woken writer per
-//!   connection, a shared worker pool, byte-bounded send queues for
-//!   backpressure.
-//! * [`stream_client`] — [`StreamClient`] (one multiplexed connection)
-//!   and [`CoordinatorPool`] (failover across coordinator replicas).
-//! * [`coord`] — [`serve_coordinator`]: the [`StreamHandler`] that
-//!   answers stream queries from a `PartiX` engine.
+//! * [`server`] — [`Server`]: a listener and one blocking thread per
+//!   connection, which reads a frame, runs the [`Handler`] and writes the
+//!   answer's frames straight to the socket.
+//! * [`client`] — the one client: blocking connections checked out of a
+//!   small idle list, socket deadlines, one stale-connection rule.
+//! * [`node`] — the node leg on those two: [`NodeServer`] (a driver
+//!   behind a `Server`) and [`RemoteDriver`] (a `PartixDriver` over a
+//!   client, so dispatch, retry/failover policy, fault injection,
+//!   caching, and tracing all work unchanged over real sockets).
+//! * [`coord`] — the coordinator leg: [`serve_coordinator`] (a `PartiX`
+//!   engine behind a `Server`), [`StreamClient`] and [`CoordinatorPool`]
+//!   (failover across coordinator replicas).
 //!
 //! The coordinator never knows whether a node is an in-process
 //! `Database` or a socket away — that is the point: the local-vs-remote
@@ -44,23 +43,19 @@ pub mod frame;
 #[cfg(test)]
 mod golden;
 pub mod message;
+pub mod node;
 pub mod server;
 pub mod stream;
-pub mod stream_client;
-pub mod stream_server;
 
-pub use client::{RemoteDriver, RemoteDriverConfig, WireStats};
-pub use coord::{serve_coordinator, CoordHandler};
-pub use frame::{Frame, FrameKind, ProtocolError, HEADER_LEN, MAX_PAYLOAD, VERSION, VERSION2};
-pub use message::{ErrorCode, Request, Response, WireError};
-pub use server::{NodeServer, ServerConfig, ServerTenancy};
+pub use client::{StreamClientConfig, WireStats};
+pub use coord::{
+    serve_coordinator, CoordHandler, CoordinatorPool, StreamCallError, StreamClient, StreamOpts,
+    StreamResult, StreamServer, StreamServerConfig,
+};
+pub use frame::{Frame, FrameKind, ProtocolError, HEADER_LEN, MAX_PAYLOAD, VERSION};
+pub use message::{Call, ErrorCode, Reply, Request, Response, WireError};
+pub use node::{NodeServer, RemoteDriver, ServerConfig, ServerTenancy};
+pub use server::{ChunkSink, Handler, Server, SinkClosed};
 pub use stream::{
-    CancelStream, ItemChunk, StreamAssembler, StreamEnd, StreamError, StreamOutcome, StreamQuery,
-    StreamStats,
-};
-pub use stream_client::{
-    CoordinatorPool, StreamCallError, StreamClient, StreamClientConfig, StreamOpts, StreamResult,
-};
-pub use stream_server::{
-    ChunkSink, SinkClosed, StreamFailure, StreamHandler, StreamServer, StreamServerConfig,
+    ItemChunk, StreamAssembler, StreamEnd, StreamError, StreamOutcome, StreamQuery, StreamStats,
 };

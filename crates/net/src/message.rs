@@ -1,6 +1,9 @@
-//! The request/response vocabulary carried by frames — the driver trait,
-//! spelled out on the wire. Each variant encodes to a frame payload and
-//! decodes defensively via the [`crate::codec`] cursor.
+//! The node vocabulary — the driver trait, spelled out on the wire — and
+//! the one typed failure every endpoint answers with. A [`Request`]
+//! travels in a [`Call`] frame and is answered by exactly one [`Reply`]
+//! frame carrying a [`Response`], or by a
+//! [`StreamError`](crate::stream::StreamError) carrying a [`WireError`].
+//! Everything decodes defensively via the [`crate::codec`] cursor.
 
 use crate::codec::{
     get_documents, get_output, payload_of, put_documents, put_output, Reader, Writer,
@@ -9,11 +12,11 @@ use crate::frame::ProtocolError;
 use partix_query::Query;
 use partix_storage::{QueryOutput, WriteOp};
 use partix_xml::Document;
+use std::sync::Arc;
 
-/// Machine-readable classification carried by [`WireError`] (PXN1) and
-/// [`crate::StreamError`] (PXN2), so clients can distinguish tenancy
-/// rejections from ordinary execution failures without parsing the
-/// message text. Unknown code bytes decode to a typed
+/// Machine-readable classification carried by [`WireError`], so clients
+/// can distinguish tenancy rejections from ordinary execution failures
+/// without parsing the message text. Unknown code bytes decode to a typed
 /// [`ProtocolError::Malformed`] — never a panic, never a silent
 /// default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,8 +66,7 @@ pub(crate) fn decode_tenant_header(name: String) -> Result<String, ProtocolError
     }
 }
 
-/// Coordinator → node. One request per frame; the node answers with
-/// exactly one `Result` or `Error` frame. (`Document` has no equality,
+/// Coordinator → node, inside a [`Call`]. (`Document` has no equality,
 /// so neither does `Request` — tests compare re-encoded bytes.)
 #[derive(Debug, Clone)]
 pub enum Request {
@@ -93,6 +95,8 @@ pub enum Request {
     /// ([`partix_storage::wal::encode_op`]) so disk and wire share one
     /// canonical byte form.
     Write { op: WriteOp },
+    /// Liveness probe, answered with [`Response::Pong`].
+    Ping,
 }
 
 impl Request {
@@ -135,19 +139,26 @@ impl Request {
                 w.put_str(tenant);
                 w.put_bytes(&crate::codec::encode_query(query));
             }
+            Request::Ping => w.put_u8(8),
         }
     }
 
     pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {
         let mut r = Reader::new(payload);
-        let req = match r.u8("request tag")? {
+        let req = Request::get(&mut r)?;
+        r.finish()?;
+        Ok(req)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Request, ProtocolError> {
+        Ok(match r.u8("request tag")? {
             0 => {
                 let raw = r.bytes("query payload")?;
                 Request::Execute { query: crate::codec::decode_query(raw)? }
             }
             1 => {
                 let collection = r.str("store collection")?;
-                let docs = get_documents(&mut r)?;
+                let docs = get_documents(r)?;
                 Request::Store { collection, docs }
             }
             2 => Request::Fetch { collection: r.str("fetch collection")?, filter: None },
@@ -170,12 +181,11 @@ impl Request {
                 let filter = crate::codec::decode_query(r.bytes("fetch filter")?)?;
                 Request::Fetch { collection, filter: Some(filter) }
             }
+            8 => Request::Ping,
             other => {
                 return Err(ProtocolError::Malformed(format!("bad request tag {other}")))
             }
-        };
-        r.finish()?;
-        Ok(req)
+        })
     }
 
     /// Whether retrying this request on a fresh connection is safe after
@@ -189,7 +199,8 @@ impl Request {
     }
 }
 
-/// Node → coordinator success answer, mirroring [`Request`] one-to-one.
+/// Node → coordinator success answer inside a [`Reply`], mirroring
+/// [`Request`] one-to-one.
 #[derive(Debug, Clone)]
 pub enum Response {
     /// `Execute` answer. `None` preserves the driver contract for an
@@ -197,14 +208,17 @@ pub enum Response {
     Output(Option<QueryOutput>),
     /// `Store` acknowledged.
     Stored,
-    /// `Fetch` answer.
-    Docs(Vec<Document>),
+    /// `Fetch` answer: shared, so a node encodes the documents its storage
+    /// handed out without copying them first.
+    Docs(Vec<Arc<Document>>),
     /// `Collections` answer.
     Names(Vec<String>),
     /// `Drop` acknowledged.
     Dropped,
     /// `Write` acknowledged: how many existing documents it affected.
     Written(u32),
+    /// `Ping` answer.
+    Pong,
 }
 
 impl Response {
@@ -237,16 +251,23 @@ impl Response {
                 w.put_u8(6);
                 w.put_u32(*affected);
             }
+            Response::Pong => w.put_u8(7),
         }
     }
 
     pub fn decode(payload: &[u8]) -> Result<Response, ProtocolError> {
         let mut r = Reader::new(payload);
-        let resp = match r.u8("response tag")? {
+        let resp = Response::get(&mut r)?;
+        r.finish()?;
+        Ok(resp)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Response, ProtocolError> {
+        Ok(match r.u8("response tag")? {
             0 => Response::Output(None),
-            1 => Response::Output(Some(get_output(&mut r)?)),
+            1 => Response::Output(Some(get_output(r)?)),
             2 => Response::Stored,
-            3 => Response::Docs(get_documents(&mut r)?),
+            3 => Response::Docs(get_documents(r)?.into_iter().map(Arc::new).collect()),
             4 => {
                 let n = r.seq_len("name list")?;
                 let mut names = Vec::with_capacity(n);
@@ -257,20 +278,77 @@ impl Response {
             }
             5 => Response::Dropped,
             6 => Response::Written(r.u32("written count")?),
+            7 => Response::Pong,
             other => {
                 return Err(ProtocolError::Malformed(format!("bad response tag {other}")))
             }
-        };
-        r.finish()?;
-        Ok(resp)
+        })
     }
 }
 
-/// Node → coordinator failure answer. `retryable` maps back onto the
-/// driver error taxonomy: `true` → `DriverError::Unavailable` (the
-/// coordinator may fail over to a replica), `false` → `DriverError::
-/// Failed` (the DBMS rejected the request; retrying elsewhere would
-/// just fail again).
+/// Coordinator → node: one [`Request`] under a stream id of the caller's
+/// choosing, which the answer carries back.
+#[derive(Debug, Clone)]
+pub struct Call {
+    pub stream: u64,
+    pub request: Request,
+}
+
+impl Call {
+    pub fn encode(&self) -> Vec<u8> {
+        payload_of(|w| put_call(w, self.stream, &self.request))
+    }
+
+    pub fn decode(payload: &[u8]) -> Result<Call, ProtocolError> {
+        let mut r = Reader::new(payload);
+        let call = Call { stream: r.u64("stream id")?, request: Request::get(&mut r)? };
+        r.finish()?;
+        Ok(call)
+    }
+}
+
+/// The payload of a [`Call`] over a borrowed request.
+pub(crate) fn put_call(w: &mut Writer, stream: u64, request: &Request) {
+    w.put_u64(stream);
+    request.put(w);
+}
+
+/// Node → coordinator: the one answer to a [`Call`], under its stream id.
+#[derive(Debug, Clone)]
+pub struct Reply {
+    pub stream: u64,
+    pub response: Response,
+}
+
+impl Reply {
+    pub fn encode(&self) -> Vec<u8> {
+        payload_of(|w| self.put(w))
+    }
+
+    /// Write the payload [`Reply::encode`] returns into `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
+        w.put_u64(self.stream);
+        self.response.put(w);
+    }
+
+    pub fn decode(payload: &[u8]) -> Result<Reply, ProtocolError> {
+        let mut r = Reader::new(payload);
+        let reply = Reply { stream: r.u64("stream id")?, response: Response::get(&mut r)? };
+        r.finish()?;
+        Ok(reply)
+    }
+}
+
+/// The typed failure of one stream or call: what a handler returns, what
+/// a [`StreamError`](crate::stream::StreamError) frame carries after its
+/// stream id, and what [`RemoteDriver::execute_as`] hands its caller.
+/// `retryable` maps back onto the driver error taxonomy: `true` →
+/// `DriverError::Unavailable` (the coordinator may fail over to a
+/// replica, a client to another coordinator), `false` →
+/// `DriverError::Failed` (the query or the DBMS rejected the request;
+/// retrying elsewhere would just fail again).
+///
+/// [`RemoteDriver::execute_as`]: crate::RemoteDriver::execute_as
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     pub retryable: bool,
@@ -307,12 +385,18 @@ impl WireError {
 
     pub fn decode(payload: &[u8]) -> Result<WireError, ProtocolError> {
         let mut r = Reader::new(payload);
-        let retryable = r.bool("error retryable")?;
-        let code = ErrorCode::from_u8(r.u8("error code")?)?;
-        let retry_after_ms = r.u64("retry_after_ms")?;
-        let message = r.str("error message")?;
+        let err = WireError::get(&mut r)?;
         r.finish()?;
-        Ok(WireError { retryable, code, retry_after_ms, message })
+        Ok(err)
+    }
+
+    pub(crate) fn get(r: &mut Reader<'_>) -> Result<WireError, ProtocolError> {
+        Ok(WireError {
+            retryable: r.bool("error retryable")?,
+            code: ErrorCode::from_u8(r.u8("error code")?)?,
+            retry_after_ms: r.u64("retry_after_ms")?,
+            message: r.str("error message")?,
+        })
     }
 }
 
@@ -355,11 +439,19 @@ mod tests {
             Request::Write {
                 op: WriteOp::Delete { collection: "c".into(), name: "d1".into() },
             },
+            Request::Ping,
         ];
         for req in cases {
             let back = Request::decode(&req.encode()).unwrap();
             // Document lacks PartialEq; compare the re-encoded bytes
             assert_eq!(req.encode(), back.encode());
+            // a call is the stream id, then the request as it is
+            let call = Call { stream: 7, request: req };
+            let bytes = call.encode();
+            assert_eq!(bytes[..8], 7u64.to_le_bytes());
+            assert_eq!(bytes[8..], call.request.encode());
+            let back = Call::decode(&bytes).unwrap();
+            assert_eq!((back.stream, back.encode()), (7, bytes));
         }
     }
 
@@ -399,15 +491,21 @@ mod tests {
         let cases = vec![
             Response::Output(None),
             Response::Stored,
-            Response::Docs(vec![parse("<d/>").unwrap()]),
+            Response::Docs(vec![Arc::new(parse("<d/>").unwrap())]),
             Response::Names(vec!["a".into(), "b".into()]),
             Response::Dropped,
             Response::Written(0),
             Response::Written(3),
+            Response::Pong,
         ];
         for resp in cases {
             let back = Response::decode(&resp.encode()).unwrap();
             assert_eq!(resp.encode(), back.encode());
+            let reply = Reply { stream: u64::MAX, response: resp };
+            let bytes = reply.encode();
+            assert_eq!(bytes[8..], reply.response.encode());
+            let back = Reply::decode(&bytes).unwrap();
+            assert_eq!((back.stream, back.encode()), (u64::MAX, bytes));
         }
         let err = WireError::failure(true, "node going away");
         assert_eq!(WireError::decode(&err.encode()).unwrap(), err);
@@ -452,6 +550,10 @@ mod tests {
         assert!(Request::decode(&[5, 3, 0, 0, 0, 9, 9, 9]).is_err());
         assert!(Response::decode(&[99]).is_err());
         assert!(WireError::decode(&[2]).is_err());
+        // a call or reply cut inside its stream id, or carrying nothing after it
+        assert!(Call::decode(&[0; 7]).is_err());
+        assert!(Call::decode(&[0; 8]).is_err());
+        assert!(Reply::decode(&[0; 8]).is_err());
         // trailing garbage rejected
         let mut ok = Request::Collections.encode();
         ok.push(7);

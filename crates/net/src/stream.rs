@@ -1,14 +1,12 @@
-//! PXN2 payloads: the chunked-streaming message layer.
+//! The chunked-streaming payloads.
 //!
 //! A client opens a *stream* by sending [`StreamQuery`] with a
-//! client-chosen 64-bit stream id (unique per connection). The
-//! coordinator answers with zero or more [`ItemChunk`] frames carrying
-//! consecutive sequence numbers starting at 0, then exactly one
-//! [`StreamEnd`] (success — with the total chunk/item counts so a
-//! truncated stream is detectable) or [`StreamError`] (typed failure).
-//! Multiple streams multiplex over one connection; frames of different
-//! streams may interleave arbitrarily, but within one stream chunks are
-//! ordered.
+//! client-chosen 64-bit stream id. The coordinator answers with zero or
+//! more [`ItemChunk`] frames carrying consecutive sequence numbers
+//! starting at 0, then exactly one [`StreamEnd`] (success — with the
+//! total chunk/item counts so a truncated stream is detectable) or
+//! [`StreamError`] (typed failure). A connection carries one stream at a
+//! time: a second opening on a busy connection is served after the first.
 //!
 //! [`StreamAssembler`] is the client-side state machine that re-checks
 //! all of that: wrong stream id, duplicated / reordered / missing
@@ -19,6 +17,7 @@
 
 use crate::codec::{get_sequence, payload_of, put_sequence, Reader, Writer};
 use crate::frame::ProtocolError;
+use crate::message::WireError;
 use partix_query::{Item, Sequence};
 
 /// Default number of items per [`ItemChunk`] when the client does not
@@ -37,8 +36,7 @@ fn stream_err(msg: String) -> ProtocolError {
 /// Client → coordinator: open a result stream for one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamQuery {
-    /// Client-chosen stream id, unique among this connection's live
-    /// streams.
+    /// Client-chosen stream id; every frame of the answer carries it.
     pub stream: u64,
     /// The query text (parsed and planned by the coordinator).
     pub text: String,
@@ -218,33 +216,20 @@ impl StreamEnd {
     }
 }
 
-/// Coordinator → client: typed failure of one stream. `retryable`
-/// mirrors the dispatch layer's verdict — `true` means the same query
-/// may succeed on a retry or on another coordinator.
+/// Server → client: typed failure of one stream or call — its stream id,
+/// then the [`WireError`]. Stream id 0 marks a connection-level fault (a
+/// protocol violation: no individual stream is at fault, and the server
+/// drops the connection after sending it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamError {
     pub stream: u64,
-    pub retryable: bool,
-    /// Typed classification shared with PXN1 — see
-    /// [`crate::message::ErrorCode`]. Admission rejections arrive as
-    /// [`ErrorCode::AdmissionRejected`](crate::message::ErrorCode) with
-    /// a `retry_after_ms` hint, never as a hang or a dropped stream.
-    pub code: crate::message::ErrorCode,
-    /// Client retry hint in milliseconds (0 = none).
-    pub retry_after_ms: u64,
-    pub message: String,
+    pub error: WireError,
 }
 
 impl StreamError {
     /// A failure with no tenancy classification.
     pub fn failure(stream: u64, retryable: bool, message: impl Into<String>) -> StreamError {
-        StreamError {
-            stream,
-            retryable,
-            code: crate::message::ErrorCode::Generic,
-            retry_after_ms: 0,
-            message: message.into(),
-        }
+        StreamError { stream, error: WireError::failure(retryable, message) }
     }
 
     pub fn encode(&self) -> Vec<u8> {
@@ -254,49 +239,14 @@ impl StreamError {
     /// Write the payload [`StreamError::encode`] returns into `w`.
     pub(crate) fn put(&self, w: &mut Writer) {
         w.put_u64(self.stream);
-        w.put_bool(self.retryable);
-        w.put_u8(self.code.as_u8());
-        w.put_u64(self.retry_after_ms);
-        w.put_str(&self.message);
+        self.error.put(w);
     }
 
     pub fn decode(payload: &[u8]) -> Result<StreamError, ProtocolError> {
         let mut r = Reader::new(payload);
-        let e = StreamError {
-            stream: r.u64("stream id")?,
-            retryable: r.bool("retryable")?,
-            code: crate::message::ErrorCode::from_u8(r.u8("error code")?)?,
-            retry_after_ms: r.u64("retry_after_ms")?,
-            message: r.str("error message")?,
-        };
+        let e = StreamError { stream: r.u64("stream id")?, error: WireError::get(&mut r)? };
         r.finish()?;
         Ok(e)
-    }
-}
-
-/// Client → coordinator: abandon a stream. The server stops producing
-/// chunks; anything already queued may still arrive and must be ignored
-/// by the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CancelStream {
-    pub stream: u64,
-}
-
-impl CancelStream {
-    pub fn encode(&self) -> Vec<u8> {
-        payload_of(|w| self.put(w))
-    }
-
-    /// Write the payload [`CancelStream::encode`] returns into `w`.
-    pub(crate) fn put(&self, w: &mut Writer) {
-        w.put_u64(self.stream);
-    }
-
-    pub fn decode(payload: &[u8]) -> Result<CancelStream, ProtocolError> {
-        let mut r = Reader::new(payload);
-        let c = CancelStream { stream: r.u64("stream id")? };
-        r.finish()?;
-        Ok(c)
     }
 }
 
@@ -474,22 +424,23 @@ mod tests {
         assert_eq!(StreamError::decode(&err.encode()).unwrap(), err);
         let rejected = StreamError {
             stream: 2,
-            retryable: false,
-            code: crate::message::ErrorCode::AdmissionRejected,
-            retry_after_ms: 100,
-            message: "quota".into(),
+            error: WireError {
+                retryable: false,
+                code: crate::message::ErrorCode::AdmissionRejected,
+                retry_after_ms: 100,
+                message: "quota".into(),
+            },
         };
         assert_eq!(StreamError::decode(&rejected.encode()).unwrap(), rejected);
-
-        let cancel = CancelStream { stream: 3 };
-        assert_eq!(CancelStream::decode(&cancel.encode()).unwrap(), cancel);
+        // the body after the stream id is the one typed failure, as it is
+        assert_eq!(rejected.encode()[8..], rejected.error.encode());
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = CancelStream { stream: 3 }.encode();
+        let mut bytes = end(3, 0, 0).encode();
         bytes.push(0xFF);
-        assert!(CancelStream::decode(&bytes).is_err());
+        assert!(StreamEnd::decode(&bytes).is_err());
         let mut bytes = chunk(1, 0, 2).encode();
         bytes.push(0x00);
         assert!(ItemChunk::decode(&bytes).is_err());

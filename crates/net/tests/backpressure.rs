@@ -1,44 +1,44 @@
 //! Slow-reader backpressure: one client that stops reading must stall
-//! only its own stream. The server's memory for it is bounded by the
-//! per-connection send-queue cap (plus at most one frame), every other
-//! client keeps streaming at full rate, and tearing the slow reader down
-//! releases its worker — the server serves on as if nothing happened.
+//! only its own stream. It blocks its own connection's thread in `write`
+//! — the server holds one frame for it — every other client keeps
+//! streaming at full rate, and tearing the slow reader down releases that
+//! thread: the server serves on as if nothing happened.
 
 use partix_net::frame::{encode_frame, FrameKind};
 use partix_net::stream::{StreamQuery, StreamStats};
-use partix_net::stream_server::{
-    ChunkSink, StreamFailure, StreamHandler, StreamServer, StreamServerConfig,
+use partix_net::{
+    ChunkSink, Handler, Server, StreamClient, StreamClientConfig, StreamOpts, WireError,
 };
-use partix_net::{StreamClient, StreamClientConfig, StreamOpts};
 use partix_query::Item;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Synthetic handler: the query text is an item count; items go out in
 /// fixed batches so a big stream is many frames, not one.
 struct CountHandler {
-    /// Streams whose sink closed under them (the slow reader, once torn
-    /// down).
-    closed_streams: AtomicU64,
+    /// One message per stream: its first batch went out.
+    started: Mutex<Sender<()>>,
+    /// One message per stream whose sink closed under it (the slow reader,
+    /// once torn down).
+    closed: Mutex<Sender<()>>,
 }
 
-impl StreamHandler for CountHandler {
-    fn run(
-        &self,
-        query: &StreamQuery,
-        sink: &dyn ChunkSink,
-    ) -> Result<StreamStats, StreamFailure> {
+impl Handler for CountHandler {
+    fn stream(&self, query: &StreamQuery, sink: &dyn ChunkSink) -> Result<StreamStats, WireError> {
         let n: usize = query.text.parse().unwrap_or(0);
         let batch: Vec<Item> = (0..256).map(|i| Item::Num(i as f64)).collect();
         let mut sent = 0;
         while sent < n {
             let take = batch.len().min(n - sent);
             if sink.emit(&batch[..take]).is_err() {
-                self.closed_streams.fetch_add(1, Ordering::Relaxed);
-                return Err(StreamFailure::failure(true, "sink closed"));
+                let _ = self.closed.lock().unwrap().send(());
+                return Err(WireError::failure(true, "sink closed"));
+            }
+            if sent == 0 {
+                let _ = self.started.lock().unwrap().send(());
             }
             sent += take;
         }
@@ -46,28 +46,19 @@ impl StreamHandler for CountHandler {
     }
 }
 
-/// Bytes one batch frame occupies, give or take headers — used to size
-/// the queue-bound assertion.
-const FRAME_SLACK: usize = 16 * 1024;
-
 #[test]
-fn slow_reader_stalls_only_itself_with_bounded_server_memory() {
-    const QUEUE_CAP: usize = 32 * 1024;
-    // ~2M numeric items ≈ ~20 MB of frames: far beyond the queue cap
-    // *and* the kernel's socket buffering, so an unbounded server would
-    // balloon observably
+fn slow_reader_stalls_only_itself() {
+    // ~2M numeric items ≈ ~20 MB of frames: far beyond the kernel's socket
+    // buffering, so the stalled stream's thread ends up blocked in `write`
     const STALLED_ITEMS: usize = 2_000_000;
     const FAST_ITEMS: usize = 1_000;
     const FAST_CLIENTS: usize = 4;
     const FAST_QUERIES: usize = 10;
 
-    let handler = Arc::new(CountHandler { closed_streams: AtomicU64::new(0) });
-    let server = StreamServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&handler) as Arc<dyn StreamHandler>,
-        StreamServerConfig { send_queue_bytes: QUEUE_CAP, ..StreamServerConfig::default() },
-    )
-    .expect("bind");
+    let (started_tx, started) = channel();
+    let (closed_tx, closed) = channel();
+    let handler = CountHandler { started: Mutex::new(started_tx), closed: Mutex::new(closed_tx) };
+    let server = Server::bind("127.0.0.1:0", Arc::new(handler)).expect("bind");
     let addr = server.addr().to_string();
 
     // the slow reader: open a huge stream on a raw socket, read nothing
@@ -83,17 +74,9 @@ fn slow_reader_stalls_only_itself_with_bounded_server_memory() {
     stalled
         .write_all(&encode_frame(FrameKind::OpenStream, &open.encode()))
         .expect("open stalled stream");
-    stalled.flush().unwrap();
-
-    // give the handler time to fill the queue and hit the cap
-    let filled = Instant::now();
-    while server.queued_bytes() < QUEUE_CAP && filled.elapsed() < Duration::from_secs(10) {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(
-        server.queued_bytes() > 0,
-        "stalled stream never queued anything — is the handler running?"
-    );
+    started
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stalled stream never sent anything — is the handler running?");
 
     // fast clients run at full rate while the slow reader stalls
     let mut latencies: Vec<f64> = Vec::new();
@@ -133,32 +116,14 @@ fn slow_reader_stalls_only_itself_with_bounded_server_memory() {
         "fast-client p99 {p99:.3}s: the stalled client contaminated its peers"
     );
 
-    // bounded memory: the stalled stream holds at most the queue cap plus
-    // one in-flight frame; fast streams drain as they go. Megabytes would
-    // mean the cap is not enforced.
-    let peak = server.peak_queue_bytes();
-    assert!(
-        peak <= QUEUE_CAP + FRAME_SLACK + FAST_CLIENTS * FRAME_SLACK,
-        "peak queue depth {peak} bytes blows through the {QUEUE_CAP}-byte cap"
-    );
-
-    // tear the slow reader down: its worker must observe the closed sink
-    // and the queued bytes must be released
+    // tear the slow reader down: its handler must observe the closed sink
     drop(stalled);
-    let released = Instant::now();
-    while (server.queued_bytes() > 0 || handler.closed_streams.load(Ordering::Relaxed) == 0)
-        && released.elapsed() < Duration::from_secs(10)
-    {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(server.queued_bytes(), 0, "closing the stalled conn must release its queue");
-    assert_eq!(
-        handler.closed_streams.load(Ordering::Relaxed),
-        1,
-        "the stalled stream's handler must observe SinkClosed"
-    );
+    closed
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the stalled stream's handler must observe SinkClosed");
+    assert!(closed.try_recv().is_err(), "no other stream lost its sink");
 
-    // and the server serves on: the freed worker answers new queries
+    // and the server serves on
     let client = StreamClient::connect(&addr, StreamClientConfig::default()).expect("reconnect");
     let result = client.query("100", StreamOpts::default()).expect("post-stall query");
     assert_eq!(result.items.len(), 100);

@@ -3,18 +3,18 @@
 //! bound answer before anything recurses that deep. (A stack overflow is
 //! not a panic, so no firewall catches it.)
 //!
-//! * PXN2: the text of a stream request is parsed by the coordinator —
-//!   deep texts get a `StreamError`, and the same connection then serves
-//!   the next query.
-//! * PXN1: an `Execute` frame carries the parsed query, a `Fetch` frame
-//!   may carry one as its filter; a frame whose tree is deeper than the
-//!   bound — in nodes, `for` clauses or path steps — is refused, and the
-//!   server goes on serving.
+//! * At a coordinator the text of a stream request is parsed — deep texts
+//!   get a `StreamError`, and the same connection then serves the next
+//!   query.
+//! * At a node an `Execute` call carries the parsed query, a `Fetch` call
+//!   may carry one as its filter; a `Call` frame whose tree is deeper than
+//!   the bound — in nodes, `for` clauses or path steps — is refused, and
+//!   the server goes on serving.
 
 use partix_engine::{MetaService, NetworkModel, PartiX};
 use partix_net::codec::Writer;
-use partix_net::frame::{read_frame, write_frame, FrameKind};
-use partix_net::message::{Request, Response};
+use partix_net::frame::{encode_frame, read_frame, FrameKind};
+use partix_net::message::{Call, Reply, Request, Response};
 use partix_net::{
     serve_coordinator, NodeServer, StreamCallError, StreamClient, StreamClientConfig, StreamOpts,
     StreamServerConfig,
@@ -23,6 +23,7 @@ use partix_path::{PathExpr, Step};
 use partix_query::ast::{Binding, Clause, Expr, PathSource, PathStart};
 use partix_query::{parse_query, Item, Query};
 use partix_storage::Database;
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -77,20 +78,22 @@ fn coordinator_answers_deep_texts_with_an_error_and_keeps_serving() {
 fn node_server_refuses_deep_query_frames_and_keeps_serving() {
     let mut server = NodeServer::bind("127.0.0.1:0", items_db()).unwrap();
     let one = || Expr::Num(1.0);
-    let execute = |expr| Request::Execute { query: Query { expr } }.encode();
+    let execute =
+        |expr| Call { stream: 1, request: Request::Execute { query: Query { expr } } }.encode();
     // 10 000 nested negations around a number, as the codec writes them
     // (built as bytes: this thread could not even drop such a tree)
     let mut negations = vec![6u8; 10_000];
     negations.push(3);
     negations.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
     let mut deep_frame = Writer::new();
+    deep_frame.put_u64(1);
     deep_frame.put_u8(0);
     deep_frame.put_bytes(&negations);
     // the same tree as the filter of a fetch: one codec, one bound
     let mut deep_filter = Writer::new();
-    deep_filter.put_u8(2);
+    deep_filter.put_u64(1);
+    deep_filter.put_u8(7);
     deep_filter.put_str("items");
-    deep_filter.put_bool(true);
     deep_filter.put_bytes(&negations);
     let deep = [
         deep_frame.into_bytes(),
@@ -110,18 +113,19 @@ fn node_server_refuses_deep_query_frames_and_keeps_serving() {
             path: PathExpr { absolute: false, steps: vec![Step::child("Item"); 10_000] },
         })),
     ];
-    for request in deep {
+    for call in deep {
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        write_frame(&mut conn, FrameKind::Request, &request).unwrap();
+        conn.write_all(&encode_frame(FrameKind::Call, &call)).unwrap();
         let (frame, _) = read_frame(&mut conn).unwrap().expect("an answer");
-        assert_eq!(frame.kind, FrameKind::Error);
+        assert_eq!(frame.kind, FrameKind::StreamError);
 
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
         let request = Request::Execute { query: parse_query(COUNT).unwrap() };
-        write_frame(&mut conn, FrameKind::Request, &request.encode()).unwrap();
+        let call = Call { stream: 2, request }.encode();
+        conn.write_all(&encode_frame(FrameKind::Call, &call)).unwrap();
         let (frame, _) = read_frame(&mut conn).unwrap().expect("an answer");
-        assert_eq!(frame.kind, FrameKind::Result);
-        match Response::decode(&frame.payload).unwrap() {
+        assert_eq!(frame.kind, FrameKind::Reply);
+        match Reply::decode(&frame.payload).unwrap().response {
             Response::Output(Some(out)) => assert_eq!(out.items, vec![Item::Num(4.0)]),
             other => panic!("unexpected {other:?}"),
         }

@@ -8,13 +8,13 @@
 
 use partix_net::codec::{self, Reader, Writer};
 use partix_net::frame::{
-    self, crc32, decode_frame, encode_frame, read_frame, FrameKind, ProtocolError, HEADER_LEN,
-    MAX_PAYLOAD, VERSION2,
+    self, crc32, encode_frame, read_frame, FrameKind, ProtocolError, HEADER_LEN, MAX_PAYLOAD,
+    VERSION,
 };
-use partix_net::message::{Request, Response, WireError};
+use partix_net::message::{Call, Reply, Request, Response, WireError};
 use partix_net::stream::{
-    CancelStream, ItemChunk, StreamAssembler, StreamEnd, StreamError, StreamOutcome, StreamQuery,
-    StreamStats, MAX_CHUNK_ITEMS,
+    ItemChunk, StreamAssembler, StreamEnd, StreamError, StreamOutcome, StreamQuery, StreamStats,
+    MAX_CHUNK_ITEMS,
 };
 use partix_query::parse_query;
 use partix_query::Item;
@@ -35,11 +35,13 @@ fn cases(default_cases: u32) -> ProptestConfig {
 
 fn arb_kind() -> impl Strategy<Value = FrameKind> {
     prop::sample::select(vec![
-        FrameKind::Request,
-        FrameKind::Result,
-        FrameKind::Error,
-        FrameKind::HealthPing,
-        FrameKind::HealthPong,
+        FrameKind::OpenStream,
+        FrameKind::ItemChunk,
+        FrameKind::StreamEnd,
+        FrameKind::StreamError,
+        FrameKind::CancelStream,
+        FrameKind::Call,
+        FrameKind::Reply,
     ])
 }
 
@@ -109,6 +111,8 @@ proptest! {
     fn frame_roundtrip(kind in arb_kind(), payload in arb_payload()) {
         let bytes = encode_frame(kind, &payload);
         prop_assert_eq!(bytes.len(), HEADER_LEN + payload.len());
+        prop_assert_eq!(&bytes[..4], b"PXN2");
+        prop_assert_eq!(bytes[4], VERSION);
         let (frame, consumed) = read_frame(&mut bytes.as_slice())
             .expect("own frame decodes")
             .expect("not EOF");
@@ -151,7 +155,11 @@ proptest! {
     }
 
     #[test]
-    fn request_roundtrip(text in arb_query_text(), docs in prop::collection::vec(arb_document(), 0..3)) {
+    fn request_and_call_roundtrip(
+        text in arb_query_text(),
+        docs in prop::collection::vec(arb_document(), 0..3),
+        stream in 0u64..u64::MAX,
+    ) {
         let query = parse_query(text).expect("strategy queries parse");
         for request in [
             Request::Execute { query: query.clone() },
@@ -160,17 +168,33 @@ proptest! {
             Request::Fetch { collection: "c".into(), filter: Some(query.clone()) },
             Request::Collections,
             Request::Drop { collection: "c".into() },
+            Request::Ping,
         ] {
             let bytes = request.encode();
             let back = Request::decode(&bytes).expect("own encoding decodes");
             // Request has no PartialEq (Document): byte-stability is the contract
-            prop_assert_eq!(back.encode(), bytes);
+            prop_assert_eq!(back.encode(), bytes.clone());
             prop_assert_eq!(back.idempotent(), request.idempotent());
+            // a call: the stream id, then the request's bytes as they are
+            let call = Call { stream, request }.encode();
+            prop_assert_eq!(&call[..8], &stream.to_le_bytes());
+            prop_assert_eq!(&call[8..], bytes.as_slice());
+            let back = Call::decode(&call).expect("own encoding decodes");
+            prop_assert_eq!(back.stream, stream);
+            prop_assert_eq!(back.encode(), call.clone());
+            // every proper prefix is a typed error
+            for cut in 0..call.len() {
+                prop_assert!(Call::decode(&call[..cut]).is_err(), "call prefix {cut}");
+            }
         }
     }
 
     #[test]
-    fn response_roundtrip(items in prop::collection::vec(arb_item(), 0..4), docs in prop::collection::vec(arb_document(), 0..3)) {
+    fn response_and_reply_roundtrip(
+        items in prop::collection::vec(arb_item(), 0..4),
+        docs in prop::collection::vec(arb_document(), 0..3),
+        stream in 0u64..u64::MAX,
+    ) {
         let output = QueryOutput {
             items: items.clone(),
             stats: QueryStats {
@@ -186,13 +210,25 @@ proptest! {
             Response::Output(Some(output)),
             Response::Output(None),
             Response::Stored,
-            Response::Docs(docs.clone()),
+            Response::Docs(docs.iter().cloned().map(std::sync::Arc::new).collect()),
             Response::Names(vec!["a".into(), "b".into()]),
             Response::Dropped,
+            Response::Written(3),
+            Response::Pong,
         ] {
             let bytes = response.encode();
             let back = Response::decode(&bytes).expect("own encoding decodes");
-            prop_assert_eq!(back.encode(), bytes);
+            prop_assert_eq!(back.encode(), bytes.clone());
+            // a reply: the stream id, then the response's bytes as they are
+            let reply = Reply { stream, response }.encode();
+            prop_assert_eq!(&reply[..8], &stream.to_le_bytes());
+            prop_assert_eq!(&reply[8..], bytes.as_slice());
+            let back = Reply::decode(&reply).expect("own encoding decodes");
+            prop_assert_eq!(back.stream, stream);
+            prop_assert_eq!(back.encode(), reply.clone());
+            for cut in 0..reply.len() {
+                prop_assert!(Reply::decode(&reply[..cut]).is_err(), "reply prefix {cut}");
+            }
         }
     }
 
@@ -217,11 +253,11 @@ proptest! {
     #![proptest_config(cases(96))]
 
     /// A hostile tenant header — control bytes, separators, oversized
-    /// names — decodes to a typed [`ProtocolError::Malformed`] on both
-    /// wire protocols, never a panic and never a silently accepted
-    /// identity. Valid names always round-trip.
+    /// names — decodes to a typed [`ProtocolError::Malformed`] in both
+    /// openings, never a panic and never a silently accepted identity.
+    /// Valid names always round-trip.
     #[test]
-    fn hostile_tenant_headers_are_typed_on_both_protocols(
+    fn hostile_tenant_headers_are_typed_in_both_openings(
         raw in prop::collection::vec((0usize..256).prop_map(|b| b as u8), 0..100),
         stream in 1u64..1000,
     ) {
@@ -229,17 +265,17 @@ proptest! {
         let valid = !tenant.is_empty()
             && tenant.len() <= 64
             && tenant.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-        // PXN1: ExecuteAs carries the header
+        // a call: ExecuteAs carries the header
         let query = parse_query(r#"collection("c")/x"#).unwrap();
-        let req = Request::ExecuteAs { tenant: tenant.clone(), query };
-        match Request::decode(&req.encode()) {
-            Ok(_) => prop_assert!(valid, "invalid tenant {tenant:?} decoded on PXN1"),
+        let call = Call { stream, request: Request::ExecuteAs { tenant: tenant.clone(), query } };
+        match Call::decode(&call.encode()) {
+            Ok(_) => prop_assert!(valid, "invalid tenant {tenant:?} decoded in a call"),
             Err(e) => {
-                prop_assert!(!valid, "valid tenant {tenant:?} rejected on PXN1: {e}");
+                prop_assert!(!valid, "valid tenant {tenant:?} rejected in a call: {e}");
                 prop_assert!(matches!(e, ProtocolError::Malformed(_)));
             }
         }
-        // PXN2: StreamQuery carries it (empty = anonymous, always fine)
+        // a stream: StreamQuery carries it (empty = anonymous, always fine)
         let sq = StreamQuery {
             stream,
             text: "1".into(),
@@ -251,12 +287,12 @@ proptest! {
         match StreamQuery::decode(&sq.encode()) {
             Ok(back) => {
                 prop_assert!(valid || tenant.is_empty(),
-                    "invalid tenant {tenant:?} decoded on PXN2");
+                    "invalid tenant {tenant:?} decoded in a stream");
                 prop_assert_eq!(back.tenant, tenant);
             }
             Err(e) => {
                 prop_assert!(!(valid || tenant.is_empty()),
-                    "valid tenant {tenant:?} rejected on PXN2: {e}");
+                    "valid tenant {tenant:?} rejected in a stream: {e}");
                 prop_assert!(matches!(e, ProtocolError::Malformed(_)));
             }
         }
@@ -333,7 +369,7 @@ proptest! {
 
     /// Unknown protocol versions and frame kinds are typed errors.
     #[test]
-    fn unknown_version_and_kind_are_typed_errors(kind in arb_kind(), version in 2usize..256, bogus_kind in 6usize..256) {
+    fn unknown_version_and_kind_are_typed_errors(kind in arb_kind(), version in 3usize..256, bogus_kind in 13usize..256) {
         let mut bytes = encode_frame(kind, b"payload");
         bytes[4] = version as u8;
         match read_frame(&mut bytes.as_slice()) {
@@ -356,6 +392,8 @@ proptest! {
         let _ = Request::decode(&payload);
         let _ = Response::decode(&payload);
         let _ = WireError::decode(&payload);
+        let _ = Call::decode(&payload);
+        let _ = Reply::decode(&payload);
         let mut r = Reader::new(&payload);
         let _ = codec::get_document(&mut r);
         let mut r = Reader::new(&payload);
@@ -409,17 +447,7 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------ PXN2 streams --
-
-fn arb_stream_kind() -> impl Strategy<Value = FrameKind> {
-    prop::sample::select(vec![
-        FrameKind::OpenStream,
-        FrameKind::ItemChunk,
-        FrameKind::StreamEnd,
-        FrameKind::StreamError,
-        FrameKind::CancelStream,
-    ])
-}
+// ----------------------------------------------------------- streams --
 
 fn arb_stream_query() -> impl Strategy<Value = StreamQuery> {
     (
@@ -491,10 +519,9 @@ fn arb_stream_step() -> impl Strategy<Value = StreamStep> {
 proptest! {
     #![proptest_config(cases(96))]
 
-    /// Every PXN2 payload type round-trips byte-exactly, and its frames
-    /// carry the v2 magic — v1 tooling can never half-read a stream.
+    /// Every stream payload type round-trips byte-exactly.
     #[test]
-    fn pxn2_payloads_roundtrip_and_frames_carry_v2_magic(
+    fn stream_payloads_roundtrip(
         q in arb_stream_query(),
         end in arb_stream_end(),
         items in prop::collection::vec(arb_item(), 0..4),
@@ -507,55 +534,25 @@ proptest! {
         prop_assert_eq!(back.stream, chunk.stream);
         prop_assert_eq!(back.seq, chunk.seq);
         let err = StreamError::failure(q.stream, retryable, "nó caiu");
-        prop_assert_eq!(StreamError::decode(&err.encode()).unwrap(), err);
-        let cancel = CancelStream { stream: q.stream };
-        prop_assert_eq!(CancelStream::decode(&cancel.encode()).unwrap(), cancel);
-
-        let bytes = encode_frame(FrameKind::OpenStream, &q.encode());
-        prop_assert_eq!(&bytes[..4], b"PXN2");
-        prop_assert_eq!(bytes[4], VERSION2);
-        let (frame, consumed) = decode_frame(&bytes).unwrap().expect("complete frame");
-        prop_assert_eq!(consumed, bytes.len());
-        prop_assert_eq!(frame.kind, FrameKind::OpenStream);
+        prop_assert_eq!(StreamError::decode(&err.encode()).unwrap(), err.clone());
+        // its body is the one typed failure, behind the stream id
+        prop_assert_eq!(err.encode()[8..].to_vec(), err.error.encode());
     }
 
-    /// The incremental decoder never yields a frame from a proper prefix
-    /// and never panics on one; appending the missing bytes always
-    /// completes the identical frame.
+    /// Hostile bytes against every stream payload decoder and the frame
+    /// reader: typed errors, never panics.
     #[test]
-    fn pxn2_incremental_decode_survives_any_split(
-        kind in arb_stream_kind(),
-        payload in arb_payload(),
-        cut_at in 0usize..65_536,
-    ) {
-        let bytes = encode_frame(kind, &payload);
-        let cut = cut_at % bytes.len();
-        match decode_frame(&bytes[..cut]) {
-            Ok(None) => {}
-            Ok(Some(_)) => prop_assert!(false, "prefix of {cut} bytes decoded as a frame"),
-            Err(e) => prop_assert!(false, "prefix of {cut} bytes errored: {e}"),
-        }
-        let (frame, consumed) = decode_frame(&bytes).unwrap().expect("full frame decodes");
-        prop_assert_eq!(consumed, bytes.len());
-        prop_assert_eq!(frame.kind, kind);
-        prop_assert_eq!(frame.payload, payload);
-    }
-
-    /// Hostile bytes against every PXN2 payload decoder: typed errors,
-    /// never panics.
-    #[test]
-    fn pxn2_random_bytes_never_panic_decoders(payload in arb_payload()) {
+    fn random_bytes_never_panic_stream_decoders(payload in arb_payload()) {
         let _ = StreamQuery::decode(&payload);
         let _ = ItemChunk::decode(&payload);
         let _ = StreamEnd::decode(&payload);
         let _ = StreamError::decode(&payload);
-        let _ = CancelStream::decode(&payload);
-        let _ = decode_frame(&payload);
+        let _ = read_frame(&mut payload.as_slice());
     }
 
-    /// Every proper prefix of a valid PXN2 payload is a typed error.
+    /// Every proper prefix of a valid stream payload is a typed error.
     #[test]
-    fn pxn2_truncated_payloads_are_typed_errors(q in arb_stream_query(), end in arb_stream_end()) {
+    fn truncated_stream_payloads_are_typed_errors(q in arb_stream_query(), end in arb_stream_end()) {
         let bytes = q.encode();
         for cut in 0..bytes.len() {
             prop_assert!(StreamQuery::decode(&bytes[..cut]).is_err(), "query prefix {cut}");
@@ -572,7 +569,7 @@ proptest! {
     /// `Complete` outcome is only reachable through consecutive sequence
     /// numbers with truthful totals.
     #[test]
-    fn pxn2_assembler_rejects_every_out_of_contract_interleaving(
+    fn assembler_rejects_every_out_of_contract_interleaving(
         target in 0u64..4,
         steps in prop::collection::vec(arb_stream_step(), 0..24),
     ) {
@@ -652,7 +649,7 @@ proptest! {
 /// the payload decoder *and* the assembler — the per-chunk allocation
 /// bound a hostile coordinator cannot talk its way around.
 #[test]
-fn pxn2_oversized_chunk_is_rejected() {
+fn oversized_chunk_is_rejected() {
     let oversized = ItemChunk {
         stream: 1,
         seq: 0,
@@ -665,17 +662,52 @@ fn pxn2_oversized_chunk_is_rejected() {
     assert!(asm.items().is_empty(), "oversized chunk leaked items into the assembly");
 }
 
-/// A v2 frame whose version byte claims v1 (or vice versa) is rejected:
-/// magic and version are paired, so kind numbers can never be confused
-/// across protocol generations.
+/// A frame of the retired `PXN1` protocol — here the health ping and the
+/// `Collections` request a peer of the previous build opens with — is
+/// refused by a typed error that names it, at a node and at a coordinator
+/// alike: a best-effort `StreamError` under stream id 0, then the
+/// connection is closed, not left hanging.
 #[test]
-fn pxn2_magic_version_mispairing_is_rejected() {
-    let mut bytes = encode_frame(FrameKind::CancelStream, &CancelStream { stream: 9 }.encode());
-    bytes[4] = 1; // PXN2 magic, v1 version byte
-    assert!(decode_frame(&bytes).is_err());
-    let mut bytes = encode_frame(FrameKind::HealthPing, b"");
-    bytes[4] = VERSION2; // PXN1 magic, v2 version byte
-    assert!(decode_frame(&bytes).is_err());
+fn a_pxn1_frame_gets_a_typed_error_naming_it_and_a_closed_connection() {
+    use partix_engine::{NetworkModel, PartiX};
+    use std::io::{Read, Write};
+
+    let pxn1 = |kind: u8, payload: &[u8]| {
+        let mut frame = encode_frame(FrameKind::CancelStream, payload);
+        frame[..6].copy_from_slice(&[b'P', b'X', b'N', b'1', 1, kind]);
+        frame
+    };
+    let err = read_frame(&mut pxn1(4, b"").as_slice()).unwrap_err();
+    assert_eq!(err, ProtocolError::BadMagic(*b"PXN1"));
+    assert!(err.to_string().contains("PXN1"), "{err}");
+
+    let node = partix_net::NodeServer::bind(
+        "127.0.0.1:0",
+        std::sync::Arc::new(partix_storage::Database::new()),
+    )
+    .unwrap();
+    let coordinator = partix_net::serve_coordinator(
+        "127.0.0.1:0",
+        std::sync::Arc::new(PartiX::new(1, NetworkModel::instantaneous())),
+        partix_net::StreamServerConfig::default(),
+    )
+    .unwrap();
+    for addr in [node.local_addr(), coordinator.addr()] {
+        for frame in [pxn1(4, b""), pxn1(1, &Request::Collections.encode())] {
+            let mut sock = std::net::TcpStream::connect(addr).unwrap();
+            sock.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+            sock.write_all(&frame).unwrap();
+            let (answer, _) = read_frame(&mut sock).unwrap().expect("a typed answer");
+            assert_eq!(answer.kind, FrameKind::StreamError);
+            let fault = StreamError::decode(&answer.payload).unwrap();
+            assert_eq!(fault.stream, 0);
+            assert!(!fault.error.retryable);
+            assert!(fault.error.message.contains("PXN1"), "{}", fault.error.message);
+            // closed: end of file (a timeout here would be a hang)
+            let mut rest = Vec::new();
+            assert_eq!(sock.read_to_end(&mut rest).unwrap(), 0);
+        }
+    }
 }
 
 /// The CRC implementation matches the IEEE reference vector, pinning the
@@ -684,5 +716,5 @@ fn pxn2_magic_version_mispairing_is_rejected() {
 fn crc32_reference_vector() {
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     assert_eq!(crc32(b""), 0);
-    assert_eq!(frame::MAGIC, *b"PXN1");
+    assert_eq!(frame::MAGIC, *b"PXN2");
 }

@@ -154,7 +154,7 @@ impl From<std::io::Error> for WalError {
 // Record codec
 // ---------------------------------------------------------------------
 
-/// CRC-32 (IEEE, reflected) over `bytes` — same polynomial as the PXN1
+/// CRC-32 (IEEE, reflected) over `bytes` — same polynomial as the wire's
 /// frame checksum, reimplemented here so `partix-storage` stays free of
 /// a `partix-net` dependency.
 pub fn crc32(bytes: &[u8]) -> u32 {

@@ -48,13 +48,14 @@ fi
 # and nothing else would notice breaking. By name, so that renaming or
 # filtering them away fails the gate: the sliced CRC-32 against the
 # bytewise reference (every length 0..=256 at every alignment, answer-sized
-# buffers, the IEEE vectors), the golden `Result` and `ItemChunk` frames
-# written by the encoder this one replaced (the wire is byte-identical, so
-# an older peer still interoperates), and the page writer against the
-# format spelled out field by field.
+# buffers, the IEEE vectors), the golden `ItemChunk` frame written by the
+# encoder this one replaced (the coordinator wire is byte-identical, so an
+# older client still interoperates) and the golden `Reply` frame (that
+# encoder's node answer behind a stream id), and the page writer against
+# the format spelled out field by field.
 for name in frame::tests::crc32_sliced_equals_bytewise_reference \
     frame::tests::crc32_known_vectors \
-    golden::result_frame_is_reproduced_bit_for_bit \
+    golden::reply_frame_is_reproduced_bit_for_bit \
     golden::item_chunk_frame_is_reproduced_bit_for_bit; do
     if ! cargo test -q -p partix-net --lib --offline "$name" \
         | grep -q "test result: ok. 1 passed"; then
@@ -105,12 +106,12 @@ for name in reconstruction_fetches_what_the_query_reads \
     fi
 done
 
-# streaming gate: the PXN2 streamed-vs-buffered differential (every
-# query family, hot and cold caches, seeded faults, coordinator killed
+# streaming gate: the streamed-vs-buffered differential (every query
+# family, hot and cold caches, seeded faults, coordinator killed
 # mid-stream), the coordinator-replication failover differential (three
 # coordinators, one killed mid-workload, epoch convergence after a
-# rebalance), and the slow-reader backpressure suite (bounded send
-# queues, per-stream isolation). The PXN2 frame/assembler property
+# rebalance), and the slow-reader backpressure suite (a reader that
+# stopped stalls only its own connection). The frame/assembler property
 # tests run inside `-p partix-net` above.
 cargo test -q --test streaming_differential --offline
 cargo test -q --test coordinator_failover --offline
@@ -134,7 +135,7 @@ cargo test -q --test write_differential --offline
 # DRR scheduler, admission controller), the multitenant differential
 # suite (admitted answers vs the centralized oracle under floods and
 # seeded faults, typed rejections with retry hints, result-cache
-# hygiene — in-process and over both wire protocols), and the
+# hygiene — in-process and at both endpoints of the wire), and the
 # warehouse→advisor suite (frequency mining over the star-query log
 # feeding re-split candidates that pass the formal
 # completeness/disjointness check and migrate live).
@@ -158,7 +159,7 @@ cargo test -q -p partix-storage --offline morsel
 # its pushed-down predicate — and the generator check that keeps those
 # shares from drying up), the nesting-depth regression
 # (deep texts are a typed error on a 2 MiB thread — in the parsers and
-# over both wire protocols — where they used to abort the process), and
+# at both endpoints of the wire — where they used to abort the process), and
 # the allocation guard (a document the where clause rejects costs no
 # heap allocation; its own binary, the counter is process-wide). The
 # hostile-input suite for the XQuery lexer and parser runs beside them.
@@ -249,13 +250,41 @@ if grep -rnE 'FilteredView|MorselView|fn collection_filtered' crates/*/src; then
     exit 1
 fi
 
-# one woken server, one checksum: the stream server's sleep-poll loop
-# stays deleted (no sleep, no timed wait, no nonblocking socket outside its
-# tests), and crates/net has one `crc32` outside test modules.
+# one transport, one checksum. Over crates/net/src outside test modules:
+# the retired protocol, the queue, the worker pool and the demux thread
+# stay deleted (no PXN1 in code but the magic `frame.rs` refuses by name;
+# no condvar, no channel, no sleep, no timed wait, no nonblocking socket),
+# there is one listener, one accept loop and one dial site (the other
+# `connect_timeout` is the server waking its own `accept` at shutdown),
+# and the crate stays within its line budget.
 non_test() { sed '/^#\[cfg(test)\]/,$d' "$@"; }
-if non_test crates/net/src/stream_server.rs \
-    | grep -nE 'thread::sleep|poll_interval|wait_timeout|set_nonblocking'; then
-    echo "verify: FAIL — a sleep or timed poll reappeared in stream_server.rs" >&2
+net_code() {
+    for file in crates/net/src/*.rs; do
+        non_test "$file" | sed "s|^|$file:|"
+    done | grep -vE '^[^:]+:[[:space:]]*//'
+}
+if net_code | grep 'PXN1' | grep -vE 'RETIRED_MAGIC|protocol is retired'; then
+    echo "verify: FAIL — PXN1 reappeared in crates/net/src" >&2
+    exit 1
+fi
+if net_code | grep -E 'Condvar|crossbeam::channel|thread::sleep|wait_timeout|set_nonblocking'; then
+    echo "verify: FAIL — a queue, a sleep or a timed poll reappeared in crates/net/src" >&2
+    exit 1
+fi
+for once in 'TcpListener::bind\(' '\.accept\(\)'; do
+    if [ "$(net_code | grep -cE "$once")" -ne 1 ]; then
+        echo "verify: FAIL — crates/net/src has not exactly one $once" >&2
+        exit 1
+    fi
+done
+DIALS="$(net_code | grep 'connect_timeout(' | cut -d: -f1 | sort | tr '\n' ' ')"
+if [ "$DIALS" != "crates/net/src/client.rs crates/net/src/server.rs " ]; then
+    echo "verify: FAIL — connect_timeout( outside the client's dial and the server's shutdown: $DIALS" >&2
+    exit 1
+fi
+NET_LINES="$(for file in crates/net/src/*.rs; do non_test "$file"; done | wc -l)"
+if [ "$NET_LINES" -gt 3500 ]; then
+    echo "verify: FAIL — crates/net/src is $NET_LINES lines outside tests (budget 3500)" >&2
     exit 1
 fi
 CRC_IMPLS=0

@@ -301,7 +301,6 @@ fn pxn1_loopback_gates_tenants_with_typed_wire_errors() {
                 registry,
                 controller: AdmissionController::default(),
             })),
-            ..ServerConfig::default()
         },
     )
     .expect("bind node server");
