@@ -26,15 +26,17 @@
 //! has to refuse. [`encode_frame`] is the same two steps around a payload
 //! that already exists.
 //!
-//! The checksum is one kernel, [`crc32`]: slicing-by-8 over `const`
-//! tables (eight table steps per eight input bytes instead of one per
-//! byte), the IEEE polynomial, safe Rust, the same on every CPU. An
-//! answer is checksummed at each end of each hop, so this is paid four
-//! times per byte between a node and a client. Every way a peer can deviate — wrong magic,
-//! unknown version or kind, oversized length, short read, corrupted
-//! payload — surfaces as a typed [`ProtocolError`], never a panic: a
-//! malformed peer must not be able to take down a coordinator or a node
-//! server.
+//! The checksum is the workspace's one kernel, [`crc32`], re-exported
+//! from `partix_storage` (which seals WAL records with it): the IEEE
+//! polynomial, slicing-by-8 over four independent 1 KiB lanes per 4 KiB
+//! block, joined by a compile-time GF(2) shift; safe Rust, the same bytes
+//! on every CPU. An answer is checksummed at each end of each hop, so this
+//! is paid four times per byte between a node and a client.
+//!
+//! Every way a peer can deviate — wrong magic, unknown version or kind,
+//! oversized length, short read, corrupted payload — surfaces as a typed
+//! [`ProtocolError`], never a panic: a malformed peer must not be able to
+//! take down a coordinator or a node server.
 //!
 //! There is one protocol, "PXN2", and every payload starts with a
 //! client-chosen 64-bit *stream id*. An opening frame — a
@@ -50,6 +52,8 @@
 
 use std::fmt;
 use std::io::{self, Read};
+
+pub use partix_storage::crc32;
 
 /// Frame magic: "PXN2" (PartiX Net, protocol 2).
 pub const MAGIC: [u8; 4] = *b"PXN2";
@@ -184,57 +188,6 @@ impl From<io::Error> for ProtocolError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `data`,
-/// eight bytes per step: `TABLES[k][b]` is the CRC of byte `b` followed
-/// by `k` zero bytes, so the eight lookups of a step are independent of
-/// each other and only their XOR feeds the next step.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLES: [[u32; 256]; 8] = crc32_tables();
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][w[4] as usize]
-            ^ TABLES[2][w[5] as usize]
-            ^ TABLES[1][w[6] as usize]
-            ^ TABLES[0][w[7] as usize];
-    }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
 /// Start a frame of `kind` in a fresh buffer: the header, with the
 /// payload length and checksum left blank for `seal_frame`. The payload
 /// is appended after it.
@@ -331,64 +284,6 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    /// The bytewise table walk the sliced kernel replaced: the reference.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            }
-            *slot = crc;
-        }
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in data {
-            crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
-        }
-        !crc
-    }
-
-    /// Seeded xorshift bytes: the differential needs no particular
-    /// distribution, only that it repeats.
-    fn noise(len: usize, mut seed: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len + 8);
-        while out.len() < len {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            out.extend_from_slice(&seed.to_le_bytes());
-        }
-        out.truncate(len);
-        out
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // standard IEEE test vector
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
-        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
-    }
-
-    #[test]
-    fn crc32_sliced_equals_bytewise_reference() {
-        // every length around the eight-byte step, at every alignment
-        let buf = noise(8 + 256, 0x9E37_79B9_7F4A_7C15);
-        for offset in 0..8 {
-            for len in 0..=256 {
-                let data = &buf[offset..offset + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "offset {offset}, len {len}");
-            }
-        }
-        // answer-sized buffers, odd lengths included
-        for (seed, len) in [(1, 64 << 10), (2, (256 << 10) + 3), (3, (640 << 10) + 5), (4, 1 << 20)] {
-            let data = noise(len, seed);
-            assert_eq!(crc32(&data), crc32_bytewise(&data), "{len} B");
-        }
-    }
-
     #[test]
     fn sealing_checks_the_cap_at_the_sender() {
         let mut over = begin_frame(FrameKind::Reply);
@@ -436,6 +331,22 @@ mod tests {
         bytes[last] ^= 0x40;
         let err = read_frame(&mut Cursor::new(&bytes)).unwrap_err();
         assert!(matches!(err, ProtocolError::ChecksumMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_flipped_byte_in_any_lane_of_a_large_frame_fails_checksum() {
+        // two 4 KiB blocks of four 1 KiB lanes and a tail: one flipped byte
+        // in any lane, or in the tail, is caught before the codec sees it
+        let payload: Vec<u8> = (0..2 * 4096 + 100u32).map(|i| (i * 31 + i / 7) as u8).collect();
+        let good = encode_frame(FrameKind::ItemChunk, &payload);
+        assert_eq!(read_frame(&mut Cursor::new(&good)).unwrap().unwrap().0.payload, payload);
+        let flips = (0..8).map(|lane| lane * 1024 + 517).chain([2 * 4096 + 99]);
+        for at in flips {
+            let mut bytes = good.clone();
+            bytes[HEADER_LEN + at] ^= 0x20;
+            let err = read_frame(&mut Cursor::new(&bytes)).unwrap_err();
+            assert!(matches!(err, ProtocolError::ChecksumMismatch { .. }), "byte {at}: {err}");
+        }
     }
 
     #[test]

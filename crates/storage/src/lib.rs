@@ -30,7 +30,11 @@
 //! * **Write-ahead logging** ([`wal`]): online writes run through an
 //!   append → fsync → apply pipeline ([`DurableDb`]), so a node killed
 //!   mid-write replays its log on restart and comes back consistent.
+//! * **The one checksum** ([`crc32`]): CRC-32 over four independent
+//!   slicing lanes, sealing every WAL record here and every wire frame in
+//!   `partix-net`.
 
+mod crc;
 pub mod db;
 pub mod exec;
 pub mod index;
@@ -38,6 +42,7 @@ pub mod parallel;
 pub mod persist;
 pub mod wal;
 
+pub use crc::crc32;
 pub use db::{Collection, Database, StorageError, StorageMode};
 pub use exec::{QueryOutput, QueryStats};
 pub use parallel::{MorselConfig, MAX_MORSEL_WORKERS};

@@ -26,8 +26,11 @@
 //! directory with [`DurableDb::open`].
 //!
 //! Record layout (all little-endian): `[len: u32][crc32: u32][payload]`,
-//! one record per write, `crc32` covering the payload.
+//! one record per write, `crc32` covering the payload. The checksum is
+//! [`crate::crc32`], the same kernel that seals wire frames; a record is
+//! verified before its payload is decoded.
 
+use crate::crc32;
 use crate::db::{Database, StorageError};
 use parking_lot::Mutex;
 use partix_xml::{binary, Document};
@@ -153,20 +156,6 @@ impl From<std::io::Error> for WalError {
 // ---------------------------------------------------------------------
 // Record codec
 // ---------------------------------------------------------------------
-
-/// CRC-32 (IEEE, reflected) over `bytes` — same polynomial as the wire's
-/// frame checksum, reimplemented here so `partix-storage` stays free of
-/// a `partix-net` dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (0u32.wrapping_sub(crc & 1)));
-        }
-    }
-    !crc
-}
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -550,6 +539,47 @@ mod tests {
         }
     }
 
+    /// A `Put` whose page is over 4 KiB for `words` ≥ 1 000, so its record
+    /// checksum runs the kernel's lanes (about 5.5 B of page per word).
+    fn big_put(name: &str, words: usize) -> WriteOp {
+        let text: String = (0..words).map(|i| format!("w{i} ")).collect();
+        WriteOp::Put {
+            collection: "items".into(),
+            doc: named(
+                name,
+                &format!("<Item><Section>BIG</Section><Description>{text}</Description></Item>"),
+            ),
+        }
+    }
+
+    /// The checksum WAL records were sealed with through PR 20, bit at a
+    /// time: the reference the shared kernel must agree with on disk.
+    fn retired_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (0u32.wrapping_sub(crc & 1)));
+            }
+        }
+        !crc
+    }
+
+    /// Seeded splitmix64: the sweeps need repeatable, not good, numbers.
+    fn splitmix(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    fn proptest_cases() -> u64 {
+        std::env::var("PARTIX_PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(32)
+    }
+
     fn state(db: &Database) -> Vec<(String, Vec<String>)> {
         db.collection_names()
             .into_iter()
@@ -769,20 +799,9 @@ mod tests {
     fn torn_offsets_fuzzed_against_real_files() {
         // proptest-style seeded sweep over (op count, cut offset) pairs
         // against a real on-disk file, sized by PARTIX_PROPTEST_CASES
-        let cases: u64 = std::env::var("PARTIX_PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(32);
         let dir = tmp_dir("fuzz");
-        let mut seed = 0x7E57_0FF5_E75u64;
-        let mut next = move || {
-            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for case in 0..cases {
+        let mut next = splitmix(0x07E5_70FF_5E75);
+        for case in 0..proptest_cases() {
             let n_ops = 1 + (next() % 5) as usize;
             let ops: Vec<WriteOp> = (0..n_ops)
                 .map(|i| {
@@ -811,5 +830,127 @@ mod tests {
             );
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_sealed_by_the_retired_bit_loop_replays_record_for_record() {
+        // written at the parent commit by its `encode_record`, whose CRC was
+        // `retired_crc32`: small records and Puts over one and two 4 KiB
+        // blocks, so both the lanes and the tail of the kernel check it
+        let parent = include_bytes!("../tests/fixtures/wal_sealed_by_bit_loop.log");
+        let ops = [
+            put("i1", "CD"),
+            big_put("b1", 1_000),
+            WriteOp::Delete { collection: "items".into(), name: "i1".into() },
+            big_put("b2", 1_600),
+            put("i2", "DVD"),
+        ];
+        let (replayed, report) = replay_bytes(parent);
+        assert_eq!(replayed, ops);
+        assert_eq!((report.valid_bytes as usize, report.torn), (parent.len(), false));
+        // the disk format is byte-identical: the records are rewritten bit
+        // for bit, and each one's checksum is the retired loop's
+        let mut at = 0;
+        for op in &ops {
+            let record = encode_record(op);
+            assert_eq!(record[..], parent[at..at + record.len()], "{op}");
+            assert_eq!(record[4..8], retired_crc32(&record[8..]).to_le_bytes(), "{op}");
+            at += record.len();
+        }
+        assert!(encode_op(&ops[1]).len() > 4096 && encode_op(&ops[3]).len() > 2 * 4096);
+    }
+
+    #[test]
+    fn hostile_bytes_replay_a_prefix_and_never_panic() {
+        // seeded sweep, sized by PARTIX_PROPTEST_CASES: logs mixing small
+        // records with Puts of 1–3 lane blocks, then noise, a bit flip, a
+        // truncation or a spliced record. Replay stops at the first record
+        // the damage reaches and returns exactly the records before it.
+        let mut next = splitmix(0xC0FF_EE21);
+        for case in 0..proptest_cases() {
+            let n_ops = 2 + (next() % 5) as usize;
+            let ops: Vec<WriteOp> = (0..n_ops)
+                .map(|i| match next() % 3 {
+                    0 => big_put(&format!("b{i}"), 1_000 + (next() % 1_600) as usize),
+                    1 => put(&format!("d{i}"), ["CD", "DVD", "BOOK"][(next() % 3) as usize]),
+                    _ => {
+                        WriteOp::Delete { collection: "items".into(), name: format!("d{}", i / 2) }
+                    }
+                })
+                .collect();
+            let mut log = Vec::new();
+            let mut boundaries = vec![0usize];
+            for op in &ops {
+                log.extend_from_slice(&encode_record(op));
+                boundaries.push(log.len());
+            }
+            let at = (next() % log.len() as u64) as usize;
+            let mut bent = log.clone();
+            let what = match next() % 5 {
+                0 => {
+                    let end = (at + 1 + (next() % 64) as usize).min(log.len());
+                    bent[at..end].iter_mut().for_each(|b| *b = next() as u8);
+                    "noise"
+                }
+                1 => {
+                    bent.extend((0..1 + next() % 64).map(|_| next() as u8));
+                    "trailing noise"
+                }
+                2 => {
+                    bent[at] ^= 1 << (next() % 8);
+                    "bit flip"
+                }
+                3 => {
+                    bent.truncate(at);
+                    "truncation"
+                }
+                _ => {
+                    // a record cut mid-way, a whole record after it
+                    let cut = if boundaries.contains(&at) { at + 1 } else { at };
+                    let j = (next() % n_ops as u64) as usize;
+                    bent.truncate(cut);
+                    bent.extend_from_slice(&log[boundaries[j]..boundaries[j + 1]]);
+                    "splice"
+                }
+            };
+            let common = bent.len().min(log.len());
+            let first_change = (0..common).find(|&i| bent[i] != log[i]).unwrap_or(common);
+            let expect = boundaries.iter().filter(|&&b| b <= first_change).count() - 1;
+            let (replayed, report) = replay_bytes(&bent);
+            assert_eq!(replayed[..], ops[..expect], "case {case}: {what} at {at}");
+            assert_eq!(report.valid_bytes as usize, boundaries[expect], "case {case}: {what}");
+        }
+    }
+
+    #[test]
+    fn a_resealed_hostile_payload_is_a_value_or_the_end_never_a_panic() {
+        // the checksum guards the decoder from damage; this hands the
+        // decoder damage that passed it (noise under a recomputed CRC):
+        // replay keeps every record before, and the one hit either decodes
+        // to some op or ends the replay there
+        let mut next = splitmix(0x005E_A1ED);
+        for case in 0..proptest_cases() {
+            let words = 1_000 + (next() % 800) as usize;
+            let ops = [put("i1", "CD"), big_put("b1", words), put("i2", "LP")];
+            let hit = (next() % 3) as usize;
+            let mut log = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                let mut payload = encode_op(op);
+                if i == hit {
+                    for _ in 0..1 + next() % 4 {
+                        let at = (next() % payload.len() as u64) as usize;
+                        payload[at] = next() as u8;
+                    }
+                }
+                log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                log.extend_from_slice(&crc32(&payload).to_le_bytes());
+                log.extend_from_slice(&payload);
+            }
+            let (replayed, _) = replay_bytes(&log);
+            assert_eq!(replayed[..hit], ops[..hit], "case {case}");
+            if replayed.len() > hit {
+                assert_eq!(replayed[hit + 1..], ops[hit + 1..], "case {case}");
+            }
+        }
     }
 }
