@@ -1,59 +1,9 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Provides the two pieces this workspace uses:
-//!
-//! * [`thread::scope`] — crossbeam-style scoped threads (the spawn
-//!   closure receives a `&Scope`), implemented over `std::thread::scope`;
-//! * [`channel`] — cloneable MPMC channels with bounded (blocking) and
-//!   unbounded flavors, implemented with a mutex-protected deque and
-//!   condition variables.
-
-pub mod thread {
-    use std::any::Any;
-    use std::thread as stdthread;
-
-    /// Panic payload of a child thread, as returned by [`ScopedJoinHandle::join`].
-    pub type ThreadError = Box<dyn Any + Send + 'static>;
-
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope stdthread::Scope<'scope, 'env>,
-    }
-
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: stdthread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        pub fn join(self) -> Result<T, ThreadError> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner: &'scope stdthread::Scope<'scope, 'env> = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner })),
-            }
-        }
-    }
-
-    /// Run `f` with a scope in which borrowed-data threads can be
-    /// spawned; all threads are joined before `scope` returns. Unlike
-    /// upstream crossbeam this cannot observe unjoined-child panics as
-    /// an `Err` (std's scope propagates them as a panic instead), so the
-    /// `Result` is `Ok` whenever it returns.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, ThreadError>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(stdthread::scope(|s| f(&Scope { inner: s })))
-    }
-}
+//! Provides the one piece this workspace uses: [`channel`] — cloneable
+//! MPMC channels with bounded (blocking) and unbounded flavors,
+//! implemented with a mutex-protected deque and condition variables.
+//! Only test code calls it.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -310,20 +260,6 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn scope_joins_and_returns() {
-        let data = vec![1, 2, 3];
-        let total = crate::thread::scope(|scope| {
-            let handles: Vec<_> = data
-                .iter()
-                .map(|&x| scope.spawn(move |_| x * 2))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum::<i32>()
-        })
-        .unwrap();
-        assert_eq!(total, 12);
-    }
-
     #[test]
     fn bounded_channel_mpmc() {
         let (tx, rx) = crate::channel::bounded::<usize>(2);

@@ -6,8 +6,8 @@
 //! remote site in a real deployment), each draining a bounded task
 //! queue. Concurrent `PartiX::execute` calls share the same workers; the
 //! bounded queues provide backpressure instead of unbounded thread
-//! growth. Every node call of the query path — a sub-query attempt or a
-//! reconstruction fetch — is one job.
+//! growth. A node call of the query path is one job, but for the one a
+//! caller would sleep on: it runs that itself ([`WorkerPool::run_here`]).
 //!
 //! Each node's queue is a [`DrrScheduler`]: one FIFO lane per
 //! [`PriorityClass`], drained deficit-round-robin so an aggressive
@@ -29,7 +29,8 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Sizing knobs for the per-node worker pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Worker threads per node (≥ 1).
+    /// Slots per node (≥ 1): how many of its attempts run at once, on its
+    /// workers (one per slot) or on callers ([`WorkerPool::run_here`]).
     pub workers_per_node: usize,
     /// Bounded depth of each node's task queue (across all priority
     /// classes); submissions beyond this block, providing backpressure
@@ -72,6 +73,8 @@ impl Drop for DepthGuard {
 
 struct QueueState {
     jobs: DrrScheduler<Job>,
+    /// Slots taken, by workers running jobs and by callers.
+    busy: usize,
     /// Cleared at shutdown; workers then drain what is queued and exit.
     open: bool,
 }
@@ -81,6 +84,7 @@ struct NodeShared {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    slots: usize,
 }
 
 /// Fixed per-node worker threads draining bounded, weighted-fair task
@@ -103,11 +107,13 @@ impl WorkerPool {
                 Arc::new(NodeShared {
                     state: Mutex::new(QueueState {
                         jobs: DrrScheduler::new(),
+                        busy: 0,
                         open: true,
                     }),
                     not_empty: Condvar::new(),
                     not_full: Condvar::new(),
                     capacity,
+                    slots: workers_per_node,
                 })
             })
             .collect();
@@ -163,12 +169,36 @@ impl WorkerPool {
         reg.counter("pool.jobs.submitted").inc();
         true
     }
+
+    /// Run `f` on the calling thread in one of `node`'s slots: the
+    /// attempt the caller would otherwise submit and sleep on. `None`,
+    /// without running `f`, while a job is queued on the node (a caller
+    /// never overtakes one, whatever its class) or every slot is busy.
+    pub fn run_here<R>(&self, node: usize, f: impl FnOnce() -> R) -> Option<R> {
+        let shared = self.nodes.get(node)?;
+        let mut state = shared.state.lock().expect("pool queue lock");
+        if state.busy >= shared.slots || !state.jobs.is_empty() {
+            return None;
+        }
+        state.busy += 1;
+        drop(state);
+        metrics::global().counter("pool.jobs.on_caller").inc();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let mut state = shared.state.lock().expect("pool queue lock");
+        state.busy -= 1;
+        if !state.jobs.is_empty() {
+            shared.not_empty.notify_one(); // the freed slot is theirs
+        }
+        Some(result.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+    }
 }
 
 fn worker_loop(shared: &NodeShared) {
     let mut state = shared.state.lock().expect("pool queue lock");
     loop {
-        if let Some((_, job)) = state.jobs.pop() {
+        // a slot first, then a job
+        if let Some((_, job)) = (state.busy < shared.slots).then(|| state.jobs.pop()).flatten() {
+            state.busy += 1;
             drop(state);
             shared.not_full.notify_one();
             // A panicking job must not take the worker down with it —
@@ -177,9 +207,10 @@ fn worker_loop(shared: &NodeShared) {
             // depth gauges stay balanced.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
             state = shared.state.lock().expect("pool queue lock");
+            state.busy -= 1;
             continue;
         }
-        if !state.open {
+        if !state.open && state.jobs.is_empty() {
             return; // drained after shutdown
         }
         state = shared.not_empty.wait(state).expect("pool queue lock");
@@ -314,6 +345,58 @@ mod tests {
             }
         } // drop: workers must finish everything already queued
         assert_eq!(counter.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn run_here_refuses_while_a_job_is_queued_or_every_slot_is_busy() {
+        let cluster = Cluster::new(1);
+        let pool = WorkerPool::new(
+            &cluster,
+            PoolConfig { workers_per_node: 1, queue_capacity: 8 },
+        );
+        assert_eq!(pool.run_here(0, || 7), Some(7));
+        assert_eq!(pool.run_here(3, || 7), None, "node out of range");
+        // the sole worker takes the node's only slot and parks in a job
+        let (started_tx, started_rx) = unbounded();
+        let (gate_tx, gate_rx) = unbounded::<()>();
+        assert!(pool.submit(0, STD, Box::new(move || {
+            started_tx.send(()).unwrap();
+            gate_rx.recv().unwrap();
+        })));
+        started_rx.recv().unwrap();
+        assert_eq!(pool.run_here(0, || ()), None, "every slot is busy");
+        let (tx, rx) = unbounded();
+        assert!(pool.submit(0, STD, Box::new(move || tx.send(()).unwrap())));
+        // hand the slot back while the worker stays parked: the queued
+        // job alone keeps the caller out
+        pool.nodes[0].state.lock().unwrap().busy -= 1;
+        assert_eq!(pool.run_here(0, || ()), None, "a job is queued");
+        pool.nodes[0].state.lock().unwrap().busy += 1;
+        gate_tx.send(()).unwrap();
+        rx.recv().unwrap();
+    }
+
+    #[test]
+    fn a_job_queued_behind_a_callers_slot_runs_once_the_caller_releases_it() {
+        let cluster = Cluster::new(1);
+        let pool = WorkerPool::new(
+            &cluster,
+            PoolConfig { workers_per_node: 1, queue_capacity: 8 },
+        );
+        let on_caller = metrics::global().counter("pool.jobs.on_caller");
+        let before = on_caller.get();
+        let (tx, rx) = unbounded();
+        let waited = pool.run_here(0, || {
+            assert!(pool.submit(0, STD, Box::new(move || tx.send(()).unwrap())));
+            // the caller holds the node's only slot: the job must wait
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            rx.try_recv().is_err()
+        });
+        assert_eq!(waited, Some(true), "the job ran in the caller's slot");
+        // releasing the slot wakes the worker: no second submission needed
+        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)), Ok(()));
+        // the registry is process-global: a delta, not a total
+        assert!(on_caller.get() > before);
     }
 
     #[test]

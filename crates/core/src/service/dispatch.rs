@@ -2,14 +2,14 @@
 //!
 //! [`PartiX::gather`] runs a plan's tasks — sub-queries and fetches,
 //! filtered or whole, alike — and collects their outcomes in completion
-//! order; each task runs [`PartiX::run_subquery`]'s retry /
-//! failover / deadline loop, whose every attempt ends in
-//! [`run_on_node`] — the only function on the query path that calls
-//! into a node.
+//! order. Each task's retry / failover / deadline loop is a [`Flight`]
+//! the gathering thread advances itself, each attempt ending in
+//! [`run_on_node`] — the only function on the query path that calls into
+//! a node, behind the panic firewall.
 
 use super::error::stream_cancelled;
 use super::plan::{Compose, Plan, Task, TaskOp};
-use super::{DispatchMode, ExecOptions, PartiX, PartixError, Sink};
+use super::{DispatchMode, ExecOptions, PartiX, PartixError, RetryPolicy, Sink};
 use crate::cache::{CachedSite, ResultKey};
 use crate::cluster::Node;
 use crate::compose::{self, Composition};
@@ -20,8 +20,9 @@ use crate::trace::{SubQueryStage, Trace};
 use crate::wirespan;
 use partix_query::Item;
 use partix_storage::QueryOutput;
+use partix_tenant::PriorityClass;
 use partix_xml::NodeId;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// What one task brought back from its node.
@@ -110,6 +111,46 @@ impl From<DriverError> for DispatchError {
     }
 }
 
+/// An attempt's answer, tagged (flight, attempt count) to drop stale ones.
+type Answer = (usize, usize, Attempted);
+/// The node's answer and how long the attempt sat queued (0 on a caller).
+type Attempted = Result<(SiteOutput, Duration), DispatchError>;
+/// A finished flight: its task's answer, or the failure of every attempt.
+type Landed = Result<SiteSlot, RunFailure>;
+
+/// One pending task's retry loop, advanced by the gathering thread.
+struct Flight {
+    /// The task's plan position.
+    task: usize,
+    /// Pre-dispatch write epochs of the task's replicas (result cache).
+    epochs: Vec<(usize, u64)>,
+    /// Its `attempts`, the count of attempts made, tags their answers.
+    stage: SubQueryStage,
+    last_error: Option<DispatchError>,
+    phase: Phase,
+}
+
+enum Phase {
+    /// Not started yet.
+    Idle,
+    /// An attempt on `node` began at `since`; abandoned at `deadline`.
+    Running { node: Arc<Node>, since: Instant, deadline: Option<Instant> },
+    /// Backing off since `since`; the attempt on `node` starts at `until`.
+    Backoff { node: usize, since: Instant, until: Instant },
+    /// Answered, or failed for good.
+    Landed,
+}
+
+/// What the flights of one gather share.
+struct Gather<'a> {
+    px: &'a PartiX,
+    tasks: &'a [Arc<Task>],
+    class: PriorityClass,
+    policy: RetryPolicy,
+    trace: &'a Trace,
+    tx: mpsc::Sender<Answer>,
+}
+
 impl PartiX {
     /// Run the plan's tasks and gather their outcomes as they complete.
     /// Tasks the result cache answers never dispatch. When the
@@ -129,7 +170,6 @@ impl PartiX {
         // each answer is a finished slice of the query's answer
         let streams =
             matches!(plan.compose, Compose::Combine(Composition::Concat) | Compose::Passthrough);
-        let class = self.class_for(options);
         let tasks = &plan.tasks;
         let mut gathered = Gathered {
             slots: tasks.iter().map(|_| None).collect(),
@@ -142,7 +182,7 @@ impl PartiX {
         // must use an epoch read before execution (a concurrent write
         // then leaves the entry under a stale key instead of poisoning
         // the current one)
-        let mut pending: Vec<(usize, Vec<(usize, u64)>)> = Vec::new();
+        let mut flights: Vec<Flight> = Vec::new();
         for (i, task) in tasks.iter().enumerate() {
             let mut epochs = Vec::new();
             if use_cache {
@@ -157,9 +197,11 @@ impl PartiX {
                     continue;
                 }
             }
-            pending.push((i, epochs));
+            let (fragment, node) = (task.fragment.clone(), task.node);
+            let stage = SubQueryStage { fragment, node, ..Default::default() };
+            flights.push(Flight { task: i, epochs, stage, last_error: None, phase: Phase::Idle });
         }
-        gathered.dispatched = !pending.is_empty();
+        gathered.dispatched = !flights.is_empty();
 
         let mut resolved: Vec<bool> = gathered.slots.iter().map(Option::is_some).collect();
         let mut cursor = 0usize;
@@ -167,16 +209,15 @@ impl PartiX {
             // the cache-hit prefix is ready before any task lands
             emit_ready_prefix(&mut gathered.slots, &resolved, &mut cursor, sink)?;
         }
-        let run = |lane, i: usize| self.run_subquery_guarded(&tasks[i], class, trace, lane + 1);
-        type Done = (usize, Vec<(usize, u64)>, Result<SiteSlot, RunFailure>);
-        let mut absorb = |(i, epochs, outcome): Done| {
+        let mut absorb = |flight: &Flight, landed: Option<Landed>| {
+            let (i, Some(outcome)) = (flight.task, landed) else { return Ok(()) };
             match outcome {
                 Ok(slot) => {
                     if use_cache {
                         // under the replica that actually answered —
                         // after a failover not the planner's pick
                         let node = slot.stage.as_ref().map_or(tasks[i].node, |s| s.node);
-                        let key = result_key(&tasks[i], node, &epochs);
+                        let key = result_key(&tasks[i], node, &flight.epochs);
                         self.result_cache.insert(key, slot.output.answer.clone());
                     }
                     gathered.slots[i] = Some(slot);
@@ -194,219 +235,199 @@ impl PartiX {
             }
             Ok(())
         };
-        // the second (and last) thing the dispatch mode decides, next to
-        // `attempt`: whether the retry loops overlap
-        if self.dispatch == DispatchMode::Simulated || pending.len() < 2 {
-            // on the calling thread, one after the other: the sequential
-            // reference — and all a lone task needs
-            for (lane, (i, epochs)) in pending.into_iter().enumerate() {
-                absorb((i, epochs, run(lane, i)))?;
+        let (tx, rx) = mpsc::channel();
+        let (class, policy) = (self.class_for(options), self.retry_policy());
+        let g = Gather { px: self, tasks, class, policy, trace, tx };
+        let pooled = self.dispatch == DispatchMode::Pool;
+        let (mut next, done) = (0, |f: &Flight| matches!(f.phase, Phase::Landed));
+        // a fatal task returns at once (`?`): dropping the receiver
+        // discards the answers of the attempts still out
+        while !flights.iter().all(done) {
+            // Pool starts every flight at once, the last one's first
+            // attempt on this thread; Simulated one at a time, in plan
+            // order — the sequential reference
+            if next < flights.len() && (pooled || flights[..next].iter().all(done)) {
+                let on_caller = pooled && next + 1 == flights.len();
+                let landed = g.next_attempt(next, &mut flights[next], on_caller);
+                absorb(&flights[next], landed)?;
+                next += 1;
+                continue;
             }
-        } else {
-            // every retry loop on its own coordinator thread (bounded by
-            // the fragment count), answers in completion order. An early
-            // return drops the receiver, which fails the remaining sends
-            // harmlessly; the scope still joins every thread
-            std::thread::scope(|scope| {
-                let (tx, rx) = crossbeam::channel::unbounded();
-                for (lane, (i, epochs)) in pending.into_iter().enumerate() {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let _ = tx.send((i, epochs, run(lane, i)));
-                    });
+            // one wait for every flight: the next answer, or the earliest
+            // deadline or backoff end
+            let timer = |f: &Flight| match f.phase {
+                Phase::Running { deadline, .. } => deadline,
+                Phase::Backoff { until, .. } => Some(until),
+                Phase::Idle | Phase::Landed => None,
+            };
+            let answer = match flights.iter().filter_map(timer).min() {
+                Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())).ok(),
+                None => rx.recv().ok(),
+            };
+            if let Some((i, tag, attempted)) = answer {
+                let flight = &mut flights[i];
+                if flight.stage.attempts == tag && matches!(flight.phase, Phase::Running { .. }) {
+                    let landed = g.land(i, flight, attempted);
+                    absorb(flight, landed)?;
                 }
-                drop(tx);
-                rx.iter().try_for_each(&mut absorb)
-            })?;
+            }
+            let now = Instant::now();
+            for (i, flight) in flights.iter_mut().enumerate() {
+                let landed = g.tick(i, flight, now);
+                absorb(flight, landed)?;
+            }
         }
         gathered.dispatch_s = dispatch_start.elapsed().as_secs_f64();
         trace.record("dispatch", 0, dispatch_start);
         Ok(gathered)
     }
+}
 
-    /// [`PartiX::run_subquery`] with a panic firewall: a panicking
-    /// driver (or a bug in the retry loop itself) becomes this one
-    /// task's failure, never a process-wide unwind — not even into the
-    /// concurrent queries sharing the coordinator.
-    fn run_subquery_guarded(
-        &self,
-        task: &Arc<Task>,
-        class: partix_tenant::PriorityClass,
-        trace: &Trace,
-        lane: usize,
-    ) -> Result<SiteSlot, RunFailure> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_subquery(task, class, trace, lane)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(RunFailure {
-                error: PartixError::SubQuery {
-                    node: task.node,
-                    fragment: task.fragment.clone(),
-                    error: format!("sub-query panicked: {}", panic_message(payload)),
-                },
-                stage: Box::new(SubQueryStage {
-                    fragment: task.fragment.clone(),
-                    node: task.node,
-                    attempts: 1,
-                    ..Default::default()
-                }),
-            })
-        })
-    }
-
-    /// Run one task to completion under the [`RetryPolicy`]: up to
-    /// `max_attempts` tries, each against the best replica *currently*
-    /// live and not suspect, walking the replica ring on every failure
-    /// (mid-flight failover). Crashes and deadline expiries mark the
-    /// node suspect; a successful answer clears the flag.
-    ///
-    /// [`RetryPolicy`]: super::RetryPolicy
-    fn run_subquery(
-        &self,
-        task: &Arc<Task>,
-        class: partix_tenant::PriorityClass,
-        trace: &Trace,
-        lane: usize,
-    ) -> Result<SiteSlot, RunFailure> {
-        let policy = self.retry_policy();
-        let verb = match task.op {
-            TaskOp::Execute { .. } => "exec",
-            TaskOp::Fetch { .. } => "fetch",
-        };
-        // walk the replica ring starting at the planner's pick
+/// A flight runs under the [`RetryPolicy`]: up to `max_attempts` tries,
+/// each against the best replica *currently* live and not suspect,
+/// walking the replica ring on every failure (mid-flight failover).
+/// Crashes and deadline expiries mark the node suspect; a successful
+/// answer clears the flag. Each step returns the outcome once landed.
+impl Gather<'_> {
+    /// Start the flight's next attempt — the first at once (`on_caller`:
+    /// on this thread if the pool lets it), a retry after its backoff —
+    /// or land it failed: attempts spent, or no replica up.
+    fn next_attempt(&self, i: usize, f: &mut Flight, on_caller: bool) -> Option<Landed> {
+        let (task, attempt) = (&self.tasks[f.task], f.stage.attempts);
+        // each attempt starts one step further around the replica ring,
+        // moving past whichever replica just failed
         let ring = &task.replicas;
         let start = ring.iter().position(|&id| id == task.node).unwrap_or(0);
-        let mut last_error: Option<DispatchError> = None;
-        let mut stage = SubQueryStage {
-            fragment: task.fragment.clone(),
-            node: task.node,
-            ..Default::default()
-        };
-        for attempt in 0..policy.max_attempts.max(1) {
-            // each attempt starts one step further around the replica
-            // ring, moving past whichever replica just failed
-            let Some(node_id) = self.first_usable(ring, start.wrapping_add(attempt)) else {
-                break; // every replica is down right now
+        let next = (attempt < self.policy.max_attempts.max(1))
+            .then(|| self.px.first_usable(ring, start.wrapping_add(attempt)))
+            .flatten();
+        let Some(node_id) = next else {
+            f.phase = Phase::Landed;
+            let (node, fragment) = (f.stage.node, task.fragment.clone());
+            let error = match f.last_error.take() {
+                Some(DispatchError::Failed(error)) => {
+                    PartixError::SubQuery { node, fragment, error }
+                }
+                _ => PartixError::NodeUnavailable { node, fragment },
             };
-            if attempt > 0 {
-                stage.retries += 1;
-                if stage.node != node_id {
-                    stage.failovers += 1;
-                }
-                let backoff_start = Instant::now();
-                std::thread::sleep(policy.backoff(attempt - 1));
-                stage.backoff_s += backoff_start.elapsed().as_secs_f64();
-                trace.record(&format!("backoff:{}", task.fragment), lane, backoff_start);
-            }
-            stage.node = node_id;
-            stage.attempts += 1;
-            let node = Arc::clone(self.cluster.node(node_id).expect("picked from cluster"));
-            let exec_start = Instant::now();
-            let outcome = self.attempt(&node, task, class, policy.timeout);
-            stage.execute_s += exec_start.elapsed().as_secs_f64();
-            trace.record(
-                &format!("{verb}:{}#{attempt}@n{node_id}", task.fragment),
-                lane,
-                exec_start,
-            );
-            match outcome {
-                Ok((output, queue_wait)) => {
-                    stage.queue_wait_s += queue_wait.as_secs_f64();
-                    stage.send_s += output.send_s;
-                    stage.recv_s += output.recv_s;
-                    if output.send_s > 0.0 || output.recv_s > 0.0 {
-                        // wire spans live inside the exec window; their
-                        // durations were clocked on the worker thread
-                        for (name, dur_s) in [("send", output.send_s), ("recv", output.recv_s)] {
-                            let name = format!("{name}:{}", task.fragment);
-                            trace.record_window(&name, lane, exec_start, dur_s);
-                        }
-                    }
-                    node.clear_suspect();
-                    let reg = metrics::global();
-                    reg.histogram("subquery.execute").record_secs(output.elapsed);
-                    reg.histogram("subquery.queue_wait").record_secs(queue_wait.as_secs_f64());
-                    return Ok(SiteSlot { output, stage: Some(stage) });
-                }
-                Err(error) => {
-                    // a DBMS that processed and rejected the attempt is
-                    // healthy (another replica may still answer, e.g. a
-                    // fault injected on this one only); a crashed or
-                    // hanging node is not
-                    if !matches!(error, DispatchError::Failed(_)) {
-                        node.mark_suspect(policy.suspect_cooldown);
-                    }
-                    stage.timeouts += usize::from(matches!(error, DispatchError::Timeout));
-                    last_error = Some(error);
-                }
-            }
-        }
-        let (node, fragment) = (stage.node, task.fragment.clone());
-        let error = match last_error {
-            Some(DispatchError::Failed(error)) => PartixError::SubQuery { node, fragment, error },
-            _ => PartixError::NodeUnavailable { node, fragment },
+            return Some(Err(RunFailure { error, stage: Box::new(std::mem::take(&mut f.stage)) }));
         };
-        Err(RunFailure { error, stage: Box::new(stage) })
+        if attempt == 0 {
+            return self.launch(i, f, node_id, on_caller);
+        }
+        f.stage.retries += 1;
+        f.stage.failovers += usize::from(f.stage.node != node_id);
+        let since = Instant::now();
+        let until = since + self.policy.backoff(attempt - 1);
+        f.phase = Phase::Backoff { node: node_id, since, until };
+        None
     }
 
-    /// One attempt against one node, honouring the per-attempt deadline —
-    /// where the dispatch mode decides where a node call runs (its one
-    /// other say is in [`PartiX::gather`]: whether retry loops overlap).
-    /// A pooled attempt runs on the node's workers and is abandoned on
-    /// expiry (a late answer is discarded — the channel's receiver is
-    /// gone); an inline attempt cannot be interrupted, so its deadline is
-    /// checked after the fact. On success the answer is paired with the
-    /// time the attempt spent queued before a worker picked it up (zero
-    /// inline).
-    fn attempt(
-        &self,
-        node: &Arc<Node>,
-        task: &Arc<Task>,
-        class: partix_tenant::PriorityClass,
-        timeout: Option<Duration>,
-    ) -> Result<(SiteOutput, Duration), DispatchError> {
-        let inline = || {
-            let begun = Instant::now();
-            let result = run_on_node(node, task);
-            match timeout {
-                Some(limit) if begun.elapsed() > limit => Err(DispatchError::Timeout),
-                _ => result.map(|out| (out, Duration::ZERO)),
-            }
+    /// Run the next attempt on `node_id`; where is all the dispatch mode
+    /// decides. Simulated runs it here; Pool too when `on_caller`, there
+    /// is no deadline (abandoning an attempt needs a free caller) and the
+    /// node has a free slot with nothing queued; else it is a node job.
+    fn launch(&self, i: usize, f: &mut Flight, node_id: usize, on_caller: bool) -> Option<Landed> {
+        let node = Arc::clone(self.px.cluster.node(node_id).expect("picked from cluster"));
+        let task = &self.tasks[f.task];
+        f.stage.node = node_id;
+        f.stage.attempts += 1;
+        let since = Instant::now();
+        let deadline = self.policy.timeout.map(|limit| since + limit);
+        f.phase = Phase::Running { node: Arc::clone(&node), since, deadline };
+        let here = || run_on_node(&node, task).map(|out| (out, Duration::ZERO));
+        let caller_runs = on_caller && deadline.is_none();
+        let ran = match self.px.dispatch {
+            DispatchMode::Simulated => Some(here()),
+            DispatchMode::Pool if caller_runs => self.px.pool().run_here(node_id, here),
+            DispatchMode::Pool => None,
         };
-        match self.dispatch {
-            DispatchMode::Simulated => inline(),
-            DispatchMode::Pool => {
-                let (tx, rx) = crossbeam::channel::bounded(1);
-                let (job_node, job_task) = (Arc::clone(node), Arc::clone(task));
-                let submitted_at = Instant::now();
-                let submitted = self.pool().submit(
-                    node.id,
-                    class,
-                    Box::new(move || {
-                        // measured at job start: how long the attempt sat
-                        // in the node's bounded queue
-                        let wait = submitted_at.elapsed();
-                        let _ = tx.send((wait, run_on_node(&job_node, &job_task)));
-                    }),
-                );
-                if !submitted {
-                    // node index outside the pool (cluster changed after
-                    // pool construction): run inline
-                    return inline();
+        if let Some(attempted) = ran {
+            return self.land(i, f, attempted);
+        }
+        let (tx, tag) = (self.tx.clone(), f.stage.attempts);
+        let (job_node, job_task) = (Arc::clone(&node), Arc::clone(task));
+        let job = Box::new(move || {
+            // measured at job start: how long the attempt sat queued
+            let wait = since.elapsed();
+            let _ = tx.send((i, tag, run_on_node(&job_node, &job_task).map(|out| (out, wait))));
+        });
+        if self.px.pool().submit(node_id, self.class, job) {
+            return None;
+        }
+        // node outside the pool (the cluster changed after it was built)
+        self.land(i, f, here())
+    }
+
+    /// Account the running attempt's outcome: the flight lands answered
+    /// or moves on. An answer after the deadline is a timeout, wherever
+    /// the attempt ran.
+    fn land(&self, i: usize, f: &mut Flight, attempted: Attempted) -> Option<Landed> {
+        let Phase::Running { node, since, deadline } =
+            std::mem::replace(&mut f.phase, Phase::Landed)
+        else {
+            unreachable!("only a running attempt lands");
+        };
+        let (task, lane) = (&self.tasks[f.task], i + 1);
+        f.stage.execute_s += since.elapsed().as_secs_f64();
+        if self.trace.is_enabled() {
+            let verb = if matches!(task.op, TaskOp::Fetch { .. }) { "fetch" } else { "exec" };
+            let name = format!("{verb}:{}#{}@n{}", task.fragment, f.stage.attempts - 1, node.id);
+            self.trace.record(&name, lane, since);
+        }
+        let late = deadline.is_some_and(|deadline| Instant::now() > deadline);
+        match attempted {
+            Ok((output, queue_wait)) if !late => {
+                f.stage.queue_wait_s += queue_wait.as_secs_f64();
+                f.stage.send_s += output.send_s;
+                f.stage.recv_s += output.recv_s;
+                if self.trace.is_enabled() && (output.send_s > 0.0 || output.recv_s > 0.0) {
+                    // wire spans live inside the exec window; their
+                    // durations were clocked where the attempt ran
+                    for (name, dur_s) in [("send", output.send_s), ("recv", output.recv_s)] {
+                        let name = format!("{name}:{}", task.fragment);
+                        self.trace.record_window(&name, lane, since, dur_s);
+                    }
                 }
-                // a disconnected channel means the job died without
-                // answering (including a panic unwinding it) — treated
-                // like an unreachable node
-                let (wait, result) = match timeout {
-                    Some(limit) => rx.recv_timeout(limit).map_err(|e| match e {
-                        crossbeam::channel::RecvTimeoutError::Timeout => DispatchError::Timeout,
-                        crossbeam::channel::RecvTimeoutError::Disconnected => DispatchError::Down,
-                    })?,
-                    None => rx.recv().map_err(|_| DispatchError::Down)?,
-                };
-                result.map(|out| (out, wait))
+                node.clear_suspect();
+                let reg = metrics::global();
+                reg.histogram("subquery.execute").record_secs(output.elapsed);
+                reg.histogram("subquery.queue_wait").record_secs(queue_wait.as_secs_f64());
+                Some(Ok(SiteSlot { output, stage: Some(std::mem::take(&mut f.stage)) }))
             }
+            attempted => {
+                let error = attempted.err().filter(|_| !late).unwrap_or(DispatchError::Timeout);
+                // a DBMS that processed and rejected the attempt is
+                // healthy (another replica may still answer, e.g. a
+                // fault injected on this one only); a crashed or
+                // hanging node is not
+                if !matches!(error, DispatchError::Failed(_)) {
+                    node.mark_suspect(self.policy.suspect_cooldown);
+                }
+                f.stage.timeouts += usize::from(matches!(error, DispatchError::Timeout));
+                f.last_error = Some(error);
+                self.next_attempt(i, f, false)
+            }
+        }
+    }
+
+    /// Fire the flight's timer if it is due: abandon an attempt past its
+    /// deadline (its late answer is dropped by its tag), or start, as a
+    /// job, the attempt a finished backoff was waiting for.
+    fn tick(&self, i: usize, f: &mut Flight, now: Instant) -> Option<Landed> {
+        match f.phase {
+            Phase::Running { deadline: Some(deadline), .. } if deadline <= now => {
+                self.land(i, f, Err(DispatchError::Timeout))
+            }
+            Phase::Backoff { node, since, until } if until <= now => {
+                f.stage.backoff_s += since.elapsed().as_secs_f64();
+                if self.trace.is_enabled() {
+                    let name = format!("backoff:{}", self.tasks[f.task].fragment);
+                    self.trace.record(&name, i + 1, since);
+                }
+                self.launch(i, f, node, false)
+            }
+            _ => None,
         }
     }
 }
@@ -423,13 +444,9 @@ fn result_key(task: &Task, node: usize, epochs: &[(usize, u64)]) -> ResultKey {
 
 /// Best-effort text of a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
-    }
+    let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    text.or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_owned())
 }
 
 /// Advance the streaming cursor over the contiguous prefix of resolved
@@ -455,14 +472,26 @@ fn emit_ready_prefix(
 }
 
 /// Perform `task` on `node` through its active driver: the single call
-/// site of the query path into a node, reached only from
-/// [`PartiX::run_subquery`]'s attempts.
+/// site of the query path into a node, reached only from a flight's
+/// attempts, on the gathering thread or on a pool worker. It is the
+/// panic firewall too: a panicking driver fails the attempt like a DBMS
+/// error (retried on the next replica, the node not marked suspect) and
+/// never unwinds into the thread that ran it.
 fn run_on_node(node: &Node, task: &Task) -> Result<SiteOutput, DispatchError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call_node(node, task))).unwrap_or_else(
+        |payload| {
+            Err(DispatchError::Failed(format!("sub-query panicked: {}", panic_message(payload))))
+        },
+    )
+}
+
+/// [`run_on_node`] without the firewall.
+fn call_node(node: &Node, task: &Task) -> Result<SiteOutput, DispatchError> {
     if !node.is_available() {
         return Err(DispatchError::Down);
     }
     let wire_counted = node.active_driver().counts_wire_bytes();
-    // clear any stale wire timing left on this worker thread, then run
+    // clear any stale wire timing left on this thread, then run
     // and collect what this call's driver recorded
     let _ = wirespan::take();
     // a collection missing on the node is a legitimately *empty* fragment

@@ -65,9 +65,9 @@ pub struct DistributedResult {
     pub report: QueryReport,
 }
 
-/// How sub-queries reach their nodes. The pipeline is the same in both
-/// modes; they differ only in where a node call runs and whether the
-/// tasks of one query overlap.
+/// How sub-queries reach their nodes. The pipeline and its retry loop
+/// are the same in both modes; they differ only in where an attempt
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Run every sub-query inline on the calling thread, one after the
@@ -82,7 +82,9 @@ pub enum DispatchMode {
     /// sub-queries overlap, each enqueued on its node's bounded task queue
     /// and served by long-lived workers, so thread count stays bounded
     /// under many concurrent [`PartiX::execute`] callers — the serving
-    /// configuration.
+    /// configuration. The calling thread drives every retry loop itself
+    /// and runs one attempt of its own: the last task's first, in a slot
+    /// of its node, when no deadline is set and nothing is queued there.
     Pool,
 }
 
@@ -101,9 +103,12 @@ pub struct RetryPolicy {
     pub max_attempts: usize,
     /// Per-attempt deadline. `None` waits forever — the default, so the
     /// paper-figure measurements never discard slow-but-correct answers.
-    /// With [`DispatchMode::Simulated`] the attempt runs inline and the
-    /// deadline is enforced after the fact (the result is discarded);
-    /// pooled dispatch abandons the attempt mid-flight.
+    /// An attempt that runs on the calling thread cannot be interrupted:
+    /// its deadline is enforced after the fact (the result is discarded).
+    /// That is every attempt under [`DispatchMode::Simulated`]. Pooled
+    /// dispatch abandons a late job mid-flight, and with a deadline set
+    /// it keeps every attempt off the calling thread, which must stay
+    /// free to abandon it; with `None` the caller runs one attempt itself.
     pub timeout: Option<Duration>,
     /// Backoff before the first retry; doubles per retry.
     pub backoff_base: Duration,

@@ -4,10 +4,11 @@
 //!
 //! The paper's scale-up claims (Sec. 5) hinge on knowing *where* a
 //! query's time goes — localization vs. dispatch vs. composition. A
-//! [`Trace`] is created per query by the service, cloned (one `Arc`
-//! bump) into each sub-query's coordinator thread, and collapsed into a
-//! flat span list when the query finishes. Overhead when enabled is a
-//! handful of `Instant::now()` reads and one short mutex push per span;
+//! [`Trace`] is created per query by the service, written by the thread
+//! that gathers its sub-queries (one lane per sub-query's retry loop),
+//! and collapsed into a flat span list when the query finishes. Overhead
+//! when enabled is a handful of `Instant::now()` reads and one short
+//! mutex push per span;
 //! a disabled trace ([`Trace::disabled`]) is a no-op on every call, so
 //! the fault-free hot path pays nothing but a branch.
 //!

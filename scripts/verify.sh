@@ -20,6 +20,28 @@ cargo test -q --test differential --offline
 cargo test -q --test properties --offline
 cargo test -q --test concurrency --offline chaos
 cargo test -q -p partix-bench --offline chaos
+
+# concurrency gate: one layer. By name, so that renaming or filtering them
+# away fails the gate: a gather runs every attempt on the calling thread or
+# on its own node's workers (one on the caller without a deadline, none
+# with one); a fatal task fails the query without waiting for a sibling's
+# slow attempt; the pool's slots — a caller never overtakes a queued job
+# or a busy slot, and a job queued behind a caller's slot runs once it is
+# freed — with DRR fairness unchanged.
+for named in \
+    "concurrency attempts_run_on_the_caller_or_on_their_own_nodes_workers" \
+    "concurrency a_fatal_task_fails_the_query_without_waiting_for_its_siblings" \
+    "lib runtime::tests::run_here_refuses_while_a_job_is_queued_or_every_slot_is_busy" \
+    "lib runtime::tests::a_job_queued_behind_a_callers_slot_runs_once_the_caller_releases_it" \
+    "lib runtime::tests::interactive_backlog_cannot_starve_batch"; do
+    read -r suite name <<< "$named"
+    if [ "$suite" = lib ]; then where=(-p partix-engine --lib); else where=(--test "$suite"); fi
+    if ! cargo test -q "${where[@]}" --offline "$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
 cargo test -q -p partix-engine --offline faults
 
 # observability gate: span/metrics units, stage-breakdown consistency
@@ -235,10 +257,17 @@ cargo clippy --workspace --offline -- -D warnings
 # one query path: inside the query service only the dispatch module may
 # call into a node (execute or fetch), and the per-call-thread dispatch
 # mode stays deleted.
+non_test() { sed '/^#\[cfg(test)\]/,$d' "$@"; }
 SERVICE=crates/core/src/service
 if grep -nE 'fetch_docs\(|try_fetch_collection\(|\.execute_query\(' \
     $(ls "$SERVICE"/*.rs | grep -vE '/(dispatch|tests)\.rs$'); then
     echo "verify: FAIL — a node call outside $SERVICE/dispatch.rs" >&2
+    exit 1
+fi
+# one concurrency layer: the gathering thread drives every retry loop and
+# waits on one channel, so dispatch spawns no thread and never sleeps.
+if non_test "$SERVICE"/dispatch.rs | grep -nE 'thread::(scope|spawn|sleep)|crossbeam'; then
+    echo "verify: FAIL — a thread, a sleep or crossbeam reappeared in $SERVICE/dispatch.rs" >&2
     exit 1
 fi
 # one reconstruction path, and it builds no database: the rebuilt
@@ -279,7 +308,6 @@ fi
 # there is one listener, one accept loop and one dial site (the other
 # `connect_timeout` is the server waking its own `accept` at shutdown),
 # and the crate stays within its line budget.
-non_test() { sed '/^#\[cfg(test)\]/,$d' "$@"; }
 net_code() {
     for file in crates/net/src/*.rs; do
         non_test "$file" | sed "s|^|$file:|"

@@ -1,14 +1,23 @@
 //! Concurrent execution: many client threads sharing one `PartiX` in
 //! `DispatchMode::Pool` must observe exactly the answers the sequential
 //! `Simulated` reference produces, and the sub-query result cache must
-//! be invalidated by writes.
+//! be invalidated by writes. A gather runs its attempts on the calling
+//! thread or on their own nodes' workers, and a fatal task fails the
+//! query without waiting for its siblings.
 
-use partix::engine::{DispatchMode, Distribution, NetworkModel, PartiX, Placement};
+use partix::engine::{
+    DispatchMode, Distribution, DriverError, NetworkModel, PartiX, PartixDriver, PartixError,
+    Placement, RetryPolicy,
+};
 use partix::frag::{FragmentDef, FragmentationSchema};
 use partix::gen::{gen_items, ItemProfile};
 use partix::path::{PathExpr, Predicate};
-use partix::query::Item;
+use partix::query::{Item, Query};
 use partix::schema::{builtin, CollectionDef, RepoKind};
+use partix::storage::QueryOutput;
+use partix::xml::Document;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn multiset(items: &[Item]) -> Vec<String> {
     let mut v: Vec<String> = items.iter().map(Item::serialize).collect();
@@ -426,4 +435,131 @@ fn result_cache_invalidated_by_store() {
     let third = px.execute(count_q).unwrap();
     assert_eq!(third.items[0].serialize(), "75", "stale cached answer survived a write");
     assert_eq!(third.report.result_cache_hits, 0, "{:?}", third.report);
+}
+
+/// Forwards to the node's own driver, noting which thread ran each
+/// query; optionally sleeping first, or dead (every call `Unavailable`,
+/// as a node that crashed after the query was planned).
+struct WatchedDriver {
+    node: usize,
+    inner: Arc<dyn PartixDriver>,
+    nap: Duration,
+    dead: bool,
+    seen: Arc<Mutex<Vec<(usize, Option<String>)>>>,
+}
+
+type Seen = Arc<Mutex<Vec<(usize, Option<String>)>>>;
+
+impl WatchedDriver {
+    /// Wrap every node of `px`: node `slow` sleeps 400 ms per query, node
+    /// `dead` answers none.
+    fn install(px: &PartiX, slow: Option<usize>, dead: Option<usize>) -> Seen {
+        let seen = Seen::default();
+        for node in px.cluster().nodes() {
+            node.set_driver(Arc::new(WatchedDriver {
+                node: node.id,
+                inner: node.active_driver(),
+                nap: Duration::from_millis(if slow == Some(node.id) { 400 } else { 0 }),
+                dead: dead == Some(node.id),
+                seen: Arc::clone(&seen),
+            }));
+        }
+        seen
+    }
+}
+
+impl PartixDriver for WatchedDriver {
+    fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
+        let thread = std::thread::current().name().map(str::to_owned);
+        self.seen.lock().unwrap().push((self.node, thread));
+        if self.dead {
+            return Err(DriverError::Unavailable("crashed after planning".into()));
+        }
+        std::thread::sleep(self.nap);
+        self.inner.execute(query)
+    }
+
+    fn store(&self, collection: &str, docs: Vec<Document>) {
+        self.inner.store(collection, docs);
+    }
+
+    fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>> {
+        self.inner.fetch_collection(collection)
+    }
+
+    fn collections(&self) -> Vec<String> {
+        self.inner.collections()
+    }
+}
+
+/// Over pooled plans of 1, 2 and 4 tasks, every attempt runs on the
+/// calling thread or on a worker of its own node, never a third thread.
+/// Without a deadline exactly one attempt per gather runs on the caller;
+/// with one, none does: the caller must stay free to abandon it.
+#[test]
+fn attempts_run_on_the_caller_or_on_their_own_nodes_workers() {
+    use partix_bench::setup;
+    let docs = gen_items(40, ItemProfile::Small, 21);
+    let all = format!(r#"count(collection("{}")/Item)"#, setup::DIST);
+    let caller = std::thread::current().name().map(str::to_owned);
+    for tasks in [1, 2, 4] {
+        for timeout in [None, Some(Duration::from_secs(5))] {
+            let mut px = setup::horizontal(&docs, tasks);
+            px.set_dispatch(DispatchMode::Pool);
+            px.set_retry_policy(RetryPolicy { timeout, ..RetryPolicy::default() });
+            let seen = WatchedDriver::install(&px, None, None);
+            for round in 0..5 {
+                let out = px.execute(&all).unwrap();
+                assert_eq!(out.report.sites.len(), tasks);
+                let attempts = std::mem::take(&mut *seen.lock().unwrap());
+                let context = format!("{tasks} task(s), timeout {timeout:?}, round {round}");
+                assert_eq!(attempts.len(), tasks, "{context}: {attempts:?}");
+                let mut on_caller = 0;
+                for (node, thread) in &attempts {
+                    if *thread == caller {
+                        on_caller += 1;
+                        continue;
+                    }
+                    let name = thread.as_deref().unwrap_or("<unnamed>");
+                    assert!(
+                        name.starts_with(&format!("partix-pool-n{node}w")),
+                        "{context}: node {node}'s attempt ran on {name}"
+                    );
+                }
+                assert_eq!(on_caller, usize::from(timeout.is_none()), "{context}: {attempts:?}");
+            }
+        }
+    }
+}
+
+/// Two fragments without replicas: one node crashed after planning, the
+/// other sleeps 400 ms per query. The dead fragment's typed error
+/// returns as soon as its retries are spent — it does not wait for the
+/// sleeping attempt, whose late answer is dropped — and the same engine
+/// then answers correctly. The sleeping attempt must be a job for the
+/// caller to be free: so it comes first in plan order, or the policy
+/// sets a deadline (which keeps every attempt off the caller).
+#[test]
+fn a_fatal_task_fails_the_query_without_waiting_for_its_siblings() {
+    use partix_bench::setup;
+    let docs = gen_items(40, ItemProfile::Small, 19);
+    let all = format!(r#"count(collection("{}")/Item)"#, setup::DIST);
+    let expected = setup::horizontal(&docs, 2).execute(&all).unwrap().items[0].serialize();
+    for (dead, slow, timeout) in [(0, 1, Some(Duration::from_secs(2))), (1, 0, None)] {
+        let mut px = setup::horizontal(&docs, 2);
+        px.set_dispatch(DispatchMode::Pool);
+        px.set_retry_policy(RetryPolicy { timeout, ..RetryPolicy::default() });
+        WatchedDriver::install(&px, Some(slow), Some(dead));
+        let begun = Instant::now();
+        let err = px.execute(&all).expect_err("a fragment without a live replica");
+        let took = begun.elapsed();
+        assert!(
+            matches!(err, PartixError::NodeUnavailable { node, .. } if node == dead),
+            "node {dead} dead: {err}"
+        );
+        assert!(took < Duration::from_millis(200), "node {dead} dead: the error took {took:?}");
+        px.cluster().node(dead).unwrap().clear_driver();
+        let healed = px.execute(&all).expect("every node up");
+        assert_eq!(healed.items[0].serialize(), expected, "node {dead} back up");
+    }
 }
