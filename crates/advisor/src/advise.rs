@@ -275,9 +275,8 @@ fn average_selectivity(profile: &WorkloadProfile) -> f64 {
     let mut shipped = 0.0;
     let mut scanned = 0.0;
     for f in &profile.fragments {
-        let dispatched = f.accesses.saturating_sub(f.cache_hits) as f64;
         shipped += f.shipped_bytes as f64;
-        scanned += dispatched * f.size_bytes as f64;
+        scanned += f.accesses as f64 * f.size_bytes as f64;
     }
     if scanned > 0.0 {
         (shipped / scanned).clamp(0.0, 1.0)

@@ -27,7 +27,7 @@
 //!   horizontal re-splits) with greedy seeding and seeded local search;
 //!   deterministic for a given seed.
 //! * [`rebalance`] — live migration between placements: dual-placement
-//!   copy, atomic catalog swap, epoch-bumping retirement, post-move
+//!   copy, atomic catalog swap, retirement of old replicas, post-move
 //!   correctness re-validation.
 
 pub mod advise;

@@ -4,8 +4,8 @@
 //! The profiler is the advisor's input stage. Every
 //! [`QueryReport`](partix_engine::QueryReport) fed to
 //! [`WorkloadProfiler::record`] contributes its per-site numbers
-//! (fragment touched, node answering, bytes shipped, DBMS busy time,
-//! cache hits) and its coordinator stage breakdown. The aggregate is a
+//! (fragment touched, node answering, bytes shipped, DBMS busy time)
+//! and its coordinator stage breakdown. The aggregate is a
 //! plain-data [`WorkloadProfile`] that round-trips through JSON, so a
 //! profile captured on one run (`partix stats`, a benchmark, production
 //! traffic) can be replayed into `partix advise` later.
@@ -20,12 +20,10 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FragmentStats {
     pub fragment: String,
-    /// Sub-queries that touched this fragment (cache hits included).
+    /// Sub-queries that touched this fragment.
     pub accesses: u64,
     /// Result bytes shipped from this fragment's replicas.
     pub shipped_bytes: u64,
-    /// Sub-queries answered from the coordinator result cache.
-    pub cache_hits: u64,
     /// DBMS-side busy time across all accesses (seconds).
     pub busy_s: f64,
     /// Stored size of the fragment (bytes); filled by
@@ -34,15 +32,14 @@ pub struct FragmentStats {
 }
 
 impl FragmentStats {
-    /// Mean fraction of the fragment shipped back per (non-cached)
-    /// access — the cost model's selectivity estimate. Clamped to
-    /// `[0, 1]`; defaults to 1 when sizes were never observed.
+    /// Mean fraction of the fragment shipped back per access — the cost
+    /// model's selectivity estimate. Clamped to `[0, 1]`; defaults to 1
+    /// when sizes were never observed.
     pub fn selectivity(&self) -> f64 {
-        let dispatched = self.accesses.saturating_sub(self.cache_hits);
-        if dispatched == 0 || self.size_bytes == 0 {
+        if self.accesses == 0 || self.size_bytes == 0 {
             return 1.0;
         }
-        let per_access = self.shipped_bytes as f64 / dispatched as f64;
+        let per_access = self.shipped_bytes as f64 / self.accesses as f64;
         (per_access / self.size_bytes as f64).clamp(0.0, 1.0)
     }
 }
@@ -106,11 +103,10 @@ impl WorkloadProfile {
             }
             let _ = write!(
                 out,
-                "\n    {{\"fragment\": \"{}\", \"accesses\": {}, \"shipped_bytes\": {}, \"cache_hits\": {}, \"busy_s\": {}, \"size_bytes\": {}}}",
+                "\n    {{\"fragment\": \"{}\", \"accesses\": {}, \"shipped_bytes\": {}, \"busy_s\": {}, \"size_bytes\": {}}}",
                 jsonio::escape(&f.fragment),
                 f.accesses,
                 f.shipped_bytes,
-                f.cache_hits,
                 f.busy_s,
                 f.size_bytes
             );
@@ -131,6 +127,7 @@ impl WorkloadProfile {
     }
 
     /// Parse a profile previously produced by [`WorkloadProfile::to_json`].
+    /// Fields it no longer writes (`cache_hits`) are ignored.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let root = jsonio::parse(text).map_err(|e| e.to_string())?;
         let need_u64 = |v: &Json, key: &str| -> Result<u64, String> {
@@ -168,7 +165,6 @@ impl WorkloadProfile {
                     .to_owned(),
                 accesses: need_u64(f, "accesses")?,
                 shipped_bytes: need_u64(f, "shipped_bytes")?,
-                cache_hits: need_u64(f, "cache_hits")?,
                 busy_s: need_f64(f, "busy_s")?,
                 size_bytes: need_u64(f, "size_bytes")?,
             });
@@ -226,9 +222,6 @@ impl WorkloadProfiler {
             frag.accesses += 1;
             frag.shipped_bytes += site.result_bytes as u64;
             frag.busy_s += site.elapsed;
-            if site.from_cache {
-                frag.cache_hits += 1;
-            }
             let node = inner.nodes.entry(site.node).or_insert_with(|| NodeStats {
                 node: site.node,
                 ..Default::default()
@@ -290,7 +283,7 @@ mod tests {
     use super::*;
     use partix_engine::SiteReport;
 
-    fn site(fragment: &str, node: usize, bytes: usize, cached: bool) -> SiteReport {
+    fn site(fragment: &str, node: usize, bytes: usize) -> SiteReport {
         SiteReport {
             node,
             fragment: fragment.to_owned(),
@@ -299,7 +292,6 @@ mod tests {
             docs_scanned: 5,
             index_used: false,
             morsels: 0,
-            from_cache: cached,
             retries: 0,
             failovers: 0,
             timeouts: 0,
@@ -309,16 +301,13 @@ mod tests {
     fn sample_profile() -> WorkloadProfile {
         let profiler = WorkloadProfiler::new();
         let mut report = QueryReport {
-            sites: vec![site("f_cd", 0, 300, false), site("f_dvd", 1, 100, false)],
+            sites: vec![site("f_cd", 0, 300), site("f_dvd", 1, 100)],
             ..Default::default()
         };
         report.stages.dispatch_s = 0.5;
         profiler.record(&report);
-        let cached = QueryReport {
-            sites: vec![site("f_cd", 0, 300, true)],
-            ..Default::default()
-        };
-        profiler.record(&cached);
+        let again = QueryReport { sites: vec![site("f_cd", 0, 300)], ..Default::default() };
+        profiler.record(&again);
         profiler.snapshot()
     }
 
@@ -329,7 +318,6 @@ mod tests {
         let cd = p.fragment("f_cd").unwrap();
         assert_eq!(cd.accesses, 2);
         assert_eq!(cd.shipped_bytes, 600);
-        assert_eq!(cd.cache_hits, 1);
         assert_eq!(p.fragment("f_dvd").unwrap().accesses, 1);
         assert_eq!(p.nodes.len(), 2);
         assert_eq!(p.nodes[0].node, 0);
@@ -347,6 +335,27 @@ mod tests {
     }
 
     #[test]
+    fn a_profile_that_still_counts_cache_hits_loads() {
+        // as written before the result cache was deleted
+        let text = r#"{
+  "queries": 2,
+  "stages": {"parse_s": 0, "localize_s": 0, "dispatch_s": 0.5, "compose_s": 0},
+  "fragments": [
+    {"fragment": "f_cd", "accesses": 2, "shipped_bytes": 600, "cache_hits": 1, "busy_s": 0.02, "size_bytes": 4096}
+  ],
+  "nodes": [
+    {"node": 0, "accesses": 2, "shipped_bytes": 600, "busy_s": 0.02}
+  ]
+}
+"#;
+        let p = WorkloadProfile::from_json(text).unwrap();
+        let cd = p.fragment("f_cd").unwrap();
+        assert_eq!((cd.accesses, cd.shipped_bytes, cd.size_bytes), (2, 600, 4096));
+        assert_eq!(p.nodes[0].accesses, 2);
+        assert!(!p.to_json().contains("cache_hits"));
+    }
+
+    #[test]
     fn from_json_rejects_malformed_input() {
         assert!(WorkloadProfile::from_json("{}").is_err());
         assert!(WorkloadProfile::from_json("not json").is_err());
@@ -358,13 +367,12 @@ mod tests {
     fn selectivity_estimates_shipped_fraction() {
         let mut f = FragmentStats {
             fragment: "f".into(),
-            accesses: 4,
-            cache_hits: 2,
+            accesses: 2,
             shipped_bytes: 1000,
             size_bytes: 2000,
             ..Default::default()
         };
-        // 2 dispatched accesses shipped 1000 B of a 2000 B fragment → 25%
+        // 2 accesses shipped 1000 B of a 2000 B fragment → 25%
         assert!((f.selectivity() - 0.25).abs() < 1e-12);
         f.size_bytes = 0;
         assert_eq!(f.selectivity(), 1.0); // unknown size → conservative

@@ -20,9 +20,8 @@
 //! ([`PartiX::execute`](partix_engine::PartiX::execute)'s replan loop),
 //! so a query that planned against a replica dropped in Phase B re-runs
 //! against the new placement instead of reading an empty collection.
-//! Dropping and storing both bump per-collection epochs, so
-//! coordinator result-cache entries keyed to retired replicas are
-//! invalidated automatically.
+//! The coordinator keeps no answers, so nothing read from a retired
+//! replica outlives its retirement.
 //!
 //! After the swap the rebalancer re-validates the distribution
 //! ([`Distribution::validate_against`](partix_engine::Distribution))
@@ -242,7 +241,6 @@ pub fn rebalance_with_observer(
         let to = target_dist.nodes_of(fragment);
         for node_id in from.into_iter().filter(|n| !to.contains(n)) {
             if let Some(node) = px.cluster().node(node_id) {
-                // epoch bump → result-cache entries for this replica die
                 node.drop_collection(fragment);
             }
         }
@@ -459,25 +457,5 @@ mod tests {
         // nothing moved, nothing dropped
         assert_eq!(px.cluster().node(0).unwrap().db.collection_len("f_cd").unwrap(), 10);
         assert_eq!(count_of(&px), "30");
-    }
-
-    #[test]
-    fn migration_invalidates_stale_result_caches() {
-        let px = skewed_px();
-        px.set_result_cache_enabled(true);
-        // warm the result cache against the skewed placement
-        let warm = px.execute(COUNT_Q).unwrap();
-        assert_eq!(warm.report.result_cache_misses, 3);
-        let cached = px.execute(COUNT_Q).unwrap();
-        assert_eq!(cached.report.result_cache_hits, 3);
-        rebalance(&px, "items", &spread(), &RebalanceOptions::default()).unwrap();
-        // migrated fragments must be re-dispatched, not served stale
-        let after = px.execute(COUNT_Q).unwrap();
-        assert_eq!(after.items[0].serialize(), "30");
-        assert!(
-            after.report.result_cache_misses >= 2,
-            "stale cache served after migration: {:?}",
-            after.report
-        );
     }
 }

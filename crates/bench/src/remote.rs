@@ -6,7 +6,7 @@
 //! server-side database, the node's collections are copied over through
 //! the protocol's `Store` frames, and a [`RemoteDriver`] is installed so
 //! all subsequent queries/stores/fetches travel through real TCP. The
-//! coordinator above (dispatch modes, retries, caching, tracing) is
+//! coordinator above (dispatch modes, retries, tracing) is
 //! untouched — which is the point: the differential and chaos suites can
 //! assert the in-process and remote answers are byte-identical.
 //!

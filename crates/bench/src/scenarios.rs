@@ -251,12 +251,11 @@ const COORDINATORS: [usize; 3] = [1, 2, 3];
 const REPEATS: usize = 3;
 
 /// One coordinator replica's serving configuration: pooled dispatch (a
-/// large fleet would explode transient per-sub-query threads), result
-/// cache on (the replication story is about coordinator-side capacity),
-/// span collection off (measurement, not diagnosis).
+/// large fleet would explode transient per-sub-query threads) and span
+/// collection off (measurement, not diagnosis). Every query does its
+/// work: each sub-query reaches its node.
 fn serving(mut px: PartiX, meta: &Arc<MetaService>) -> Arc<PartiX> {
     px.set_dispatch(DispatchMode::Pool);
-    px.set_result_cache_enabled(true);
     px.set_tracing_enabled(false);
     px.attach_meta(Arc::clone(meta));
     Arc::new(px)
@@ -295,7 +294,7 @@ pub fn scaleout(knobs: &Knobs) -> Fields {
             })
             .collect();
         let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
-        // warm every coordinator's plan / result caches over the wire
+        // warm every coordinator's plan cache and connections
         for addr in &addrs {
             let pool = CoordinatorPool::new(vec![addr.clone()], StreamClientConfig::default());
             for (_, query) in &workload {
@@ -430,7 +429,6 @@ pub fn multitenant(knobs: &Knobs) -> Fields {
     let docs = knobs.dataset();
     let workload = queries::horizontal(setup::DIST);
     let clients = knobs.clients.iter().copied().min().unwrap_or(1);
-    // result cache off: cached answers would hide contention
     let mut px = setup::horizontal(&docs, knobs.fragments);
     px.set_dispatch(DispatchMode::Pool);
     let registry = Arc::new(TenantRegistry::new());

@@ -2,7 +2,6 @@
 
 use crate::driver::{DriverError, PartixDriver};
 use partix_storage::Database;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,11 +25,6 @@ pub struct Node {
     /// `Instant + Duration` panics on overflow for huge cooldowns, while
     /// `elapsed() < cooldown` is saturating and total.
     suspect: parking_lot::Mutex<Option<(Instant, Duration)>>,
-    /// Per-collection write epochs: bumped on every `store_docs` /
-    /// `drop_collection`, whichever driver is active. The coordinator's
-    /// result cache embeds the epoch in its keys, so a bump silently
-    /// invalidates every cached sub-query over that collection.
-    epochs: parking_lot::RwLock<HashMap<String, u64>>,
 }
 
 impl Node {
@@ -42,7 +36,6 @@ impl Node {
             driver: parking_lot::RwLock::new(None),
             available: AtomicBool::new(true),
             suspect: parking_lot::Mutex::new(None),
-            epochs: parking_lot::RwLock::new(HashMap::new()),
         }
     }
 
@@ -79,59 +72,31 @@ impl Node {
         }
     }
 
-    /// Store documents through the active driver. Bumps the collection's
-    /// write epoch, invalidating coordinator-cached sub-query results.
+    /// Store documents through the active driver.
     pub fn store_docs(&self, collection: &str, docs: Vec<partix_xml::Document>) {
         match &*self.driver.read() {
             Some(driver) => driver.store(collection, docs),
             None => PartixDriver::store(&*self.db, collection, docs),
         }
-        self.bump_epoch(collection);
     }
 
-    /// Apply one online write through the active driver. Bumps the
-    /// touched collection's write epoch — success or failure — so
-    /// coordinator-cached sub-query results over it are invalidated even
-    /// when the node died mid-pipeline (the write may still surface
-    /// after recovery, so cached answers must not outlive the attempt).
+    /// Apply one online write through the active driver.
     pub fn apply_write(
         &self,
         op: &partix_storage::WriteOp,
     ) -> Result<u32, DriverError> {
-        let result = match &*self.driver.read() {
+        match &*self.driver.read() {
             Some(driver) => driver.write(op),
             None => PartixDriver::write(&*self.db, op),
-        };
-        self.bump_epoch(op.collection());
-        result
+        }
     }
 
-    /// Drop a collection through the active driver. Bumps the write
-    /// epoch like any other mutation.
+    /// Drop a collection through the active driver.
     pub fn drop_collection(&self, collection: &str) {
         match &*self.driver.read() {
             Some(driver) => driver.drop_collection(collection),
             None => PartixDriver::drop_collection(&*self.db, collection),
         }
-        self.bump_epoch(collection);
-    }
-
-    /// Current write epoch of `collection` on this node (0 = never
-    /// written since the node came up). When the embedded database is
-    /// active, its own storage-level epoch is added in, so writes made
-    /// directly through [`Node::db`] are visible too; a write through
-    /// [`Node::store_docs`] may count twice, which is harmless — only
-    /// monotonicity matters for invalidation.
-    pub fn collection_epoch(&self, collection: &str) -> u64 {
-        let local = self.epochs.read().get(collection).copied().unwrap_or(0);
-        match &*self.driver.read() {
-            Some(_) => local,
-            None => local + self.db.collection_epoch(collection),
-        }
-    }
-
-    fn bump_epoch(&self, collection: &str) {
-        *self.epochs.write().entry(collection.to_owned()).or_insert(0) += 1;
     }
 
     /// Fetch a whole collection through the active driver.
@@ -221,7 +186,7 @@ impl Cluster {
     /// A cluster *view* over existing nodes — how replicated
     /// coordinators share one set of DBMS nodes: each coordinator owns
     /// its own `Cluster` wrapper, but the `Arc<Node>`s (databases,
-    /// drivers, epochs, availability) are the same objects.
+    /// drivers, availability) are the same objects.
     pub fn from_nodes(nodes: Vec<Arc<Node>>) -> Cluster {
         assert!(!nodes.is_empty(), "a cluster needs at least one node");
         Cluster { nodes }
@@ -323,28 +288,6 @@ mod tests {
         for node in c.nodes() {
             assert_eq!(node.db.morsel_config(), config);
         }
-    }
-
-    #[test]
-    fn epochs_bump_on_writes_and_drops() {
-        let c = Cluster::new(1);
-        let n = c.node(0).unwrap();
-        assert_eq!(n.collection_epoch("f"), 0);
-        n.store_docs("f", vec![partix_xml::parse("<a/>").unwrap()]);
-        let e1 = n.collection_epoch("f");
-        assert!(e1 >= 1);
-        assert_eq!(n.collection_epoch("other"), 0);
-        n.drop_collection("f");
-        let e2 = n.collection_epoch("f");
-        assert!(e2 > e1);
-        assert!(n.fetch_docs("f").is_empty());
-        // epochs survive the drop: a re-created collection keeps counting
-        n.store_docs("f", vec![partix_xml::parse("<b/>").unwrap()]);
-        let e3 = n.collection_epoch("f");
-        assert!(e3 > e2);
-        // writes bypassing the node (direct db access) are seen too
-        n.db.store("f", partix_xml::parse("<c/>").unwrap());
-        assert!(n.collection_epoch("f") > e3);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //!   [`DispatchMode::Pool`]: concurrent `execute` calls share a bounded
 //!   set of node workers ([`DispatchMode::Simulated`] runs the same
 //!   pipeline inline, one task after the other).
-//! * [`cache`] — coordinator-side plan and sub-query result caches, the
-//!   latter invalidated by per-collection write epochs.
+//! * [`cache`] — the coordinator's parsed-plan cache; every sub-query
+//!   still reaches its node.
 //! * [`faults`] — deterministic fault injection: seeded per-node fault
 //!   schedules ([`faults::FaultPlan`]) wrapping any node's driver in a
 //!   [`faults::FaultInjector`] (crashes, DBMS errors, latency,
@@ -52,7 +52,7 @@
 //!   [`report::QueryReport`], exportable in Chrome trace-event format.
 //! * [`metrics`] — the process-wide [`metrics::MetricsRegistry`]: named
 //!   counters, gauges and lock-free log-bucket latency histograms
-//!   (cache hits, pool queue depth, retries, timeouts, bytes moved).
+//!   (plan-cache hits, pool queue depth, retries, timeouts, bytes moved).
 //! * [`wirespan`] — thread-local send/recv timing channel between
 //!   socket-backed drivers (`partix-net`) and the dispatch loop, feeding
 //!   the `send`/`recv` spans of each sub-query's stage breakdown.
@@ -79,7 +79,6 @@ pub mod trace;
 pub mod wirespan;
 pub mod writes;
 
-pub use cache::CacheStats;
 pub use catalog::{Catalog, Distribution, DistributionError, Placement};
 pub use cluster::{Cluster, NetworkModel, Node};
 pub use driver::{DriverError, InstrumentedDriver, PartixDriver};

@@ -5,12 +5,12 @@
 //! a monotonically increasing *epoch*. Any number of [`crate::PartiX`]
 //! coordinators attach to it ([`crate::PartiX::attach_meta`]) and become
 //! stateless front-ends: every catalog mutation — schema or distribution
-//! registration, a rebalance swapping placements, an online write — goes
-//! through the meta service and bumps the epoch; each coordinator
-//! re-pulls the snapshot (and drops its result cache) the first time it
-//! serves a query after the bump. The snapshot is cheap: the catalog's
-//! values are `Arc`s, so a clone is two small `HashMap`s of refcount
-//! bumps, not a deep copy of designs and placements.
+//! registration, a rebalance swapping placements — goes through the meta
+//! service and bumps the epoch; each coordinator re-pulls the snapshot
+//! the first time it serves a query after the bump. A data write changes
+//! no catalog and leaves the epoch alone. The snapshot is cheap: the
+//! catalog's values are `Arc`s, so a clone is two small `HashMap`s of
+//! refcount bumps, not a deep copy of designs and placements.
 //!
 //! Watching: [`MetaService::wait_for`] blocks until the epoch passes a
 //! threshold, which is how tests (and any future push-invalidation
@@ -95,13 +95,6 @@ impl MetaService {
         Ok(epoch)
     }
 
-    /// Bump the epoch without touching the catalog — the invalidation
-    /// signal for data mutations (online writes), telling every attached
-    /// coordinator to drop result caches built over the old data.
-    pub fn bump(&self) -> u64 {
-        self.mutate(|_| ()).0
-    }
-
     /// Block until the epoch reaches at least `min_epoch` (or the
     /// timeout passes); returns the epoch observed last. Watch/notify,
     /// not polling.
@@ -130,11 +123,15 @@ impl MetaService {
 mod tests {
     use super::*;
 
+    fn schema() -> Arc<partix_schema::Schema> {
+        Arc::new(partix_schema::builtin::virtual_store())
+    }
+
     #[test]
     fn epoch_bumps_and_snapshots() {
         let meta = MetaService::new();
         assert_eq!(meta.epoch(), 1);
-        assert_eq!(meta.bump(), 2);
+        assert_eq!(meta.register_schema(schema()), 2);
         let (epoch, _catalog) = meta.snapshot();
         assert_eq!(epoch, 2);
     }
@@ -144,8 +141,8 @@ mod tests {
         let meta = MetaService::new();
         let waiter = Arc::clone(&meta);
         let handle = std::thread::spawn(move || waiter.wait_for(3, Duration::from_secs(5)));
-        meta.bump();
-        meta.bump();
+        meta.register_schema(schema());
+        meta.register_schema(schema());
         assert!(handle.join().unwrap() >= 3);
     }
 

@@ -52,8 +52,10 @@ impl PartiX {
         Ok(report)
     }
 
-    /// Store `docs` unfragmented on one node — the centralized baseline
-    /// every experiment compares against.
+    /// Store `docs` unfragmented in one node's embedded database — the
+    /// centralized baseline every experiment compares against, and the
+    /// store [`PartiX::execute_centralized`] reads. An installed driver
+    /// (a socket, a WAL) is bypassed: the oracle copy stays beside it.
     pub fn publish_centralized(
         &self,
         node: usize,
@@ -64,7 +66,7 @@ impl PartiX {
             .cluster()
             .node(node)
             .ok_or_else(|| PartixError::Internal(format!("node {node} missing")))?;
-        node.store_docs(collection, docs.to_vec());
+        node.db.store_all(collection, docs.iter().cloned());
         Ok(())
     }
 }
@@ -159,6 +161,20 @@ mod tests {
             px.cluster().node(0).unwrap().db.collection_len("items_central").unwrap(),
             10
         );
+    }
+
+    #[test]
+    fn the_centralized_copy_lands_where_the_centralized_query_reads_it() {
+        let px = partix();
+        // the node's data path goes to another database
+        let elsewhere = Arc::new(partix_storage::Database::new());
+        px.cluster().node(0).unwrap().set_driver(elsewhere.clone());
+        px.publish_centralized(0, "items_central", &items(10)).unwrap();
+        let out = px
+            .execute_centralized(0, r#"count(collection("items_central")/Item)"#)
+            .unwrap();
+        assert_eq!(out.items[0].serialize(), "10");
+        assert!(elsewhere.collection_len("items_central").is_err(), "copy went to the driver");
     }
 
     #[test]

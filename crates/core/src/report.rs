@@ -19,9 +19,6 @@ pub struct SiteReport {
     /// Morsels the node's scan split into for intra-fragment parallel
     /// execution (0 = the node evaluated sequentially).
     pub morsels: usize,
-    /// True when this site's answer was served from the coordinator's
-    /// result cache — the node was never contacted and `elapsed` is 0.
-    pub from_cache: bool,
     /// Dispatch attempts beyond the first that this sub-query needed
     /// (failed/timed-out attempts, on any replica).
     pub retries: usize,
@@ -58,11 +55,6 @@ pub struct QueryReport {
     /// (only set by [`PartiX::execute`](crate::PartiX::execute); queries
     /// entering as pre-parsed ASTs never consult the plan cache).
     pub plan_cache_hit: bool,
-    /// Sub-queries answered from the coordinator's result cache.
-    pub result_cache_hits: usize,
-    /// Sub-queries that had to run on their nodes (cache disabled counts
-    /// here too: every dispatched sub-query is a miss).
-    pub result_cache_misses: usize,
     /// Σ over sites of dispatch retries (see [`SiteReport::retries`]).
     pub retries: usize,
     /// Σ over sites of replica failovers.
@@ -135,19 +127,13 @@ impl fmt::Display for QueryReport {
                 writeln!(f, "  skipped [{}]: {}", skipped.fragment, skipped.error)?;
             }
         }
-        if self.result_cache_hits > 0 || self.plan_cache_hit {
-            writeln!(
-                f,
-                "  cache: plan {}, results {}/{} hit",
-                if self.plan_cache_hit { "hit" } else { "miss" },
-                self.result_cache_hits,
-                self.result_cache_hits + self.result_cache_misses,
-            )?;
+        if self.plan_cache_hit {
+            writeln!(f, "  cache: plan hit")?;
         }
         for site in &self.sites {
             writeln!(
                 f,
-                "  node{} [{}]: {:.6}s, {} docs, {} B{}{}{}",
+                "  node{} [{}]: {:.6}s, {} docs, {} B{}{}",
                 site.node,
                 site.fragment,
                 site.elapsed,
@@ -159,7 +145,6 @@ impl fmt::Display for QueryReport {
                 } else {
                     String::new()
                 },
-                if site.from_cache { ", cached" } else { "" },
             )?;
         }
         if self.stages.is_measured() {
@@ -212,7 +197,6 @@ mod tests {
             docs_scanned: 10,
             index_used: false,
             morsels: 0,
-            from_cache: false,
             retries: 0,
             failovers: 0,
             timeouts: 0,
@@ -304,17 +288,13 @@ mod tests {
 
     #[test]
     fn display_shows_cache_line_when_hit() {
-        let mut cached_site = site(0, 0.0, 100);
-        cached_site.from_cache = true;
         let report = QueryReport {
-            sites: vec![cached_site],
+            sites: vec![site(0, 0.0, 100)],
             plan_cache_hit: true,
-            result_cache_hits: 1,
             ..Default::default()
         };
         let text = report.to_string();
-        assert!(text.contains("cache: plan hit, results 1/1 hit"));
-        assert!(text.contains(", cached"));
+        assert!(text.contains("cache: plan hit"), "{text}");
         // and stays silent without cache activity
         let quiet = QueryReport::default().to_string();
         assert!(!quiet.contains("cache:"));

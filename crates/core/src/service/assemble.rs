@@ -50,8 +50,6 @@ impl PartiX {
         let mut report = QueryReport {
             fragments_pruned: plan.pruned,
             reconstructed: matches!(plan.compose, Compose::Reconstruct { .. }),
-            result_cache_hits: gathered.cache_hits,
-            result_cache_misses: plan.tasks.len() - gathered.cache_hits,
             partial: !gathered.skipped.is_empty(),
             skipped: gathered.skipped,
             ..Default::default()
@@ -67,34 +65,28 @@ impl PartiX {
             let Some(slot) = slot else {
                 continue; // fragment dropped in degraded mode
             };
-            let (output, from_cache) = (slot.output, slot.stage.is_none());
-            let (answer, stage) = (output.answer, slot.stage.unwrap_or_default());
+            let (output, stage) = (slot.output, slot.stage);
             report.sites.push(SiteReport {
-                node: if from_cache { task.node } else { stage.node },
+                node: stage.node,
                 fragment: task.fragment.clone(),
                 elapsed: output.elapsed,
-                result_bytes: answer.result_bytes,
-                docs_scanned: answer.docs_scanned,
-                index_used: answer.index_used,
-                morsels: answer.morsels,
-                from_cache,
+                result_bytes: output.result_bytes,
+                docs_scanned: output.docs_scanned,
+                index_used: output.index_used,
+                morsels: output.morsels,
                 retries: stage.retries,
                 failovers: stage.failovers,
                 timeouts: stage.timeouts,
             });
             report.parallel_elapsed = report.parallel_elapsed.max(output.elapsed);
             report.serial_elapsed += output.elapsed;
-            if !from_cache {
-                // cached answers never cross the wire again, and never
-                // dispatch: no stage entry
-                total_bytes += answer.result_bytes;
-                if !output.wire_counted {
-                    metered_bytes += answer.result_bytes;
-                }
-                subqueries.push(stage);
+            total_bytes += output.result_bytes;
+            if !output.wire_counted {
+                metered_bytes += output.result_bytes;
             }
+            subqueries.push(stage);
             // move the partial sequence out instead of deep-cloning it
-            partials.push(answer.items);
+            partials.push(output.items);
         }
         subqueries.extend(gathered.failed);
         report.retries = subqueries.iter().map(|s| s.retries).sum();
@@ -118,9 +110,9 @@ impl PartiX {
         }
 
         // one overlapped request/response round trip; partial results
-        // serialize on the coordinator's link — charged only when at
-        // least one task actually reached a node
-        if gathered.dispatched {
+        // serialize on the coordinator's link — charged only when the
+        // plan had a task to send
+        if !plan.tasks.is_empty() {
             report.transmission = 2.0 * self.network.latency_secs
                 + total_bytes as f64 / self.network.bandwidth_bytes_per_sec;
         }

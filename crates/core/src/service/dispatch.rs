@@ -2,15 +2,14 @@
 //!
 //! [`PartiX::gather`] runs a plan's tasks — sub-queries and fetches,
 //! filtered or whole, alike — and collects their outcomes in completion
-//! order. Each task's retry / failover / deadline loop is a [`Flight`]
-//! the gathering thread advances itself, each attempt ending in
-//! [`run_on_node`] — the only function on the query path that calls into
-//! a node, behind the panic firewall.
+//! order. Every task reaches a node: its retry / failover / deadline loop
+//! is a [`Flight`] the gathering thread advances itself, each attempt
+//! ending in [`run_on_node`] — the only function on the query path that
+//! calls into a node, behind the panic firewall.
 
 use super::error::stream_cancelled;
 use super::plan::{Compose, Plan, Task, TaskOp};
 use super::{DispatchMode, ExecOptions, PartiX, PartixError, RetryPolicy, Sink};
-use crate::cache::{CachedSite, ResultKey};
 use crate::cluster::Node;
 use crate::compose::{self, Composition};
 use crate::driver::DriverError;
@@ -18,7 +17,7 @@ use crate::metrics;
 use crate::report::SkippedFragment;
 use crate::trace::{SubQueryStage, Trace};
 use crate::wirespan;
-use partix_query::Item;
+use partix_query::{Item, Sequence};
 use partix_storage::QueryOutput;
 use partix_tenant::PriorityClass;
 use partix_xml::NodeId;
@@ -28,9 +27,12 @@ use std::time::{Duration, Instant};
 /// What one task brought back from its node.
 #[derive(Default)]
 pub(super) struct SiteOutput {
-    /// The part of the answer the result cache keeps. A fetch's `items`
-    /// are its documents, one root-node item each.
-    pub answer: CachedSite,
+    /// A fetch's items are its documents, one root-node item each.
+    pub items: Sequence,
+    pub result_bytes: usize,
+    pub docs_scanned: usize,
+    pub index_used: bool,
+    pub morsels: usize,
     pub elapsed: f64,
     /// Wire time spent writing request frames (0 in-process).
     send_s: f64,
@@ -47,13 +49,11 @@ pub(super) struct SiteOutput {
 impl From<QueryOutput> for SiteOutput {
     fn from(out: QueryOutput) -> SiteOutput {
         SiteOutput {
-            answer: CachedSite {
-                items: out.items,
-                result_bytes: out.stats.result_bytes,
-                docs_scanned: out.stats.docs_scanned,
-                index_used: out.stats.index_used,
-                morsels: out.stats.morsels,
-            },
+            items: out.items,
+            result_bytes: out.stats.result_bytes,
+            docs_scanned: out.stats.docs_scanned,
+            index_used: out.stats.index_used,
+            morsels: out.stats.morsels,
             elapsed: out.stats.elapsed,
             ..SiteOutput::default()
         }
@@ -64,9 +64,8 @@ impl From<QueryOutput> for SiteOutput {
 pub(super) struct SiteSlot {
     pub output: SiteOutput,
     /// Dispatch-stage attribution of the retry loop that produced the
-    /// answer (it names the replica that answered); `None` = served from
-    /// the result cache, no node contacted.
-    pub stage: Option<SubQueryStage>,
+    /// answer (it names the replica that answered).
+    pub stage: SubQueryStage,
 }
 
 /// A task whose every attempt failed.
@@ -87,9 +86,6 @@ pub(super) struct Gathered {
     /// Retry-loop attribution of the tasks that were dropped.
     pub failed: Vec<SubQueryStage>,
     pub skipped: Vec<SkippedFragment>,
-    pub cache_hits: usize,
-    /// Whether any task actually reached a node.
-    pub dispatched: bool,
     pub dispatch_s: f64,
 }
 
@@ -118,12 +114,9 @@ type Attempted = Result<(SiteOutput, Duration), DispatchError>;
 /// A finished flight: its task's answer, or the failure of every attempt.
 type Landed = Result<SiteSlot, RunFailure>;
 
-/// One pending task's retry loop, advanced by the gathering thread.
+/// One task's retry loop, advanced by the gathering thread; flight `i`
+/// runs plan task `i`.
 struct Flight {
-    /// The task's plan position.
-    task: usize,
-    /// Pre-dispatch write epochs of the task's replicas (result cache).
-    epochs: Vec<(usize, u64)>,
     /// Its `attempts`, the count of attempts made, tags their answers.
     stage: SubQueryStage,
     last_error: Option<DispatchError>,
@@ -153,9 +146,8 @@ struct Gather<'a> {
 
 impl PartiX {
     /// Run the plan's tasks and gather their outcomes as they complete.
-    /// Tasks the result cache answers never dispatch. When the
-    /// composition streams, each task's answer goes to `sink` the moment
-    /// every earlier one has, however slow later sites are.
+    /// When the composition streams, each task's answer goes to `sink`
+    /// the moment every earlier one has, however slow later sites are.
     pub(super) fn gather(
         &self,
         plan: &Plan,
@@ -164,9 +156,7 @@ impl PartiX {
         sink: &mut Sink<'_>,
     ) -> Result<Gathered, PartixError> {
         let dispatch_start = Instant::now();
-        let decomposed = matches!(plan.compose, Compose::Combine(_));
-        let use_cache = decomposed && self.result_cache_enabled();
-        let allow_partial = decomposed && options.allow_partial;
+        let allow_partial = matches!(plan.compose, Compose::Combine(_)) && options.allow_partial;
         // each answer is a finished slice of the query's answer
         let streams =
             matches!(plan.compose, Compose::Combine(Composition::Concat) | Compose::Passthrough);
@@ -176,52 +166,21 @@ impl PartiX {
             skipped: plan.skipped.clone(),
             ..Gathered::default()
         };
+        let mut flights: Vec<Flight> = tasks
+            .iter()
+            .map(|task| {
+                let (fragment, node) = (task.fragment.clone(), task.node);
+                let stage = SubQueryStage { fragment, node, ..Default::default() };
+                Flight { stage, last_error: None, phase: Phase::Idle }
+            })
+            .collect();
 
-        // pending tasks carry the pre-dispatch write epoch of *every*
-        // replica: a failover may land on any of them, and the insert key
-        // must use an epoch read before execution (a concurrent write
-        // then leaves the entry under a stale key instead of poisoning
-        // the current one)
-        let mut flights: Vec<Flight> = Vec::new();
-        for (i, task) in tasks.iter().enumerate() {
-            let mut epochs = Vec::new();
-            if use_cache {
-                let epoch_on = |&id: &usize| {
-                    Some((id, self.cluster.node(id)?.collection_epoch(&task.fragment)))
-                };
-                epochs = task.replicas.iter().filter_map(epoch_on).collect();
-                if let Some(answer) = self.result_cache.get(&result_key(task, task.node, &epochs)) {
-                    gathered.cache_hits += 1;
-                    let output = SiteOutput { answer, ..SiteOutput::default() };
-                    gathered.slots[i] = Some(SiteSlot { output, stage: None });
-                    continue;
-                }
-            }
-            let (fragment, node) = (task.fragment.clone(), task.node);
-            let stage = SubQueryStage { fragment, node, ..Default::default() };
-            flights.push(Flight { task: i, epochs, stage, last_error: None, phase: Phase::Idle });
-        }
-        gathered.dispatched = !flights.is_empty();
-
-        let mut resolved: Vec<bool> = gathered.slots.iter().map(Option::is_some).collect();
+        let mut resolved = vec![false; tasks.len()];
         let mut cursor = 0usize;
-        if streams {
-            // the cache-hit prefix is ready before any task lands
-            emit_ready_prefix(&mut gathered.slots, &resolved, &mut cursor, sink)?;
-        }
-        let mut absorb = |flight: &Flight, landed: Option<Landed>| {
-            let (i, Some(outcome)) = (flight.task, landed) else { return Ok(()) };
+        let mut absorb = |i: usize, landed: Option<Landed>| {
+            let Some(outcome) = landed else { return Ok(()) };
             match outcome {
-                Ok(slot) => {
-                    if use_cache {
-                        // under the replica that actually answered —
-                        // after a failover not the planner's pick
-                        let node = slot.stage.as_ref().map_or(tasks[i].node, |s| s.node);
-                        let key = result_key(&tasks[i], node, &flight.epochs);
-                        self.result_cache.insert(key, slot.output.answer.clone());
-                    }
-                    gathered.slots[i] = Some(slot);
-                }
+                Ok(slot) => gathered.slots[i] = Some(slot),
                 Err(RunFailure { error, stage }) if allow_partial => {
                     gathered.failed.push(*stage);
                     let fragment = tasks[i].fragment.clone();
@@ -249,7 +208,7 @@ impl PartiX {
             if next < flights.len() && (pooled || flights[..next].iter().all(done)) {
                 let on_caller = pooled && next + 1 == flights.len();
                 let landed = g.next_attempt(next, &mut flights[next], on_caller);
-                absorb(&flights[next], landed)?;
+                absorb(next, landed)?;
                 next += 1;
                 continue;
             }
@@ -268,13 +227,13 @@ impl PartiX {
                 let flight = &mut flights[i];
                 if flight.stage.attempts == tag && matches!(flight.phase, Phase::Running { .. }) {
                     let landed = g.land(i, flight, attempted);
-                    absorb(flight, landed)?;
+                    absorb(i, landed)?;
                 }
             }
             let now = Instant::now();
             for (i, flight) in flights.iter_mut().enumerate() {
                 let landed = g.tick(i, flight, now);
-                absorb(flight, landed)?;
+                absorb(i, landed)?;
             }
         }
         gathered.dispatch_s = dispatch_start.elapsed().as_secs_f64();
@@ -293,7 +252,7 @@ impl Gather<'_> {
     /// on this thread if the pool lets it), a retry after its backoff —
     /// or land it failed: attempts spent, or no replica up.
     fn next_attempt(&self, i: usize, f: &mut Flight, on_caller: bool) -> Option<Landed> {
-        let (task, attempt) = (&self.tasks[f.task], f.stage.attempts);
+        let (task, attempt) = (&self.tasks[i], f.stage.attempts);
         // each attempt starts one step further around the replica ring,
         // moving past whichever replica just failed
         let ring = &task.replicas;
@@ -329,7 +288,7 @@ impl Gather<'_> {
     /// node has a free slot with nothing queued; else it is a node job.
     fn launch(&self, i: usize, f: &mut Flight, node_id: usize, on_caller: bool) -> Option<Landed> {
         let node = Arc::clone(self.px.cluster.node(node_id).expect("picked from cluster"));
-        let task = &self.tasks[f.task];
+        let task = &self.tasks[i];
         f.stage.node = node_id;
         f.stage.attempts += 1;
         let since = Instant::now();
@@ -368,7 +327,7 @@ impl Gather<'_> {
         else {
             unreachable!("only a running attempt lands");
         };
-        let (task, lane) = (&self.tasks[f.task], i + 1);
+        let (task, lane) = (&self.tasks[i], i + 1);
         f.stage.execute_s += since.elapsed().as_secs_f64();
         if self.trace.is_enabled() {
             let verb = if matches!(task.op, TaskOp::Fetch { .. }) { "fetch" } else { "exec" };
@@ -393,7 +352,7 @@ impl Gather<'_> {
                 let reg = metrics::global();
                 reg.histogram("subquery.execute").record_secs(output.elapsed);
                 reg.histogram("subquery.queue_wait").record_secs(queue_wait.as_secs_f64());
-                Some(Ok(SiteSlot { output, stage: Some(std::mem::take(&mut f.stage)) }))
+                Some(Ok(SiteSlot { output, stage: std::mem::take(&mut f.stage) }))
             }
             attempted => {
                 let error = attempted.err().filter(|_| !late).unwrap_or(DispatchError::Timeout);
@@ -422,7 +381,7 @@ impl Gather<'_> {
             Phase::Backoff { node, since, until } if until <= now => {
                 f.stage.backoff_s += since.elapsed().as_secs_f64();
                 if self.trace.is_enabled() {
-                    let name = format!("backoff:{}", self.tasks[f.task].fragment);
+                    let name = format!("backoff:{}", self.tasks[i].fragment);
                     self.trace.record(&name, i + 1, since);
                 }
                 self.launch(i, f, node, false)
@@ -430,16 +389,6 @@ impl Gather<'_> {
             _ => None,
         }
     }
-}
-
-/// The result-cache key of `task` as answered by replica `node`, whose
-/// write epoch was read (into `epochs`) before the task was dispatched.
-fn result_key(task: &Task, node: usize, epochs: &[(usize, u64)]) -> ResultKey {
-    let TaskOp::Execute { query, avg } = &task.op else {
-        unreachable!("only sub-queries of a decomposed plan are cached");
-    };
-    let epoch = epochs.iter().find(|&&(id, _)| id == node).map_or(0, |&(_, e)| e);
-    ResultKey::new(node, &task.fragment, epoch, *avg, query)
 }
 
 /// Best-effort text of a caught panic payload.
@@ -462,7 +411,7 @@ fn emit_ready_prefix(
 ) -> Result<(), PartixError> {
     while *cursor < resolved.len() && resolved[*cursor] {
         if let Some(slot) = slots[*cursor].as_mut() {
-            if !sink.emit(std::mem::take(&mut slot.output.answer.items)) {
+            if !sink.emit(std::mem::take(&mut slot.output.items)) {
                 return Err(stream_cancelled());
             }
         }
@@ -510,25 +459,22 @@ fn call_node(node: &Node, task: &Task) -> Result<SiteOutput, DispatchError> {
                 // both partial answers ship back and both evaluator
                 // passes cost: merge the stats of the two sub-queries
                 sum.elapsed += count.elapsed;
-                sum.answer.items.extend(count.answer.items);
-                sum.answer.result_bytes += count.answer.result_bytes;
-                sum.answer.docs_scanned += count.answer.docs_scanned;
-                sum.answer.index_used |= count.answer.index_used;
-                sum.answer.morsels = sum.answer.morsels.max(count.answer.morsels);
+                sum.items.extend(count.items);
+                sum.result_bytes += count.result_bytes;
+                sum.docs_scanned += count.docs_scanned;
+                sum.index_used |= count.index_used;
+                sum.morsels = sum.morsels.max(count.morsels);
                 Ok(sum)
             }),
         TaskOp::Fetch { filter } => {
             let begun = Instant::now();
             node.try_fetch_docs(&task.fragment, filter.as_deref()).map_err(DispatchError::from).map(
-                |docs| {
-                    let answer = CachedSite {
-                        result_bytes: docs.iter().map(|d| d.approx_size()).sum(),
-                        docs_scanned: docs.len(),
-                        items: docs.into_iter().map(|d| Item::Node(d, NodeId::ROOT)).collect(),
-                        ..CachedSite::default()
-                    };
-                    let elapsed = begun.elapsed().as_secs_f64();
-                    SiteOutput { answer, elapsed, ..SiteOutput::default() }
+                |docs| SiteOutput {
+                    result_bytes: docs.iter().map(|d| d.approx_size()).sum(),
+                    docs_scanned: docs.len(),
+                    items: docs.into_iter().map(|d| Item::Node(d, NodeId::ROOT)).collect(),
+                    elapsed: begun.elapsed().as_secs_f64(),
+                    ..SiteOutput::default()
                 },
             )
         }

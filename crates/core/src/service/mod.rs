@@ -42,7 +42,7 @@ mod plan;
 
 pub use error::PartixError;
 
-use crate::cache::{CacheStats, PlanCache, ResultCache};
+use crate::cache::PlanCache;
 use crate::catalog::{Catalog, Distribution};
 use crate::cluster::{Cluster, NetworkModel};
 use crate::metrics;
@@ -51,7 +51,7 @@ use crate::runtime::{PoolConfig, WorkerPool};
 use crate::trace::Trace;
 use assemble::Timing;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use partix_query::{parse_query, Query, Sequence};
+use partix_query::{Query, Sequence};
 use partix_storage::QueryOutput;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -186,9 +186,6 @@ pub struct PartiX {
     pool: OnceLock<WorkerPool>,
     pool_config: PoolConfig,
     plan_cache: PlanCache,
-    result_cache: ResultCache,
-    plan_cache_enabled: std::sync::atomic::AtomicBool,
-    result_cache_enabled: std::sync::atomic::AtomicBool,
     retry: RwLock<RetryPolicy>,
     /// Per-fragment round-robin counters driving replica rotation.
     rotation: Mutex<HashMap<String, usize>>,
@@ -225,13 +222,6 @@ impl PartiX {
             pool: OnceLock::new(),
             pool_config: PoolConfig::default(),
             plan_cache: PlanCache::new(1024),
-            result_cache: ResultCache::new(4096),
-            // parsing happens outside the reported query timing, so plan
-            // caching is free for the paper figures and defaults on
-            plan_cache_enabled: std::sync::atomic::AtomicBool::new(true),
-            // result caching changes what a "query execution" measures,
-            // so it is strictly opt-in
-            result_cache_enabled: std::sync::atomic::AtomicBool::new(false),
             retry: RwLock::new(RetryPolicy::default()),
             rotation: Mutex::new(HashMap::new()),
             tracing: std::sync::atomic::AtomicBool::new(true),
@@ -363,9 +353,7 @@ impl PartiX {
     }
 
     /// When the meta epoch moved since the last sync, replace the local
-    /// catalog with the meta snapshot and drop the result cache (the
-    /// sub-query results may have been computed against retired
-    /// placements or pre-write data). Cheap when nothing changed: one
+    /// catalog with the meta snapshot. Cheap when nothing changed: one
     /// atomic load against the meta epoch.
     pub fn sync_with_meta(&self) {
         let Some(meta) = self.meta.get() else { return };
@@ -375,18 +363,8 @@ impl PartiX {
         }
         let (epoch, catalog) = meta.snapshot();
         *self.catalog.write() = catalog;
-        self.result_cache.clear();
         metrics::global().counter("partix.meta.syncs").inc();
         self.meta_seen.store(epoch, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Bump the meta epoch after a data write so sibling coordinators
-    /// invalidate, then follow it ourselves.
-    pub(crate) fn notify_meta_of_write(&self) {
-        if let Some(meta) = self.meta.get() {
-            meta.bump();
-            self.sync_with_meta();
-        }
     }
 
     /// Enable/disable per-query span collection (on by default; see
@@ -442,50 +420,6 @@ impl PartiX {
 
     pub fn pool_config(&self) -> PoolConfig {
         self.pool_config
-    }
-
-    /// Enable/disable the parsed-plan cache consulted by
-    /// [`PartiX::execute`] (on by default — parsing is outside the
-    /// reported query timing, so caching it never skews the figures).
-    pub fn set_plan_cache_enabled(&self, enabled: bool) {
-        self.plan_cache_enabled
-            .store(enabled, std::sync::atomic::Ordering::Release);
-    }
-
-    pub fn plan_cache_enabled(&self) -> bool {
-        self.plan_cache_enabled
-            .load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Enable/disable the sub-query result cache (off by default: a hit
-    /// bypasses the node entirely, which is exactly what a throughput
-    /// workload wants and exactly what a paper-figure measurement does
-    /// not). Entries are invalidated by the per-collection write epochs
-    /// ([`Node::collection_epoch`]) baked into every cache key.
-    pub fn set_result_cache_enabled(&self, enabled: bool) {
-        self.result_cache_enabled
-            .store(enabled, std::sync::atomic::Ordering::Release);
-    }
-
-    pub fn result_cache_enabled(&self) -> bool {
-        self.result_cache_enabled
-            .load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Cumulative hit/miss counters across both coordinator caches.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            plan_hits: self.plan_cache.hits(),
-            plan_misses: self.plan_cache.misses(),
-            result_hits: self.result_cache.hits(),
-            result_misses: self.result_cache.misses(),
-        }
-    }
-
-    /// Drop every cached plan and result (counters are kept).
-    pub fn clear_caches(&self) {
-        self.plan_cache.clear();
-        self.result_cache.clear();
     }
 
     /// Recompute the per-node placement gauges in the global metrics
@@ -600,7 +534,7 @@ impl PartiX {
     }
 
     /// Execute an XQuery over the distributed repository. Repeated query
-    /// texts reuse their parsed plan (see [`PartiX::set_plan_cache_enabled`]).
+    /// texts reuse their parsed plan ([`QueryReport::plan_cache_hit`]).
     pub fn execute(&self, text: &str) -> Result<DistributedResult, PartixError> {
         self.execute_with(text, ExecOptions::default())
     }
@@ -744,11 +678,7 @@ impl PartiX {
         let (query, plan_cache_hit, parse_s): (&Query, _, _) = match source {
             Source::Text(text) => {
                 let hit;
-                (parsed, hit) = if self.plan_cache_enabled() {
-                    self.plan_cache.get_or_parse(text).map_err(PartixError::Parse)?
-                } else {
-                    (Arc::new(parse_query(text).map_err(PartixError::Parse)?), false)
-                };
+                (parsed, hit) = self.plan_cache.get_or_parse(text).map_err(PartixError::Parse)?;
                 let parse_s = parse_start.elapsed().as_secs_f64();
                 trace.record("parse", 0, parse_start);
                 (&parsed, hit, parse_s)

@@ -118,14 +118,13 @@ pub struct StageBreakdown {
     pub parse_s: f64,
     /// Pushdown analysis + fragment pruning + sub-query construction.
     pub localize_s: f64,
-    /// Fan-out wall time: result-cache probing plus every sub-query's
-    /// retry loop, run in parallel (this is wall clock, not the sum of
-    /// per-site service times).
+    /// Fan-out wall time: every sub-query's retry loop, run in parallel
+    /// (this is wall clock, not the sum of per-site service times).
     pub dispatch_s: f64,
     /// Coordinator-side composition (union / aggregate combination /
     /// reconstruction join).
     pub compose_s: f64,
-    /// One entry per *dispatched* sub-query (cache hits never dispatch).
+    /// One entry per sub-query; every one is dispatched.
     pub subqueries: Vec<SubQueryStage>,
 }
 

@@ -27,11 +27,9 @@
 //! loses the document — the transient duplicate is healed by retrying
 //! the (idempotent) write after recovery.
 //!
-//! Every replica write goes through [`Node::apply_write`], which bumps
-//! the node's collection epoch whether the write succeeded or died
-//! mid-pipeline — so the coordinator's plan/result caches invalidate
-//! exactly as they do for rebalancing, and a cached answer can never
-//! outlive a write *attempt*.
+//! Every replica write goes through [`Node::apply_write`]. A write
+//! touches data, not the catalog: the meta epoch stays where it is, and
+//! the next read reaches the nodes and sees it.
 
 use crate::cluster::Node;
 use crate::driver::DriverError;
@@ -141,11 +139,6 @@ impl PartiX {
         self.sync_with_meta();
         let outcome = self.put_inner(collection, doc);
         record_write_metrics("partix.writes.puts", outcome.is_err());
-        if outcome.is_ok() {
-            // tell every replicated coordinator to drop result caches
-            // built over the pre-write data
-            self.notify_meta_of_write();
-        }
         outcome
     }
 
@@ -170,9 +163,6 @@ impl PartiX {
         self.sync_with_meta();
         let outcome = self.delete_inner(collection, name);
         record_write_metrics("partix.writes.deletes", outcome.is_err());
-        if outcome.is_ok() {
-            self.notify_meta_of_write();
-        }
         outcome
     }
 
@@ -312,10 +302,7 @@ impl PartiX {
         Ok(report)
     }
 
-    /// One replica write, mapped into the typed error space. The node
-    /// bumps its collection epoch even on failure (cache safety), so a
-    /// write that dies mid-pipeline can never be masked by a stale
-    /// cached answer.
+    /// One replica write, mapped into the typed error space.
     fn write_to_node(
         &self,
         node_id: usize,
@@ -545,19 +532,5 @@ mod tests {
         }
         let r = px.delete("items", "i1").unwrap();
         assert_eq!(r.deleted, 2, "one removal per replica");
-    }
-
-    #[test]
-    fn writes_invalidate_the_result_cache() {
-        let px = horizontal_px(1);
-        px.set_result_cache_enabled(true);
-        px.put("items", item("i1", "CD", 7)).unwrap();
-        let q = r#"count(collection("items")/Item)"#;
-        assert_eq!(count(&px, q), 1.0);
-        assert_eq!(count(&px, q), 1.0); // cached
-        px.put("items", item("i2", "DVD", 8)).unwrap();
-        assert_eq!(count(&px, q), 2.0, "epoch bump must invalidate the cached answer");
-        px.delete("items", "i1").unwrap();
-        assert_eq!(count(&px, q), 1.0);
     }
 }

@@ -6,7 +6,7 @@
 //! already dispatches to, everything above it works unchanged over real
 //! sockets: the dispatch pool, retry/backoff/failover, deadlines, fault
 //! injection (a `FaultInjector` can wrap a `RemoteDriver` like any other
-//! driver), the result cache, and the trace/metrics layers.
+//! driver), and the trace/metrics layers.
 //!
 //! Failure mapping keeps the coordinator's recovery semantics intact:
 //! * at the node, driver errors become a [`WireError`] tagged with

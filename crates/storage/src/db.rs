@@ -272,11 +272,6 @@ pub struct Database {
     use_value_index: std::sync::atomic::AtomicBool,
     /// Intra-query parallelism knobs (see [`crate::parallel`]).
     morsels: RwLock<crate::parallel::MorselConfig>,
-    /// Per-collection write epochs (bumped on every mutation, including
-    /// drops — entries outlive their collection so the counter stays
-    /// monotonic across drop/recreate cycles). Result caches layered
-    /// above the storage key their entries by this counter.
-    epochs: RwLock<HashMap<String, u64>>,
 }
 
 impl Default for Database {
@@ -292,7 +287,6 @@ impl Database {
             use_indexes: std::sync::atomic::AtomicBool::new(true),
             use_value_index: std::sync::atomic::AtomicBool::new(false),
             morsels: RwLock::new(crate::parallel::MorselConfig::default()),
-            epochs: RwLock::new(HashMap::new()),
         }
     }
 
@@ -343,10 +337,6 @@ impl Database {
             return Err(StorageError::DuplicateCollection(name.to_owned()));
         }
         map.insert(name.to_owned(), Arc::new(RwLock::new(Collection::new(name, mode))));
-        drop(map);
-        // creating an (empty) collection is observable — it turns an
-        // "unknown collection" error into an empty result
-        self.bump_epoch(name);
         Ok(())
     }
 
@@ -354,7 +344,6 @@ impl Database {
     pub fn store(&self, collection: &str, doc: Document) {
         let coll = self.get_or_create(collection);
         coll.write().insert(doc);
-        self.bump_epoch(collection);
     }
 
     /// Store many documents at once.
@@ -364,8 +353,6 @@ impl Database {
         for doc in docs {
             guard.insert(doc);
         }
-        drop(guard);
-        self.bump_epoch(collection);
     }
 
     /// Store shared documents without deep-copying them (hot collections
@@ -381,8 +368,6 @@ impl Database {
         for doc in docs {
             guard.insert_shared(doc);
         }
-        drop(guard);
-        self.bump_epoch(collection);
     }
 
     /// Ingest already-encoded binary pages into a collection (which must
@@ -403,18 +388,7 @@ impl Database {
             guard.insert_page(page)?;
             stored += 1;
         }
-        drop(guard);
-        self.bump_epoch(collection);
         Ok(stored)
-    }
-
-    /// Current write epoch of `collection` (0 = never written).
-    pub fn collection_epoch(&self, collection: &str) -> u64 {
-        self.epochs.read().get(collection).copied().unwrap_or(0)
-    }
-
-    fn bump_epoch(&self, collection: &str) {
-        *self.epochs.write().entry(collection.to_owned()).or_insert(0) += 1;
     }
 
     fn get_or_create(&self, name: &str) -> Arc<RwLock<Collection>> {
@@ -453,11 +427,9 @@ impl Database {
             .ok_or_else(|| StorageError::UnknownCollection(name.to_owned()))
     }
 
-    /// Drop a collection; succeeds silently if absent. The write epoch
-    /// is bumped either way (the drop is observable).
+    /// Drop a collection; succeeds silently if absent.
     pub fn drop_collection(&self, name: &str) {
         self.collections.write().remove(name);
-        self.bump_epoch(name);
     }
 
     /// Upsert a document keyed by its name: any existing document with
@@ -473,21 +445,15 @@ impl Database {
             None => false,
         };
         guard.insert(doc);
-        drop(guard);
-        self.bump_epoch(collection);
         replaced
     }
 
     /// Delete the document named `name` from `collection`. Returns
     /// whether anything was removed (an absent collection or name is a
-    /// no-op, keeping deletes idempotent). The epoch bumps only on a
-    /// real removal — a no-op delete is not observable.
+    /// no-op, keeping deletes idempotent).
     pub fn delete_doc(&self, collection: &str, name: &str) -> bool {
         let Some(coll) = self.get(collection) else { return false };
         let removed = coll.write().remove_by_name(name);
-        if removed {
-            self.bump_epoch(collection);
-        }
         removed
     }
 
@@ -696,9 +662,8 @@ mod tests {
     }
 
     #[test]
-    fn write_ops_apply_idempotently_and_bump_epochs() {
+    fn write_ops_apply_idempotently() {
         let db = make_db(StorageMode::Hot);
-        let before = db.collection_epoch("items");
         let mut d = parse("<Item><Section>CD</Section></Item>").unwrap();
         d.name = Some("w1".to_owned());
         let put = crate::wal::WriteOp::Put { collection: "items".into(), doc: d };
@@ -709,26 +674,5 @@ mod tests {
         assert_eq!(db.apply_write(&del), 1);
         assert_eq!(db.apply_write(&del), 0);
         assert_eq!(db.collection_len("items").unwrap(), 3);
-        assert!(db.collection_epoch("items") > before, "writes must invalidate caches");
-    }
-
-    #[test]
-    fn epochs_track_mutations_monotonically() {
-        let db = Database::new();
-        assert_eq!(db.collection_epoch("c"), 0);
-        db.store("c", parse("<a/>").unwrap());
-        let after_store = db.collection_epoch("c");
-        assert!(after_store >= 1);
-        db.store_all("c", vec![parse("<b/>").unwrap()]);
-        let after_store_all = db.collection_epoch("c");
-        assert!(after_store_all > after_store);
-        db.drop_collection("c");
-        let after_drop = db.collection_epoch("c");
-        assert!(after_drop > after_store_all);
-        // recreate after drop: the counter keeps increasing
-        db.store_all_shared("c", vec![Arc::new(parse("<d/>").unwrap())]);
-        assert!(db.collection_epoch("c") > after_drop);
-        // other collections are untouched
-        assert_eq!(db.collection_epoch("other"), 0);
     }
 }

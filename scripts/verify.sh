@@ -137,7 +137,7 @@ for name in reconstruction_fetches_what_the_query_reads \
 done
 
 # streaming gate: the streamed-vs-buffered differential (every query
-# family, hot and cold caches, seeded faults, coordinator killed
+# family, plans parsed and plans cached, seeded faults, coordinator killed
 # mid-stream), the coordinator-replication failover differential (three
 # coordinators, one killed mid-workload, epoch convergence after a
 # rebalance), and the slow-reader backpressure suite (a reader that
@@ -178,8 +178,8 @@ cargo test -q --test write_differential --offline
 # multi-tenant gate: the tenant-layer unit suites (registry, quotas,
 # DRR scheduler, admission controller), the multitenant differential
 # suite (admitted answers vs the centralized oracle under floods and
-# seeded faults, typed rejections with retry hints, result-cache
-# hygiene — in-process and at both endpoints of the wire), and the
+# seeded faults, typed rejections with retry hints and an oracle answer
+# after them — in-process and at both endpoints of the wire), and the
 # warehouse→advisor suite (frequency mining over the star-query log
 # feeding re-split candidates that pass the formal
 # completeness/disjointness check and migrate live).
@@ -278,6 +278,14 @@ if grep -nE 'Database::new\(\)|store_all_shared' "$SERVICE"/assemble.rs; then
 fi
 if grep -rn 'DispatchMode::Threads' crates src tests examples; then
     echo "verify: FAIL — DispatchMode::Threads reappeared" >&2
+    exit 1
+fi
+# every sub-query reaches its node: the sub-query result cache, the write
+# epochs that existed only to invalidate it, and both cache switches stay
+# deleted (the parsed-plan cache is the coordinator's one cache).
+if grep -rnE 'ResultCache|ResultKey|CachedSite|CacheStats|result_cache|from_cache|collection_epoch|bump_epoch|plan_cache_enabled|clear_caches|notify_meta_of_write' \
+    crates src tests examples; then
+    echo "verify: FAIL — the result cache or its write epochs reappeared" >&2
     exit 1
 fi
 

@@ -41,14 +41,13 @@ fn assert_breakdown_consistent(
     );
 
     // every dispatched sub-query is attributed exactly once: the
-    // answered non-cached sites plus the degraded-mode skips
+    // answered sites plus the degraded-mode skips
     let mut attributed: Vec<&str> =
         stages.subqueries.iter().map(|s| s.fragment.as_str()).collect();
     attributed.sort_unstable();
     let mut dispatched: Vec<&str> = report
         .sites
         .iter()
-        .filter(|s| !s.from_cache)
         .map(|s| s.fragment.as_str())
         .chain(report.skipped.iter().map(|s| s.fragment.as_str()))
         .collect();

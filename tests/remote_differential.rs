@@ -234,9 +234,8 @@ fn killed_server_yields_typed_error_and_restart_heals() {
         // no replica for f1: the failure must be a typed error
         Err(_) => {}
         Ok(result) => {
-            // dispatch may legally answer only if the answer is right
-            // (e.g. served from cache) — wrong data is the one outlawed
-            // outcome
+            // dispatch may legally answer only if the answer is right —
+            // wrong data is the one outlawed outcome
             assert_eq!(
                 canonical(&result.items),
                 healthy,

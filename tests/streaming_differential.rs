@@ -6,8 +6,8 @@
 //! and the item sequences must be byte-identical *in order*, with the
 //! horizontal families additionally checked against the centralized
 //! oracle. The deterministic [`partix_net::StreamStats`] shipped in
-//! `StreamEnd` must agree between the two transport modes, hot cache and
-//! cold alike.
+//! `StreamEnd` must agree between the two transport modes, on a query's
+//! first run (plan parsed) and on later ones (plan cached) alike.
 //!
 //! The faulted runs re-assert the dispatch contract through the
 //! streaming stack: seeded injectors under a replicated cluster, and a
@@ -122,18 +122,10 @@ fn horizontal_streamed_matches_buffered_and_oracle_cold_and_hot() {
     for n in [2, 4, 8] {
         let (px, _server, client) = serve(setup::horizontal(&docs, n));
 
-        // cold: no plan reuse, no result cache — every chunk is computed
-        px.set_plan_cache_enabled(false);
-        px.set_result_cache_enabled(false);
+        // first pass: each query's plan is parsed on its first run
         assert_streaming_differential(&px, &client, &workload, &format!("hor{n}-cold"), true);
-
-        // hot: caches on and warmed — chunks come out of the result
-        // cache, and must still be byte-identical with equal stats
-        px.set_plan_cache_enabled(true);
-        px.set_result_cache_enabled(true);
-        for (_, query) in &workload {
-            client.query(query, STREAMED).expect("warm-up");
-        }
+        // second pass: every plan comes out of the plan cache, and the
+        // chunks must still be byte-identical with equal stats
         assert_streaming_differential(&px, &client, &workload, &format!("hor{n}-hot"), true);
     }
 }

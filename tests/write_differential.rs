@@ -7,9 +7,8 @@
 //! and every read must answer byte-identically to it. The contract is
 //! exercised three ways:
 //!
-//! * **in-process** with the result cache *enabled* — proving that the
-//!   per-write epoch bumps invalidate cached answers exactly as
-//!   rebalancing does;
+//! * **in-process**, reads interleaved with inserts, in-place updates,
+//!   cross-fragment moves and deletes;
 //! * **with WAL-backed nodes and seeded kill-points** injected at every
 //!   stage of the write pipeline (append / fsync / apply) — a killed
 //!   node answers typed `Unavailable`, is reopened from its directory
@@ -45,7 +44,7 @@ fn tmp_root(tag: &str) -> PathBuf {
 }
 
 /// A small read workload: predicate selection, text search, aggregation,
-/// full scan — enough shape diversity to catch stale caches and partial
+/// full scan — enough shape diversity to catch stale answers and partial
 /// fragments.
 fn workload() -> Vec<(&'static str, String)> {
     let mut qs: Vec<(&'static str, String)> = queries::horizontal(setup::DIST)
@@ -191,13 +190,11 @@ fn route_of(px: &PartiX, section: &str) -> (String, usize) {
 
 // ------------------------------------------------- in-process differential
 
-/// Interleaved writes and reads, result cache ON: every answer must
-/// track the oracle through inserts, in-place updates, cross-fragment
-/// moves and deletes — epoch bumps are what keeps the cache honest.
+/// Interleaved writes and reads: every answer must track the oracle
+/// through inserts, in-place updates, cross-fragment moves and deletes.
 #[test]
-fn interleaved_writes_and_reads_match_oracle_with_result_cache() {
+fn interleaved_writes_and_reads_match_oracle() {
     let px = setup::horizontal(&setup::quick_items(40), 4);
-    px.set_result_cache_enabled(true);
     let workload = workload();
     assert_matches_oracle(&px, &workload, "pre-write");
 
