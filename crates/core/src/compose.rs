@@ -60,9 +60,10 @@ pub fn avg_decomposition(query: &Query) -> Option<(Query, Query)> {
 /// Combine partial sequences according to the composition rule.
 ///
 /// For [`Composition::Avg`], `partials` must hold, per site, the pair
-/// `[sum, count]` produced by [`avg_decomposition`].
-pub fn combine(composition: Composition, partials: Vec<Sequence>) -> Sequence {
-    match composition {
+/// `[sum, count]` produced by [`avg_decomposition`]. The one error is a
+/// `min` / `max` whose partials cannot be combined (see [`extreme`]).
+pub fn combine(composition: Composition, partials: Vec<Sequence>) -> Result<Sequence, String> {
+    Ok(match composition {
         Composition::Concat => partials.into_iter().flatten().collect(),
         Composition::CountSum | Composition::SumSum => {
             let total: f64 = partials
@@ -72,8 +73,8 @@ pub fn combine(composition: Composition, partials: Vec<Sequence>) -> Sequence {
                 .sum();
             vec![Item::Num(total)]
         }
-        Composition::MinMin => reduce_numeric(partials, f64::min),
-        Composition::MaxMax => reduce_numeric(partials, f64::max),
+        Composition::MinMin => extreme(partials, "min")?,
+        Composition::MaxMax => extreme(partials, "max")?,
         Composition::Avg => {
             let mut total = 0.0;
             let mut count = 0.0;
@@ -89,19 +90,41 @@ pub fn combine(composition: Composition, partials: Vec<Sequence>) -> Sequence {
                 vec![Item::Num(total / count)]
             }
         }
-    }
+    })
 }
 
-fn reduce_numeric(partials: Vec<Sequence>, f: fn(f64, f64) -> f64) -> Sequence {
-    let values: Vec<f64> = partials
+/// `min` / `max` of the sites' extremes, by the evaluator's rule: by
+/// number if every value is a number, else by string. A site's extreme is
+/// a string exactly when one of its values is not a number, so numeric
+/// partials reduce by number and string partials by string. A mix has no
+/// answer here: it is the string extreme of *all* values, and a numeric
+/// partial is not the string extreme of its site's values (`10` > `9`,
+/// `"9"` > `"10"`).
+fn extreme(partials: Vec<Sequence>, function: &str) -> Result<Sequence, String> {
+    let picks: Vec<Item> = partials.into_iter().filter_map(|p| p.into_iter().next()).collect();
+    let numbers: Vec<f64> = picks
         .iter()
-        .filter_map(|p| p.first())
-        .filter_map(Item::number_value)
+        .filter_map(|item| match item {
+            Item::Num(n) => Some(*n),
+            _ => None,
+        })
         .collect();
-    match values.into_iter().reduce(f) {
-        Some(v) => vec![Item::Num(v)],
-        None => vec![],
+    let min = function == "min";
+    if numbers.len() == picks.len() {
+        let fold = if min { f64::min } else { f64::max };
+        return Ok(numbers.into_iter().reduce(fold).map(Item::Num).into_iter().collect());
     }
+    if !numbers.is_empty() {
+        return Err(format!(
+            "{function}() over fragments of which {} hold only numbers and {} a string: \
+             the string {function} of the numeric ones is not known",
+            numbers.len(),
+            picks.len() - numbers.len()
+        ));
+    }
+    let strings = picks.iter().map(Item::string_value);
+    let pick = if min { strings.min() } else { strings.max() };
+    Ok(pick.map(Item::Str).into_iter().collect())
 }
 
 #[cfg(test)]
@@ -131,15 +154,30 @@ mod tests {
             Composition::CountSum,
             vec![vec![Item::Num(2.0)], vec![Item::Num(5.0)], vec![Item::Num(0.0)]],
         );
-        assert_eq!(out, vec![Item::Num(7.0)]);
+        assert_eq!(out, Ok(vec![Item::Num(7.0)]));
     }
 
     #[test]
     fn min_max_reduce() {
         let parts = vec![vec![Item::Num(4.0)], vec![], vec![Item::Num(9.0)]];
-        assert_eq!(combine(Composition::MinMin, parts.clone()), vec![Item::Num(4.0)]);
-        assert_eq!(combine(Composition::MaxMax, parts), vec![Item::Num(9.0)]);
-        assert_eq!(combine(Composition::MinMin, vec![vec![], vec![]]), vec![]);
+        assert_eq!(combine(Composition::MinMin, parts.clone()), Ok(vec![Item::Num(4.0)]));
+        assert_eq!(combine(Composition::MaxMax, parts), Ok(vec![Item::Num(9.0)]));
+        assert_eq!(combine(Composition::MinMin, vec![vec![], vec![]]), Ok(vec![]));
+    }
+
+    /// `min` / `max` follow the evaluator: string partials reduce by
+    /// string — a numeric-looking one included — and a mix of numeric and
+    /// string partials is an error, never an empty or a wrong item.
+    #[test]
+    fn min_max_of_strings_by_string_and_a_mix_is_an_error() {
+        let s = |text: &str| vec![Item::Str(text.into())];
+        let strings = vec![s("DVD"), vec![], s("BOOK"), s("9")];
+        assert_eq!(combine(Composition::MinMin, strings.clone()), Ok(s("9")));
+        assert_eq!(combine(Composition::MaxMax, strings), Ok(s("DVD")));
+        let mixed = vec![vec![Item::Num(10.0)], s("9")];
+        let err = combine(Composition::MaxMax, mixed.clone()).unwrap_err();
+        assert!(err.starts_with("max() over fragments of which 1 hold only numbers"), "{err}");
+        assert!(combine(Composition::MinMin, mixed).is_err());
     }
 
     #[test]
@@ -152,8 +190,8 @@ mod tests {
                 vec![Item::Num(50.0), Item::Num(3.0)],
             ],
         );
-        assert_eq!(out, vec![Item::Num(12.0)]);
-        assert_eq!(combine(Composition::Avg, vec![]), vec![]);
+        assert_eq!(out, Ok(vec![Item::Num(12.0)]));
+        assert_eq!(combine(Composition::Avg, vec![]), Ok(vec![]));
     }
 
     #[test]
@@ -175,7 +213,8 @@ mod tests {
                 vec![],
                 vec![Item::Str("b".into()), Item::Str("c".into())],
             ],
-        );
+        )
+        .unwrap();
         let strs: Vec<String> = out.iter().map(Item::string_value).collect();
         assert_eq!(strs, ["a", "b", "c"]);
     }

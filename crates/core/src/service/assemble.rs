@@ -97,7 +97,9 @@ impl PartiX {
         // a streamed composition's partials went out slice by slice during
         // the gather: what is left of them here is empty
         let answer = match &plan.compose {
-            Compose::Combine(rule) => compose::combine(*rule, partials),
+            Compose::Combine(rule) => {
+                compose::combine(*rule, partials).map_err(PartixError::Composition)?
+            }
             Compose::Passthrough => partials.into_iter().flatten().collect(),
             Compose::Reconstruct { collection, dist } => {
                 rebuild_and_evaluate(query, collection, dist, &plan.tasks, partials)?

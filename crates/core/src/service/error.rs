@@ -18,6 +18,9 @@ pub enum PartixError {
     SubQuery { node: usize, fragment: String, error: String },
     /// Fragment reconstruction failed (correctness violation at runtime).
     Reconstruction(String),
+    /// The partial answers have no combined answer: `min` / `max` over
+    /// fragments of which some hold only numbers and others a string.
+    Composition(String),
     /// A live rebalance swapped the collection's distribution while a
     /// *streamed* answer was in flight. Chunks already emitted may
     /// reflect the old placements, and a stream cannot be silently
@@ -50,6 +53,7 @@ impl fmt::Display for PartixError {
                 write!(f, "sub-query on node {node} (fragment {fragment}) failed: {error}")
             }
             PartixError::Reconstruction(msg) => write!(f, "reconstruction failed: {msg}"),
+            PartixError::Composition(msg) => write!(f, "composition failed: {msg}"),
             PartixError::CatalogSwapped => {
                 write!(f, "distribution changed while streaming the answer; retry the query")
             }

@@ -2,7 +2,10 @@
 //! on the nodes and how their answers compose.
 //!
 //! A query every relevant fragment can answer alone becomes one sub-query
-//! per fragment. One that needs several vertical fragments at once is
+//! per fragment. So does a `count`, `sum` or `avg` over a vertical design
+//! whose every match lies whole inside one piece ([`distributes`]): the
+//! pieces split the matches among them, and the partials add up. Any
+//! other query that needs several vertical fragments at once is
 //! answered from rebuilt documents, and the plan reads **only what the
 //! query reads**: it fetches the fragments the footprint reaches
 //! ([`read_set`]), and where a conjunct of the `where` clause lives
@@ -17,10 +20,10 @@ use crate::localize;
 use crate::report::SkippedFragment;
 use partix_frag::def::FragType;
 use partix_frag::{FragMode, FragOp, FragmentDef, FragmentationSchema};
-use partix_path::analysis::path_may_reach_into;
-use partix_path::PathExpr;
+use partix_path::analysis::{path_may_reach_into, paths_may_intersect};
+use partix_path::{Axis, NodeTest, PathExpr, Step};
 use partix_query::rewrite::{rewrite_collection_name, rewrite_for_vertical};
-use partix_query::{pushdown, Query};
+use partix_query::{pushdown, Expr, PathSource, PathStart, Query};
 use std::sync::Arc;
 
 /// What a [`Task`] asks of its node.
@@ -54,8 +57,8 @@ pub(super) struct Task {
 /// How the task answers become the query's answer.
 pub(super) enum Compose {
     /// One sub-query per relevant fragment, partial answers combined by
-    /// rule. The only composition that can use the result cache or
-    /// degrade to a partial answer — the others are all-or-nothing.
+    /// rule. The only composition that can degrade to a partial answer —
+    /// the others are all-or-nothing.
     Combine(Composition),
     /// The query touches no distributed collection: node 0 answers it
     /// as-is.
@@ -112,16 +115,24 @@ impl PartiX {
         };
         let pruned = fragments.len() - relevant.len();
 
+        let vertical = dist.design.frag_type() == FragType::Vertical;
         // one sub-query per relevant fragment — unless some fragment
-        // cannot answer alone
+        // cannot answer alone and the query does not distribute over the
+        // pieces either
         let subqueries: Option<Vec<Query>> = relevant
             .iter()
             .map(|&idx| build_subquery(query, collection, &fragments[idx], analysis.as_ref()))
-            .collect();
+            .collect::<Option<_>>()
+            .or_else(|| {
+                let rename = |&idx: &usize| {
+                    rewrite_collection_name(query, collection, &fragments[idx].name)
+                };
+                let pieces = vertical && distributes(query, collection, &dist.design);
+                pieces.then(|| relevant.iter().map(rename).collect())
+            });
         let Some(subqueries) = subqueries else {
             // only a vertical design knows, fragment by fragment, what a
             // query reads; a hybrid one keeps fetching everything
-            let vertical = dist.design.frag_type() == FragType::Vertical;
             let read = if vertical {
                 read_set(&dist.design, &relevant)
             } else {
@@ -255,6 +266,54 @@ fn serves_all_footprint(
     };
     analysis.footprint.iter().all(|q| {
         path_may_reach_into(path, q) && !prune.iter().any(|g| path_may_reach_into(g, q))
+    })
+}
+
+/// Is `query` answered by combining what each fragment of the vertical
+/// `design` answers alone, with `collection` renamed? So it is for a
+/// `count`, `sum` or `avg` of one path of the collection whose every
+/// match lies whole inside one piece: each element lives in exactly one
+/// piece, so the pieces split the matches among them.
+///
+/// * The path is one descendant step (`//name`, `//*`), then child steps
+///   only, none pinning a position. A later `//` loses the matches below
+///   a cut (`//body//p` with `section[1]` cut out of `body`), and a cut
+///   renumbers the siblings it leaves behind.
+/// * No cut selects a node matched by the second step or a later one:
+///   the chain from a match's first-step node down to the match stays in
+///   one piece. The first-step node may be a piece's root —
+///   `collection(f)//name` matches a root as well.
+/// * For `sum` and `avg`, no cut lies strictly inside a match, which
+///   would split its string value across pieces. `count` needs only the
+///   node.
+fn distributes(query: &Query, collection: &str, design: &FragmentationSchema) -> bool {
+    let Expr::Call { name, args } = &query.expr else { return false };
+    let whole_values = match name.as_str() {
+        "count" => false,
+        "sum" | "avg" => true,
+        _ => return false,
+    };
+    let [Expr::Path(PathSource { start: PathStart::Collection(scanned), path })] = &args[..]
+    else {
+        return false;
+    };
+    let Some((first, rest)) = path.steps.split_first() else { return false };
+    if scanned != collection
+        || first.axis != Axis::Descendant
+        || first.is_attribute()
+        || rest.iter().any(|step| step.axis != Axis::Child)
+        || path.steps.iter().any(|step| step.position.is_some())
+    {
+        return false;
+    }
+    let prefix = |len: usize| PathExpr { absolute: true, steps: path.steps[..len].to_vec() };
+    let mut below = path.clone();
+    below.steps.push(Step { axis: Axis::Descendant, test: NodeTest::AnyElement, position: None });
+    design.fragments.iter().all(|frag| {
+        let FragOp::Vertical { projection } = &frag.op else { return false };
+        let cut = &projection.path;
+        (2..=path.steps.len()).all(|len| !paths_may_intersect(cut, &prefix(len)))
+            && !(whole_values && paths_may_intersect(cut, &below))
     })
 }
 

@@ -2,7 +2,8 @@
 
 use super::*;
 use crate::catalog::Placement;
-use partix_frag::{FragmentDef, FragmentationSchema};
+use crate::compose::Composition;
+use partix_frag::{FragMode, FragmentDef, FragmentationSchema};
 use partix_path::{PathExpr, Predicate};
 use partix_query::{parse_query, Item, Query};
 use partix_schema::builtin::virtual_store;
@@ -520,12 +521,6 @@ fn reconstruction_fetches_what_the_query_reads() {
             ),
         ]
     );
-    // QV10: a descendant step may reach anywhere — everything, unfiltered
-    let (fetches, pruned) = fetch_plan(&px, &format!("count({c}//p)"));
-    let names: Vec<&str> = fetches.iter().map(|(name, _)| name.as_str()).collect();
-    assert_eq!(names, ["f_spine", "f_prolog", "f_body", "f_epilog"]);
-    assert!(fetches.iter().all(|(_, filter)| filter.is_none()));
-    assert_eq!(pruned, 0);
     // two conjuncts on one fragment travel together
     let both = format!(
         r#"for $a in {c}/article
@@ -537,6 +532,161 @@ fn reconstruction_fetches_what_the_query_reads() {
         q(r#"for $a in collection("f_prolog")/prolog
              where $a/genre = "g1" and exists($a/pub_date) return $a"#)
     );
+}
+
+/// The sub-queries and the composition the planner builds for a query it
+/// answers fragment by fragment, and the fragments it reports pruned.
+fn execute_plan(px: &PartiX, query: &str) -> (Vec<(String, Query)>, Composition, usize) {
+    let query = parse_query(query).unwrap();
+    let plan = px.plan(&query, px.target_distribution(&query), ExecOptions::default()).unwrap();
+    let plan::Compose::Combine(rule) = plan.compose else {
+        panic!("{query:?} is not answered fragment by fragment")
+    };
+    let subqueries = plan
+        .tasks
+        .iter()
+        .map(|task| match &task.op {
+            plan::TaskOp::Execute { query, .. } => (task.fragment.clone(), (**query).clone()),
+            plan::TaskOp::Fetch { .. } => panic!("a combined plan only executes"),
+        })
+        .collect();
+    (subqueries, rule, plan.pruned)
+}
+
+/// An aggregate over a `//` path whose every match lies whole inside one
+/// piece is answered where the pieces are: each fragment counts (sums) its
+/// own, the coordinator adds the partials, nothing is rebuilt.
+#[test]
+fn descendant_aggregates_decompose_per_fragment() {
+    let px = vertical_px();
+    let c = r#"collection("articles")"#;
+    // QV10: every fragment may hold a `p`, each one counts its own
+    let (subqueries, rule, pruned) = execute_plan(&px, &format!("count({c}//p)"));
+    let expected: Vec<(String, Query)> = ["f_spine", "f_prolog", "f_body", "f_epilog"]
+        .iter()
+        .map(|f| (f.to_string(), parse_query(&format!(r#"count(collection("{f}")//p)"#)).unwrap()))
+        .collect();
+    assert_eq!(subqueries, expected);
+    assert_eq!(rule, Composition::CountSum);
+    assert_eq!(pruned, 0);
+    let result = px.execute(&format!("count({c}//p)")).unwrap();
+    assert!(!result.report.reconstructed);
+    assert_eq!(result.items, vec![Item::Num(6.0)]);
+    // whole values summed and averaged, child steps below the first one,
+    // a piece's root matched by the first step: the centralized answers
+    for query in [
+        format!("sum({c}//word_count)"),
+        format!("avg({c}//reference/year)"),
+        format!("count({c}//section/p)"),
+        format!("count({c}//prolog)"),
+        format!("count({c}//*)"),
+        format!("count({c}//article/@id)"),
+    ] {
+        let result = px.execute(&query).unwrap();
+        assert!(!result.report.reconstructed, "{query}");
+        let central = query.replace(r#""articles""#, r#""articles_central""#);
+        assert_eq!(result.items, px.execute_centralized(0, &central).unwrap().items, "{query}");
+    }
+    assert_eq!(execute_plan(&px, &format!("avg({c}//word_count)")).1, Composition::Avg);
+    // a combined plan degrades like a horizontal one: flagged, the lost
+    // fragment listed
+    px.cluster().node(1).unwrap().set_available(false);
+    let partial = ExecOptions { allow_partial: true, ..ExecOptions::default() };
+    let result = px.execute_with(&format!("count({c}//p)"), partial).unwrap();
+    assert!(result.report.partial);
+    assert_eq!(result.report.skipped[0].fragment, "f_body");
+    assert!(px.execute(&format!("count({c}//p)")).is_err());
+}
+
+/// Where a match may straddle a cut, a cut may split a summed value, or
+/// the query is not a `count` / `sum` / `avg` of one path, the documents
+/// are rebuilt as before — and hybrid designs never decompose.
+#[test]
+fn straddling_or_split_paths_still_reconstruct() {
+    let px = PartiX::new(1, NetworkModel::default());
+    let p = |s: &str| PathExpr::parse(s).unwrap();
+    let articles = CollectionDef::new(
+        "articles",
+        Arc::new(partix_schema::builtin::xbench_article()),
+        p("/article"),
+        RepoKind::MultipleDocuments,
+    );
+    let design = FragmentationSchema::new(
+        articles,
+        vec![
+            FragmentDef::vertical(
+                "f_spine",
+                p("/article"),
+                vec![p("/article/prolog"), p("/article/body"), p("/article/epilog")],
+            ),
+            FragmentDef::vertical("f_prolog", p("/article/prolog"), vec![]),
+            FragmentDef::vertical("f_body", p("/article/body"), vec![p("/article/body/section[1]")]),
+            FragmentDef::vertical(
+                "f_first",
+                p("/article/body/section[1]"),
+                vec![p("/article/body/section[1]/heading")],
+            ),
+            FragmentDef::vertical("f_heading", p("/article/body/section[1]/heading"), vec![]),
+            FragmentDef::vertical("f_epilog", p("/article/epilog"), vec![]),
+        ],
+    )
+    .unwrap();
+    let placements = design
+        .fragments
+        .iter()
+        .map(|f| Placement { fragment: f.name.clone(), node: 0 })
+        .collect();
+    px.register_distribution(Distribution { design, placements }).unwrap();
+    let c = r#"collection("articles")"#;
+    for query in [
+        // a later `//`: the paragraphs of the cut `section[1]` are not
+        // below a `body` in their piece
+        format!("count({c}//body//p)"),
+        // a position, renumbered by the cut
+        format!("count({c}//section[2])"),
+        // the second step is a piece's root, its parent in another piece
+        format!("count({c}//article/prolog)"),
+        format!("count({c}//section/heading)"),
+        // the cut `heading` splits a section's value
+        format!("sum({c}//section)"),
+        // the partials of `max` cannot always be combined
+        format!("max({c}//word_count)"),
+        // not an aggregate
+        format!("{c}//p"),
+    ] {
+        fetch_plan(&px, &query);
+    }
+    // what stays whole still decomposes on this design
+    for query in [format!("count({c}//section/p)"), format!("sum({c}//heading)")] {
+        execute_plan(&px, &query);
+    }
+
+    // a hybrid design keeps fetching everything
+    let px = PartiX::new(1, NetworkModel::default());
+    let store = CollectionDef::new(
+        "store",
+        Arc::new(virtual_store()),
+        p("/Store"),
+        RepoKind::SingleDocument,
+    );
+    let cd = |s: &str| Predicate::parse(&format!(r#"{s}(/Item/Section = "CD")"#)).unwrap();
+    let design = FragmentationSchema::new(
+        store,
+        vec![
+            FragmentDef::hybrid("f_cd", p("/Store/Items/Item"), cd(""), FragMode::SingleDoc),
+            FragmentDef::hybrid("f_rest", p("/Store/Items/Item"), cd("not"), FragMode::SingleDoc),
+            FragmentDef::vertical("f_spine", p("/Store"), vec![p("/Store/Items")]),
+        ],
+    )
+    .unwrap();
+    let placements = design
+        .fragments
+        .iter()
+        .map(|f| Placement { fragment: f.name.clone(), node: 0 })
+        .collect();
+    px.register_distribution(Distribution { design, placements }).unwrap();
+    let (fetches, _) = fetch_plan(&px, r#"count(collection("store")//Name)"#);
+    assert_eq!(fetches.len(), 3);
 }
 
 /// What must not be pushed: a test a document *without* the part passes,

@@ -25,8 +25,8 @@
 //!   small idle list, socket deadlines, one stale-connection rule.
 //! * [`node`] — the node leg on those two: [`NodeServer`] (a driver
 //!   behind a `Server`) and [`RemoteDriver`] (a `PartixDriver` over a
-//!   client, so dispatch, retry/failover policy, fault injection,
-//!   caching, and tracing all work unchanged over real sockets).
+//!   client, so dispatch, retry/failover policy, fault injection and
+//!   tracing all work unchanged over real sockets).
 //! * [`coord`] — the coordinator leg: [`serve_coordinator`] (a `PartiX`
 //!   engine behind a `Server`), [`StreamClient`] and [`CoordinatorPool`]
 //!   (failover across coordinator replicas).

@@ -100,17 +100,22 @@ if ! cargo test -q -p partix-xml --test arena_page_props --offline \
 fi
 
 # reconstruction gate: a multi-fragment vertical query reads only what it
-# reads. By name, so that renaming or filtering them away fails the gate:
-# the property that pruned + filtered fetches answer as fetching
-# everything does and as the centralized run (random vertical designs,
-# collections with articles lacking a part, random queries) and the check
-# that its generator keeps reaching pruned and filtered plans; the planner
-# unit tests (which fragments QV4 / QV7 / QV8 / QV10 contact, which
-# conjuncts travel, that a negation, a self-join and a `let`-aliased scan
-# push nothing, which cuts are read with their holder's other cuts, that a
-# pruned fragment is not contacted and the evaluation error is the
-# coordinator's own); and the XML nesting-depth regression (deep text is
-# a typed error on a 2 MiB thread, where it used to abort the process).
+# reads, and an aggregate that distributes over the pieces reads nothing
+# rebuilt. By name, so that renaming or filtering them away fails the gate:
+# the property that pruned + filtered fetches and per-fragment sums answer
+# as fetching everything does and as the centralized run (random vertical
+# designs, collections with articles lacking a part, random queries) and
+# the check that its generator keeps reaching pruned and filtered plans,
+# and `//` aggregates on both sides of the rule; the planner unit tests
+# (which fragments QV4 / QV7 / QV8 contact, which conjuncts travel, that a
+# negation, a self-join and a `let`-aliased scan push nothing, which cuts
+# are read with their holder's other cuts, that a pruned fragment is not
+# contacted and the evaluation error is the coordinator's own, that QV10
+# is counted per fragment and that a straddling, positional or split path,
+# `max`, a bare path and a hybrid design still rebuild); the composition
+# of `min` / `max` partials (strings by string, a numeric / string mix a
+# typed error); and the XML nesting-depth regression (deep text is a typed
+# error on a 2 MiB thread, where it used to abort the process).
 for named in \
     "partix properties pruned_filtered_reconstruction_equals_fetch_everything_and_centralized" \
     "partix properties vertical_generator_reaches_pruned_and_filtered_reconstructions" \
@@ -128,8 +133,20 @@ for name in reconstruction_fetches_what_the_query_reads \
     pruned_fragments_of_a_reconstruction_are_not_contacted \
     evaluation_failure_over_rebuilt_documents_is_a_reconstruction_error \
     positional_cuts_read_their_siblings_and_take_no_unpinned_test \
-    cuts_below_their_holders_root_are_read_with_all_of_the_holders_cuts; do
+    cuts_below_their_holders_root_are_read_with_all_of_the_holders_cuts \
+    descendant_aggregates_decompose_per_fragment \
+    straddling_or_split_paths_still_reconstruct; do
     if ! cargo test -q -p partix-engine --lib --offline "service::tests::$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
+for named in "lib compose::tests::min_max_of_strings_by_string_and_a_mix_is_an_error" \
+    "differential horizontal_min_max_of_strings_match_oracle"; do
+    read -r suite name <<< "$named"
+    if [ "$suite" = lib ]; then where=(-p partix-engine --lib); else where=(--test "$suite"); fi
+    if ! cargo test -q "${where[@]}" --offline "$name" \
         | grep -q "test result: ok. 1 passed"; then
         echo "verify: FAIL — $name did not run and pass" >&2
         exit 1

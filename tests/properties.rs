@@ -19,7 +19,7 @@
 //! dial the effort.
 
 use partix::engine::{
-    Distribution, ExecOptions, Fault, FaultPlan, NetworkModel, PartiX, Placement,
+    Distribution, ExecOptions, Fault, FaultPlan, NetworkModel, PartiX, PartixError, Placement,
 };
 use partix::frag::{check_correctness, FragmentDef, Fragmenter, FragmentationSchema};
 use partix::path::{PathExpr, Predicate};
@@ -531,10 +531,29 @@ const RETURNS: [&str; 14] = [
     "$a/prolog/authors/author[1]/name",
 ];
 
+/// Paths of a `count` / `sum` / `avg` straight over the collection: some
+/// have every match whole inside one piece of most designs, some straddle
+/// a cut (`//prolog/authors` when `authors` is cut) or split a value on
+/// some designs, the last two never distribute.
+const AGGREGATED: [&str; 11] = [
+    "//p",
+    "//section",
+    "//section/p",
+    "//section/heading",
+    "//reference/year",
+    "//references/reference",
+    "//prolog/authors",
+    "//word_count",
+    "//*",
+    "//body//p",
+    "//section[2]",
+];
+
 /// A random query over the distributed articles: conjuncts of both kinds,
 /// positional, wildcard and `//` steps, an aggregate or an `order by`
-/// around it, a self-join of the collection, or the scan bound by a `let`
-/// and read a second time through its variable.
+/// around it, a self-join of the collection, the scan bound by a `let`
+/// and read a second time through its variable, or an aggregate of one
+/// `//` path of the collection.
 fn arb_article_query() -> impl Strategy<Value = String> {
     let conjuncts = prop::collection::vec(
         // three in four pushable
@@ -546,9 +565,19 @@ fn arb_article_query() -> impl Strategy<Value = String> {
             .prop_map(|(dice, pushable, not)| if dice > 0 { pushable } else { not }),
         0..4,
     );
-    (conjuncts, prop::sample::select(RETURNS.to_vec()), 0usize..11).prop_map(
-        |(mut conjuncts, ret, shape)| {
+    // mostly `count`: a `sum` of text is an error on every route, which
+    // says nothing about the plan
+    let aggregate = (
+        prop::sample::select(vec!["count", "count", "count", "sum", "avg"]),
+        prop::sample::select(AGGREGATED.to_vec()),
+    );
+    (conjuncts, prop::sample::select(RETURNS.to_vec()), 0usize..15, aggregate).prop_map(
+        |(mut conjuncts, ret, shape, (function, path))| {
             let c = format!(r#"collection("{ARTICLES}")"#);
+            // four in fifteen
+            if shape > 10 {
+                return format!("{function}({c}{path})");
+            }
             match shape {
                 7 => conjuncts.push("$a/epilog/country = $b/epilog/country"),
                 9 => conjuncts.push("count($all) > 2"),
@@ -620,6 +649,8 @@ fn fetch_everything(px: &PartiX, query: &str) -> Result<Vec<Item>, String> {
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct PlanShape {
     reconstructed: bool,
+    /// Answered by several fragments' sub-queries, nothing rebuilt.
+    decomposed: bool,
     pruned: bool,
     filtered: bool,
 }
@@ -636,10 +667,14 @@ fn check_vertical_case(
     let fragments = design.fragments.len();
     let px = vertical_px(docs, design, placements);
     let serialize = |items: &[Item]| items.iter().map(Item::serialize).collect::<Vec<_>>();
+    // an evaluation error compares by the evaluator's message
     let central = px
         .execute_centralized(0, &query.replace(ARTICLES, "central"))
         .map(|r| serialize(&r.items))
-        .map_err(|e| e.to_string());
+        .map_err(|e| match e {
+            PartixError::SubQuery { error, .. } => error,
+            other => other.to_string(),
+        });
     let everything = fetch_everything(&px, query).map(|items| serialize(&items));
     prop_assert_eq!(&everything, &central, "fetch-everything vs centralized: {}", query);
     let distributed = px.execute(query);
@@ -662,6 +697,7 @@ fn check_vertical_case(
     };
     PlanShape {
         reconstructed: report.reconstructed,
+        decomposed: !report.reconstructed && report.sites.len() > 1,
         pruned: report.reconstructed && report.fragments_pruned > 0,
         filtered: report.reconstructed
             && report.sites.iter().any(|site| site.docs_scanned < held(&site.fragment)),
@@ -687,12 +723,14 @@ proptest! {
 
 /// The generator reaches what the property is about: among a fixed sample
 /// of cases a good share reconstructs, leaves fragments unread, and has a
-/// node filter its fetch.
+/// node filter its fetch; and both sides of the rule for aggregates over
+/// a `//` path are taken — summed per fragment, and rebuilt.
 #[test]
 fn vertical_generator_reaches_pruned_and_filtered_reconstructions() {
     let mut rng = proptest::test_runner::TestRng::from_seed(16);
     let strategy = (arb_articles(), arb_vertical_design(), arb_article_query());
     let (mut reconstructed, mut pruned, mut filtered) = (0, 0, 0);
+    let (mut decomposed, mut rebuilt) = (0, 0);
     let cases = 120;
     for _ in 0..cases {
         let (docs, (design, placements), query) =
@@ -701,10 +739,15 @@ fn vertical_generator_reaches_pruned_and_filtered_reconstructions() {
         reconstructed += usize::from(shape.reconstructed);
         pruned += usize::from(shape.pruned);
         filtered += usize::from(shape.filtered);
+        decomposed += usize::from(shape.decomposed);
+        let aggregate = query.contains(&format!(r#"collection("{ARTICLES}")//"#));
+        rebuilt += usize::from(aggregate && shape.reconstructed);
     }
     assert!(reconstructed * 2 >= cases, "{reconstructed} of {cases} cases reconstruct");
     assert!(pruned * 5 >= cases, "{pruned} of {cases} cases leave a fragment unread");
     assert!(filtered * 8 >= cases, "{filtered} of {cases} cases filter a fetch");
+    assert!(decomposed * 8 >= cases, "{decomposed} of {cases} cases are summed per fragment");
+    assert!(rebuilt * 30 >= cases, "{rebuilt} of {cases} cases are `//` aggregates rebuilt");
 }
 
 // --------------------------------------------------- fault schedules --

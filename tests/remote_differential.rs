@@ -95,7 +95,8 @@ fn vertical_remote_matches_local() {
 /// A reconstruction reads only what the query reads over the wire too:
 /// the node of a fragment outside the footprint sees no frame at all, and
 /// a fetch whose filter rode the request brings back the pieces that
-/// pass, not the fragment.
+/// pass, not the fragment; a count summed per fragment brings back a
+/// number.
 #[test]
 fn vertical_fetches_cross_the_wire_pruned_and_filtered() {
     let docs = partix::gen::gen_articles(10, ArticleProfile::SMALL, 29);
@@ -108,12 +109,13 @@ fn vertical_fetches_cross_the_wire_pruned_and_filtered() {
              return $a/prolog/title"
         )
     };
-    let qv10 = format!("count({c}//p)");
+    let abstracts = format!("for $a in {c}/article return ($a/prolog/title, $a/body/abstract)");
     let workload: Vec<(&'static str, String)> = vec![
         ("QV4", qv4),
         ("QV7", titles_where("good")),
         ("QV7-none", titles_where("no such word")),
-        ("QV10", qv10),
+        ("abstracts", abstracts),
+        ("QV10", format!("count({c}//p)")),
     ];
     let local = local_answers(&px, &workload, "vert-wire");
     let wire = RemoteCluster::attach(&px);
@@ -133,15 +135,23 @@ fn vertical_fetches_cross_the_wire_pruned_and_filtered() {
     assert_eq!((sent, received), (0, 0), "QV4 contacted the node of f_body");
     assert_eq!(qv4.report.fragments_pruned, 1);
     assert!(qv4.report.sites.iter().all(|site| site.fragment != "f_body"));
-    // QV7 and QV10 both fetch f_body; QV7's request carries the filter
-    // and its answer only the pieces that pass — none, for the last word
+    // QV7 and the abstracts both fetch f_body; QV7's request carries the
+    // filter and its answer only the pieces that pass — none, for the last
+    // word
     let (_, some_sent, some_received) = run(1);
     let (none, none_sent, none_received) = run(2);
-    let (_, whole_sent, whole_received) = run(3);
+    let (whole, whole_sent, whole_received) = run(3);
+    assert!(whole.report.reconstructed);
     assert!(none.items.is_empty());
     assert!(some_sent > whole_sent && none_sent > whole_sent, "no filter on the wire");
     assert!(none_received < some_received && some_received <= whole_received);
     assert!(none_received * 4 < whole_received, "{none_received} of {whole_received} bytes");
+    // QV10 is counted where the paragraphs are: node 1 gets one sub-query
+    // and answers a number, not its pieces
+    let (qv10, _, received) = run(4);
+    assert!(!qv10.report.reconstructed);
+    assert_eq!(qv10.report.sites.iter().filter(|site| site.node == 1).count(), 1);
+    assert!(received < 1024, "QV10 brought back {received} bytes from f_body");
 }
 
 #[test]
