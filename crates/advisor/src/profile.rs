@@ -291,7 +291,6 @@ mod tests {
             result_bytes: bytes,
             docs_scanned: 5,
             index_used: false,
-            morsels: 0,
             retries: 0,
             failovers: 0,
             timeouts: 0,

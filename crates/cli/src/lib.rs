@@ -164,9 +164,6 @@ pub fn query(dir: &Path, text: &str) -> Result<String, CliError> {
         out.stats.collection_size,
         if out.stats.index_used { ", index-assisted" } else { "" },
     );
-    if out.stats.morsels > 0 {
-        let _ = write!(rendered, ", {} parallel morsel(s)", out.stats.morsels);
-    }
     Ok(rendered)
 }
 
@@ -645,21 +642,12 @@ pub fn serve(
     node: usize,
     addr: &str,
     data: Option<&Path>,
-    morsel_workers: Option<usize>,
     tenants: &[String],
 ) -> Result<(partix_net::NodeServer, std::net::SocketAddr), CliError> {
     let db = match data {
         Some(dir) => open_or_new(dir)?,
         None => Database::new(),
     };
-    if let Some(workers) = morsel_workers {
-        // explicit flag beats the PARTIX_MORSEL_WORKERS env default
-        let config = db.morsel_config();
-        db.set_morsel_config(partix_storage::MorselConfig {
-            max_workers: workers.min(partix_storage::MAX_MORSEL_WORKERS),
-            ..config
-        });
-    }
     let config = partix_net::ServerConfig {
         tenancy: tenant_registry(tenants)?.map(|registry| {
             std::sync::Arc::new(partix_net::ServerTenancy {
@@ -879,16 +867,11 @@ USAGE
                                                     migration
   partix serve --node <N> --addr <HOST:PORT>        run a node server
                 [--data <db-dir>]                   speaking the partix-net
-                [--morsel-workers <N>]              wire protocol (port 0
-                [--tenant SPEC]...                  binds an ephemeral port;
+                [--tenant SPEC]...                  wire protocol (port 0
+                                                    binds an ephemeral port;
                                                     the chosen address is
-                                                    printed); --morsel-workers
-                                                    caps intra-fragment
-                                                    parallel scan threads
-                                                    (default: the
-                                                    PARTIX_MORSEL_WORKERS env
-                                                    var, else the core count);
-                                                    each --tenant SPEC is
+                                                    printed); each
+                                                    --tenant SPEC is
                                                     name[:class[:max_concurrent
                                                     [:max_queued]]] (class:
                                                     interactive/standard/
@@ -1176,7 +1159,6 @@ mod tests {
             0,
             "127.0.0.1:0",
             Some(&db_dir),
-            None,
             &["frontend:interactive:8".to_owned(), "suspended:batch:0:0".to_owned()],
         )
         .unwrap();
@@ -1235,12 +1217,12 @@ mod tests {
 
     #[test]
     fn bad_tenant_specs_are_rejected_at_startup() {
-        let e = serve(0, "127.0.0.1:0", None, None, &["bad name!".to_owned()])
+        let e = serve(0, "127.0.0.1:0", None, &["bad name!".to_owned()])
             .err()
             .expect("invalid spec must fail")
             .to_string();
         assert!(e.contains("invalid tenant name"), "{e}");
-        let e = serve(0, "127.0.0.1:0", None, None, &["a".to_owned(), "a".to_owned()])
+        let e = serve(0, "127.0.0.1:0", None, &["a".to_owned(), "a".to_owned()])
             .err()
             .expect("duplicate spec must fail")
             .to_string();

@@ -126,7 +126,7 @@ fn parse_seed(command: &str, raw: Option<&String>, default: u64) -> Option<u64> 
 }
 
 /// `partix serve --node <N> --addr <HOST:PORT> [--data <db-dir>]
-/// [--morsel-workers <N>] [--tenant SPEC]...`:
+/// [--tenant SPEC]...`:
 /// bind a node server, announce the chosen address (flushed, so
 /// supervising scripts can scrape it even through a pipe), then serve
 /// until killed.
@@ -134,7 +134,6 @@ fn serve(args: &[String]) -> ExitCode {
     let mut node: Option<usize> = None;
     let mut addr: Option<&str> = None;
     let mut data: Option<&Path> = None;
-    let mut morsel_workers: Option<usize> = None;
     let mut tenants: Vec<String> = Vec::new();
     let mut coordinator = false;
     let mut i = 0;
@@ -161,18 +160,11 @@ fn serve(args: &[String]) -> ExitCode {
             },
             "--addr" => addr = Some(value),
             "--data" => data = Some(Path::new(value)),
-            "--morsel-workers" => match value.parse() {
-                Ok(n) => morsel_workers = Some(n),
-                Err(_) => {
-                    eprintln!("serve: --morsel-workers must be a number");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--tenant" => tenants.push(value.clone()),
             other => {
                 eprintln!(
                     "serve: unknown flag {other} (expected \
-                     --coordinator/--node/--addr/--data/--morsel-workers/--tenant)"
+                     --coordinator/--node/--addr/--data/--tenant)"
                 );
                 return ExitCode::FAILURE;
             }
@@ -204,7 +196,7 @@ fn serve(args: &[String]) -> ExitCode {
         eprintln!("serve: --node <N> and --addr <HOST:PORT> are required");
         return ExitCode::FAILURE;
     };
-    match partix_cli::serve(node, addr, data, morsel_workers, &tenants) {
+    match partix_cli::serve(node, addr, data, &tenants) {
         Ok((_server, local)) => {
             use std::io::Write as _;
             println!("node {node} listening on {local}");

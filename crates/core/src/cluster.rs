@@ -213,16 +213,6 @@ impl Cluster {
     pub fn nodes(&self) -> &[Arc<Node>] {
         &self.nodes
     }
-
-    /// Apply the same morsel-parallelism knobs to every node's embedded
-    /// database, so a single huge fragment parallelizes inside its node
-    /// too. Network-backed drivers are unaffected — remote node servers
-    /// read their knobs from the environment at startup.
-    pub fn set_morsel_config(&self, config: partix_storage::MorselConfig) {
-        for node in &self.nodes {
-            node.db.set_morsel_config(config);
-        }
-    }
 }
 
 /// The simulated interconnect (paper Sec. 5: transmission time is the
@@ -278,16 +268,6 @@ mod tests {
     fn cluster_with_nodes_is_never_empty() {
         assert!(!Cluster::new(1).is_empty());
         assert_eq!(Cluster::new(2).len(), 2);
-    }
-
-    #[test]
-    fn morsel_config_fans_out_to_every_node() {
-        let c = Cluster::new(3);
-        let config = partix_storage::MorselConfig { max_workers: 5, min_docs: 9 };
-        c.set_morsel_config(config);
-        for node in c.nodes() {
-            assert_eq!(node.db.morsel_config(), config);
-        }
     }
 
     #[test]

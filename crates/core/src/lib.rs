@@ -87,7 +87,6 @@ pub use meta::MetaService;
 pub use metrics::{MetricsRegistry, Snapshot};
 pub use report::{QueryReport, SiteReport, SkippedFragment};
 pub use trace::{SpanRecord, StageBreakdown, SubQueryStage, Trace};
-pub use partix_storage::MorselConfig;
 pub use partix_tenant::{
     Admission, AdmissionConfig, AdmissionController, PriorityClass, TenantId,
     TenantQuotas, TenantRegistry, TenantSpec,

@@ -16,9 +16,6 @@ pub struct SiteReport {
     pub docs_scanned: usize,
     /// Whether the node used an index to pre-filter.
     pub index_used: bool,
-    /// Morsels the node's scan split into for intra-fragment parallel
-    /// execution (0 = the node evaluated sequentially).
-    pub morsels: usize,
     /// Dispatch attempts beyond the first that this sub-query needed
     /// (failed/timed-out attempts, on any replica).
     pub retries: usize,
@@ -133,18 +130,13 @@ impl fmt::Display for QueryReport {
         for site in &self.sites {
             writeln!(
                 f,
-                "  node{} [{}]: {:.6}s, {} docs, {} B{}{}",
+                "  node{} [{}]: {:.6}s, {} docs, {} B{}",
                 site.node,
                 site.fragment,
                 site.elapsed,
                 site.docs_scanned,
                 site.result_bytes,
                 if site.index_used { ", index" } else { "" },
-                if site.morsels > 0 {
-                    format!(", {} morsels", site.morsels)
-                } else {
-                    String::new()
-                },
             )?;
         }
         if self.stages.is_measured() {
@@ -196,7 +188,6 @@ mod tests {
             result_bytes: bytes,
             docs_scanned: 10,
             index_used: false,
-            morsels: 0,
             retries: 0,
             failovers: 0,
             timeouts: 0,

@@ -73,7 +73,6 @@ impl PartiX {
                 result_bytes: output.result_bytes,
                 docs_scanned: output.docs_scanned,
                 index_used: output.index_used,
-                morsels: output.morsels,
                 retries: stage.retries,
                 failovers: stage.failovers,
                 timeouts: stage.timeouts,
@@ -190,12 +189,6 @@ fn record_query_metrics(report: &QueryReport, bytes_shipped: usize, total_s: f64
     reg.counter("dispatch.failovers").add(report.failovers as u64);
     reg.counter("dispatch.timeouts").add(report.timeouts as u64);
     reg.counter("net.bytes_shipped").add(bytes_shipped as u64);
-    let morsel_sites = report.sites.iter().filter(|s| s.morsels > 0).count();
-    if morsel_sites > 0 {
-        reg.counter("morsel.subqueries").add(morsel_sites as u64);
-        reg.counter("morsel.batches")
-            .add(report.sites.iter().map(|s| s.morsels as u64).sum());
-    }
     reg.histogram("stage.parse").record_secs(report.stages.parse_s);
     reg.histogram("stage.localize").record_secs(report.stages.localize_s);
     reg.histogram("stage.dispatch").record_secs(report.stages.dispatch_s);

@@ -32,7 +32,6 @@ pub(super) struct SiteOutput {
     pub result_bytes: usize,
     pub docs_scanned: usize,
     pub index_used: bool,
-    pub morsels: usize,
     pub elapsed: f64,
     /// Wire time spent writing request frames (0 in-process).
     send_s: f64,
@@ -53,7 +52,6 @@ impl From<QueryOutput> for SiteOutput {
             result_bytes: out.stats.result_bytes,
             docs_scanned: out.stats.docs_scanned,
             index_used: out.stats.index_used,
-            morsels: out.stats.morsels,
             elapsed: out.stats.elapsed,
             ..SiteOutput::default()
         }
@@ -463,7 +461,6 @@ fn call_node(node: &Node, task: &Task) -> Result<SiteOutput, DispatchError> {
                 sum.result_bytes += count.result_bytes;
                 sum.docs_scanned += count.docs_scanned;
                 sum.index_used |= count.index_used;
-                sum.morsels = sum.morsels.max(count.morsels);
                 Ok(sum)
             }),
         TaskOp::Fetch { filter } => {

@@ -25,7 +25,6 @@
 use crate::ast::{ArithOp, SortDir};
 use crate::func::{self, Func};
 use crate::lower::{ClauseKind, Flwor, Node, Program};
-use crate::morsel::MorselPartial;
 use crate::value::{value_compare, Ebv, Item, ItemRef, Sequence};
 use crate::Query;
 use partix_path::Matcher;
@@ -173,7 +172,7 @@ impl Program {
     /// Run against a provider: the whole query, every collection and
     /// document read through `provider`.
     pub fn run(&self, provider: &dyn CollectionProvider) -> Result<Sequence, EvalError> {
-        self.run_whole(Source { lent: None, provider: Some(provider) })
+        self.run_over(Source { lent: None, provider })
     }
 
     /// [`Program::run`] with `docs` lent to the driving scan
@@ -185,74 +184,40 @@ impl Program {
         provider: &dyn CollectionProvider,
         docs: &[Arc<Document>],
     ) -> Result<Sequence, EvalError> {
-        self.run_whole(Source { lent: Some(docs), provider: Some(provider) })
+        self.run_over(Source { lent: Some(docs), provider })
     }
 
-    /// Run a decomposable program's core over one morsel: `docs` stands
-    /// for the scanned collection. Partials of consecutive morsels merge
-    /// ([`crate::morsel::merge`]) into exactly what [`Program::run`] gives
-    /// over all the documents.
-    ///
-    /// # Panics
-    /// If the program is not decomposable ([`Program::is_decomposable`]):
-    /// a morsel has no provider for what else such a program reads.
-    pub fn run_morsel(&self, docs: &[Arc<Document>]) -> Result<MorselPartial, EvalError> {
-        assert!(self.decomposable, "run_morsel needs a decomposable program");
-        self.partial(Source { lent: Some(docs), provider: None })
-    }
-
-    fn run_whole(&self, source: Source<'_>) -> Result<Sequence, EvalError> {
-        crate::morsel::merge(self, vec![self.partial(source)?])
-    }
-
-    /// The core's result over `source`, in the form the merge takes.
-    fn partial(&self, source: Source<'_>) -> Result<MorselPartial, EvalError> {
+    fn run_over(&self, source: Source<'_>) -> Result<Sequence, EvalError> {
         let matchers = self.paths.iter().map(|steps| RefCell::new(Matcher::new(steps))).collect();
         let run = Run { source, matchers };
-        let mut partial = self.empty_partial();
-        let flow = match &mut partial {
-            MorselPartial::Keyed(pairs) => match &self.core {
-                Node::Flwor(flwor) => run.flwor_keyed(flwor, pairs),
-                _ => unreachable!("only a FLWOR core is ordered"),
-            },
-            MorselPartial::Count(count) => run.eval(&self.core, None, &mut |_| {
-                *count += 1;
-                Ok(())
-            }),
-            MorselPartial::Plain(items) => run.eval(&self.core, None, &mut |item| {
-                items.push(item.to_item());
-                Ok(())
-            }),
-        };
-        Halt::finish(flow).map(|()| partial)
+        let mut items = Vec::new();
+        let flow = run.eval(&self.root, None, &mut |item| {
+            items.push(item.to_item());
+            Ok(())
+        });
+        Halt::finish(flow).map(|()| items)
     }
 }
 
 /// Where a run reads stored data from.
 struct Source<'a> {
-    /// What the driving scan reads, when the caller lends it: a morsel,
-    /// or the candidates an index shortlisted.
+    /// What the driving scan reads, when the caller lends it: the
+    /// candidates an index shortlisted.
     lent: Option<&'a [Arc<Document>]>,
-    /// Everything else, and the driving scan too when nothing is lent. A
-    /// morsel has none: a decomposable program reads nothing but its
-    /// driving scan, so any other access is a genuine error.
-    provider: Option<&'a dyn CollectionProvider>,
+    /// Everything else, and the driving scan too when nothing is lent.
+    provider: &'a dyn CollectionProvider,
 }
 
 impl<'a> Source<'a> {
     fn collection(&self, name: &str, driving: bool) -> Result<Cow<'a, [Arc<Document>]>, EvalError> {
-        match (self.lent.filter(|_| driving), self.provider) {
-            (Some(docs), _) => Ok(Cow::Borrowed(docs)),
-            (None, Some(provider)) => provider.collection(name).map(Cow::Owned),
-            (None, None) => Err(EvalError::UnknownCollection(name.to_owned())),
+        match self.lent.filter(|_| driving) {
+            Some(docs) => Ok(Cow::Borrowed(docs)),
+            None => self.provider.collection(name).map(Cow::Owned),
         }
     }
 
     fn document(&self, name: &str) -> Result<Arc<Document>, EvalError> {
-        match self.provider {
-            Some(provider) => provider.document(name),
-            None => Err(EvalError::UnknownDocument(name.to_owned())),
-        }
+        self.provider.document(name)
     }
 }
 
@@ -495,26 +460,6 @@ impl Run<'_> {
         Ok(())
     }
 
-    /// An ordered FLWOR over one morsel, **unsorted**: each surviving
-    /// tuple's sort key with its `return` items, in tuple (document)
-    /// order. The merge concatenates these across morsels and sorts once.
-    fn flwor_keyed(&self, flwor: &Flwor, pairs: &mut Vec<(SortKey, Sequence)>) -> Flow {
-        let (key, _) = flwor.order.as_ref().expect("a keyed partial needs an order by");
-        let tuples = Tuples::new(flwor);
-        self.bind(&tuples, 0, None, &mut |tuple| {
-            let Some(key) = tuples.attempt(Phase::Order, || self.sort_key(key, tuple))? else {
-                return Ok(());
-            };
-            if let Some(items) =
-                tuples.attempt(Phase::Return, || self.collect(&flwor.ret, tuple))?
-            {
-                pairs.push((key, items));
-            }
-            Ok(())
-        })?;
-        tuples.finish()
-    }
-
     /// Bind clauses `at..` over `env` and hand every tuple that passes
     /// the `where` to `tuple`.
     fn bind(
@@ -652,11 +597,8 @@ impl<'f> Tuples<'f> {
 }
 
 /// Orderable key for `order by`: numeric when possible, else string.
-///
-/// Public because morsel partials carry per-tuple keys across the merge
-/// boundary ([`MorselPartial::Keyed`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SortKey {
+#[derive(Debug)]
+enum SortKey {
     Empty,
     Num(f64),
     Str(String),
@@ -665,7 +607,7 @@ pub enum SortKey {
 impl SortKey {
     /// Total order over keys (named `compare` rather than implementing
     /// `Ord`: NaN keys collapse to `Equal`, which `Ord` must not do).
-    pub fn compare(&self, other: &SortKey) -> std::cmp::Ordering {
+    fn compare(&self, other: &SortKey) -> std::cmp::Ordering {
         use std::cmp::Ordering;
         match (self, other) {
             (SortKey::Empty, SortKey::Empty) => Ordering::Equal,
@@ -681,7 +623,7 @@ impl SortKey {
 
 /// `order by` over keyed tuples: a stable sort ascending, reversed as a
 /// whole for `descending`.
-pub(crate) fn sort_tuples<T>(keyed: &mut [(SortKey, T)], dir: SortDir) {
+fn sort_tuples<T>(keyed: &mut [(SortKey, T)], dir: SortDir) {
     keyed.sort_by(|a, b| a.0.compare(&b.0));
     if dir == SortDir::Descending {
         keyed.reverse();

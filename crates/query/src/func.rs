@@ -3,9 +3,7 @@
 //! Every built-in is implemented once, against *feeds*: `feed(i, sink)`
 //! pushes the items of argument `i` into `sink`. The evaluator feeds from
 //! its lowered argument expressions, so `count(…)` counts and `sum(…)`
-//! adds as the items stream by; the morsel merge feeds from the sequence
-//! it holds. Either way the items arrive in the same order, which keeps
-//! floating-point folds bit-identical.
+//! adds as the items stream by, in document order.
 
 use crate::eval::{EvalError, Flow, Halt, Sink};
 use crate::value::{format_number, Ebv, Item, ItemRef, Sequence};

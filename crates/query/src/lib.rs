@@ -31,13 +31,12 @@
 //!   recurse over what it accepts.
 //! * [`Program::lower`] resolves that tree once per evaluation: variables
 //!   to binding slots, function names to built-ins, literals to items,
-//!   paths to matcher slots; it marks the driving collection scan and
-//!   splits a decomposable query into core and wrappers ([`lower`]).
+//!   paths to matcher slots; it marks the driving collection scan
+//!   ([`lower`]).
 //! * [`Program::run`] streams the result out of a [`CollectionProvider`];
 //!   [`Program::run_lending`] does so with the driving scan reading a
 //!   borrowed slice of documents (an index's shortlist) instead of its
-//!   collection; [`Program::run_morsel`] runs a decomposable program's
-//!   core over such a slice. Expressions push borrowed items into the sink of
+//!   collection. Expressions push borrowed items into the sink of
 //!   whatever consumes them, so a document the `where` clause rejects
 //!   costs no allocation ([`eval`]). [`Evaluator::eval`] is lower + run.
 //!
@@ -56,27 +55,19 @@
 //!   scans.
 //! * [`rewrite`] — rewrites a query's paths onto a vertical fragment's
 //!   re-rooted documents, producing the sub-query actually sent to a node.
-//!
-//! A third analysis, [`morsel`], enables *intra*-fragment parallelism: it
-//! finds a decomposable query's driving collection scan, so the storage
-//! engine can run the program's core over disjoint document batches on
-//! worker threads and merge the partials — items, a count, or keyed
-//! tuples awaiting the global sort — back into the exact answer of the
-//! unsplit run.
 
 pub mod ast;
 pub mod eval;
 pub mod func;
 pub mod lexer;
 pub mod lower;
-pub mod morsel;
 pub mod parser;
 pub mod pushdown;
 pub mod rewrite;
 pub mod value;
 
 pub use ast::{Expr, PathSource, PathStart, Query};
-pub use eval::{CollectionProvider, EvalError, Evaluator, MemProvider, SortKey};
+pub use eval::{CollectionProvider, EvalError, Evaluator, MemProvider};
 pub use lower::Program;
 pub use parser::{parse_query, QueryParseError};
 pub use value::{root_documents, Item, ItemRef, Sequence};

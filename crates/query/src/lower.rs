@@ -15,66 +15,38 @@
 //!   is what allows an existential test to stop at its first witness;
 //! * every path gets a slot for the matcher that resolves it, document
 //!   after document, during a run;
-//! * the **driving scan** ([`morsel::driving_scan`]) is marked: the one
+//! * the **driving scan** ([`driving_scan`]) is marked: the one
 //!   `collection(…)` read a caller may lend documents to — the candidates
-//!   an index shortlisted, or one morsel of them;
-//! * a morsel-decomposable query ([`morsel::plan`]) is split, here and
-//!   only here, into the core that runs over the documents and the calls
-//!   wrapped around it, which apply to the merged result.
+//!   an index shortlisted.
 //!
 //! Lowering covers the whole language; there is no shape it rejects.
 
 use crate::ast::{ArithOp, Clause, Expr, PathSource, PathStart, Query, SortDir};
 use crate::func::Func;
-use crate::morsel::{self, MorselPartial};
 use crate::value::Item;
 use partix_path::{CmpOp, Step};
 
-/// A lowered query. Owns everything it needs, so it can be shared with
-/// worker threads.
+/// A lowered query. Owns everything it needs.
 #[derive(Debug)]
 pub struct Program {
-    /// What runs over the documents: the whole query or, of a
-    /// decomposable one, the core inside `wrappers`.
-    pub(crate) core: Node,
-    /// The step arrays of the core's paths; a path node holds its index.
+    /// The whole query, lowered.
+    pub(crate) root: Node,
+    /// The step arrays of the query's paths; a path node holds its index.
     pub(crate) paths: Vec<Vec<Step>>,
     /// The collection the driving scan reads.
     pub(crate) driving: Option<String>,
-    pub(crate) decomposable: bool,
-    /// The single-argument calls split off around the core, innermost
-    /// first — less a `count` the partials fold (`counted`). Empty unless
-    /// the program is decomposable.
-    pub(crate) wrappers: Vec<Func>,
-    /// The core is a FLWOR with an `order by` and the program is
-    /// decomposable: morsels key their tuples, the merge sorts them.
-    pub(crate) ordered: Option<SortDir>,
-    /// The core is unordered and the call right around it was `count`:
-    /// morsels count their items instead of keeping them.
-    pub(crate) counted: bool,
 }
 
 impl Program {
     /// Lower `query`.
     pub fn lower(query: &Query) -> Program {
-        let plan = morsel::plan(query);
-        let driving = morsel::driving_scan(&query.expr);
+        let driving = driving_scan(&query.expr);
         let mut lowering = Lowering { scope: Vec::new(), paths: Vec::new(), driving };
-        let (core, _) = lowering.expr(plan.as_ref().map_or(&query.expr, |plan| plan.core));
-        let ordered = plan.as_ref().and_then(|plan| plan.ordered);
-        let mut wrappers = plan.as_ref().map_or(&[][..], |plan| &plan.wrappers);
-        let counted = ordered.is_none() && wrappers.first() == Some(&"count");
-        if counted {
-            wrappers = &wrappers[1..];
-        }
+        let (root, _) = lowering.expr(&query.expr);
         Program {
-            core,
+            root,
             paths: lowering.paths,
             driving: driving.map(|(collection, _)| collection.to_owned()),
-            decomposable: plan.is_some(),
-            wrappers: wrappers.iter().map(|name| Func::named(name)).collect(),
-            ordered,
-            counted,
         }
     }
 
@@ -83,22 +55,37 @@ impl Program {
     pub fn driving_collection(&self) -> Option<&str> {
         self.driving.as_deref()
     }
+}
 
-    /// True if the driving scan may be split: consecutive slices of its
-    /// documents run as morsels ([`Program::run_morsel`]) and merge
-    /// ([`morsel::merge`]) into the answer of the whole.
-    pub fn is_decomposable(&self) -> bool {
-        self.decomposable
-    }
-
-    /// The partial of a run over no documents — the kind every run of
-    /// this program produces, and what merging starts from.
-    pub(crate) fn empty_partial(&self) -> MorselPartial {
-        match self.ordered {
-            Some(_) => MorselPartial::Keyed(Vec::new()),
-            None if self.counted => MorselPartial::Count(0),
-            None => MorselPartial::Plain(Vec::new()),
+/// The **driving scan** of a query: the `collection(…)` path its FLWOR's
+/// first `for` clause ranges over — or that a bare path query consists
+/// of — found through single-argument calls and the left side of a
+/// comparison, which is where [`pushdown::analyze`](crate::pushdown)
+/// looks too. Every result tuple stems from one document of this scan,
+/// so it is the one read whose documents a caller may choose: the
+/// candidates that pass the per-document predicate `analyze` extracts
+/// from the same FLWOR. A first `for` over anything else (a variable, a
+/// `doc(…)`) leaves the query without one.
+pub(crate) fn driving_scan(expr: &Expr) -> Option<(&str, &PathSource)> {
+    let scan = match expr {
+        Expr::Call { args, .. } if args.len() == 1 => return driving_scan(&args[0]),
+        Expr::Cmp { lhs, .. } => return driving_scan(lhs),
+        Expr::Path(scan) => scan,
+        Expr::Flwor { clauses, .. } => {
+            let first_for = clauses.iter().find_map(|clause| match clause {
+                Clause::For(binding) => Some(binding),
+                Clause::Let(_) => None,
+            })?;
+            let Expr::Path(scan) = &first_for.expr else {
+                return None;
+            };
+            scan
         }
+        _ => return None,
+    };
+    match &scan.start {
+        PathStart::Collection(collection) => Some((collection, scan)),
+        PathStart::Doc(_) | PathStart::Var(_) => None,
     }
 }
 

@@ -24,7 +24,7 @@
 //! change a query's answer.
 
 use crate::ast::{Clause, Expr, PathSource, PathStart, Query};
-use crate::morsel::driving_scan;
+use crate::lower::driving_scan;
 use partix_path::pred::{BoolFn, ValueFn};
 use partix_path::{CmpOp, PathExpr, Predicate, Value};
 use std::collections::HashMap;

@@ -5,9 +5,8 @@
 //! empty keys, positional and descendant steps, unbound variables and bad
 //! arities — over random collections held arena-backed and page-backed.
 //! The two give the same `Ok` sequence (same kinds, same documents and
-//! node ids, same serialization) or the same `Err`; and every
-//! decomposable query, run one document per morsel and merged, gives the
-//! unsplit answer. A query with a driving scan — one in four is shaped as
+//! node ids, same serialization) or the same `Err`. A query with a
+//! driving scan — one in four is shaped as
 //! a join whose `where` the pushdown translates — gives the same answer
 //! when that scan is lent only the documents passing the pushed-down
 //! predicate: what the storage engine does with an index.
@@ -18,9 +17,7 @@ mod reference;
 
 use partix_path::{Axis, CmpOp, NodeTest, PathExpr, Step};
 use partix_query::ast::{ArithOp, Binding, Clause, Expr, PathSource, PathStart, SortDir};
-use partix_query::{
-    morsel, pushdown, EvalError, Evaluator, Item, MemProvider, Program, Query, Sequence,
-};
+use partix_query::{pushdown, EvalError, Evaluator, Item, MemProvider, Program, Query, Sequence};
 use partix_xml::{Document, NodeId};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -207,8 +204,7 @@ impl Gen {
         let mut scope = scope.to_vec();
         let mut clauses = Vec::new();
         for i in 0..1 + self.below(3) {
-            // the first `for` often drives a scan of the collection, so
-            // decomposable shapes are common
+            // the first `for` often drives a scan of the collection
             let expr = if i == 0 && self.chance(50) {
                 Expr::Path(PathSource {
                     start: PathStart::Collection("c".to_owned()),
@@ -323,8 +319,8 @@ impl Gen {
         Query { expr }
     }
 
-    /// A query: any expression, or — half the time — a decomposable shape
-    /// (wrappers around a FLWOR driven by the collection).
+    /// A query: any expression, or — half the time — wrappers around a
+    /// FLWOR, often one driven by the collection.
     fn query(&mut self) -> Query {
         let mut expr = if self.chance(50) { self.flwor(3, &[]) } else { self.expr(4, &[]) };
         for _ in 0..self.below(3) {
@@ -399,20 +395,6 @@ fn check(seed: u64) {
             assert_eq!(comparable(&narrowed), expected, "narrowed, {}", context());
         }
     }
-    if program.is_decomposable() {
-        for docs in [&arena, &paged] {
-            let split = docs
-                .chunks(1)
-                .map(|morsel| program.run_morsel(morsel))
-                .collect::<Result<Vec<_>, _>>()
-                .and_then(|partials| morsel::merge(&program, partials));
-            match &expected {
-                Ok(_) => assert_eq!(comparable(&split), expected, "split, {}", context()),
-                // which of several errors is met first depends on the split
-                Err(_) => assert!(split.is_err(), "split of a failing query, {}", context()),
-            }
-        }
-    }
 }
 
 /// The shared step matcher against the reference's step-at-a-time
@@ -456,20 +438,16 @@ proptest! {
     }
 }
 
-/// The decomposable share of the generated queries is what the split
-/// property rests on: keep it from silently drying up.
+/// The shares of ordered and failing queries are what the error-order
+/// and tie-order checks rest on: keep them from silently drying up.
 #[test]
-fn generator_reaches_decomposable_and_failing_queries() {
-    let (mut decomposable, mut failing, mut ordered) = (0, 0, 0);
+fn generator_reaches_ordered_narrowed_and_failing_queries() {
+    let (mut failing, mut ordered) = (0, 0);
     for seed in 0..400u64 {
         let mut g = Gen { rng: TestRng::from_seed(seed) };
         let docs: Vec<Arc<Document>> =
             (0..1 + g.below(5)).map(|i| Arc::new(g.document(&format!("d{i}")))).collect();
         let query = g.query();
-        let program = Program::lower(&query);
-        decomposable += usize::from(
-            program.is_decomposable() && program.driving_collection() == Some("c"),
-        );
         ordered += usize::from(format!("{query:?}").contains("order_by: Some"));
         failing += usize::from(Evaluator::new(&provider(&docs)).eval(&query).is_err());
     }
@@ -485,7 +463,6 @@ fn generator_reaches_decomposable_and_failing_queries() {
         }
     }
     assert!(narrowed >= 25, "{narrowed} narrowed scans in 400");
-    assert!(decomposable >= 40, "{decomposable} decomposable queries in 400");
     assert!(ordered >= 40, "{ordered} ordered queries in 400");
     assert!((40..=300).contains(&failing), "{failing} failing queries in 400");
 }

@@ -202,35 +202,6 @@ impl<'a> Interpreter<'a> {
         Ok(tuples)
     }
 
-    /// Evaluate a bare expression with no bindings in scope — the entry
-    /// point morsel execution uses to run a decomposed query core.
-    pub fn eval_root(&self, expr: &Expr) -> Result<Sequence, EvalError> {
-        self.eval_expr(expr, &Env::default())
-    }
-
-    /// Evaluate an ordered FLWOR **without sorting**, returning each
-    /// surviving tuple's sort key alongside its `return` items, in tuple
-    /// (document) order. Morsel execution concatenates these partials
-    /// across morsels and performs one global stable sort at the merge —
-    /// yielding exactly the sequence the sequential evaluator produces
-    /// (which also stable-sorts the full tuple stream).
-    pub fn eval_flwor_keyed(&self, expr: &Expr) -> Result<Vec<(SortKey, Sequence)>, EvalError> {
-        let Expr::Flwor { clauses, where_clause, order_by, ret } = expr else {
-            return Err(EvalError::TypeError("keyed evaluation needs an ordered FLWOR".into()));
-        };
-        let Some((key, _)) = order_by else {
-            return Err(EvalError::TypeError("keyed evaluation needs an order by clause".into()));
-        };
-        let env = Env::default();
-        let tuples = self.flwor_tuples(clauses, where_clause.as_deref(), &env)?;
-        let mut out = Vec::with_capacity(tuples.len());
-        for tuple in &tuples {
-            let k = SortKey::from_sequence(&self.eval_expr(key, tuple)?);
-            out.push((k, self.eval_expr(ret, tuple)?));
-        }
-        Ok(out)
-    }
-
     fn eval_path_source(&self, ps: &PathSource, env: &Env) -> Result<Sequence, EvalError> {
         match &ps.start {
             PathStart::Collection(name) => {
@@ -295,9 +266,6 @@ impl Env {
 }
 
 /// Orderable key for `order by`: numeric when possible, else string.
-///
-/// Public so morsel execution can carry per-tuple keys across the merge
-/// boundary (see [`Evaluator::eval_flwor_keyed`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SortKey {
     Empty,

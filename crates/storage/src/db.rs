@@ -265,13 +265,24 @@ impl Collection {
 
 /// A sequential XML database instance: what each PartiX node runs.
 ///
-/// Thread-safe: the PartiX middleware queries many databases in parallel.
+/// Thread-safe: the PartiX middleware queries many databases in parallel,
+/// and a node may run several sub-queries at once. Each query runs its
+/// scan whole, on the thread that called [`Database::execute`]; the
+/// parallelism is the fragments'.
 pub struct Database {
     collections: RwLock<HashMap<String, Arc<RwLock<Collection>>>>,
     use_indexes: std::sync::atomic::AtomicBool,
     use_value_index: std::sync::atomic::AtomicBool,
-    /// Intra-query parallelism knobs (see [`crate::parallel`]).
-    morsels: RwLock<crate::parallel::MorselConfig>,
+}
+
+/// Kept only so the frozen benchmark package, which still passes one to
+/// [`Database::set_morsel_config`], compiles. Nothing reads it: a scan
+/// is never split.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MorselConfig {
+    pub max_workers: usize,
+    pub min_docs: usize,
 }
 
 impl Default for Database {
@@ -286,19 +297,13 @@ impl Database {
             collections: RwLock::new(HashMap::new()),
             use_indexes: std::sync::atomic::AtomicBool::new(true),
             use_value_index: std::sync::atomic::AtomicBool::new(false),
-            morsels: RwLock::new(crate::parallel::MorselConfig::default()),
         }
     }
 
-    /// Set the morsel-parallelism knobs for this database instance.
-    pub fn set_morsel_config(&self, config: crate::parallel::MorselConfig) {
-        *self.morsels.write() = config;
-    }
-
-    /// Current morsel-parallelism knobs.
-    pub fn morsel_config(&self) -> crate::parallel::MorselConfig {
-        *self.morsels.read()
-    }
+    /// A no-op, kept only for the frozen benchmark package: setting it
+    /// changes nothing ([`MorselConfig`]).
+    #[doc(hidden)]
+    pub fn set_morsel_config(&self, _config: MorselConfig) {}
 
     /// Enable/disable index-assisted scans (ablation studies; indexes are
     /// still maintained, just not consulted).
@@ -404,6 +409,15 @@ impl Database {
 
     pub(crate) fn get(&self, name: &str) -> Option<Arc<RwLock<Collection>>> {
         self.collections.read().get(name).cloned()
+    }
+
+    /// Every collection with its name, sorted by name, as of one read of
+    /// the map: a collection dropped meanwhile is still in it.
+    pub(crate) fn snapshot(&self) -> Vec<(String, Arc<RwLock<Collection>>)> {
+        let mut all: Vec<_> =
+            self.collections.read().iter().map(|(n, c)| (n.clone(), Arc::clone(c))).collect();
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all
     }
 
     /// Names of all collections, sorted.

@@ -22,8 +22,8 @@ pub struct QueryStats {
     pub elapsed: f64,
     /// Total wire size of the result items in bytes.
     pub result_bytes: usize,
-    /// Number of parallel morsels the scan split into; 0 means it was
-    /// not split (see [`crate::parallel`]).
+    /// Always 0: a scan is never split. The field stays because the node
+    /// answer's wire encoding carries it and the frozen benchmark reads it.
     pub morsels: usize,
 }
 
@@ -198,10 +198,9 @@ impl Database {
     /// Execute an already-parsed query: lower it once, snapshot the
     /// candidates of its driving scan — what the indexes shortlist for
     /// the pushed-down predicate, or every live document — and lend them
-    /// to the program: in morsels (one, on this thread, or several on the
-    /// pool — see [`crate::parallel`]) when it decomposes, else to the
-    /// whole program (joins, `doc(…)`), which reads everything but that
-    /// one scan from this database.
+    /// to the program, which runs whole on this thread and reads
+    /// everything but that one scan (a join's second scan, `doc(…)`) from
+    /// this database.
     pub fn execute_parsed(
         &self,
         query: &partix_query::Query,
@@ -217,11 +216,7 @@ impl Database {
                 // driving clause — this scan, whenever the program has one
                 let predicate = analysis.as_ref().and_then(|a| a.doc_predicate.as_ref());
                 let docs = self.candidates(&coll, predicate, &mut stats);
-                if program.is_decomposable() {
-                    self.scan_morsels(program, docs, &mut stats)
-                } else {
-                    program.run_lending(self, &docs)
-                }
+                program.run_lending(self, &docs)
             }
             // no scan to lend to (a first `for` over a variable or a
             // `doc(…)`), or an unknown collection, which is the
@@ -243,7 +238,7 @@ impl Database {
 
     /// The documents `filter` returns the root elements of — a fetch of
     /// part of a collection, chosen by an ordinary query, run the ordinary
-    /// way (indexes, lowering, morsels): `for $d in collection("f")/r where
+    /// way (indexes, lowering): `for $d in collection("f")/r where
     /// … return $d` answers with the documents themselves, name and origin
     /// intact, where [`Database::execute_parsed`] would ship their trees.
     pub fn fetch_filtered(
@@ -446,10 +441,10 @@ mod tests {
         assert_eq!(out.stats.docs_scanned, 3);
     }
 
-    /// The index prefilter is not the morsel path's alone: a query that
-    /// runs whole still has its driving scan narrowed.
+    /// The index prefilter is not for single-scan selections alone: a
+    /// query that also reads elsewhere still has its driving scan narrowed.
     #[test]
-    fn prefilter_reaches_queries_that_do_not_decompose() {
+    fn prefilter_reaches_joins_documents_and_comparisons() {
         let db = db();
         db.set_value_index_enabled(true);
         for (query, expected) in [
@@ -477,7 +472,6 @@ mod tests {
             assert!(out.stats.index_used, "{query}");
             assert_eq!(out.stats.docs_scanned, 2, "{query}");
             assert_eq!(out.stats.collection_size, 4, "{query}");
-            assert_eq!(out.stats.morsels, 0, "{query}");
         }
     }
 
@@ -526,6 +520,31 @@ mod tests {
             assert_eq!(scanned.items, indexed.items, "{query}");
             assert!(!scanned.stats.index_used, "{query}");
             assert_eq!(scanned.stats.docs_scanned, 4, "{query}");
+        }
+    }
+
+    /// A failing query fails with the evaluator's error, whatever the
+    /// host's core count. A `return` fails early in document order and a
+    /// `where` late; the `where` failure is the one a clause-by-clause
+    /// evaluation meets first. A scan split in two halves reported the
+    /// first half's `return` failure instead.
+    #[test]
+    fn error_order_matches_the_evaluator() {
+        let docs: Vec<Document> =
+            (0..80).map(|i| parse(&format!("<Item><Code>{i}</Code></Item>")).unwrap()).collect();
+        let db = Database::new();
+        db.store_all("items", docs.iter().cloned());
+        let query = r#"for $i in collection("items")/Item
+                       where (if ($i/Code = "70") then nosuch() else 1 = 1)
+                       return (if ($i/Code = "1") then $undefined else $i/Code)"#;
+        let mut provider = partix_query::MemProvider::new();
+        provider.add_collection("items", docs);
+        let evaluator = partix_query::Evaluator::new(&provider);
+        let expected = evaluator.eval(&parse_query(query).unwrap()).unwrap_err();
+        assert_eq!(expected, EvalError::UnknownFunction("nosuch".into()));
+        match db.execute(query) {
+            Err(ExecError::Eval(error)) => assert_eq!(error, expected),
+            other => panic!("expected {expected}, got {other:?}"),
         }
     }
 
@@ -582,7 +601,6 @@ mod tests {
 
     #[test]
     fn cold_collection_executes_identically() {
-        use crate::parallel::MorselConfig;
         let hot = db();
         let mut extra = parse(
             "<Item><Code>i9</Code><Section>CD</Section><Release>2005</Release>\
@@ -597,25 +615,18 @@ mod tests {
         for doc in partix_query::CollectionProvider::collection(&hot, "items").unwrap() {
             cold.store("items", (*doc).clone());
         }
-        for workers in [1, 4] {
-            for value_index in [false, true] {
-                for db in [&hot, &cold] {
-                    db.set_morsel_config(MorselConfig { max_workers: workers, min_docs: 1 });
-                    db.set_value_index_enabled(value_index);
-                }
-                let mut split = false;
-                for q in QH {
-                    let (h, c) = (hot.execute(q).unwrap(), cold.execute(q).unwrap());
-                    assert_eq!(h.items, c.items, "{q}");
-                    assert_eq!(h.serialize(), c.serialize(), "{q}");
-                    assert!(!h.items.is_empty(), "{q} selects nothing");
-                    assert_eq!(h.stats.docs_scanned, c.stats.docs_scanned, "{q}");
-                    assert_eq!(h.stats.index_used, c.stats.index_used, "{q}");
-                    assert_eq!(h.stats.result_bytes, c.stats.result_bytes, "{q}");
-                    assert_eq!(h.stats.morsels, c.stats.morsels, "{q}");
-                    split |= h.stats.morsels >= 2;
-                }
-                assert_eq!(split, workers > 1, "morsels on means some scan splits");
+        for value_index in [false, true] {
+            for db in [&hot, &cold] {
+                db.set_value_index_enabled(value_index);
+            }
+            for q in QH {
+                let (h, c) = (hot.execute(q).unwrap(), cold.execute(q).unwrap());
+                assert_eq!(h.items, c.items, "{q}");
+                assert_eq!(h.serialize(), c.serialize(), "{q}");
+                assert!(!h.items.is_empty(), "{q} selects nothing");
+                assert_eq!(h.stats.docs_scanned, c.stats.docs_scanned, "{q}");
+                assert_eq!(h.stats.index_used, c.stats.index_used, "{q}");
+                assert_eq!(h.stats.result_bytes, c.stats.result_bytes, "{q}");
             }
         }
     }

@@ -20,11 +20,8 @@
 //!   takes its candidate snapshot ([`Database::index_candidates`]).
 //! * **Query execution** with per-query statistics (documents scanned,
 //!   index hits, elapsed time) — the measurements every experiment plots.
-//! * **Morsel-driven parallelism** ([`parallel`]): decomposable queries
-//!   split the driving collection into document batches evaluated
-//!   concurrently on a shared worker pool and merged back into the exact
-//!   sequential answer — so one huge fragment no longer runs on a single
-//!   core.
+//!   A query's scan runs whole on the calling thread; PartiX gets its
+//!   parallelism from running one sub-query per fragment.
 //! * **Persistence**: collections can be saved to / loaded from a
 //!   directory of binary pages.
 //! * **Write-ahead logging** ([`wal`]): online writes run through an
@@ -38,12 +35,12 @@ mod crc;
 pub mod db;
 pub mod exec;
 pub mod index;
-pub mod parallel;
 pub mod persist;
 pub mod wal;
 
 pub use crc::crc32;
+#[doc(hidden)]
+pub use db::MorselConfig;
 pub use db::{Collection, Database, StorageError, StorageMode};
 pub use exec::{QueryOutput, QueryStats};
-pub use parallel::{MorselConfig, MAX_MORSEL_WORKERS};
 pub use wal::{DurableDb, Wal, WalError, WalStage, WriteOp};

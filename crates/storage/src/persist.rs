@@ -11,12 +11,13 @@ use std::path::Path;
 
 impl Database {
     /// Write every collection under `dir` (created if missing). Existing
-    /// contents of `dir` belonging to a previous save are replaced.
+    /// contents of `dir` belonging to a previous save are replaced. The
+    /// set of collections saved is the one of a single moment; dropping
+    /// one meanwhile does not disturb the save.
     pub fn save_to(&self, dir: &Path) -> Result<(), StorageError> {
         fs::create_dir_all(dir)?;
         let mut manifest = String::new();
-        for name in self.collection_names() {
-            let coll = self.get(&name).expect("listed collection exists");
+        for (name, coll) in self.snapshot() {
             let guard = coll.read();
             let coll_dir = dir.join(&name);
             if coll_dir.exists() {
@@ -133,6 +134,35 @@ mod tests {
         db.save_to(&dir).unwrap(); // second save replaces, not duplicates
         let loaded = Database::load_from(&dir).unwrap();
         assert_eq!(loaded.collection_len("hotc").unwrap(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A collection dropped and re-created while a save runs — a
+    /// rebalance retiring a fragment during a checkpoint — does not panic
+    /// the save, which writes the collections of one moment.
+    #[test]
+    fn save_beside_a_concurrent_drop_and_recreate() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let dir = tmp_dir("drop-race");
+        let db = Arc::new(sample_db());
+        let done = Arc::new(AtomicBool::new(false));
+        let churn = {
+            let (db, done) = (Arc::clone(&db), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    db.drop_collection("hotc");
+                    db.store("hotc", parse("<Item><Code>9</Code></Item>").unwrap());
+                }
+            })
+        };
+        let saves = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (0..200).try_for_each(|_| db.save_to(&dir))
+        }));
+        done.store(true, Ordering::Relaxed);
+        churn.join().unwrap();
+        saves.expect("save panicked").unwrap();
+        assert_eq!(Database::load_from(&dir).unwrap().collection_len("coldc").unwrap(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

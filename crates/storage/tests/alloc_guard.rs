@@ -7,13 +7,12 @@
 //! by a reallocation or two; the interpreter this replaced spent 15–25
 //! allocations on *each* rejected document). Indexes are off, so the
 //! prefilter cannot remove the added documents before the evaluator sees
-//! them; hot (arena-backed) and cold (page-backed) collections, morsels
-//! on and off.
+//! them; hot (arena-backed) and cold (page-backed) collections.
 //!
 //! A test binary of its own, with one test: the counting allocator is
 //! process-wide.
 
-use partix_storage::{Database, MorselConfig, StorageMode};
+use partix_storage::{Database, StorageMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,18 +67,17 @@ fn item(i: usize, accepted: bool) -> partix_xml::Document {
     doc
 }
 
-fn database(docs: usize, mode: StorageMode, morsels: MorselConfig) -> Database {
+fn database(docs: usize, mode: StorageMode) -> Database {
     let db = Database::new();
     db.create_collection("items", mode).unwrap();
     // the first N: every other one accepted; beyond N: all rejected
     db.store_all("items", (0..docs).map(|i| item(i, i < N && i % 2 == 0)));
     db.set_index_enabled(false);
-    db.set_morsel_config(morsels);
     db
 }
 
 fn allocations_of(db: &Database, query: &str, expect_items: usize) -> u64 {
-    // first run: lazy one-time set-up (the morsel pool) is not the query's
+    // first run: lazy one-time set-up is not the query's
     let warm = db.execute(query).unwrap();
     assert_eq!(warm.items.len(), expect_items, "{query}");
     assert!(!warm.stats.index_used, "the prefilter must stay out of this");
@@ -108,21 +106,17 @@ fn rejected_documents_cost_no_allocation() {
             1,
         ),
     ];
-    let off = MorselConfig { max_workers: 1, min_docs: 32 };
-    let on = MorselConfig { max_workers: 4, min_docs: 32 };
     for mode in [StorageMode::Hot, StorageMode::Cold] {
-        for morsels in [off, on] {
-            let (small, large) = (database(N, mode, morsels), database(2 * N, mode, morsels));
-            for (query, items) in queries {
-                let base = allocations_of(&small, query, items);
-                let doubled = allocations_of(&large, query, items);
-                let extra = doubled.saturating_sub(base);
-                assert!(
-                    extra <= (N / 16) as u64,
-                    "{N} more rejected documents cost {extra} allocations \
-                     ({base} → {doubled}), {mode:?}, {morsels:?}: {query}"
-                );
-            }
+        let (small, large) = (database(N, mode), database(2 * N, mode));
+        for (query, items) in queries {
+            let base = allocations_of(&small, query, items);
+            let doubled = allocations_of(&large, query, items);
+            let extra = doubled.saturating_sub(base);
+            assert!(
+                extra <= (N / 16) as u64,
+                "{N} more rejected documents cost {extra} allocations \
+                 ({base} → {doubled}), {mode:?}: {query}"
+            );
         }
     }
 }

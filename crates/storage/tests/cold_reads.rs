@@ -1,5 +1,5 @@
 //! A read of a cold collection converts nothing: documents stay backed by
-//! their pages through `execute` (sequential and morsel-parallel), whole
+//! their pages through `execute`, whole
 //! collection fetches, name lookups, filtered fetches and a save.
 //!
 //! A test binary of its own: the page → arena conversion counter is
@@ -7,7 +7,7 @@
 //! hot collections) convert legitimately.
 
 use partix_query::CollectionProvider;
-use partix_storage::{Database, MorselConfig, StorageMode};
+use partix_storage::{Database, StorageMode};
 use partix_xml::{binary, parse, to_string};
 
 #[test]
@@ -44,16 +44,10 @@ fn cold_reads_never_convert() {
            return <hit>{$i/Code}</hit>"#,
         r#"doc("d7")/Item/Code"#,
     ];
-    for (workers, expect_morsels) in [(1, false), (4, true)] {
-        db.set_morsel_config(MorselConfig { max_workers: workers, min_docs: 8 });
-        let mut split = false;
-        for q in queries {
-            let out = db.execute(q).unwrap();
-            assert!(!out.items.is_empty(), "{q}");
-            std::hint::black_box(out.serialize());
-            split |= out.stats.morsels >= 2;
-        }
-        assert_eq!(split, expect_morsels, "morsel-parallel scan with {workers} workers");
+    for q in queries {
+        let out = db.execute(q).unwrap();
+        assert!(!out.items.is_empty(), "{q}");
+        std::hint::black_box(out.serialize());
     }
     let fetched = db.collection("items").unwrap();
     assert_eq!(fetched.len(), 200);

@@ -140,15 +140,13 @@ fn value_index_is_sound_for_mixed_and_empty_content() {
     }
 }
 
-/// Morsel-parallel reads racing deletes and updates: a morsel read must
-/// see the collection as of its candidate snapshot. Morsels used to
-/// carry slot numbers and re-lock the collection to fetch them, so a
-/// slot tombstoned in between panicked the morsel worker ("live slot")
-/// and the query failed — and a compaction in between could have handed
-/// it the wrong document.
+/// Reads racing deletes and updates: a scan must see the collection as
+/// of its candidate snapshot. A scan that carried slot numbers and
+/// re-locked the collection to fetch them would fail on a slot
+/// tombstoned in between ("live slot"), and a compaction in between
+/// could hand it the wrong document.
 #[test]
-fn morsel_reads_survive_concurrent_deletes_and_updates() {
-    use partix_storage::MorselConfig;
+fn scans_survive_concurrent_deletes_and_updates() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     const DOCS: usize = 256;
@@ -156,7 +154,6 @@ fn morsel_reads_survive_concurrent_deletes_and_updates() {
     for mode in [StorageMode::Hot, StorageMode::Cold] {
         let db = Database::new();
         db.create_collection("c", mode).unwrap();
-        db.set_morsel_config(MorselConfig { max_workers: 4, min_docs: 4 });
         for i in 0..DOCS {
             db.put_doc("c", doc(i, 0));
         }
@@ -180,16 +177,13 @@ fn morsel_reads_survive_concurrent_deletes_and_updates() {
             let readers: Vec<_> = (0..2)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut split = 0;
                         for _ in 0..300 {
                             let out = db
                                 .execute(r#"for $i in collection("c")/Item return $i/N"#)
                                 .expect("a read racing writers must still answer");
                             // the even documents are never deleted
                             assert!(out.items.len() >= DOCS / 2, "{} items", out.items.len());
-                            split += usize::from(out.stats.morsels >= 2);
                         }
-                        split
                     })
                 })
                 .collect();
@@ -197,8 +191,9 @@ fn morsel_reads_survive_concurrent_deletes_and_updates() {
             let reads: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
             readers_done.store(true, Ordering::Release);
             writer.join().unwrap();
-            let split: usize = reads.into_iter().map(|r| r.expect("reader thread")).sum();
-            assert!(split > 0, "{mode:?}: no read took the morsel path");
+            for read in reads {
+                read.expect("reader thread");
+            }
         });
     }
 }

@@ -204,21 +204,33 @@ cargo test -q -p partix-tenant --offline
 cargo test -q --test multitenant_differential --offline
 cargo test -q --test warehouse_advisor --offline
 
-# morsel gate: intra-fragment parallel execution must be invisible
-# except for speed — the differential suite (every query family, hot
-# and cold, distributed vs centralized oracle, proptest geometry fuzz)
-# plus the query/storage unit suites, run explicitly.
-cargo test -q --test morsel_differential --offline
-cargo test -q -p partix-query --offline morsel
-cargo test -q -p partix-storage --offline morsel
+# scan gate: one scan per sub-query, whole, on the thread that runs it.
+# By name, so that renaming or filtering them away fails the gate: every
+# query family answers exactly as the evaluator does, hot, cold-indexed
+# and cold-scan; a fragmented cluster answers as the centralized run; a
+# failing query fails with the evaluator's error whatever the host's core
+# count; and a save beside a concurrent drop does not panic.
+for named in \
+    "test storage_differential every_family_matches_the_evaluator_hot_and_cold" \
+    "test storage_differential distributed_matches_centralized_oracle" \
+    "lib partix-storage exec::tests::error_order_matches_the_evaluator" \
+    "lib partix-storage persist::tests::save_beside_a_concurrent_drop_and_recreate"; do
+    read -r kind where name <<< "$named"
+    if [ "$kind" = lib ]; then args=(-p "$where" --lib); else args=(--test "$where"); fi
+    if ! cargo test -q "${args[@]}" --offline "$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
 
 # query gate: there is one evaluator, and these hold it in place. By
 # name, so that renaming or filtering them away fails the gate: the
 # lowered evaluator against the reference interpreter (random queries
-# over every Expr variant, arena- and page-backed, every decomposable
-# query split at every document boundary, every driving scan narrowed by
-# its pushed-down predicate — and the generator check that keeps those
-# shares from drying up), the nesting-depth regression
+# over every Expr variant, arena- and page-backed, every driving scan
+# lent its collection and narrowed by its pushed-down predicate — and the
+# generator check that keeps those shares from drying up), the
+# nesting-depth regression
 # (deep texts are a typed error on a 2 MiB thread — in the parsers and
 # at both endpoints of the wire — where they used to abort the process), and
 # the allocation guard (a document the where clause rejects costs no
@@ -227,7 +239,7 @@ cargo test -q -p partix-storage --offline morsel
 cargo test -q -p partix-query --test parser_hostile --offline
 for named in \
     "partix-query differential lowered_evaluator_agrees_with_the_reference" \
-    "partix-query differential generator_reaches_decomposable_and_failing_queries" \
+    "partix-query differential generator_reaches_ordered_narrowed_and_failing_queries" \
     "partix-query depth deep_queries_are_a_typed_error_on_a_2mib_thread" \
     "partix-query depth the_deepest_accepted_queries_evaluate_on_a_2mib_thread" \
     "partix-net deep_queries coordinator_answers_deep_texts_with_an_error_and_keeps_serving" \
@@ -323,6 +335,29 @@ if grep -rnE 'fn eval_expr|HashMap<String, Sequence>' crates/query/src; then
 fi
 if grep -rnE 'FilteredView|MorselView|fn collection_filtered' crates/*/src; then
     echo "verify: FAIL — a provider view reappeared under crates/*/src" >&2
+    exit 1
+fi
+
+# one scan per sub-query: the morsel pool, its knobs and the query split
+# that only it needed stay deleted outside test modules, one function
+# evaluates an ordered FLWOR, and the query and storage crates stay within
+# their line budget.
+src_code() {
+    for file in $(find crates/*/src -name '*.rs'); do
+        non_test "$file" | sed "s|^|$file:|"
+    done
+}
+if src_code | grep -E 'MorselPartial|run_morsel|scan_morsels|flwor_keyed|PARTIX_MORSEL|morsel-workers|MAX_MORSEL_WORKERS'; then
+    echo "verify: FAIL — the morsel split reappeared under crates/*/src" >&2
+    exit 1
+fi
+if [ "$(src_code | grep -E 'fn flwor' | grep -vc '/parser\.rs:')" -ne 1 ]; then
+    echo "verify: FAIL — crates/*/src has not exactly one FLWOR evaluation function" >&2
+    exit 1
+fi
+QS_LINES="$(for file in crates/query/src/*.rs crates/storage/src/*.rs; do non_test "$file"; done | wc -l)"
+if [ "$QS_LINES" -gt 5350 ]; then
+    echo "verify: FAIL — crates/query/src + crates/storage/src is $QS_LINES lines outside tests (budget 5350)" >&2
     exit 1
 fi
 
