@@ -5,23 +5,25 @@
 //! target placement (same design — a design change is a re-publish, not
 //! a rebalance) in two phases:
 //!
-//! * **Phase A — copy.** For every fragment gaining a replica, fetch
-//!   its documents from an existing replica and store them on each new
-//!   node, then atomically register the *union* placement (old ∪ new).
-//!   From this instant queries may be served by either generation of
-//!   replicas; both hold identical data.
+//! * **Phase A — copy.** For every fragment, read its documents from the
+//!   first replica that answers, store them on each new node and read
+//!   every new copy back; then atomically register the *union* placement
+//!   (old ∪ new). From this instant queries may be served by either
+//!   generation of replicas; both hold identical data. A source no
+//!   replica of which answers, or a copy that does not read back whole,
+//!   fails the rebalance with [`RebalanceError::SourceUnavailable`]
+//!   before the catalog changes: no replica is ever retired in favour of
+//!   a copy that was not verified.
 //! * **Phase B — retire.** Atomically register the target placement,
 //!   then drop the fragment from every node that lost its replica.
 //!
 //! Safety relies on two engine mechanisms: catalog registration swaps
-//! an `Arc<Distribution>` (in-flight queries keep the placement they
-//! planned against), and the service re-plans any query whose
-//! distribution changed mid-flight
-//! ([`PartiX::execute`](partix_engine::PartiX::execute)'s replan loop),
-//! so a query that planned against a replica dropped in Phase B re-runs
-//! against the new placement instead of reading an empty collection.
-//! The coordinator keeps no answers, so nothing read from a retired
-//! replica outlives its retirement.
+//! an `Arc<Distribution>`, and the query service binds every dispatch
+//! attempt to the distribution it took its replica from. An answer that
+//! lands after a swap is discarded and re-run on the fragment's current
+//! replica, so a query that reached a replica dropped in Phase B never
+//! answers from an empty collection. The coordinator keeps no answers,
+//! so nothing read from a retired replica outlives its retirement.
 //!
 //! After the swap the rebalancer re-validates the distribution
 //! ([`Distribution::validate_against`](partix_engine::Distribution))
@@ -135,10 +137,10 @@ pub enum RebalancePhase {
 /// Migrate `collection` to `target` placements, live.
 ///
 /// Queries keep executing throughout: the copy phase only adds
-/// replicas, the swap is atomic, and the engine re-plans any query
-/// caught by the retire phase. Returns a [`RebalanceReport`] describing
-/// every moved fragment; a no-op target (placements already current)
-/// returns an empty report.
+/// replicas, the swap is atomic, and the engine re-runs on the current
+/// placement any sub-query answer caught by the retire phase. Returns a
+/// [`RebalanceReport`] describing every moved fragment; a no-op target
+/// (placements already current) returns an empty report.
 pub fn rebalance(
     px: &PartiX,
     collection: &str,
@@ -185,24 +187,40 @@ pub fn rebalance_with_observer(
     for fragment in &fragments {
         let from = current.nodes_of(fragment);
         let to = target_dist.nodes_of(fragment);
-        let source = *from.first().ok_or_else(|| RebalanceError::SourceUnavailable {
-            fragment: fragment.clone(),
-            node: usize::MAX,
-        })?;
-        let source_node = px.cluster().node(source).ok_or_else(|| {
-            RebalanceError::SourceUnavailable { fragment: fragment.clone(), node: source }
-        })?;
-        let docs: Vec<Document> =
-            source_node.fetch_docs(fragment).iter().map(|d| (**d).clone()).collect();
+        let unavailable =
+            |node: usize| RebalanceError::SourceUnavailable { fragment: fragment.clone(), node };
+        // a fragment's documents as `node` answers them; `None` when it
+        // does not answer — never an empty fragment in its place. A node
+        // whose query path refuses the read (a wedged engine, an injected
+        // fault) is still read through the publication-side fetch, which
+        // answers empty when it fails: only a non-empty answer counts.
+        let read = |node: usize| {
+            let node = px.cluster().node(node)?;
+            node.try_fetch_docs(fragment, None).ok().or_else(|| {
+                let docs = node.fetch_docs(fragment);
+                (!docs.is_empty()).then_some(docs)
+            })
+        };
+        let docs: Vec<Document> = from
+            .iter()
+            .find_map(|&node| read(node))
+            .ok_or_else(|| unavailable(from.first().copied().unwrap_or(usize::MAX)))?
+            .iter()
+            .map(|d| (**d).clone())
+            .collect();
         doc_counts.insert(fragment.clone(), docs.len());
         let adds: Vec<usize> = to.iter().copied().filter(|n| !from.contains(n)).collect();
         let bytes_per_copy: u64 =
             docs.iter().map(|d| d.approx_size() as u64).sum();
         for &node_id in &adds {
-            let node = px.cluster().node(node_id).ok_or_else(|| {
-                RebalanceError::SourceUnavailable { fragment: fragment.clone(), node: node_id }
-            })?;
+            let node = px.cluster().node(node_id).ok_or_else(|| unavailable(node_id))?;
+            // the catalog places nothing of this fragment here yet, so a
+            // leftover of an earlier, failed copy can go
+            node.drop_collection(fragment);
             node.store_docs(fragment, docs.clone());
+            if read(node_id).map(|copy| copy.len()) != Some(docs.len()) {
+                return Err(unavailable(node_id));
+            }
         }
         if from != to {
             report.moves.push(MoveRecord {

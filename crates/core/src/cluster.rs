@@ -8,15 +8,15 @@ use std::time::{Duration, Instant};
 
 /// One cluster node: a sequential XML DBMS plus availability state.
 ///
-/// By default the node's data path goes to its embedded
-/// [`Database`]; installing a [`PartixDriver`] with [`Node::set_driver`]
+/// The node's data path is its driver: the embedded [`Database`] by
+/// default; installing a [`PartixDriver`] with [`Node::set_driver`]
 /// reroutes queries, stores and fetches through it instead — the paper's
 /// pluggable-DBMS architecture.
 pub struct Node {
     pub id: usize,
     pub name: String,
     pub db: Arc<Database>,
-    driver: parking_lot::RwLock<Option<Arc<dyn PartixDriver>>>,
+    driver: parking_lot::RwLock<Arc<dyn PartixDriver>>,
     available: AtomicBool,
     /// When set, the node recently failed a dispatch (timeout or crash):
     /// replica selection avoids it until `marked_at.elapsed() ≥ cooldown`
@@ -29,11 +29,12 @@ pub struct Node {
 
 impl Node {
     pub fn new(id: usize) -> Node {
+        let db = Arc::new(Database::new());
         Node {
             id,
             name: format!("node{id}"),
-            db: Arc::new(Database::new()),
-            driver: parking_lot::RwLock::new(None),
+            driver: parking_lot::RwLock::new(Arc::clone(&db) as Arc<dyn PartixDriver>),
+            db,
             available: AtomicBool::new(true),
             suspect: parking_lot::Mutex::new(None),
         }
@@ -42,12 +43,12 @@ impl Node {
     /// Install a custom DBMS driver on this node (replacing the embedded
     /// [`Database`] for queries, stores and fetches).
     pub fn set_driver(&self, driver: Arc<dyn PartixDriver>) {
-        *self.driver.write() = Some(driver);
+        *self.driver.write() = driver;
     }
 
     /// Remove a custom driver, returning to the embedded database.
     pub fn clear_driver(&self) {
-        *self.driver.write() = None;
+        self.set_driver(Arc::clone(&self.db) as Arc<dyn PartixDriver>);
     }
 
     /// The driver currently serving this node's data path: the installed
@@ -55,10 +56,7 @@ impl Node {
     /// (e.g. [`crate::faults::FaultInjector::install`] decorates whatever
     /// is already there).
     pub fn active_driver(&self) -> Arc<dyn PartixDriver> {
-        match &*self.driver.read() {
-            Some(driver) => Arc::clone(driver),
-            None => Arc::clone(&self.db) as Arc<dyn PartixDriver>,
-        }
+        Arc::clone(&self.driver.read())
     }
 
     /// Execute a query through the active driver.
@@ -66,45 +64,27 @@ impl Node {
         &self,
         query: &partix_query::Query,
     ) -> Result<Option<partix_storage::QueryOutput>, DriverError> {
-        match &*self.driver.read() {
-            Some(driver) => driver.execute(query),
-            None => PartixDriver::execute(&*self.db, query),
-        }
+        self.active_driver().execute(query)
     }
 
     /// Store documents through the active driver.
     pub fn store_docs(&self, collection: &str, docs: Vec<partix_xml::Document>) {
-        match &*self.driver.read() {
-            Some(driver) => driver.store(collection, docs),
-            None => PartixDriver::store(&*self.db, collection, docs),
-        }
+        self.active_driver().store(collection, docs);
     }
 
     /// Apply one online write through the active driver.
-    pub fn apply_write(
-        &self,
-        op: &partix_storage::WriteOp,
-    ) -> Result<u32, DriverError> {
-        match &*self.driver.read() {
-            Some(driver) => driver.write(op),
-            None => PartixDriver::write(&*self.db, op),
-        }
+    pub fn apply_write(&self, op: &partix_storage::WriteOp) -> Result<u32, DriverError> {
+        self.active_driver().write(op)
     }
 
     /// Drop a collection through the active driver.
     pub fn drop_collection(&self, collection: &str) {
-        match &*self.driver.read() {
-            Some(driver) => driver.drop_collection(collection),
-            None => PartixDriver::drop_collection(&*self.db, collection),
-        }
+        self.active_driver().drop_collection(collection);
     }
 
     /// Fetch a whole collection through the active driver.
     pub fn fetch_docs(&self, collection: &str) -> Vec<Arc<partix_xml::Document>> {
-        match &*self.driver.read() {
-            Some(driver) => driver.fetch_collection(collection),
-            None => PartixDriver::fetch_collection(&*self.db, collection),
-        }
+        self.active_driver().fetch_collection(collection)
     }
 
     /// Fetch a collection for a query — all of it, or the documents

@@ -8,16 +8,15 @@
 //! [`partix_storage::Database`] is the built-in implementation; any other
 //! XQuery-capable engine can participate by implementing [`PartixDriver`]
 //! and installing it on a node with [`Node::set_driver`](crate::Node::set_driver).
-//! [`InstrumentedDriver`] wraps another driver with fault and latency
-//! injection — used by the failure tests and useful for resilience
-//! experiments.
+//! [`FaultInjector`](crate::faults::FaultInjector) wraps another driver
+//! with deterministic faults — used by the failure tests and useful for
+//! resilience experiments.
 
 use partix_query::{root_documents, EvalError, MemProvider, Program, Query};
 use partix_storage::exec::ExecError;
 use partix_storage::{Database, DurableDb, QueryOutput, WalError, WriteOp};
 use partix_xml::Document;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How a driver call failed. The distinction drives the coordinator's
@@ -56,9 +55,10 @@ pub trait PartixDriver: Send + Sync {
 
     /// Fetch a whole collection (empty when absent). Infallible by
     /// signature, so a driver that can fail answers empty — fine for
-    /// publication-side readers (advisor sampling, rebalancing), wrong
-    /// for queries, which fetch through
-    /// [`PartixDriver::try_fetch_collection`].
+    /// publication-side readers (advisor sampling), wrong for queries,
+    /// which fetch through [`PartixDriver::try_fetch_collection`]. A
+    /// rebalance reads through that too, and trusts an answer of this one
+    /// only when it is not empty.
     fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>>;
 
     /// Fetch a whole collection for the reconstruction fallback, telling
@@ -239,107 +239,6 @@ impl PartixDriver for DurableDb {
     }
 }
 
-/// A wrapper driver injecting failures and artificial service delay —
-/// a stand-in for a flaky or slow remote DBMS.
-pub struct InstrumentedDriver {
-    inner: Arc<dyn PartixDriver>,
-    failing: AtomicBool,
-    /// Extra seconds charged onto every query's reported elapsed time.
-    delay_secs: f64,
-    calls: AtomicUsize,
-}
-
-impl InstrumentedDriver {
-    pub fn new(inner: Arc<dyn PartixDriver>) -> InstrumentedDriver {
-        InstrumentedDriver {
-            inner,
-            failing: AtomicBool::new(false),
-            delay_secs: 0.0,
-            calls: AtomicUsize::new(0),
-        }
-    }
-
-    /// Charge `delay_secs` of service time onto every query.
-    pub fn with_delay(mut self, delay_secs: f64) -> InstrumentedDriver {
-        self.delay_secs = delay_secs;
-        self
-    }
-
-    /// Make every subsequent query fail (simulating a DBMS crash that
-    /// leaves the node reachable).
-    pub fn set_failing(&self, failing: bool) {
-        self.failing.store(failing, Ordering::Release);
-    }
-
-    /// Queries served so far.
-    pub fn calls(&self) -> usize {
-        self.calls.load(Ordering::Acquire)
-    }
-
-    fn injected_failure(&self) -> Result<(), DriverError> {
-        if self.failing.load(Ordering::Acquire) {
-            return Err(DriverError::Failed("injected DBMS failure".into()));
-        }
-        Ok(())
-    }
-}
-
-impl PartixDriver for InstrumentedDriver {
-    fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
-        self.calls.fetch_add(1, Ordering::AcqRel);
-        self.injected_failure()?;
-        let mut out = self.inner.execute(query)?;
-        if let Some(out) = &mut out {
-            out.stats.elapsed += self.delay_secs;
-        }
-        Ok(out)
-    }
-
-    fn store(&self, collection: &str, docs: Vec<Document>) {
-        self.inner.store(collection, docs);
-    }
-
-    fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>> {
-        self.inner.fetch_collection(collection)
-    }
-
-    fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
-        self.injected_failure()?;
-        self.inner.try_fetch_collection(collection)
-    }
-
-    fn try_fetch_filtered(
-        &self,
-        collection: &str,
-        filter: &Query,
-    ) -> Result<Vec<Arc<Document>>, DriverError> {
-        self.injected_failure()?;
-        self.inner.try_fetch_filtered(collection, filter)
-    }
-
-    fn collections(&self) -> Vec<String> {
-        self.inner.collections()
-    }
-
-    fn drop_collection(&self, collection: &str) {
-        self.inner.drop_collection(collection);
-    }
-
-    fn health_check(&self) -> Result<(), DriverError> {
-        self.injected_failure()?;
-        self.inner.health_check()
-    }
-
-    fn counts_wire_bytes(&self) -> bool {
-        self.inner.counts_wire_bytes()
-    }
-
-    fn write(&self, op: &WriteOp) -> Result<u32, DriverError> {
-        self.injected_failure()?;
-        self.inner.write(op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,27 +268,5 @@ mod tests {
         // unknown collection is an empty fragment, not a failure
         let q = parse_query(r#"count(collection("absent")/x)"#).unwrap();
         assert!(driver.execute(&q).unwrap().is_none());
-    }
-
-    #[test]
-    fn instrumented_driver_injects_failures_and_delay() {
-        let db = db_with_items();
-        let driver = InstrumentedDriver::new(db).with_delay(0.25);
-        let q = parse_query(r#"count(collection("items")/Item)"#).unwrap();
-        let out = driver.execute(&q).unwrap().unwrap();
-        assert!(out.stats.elapsed >= 0.25);
-        driver.set_failing(true);
-        assert!(driver.execute(&q).is_err());
-        driver.set_failing(false);
-        assert!(driver.execute(&q).is_ok());
-        assert_eq!(driver.calls(), 3);
-    }
-
-    #[test]
-    fn driver_store_creates_collections() {
-        let db = Arc::new(Database::new());
-        let driver = InstrumentedDriver::new(Arc::clone(&db) as Arc<dyn PartixDriver>);
-        driver.store("c", vec![parse("<a/>").unwrap()]);
-        assert_eq!(driver.collections(), ["c"]);
     }
 }

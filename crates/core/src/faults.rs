@@ -429,6 +429,21 @@ mod tests {
     }
 
     #[test]
+    fn stores_and_plain_fetches_pass_through_a_failing_injector() {
+        let backing = Arc::new(Database::new());
+        let inj = FaultInjector::new(
+            Arc::clone(&backing) as Arc<dyn PartixDriver>,
+            vec![Fault::ErrorAfter { ok_calls: 0 }],
+        );
+        inj.store("c", vec![parse("<a/>").unwrap()]);
+        assert_eq!(inj.collections(), ["c"]);
+        assert_eq!(backing.collection_len("c").unwrap(), 1);
+        assert_eq!(inj.fetch_collection("c").len(), 1);
+        assert!(matches!(inj.try_fetch_collection("c"), Err(DriverError::Failed(_))));
+        assert_eq!(inj.stats().calls, 1, "only the query-path fetch is counted");
+    }
+
+    #[test]
     fn latency_fault_delays_calls() {
         let inj = FaultInjector::new(db(), vec![Fault::Latency { millis: 30 }]);
         let q = count_query();

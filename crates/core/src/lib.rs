@@ -81,7 +81,7 @@ pub mod writes;
 
 pub use catalog::{Catalog, Distribution, DistributionError, Placement};
 pub use cluster::{Cluster, NetworkModel, Node};
-pub use driver::{DriverError, InstrumentedDriver, PartixDriver};
+pub use driver::{DriverError, PartixDriver};
 pub use faults::{Fault, FaultInjector, FaultPlan, InjectionStats};
 pub use meta::MetaService;
 pub use metrics::{MetricsRegistry, Snapshot};

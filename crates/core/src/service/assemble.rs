@@ -49,7 +49,7 @@ impl PartiX {
     ) -> Result<QueryReport, PartixError> {
         let mut report = QueryReport {
             fragments_pruned: plan.pruned,
-            reconstructed: matches!(plan.compose, Compose::Reconstruct { .. }),
+            reconstructed: matches!(plan.compose, Compose::Reconstruct),
             partial: !gathered.skipped.is_empty(),
             skipped: gathered.skipped,
             ..Default::default()
@@ -100,8 +100,9 @@ impl PartiX {
                 compose::combine(*rule, partials).map_err(PartixError::Composition)?
             }
             Compose::Passthrough => partials.into_iter().flatten().collect(),
-            Compose::Reconstruct { collection, dist } => {
-                rebuild_and_evaluate(query, collection, dist, &plan.tasks, partials)?
+            Compose::Reconstruct => {
+                let dist = plan.dist.as_deref().expect("a reconstruction plan has a distribution");
+                rebuild_and_evaluate(query, dist, &plan.tasks, partials)?
             }
         };
         report.composition = compose_start.elapsed().as_secs_f64();
@@ -135,7 +136,6 @@ impl PartiX {
 /// `tasks[i]` brought back, one root-node item per document.
 fn rebuild_and_evaluate(
     query: &Query,
-    collection: &str,
     dist: &Distribution,
     tasks: &[Arc<Task>],
     fetched: Vec<Sequence>,
@@ -172,7 +172,7 @@ fn rebuild_and_evaluate(
         .map_err(PartixError::Reconstruction)?;
     // the rebuilt documents stand for the collection, to every scan of it
     let mut provider = MemProvider::new();
-    provider.add_shared(collection, rebuilt);
+    provider.add_shared(&dist.design.collection.name, rebuilt);
     Program::lower(query).run(&provider).map_err(|e| PartixError::Reconstruction(e.to_string()))
 }
 

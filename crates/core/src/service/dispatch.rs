@@ -6,10 +6,18 @@
 //! is a [`Flight`] the gathering thread advances itself, each attempt
 //! ending in [`run_on_node`] — the only function on the query path that
 //! calls into a node, behind the panic firewall.
+//!
+//! An attempt is bound to the distribution it took its replica from. A
+//! registration moves placements, never a fragment's contents, and a
+//! rebalance drops a replica only after the registration that removes
+//! it: so an answer that lands while its distribution is still the
+//! collection's current one was read from a whole fragment. One that
+//! lands after a registration is re-run on the current placement.
 
 use super::error::stream_cancelled;
 use super::plan::{Compose, Plan, Task, TaskOp};
 use super::{DispatchMode, ExecOptions, PartiX, PartixError, RetryPolicy, Sink};
+use crate::catalog::Distribution;
 use crate::cluster::Node;
 use crate::compose::{self, Composition};
 use crate::driver::DriverError;
@@ -118,6 +126,9 @@ struct Flight {
     /// Its `attempts`, the count of attempts made, tags their answers.
     stage: SubQueryStage,
     last_error: Option<DispatchError>,
+    /// The distribution the next or running attempt takes its replica
+    /// from: the plan's, then the current one at each landing.
+    dist: Option<Arc<Distribution>>,
     phase: Phase,
 }
 
@@ -136,6 +147,8 @@ enum Phase {
 struct Gather<'a> {
     px: &'a PartiX,
     tasks: &'a [Arc<Task>],
+    /// The distribution the plan was made against.
+    planned: Option<&'a Distribution>,
     class: PriorityClass,
     policy: RetryPolicy,
     trace: &'a Trace,
@@ -169,7 +182,7 @@ impl PartiX {
             .map(|task| {
                 let (fragment, node) = (task.fragment.clone(), task.node);
                 let stage = SubQueryStage { fragment, node, ..Default::default() };
-                Flight { stage, last_error: None, phase: Phase::Idle }
+                Flight { stage, last_error: None, dist: plan.dist.clone(), phase: Phase::Idle }
             })
             .collect();
 
@@ -194,7 +207,7 @@ impl PartiX {
         };
         let (tx, rx) = mpsc::channel();
         let (class, policy) = (self.class_for(options), self.retry_policy());
-        let g = Gather { px: self, tasks, class, policy, trace, tx };
+        let g = Gather { px: self, tasks, planned: plan.dist.as_deref(), class, policy, trace, tx };
         let pooled = self.dispatch == DispatchMode::Pool;
         let (mut next, done) = (0, |f: &Flight| matches!(f.phase, Phase::Landed));
         // a fatal task returns at once (`?`): dropping the receiver
@@ -205,7 +218,7 @@ impl PartiX {
             // order — the sequential reference
             if next < flights.len() && (pooled || flights[..next].iter().all(done)) {
                 let on_caller = pooled && next + 1 == flights.len();
-                let landed = g.next_attempt(next, &mut flights[next], on_caller);
+                let landed = g.next_attempt(next, &mut flights[next], on_caller, false);
                 absorb(next, landed)?;
                 next += 1;
                 continue;
@@ -242,21 +255,29 @@ impl PartiX {
 
 /// A flight runs under the [`RetryPolicy`]: up to `max_attempts` tries,
 /// each against the best replica *currently* live and not suspect,
-/// walking the replica ring on every failure (mid-flight failover).
-/// Crashes and deadline expiries mark the node suspect; a successful
-/// answer clears the flag. Each step returns the outcome once landed.
+/// walking the replica ring of the flight's distribution on every failure
+/// (mid-flight failover). Crashes and deadline expiries mark the node
+/// suspect; a successful answer clears the flag. Each step returns the
+/// outcome once landed.
 impl Gather<'_> {
     /// Start the flight's next attempt — the first at once (`on_caller`:
-    /// on this thread if the pool lets it), a retry after its backoff —
-    /// or land it failed: attempts spent, or no replica up.
-    fn next_attempt(&self, i: usize, f: &mut Flight, on_caller: bool) -> Option<Landed> {
+    /// on this thread if the pool lets it), a retry after its backoff
+    /// when `backoff` — or land it failed: attempts spent, or no replica
+    /// up.
+    fn next_attempt(
+        &self,
+        i: usize,
+        f: &mut Flight,
+        on_caller: bool,
+        backoff: bool,
+    ) -> Option<Landed> {
         let (task, attempt) = (&self.tasks[i], f.stage.attempts);
         // each attempt starts one step further around the replica ring,
         // moving past whichever replica just failed
-        let ring = &task.replicas;
+        let ring = f.dist.as_ref().map_or_else(|| vec![task.node], |d| d.nodes_of(&task.fragment));
         let start = ring.iter().position(|&id| id == task.node).unwrap_or(0);
         let next = (attempt < self.policy.max_attempts.max(1))
-            .then(|| self.px.first_usable(ring, start.wrapping_add(attempt)))
+            .then(|| self.px.first_usable(&ring, start.wrapping_add(attempt)))
             .flatten();
         let Some(node_id) = next else {
             f.phase = Phase::Landed;
@@ -269,11 +290,13 @@ impl Gather<'_> {
             };
             return Some(Err(RunFailure { error, stage: Box::new(std::mem::take(&mut f.stage)) }));
         };
-        if attempt == 0 {
+        if attempt > 0 {
+            f.stage.retries += 1;
+            f.stage.failovers += usize::from(f.stage.node != node_id);
+        }
+        if !backoff {
             return self.launch(i, f, node_id, on_caller);
         }
-        f.stage.retries += 1;
-        f.stage.failovers += usize::from(f.stage.node != node_id);
         let since = Instant::now();
         let until = since + self.policy.backoff(attempt - 1);
         f.phase = Phase::Backoff { node: node_id, since, until };
@@ -318,7 +341,10 @@ impl Gather<'_> {
 
     /// Account the running attempt's outcome: the flight lands answered
     /// or moves on. An answer after the deadline is a timeout, wherever
-    /// the attempt ran.
+    /// the attempt ran. An answer read under a distribution the catalog
+    /// has since replaced may come from a retired replica: it is
+    /// discarded and the attempt re-run at once on the current placement,
+    /// with no blame on its node.
     fn land(&self, i: usize, f: &mut Flight, attempted: Attempted) -> Option<Landed> {
         let Phase::Running { node, since, deadline } =
             std::mem::replace(&mut f.phase, Phase::Landed)
@@ -333,7 +359,13 @@ impl Gather<'_> {
             self.trace.record(&name, lane, since);
         }
         let late = deadline.is_some_and(|deadline| Instant::now() > deadline);
+        let current = self.current_distribution();
+        // the flight holds its distribution, so no later one can reuse
+        // its address
+        let superseded = current.as_ref().map(Arc::as_ptr) != f.dist.as_ref().map(Arc::as_ptr);
+        f.dist = current;
         match attempted {
+            Ok(_) if !late && superseded => self.next_attempt(i, f, false, false),
             Ok((output, queue_wait)) if !late => {
                 f.stage.queue_wait_s += queue_wait.as_secs_f64();
                 f.stage.send_s += output.send_s;
@@ -363,9 +395,17 @@ impl Gather<'_> {
                 }
                 f.stage.timeouts += usize::from(matches!(error, DispatchError::Timeout));
                 f.last_error = Some(error);
-                self.next_attempt(i, f, false)
+                self.next_attempt(i, f, false, true)
             }
         }
+    }
+
+    /// The collection's distribution now, once caught up with the meta
+    /// service; `None` for a passthrough plan, which no placement binds.
+    fn current_distribution(&self) -> Option<Arc<Distribution>> {
+        let collection = &self.planned?.design.collection.name;
+        self.px.sync_with_meta();
+        self.px.catalog.read().distribution(collection).cloned()
     }
 
     /// Fire the flight's timer if it is due: abandon an attempt past its

@@ -21,12 +21,6 @@ pub enum PartixError {
     /// The partial answers have no combined answer: `min` / `max` over
     /// fragments of which some hold only numbers and others a string.
     Composition(String),
-    /// A live rebalance swapped the collection's distribution while a
-    /// *streamed* answer was in flight. Chunks already emitted may
-    /// reflect the old placements, and a stream cannot be silently
-    /// re-emitted — the caller must discard and retry (buffered
-    /// execution replans transparently instead).
-    CatalogSwapped,
     /// The tenant's admission quota rejected the query (or it queued
     /// past the admission deadline). Always a typed answer — admission
     /// never hangs and never panics — carrying a retry hint for the
@@ -54,9 +48,6 @@ impl fmt::Display for PartixError {
             }
             PartixError::Reconstruction(msg) => write!(f, "reconstruction failed: {msg}"),
             PartixError::Composition(msg) => write!(f, "composition failed: {msg}"),
-            PartixError::CatalogSwapped => {
-                write!(f, "distribution changed while streaming the answer; retry the query")
-            }
             PartixError::AdmissionRejected { tenant, retry_after_ms, reason } => {
                 write!(
                     f,

@@ -504,8 +504,8 @@ impl PartiX {
     /// Placements are validated against the design *and* the cluster
     /// size: an unknown fragment name or out-of-range node index is a
     /// typed [`PartixError::InvalidDistribution`] instead of a silent
-    /// mis-dispatch. Queries in flight keep the `Arc` they planned with
-    /// and finish against the old placements.
+    /// mis-dispatch. Queries in flight keep their plan: a task whose
+    /// answer lands after the swap is re-run on the new placements.
     pub fn register_distribution(&self, dist: Distribution) -> Result<(), PartixError> {
         if let Some(meta) = self.meta.get() {
             meta.register_distribution_on(dist, self.cluster.len())
@@ -518,19 +518,6 @@ impl PartiX {
                 .register_distribution_on(dist, self.cluster.len())
                 .map_err(PartixError::InvalidDistribution)
         }
-    }
-
-    /// The distribution the coordinator would plan `query` against right
-    /// now (the first of the query's collections with one registered).
-    /// Holding the returned `Arc` pins the allocation, so a later
-    /// [`Arc::ptr_eq`] against a fresh lookup reliably detects a
-    /// concurrent catalog swap (no ABA through address reuse).
-    fn target_distribution(&self, query: &Query) -> Option<Arc<Distribution>> {
-        let catalog = self.catalog.read();
-        query
-            .collections()
-            .into_iter()
-            .find_map(|c| catalog.distribution(&c).cloned())
     }
 
     /// Execute an XQuery over the distributed repository. Repeated query
@@ -593,11 +580,10 @@ impl PartiX {
     /// [`DistributedResult`] carries the report only — its `items` have
     /// already been emitted.
     ///
-    /// Streams never replan: a rebalance swapping the collection's
-    /// distribution mid-stream surfaces as
-    /// [`PartixError::CatalogSwapped`] (discard the emitted prefix and
-    /// retry), because silently re-executing a stream would duplicate
-    /// its prefix.
+    /// A stream finishes across a live rebalance: a slice goes out only
+    /// once its task's answer landed under the collection's current
+    /// distribution, and a task whose answer was read under a replaced
+    /// one is re-run on the new placements first.
     pub fn execute_streamed_with(
         &self,
         text: &str,
@@ -654,17 +640,9 @@ impl PartiX {
 
     /// Parse (or take the pre-parsed query), then [`PartiX::plan`]
     /// (localize) → [`PartiX::gather`] (dispatch) → [`PartiX::assemble`]
-    /// (compose + report), replanning when a live rebalance swapped the
-    /// collection's distribution mid-flight. The window that matters: a
-    /// migration retires a source replica (catalog swap) and then drops
-    /// the fragment's collection from the source node; a query planned
-    /// against the old placements could reach the source *after* the drop
-    /// and read an empty fragment. The swap is detectable — every
-    /// registration installs a fresh `Arc` — so a buffered answer is
-    /// discarded and re-executed against the new placements. Bounded:
-    /// after `MAX_REPLANS` unstable rounds the last answer is returned
-    /// (the catalog would have to be swapped faster than queries run). A
-    /// stream cannot take its slices back and ends with the typed error.
+    /// (compose + report), once. A live rebalance swapping the
+    /// collection's distribution mid-flight is the dispatch stage's
+    /// concern: it re-runs the tasks whose answers landed after the swap.
     fn run_admitted(
         &self,
         source: Source<'_>,
@@ -672,7 +650,6 @@ impl PartiX {
         trace: &Trace,
         sink: &mut Sink<'_>,
     ) -> Result<QueryReport, PartixError> {
-        const MAX_REPLANS: usize = 3;
         let parse_start = Instant::now();
         let parsed; // keeps a text query's plan alive
         let (query, plan_cache_hit, parse_s): (&Query, _, _) = match source {
@@ -686,39 +663,15 @@ impl PartiX {
             // pre-parsed entry: there was no parse stage to time
             Source::Parsed(query) => (query, false, 0.0),
         };
-        let mut replans = 0;
-        loop {
-            let before = self.target_distribution(query);
-            // one pass of the pipeline, stage by stage
-            let query_start = Instant::now();
-            let plan = self.plan(query, before.clone(), options)?;
-            let localize_s = query_start.elapsed().as_secs_f64();
-            trace.record("localize", 0, query_start);
-            let gathered = self.gather(&plan, options, trace, sink)?;
-            let timing = Timing { parse_s, localize_s, query_start };
-            let mut report = self.assemble(query, plan, gathered, timing, trace, sink)?;
-            report.plan_cache_hit = plan_cache_hit;
-            // `before` is still held, so its address cannot have been
-            // reused by a distribution registered since
-            let after = self.target_distribution(query);
-            if before.as_ref().map(Arc::as_ptr) == after.as_ref().map(Arc::as_ptr) {
-                return Ok(report);
-            }
-            match sink {
-                Sink::Stream(_) => {
-                    metrics::global().counter("partix.stream.catalog_swaps").inc();
-                    return Err(PartixError::CatalogSwapped);
-                }
-                Sink::Collect(items) => {
-                    metrics::global().counter("partix.replans").inc();
-                    if replans == MAX_REPLANS {
-                        return Ok(report);
-                    }
-                    replans += 1;
-                    items.clear();
-                }
-            }
-        }
+        let query_start = Instant::now();
+        let plan = self.plan(query, options)?;
+        let localize_s = query_start.elapsed().as_secs_f64();
+        trace.record("localize", 0, query_start);
+        let gathered = self.gather(&plan, options, trace, sink)?;
+        let timing = Timing { parse_s, localize_s, query_start };
+        let mut report = self.assemble(query, plan, gathered, timing, trace, sink)?;
+        report.plan_cache_hit = plan_cache_hit;
+        Ok(report)
     }
 }
 
@@ -733,11 +686,9 @@ enum Source<'a> {
 
 /// Where a query's answer slices go.
 enum Sink<'a> {
-    /// Forward each slice to the caller as it becomes ready. Emitted
-    /// slices cannot be taken back, so a catalog swap ends the stream.
+    /// Forward each slice to the caller as it becomes ready.
     Stream(&'a mut dyn FnMut(Sequence) -> bool),
-    /// Append the slices to a buffer; a catalog swap clears it and the
-    /// query replans.
+    /// Append the slices to a buffer.
     Collect(&'a mut Sequence),
 }
 

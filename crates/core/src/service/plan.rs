@@ -48,9 +48,6 @@ pub(super) struct Task {
     /// The fragment's name: its collection on the node and its label in
     /// the report.
     pub fragment: String,
-    /// Every replica holding the fragment, in placement order: the
-    /// failover ring.
-    pub replicas: Vec<usize>,
     pub op: TaskOp,
 }
 
@@ -68,12 +65,15 @@ pub(super) enum Compose {
     /// their pieces, and the original query runs on them at the
     /// coordinator. All-or-nothing over the fragments it reads: documents
     /// rebuilt without one of them would be silently wrong, not partial.
-    Reconstruct { collection: String, dist: Arc<Distribution> },
+    Reconstruct,
 }
 
 pub(super) struct Plan {
     pub tasks: Vec<Arc<Task>>,
     pub compose: Compose,
+    /// The distribution the plan was made against (`None`: passthrough).
+    /// Every task's first attempt takes its replica from it.
+    pub dist: Option<Arc<Distribution>>,
     /// Fragments no task contacts.
     pub pruned: usize,
     /// Fragments dropped at planning time in degraded mode (every replica
@@ -82,25 +82,24 @@ pub(super) struct Plan {
 }
 
 impl PartiX {
-    /// Decompose `query` against `dist`, the distribution of the first of
-    /// its collections that has one (`None`: passthrough).
-    pub(super) fn plan(
-        &self,
-        query: &Query,
-        dist: Option<Arc<Distribution>>,
-        options: ExecOptions,
-    ) -> Result<Plan, PartixError> {
+    /// Decompose `query` against the distribution of the first of its
+    /// collections that has one (none: passthrough).
+    pub(super) fn plan(&self, query: &Query, options: ExecOptions) -> Result<Plan, PartixError> {
+        let dist = {
+            let catalog = self.catalog.read();
+            query.collections().into_iter().find_map(|c| catalog.distribution(&c).cloned())
+        };
         let Some(dist) = dist else {
             let task = Task {
                 node: 0,
                 fragment: "<passthrough>".into(),
-                replicas: vec![0],
                 // the one plan that ships the query itself, hence the copy
                 op: TaskOp::Execute { query: Arc::new(query.clone()), avg: false },
             };
             return Ok(Plan {
                 tasks: vec![Arc::new(task)],
                 compose: Compose::Passthrough,
+                dist: None,
                 pruned: 0,
                 skipped: Vec::new(),
             });
@@ -148,10 +147,8 @@ impl PartiX {
                     self.task(&dist, &frag.name, TaskOp::Fetch { filter: filter.map(Arc::new) })
                 })
                 .collect::<Result<_, _>>()?;
-            let compose =
-                Compose::Reconstruct { collection: collection.clone(), dist: Arc::clone(&dist) };
-            let pruned = fragments.len() - read.len();
-            return Ok(Plan { tasks, compose, pruned, skipped: Vec::new() });
+            let (compose, pruned) = (Compose::Reconstruct, fragments.len() - read.len());
+            return Ok(Plan { tasks, compose, dist: Some(dist), pruned, skipped: Vec::new() });
         };
 
         let composition = compose::classify(query);
@@ -170,7 +167,8 @@ impl PartiX {
                 Err(err) => return Err(err),
             }
         }
-        Ok(Plan { tasks, compose: Compose::Combine(composition), pruned, skipped })
+        let compose = Compose::Combine(composition);
+        Ok(Plan { tasks, compose, dist: Some(dist), pruned, skipped })
     }
 
     /// Bind `op` on `fragment` to an *available* replica, rotating
@@ -197,7 +195,7 @@ impl PartiX {
         };
         let fragment = fragment.to_owned();
         match self.first_usable(&replicas, start) {
-            Some(node) => Ok(Arc::new(Task { node, fragment, replicas, op })),
+            Some(node) => Ok(Arc::new(Task { node, fragment, op })),
             None => Err(PartixError::NodeUnavailable { node: replicas[0], fragment }),
         }
     }

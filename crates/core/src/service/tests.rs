@@ -434,7 +434,7 @@ fn vertical_aggregate_on_one_fragment() {
 /// and filter, in task order; plus the fragments it reports pruned.
 fn fetch_plan(px: &PartiX, query: &str) -> (Vec<(String, Option<Query>)>, usize) {
     let query = parse_query(query).unwrap();
-    let plan = px.plan(&query, px.target_distribution(&query), ExecOptions::default()).unwrap();
+    let plan = px.plan(&query, ExecOptions::default()).unwrap();
     assert!(matches!(plan.compose, plan::Compose::Reconstruct { .. }));
     let fetches = plan
         .tasks
@@ -538,7 +538,7 @@ fn reconstruction_fetches_what_the_query_reads() {
 /// answers fragment by fragment, and the fragments it reports pruned.
 fn execute_plan(px: &PartiX, query: &str) -> (Vec<(String, Query)>, Composition, usize) {
     let query = parse_query(query).unwrap();
-    let plan = px.plan(&query, px.target_distribution(&query), ExecOptions::default()).unwrap();
+    let plan = px.plan(&query, ExecOptions::default()).unwrap();
     let plan::Compose::Combine(rule) = plan.compose else {
         panic!("{query:?} is not answered fragment by fragment")
     };
@@ -1010,10 +1010,10 @@ fn invalid_distributions_are_typed_errors() {
 }
 
 /// Swapping a collection's placements while queries are in flight
-/// must never produce a wrong answer: in-flight queries either
-/// finish against the old placements or are replanned against the
-/// new ones (the replan loop of `run_admitted`), and both hold the full
-/// data.
+/// must never produce a wrong answer: a sub-query answer that lands
+/// while its distribution is still current is kept, one that lands
+/// after a swap is re-run on the new placements (`Gather::land`), and
+/// both hold the full data.
 #[test]
 fn placement_swap_under_concurrent_queries() {
     let px = horizontal_px(3);

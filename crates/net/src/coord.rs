@@ -138,10 +138,7 @@ fn failure_of(err: PartixError) -> WireError {
             message: format!("tenant {tenant:?}: {reason}"),
         };
     }
-    let retryable = matches!(
-        err,
-        PartixError::CatalogSwapped | PartixError::NodeUnavailable { .. }
-    );
+    let retryable = matches!(err, PartixError::NodeUnavailable { .. });
     WireError::failure(retryable, err.to_string())
 }
 

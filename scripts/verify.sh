@@ -169,6 +169,24 @@ cargo test -q -p partix-net --test backpressure --offline
 # oracle — in-process, over TCP, and under seeded query-path faults).
 cargo test -q -p partix-advisor --offline
 cargo test -q --test rebalance_differential --offline
+# and by name, so that renaming or filtering them away fails the gate: one
+# way through a rebalance. A node's first call is held on a gate while a
+# rebalance moves its fragment away; when the answer lands, the sub-query
+# re-runs on the current replica (a buffered count, a stream, a
+# reconstruction fetch). A rebalance over an unreadable source fails typed
+# and retires nothing.
+for named in \
+    "concurrency an_answer_read_under_a_retired_placement_reruns_on_the_current_replica" \
+    "concurrency a_stream_finishes_across_a_live_rebalance" \
+    "concurrency a_reconstruction_fetch_landing_after_the_retire_is_refetched" \
+    "rebalance_differential an_unreadable_source_fails_the_rebalance_and_retires_nothing"; do
+    read -r suite name <<< "$named"
+    if ! cargo test -q --test "$suite" --offline "$name" \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
 
 # write gate: the WAL crash-recovery unit suite (torn tails at every
 # offset, double-replay idempotence, checkpoint equivalence) and the
@@ -349,6 +367,19 @@ src_code() {
 }
 if src_code | grep -E 'MorselPartial|run_morsel|scan_morsels|flwor_keyed|PARTIX_MORSEL|morsel-workers|MAX_MORSEL_WORKERS'; then
     echo "verify: FAIL — the morsel split reappeared under crates/*/src" >&2
+    exit 1
+fi
+# one way through a rebalance: the per-query replan loop, the stream's
+# catalog-swap error, their counters and the second fault-injecting driver
+# stay deleted, and the engine crate stays within its line budget.
+if src_code | grep -E 'CatalogSwapped|MAX_REPLANS|partix\.replans|catalog_swaps|InstrumentedDriver'; then
+    echo "verify: FAIL — the replan loop, CatalogSwapped or InstrumentedDriver reappeared under crates/*/src" >&2
+    exit 1
+fi
+CORE_LINES="$(for file in $(find crates/core/src -name '*.rs' | grep -v '/service/tests\.rs$'); do
+    non_test "$file"; done | wc -l)"
+if [ "$CORE_LINES" -gt 4898 ]; then
+    echo "verify: FAIL — crates/core/src is $CORE_LINES lines outside tests (budget 4898)" >&2
     exit 1
 fi
 if [ "$(src_code | grep -E 'fn flwor' | grep -vc '/parser\.rs:')" -ne 1 ]; then

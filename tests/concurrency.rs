@@ -3,11 +3,14 @@
 //! `Simulated` reference produces, and a read after a publish sees the
 //! new documents. A gather runs its attempts on the calling
 //! thread or on their own nodes' workers, and a fatal task fails the
-//! query without waiting for its siblings.
+//! query without waiting for its siblings. An answer that lands after a
+//! live rebalance moved its fragment is re-run on the new replica —
+//! buffered, streamed and rebuilt alike (held deterministically by a
+//! gate, not by sleeps).
 
 use partix::engine::{
-    DispatchMode, Distribution, DriverError, NetworkModel, PartiX, PartixDriver, PartixError,
-    Placement, RetryPolicy,
+    DispatchMode, Distribution, DriverError, ExecOptions, NetworkModel, Node, PartiX,
+    PartixDriver, PartixError, Placement, RetryPolicy,
 };
 use partix::frag::{FragmentDef, FragmentationSchema};
 use partix::gen::{gen_items, ItemProfile};
@@ -16,7 +19,7 @@ use partix::query::{Item, Query};
 use partix::schema::{builtin, CollectionDef, RepoKind};
 use partix::storage::QueryOutput;
 use partix::xml::Document;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn multiset(items: &[Item]) -> Vec<String> {
@@ -526,4 +529,164 @@ fn a_fatal_task_fails_the_query_without_waiting_for_its_siblings() {
         let healed = px.execute(&all).expect("every node up");
         assert_eq!(healed.items[0].serialize(), expected, "node {dead} back up");
     }
+}
+
+/// Holds a node's first query-path call (an execute or a fetch) until
+/// the test lets it through, forwarding everything else: a deterministic
+/// way to land an answer after a rebalance moved the node's fragment.
+struct Gate {
+    inner: Arc<dyn PartixDriver>,
+    /// Taken by the first query-path call: it reports in, then waits.
+    hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl Gate {
+    /// Wrap `node`'s driver. Returns the channel the held call reports
+    /// on and the one that lets it through.
+    fn install(node: &Node) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (arrived, reported) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        let hold = Mutex::new(Some((arrived, released)));
+        node.set_driver(Arc::new(Gate { inner: node.active_driver(), hold }));
+        (reported, release)
+    }
+
+    fn pass(&self) {
+        let held = self.hold.lock().unwrap().take();
+        if let Some((arrived, released)) = held {
+            arrived.send(()).unwrap();
+            released.recv().unwrap();
+        }
+    }
+}
+
+impl PartixDriver for Gate {
+    fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
+        self.pass();
+        self.inner.execute(query)
+    }
+
+    fn store(&self, collection: &str, docs: Vec<Document>) {
+        self.inner.store(collection, docs);
+    }
+
+    fn fetch_collection(&self, collection: &str) -> Vec<Arc<Document>> {
+        self.inner.fetch_collection(collection)
+    }
+
+    fn try_fetch_collection(&self, collection: &str) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.pass();
+        self.inner.try_fetch_collection(collection)
+    }
+
+    fn try_fetch_filtered(
+        &self,
+        collection: &str,
+        filter: &Query,
+    ) -> Result<Vec<Arc<Document>>, DriverError> {
+        self.pass();
+        self.inner.try_fetch_filtered(collection, filter)
+    }
+
+    fn collections(&self) -> Vec<String> {
+        self.inner.collections()
+    }
+
+    fn drop_collection(&self, collection: &str) {
+        self.inner.drop_collection(collection);
+    }
+}
+
+/// Run `query` on its own thread with node `held`'s first query-path call
+/// held; meanwhile a live rebalance moves the collection to `target`
+/// (retiring what left `held`); then let the call through and return
+/// what `query` returned.
+fn across_a_rebalance<T: Send>(
+    px: &PartiX,
+    held: usize,
+    target: &[Placement],
+    query: impl FnOnce() -> T + Send,
+) -> T {
+    use partix_advisor::{rebalance, RebalanceOptions};
+    let (reported, release) = Gate::install(px.cluster().node(held).unwrap());
+    // `release` moves in: a failing assertion drops it, which frees the
+    // held call instead of leaving the scope waiting for it
+    std::thread::scope(move |scope| {
+        let running = scope.spawn(query);
+        reported.recv_timeout(Duration::from_secs(60)).expect("the query reached the held node");
+        let dist = partix_bench::setup::DIST;
+        let report = rebalance(px, dist, target, &RebalanceOptions::default()).expect("rebalance");
+        assert!(report.verified);
+        release.send(()).unwrap();
+        running.join().expect("query thread")
+    })
+}
+
+/// Both fragments of a two-node horizontal design onto node 1.
+fn onto_node_1() -> Vec<Placement> {
+    (0..2).map(|i| Placement { fragment: format!("f{i}"), node: 1 }).collect()
+}
+
+/// A buffered `count` whose sub-query on node 0 answers after a live
+/// rebalance moved f0 to node 1 and dropped it from node 0: the answer
+/// read there is discarded and that sub-query re-runs on f0's new
+/// replica. The report puts the re-run on that site.
+#[test]
+fn an_answer_read_under_a_retired_placement_reruns_on_the_current_replica() {
+    use partix_bench::setup;
+    let docs = gen_items(40, ItemProfile::Small, 23);
+    let px = setup::horizontal(&docs, 2);
+    let count = format!(r#"count(collection("{}")/Item)"#, setup::DIST);
+    let result = across_a_rebalance(&px, 0, &onto_node_1(), || px.execute(&count))
+        .expect("the count answers across the rebalance");
+    assert_eq!(result.items, vec![Item::Num(docs.len() as f64)]);
+    let site = result.report.sites.iter().find(|s| s.fragment == "f0").expect("f0 answered");
+    assert!(site.retries >= 1 && site.node == 1, "{:?}", result.report.sites);
+}
+
+/// A stream over the same interleaving finishes, with exactly the items,
+/// in exactly the order, the buffered answer had before the rebalance.
+#[test]
+fn a_stream_finishes_across_a_live_rebalance() {
+    use partix_bench::setup;
+    let docs = gen_items(40, ItemProfile::Small, 29);
+    let px = setup::horizontal(&docs, 2);
+    let codes = format!(r#"for $i in collection("{}")/Item return $i/Code"#, setup::DIST);
+    let serialize = |items: &[Item]| items.iter().map(Item::serialize).collect::<Vec<_>>();
+    let expected = serialize(&px.execute(&codes).unwrap().items);
+    let (streamed, result) = across_a_rebalance(&px, 0, &onto_node_1(), || {
+        let mut streamed = Vec::new();
+        let result = px.execute_streamed_with(&codes, ExecOptions::default(), &mut |slice| {
+            streamed.extend(serialize(&slice));
+            true
+        });
+        (streamed, result)
+    });
+    result.expect("the stream finishes across the rebalance");
+    assert_eq!(streamed, expected);
+}
+
+/// A reconstruction whose epilog fetch lands after the rebalance moved
+/// f_epilog from node 2 to node 1 and dropped it from node 2: the empty
+/// read is discarded, the fetch re-runs on node 1, and the rebuilt answer
+/// is the centralized one.
+#[test]
+fn a_reconstruction_fetch_landing_after_the_retire_is_refetched() {
+    use partix_bench::oracle::{canonical, oracle_answers};
+    use partix_bench::{queries, setup};
+    let docs = partix::gen::gen_articles(10, partix::gen::ArticleProfile::SMALL, 31);
+    let px = setup::vertical(&docs);
+    let workload: Vec<_> =
+        queries::vertical(setup::DIST).into_iter().filter(|(id, _)| *id == "QV4").collect();
+    let oracle = oracle_answers(&px, &workload);
+    let target: Vec<Placement> = [("f_spine", 0), ("f_prolog", 0), ("f_body", 1), ("f_epilog", 1)]
+        .into_iter()
+        .map(|(fragment, node)| Placement { fragment: fragment.into(), node })
+        .collect();
+    let result = across_a_rebalance(&px, 2, &target, || px.execute(&workload[0].1))
+        .expect("the reconstruction answers across the rebalance");
+    assert!(result.report.reconstructed);
+    assert_eq!(canonical(&result.items), oracle[0]);
+    let site = result.report.sites.iter().find(|s| s.fragment == "f_epilog").expect("fetched");
+    assert!(site.retries >= 1 && site.node == 1, "{:?}", result.report.sites);
 }

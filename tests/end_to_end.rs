@@ -347,11 +347,11 @@ fn node_failure_and_recovery() {
 }
 
 /// A custom DBMS driver (the paper's "PartiX Driver" pluggability):
-/// instrument one node with fault injection and verify the middleware
+/// wrap one node's driver in a fault injector and verify the middleware
 /// surfaces the failure, then recovers when the DBMS does.
 #[test]
 fn pluggable_driver_with_fault_injection() {
-    use partix::engine::{InstrumentedDriver, PartixDriver};
+    use partix::engine::{Fault, FaultInjector, PartixDriver};
 
     let docs = gen_items(20, ItemProfile::Small, 9);
     let px = PartiX::new(2, NetworkModel::default());
@@ -378,16 +378,13 @@ fn pluggable_driver_with_fault_injection() {
     })
     .unwrap();
 
-    // install an instrumented driver over a standalone database on node 1
-    // BEFORE publishing, so the publisher ships through it as well
+    // install a standalone database as node 1's driver, wrapped in a fault
+    // injector that serves one query, BEFORE publishing, so the publisher
+    // ships through both as well
     let backing = Arc::new(partix::storage::Database::new());
-    let instrumented = Arc::new(InstrumentedDriver::new(
-        Arc::clone(&backing) as Arc<dyn PartixDriver>
-    ));
-    px.cluster()
-        .node(1)
-        .unwrap()
-        .set_driver(Arc::clone(&instrumented) as Arc<dyn PartixDriver>);
+    let node = px.cluster().node(1).unwrap();
+    node.set_driver(Arc::clone(&backing) as Arc<dyn PartixDriver>);
+    let injector = FaultInjector::install(node, vec![Fault::ErrorAfter { ok_calls: 1 }]);
     px.publish("items", &docs).unwrap();
     // the fragment went into the custom backing store, not the node's db
     assert!(backing.collection_len("f_rest").unwrap() > 0);
@@ -396,15 +393,15 @@ fn pluggable_driver_with_fault_injection() {
     let q = r#"count(for $i in collection("items")/Item return $i)"#;
     let ok = px.execute(q).unwrap();
     assert_eq!(ok.items, vec![partix::query::Item::Num(20.0)]);
-    assert!(instrumented.calls() >= 1);
+    assert_eq!(injector.stats().calls, 1);
 
     // injected DBMS failure surfaces as a sub-query error…
-    instrumented.set_failing(true);
     assert!(matches!(
         px.execute(q),
         Err(partix::engine::PartixError::SubQuery { node: 1, .. })
     ));
-    // …and recovery is transparent
-    instrumented.set_failing(false);
+    assert!(injector.stats().injected_errors >= 1);
+    // …and recovery is transparent once the DBMS is back
+    node.set_driver(backing);
     assert_eq!(px.execute(q).unwrap().items, vec![partix::query::Item::Num(20.0)]);
 }

@@ -8,7 +8,8 @@
 //! and with seeded fault injectors on the query path (answers may turn
 //! into typed errors, never into wrong data). After every migration the
 //! rebalancer's own completeness/disjointness re-validation must have
-//! passed and the catalog must hold exactly the target placement.
+//! passed and the catalog must hold exactly the target placement; a
+//! migration whose source cannot be read fails typed and retires nothing.
 
 use partix::engine::{FaultPlan, PartiX, Placement, RetryPolicy};
 use partix_advisor::{advise_live, AdvisorConfig, RebalanceOptions, WorkloadProfiler};
@@ -329,9 +330,9 @@ fn write_during_migration_lands_in_exactly_one_replica_set() {
     assert_matches_oracle(&px, &oracle, &workload, "after mid-migration write");
 }
 
-/// Mid-migration probes that race the atomic swap must be replanned,
-/// not answered from a retired replica: after moving every fragment
-/// away from node 0 twice (there and back), answers still match.
+/// Mid-migration probes that race the atomic swap must be re-run on the
+/// current replicas, not answered from a retired one: after moving every
+/// fragment away from node 0 twice (there and back), answers still match.
 #[test]
 fn round_trip_migration_converges_back_to_the_start() {
     let docs = setup::quick_items(40);
@@ -355,4 +356,42 @@ fn round_trip_migration_converges_back_to_the_start() {
         assert_matches_oracle(&px, &oracle, &workload, label);
         assert_eq!(catalog_pairs(&px), sorted_pairs(target), "{label}");
     }
+}
+
+/// A rebalance that cannot read its source must fail typed and retire
+/// nothing. Node 0's server is down, so every fragment it holds reads as
+/// an error, not as an empty fragment: the rebalance stops before the
+/// catalog changes. Once the server is back, every answer matches the
+/// oracle and the same rebalance goes through.
+#[test]
+fn an_unreadable_source_fails_the_rebalance_and_retires_nothing() {
+    use partix_advisor::RebalanceError;
+
+    let docs = setup::quick_items(40);
+    let px = setup::skewed_horizontal(&docs, 2, 2);
+    let workload = queries::horizontal(setup::DIST);
+    let oracle = oracle_answers(&px, &workload);
+    let before = catalog_pairs(&px);
+    let target: Vec<Placement> = vec![
+        Placement { fragment: "f0".into(), node: 0 },
+        Placement { fragment: "f1".into(), node: 1 },
+    ];
+
+    let mut wire = RemoteCluster::attach(&px);
+    wire.kill(0);
+    let outcome =
+        partix_advisor::rebalance(&px, setup::DIST, &target, &RebalanceOptions::default());
+    assert!(
+        matches!(outcome, Err(RebalanceError::SourceUnavailable { node: 0, .. })),
+        "a rebalance over an unreadable source: {outcome:?}",
+    );
+    assert_eq!(catalog_pairs(&px), before, "a failed rebalance must leave the catalog alone");
+
+    wire.restart(0);
+    assert_matches_oracle(&px, &oracle, &workload, "after the failed rebalance");
+    let report = partix_advisor::rebalance(&px, setup::DIST, &target, &RebalanceOptions::default())
+        .expect("the source answers again");
+    assert!(report.verified);
+    assert_eq!(catalog_pairs(&px), sorted_pairs(&target));
+    assert_matches_oracle(&px, &oracle, &workload, "after the retried rebalance");
 }
