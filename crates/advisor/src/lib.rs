@@ -7,7 +7,7 @@
 //! and moves the system toward a better one, without downtime.
 //!
 //! ```text
-//!   QueryReports ──▶ WorkloadProfiler ──▶ WorkloadProfile (JSON)
+//!   QueryReports ──▶ WorkloadProfiler ──▶ WorkloadProfile
 //!                                              │
 //!                           sample docs ──▶ advise() ──▶ Advice
 //!                                              │     (design+placement,
@@ -20,7 +20,7 @@
 //!
 //! * [`profile`] — aggregate per-fragment/per-node access statistics
 //!   from [`QueryReport`](partix_engine::QueryReport)s into a
-//!   serializable [`WorkloadProfile`].
+//!   [`WorkloadProfile`].
 //! * [`cost`] — the analytical cost model: bottleneck scan load +
 //!   result-shipping + imbalance penalty.
 //! * [`advise`] — candidate search (current design re-placed, plus
@@ -32,7 +32,6 @@
 
 pub mod advise;
 pub mod cost;
-pub mod jsonio;
 pub mod mining;
 pub mod profile;
 pub mod rebalance;

@@ -1,20 +1,17 @@
 //! Workload profiling: aggregate per-fragment access statistics from
-//! query reports into a serializable [`WorkloadProfile`].
+//! query reports into a [`WorkloadProfile`].
 //!
 //! The profiler is the advisor's input stage. Every
 //! [`QueryReport`](partix_engine::QueryReport) fed to
 //! [`WorkloadProfiler::record`] contributes its per-site numbers
 //! (fragment touched, node answering, bytes shipped, DBMS busy time)
 //! and its coordinator stage breakdown. The aggregate is a
-//! plain-data [`WorkloadProfile`] that round-trips through JSON, so a
-//! profile captured on one run (`partix stats`, a benchmark, production
-//! traffic) can be replayed into `partix advise` later.
+//! plain-data [`WorkloadProfile`], advised on in the process that
+//! recorded it.
 
-use crate::jsonio::{self, Json};
 use partix_engine::{PartiX, QueryReport};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Aggregated statistics for one fragment.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -83,103 +80,6 @@ impl WorkloadProfile {
     /// Total result bytes shipped to the coordinator.
     pub fn total_shipped_bytes(&self) -> u64 {
         self.fragments.iter().map(|f| f.shipped_bytes).sum()
-    }
-
-    /// Serialize to JSON (stable field order, round-trips via
-    /// [`WorkloadProfile::from_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"queries\": {},", self.queries);
-        let _ = writeln!(
-            out,
-            "  \"stages\": {{\"parse_s\": {}, \"localize_s\": {}, \"dispatch_s\": {}, \"compose_s\": {}}},",
-            self.stages.parse_s, self.stages.localize_s, self.stages.dispatch_s, self.stages.compose_s
-        );
-        out.push_str("  \"fragments\": [");
-        for (i, f) in self.fragments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"fragment\": \"{}\", \"accesses\": {}, \"shipped_bytes\": {}, \"busy_s\": {}, \"size_bytes\": {}}}",
-                jsonio::escape(&f.fragment),
-                f.accesses,
-                f.shipped_bytes,
-                f.busy_s,
-                f.size_bytes
-            );
-        }
-        out.push_str("\n  ],\n  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"node\": {}, \"accesses\": {}, \"shipped_bytes\": {}, \"busy_s\": {}}}",
-                n.node, n.accesses, n.shipped_bytes, n.busy_s
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parse a profile previously produced by [`WorkloadProfile::to_json`].
-    /// Fields it no longer writes (`cache_hits`) are ignored.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = jsonio::parse(text).map_err(|e| e.to_string())?;
-        let need_u64 = |v: &Json, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing/invalid field {key:?}"))
-        };
-        let need_f64 = |v: &Json, key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing/invalid field {key:?}"))
-        };
-        let mut profile = WorkloadProfile {
-            queries: need_u64(&root, "queries")?,
-            ..Default::default()
-        };
-        if let Some(stages) = root.get("stages") {
-            profile.stages = StageTotals {
-                parse_s: need_f64(stages, "parse_s")?,
-                localize_s: need_f64(stages, "localize_s")?,
-                dispatch_s: need_f64(stages, "dispatch_s")?,
-                compose_s: need_f64(stages, "compose_s")?,
-            };
-        }
-        for f in root
-            .get("fragments")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"fragments\" array")?
-        {
-            profile.fragments.push(FragmentStats {
-                fragment: f
-                    .get("fragment")
-                    .and_then(Json::as_str)
-                    .ok_or("fragment entry missing name")?
-                    .to_owned(),
-                accesses: need_u64(f, "accesses")?,
-                shipped_bytes: need_u64(f, "shipped_bytes")?,
-                busy_s: need_f64(f, "busy_s")?,
-                size_bytes: need_u64(f, "size_bytes")?,
-            });
-        }
-        for n in root.get("nodes").and_then(Json::as_arr).ok_or("missing \"nodes\" array")? {
-            profile.nodes.push(NodeStats {
-                node: need_u64(n, "node")? as usize,
-                accesses: need_u64(n, "accesses")?,
-                shipped_bytes: need_u64(n, "shipped_bytes")?,
-                busy_s: need_f64(n, "busy_s")?,
-            });
-        }
-        profile.fragments.sort_by(|a, b| a.fragment.cmp(&b.fragment));
-        profile.nodes.sort_by_key(|n| n.node);
-        Ok(profile)
     }
 }
 
@@ -323,43 +223,6 @@ mod tests {
         assert_eq!(p.nodes[0].accesses, 2);
         assert!((p.stages.dispatch_s - 0.5).abs() < 1e-12);
         assert_eq!(p.total_shipped_bytes(), 700);
-    }
-
-    #[test]
-    fn json_round_trip_is_lossless() {
-        let mut p = sample_profile();
-        p.fragments[0].size_bytes = 4096;
-        let back = WorkloadProfile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn a_profile_that_still_counts_cache_hits_loads() {
-        // as written before the result cache was deleted
-        let text = r#"{
-  "queries": 2,
-  "stages": {"parse_s": 0, "localize_s": 0, "dispatch_s": 0.5, "compose_s": 0},
-  "fragments": [
-    {"fragment": "f_cd", "accesses": 2, "shipped_bytes": 600, "cache_hits": 1, "busy_s": 0.02, "size_bytes": 4096}
-  ],
-  "nodes": [
-    {"node": 0, "accesses": 2, "shipped_bytes": 600, "busy_s": 0.02}
-  ]
-}
-"#;
-        let p = WorkloadProfile::from_json(text).unwrap();
-        let cd = p.fragment("f_cd").unwrap();
-        assert_eq!((cd.accesses, cd.shipped_bytes, cd.size_bytes), (2, 600, 4096));
-        assert_eq!(p.nodes[0].accesses, 2);
-        assert!(!p.to_json().contains("cache_hits"));
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(WorkloadProfile::from_json("{}").is_err());
-        assert!(WorkloadProfile::from_json("not json").is_err());
-        assert!(WorkloadProfile::from_json(r#"{"queries": 1, "fragments": [{}], "nodes": []}"#)
-            .is_err());
     }
 
     #[test]

@@ -185,7 +185,7 @@ COMMANDS
   fig7c              vertical fragmentation, XBenchVer articles
   fig7d              hybrid fragmentation, StoreHyb, FragMode1/2 ± transmission
   headline           the paper's '72x' text-search/aggregation scale-up table
-  ablation-index     text/value index on vs off (centralized)
+  ablation-index     text index on vs off (centralized)
   ablation-fragmode  per-document page-decode cost: hot vs cold, FragMode1 vs 2
   ablation-localization  fragment pruning on vs off (8 fragments)
   all                everything above
@@ -353,7 +353,7 @@ fn headline(args: &Args, sink: &mut Sink) {
     println!("  best scale-up factor: {best:.1}x (paper reports up to 72x on its hardware)");
 }
 
-/// Ablation: the automatic text/value indexes (eXist's, ours) on vs off.
+/// Ablation: the automatic text index (eXist's, ours) on vs off.
 fn ablation_index(args: &Args) {
     let size_mb = args.sizes.iter().copied().max().unwrap_or(250);
     let bytes = ((size_mb * MB) as f64 * args.scale) as usize;
@@ -362,9 +362,8 @@ fn ablation_index(args: &Args) {
     let px = setup::horizontal(&docs, 2);
     let db = &px.cluster().node(0).expect("node 0").db;
     for (id, q) in queries::horizontal(setup::CENTRAL) {
-        // QH1 exercises the (optional) value index; QH5/QH8 the
-        // automatic text index
-        if !matches!(id, "QH1" | "QH5" | "QH8") {
+        // QH5/QH8 probe the automatic text index
+        if !matches!(id, "QH5" | "QH8") {
             continue;
         }
         let timed = |reps: usize| {
@@ -376,15 +375,12 @@ fn ablation_index(args: &Args) {
             total / reps as f64
         };
         db.set_index_enabled(true);
-        db.set_value_index_enabled(id == "QH1");
         let with_index = timed(args.reps.max(1));
         db.set_index_enabled(false);
         let without = timed(args.reps.max(1));
         db.set_index_enabled(true);
-        db.set_value_index_enabled(false);
-        let which = if id == "QH1" { "value index" } else { "text index" };
         println!(
-            "  {id}: {which} {with_index:.5}s, full scan {without:.5}s → {:.1}x from indexing",
+            "  {id}: text index {with_index:.5}s, full scan {without:.5}s → {:.1}x from indexing",
             without / with_index.max(1e-12)
         );
     }

@@ -103,23 +103,6 @@ impl Node {
         }
     }
 
-    /// Probe the active driver's health (a real ping for network-backed
-    /// drivers) and fold the verdict into the availability/suspect
-    /// machinery: a failed probe marks the node suspect for `cooldown`,
-    /// a successful one clears any suspicion. Returns the probe verdict.
-    pub fn probe_health(&self, cooldown: Duration) -> Result<(), DriverError> {
-        match self.active_driver().health_check() {
-            Ok(()) => {
-                self.clear_suspect();
-                Ok(())
-            }
-            Err(err) => {
-                self.mark_suspect(cooldown);
-                Err(err)
-            }
-        }
-    }
-
     pub fn is_available(&self) -> bool {
         self.available.load(Ordering::Acquire)
     }

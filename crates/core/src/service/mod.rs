@@ -180,7 +180,6 @@ pub struct PartiX {
     localization: std::sync::atomic::AtomicBool,
     /// Lazily-built worker pool (first [`DispatchMode::Pool`] dispatch).
     pool: OnceLock<WorkerPool>,
-    pool_config: PoolConfig,
     plan_cache: PlanCache,
     retry: RwLock<RetryPolicy>,
     /// Per-fragment round-robin counters driving replica rotation.
@@ -216,7 +215,6 @@ impl PartiX {
             dispatch: DispatchMode::default(),
             localization: std::sync::atomic::AtomicBool::new(true),
             pool: OnceLock::new(),
-            pool_config: PoolConfig::default(),
             plan_cache: PlanCache::new(1024),
             retry: RwLock::new(RetryPolicy::default()),
             rotation: Mutex::new(HashMap::new()),
@@ -407,17 +405,6 @@ impl PartiX {
         self.dispatch
     }
 
-    /// Size the [`DispatchMode::Pool`] worker pools. Must be called
-    /// before the first Pool-mode dispatch: the pool is built lazily,
-    /// once, and keeps the configuration it was built with.
-    pub fn set_pool_config(&mut self, config: PoolConfig) {
-        self.pool_config = config;
-    }
-
-    pub fn pool_config(&self) -> PoolConfig {
-        self.pool_config
-    }
-
     /// Recompute the per-node placement gauges in the global metrics
     /// registry: `node.N.fragments` (distinct distributed fragment
     /// placements mapped to node N by the catalog) and
@@ -466,7 +453,7 @@ impl PartiX {
 
     fn pool(&self) -> &WorkerPool {
         self.pool
-            .get_or_init(|| WorkerPool::new(&self.cluster, self.pool_config))
+            .get_or_init(|| WorkerPool::new(&self.cluster, PoolConfig::default()))
     }
 
     pub fn cluster(&self) -> &Cluster {

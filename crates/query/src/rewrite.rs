@@ -21,7 +21,6 @@
 
 use crate::ast::{Clause, Expr, PathStart, Query};
 use partix_path::{Axis, PathExpr, Step};
-use partix_path::NodeTest;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -200,14 +199,6 @@ pub fn rewrite_collection_name(query: &Query, old: &str, new: &str) -> Query {
         }
     });
     out
-}
-
-/// Does the last step of `path` test element name `label`?
-pub fn last_step_is(path: &PathExpr, label: &str) -> bool {
-    matches!(
-        path.last_step().map(|s| &s.test),
-        Some(NodeTest::Name(n)) if n == label
-    )
 }
 
 #[cfg(test)]

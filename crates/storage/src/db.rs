@@ -1,6 +1,6 @@
 //! The database: named collections of documents plus their indexes.
 
-use crate::index::{PathIndex, TextIndex, ValueIndex};
+use crate::index::{PathIndex, TextIndex};
 use parking_lot::RwLock;
 use partix_query::{CollectionProvider, EvalError};
 use partix_xml::{binary, Document};
@@ -82,7 +82,6 @@ pub struct Collection {
     name_map: HashMap<String, Vec<u32>>,
     /// Live (non-tombstoned) slot count.
     live: usize,
-    value_index: ValueIndex,
     text_index: TextIndex,
     path_index: PathIndex,
 }
@@ -95,7 +94,6 @@ impl Collection {
             docs: Vec::new(),
             name_map: HashMap::new(),
             live: 0,
-            value_index: ValueIndex::default(),
             text_index: TextIndex::default(),
             path_index: PathIndex::default(),
         }
@@ -139,7 +137,6 @@ impl Collection {
             StorageMode::Cold => Document::page_backed(doc),
         };
         let slot = self.docs.len() as u32;
-        self.value_index.insert(slot, &doc);
         self.text_index.insert(slot, &doc);
         self.path_index.insert(slot, &doc);
         if let Some(name) = &doc.name {
@@ -179,18 +176,6 @@ impl Collection {
         let mut v: Vec<u32> = set.into_iter().filter(|&s| self.is_live(s)).collect();
         v.sort_unstable();
         v
-    }
-
-    /// Candidate slots for an equality probe keyed by final label.
-    /// Authoritative superset: empty means no document qualifies.
-    pub(crate) fn probe_value_label(&self, label: &str, value: &str) -> Vec<u32> {
-        self.live_sorted(self.value_index.candidates_by_label(label, value))
-    }
-
-    /// Candidate slots for an equality probe keyed by the full label path
-    /// (e.g. `Item/Section`, `Item/@id`).
-    pub(crate) fn probe_value_path(&self, path: &str, value: &str) -> Vec<u32> {
-        self.live_sorted(self.value_index.candidates_by_path(path, value))
     }
 
     /// Candidate slots for an existential probe on a label; an unseen
@@ -272,7 +257,6 @@ impl Collection {
 pub struct Database {
     collections: RwLock<HashMap<String, Arc<RwLock<Collection>>>>,
     use_indexes: std::sync::atomic::AtomicBool,
-    use_value_index: std::sync::atomic::AtomicBool,
 }
 
 /// Kept only so the frozen benchmark package, which still passes one to
@@ -296,7 +280,6 @@ impl Database {
         Database {
             collections: RwLock::new(HashMap::new()),
             use_indexes: std::sync::atomic::AtomicBool::new(true),
-            use_value_index: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -314,21 +297,6 @@ impl Database {
     /// Whether index-assisted scans are enabled.
     pub fn index_enabled(&self) -> bool {
         self.use_indexes.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Enable equality probes against the value index. Off by default,
-    /// mirroring the paper's eXist configuration: the automatically
-    /// created indexes cover text search and path navigation, while
-    /// value/range indexes needed manual setup (*"No other indexes were
-    /// created"*).
-    pub fn set_value_index_enabled(&self, enabled: bool) {
-        self.use_value_index
-            .store(enabled, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Whether equality probes may use the value index.
-    pub fn value_index_enabled(&self) -> bool {
-        self.use_value_index.load(std::sync::atomic::Ordering::Acquire)
     }
 
     /// Create a collection. Errors if the name is taken.
@@ -564,15 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_uses_value_index() {
-        let db = make_db(StorageMode::Hot);
-        db.set_value_index_enabled(true);
-        let pred = Predicate::parse(r#"/Item/Section = "CD""#).unwrap();
-        let docs = db.index_candidates("items", &pred).unwrap();
-        assert_eq!(docs.len(), 2);
-    }
-
-    #[test]
     fn filtered_contains_is_sound_superset() {
         let db = make_db(StorageMode::Hot);
         let pred = Predicate::parse(r#"contains(/Item/D, "good")"#).unwrap();
@@ -623,9 +582,10 @@ mod tests {
         // hot storage shares the exact allocation, no deep copy
         assert!(Arc::ptr_eq(&fetched[0], &doc));
         // shared inserts are indexed like owned ones
-        let pred = Predicate::parse(r#"/Item/Section = "CD""#).unwrap();
-        db.set_value_index_enabled(true);
+        let pred = Predicate::parse("exists(/Item/Section)").unwrap();
         assert_eq!(db.index_candidates("c", &pred).unwrap().len(), 1);
+        let pred = Predicate::parse("exists(/Item/Release)").unwrap();
+        assert!(db.index_candidates("c", &pred).unwrap().is_empty());
     }
 
     #[test]
@@ -638,11 +598,10 @@ mod tests {
             assert!(!db.delete_doc("absent", "i1"));
             assert_eq!(db.collection_len("items").unwrap(), 2);
             // slots shifted: index probes must still answer correctly
-            db.set_value_index_enabled(true);
-            let pred = Predicate::parse(r#"/Item/Section = "CD""#).unwrap();
+            let pred = Predicate::parse("exists(/Item/Section)").unwrap();
             let docs = db.index_candidates("items", &pred).unwrap();
             let names: Vec<_> = docs.iter().map(|d| d.name.clone().unwrap()).collect();
-            assert_eq!(names, vec!["i3".to_owned()], "{mode:?}");
+            assert_eq!(names, ["i2", "i3"], "{mode:?}");
             let pred = Predicate::parse(r#"contains(/Item/D, "good")"#).unwrap();
             let names: Vec<_> = db
                 .index_candidates("items", &pred)

@@ -45,27 +45,10 @@ impl QueryOutput {
 ///
 /// Returns `None` when the predicate gives the indexes nothing to work
 /// with (full scan). The returned set is always a superset of the
-/// documents satisfying the predicate.
-pub(crate) fn index_candidates(
-    coll: &Collection,
-    pred: &Predicate,
-    value_index: bool,
-) -> Option<Vec<u32>> {
+/// documents satisfying the predicate. A value comparison probes nothing:
+/// as in the paper's eXist setup, there is no value index.
+pub(crate) fn index_candidates(coll: &Collection, pred: &Predicate) -> Option<Vec<u32>> {
     match pred {
-        Predicate::Cmp { path, op, value } => {
-            if !value_index || *op != partix_path::CmpOp::Eq {
-                return None;
-            }
-            let partix_path::Value::Str(s) = value else { return None };
-            // an index-exact path probes the value index by its full
-            // label path — only documents structurally containing the
-            // path with the right value (or an opaque occurrence) survive
-            if let Some(key) = exact_path_key(path) {
-                return Some(coll.probe_value_path(&key, s));
-            }
-            let label = last_label(path)?;
-            Some(coll.probe_value_label(&label, s))
-        }
         Predicate::Exists(path) => {
             // a document can only satisfy exists(P) if it contains P's
             // label path (exact probe) or at least P's final label
@@ -82,7 +65,7 @@ pub(crate) fn index_candidates(
             // intersect whatever probes succeed
             let mut acc: Option<Vec<u32>> = None;
             for p in ps {
-                if let Some(c) = index_candidates(coll, p, value_index) {
+                if let Some(c) = index_candidates(coll, p) {
                     acc = Some(match acc {
                         None => c,
                         Some(prev) => intersect_sorted(&prev, &c),
@@ -95,7 +78,7 @@ pub(crate) fn index_candidates(
             // every branch must probe, else the union is unbounded
             let mut acc: Vec<u32> = Vec::new();
             for p in ps {
-                let c = index_candidates(coll, p, value_index)?;
+                let c = index_candidates(coll, p)?;
                 acc = union_sorted(&acc, &c);
             }
             Some(acc)
@@ -262,7 +245,7 @@ impl Database {
         stats.collection_size = guard.len();
         let probed = predicate
             .filter(|_| self.index_enabled())
-            .and_then(|pred| index_candidates(&guard, pred, self.value_index_enabled()));
+            .and_then(|pred| index_candidates(&guard, pred));
         stats.index_used = probed.is_some();
         // tombstoned slots hold no document — scan live ones only
         let docs = guard.fetch_slots(&probed.unwrap_or_else(|| guard.live_slots()));
@@ -281,7 +264,7 @@ impl Database {
     ) -> Option<Vec<Arc<Document>>> {
         let coll = self.get(collection)?;
         let guard = coll.read();
-        let slots = index_candidates(&guard, predicate, self.value_index_enabled())?;
+        let slots = index_candidates(&guard, predicate)?;
         Some(guard.fetch_slots(&slots))
     }
 }
@@ -331,17 +314,21 @@ mod tests {
         db
     }
 
-    #[test]
-    fn equality_query_uses_index() {
+    /// The fixture plus two released items: `i5` is described as good,
+    /// `i6` is not.
+    fn released_db() -> Database {
         let db = db();
-        db.set_value_index_enabled(true);
-        let out = db
-            .execute(r#"for $i in collection("items")/Item where $i/Section = "CD" return $i/Code"#)
-            .unwrap();
-        assert_eq!(out.items.len(), 2);
-        assert!(out.stats.index_used);
-        assert_eq!(out.stats.docs_scanned, 2);
-        assert_eq!(out.stats.collection_size, 4);
+        for (name, desc, price) in [("i5", "good as new", 5), ("i6", "scratched", 30)] {
+            let xml = format!(
+                "<Item><Code>{name}</Code><Section>CD</Section><Release>2005</Release>\
+                 <Price>{price}</Price><Characteristics><Description>{desc}</Description>\
+                 </Characteristics></Item>"
+            );
+            let mut d = parse(&xml).unwrap();
+            d.name = Some(name.to_owned());
+            db.store("items", d);
+        }
+        db
     }
 
     #[test]
@@ -360,18 +347,20 @@ mod tests {
 
     #[test]
     fn conjunction_intersects_indexes() {
-        let db = db();
-        db.set_value_index_enabled(true);
+        let db = released_db();
+        // the text index shortlists i1, i3, i4, i5 and the path index
+        // i5, i6: only their intersection is scanned
         let out = db
             .execute(
                 r#"for $i in collection("items")/Item
-                   where $i/Section = "CD" and contains($i//Description, "good")
-                   return $i/Code"#,
+                   where exists($i/Release) and contains($i//Description, "good")
+                   return string($i/Code)"#,
             )
             .unwrap();
-        assert_eq!(out.items.len(), 2);
+        assert_eq!(out.items, [Item::Str("i5".into())]);
         assert!(out.stats.index_used);
-        assert!(out.stats.docs_scanned <= 2);
+        assert_eq!(out.stats.docs_scanned, 1);
+        assert_eq!(out.stats.collection_size, 6);
     }
 
     #[test]
@@ -397,81 +386,93 @@ mod tests {
         assert_eq!(out.stats.docs_scanned, 1);
     }
 
+    /// A range and an equality give the indexes nothing to probe: there
+    /// is no value index, so both scan every document.
     #[test]
     fn range_query_falls_back_to_scan() {
         let db = db();
-        db.set_value_index_enabled(true);
-        let out = db
-            .execute(r#"for $i in collection("items")/Item where $i/Price < 12 return $i/Code"#)
-            .unwrap();
-        assert_eq!(out.items.len(), 2);
-        assert!(!out.stats.index_used);
-        assert_eq!(out.stats.docs_scanned, 4);
+        for query in [
+            r#"for $i in collection("items")/Item where $i/Price < 12 return $i/Code"#,
+            r#"for $i in collection("items")/Item where $i/Section = "CD" return $i/Code"#,
+        ] {
+            let out = db.execute(query).unwrap();
+            assert_eq!(out.items.len(), 2, "{query}");
+            assert!(!out.stats.index_used, "{query}");
+            assert_eq!(out.stats.docs_scanned, 4, "{query}");
+        }
     }
 
     #[test]
     fn index_and_scan_agree() {
-        let db = db();
-        db.set_value_index_enabled(true);
-        // same query, one with index (=), one forced to scan (>= on strings)
-        let via_index = db
-            .execute(r#"count(for $i in collection("items")/Item where $i/Section = "CD" return $i)"#)
-            .unwrap();
-        let via_scan = db
-            .execute(
+        let db = released_db();
+        // same query, once through the indexes, once forced to scan
+        for (query, expected, shortlisted) in [
+            (
                 r#"count(for $i in collection("items")/Item
-                         where $i/Section >= "CD" and $i/Section <= "CD" return $i)"#,
-            )
-            .unwrap();
-        assert_eq!(via_index.items, via_scan.items);
+                         where contains($i//Description, "good") return $i)"#,
+                4.0,
+                4,
+            ),
+            (r#"count(for $i in collection("items")/Item where exists($i/Release) return $i)"#, 2.0, 2),
+        ] {
+            db.set_index_enabled(true);
+            let via_index = db.execute(query).unwrap();
+            db.set_index_enabled(false);
+            let via_scan = db.execute(query).unwrap();
+            assert_eq!(via_index.items, [Item::Num(expected)], "{query}");
+            assert_eq!(via_index.items, via_scan.items, "{query}");
+            assert!(via_index.stats.index_used && !via_scan.stats.index_used, "{query}");
+            assert_eq!(via_index.stats.docs_scanned, shortlisted, "{query}");
+            assert_eq!(via_scan.stats.docs_scanned, 6, "{query}");
+        }
     }
 
     #[test]
     fn or_of_indexed_predicates() {
-        let db = db();
-        db.set_value_index_enabled(true);
+        let db = released_db();
+        // the union of both shortlists leaves out i2 alone
         let out = db
             .execute(
                 r#"count(for $i in collection("items")/Item
-                         where $i/Section = "CD" or $i/Section = "DVD" return $i)"#,
+                         where exists($i/Release) or contains($i//Description, "good")
+                         return $i)"#,
             )
             .unwrap();
-        assert_eq!(out.items[0], Item::Num(3.0));
+        assert_eq!(out.items[0], Item::Num(5.0));
         assert!(out.stats.index_used);
-        assert_eq!(out.stats.docs_scanned, 3);
+        assert_eq!(out.stats.docs_scanned, 5);
     }
 
     /// The index prefilter is not for single-scan selections alone: a
     /// query that also reads elsewhere still has its driving scan narrowed.
     #[test]
     fn prefilter_reaches_joins_documents_and_comparisons() {
-        let db = db();
-        db.set_value_index_enabled(true);
+        let db = released_db();
         for (query, expected) in [
             // also reads a document
             (
                 r#"for $i in collection("items")/Item let $x := doc("i4")/Item
-                   where $i/Section = "CD" return concat($i/Code, $x/Code)"#,
-                vec![Item::Str("i1i4".into()), Item::Str("i3i4".into())],
+                   where exists($i/Release) return concat($i/Code, $x/Code)"#,
+                vec![Item::Str("i5i4".into()), Item::Str("i6i4".into())],
             ),
             // a FLWOR under a comparison
             (
                 r#"(for $i in collection("items")/Item
-                    where $i/Section = "CD" return $i/Price) = "8""#,
+                    where exists($i/Release) return $i/Price) = "30""#,
                 vec![Item::Bool(true)],
             ),
             // a join with a second collection scan
             (
                 r#"count(for $i in collection("items")/Item, $j in collection("items")/Item
-                         where $i/Section = "CD" return $j)"#,
-                vec![Item::Num(8.0)],
+                         where exists($i/Release) return $j)"#,
+                vec![Item::Num(12.0)],
             ),
         ] {
             let out = db.execute(query).unwrap();
             assert_eq!(out.items, expected, "{query}");
             assert!(out.stats.index_used, "{query}");
             assert_eq!(out.stats.docs_scanned, 2, "{query}");
-            assert_eq!(out.stats.collection_size, 4, "{query}");
+            assert_eq!(out.stats.collection_size, 6, "{query}");
         }
     }
 
@@ -481,32 +482,31 @@ mod tests {
     /// sees the candidates) answers 4 to each of these.
     #[test]
     fn prefilter_narrows_the_driving_scan_only() {
-        let db = db();
-        db.set_value_index_enabled(true);
+        let db = released_db();
         for (query, expected, index_used) in [
             (
                 r#"count(for $i in collection("items")/Item, $j in collection("items")/Item
-                         where $i/Section = "CD" return $j)"#,
-                8.0,
+                         where exists($i/Release) return $j)"#,
+                12.0,
                 true,
             ),
             (
-                r#"sum(for $i in collection("items")/Item where $i/Section = "CD"
+                r#"sum(for $i in collection("items")/Item where exists($i/Release)
                        return count(collection("items")/Item))"#,
-                8.0,
+                12.0,
                 true,
             ),
             (
-                r#"sum(for $i in collection("items")/Item where $i/Section = "CD"
+                r#"sum(for $i in collection("items")/Item where exists($i/Release)
                        return count(for $j in collection("items")/Item return $j))"#,
-                8.0,
+                12.0,
                 true,
             ),
             // the first `for` ranges over a variable: no scan to narrow
             (
                 r#"sum(let $all := collection("items")/Item
-                       for $i in $all where $i/Section = "CD" return count($all))"#,
-                8.0,
+                       for $i in $all where exists($i/Release) return count($all))"#,
+                12.0,
                 false,
             ),
         ] {
@@ -514,12 +514,12 @@ mod tests {
             let indexed = db.execute(query).unwrap();
             assert_eq!(indexed.items, [Item::Num(expected)], "{query}");
             assert_eq!(indexed.stats.index_used, index_used, "{query}");
-            assert_eq!(indexed.stats.docs_scanned, if index_used { 2 } else { 4 }, "{query}");
+            assert_eq!(indexed.stats.docs_scanned, if index_used { 2 } else { 6 }, "{query}");
             db.set_index_enabled(false);
             let scanned = db.execute(query).unwrap();
             assert_eq!(scanned.items, indexed.items, "{query}");
             assert!(!scanned.stats.index_used, "{query}");
-            assert_eq!(scanned.stats.docs_scanned, 4, "{query}");
+            assert_eq!(scanned.stats.docs_scanned, 6, "{query}");
         }
     }
 
@@ -615,19 +615,14 @@ mod tests {
         for doc in partix_query::CollectionProvider::collection(&hot, "items").unwrap() {
             cold.store("items", (*doc).clone());
         }
-        for value_index in [false, true] {
-            for db in [&hot, &cold] {
-                db.set_value_index_enabled(value_index);
-            }
-            for q in QH {
-                let (h, c) = (hot.execute(q).unwrap(), cold.execute(q).unwrap());
-                assert_eq!(h.items, c.items, "{q}");
-                assert_eq!(h.serialize(), c.serialize(), "{q}");
-                assert!(!h.items.is_empty(), "{q} selects nothing");
-                assert_eq!(h.stats.docs_scanned, c.stats.docs_scanned, "{q}");
-                assert_eq!(h.stats.index_used, c.stats.index_used, "{q}");
-                assert_eq!(h.stats.result_bytes, c.stats.result_bytes, "{q}");
-            }
+        for q in QH {
+            let (h, c) = (hot.execute(q).unwrap(), cold.execute(q).unwrap());
+            assert_eq!(h.items, c.items, "{q}");
+            assert_eq!(h.serialize(), c.serialize(), "{q}");
+            assert!(!h.items.is_empty(), "{q} selects nothing");
+            assert_eq!(h.stats.docs_scanned, c.stats.docs_scanned, "{q}");
+            assert_eq!(h.stats.index_used, c.stats.index_used, "{q}");
+            assert_eq!(h.stats.result_bytes, c.stats.result_bytes, "{q}");
         }
     }
 }

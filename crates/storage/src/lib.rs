@@ -15,9 +15,9 @@
 //!   insert.
 //! * **Automatic indexes** (the paper: *"Some indexes were automatically
 //!   created by the eXist DBMS to speed up text search operations and
-//!   path expressions evaluation"*): a leaf-value index and a full-text
-//!   word index are maintained on insertion and consulted when a query
-//!   takes its candidate snapshot ([`Database::index_candidates`]).
+//!   path expressions evaluation"*): a structural path index and a
+//!   full-text word index, no other, kept on insertion and consulted
+//!   when a query takes its candidate snapshot ([`Database::index_candidates`]).
 //! * **Query execution** with per-query statistics (documents scanned,
 //!   index hits, elapsed time) — the measurements every experiment plots.
 //!   A query's scan runs whole on the calling thread; PartiX gets its

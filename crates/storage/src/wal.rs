@@ -65,15 +65,6 @@ impl WriteOp {
             WriteOp::Put { collection, .. } | WriteOp::Delete { collection, .. } => collection,
         }
     }
-
-    /// The document name this write is keyed by (`None` for an unnamed
-    /// `Put`, which can never be replaced or deleted later).
-    pub fn doc_name(&self) -> Option<&str> {
-        match self {
-            WriteOp::Put { doc, .. } => doc.name.as_deref(),
-            WriteOp::Delete { name, .. } => Some(name),
-        }
-    }
 }
 
 impl fmt::Display for WriteOp {

@@ -31,7 +31,6 @@ fn cold_reads_never_convert() {
     // half arrive as documents, half as pages (the persist / wire path)
     db.store_all("items", docs[..100].iter().cloned());
     db.store_pages("items", docs[100..].iter().map(binary::encode)).unwrap();
-    db.set_value_index_enabled(true);
 
     let before = binary::page_conversions();
     let queries = [
@@ -57,8 +56,10 @@ fn cold_reads_never_convert() {
         assert_eq!(doc.approx_size(), original.approx_size());
     }
     assert_eq!(db.document("d150").unwrap().name.as_deref(), Some("d150"));
-    let pred = partix_path::Predicate::parse(r#"/Item/Section = "BOOK""#).unwrap();
-    assert!(!db.index_candidates("items", &pred).unwrap().is_empty());
+    let pred =
+        partix_path::Predicate::parse(r#"contains(/Item/Characteristics/Description, "good")"#)
+            .unwrap();
+    assert_eq!(db.index_candidates("items", &pred).unwrap().len(), 50);
     assert!(db.collection_bytes("items").unwrap() > 0);
     let dir = std::env::temp_dir().join(format!("partix-cold-reads-{}", std::process::id()));
     db.save_to(&dir).unwrap();

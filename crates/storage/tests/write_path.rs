@@ -1,6 +1,6 @@
 //! Write-path regression tests: name-map lookups at scale, tombstoned
-//! deletes with deferred compaction, and value-index soundness for the
-//! shapes that used to be wrongly excluded (mixed content and empty
+//! deletes with deferred compaction, and equality answers for the shapes
+//! a value index used to wrongly exclude (mixed content and empty
 //! elements).
 
 use partix_query::{CollectionProvider, Item};
@@ -58,7 +58,6 @@ fn ten_k_put_delete_churn() {
 fn tombstones_and_compaction_keep_probes_correct() {
     for mode in [StorageMode::Hot, StorageMode::Cold] {
         let db = Database::new();
-        db.set_value_index_enabled(true);
         db.create_collection("items", mode).unwrap();
         let sections = ["CD", "DVD", "Book"];
         for i in 0..300 {
@@ -78,6 +77,10 @@ fn tombstones_and_compaction_keep_probes_correct() {
         };
         assert_eq!(count(&db, &q("CD")), 100.0, "mode {mode:?}");
         assert_eq!(count(&db, &q("DVD")), 0.0, "mode {mode:?}");
+        // the path index probes the renumbered slots
+        let with_section =
+            r#"for $i in collection("items")/Item where exists($i/Section) return $i"#;
+        assert_eq!(count(&db, with_section), 100.0, "mode {mode:?}");
         // survivors fetch by name and keep their content
         assert_eq!(db.document("n0").unwrap().root().text(), "CD");
         assert!(db.document("n1").is_err());
@@ -87,6 +90,7 @@ fn tombstones_and_compaction_keep_probes_correct() {
         }
         assert_eq!(count(&db, &q("Vinyl")), 50.0, "mode {mode:?}");
         assert_eq!(count(&db, &q("CD")), 100.0, "mode {mode:?}");
+        assert_eq!(count(&db, with_section), 150.0, "mode {mode:?}");
     }
 }
 
@@ -108,14 +112,12 @@ fn duplicate_names_resolve_in_insertion_order() {
 
 /// Mixed-content elements (`<Section><b>C</b>D</Section>` has
 /// string-value "CD") and empty elements (`<Section/>` has string-value
-/// "") must stay reachable through equality predicates when the value
-/// index is on — both used to be wrongly excluded by authoritative
-/// index misses.
+/// "") must stay reachable through equality predicates: an index that
+/// keys leaf text and treats a probe miss as authoritative drops both.
 #[test]
 fn value_index_is_sound_for_mixed_and_empty_content() {
     for mode in [StorageMode::Hot, StorageMode::Cold] {
         let db = Database::new();
-        db.set_value_index_enabled(true);
         db.create_collection("items", mode).unwrap();
         db.store("items", named("<Item><Section>CD</Section></Item>", "plain"));
         db.store("items", named("<Item><Section><b>C</b>D</Section></Item>", "mixed"));
@@ -133,7 +135,6 @@ fn value_index_is_sound_for_mixed_and_empty_content() {
         assert_eq!(count(&db, &q("Tape")), 0.0, "mode {mode:?}");
 
         // the oracle: same queries with every index off
-        db.set_value_index_enabled(false);
         db.set_index_enabled(false);
         assert_eq!(count(&db, &q("CD")), 2.0, "unindexed oracle, mode {mode:?}");
         assert_eq!(count(&db, &q("")), 1.0, "unindexed oracle, mode {mode:?}");

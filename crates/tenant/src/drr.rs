@@ -47,11 +47,6 @@ impl<T> DrrScheduler<T> {
         self.len == 0
     }
 
-    /// Queued items in one class's lane.
-    pub fn class_len(&self, class: PriorityClass) -> usize {
-        self.lanes[class.index()].items.len()
-    }
-
     /// Append to the back of `class`'s FIFO lane.
     pub fn push(&mut self, class: PriorityClass, item: T) {
         self.lanes[class.index()].items.push_back(item);

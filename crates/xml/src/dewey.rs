@@ -33,10 +33,6 @@ impl Dewey {
         self.components.len()
     }
 
-    pub fn is_root(&self) -> bool {
-        self.components.is_empty()
-    }
-
     /// The identifier of this node's parent; `None` for the root.
     pub fn parent(&self) -> Option<Dewey> {
         if self.components.is_empty() {

@@ -774,11 +774,6 @@ impl<'a> NodeRef<'a> {
     pub fn dewey(self) -> Dewey {
         self.doc.dewey_of(self.id)
     }
-
-    /// True if this node has no element children and no text content.
-    pub fn is_leaf_element(self) -> bool {
-        self.kind() == NodeKind::Element && self.first_child().is_none()
-    }
 }
 
 /// Iterator over a node's direct children.

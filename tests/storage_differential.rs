@@ -1,6 +1,6 @@
 //! Storage differential suite: how a collection is stored and indexed must
 //! be **invisible** except for speed. Every query family runs against the
-//! same documents held hot, cold with the text and value indexes on, and
+//! same documents held hot, cold with the path and text indexes on, and
 //! cold with every index off (a full scan of pages read in place); the
 //! serialized answers must be byte-identical to each other and to the
 //! evaluator over an in-memory provider, including document order and
@@ -86,7 +86,6 @@ fn every_family_matches_the_evaluator_hot_and_cold() {
         db.create_collection("items", mode).unwrap();
         db.store_all("items", docs.iter().cloned());
         db.set_index_enabled(indexed);
-        db.set_value_index_enabled(indexed);
         for (id, query) in families() {
             let expected = Evaluator::new(&provider)
                 .eval(&parse_query(&query).unwrap())
