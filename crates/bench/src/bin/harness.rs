@@ -361,11 +361,14 @@ fn ablation_index(args: &Args) {
     let docs = setup::item_db(bytes, ItemProfile::Small);
     let px = setup::horizontal(&docs, 2);
     let db = &px.cluster().node(0).expect("node 0").db;
-    for (id, q) in queries::horizontal(setup::CENTRAL) {
-        // QH5/QH8 probe the automatic text index
-        if !matches!(id, "QH5" | "QH8") {
-            continue;
-        }
+    // QH5/QH8 probe the automatic text index, a phrase its word pairs
+    let mut probing: Vec<_> = queries::horizontal(setup::CENTRAL)
+        .into_iter()
+        .filter(|(id, _)| matches!(*id, "QH5" | "QH8"))
+        .collect();
+    let phrase = probing[0].1.replace(r#""good""#, r#""good record""#);
+    probing.push((r#"QH5 "good record""#, phrase));
+    for (id, q) in probing {
         let timed = |reps: usize| {
             let mut total = 0.0;
             let _ = db.execute(&q).expect("warm-up");

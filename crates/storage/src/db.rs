@@ -82,8 +82,8 @@ pub struct Collection {
     name_map: HashMap<String, Vec<u32>>,
     /// Live (non-tombstoned) slot count.
     live: usize,
-    text_index: TextIndex,
-    path_index: PathIndex,
+    pub(crate) text_index: TextIndex,
+    pub(crate) path_index: PathIndex,
 }
 
 impl Collection {
@@ -116,12 +116,6 @@ impl Collection {
     /// numbers run over the physical vector, tombstones included.
     pub(crate) fn live_slots(&self) -> Vec<u32> {
         (0..self.docs.len() as u32).filter(|&s| self.is_live(s)).collect()
-    }
-
-    /// Total size of the stored documents in bytes: page lengths for
-    /// page-backed documents, approximate for arenas.
-    pub fn byte_size(&self) -> usize {
-        self.docs.iter().flatten().map(|d| d.stored_bytes()).sum()
     }
 
     fn insert(&mut self, doc: Document) {
@@ -170,34 +164,10 @@ impl Collection {
         self.docs.iter().flatten().cloned().collect()
     }
 
-    /// Drop dead index entries and sort: probe results are ascending
-    /// live slots.
-    fn live_sorted(&self, set: impl IntoIterator<Item = u32>) -> Vec<u32> {
-        let mut v: Vec<u32> = set.into_iter().filter(|&s| self.is_live(s)).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Candidate slots for an existential probe on a label; an unseen
-    /// label yields the empty set.
-    pub(crate) fn probe_label(&self, label: &str) -> Vec<u32> {
-        match self.path_index.lookup(label) {
-            Some(set) => self.live_sorted(set.iter().copied()),
-            None => Vec::new(),
-        }
-    }
-
-    /// Candidate slots for an existential probe on a full label path.
-    pub(crate) fn probe_path(&self, path: &str) -> Vec<u32> {
-        match self.path_index.lookup_path(path) {
-            Some(set) => self.live_sorted(set.iter().copied()),
-            None => Vec::new(),
-        }
-    }
-
-    /// Candidate slots for a `contains` probe; `None` = full scan needed.
-    pub(crate) fn probe_contains(&self, needle: &str) -> Option<Vec<u32>> {
-        self.text_index.lookup_contains(needle).map(|set| self.live_sorted(set))
+    /// The live slots of `slots`, which ascend: an index probe's
+    /// candidates without the tombstones.
+    pub(crate) fn live(&self, slots: &[u32]) -> Vec<u32> {
+        slots.iter().copied().filter(|&s| self.is_live(s)).collect()
     }
 
     /// The documents in `slots` (all live). Readers keep them after
@@ -328,21 +298,6 @@ impl Database {
         }
     }
 
-    /// Store shared documents without deep-copying them (hot collections
-    /// adopt arena `Arc`s directly, cold ones page-backed `Arc`s) — the
-    /// path used when the coordinator stores rebuilt fragments.
-    pub fn store_all_shared(
-        &self,
-        collection: &str,
-        docs: impl IntoIterator<Item = Arc<Document>>,
-    ) {
-        let coll = self.get_or_create(collection);
-        let mut guard = coll.write();
-        for doc in docs {
-            guard.insert_shared(doc);
-        }
-    }
-
     /// Ingest already-encoded binary pages into a collection (which must
     /// exist — create it first to pick the storage mode). Every page is
     /// validated; cold collections then keep it verbatim and read it in
@@ -402,10 +357,11 @@ impl Database {
             .ok_or_else(|| StorageError::UnknownCollection(name.to_owned()))
     }
 
-    /// Total bytes stored in a collection.
+    /// Total bytes stored in a collection: page lengths for page-backed
+    /// documents, approximate for arenas.
     pub fn collection_bytes(&self, name: &str) -> Result<usize, StorageError> {
         self.get(name)
-            .map(|c| c.read().byte_size())
+            .map(|c| c.read().docs.iter().flatten().map(|d| d.stored_bytes()).sum())
             .ok_or_else(|| StorageError::UnknownCollection(name.to_owned()))
     }
 
@@ -570,22 +526,6 @@ mod tests {
     fn byte_size_positive() {
         let db = make_db(StorageMode::Hot);
         assert!(db.collection_bytes("items").unwrap() > 0);
-    }
-
-    #[test]
-    fn store_all_shared_adopts_arcs() {
-        let db = Database::new();
-        let doc = Arc::new(parse("<Item><Section>CD</Section></Item>").unwrap());
-        db.store_all_shared("c", vec![Arc::clone(&doc)]);
-        let fetched = db.collection("c").unwrap();
-        assert_eq!(fetched.len(), 1);
-        // hot storage shares the exact allocation, no deep copy
-        assert!(Arc::ptr_eq(&fetched[0], &doc));
-        // shared inserts are indexed like owned ones
-        let pred = Predicate::parse("exists(/Item/Section)").unwrap();
-        assert_eq!(db.index_candidates("c", &pred).unwrap().len(), 1);
-        let pred = Predicate::parse("exists(/Item/Release)").unwrap();
-        assert!(db.index_candidates("c", &pred).unwrap().is_empty());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Query execution with index-assisted pre-filtering and statistics.
 
 use crate::db::{Collection, Database};
+use crate::index::{intersect_sorted, union_sorted};
 use partix_path::pred::BoolFn;
-use partix_path::Predicate;
+use partix_path::{NodeTest, Predicate};
 use partix_query::pushdown;
 use partix_query::{parse_query, EvalError, Item, Program, Sequence};
 use partix_xml::Document;
@@ -49,49 +50,29 @@ impl QueryOutput {
 /// as in the paper's eXist setup, there is no value index.
 pub(crate) fn index_candidates(coll: &Collection, pred: &Predicate) -> Option<Vec<u32>> {
     match pred {
-        Predicate::Exists(path) => {
-            // a document can only satisfy exists(P) if it contains P's
-            // label path (exact probe) or at least P's final label
-            // (fallback) — the structural path index answers both
-            if let Some(key) = exact_path_key(path) {
-                return Some(coll.probe_path(&key));
+        // a document can only satisfy exists(P) if it contains P's label
+        // path (exact probe) or at least P's final label (fallback)
+        Predicate::Exists(path) => match (exact_path_key(path), &path.last_step()?.test) {
+            (Some(key), _) => Some(coll.live(coll.path_index.lookup_path(&key))),
+            (None, NodeTest::Name(label) | NodeTest::Attribute(label)) => {
+                Some(coll.live(coll.path_index.lookup(label)))
             }
-            let label = last_label(path)?;
-            Some(coll.probe_label(&label))
+            (None, NodeTest::AnyElement) => None,
+        },
+        Predicate::Bool(BoolFn::Contains(path, needle) | BoolFn::StartsWith(path, needle)) => {
+            let last = path.last_step().map(|step| &step.test);
+            coll.text_index.lookup_contains(last, needle).map(|slots| coll.live(&slots))
         }
-        Predicate::Bool(BoolFn::Contains(_, needle)) => coll.probe_contains(needle),
-        Predicate::Bool(BoolFn::StartsWith(_, needle)) => coll.probe_contains(needle),
-        Predicate::And(ps) => {
-            // intersect whatever probes succeed
-            let mut acc: Option<Vec<u32>> = None;
-            for p in ps {
-                if let Some(c) = index_candidates(coll, p) {
-                    acc = Some(match acc {
-                        None => c,
-                        Some(prev) => intersect_sorted(&prev, &c),
-                    });
-                }
-            }
-            acc
-        }
-        Predicate::Or(ps) => {
-            // every branch must probe, else the union is unbounded
-            let mut acc: Vec<u32> = Vec::new();
-            for p in ps {
-                let c = index_candidates(coll, p)?;
-                acc = union_sorted(&acc, &c);
-            }
-            Some(acc)
-        }
+        // intersect whatever probes succeed
+        Predicate::And(ps) => ps
+            .iter()
+            .filter_map(|p| index_candidates(coll, p))
+            .reduce(|a, b| intersect_sorted(&a, &b)),
+        // every branch must probe, else the union is unbounded
+        Predicate::Or(ps) => ps
+            .iter()
+            .try_fold(Vec::new(), |acc, p| Some(union_sorted(&acc, &index_candidates(coll, p)?))),
         _ => None,
-    }
-}
-
-fn last_label(path: &partix_path::PathExpr) -> Option<String> {
-    use partix_path::NodeTest;
-    match &path.last_step()?.test {
-        NodeTest::Name(n) | NodeTest::Attribute(n) => Some(n.clone()),
-        NodeTest::AnyElement => None,
     }
 }
 
@@ -102,7 +83,7 @@ fn last_label(path: &partix_path::PathExpr) -> Option<String> {
 /// the path has no exact key (descendant axis, wildcard, relative path)
 /// and the caller must fall back to a final-label probe.
 fn exact_path_key(path: &partix_path::PathExpr) -> Option<String> {
-    use partix_path::{Axis, NodeTest};
+    use partix_path::Axis;
     if !path.absolute || path.steps.is_empty() {
         return None;
     }
@@ -124,50 +105,6 @@ fn exact_path_key(path: &partix_path::PathExpr) -> Option<String> {
         }
     }
     Some(key)
-}
-
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    // both inputs are sorted (index probes sort before returning), so a
-    // linear merge beats the old concat-sort-dedup
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 impl Database {
@@ -571,15 +508,6 @@ mod tests {
             db.execute(r#"for $i in collection("zzz")/a return $i"#),
             Err(ExecError::Eval(EvalError::UnknownCollection(_)))
         ));
-    }
-
-    #[test]
-    fn sorted_set_helpers_merge_correctly() {
-        assert_eq!(union_sorted(&[1, 3, 5], &[2, 3, 6]), [1, 2, 3, 5, 6]);
-        assert_eq!(union_sorted(&[], &[4, 9]), [4, 9]);
-        assert_eq!(union_sorted(&[4, 9], &[]), [4, 9]);
-        assert_eq!(intersect_sorted(&[1, 3, 5], &[2, 3, 5]), [3, 5]);
-        assert_eq!(intersect_sorted(&[1, 2], &[3]), Vec::<u32>::new());
     }
 
     /// The QH1–QH8 templates of the paper's horizontal query set (the
