@@ -1,50 +1,70 @@
-//! The coordinator's one cache: parsed plans keyed by the raw query
-//! text, so repeated queries skip the parser entirely. Capacity-bounded
-//! with FIFO eviction (no LRU juggling on the hot path); a hit is one
-//! lookup by `&str` and a refcount bump. Whether a query's plan came
-//! from here is [`QueryReport::plan_cache_hit`](crate::QueryReport).
+//! The coordinator's one cache: per query text, its parse and the plan
+//! localized from it, so a repeated query skips the parser and the
+//! localization. Capacity-bounded with FIFO eviction (no LRU juggling on
+//! the hot path); a hit is one lookup by `&str` and two refcount bumps.
+//! The plan is stored after the parse ([`PlanCache::store`]) and replaced
+//! when the coordinator finds it no longer holds. Whether a query skipped
+//! both is [`QueryReport::plan_cache_hit`](crate::QueryReport).
 
 use parking_lot::Mutex;
 use partix_query::{parse_query, Query, QueryParseError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// The plans and their insertion order (the eviction queue).
-#[derive(Default)]
-struct Plans {
-    map: HashMap<String, Arc<Query>>,
+/// A text's parse and the plan stored beside it.
+struct Entry<P> {
+    query: Arc<Query>,
+    plan: Option<Arc<P>>,
+}
+
+/// The entries and their insertion order (the eviction queue).
+struct Plans<P> {
+    map: HashMap<String, Entry<P>>,
     order: VecDeque<String>,
 }
 
-/// Parsed-plan cache keyed by query text.
-pub struct PlanCache {
-    plans: Mutex<Plans>,
+/// Parse and plan cache keyed by query text; `P` is the plan.
+pub struct PlanCache<P> {
+    plans: Mutex<Plans<P>>,
     capacity: usize,
 }
 
-impl PlanCache {
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache { plans: Mutex::new(Plans::default()), capacity: capacity.max(1) }
+impl<P> PlanCache<P> {
+    pub fn new(capacity: usize) -> PlanCache<P> {
+        let plans = Plans { map: HashMap::new(), order: VecDeque::new() };
+        PlanCache { plans: Mutex::new(plans), capacity: capacity.max(1) }
     }
 
-    /// Cached plan for `text`, parsing (and caching) on miss. The flag
-    /// is `true` on a hit.
-    pub fn get_or_parse(&self, text: &str) -> Result<(Arc<Query>, bool), QueryParseError> {
-        if let Some(plan) = self.plans.lock().map.get(text) {
+    /// The parse of `text` and the plan stored beside it, parsing (and
+    /// caching) on miss.
+    pub fn get_or_parse(
+        &self,
+        text: &str,
+    ) -> Result<(Arc<Query>, Option<Arc<P>>), QueryParseError> {
+        if let Some(entry) = self.plans.lock().map.get(text) {
             crate::metrics::global().counter("cache.plan.hits").inc();
-            return Ok((Arc::clone(plan), true));
+            return Ok((Arc::clone(&entry.query), entry.plan.clone()));
         }
-        let plan = Arc::new(parse_query(text)?);
+        let query = Arc::new(parse_query(text)?);
         crate::metrics::global().counter("cache.plan.misses").inc();
         let mut plans = self.plans.lock();
-        if plans.map.insert(text.to_owned(), Arc::clone(&plan)).is_none() {
+        let entry = Entry { query: Arc::clone(&query), plan: None };
+        if plans.map.insert(text.to_owned(), entry).is_none() {
             plans.order.push_back(text.to_owned());
             while plans.map.len() > self.capacity {
                 let Some(oldest) = plans.order.pop_front() else { break };
                 plans.map.remove(&oldest);
             }
         }
-        Ok((plan, false))
+        Ok((query, None))
+    }
+
+    /// Keep `plan` beside `text`'s parse, replacing the one there; a no-op
+    /// once `text` was evicted.
+    pub fn store(&self, text: &str, plan: Arc<P>) {
+        if let Some(entry) = self.plans.lock().map.get_mut(text) {
+            entry.plan = Some(plan);
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -63,17 +83,19 @@ mod tests {
     #[test]
     fn plan_cache_hits_on_repeat() {
         let cache = PlanCache::new(8);
-        let (a, hit_a) = cache.get_or_parse(r#"count(collection("c")/Item)"#).unwrap();
-        let (b, hit_b) = cache.get_or_parse(r#"count(collection("c")/Item)"#).unwrap();
-        assert!(!hit_a);
-        assert!(hit_b);
+        let text = r#"count(collection("c")/Item)"#;
+        let (a, plan_a) = cache.get_or_parse(text).unwrap();
+        assert!(plan_a.is_none());
+        cache.store(text, Arc::new(7));
+        let (b, plan_b) = cache.get_or_parse(text).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(plan_b.as_deref(), Some(&7));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn plan_cache_propagates_parse_errors() {
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::<()>::new(8);
         assert!(cache.get_or_parse("for $").is_err());
         assert_eq!(cache.len(), 0);
     }
@@ -81,19 +103,23 @@ mod tests {
     #[test]
     fn plan_cache_evicts_fifo() {
         let cache = PlanCache::new(2);
-        for q in [
+        let texts = [
             r#"count(collection("a")/X)"#,
             r#"count(collection("b")/X)"#,
             r#"count(collection("c")/X)"#,
-        ] {
-            cache.get_or_parse(q).unwrap();
+        ];
+        for text in texts {
+            cache.get_or_parse(text).unwrap();
+            cache.store(text, Arc::new(()));
         }
         assert_eq!(cache.len(), 2);
-        // oldest entry was evicted: re-requesting it is a miss
-        let (_, hit) = cache.get_or_parse(r#"count(collection("a")/X)"#).unwrap();
-        assert!(!hit);
-        // the two newest stayed
-        let (_, hit) = cache.get_or_parse(r#"count(collection("c")/X)"#).unwrap();
-        assert!(hit);
+        // the oldest entry was evicted: a plan stored for it is dropped,
+        // and re-requesting it parses again
+        cache.store(texts[0], Arc::new(()));
+        let (_, plan) = cache.get_or_parse(texts[0]).unwrap();
+        assert!(plan.is_none());
+        // the newest stayed
+        let (_, plan) = cache.get_or_parse(texts[2]).unwrap();
+        assert!(plan.is_some());
     }
 }

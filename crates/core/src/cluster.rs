@@ -146,17 +146,10 @@ impl Cluster {
         Cluster { nodes: (0..n).map(|i| Arc::new(Node::new(i))).collect() }
     }
 
-    /// A cluster *view* over existing nodes — how replicated
+    /// A new *view* sharing this cluster's nodes — how replicated
     /// coordinators share one set of DBMS nodes: each coordinator owns
     /// its own `Cluster` wrapper, but the `Arc<Node>`s (databases,
     /// drivers, availability) are the same objects.
-    pub fn from_nodes(nodes: Vec<Arc<Node>>) -> Cluster {
-        assert!(!nodes.is_empty(), "a cluster needs at least one node");
-        Cluster { nodes }
-    }
-
-    /// A new view sharing this cluster's nodes (see
-    /// [`Cluster::from_nodes`]).
     pub fn share(&self) -> Cluster {
         Cluster { nodes: self.nodes.clone() }
     }

@@ -40,8 +40,8 @@
 //!   [`DispatchMode::Pool`]: concurrent `execute` calls share a bounded
 //!   set of node workers ([`DispatchMode::Simulated`] runs the same
 //!   pipeline inline, one task after the other).
-//! * [`cache`] — the coordinator's parsed-plan cache; every sub-query
-//!   still reaches its node.
+//! * [`cache`] — the coordinator's plan cache (a text's parse and its
+//!   localized plan); every sub-query still reaches its node.
 //! * [`faults`] — deterministic fault injection: seeded per-node fault
 //!   schedules ([`faults::FaultPlan`]) wrapping any node's driver in a
 //!   [`faults::FaultInjector`] (crashes, DBMS errors, latency,

@@ -23,10 +23,8 @@ pub fn relevant_fragments(
         // nothing known about the query: every fragment participates
         return (0..design.fragments.len()).collect();
     };
-    let doc_schema = design.collection.document_schema();
-    let single_valued = |p: &PathExpr| {
-        doc_schema.as_ref().is_some_and(|s| s.is_single_valued(p))
-    };
+    let doc_root = design.collection.document_root();
+    let single_valued = |p: &PathExpr| doc_root.is_some_and(|d| d.is_single_valued(p));
     design
         .fragments
         .iter()
@@ -60,14 +58,10 @@ pub fn relevant_fragments(
                     .is_some_and(|(a, b)| a.test == b.test);
                 match (&analysis.tuple_predicate, unit_binding_matches) {
                     (Some(q), true) => {
-                        let unit_schema = design
-                            .collection
-                            .schema
-                            .subschema(unit_path);
-                        let unit_single = |p: &PathExpr| {
-                            unit_schema.as_ref().is_some_and(|s| s.is_single_valued(p))
-                        };
-                        predicates_may_cosatisfy(predicate, q, &unit_single)
+                        let unit = design.collection.schema.resolve(unit_path);
+                        let unit = unit.filter(|_| !unit_path.targets_attribute());
+                        let single = |p: &PathExpr| unit.is_some_and(|d| d.is_single_valued(p));
+                        predicates_may_cosatisfy(predicate, q, &single)
                     }
                     _ => true,
                 }
@@ -78,23 +72,14 @@ pub fn relevant_fragments(
 }
 
 /// Vertical fragment relevance: some footprint path must reach into the
-/// projected subtree (or be an ancestor of it), and not live entirely
-/// inside a pruned-away part.
+/// projected subtree (or be an ancestor of it), and not provably live
+/// inside a pruned-away part: extend a pruned path `g` step for step
+/// ([`extends_pinned`]; wildcards after the prefix do not matter, and a
+/// path that meets `g` only through leading wildcards keeps the fragment
+/// relevant — conservative).
 fn vertical_relevant(path: &PathExpr, prune: &[PathExpr], footprint: &[PathExpr]) -> bool {
-    footprint.iter().any(|q| {
-        fragment_relevant_to_path(path, q) && !strictly_inside_any(q, prune)
-    })
-}
-
-/// Is `q` provably contained in the subtree pruned by one of `prune`?
-///
-/// Decided via exact step-prefix containment ([`extends_pinned`]): when
-/// `q`'s leading steps are exactly `g`, every node `q` selects lies under
-/// a `g` node — wildcards *after* the prefix do not affect this. Paths
-/// that relate to `g` only through leading wildcards are left undecided
-/// (fragment stays relevant — conservative).
-fn strictly_inside_any(q: &PathExpr, prune: &[PathExpr]) -> bool {
-    prune.iter().any(|g| extends_pinned(q, g))
+    let inside_pruned = |q: &PathExpr| prune.iter().any(|g| extends_pinned(q, g));
+    footprint.iter().any(|q| fragment_relevant_to_path(path, q) && !inside_pruned(q))
 }
 
 /// Does `q` extend `prefix` step for step, pinning every position

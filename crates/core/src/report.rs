@@ -48,9 +48,9 @@ pub struct QueryReport {
     /// True when the query was answered by reconstructing fragments at
     /// the coordinator (multi-fragment vertical fallback).
     pub reconstructed: bool,
-    /// True when the plan came from the coordinator's parsed-query cache
-    /// (only set by [`PartiX::execute`](crate::PartiX::execute); queries
-    /// entering as pre-parsed ASTs never consult the plan cache).
+    /// True when the query skipped both parse and localize: the
+    /// coordinator's plan cache held the text's parse and a localized
+    /// plan that still holds, so the query only bound replicas.
     pub plan_cache_hit: bool,
     /// Σ over sites of dispatch retries (see [`SiteReport::retries`]).
     pub retries: usize,

@@ -50,8 +50,8 @@ impl PartiX {
         sink: &mut Sink<'_>,
     ) -> Result<QueryReport, PartixError> {
         let mut report = QueryReport {
-            fragments_pruned: plan.pruned,
-            reconstructed: matches!(plan.compose, Compose::Reconstruct),
+            fragments_pruned: plan.local.pruned,
+            reconstructed: matches!(plan.local.compose, Compose::Reconstruct),
             partial: !gathered.skipped.is_empty(),
             skipped: gathered.skipped,
             ..Default::default()
@@ -98,11 +98,12 @@ impl PartiX {
         let compose_start = Instant::now();
         // a streamed composition's partials went out slice by slice during
         // the gather: what is left of them here is empty
-        let answer = match &plan.compose {
+        let answer = match &plan.local.compose {
             Compose::Concat | Compose::Passthrough => partials.into_iter().flatten().collect(),
-            Compose::Split(split) => remainder(split, partials)?,
+            Compose::Split(split) => remainder(split, &plan.tasks, partials)?,
             Compose::Reconstruct => {
-                let dist = plan.dist.as_deref().expect("a reconstruction plan has a distribution");
+                let dist = plan.local.dist.as_deref();
+                let dist = dist.expect("a reconstruction plan has a distribution");
                 rebuild_and_evaluate(query, dist, &plan.tasks, partials)?
             }
         };
@@ -179,13 +180,17 @@ fn rebuild_and_evaluate(
 
 /// The compose step of a split query: the remainder, run with its
 /// partials variables bound to the tasks' answers (`answers[i]`: task
-/// `i`'s, empty if it was dropped), spliced in as literals.
-fn remainder(split: &Split, answers: Vec<Sequence>) -> Result<Sequence, PartixError> {
+/// `i`'s, empty if it failed in degraded mode), spliced in as literals.
+fn remainder(
+    split: &Split,
+    tasks: &[Arc<Task>],
+    answers: Vec<Sequence>,
+) -> Result<Sequence, PartixError> {
     let mut values = vec![Sequence::new(); split.vars];
-    for (vars, items) in split.binds.iter().zip(answers) {
-        match vars[..] {
+    for (task, items) in tasks.iter().zip(answers) {
+        match task.vars[..] {
             [var] => values[var].extend(items),
-            _ => vars.iter().zip(items).for_each(|(&var, item)| values[var].push(item)),
+            _ => task.vars.iter().zip(items).for_each(|(&var, item)| values[var].push(item)),
         }
     }
     // `min` / `max` compare by number if every value reads as one, else by

@@ -146,6 +146,8 @@ enum Phase {
 struct Gather<'a> {
     px: &'a PartiX,
     tasks: &'a [Arc<Task>],
+    /// Per task, the replica its plan bound it to.
+    nodes: &'a [usize],
     /// The distribution the plan was made against.
     planned: Option<&'a Distribution>,
     class: PriorityClass,
@@ -166,11 +168,10 @@ impl PartiX {
         sink: &mut Sink<'_>,
     ) -> Result<Gathered, PartixError> {
         let dispatch_start = Instant::now();
-        let degrades = matches!(plan.compose, Compose::Concat | Compose::Split(_));
-        let allow_partial = degrades && options.allow_partial;
+        let allow_partial = plan.local.compose.degrades() && options.allow_partial;
         // each answer is a finished slice of the query's answer
-        let streams = matches!(plan.compose, Compose::Concat | Compose::Passthrough);
-        let tasks = &plan.tasks;
+        let streams = matches!(plan.local.compose, Compose::Concat | Compose::Passthrough);
+        let (tasks, dist) = (&plan.tasks, &plan.local.dist);
         let mut gathered = Gathered {
             slots: tasks.iter().map(|_| None).collect(),
             skipped: plan.skipped.clone(),
@@ -178,10 +179,11 @@ impl PartiX {
         };
         let mut flights: Vec<Flight> = tasks
             .iter()
-            .map(|task| {
-                let (fragment, node) = (task.fragment.clone(), task.node);
+            .zip(&plan.nodes)
+            .map(|(task, &node)| {
+                let fragment = task.fragment.clone();
                 let stage = SubQueryStage { fragment, node, ..Default::default() };
-                Flight { stage, last_error: None, dist: plan.dist.clone(), phase: Phase::Idle }
+                Flight { stage, last_error: None, dist: dist.clone(), phase: Phase::Idle }
             })
             .collect();
 
@@ -206,7 +208,8 @@ impl PartiX {
         };
         let (tx, rx) = mpsc::channel();
         let (class, policy) = (self.class_for(options), self.retry_policy());
-        let g = Gather { px: self, tasks, planned: plan.dist.as_deref(), class, policy, trace, tx };
+        let (nodes, planned) = (&plan.nodes[..], dist.as_deref());
+        let g = Gather { px: self, tasks, nodes, planned, class, policy, trace, tx };
         let pooled = self.dispatch == DispatchMode::Pool;
         let (mut next, done) = (0, |f: &Flight| matches!(f.phase, Phase::Landed));
         // a fatal task returns at once (`?`): dropping the receiver
@@ -270,11 +273,11 @@ impl Gather<'_> {
         on_caller: bool,
         backoff: bool,
     ) -> Option<Landed> {
-        let (task, attempt) = (&self.tasks[i], f.stage.attempts);
+        let (task, bound, attempt) = (&self.tasks[i], self.nodes[i], f.stage.attempts);
         // each attempt starts one step further around the replica ring,
         // moving past whichever replica just failed
-        let ring = f.dist.as_ref().map_or_else(|| vec![task.node], |d| d.nodes_of(&task.fragment));
-        let start = ring.iter().position(|&id| id == task.node).unwrap_or(0);
+        let ring = f.dist.as_ref().map_or_else(|| vec![bound], |d| d.nodes_of(&task.fragment));
+        let start = ring.iter().position(|&id| id == bound).unwrap_or(0);
         let next = (attempt < self.policy.max_attempts.max(1))
             .then(|| self.px.first_usable(&ring, start.wrapping_add(attempt)))
             .flatten();

@@ -10,7 +10,9 @@
 //! * this module — configuration and the one query entry
 //!   ([`PartiX::execute`] and friends are thin wrappers over it);
 //! * `plan` — *localize*: catalog lookup, fragment pruning and the
-//!   [`plan::Plan`]: the tasks to run and how to compose their answers;
+//!   [`plan::Localized`] plan: the tasks to run and how to compose their
+//!   answers, kept in the plan cache per query text; then *bind*: a
+//!   replica for each task, on every run ([`plan::Plan`]);
 //! * `dispatch` — *dispatch*: every task, a sub-query or a fragment
 //!   fetch, runs through one retry / failover / deadline loop and one
 //!   completion-order gather;
@@ -47,9 +49,10 @@ use crate::runtime::{PoolConfig, WorkerPool};
 use crate::trace::Trace;
 use assemble::Timing;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use partix_query::{Query, Sequence};
+use partix_query::Sequence;
 use partix_storage::QueryOutput;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -164,10 +167,7 @@ pub struct Tenancy {
 
 impl Tenancy {
     pub fn new(registry: Arc<partix_tenant::TenantRegistry>) -> Tenancy {
-        Tenancy {
-            registry,
-            controller: partix_tenant::AdmissionController::default(),
-        }
+        Tenancy { registry, controller: partix_tenant::AdmissionController::default() }
     }
 }
 
@@ -177,22 +177,22 @@ pub struct PartiX {
     cluster: Cluster,
     network: NetworkModel,
     dispatch: DispatchMode,
-    localization: std::sync::atomic::AtomicBool,
+    localization: AtomicBool,
     /// Lazily-built worker pool (first [`DispatchMode::Pool`] dispatch).
     pool: OnceLock<WorkerPool>,
-    plan_cache: PlanCache,
+    plan_cache: PlanCache<plan::Localized>,
     retry: RwLock<RetryPolicy>,
     /// Per-fragment round-robin counters driving replica rotation.
     rotation: Mutex<HashMap<String, usize>>,
     /// Gates per-query span collection ([`QueryReport::spans`]). Stage
     /// wall times in [`QueryReport::stages`] are always measured — they
     /// cost a handful of `Instant::now()` reads; spans allocate.
-    tracing: std::sync::atomic::AtomicBool,
+    tracing: AtomicBool,
     /// The replicated-catalog meta service this coordinator follows
     /// (none = standalone coordinator owning its catalog).
     meta: OnceLock<Arc<crate::meta::MetaService>>,
     /// Last meta epoch this coordinator synced its catalog at.
-    meta_seen: std::sync::atomic::AtomicU64,
+    meta_seen: AtomicU64,
     /// Multi-tenant admission + scheduling state (none = anonymous
     /// single-tenant serving, the historical behavior).
     tenancy: OnceLock<Tenancy>,
@@ -213,14 +213,14 @@ impl PartiX {
             cluster,
             network,
             dispatch: DispatchMode::default(),
-            localization: std::sync::atomic::AtomicBool::new(true),
+            localization: AtomicBool::new(true),
             pool: OnceLock::new(),
             plan_cache: PlanCache::new(1024),
             retry: RwLock::new(RetryPolicy::default()),
             rotation: Mutex::new(HashMap::new()),
-            tracing: std::sync::atomic::AtomicBool::new(true),
+            tracing: AtomicBool::new(true),
             meta: OnceLock::new(),
-            meta_seen: std::sync::atomic::AtomicU64::new(0),
+            meta_seen: AtomicU64::new(0),
             tenancy: OnceLock::new(),
         }
     }
@@ -244,25 +244,17 @@ impl PartiX {
     /// [`ExecOptions::tenant`] wants. `Err` carries a typed
     /// [`PartixError::AdmissionRejected`] for unknown names, so network
     /// front-ends can forward it directly.
-    pub fn resolve_tenant(
-        &self,
-        name: &str,
-    ) -> Result<partix_tenant::TenantId, PartixError> {
-        let Some(tenancy) = self.tenancy.get() else {
-            return Err(PartixError::AdmissionRejected {
-                tenant: name.to_string(),
-                retry_after_ms: 0,
-                reason: "server has no tenancy configured".to_string(),
-            });
+    pub fn resolve_tenant(&self, name: &str) -> Result<partix_tenant::TenantId, PartixError> {
+        let reject = |reason: &str| PartixError::AdmissionRejected {
+            tenant: name.to_string(),
+            retry_after_ms: 0,
+            reason: reason.to_string(),
         };
-        match tenancy.registry.by_name(name) {
-            Some(tenant) => Ok(tenant.id),
-            None => Err(PartixError::AdmissionRejected {
-                tenant: name.to_string(),
-                retry_after_ms: 0,
-                reason: "unknown tenant".to_string(),
-            }),
-        }
+        let Some(tenancy) = self.tenancy.get() else {
+            return Err(reject("server has no tenancy configured"));
+        };
+        let tenant = tenancy.registry.by_name(name).ok_or_else(|| reject("unknown tenant"))?;
+        Ok(tenant.id)
     }
 
     /// The priority class this query's sub-queries are pooled under:
@@ -336,7 +328,7 @@ impl PartiX {
     /// never synced). The failover differential asserts all coordinators
     /// converge to the same epoch after a rebalance.
     pub fn meta_epoch_seen(&self) -> u64 {
-        self.meta_seen.load(std::sync::atomic::Ordering::Acquire)
+        self.meta_seen.load(Ordering::Acquire)
     }
 
     /// A deep-enough copy of the current catalog (values are `Arc`s) for
@@ -351,25 +343,25 @@ impl PartiX {
     /// atomic load against the meta epoch.
     pub fn sync_with_meta(&self) {
         let Some(meta) = self.meta.get() else { return };
-        let seen = self.meta_seen.load(std::sync::atomic::Ordering::Acquire);
+        let seen = self.meta_seen.load(Ordering::Acquire);
         if meta.epoch() == seen {
             return;
         }
         let (epoch, catalog) = meta.snapshot();
         *self.catalog.write() = catalog;
         metrics::global().counter("partix.meta.syncs").inc();
-        self.meta_seen.store(epoch, std::sync::atomic::Ordering::Release);
+        self.meta_seen.store(epoch, Ordering::Release);
     }
 
     /// Enable/disable per-query span collection (on by default; see
     /// [`QueryReport::spans`]). Stage totals keep being measured either
     /// way — only the span list is gated.
     pub fn set_tracing_enabled(&self, enabled: bool) {
-        self.tracing.store(enabled, std::sync::atomic::Ordering::Release);
+        self.tracing.store(enabled, Ordering::Release);
     }
 
     pub fn tracing_enabled(&self) -> bool {
-        self.tracing.load(std::sync::atomic::Ordering::Acquire)
+        self.tracing.load(Ordering::Acquire)
     }
 
     /// Install a dispatch [`RetryPolicy`] (applies to queries started
@@ -387,13 +379,12 @@ impl PartiX {
     /// paper's localization claim ("sub-queries are issued only to the
     /// corresponding fragments").
     pub fn set_localization_enabled(&self, enabled: bool) {
-        self.localization
-            .store(enabled, std::sync::atomic::Ordering::Release);
+        self.localization.store(enabled, Ordering::Release);
     }
 
     /// Whether data localization is enabled.
     pub fn localization_enabled(&self) -> bool {
-        self.localization.load(std::sync::atomic::Ordering::Acquire)
+        self.localization.load(Ordering::Acquire)
     }
 
     /// Select pooled or simulated dispatch (see [`DispatchMode`]).
@@ -414,40 +405,25 @@ impl PartiX {
     /// `partix stats` read them.
     pub fn refresh_node_gauges(&self) {
         let mut frag_counts = vec![0i64; self.cluster.len()];
-        {
-            let catalog = self.catalog.read();
-            for coll in catalog.distributed_collections() {
-                if let Some(dist) = catalog.distribution(&coll) {
-                    for frag in &dist.design.fragments {
-                        for node_id in dist.nodes_of(&frag.name) {
-                            if let Some(count) = frag_counts.get_mut(node_id) {
-                                *count += 1;
-                            }
-                        }
-                    }
+        let catalog = self.catalog.read();
+        for coll in catalog.distributed_collections() {
+            let Some(dist) = catalog.distribution(&coll) else { continue };
+            for node_id in dist.design.fragments.iter().flat_map(|f| dist.nodes_of(&f.name)) {
+                if let Some(count) = frag_counts.get_mut(node_id) {
+                    *count += 1;
                 }
             }
         }
+        drop(catalog);
         let registry = metrics::global();
         for node in self.cluster.nodes() {
             let driver = node.active_driver();
-            let bytes: usize = driver
-                .collections()
-                .iter()
-                .map(|c| {
-                    driver
-                        .fetch_collection(c)
-                        .iter()
-                        .map(|d| d.approx_size())
-                        .sum::<usize>()
-                })
-                .sum();
-            registry
-                .gauge(&format!("node.{}.fragments", node.id))
-                .set(frag_counts[node.id]);
-            registry
-                .gauge(&format!("node.{}.resident_bytes", node.id))
-                .set(bytes as i64);
+            let size = |c: &String| -> usize {
+                driver.fetch_collection(c).iter().map(|d| d.approx_size()).sum()
+            };
+            let bytes: usize = driver.collections().iter().map(size).sum();
+            registry.gauge(&format!("node.{}.fragments", node.id)).set(frag_counts[node.id]);
+            registry.gauge(&format!("node.{}.resident_bytes", node.id)).set(bytes as i64);
         }
     }
 
@@ -504,7 +480,8 @@ impl PartiX {
     }
 
     /// Execute an XQuery over the distributed repository. Repeated query
-    /// texts reuse their parsed plan ([`QueryReport::plan_cache_hit`]).
+    /// texts reuse their parse and localized plan
+    /// ([`QueryReport::plan_cache_hit`]).
     pub fn execute(&self, text: &str) -> Result<DistributedResult, PartixError> {
         self.execute_with(text, ExecOptions::default())
     }
@@ -515,7 +492,9 @@ impl PartiX {
         text: &str,
         options: ExecOptions,
     ) -> Result<DistributedResult, PartixError> {
-        self.collect(Source::Text(text), options)
+        let mut items = Vec::new();
+        let report = self.run(text, options, &mut Sink::Collect(&mut items))?;
+        Ok(DistributedResult { items, report })
     }
 
     /// Execute the centralized baseline: the query as-is against one
@@ -534,20 +513,6 @@ impl PartiX {
             fragment: "<centralized>".into(),
             error: e.to_string(),
         })
-    }
-
-    /// Execute a parsed query.
-    pub fn execute_query(&self, query: &Query) -> Result<DistributedResult, PartixError> {
-        self.execute_query_with(query, ExecOptions::default())
-    }
-
-    /// [`PartiX::execute_query`] with explicit [`ExecOptions`].
-    pub fn execute_query_with(
-        &self,
-        query: &Query,
-        options: ExecOptions,
-    ) -> Result<DistributedResult, PartixError> {
-        self.collect(Source::Parsed(query), options)
     }
 
     /// Stream an answer: `emit` receives consecutive slices of the result
@@ -574,19 +539,8 @@ impl PartiX {
         options: ExecOptions,
         emit: &mut dyn FnMut(Sequence) -> bool,
     ) -> Result<DistributedResult, PartixError> {
-        let report = self.run(Source::Text(text), options, &mut Sink::Stream(emit))?;
+        let report = self.run(text, options, &mut Sink::Stream(emit))?;
         Ok(DistributedResult { items: Vec::new(), report })
-    }
-
-    /// The buffered API: the streamed pipeline with a collecting sink.
-    fn collect(
-        &self,
-        source: Source<'_>,
-        options: ExecOptions,
-    ) -> Result<DistributedResult, PartixError> {
-        let mut items = Vec::new();
-        let report = self.run(source, options, &mut Sink::Collect(&mut items))?;
-        Ok(DistributedResult { items, report })
     }
 
     /// The one query entry: meta sync, admission (the permit is the
@@ -595,19 +549,15 @@ impl PartiX {
     /// [`PartiX::run_admitted`].
     fn run(
         &self,
-        source: Source<'_>,
+        text: &str,
         options: ExecOptions,
         sink: &mut Sink<'_>,
     ) -> Result<QueryReport, PartixError> {
         self.sync_with_meta();
-        let query_bytes = match source {
-            Source::Text(text) => text.len(),
-            Source::Parsed(_) => 0,
-        };
-        let permit = self.admit(options, query_bytes)?;
+        let permit = self.admit(options, text.len())?;
         let started = Instant::now();
         let trace = if self.tracing_enabled() { Trace::new() } else { Trace::disabled() };
-        let result = self.run_admitted(source, options, &trace, sink);
+        let result = self.run_admitted(text, options, &trace, sink);
         let reg = metrics::global();
         if result.is_err() {
             // successes are counted by the report assembly, with their
@@ -622,50 +572,41 @@ impl PartiX {
         result
     }
 
-    /// Parse (or take the pre-parsed query), then [`PartiX::plan`]
-    /// (localize) → [`PartiX::gather`] (dispatch) → [`PartiX::assemble`]
-    /// (compose + report), once. A live rebalance swapping the
-    /// collection's distribution mid-flight is the dispatch stage's
-    /// concern: it re-runs the tasks whose answers landed after the swap.
+    /// Parse (or take the pre-parsed query), then localize — or take the
+    /// text's stored plan while it [`PartiX::holds`] — and
+    /// [`PartiX::bind`] → [`PartiX::gather`] (dispatch) →
+    /// [`PartiX::assemble`] (compose + report), once. A live rebalance
+    /// swapping the collection's distribution mid-flight is the dispatch
+    /// stage's concern: it re-runs the tasks whose answers landed after
+    /// the swap.
     fn run_admitted(
         &self,
-        source: Source<'_>,
+        text: &str,
         options: ExecOptions,
         trace: &Trace,
         sink: &mut Sink<'_>,
     ) -> Result<QueryReport, PartixError> {
         let parse_start = Instant::now();
-        let parsed; // keeps a text query's plan alive
-        let (query, plan_cache_hit, parse_s): (&Query, _, _) = match source {
-            Source::Text(text) => {
-                let hit;
-                (parsed, hit) = self.plan_cache.get_or_parse(text).map_err(PartixError::Parse)?;
-                let parse_s = parse_start.elapsed().as_secs_f64();
-                trace.record("parse", 0, parse_start);
-                (&parsed, hit, parse_s)
-            }
-            // pre-parsed entry: there was no parse stage to time
-            Source::Parsed(query) => (query, false, 0.0),
-        };
+        let (query, stored) = self.plan_cache.get_or_parse(text).map_err(PartixError::Parse)?;
+        let parse_s = parse_start.elapsed().as_secs_f64();
+        trace.record("parse", 0, parse_start);
         let query_start = Instant::now();
-        let plan = self.plan(query, options)?;
+        let stored = stored.filter(|local| self.holds(local));
+        let plan_cache_hit = stored.is_some();
+        let local = stored.unwrap_or_else(|| {
+            let local = Arc::new(self.localize(&query));
+            self.plan_cache.store(text, Arc::clone(&local));
+            local
+        });
+        let plan = self.bind(local, options)?;
         let localize_s = query_start.elapsed().as_secs_f64();
         trace.record("localize", 0, query_start);
         let gathered = self.gather(&plan, options, trace, sink)?;
         let timing = Timing { parse_s, localize_s, query_start };
-        let mut report = self.assemble(query, plan, gathered, timing, trace, sink)?;
+        let mut report = self.assemble(&query, plan, gathered, timing, trace, sink)?;
         report.plan_cache_hit = plan_cache_hit;
         Ok(report)
     }
-}
-
-/// What a query enters the service as.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    /// Query text, parsed through the plan cache.
-    Text(&'a str),
-    /// A pre-parsed query (never consults the plan cache).
-    Parsed(&'a Query),
 }
 
 /// Where a query's answer slices go.

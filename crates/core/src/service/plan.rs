@@ -1,5 +1,11 @@
-//! The *localize* stage: turn a query into a [`Plan`] — the tasks to run
-//! on the nodes and how their answers compose.
+//! The *localize* stage: turn a query into a [`Localized`] plan — the
+//! tasks to run on the nodes and how their answers compose — and bind it
+//! to replicas for one run ([`Plan`]).
+//!
+//! A localized plan is a pure function of the query, the distribution it
+//! was made against and the localization switch, so the plan cache keeps
+//! it beside the query's parse and a repeated text only binds replicas
+//! ([`PartiX::bind`]) while the plan still holds ([`PartiX::holds`]).
 //!
 //! A fragment *answers a query alone* when its answer to the query,
 //! renamed or rewritten for it ([`build_subquery`]), is its share. A core
@@ -39,19 +45,24 @@ pub(super) enum TaskOp {
     Fetch { filter: Option<Arc<Query>> },
 }
 
-/// One unit of work bound for one node. Shared (`Arc`) so pool dispatch
-/// can move it into `'static` jobs.
+/// One unit of work bound for one fragment. Shared (`Arc`) by every run
+/// of a stored plan, and so pool dispatch can move it into `'static` jobs.
 pub(super) struct Task {
-    /// The planner's replica pick — the retry loop starts here.
-    pub node: usize,
     /// The fragment's name: its collection on the node and its label in
     /// the report.
     pub fragment: String,
     pub op: TaskOp,
+    /// In a split plan, the partials variables the task's answer binds:
+    /// one takes all of it, two take one item each (`avg`'s sum and
+    /// count). Empty elsewhere.
+    pub vars: Vec<usize>,
 }
 
-/// How the task answers become the query's answer. Only `Concat` and
-/// `Split` may degrade (`allow_partial`) to the fragments that answered.
+fn task(fragment: &str, op: TaskOp, vars: Vec<usize>) -> Arc<Task> {
+    Arc::new(Task { fragment: fragment.to_owned(), op, vars })
+}
+
+/// How the task answers become the query's answer.
 pub(super) enum Compose {
     /// Each task ran the query for its fragment: its answer is a slice of
     /// the query's, in task order.
@@ -66,14 +77,19 @@ pub(super) enum Compose {
     Reconstruct,
 }
 
+impl Compose {
+    /// May the answer degrade (`allow_partial`) to the fragments that
+    /// answered?
+    pub fn degrades(&self) -> bool {
+        matches!(self, Compose::Concat | Compose::Split(_))
+    }
+}
+
 /// The coordinator's half of a split query.
 pub(super) struct Split {
     /// The query, each pushed aggregate replaced by its global form over
     /// partials variables ([`partials`]).
     pub remainder: Expr,
-    /// Per task, the partials variables its answer binds: one takes all of
-    /// it, two take one item each (`avg`'s sum and count).
-    pub binds: Vec<Vec<usize>>,
     /// Each `min` / `max` and its partials variable.
     pub extremes: Vec<(String, usize)>,
     /// How many partials variables there are.
@@ -85,192 +101,128 @@ pub(super) fn partials_var(var: usize) -> String {
     format!("#{var}")
 }
 
-pub(super) struct Plan {
+/// A query localized against one distribution.
+pub(super) struct Localized {
+    /// The collections the query reads: it is localized against the
+    /// distribution of the first that has one.
+    collections: Vec<String>,
+    /// That distribution (`None`: passthrough).
+    pub dist: Option<Arc<Distribution>>,
+    /// The localization switch it was made under.
+    localization: bool,
     pub tasks: Vec<Arc<Task>>,
     pub compose: Compose,
-    /// The distribution the plan was made against (`None`: passthrough).
-    /// Every task's first attempt takes its replica from it.
-    pub dist: Option<Arc<Distribution>>,
     /// Fragments no task contacts.
     pub pruned: usize,
-    /// Fragments dropped at planning time in degraded mode (every replica
+}
+
+/// A localized query bound to replicas for one run.
+pub(super) struct Plan {
+    pub local: Arc<Localized>,
+    /// The tasks that run: `local`'s, less those degraded mode dropped.
+    pub tasks: Vec<Arc<Task>>,
+    /// Per task, the replica its first attempt goes to, taken from
+    /// `local.dist`.
+    pub nodes: Vec<usize>,
+    /// Fragments dropped at binding time in degraded mode (every replica
     /// already down).
     pub skipped: Vec<SkippedFragment>,
 }
 
+/// A localization's tasks, their composition and the pruned count.
+type Shards = (Vec<Arc<Task>>, Compose, usize);
+
 impl PartiX {
-    /// Decompose `query` against the distribution of the first of its
-    /// collections that has one (none: passthrough).
-    pub(super) fn plan(&self, query: &Query, options: ExecOptions) -> Result<Plan, PartixError> {
-        let dist = {
-            let catalog = self.catalog.read();
-            query.collections().into_iter().find_map(|c| catalog.distribution(&c).cloned())
-        };
-        let Some(dist) = dist else {
-            let task = Task {
-                node: 0,
-                fragment: "<passthrough>".into(),
+    /// Localize `query` against the distribution of the first of its
+    /// collections that has one (none: passthrough), under the current
+    /// localization switch.
+    pub(super) fn localize(&self, query: &Query) -> Localized {
+        let collections = query.collections();
+        let dist = self.distribution(&collections);
+        let localization = self.localization_enabled();
+        let (tasks, compose, pruned) = match &dist {
+            Some(dist) => shard(query, &dist.design, localization),
+            None => {
                 // the one plan that ships the query itself, hence the copy
-                op: TaskOp::Execute { query: Arc::new(query.clone()) },
-            };
-            return Ok(Plan {
-                tasks: vec![Arc::new(task)],
-                compose: Compose::Passthrough,
-                dist: None,
-                pruned: 0,
-                skipped: Vec::new(),
-            });
+                let op = TaskOp::Execute { query: Arc::new(query.clone()) };
+                (vec![task("<passthrough>", op, Vec::new())], Compose::Passthrough, 0)
+            }
         };
-        let design = &dist.design;
-        let (collection, fragments) = (&design.collection.name, &design.fragments);
-        let analysis = pushdown::analyze(query);
-        let (relevant, whole) = self.ship(query, analysis.as_ref(), design);
-        let reads_once = matches!(&pushdown::reads(&query.expr).0[..], [read]
-            if matches!(&read.start, PathStart::Collection(name) if name == collection));
-        // a vertical footprint covers every read; elsewhere only a lone one
-        let vertical = design.frag_type() == FragType::Vertical;
-        let alone = relevant.len() == 1 && (vertical || reads_once);
-        if let Some(subqueries) =
-            whole.filter(|_| alone || pushdown::is_core(&query.expr, collection))
-        {
-            let subqueries = relevant.iter().zip(subqueries).map(|(&idx, sub)| (idx, sub, vec![]));
-            return self.executes(&dist, subqueries.collect(), None, options);
-        }
-        if let Some(plan) = self.split(query, &dist, options)? {
-            return Ok(plan);
-        }
-        let read = match design.frag_type() {
-            FragType::Vertical => read_set(design, &relevant),
-            // whole documents: those a lone driving scan reaches
-            FragType::Horizontal if reads_once => relevant,
-            _ => (0..fragments.len()).collect(),
-        };
-        let driving = analysis.as_ref().filter(|a| vertical && a.collection == *collection);
-        let tests = driving.map_or_else(Vec::new, |a| pushdown::fragment_tests(query, a));
-        let tasks = read
-            .iter()
-            .map(|&idx| {
-                let frag = &fragments[idx];
-                let filter = driving.and_then(|a| fragment_filter(design, frag, a, &tests));
-                self.task(&dist, &frag.name, TaskOp::Fetch { filter: filter.map(Arc::new) })
-            })
-            .collect::<Result<_, _>>()?;
-        let (compose, pruned) = (Compose::Reconstruct, fragments.len() - read.len());
-        Ok(Plan { tasks, compose, dist: Some(dist), pruned, skipped: Vec::new() })
+        Localized { collections, dist, localization, tasks, compose, pruned }
     }
 
-    /// The fragments `query`'s footprint reaches, in definition order, and
-    /// what each of them runs if every one answers the query alone.
-    fn ship(
-        &self,
-        query: &Query,
-        analysis: Option<&pushdown::QueryAnalysis>,
-        design: &FragmentationSchema,
-    ) -> (Vec<usize>, Option<Vec<Query>>) {
-        let relevant = if self.localization_enabled() {
-            localize::relevant_fragments(design, analysis)
-        } else {
-            (0..design.fragments.len()).collect()
-        };
-        let collection = &design.collection.name;
-        let build =
-            |&idx: &usize| build_subquery(query, collection, &design.fragments[idx], analysis);
-        let subqueries = relevant.iter().map(build).collect();
-        (relevant, subqueries)
+    /// Does `local` still hold: does the catalog map its query to the
+    /// distribution it was made against (or still to none), under the
+    /// same localization switch? A rebalance, a meta sync or a
+    /// re-registration replaces the distribution.
+    pub(super) fn holds(&self, local: &Localized) -> bool {
+        let now = self.distribution(&local.collections);
+        local.localization == self.localization_enabled()
+            && now.as_ref().map(Arc::as_ptr) == local.dist.as_ref().map(Arc::as_ptr)
     }
 
-    /// Split `query` at its pushed aggregates; `None` if it reads the
-    /// collection outside one, or a fragment cannot answer a local query.
-    fn split(
-        &self,
-        query: &Query,
-        dist: &Arc<Distribution>,
-        options: ExecOptions,
-    ) -> Result<Option<Plan>, PartixError> {
-        let (design, mut remainder) = (&dist.design, query.expr.clone());
-        let collection = &design.collection.name;
-        let (mut locals, mut extremes) = (Vec::new(), Vec::new());
-        if !push(&mut remainder, collection, &mut locals, &mut extremes) {
-            return Ok(None);
-        }
-        let (mut subqueries, count) = (Vec::new(), locals.iter().map(|(_, v)| v.len()).sum());
-        for (local, vars) in locals {
-            let (relevant, shipped) = self.ship(&local, pushdown::analyze(&local).as_ref(), design);
-            // pieces that split the matches among them answer alone too
-            let pieces = design.frag_type() == FragType::Vertical
-                && distributes(&local.expr, collection, design);
-            let rename = |&idx: &usize| {
-                rewrite_collection_name(&local, collection, &design.fragments[idx].name)
-            };
-            let renamed = || pieces.then(|| relevant.iter().map(rename).collect());
-            let Some(shipped) = shipped.or_else(renamed) else {
-                return Ok(None);
-            };
-            subqueries.extend(
-                relevant.into_iter().zip(shipped).map(|(idx, sub)| (idx, sub, vars.clone())),
-            );
-        }
-        let split = Split { remainder, binds: Vec::new(), extremes, vars: count };
-        self.executes(dist, subqueries, Some(split), options).map(Some)
+    /// The distribution of the first of `collections` that has one.
+    fn distribution(&self, collections: &[String]) -> Option<Arc<Distribution>> {
+        let catalog = self.catalog.read();
+        collections.iter().find_map(|c| catalog.distribution(c).cloned())
     }
 
-    /// One `Execute` task per `(fragment, sub-query, partials variables)`,
-    /// composed by concatenation or by `split`. Degraded mode drops a
-    /// fragment whose every replica is down at planning time.
-    fn executes(
+    /// Bind every task of `local` to an *available* replica for this
+    /// run. Degraded mode drops a fragment whose every replica is down,
+    /// where the composition allows it ([`Compose::degrades`]).
+    pub(super) fn bind(
         &self,
-        dist: &Arc<Distribution>,
-        subqueries: Vec<(usize, Query, Vec<usize>)>,
-        split: Option<Split>,
+        local: Arc<Localized>,
         options: ExecOptions,
     ) -> Result<Plan, PartixError> {
-        let reached = |frag: &usize| subqueries.iter().any(|(idx, ..)| idx == frag);
-        let pruned = (0..dist.design.fragments.len()).filter(|frag| !reached(frag)).count();
-        let (mut tasks, mut binds, mut skipped) = (Vec::new(), Vec::new(), Vec::new());
-        for (idx, sub, vars) in subqueries {
-            let fragment = &dist.design.fragments[idx].name;
-            match self.task(dist, fragment, TaskOp::Execute { query: Arc::new(sub) }) {
-                Ok(task) => {
-                    tasks.push(task);
-                    binds.push(vars);
+        let degrades = options.allow_partial && local.compose.degrades();
+        let (mut tasks, mut nodes, mut skipped) = (Vec::new(), Vec::new(), Vec::new());
+        for task in &local.tasks {
+            // a passthrough runs on node 0
+            let node = local.dist.as_ref().map_or(Ok(0), |d| self.replica(d, &task.fragment));
+            match node {
+                Ok(node) => {
+                    tasks.push(Arc::clone(task));
+                    nodes.push(node);
                 }
-                Err(err) if options.allow_partial => skipped
-                    .push(SkippedFragment { fragment: fragment.clone(), error: err.to_string() }),
+                Err(err) if degrades => {
+                    let fragment = task.fragment.clone();
+                    skipped.push(SkippedFragment { fragment, error: err.to_string() });
+                }
                 Err(err) => return Err(err),
             }
         }
-        let compose =
-            split.map_or(Compose::Concat, |split| Compose::Split(Split { binds, ..split }));
-        Ok(Plan { tasks, compose, dist: Some(Arc::clone(dist)), pruned, skipped })
+        Ok(Plan { local, tasks, nodes, skipped })
     }
 
-    /// Bind `op` on `fragment` to an *available* replica, rotating
-    /// round-robin across the replicas so repeated queries spread their
-    /// load instead of hammering the first placement; errors if every
-    /// replica is down (a fragment replicated on several nodes survives
-    /// node failures transparently).
-    fn task(
-        &self,
-        dist: &Distribution,
-        fragment: &str,
-        op: TaskOp,
-    ) -> Result<Arc<Task>, PartixError> {
+    /// An *available* replica of `fragment`, rotating round-robin across
+    /// the replicas so repeated queries spread their load instead of
+    /// hammering the first placement; errors if every replica is down (a
+    /// fragment replicated on several nodes survives node failures
+    /// transparently).
+    fn replica(&self, dist: &Distribution, fragment: &str) -> Result<usize, PartixError> {
         let replicas = dist.nodes_of(fragment);
         if replicas.is_empty() {
             return Err(PartixError::Internal(format!("{fragment} unplaced")));
         }
-        let start = {
-            let mut rotation = self.rotation.lock();
-            let counter = rotation.entry(fragment.to_owned()).or_insert(0);
-            let start = *counter;
-            *counter = counter.wrapping_add(1);
-            start
+        let mut rotation = self.rotation.lock();
+        let start = match rotation.get_mut(fragment) {
+            Some(counter) => {
+                let start = *counter;
+                *counter = start.wrapping_add(1);
+                start
+            }
+            None => {
+                // the one allocation: a fragment seen for the first time
+                rotation.insert(fragment.to_owned(), 1);
+                0
+            }
         };
-        let fragment = fragment.to_owned();
-        match self.first_usable(&replicas, start) {
-            Some(node) => Ok(Arc::new(Task { node, fragment, op })),
-            None => Err(PartixError::NodeUnavailable { node: replicas[0], fragment }),
-        }
+        drop(rotation);
+        self.first_usable(&replicas, start).ok_or_else(|| PartixError::NodeUnavailable {
+            node: replicas[0],
+            fragment: fragment.to_owned(),
+        })
     }
 
     /// The first live replica walking `ring` from position `start`.
@@ -286,6 +238,103 @@ impl PartiX {
         let clean = |id: &usize| self.cluster.node(*id).is_some_and(|n| !n.is_suspect());
         walk().find(|id| up(id) && clean(id)).or_else(|| walk().find(up))
     }
+}
+
+/// Localize `query` over `design`: the fragments its footprint reaches
+/// (all of them with `localization` off) and what each runs.
+fn shard(query: &Query, design: &FragmentationSchema, localization: bool) -> Shards {
+    let (collection, fragments) = (&design.collection.name, &design.fragments);
+    let analysis = pushdown::analyze(query);
+    let (relevant, whole) = ship(query, analysis.as_ref(), design, localization);
+    let reads_once = matches!(&pushdown::reads(&query.expr).0[..], [read]
+        if matches!(&read.start, PathStart::Collection(name) if name == collection));
+    // a vertical footprint covers every read; elsewhere only a lone one
+    let vertical = design.frag_type() == FragType::Vertical;
+    let alone = relevant.len() == 1 && (vertical || reads_once);
+    if let Some(subqueries) = whole.filter(|_| alone || pushdown::is_core(&query.expr, collection))
+    {
+        let subqueries = relevant.iter().zip(subqueries).map(|(&idx, sub)| (idx, sub, vec![]));
+        return executes(design, subqueries.collect(), Compose::Concat);
+    }
+    if let Some(shards) = split(query, design, localization) {
+        return shards;
+    }
+    let read = match design.frag_type() {
+        FragType::Vertical => read_set(design, &relevant),
+        // whole documents: those a lone driving scan reaches
+        FragType::Horizontal if reads_once => relevant,
+        _ => (0..fragments.len()).collect(),
+    };
+    let driving = analysis.as_ref().filter(|a| vertical && a.collection == *collection);
+    let tests = driving.map_or_else(Vec::new, |a| pushdown::fragment_tests(query, a));
+    let tasks = read
+        .iter()
+        .map(|&idx| {
+            let frag = &fragments[idx];
+            let filter = driving.and_then(|a| fragment_filter(design, frag, a, &tests));
+            task(&frag.name, TaskOp::Fetch { filter: filter.map(Arc::new) }, Vec::new())
+        })
+        .collect();
+    (tasks, Compose::Reconstruct, fragments.len() - read.len())
+}
+
+/// The fragments `query`'s footprint reaches, in definition order, and
+/// what each of them runs if every one answers the query alone.
+fn ship(
+    query: &Query,
+    analysis: Option<&pushdown::QueryAnalysis>,
+    design: &FragmentationSchema,
+    localization: bool,
+) -> (Vec<usize>, Option<Vec<Query>>) {
+    let relevant = if localization {
+        localize::relevant_fragments(design, analysis)
+    } else {
+        (0..design.fragments.len()).collect()
+    };
+    let collection = &design.collection.name;
+    let build = |&idx: &usize| build_subquery(query, collection, &design.fragments[idx], analysis);
+    let subqueries = relevant.iter().map(build).collect();
+    (relevant, subqueries)
+}
+
+/// Split `query` at its pushed aggregates; `None` if it reads the
+/// collection outside one, or a fragment cannot answer a local query.
+fn split(query: &Query, design: &FragmentationSchema, localization: bool) -> Option<Shards> {
+    let (collection, mut remainder) = (&design.collection.name, query.expr.clone());
+    let (mut locals, mut extremes) = (Vec::new(), Vec::new());
+    if !push(&mut remainder, collection, &mut locals, &mut extremes) {
+        return None;
+    }
+    let (mut subqueries, vars) = (Vec::new(), locals.iter().map(|(_, v)| v.len()).sum());
+    for (local, binds) in locals {
+        let analysis = pushdown::analyze(&local);
+        let (relevant, shipped) = ship(&local, analysis.as_ref(), design, localization);
+        // pieces that split the matches among them answer alone too
+        let pieces = design.frag_type() == FragType::Vertical
+            && distributes(&local.expr, collection, design);
+        let rename =
+            |&idx: &usize| rewrite_collection_name(&local, collection, &design.fragments[idx].name);
+        let renamed = || pieces.then(|| relevant.iter().map(rename).collect());
+        let shipped = shipped.or_else(renamed)?;
+        subqueries
+            .extend(relevant.into_iter().zip(shipped).map(|(idx, sub)| (idx, sub, binds.clone())));
+    }
+    Some(executes(design, subqueries, Compose::Split(Split { remainder, extremes, vars })))
+}
+
+/// One `Execute` task per `(fragment, sub-query, partials variables)`,
+/// composed by `compose`.
+fn executes(
+    design: &FragmentationSchema,
+    subqueries: Vec<(usize, Query, Vec<usize>)>,
+    compose: Compose,
+) -> Shards {
+    let reached = |frag: &usize| subqueries.iter().any(|(idx, ..)| idx == frag);
+    let pruned = (0..design.fragments.len()).filter(|frag| !reached(frag)).count();
+    let tasks = subqueries.into_iter().map(|(idx, sub, vars)| {
+        task(&design.fragments[idx].name, TaskOp::Execute { query: Arc::new(sub) }, vars)
+    });
+    (tasks.collect(), compose, pruned)
 }
 
 /// Replace each pushed aggregate in `expr` by its global form, adding its
@@ -568,7 +617,7 @@ fn fragment_filter(
     if served.is_empty() {
         return None;
     }
-    if !design.collection.document_schema()?.is_single_valued(&projection.path) {
+    if !design.collection.document_root()?.is_single_valued(&projection.path) {
         return None;
     }
     // the binding sits at or above the fragment's root: return the root

@@ -432,9 +432,8 @@ fn vertical_aggregate_on_one_fragment() {
 /// The fetches the planner builds for a reconstructing query: fragment
 /// and filter, in task order; plus the fragments it reports pruned.
 fn fetch_plan(px: &PartiX, query: &str) -> (Vec<(String, Option<Query>)>, usize) {
-    let query = parse_query(query).unwrap();
-    let plan = px.plan(&query, ExecOptions::default()).unwrap();
-    assert!(matches!(plan.compose, plan::Compose::Reconstruct { .. }));
+    let plan = px.localize(&parse_query(query).unwrap());
+    assert!(matches!(plan.compose, plan::Compose::Reconstruct));
     let fetches = plan
         .tasks
         .iter()
@@ -538,7 +537,7 @@ fn reconstruction_fetches_what_the_query_reads() {
 /// over their answers (`if` for `avg`), and the fragments it reports pruned.
 fn execute_plan(px: &PartiX, query: &str) -> (Vec<(String, Query)>, String, usize) {
     let query = parse_query(query).unwrap();
-    let plan = px.plan(&query, ExecOptions::default()).unwrap();
+    let plan = px.localize(&query);
     let plan::Compose::Split(split) = plan.compose else {
         panic!("{query:?} is not answered fragment by fragment")
     };
@@ -1082,4 +1081,139 @@ fn placement_swap_under_concurrent_queries() {
             }
         });
     });
+}
+
+/// `text` run on `px` must answer what the centralized copy answers: the
+/// same text over `items_central` on node 0, compared as a multiset.
+fn assert_central(px: &PartiX, text: &str, result: &DistributedResult) {
+    let central = text.replace(r#"collection("items")"#, r#"collection("items_central")"#);
+    let central = px.execute_centralized(0, &central).unwrap();
+    let multiset = |items: &[Item]| {
+        let mut serialized: Vec<String> = items.iter().map(Item::serialize).collect();
+        serialized.sort();
+        serialized
+    };
+    assert_eq!(multiset(&result.items), multiset(&central.items), "{text}");
+}
+
+/// Every fragment of `px`'s `items` moves one node up (mod `nodes`),
+/// its documents copied there first.
+fn shift_placements(px: &PartiX, nodes: usize) {
+    let dist = Arc::clone(px.catalog().distribution("items").unwrap());
+    let placements = dist.placements.iter().map(|p| {
+        let node = (p.node + 1) % nodes;
+        let docs = px.cluster().node(p.node).unwrap().fetch_docs(&p.fragment);
+        let docs = docs.iter().map(|d| (**d).clone()).collect();
+        px.cluster().node(node).unwrap().store_docs(&p.fragment, docs);
+        Placement { fragment: p.fragment.clone(), node }
+    });
+    let placements = placements.collect();
+    px.register_distribution(Distribution { design: dist.design.clone(), placements }).unwrap();
+}
+
+const CODES: &str = r#"for $i in collection("items")/Item return $i/Code"#;
+
+/// A stored plan is bound to the distribution it was localized against:
+/// once a registration replaces it, the text is localized again and its
+/// tasks go to the new placements.
+#[test]
+fn a_stored_plan_is_relocalized_after_a_new_placement() {
+    let px = horizontal_px(3);
+    let nodes = |result: &DistributedResult| {
+        let mut sites: Vec<(String, usize)> =
+            result.report.sites.iter().map(|s| (s.fragment.clone(), s.node)).collect();
+        sites.sort();
+        sites
+    };
+    let first = px.execute(CODES).unwrap();
+    assert!(!first.report.plan_cache_hit);
+    let stored = px.execute(CODES).unwrap();
+    assert!(stored.report.plan_cache_hit);
+    assert_eq!(nodes(&stored), [("f_cd".into(), 0), ("f_dvd".into(), 1), ("f_rest".into(), 2)]);
+    assert_central(&px, CODES, &stored);
+    shift_placements(&px, 3);
+    let moved = px.execute(CODES).unwrap();
+    assert!(!moved.report.plan_cache_hit, "a replaced distribution re-localizes");
+    assert_eq!(nodes(&moved), [("f_cd".into(), 1), ("f_dvd".into(), 2), ("f_rest".into(), 0)]);
+    assert_central(&px, CODES, &moved);
+    assert!(px.execute(CODES).unwrap().report.plan_cache_hit);
+}
+
+/// A stored plan is bound to the localization switch it was made under.
+#[test]
+fn a_stored_plan_follows_the_localization_switch() {
+    let px = horizontal_px(3);
+    let text = r#"for $i in collection("items")/Item where $i/Section = "CD" return $i/Code"#;
+    px.execute(text).unwrap();
+    let pruned = px.execute(text).unwrap();
+    assert!(pruned.report.plan_cache_hit);
+    assert_eq!((pruned.report.fragments_pruned, pruned.report.sites.len()), (2, 1));
+    px.set_localization_enabled(false);
+    let all = px.execute(text).unwrap();
+    assert!(!all.report.plan_cache_hit);
+    assert_eq!((all.report.fragments_pruned, all.report.sites.len()), (0, 3));
+    assert_central(&px, text, &all);
+    assert_eq!(px.execute(text).unwrap().report.fragments_pruned, 0);
+    px.set_localization_enabled(true);
+    let again = px.execute(text).unwrap();
+    assert!(!again.report.plan_cache_hit);
+    assert_eq!(again.report.fragments_pruned, 2);
+    assert_central(&px, text, &again);
+}
+
+/// Availability is checked when a plan is bound, every run: a node that
+/// went down after the plan was stored is skipped in degraded mode and
+/// fails the query otherwise, exactly as for a plan localized afresh (the
+/// same query under another text).
+#[test]
+fn a_node_down_after_the_plan_was_stored_is_bound_around() {
+    let px = horizontal_px(3);
+    let text = r#"count(for $i in collection("items")/Item return $i)"#;
+    let fresh = format!("{text} ");
+    assert_central(&px, text, &px.execute(text).unwrap());
+    assert!(px.execute(text).unwrap().report.plan_cache_hit);
+    px.cluster().node(1).unwrap().set_available(false);
+    let partial = ExecOptions { allow_partial: true, ..ExecOptions::default() };
+    let stored = px.execute_with(text, partial).unwrap();
+    let unstored = px.execute_with(&fresh, partial).unwrap();
+    assert!(stored.report.plan_cache_hit && !unstored.report.plan_cache_hit);
+    assert_eq!(stored.items, unstored.items);
+    assert_eq!(stored.report.skipped, unstored.report.skipped);
+    assert_eq!(stored.report.stages.subqueries.len(), unstored.report.stages.subqueries.len());
+    for result in [&stored, &unstored] {
+        assert_eq!(result.report.skipped.len(), 1);
+        assert_eq!(result.report.skipped[0].fragment, "f_dvd");
+        let answered = text.replace("return", r#"where $i/Section != "DVD" return"#);
+        assert_central(&px, &answered, result);
+    }
+    for text in [text, &fresh] {
+        let err = px.execute(text).unwrap_err();
+        assert!(matches!(err, PartixError::NodeUnavailable { node: 1, .. }), "{err}");
+    }
+}
+
+/// A text first answered as a passthrough, before its collection was
+/// distributed, is localized once a distribution is registered.
+#[test]
+fn a_passthrough_plan_is_localized_once_its_collection_is_distributed() {
+    let px = PartiX::new(3, NetworkModel::default());
+    px.publish_centralized(0, "items", &items(30)).unwrap();
+    let count = r#"count(collection("items")/Item)"#;
+    for hit in [false, true] {
+        let result = px.execute(count).unwrap();
+        assert_eq!(result.report.plan_cache_hit, hit);
+        assert_eq!(result.report.sites[0].fragment, "<passthrough>");
+        assert_eq!(result.items, vec![Item::Num(30.0)]);
+    }
+    let design = horizontal_px(3).catalog().distribution("items").unwrap().design.clone();
+    let placements = ["f_cd", "f_dvd", "f_rest"].iter().enumerate();
+    let placements = placements.map(|(node, f)| Placement { fragment: (*f).into(), node });
+    px.register_distribution(Distribution { design, placements: placements.collect() }).unwrap();
+    px.publish("items", &items(30)).unwrap();
+    let localized = px.execute(count).unwrap();
+    assert!(!localized.report.plan_cache_hit);
+    assert_eq!(localized.report.sites.len(), 3);
+    let central = px.execute_centralized(0, count).unwrap();
+    assert_eq!(localized.items, central.items);
+    assert!(px.execute(count).unwrap().report.plan_cache_hit);
 }

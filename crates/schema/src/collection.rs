@@ -1,6 +1,6 @@
 //! Typed collections: `C := ⟨S, τ_root⟩`, SD and MD repositories.
 
-use crate::decl::Schema;
+use crate::decl::{ElementDecl, Schema};
 use partix_path::PathExpr;
 use std::fmt;
 use std::sync::Arc;
@@ -52,6 +52,13 @@ impl CollectionDef {
     /// re-rooted at `τ_root`. `None` if `root_path` does not resolve.
     pub fn document_schema(&self) -> Option<Schema> {
         self.schema.subschema(&self.root_path)
+    }
+
+    /// The declaration each document of this collection is rooted at,
+    /// read in place: what [`CollectionDef::document_schema`] copies.
+    pub fn document_root(&self) -> Option<&ElementDecl> {
+        let decl = self.schema.resolve(&self.root_path)?;
+        (!self.root_path.targets_attribute()).then_some(decl)
     }
 
     /// Label every document root must carry.

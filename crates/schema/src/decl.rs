@@ -76,6 +76,52 @@ impl ElementDecl {
         self
     }
 
+    /// Is `path`, whose first step names this element, guaranteed to
+    /// select at most one node per such element?
+    ///
+    /// True iff the path is wildcard-free, resolvable against this
+    /// declaration, and every step after the first either has `max ≤ 1`
+    /// cardinality or a positional filter (`e[i]` pins one occurrence).
+    /// Unresolvable or wildcard paths conservatively return `false`.
+    pub fn is_single_valued(&self, path: &PathExpr) -> bool {
+        if !path.absolute || path.steps.is_empty() {
+            return false;
+        }
+        let mut steps = path.steps.iter();
+        let first = steps.next().expect("non-empty");
+        if first.axis != Axis::Child {
+            return false;
+        }
+        let mut current = match &first.test {
+            NodeTest::Name(n) if *n == self.name => self,
+            _ => return false,
+        };
+        for step in steps {
+            if step.axis != Axis::Child {
+                return false;
+            }
+            match &step.test {
+                NodeTest::Name(n) => {
+                    let Some((decl, occurs)) =
+                        current.children.iter().find(|(c, _)| c.name == *n).map(|(c, o)| (c, *o))
+                    else {
+                        return false;
+                    };
+                    if !occurs.at_most_one() && step.position.is_none() {
+                        return false;
+                    }
+                    current = decl;
+                }
+                NodeTest::Attribute(a) => {
+                    // attributes are single-valued when declared
+                    return current.attributes.iter().any(|ad| ad.name == *a);
+                }
+                NodeTest::AnyElement => return false,
+            }
+        }
+        true
+    }
+
     /// Find the declaration of a direct child element by name.
     pub fn child(&self, name: &str) -> Option<(&ElementDecl, Occurs)> {
         self.children
@@ -150,48 +196,9 @@ impl Schema {
     }
 
     /// Is `path` guaranteed to select at most one node per document?
-    ///
-    /// True iff the path is wildcard-free, resolvable against this schema,
-    /// and every step after the root either has `max ≤ 1` cardinality or a
-    /// positional filter (`e[i]` pins one occurrence). Unresolvable or
-    /// wildcard paths conservatively return `false`.
+    /// See [`ElementDecl::is_single_valued`].
     pub fn is_single_valued(&self, path: &PathExpr) -> bool {
-        if !path.absolute || path.steps.is_empty() {
-            return false;
-        }
-        let mut steps = path.steps.iter();
-        let first = steps.next().expect("non-empty");
-        if first.axis != Axis::Child {
-            return false;
-        }
-        let mut current = match &first.test {
-            NodeTest::Name(n) if *n == self.root.name => &self.root,
-            _ => return false,
-        };
-        for step in steps {
-            if step.axis != Axis::Child {
-                return false;
-            }
-            match &step.test {
-                NodeTest::Name(n) => {
-                    let Some((decl, occurs)) =
-                        current.children.iter().find(|(c, _)| c.name == *n).map(|(c, o)| (c, *o))
-                    else {
-                        return false;
-                    };
-                    if !occurs.at_most_one() && step.position.is_none() {
-                        return false;
-                    }
-                    current = decl;
-                }
-                NodeTest::Attribute(a) => {
-                    // attributes are single-valued when declared
-                    return current.attributes.iter().any(|ad| ad.name == *a);
-                }
-                NodeTest::AnyElement => return false,
-            }
-        }
-        true
+        self.root.is_single_valued(path)
     }
 }
 

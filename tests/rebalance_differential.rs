@@ -395,3 +395,31 @@ fn an_unreadable_source_fails_the_rebalance_and_retires_nothing() {
     assert_eq!(catalog_pairs(&px), sorted_pairs(&target));
     assert_matches_oracle(&px, &oracle, &workload, "after the retried rebalance");
 }
+
+/// A plan stored before a live rebalance is not used after it: the
+/// rebalance registers a new distribution, so every workload text is
+/// localized again and its tasks go to the new placements only.
+#[test]
+fn a_plan_stored_before_a_rebalance_is_localized_again_after_it() {
+    let docs = setup::quick_items(40);
+    let px = setup::horizontal(&docs, 2);
+    let workload = queries::horizontal(setup::DIST);
+    let oracle = oracle_answers(&px, &workload);
+    assert_matches_oracle(&px, &oracle, &workload, "before");
+    for (id, query) in &workload {
+        let report = px.execute(query).unwrap().report;
+        assert!(report.plan_cache_hit, "{id}: the plan was stored");
+    }
+    let target: Vec<Placement> =
+        (0..2).map(|i| Placement { fragment: format!("f{i}"), node: 1 }).collect();
+    let options = RebalanceOptions::default();
+    let report = partix_advisor::rebalance(&px, setup::DIST, &target, &options).expect("rebalance");
+    assert!(report.verified);
+    for (k, (id, query)) in workload.iter().enumerate() {
+        let result = px.execute(query).unwrap_or_else(|e| panic!("{id} after: {e}"));
+        assert!(!result.report.plan_cache_hit, "{id}: the stored plan outlived the rebalance");
+        assert!(result.report.sites.iter().all(|s| s.node == 1), "{id}: {:?}", result.report.sites);
+        assert_eq!(canonical(&result.items), oracle[k], "{id}: answer diverges from the oracle");
+    }
+    assert_matches_oracle(&px, &oracle, &workload, "after");
+}
