@@ -13,10 +13,16 @@
 //! 2. **Predicate co-satisfiability** — can one document satisfy both the
 //!    query predicate and a horizontal fragment's defining predicate?
 //!    A conservative contradiction check over conjunctions of simple
-//!    comparisons; anything not provably contradictory is kept.
+//!    comparisons `P θ v` on one single-valued path; anything not provably
+//!    contradictory is kept. It assumes the semantics of
+//!    [`crate::pred::compare`], which membership and the evaluator
+//!    decide with: numeric when either side is a number (a text that does
+//!    not parse matches nothing), byte-wise as strings otherwise. A
+//!    contradiction needs one non-negated atom: `not(P θ v)` holds where
+//!    `P` is absent, so two negated atoms never clash.
 
 use crate::ast::{Axis, NodeTest, PathExpr};
-use crate::pred::{CmpOp, Predicate, Value};
+use crate::pred::{compare, CmpOp, Operand, Predicate, Value};
 use std::collections::HashSet;
 
 /// Transition label of a path NFA.
@@ -124,56 +130,30 @@ pub fn fragment_relevant_to_path(projected: &PathExpr, query_path: &PathExpr) ->
     path_may_reach_into(projected, query_path) || path_may_reach_into(query_path, projected)
 }
 
-/// An atomic comparison constraint extracted from a predicate.
+/// A comparison `P θ v` of a conjunction, under its `not` if it had one:
+/// `not(P θ v)` also holds where `P` selects no node, or a text that is
+/// no number, which `P θ′ v` does not.
 #[derive(Debug, Clone)]
 struct Atom<'a> {
     path: &'a PathExpr,
     op: CmpOp,
     value: &'a Value,
-}
-
-/// Extract comparison atoms from a conjunction. Returns `None` if the
-/// predicate contains structure we cannot decompose conjunctively (e.g.
-/// `or`), in which case no contradiction can be claimed.
-fn conjunctive_atoms(pred: &Predicate) -> Option<Vec<Atom<'_>>> {
-    let mut atoms = Vec::new();
-    collect_atoms(pred, false, &mut atoms)?;
-    Some(atoms)
-}
-
-fn collect_atoms<'a>(
-    pred: &'a Predicate,
     negated: bool,
-    out: &mut Vec<Atom<'a>>,
-) -> Option<()> {
+}
+
+/// The comparison atoms of a conjunction. Anything else — an existential
+/// test, a boolean or value function, a disjunction, a negated
+/// conjunction — is left out: leaving a conjunct out only widens what the
+/// conjunction admits, so a contradiction among the atoms kept is one of
+/// the whole.
+fn collect_atoms<'a>(pred: &'a Predicate, negated: bool, out: &mut Vec<Atom<'a>>) {
     match pred {
-        Predicate::Cmp { path, op, value } => {
-            let op = if negated { op.negate() } else { *op };
-            out.push(Atom { path, op, value });
-            Some(())
-        }
-        Predicate::And(ps) if !negated => {
-            for p in ps {
-                collect_atoms(p, false, out)?;
-            }
-            Some(())
-        }
-        Predicate::Or(ps) if negated => {
-            // ¬(a ∨ b) = ¬a ∧ ¬b
-            for p in ps {
-                collect_atoms(p, true, out)?;
-            }
-            Some(())
-        }
+        Predicate::Cmp { path, op, value } => out.push(Atom { path, op: *op, value, negated }),
+        Predicate::And(ps) if !negated => ps.iter().for_each(|p| collect_atoms(p, false, out)),
+        // ¬(a ∨ b) = ¬a ∧ ¬b
+        Predicate::Or(ps) if negated => ps.iter().for_each(|p| collect_atoms(p, true, out)),
         Predicate::Not(p) => collect_atoms(p, !negated, out),
-        // Existential tests, boolean functions and disjunctions carry no
-        // conjunctive comparison information we exploit; they are simply
-        // skipped (sound: skipping only loses pruning opportunities), but
-        // a *negated* unknown would be unsound to skip under And — it is
-        // fine too, since we only ever report contradictions we can prove
-        // from the atoms we did collect, and extra conjuncts can only make
-        // satisfaction harder, never easier.
-        _ => Some(()),
+        _ => {}
     }
 }
 
@@ -182,7 +162,7 @@ fn collect_atoms<'a>(
 /// `single_valued` tells the analysis which paths are known (from the
 /// schema) to select at most one node per document; only for those is
 /// `P = "a" ∧ P = "b"` a contradiction. Paths not known single-valued are
-/// treated existentially and never produce contradictions on `=`/`≠`.
+/// treated existentially and never produce contradictions.
 pub fn predicates_may_cosatisfy(
     a: &Predicate,
     b: &Predicate,
@@ -196,120 +176,48 @@ pub fn predicates_may_cosatisfy(
     if let Predicate::Or(ps) = a {
         return ps.iter().any(|p| predicates_may_cosatisfy(p, b, single_valued));
     }
-    let (Some(mut atoms_a), Some(atoms_b)) = (conjunctive_atoms(a), conjunctive_atoms(b))
-    else {
-        return true;
-    };
-    atoms_a.extend(atoms_b);
-    for i in 0..atoms_a.len() {
-        for j in (i + 1)..atoms_a.len() {
-            let (x, y) = (&atoms_a[i], &atoms_a[j]);
-            if x.path == y.path && single_valued(x.path) && atoms_contradict(x, y) {
-                return false;
-            }
-        }
-    }
-    true
+    let mut atoms = Vec::new();
+    collect_atoms(a, false, &mut atoms);
+    collect_atoms(b, false, &mut atoms);
+    !atoms.iter().enumerate().any(|(i, x)| {
+        atoms[i + 1..].iter().any(|y| {
+            x.path == y.path && single_valued(x.path) && (excludes(x, y) || excludes(y, x))
+        })
+    })
 }
 
-/// Do two constraints on the *same single-valued* path contradict?
-fn atoms_contradict(a: &Atom<'_>, b: &Atom<'_>) -> bool {
+/// Does `a` holding rule out `b` holding, both on one single-valued path?
+/// Only a non-negated `a` says the path's node is there, and a number if
+/// its literal is one; a string `=` also says what its text is, and the
+/// shared comparison decides `b` on that text. Otherwise `b` must have a
+/// literal of `a`'s kind: the value is then of that kind, and `not(θ)` is
+/// `θ`'s negation (a `NaN` meets only `≠`, which clashes only with `=`).
+fn excludes(a: &Atom<'_>, b: &Atom<'_>) -> bool {
+    let b_op = if b.negated { b.op.negate() } else { b.op };
     match (a.value, b.value) {
-        (Value::Str(x), Value::Str(y)) => {
-            string_atoms_contradict(a.op, x, b.op, y)
+        _ if a.negated => false,
+        (Value::Str(text), _) if a.op == CmpOp::Eq => {
+            compare(&Operand::Str(text.into()), b.op, &b.value.operand()) == b.negated
         }
-        (Value::Num(x), Value::Num(y)) => num_atoms_contradict(a.op, *x, b.op, *y),
-        // mixed string/number comparisons: try both as numbers
-        (Value::Str(x), Value::Num(y)) => match x.trim().parse::<f64>() {
-            Ok(x) => num_atoms_contradict(a.op, x, b.op, *y),
-            Err(_) => false,
-        },
-        (Value::Num(x), Value::Str(y)) => match y.trim().parse::<f64>() {
-            Ok(y) => num_atoms_contradict(a.op, *x, b.op, y),
-            Err(_) => false,
-        },
-    }
-}
-
-fn string_atoms_contradict(op_a: CmpOp, x: &str, op_b: CmpOp, y: &str) -> bool {
-    use CmpOp::*;
-    match (op_a, op_b) {
-        (Eq, Eq) => x != y,
-        (Eq, Ne) | (Ne, Eq) => x == y,
-        // lexicographic orders on strings
-        (Eq, Lt) => x >= y,
-        (Lt, Eq) => y >= x,
-        (Eq, Le) => x > y,
-        (Le, Eq) => y > x,
-        (Eq, Gt) => x <= y,
-        (Gt, Eq) => y <= x,
-        (Eq, Ge) => x < y,
-        (Ge, Eq) => y < x,
-        // `v θa x ∧ v θb y` with opposed strict orders is unsatisfiable
-        // whenever the bounds cross or meet
-        (Lt, Gt) | (Lt, Ge) | (Le, Gt) => x <= y,
-        (Gt, Lt) | (Ge, Lt) | (Gt, Le) => y <= x,
+        (Value::Str(x), Value::Str(y)) => !ranges_meet(a.op, x.as_str(), b_op, y.as_str()),
+        (Value::Num(x), Value::Num(y)) => !ranges_meet(a.op, x, b_op, y),
         _ => false,
     }
 }
 
-fn num_atoms_contradict(op_a: CmpOp, x: f64, op_b: CmpOp, y: f64) -> bool {
+/// Can one value `x` of a total order have both `x θa va` and `x θb vb`?
+/// `≠` removes one point, so it clashes only with `=` of that point; a
+/// lower bound clashes with an upper bound it does not lie under.
+fn ranges_meet<T: PartialOrd + ?Sized>(a: CmpOp, va: &T, b: CmpOp, vb: &T) -> bool {
     use CmpOp::*;
-    // interval emptiness: v op_a x ∧ v op_b y unsatisfiable?
-    let (lo_a, hi_a, open_lo_a, open_hi_a) = bounds(op_a, x);
-    let (lo_b, hi_b, open_lo_b, open_hi_b) = bounds(op_b, y);
-    if let (Some(_), Some(_)) = (exact(op_a, x), exact(op_b, y)) {
-        return x != y;
-    }
-    // Ne only contradicts Eq, handled via exact(); ranges vs Ne never
-    // contradict. Check range emptiness:
-    if op_a == Ne || op_b == Ne {
-        if op_a == Eq && op_b == Ne {
-            return x == y;
-        }
-        if op_a == Ne && op_b == Eq {
-            return x == y;
-        }
-        return false;
-    }
-    let lo = match (lo_a, lo_b) {
-        (Some(a), Some(b)) => Some((a.max(b), if a >= b { open_lo_a } else { open_lo_b })),
-        (Some(a), None) => Some((a, open_lo_a)),
-        (None, Some(b)) => Some((b, open_lo_b)),
-        (None, None) => None,
+    let under = |lower: CmpOp, x: &T, upper: CmpOp, y: &T| match (lower, upper) {
+        (Eq | Ge, Eq | Le) => x <= y,
+        (Eq | Ge | Gt, Eq | Le | Lt) => x < y,
+        _ => true,
     };
-    let hi = match (hi_a, hi_b) {
-        (Some(a), Some(b)) => Some((a.min(b), if a <= b { open_hi_a } else { open_hi_b })),
-        (Some(a), None) => Some((a, open_hi_a)),
-        (None, Some(b)) => Some((b, open_hi_b)),
-        (None, None) => None,
-    };
-    match (lo, hi) {
-        (Some((lo, open_lo)), Some((hi, open_hi))) => {
-            lo > hi || (lo == hi && (open_lo || open_hi))
-        }
-        _ => false,
-    }
-}
-
-fn exact(op: CmpOp, v: f64) -> Option<f64> {
-    if op == CmpOp::Eq {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-/// `(lower, upper, lower_open, upper_open)` of `value op x`.
-fn bounds(op: CmpOp, x: f64) -> (Option<f64>, Option<f64>, bool, bool) {
-    use CmpOp::*;
-    match op {
-        Eq => (Some(x), Some(x), false, false),
-        Ne => (None, None, false, false),
-        Lt => (None, Some(x), false, true),
-        Le => (None, Some(x), false, false),
-        Gt => (Some(x), None, true, false),
-        Ge => (Some(x), None, false, false),
+    match (a, b) {
+        (Eq, Ne) | (Ne, Eq) => va != vb,
+        _ => under(a, va, b, vb) && under(b, vb, a, va),
     }
 }
 

@@ -28,4 +28,4 @@ pub mod pred;
 pub use ast::{Axis, NodeTest, PathExpr, Step};
 pub use eval::{eval_path, eval_path_from, Matcher, Resolved};
 pub use parse::{PathParseError, MAX_DEPTH};
-pub use pred::{CmpOp, Predicate, Value};
+pub use pred::{compare, CmpOp, Operand, Predicate, Value};

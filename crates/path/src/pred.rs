@@ -3,6 +3,7 @@
 use crate::ast::PathExpr;
 use crate::eval::Matcher;
 use partix_xml::{Document, NodeRef};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::ControlFlow;
 
@@ -71,6 +72,16 @@ impl fmt::Display for CmpOp {
 pub enum Value {
     Str(String),
     Num(f64),
+}
+
+impl Value {
+    /// This literal as one side of [`compare`].
+    pub fn operand(&self) -> Operand<'_> {
+        match self {
+            Value::Str(s) => Operand::Str(Cow::Borrowed(s)),
+            Value::Num(n) => Operand::Num(*n),
+        }
+    }
 }
 
 impl fmt::Display for Value {
@@ -142,7 +153,10 @@ impl Predicate {
     pub fn eval(&self, doc: &Document) -> bool {
         match self {
             Predicate::Cmp { path, op, value } => {
-                any_node(doc, path, |node| compare_string(&node.string_value(), *op, value))
+                let value = value.operand();
+                any_node(doc, path, |node| {
+                    compare(&Operand::Str(node.string_value()), *op, &value)
+                })
             }
             Predicate::FnCmp { func, path, op, value } => {
                 let lhs = match func {
@@ -167,14 +181,7 @@ impl Predicate {
                         }
                     }
                 };
-                let rhs = match value {
-                    Value::Num(n) => *n,
-                    Value::Str(s) => match s.trim().parse::<f64>() {
-                        Ok(n) => n,
-                        Err(_) => return false,
-                    },
-                };
-                op.holds(&lhs, &rhs)
+                compare(&Operand::Num(lhs), *op, &value.operand())
             }
             Predicate::Bool(bf) => match bf {
                 BoolFn::Contains(path, needle) => {
@@ -192,13 +199,9 @@ impl Predicate {
         }
     }
 
-    /// The logical complement, kept shallow (`Not` wrapper except for
-    /// direct comparisons, which negate their operator).
-    ///
-    /// Note: for `Cmp` the complement uses *universal* semantics via `Not`
-    /// rather than operator negation, because `P θ v` is existential over
-    /// possibly-many nodes; negating the operator would change meaning
-    /// when `P` selects several nodes.
+    /// The logical complement: always a `Not` wrapper. Negating the
+    /// operator of `P θ v` instead would change its meaning wherever `P`
+    /// selects several nodes, none, or a text that is not a number.
     pub fn complement(&self) -> Predicate {
         Predicate::Not(Box::new(self.clone()))
     }
@@ -304,14 +307,34 @@ fn first_node<'d>(doc: &'d Document, path: &PathExpr) -> Option<NodeRef<'d>> {
     first
 }
 
-/// Compare a node's string value against a literal. Numeric literals
-/// force numeric comparison (non-numeric node values never match).
-fn compare_string(node_value: &str, op: CmpOp, literal: &Value) -> bool {
-    match literal {
-        Value::Str(s) => op.holds(&node_value, &s.as_str()),
-        Value::Num(n) => match node_value.trim().parse::<f64>() {
-            Ok(v) => op.holds(&v, n),
-            Err(_) => false,
+/// One side of a comparison: a text or a number.
+#[derive(Debug, Clone)]
+pub enum Operand<'a> {
+    Str(Cow<'a, str>),
+    Num(f64),
+}
+
+impl Operand<'_> {
+    /// The number this side stands for: a text's trimmed text, parsed.
+    pub fn number(&self) -> Option<f64> {
+        match self {
+            Operand::Str(s) => s.trim().parse().ok(),
+            Operand::Num(n) => Some(*n),
+        }
+    }
+}
+
+/// `a θ b` — the one comparison fragment membership, the query evaluator
+/// and fragment pruning all decide. Numeric when either side is a number:
+/// a text side is its trimmed text parsed, and one that does not parse
+/// matches nothing. Byte-wise as strings otherwise.
+#[inline]
+pub fn compare(a: &Operand<'_>, op: CmpOp, b: &Operand<'_>) -> bool {
+    match (a, b) {
+        (Operand::Str(x), Operand::Str(y)) => op.holds(x, y),
+        _ => match (a.number(), b.number()) {
+            (Some(x), Some(y)) => op.holds(&x, &y),
+            _ => false,
         },
     }
 }

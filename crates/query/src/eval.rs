@@ -25,7 +25,7 @@
 use crate::ast::{ArithOp, SortDir};
 use crate::func::{self, Func};
 use crate::lower::{ClauseKind, Flwor, Node, Program};
-use crate::value::{value_compare, Ebv, Item, ItemRef, Sequence};
+use crate::value::{compare_items, Ebv, Item, ItemRef, Sequence};
 use crate::Query;
 use partix_path::Matcher;
 use partix_xml::{Document, NodeId, NodeKind};
@@ -284,15 +284,15 @@ impl Run<'_> {
             Node::Cmp { lhs, op, rhs, pure } => {
                 let holds = match (&**lhs, &**rhs) {
                     (lhs, Node::Const(c)) => {
-                        self.any(lhs, env, *pure, |a| value_compare(a, *op, c.as_ref()))?
+                        self.any(lhs, env, *pure, |a| compare_items(a, *op, c.as_ref()))?
                     }
                     (Node::Const(c), rhs) => {
-                        self.any(rhs, env, *pure, |b| value_compare(c.as_ref(), *op, b))?
+                        self.any(rhs, env, *pure, |b| compare_items(c.as_ref(), *op, b))?
                     }
                     (lhs, rhs) => {
                         let left = self.collect(lhs, env)?;
                         self.any(rhs, env, *pure, |b| {
-                            left.iter().any(|a| value_compare(a.as_ref(), *op, b))
+                            left.iter().any(|a| compare_items(a.as_ref(), *op, b))
                         })?
                     }
                 };

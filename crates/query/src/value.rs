@@ -1,6 +1,6 @@
 //! The evaluation data model: items and sequences.
 
-use partix_path::CmpOp;
+use partix_path::{compare, CmpOp, Operand};
 use partix_xml::{Document, NodeId, NodeKind, Serializer};
 use std::borrow::Cow;
 use std::fmt;
@@ -121,10 +121,17 @@ impl<'a> ItemRef<'a> {
 
     /// The item's numeric value, if its string value parses.
     pub fn number_value(self) -> Option<f64> {
+        self.operand(true).number()
+    }
+
+    /// The item as one side of a comparison against a number (`numeric`)
+    /// or not: a boolean is 1 or 0 against a number, `"true"` / `"false"`
+    /// otherwise.
+    fn operand(self, numeric: bool) -> Operand<'a> {
         match self {
-            ItemRef::Num(n) => Some(n),
-            ItemRef::Bool(b) => Some(if b { 1.0 } else { 0.0 }),
-            _ => self.string_value().trim().parse().ok(),
+            ItemRef::Num(n) => Operand::Num(n),
+            ItemRef::Bool(b) if numeric => Operand::Num(if b { 1.0 } else { 0.0 }),
+            _ => Operand::Str(self.string_value()),
         }
     }
 }
@@ -199,24 +206,10 @@ impl Ebv {
     }
 }
 
-/// General comparison with existential semantics: true iff *some* pair of
-/// items from the two sequences satisfies `op`. Numeric comparison is used
-/// when either side is a number; string comparison otherwise.
-pub fn general_compare(lhs: &Sequence, op: CmpOp, rhs: &Sequence) -> bool {
-    lhs.iter().any(|a| rhs.iter().any(|b| value_compare(a.as_ref(), op, b.as_ref())))
-}
-
-/// One pair of a general comparison.
-pub(crate) fn value_compare(a: ItemRef<'_>, op: CmpOp, b: ItemRef<'_>) -> bool {
+/// One pair of a general comparison, decided by [`compare`].
+pub(crate) fn compare_items(a: ItemRef<'_>, op: CmpOp, b: ItemRef<'_>) -> bool {
     let numeric = matches!(a, ItemRef::Num(_)) || matches!(b, ItemRef::Num(_));
-    if numeric {
-        match (a.number_value(), b.number_value()) {
-            (Some(x), Some(y)) => op.holds(&x, &y),
-            _ => false,
-        }
-    } else {
-        op.holds(&&*a.string_value(), &&*b.string_value())
-    }
+    compare(&a.operand(numeric), op, &b.operand(numeric))
 }
 
 /// Render a float like XQuery: integers without a decimal point.
@@ -232,6 +225,12 @@ pub fn format_number(n: f64) -> String {
 mod tests {
     use super::*;
     use partix_xml::parse;
+
+    /// General comparison with existential semantics: true iff *some*
+    /// pair of items from the two sequences satisfies `op`.
+    fn general_compare(lhs: &Sequence, op: CmpOp, rhs: &Sequence) -> bool {
+        lhs.iter().any(|a| rhs.iter().any(|b| compare_items(a.as_ref(), op, b.as_ref())))
+    }
 
     fn node_item(xml: &str) -> Item {
         Item::Node(Arc::new(parse(xml).unwrap()), NodeId::ROOT)

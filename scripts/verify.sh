@@ -21,6 +21,31 @@ cargo test -q --test properties --offline
 cargo test -q --test concurrency --offline chaos
 cargo test -q -p partix-bench --offline chaos
 
+# pruning gate: one comparison. By name, so that renaming or filtering
+# them away fails the gate: localization never prunes a fragment that
+# holds part of the centralized answer (numbers against text, negated
+# atoms on a text or an absent node, the auto-designer's residual
+# fragment), pruning is sound against `Predicate::eval` over random
+# conjunctions (at its own case budget: the parent's analysis failed it
+# only past 48 cases), and a pushed-down `where` decides as the evaluator
+# does.
+for named in \
+    "partix differential a_text_inequality_keeps_the_fragment_a_number_equality_defines" \
+    "partix differential a_number_equality_keeps_the_fragment_a_text_inequality_defines" \
+    "partix differential two_negated_ranges_both_hold_on_a_text" \
+    "partix differential a_text_range_keeps_the_fragment_a_number_range_reads" \
+    "partix differential two_negated_atoms_both_hold_on_an_absent_node" \
+    "partix differential the_residual_fragment_of_a_value_design_holds_numeric_matches" \
+    "partix-path soundness pruning_never_separates_predicates_one_document_satisfies" \
+    "partix-query comparison pushdown_and_the_evaluator_agree_on_every_comparison"; do
+    read -r package suite name <<< "$named"
+    if ! env -u PARTIX_PROPTEST_CASES cargo test -q -p "$package" --test "$suite" --offline \
+        "$name" | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
+
 # concurrency gate: one layer. By name, so that renaming or filtering them
 # away fails the gate: a gather runs every attempt on the calling thread or
 # on its own node's workers (one on the caller without a deadline, none
@@ -436,8 +461,22 @@ if [ "$(src_code | grep -E 'fn flwor' | grep -vc '/parser\.rs:')" -ne 1 ]; then
     exit 1
 fi
 QS_LINES="$(for file in crates/query/src/*.rs crates/storage/src/*.rs; do non_test "$file"; done | wc -l)"
-if [ "$QS_LINES" -gt 5168 ]; then
-    echo "verify: FAIL — crates/query/src + crates/storage/src is $QS_LINES lines outside tests (budget 5168)" >&2
+if [ "$QS_LINES" -gt 5161 ]; then
+    echo "verify: FAIL — crates/query/src + crates/storage/src is $QS_LINES lines outside tests (budget 5161)" >&2
+    exit 1
+fi
+# one comparison: fragment membership, the evaluator and fragment pruning
+# decide `P θ v` with `partix_path::compare`, so the per-layer copies and
+# the contradiction tables that re-derived it stay deleted outside test
+# modules (the reference evaluator under crates/query/tests/ keeps its
+# own), and the path crate stays within its line budget.
+if src_code | grep -E 'compare_string|fn value_compare|string_atoms_contradict|num_atoms_contradict'; then
+    echo "verify: FAIL — a second comparison or contradiction table reappeared under crates/*/src" >&2
+    exit 1
+fi
+PATH_LINES="$(for file in crates/path/src/*.rs; do non_test "$file"; done | wc -l)"
+if [ "$PATH_LINES" -gt 1448 ]; then
+    echo "verify: FAIL — crates/path/src is $PATH_LINES lines outside tests (budget 1448)" >&2
     exit 1
 fi
 # index what queries read: the value index no query consulted, its switch,

@@ -10,13 +10,20 @@
 //! `PartixError` — never silently wrong data.
 
 use partix::engine::{
-    ExecOptions, Fault, FaultInjector, FaultPlan, PartiX, PartixError, RetryPolicy,
+    Distribution, ExecOptions, Fault, FaultInjector, FaultPlan, NetworkModel, PartiX,
+    PartixError, Placement, RetryPolicy,
 };
-use partix::frag::FragMode;
+use partix::frag::{FragMode, FragmentDef, FragmentationSchema};
 use partix::gen::{ArticleProfile, ItemProfile};
+use partix::path::{PathExpr, Predicate};
 use partix::query::Item;
+use partix::schema::builtin::virtual_store;
+use partix::schema::{CollectionDef, RepoKind};
+use partix::storage::StorageMode;
+use partix::xml::{parse, Document};
 use partix_bench::oracle::{canonical, centralized_text, exact};
 use partix_bench::{queries, setup};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Every query must produce byte-identical canonical output both ways.
@@ -173,6 +180,133 @@ fn a_self_join_reads_every_fragment() {
         )
     };
     assert_probe(probe, exact);
+}
+
+// ------------------------------------------------- pruning probes --
+
+/// `C_items` as the horizontal designs see it: `/Item/Code` is
+/// single-valued, so the analysis may find two atoms on it contradictory.
+fn items_collection() -> CollectionDef {
+    CollectionDef::new(
+        setup::DIST,
+        Arc::new(virtual_store()),
+        PathExpr::parse("/Store/Items/Item").unwrap(),
+        RepoKind::MultipleDocuments,
+    )
+}
+
+/// One `Item` per code (`None`: no `Code` at all), named by its position.
+fn items_with_codes(codes: &[Option<&str>]) -> Vec<Document> {
+    codes
+        .iter()
+        .enumerate()
+        .map(|(i, code)| {
+            let code = code.map(|c| format!("<Code>{c}</Code>")).unwrap_or_default();
+            let mut doc =
+                parse(&format!("<Item>{code}<Name>n{i}</Name><Section>CD</Section></Item>"))
+                    .unwrap();
+            doc.name = Some(format!("i{i}"));
+            doc
+        })
+        .collect()
+}
+
+/// Publish `codes` under `design`, one fragment per node, and ask for the
+/// names of the items passing `condition`: localization may prune only
+/// fragments that hold none of the centralized answer.
+fn assert_pruning_keeps_answers(
+    design: FragmentationSchema,
+    codes: &[Option<&str>],
+    condition: &str,
+) {
+    let names: Vec<String> = design.fragments.iter().map(|f| f.name.clone()).collect();
+    let px = PartiX::new(names.len(), NetworkModel::default());
+    for (node, name) in names.iter().enumerate() {
+        let db = &px.cluster().node(node).expect("node").db;
+        db.create_collection(name, StorageMode::Cold).expect("fresh node");
+    }
+    let placements = names
+        .iter()
+        .enumerate()
+        .map(|(node, name)| Placement { fragment: name.clone(), node })
+        .collect();
+    px.register_distribution(Distribution { design, placements }).expect("placement valid");
+    let docs = items_with_codes(codes);
+    px.publish(setup::DIST, &docs).expect("publish");
+    px.publish_centralized(0, setup::CENTRAL, &docs).expect("centralized copy");
+    let query = format!(
+        r#"for $i in collection("{}")/Item where {condition} return $i/Name"#,
+        setup::DIST
+    );
+    let dist = px.execute(&query).unwrap_or_else(|e| panic!("{query}: {e}"));
+    let cent = px.execute_centralized(0, &centralized_text(&query)).expect("centralized");
+    assert_eq!(
+        canonical(&dist.items),
+        canonical(&cent.items),
+        "{query}: fragments_pruned {}",
+        dist.report.fragments_pruned,
+    );
+}
+
+/// Horizontal fragments `f0`, `f1`, … of `C_items`, one per predicate.
+fn code_design(predicates: &[&str]) -> FragmentationSchema {
+    let fragments = predicates
+        .iter()
+        .enumerate()
+        .map(|(i, p)| FragmentDef::horizontal(&format!("f{i}"), Predicate::parse(p).unwrap()))
+        .collect();
+    FragmentationSchema::new(items_collection(), fragments).expect("valid design")
+}
+
+/// `05` is numerically 5 and textually not "5": a string `!=` does not
+/// contradict a number `=`.
+#[test]
+fn a_text_inequality_keeps_the_fragment_a_number_equality_defines() {
+    let design = code_design(&["/Item/Code = 5", "/Item/Code != 5"]);
+    assert_pruning_keeps_answers(design, &[Some("05"), Some("5"), Some("7")], r#"$i/Code != "5""#);
+}
+
+/// A number `=` does not contradict a string `!=`.
+#[test]
+fn a_number_equality_keeps_the_fragment_a_text_inequality_defines() {
+    let design = code_design(&[r#"/Item/Code = "5""#, r#"/Item/Code != "5""#]);
+    assert_pruning_keeps_answers(design, &[Some("05"), Some("5"), Some("7")], "$i/Code = 5");
+}
+
+/// `not(Code < 10)` and `not(Code >= 10)` both hold where `Code` is not
+/// a number.
+#[test]
+fn two_negated_ranges_both_hold_on_a_text() {
+    let design = code_design(&["/Item/Code < 10", "not(/Item/Code < 10)"]);
+    let codes = [Some("abc"), Some("5"), Some("20")];
+    assert_pruning_keeps_answers(design, &codes, "not($i/Code >= 10)");
+}
+
+/// `Code < "10"` orders text, `Code > 50` numbers: `"099" < "10"` and
+/// `99 > 50`.
+#[test]
+fn a_text_range_keeps_the_fragment_a_number_range_reads() {
+    let design = code_design(&[r#"/Item/Code < "10""#, r#"/Item/Code >= "10""#]);
+    assert_pruning_keeps_answers(design, &[Some("099"), Some("5"), Some("70")], "$i/Code > 50");
+}
+
+/// `not(Code = "5")` and `not(Code != "5")` both hold where there is no
+/// `Code`.
+#[test]
+fn two_negated_atoms_both_hold_on_an_absent_node() {
+    let design = code_design(&[r#"/Item/Code = "5""#, r#"not(/Item/Code = "5")"#]);
+    assert_pruning_keeps_answers(design, &[None, Some("5"), Some("7")], r#"not($i/Code != "5")"#);
+}
+
+/// The auto-designer's residual fragment, `not(Code = "5") and
+/// not(Code = "7")`, holds `05`, which `Code = 5` asks for.
+#[test]
+fn the_residual_fragment_of_a_value_design_holds_numeric_matches() {
+    let code = PathExpr::parse("/Item/Code").unwrap();
+    let sample = items_with_codes(&[Some("5"), Some("7")]);
+    let design =
+        partix::frag::horizontal_by_values(items_collection(), &code, &sample, 2).expect("design");
+    assert_pruning_keeps_answers(design, &[Some("5"), Some("05"), Some("7")], "$i/Code = 5");
 }
 
 // ------------------------------------------------------ faulted runs --
