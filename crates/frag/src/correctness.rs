@@ -354,6 +354,17 @@ fn reconstruct_hybrid<D: Borrow<Document>>(
             }
         }
     }
+    // a FragMode1 unit carries its place in its source document: the
+    // units go back in document order, whichever fragment held them
+    let place = |(doc, node): &(&Document, NodeId)| {
+        let origin = doc.origin.as_ref().filter(|_| *node == NodeId::ROOT);
+        origin.map(|o| o.dewey.components().to_vec())
+    };
+    for list in units.values_mut() {
+        if list.iter().all(|unit| place(unit).is_some()) {
+            list.sort_by_key(place);
+        }
+    }
     let container_path =
         container_path.ok_or_else(|| "no hybrid fragments in design".to_owned())?;
     // rebuild: reconstruct spine from vertical pieces — the unit container

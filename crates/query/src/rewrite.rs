@@ -59,14 +59,16 @@ pub fn rewrite_for_vertical(
     frag_path: &PathExpr,
     frag_collection: &str,
 ) -> Result<Query, RewriteError> {
-    let frag_root_step = frag_path
-        .last_step()
-        .expect("fragment paths have at least one step")
-        .clone();
+    let test = frag_path.last_step().expect("fragment paths have at least one step").test.clone();
+    let root = Step { axis: Axis::Child, test, position: None };
     // variables bound above the fragment root: var → remainder of
     // frag_path below the binding
     let mut var_remainders: HashMap<String, PathExpr> = HashMap::new();
-    collect_shallow_bindings(&query.expr, collection, frag_path, &mut var_remainders);
+    let mut loose = None;
+    collect_shallow_bindings(&query.expr, collection, frag_path, &mut var_remainders, &mut loose);
+    if let Some(var) = loose {
+        return Err(RewriteError::NeedsOtherFragments { path: format!("${var}") });
+    }
 
     let mut out = query.clone();
     let mut error: Option<RewriteError> = None;
@@ -76,114 +78,109 @@ pub fn rewrite_for_vertical(
         }
         match &ps.start {
             PathStart::Collection(c) if c == collection => {
-                let mut abs = ps.path.clone();
-                abs.absolute = true;
-                if let Some(rel) = abs.strip_prefix(frag_path) {
-                    // path extends P: collection(frag)/<root>/rel
-                    let mut steps = vec![Step {
-                        axis: Axis::Child,
-                        test: frag_root_step.test.clone(),
-                        position: None,
-                    }];
-                    steps.extend(rel.steps);
-                    ps.start = PathStart::Collection(frag_collection.to_owned());
-                    ps.path = PathExpr { absolute: false, steps };
-                } else if frag_path.strip_prefix(&abs).is_some() {
-                    // binding above P: bind to the fragment root
-                    ps.start = PathStart::Collection(frag_collection.to_owned());
-                    ps.path = PathExpr {
-                        absolute: false,
-                        steps: vec![Step {
-                            axis: Axis::Child,
-                            test: frag_root_step.test.clone(),
-                            position: None,
-                        }],
-                    };
-                } else {
-                    error = Some(RewriteError::NeedsOtherFragments { path: abs.to_string() });
-                }
-            }
-            PathStart::Collection(_) => {}
-            PathStart::Var(v) => {
-                if let Some(remainder) = var_remainders.get(v) {
-                    // $v was re-bound to the fragment root; its uses must
-                    // pass through the remainder of P
-                    match ps.path.strip_prefix(remainder) {
-                        Some(rel) => {
-                            ps.path = rel;
-                        }
-                        None => {
-                            if ps.path.steps.is_empty() && remainder.steps.is_empty() {
-                                // $v used bare and binding == frag root
-                            } else {
-                                error = Some(RewriteError::NeedsOtherFragments {
-                                    path: format!("${v}/{}", ps.path),
-                                });
-                            }
-                        }
+                let abs = PathExpr { absolute: true, ..ps.path.clone() };
+                let above =
+                    frag_path.strip_prefix(&abs).is_some() && !pins_past_first(&abs, frag_path);
+                // a path extending P: collection(frag)/<root>/rel; a
+                // binding above P: bound to the fragment root
+                let rel = match reroot(&abs, frag_path) {
+                    Some(rel) => rel.steps,
+                    None if above => Vec::new(),
+                    None => {
+                        error = Some(RewriteError::NeedsOtherFragments { path: abs.to_string() });
+                        return;
                     }
-                }
+                };
+                ps.start = PathStart::Collection(frag_collection.to_owned());
+                let steps = [root.clone()].into_iter().chain(rel).collect();
+                ps.path = PathExpr { absolute: false, steps };
             }
-            PathStart::Doc(_) => {}
+            // $v was re-bound to the fragment root; its uses must pass
+            // through the remainder of P
+            PathStart::Var(v) => match var_remainders.get(v).map(|rem| reroot(&ps.path, rem)) {
+                Some(Some(rel)) => ps.path = rel,
+                Some(None) => {
+                    let path = format!("${v}/{}", ps.path);
+                    error = Some(RewriteError::NeedsOtherFragments { path });
+                }
+                None => {}
+            },
+            PathStart::Collection(_) | PathStart::Doc(_) => {}
         }
     });
-    match error {
-        Some(e) => Err(e),
-        None => Ok(out),
+    error.map_or(Ok(out), Err)
+}
+
+/// `path` below `prefix`, re-rooted onto the one node `prefix` selects.
+fn reroot(path: &PathExpr, prefix: &PathExpr) -> Option<PathExpr> {
+    path.strip_prefix(prefix).filter(|_| !pins_past_first(path, prefix))
+}
+
+/// Does `path` pin past `[1]` a step the fragment path leaves unpinned?
+/// That step is single-valued (a cut takes one node): no fragment root.
+fn pins_past_first(path: &PathExpr, fragment: &PathExpr) -> bool {
+    let mut steps = path.steps.iter().zip(&fragment.steps);
+    steps.any(|(q, f)| f.position.is_none() && q.position.is_some_and(|k| k != 1))
+}
+
+/// Is `expr` empty whenever every path from `$var` is? Only then does a
+/// document lacking the fragment's part entirely, and so unbound here,
+/// add nothing to a `for` over `$var` in the source either.
+fn empty_without(expr: &Expr, var: &str) -> bool {
+    match expr {
+        Expr::Path(ps) => {
+            matches!(&ps.start, PathStart::Var(v) if v == var) && !ps.path.steps.is_empty()
+        }
+        Expr::Seq(items) => items.iter().all(|e| empty_without(e, var)),
+        Expr::Flwor { clauses, ret, .. } => {
+            let over = |c: &Clause| matches!(c, Clause::For(b) if empty_without(&b.expr, var));
+            empty_without(ret, var) || clauses.iter().any(over)
+        }
+        _ => false,
     }
 }
 
 /// Record, for every `for`/`let` variable bound to a prefix of
-/// `frag_path`, the remaining steps of `frag_path` below the binding.
+/// `frag_path`, the remaining steps of `frag_path` below the binding; a
+/// `for` variable whose return is not [`empty_without`] it is `loose`.
 fn collect_shallow_bindings(
     expr: &Expr,
     collection: &str,
     frag_path: &PathExpr,
     out: &mut HashMap<String, PathExpr>,
+    loose: &mut Option<String>,
 ) {
-    if let Expr::Flwor { clauses, where_clause, order_by, ret } = expr {
-        for clause in clauses {
-            let (Clause::For(b) | Clause::Let(b)) = clause;
-            if let Expr::Path(ps) = &b.expr {
-                if let PathStart::Collection(c) = &ps.start {
-                    if c == collection {
-                        let mut abs = ps.path.clone();
-                        abs.absolute = true;
-                        if let Some(rem) = frag_path.strip_prefix(&abs) {
-                            if !rem.steps.is_empty() {
-                                out.insert(b.var.clone(), rem);
-                            }
+    let children: Vec<&Expr> = match expr {
+        Expr::Flwor { clauses, where_clause, order_by, ret } => {
+            for clause in clauses {
+                let (Clause::For(b) | Clause::Let(b)) = clause;
+                if let Expr::Path(ps) = &b.expr {
+                    let abs = PathExpr { absolute: true, ..ps.path.clone() };
+                    let below = match &ps.start {
+                        PathStart::Collection(c) if c == collection => frag_path.strip_prefix(&abs),
+                        _ => None,
+                    };
+                    let shallow =
+                        |rem: &PathExpr| !rem.steps.is_empty() && !pins_past_first(&abs, frag_path);
+                    if let Some(rem) = below.filter(shallow) {
+                        if matches!(clause, Clause::For(_)) && !empty_without(ret, &b.var) {
+                            *loose = Some(b.var.clone());
                         }
+                        out.insert(b.var.clone(), rem);
                     }
                 }
+                collect_shallow_bindings(&b.expr, collection, frag_path, out, loose);
             }
-            collect_shallow_bindings(
-                match clause {
-                    Clause::For(b) | Clause::Let(b) => &b.expr,
-                },
-                collection,
-                frag_path,
-                out,
-            );
+            let key = order_by.as_ref().map(|(k, _)| &**k);
+            where_clause.as_deref().into_iter().chain(key).chain([&**ret]).collect()
         }
-        if let Some(w) = where_clause {
-            collect_shallow_bindings(w, collection, frag_path, out);
-        }
-        if let Some((k, _)) = order_by {
-            collect_shallow_bindings(k, collection, frag_path, out);
-        }
-        collect_shallow_bindings(ret, collection, frag_path, out);
-    } else if let Expr::Call { args, .. } = expr {
-        for a in args {
-            collect_shallow_bindings(a, collection, frag_path, out);
-        }
-    } else if let Expr::Cmp { lhs, rhs, .. } = expr {
-        collect_shallow_bindings(lhs, collection, frag_path, out);
-        collect_shallow_bindings(rhs, collection, frag_path, out);
-    } else if let Expr::And(es) | Expr::Or(es) | Expr::Seq(es) = expr {
-        for e in es {
-            collect_shallow_bindings(e, collection, frag_path, out);
-        }
+        Expr::Call { args, .. } => args.iter().collect(),
+        Expr::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
+        Expr::And(es) | Expr::Or(es) | Expr::Seq(es) => es.iter().collect(),
+        _ => Vec::new(),
+    };
+    for child in children {
+        collect_shallow_bindings(child, collection, frag_path, out, loose);
     }
 }
 

@@ -25,11 +25,14 @@ cargo test -q -p partix-bench --offline chaos
 # them away fails the gate: localization never prunes a fragment that
 # holds part of the centralized answer (numbers against text, negated
 # atoms on a text or an absent node, the auto-designer's residual
-# fragment), pruning is sound against `Predicate::eval` over random
-# conjunctions (at its own case budget: the parent's analysis failed it
-# only past 48 cases), and a pushed-down `where` decides as the evaluator
-# does.
+# fragment, a FragMode1 and a FragMode2 hybrid whose units hold numeric
+# and textual `Code`s), pruning is sound against `Predicate::eval` over
+# random conjunctions (at its own case budget: the parent's analysis
+# failed it only past 48 cases), and a pushed-down `where` decides as the
+# evaluator does.
 for named in \
+    "partix differential a_fragmode1_hybrid_keeps_the_unit_a_numeric_code_selects" \
+    "partix differential a_fragmode2_hybrid_keeps_the_units_a_negated_range_holds" \
     "partix differential a_text_inequality_keeps_the_fragment_a_number_equality_defines" \
     "partix differential a_number_equality_keeps_the_fragment_a_text_inequality_defines" \
     "partix differential two_negated_ranges_both_hold_on_a_text" \
@@ -196,6 +199,58 @@ for named in \
         exit 1
     fi
 done
+
+# generator gate: one generator, one oracle. Every distributed ≡
+# centralized suite draws its cases from tests/common/gen.rs and checks
+# them with tests/common/mod.rs. By name, so that renaming or filtering
+# them away fails the gate: the property on each of the five routes —
+# buffered, streamed in process (both dispatch modes), through a loopback
+# coordinator, over loopback node servers, and replicated under seeded
+# fault plans — per design family where a suite splits them; the check
+# that the generator reaches every composition and comparison form; the
+# reducer that prints a failing case small; and the wrong answers the
+# generator found (a position past the first on a cut node, a `for` over
+# documents lacking the part a fragment holds, FragMode1 unit order).
+for named in \
+    "properties distributed_equals_centralized" \
+    "properties the_generator_reaches_every_composition" \
+    "properties a_failing_case_reduces_to_what_its_failure_needs" \
+    "differential horizontal_matches_oracle_across_fragment_counts" \
+    "differential vertical_matches_oracle" \
+    "differential hybrid_matches_oracle_both_frag_modes" \
+    "differential horizontal_under_faults_returns_oracle_answer_or_typed_error" \
+    "differential a_position_past_the_first_selects_nothing_of_a_cut_node" \
+    "differential an_article_without_the_read_part_still_binds_its_for" \
+    "differential a_fragmode1_store_is_rebuilt_in_document_order" \
+    "end_to_end horizontal_distributed_equals_centralized" \
+    "end_to_end vertical_distributed_equals_centralized" \
+    "end_to_end hybrid_distributed_equals_centralized" \
+    "streaming_differential buffered_answer_is_the_concatenated_stream_in_every_design_and_mode" \
+    "streaming_differential horizontal_streamed_matches_buffered_and_oracle_cold_and_hot" \
+    "streaming_differential vertical_streamed_matches_buffered" \
+    "streaming_differential hybrid_streamed_matches_buffered_both_frag_modes" \
+    "remote_differential horizontal_remote_matches_local_across_fragment_counts" \
+    "remote_differential vertical_remote_matches_local" \
+    "remote_differential hybrid_remote_matches_local_both_frag_modes"; do
+    read -r suite name <<< "$named"
+    if ! cargo test -q --test "$suite" --offline "$name" -- --exact \
+        | grep -q "test result: ok. 1 passed"; then
+        echo "verify: FAIL — $name did not run and pass" >&2
+        exit 1
+    fi
+done
+# the per-suite generators and oracle loops the one generator and the one
+# check replaced stay deleted, and tests/ (the shared module included)
+# stays within its line budget.
+if grep -rnE 'enum QueryShape|fn arb_query|fn arb_article_query|fn arb_vertical_design|fn assert_no_wrong_data|fn assert_remote_differential|fn local_answers|fn assert_streaming_differential|fn assert_matches_oracle|fn assert_differential|fn multiset' tests; then
+    echo "verify: FAIL — a per-suite generator or oracle loop reappeared under tests/" >&2
+    exit 1
+fi
+TEST_LINES="$(find tests -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+if [ "$TEST_LINES" -gt 5981 ]; then
+    echo "verify: FAIL — tests/ is $TEST_LINES lines (budget 5981)" >&2
+    exit 1
+fi
 
 # streaming gate: the streamed-vs-buffered differential (every query
 # family, plans parsed and plans cached, seeded faults, coordinator killed

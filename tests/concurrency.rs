@@ -9,72 +9,32 @@
 //! gate, not by sleeps).
 
 use partix::engine::{
-    DispatchMode, Distribution, DriverError, ExecOptions, NetworkModel, Node, PartiX,
-    PartixDriver, PartixError, Placement, RetryPolicy,
+    DispatchMode, DriverError, ExecOptions, Node, PartiX, PartixDriver, PartixError, Placement,
+    RetryPolicy,
 };
-use partix::frag::{FragmentDef, FragmentationSchema};
 use partix::gen::{gen_items, ItemProfile};
-use partix::path::{PathExpr, Predicate};
 use partix::query::{Item, Query};
-use partix::schema::{builtin, CollectionDef, RepoKind};
 use partix::storage::QueryOutput;
 use partix::xml::Document;
+use partix_bench::oracle::canonical;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-fn multiset(items: &[Item]) -> Vec<String> {
-    let mut v: Vec<String> = items.iter().map(Item::serialize).collect();
-    v.sort();
-    v
-}
-
-/// A 4-node horizontally fragmented `items` collection loaded with
-/// `docs`, in the given dispatch mode.
+/// The 4-node horizontal experiment (`C_items` in four section groups)
+/// loaded with `docs`, in the given dispatch mode.
 fn setup(docs: &[partix::xml::Document], mode: DispatchMode) -> PartiX {
-    let mut px = PartiX::new(4, NetworkModel::default());
+    let mut px = partix_bench::setup::horizontal(docs, 4);
     px.set_dispatch(mode);
-    let citems = CollectionDef::new(
-        "items",
-        std::sync::Arc::new(builtin::virtual_store()),
-        PathExpr::parse("/Store/Items/Item").unwrap(),
-        RepoKind::MultipleDocuments,
-    );
-    let groups: [&[&str]; 4] = [
-        &["CD", "DVD"],
-        &["BOOK", "ELECTRONICS"],
-        &["TOY", "GAME"],
-        &["SPORT", "GARDEN"],
-    ];
-    let fragments = groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| {
-            let atoms: Vec<Predicate> = g
-                .iter()
-                .map(|s| Predicate::parse(&format!(r#"/Item/Section = "{s}""#)).unwrap())
-                .collect();
-            FragmentDef::horizontal(&format!("f{i}"), Predicate::Or(atoms))
-        })
-        .collect();
-    let design = FragmentationSchema::new(citems, fragments).unwrap();
-    px.register_distribution(Distribution {
-        design,
-        placements: (0..4)
-            .map(|i| Placement { fragment: format!("f{i}"), node: i })
-            .collect(),
-    })
-    .unwrap();
-    px.publish("items", docs).unwrap();
     px
 }
 
 const QUERIES: [&str; 6] = [
-    r#"for $i in collection("items")/Item where $i/Section = "TOY" return $i/Code"#,
-    r#"count(for $i in collection("items")/Item return $i)"#,
-    r#"sum(for $i in collection("items")/Item return number($i/Code))"#,
-    r#"avg(for $i in collection("items")/Item return number($i/Code))"#,
-    r#"for $i in collection("items")/Item where contains($i//Description, "good") return $i/Name"#,
-    r#"max(for $i in collection("items")/Item return number($i/Code))"#,
+    r#"for $i in collection("data")/Item where $i/Section = "TOY" return $i/Code"#,
+    r#"count(for $i in collection("data")/Item return $i)"#,
+    r#"sum(for $i in collection("data")/Item return number($i/Code))"#,
+    r#"avg(for $i in collection("data")/Item return number($i/Code))"#,
+    r#"for $i in collection("data")/Item where contains($i//Description, "good") return $i/Name"#,
+    r#"max(for $i in collection("data")/Item return number($i/Code))"#,
 ];
 
 /// N threads hammering one Pool-mode middleware with a mixed workload
@@ -83,9 +43,9 @@ const QUERIES: [&str; 6] = [
 fn pool_mode_concurrent_results_match_simulated() {
     let docs = gen_items(120, ItemProfile::Small, 7);
     let reference = setup(&docs, DispatchMode::Simulated);
-    let expected: Vec<Vec<String>> = QUERIES
+    let expected: Vec<String> = QUERIES
         .iter()
-        .map(|q| multiset(&reference.execute(q).unwrap().items))
+        .map(|q| canonical(&reference.execute(q).unwrap().items))
         .collect();
 
     let px = setup(&docs, DispatchMode::Pool);
@@ -102,7 +62,7 @@ fn pool_mode_concurrent_results_match_simulated() {
                     let q = (t + round) % QUERIES.len();
                     let got = px.execute(QUERIES[q]).unwrap();
                     assert_eq!(
-                        multiset(&got.items),
+                        canonical(&got.items),
                         expected[q],
                         "thread {t} round {round}: {}",
                         QUERIES[q]
@@ -142,9 +102,9 @@ fn chaos_flapping_node_under_concurrent_clients() {
     let workload = partix_bench::queries::horizontal(setup::DIST);
     // healthy Simulated reference = the oracle for every query
     let reference = setup::horizontal_replicated(&docs, 4, 2);
-    let expected: Vec<Vec<String>> = workload
+    let expected: Vec<String> = workload
         .iter()
-        .map(|(_, q)| multiset(&reference.execute(q).unwrap().items))
+        .map(|(_, q)| canonical(&reference.execute(q).unwrap().items))
         .collect();
 
     let baseline_threads = pool_threads();
@@ -192,7 +152,7 @@ fn chaos_flapping_node_under_concurrent_clients() {
                                 Ok(got) => {
                                     answered.fetch_add(1, Ordering::Relaxed);
                                     assert_eq!(
-                                        multiset(&got.items),
+                                        canonical(&got.items),
                                         expected[q],
                                         "client {t} round {round}: {}",
                                         workload[q].0
@@ -253,9 +213,9 @@ fn remote_chaos_killed_listener_under_concurrent_clients() {
     let docs = gen_items(80, ItemProfile::Small, 17);
     let workload = partix_bench::queries::horizontal(setup::DIST);
     let reference = setup::horizontal_replicated(&docs, 4, 2);
-    let expected: Vec<Vec<String>> = workload
+    let expected: Vec<String> = workload
         .iter()
-        .map(|(_, q)| multiset(&reference.execute(q).unwrap().items))
+        .map(|(_, q)| canonical(&reference.execute(q).unwrap().items))
         .collect();
 
     let baseline_threads = pool_threads();
@@ -307,7 +267,7 @@ fn remote_chaos_killed_listener_under_concurrent_clients() {
                                 Ok(got) => {
                                     answered.fetch_add(1, Ordering::Relaxed);
                                     assert_eq!(
-                                        multiset(&got.items),
+                                        canonical(&got.items),
                                         expected[q],
                                         "client {t} round {round}: {}",
                                         workload[q].0
@@ -345,7 +305,7 @@ fn remote_chaos_killed_listener_under_concurrent_clients() {
         }
         let (_, q) = &workload[0];
         let healed = px.execute(q).expect("healed cluster answers");
-        assert_eq!(multiset(&healed.items), expected[0]);
+        assert_eq!(canonical(&healed.items), expected[0]);
 
         // accounting reconciles: reconnects are a subset of connects,
         // and the idle pools hold at most max_idle sockets per driver
@@ -391,14 +351,14 @@ fn a_read_after_publish_sees_the_new_documents() {
     let docs = gen_items(60, ItemProfile::Small, 3);
     let px = setup(&docs, DispatchMode::Pool);
 
-    let count_q = r#"count(for $i in collection("items")/Item return $i)"#;
+    let count_q = r#"count(for $i in collection("data")/Item return $i)"#;
     let first = px.execute(count_q).unwrap();
     assert_eq!(first.items[0].serialize(), "60");
     let second = px.execute(count_q).unwrap();
     assert_eq!(second.items[0].serialize(), "60");
 
     let more = gen_items(15, ItemProfile::Small, 4);
-    px.publish("items", &more).unwrap();
+    px.publish(partix_bench::setup::DIST, &more).unwrap();
 
     let third = px.execute(count_q).unwrap();
     assert_eq!(third.items[0].serialize(), "75", "a read missed the published documents");
@@ -672,7 +632,7 @@ fn a_stream_finishes_across_a_live_rebalance() {
 /// is the centralized one.
 #[test]
 fn a_reconstruction_fetch_landing_after_the_retire_is_refetched() {
-    use partix_bench::oracle::{canonical, oracle_answers};
+    use partix_bench::oracle::oracle_answers;
     use partix_bench::{queries, setup};
     let docs = partix::gen::gen_articles(10, partix::gen::ArticleProfile::SMALL, 31);
     let px = setup::vertical(&docs);

@@ -1,55 +1,33 @@
 //! Differential oracle suite: the paper's correctness rules
 //! (completeness / disjointness / reconstruction, Sec. 3.3) as an
-//! executable check. For every bench query class the same corpus is
-//! published centralized and under each fragmentation design, and the
-//! serialized answers must be byte-identical (after canonical ordering —
-//! fragment concatenation order is not document order).
+//! executable check. The fixed bench workloads and then generated cases
+//! of each fragmentation family are published centralized and
+//! distributed, and every answer must be the centralized one (in the form
+//! the query decides, `common::check`).
 //!
 //! The fault-injected variants add the dispatch-layer contract: a run
 //! under injected faults must return either the oracle answer or a typed
 //! `PartixError` — never silently wrong data.
 
-use partix::engine::{
-    Distribution, ExecOptions, Fault, FaultInjector, FaultPlan, NetworkModel, PartiX,
-    PartixError, Placement, RetryPolicy,
-};
+mod common;
+
+use common::gen::{cluster, Family, FAMILIES};
+use common::{assert_answers, check, check_case, for_cases, On, Route};
+use partix::engine::{Fault, FaultInjector, FaultPlan, PartixError, Placement};
 use partix::frag::{FragMode, FragmentDef, FragmentationSchema};
 use partix::gen::{ArticleProfile, ItemProfile};
 use partix::path::{PathExpr, Predicate};
-use partix::query::Item;
-use partix::schema::builtin::virtual_store;
+use partix::schema::builtin::{virtual_store, xbench_article};
 use partix::schema::{CollectionDef, RepoKind};
 use partix::storage::StorageMode;
 use partix::xml::{parse, Document};
-use partix_bench::oracle::{canonical, centralized_text, exact};
+use partix_bench::oracle::canonical;
 use partix_bench::{queries, setup};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Every query must produce byte-identical canonical output both ways.
-fn assert_differential(px: &PartiX, workload: &[(&'static str, String)], label: &str) {
-    for (id, query) in workload {
-        let dist = px
-            .execute(query)
-            .unwrap_or_else(|e| panic!("{label}/{id} distributed: {e}"));
-        let cent = px
-            .execute_centralized(0, &centralized_text(query))
-            .unwrap_or_else(|e| panic!("{label}/{id} centralized: {e}"));
-        assert_eq!(
-            canonical(&dist.items),
-            canonical(&cent.items),
-            "{label}/{id}: distributed answer diverges from the oracle",
-        );
-    }
-}
 
 #[test]
 fn horizontal_matches_oracle_across_fragment_counts() {
-    let docs = setup::quick_items(80);
-    for n in [2, 4, 8] {
-        let px = setup::horizontal(&docs, n);
-        assert_differential(&px, &queries::horizontal(setup::DIST), &format!("hor{n}"));
-    }
+    common::route_holds(&[Family::Horizontal], 64, |_| Route::Buffered);
 }
 
 /// `min` / `max` over fragments follow the evaluator's rule — strings by
@@ -72,10 +50,12 @@ fn horizontal_min_max_of_strings_match_oracle() {
                return if ($i/Section = "CD") then $i/Name else number($i/Code))"#
     );
     for n in [2, 4, 8] {
-        let px = setup::horizontal(&docs, n);
-        assert_differential(&px, &workload, &format!("hor{n}"));
-        match px.execute(&mixed) {
-            Err(PartixError::Composition(message)) => assert!(message.contains("max()"), "{message}"),
+        let on = On::new(setup::horizontal(&docs, n), Route::Buffered);
+        assert_answers(&on, &workload, &format!("hor{n}"));
+        match on.px.execute(&mixed) {
+            Err(PartixError::Composition(message)) => {
+                assert!(message.contains("max()"), "{message}")
+            }
             other => panic!("hor{n}/mixed: expected a composition error, got {other:?}"),
         }
     }
@@ -83,18 +63,12 @@ fn horizontal_min_max_of_strings_match_oracle() {
 
 #[test]
 fn vertical_matches_oracle() {
-    let docs = partix::gen::gen_articles(10, ArticleProfile::SMALL, 29);
-    let px = setup::vertical(&docs);
-    assert_differential(&px, &queries::vertical(setup::DIST), "vert");
+    common::route_holds(&[Family::Vertical], 24, |_| Route::Buffered);
 }
 
 #[test]
 fn hybrid_matches_oracle_both_frag_modes() {
-    let store = partix::gen::gen_store(40, ItemProfile::Small, 31);
-    for mode in [FragMode::SingleDoc, FragMode::ManySmallDocs] {
-        let px = setup::hybrid(&store, mode);
-        assert_differential(&px, &queries::hybrid(setup::DIST), &format!("{mode:?}"));
-    }
+    common::route_holds(&[Family::Hybrid], 64, |_| Route::Buffered);
 }
 
 // ------------------------------------------------- composition probes --
@@ -102,40 +76,36 @@ fn hybrid_matches_oracle_both_frag_modes() {
 /// One probe of how a distributed answer composes — `probe` builds the
 /// query over the `Item`s of the distributed collection — on horizontal
 /// designs of 2 / 4 / 8 fragments and on the FragMode2 hybrid: each answer
-/// is the centralized one, item for item (on the hybrid, in the form
-/// `hybrid` gives it). Shipped whole to every fragment and concatenated,
-/// each of these came back once per fragment or in fragment order.
-fn assert_probe(probe: impl Fn(&str) -> String, hybrid: fn(&[Item]) -> String) {
+/// is the centralized one, item for item (a joined string on the hybrid by
+/// its parts). Shipped whole to every fragment and concatenated, each of
+/// these came back once per fragment or in fragment order.
+fn assert_probe(probe: impl Fn(&str) -> String) {
     let c = format!(r#"collection("{}")"#, setup::DIST);
     let docs = setup::quick_items(80);
     let store = partix::gen::gen_store(40, ItemProfile::Small, 31);
-    let horizontal = [2, 4, 8]
-        .map(|n| (format!("hor{n}"), setup::horizontal(&docs, n), "/Item", exact as fn(&_) -> _));
-    let hybrid_px = setup::hybrid(&store, FragMode::SingleDoc);
-    let hyb = ("hyb".into(), hybrid_px, "/Store/Items/Item", hybrid);
-    for (label, px, items, form) in horizontal.into_iter().chain([hyb]) {
+    let horizontal = [2, 4, 8].map(|n| (format!("hor{n}"), setup::horizontal(&docs, n), "/Item"));
+    let hybrid = ("hyb".into(), setup::hybrid(&store, FragMode::SingleDoc), "/Store/Items/Item");
+    for (label, px, items) in horizontal.into_iter().chain([hybrid]) {
         let query = probe(&format!("{c}{items}"));
-        let dist = px.execute(&query).unwrap_or_else(|e| panic!("{label}: {query}: {e}"));
-        let cent = px
-            .execute_centralized(0, &centralized_text(&query))
-            .unwrap_or_else(|e| panic!("{label} centralized: {query}: {e}"));
-        assert_eq!(form(&dist.items), form(&cent.items), "{label}: {query}");
+        let verdict = check(&On::new(px, Route::Buffered), &query);
+        let verdict = verdict.unwrap_or_else(|e| panic!("{label}: {query}\n{e}"));
+        assert_ne!(verdict.form, common::Form::Canonical, "{label}: {query}");
     }
 }
 
 #[test]
 fn exists_is_one_answer_not_one_per_fragment() {
-    assert_probe(|items| format!("exists({items})"), exact);
+    assert_probe(|items| format!("exists({items})"));
 }
 
 #[test]
 fn a_compared_count_counts_every_fragment() {
-    assert_probe(|items| format!("count({items}) > 5"), exact);
+    assert_probe(|items| format!("count({items}) > 5"));
 }
 
 #[test]
 fn arithmetic_over_aggregates_composes_each_aggregate_first() {
-    assert_probe(|items| format!("sum({items}/Code) div count({items})"), exact);
+    assert_probe(|items| format!("sum({items}/Code) div count({items})"));
 }
 
 /// Values every fragment holds (a fragment holds only its own sections:
@@ -145,8 +115,8 @@ fn distinct_values_are_distinct_across_fragments() {
     let probe = |items: &str| {
         format!("count(distinct-values(for $i in {items} return number($i/Code) mod 5))")
     };
-    assert_probe(probe, exact);
-    assert_probe(|items| format!("count(distinct-values({items}/Section))"), exact);
+    assert_probe(probe);
+    assert_probe(|items| format!("count(distinct-values({items}/Section))"));
 }
 
 /// A FragMode2 fragment keeps its own units in order, but not where they
@@ -154,21 +124,12 @@ fn distinct_values_are_distinct_across_fragments() {
 /// document holds every unit, and the joined string its every part.
 #[test]
 fn string_join_joins_every_fragment_in_document_order() {
-    let parts = |items: &[Item]| {
-        let joined = items.iter().map(Item::string_value).collect::<Vec<_>>().join(",");
-        let mut parts: Vec<&str> = joined.split(',').collect();
-        parts.sort_unstable();
-        format!("{} item(s): {}", items.len(), parts.join(","))
-    };
-    assert_probe(|items| format!(r#"string-join({items}/Section, ",")"#), parts);
+    assert_probe(|items| format!(r#"string-join({items}/Section, ",")"#));
 }
 
 #[test]
 fn order_by_orders_the_whole_answer() {
-    let probe = |items: &str| {
-        format!("for $i in {items} order by $i/Code descending return $i/Code")
-    };
-    assert_probe(probe, exact);
+    assert_probe(|items| format!("for $i in {items} order by $i/Code descending return $i/Code"));
 }
 
 #[test]
@@ -179,21 +140,10 @@ fn a_self_join_reads_every_fragment() {
                return count(for $b in {items} where $b/Section != $a/Section return $b)"#
         )
     };
-    assert_probe(probe, exact);
+    assert_probe(probe);
 }
 
 // ------------------------------------------------- pruning probes --
-
-/// `C_items` as the horizontal designs see it: `/Item/Code` is
-/// single-valued, so the analysis may find two atoms on it contradictory.
-fn items_collection() -> CollectionDef {
-    CollectionDef::new(
-        setup::DIST,
-        Arc::new(virtual_store()),
-        PathExpr::parse("/Store/Items/Item").unwrap(),
-        RepoKind::MultipleDocuments,
-    )
-}
 
 /// One `Item` per code (`None`: no `Code` at all), named by its position.
 fn items_with_codes(codes: &[Option<&str>]) -> Vec<Document> {
@@ -211,41 +161,47 @@ fn items_with_codes(codes: &[Option<&str>]) -> Vec<Document> {
         .collect()
 }
 
-/// Publish `codes` under `design`, one fragment per node, and ask for the
-/// names of the items passing `condition`: localization may prune only
-/// fragments that hold none of the centralized answer.
+/// Publish `codes` under `design` (items, or one store of them where the
+/// design is hybrid), one fragment per node, and ask for the names of the
+/// items passing `condition`: localization may prune only fragments that
+/// hold none of the centralized answer.
 fn assert_pruning_keeps_answers(
     design: FragmentationSchema,
     codes: &[Option<&str>],
     condition: &str,
 ) {
-    let names: Vec<String> = design.fragments.iter().map(|f| f.name.clone()).collect();
-    let px = PartiX::new(names.len(), NetworkModel::default());
-    for (node, name) in names.iter().enumerate() {
-        let db = &px.cluster().node(node).expect("node").db;
-        db.create_collection(name, StorageMode::Cold).expect("fresh node");
-    }
-    let placements = names
+    let placements: Vec<Placement> = design
+        .fragments
         .iter()
         .enumerate()
-        .map(|(node, name)| Placement { fragment: name.clone(), node })
+        .map(|(node, f)| Placement { fragment: f.name.clone(), node })
         .collect();
-    px.register_distribution(Distribution { design, placements }).expect("placement valid");
-    let docs = items_with_codes(codes);
-    px.publish(setup::DIST, &docs).expect("publish");
-    px.publish_centralized(0, setup::CENTRAL, &docs).expect("centralized copy");
-    let query = format!(
-        r#"for $i in collection("{}")/Item where {condition} return $i/Name"#,
-        setup::DIST
-    );
-    let dist = px.execute(&query).unwrap_or_else(|e| panic!("{query}: {e}"));
-    let cent = px.execute_centralized(0, &centralized_text(&query)).expect("centralized");
-    assert_eq!(
-        canonical(&dist.items),
-        canonical(&cent.items),
-        "{query}: fragments_pruned {}",
-        dist.report.fragments_pruned,
-    );
+    let mut docs = items_with_codes(codes);
+    let mut items = "/Item";
+    if design.collection.kind == RepoKind::SingleDocument {
+        let units: String = docs.iter().map(partix::xml::to_string).collect();
+        docs = vec![parse(&format!("<Store><Items>{units}</Items></Store>")).unwrap()];
+        docs[0].name = Some("store".into());
+        items = "/Store/Items/Item";
+    }
+    let px = cluster(placements.len(), design, placements, &docs, StorageMode::Cold);
+    let c = format!(r#"collection("{}"){items}"#, setup::DIST);
+    let query = format!("for $i in {c} where {condition} return $i/Name");
+    let on = On::new(px, Route::Buffered);
+    let verdict = check(&on, &query).unwrap_or_else(|e| panic!("{query}\n{e}"));
+    let pruned = verdict.report.map_or(0, |r| r.fragments_pruned);
+    assert!(verdict.answered, "{query}: fragments_pruned {pruned}");
+}
+
+/// `C_items` as the horizontal designs see it: `/Item/Code` is
+/// single-valued, so the analysis may find two atoms on it contradictory.
+fn items_collection() -> CollectionDef {
+    CollectionDef::new(
+        setup::DIST,
+        Arc::new(virtual_store()),
+        PathExpr::parse("/Store/Items/Item").unwrap(),
+        RepoKind::MultipleDocuments,
+    )
 }
 
 /// Horizontal fragments `f0`, `f1`, … of `C_items`, one per predicate.
@@ -256,6 +212,25 @@ fn code_design(predicates: &[&str]) -> FragmentationSchema {
         .map(|(i, p)| FragmentDef::horizontal(&format!("f{i}"), Predicate::parse(p).unwrap()))
         .collect();
     FragmentationSchema::new(items_collection(), fragments).expect("valid design")
+}
+
+/// Hybrid fragments of one `Store`'s items in `mode`, one per predicate
+/// over the unit, beside the store's spine.
+fn hybrid_code_design(predicates: &[&str], mode: FragMode) -> FragmentationSchema {
+    let units = PathExpr::parse("/Store/Items/Item").unwrap();
+    let mut fragments: Vec<FragmentDef> = predicates
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            FragmentDef::hybrid(&format!("f{i}"), units.clone(), Predicate::parse(p).unwrap(), mode)
+        })
+        .collect();
+    let store = PathExpr::parse("/Store").unwrap();
+    let items = PathExpr::parse("/Store/Items").unwrap();
+    fragments.push(FragmentDef::vertical("f_spine", store.clone(), vec![items]));
+    let collection =
+        CollectionDef::new(setup::DIST, Arc::new(virtual_store()), store, RepoKind::SingleDocument);
+    FragmentationSchema::new(collection, fragments).expect("valid design")
 }
 
 /// `05` is numerically 5 and textually not "5": a string `!=` does not
@@ -304,57 +279,133 @@ fn two_negated_atoms_both_hold_on_an_absent_node() {
 fn the_residual_fragment_of_a_value_design_holds_numeric_matches() {
     let code = PathExpr::parse("/Item/Code").unwrap();
     let sample = items_with_codes(&[Some("5"), Some("7")]);
-    let design =
-        partix::frag::horizontal_by_values(items_collection(), &code, &sample, 2).expect("design");
+    let design = partix::frag::horizontal_by_values(items_collection(), &code, &sample, 2);
+    let design = design.expect("design");
     assert_pruning_keeps_answers(design, &[Some("5"), Some("05"), Some("7")], "$i/Code = 5");
+}
+
+/// A FragMode1 unit whose `Code` is `05` sits in the fragment `Code < 10`
+/// defines, which a text `= "5"` does not contradict: `Code = 5` reads it.
+#[test]
+fn a_fragmode1_hybrid_keeps_the_unit_a_numeric_code_selects() {
+    let predicates = ["/Item/Code < 10", "not(/Item/Code < 10)"];
+    let design = hybrid_code_design(&predicates, FragMode::ManySmallDocs);
+    assert_pruning_keeps_answers(design, &[Some("05"), Some("abc"), Some("20")], "$i/Code = 5");
+}
+
+/// A FragMode2 unit whose `Code` is text sits in the negated range's
+/// fragment, and so does `05`; both pass `not(Code >= 10)`.
+#[test]
+fn a_fragmode2_hybrid_keeps_the_units_a_negated_range_holds() {
+    let predicates = ["/Item/Code >= 10", "not(/Item/Code >= 10)"];
+    let design = hybrid_code_design(&predicates, FragMode::SingleDoc);
+    let codes = [Some("05"), Some("abc"), Some("099"), None];
+    assert_pruning_keeps_answers(design, &codes, r#"not($i/Code >= 10) and $i/Code != "5""#);
+}
+
+// ---------------------------------------------- found by the generator --
+
+/// The articles of `xml`, named by position, under the spine and `cuts`
+/// (each pruned from the spine), one fragment per node.
+fn articles_under(cuts: &[&str], xml: &[&str]) -> On {
+    let path = |p: &str| PathExpr::parse(p).unwrap();
+    let cut: Vec<PathExpr> = cuts.iter().map(|c| path(c)).collect();
+    let mut fragments = vec![FragmentDef::vertical("f_spine", path("/article"), cut.clone())];
+    let piece = |(k, c): (usize, &PathExpr)| {
+        FragmentDef::vertical(&format!("f{k}"), c.clone(), vec![])
+    };
+    fragments.extend(cut.iter().enumerate().map(piece));
+    let (schema, kind) = (Arc::new(xbench_article()), RepoKind::MultipleDocuments);
+    let collection = CollectionDef::new(setup::DIST, schema, path("/article"), kind);
+    let design = FragmentationSchema::new(collection, fragments).expect("valid design");
+    let placements: Vec<Placement> = (design.fragments.iter().enumerate())
+        .map(|(node, f)| Placement { fragment: f.name.clone(), node })
+        .collect();
+    let docs: Vec<Document> = xml
+        .iter()
+        .enumerate()
+        .map(|(k, xml)| {
+            let mut doc = parse(xml).unwrap();
+            doc.name = Some(format!("a{k}"));
+            doc
+        })
+        .collect();
+    let px = cluster(placements.len(), design, placements, &docs, StorageMode::Cold);
+    On::new(px, Route::Buffered)
+}
+
+/// `keywords[2]` of a prolog is no node: re-rooted onto the fragment that
+/// holds the one `keywords`, the position was dropped and every
+/// `keywords` answered.
+#[test]
+fn a_position_past_the_first_selects_nothing_of_a_cut_node() {
+    let keywords = "<keywords><keyword>k</keyword></keywords>";
+    let prolog = format!("<prolog><title>t</title>{keywords}</prolog>");
+    let article = format!(r#"<article id="a">{prolog}</article>"#);
+    let on = articles_under(&["/article/prolog/keywords"], &[&article, &article]);
+    let c = format!(r#"collection("{}")/article"#, setup::DIST);
+    let second = [
+        format!("count({c}/prolog/keywords[2])"),
+        format!("for $a in {c} return $a/prolog/keywords[2]/keyword"),
+    ];
+    for query in second {
+        check(&on, &query).unwrap_or_else(|e| panic!("{query}\n{e}"));
+    }
+}
+
+/// An article lacking its body has no piece in the body's fragment, yet a
+/// `for` over the articles still binds it: a constructor returned per
+/// article is returned for it too.
+#[test]
+fn an_article_without_the_read_part_still_binds_its_for() {
+    let with = r#"<article id="a"><body><abstract>x</abstract></body></article>"#;
+    let without = r#"<article id="b"><prolog><title>t</title></prolog></article>"#;
+    let on = articles_under(&["/article/body"], &[with, without]);
+    let c = format!(r#"collection("{}")/article"#, setup::DIST);
+    let per_article = [
+        format!("for $a in {c} return <r>{{$a/body/abstract}}</r>"),
+        format!("for $a in {c}, $b in {c} return $a/body/abstract"),
+    ];
+    for query in per_article {
+        check(&on, &query).unwrap_or_else(|e| panic!("{query}\n{e}"));
+    }
+}
+
+/// A FragMode1 unit records where it sat in its store: the rebuilt store
+/// lists the units in document order, not fragment by fragment.
+#[test]
+fn a_fragmode1_store_is_rebuilt_in_document_order() {
+    let even = [
+        r#"/Item/Code = "2" or /Item/Code = "4""#,
+        r#"/Item/Code != "2" and /Item/Code != "4""#,
+    ];
+    let design = hybrid_code_design(&even, FragMode::ManySmallDocs);
+    let unit = |k| format!("<Item><Code>{k}</Code><Section>CD</Section></Item>");
+    let units: String = (1..=4).map(unit).collect();
+    let mut store = parse(&format!("<Store><Items>{units}</Items></Store>")).unwrap();
+    store.name = Some("store".into());
+    let placements = vec![
+        Placement { fragment: "f0".into(), node: 0 },
+        Placement { fragment: "f1".into(), node: 1 },
+        Placement { fragment: "f_spine".into(), node: 2 },
+    ];
+    let on = On::new(cluster(3, design, placements, &[store], StorageMode::Cold), Route::Buffered);
+    let query = format!(r#"string-join(collection("{}")/Store/Items/Item/Code, ",")"#, setup::DIST);
+    let verdict = check(&on, &query).unwrap_or_else(|e| panic!("{query}\n{e}"));
+    assert_eq!(verdict.form, common::Form::Exact);
 }
 
 // ------------------------------------------------------ faulted runs --
 
-/// Run `workload` on a faulted middleware: every query must either
-/// reproduce `oracle`'s canonical answer or fail with a typed error.
-/// Returns how many queries succeeded.
-fn assert_no_wrong_data(
-    px: &PartiX,
-    oracle: &[String],
-    workload: &[(&'static str, String)],
-    label: &str,
-) -> usize {
-    let mut ok = 0;
-    for (k, (id, query)) in workload.iter().enumerate() {
-        match px.execute_with(query, ExecOptions::default()) {
-            Ok(result) => {
-                assert_eq!(
-                    canonical(&result.items),
-                    oracle[k],
-                    "{label}/{id}: faulted run returned wrong data",
-                );
-                ok += 1;
-            }
-            // a typed error is an acceptable outcome under faults —
-            // wrong data never is
-            Err(_) => {}
-        }
-    }
-    ok
-}
-
 /// Replicated horizontal repository under seeded fault schedules: the
 /// schedule is identical per seed, answered queries are byte-identical
 /// to the oracle, and with 2 replicas per fragment a single faulty node
-/// cannot fail the workload.
+/// cannot fail the workload. Then the route over generated cases of every
+/// family, each fragment on two nodes under its case's plan.
 #[test]
 fn horizontal_under_faults_returns_oracle_answer_or_typed_error() {
     let docs = setup::quick_items(60);
     let workload = queries::horizontal(setup::DIST);
-    let clean = setup::horizontal(&docs, 4);
-    let oracle: Vec<String> = workload
-        .iter()
-        .map(|(id, q)| {
-            canonical(&clean.execute(q).unwrap_or_else(|e| panic!("{id}: {e}")).items)
-        })
-        .collect();
-
     for seed in [3u64, 0xBAD5EED, 0xC4A0_5EED] {
         let plan = FaultPlan::from_seed(seed, 4, 0.8);
         assert_eq!(
@@ -363,21 +414,11 @@ fn horizontal_under_faults_returns_oracle_answer_or_typed_error() {
             "schedule not reproducible for seed {seed:#x}",
         );
         // full cluster faulted: errors are allowed, wrong data is not
-        let px = setup::horizontal_replicated(&docs, 4, 2);
-        px.set_retry_policy(RetryPolicy {
-            timeout: Some(Duration::from_millis(200)),
-            ..RetryPolicy::default()
-        });
-        plan.install(&px);
-        assert_no_wrong_data(&px, &oracle, &workload, &format!("faulted-{seed:#x}"));
+        let on = On::new(setup::horizontal_replicated(&docs, 4, 2), Route::Faulted(plan.clone()));
+        assert_answers(&on, &workload, &format!("faulted-{seed:#x}"));
 
         // a single faulty node against 2 replicas: failover must answer
         // every query
-        let single = setup::horizontal_replicated(&docs, 4, 2);
-        single.set_retry_policy(RetryPolicy {
-            timeout: Some(Duration::from_millis(200)),
-            ..RetryPolicy::default()
-        });
         let mut one_node = plan.clone();
         for (node, faults) in one_node.node_faults.iter_mut().enumerate() {
             if node != 0 {
@@ -385,19 +426,15 @@ fn horizontal_under_faults_returns_oracle_answer_or_typed_error() {
             }
         }
         one_node.node_faults[0] = FaultPlan::from_seed(seed, 4, 1.0).node_faults[0].clone();
-        one_node.install(&single);
-        let ok = assert_no_wrong_data(
-            &single,
-            &oracle,
-            &workload,
-            &format!("single-{seed:#x}"),
-        );
+        let on = On::new(setup::horizontal_replicated(&docs, 4, 2), Route::Faulted(one_node));
+        let ok = assert_answers(&on, &workload, &format!("single-{seed:#x}"));
         assert_eq!(
             ok,
             workload.len(),
             "seed {seed:#x}: a single faulty node failed queries despite replication",
         );
     }
+    for_cases(&FAMILIES, 24, |case| check_case(case, Route::faulted(case.seed)).map(drop));
 }
 
 /// Unreplicated vertical design under faults: degraded availability may
@@ -405,21 +442,9 @@ fn horizontal_under_faults_returns_oracle_answer_or_typed_error() {
 #[test]
 fn vertical_under_faults_never_returns_wrong_data() {
     let docs = partix::gen::gen_articles(8, ArticleProfile::SMALL, 41);
-    let workload = queries::vertical(setup::DIST);
-    let clean = setup::vertical(&docs);
-    let oracle: Vec<String> = workload
-        .iter()
-        .map(|(id, q)| {
-            canonical(&clean.execute(q).unwrap_or_else(|e| panic!("{id}: {e}")).items)
-        })
-        .collect();
-    let px = setup::vertical(&docs);
-    px.set_retry_policy(RetryPolicy {
-        timeout: Some(Duration::from_millis(200)),
-        ..RetryPolicy::default()
-    });
-    FaultPlan::from_seed(0xD1FF, 3, 0.7).install(&px);
-    assert_no_wrong_data(&px, &oracle, &workload, "vert-faulted");
+    let plan = FaultPlan::from_seed(0xD1FF, 3, 0.7);
+    let on = On::new(setup::vertical(&docs), Route::Faulted(plan));
+    assert_answers(&on, &queries::vertical(setup::DIST), "vert-faulted");
 }
 
 /// A query that reads several fragments — rebuilt from fetches, or an
@@ -448,22 +473,14 @@ fn reconstruction_under_faults_retries_or_fails_typed() {
     assert!(workload.len() >= 4, "QV4/QV7/QV8/QV10 read several fragments");
     // QV7 reads the body and the prolog only
     assert_eq!(reads_epilog.iter().filter(|reads| !**reads).count(), 1);
-    let faulted = || {
-        let px = setup::vertical(&docs);
-        px.set_retry_policy(RetryPolicy {
-            timeout: Some(Duration::from_millis(200)),
-            ..RetryPolicy::default()
-        });
-        px
-    };
 
     for seed in [3u64, 0xD1FF, 0xBAD5EED] {
-        let px = faulted();
-        let injectors = FaultPlan::from_seed(seed, 3, 1.0).install(&px);
-        assert_no_wrong_data(&px, &oracle, &workload, &format!("rebuild-{seed:#x}"));
+        let plan = FaultPlan::from_seed(seed, 3, 1.0);
+        let on = On::new(setup::vertical(&docs), Route::Faulted(plan));
+        assert_answers(&on, &workload, &format!("rebuild-{seed:#x}"));
         // node 0 holds the spine, the first fragment each of these
         // queries reads: its injector saw each of those calls
-        let spine = injectors[0].as_ref().expect("rate 1.0 faults every node");
+        let spine = on.injectors[0].as_ref().expect("rate 1.0 faults every node");
         assert!(
             spine.stats().calls >= workload.len(),
             "seed {seed:#x}: fetches bypassed the injector",
@@ -472,26 +489,22 @@ fn reconstruction_under_faults_retries_or_fails_typed() {
 
     // f_body's only node answers every other call: the failed fetch is
     // retried on it and the answer is unharmed
-    let px = faulted();
-    FaultInjector::install(
-        px.cluster().node(1).expect("node 1"),
-        vec![Fault::FlipFlop { up: 1, down: 1 }],
-    );
+    let px = setup::vertical(&docs);
+    let flapping = vec![Fault::FlipFlop { up: 1, down: 1 }];
+    FaultInjector::install(px.cluster().node(1).expect("node 1"), flapping);
+    let on = On::new(px, Route::Buffered);
     let mut retries = 0;
-    for (k, (id, query)) in workload.iter().enumerate() {
-        let result = px.execute(query).unwrap_or_else(|e| panic!("flapping/{id}: {e}"));
-        assert_eq!(canonical(&result.items), oracle[k], "flapping/{id}");
-        retries += result.report.retries;
+    for (id, query) in &workload {
+        let verdict = check(&on, query).unwrap_or_else(|e| panic!("flapping/{id}: {e}"));
+        retries += verdict.report.map_or(0, |r| r.retries);
     }
     assert!(retries > 0, "no fetch was retried");
 
     // f_epilog's only node rejects every call: a typed error to the
     // queries that read it, the oracle's answer to the one that does not
-    let px = faulted();
-    FaultInjector::install(
-        px.cluster().node(2).expect("node 2"),
-        vec![Fault::ErrorAfter { ok_calls: 0 }],
-    );
+    let px = setup::vertical(&docs);
+    let wedged = vec![Fault::ErrorAfter { ok_calls: 0 }];
+    FaultInjector::install(px.cluster().node(2).expect("node 2"), wedged);
     for (k, (id, query)) in workload.iter().enumerate() {
         match px.execute(query) {
             Err(PartixError::SubQuery { node: 2, .. }) if reads_epilog[k] => {}

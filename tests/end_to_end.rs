@@ -2,11 +2,14 @@
 //! all three fragmentation families, with equivalence against the
 //! centralized baseline at every step.
 
-use partix::engine::{Distribution, NetworkModel, PartiX, Placement};
-use partix::frag::{FragMode, FragmentDef, FragmentationSchema};
-use partix::gen::{gen_articles, gen_items, gen_store, ArticleProfile, ItemProfile};
+mod common;
+
+use common::gen::Family;
+use common::{route_holds, Route};
+use partix::engine::{DispatchMode, Distribution, NetworkModel, PartiX, Placement};
+use partix::frag::{FragmentDef, FragmentationSchema};
+use partix::gen::{gen_items, ItemProfile};
 use partix::path::{PathExpr, Predicate};
-use partix::query::Item;
 use partix::schema::{builtin, CollectionDef, RepoKind};
 use partix::xml::Document;
 use std::sync::Arc;
@@ -19,197 +22,49 @@ fn pr(s: &str) -> Predicate {
     Predicate::parse(s).unwrap()
 }
 
-fn multiset(items: &[Item]) -> Vec<String> {
-    let mut v: Vec<String> = items.iter().map(Item::serialize).collect();
-    v.sort();
-    v
-}
-
-/// Distributed answers must equal centralized answers for a spread of
-/// query shapes over a horizontally fragmented collection.
+/// Generate → fragment → publish → stream: over horizontal designs the
+/// distributed answer, streamed in process, is the centralized one.
 #[test]
 fn horizontal_distributed_equals_centralized() {
-    let docs = gen_items(200, ItemProfile::Small, 1);
-    let px = PartiX::new(4, NetworkModel::default());
-    let citems = CollectionDef::new(
-        "items",
-        Arc::new(builtin::virtual_store()),
-        p("/Store/Items/Item"),
-        RepoKind::MultipleDocuments,
-    );
-    let groups: [&[&str]; 4] = [
-        &["CD", "DVD"],
-        &["BOOK", "ELECTRONICS"],
-        &["TOY", "GAME"],
-        &["SPORT", "GARDEN"],
-    ];
-    let fragments = groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| {
-            let atoms: Vec<Predicate> = g
-                .iter()
-                .map(|s| pr(&format!(r#"/Item/Section = "{s}""#)))
-                .collect();
-            FragmentDef::horizontal(&format!("f{i}"), Predicate::Or(atoms))
-        })
-        .collect();
-    let design = FragmentationSchema::new(citems, fragments).unwrap();
-    px.register_distribution(Distribution {
-        design,
-        placements: (0..4)
-            .map(|i| Placement { fragment: format!("f{i}"), node: i })
-            .collect(),
-    })
-    .unwrap();
-    px.publish("items", &docs).unwrap();
-    px.publish_centralized(0, "central", &docs).unwrap();
-
-    let queries = [
-        r#"for $i in collection("items")/Item where $i/Section = "TOY" return $i/Code"#,
-        r#"for $i in collection("items")/Item where contains($i//Description, "good") return $i/Name"#,
-        r#"count(for $i in collection("items")/Item return $i)"#,
-        r#"sum(for $i in collection("items")/Item return number($i/Code))"#,
-        r#"min(for $i in collection("items")/Item return number($i/Code))"#,
-        r#"max(for $i in collection("items")/Item return number($i/Code))"#,
-        r#"avg(for $i in collection("items")/Item return number($i/Code))"#,
-        r#"for $i in collection("items")/Item where exists($i/Release) return $i/Code"#,
-        r#"for $i in collection("items")/Item
-           where $i/Section = "CD" and contains($i//Description, "good")
-           return <hit>{$i/Name}</hit>"#,
-        r#"count(collection("items")//Description)"#,
-    ];
-    for q in queries {
-        let dist = px.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
-        let cent = px
-            .execute_centralized(0, &q.replace("\"items\"", "\"central\""))
-            .unwrap();
-        assert_eq!(multiset(&dist.items), multiset(&cent.items), "{q}");
-    }
+    route_holds(&[Family::Horizontal], 16, |_| Route::Streamed(DispatchMode::Simulated));
 }
 
-/// Vertical fragmentation: every query shape agrees with centralized,
-/// whether answered by rewrite or by reconstruction.
+/// Vertical fragmentation: every query agrees with centralized, whether
+/// answered by rewrite, per fragment or by reconstruction.
 #[test]
 fn vertical_distributed_equals_centralized() {
-    let docs = gen_articles(25, ArticleProfile::SMALL, 2);
-    let px = PartiX::new(3, NetworkModel::default());
-    let articles = CollectionDef::new(
-        "articles",
-        Arc::new(builtin::xbench_article()),
-        p("/article"),
-        RepoKind::MultipleDocuments,
-    );
-    let design = FragmentationSchema::new(
-        articles,
-        vec![
-            FragmentDef::vertical(
-                "f_spine",
-                p("/article"),
-                vec![p("/article/prolog"), p("/article/body"), p("/article/epilog")],
-            ),
-            FragmentDef::vertical("f_prolog", p("/article/prolog"), vec![]),
-            FragmentDef::vertical("f_body", p("/article/body"), vec![]),
-            FragmentDef::vertical("f_epilog", p("/article/epilog"), vec![]),
-        ],
-    )
-    .unwrap();
-    px.register_distribution(Distribution {
-        design,
-        placements: vec![
-            Placement { fragment: "f_spine".into(), node: 0 },
-            Placement { fragment: "f_prolog".into(), node: 0 },
-            Placement { fragment: "f_body".into(), node: 1 },
-            Placement { fragment: "f_epilog".into(), node: 2 },
-        ],
-    })
-    .unwrap();
-    px.publish("articles", &docs).unwrap();
-    px.publish_centralized(0, "central", &docs).unwrap();
-
-    let queries = [
-        r#"for $t in collection("articles")/article/prolog/title return $t"#,
-        r#"count(collection("articles")/article/prolog/authors/author)"#,
-        r#"for $p in collection("articles")/article/prolog where $p/genre = "science" return $p/title"#,
-        r#"for $a in collection("articles")/article return ($a/prolog/title, $a/epilog/country)"#,
-        r#"for $a in collection("articles")/article
-           where contains($a/body/abstract, "good") return $a/prolog/title"#,
-        r#"sum(for $e in collection("articles")/article/epilog return number($e/word_count))"#,
-        r#"count(collection("articles")//p)"#,
-        r#"for $a in collection("articles")/article where $a/@id = "a3" return $a/prolog/title"#,
-    ];
-    for q in queries {
-        let dist = px.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
-        let cent = px
-            .execute_centralized(0, &q.replace("\"articles\"", "\"central\""))
-            .unwrap();
-        assert_eq!(multiset(&dist.items), multiset(&cent.items), "{q}");
-    }
+    route_holds(&[Family::Vertical], 16, |_| Route::Streamed(DispatchMode::Simulated));
 }
 
 /// Hybrid fragmentation, both storage modes, agrees with centralized.
 #[test]
 fn hybrid_distributed_equals_centralized() {
-    let store = gen_store(80, ItemProfile::Small, 3);
-    for mode in [FragMode::SingleDoc, FragMode::ManySmallDocs] {
-        let px = PartiX::new(3, NetworkModel::default());
-        let cstore = CollectionDef::new(
-            "store",
-            Arc::new(builtin::virtual_store()),
-            p("/Store"),
-            RepoKind::SingleDocument,
-        );
-        let design = FragmentationSchema::new(
-            cstore,
-            vec![
-                FragmentDef::hybrid(
-                    "f_cd",
-                    p("/Store/Items/Item"),
-                    pr(r#"/Item/Section = "CD""#),
-                    mode,
-                ),
-                FragmentDef::hybrid(
-                    "f_rest",
-                    p("/Store/Items/Item"),
-                    pr(r#"not(/Item/Section = "CD")"#),
-                    mode,
-                ),
-                FragmentDef::vertical("f_spine", p("/Store"), vec![p("/Store/Items")]),
-            ],
-        )
-        .unwrap();
-        px.register_distribution(Distribution {
-            design,
-            placements: vec![
-                Placement { fragment: "f_cd".into(), node: 0 },
-                Placement { fragment: "f_rest".into(), node: 1 },
-                Placement { fragment: "f_spine".into(), node: 2 },
-            ],
-        })
-        .unwrap();
-        px.publish("store", std::slice::from_ref(&store)).unwrap();
-        px.publish_centralized(0, "central", std::slice::from_ref(&store)).unwrap();
+    route_holds(&[Family::Hybrid], 16, |_| Route::Streamed(DispatchMode::Simulated));
+}
 
-        let queries = [
-            r#"for $i in collection("store")/Store/Items/Item where $i/Section = "CD" return $i/Name"#,
-            r#"count(for $i in collection("store")/Store/Items/Item return $i)"#,
-            r#"for $s in collection("store")/Store/Sections/Section return $s/Name"#,
-            r#"for $e in collection("store")/Store/Employees/Employee return $e/Name"#,
-            r#"count(for $i in collection("store")/Store/Items/Item
-                     where contains($i//Description, "good") return $i)"#,
-        ];
-        for q in queries {
-            let dist = px.execute(q).unwrap_or_else(|e| panic!("{mode:?} {q}: {e}"));
-            let cent = px
-                .execute_centralized(0, &q.replace("\"store\"", "\"central\""))
-                .unwrap();
-            assert_eq!(
-                multiset(&dist.items),
-                multiset(&cent.items),
-                "{mode:?} {q}"
-            );
-        }
-    }
+/// `C_items` in `f_cd` (node 0) and `f_rest` (node 1), nothing published.
+fn cd_and_rest() -> PartiX {
+    let px = PartiX::new(2, NetworkModel::default());
+    let design = FragmentationSchema::new(
+        citems(),
+        vec![
+            FragmentDef::horizontal("f_cd", pr(r#"/Item/Section = "CD""#)),
+            FragmentDef::horizontal("f_rest", pr(r#"not(/Item/Section = "CD")"#)),
+        ],
+    )
+    .unwrap();
+    let placements = vec![
+        Placement { fragment: "f_cd".into(), node: 0 },
+        Placement { fragment: "f_rest".into(), node: 1 },
+    ];
+    px.register_distribution(Distribution { design, placements }).unwrap();
+    px
+}
+
+fn citems() -> CollectionDef {
+    let items = p("/Store/Items/Item");
+    let (schema, kind) = (Arc::new(builtin::virtual_store()), RepoKind::MultipleDocuments);
+    CollectionDef::new("items", schema, items, kind)
 }
 
 /// A fragmented node database survives a save/load cycle and still
@@ -217,29 +72,7 @@ fn hybrid_distributed_equals_centralized() {
 #[test]
 fn persistence_of_fragmented_nodes() {
     let docs = gen_items(60, ItemProfile::Small, 4);
-    let px = PartiX::new(2, NetworkModel::default());
-    let citems = CollectionDef::new(
-        "items",
-        Arc::new(builtin::virtual_store()),
-        p("/Store/Items/Item"),
-        RepoKind::MultipleDocuments,
-    );
-    let design = FragmentationSchema::new(
-        citems,
-        vec![
-            FragmentDef::horizontal("f_cd", pr(r#"/Item/Section = "CD""#)),
-            FragmentDef::horizontal("f_rest", pr(r#"not(/Item/Section = "CD")"#)),
-        ],
-    )
-    .unwrap();
-    px.register_distribution(Distribution {
-        design,
-        placements: vec![
-            Placement { fragment: "f_cd".into(), node: 0 },
-            Placement { fragment: "f_rest".into(), node: 1 },
-        ],
-    })
-    .unwrap();
+    let px = cd_and_rest();
     px.publish("items", &docs).unwrap();
 
     let dir = std::env::temp_dir().join(format!("partix-e2e-{}", std::process::id()));
@@ -263,14 +96,8 @@ fn persistence_of_fragmented_nodes() {
 #[test]
 fn full_data_path_lossless() {
     let docs = gen_items(30, ItemProfile::Large, 5);
-    let citems = CollectionDef::new(
-        "items",
-        Arc::new(builtin::virtual_store()),
-        p("/Store/Items/Item"),
-        RepoKind::MultipleDocuments,
-    );
     let design = FragmentationSchema::new(
-        citems,
+        citems(),
         vec![
             FragmentDef::vertical(
                 "f_main",
@@ -311,29 +138,7 @@ fn full_data_path_lossless() {
 #[test]
 fn node_failure_and_recovery() {
     let docs = gen_items(40, ItemProfile::Small, 6);
-    let px = PartiX::new(2, NetworkModel::default());
-    let citems = CollectionDef::new(
-        "items",
-        Arc::new(builtin::virtual_store()),
-        p("/Store/Items/Item"),
-        RepoKind::MultipleDocuments,
-    );
-    let design = FragmentationSchema::new(
-        citems,
-        vec![
-            FragmentDef::horizontal("f_cd", pr(r#"/Item/Section = "CD""#)),
-            FragmentDef::horizontal("f_rest", pr(r#"not(/Item/Section = "CD")"#)),
-        ],
-    )
-    .unwrap();
-    px.register_distribution(Distribution {
-        design,
-        placements: vec![
-            Placement { fragment: "f_cd".into(), node: 0 },
-            Placement { fragment: "f_rest".into(), node: 1 },
-        ],
-    })
-    .unwrap();
+    let px = cd_and_rest();
     px.publish("items", &docs).unwrap();
 
     px.cluster().node(1).unwrap().set_available(false);
@@ -354,29 +159,7 @@ fn pluggable_driver_with_fault_injection() {
     use partix::engine::{Fault, FaultInjector, PartixDriver};
 
     let docs = gen_items(20, ItemProfile::Small, 9);
-    let px = PartiX::new(2, NetworkModel::default());
-    let citems = CollectionDef::new(
-        "items",
-        Arc::new(builtin::virtual_store()),
-        p("/Store/Items/Item"),
-        RepoKind::MultipleDocuments,
-    );
-    let design = FragmentationSchema::new(
-        citems,
-        vec![
-            FragmentDef::horizontal("f_cd", pr(r#"/Item/Section = "CD""#)),
-            FragmentDef::horizontal("f_rest", pr(r#"not(/Item/Section = "CD")"#)),
-        ],
-    )
-    .unwrap();
-    px.register_distribution(Distribution {
-        design,
-        placements: vec![
-            Placement { fragment: "f_cd".into(), node: 0 },
-            Placement { fragment: "f_rest".into(), node: 1 },
-        ],
-    })
-    .unwrap();
+    let px = cd_and_rest();
 
     // install a standalone database as node 1's driver, wrapped in a fault
     // injector that serves one query, BEFORE publishing, so the publisher

@@ -5,13 +5,17 @@
 //! must be a *typed* admission error (code + retry hint), and a
 //! rejection must leave the next answer equal to the oracle's. Both
 //! transports are covered: the in-process engine path and loopback TCP
-//! on the `PXN1` node protocol and the `PXN2` streaming protocol.
+//! at both endpoints of the one `PXN2` protocol — the node leg and the
+//! coordinator's streams.
 
 use partix::engine::{
     AdmissionConfig, AdmissionController, ExecOptions, FaultPlan, PartiX, PartixError,
     PriorityClass, RetryPolicy, Tenancy, TenantId, TenantQuotas, TenantRegistry, TenantSpec,
 };
-use partix_bench::oracle::{canonical, centralized_text};
+mod common;
+
+use common::check_answer;
+use partix_bench::oracle::canonical;
 use partix_bench::setup;
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,36 +69,23 @@ fn flooded_tenants_get_oracle_answers_or_typed_rejections() {
     let px = setup::horizontal(&docs, 4);
     let (frontend, analytics, _) = attach_two_tenants(&px);
     let workload = partix_bench::queries::horizontal(setup::DIST);
-    let oracle: Vec<String> = workload
-        .iter()
-        .map(|(id, q)| {
-            canonical(
-                &px.execute_centralized(0, &centralized_text(q))
-                    .unwrap_or_else(|e| panic!("{id} oracle: {e}"))
-                    .items,
-            )
-        })
-        .collect();
 
     let run_clients = |tenant: TenantId, clients: usize| -> (usize, usize) {
         let admitted = std::sync::atomic::AtomicUsize::new(0);
         let rejected = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for client in 0..clients {
-                let (px, workload, oracle) = (&px, &workload, &oracle);
+                let (px, workload) = (&px, &workload);
                 let (admitted, rejected) = (&admitted, &rejected);
                 scope.spawn(move || {
                     for k in 0..workload.len() {
                         let idx = (client + k) % workload.len();
-                        match px.execute_with(&workload[idx].1, as_tenant(tenant)) {
+                        let (id, query) = &workload[idx];
+                        match px.execute_with(query, as_tenant(tenant)) {
                             Ok(result) => {
                                 admitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                assert_eq!(
-                                    canonical(&result.items),
-                                    oracle[idx],
-                                    "{}: admitted answer diverges from oracle",
-                                    workload[idx].0,
-                                );
+                                check_answer(px, query, &result.items)
+                                    .unwrap_or_else(|e| panic!("{id}: admitted answer: {e}"));
                             }
                             Err(PartixError::AdmissionRejected {
                                 tenant, retry_after_ms, reason,
@@ -171,30 +162,17 @@ fn faulted_multitenant_returns_oracle_answer_or_typed_error() {
     });
     let (frontend, analytics, _) = attach_two_tenants(&px);
     let workload = partix_bench::queries::horizontal(setup::DIST);
-    let oracle: Vec<String> = workload
-        .iter()
-        .map(|(id, q)| {
-            canonical(
-                &px.execute_centralized(0, &centralized_text(q))
-                    .unwrap_or_else(|e| panic!("{id} oracle: {e}"))
-                    .items,
-            )
-        })
-        .collect();
 
     let plan = FaultPlan::from_seed(0x007E_4A17, 4, 0.5);
     let _injectors = plan.install(&px);
     let mut answered = 0usize;
     for (round, tenant) in [frontend, analytics, frontend].into_iter().enumerate() {
-        for (k, (id, q)) in workload.iter().enumerate() {
+        for (id, q) in &workload {
             match px.execute_with(q, as_tenant(tenant)) {
                 Ok(result) => {
                     answered += 1;
-                    assert_eq!(
-                        canonical(&result.items),
-                        oracle[k],
-                        "round {round}/{id}: faulted answer diverges from oracle",
-                    );
+                    check_answer(&px, q, &result.items)
+                        .unwrap_or_else(|e| panic!("round {round}/{id}: faulted answer: {e}"));
                 }
                 // typed engine errors are the accepted outcome under
                 // faults; admission rejections stay possible for the
@@ -240,18 +218,15 @@ fn a_held_slot_is_a_typed_rejection_and_the_next_answer_matches_oracle() {
     }
     drop(held);
     let verdict = px.execute_with(&q2, as_tenant(frontend)).expect("frontend after flood");
-    assert_eq!(
-        canonical(&verdict.items),
-        canonical(&px.execute_centralized(0, &centralized_text(&q2)).expect("oracle").items),
-        "answer after the rejection storm diverges from oracle",
-    );
+    check_answer(&px, &q2, &verdict.items)
+        .unwrap_or_else(|e| panic!("answer after the rejection storm: {e}"));
 }
 
-/// Loopback TCP, `PXN1` node protocol: `ExecuteAs` admitted answers are
+/// Loopback TCP, the node leg: `ExecuteAs` admitted answers are
 /// byte-identical to direct database execution; over-quota and unknown
 /// tenants get typed wire errors with the right code and retry hint.
 #[test]
-fn pxn1_loopback_gates_tenants_with_typed_wire_errors() {
+fn node_loopback_gates_tenants_with_typed_wire_errors() {
     use partix::storage::Database;
     use partix_net::{ErrorCode, NodeServer, RemoteDriver, ServerConfig, ServerTenancy};
 
@@ -302,7 +277,7 @@ fn pxn1_loopback_gates_tenants_with_typed_wire_errors() {
     assert!(err.message.contains("unknown tenant"), "{}", err.message);
 }
 
-/// Loopback TCP, `PXN2` streaming protocol: the tenant header flows to
+/// Loopback TCP, the coordinator's streams: the tenant header flows to
 /// the coordinator's engine-side admission, and rejections surface as
 /// typed [`StreamCallError::Remote`] verdicts with the right code.
 #[test]

@@ -3,44 +3,33 @@
 //! * parse ∘ serialize = id and binary encode ∘ decode = id for random
 //!   documents;
 //! * fragmentation correctness (completeness / disjointness /
-//!   reconstruction) for random documents and random fragment designs;
-//! * distributed query answers equal centralized answers for random
-//!   workloads;
+//!   reconstruction) for every design the one generator draws;
+//! * distributed query answers equal centralized answers for generated
+//!   cases of every family;
 //! * a reconstruction that reads only what the query reads — fragments
 //!   pruned by footprint, fetches filtered at the node — answers as the
 //!   one that fetches everything does, and as the centralized run, over
-//!   random vertical designs, collections and queries;
-//! * fault tolerance: random fault schedules against replicated
-//!   repositories never fail (replication ≥ 2, one faulty node) and
+//!   generated vertical cases;
+//! * fault tolerance: seeded fault schedules against replicated
+//!   repositories never fail (replication 2, one faulty node) and
 //!   `allow_partial` reports exactly the fragments that lost every
 //!   replica.
 //!
 //! `PARTIX_PROPTEST_CASES` overrides every block's case count so CI can
 //! dial the effort.
 
-use partix::engine::{
-    Distribution, ExecOptions, Fault, FaultPlan, NetworkModel, PartiX, PartixError, Placement,
-};
-use partix::frag::{check_correctness, FragMode, FragmentDef, Fragmenter, FragmentationSchema};
-use partix::gen::ItemProfile;
-use partix::path::{PathExpr, Predicate};
-use partix::query::{parse_query, Evaluator, Item, MemProvider};
-use partix::schema::{builtin, CollectionDef, RepoKind};
-use partix::xml::{binary, parse, to_string, to_string_pretty, DocBuilder, Document};
-use proptest::prelude::*;
-use std::sync::Arc;
+mod common;
 
-/// Per-block case budget, overridable with `PARTIX_PROPTEST_CASES`.
-fn cases(default_cases: u32) -> ProptestConfig {
-    std::env::var("PARTIX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(ProptestConfig::with_cases)
-        .unwrap_or_else(|| ProptestConfig::with_cases(default_cases))
-}
+use common::gen::{Case, Family, FAMILIES};
+use common::{cases, check, for_cases, message, route_holds, Form, On, Route};
+use partix::engine::{DispatchMode, ExecOptions, FaultPlan, PartiX, QueryReport};
+use partix::query::{parse_query, Evaluator, Item, MemProvider};
+use partix::xml::{binary, parse, to_string, to_string_pretty, DocBuilder, Document};
+use partix_bench::oracle::canonical;
+use partix_bench::setup::DIST;
+use proptest::prelude::*;
 
 // ---------------------------------------------------------------- XML --
-
 /// Strategy: a random labelled tree, depth ≤ 3, fanout ≤ 4.
 fn arb_document() -> impl Strategy<Value = Document> {
     fn label() -> impl Strategy<Value = String> {
@@ -131,531 +120,63 @@ proptest! {
     }
 }
 
+
 // ------------------------------------------------------- fragmentation --
 
-/// A small random item document shaped like the paper's `Item` type.
-fn arb_item(i: usize, section: &str, good: bool, pictures: usize) -> Document {
-    let mut b = DocBuilder::new("Item")
-        .named(&format!("i{i:03}"))
-        .leaf("Code", &i.to_string())
-        .leaf("Name", &format!("item {i}"))
-        .leaf(
-            "Description",
-            if good { "a good thing" } else { "a plain thing" },
-        )
-        .leaf("Section", section);
-    if pictures > 0 {
-        b = b.open("PictureList");
-        for p in 0..pictures {
-            b = b
-                .open("Picture")
-                .leaf("Name", &format!("p{p}"))
-                .leaf("Description", "pic")
-                .leaf("ModificationDate", "2005-01-01")
-                .leaf("OriginalPath", &format!("/o/{p}"))
-                .leaf("ThumbPath", &format!("/t/{p}"))
-                .close();
+/// Every horizontal and hybrid design the generator draws is complete,
+/// disjoint and reconstructs its documents.
+#[test]
+fn horizontal_correctness_holds() {
+    for_cases(&[Family::Horizontal, Family::Hybrid], 48, |case| {
+        let report = case.correctness();
+        report.is_correct().then_some(()).ok_or_else(|| format!("{:?}", report.violations))
+    });
+}
+
+/// Every vertical design the generator draws is correct and rebuilds
+/// each document exactly, whichever parts it lacks.
+#[test]
+fn vertical_correctness_holds() {
+    for_cases(&[Family::Vertical], 48, |case| {
+        let report = case.correctness();
+        if !report.is_correct() {
+            return Err(format!("{:?}", report.violations));
         }
-        b = b.close();
-    }
-    b.build()
-}
-
-fn arb_items() -> impl Strategy<Value = Vec<Document>> {
-    prop::collection::vec(
-        (
-            prop::sample::select(vec!["CD", "DVD", "BOOK", "TOY"]),
-            any::<bool>(),
-            0usize..3,
-        ),
-        1..20,
-    )
-    .prop_map(|specs| {
-        specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (section, good, pictures))| arb_item(i, section, good, pictures))
-            .collect()
-    })
-}
-
-fn citems() -> CollectionDef {
-    CollectionDef::new(
-        "items",
-        Arc::new(builtin::virtual_store()),
-        PathExpr::parse("/Store/Items/Item").unwrap(),
-        RepoKind::MultipleDocuments,
-    )
-}
-
-proptest! {
-    #![proptest_config(cases(48))]
-
-    /// Any partition of the section space yields a correct horizontal
-    /// fragmentation, and reconstruction restores the collection.
-    #[test]
-    fn horizontal_correctness_holds(docs in arb_items(), split in 1usize..4) {
-        let sections = ["CD", "DVD", "BOOK", "TOY"];
-        let (left, right) = sections.split_at(split);
-        let make = |name: &str, group: &[&str]| {
-            let atoms: Vec<Predicate> = group
-                .iter()
-                .map(|s| Predicate::parse(&format!(r#"/Item/Section = "{s}""#)).unwrap())
-                .collect();
-            FragmentDef::horizontal(
-                name,
-                if atoms.len() == 1 { atoms[0].clone() } else { Predicate::Or(atoms) },
-            )
-        };
-        let design = FragmentationSchema::new(
-            citems(),
-            vec![make("f_left", left), make("f_right", right)],
-        ).unwrap();
-        let fragments = Fragmenter::new(design.clone()).fragment_all(&docs);
-        let report = check_correctness(&design, &docs, &fragments);
-        prop_assert!(report.is_correct(), "{:?}", report.violations);
-    }
-
-    /// Vertical prune/project pairs are correct and reconstruct exactly,
-    /// for documents with and without the optional subtree.
-    #[test]
-    fn vertical_correctness_holds(docs in arb_items()) {
-        let design = FragmentationSchema::new(
-            citems(),
-            vec![
-                FragmentDef::vertical(
-                    "f_main",
-                    PathExpr::parse("/Item").unwrap(),
-                    vec![PathExpr::parse("/Item/PictureList").unwrap()],
-                ),
-                FragmentDef::vertical(
-                    "f_pics",
-                    PathExpr::parse("/Item/PictureList").unwrap(),
-                    vec![],
-                ),
-            ],
-        ).unwrap();
-        let fragments = Fragmenter::new(design.clone()).fragment_all(&docs);
-        let report = check_correctness(&design, &docs, &fragments);
-        prop_assert!(report.is_correct(), "{:?}", report.violations);
-        let rebuilt =
-            partix::frag::correctness::reconstruct_any(&design, &fragments).unwrap();
-        prop_assert_eq!(rebuilt.len(), docs.len());
-        for (a, b) in docs.iter().zip(&rebuilt) {
-            prop_assert_eq!(a, b);
-        }
-    }
+        let fragments = partix::frag::Fragmenter::new(case.design.clone()).fragment_all(&case.docs);
+        let rebuilt = partix::frag::correctness::reconstruct_any(&case.design, &fragments)?;
+        (rebuilt == case.docs).then_some(()).ok_or_else(|| "rebuilt documents differ".to_owned())
+    });
 }
 
 // ------------------------------------------------- distributed queries --
 
-#[derive(Debug, Clone)]
-enum QueryShape {
-    SectionEq(&'static str),
-    ContainsGood,
-    CountBySection(&'static str),
-    SumCodes,
-    HasPictures,
-    Everything,
-    // shapes the coordinator composes: pushed aggregates under a remainder,
-    // or the query run over rebuilt documents
-    Exists,
-    CountAbove(usize),
-    MeanCode,
-    DistinctResidues,
-    JoinedSections,
-    OrderedCodes,
-    SelfJoin,
+/// For the fixed bench workloads and then generated cases of every family
+/// — complete, disjoint horizontal predicate sets, vertical cuts with
+/// prunes, FragMode1 and FragMode2 hybrids — the buffered distributed
+/// answer is the centralized one.
+#[test]
+fn distributed_equals_centralized() {
+    route_holds(&FAMILIES, 32, |_| Route::Buffered);
 }
 
-fn arb_query() -> impl Strategy<Value = QueryShape> {
-    prop_oneof![
-        prop::sample::select(vec!["CD", "DVD", "BOOK", "TOY"]).prop_map(QueryShape::SectionEq),
-        Just(QueryShape::ContainsGood),
-        prop::sample::select(vec!["CD", "TOY"]).prop_map(QueryShape::CountBySection),
-        Just(QueryShape::SumCodes),
-        Just(QueryShape::HasPictures),
-        Just(QueryShape::Everything),
-        Just(QueryShape::Exists),
-        (0usize..8).prop_map(QueryShape::CountAbove),
-        Just(QueryShape::MeanCode),
-        Just(QueryShape::DistinctResidues),
-        Just(QueryShape::JoinedSections),
-        Just(QueryShape::OrderedCodes),
-        Just(QueryShape::SelfJoin),
-    ]
-}
-
-impl QueryShape {
-    /// The query over the `items` (a path to them) of collection `coll`.
-    fn text(&self, coll: &str, items: &str) -> String {
-        let c = format!(r#"collection("{coll}"){items}"#);
-        match self {
-            QueryShape::SectionEq(s) => {
-                format!(r#"for $i in {c} where $i/Section = "{s}" return $i/Code"#)
-            }
-            QueryShape::ContainsGood => {
-                format!(r#"for $i in {c} where contains($i/Description, "good") return $i/Name"#)
-            }
-            QueryShape::CountBySection(s) => {
-                format!(r#"count(for $i in {c} where $i/Section = "{s}" return $i)"#)
-            }
-            QueryShape::SumCodes => format!("sum(for $i in {c} return number($i/Code))"),
-            QueryShape::HasPictures => {
-                format!("for $i in {c} where exists($i/PictureList) return $i/Code")
-            }
-            QueryShape::Everything => format!("for $i in {c} return $i"),
-            QueryShape::Exists => format!("exists({c}/PictureList)"),
-            QueryShape::CountAbove(n) => format!("count({c}) > {n}"),
-            QueryShape::MeanCode => format!("sum({c}/Code) div count({c})"),
-            QueryShape::DistinctResidues => {
-                format!("count(distinct-values(for $i in {c} return number($i/Code) mod 3))")
-            }
-            QueryShape::JoinedSections => format!(r#"string-join({c}/Section, ",")"#),
-            QueryShape::OrderedCodes => {
-                format!("for $i in {c} order by $i/Code descending return $i/Code")
-            }
-            QueryShape::SelfJoin => format!(
-                r#"for $a in {c} where $a/Code = "1"
-                   return count(for $b in {c} where $b/Section != $a/Section return $b)"#
-            ),
-        }
-    }
-
-    /// Whether the centralized run defines the answer's order: everything
-    /// but a plain concatenation, whose order is the fragments'.
-    fn ordered(&self) -> bool {
-        !matches!(
-            self,
-            QueryShape::SectionEq(_)
-                | QueryShape::ContainsGood
-                | QueryShape::HasPictures
-                | QueryShape::Everything
-        )
-    }
-}
-
-proptest! {
-    #![proptest_config(cases(32))]
-
-    /// For random data, random queries and a random design — horizontal in
-    /// 2, 4 or 8 fragments, or the FragMode2 hybrid — the distributed
-    /// answer equals the centralized one: item for item where the
-    /// centralized order is defined, as a multiset for a concatenation.
-    #[test]
-    fn distributed_equals_centralized(
-        docs in arb_items(),
-        shape in arb_query(),
-        design in 0usize..4,
-    ) {
-        use partix_bench::oracle::{canonical, exact};
-        use partix_bench::setup::{self, CENTRAL, DIST};
-        let (px, items) = match design {
-            // the FragMode2 hybrid fragments one store of as many items
-            3 => {
-                let seed = docs.len() as u64;
-                let store = partix::gen::gen_store(docs.len(), ItemProfile::Small, seed);
-                (setup::hybrid(&store, FragMode::SingleDoc), "/Store/Items/Item")
-            }
-            n => (setup::horizontal(&docs, 2 << n), "/Item"),
-        };
-        let dist = px.execute(&shape.text(DIST, items)).unwrap();
-        let cent = px.execute_centralized(0, &shape.text(CENTRAL, items)).unwrap();
-        // a FragMode2 fragment does not keep where its units sat among the
-        // others': there a joined string compares by its parts
-        let parts = |items: &[Item]| {
-            let joined = items.iter().map(Item::string_value).collect::<Vec<_>>().join(",");
-            let mut parts: Vec<&str> = joined.split(',').collect();
-            parts.sort_unstable();
-            format!("{} item(s): {}", items.len(), parts.join(","))
-        };
-        let form: &dyn Fn(&[Item]) -> String = match shape {
-            QueryShape::JoinedSections if design == 3 => &parts,
-            _ if shape.ordered() => &exact,
-            _ => &canonical,
-        };
-        prop_assert_eq!(form(&dist.items), form(&cent.items), "{:?} on design {}", shape, design);
-    }
+/// A failing case prints reduced: planted on one document and one
+/// conjunct, a failure reduces the case to exactly those.
+#[test]
+fn a_failing_case_reduces_to_what_its_failure_needs() {
+    let mut case = (0..)
+        .map(|seed| Case::draw(seed, Family::Horizontal))
+        .find(|case| case.docs.len() >= 3)
+        .expect("a case with three documents");
+    let planted = case.docs[1].clone();
+    let needed = r#"$a/Section != "CD""#.to_owned();
+    case.query.conjuncts = vec!["$a/Code = 1".into(), needed.clone(), r#"$a/Name = "x""#.into()];
+    let fails = |c: &Case| c.docs.contains(&planted) && c.query.conjuncts.contains(&needed);
+    let small = case.reduce(fails);
+    assert_eq!(small.docs, [planted]);
+    assert_eq!(small.query.conjuncts, [needed]);
 }
 
 // ------------------------------------------------ vertical reconstruction --
-
-/// One generated article: which parts it has at all, and what is in them.
-#[derive(Debug, Clone)]
-struct ArticleShape {
-    prolog: Option<(usize, usize, usize)>, // title, genre, authors
-    body: Option<(usize, Vec<usize>)>,     // abstract, heading of each section
-    epilog: Option<(usize, usize, usize)>, // country, references, word count
-}
-
-const TITLES: [&str; 4] = ["T0 xml", "T1 data", "XML T2", "T1 xml"];
-const GENRES: [&str; 3] = ["g0", "g1", "g2"];
-const ABSTRACTS: [&str; 3] = ["xml good", "data poor", "good data"];
-const COUNTRIES: [&str; 3] = ["BR", "AR", "US"];
-
-impl ArticleShape {
-    fn document(&self, i: usize) -> Document {
-        let mut xml = format!(r#"<article id="a{i}">"#);
-        if let Some((title, genre, authors)) = self.prolog {
-            let authors: String =
-                (0..authors).map(|k| format!("<author><name>n{i}{k}</name></author>")).collect();
-            xml += &format!(
-                "<prolog><title>{}</title><authors>{authors}</authors><genre>{}</genre>\
-                 <pub_date>2005-01-0{}</pub_date></prolog>",
-                TITLES[title], GENRES[genre], i % 9 + 1
-            );
-        }
-        if let Some((abstract_, headings)) = &self.body {
-            let sections: String = headings
-                .iter()
-                .enumerate()
-                .map(|(k, h)| {
-                    format!(
-                        "<section><heading>h{h}</heading><p>p{i}{k}</p><p>q{i}{k}</p></section>"
-                    )
-                })
-                .collect();
-            let abstract_ = ABSTRACTS[*abstract_];
-            xml += &format!("<body><abstract>{abstract_}</abstract>{sections}</body>");
-        }
-        if let Some((country, references, words)) = self.epilog {
-            let references: String = (0..references)
-                .map(|k| {
-                    format!(
-                        "<reference><ref_title>r{i}{k}</ref_title><year>199{k}</year></reference>"
-                    )
-                })
-                .collect();
-            xml += &format!(
-                "<epilog><references>{references}</references><country>{}</country>\
-                 <word_count>{}</word_count></epilog>",
-                COUNTRIES[country],
-                100 + words
-            );
-        }
-        let mut doc = parse(&(xml + "</article>")).expect("generated article parses");
-        doc.name = Some(format!("a{i}"));
-        doc
-    }
-}
-
-/// Articles of which roughly one in five lacks its prolog, its body or its
-/// epilog *entirely*: no piece of them in that fragment.
-fn arb_articles() -> impl Strategy<Value = Vec<Document>> {
-    fn part<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
-        (0usize..5, inner).prop_map(|(dice, part)| (dice > 0).then_some(part))
-    }
-    let prolog = part((0usize..4, 0usize..3, 1usize..3));
-    let body = part((0usize..3, prop::collection::vec(0usize..3, 1..4)));
-    let epilog = part((0usize..3, 0usize..3, 0usize..50));
-    prop::collection::vec(
-        (prolog, body, epilog)
-            .prop_map(|(prolog, body, epilog)| ArticleShape { prolog, body, epilog }),
-        2..9,
-    )
-    .prop_map(|shapes| shapes.iter().enumerate().map(|(i, s)| s.document(i)).collect())
-}
-
-const ARTICLES: &str = "articles";
-
-/// A random complete vertical design over the article schema: the spine
-/// plus any of the cut paths below, each fragment pruning the cuts made
-/// directly inside it — top-level parts, parts of parts (two levels into
-/// the spine when the part itself is not cut), and up to two `section`s
-/// taken by position out of one `body`, one of them perhaps with its
-/// `heading` cut out in turn (the nested, positional prune chain of
-/// `join.rs::deep_prune_chain`; a cut that could take several nodes of a
-/// document is not a valid design).
-fn arb_vertical_design() -> impl Strategy<Value = (FragmentationSchema, Vec<Placement>)> {
-    let cuts = [
-        "/article/prolog",
-        "/article/prolog/authors",
-        "/article/body",
-        "/article/body/abstract",
-        "/article/epilog",
-        "/article/epilog/references",
-    ];
-    let sections = prop::sample::select(vec![
-        vec![],
-        vec![],
-        vec!["/article/body/section[1]"],
-        vec!["/article/body/section[2]"],
-        vec!["/article/body/section[1]", "/article/body/section[2]"],
-        vec!["/article/body/section[1]", "/article/body/section[3]"],
-        vec!["/article/body/section[2]", "/article/body/section[2]/heading"],
-        vec!["/article/body/section[2]/heading", "/article/body/section[3]"],
-    ]);
-    (prop::collection::vec(any::<bool>(), 6..7), sections, prop::collection::vec(0usize..3, 9..10))
-        .prop_filter("a design cuts somewhere", |(chosen, sections, _)| {
-            chosen.contains(&true) || !sections.is_empty()
-        })
-        .prop_map(move |(chosen, sections, nodes)| {
-            let path = |s: &str| PathExpr::parse(s).unwrap();
-            let mut paths = vec![path("/article")];
-            paths.extend(cuts.iter().zip(&chosen).filter(|(_, on)| **on).map(|(cut, _)| path(cut)));
-            paths.extend(sections.iter().map(|cut| path(cut)));
-            // a cut is pruned from the longest path it hangs under
-            let container = |cut: &PathExpr| {
-                let above = |p: &&PathExpr| {
-                    p.steps.len() < cut.steps.len() && cut.strip_prefix(p).is_some()
-                };
-                paths.iter().filter(above).max_by_key(|p| p.steps.len()).cloned()
-            };
-            let fragments = paths
-                .iter()
-                .enumerate()
-                .map(|(k, p)| {
-                    let prune = paths.iter().filter(|c| container(c).as_ref() == Some(p)).cloned();
-                    FragmentDef::vertical(&format!("f{k}"), p.clone(), prune.collect())
-                })
-                .collect();
-            let collection = CollectionDef::new(
-                ARTICLES,
-                Arc::new(builtin::xbench_article()),
-                path("/article"),
-                RepoKind::MultipleDocuments,
-            );
-            let design = FragmentationSchema::new(collection, fragments).expect("valid design");
-            let placements = (0..paths.len())
-                .map(|k| Placement { fragment: format!("f{k}"), node: nodes[k] })
-                .collect();
-            (design, placements)
-        })
-}
-
-/// Conjuncts a fragment's node may test on its own …
-const PUSHABLE: [&str; 10] = [
-    r#"$a/prolog/genre = "g1""#,
-    r#"contains($a/body/abstract, "xml")"#,
-    r#""BR" = $a/epilog/country"#,
-    r#"starts-with($a/prolog/title, "T1")"#,
-    r#"exists($a/prolog/authors/author/name)"#,
-    r#"$a/@id != "a0""#,
-    r#"$a/body/section[2]/heading = "h1""#,
-    r#"$a/body/section/heading = "h0""#,
-    r#"($a/prolog/genre = "g0" or contains($a/prolog/title, "XML"))"#,
-    r#"$a/epilog/references/reference/year = "1991""#,
-];
-
-/// … and conjuncts none may: an article without the part passes the first
-/// three, the next spans fragments, the rest read all of a path's nodes or
-/// through steps that may lead anywhere.
-const NOT_PUSHABLE: [&str; 7] = [
-    r#"not($a/prolog/genre = "g1")"#,
-    r#"empty($a/epilog/country)"#,
-    r#"not(contains($a/body/abstract, "good"))"#,
-    r#"($a/prolog/genre = "g0" or $a/epilog/country = "AR")"#,
-    r#"count($a/body/section) >= 2"#,
-    r#"$a/*/title = "T1 data""#,
-    r#"contains($a//heading, "h1")"#,
-];
-
-const RETURNS: [&str; 14] = [
-    "$a/body/section[3]/heading",
-    "$a/body/section[2]",
-    "(for $s in $a/body/section return $s/heading)",
-    "$a/prolog/title",
-    "($a/prolog/title, $a/epilog/country)",
-    "$a/body/section[2]/p",
-    "$a/body/section/heading",
-    "$a/body/section[1]/p[2]",
-    "$a//p",
-    "$a/*/title",
-    "$a/@id",
-    "$a",
-    "<r>{$a/prolog/title}{$a/epilog/word_count}</r>",
-    "$a/prolog/authors/author[1]/name",
-];
-
-/// Paths of a `count` / `sum` / `avg` straight over the collection: some
-/// have every match whole inside one piece of most designs, some straddle
-/// a cut (`//prolog/authors` when `authors` is cut) or split a value on
-/// some designs, the last two never distribute.
-const AGGREGATED: [&str; 11] = [
-    "//p",
-    "//section",
-    "//section/p",
-    "//section/heading",
-    "//reference/year",
-    "//references/reference",
-    "//prolog/authors",
-    "//word_count",
-    "//*",
-    "//body//p",
-    "//section[2]",
-];
-
-/// A random query over the distributed articles: conjuncts of both kinds,
-/// positional, wildcard and `//` steps, an aggregate or an `order by`
-/// around it, a self-join of the collection, the scan bound by a `let`
-/// and read a second time through its variable, or an aggregate of one
-/// `//` path of the collection.
-fn arb_article_query() -> impl Strategy<Value = String> {
-    let conjuncts = prop::collection::vec(
-        // three in four pushable
-        (
-            0usize..4,
-            prop::sample::select(PUSHABLE.to_vec()),
-            prop::sample::select(NOT_PUSHABLE.to_vec()),
-        )
-            .prop_map(|(dice, pushable, not)| if dice > 0 { pushable } else { not }),
-        0..4,
-    );
-    // mostly `count`: a `sum` of text is an error on every route, which
-    // says nothing about the plan
-    let aggregate = (
-        prop::sample::select(vec!["count", "count", "count", "sum", "avg"]),
-        prop::sample::select(AGGREGATED.to_vec()),
-    );
-    (conjuncts, prop::sample::select(RETURNS.to_vec()), 0usize..15, aggregate).prop_map(
-        |(mut conjuncts, ret, shape, (function, path))| {
-            let c = format!(r#"collection("{ARTICLES}")"#);
-            // four in fifteen
-            if shape > 10 {
-                return format!("{function}({c}{path})");
-            }
-            match shape {
-                7 => conjuncts.push("$a/epilog/country = $b/epilog/country"),
-                9 => conjuncts.push("count($all) > 2"),
-                _ => {}
-            }
-            let bindings = match shape {
-                7 => format!("for $a in {c}/article, $b in {c}/article"),
-                8 | 9 => format!("let $all := {c}/article for $a in $all"),
-                _ => format!("for $a in {c}/article"),
-            };
-            let filter = match conjuncts.is_empty() {
-                true => String::new(),
-                false => format!("where {}", conjuncts.join(" and ")),
-            };
-            match shape {
-                0..=2 | 9 => format!("{bindings} {filter} return {ret}"),
-                3 => format!(
-                    "{bindings} {filter} order by $a/prolog/title descending return {ret}"
-                ),
-                4 => format!("count({bindings} {filter} return {ret})"),
-                5 => format!("count({bindings} {filter} return $a)"),
-                6 => format!("sum({bindings} {filter} return number($a/epilog/word_count))"),
-                7 => format!("{bindings} {filter} return ($b/prolog/title, {ret})"),
-                8 => format!("{bindings} {filter} return (count($all), {ret})"),
-                _ => format!("count({bindings} {filter} return $a) > 1"),
-            }
-        },
-    )
-}
-
-/// A cluster holding `docs` under `design`, and centralized on node 0.
-fn vertical_px(
-    docs: &[Document],
-    design: FragmentationSchema,
-    placements: Vec<Placement>,
-) -> PartiX {
-    let px = PartiX::new(3, NetworkModel::default());
-    px.register_distribution(Distribution { design, placements }).unwrap();
-    px.publish(ARTICLES, docs).unwrap();
-    px.publish_centralized(0, "central", docs).unwrap();
-    px
-}
 
 /// Test support, not a product route: the answer of `query` with **every**
 /// fragment fetched whole, all documents rebuilt, and the query run over
@@ -663,7 +184,7 @@ fn vertical_px(
 /// reads.
 fn fetch_everything(px: &PartiX, query: &str) -> Result<Vec<Item>, String> {
     let catalog = px.catalog();
-    let dist = catalog.distribution(ARTICLES).expect("distributed");
+    let dist = catalog.distribution(DIST).expect("distributed");
     let fetched: Vec<_> = dist
         .design
         .fragments
@@ -676,12 +197,12 @@ fn fetch_everything(px: &PartiX, query: &str) -> Result<Vec<Item>, String> {
         .collect();
     let rebuilt = partix::frag::correctness::reconstruct_any_shared(&dist.design, &fetched)?;
     let mut provider = MemProvider::new();
-    provider.add_shared(ARTICLES, rebuilt);
+    provider.add_shared(DIST, rebuilt);
     let query = parse_query(query).map_err(|e| e.to_string())?;
     Evaluator::new(&provider).eval(&query).map_err(|e| e.to_string())
 }
 
-/// What a case did, for the generator check below.
+/// What a case did, for the generator checks below.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct PlanShape {
     reconstructed: bool,
@@ -691,70 +212,48 @@ struct PlanShape {
     filtered: bool,
 }
 
-/// Distributed ≡ fetch-everything ≡ centralized for one case. A rebuilt
-/// answer keeps the centralized order; a decomposed one is a concatenation
-/// in fragment order, compared as a multiset.
-fn check_vertical_case(
-    docs: &[Document],
-    design: FragmentationSchema,
-    placements: Vec<Placement>,
-    query: &str,
-) -> PlanShape {
-    let fragments = design.fragments.len();
-    let px = vertical_px(docs, design, placements);
-    let serialize = |items: &[Item]| items.iter().map(Item::serialize).collect::<Vec<_>>();
-    // an evaluation error compares by the evaluator's message
-    let central = px
-        .execute_centralized(0, &query.replace(ARTICLES, "central"))
-        .map(|r| serialize(&r.items))
-        .map_err(|e| match e {
-            PartixError::SubQuery { error, .. } => error,
-            other => other.to_string(),
-        });
-    let everything = fetch_everything(&px, query).map(|items| serialize(&items));
-    prop_assert_eq!(&everything, &central, "fetch-everything vs centralized: {}", query);
-    let distributed = px.execute(query);
-    let Ok(distributed) = distributed else {
-        prop_assert!(central.is_err(), "{query}: {:?}, centralized {central:?}", distributed.err());
-        return PlanShape::default();
-    };
-    let (mut got, mut expected) = (serialize(&distributed.items), central.expect("answered"));
-    let report = &distributed.report;
-    if !report.reconstructed {
-        got.sort();
-        expected.sort();
-    }
-    prop_assert_eq!(got, expected, "{}\nsites {:?}", query, report.sites);
-    prop_assert_eq!(report.sites.len() + report.fragments_pruned, fragments, "{}", query);
-    let held = |fragment: &str| {
-        let catalog = px.catalog();
-        let node = catalog.distribution(ARTICLES).expect("distributed").nodes_of(fragment)[0];
-        px.cluster().node(node).expect("placed").fetch_docs(fragment).len()
-    };
-    PlanShape {
-        reconstructed: report.reconstructed,
-        decomposed: !report.reconstructed && report.sites.len() > 1,
-        pruned: report.reconstructed && report.fragments_pruned > 0,
-        filtered: report.reconstructed
-            && report.sites.iter().any(|site| site.docs_scanned < held(&site.fragment)),
+impl PlanShape {
+    fn of(px: &PartiX, report: &QueryReport) -> PlanShape {
+        let held = |fragment: &str| {
+            let catalog = px.catalog();
+            let node = catalog.distribution(DIST).expect("distributed").nodes_of(fragment)[0];
+            px.cluster().node(node).expect("placed").fetch_docs(fragment).len()
+        };
+        PlanShape {
+            reconstructed: report.reconstructed,
+            decomposed: !report.reconstructed && report.sites.len() > 1,
+            pruned: report.reconstructed && report.fragments_pruned > 0,
+            filtered: report.reconstructed
+                && report.sites.iter().any(|site| site.docs_scanned < held(&site.fragment)),
+        }
     }
 }
 
-proptest! {
-    #![proptest_config(cases(48))]
-
-    /// Pruned + filtered ≡ fetch-everything ≡ centralized: for random
-    /// vertical designs, random collections in which some articles lack a
-    /// part entirely, and random queries, reading only what the query reads
-    /// changes no answer.
-    #[test]
-    fn pruned_filtered_reconstruction_equals_fetch_everything_and_centralized(
-        docs in arb_articles(),
-        design in arb_vertical_design(),
-        query in arb_article_query(),
-    ) {
-        check_vertical_case(&docs, design.0, design.1, &query);
+/// Distributed ≡ fetch-everything ≡ centralized for one vertical case,
+/// and every fragment is either read or pruned.
+fn vertical_case(case: &Case) -> Result<PlanShape, String> {
+    let on = On::new(case.cluster(1), Route::Buffered);
+    let query = case.query.text();
+    let central = on.px.execute_centralized(0, &partix_bench::oracle::centralized_text(&query));
+    let central = central.map(|r| canonical(&r.items)).map_err(|e| message(&e));
+    let everything = fetch_everything(&on.px, &query).map(|items| canonical(&items));
+    if everything != central {
+        return Err(format!("fetch-everything {everything:?}\ncentralized {central:?}"));
     }
+    let Some(report) = check(&on, &query)?.report else { return Ok(PlanShape::default()) };
+    if report.sites.len() + report.fragments_pruned != case.design.fragments.len() {
+        return Err(format!("sites {:?} and {} pruned", report.sites, report.fragments_pruned));
+    }
+    Ok(PlanShape::of(&on.px, &report))
+}
+
+/// Pruned + filtered ≡ fetch-everything ≡ centralized: for generated
+/// vertical designs, collections in which some articles lack a part
+/// entirely, and generated queries, reading only what the query reads
+/// changes no answer.
+#[test]
+fn pruned_filtered_reconstruction_equals_fetch_everything_and_centralized() {
+    for_cases(&[Family::Vertical], 48, |case| vertical_case(case).map(drop));
 }
 
 /// The generator reaches what the property is about: among a fixed sample
@@ -763,20 +262,17 @@ proptest! {
 /// a `//` path are taken — summed per fragment, and rebuilt.
 #[test]
 fn vertical_generator_reaches_pruned_and_filtered_reconstructions() {
-    let mut rng = proptest::test_runner::TestRng::from_seed(16);
-    let strategy = (arb_articles(), arb_vertical_design(), arb_article_query());
     let (mut reconstructed, mut pruned, mut filtered) = (0, 0, 0);
     let (mut decomposed, mut rebuilt) = (0, 0);
     let cases = 120;
-    for _ in 0..cases {
-        let (docs, (design, placements), query) =
-            strategy.generate(&mut rng).expect("no filter rejects");
-        let shape = check_vertical_case(&docs, design, placements, &query);
+    for seed in 16..16 + cases as u64 {
+        let case = Case::draw(seed, Family::Vertical);
+        let shape = vertical_case(&case).unwrap_or_else(|e| panic!("{case:?}\n{e}"));
         reconstructed += usize::from(shape.reconstructed);
         pruned += usize::from(shape.pruned);
         filtered += usize::from(shape.filtered);
         decomposed += usize::from(shape.decomposed);
-        let aggregate = query.contains(&format!(r#"collection("{ARTICLES}")//"#));
+        let aggregate = case.query.text().contains(&format!(r#"collection("{DIST}")//"#));
         rebuilt += usize::from(aggregate && shape.reconstructed);
     }
     assert!(reconstructed * 2 >= cases, "{reconstructed} of {cases} cases reconstruct");
@@ -786,179 +282,136 @@ fn vertical_generator_reaches_pruned_and_filtered_reconstructions() {
     assert!(rebuilt * 30 >= cases, "{rebuilt} of {cases} cases are `//` aggregates rebuilt");
 }
 
+/// Over the default budget of every family (a fixed sample, streamed in
+/// process) the generator reaches every way an answer composes and is
+/// compared: a concatenated core, a split with its remainder, a vertical
+/// aggregate summed per fragment, a pruned and filtered reconstruction, a
+/// pruned fragment, an item-for-item comparison of several items, and an
+/// evaluation error both sides raise alike.
+#[test]
+fn the_generator_reaches_every_composition() {
+    let mut seen = [0usize; 7];
+    for k in 0..96u64 {
+        let family = FAMILIES[k as usize % 3];
+        let case = Case::draw(0xC0FFEE + k, family);
+        let on = On::new(case.cluster(1), Route::Streamed(DispatchMode::Simulated));
+        let verdict = check(&on, &case.query.text()).unwrap_or_else(|e| panic!("{case:?}\n{e}"));
+        let shape = verdict.report.as_ref().map(|r| PlanShape::of(&on.px, r)).unwrap_or_default();
+        let pruned = verdict.report.as_ref().is_some_and(|r| r.fragments_pruned > 0);
+        let whole = !case.query.head.starts_with("for") && !case.query.head.starts_with("let");
+        let reached = [
+            verdict.slices > 1,
+            family != Family::Vertical && shape.decomposed && verdict.slices == 1 && whole,
+            family == Family::Vertical && shape.decomposed,
+            shape.pruned && shape.filtered,
+            pruned && !shape.reconstructed,
+            verdict.form == Form::Exact && verdict.items > 1,
+            verdict.failed_alike,
+        ];
+        for (count, hit) in seen.iter_mut().zip(reached) {
+            *count += usize::from(hit);
+        }
+    }
+    let names = ["core", "split", "vertical sum", "pruned+filtered", "pruned", "exact", "error"];
+    assert!(seen.iter().all(|&n| n > 0), "{:?}", names.iter().zip(seen).collect::<Vec<_>>());
+}
+
 // --------------------------------------------------- fault schedules --
 
-/// 3-node middleware with both fragments replicated twice:
-/// `f_media` on nodes {0, 2}, `f_other` on nodes {1, 2}. Any single
-/// node failure leaves every fragment answerable.
-fn replicated_px(docs: &[partix::xml::Document]) -> PartiX {
-    let px = PartiX::new(3, NetworkModel::default());
-    let design = FragmentationSchema::new(
-        citems(),
-        vec![
-            FragmentDef::horizontal(
-                "f_media",
-                Predicate::parse(r#"/Item/Section = "CD" or /Item/Section = "DVD""#).unwrap(),
-            ),
-            FragmentDef::horizontal(
-                "f_other",
-                Predicate::parse(r#"/Item/Section != "CD" and /Item/Section != "DVD""#)
-                    .unwrap(),
-            ),
-        ],
-    )
-    .unwrap();
-    px.register_distribution(Distribution {
-        design,
-        placements: vec![
-            Placement { fragment: "f_media".into(), node: 0 },
-            Placement { fragment: "f_media".into(), node: 2 },
-            Placement { fragment: "f_other".into(), node: 1 },
-            Placement { fragment: "f_other".into(), node: 2 },
-        ],
-    })
-    .unwrap();
-    px.publish("items", docs).unwrap();
-    px
-}
-
-fn multiset(items: &[Item]) -> Vec<String> {
-    let mut v: Vec<String> = items.iter().map(Item::serialize).collect();
-    v.sort();
-    v
-}
-
-proptest! {
-    #![proptest_config(cases(24))]
-
-    /// With replication ≥ 2 and any seeded fault schedule on a single
-    /// node, the retry/failover dispatcher always answers, and the
-    /// answer equals the fault-free result. Latency faults are stripped
-    /// (they only slow calls down and would dominate the test's wall
-    /// clock); error, crash and flip-flop faults stay.
-    #[test]
-    fn single_node_faults_never_fail_replicated_queries(
-        docs in arb_items(),
-        shape in arb_query(),
-        seed in any::<u64>(),
-        faulty in 0usize..3,
-    ) {
-        let clean = replicated_px(&docs);
-        let expected = multiset(&clean.execute(&shape.text("items", "/Item")).unwrap().items);
-
-        let px = replicated_px(&docs);
-        let mut plan = FaultPlan::from_seed(seed, 3, 1.0);
-        for (node, faults) in plan.node_faults.iter_mut().enumerate() {
-            faults.retain(|f| !matches!(f, Fault::Latency { .. }));
-            if node != faulty {
-                faults.clear();
-            }
-        }
-        plan.install(&px);
-        // repeated execution: later calls walk deeper into call-counter
-        // keyed schedules (error-after-N, flip-flops)
-        for round in 0..3 {
-            let got = px
-                .execute_with(&shape.text("items", "/Item"), ExecOptions::default())
-                .unwrap_or_else(|e| {
-                    panic!("round {round}, seed {seed:#x}, node {faulty} faulty: {e}")
-                });
-            prop_assert_eq!(multiset(&got.items), expected.clone(), "round {}", round);
+/// The seeded schedule of node `faulty` alone, latency faults stripped
+/// (they only slow calls down and would dominate the test's wall clock);
+/// error, crash and flip-flop faults stay.
+fn one_faulty_node(seed: u64, faulty: usize) -> FaultPlan {
+    let mut plan = FaultPlan::from_seed(seed, 3, 1.0);
+    for (node, faults) in plan.node_faults.iter_mut().enumerate() {
+        faults.retain(|f| !matches!(f, partix::engine::Fault::Latency { .. }));
+        if node != faulty {
+            faults.clear();
         }
     }
+    plan
+}
 
-    /// Any suspect cooldown — zero, sub-microsecond, or effectively
-    /// infinite ([`Duration::MAX`]) — must never panic the dispatcher:
-    /// the cooldown check is `marked_at.elapsed() < cooldown`, which
-    /// cannot overflow, where the naive `marked_at + cooldown` would.
-    /// With replication ≥ 2 and one faulty node, queries still answer
-    /// (an eternally-suspect replica is deprioritized, not abandoned).
-    #[test]
-    fn extreme_suspect_cooldowns_never_panic(
-        docs in arb_items(),
-        seed in any::<u64>(),
-        faulty in 0usize..3,
-        cooldown_exp in 0u32..64,
-    ) {
-        use partix::engine::RetryPolicy;
-        use std::time::Duration;
-        let cooldown = if cooldown_exp >= 63 {
-            Duration::MAX
-        } else {
-            Duration::from_nanos(1u64 << cooldown_exp)
+/// Three rounds of `on`'s query, each answered (or failed alike by the
+/// centralized run): later calls walk deeper into call-counter keyed
+/// schedules (error-after-N, flip-flops).
+fn answers_every_round(on: &On, case: &Case) -> Result<(), String> {
+    for round in 0..3 {
+        let verdict = check(on, &case.query.text()).map_err(|e| format!("round {round}: {e}"))?;
+        if !(verdict.answered || verdict.failed_alike || verdict.refused) {
+            return Err(format!("round {round}: a replicated query failed"));
+        }
+    }
+    Ok(())
+}
+
+/// With every fragment on two of three nodes and any seeded fault
+/// schedule on a single node, the retry/failover dispatcher always
+/// answers, and the answer is the centralized one.
+#[test]
+fn single_node_faults_never_fail_replicated_queries() {
+    for_cases(&FAMILIES, 24, |case| {
+        let plan = one_faulty_node(case.seed, case.seed as usize % 3);
+        answers_every_round(&On::new(case.cluster(2), Route::Faulted(plan)), case)
+    });
+}
+
+/// Any suspect cooldown — zero, sub-microsecond, or effectively
+/// infinite ([`Duration::MAX`]) — must never panic the dispatcher:
+/// the cooldown check is `marked_at.elapsed() < cooldown`, which
+/// cannot overflow, where the naive `marked_at + cooldown` would.
+/// With replication 2 and one faulty node, queries still answer
+/// (an eternally-suspect replica is deprioritized, not abandoned).
+#[test]
+fn extreme_suspect_cooldowns_never_panic() {
+    use partix::engine::RetryPolicy;
+    use std::time::Duration;
+    for_cases(&[Family::Horizontal], 24, |case| {
+        let exponent = (case.seed >> 8) % 64;
+        let cooldown = match exponent {
+            63 => Duration::MAX,
+            _ => Duration::from_nanos(1u64 << exponent),
         };
-        let clean = replicated_px(&docs);
-        let query = r#"count(collection("items")/Item)"#;
-        let expected = multiset(&clean.execute(query).unwrap().items);
+        let px = case.cluster(2);
+        px.set_retry_policy(RetryPolicy { suspect_cooldown: cooldown, ..RetryPolicy::default() });
+        let plan = one_faulty_node(case.seed, case.seed as usize % 3);
+        answers_every_round(&On::new(px, Route::Faulted(plan)), case)
+            .map_err(|e| format!("cooldown {cooldown:?}: {e}"))
+    });
+}
 
-        let px = replicated_px(&docs);
-        px.set_retry_policy(RetryPolicy {
-            suspect_cooldown: cooldown,
-            ..RetryPolicy::default()
-        });
-        let mut plan = FaultPlan::from_seed(seed, 3, 1.0);
-        for (node, faults) in plan.node_faults.iter_mut().enumerate() {
-            faults.retain(|f| !matches!(f, Fault::Latency { .. }));
-            if node != faulty {
-                faults.clear();
-            }
+/// `allow_partial` reports exactly the fragments whose every replica
+/// is down — no more, no fewer — and answers from the rest.
+#[test]
+fn allow_partial_skips_exactly_dead_fragments() {
+    for_cases(&[Family::Horizontal], 24, |case| {
+        let up: Vec<bool> = (0..3).map(|node| case.seed >> node & 1 == 1).collect();
+        let px = case.cluster(2);
+        for (node, &up) in up.iter().enumerate() {
+            px.cluster().node(node).expect("node").set_available(up);
         }
-        plan.install(&px);
-        for round in 0..3 {
-            let got = px
-                .execute_with(query, ExecOptions::default())
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "round {round}, seed {seed:#x}, cooldown {cooldown:?}, \
-                         node {faulty} faulty: {e}"
-                    )
-                });
-            prop_assert_eq!(multiset(&got.items), expected.clone(), "round {}", round);
-        }
-    }
-
-    /// `allow_partial` reports exactly the fragments whose every replica
-    /// is down — no more, no fewer — and answers from the rest.
-    #[test]
-    fn allow_partial_skips_exactly_dead_fragments(
-        docs in arb_items(),
-        mask in prop::collection::vec(any::<bool>(), 3..4),
-    ) {
-        let px = replicated_px(&docs);
-        for (node, &up) in mask.iter().enumerate() {
-            px.cluster().node(node).unwrap().set_available(up);
-        }
-        let replicas: [(&str, [usize; 2]); 2] =
-            [("f_media", [0, 2]), ("f_other", [1, 2])];
-        let mut expected: Vec<&str> = replicas
-            .iter()
-            .filter(|(_, nodes)| nodes.iter().all(|&n| !mask[n]))
-            .map(|(frag, _)| *frag)
-            .collect();
+        let dist = px.catalog().distribution(DIST).cloned().expect("distributed");
+        let dead = |fragment: &&str| dist.nodes_of(fragment).iter().all(|&n| !up[n]);
+        let mut expected: Vec<&str> =
+            dist.design.fragments.iter().map(|f| f.name.as_str()).filter(dead).collect();
         expected.sort();
 
-        let query = r#"for $i in collection("items")/Item return $i/Code"#;
-        let result = px
-            .execute_with(query, ExecOptions { allow_partial: true, ..ExecOptions::default() })
-            .unwrap();
-        let mut skipped: Vec<&str> = result
-            .report
-            .skipped
-            .iter()
-            .map(|s| s.fragment.as_str())
-            .collect();
+        let query = format!(r#"for $i in collection("{DIST}")/Item return $i/Code"#);
+        let options = ExecOptions { allow_partial: true, ..ExecOptions::default() };
+        let result = px.execute_with(&query, options).map_err(|e| e.to_string())?;
+        let skipped = result.report.skipped.iter().map(|s| s.fragment.as_str());
+        let mut skipped: Vec<&str> = skipped.collect();
         skipped.sort();
-        prop_assert_eq!(skipped, expected.clone(), "mask {:?}", mask);
-        prop_assert_eq!(result.report.partial, !expected.is_empty());
-
+        if skipped != expected || result.report.partial == expected.is_empty() {
+            return Err(format!("up {up:?}: skipped {skipped:?}, expected {expected:?}"));
+        }
         // the fragments that did answer contribute exactly their data:
         // with nothing skipped the answer is the full collection
-        if expected.is_empty() {
-            let clean = replicated_px(&docs);
-            prop_assert_eq!(
-                multiset(&result.items),
-                multiset(&clean.execute(query).unwrap().items)
-            );
+        let central = px.execute_centralized(0, &partix_bench::oracle::centralized_text(&query));
+        let central = canonical(&central.map_err(|e| e.to_string())?.items);
+        match expected.is_empty() && canonical(&result.items) != central {
+            true => Err(format!("up {up:?}: {} vs {central}", canonical(&result.items))),
+            false => Ok(()),
         }
-    }
+    });
 }

@@ -13,30 +13,13 @@
 
 use partix::engine::{FaultPlan, PartiX, Placement, RetryPolicy};
 use partix_advisor::{advise_live, AdvisorConfig, RebalanceOptions, WorkloadProfiler};
-use partix_bench::oracle::{canonical, oracle_answers};
+mod common;
+
+use common::{assert_workload, check_answer};
 use partix_bench::remote::RemoteCluster;
 use partix_bench::{queries, setup};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Every workload query must answer byte-identically to the oracle.
-fn assert_matches_oracle(
-    px: &PartiX,
-    oracle: &[String],
-    workload: &[(&'static str, String)],
-    label: &str,
-) {
-    for (k, (id, query)) in workload.iter().enumerate() {
-        let answer = px
-            .execute(query)
-            .unwrap_or_else(|e| panic!("{label}/{id}: {e}"));
-        assert_eq!(
-            canonical(&answer.items),
-            oracle[k],
-            "{label}/{id}: answer diverges from the oracle",
-        );
-    }
-}
 
 /// Record one sequential pass of the workload into a profile the
 /// advisor can cost (and size the fragments from the live placement).
@@ -73,7 +56,6 @@ fn sorted_pairs(placements: &[Placement]) -> Vec<(String, usize)> {
 fn rebalance_under_query_load(
     px: &PartiX,
     target: &[Placement],
-    oracle: &[String],
     workload: &[(&'static str, String)],
     threads: usize,
 ) -> (partix_advisor::RebalanceReport, u64, u64) {
@@ -91,7 +73,7 @@ fn rebalance_under_query_load(
                     loop {
                         let (_, query) = &workload[k % workload.len()];
                         if let Ok(result) = px.execute(query) {
-                            if canonical(&result.items) != oracle[k % workload.len()] {
+                            if check_answer(px, query, &result.items).is_err() {
                                 wrong.fetch_add(1, Ordering::Relaxed);
                             }
                             ran.fetch_add(1, Ordering::Relaxed);
@@ -125,8 +107,7 @@ fn live_rebalance_is_invisible_before_during_after() {
     let docs = setup::quick_items(80);
     let px = setup::skewed_horizontal(&docs, 4, 4);
     let workload = queries::horizontal(setup::DIST);
-    let oracle = oracle_answers(&px, &workload);
-    assert_matches_oracle(&px, &oracle, &workload, "skewed-before");
+    assert_workload(&px, &workload, "skewed-before");
 
     let profile = profile_workload(&px, &workload);
     let mut config = AdvisorConfig::new(4);
@@ -140,13 +121,13 @@ fn live_rebalance_is_invisible_before_during_after() {
     );
 
     let (report, ran, wrong) =
-        rebalance_under_query_load(&px, &advice.placements, &oracle, &workload, 3);
+        rebalance_under_query_load(&px, &advice.placements, &workload, 3);
     assert!(!report.moves.is_empty(), "skew must trigger moves");
     assert!(report.verified, "completeness/disjointness re-validation must pass");
     assert!(ran > 0, "no queries observed the migration");
     assert_eq!(wrong, 0, "{wrong} mid-migration answers diverged from the oracle");
 
-    assert_matches_oracle(&px, &oracle, &workload, "skewed-after");
+    assert_workload(&px, &workload, "skewed-after");
     assert_eq!(
         catalog_pairs(&px),
         sorted_pairs(&advice.placements),
@@ -159,10 +140,9 @@ fn remote_rebalance_ships_real_frames_and_stays_transparent() {
     let docs = setup::quick_items(60);
     let px = setup::skewed_horizontal(&docs, 4, 4);
     let workload = queries::horizontal(setup::DIST);
-    let oracle = oracle_answers(&px, &workload);
 
     let wire = RemoteCluster::attach(&px);
-    assert_matches_oracle(&px, &oracle, &workload, "remote-before");
+    assert_workload(&px, &workload, "remote-before");
 
     let profile = profile_workload(&px, &workload);
     let mut config = AdvisorConfig::new(4);
@@ -173,7 +153,7 @@ fn remote_rebalance_ships_real_frames_and_stays_transparent() {
 
     let bytes_before = wire.wire_bytes();
     let (report, ran, wrong) =
-        rebalance_under_query_load(&px, &advice.placements, &oracle, &workload, 2);
+        rebalance_under_query_load(&px, &advice.placements, &workload, 2);
     assert!(report.verified);
     assert!(report.migrated_bytes > 0);
     assert!(
@@ -183,7 +163,7 @@ fn remote_rebalance_ships_real_frames_and_stays_transparent() {
     assert!(ran > 0);
     assert_eq!(wrong, 0, "{wrong} mid-migration remote answers diverged");
 
-    assert_matches_oracle(&px, &oracle, &workload, "remote-after");
+    assert_workload(&px, &workload, "remote-after");
     assert_eq!(catalog_pairs(&px), sorted_pairs(&advice.placements));
 }
 
@@ -203,8 +183,7 @@ fn faulted_rebalance_returns_oracle_answer_or_typed_error() {
 
     for seed in [3u64, 0xBAD5EED] {
         let px = setup::skewed_horizontal(&docs, 4, 4);
-        let oracle = oracle_answers(&px, &workload);
-        px.set_retry_policy(RetryPolicy {
+            px.set_retry_policy(RetryPolicy {
             timeout: Some(Duration::from_millis(500)),
             ..RetryPolicy::default()
         });
@@ -212,29 +191,23 @@ fn faulted_rebalance_returns_oracle_answer_or_typed_error() {
 
         let label = format!("faulted-{seed:#x}");
         let mut answered = 0;
-        for (k, (id, query)) in workload.iter().enumerate() {
+        for (id, query) in &workload {
             if let Ok(result) = px.execute(query) {
-                assert_eq!(
-                    canonical(&result.items),
-                    oracle[k],
-                    "{label}/{id}: faulted pre-migration answer is wrong",
-                );
+                check_answer(&px, query, &result.items)
+                    .unwrap_or_else(|e| panic!("{label}/{id}: faulted pre-migration answer: {e}"));
                 answered += 1;
             }
         }
 
         let (report, _ran, wrong) =
-            rebalance_under_query_load(&px, &target, &oracle, &workload, 2);
+            rebalance_under_query_load(&px, &target, &workload, 2);
         assert!(report.verified, "{label}: migration must verify despite query faults");
         assert_eq!(wrong, 0, "{label}: {wrong} mid-migration answers were wrong");
 
-        for (k, (id, query)) in workload.iter().enumerate() {
+        for (id, query) in &workload {
             if let Ok(result) = px.execute(query) {
-                assert_eq!(
-                    canonical(&result.items),
-                    oracle[k],
-                    "{label}/{id}: faulted post-migration answer is wrong",
-                );
+                check_answer(&px, query, &result.items)
+                    .unwrap_or_else(|e| panic!("{label}/{id}: faulted post-migration answer: {e}"));
                 answered += 1;
             }
         }
@@ -326,8 +299,7 @@ fn write_during_migration_lands_in_exactly_one_replica_set() {
 
     // and the full workload still answers byte-identically to the
     // (equally updated) centralized oracle
-    let oracle = oracle_answers(&px, &workload);
-    assert_matches_oracle(&px, &oracle, &workload, "after mid-migration write");
+    assert_workload(&px, &workload, "after mid-migration write");
 }
 
 /// Mid-migration probes that race the atomic swap must be re-run on the
@@ -338,7 +310,6 @@ fn round_trip_migration_converges_back_to_the_start() {
     let docs = setup::quick_items(40);
     let px = setup::skewed_horizontal(&docs, 2, 2);
     let workload = queries::horizontal(setup::DIST);
-    let oracle = oracle_answers(&px, &workload);
 
     let spread: Vec<Placement> = vec![
         Placement { fragment: "f0".into(), node: 0 },
@@ -350,10 +321,10 @@ fn round_trip_migration_converges_back_to_the_start() {
     ];
     for (label, target) in [("spread", &spread), ("back", &back), ("spread-again", &spread)] {
         let (report, _ran, wrong) =
-            rebalance_under_query_load(&px, target, &oracle, &workload, 2);
+            rebalance_under_query_load(&px, target, &workload, 2);
         assert!(report.verified, "{label}");
         assert_eq!(wrong, 0, "{label}: mid-migration divergence");
-        assert_matches_oracle(&px, &oracle, &workload, label);
+        assert_workload(&px, &workload, label);
         assert_eq!(catalog_pairs(&px), sorted_pairs(target), "{label}");
     }
 }
@@ -370,7 +341,6 @@ fn an_unreadable_source_fails_the_rebalance_and_retires_nothing() {
     let docs = setup::quick_items(40);
     let px = setup::skewed_horizontal(&docs, 2, 2);
     let workload = queries::horizontal(setup::DIST);
-    let oracle = oracle_answers(&px, &workload);
     let before = catalog_pairs(&px);
     let target: Vec<Placement> = vec![
         Placement { fragment: "f0".into(), node: 0 },
@@ -388,12 +358,12 @@ fn an_unreadable_source_fails_the_rebalance_and_retires_nothing() {
     assert_eq!(catalog_pairs(&px), before, "a failed rebalance must leave the catalog alone");
 
     wire.restart(0);
-    assert_matches_oracle(&px, &oracle, &workload, "after the failed rebalance");
+    assert_workload(&px, &workload, "after the failed rebalance");
     let report = partix_advisor::rebalance(&px, setup::DIST, &target, &RebalanceOptions::default())
         .expect("the source answers again");
     assert!(report.verified);
     assert_eq!(catalog_pairs(&px), sorted_pairs(&target));
-    assert_matches_oracle(&px, &oracle, &workload, "after the retried rebalance");
+    assert_workload(&px, &workload, "after the retried rebalance");
 }
 
 /// A plan stored before a live rebalance is not used after it: the
@@ -404,8 +374,7 @@ fn a_plan_stored_before_a_rebalance_is_localized_again_after_it() {
     let docs = setup::quick_items(40);
     let px = setup::horizontal(&docs, 2);
     let workload = queries::horizontal(setup::DIST);
-    let oracle = oracle_answers(&px, &workload);
-    assert_matches_oracle(&px, &oracle, &workload, "before");
+    assert_workload(&px, &workload, "before");
     for (id, query) in &workload {
         let report = px.execute(query).unwrap().report;
         assert!(report.plan_cache_hit, "{id}: the plan was stored");
@@ -415,11 +384,11 @@ fn a_plan_stored_before_a_rebalance_is_localized_again_after_it() {
     let options = RebalanceOptions::default();
     let report = partix_advisor::rebalance(&px, setup::DIST, &target, &options).expect("rebalance");
     assert!(report.verified);
-    for (k, (id, query)) in workload.iter().enumerate() {
+    for (id, query) in &workload {
         let result = px.execute(query).unwrap_or_else(|e| panic!("{id} after: {e}"));
         assert!(!result.report.plan_cache_hit, "{id}: the stored plan outlived the rebalance");
         assert!(result.report.sites.iter().all(|s| s.node == 1), "{id}: {:?}", result.report.sites);
-        assert_eq!(canonical(&result.items), oracle[k], "{id}: answer diverges from the oracle");
+        check_answer(&px, query, &result.items).unwrap_or_else(|e| panic!("{id}: {e}"));
     }
-    assert_matches_oracle(&px, &oracle, &workload, "after");
+    assert_workload(&px, &workload, "after");
 }

@@ -1,95 +1,39 @@
 //! Local-vs-remote differential suite: the proof that the partix-net
-//! transport is transparent. Every query family of `tests/differential.rs`
-//! runs three ways over the same corpus — in-process drivers, remote
-//! drivers over loopback TCP ([`partix_bench::remote::RemoteCluster`]),
-//! and the centralized oracle — and the canonical serializations must be
-//! byte-identical. The coordinator cannot tell the transports apart, so
-//! any divergence is a wire-protocol bug (codec, framing, or pooling).
+//! transport is transparent. The fixed bench workloads and generated
+//! cases of every family run with every node behind a loopback TCP node
+//! server ([`partix_bench::remote::RemoteCluster`]), and each answer must
+//! be the centralized oracle's — which the in-process route answers too.
+//! The coordinator cannot tell the transports apart, so any divergence is
+//! a wire-protocol bug (codec, framing, or pooling).
 //!
 //! The faulted variants re-run the dispatch-layer contract over sockets:
 //! with injectors wrapping the *remote* drivers, a query returns either
 //! the oracle answer or a typed error — never silently wrong data. A
 //! killed node server must likewise surface as a typed error.
 
-use partix::engine::{
-    DriverError, ExecOptions, FaultPlan, PartiX, PartixDriver, RetryPolicy,
-};
-use partix::frag::FragMode;
-use partix::gen::{ArticleProfile, ItemProfile};
+mod common;
+
+use common::gen::Family;
+use common::{assert_answers, check, route_holds, On, Route};
+use partix::engine::{DriverError, FaultPlan, PartixDriver, RetryPolicy};
+use partix::gen::ArticleProfile;
 use partix::query::Query;
 use partix::storage::QueryOutput;
 use partix::xml::Document;
-use partix_bench::oracle::{canonical, centralized_text};
+use partix_bench::oracle::canonical;
 use partix_bench::remote::RemoteCluster;
 use partix_bench::{queries, setup};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Capture the in-process answers for a workload (run before the remote
-/// drivers are installed).
-fn local_answers(px: &PartiX, workload: &[(&'static str, String)], label: &str) -> Vec<String> {
-    workload
-        .iter()
-        .map(|(id, query)| {
-            canonical(
-                &px.execute(query)
-                    .unwrap_or_else(|e| panic!("{label}/{id} local: {e}"))
-                    .items,
-            )
-        })
-        .collect()
-}
-
-/// After [`RemoteCluster::attach`], every query must reproduce both the
-/// captured in-process answer and the centralized oracle byte-for-byte.
-fn assert_remote_differential(
-    px: &PartiX,
-    local: &[String],
-    workload: &[(&'static str, String)],
-    label: &str,
-) {
-    for (k, (id, query)) in workload.iter().enumerate() {
-        let remote = px
-            .execute(query)
-            .unwrap_or_else(|e| panic!("{label}/{id} remote: {e}"));
-        let remote = canonical(&remote.items);
-        assert_eq!(
-            remote, local[k],
-            "{label}/{id}: remote answer diverges from the in-process run",
-        );
-        let oracle = px
-            .execute_centralized(0, &centralized_text(query))
-            .unwrap_or_else(|e| panic!("{label}/{id} centralized: {e}"));
-        assert_eq!(
-            remote,
-            canonical(&oracle.items),
-            "{label}/{id}: remote answer diverges from the oracle",
-        );
-    }
-}
-
 #[test]
 fn horizontal_remote_matches_local_across_fragment_counts() {
-    let docs = setup::quick_items(80);
-    let workload = queries::horizontal(setup::DIST);
-    for n in [2, 4, 8] {
-        let label = format!("hor{n}-remote");
-        let px = setup::horizontal(&docs, n);
-        let local = local_answers(&px, &workload, &label);
-        let wire = RemoteCluster::attach(&px);
-        assert_remote_differential(&px, &local, &workload, &label);
-        assert!(wire.wire_bytes() > 0, "{label}: no bytes crossed the wire");
-    }
+    route_holds(&[Family::Horizontal], 16, |_| Route::Remote);
 }
 
 #[test]
 fn vertical_remote_matches_local() {
-    let docs = partix::gen::gen_articles(10, ArticleProfile::SMALL, 29);
-    let workload = queries::vertical(setup::DIST);
-    let px = setup::vertical(&docs);
-    let local = local_answers(&px, &workload, "vert-remote");
-    let _wire = RemoteCluster::attach(&px);
-    assert_remote_differential(&px, &local, &workload, "vert-remote");
+    route_holds(&[Family::Vertical], 16, |_| Route::Remote);
 }
 
 /// A reconstruction reads only what the query reads over the wire too:
@@ -117,83 +61,48 @@ fn vertical_fetches_cross_the_wire_pruned_and_filtered() {
         ("abstracts", abstracts),
         ("QV10", format!("count({c}//p)")),
     ];
-    let local = local_answers(&px, &workload, "vert-wire");
-    let wire = RemoteCluster::attach(&px);
+    let on = On::new(px, Route::Remote);
     // node 1 holds f_body and nothing else
-    let body_node = || wire.driver(1).stats();
+    let body_node = || on.wire().driver(1).stats();
     let run = |k: usize| {
         let before = body_node();
         let (id, query) = &workload[k];
-        let result = px.execute(query).unwrap_or_else(|e| panic!("{id}: {e}"));
-        assert_eq!(canonical(&result.items), local[k], "{id}");
+        let verdict = check(&on, query).unwrap_or_else(|e| panic!("{id}: {e}"));
         let after = body_node();
+        let result = (verdict.report.expect("answered"), verdict.items);
         (result, after.bytes_sent - before.bytes_sent, after.bytes_recv - before.bytes_recv)
     };
     // QV4 reads the prolog and the epilog: f_body is not requested
-    let (qv4, sent, received) = run(0);
-    assert!(qv4.report.reconstructed);
+    let ((qv4, _), sent, received) = run(0);
+    assert!(qv4.reconstructed);
     assert_eq!((sent, received), (0, 0), "QV4 contacted the node of f_body");
-    assert_eq!(qv4.report.fragments_pruned, 1);
-    assert!(qv4.report.sites.iter().all(|site| site.fragment != "f_body"));
+    assert_eq!(qv4.fragments_pruned, 1);
+    assert!(qv4.sites.iter().all(|site| site.fragment != "f_body"));
     // QV7 and the abstracts both fetch f_body; QV7's request carries the
     // filter and its answer only the pieces that pass — none, for the last
     // word
     let (_, some_sent, some_received) = run(1);
-    let (none, none_sent, none_received) = run(2);
-    let (whole, whole_sent, whole_received) = run(3);
-    assert!(whole.report.reconstructed);
-    assert!(none.items.is_empty());
+    let ((_, none), none_sent, none_received) = run(2);
+    let ((whole, _), whole_sent, whole_received) = run(3);
+    assert!(whole.reconstructed);
+    assert_eq!(none, 0);
     assert!(some_sent > whole_sent && none_sent > whole_sent, "no filter on the wire");
     assert!(none_received < some_received && some_received <= whole_received);
     assert!(none_received * 4 < whole_received, "{none_received} of {whole_received} bytes");
     // QV10 is counted where the paragraphs are: node 1 gets one sub-query
     // and answers a number, not its pieces
-    let (qv10, _, received) = run(4);
-    assert!(!qv10.report.reconstructed);
-    assert_eq!(qv10.report.sites.iter().filter(|site| site.node == 1).count(), 1);
+    let ((qv10, _), _, received) = run(4);
+    assert!(!qv10.reconstructed);
+    assert_eq!(qv10.sites.iter().filter(|site| site.node == 1).count(), 1);
     assert!(received < 1024, "QV10 brought back {received} bytes from f_body");
 }
 
 #[test]
 fn hybrid_remote_matches_local_both_frag_modes() {
-    let store = partix::gen::gen_store(40, ItemProfile::Small, 31);
-    for mode in [FragMode::SingleDoc, FragMode::ManySmallDocs] {
-        let label = format!("{mode:?}-remote");
-        let px = setup::hybrid(&store, mode);
-        let workload = queries::hybrid(setup::DIST);
-        let local = local_answers(&px, &workload, &label);
-        let _wire = RemoteCluster::attach(&px);
-        assert_remote_differential(&px, &local, &workload, &label);
-    }
+    route_holds(&[Family::Hybrid], 16, |_| Route::Remote);
 }
 
 // ------------------------------------------------------ faulted runs --
-
-/// Faulted remote runs: every answered query matches `oracle`, errors
-/// are typed, wrong data never appears. Returns the success count.
-fn assert_no_wrong_data(
-    px: &PartiX,
-    oracle: &[String],
-    workload: &[(&'static str, String)],
-    label: &str,
-) -> usize {
-    let mut ok = 0;
-    for (k, (id, query)) in workload.iter().enumerate() {
-        match px.execute_with(query, ExecOptions::default()) {
-            Ok(result) => {
-                assert_eq!(
-                    canonical(&result.items),
-                    oracle[k],
-                    "{label}/{id}: faulted remote run returned wrong data",
-                );
-                ok += 1;
-            }
-            // a typed error is acceptable under faults — wrong data is not
-            Err(_) => {}
-        }
-    }
-    ok
-}
 
 /// Replicated horizontal cluster over sockets with injectors wrapping
 /// the remote drivers: same no-wrong-data contract as the in-process
@@ -202,16 +111,7 @@ fn assert_no_wrong_data(
 fn horizontal_remote_under_faults_returns_oracle_answer_or_typed_error() {
     let docs = setup::quick_items(60);
     let workload = queries::horizontal(setup::DIST);
-    let clean = setup::horizontal(&docs, 4);
-    let oracle: Vec<String> = workload
-        .iter()
-        .map(|(id, q)| {
-            canonical(&clean.execute(q).unwrap_or_else(|e| panic!("{id}: {e}")).items)
-        })
-        .collect();
-
     for seed in [3u64, 0xBAD5EED, 0xC4A0_5EED] {
-        let plan = FaultPlan::from_seed(seed, 4, 0.8);
         let px = setup::horizontal_replicated(&docs, 4, 2);
         px.set_retry_policy(RetryPolicy {
             timeout: Some(Duration::from_millis(500)),
@@ -219,8 +119,8 @@ fn horizontal_remote_under_faults_returns_oracle_answer_or_typed_error() {
         });
         // transport first, faults second: injectors wrap RemoteDriver
         let _wire = RemoteCluster::attach(&px);
-        plan.install(&px);
-        assert_no_wrong_data(&px, &oracle, &workload, &format!("remote-faulted-{seed:#x}"));
+        let on = On::new(px, Route::Faulted(FaultPlan::from_seed(seed, 4, 0.8)));
+        assert_answers(&on, &workload, &format!("remote-faulted-{seed:#x}"));
     }
 }
 
@@ -284,7 +184,11 @@ fn vertical_kill_matrix(
     for node in px.cluster().nodes() {
         node.set_driver(decorate(Arc::clone(wire.driver(node.id)) as Arc<dyn PartixDriver>));
     }
-    let healthy = local_answers(&px, &workload, &format!("{label}/healthy"));
+    let healthy: Vec<String> = workload
+        .iter()
+        .map(|(id, query)| px.execute(query).unwrap_or_else(|e| panic!("{label}/{id}: {e}")))
+        .map(|result| canonical(&result.items))
+        .collect();
     // the nodes each query contacts, healthy
     let contacts: Vec<Vec<usize>> = workload
         .iter()
@@ -300,15 +204,15 @@ fn vertical_kill_matrix(
     for victim in 0..wire.len() {
         wire.kill(victim);
         let label = format!("{label}/n{victim}");
-        let answered = assert_no_wrong_data(&px, &healthy, &workload, &label);
-        assert!(answered < workload.len(), "{label}: no query noticed the dead node");
         // a query that reads nothing the dead node holds keeps its
         // answer; one that does fails typed, whatever else it fetched
+        let mut answered = 0;
         for (k, (id, query)) in workload.iter().enumerate() {
             match px.execute(query) {
                 Ok(result) => {
                     assert!(!contacts[k].contains(&victim), "{label}/{id}: answered over a hole");
                     assert_eq!(canonical(&result.items), healthy[k], "{label}/{id}");
+                    answered += 1;
                 }
                 Err(error) => {
                     assert!(contacts[k].contains(&victim), "{label}/{id}: {error}");
@@ -316,6 +220,7 @@ fn vertical_kill_matrix(
             }
         }
 
+        assert!(answered < workload.len(), "{label}: no query noticed the dead node");
         wire.restart(victim);
         for (k, (id, query)) in workload.iter().enumerate() {
             let healed = px

@@ -8,10 +8,12 @@
 //! the paper workload on a fragmented cluster against the centralized
 //! oracle.
 
+mod common;
+
+use common::{assert_answers, On, Route};
 use partix::gen::{gen_items, ItemProfile};
 use partix::query::{func::serialize_sequence, parse_query, Evaluator, MemProvider};
 use partix::storage::{Database, StorageMode};
-use partix_bench::oracle::canonical;
 use partix_bench::{queries, setup};
 
 /// Query families over the items corpus: selections, aggregates, ordered
@@ -110,25 +112,6 @@ fn every_family_matches_the_evaluator_hot_and_cold() {
 
 #[test]
 fn distributed_matches_centralized_oracle() {
-    let docs = setup::quick_items(80);
-    let px = setup::horizontal(&docs, 4);
-    let central = |q: &str| {
-        q.replace(
-            &format!("collection(\"{}\")", setup::DIST),
-            &format!("collection(\"{}\")", setup::CENTRAL),
-        )
-    };
-    for (id, query) in queries::horizontal(setup::DIST) {
-        let dist = px
-            .execute(&query)
-            .unwrap_or_else(|e| panic!("{id} distributed: {e}"));
-        let cent = px
-            .execute_centralized(0, &central(&query))
-            .unwrap_or_else(|e| panic!("{id} centralized: {e}"));
-        assert_eq!(
-            canonical(&dist.items),
-            canonical(&cent.items),
-            "{id}: fragmented cluster diverges from the oracle",
-        );
-    }
+    let on = On::new(setup::horizontal(&setup::quick_items(80), 4), Route::Buffered);
+    assert_answers(&on, &queries::horizontal(setup::DIST), "hor4");
 }

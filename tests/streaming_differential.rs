@@ -3,11 +3,11 @@
 //! Every query family runs three ways against one coordinator — streamed
 //! (`ItemChunk` frames as sub-queries complete), buffered (whole answer
 //! materialized first; same wire format), and the in-process engine —
-//! and the item sequences must be byte-identical *in order*, with the
-//! horizontal families additionally checked against the centralized
-//! oracle. The deterministic [`partix_net::StreamStats`] shipped in
-//! `StreamEnd` must agree between the two transport modes, on a query's
-//! first run (plan parsed) and on later ones (plan cached) alike.
+//! and the item sequences must be byte-identical *in order*, and the
+//! centralized oracle's answer (`common::check`). The deterministic
+//! [`partix_net::StreamStats`] shipped in `StreamEnd` must agree between
+//! the two transport modes, on a query's first run (plan parsed) and on
+//! later ones (plan cached) alike.
 //!
 //! The faulted runs re-assert the dispatch contract through the
 //! streaming stack: seeded injectors under a replicated cluster, and a
@@ -15,11 +15,13 @@
 //! but an answered stream is always the oracle answer, never a silent
 //! truncation (the `StreamEnd` totals make short streams detectable).
 
+mod common;
+
+use common::gen::{Family, FAMILIES};
+use common::{assert_answers, check, route_holds, Form, On, Route};
 use partix::engine::{DispatchMode, ExecOptions, FaultPlan, PartiX, RetryPolicy};
-use partix::frag::FragMode;
-use partix::gen::{ArticleProfile, ItemProfile};
 use partix::query::Item;
-use partix_bench::oracle::{canonical, centralized_text, exact};
+use partix_bench::oracle::{canonical, exact};
 use partix_bench::{queries, setup};
 use partix_net::{
     serve_coordinator, StreamCallError, StreamClient, StreamClientConfig, StreamOpts,
@@ -29,7 +31,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const STREAMED: StreamOpts = StreamOpts { allow_partial: false, buffered: false, tenant: None };
-const BUFFERED: StreamOpts = StreamOpts { allow_partial: false, buffered: true, tenant: None };
 
 /// Put one coordinator in front of `px` and hand back a connected
 /// client. Dispatch goes to worker pools, the serving configuration.
@@ -47,100 +48,19 @@ fn serve(mut px: PartiX) -> (Arc<PartiX>, StreamServer, StreamClient) {
     (px, server, client)
 }
 
-/// The differential proper: streamed ≡ buffered ≡ in-process, stats
-/// deterministic across the two wire modes, oracle checked when the
-/// setup publishes a centralized copy.
-fn assert_streaming_differential(
-    px: &PartiX,
-    client: &StreamClient,
-    workload: &[(&'static str, String)],
-    label: &str,
-    against_oracle: bool,
-) {
-    for (id, query) in workload {
-        let streamed = client
-            .query(query, STREAMED)
-            .unwrap_or_else(|e| panic!("{label}/{id} streamed: {e}"));
-        let buffered = client
-            .query(query, BUFFERED)
-            .unwrap_or_else(|e| panic!("{label}/{id} buffered: {e}"));
-        let local = px
-            .execute(query)
-            .unwrap_or_else(|e| panic!("{label}/{id} local: {e}"));
-
-        assert_eq!(
-            exact(&streamed.items),
-            exact(&buffered.items),
-            "{label}/{id}: streamed and buffered item sequences diverge",
-        );
-        assert_eq!(
-            exact(&streamed.items),
-            exact(&local.items),
-            "{label}/{id}: wire answer diverges from the in-process run",
-        );
-        if against_oracle {
-            let oracle = px
-                .execute_centralized(0, &centralized_text(query))
-                .unwrap_or_else(|e| panic!("{label}/{id} centralized: {e}"));
-            assert_eq!(
-                canonical(&streamed.items),
-                canonical(&oracle.items),
-                "{label}/{id}: streamed answer diverges from the oracle",
-            );
-        }
-
-        // the deterministic stats must not depend on the transport mode
-        let (s, b) = (&streamed.stats, &buffered.stats);
-        assert_eq!(s.sites, b.sites, "{label}/{id}: sites diverge across modes");
-        assert_eq!(
-            s.fragments_pruned, b.fragments_pruned,
-            "{label}/{id}: pruning diverges across modes",
-        );
-        assert_eq!(
-            s.docs_scanned, b.docs_scanned,
-            "{label}/{id}: docs_scanned diverges across modes",
-        );
-        assert_eq!(s.partial, b.partial, "{label}/{id}: partial flag diverges");
-        assert_eq!(
-            s.catalog_epoch, b.catalog_epoch,
-            "{label}/{id}: catalog epoch diverges across modes",
-        );
-        assert!(!s.partial, "{label}/{id}: fault-free run reported a partial answer");
-    }
-}
-
 #[test]
 fn horizontal_streamed_matches_buffered_and_oracle_cold_and_hot() {
-    let docs = setup::quick_items(80);
-    let workload = queries::horizontal(setup::DIST);
-    for n in [2, 4, 8] {
-        let (px, _server, client) = serve(setup::horizontal(&docs, n));
-
-        // first pass: each query's plan is parsed on its first run
-        assert_streaming_differential(&px, &client, &workload, &format!("hor{n}-cold"), true);
-        // second pass: every plan comes out of the plan cache, and the
-        // chunks must still be byte-identical with equal stats
-        assert_streaming_differential(&px, &client, &workload, &format!("hor{n}-hot"), true);
-    }
+    route_holds(&[Family::Horizontal], 16, |_| Route::Coordinator);
 }
 
 #[test]
 fn vertical_streamed_matches_buffered() {
-    let docs = partix::gen::gen_articles(10, ArticleProfile::SMALL, 29);
-    let workload = queries::vertical(setup::DIST);
-    let (px, _server, client) = serve(setup::vertical(&docs));
-    assert_streaming_differential(&px, &client, &workload, "vert-streamed", false);
+    route_holds(&[Family::Vertical], 16, |_| Route::Coordinator);
 }
 
 #[test]
 fn hybrid_streamed_matches_buffered_both_frag_modes() {
-    let store = partix::gen::gen_store(40, ItemProfile::Small, 31);
-    for mode in [FragMode::SingleDoc, FragMode::ManySmallDocs] {
-        let label = format!("{mode:?}-streamed");
-        let (px, _server, client) = serve(setup::hybrid(&store, mode));
-        let workload = queries::hybrid(setup::DIST);
-        assert_streaming_differential(&px, &client, &workload, &label, false);
-    }
+    route_holds(&[Family::Hybrid], 16, |_| Route::Coordinator);
 }
 
 /// The slices `execute_streamed_with` emits for `query`, in order.
@@ -154,43 +74,14 @@ fn stream_slices(px: &PartiX, query: &str) -> Vec<Vec<Item>> {
     slices
 }
 
-/// The buffered answer is the streamed one, collected: for every query
-/// family of all three designs, in both dispatch modes, `execute` returns
-/// exactly the concatenation of the slices a stream emits.
+/// The buffered answer is the streamed one, collected: for the fixed
+/// workloads and generated cases of every family, in both dispatch
+/// modes, `execute` returns exactly the concatenation of the slices a
+/// stream emits, and that is the centralized answer.
 #[test]
 fn buffered_answer_is_the_concatenated_stream_in_every_design_and_mode() {
-    let items = setup::quick_items(60);
-    let articles = partix::gen::gen_articles(8, ArticleProfile::SMALL, 29);
-    let store = partix::gen::gen_store(40, ItemProfile::Small, 31);
-    type Design<'a> = (&'a str, Box<dyn Fn() -> PartiX + 'a>, Vec<(&'static str, String)>);
-    let designs: Vec<Design> = vec![
-        ("hor", Box::new(|| setup::horizontal(&items, 4)), queries::horizontal(setup::DIST)),
-        ("vert", Box::new(|| setup::vertical(&articles)), queries::vertical(setup::DIST)),
-        (
-            "hyb-single",
-            Box::new(|| setup::hybrid(&store, FragMode::SingleDoc)),
-            queries::hybrid(setup::DIST),
-        ),
-        (
-            "hyb-many",
-            Box::new(|| setup::hybrid(&store, FragMode::ManySmallDocs)),
-            queries::hybrid(setup::DIST),
-        ),
-    ];
-    for (label, build, workload) in &designs {
-        for mode in [DispatchMode::Simulated, DispatchMode::Pool] {
-            let mut px = build();
-            px.set_dispatch(mode);
-            for (id, query) in workload {
-                let buffered = px.execute(query).unwrap_or_else(|e| panic!("{label}/{id}: {e}"));
-                let streamed: Vec<Item> = stream_slices(&px, query).into_iter().flatten().collect();
-                assert_eq!(
-                    exact(&buffered.items),
-                    exact(&streamed),
-                    "{label}/{mode:?}/{id}: buffered answer is not the collected stream",
-                );
-            }
-        }
+    for mode in [DispatchMode::Simulated, DispatchMode::Pool] {
+        route_holds(&FAMILIES, 12, |_| Route::Streamed(mode));
     }
 }
 
@@ -247,18 +138,15 @@ fn composed_at_the_coordinator() -> Vec<(&'static str, String)> {
 #[test]
 fn a_remainder_and_a_horizontal_reconstruction_each_stream_as_one_slice() {
     let docs = setup::quick_items(80);
-    let px = setup::horizontal(&docs, 4);
     let workload = composed_at_the_coordinator();
+    let on = On::new(setup::horizontal(&docs, 4), Route::Streamed(DispatchMode::Simulated));
     for (id, query) in &workload {
-        let slices = stream_slices(&px, query);
-        assert_eq!(slices.len(), 1, "{id}: {} slices", slices.len());
-        let buffered = px.execute(query).unwrap_or_else(|e| panic!("{id}: {e}"));
-        let oracle = px.execute_centralized(0, &centralized_text(query)).expect("centralized");
-        assert_eq!(exact(&slices[0]), exact(&buffered.items), "{id}: stream vs buffered");
-        assert_eq!(exact(&slices[0]), exact(&oracle.items), "{id}: stream vs oracle");
+        let verdict = check(&on, query).unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(verdict.slices, 1, "{id}: {} slices", verdict.slices);
+        assert_eq!(verdict.form, Form::Exact, "{id}");
     }
-    let (px, _server, client) = serve(setup::horizontal(&docs, 4));
-    assert_streaming_differential(&px, &client, &workload, "composed", true);
+    let on = On::new(setup::horizontal(&docs, 4), Route::Coordinator);
+    assert_answers(&on, &workload, "composed");
 }
 
 /// Degraded mode: a split plan that loses a fragment answers from the

@@ -35,7 +35,7 @@ fn p(s: &str) -> PathExpr {
 /// composed from per-fragment partials, so a re-fragmentation legally
 /// reorders a float summation; numeric answers compare under a relative
 /// epsilon, everything else must match byte-for-byte.
-fn assert_matches_oracle(id: &str, phase: &str, items: &[Item], oracle: &str) {
+fn assert_within_epsilon_of_oracle(id: &str, phase: &str, items: &[Item], oracle: &str) {
     let got = canonical(items);
     if let (Ok(a), Ok(b)) = (got.parse::<f64>(), oracle.parse::<f64>()) {
         assert!(
@@ -172,7 +172,7 @@ fn advisor_resplits_warehouse_facts_from_the_mined_log() {
     let profiler = WorkloadProfiler::new();
     for (idx, (id, q)) in queries.iter().enumerate() {
         let result = px.execute(q).unwrap_or_else(|e| panic!("{id}: {e}"));
-        assert_matches_oracle(id, "pre-advice", &result.items, &oracle[idx]);
+        assert_within_epsilon_of_oracle(id, "pre-advice", &result.items, &oracle[idx]);
         profiler.record(&result.report);
     }
     profiler.observe_placement(&px, FACTS);
@@ -211,7 +211,7 @@ fn advisor_resplits_warehouse_facts_from_the_mined_log() {
         .expect("oracle copy");
     for (idx, (id, q)) in queries.iter().enumerate() {
         let result = adopted.execute(q).unwrap_or_else(|e| panic!("{id} post-adopt: {e}"));
-        assert_matches_oracle(id, "after adoption", &result.items, &oracle[idx]);
+        assert_within_epsilon_of_oracle(id, "after adoption", &result.items, &oracle[idx]);
     }
 }
 
@@ -278,6 +278,6 @@ fn mined_design_rebalances_live_onto_the_advised_placement() {
     assert!(spread.len() > 1, "migration left every fragment on node 0");
     for (idx, (id, q)) in queries.iter().enumerate() {
         let result = skewed.execute(q).unwrap_or_else(|e| panic!("{id} post-migration: {e}"));
-        assert_matches_oracle(id, "after migration", &result.items, &oracle[idx]);
+        assert_within_epsilon_of_oracle(id, "after migration", &result.items, &oracle[idx]);
     }
 }

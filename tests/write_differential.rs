@@ -15,7 +15,7 @@
 //!   (snapshot + WAL replay), and the recovered state must match what
 //!   the kill stage's durability semantics predict;
 //! * **over loopback TCP** — the same kill matrix with the writes
-//!   traveling as PXN1 `Write` frames through `NodeServer` /
+//!   traveling as PXN2 `Write` frames through `NodeServer` /
 //!   `RemoteDriver`, and the crash also taking down the listener.
 //!
 //! A seeded schedule fuzzer (sized by `PARTIX_PROPTEST_CASES`) then
@@ -23,12 +23,15 @@
 //! schedule prints as a replayable `describe()` string, matching the
 //! `FaultPlan` reproducibility contract.
 
+mod common;
+
+use common::{assert_workload, check_answer};
 use partix::engine::{PartiX, PartixDriver, WriteError};
 use partix::frag::check_correctness;
 use partix::gen::SECTIONS;
 use partix::storage::{DurableDb, WalStage, WriteOp};
 use partix::xml::{parse, Document};
-use partix_bench::oracle::{canonical, centralized_text};
+use partix_bench::oracle::canonical;
 use partix_bench::{queries, setup};
 use partix_net::{NodeServer, RemoteDriver, ServerConfig};
 use std::path::{Path, PathBuf};
@@ -56,21 +59,6 @@ fn workload() -> Vec<(&'static str, String)> {
         format!(r#"for $i in collection("{}")/Item return $i"#, setup::DIST),
     ));
     qs
-}
-
-/// Every workload query must answer byte-identically to the oracle.
-fn assert_matches_oracle(px: &PartiX, workload: &[(&'static str, String)], label: &str) {
-    for (id, query) in workload {
-        let answer = px.execute(query).unwrap_or_else(|e| panic!("{label}/{id}: {e}"));
-        let oracle = px
-            .execute_centralized(0, &centralized_text(query))
-            .unwrap_or_else(|e| panic!("{label}/{id} centralized: {e}"));
-        assert_eq!(
-            canonical(&answer.items),
-            canonical(&oracle.items),
-            "{label}/{id}: answer diverges from the oracle",
-        );
-    }
 }
 
 /// A routable item document (Section drawn from the generator's
@@ -196,40 +184,40 @@ fn route_of(px: &PartiX, section: &str) -> (String, usize) {
 fn interleaved_writes_and_reads_match_oracle() {
     let px = setup::horizontal(&setup::quick_items(40), 4);
     let workload = workload();
-    assert_matches_oracle(&px, &workload, "pre-write");
+    assert_workload(&px, &workload, "pre-write");
 
     // fresh inserts into different fragments
     for (k, section) in ["CD", "DVD", "BOOK", "GARDEN"].iter().enumerate() {
         let doc = item(&format!("w{k:02}"), section, 900 + k as u32);
         px.put(setup::DIST, doc.clone()).unwrap();
         oracle_put(&px, &doc);
-        assert_matches_oracle(&px, &workload, &format!("after insert {section}"));
+        assert_workload(&px, &workload, &format!("after insert {section}"));
     }
 
     // in-place update (same routing value, new content)
     let doc = item("w00", "CD", 1900);
     px.update(setup::DIST, doc.clone()).unwrap();
     oracle_put(&px, &doc);
-    assert_matches_oracle(&px, &workload, "after in-place update");
+    assert_workload(&px, &workload, "after in-place update");
 
     // cross-fragment move: w01's Section flips DVD → SPORT
     let doc = item("w01", "SPORT", 901);
     let report = px.update(setup::DIST, doc.clone()).unwrap();
     assert_eq!(report.deleted, 1, "stale DVD piece must be cleared");
     oracle_put(&px, &doc);
-    assert_matches_oracle(&px, &workload, "after cross-fragment move");
+    assert_workload(&px, &workload, "after cross-fragment move");
 
     // delete a generated doc and a written one
     for name in ["item00003", "w02"] {
         px.delete(setup::DIST, name).unwrap();
         assert_eq!(oracle_delete(&px, name), 1);
-        assert_matches_oracle(&px, &workload, &format!("after delete {name}"));
+        assert_workload(&px, &workload, &format!("after delete {name}"));
     }
 
     // unroutable: typed error on the cluster, no state change anywhere
     let err = px.put(setup::DIST, item("w99", "PERFUME", 999)).unwrap_err();
     assert!(matches!(err, WriteError::UnroutableDocument { .. }), "{err}");
-    assert_matches_oracle(&px, &workload, "after unroutable refusal");
+    assert_workload(&px, &workload, "after unroutable refusal");
     assert_invariants(&px, "in-process");
 }
 
@@ -246,7 +234,7 @@ fn run_kill_matrix(
     label: &str,
 ) {
     let workload = workload();
-    assert_matches_oracle(px, &workload, &format!("{label}/baseline"));
+    assert_workload(px, &workload, &format!("{label}/baseline"));
     let mut acked: Vec<Document> = Vec::new();
 
     for (k, stage) in WalStage::ALL.into_iter().enumerate() {
@@ -276,7 +264,7 @@ fn run_kill_matrix(
         if oracle_decides {
             oracle_put(px, &doc);
         }
-        assert_matches_oracle(px, &workload, &format!("{label}/{stage:?} post-recovery"));
+        assert_workload(px, &workload, &format!("{label}/{stage:?} post-recovery"));
 
         // the client retries the unacknowledged write; idempotence makes
         // retry converge regardless of what recovery restored
@@ -286,7 +274,7 @@ fn run_kill_matrix(
             oracle_put(px, &doc);
         }
         acked.push(doc);
-        assert_matches_oracle(px, &workload, &format!("{label}/{stage:?} post-retry"));
+        assert_workload(px, &workload, &format!("{label}/{stage:?} post-retry"));
         assert_invariants(px, &format!("{label}/{stage:?}"));
     }
 
@@ -325,7 +313,7 @@ fn wal_kill_points_recover_over_loopback_tcp() {
     let durables = attach_durable(&px, &root);
 
     // host each DurableDb behind a real listener; the coordinator talks
-    // PXN1 — writes travel as non-idempotent Write frames
+    // PXN2 — writes travel as non-idempotent Write frames
     let mut servers: Vec<Option<NodeServer>> = Vec::new();
     let mut remotes: Vec<Arc<RemoteDriver>> = Vec::new();
     for (i, durable) in durables.iter().enumerate() {
@@ -386,30 +374,18 @@ struct Schedule {
     ops: Vec<SchedOp>,
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Schedule {
     /// ~24 ops: reads and puts dominate, deletes and kills salted in.
     fn generate(seed: u64, reads: usize) -> Schedule {
-        let mut state = seed;
-        let n = 16 + (splitmix(&mut state) % 12) as usize;
+        // SplitMix64, the generator every seeded schedule here draws from
+        let rng = &mut proptest::test_runner::TestRng::from_seed(seed);
+        let n = 16 + rng.below(12);
         let ops = (0..n)
-            .map(|_| match splitmix(&mut state) % 10 {
-                0..=2 => SchedOp::Read((splitmix(&mut state) as usize) % reads),
-                3..=6 => SchedOp::Put {
-                    serial: (splitmix(&mut state) as usize) % 24,
-                    section: (splitmix(&mut state) as usize) % SECTIONS.len(),
-                },
-                7..=8 => SchedOp::Delete { serial: (splitmix(&mut state) as usize) % 24 },
-                _ => SchedOp::Kill {
-                    stage: WalStage::ALL[(splitmix(&mut state) as usize) % 3],
-                },
+            .map(|_| match rng.next_u64() % 10 {
+                0..=2 => SchedOp::Read(rng.below(reads)),
+                3..=6 => SchedOp::Put { serial: rng.below(24), section: rng.below(SECTIONS.len()) },
+                7..=8 => SchedOp::Delete { serial: rng.below(24) },
+                _ => SchedOp::Kill { stage: WalStage::ALL[rng.below(3)] },
             })
             .collect();
         Schedule { seed, ops }
@@ -517,14 +493,8 @@ fn fuzzed_schedules_converge_to_the_oracle() {
                     // triggered kills are recovered before the next op
                     let answer =
                         px.execute(query).unwrap_or_else(|e| panic!("{ctx}: {id}: {e}"));
-                    let oracle = px
-                        .execute_centralized(0, &centralized_text(query))
-                        .unwrap_or_else(|e| panic!("{ctx}: {id} centralized: {e}"));
-                    assert_eq!(
-                        canonical(&answer.items),
-                        canonical(&oracle.items),
-                        "{ctx}: {id} diverges",
-                    );
+                    check_answer(&px, query, &answer.items)
+                        .unwrap_or_else(|e| panic!("{ctx}: {id} diverges: {e}"));
                 }
                 SchedOp::Put { serial, section } => {
                     let doc = item(
@@ -554,7 +524,7 @@ fn fuzzed_schedules_converge_to_the_oracle() {
         for durable in &durables {
             durable.set_kill(None); // disarm any unspent charge
         }
-        assert_matches_oracle(&px, &workload, &ctx);
+        assert_workload(&px, &workload, &ctx);
         assert_invariants(&px, &ctx);
         let _ = std::fs::remove_dir_all(&root);
     }
