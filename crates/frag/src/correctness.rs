@@ -356,13 +356,13 @@ fn reconstruct_hybrid<D: Borrow<Document>>(
     }
     // a FragMode1 unit carries its place in its source document: the
     // units go back in document order, whichever fragment held them
-    let place = |(doc, node): &(&Document, NodeId)| {
+    fn place<'a>((doc, node): &(&'a Document, NodeId)) -> Option<&'a [u32]> {
         let origin = doc.origin.as_ref().filter(|_| *node == NodeId::ROOT);
-        origin.map(|o| o.dewey.components().to_vec())
-    };
+        origin.map(|o| o.dewey.components())
+    }
     for list in units.values_mut() {
         if list.iter().all(|unit| place(unit).is_some()) {
-            list.sort_by_key(place);
+            list.sort_by(|a, b| place(a).cmp(&place(b)));
         }
     }
     let container_path =

@@ -559,7 +559,7 @@ fn query(rng: &mut TestRng, family: Family, unit: &ElementDecl, (read, atoms): &
             2 => "$a".to_owned(),
             3 => match a.split_once('/') {
                 Some((outer, inner)) => format!("(for $s in $a/{outer} return $s/{inner})"),
-                None => format!("$a/*"),
+                None => "$a/*".to_owned(),
             },
             4 => format!("$a//{}", a.rsplit('/').next().unwrap_or(&a)),
             _ => format!("$a/{a}"),

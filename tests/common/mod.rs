@@ -49,8 +49,9 @@ pub enum Route {
     Streamed(DispatchMode),
     /// Through a loopback coordinator (`StreamClient`, pooled dispatch),
     /// streamed and buffered on the wire, twice — plan parsed, then
-    /// cached: both wire answers must be the in-process one item for
-    /// item, with the same deterministic stats and never partial.
+    /// cached — before the in-process run: both wire answers must be the
+    /// in-process one item for item, with the same deterministic stats
+    /// and never partial.
     Coordinator,
     /// Every node behind a loopback node server (`RemoteCluster`).
     Remote,
@@ -87,7 +88,8 @@ pub struct On {
     pub injectors: Vec<Option<Arc<FaultInjector>>>,
     route: Route,
     remote: Option<RemoteCluster>,
-    coordinator: Option<(StreamServer, StreamClient)>,
+    /// A [`Route::Coordinator`] cluster's coordinator and its client.
+    pub coordinator: Option<(StreamServer, StreamClient)>,
 }
 
 impl On {
@@ -113,6 +115,11 @@ impl On {
             (server, client)
         });
         On { px, injectors, route, remote, coordinator }
+    }
+
+    /// The client of a [`Route::Coordinator`] cluster.
+    pub fn client(&self) -> &StreamClient {
+        &self.coordinator.as_ref().expect("a coordinator").1
     }
 
     /// The loopback node servers of a [`Route::Remote`] cluster.
@@ -233,7 +240,7 @@ fn kind(message: &str) -> &str {
     }
 }
 
-type Answer = Result<(Vec<Item>, Option<QueryReport>, usize), String>;
+type Answer = Result<(Vec<Item>, Option<QueryReport>, usize), PartixError>;
 type Workload = Vec<(&'static str, String)>;
 type Property = Result<(), String>;
 
@@ -249,12 +256,14 @@ pub fn check(on: &On, query: &str) -> Result<Verdict, String> {
             let (answered, items) = (true, items.len());
             Ok(Verdict { form, answered, items, slices, report, ..Verdict::default() })
         }
-        (Err(error), Err(central)) if faulted || kind(&error) == kind(&central) => {
+        (Err(error), Err(central)) if faulted || kind(&message(&error)) == kind(&central) => {
             Ok(Verdict { failed_alike: true, ..Verdict::default() })
         }
         // `min` / `max` partials of numbers on some fragments and strings
-        // on others have no composed answer: the documented refusal
-        (Err(error), _) if error.contains("is not known") => {
+        // on others have no composed answer: the documented refusal (a
+        // remainder that fails to evaluate is a composition error too,
+        // and no refusal)
+        (Err(PartixError::Composition(error)), _) if error.contains("is not known") => {
             Ok(Verdict { refused: true, ..Verdict::default() })
         }
         (Err(_), _) if faulted => Ok(Verdict::default()),
@@ -268,43 +277,51 @@ pub fn check(on: &On, query: &str) -> Result<Verdict, String> {
     }
 }
 
+/// The slices `execute_streamed_with` emits for `query`, in order, and
+/// the run's report.
+pub fn stream(px: &PartiX, query: &str) -> Result<(Vec<Vec<Item>>, QueryReport), PartixError> {
+    let mut slices = Vec::new();
+    let mut emit = |slice| {
+        slices.push(slice);
+        true
+    };
+    let report = px.execute_streamed_with(query, ExecOptions::default(), &mut emit)?.report;
+    Ok((slices, report))
+}
+
 /// The distributed answer over `on`'s route; `Err` when the route's own
 /// legs disagree.
 fn ask(on: &On, query: &str) -> Result<Answer, String> {
     let px = &on.px;
     let buffered = |px: &PartiX| px.execute(query).map(|r| (r.items, Some(r.report), 0));
     match &on.route {
-        Route::Buffered | Route::Remote | Route::Faulted(_) => {
-            Ok(buffered(px).map_err(|e| message(&e)))
-        }
-        Route::Streamed(_) => {
-            let mut slices: Vec<Vec<Item>> = Vec::new();
-            let options = ExecOptions::default();
-            let mut emit = |slice| {
-                slices.push(slice);
-                true
-            };
-            let streamed = px.execute_streamed_with(query, options, &mut emit);
-            let items: Vec<Item> = slices.iter().flatten().cloned().collect();
-            match (streamed, buffered(px)) {
-                (Ok(s), Ok((whole, ..))) if exact(&whole) == exact(&items) => {
-                    Ok(Ok((items, Some(s.report), slices.len())))
+        Route::Buffered | Route::Remote | Route::Faulted(_) => Ok(buffered(px)),
+        Route::Streamed(_) => match (stream(px, query), buffered(px)) {
+            (Ok((slices, report)), Ok((whole, ..))) => {
+                let items: Vec<Item> = slices.iter().flatten().cloned().collect();
+                match exact(&whole) == exact(&items) {
+                    true => Ok(Ok((items, Some(report), slices.len()))),
+                    false => Err(format!(
+                        "the buffered answer {} is not the collected stream {}",
+                        exact(&whole),
+                        exact(&items)
+                    )),
                 }
-                (Err(e), Err(_)) => Ok(Err(message(&e))),
-                (s, b) => Err(format!(
-                    "the buffered answer is not the collected stream: {:?} / {:?}",
-                    s.map(|_| exact(&items)),
-                    b.map(|(whole, ..)| exact(&whole))
-                )),
             }
-        }
+            (Err(e), Err(_)) => Ok(Err(e)),
+            (s, b) => Err(format!("answered streamed {}, buffered {}", s.is_ok(), b.is_ok())),
+        },
         Route::Coordinator => {
-            let client = &on.coordinator.as_ref().expect("a coordinator").1;
-            let local = buffered(px).map_err(|e| message(&e));
+            let client = on.client();
             let mode = |buffered| StreamOpts { buffered, ..StreamOpts::default() };
-            for pass in ["plan parsed", "plan cached"] {
-                let (streamed, wired) =
-                    (client.query(query, mode(false)), client.query(query, mode(true)));
+            // the wire asks first: its first pass parses and localizes
+            // the plan, its second finds it in the plan cache
+            let both = |pass| {
+                (pass, client.query(query, mode(false)), client.query(query, mode(true)))
+            };
+            let passes = ["plan parsed", "plan cached"].map(both);
+            let local = buffered(px);
+            for (pass, streamed, wired) in passes {
                 let (s, b, l) = match (streamed, wired, &local) {
                     (Ok(s), Ok(b), Ok(l)) => (s, b, l),
                     (Err(_), Err(_), Err(_)) => break,
@@ -331,13 +348,21 @@ fn ask(on: &On, query: &str) -> Result<Answer, String> {
     }
 }
 
-/// Check every query of `workload` over `on`, panicking on the first
-/// disagreement; how many were answered.
+/// Check `query` over `on`, panicking on a disagreement and, off the
+/// faulted route, on any outcome but an answer: a fixed query must be
+/// answered, not merely fail as the centralized run does.
+pub fn assert_answer(on: &On, query: &str, label: &str) -> Verdict {
+    let verdict = check(on, query).unwrap_or_else(|e| panic!("{label}: {query}\n{e}"));
+    let faulted = matches!(on.route, Route::Faulted(_));
+    assert!(verdict.answered || faulted, "{label}: {query}\nnot answered: {verdict:?}");
+    verdict
+}
+
+/// [`assert_answer`] for every query of `workload`; how many were
+/// answered (all of them off the faulted route).
 pub fn assert_answers(on: &On, workload: &[(&'static str, String)], label: &str) -> usize {
-    let verdicts = workload.iter().map(|(id, query)| {
-        check(on, query).unwrap_or_else(|e| panic!("{label}/{id}: {query}\n{e}"))
-    });
-    verdicts.filter(|v| v.answered).count()
+    let answer = |(id, query): &(_, String)| assert_answer(on, query, &format!("{label}/{id}"));
+    workload.iter().map(answer).filter(|v| v.answered).count()
 }
 
 /// The fixed bench workloads of `family` (`partix_bench::queries`) over
@@ -394,7 +419,11 @@ pub fn for_cases(families: &[Family], default_cases: u32, property: impl Fn(&Cas
 pub fn route_holds(families: &[Family], default_cases: u32, route: impl Fn(u64) -> Route) {
     for &family in families {
         for (label, px, workload) in workloads(family, route(0).replicas()) {
-            assert_answers(&On::new(px, route(3)), &workload, &label);
+            let on = On::new(px, route(3));
+            assert_answers(&on, &workload, &label);
+            if let Some(wire) = &on.remote {
+                assert!(wire.wire_bytes() > 0, "{label}: no bytes crossed the wire");
+            }
         }
     }
     for_cases(families, default_cases, |case| check_case(case, route(case.seed)).map(drop));

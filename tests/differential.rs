@@ -12,7 +12,7 @@
 mod common;
 
 use common::gen::{cluster, Family, FAMILIES};
-use common::{assert_answers, check, check_case, for_cases, On, Route};
+use common::{assert_answer, assert_answers, check_case, for_cases, On, Route};
 use partix::engine::{Fault, FaultInjector, FaultPlan, PartixError, Placement};
 use partix::frag::{FragMode, FragmentDef, FragmentationSchema};
 use partix::gen::{ArticleProfile, ItemProfile};
@@ -87,8 +87,7 @@ fn assert_probe(probe: impl Fn(&str) -> String) {
     let hybrid = ("hyb".into(), setup::hybrid(&store, FragMode::SingleDoc), "/Store/Items/Item");
     for (label, px, items) in horizontal.into_iter().chain([hybrid]) {
         let query = probe(&format!("{c}{items}"));
-        let verdict = check(&On::new(px, Route::Buffered), &query);
-        let verdict = verdict.unwrap_or_else(|e| panic!("{label}: {query}\n{e}"));
+        let verdict = assert_answer(&On::new(px, Route::Buffered), &query, &label);
         assert_ne!(verdict.form, common::Form::Canonical, "{label}: {query}");
     }
 }
@@ -188,9 +187,7 @@ fn assert_pruning_keeps_answers(
     let c = format!(r#"collection("{}"){items}"#, setup::DIST);
     let query = format!("for $i in {c} where {condition} return $i/Name");
     let on = On::new(px, Route::Buffered);
-    let verdict = check(&on, &query).unwrap_or_else(|e| panic!("{query}\n{e}"));
-    let pruned = verdict.report.map_or(0, |r| r.fragments_pruned);
-    assert!(verdict.answered, "{query}: fragments_pruned {pruned}");
+    assert_answer(&on, &query, "pruned");
 }
 
 /// `C_items` as the horizontal designs see it: `/Item/Code` is
@@ -349,7 +346,7 @@ fn a_position_past_the_first_selects_nothing_of_a_cut_node() {
         format!("for $a in {c} return $a/prolog/keywords[2]/keyword"),
     ];
     for query in second {
-        check(&on, &query).unwrap_or_else(|e| panic!("{query}\n{e}"));
+        assert_answer(&on, &query, "keywords[2]");
     }
 }
 
@@ -367,7 +364,7 @@ fn an_article_without_the_read_part_still_binds_its_for() {
         format!("for $a in {c}, $b in {c} return $a/body/abstract"),
     ];
     for query in per_article {
-        check(&on, &query).unwrap_or_else(|e| panic!("{query}\n{e}"));
+        assert_answer(&on, &query, "per article");
     }
 }
 
@@ -391,8 +388,7 @@ fn a_fragmode1_store_is_rebuilt_in_document_order() {
     ];
     let on = On::new(cluster(3, design, placements, &[store], StorageMode::Cold), Route::Buffered);
     let query = format!(r#"string-join(collection("{}")/Store/Items/Item/Code, ",")"#, setup::DIST);
-    let verdict = check(&on, &query).unwrap_or_else(|e| panic!("{query}\n{e}"));
-    assert_eq!(verdict.form, common::Form::Exact);
+    assert_eq!(assert_answer(&on, &query, "store").form, common::Form::Exact);
 }
 
 // ------------------------------------------------------ faulted runs --
@@ -495,7 +491,7 @@ fn reconstruction_under_faults_retries_or_fails_typed() {
     let on = On::new(px, Route::Buffered);
     let mut retries = 0;
     for (id, query) in &workload {
-        let verdict = check(&on, query).unwrap_or_else(|e| panic!("flapping/{id}: {e}"));
+        let verdict = assert_answer(&on, query, &format!("flapping/{id}"));
         retries += verdict.report.map_or(0, |r| r.retries);
     }
     assert!(retries > 0, "no fetch was retried");

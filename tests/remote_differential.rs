@@ -14,7 +14,7 @@
 mod common;
 
 use common::gen::Family;
-use common::{assert_answers, check, route_holds, On, Route};
+use common::{assert_answer, assert_answers, route_holds, On, Route};
 use partix::engine::{DriverError, FaultPlan, PartixDriver, RetryPolicy};
 use partix::gen::ArticleProfile;
 use partix::query::Query;
@@ -67,7 +67,7 @@ fn vertical_fetches_cross_the_wire_pruned_and_filtered() {
     let run = |k: usize| {
         let before = body_node();
         let (id, query) = &workload[k];
-        let verdict = check(&on, query).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let verdict = assert_answer(&on, query, id);
         let after = body_node();
         let result = (verdict.report.expect("answered"), verdict.items);
         (result, after.bytes_sent - before.bytes_sent, after.bytes_recv - before.bytes_recv)

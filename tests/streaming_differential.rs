@@ -18,35 +18,15 @@
 mod common;
 
 use common::gen::{Family, FAMILIES};
-use common::{assert_answers, check, route_holds, Form, On, Route};
-use partix::engine::{DispatchMode, ExecOptions, FaultPlan, PartiX, RetryPolicy};
+use common::{assert_answer, assert_answers, route_holds, stream, Form, On, Route};
+use partix::engine::{DispatchMode, ExecOptions, FaultPlan, RetryPolicy};
 use partix::query::Item;
 use partix_bench::oracle::{canonical, exact};
 use partix_bench::{queries, setup};
-use partix_net::{
-    serve_coordinator, StreamCallError, StreamClient, StreamClientConfig, StreamOpts,
-    StreamResult, StreamServer, StreamServerConfig,
-};
-use std::sync::Arc;
+use partix_net::{StreamCallError, StreamOpts, StreamResult};
 use std::time::Duration;
 
 const STREAMED: StreamOpts = StreamOpts { allow_partial: false, buffered: false, tenant: None };
-
-/// Put one coordinator in front of `px` and hand back a connected
-/// client. Dispatch goes to worker pools, the serving configuration.
-fn serve(mut px: PartiX) -> (Arc<PartiX>, StreamServer, StreamClient) {
-    px.set_dispatch(DispatchMode::Pool);
-    let px = Arc::new(px);
-    let server = serve_coordinator(
-        "127.0.0.1:0",
-        Arc::clone(&px),
-        StreamServerConfig::default(),
-    )
-    .expect("bind coordinator");
-    let client = StreamClient::connect(&server.addr().to_string(), StreamClientConfig::default())
-        .expect("connect to coordinator");
-    (px, server, client)
-}
 
 #[test]
 fn horizontal_streamed_matches_buffered_and_oracle_cold_and_hot() {
@@ -61,17 +41,6 @@ fn vertical_streamed_matches_buffered() {
 #[test]
 fn hybrid_streamed_matches_buffered_both_frag_modes() {
     route_holds(&[Family::Hybrid], 16, |_| Route::Coordinator);
-}
-
-/// The slices `execute_streamed_with` emits for `query`, in order.
-fn stream_slices(px: &PartiX, query: &str) -> Vec<Vec<Item>> {
-    let mut slices = Vec::new();
-    px.execute_streamed_with(query, ExecOptions::default(), &mut |items| {
-        slices.push(items);
-        true
-    })
-    .unwrap_or_else(|e| panic!("streamed {query}: {e}"));
-    slices
 }
 
 /// The buffered answer is the streamed one, collected: for the fixed
@@ -111,8 +80,8 @@ fn simulated_stream_emits_one_slice_per_site_in_fragment_order() {
         .filter(|items| !items.is_empty())
         .collect();
     assert_eq!(per_site.len(), 4, "every section group holds items");
-    let slices: Vec<String> =
-        stream_slices(&px, &query(setup::DIST)).iter().map(|s| exact(s)).collect();
+    let (slices, _) = stream(&px, &query(setup::DIST)).expect("streamed run");
+    let slices: Vec<String> = slices.iter().map(|s| exact(s)).collect();
     assert_eq!(slices, per_site);
 }
 
@@ -141,7 +110,7 @@ fn a_remainder_and_a_horizontal_reconstruction_each_stream_as_one_slice() {
     let workload = composed_at_the_coordinator();
     let on = On::new(setup::horizontal(&docs, 4), Route::Streamed(DispatchMode::Simulated));
     for (id, query) in &workload {
-        let verdict = check(&on, query).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let verdict = assert_answer(&on, query, id);
         assert_eq!(verdict.slices, 1, "{id}: {} slices", verdict.slices);
         assert_eq!(verdict.form, Form::Exact, "{id}");
     }
@@ -207,11 +176,11 @@ fn streamed_under_faults_returns_oracle_answer_or_typed_error() {
             timeout: Some(Duration::from_millis(500)),
             ..RetryPolicy::default()
         });
-        let (px, _server, client) = serve(px);
-        plan.install(&px);
+        let on = On::new(px, Route::Coordinator);
+        plan.install(&on.px);
         let label = format!("stream-faulted-{seed:#x}");
         for (k, (id, query)) in workload.iter().enumerate() {
-            match client.query(query, STREAMED) {
+            match on.client().query(query, STREAMED) {
                 Ok(result) => assert_eq!(
                     canonical(&result.items),
                     oracle[k],
@@ -232,13 +201,14 @@ fn streamed_under_faults_returns_oracle_answer_or_typed_error() {
 #[test]
 fn killed_coordinator_mid_workload_yields_typed_error_never_truncation() {
     let docs = setup::quick_items(80);
-    let (px, mut server, client) = serve(setup::horizontal(&docs, 4));
+    let mut on = On::new(setup::horizontal(&docs, 4), Route::Coordinator);
     let query = format!(r#"for $i in collection("{}")/Item return $i"#, setup::DIST);
-    let expected = exact(&px.execute(&query).expect("healthy run").items);
+    let expected = exact(&on.px.execute(&query).expect("healthy run").items);
+    let (server, client) = on.coordinator.as_mut().expect("a coordinator");
 
     let outcomes: Vec<Result<StreamResult, StreamCallError>> = std::thread::scope(|scope| {
         let worker = {
-            let client = &client;
+            let client = &*client;
             let query = &query;
             scope.spawn(move || {
                 let mut outcomes = Vec::new();
