@@ -12,8 +12,13 @@
 //! lands where it was cut as long as everything cut before it under the
 //! same parent is back in place; what is known about that is the caller's
 //! to say ([`Coverage`]).
+//!
+//! A rebuild may copy only what a query reads ([`Keep`], π before ⋈):
+//! every child still counts toward the ordinals and every piece is still
+//! placed, but a child no read reaches is not copied.
 
-use partix_xml::{Dewey, Document, NodeId, NodeKind};
+use partix_path::{Axis, NodeTest, PathExpr};
+use partix_xml::{Dewey, Document, NodeId, NodeKind, NodeRef};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -76,6 +81,93 @@ pub enum Coverage {
     Partial,
 }
 
+/// What of each rebuilt document to copy, as a trie over element labels
+/// from the document node down. A node the trie does not reach is left
+/// out, one it reaches is copied as a bare element (no text, only the
+/// attributes named), and one marked `whole` is copied with everything
+/// below it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Keep {
+    whole: bool,
+    attributes: Vec<String>,
+    children: Vec<(String, Keep)>,
+}
+
+static WHOLE: Keep = Keep { whole: true, attributes: Vec::new(), children: Vec::new() };
+static EMPTY: Keep = Keep { whole: false, attributes: Vec::new(), children: Vec::new() };
+
+impl Keep {
+    /// Every node of every document: a rebuild of whole pieces.
+    pub fn all() -> &'static Keep {
+        &WHOLE
+    }
+
+    /// What a query reads of a collection's documents: the nodes on the
+    /// absolute paths `reads` whole, the nodes on `iterated` (paths a
+    /// `for` makes one tuple per node of, and reads no further) bare, and
+    /// the ancestors of either bare. Each rule is conservative:
+    ///
+    /// * an `@name` step keeps that attribute of its context;
+    /// * a position `[k]` keeps every sibling of that name, so positions
+    ///   among them survive;
+    /// * a `*` or `//` step keeps its context whole;
+    /// * a path with no steps (root elements bound whatever their label)
+    ///   keeps everything.
+    pub fn new(reads: &[PathExpr], iterated: &[PathExpr]) -> Keep {
+        let mut keep = Keep::default();
+        let paths = reads.iter().map(|p| (p, true)).chain(iterated.iter().map(|p| (p, false)));
+        for (path, whole) in paths {
+            let mut at = &mut keep;
+            for step in &path.steps {
+                match (step.axis, &step.test) {
+                    (Axis::Child, NodeTest::Name(name)) => at = at.child_mut(name),
+                    (Axis::Child, NodeTest::Attribute(name)) => {
+                        at.attributes.push(name.clone());
+                        break;
+                    }
+                    _ => {
+                        at.whole = true;
+                        break;
+                    }
+                }
+            }
+            at.whole |= (whole && !path.targets_attribute()) || path.steps.is_empty();
+        }
+        keep
+    }
+
+    fn child_mut(&mut self, label: &str) -> &mut Keep {
+        let at = match self.children.iter().position(|(name, _)| name == label) {
+            Some(at) => at,
+            None => {
+                self.children.push((label.to_owned(), Keep::default()));
+                self.children.len() - 1
+            }
+        };
+        &mut self.children[at].1
+    }
+
+    /// What to keep of a child labelled `label` of a node kept by `self`.
+    fn element(&self, label: &str) -> Option<&Keep> {
+        if self.whole {
+            return Some(&WHOLE);
+        }
+        self.children.iter().find(|(name, _)| name == label).map(|(_, keep)| keep)
+    }
+
+    /// What to keep of `child`, a child of a node kept by `self`.
+    fn of(&self, child: NodeRef<'_>) -> Option<&Keep> {
+        match child.kind() {
+            NodeKind::Element => self.element(child.label()),
+            _ if self.whole => Some(&WHOLE),
+            NodeKind::Attribute => {
+                self.attributes.iter().any(|name| name == child.label()).then_some(&WHOLE)
+            }
+            NodeKind::Text => None,
+        }
+    }
+}
+
 /// ⋈ — reconstruct the source documents from vertically projected
 /// fragments.
 ///
@@ -88,6 +180,17 @@ pub enum Coverage {
 pub fn reconstruct<D: Borrow<Document>>(
     pieces: &[D],
     coverage: Coverage,
+) -> Result<Vec<Document>, ReconstructError> {
+    reconstruct_keeping(pieces, coverage, Keep::all())
+}
+
+/// [`reconstruct`], copying only what `keep` reaches of each document: a
+/// piece or a node is placed where it was cut whether or not it is
+/// copied, so what is copied sits where it sits in the whole rebuild.
+pub fn reconstruct_keeping<D: Borrow<Document>>(
+    pieces: &[D],
+    coverage: Coverage,
+    keep: &Keep,
 ) -> Result<Vec<Document>, ReconstructError> {
     // group pieces by source document
     let mut by_source: BTreeMap<&str, Vec<Piece<'_>>> = BTreeMap::new();
@@ -103,7 +206,7 @@ pub fn reconstruct<D: Borrow<Document>>(
     }
     by_source
         .into_iter()
-        .map(|(source, pieces)| Merge { source, coverage }.run(pieces))
+        .map(|(source, pieces)| Merge { source, coverage, keep }.run(pieces))
         .collect()
 }
 
@@ -120,6 +223,7 @@ type Pending<'a> = Peekable<std::vec::IntoIter<Piece<'a>>>;
 struct Merge<'a> {
     source: &'a str,
     coverage: Coverage,
+    keep: &'a Keep,
 }
 
 impl Merge<'_> {
@@ -141,7 +245,13 @@ impl Merge<'_> {
         pending.next(); // the base
         let mut out = Document::new(base.doc.root_label());
         let mut at = base.at.to_vec();
-        self.children(&mut out, NodeId::ROOT, base.doc, NodeId::ROOT, &mut at, &mut pending)?;
+        // the root is always kept; a base cut below it has no label path
+        let keep = match base.at {
+            [] => self.keep.element(base.doc.root_label()).unwrap_or(&EMPTY),
+            _ => &WHOLE,
+        };
+        let into = Some((NodeId::ROOT, keep));
+        self.children(&mut out, into, base.doc, NodeId::ROOT, &mut at, &mut pending)?;
         if let Some(stranded) = pending.next() {
             // the traversal is in document order and so are the pieces:
             // one it never reached hangs under a node that is not there
@@ -152,12 +262,13 @@ impl Merge<'_> {
     }
 
     /// Copy the children of `src_id` (the node at Dewey id `at` of the
-    /// source) under `dst`, each piece that belongs among them at its
-    /// ordinal. `at` is restored before returning.
+    /// source) that `keep` keeps under `dst`, for `into` = `(dst, keep)`,
+    /// each piece that belongs among them at its ordinal; with no `into`,
+    /// only place the pieces. `at` is restored before returning.
     fn children(
         &self,
         out: &mut Document,
-        dst: NodeId,
+        into: Option<(NodeId, &Keep)>,
         src: &Document,
         src_id: NodeId,
         at: &mut Vec<u32>,
@@ -171,15 +282,22 @@ impl Merge<'_> {
         for ordinal in 1.. {
             at.push(ordinal);
             if let Some(piece) = pending.next_if(|piece| piece.at == &at[..]) {
-                self.piece(out, dst, piece, at, pending)?;
+                self.piece(out, into, piece, at, pending)?;
             } else if let Some(child) = own {
-                let inside = pending.peek().is_some_and(|piece| piece.at.starts_with(at));
-                if inside && child.kind() == NodeKind::Element {
-                    // a piece hangs somewhere below: copy node by node
-                    let copy = out.add_element(dst, child.label());
-                    self.children(out, copy, src, child.id(), at, pending)?;
-                } else {
-                    out.graft(dst, src, child.id());
+                // a piece hangs somewhere below: copy node by node
+                let descend = child.kind() == NodeKind::Element
+                    && pending.peek().is_some_and(|piece| piece.at.starts_with(at));
+                match into.and_then(|(dst, keep)| Some((dst, keep.of(child)?))) {
+                    Some((dst, kept)) if kept.whole && !descend => {
+                        out.graft(dst, src, child.id());
+                    }
+                    Some((dst, kept)) => {
+                        let copy = out.add_element(dst, child.label());
+                        self.children(out, Some((copy, kept)), src, child.id(), at, pending)?;
+                    }
+                    // not read: walked only for the pieces inside
+                    None if descend => self.children(out, None, src, child.id(), at, pending)?,
+                    None => {}
                 }
                 own = child.next_sibling();
             } else {
@@ -195,22 +313,25 @@ impl Merge<'_> {
                 return Err(self.unreachable(piece.at));
             }
             at.push(piece.at[depth]);
-            self.piece(out, dst, piece, at, pending)?;
+            self.piece(out, into, piece, at, pending)?;
             at.pop();
         }
         Ok(())
     }
 
-    /// Splice `piece` in as the last child of `dst`.
+    /// Splice `piece` in as the last child of `dst`, for `into` = `(dst,
+    /// keep)`, if `keep` keeps it; else only place the pieces inside it.
     fn piece(
         &self,
         out: &mut Document,
-        dst: NodeId,
+        into: Option<(NodeId, &Keep)>,
         piece: Piece<'_>,
         at: &mut Vec<u32>,
         pending: &mut Pending<'_>,
     ) -> Result<(), ReconstructError> {
-        let root = out.add_element(dst, piece.doc.root_label());
+        let label = piece.doc.root_label();
+        let kept = into.and_then(|(dst, keep)| Some((dst, keep.element(label)?)));
+        let root = kept.map(|(dst, kept)| (out.add_element(dst, label), kept));
         self.children(out, root, piece.doc, NodeId::ROOT, at, pending)
     }
 
@@ -418,6 +539,65 @@ mod tests {
         // node ids come out in document order: no renumbering pass
         let ids: Vec<_> = reconstruct(&owned, Coverage::Complete).unwrap()[0].ids().collect();
         assert!(ids.windows(2).all(|w| w[0].index() < w[1].index()));
+    }
+
+    fn keep(reads: &[&str], iterated: &[&str]) -> Keep {
+        let paths = |ps: &[&str]| -> Vec<PathExpr> {
+            ps.iter().map(|p| PathExpr::parse(p).unwrap()).collect()
+        };
+        Keep::new(&paths(reads), &paths(iterated))
+    }
+
+    /// The store cut three ways: the spine, `Items` without its second
+    /// `Item`, and that `Item`.
+    fn three_pieces() -> Vec<Document> {
+        let doc = store();
+        let f1 = proj("/Store", &["/Store/Items"]).apply(&doc);
+        let f2 = proj("/Store/Items", &["/Store/Items/Item[2]"]).apply(&doc);
+        let f3 = proj("/Store/Items/Item[2]", &[]).apply(&doc);
+        f1.into_iter().chain(f2).chain(f3).collect()
+    }
+
+    fn projected(pieces: &[Document], keep: &Keep) -> String {
+        let rebuilt = reconstruct_keeping(pieces, Coverage::Complete, keep).unwrap();
+        partix_xml::to_string(&rebuilt[0])
+    }
+
+    #[test]
+    fn a_projected_rebuild_copies_what_is_read_where_the_whole_rebuild_has_it() {
+        let pieces = three_pieces();
+        // a position keeps every sibling of its name: both items, bare
+        let sections = keep(&["/Store/Items/Item[2]/Section"], &[]);
+        let item = |s| format!("<Item><Section>{s}</Section></Item>");
+        let want = format!("<Store><Items>{}{}</Items></Store>", item("CD"), item("DVD"));
+        assert_eq!(projected(&pieces, &sections), want);
+        // an iterated path keeps its nodes bare; ancestors are bare
+        let iterated = keep(&["/Store/Employees/Employee/Name"], &["/Store/Items/Item"]);
+        let want = "<Store><Items><Item/><Item/></Items>\
+                    <Employees><Employee><Name>Ana</Name></Employee></Employees></Store>";
+        assert_eq!(projected(&pieces, &iterated), want);
+        // a skipped piece still places the piece nested in it
+        assert_eq!(
+            projected(&pieces, &keep(&["/Store/Employees"], &[])),
+            "<Store><Employees><Employee><Name>Ana</Name></Employee></Employees></Store>"
+        );
+        // `*` and `//` keep their context whole; no steps keep everything
+        let whole = partix_xml::to_string(&store());
+        let roots = Keep::new(&[], &[PathExpr { absolute: true, steps: Vec::new() }]);
+        for everything in [keep(&["/Store/*"], &[]), keep(&["//Name"], &[]), roots] {
+            assert_eq!(projected(&pieces, &everything), whole);
+        }
+    }
+
+    #[test]
+    fn a_projected_rebuild_keeps_the_attributes_named() {
+        let doc = named(r#"<a id="1" x="2"><b>t</b><c k="v" j="w">u</c></a>"#, "a");
+        let f1 = proj("/a", &["/a/c"]).apply(&doc);
+        let f2 = proj("/a/c", &[]).apply(&doc);
+        let pieces: Vec<Document> = f1.into_iter().chain(f2).collect();
+        let attributes = keep(&["/a/@id", "/a/c/@k"], &[]);
+        assert_eq!(projected(&pieces, &attributes), r#"<a id="1"><c k="v"/></a>"#);
+        assert_eq!(projected(&pieces, &keep(&["/a/c"], &[])), r#"<a><c k="v" j="w">u</c></a>"#);
     }
 
     #[test]

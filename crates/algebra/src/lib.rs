@@ -13,10 +13,11 @@
 //! * [`reconstruct`] — ⋈: reconstruction join for
 //!   vertical fragmentation, re-nesting projected subtrees at their
 //!   original positions via the Dewey ids carried in each fragment's
-//!   [`Origin`](partix_xml::Origin).
+//!   [`Origin`](partix_xml::Origin); [`reconstruct_keeping`] copies only
+//!   what a [`Keep`] set reaches (π before ⋈).
 
 pub mod join;
 pub mod ops;
 
-pub use join::{reconstruct, Coverage, ReconstructError};
+pub use join::{reconstruct, reconstruct_keeping, Coverage, Keep, ReconstructError};
 pub use ops::{project, select, union, Projection};

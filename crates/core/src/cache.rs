@@ -6,10 +6,11 @@
 //! when the coordinator finds it no longer holds. Whether a query skipped
 //! both is [`QueryReport::plan_cache_hit`](crate::QueryReport).
 
+use crate::metrics::{self, Counter};
 use parking_lot::Mutex;
 use partix_query::{parse_query, Query, QueryParseError};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// A text's parse and the plan stored beside it.
 struct Entry<P> {
@@ -41,12 +42,15 @@ impl<P> PlanCache<P> {
         &self,
         text: &str,
     ) -> Result<(Arc<Query>, Option<Arc<P>>), QueryParseError> {
+        static LOOKUPS: LazyLock<[Arc<Counter>; 2]> = LazyLock::new(|| {
+            ["cache.plan.hits", "cache.plan.misses"].map(|name| metrics::global().counter(name))
+        });
         if let Some(entry) = self.plans.lock().map.get(text) {
-            crate::metrics::global().counter("cache.plan.hits").inc();
+            LOOKUPS[0].inc();
             return Ok((Arc::clone(&entry.query), entry.plan.clone()));
         }
         let query = Arc::new(parse_query(text)?);
-        crate::metrics::global().counter("cache.plan.misses").inc();
+        LOOKUPS[1].inc();
         let mut plans = self.plans.lock();
         let entry = Entry { query: Arc::clone(&query), plan: None };
         if plans.map.insert(text.to_owned(), entry).is_none() {

@@ -7,9 +7,7 @@
 //! fragment stays relevant.
 
 use partix_frag::{FragOp, FragmentationSchema};
-use partix_path::analysis::{
-    fragment_relevant_to_path, predicates_may_cosatisfy,
-};
+use partix_path::analysis::{fragment_relevant_to_path, predicates_may_cosatisfy};
 use partix_path::PathExpr;
 use partix_query::pushdown::QueryAnalysis;
 
@@ -25,35 +23,26 @@ pub fn relevant_fragments(
     };
     let doc_root = design.collection.document_root();
     let single_valued = |p: &PathExpr| doc_root.is_some_and(|d| d.is_single_valued(p));
-    design
-        .fragments
-        .iter()
-        .enumerate()
+    let fragments = design.fragments.iter().enumerate();
+    fragments
         .filter(|(_, frag)| match &frag.op {
             FragOp::Horizontal { predicate } => match &analysis.doc_predicate {
                 Some(q) => predicates_may_cosatisfy(predicate, q, &single_valued),
                 None => true,
             },
-            FragOp::Vertical { projection } => vertical_relevant(
-                &projection.path,
-                &projection.prune,
-                &analysis.footprint,
-            ),
+            FragOp::Vertical { projection } => {
+                vertical_relevant(&projection.path, &projection.prune, analysis)
+            }
             FragOp::Hybrid { unit_path, predicate, .. } => {
-                let path_relevant = analysis
-                    .footprint
-                    .iter()
-                    .any(|q| fragment_relevant_to_path(unit_path, q));
-                if !path_relevant {
+                let mut reads = analysis.footprint.iter().chain(&analysis.iterated);
+                if !reads.any(|q| fragment_relevant_to_path(unit_path, q)) {
                     return false;
                 }
                 // unit-level pruning: the query's per-tuple predicate and
                 // the fragment's unit predicate live in the same space
                 // (paths rooted at the unit element), where the unit
                 // schema decides single-valuedness
-                let unit_binding_matches = analysis
-                    .binding_path
-                    .last_step()
+                let unit_binding_matches = (analysis.binding_path.last_step())
                     .zip(unit_path.last_step())
                     .is_some_and(|(a, b)| a.test == b.test);
                 match (&analysis.tuple_predicate, unit_binding_matches) {
@@ -71,15 +60,16 @@ pub fn relevant_fragments(
         .collect()
 }
 
-/// Vertical fragment relevance: some footprint path must reach into the
-/// projected subtree (or be an ancestor of it), and not provably live
+/// Vertical fragment relevance: some footprint or iterated path must reach
+/// into the projected subtree (or be an ancestor of it), and not provably live
 /// inside a pruned-away part: extend a pruned path `g` step for step
 /// ([`extends_pinned`]; wildcards after the prefix do not matter, and a
 /// path that meets `g` only through leading wildcards keeps the fragment
 /// relevant — conservative).
-fn vertical_relevant(path: &PathExpr, prune: &[PathExpr], footprint: &[PathExpr]) -> bool {
+fn vertical_relevant(path: &PathExpr, prune: &[PathExpr], analysis: &QueryAnalysis) -> bool {
     let inside_pruned = |q: &PathExpr| prune.iter().any(|g| extends_pinned(q, g));
-    footprint.iter().any(|q| fragment_relevant_to_path(path, q) && !inside_pruned(q))
+    let mut reads = analysis.footprint.iter().chain(&analysis.iterated);
+    reads.any(|q| fragment_relevant_to_path(path, q) && !inside_pruned(q))
 }
 
 /// Does `q` extend `prefix` step for step, pinning every position

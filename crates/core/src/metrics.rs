@@ -221,45 +221,40 @@ impl MetricsRegistry {
     }
 
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(Instrument::Counter(c)) = self.instruments.read().get(name) {
-            return Arc::clone(c);
-        }
-        let mut map = self.instruments.write();
-        match map
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Counter(Arc::new(Counter::default())))
-        {
-            Instrument::Counter(c) => Arc::clone(c),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
+        self.instrument(name, Instrument::Counter, |i| match i {
+            Instrument::Counter(c) => Some(c),
+            _ => None,
+        })
     }
 
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(Instrument::Gauge(g)) = self.instruments.read().get(name) {
-            return Arc::clone(g);
-        }
-        let mut map = self.instruments.write();
-        match map
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::default())))
-        {
-            Instrument::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
+        self.instrument(name, Instrument::Gauge, |i| match i {
+            Instrument::Gauge(g) => Some(g),
+            _ => None,
+        })
     }
 
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(Instrument::Histogram(h)) = self.instruments.read().get(name) {
-            return Arc::clone(h);
+        self.instrument(name, Instrument::Histogram, |i| match i {
+            Instrument::Histogram(h) => Some(h),
+            _ => None,
+        })
+    }
+
+    /// The instrument `name`, registered as `kind` on first use.
+    fn instrument<T: Default>(
+        &self,
+        name: &str,
+        kind: fn(Arc<T>) -> Instrument,
+        of: fn(&Instrument) -> Option<&Arc<T>>,
+    ) -> Arc<T> {
+        if let Some(found) = self.instruments.read().get(name).and_then(of) {
+            return Arc::clone(found);
         }
         let mut map = self.instruments.write();
-        match map
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Histogram(Arc::new(Histogram::default())))
-        {
-            Instrument::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
+        let entry = map.entry(name.to_owned()).or_insert_with(|| kind(Arc::default()));
+        let clash = || panic!("metric {name:?} already registered with a different type");
+        Arc::clone(of(entry).unwrap_or_else(clash))
     }
 
     pub fn snapshot(&self) -> Snapshot {

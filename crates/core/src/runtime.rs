@@ -18,9 +18,9 @@
 //! through the closure, so the pool needs no knowledge of result types.
 
 use crate::cluster::Cluster;
-use crate::metrics;
+use crate::metrics::{self, Counter};
 use partix_tenant::{DrrScheduler, PriorityClass};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LazyLock, Mutex};
 use std::thread::JoinHandle;
 
 /// A unit of work routed to one node's workers.
@@ -182,7 +182,9 @@ impl WorkerPool {
         }
         state.busy += 1;
         drop(state);
-        metrics::global().counter("pool.jobs.on_caller").inc();
+        static ON_CALLER: LazyLock<Arc<Counter>> =
+            LazyLock::new(|| metrics::global().counter("pool.jobs.on_caller"));
+        ON_CALLER.inc();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
         let mut state = shared.state.lock().expect("pool queue lock");
         state.busy -= 1;

@@ -5,12 +5,12 @@
 //!
 //! A split query composes by running its remainder over the partials
 //! ([`remainder`]); a reconstruction in three steps
-//! ([`rebuild_and_evaluate`]):
-//! the source documents that passed every fetch filter are found by
-//! intersecting the `Origin::source_doc` sets the filtered fetches
-//! brought back, their pieces — and no others — are joined back into
-//! documents, and the **original, unmodified query** is lowered once and
-//! run over those. No database is built for that: the evaluator reads a
+//! ([`rebuild_and_evaluate`]): the source documents that passed every
+//! fetch filter are found by intersecting the `Origin::source_doc` sets
+//! the filtered fetches brought back, their pieces — and no others — are
+//! joined back into documents as far as the query reads them (π before
+//! ⋈, [`Keep`]), and the **original, unmodified query** is lowered once
+//! and run over those. No database is built for that: the evaluator reads a
 //! slice of documents as readily as a stored collection, and a filter can
 //! only ever have withheld documents no tuple comes from.
 
@@ -19,14 +19,16 @@ use super::error::stream_cancelled;
 use super::plan::{partials_var, Compose, Plan, Split, Task, TaskOp};
 use super::{PartiX, PartixError, Sink};
 use crate::catalog::Distribution;
-use crate::metrics;
+use crate::metrics::{self, Counter, Histogram};
 use crate::report::{QueryReport, SiteReport};
 use crate::trace::{StageBreakdown, Trace};
 use partix_query::ast::{Binding, Clause};
-use partix_query::{root_documents, Expr, Item, MemProvider, Program, Query, Sequence};
+use partix_algebra::Keep;
+use partix_frag::correctness::reconstruct_any_shared;
+use partix_query::{pushdown, root_documents, Expr, Item, MemProvider, Program, Query, Sequence};
 use partix_xml::Document;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 /// Stage times measured before the compose stage.
@@ -170,7 +172,10 @@ fn rebuild_and_evaluate(
             docs.retain(survives);
         }
     }
-    let rebuilt = partix_frag::correctness::reconstruct_any_shared(&dist.design, &fragments)
+    // π before ⋈: of the collection, only what the query reads is copied
+    let analysis = pushdown::analyze(query).filter(|a| a.collection == dist.design.collection.name);
+    let keep = analysis.map(|a| Keep::new(&a.footprint, &a.iterated));
+    let rebuilt = reconstruct_any_shared(&dist.design, &fragments, keep.as_ref())
         .map_err(PartixError::Reconstruction)?;
     // the rebuilt documents stand for the collection, to every scan of it
     let mut provider = MemProvider::new();
@@ -227,21 +232,21 @@ fn remainder(
 }
 
 /// Fold one finished query into the process-wide registry (failures are
-/// counted at the query entry).
+/// counted at the query entry), through handles looked up once.
 fn record_query_metrics(report: &QueryReport, bytes_shipped: usize, total_s: f64) {
-    let reg = metrics::global();
-    reg.counter("partix.queries").inc();
-    if report.partial {
-        reg.counter("partix.queries.partial").inc();
-    }
-    reg.counter("dispatch.subqueries").add(report.stages.subqueries.len() as u64);
-    reg.counter("dispatch.retries").add(report.retries as u64);
-    reg.counter("dispatch.failovers").add(report.failovers as u64);
-    reg.counter("dispatch.timeouts").add(report.timeouts as u64);
-    reg.counter("net.bytes_shipped").add(bytes_shipped as u64);
-    reg.histogram("stage.parse").record_secs(report.stages.parse_s);
-    reg.histogram("stage.localize").record_secs(report.stages.localize_s);
-    reg.histogram("stage.dispatch").record_secs(report.stages.dispatch_s);
-    reg.histogram("stage.compose").record_secs(report.stages.compose_s);
-    reg.histogram("query.total").record_secs(total_s);
+    static COUNTERS: LazyLock<[Arc<Counter>; 7]> = LazyLock::new(|| {
+        ["partix.queries", "partix.queries.partial", "dispatch.subqueries", "dispatch.retries",
+            "dispatch.failovers", "dispatch.timeouts", "net.bytes_shipped"]
+            .map(|name| metrics::global().counter(name))
+    });
+    static STAGES: LazyLock<[Arc<Histogram>; 5]> = LazyLock::new(|| {
+        ["stage.parse", "stage.localize", "stage.dispatch", "stage.compose", "query.total"]
+            .map(|name| metrics::global().histogram(name))
+    });
+    let stages = &report.stages;
+    let counts = [1, usize::from(report.partial), stages.subqueries.len(), report.retries,
+        report.failovers, report.timeouts, bytes_shipped];
+    COUNTERS.iter().zip(counts).for_each(|(counter, n)| counter.add(n as u64));
+    let secs = [stages.parse_s, stages.localize_s, stages.dispatch_s, stages.compose_s, total_s];
+    STAGES.iter().zip(secs).for_each(|(stage, secs)| stage.record_secs(secs));
 }

@@ -20,7 +20,7 @@ use super::{DispatchMode, ExecOptions, PartiX, PartixError, RetryPolicy, Sink};
 use crate::catalog::Distribution;
 use crate::cluster::Node;
 use crate::driver::DriverError;
-use crate::metrics;
+use crate::metrics::{self, Histogram};
 use crate::report::SkippedFragment;
 use crate::trace::{SubQueryStage, Trace};
 use crate::wirespan;
@@ -28,7 +28,7 @@ use partix_query::{Item, Sequence};
 use partix_storage::QueryOutput;
 use partix_tenant::PriorityClass;
 use partix_xml::NodeId;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// What one task brought back from its node.
@@ -381,9 +381,12 @@ impl Gather<'_> {
                     }
                 }
                 node.clear_suspect();
-                let reg = metrics::global();
-                reg.histogram("subquery.execute").record_secs(output.elapsed);
-                reg.histogram("subquery.queue_wait").record_secs(queue_wait.as_secs_f64());
+                static LANDED: LazyLock<[Arc<Histogram>; 2]> = LazyLock::new(|| {
+                    let names = ["subquery.execute", "subquery.queue_wait"];
+                    names.map(|name| metrics::global().histogram(name))
+                });
+                LANDED[0].record_secs(output.elapsed);
+                LANDED[1].record_secs(queue_wait.as_secs_f64());
                 Some(Ok(SiteSlot { output, stage: std::mem::take(&mut f.stage) }))
             }
             attempted => {

@@ -467,7 +467,7 @@ fn serves_all_footprint(
     let Some(analysis) = analysis else {
         return false; // nothing known: force the safe reconstruction path
     };
-    analysis.footprint.iter().all(|q| {
+    analysis.footprint.iter().chain(&analysis.iterated).all(|q| {
         path_may_reach_into(path, q) && !prune.iter().any(|g| path_may_reach_into(g, q))
     })
 }

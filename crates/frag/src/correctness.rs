@@ -13,7 +13,7 @@
 //!   compares canonicalized documents.
 
 use crate::def::{FragOp, FragmentationSchema};
-use partix_algebra::join::{reconstruct, Coverage};
+use partix_algebra::join::{reconstruct, reconstruct_keeping, Coverage, Keep};
 use partix_path::{eval_path, PathExpr};
 use partix_xml::{to_string, Document, NodeId};
 use std::borrow::Borrow;
@@ -262,7 +262,7 @@ pub fn reconstruct_any(
         crate::def::FragType::Horizontal => Ok(partix_algebra::union(
             fragments.iter().map(|(_, d)| d.clone()),
         )),
-        _ => rebuild(design, fragments),
+        _ => rebuild(design, fragments, Keep::all()),
     }
 }
 
@@ -271,10 +271,12 @@ pub fn reconstruct_any(
 /// the `Arc`s are re-sorted by document name and returned as-is (the
 /// same ordering [`partix_algebra::union`] produces). Vertical/hybrid
 /// designs build new documents — the Dewey join copies each piece once,
-/// straight out of the shared document it was fetched as.
+/// straight out of the shared document it was fetched as; a vertical one
+/// only what `keep` reaches of it (all of it without one).
 pub fn reconstruct_any_shared(
     design: &FragmentationSchema,
     fragments: &[(String, Vec<Arc<Document>>)],
+    keep: Option<&Keep>,
 ) -> Result<Vec<Arc<Document>>, String> {
     match design.frag_type() {
         crate::def::FragType::Horizontal => {
@@ -285,15 +287,19 @@ pub fn reconstruct_any_shared(
             all.sort_by(|a, b| a.name.cmp(&b.name));
             Ok(all)
         }
-        _ => Ok(rebuild(design, fragments)?.into_iter().map(Arc::new).collect()),
+        _ => {
+            let rebuilt = rebuild(design, fragments, keep.unwrap_or(Keep::all()))?;
+            Ok(rebuilt.into_iter().map(Arc::new).collect())
+        }
     }
 }
 
 /// The Dewey join of a vertical or hybrid design, over owned or shared
-/// pieces alike.
+/// pieces alike; a hybrid one rebuilds whole pieces whatever `keep` says.
 fn rebuild<D: Borrow<Document>>(
     design: &FragmentationSchema,
     fragments: &[(String, Vec<D>)],
+    keep: &Keep,
 ) -> Result<Vec<Document>, String> {
     if design.frag_type() == crate::def::FragType::Hybrid {
         return reconstruct_hybrid(design, fragments);
@@ -303,7 +309,7 @@ fn rebuild<D: Borrow<Document>>(
         if design.fragments.iter().all(read) { Coverage::Complete } else { Coverage::Partial };
     let all: Vec<&Document> =
         fragments.iter().flat_map(|(_, docs)| docs.iter().map(Borrow::borrow)).collect();
-    reconstruct(&all, coverage).map_err(|e| e.to_string())
+    reconstruct_keeping(&all, coverage, keep).map_err(|e| e.to_string())
 }
 
 fn reconstruct_hybrid<D: Borrow<Document>>(

@@ -48,17 +48,17 @@ pub struct QueryAnalysis {
     pub tuple_predicate: Option<Predicate>,
     /// Absolute paths the query touches (deduplicated).
     pub footprint: Vec<PathExpr>,
+    /// Absolute paths a `for` not over the documents' roots iterates: one
+    /// tuple per node, read or not.
+    pub iterated: Vec<PathExpr>,
 }
 
 /// Analyze a query. Returns `None` for queries without a
 /// `for $v in collection(…)…` driving clause (e.g. bare `doc(…)` reads).
 pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
     // unwrap an aggregation wrapper: count(FLWOR), sum(FLWOR), …
-    let Some(flwor @ Expr::Flwor { .. }) = find_flwor(&query.expr) else {
+    let Some(Expr::Flwor { clauses, where_clause, .. }) = find_flwor(&query.expr) else {
         return analyze_pathonly(query);
-    };
-    let Expr::Flwor { clauses, where_clause, .. } = flwor else {
-        unreachable!("matched above");
     };
     // driving clause + variable → absolute-path environment
     let mut var_paths: HashMap<&str, (String, PathExpr)> = HashMap::new();
@@ -68,9 +68,7 @@ pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
         if let Expr::Path(ps) = &b.expr {
             let resolved = match &ps.start {
                 PathStart::Collection(c) => {
-                    let mut p = ps.path.clone();
-                    p.absolute = true;
-                    Some((c.clone(), p))
+                    Some((c.clone(), PathExpr { absolute: true, ..ps.path.clone() }))
                 }
                 PathStart::Var(v) => var_paths.get(v.as_str()).map(|(c, base)| {
                     (c.clone(), base.join(&ps.path))
@@ -145,8 +143,9 @@ pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
     // not read data, so it must not make fragments relevant (a bare use
     // of the variable re-introduces the path from the use site — unless
     // the use only counts document roots).
-    let mut footprint: Vec<PathExpr> = Vec::new();
-    collect_value_paths(&query.expr, &collection, &Scope::new(), false, &mut footprint);
+    let mut reads = [Vec::new(), Vec::new()];
+    collect_value_paths(&query.expr, &collection, &Scope::new(), false, &mut reads);
+    let [mut footprint, iterated] = reads;
     if footprint.is_empty() {
         // queries that only iterate bindings (e.g. count the binding):
         // the binding itself is the data being read
@@ -159,6 +158,7 @@ pub fn analyze(query: &Query) -> Option<QueryAnalysis> {
         doc_predicate,
         tuple_predicate,
         footprint,
+        iterated,
     })
 }
 
@@ -173,7 +173,8 @@ struct Bound {
 
 type Scope<'q> = HashMap<&'q str, Bound>;
 
-/// Collect value paths (see [`analyze`]) into `out`. `scope` holds the
+/// Collect value paths (see [`analyze`]) into `out[0]`, the paths of
+/// `for` bindings not over document roots into `out[1]`. `scope` holds the
 /// variables in scope that are bound to plain paths; one bound to anything
 /// else has had the paths of that expression collected whole. `counted`:
 /// only the number of items `expr` yields is used (the argument of
@@ -185,7 +186,7 @@ fn collect_value_paths<'q>(
     collection: &str,
     scope: &Scope<'q>,
     counted: bool,
-    out: &mut Vec<PathExpr>,
+    out: &mut [Vec<PathExpr>; 2],
 ) {
     let absolute = |ps: &PathSource, scope: &Scope<'q>| match &ps.start {
         PathStart::Collection(c) if c != collection => None,
@@ -205,8 +206,8 @@ fn collect_value_paths<'q>(
             let root_of_a_tuple = matches!(&ps.start, PathStart::Var(v)
                 if ps.path.steps.is_empty() && scope.get(v.as_str()).is_some_and(|b| b.roots));
             if let Some(abs) = absolute(ps, scope).filter(|_| !(counted && root_of_a_tuple)) {
-                if !out.contains(&abs) {
-                    out.push(abs);
+                if !out[0].contains(&abs) {
+                    out[0].push(abs);
                 }
             }
         }
@@ -214,13 +215,16 @@ fn collect_value_paths<'q>(
             let mut scope = scope.clone();
             for clause in clauses {
                 let (Clause::For(b) | Clause::Let(b)) = clause;
-                // a plain path binding is not a read; anything else is
+                // a plain path binding is not a read, but a `for` over other
+                // nodes than roots makes a tuple per node; anything else reads
                 let bound = match &b.expr {
-                    Expr::Path(ps) => absolute(ps, &scope).map(|path| Bound {
-                        roots: matches!(clause, Clause::For(_))
-                            && path.steps.len() == 1
-                            && !path.has_wildcards(),
-                        path,
+                    Expr::Path(ps) => absolute(ps, &scope).map(|path| {
+                        let roots = path.steps.len() == 1 && !path.has_wildcards();
+                        let tuples = matches!(clause, Clause::For(_));
+                        if tuples && !roots && !out[1].contains(&path) {
+                            out[1].push(path.clone());
+                        }
+                        Bound { roots: tuples && roots, path }
                     }),
                     read => {
                         collect_value_paths(read, collection, &scope, false, out);
@@ -420,7 +424,6 @@ pub fn is_core(expr: &Expr, collection: &str) -> bool {
     scanned == collection && !free && matches!(&reads[..], [read] if std::ptr::eq(*read, scan))
 }
 
-
 /// Fallback analysis for queries without a FLWOR core — e.g.
 /// `count(collection("items")//Description)`. The first collection path
 /// becomes the driving binding (its first step) and every collection path
@@ -431,14 +434,11 @@ fn analyze_pathonly(query: &Query) -> Option<QueryAnalysis> {
     let mut footprint: Vec<PathExpr> = Vec::new();
     query.visit_paths(&mut |ps| {
         if let PathStart::Collection(c) = &ps.start {
-            let mut abs = ps.path.clone();
-            abs.absolute = true;
+            let abs = PathExpr { absolute: true, ..ps.path.clone() };
             if collection.is_none() {
                 collection = Some(c.clone());
-                binding = Some(PathExpr {
-                    absolute: true,
-                    steps: abs.steps.first().cloned().into_iter().collect(),
-                });
+                let steps = abs.steps.iter().take(1).cloned().collect();
+                binding = Some(PathExpr { absolute: true, steps });
             }
             if collection.as_deref() == Some(c.as_str()) && !footprint.contains(&abs) {
                 footprint.push(abs);
@@ -452,6 +452,7 @@ fn analyze_pathonly(query: &Query) -> Option<QueryAnalysis> {
         doc_predicate: None,
         tuple_predicate: None,
         footprint,
+        iterated: Vec::new(),
     })
 }
 
@@ -810,6 +811,21 @@ mod tests {
             footprint(r#"count(for $a in collection("c")/article return $a)"#),
             ["/article"]
         );
+    }
+
+    #[test]
+    fn a_for_over_other_nodes_than_roots_is_iterated_read_or_not() {
+        let iterated = |src: &str| -> Vec<String> {
+            analysis(src).iterated.iter().map(|p| p.to_string()).collect()
+        };
+        let c = r#"collection("c")/article"#;
+        assert_eq!(
+            iterated(&format!("for $a in {c} return count(for $s in $a/body/section return 1)")),
+            ["/article/body/section"]
+        );
+        assert_eq!(iterated(&format!("for $t in {c}/prolog/title return $t")), ["/article/prolog/title"]);
+        // a `for` over the roots, and a `let`, make no tuple per node
+        assert!(iterated(&format!("for $a in {c} let $b := $a/body return $b/abstract")).is_empty());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Nodes live in a chunked arena and are addressed by [`NodeId`] (a `u32`
 //! index), giving compact memory layout and cheap traversal:
 //!
-//! * **Chunked allocation** — nodes are stored in fixed-size chunks
-//!   (1024 nodes each), so growing a large document never relocates
-//!   existing nodes and never pays a multi-megabyte `Vec` realloc copy
+//! * **Chunked allocation** — nodes are stored in chunks of 1024 (the
+//!   first grows like a `Vec` up to that, so a small document holds only
+//!   what it uses), so growing a large document never relocates more
+//!   than one chunk and never pays a multi-megabyte `Vec` realloc copy
 //!   while parsing the 5 MB document class.
 //! * **Niche-packed links** — the five navigation links of a node are
 //!   [`OptId`]s: a raw `u32` whose `u32::MAX` value means "none", so an
@@ -146,8 +147,11 @@ pub(crate) struct Node {
 /// log2 of the arena chunk size: 1024 nodes per chunk.
 const CHUNK_BITS: usize = 10;
 const CHUNK: usize = 1 << CHUNK_BITS;
+/// The first chunk's first allocation: an item or a rebuilt article fits.
+const FIRST: usize = 64;
 
-/// Chunked node arena: indexable like a `Vec<Node>`, but growth appends a
+/// Chunked node arena: indexable like a `Vec<Node>`, but growth past the
+/// first chunk (which grows like a `Vec` up to `CHUNK` nodes) appends a
 /// fresh fixed-capacity chunk instead of relocating every existing node.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Arena {
@@ -182,9 +186,17 @@ impl Arena {
     pub(crate) fn push(&mut self, node: Node) -> u32 {
         assert!(self.len < u32::MAX as usize - 1, "document too large");
         if self.len >> CHUNK_BITS == self.chunks.len() {
-            self.chunks.push(Vec::with_capacity(CHUNK));
+            let capacity = if self.chunks.is_empty() { 0 } else { CHUNK };
+            self.chunks.push(Vec::with_capacity(capacity));
         }
-        self.chunks.last_mut().expect("chunk exists").push(node);
+        let chunk = self.chunks.last_mut().expect("chunk exists");
+        if chunk.len() == chunk.capacity() {
+            // a chunk short of CHUNK (the first, or a copy's last) doubles
+            // like a `Vec` from FIRST nodes, but never past CHUNK: a small
+            // document holds about what it uses
+            chunk.reserve_exact(chunk.len().max(FIRST).min(CHUNK - chunk.len()));
+        }
+        chunk.push(node);
         let id = self.len as u32;
         self.len += 1;
         id
@@ -886,6 +898,29 @@ mod tests {
         let name2 = doc.add_element(s2, "Name");
         doc.add_text(name2, "DVD");
         doc
+    }
+
+    #[test]
+    fn the_first_chunk_fits_the_document_and_later_chunks_are_whole() {
+        let mut doc = Document::new("r");
+        for _ in 0..29 {
+            doc.add_element(NodeId::ROOT, "c");
+        }
+        let capacity = |doc: &Document, chunk: usize| match &doc.repr {
+            Repr::Arena(tree) => tree.nodes.chunks[chunk].capacity(),
+            Repr::Page(_) => unreachable!("built in an arena"),
+        };
+        assert_eq!(capacity(&doc, 0), FIRST);
+        for _ in 30..2 * CHUNK + 10 {
+            doc.add_element(NodeId::ROOT, "c");
+        }
+        assert_eq!([0, 1, 2].map(|chunk| capacity(&doc, chunk)), [CHUNK; 3]);
+        assert_eq!(doc.root().children().count(), 2 * CHUNK + 9);
+        // a copy's chunks are as long as they are full: its last doubles
+        let mut copy = doc.clone();
+        copy.add_element(NodeId::ROOT, "c");
+        assert_eq!(capacity(&copy, 2), 10 + FIRST);
+        assert_eq!(copy.root().children().count(), 2 * CHUNK + 10);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   or hybrid (decision-list units in FragMode1 or FragMode2 beside the
 //!   store's spine). Each passes `check_correctness` on its documents.
 //! * **Queries** are the supported subset over the unit's leaf paths:
-//!   `where` conjuncts, `order by`, positional steps, nested FLWORs,
+//!   `where` conjuncts, `order by`, positional steps, `*` and `//` steps,
+//!   nested FLWORs (whose variable is read, counted or unused),
 //!   constructors, aggregates inside arithmetic and comparisons,
 //!   `exists`, `distinct-values`, `string-join`, a `let`-bound scan and a
 //!   self-join.
@@ -106,12 +107,8 @@ impl fmt::Debug for Case {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "seed {:#x}, {:?} family, {:?} storage", self.seed, self.family, self.storage)?;
         for frag in &self.design.fragments {
-            let nodes: Vec<usize> = self
-                .placements
-                .iter()
-                .filter(|p| p.fragment == frag.name)
-                .map(|p| p.node)
-                .collect();
+            let placed = self.placements.iter().filter(|p| p.fragment == frag.name);
+            let nodes: Vec<usize> = placed.map(|p| p.node).collect();
             writeln!(f, "  {frag} on {nodes:?}")?;
         }
         for doc in self.documents() {
@@ -158,11 +155,8 @@ impl Case {
                 break (design, read);
             }
         };
-        let placements = design
-            .fragments
-            .iter()
-            .map(|f| Placement { fragment: f.name.clone(), node: rng.below(NODES) })
-            .collect();
+        let at = |f: &FragmentDef| Placement { fragment: f.name.clone(), node: rng.below(NODES) };
+        let placements = design.fragments.iter().map(at).collect();
         let storage = if rng.bool() { StorageMode::Cold } else { StorageMode::Hot };
         let query = query(rng, family, unit, &read);
         partix::query::parse_query(&query.text()).expect("a generated query parses");
@@ -415,11 +409,8 @@ fn hybrid(rng: &mut TestRng, unit: &ElementDecl) -> (Vec<FragmentDef>, Reads) {
     let mode = if rng.bool() { FragMode::SingleDoc } else { FragMode::ManySmallDocs };
     let (predicates, read) = decision_list(rng, unit);
     let units = path("/Store/Items/Item");
-    let mut fragments: Vec<FragmentDef> = predicates
-        .into_iter()
-        .enumerate()
-        .map(|(k, p)| FragmentDef::hybrid(&format!("f{k}"), units.clone(), p, mode))
-        .collect();
+    let unit = |(k, p): (usize, _)| FragmentDef::hybrid(&format!("f{k}"), units.clone(), p, mode);
+    let mut fragments: Vec<FragmentDef> = predicates.into_iter().enumerate().map(unit).collect();
     fragments.push(FragmentDef::vertical("f_spine", path("/Store"), vec![path("/Store/Items")]));
     (fragments, read)
 }
@@ -507,11 +498,8 @@ fn query(rng: &mut TestRng, family: Family, unit: &ElementDecl, (read, atoms): &
     let all = leaves(unit);
     let singles: Vec<String> = all.iter().filter(|(_, s)| *s).map(|(l, _)| l.clone()).collect();
     let many: Vec<String> = all.iter().filter(|(_, s)| !*s).map(|(l, _)| l.clone()).collect();
-    let read: Vec<String> = all
-        .iter()
-        .map(|(l, _)| l.clone())
-        .filter(|l| read.iter().any(|r| l.starts_with(r.as_str())))
-        .collect();
+    let reads = |(l, _): &&(String, bool)| read.iter().any(|r| l.starts_with(r.as_str()));
+    let read: Vec<String> = all.iter().filter(reads).map(|(l, _)| l.clone()).collect();
     let leaf = |rng: &mut TestRng| -> String {
         let leaf = match rng.below(4) {
             0 | 1 if !read.is_empty() => pick(rng, &read).clone(),
@@ -557,9 +545,14 @@ fn query(rng: &mut TestRng, family: Family, unit: &ElementDecl, (read, atoms): &
             0 => format!("($a/{a}, $a/{b})"),
             1 => format!("<r>{{$a/{a}}}{{$a/{b}}}</r>"),
             2 => "$a".to_owned(),
-            3 => match a.split_once('/') {
-                Some((outer, inner)) => format!("(for $s in $a/{outer} return $s/{inner})"),
-                None => "$a/*".to_owned(),
+            // a nested `for` reading its nodes, counting them or neither
+            3 | 5 => match (a.rsplit_once('/'), rng.below(5)) {
+                (Some((outer, inner)), 0) => format!("(for $s in $a/{outer} return $s/{inner})"),
+                (Some((outer, _)), 1) => format!("count(for $s in $a/{outer} return 1)"),
+                (Some((outer, _)), 2) => format!("count(for $s in $a/{outer} return $s)"),
+                (Some((outer, _)), 3) => format!(r#"(for $s in $a/{outer} return "x")"#),
+                (Some((outer, _)), _) => format!("$a/{outer}/*"),
+                (None, _) => "$a/*".to_owned(),
             },
             4 => format!("$a//{}", a.rsplit('/').next().unwrap_or(&a)),
             _ => format!("$a/{a}"),
@@ -569,11 +562,8 @@ fn query(rng: &mut TestRng, family: Family, unit: &ElementDecl, (read, atoms): &
     let scan = format!("for $a in {c}");
     let r = ret(rng);
     let numeric = *pick(rng, &["Code", "Price", "word_count", "year", "Name"]);
-    let numeric = all
-        .iter()
-        .map(|(l, _)| l.clone())
-        .find(|l| l.ends_with(numeric))
-        .unwrap_or_else(|| leaf(rng));
+    let named = all.iter().map(|(l, _)| l.clone()).find(|l| l.ends_with(numeric));
+    let numeric = named.unwrap_or_else(|| leaf(rng));
     let agg = *pick(rng, &["count", "count", "count", "sum", "avg", "max"]);
     // aggregates of a `//` path are what a vertical design splits; the
     // other designs prune on `where` conjuncts

@@ -33,11 +33,8 @@ use std::time::Duration;
 
 /// Per-block case budget, overridable with `PARTIX_PROPTEST_CASES`.
 pub fn cases(default_cases: u32) -> ProptestConfig {
-    std::env::var("PARTIX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(ProptestConfig::with_cases)
-        .unwrap_or_else(|| ProptestConfig::with_cases(default_cases))
+    let dialed = std::env::var("PARTIX_PROPTEST_CASES").ok().and_then(|v| v.parse().ok());
+    ProptestConfig::with_cases(dialed.unwrap_or(default_cases))
 }
 
 /// How the distributed answer is asked for.

@@ -148,11 +148,10 @@ fn killing_a_coordinator_mid_workload_fails_over_without_wrong_data() {
     // heal the cluster (uninstall the injectors), then rebalance:
     // re-register the collection's distribution through the meta service
     // (an epoch bump, exactly what a placement swap does)
-    let injected: usize = injectors
-        .iter()
-        .flatten()
-        .map(|inj| inj.stats().injected_errors + inj.stats().injected_outages)
-        .sum();
+    let injected = |inj: &Arc<partix::engine::FaultInjector>| {
+        inj.stats().injected_errors + inj.stats().injected_outages
+    };
+    let injected: usize = injectors.iter().flatten().map(injected).sum();
     assert!(injected > 0, "the seeded fault plan never fired — the chaos run was a no-op");
     for (i, driver) in clean_drivers.into_iter().enumerate() {
         engines[0].cluster().node(i).expect("node").set_driver(driver);

@@ -162,19 +162,11 @@ fn items_with_codes(codes: &[Option<&str>]) -> Vec<Document> {
 
 /// Publish `codes` under `design` (items, or one store of them where the
 /// design is hybrid), one fragment per node, and ask for the names of the
-/// items passing `condition`: localization may prune only fragments that
+/// items passing `cond`: localization may prune only fragments that
 /// hold none of the centralized answer.
-fn assert_pruning_keeps_answers(
-    design: FragmentationSchema,
-    codes: &[Option<&str>],
-    condition: &str,
-) {
-    let placements: Vec<Placement> = design
-        .fragments
-        .iter()
-        .enumerate()
-        .map(|(node, f)| Placement { fragment: f.name.clone(), node })
-        .collect();
+fn assert_pruning_keeps_answers(design: FragmentationSchema, codes: &[Option<&str>], cond: &str) {
+    let place = |(node, f): (usize, &FragmentDef)| Placement { fragment: f.name.clone(), node };
+    let placements: Vec<Placement> = design.fragments.iter().enumerate().map(place).collect();
     let mut docs = items_with_codes(codes);
     let mut items = "/Item";
     if design.collection.kind == RepoKind::SingleDocument {
@@ -185,7 +177,7 @@ fn assert_pruning_keeps_answers(
     }
     let px = cluster(placements.len(), design, placements, &docs, StorageMode::Cold);
     let c = format!(r#"collection("{}"){items}"#, setup::DIST);
-    let query = format!("for $i in {c} where {condition} return $i/Name");
+    let query = format!("for $i in {c} where {cond} return $i/Name");
     let on = On::new(px, Route::Buffered);
     assert_answer(&on, &query, "pruned");
 }
@@ -304,13 +296,11 @@ fn a_fragmode2_hybrid_keeps_the_units_a_negated_range_holds() {
 
 /// The articles of `xml`, named by position, under the spine and `cuts`
 /// (each pruned from the spine), one fragment per node.
-fn articles_under(cuts: &[&str], xml: &[&str]) -> On {
+fn articles_under(cuts: &[&str], xml: &[impl AsRef<str>]) -> On {
     let path = |p: &str| PathExpr::parse(p).unwrap();
     let cut: Vec<PathExpr> = cuts.iter().map(|c| path(c)).collect();
     let mut fragments = vec![FragmentDef::vertical("f_spine", path("/article"), cut.clone())];
-    let piece = |(k, c): (usize, &PathExpr)| {
-        FragmentDef::vertical(&format!("f{k}"), c.clone(), vec![])
-    };
+    let piece = |(k, c): (_, &PathExpr)| FragmentDef::vertical(&format!("f{k}"), c.clone(), vec![]);
     fragments.extend(cut.iter().enumerate().map(piece));
     let (schema, kind) = (Arc::new(xbench_article()), RepoKind::MultipleDocuments);
     let collection = CollectionDef::new(setup::DIST, schema, path("/article"), kind);
@@ -318,11 +308,9 @@ fn articles_under(cuts: &[&str], xml: &[&str]) -> On {
     let placements: Vec<Placement> = (design.fragments.iter().enumerate())
         .map(|(node, f)| Placement { fragment: f.name.clone(), node })
         .collect();
-    let docs: Vec<Document> = xml
-        .iter()
-        .enumerate()
+    let docs: Vec<Document> = (xml.iter().enumerate())
         .map(|(k, xml)| {
-            let mut doc = parse(xml).unwrap();
+            let mut doc = parse(xml.as_ref()).unwrap();
             doc.name = Some(format!("a{k}"));
             doc
         })
@@ -366,6 +354,31 @@ fn an_article_without_the_read_part_still_binds_its_for() {
     for query in per_article {
         assert_answer(&on, &query, "per article");
     }
+}
+
+/// Over ten XBenchVer articles of three sections each, `ret` of each of
+/// the two of genre `science`: a `for` makes a tuple per section it ranges
+/// over, reading none of them, so the body's fragment must be read.
+fn assert_per_science_article(ret: &str) {
+    let body = format!("<body>{}</body>", "<section><heading>h</heading></section>".repeat(3));
+    let article = |k| format!("<article><prolog><genre>g{k}</genre></prolog>{body}</article>");
+    let articles: Vec<String> = [0, 0, 1, 1, 1, 1, 1, 1, 1, 1].map(article).into();
+    let parts = ["/article/prolog", "/article/body", "/article/epilog"];
+    let on = articles_under(&parts, &articles);
+    let c = format!(r#"collection("{}")/article"#, setup::DIST);
+    assert_answer(&on, &format!(r#"for $a in {c} where $a/prolog/genre = "g0" return {ret}"#), ret);
+}
+
+/// The sections counted: each count was 0, the body's fragment pruned.
+#[test]
+fn a_for_over_unread_sections_counts_every_section() {
+    assert_per_science_article("count(for $s in $a/body/section return 1)");
+}
+
+/// A constant returned per section: none was.
+#[test]
+fn a_for_over_unread_sections_returns_once_per_section() {
+    assert_per_science_article(r#"(for $s in $a/body/section return "x")"#);
 }
 
 /// A FragMode1 unit records where it sat in its store: the rebuilt store

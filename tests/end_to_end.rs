@@ -79,14 +79,9 @@ fn persistence_of_fragmented_nodes() {
     let _ = std::fs::remove_dir_all(&dir);
     px.cluster().node(0).unwrap().db.save_to(&dir).unwrap();
     let reloaded = partix::storage::Database::load_from(&dir).unwrap();
-    let before = px
-        .cluster()
-        .node(0)
-        .unwrap()
-        .db
-        .execute(r#"count(collection("f_cd")/Item)"#)
-        .unwrap();
-    let after = reloaded.execute(r#"count(collection("f_cd")/Item)"#).unwrap();
+    let count = r#"count(collection("f_cd")/Item)"#;
+    let before = px.cluster().node(0).unwrap().db.execute(count).unwrap();
+    let after = reloaded.execute(count).unwrap();
     assert_eq!(before.items, after.items);
     std::fs::remove_dir_all(&dir).unwrap();
 }

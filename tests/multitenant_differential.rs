@@ -17,27 +17,19 @@ mod common;
 use common::check_answer;
 use partix_bench::oracle::canonical;
 use partix_bench::setup;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// The two-tenant registry every test uses: a generous interactive
 /// tenant and a tightly quota-capped batch tenant.
 fn registry() -> Arc<TenantRegistry> {
     let registry = Arc::new(TenantRegistry::new());
-    registry
-        .register(TenantSpec::new("frontend", PriorityClass::Interactive))
-        .expect("register frontend");
-    registry
-        .register(TenantSpec {
-            name: "analytics".to_owned(),
-            class: PriorityClass::Batch,
-            quotas: TenantQuotas {
-                max_concurrent: 1,
-                max_queued: 1,
-                ..TenantQuotas::default()
-            },
-        })
-        .expect("register analytics");
+    let quotas = TenantQuotas { max_concurrent: 1, max_queued: 1, ..TenantQuotas::default() };
+    let analytics = TenantSpec { quotas, ..TenantSpec::new("analytics", PriorityClass::Batch) };
+    let frontend = TenantSpec::new("frontend", PriorityClass::Interactive);
+    registry.register(frontend).expect("register frontend");
+    registry.register(analytics).expect("register analytics");
     registry
 }
 
@@ -67,15 +59,20 @@ fn as_tenant(tenant: TenantId) -> ExecOptions {
 fn flooded_tenants_get_oracle_answers_or_typed_rejections() {
     let docs = setup::quick_items(60);
     let px = setup::horizontal(&docs, 4);
-    let (frontend, analytics, _) = attach_two_tenants(&px);
+    let (frontend, analytics, registry) = attach_two_tenants(&px);
     let workload = partix_bench::queries::horizontal(setup::DIST);
+    // the capped tenant's one slot stays taken until each of its clients
+    // has tried once: the flood overflows by construction, not by timing
+    let controller = &px.tenancy().expect("attached").controller;
+    let slot = controller.admit(&registry.by_name("analytics").expect("analytics"), 0).ok();
+    assert!(slot.is_some(), "the capped tenant's slot is free before the flood");
+    let tried = Barrier::new(8 + 1);
 
     let run_clients = |tenant: TenantId, clients: usize| -> (usize, usize) {
-        let admitted = std::sync::atomic::AtomicUsize::new(0);
-        let rejected = std::sync::atomic::AtomicUsize::new(0);
+        let (admitted, rejected) = (AtomicUsize::new(0), AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for client in 0..clients {
-                let (px, workload) = (&px, &workload);
+                let (px, workload, tried) = (&px, &workload, &tried);
                 let (admitted, rejected) = (&admitted, &rejected);
                 scope.spawn(move || {
                     for k in 0..workload.len() {
@@ -83,33 +80,35 @@ fn flooded_tenants_get_oracle_answers_or_typed_rejections() {
                         let (id, query) = &workload[idx];
                         match px.execute_with(query, as_tenant(tenant)) {
                             Ok(result) => {
-                                admitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                admitted.fetch_add(1, Relaxed);
                                 check_answer(px, query, &result.items)
                                     .unwrap_or_else(|e| panic!("{id}: admitted answer: {e}"));
                             }
                             Err(PartixError::AdmissionRejected {
                                 tenant, retry_after_ms, reason,
                             }) => {
-                                rejected.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                rejected.fetch_add(1, Relaxed);
                                 assert_eq!(tenant, "analytics", "only the capped tenant rejects");
                                 assert!(retry_after_ms > 0, "rejection lost its retry hint");
                                 assert!(!reason.is_empty());
                             }
                             Err(other) => panic!("untyped failure: {other}"),
                         }
+                        if k == 0 && tenant == analytics {
+                            tried.wait();
+                        }
                     }
                 });
             }
         });
-        (
-            admitted.load(std::sync::atomic::Ordering::Relaxed),
-            rejected.load(std::sync::atomic::Ordering::Relaxed),
-        )
+        (admitted.load(Relaxed), rejected.load(Relaxed))
     };
 
     std::thread::scope(|scope| {
         let fe = scope.spawn(|| run_clients(frontend, 3));
         let an = scope.spawn(|| run_clients(analytics, 8));
+        tried.wait();
+        drop(slot);
         let (fe_admitted, fe_rejected) = fe.join().expect("frontend clients");
         let (an_admitted, an_rejected) = an.join().expect("analytics clients");
         assert_eq!(fe_rejected, 0, "the generous tenant must never be rejected");

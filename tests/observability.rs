@@ -45,12 +45,9 @@ fn assert_breakdown_consistent(
     let mut attributed: Vec<&str> =
         stages.subqueries.iter().map(|s| s.fragment.as_str()).collect();
     attributed.sort_unstable();
-    let mut dispatched: Vec<&str> = report
-        .sites
-        .iter()
-        .map(|s| s.fragment.as_str())
-        .chain(report.skipped.iter().map(|s| s.fragment.as_str()))
-        .collect();
+    let skipped = report.skipped.iter().map(|s| s.fragment.as_str());
+    let mut dispatched: Vec<&str> =
+        report.sites.iter().map(|s| s.fragment.as_str()).chain(skipped).collect();
     dispatched.sort_unstable();
     assert_eq!(attributed, dispatched, "{context}: attribution mismatch");
 

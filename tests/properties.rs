@@ -25,9 +25,14 @@ use common::{cases, check, for_cases, message, route_holds, Form, On, Route};
 use partix::engine::{DispatchMode, ExecOptions, FaultPlan, PartiX, QueryReport};
 use partix::query::{parse_query, Evaluator, Item, MemProvider};
 use partix::xml::{binary, parse, to_string, to_string_pretty, DocBuilder, Document};
-use partix_bench::oracle::canonical;
+use partix::algebra::Keep;
+use partix::frag::FragmentDef;
+use partix::frag::correctness::reconstruct_any_shared;
+use partix::query::pushdown::analyze;
+use partix_bench::oracle::{canonical, exact};
 use partix_bench::setup::DIST;
 use proptest::prelude::*;
+use std::cell::Cell;
 
 // ---------------------------------------------------------------- XML --
 /// Strategy: a random labelled tree, depth ≤ 3, fanout ≤ 4.
@@ -178,28 +183,28 @@ fn a_failing_case_reduces_to_what_its_failure_needs() {
 
 // ------------------------------------------------ vertical reconstruction --
 
-/// Test support, not a product route: the answer of `query` with **every**
-/// fragment fetched whole, all documents rebuilt, and the query run over
-/// them — what a reconstruction was before it read only what the query
-/// reads.
-fn fetch_everything(px: &PartiX, query: &str) -> Result<Vec<Item>, String> {
+/// Test support, not a product route: the answer of `query` with
+/// **every** fragment fetched whole, all documents rebuilt — whole, or
+/// `projected` as far as the query reads them — and the query run over
+/// them, with the number of nodes rebuilt: what a reconstruction was
+/// before it read only what the query reads.
+fn fetch_everything(px: &PartiX, query: &str, project: bool) -> Result<(Vec<Item>, usize), String> {
     let catalog = px.catalog();
     let dist = catalog.distribution(DIST).expect("distributed");
-    let fetched: Vec<_> = dist
-        .design
-        .fragments
-        .iter()
-        .map(|frag| {
-            let node = px.cluster().node(dist.nodes_of(&frag.name)[0]).expect("placed");
-            let docs = node.active_driver().try_fetch_collection(&frag.name).expect("fetch");
-            (frag.name.clone(), docs)
-        })
-        .collect();
-    let rebuilt = partix::frag::correctness::reconstruct_any_shared(&dist.design, &fetched)?;
+    let fetch = |frag: &FragmentDef| {
+        let node = px.cluster().node(dist.nodes_of(&frag.name)[0]).expect("placed");
+        (frag.name.clone(), node.active_driver().try_fetch_collection(&frag.name).expect("fetch"))
+    };
+    let fetched: Vec<_> = dist.design.fragments.iter().map(fetch).collect();
+    let query = parse_query(query).map_err(|e| e.to_string())?;
+    let analysis = analyze(&query).filter(|a| project && a.collection == DIST);
+    let keep = analysis.map(|a| Keep::new(&a.footprint, &a.iterated));
+    let rebuilt = reconstruct_any_shared(&dist.design, &fetched, keep.as_ref())?;
+    let nodes = rebuilt.iter().map(|doc| doc.len()).sum();
     let mut provider = MemProvider::new();
     provider.add_shared(DIST, rebuilt);
-    let query = parse_query(query).map_err(|e| e.to_string())?;
-    Evaluator::new(&provider).eval(&query).map_err(|e| e.to_string())
+    let items = Evaluator::new(&provider).eval(&query).map_err(|e| e.to_string())?;
+    Ok((items, nodes))
 }
 
 /// What a case did, for the generator checks below.
@@ -236,7 +241,7 @@ fn vertical_case(case: &Case) -> Result<PlanShape, String> {
     let query = case.query.text();
     let central = on.px.execute_centralized(0, &partix_bench::oracle::centralized_text(&query));
     let central = central.map(|r| canonical(&r.items)).map_err(|e| message(&e));
-    let everything = fetch_everything(&on.px, &query).map(|items| canonical(&items));
+    let everything = fetch_everything(&on.px, &query, false).map(|(items, _)| canonical(&items));
     if everything != central {
         return Err(format!("fetch-everything {everything:?}\ncentralized {central:?}"));
     }
@@ -254,6 +259,33 @@ fn vertical_case(case: &Case) -> Result<PlanShape, String> {
 #[test]
 fn pruned_filtered_reconstruction_equals_fetch_everything_and_centralized() {
     for_cases(&[Family::Vertical], 48, |case| vertical_case(case).map(drop));
+}
+
+/// π before ⋈: over generated vertical cases (nested `for`s whose variable
+/// is read, counted or unused, positions, `*`, `//`, `@id`, whole
+/// articles), the answer over documents rebuilt only as far as the query
+/// reads them is the answer over whole ones, item for item, and the
+/// buffered distributed answer is the centralized one; one in three cases
+/// rebuilds fewer nodes.
+#[test]
+fn projected_reconstruction_equals_whole_reconstruction() {
+    let (cases, fewer) = (Cell::new(0), Cell::new(0));
+    for_cases(&[Family::Vertical], 48, |case| {
+        let on = On::new(case.cluster(1), Route::Buffered);
+        let query = case.query.text();
+        let rebuilt = |projected| fetch_everything(&on.px, &query, projected);
+        let answer = |p| rebuilt(p).map(|(items, nodes)| (exact(&items), nodes));
+        let [whole, projected] = [false, true].map(answer);
+        let nodes = |answer: &Result<(String, usize), String>| answer.as_ref().map_or(0, |a| a.1);
+        cases.set(cases.get() + 1);
+        fewer.set(fewer.get() + usize::from(nodes(&projected) < nodes(&whole)));
+        let (whole, projected) = (whole.map(|a| a.0), projected.map(|a| a.0));
+        if projected != whole {
+            return Err(format!("projected {projected:?}\nwhole {whole:?}"));
+        }
+        check(&on, &query).map(drop)
+    });
+    assert!(fewer.get() * 3 >= cases.get(), "{} of {} cases project", fewer.get(), cases.get());
 }
 
 /// The generator reaches what the property is about: among a fixed sample

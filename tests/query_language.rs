@@ -36,12 +36,8 @@ fn db() -> Database {
 }
 
 fn run(q: &str) -> Vec<String> {
-    db().execute(q)
-        .unwrap_or_else(|e| panic!("{q}: {e}"))
-        .items
-        .iter()
-        .map(Item::serialize)
-        .collect()
+    let out = db().execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+    out.items.iter().map(Item::serialize).collect()
 }
 
 fn run1(q: &str) -> String {

@@ -12,6 +12,7 @@
 //! migration whose source cannot be read fails typed and retires nothing.
 
 use partix::engine::{FaultPlan, PartiX, Placement, RetryPolicy};
+use partix::frag::{apply::apply_fragment, FragmentDef};
 use partix_advisor::{advise_live, AdvisorConfig, RebalanceOptions, WorkloadProfiler};
 mod common;
 
@@ -247,14 +248,8 @@ fn write_during_migration_lands_in_exactly_one_replica_set() {
     .unwrap();
     doc.name = Some("mig-doc".into());
     let dist = px.catalog().distribution(setup::DIST).cloned().expect("registered");
-    let home = dist
-        .design
-        .fragments
-        .iter()
-        .find(|f| !partix::frag::apply::apply_fragment(f, std::slice::from_ref(&doc)).is_empty())
-        .expect("doc must route somewhere")
-        .name
-        .clone();
+    let routes = |f: &&FragmentDef| !apply_fragment(f, std::slice::from_ref(&doc)).is_empty();
+    let home = &dist.design.fragments.iter().find(routes).expect("doc must route somewhere").name;
     assert_eq!(home, "f1", "probe doc must target the migrating fragment");
 
     let mut injected = false;

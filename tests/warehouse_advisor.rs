@@ -241,12 +241,8 @@ fn mined_design_rebalances_live_onto_the_advised_placement() {
 
     // park the advised design entirely on node 0 …
     let skewed = PartiX::new(NODES, NetworkModel::default());
-    let parked: Vec<Placement> = advice
-        .design
-        .fragments
-        .iter()
-        .map(|f| Placement { fragment: f.name.clone(), node: 0 })
-        .collect();
+    let park = |f: &FragmentDef| Placement { fragment: f.name.clone(), node: 0 };
+    let parked: Vec<Placement> = advice.design.fragments.iter().map(park).collect();
     skewed
         .register_distribution(Distribution { design: advice.design.clone(), placements: parked })
         .expect("parked placement valid");
@@ -267,14 +263,9 @@ fn mined_design_rebalances_live_onto_the_advised_placement() {
     assert!(!report.moves.is_empty(), "nothing migrated off node 0");
     assert!(report.migrated_docs > 0);
 
-    let spread: std::collections::BTreeSet<usize> = skewed
-        .catalog()
-        .distribution(FACTS)
-        .expect("distribution")
-        .placements
-        .iter()
-        .map(|p| p.node)
-        .collect();
+    let catalog = skewed.catalog();
+    let placements = &catalog.distribution(FACTS).expect("distribution").placements;
+    let spread: std::collections::BTreeSet<usize> = placements.iter().map(|p| p.node).collect();
     assert!(spread.len() > 1, "migration left every fragment on node 0");
     for (idx, (id, q)) in queries.iter().enumerate() {
         let result = skewed.execute(q).unwrap_or_else(|e| panic!("{id} post-migration: {e}"));

@@ -101,23 +101,16 @@ fn assert_invariants(px: &PartiX, label: &str) {
             .iter()
             .map(|d| (**d).clone())
             .collect();
-    let contents: Vec<(String, Vec<Document>)> = dist
-        .design
-        .fragments
-        .iter()
-        .map(|frag| {
-            let node_id = *dist.nodes_of(&frag.name).first().expect("placed");
-            let node = px.cluster().node(node_id).expect("placed");
-            let docs = node.fetch_docs(&frag.name).iter().map(|d| (**d).clone()).collect();
-            (frag.name.clone(), docs)
-        })
-        .collect();
+    let contents = |frag: &partix::frag::FragmentDef| {
+        let node_id = *dist.nodes_of(&frag.name).first().expect("placed");
+        let node = px.cluster().node(node_id).expect("placed");
+        (frag.name.clone(), node.fetch_docs(&frag.name).iter().map(|d| (**d).clone()).collect())
+    };
+    let contents: Vec<(String, Vec<Document>)> =
+        dist.design.fragments.iter().map(contents).collect();
     let report = check_correctness(&dist.design, &sources, &contents);
-    assert!(
-        report.is_correct(),
-        "{label}: invariants violated after writes: {:?}",
-        report.violations
-    );
+    let violated = &report.violations;
+    assert!(report.is_correct(), "{label}: invariants violated after writes: {violated:?}");
 }
 
 /// Replace every node's driver with a WAL-backed [`DurableDb`] seeded
