@@ -1,10 +1,13 @@
-//! The reconstruction join for vertical fragmentation.
+//! The reconstruction join for vertical and hybrid fragmentation.
 //!
 //! Each vertically projected fragment carries an [`Origin`](partix_xml::Origin): the name of
 //! its source document and the Dewey id of the projected subtree's root
 //! within that source. That pair is an identity that survives
 //! fragmentation: pieces of one source document are matched, and
-//! re-nested, without their siblings being present. Reconstruction groups
+//! re-nested, without their siblings being present. A hybrid unit is a
+//! piece like any other: a FragMode1 unit is a document whose origin names
+//! its place, and a FragMode2 document lists the place of each unit it
+//! holds ([`pieces`]). Reconstruction groups
 //! the pieces by source, sorts each group by Dewey id — document order,
 //! the base piece first — and copies the base piece once, in document
 //! order, splicing every other piece in at the position its Dewey id
@@ -39,6 +42,9 @@ pub enum ReconstructError {
     /// the piece it hangs under, or — when every fragment was read — a
     /// sibling piece earlier in document order, is missing.
     UnreachablePosition { source: String, dewey: String },
+    /// A document of units holds another number of units than its origin
+    /// lists.
+    UnitCount { doc: String },
 }
 
 impl fmt::Display for ReconstructError {
@@ -58,6 +64,9 @@ impl fmt::Display for ReconstructError {
                     f,
                     "cannot place subtree {dewey} of {source:?}: an earlier sibling piece is missing"
                 )
+            }
+            ReconstructError::UnitCount { doc } => {
+                write!(f, "fragment document {doc:?} holds other units than its origin lists")
             }
         }
     }
@@ -168,8 +177,8 @@ impl Keep {
     }
 }
 
-/// ⋈ — reconstruct the source documents from vertically projected
-/// fragments.
+/// ⋈ — reconstruct the source documents from vertically projected or
+/// hybrid fragments.
 ///
 /// `pieces` is the concatenation of the fragment collections' contents,
 /// owned, borrowed or shared. Returns the reconstructed documents sorted
@@ -194,15 +203,9 @@ pub fn reconstruct_keeping<D: Borrow<Document>>(
 ) -> Result<Vec<Document>, ReconstructError> {
     // group pieces by source document
     let mut by_source: BTreeMap<&str, Vec<Piece<'_>>> = BTreeMap::new();
-    for piece in pieces {
-        let doc: &Document = piece.borrow();
-        let origin = doc.origin.as_ref().ok_or_else(|| ReconstructError::MissingOrigin {
-            doc: doc.name.clone().unwrap_or_default(),
-        })?;
-        by_source
-            .entry(&origin.source_doc)
-            .or_default()
-            .push(Piece { doc, at: origin.dewey.components() });
+    for doc in pieces {
+        let (source, held) = self::pieces(doc.borrow())?;
+        by_source.entry(source).or_default().extend(held);
     }
     by_source
         .into_iter()
@@ -210,11 +213,37 @@ pub fn reconstruct_keeping<D: Borrow<Document>>(
         .collect()
 }
 
-/// One fragment document and the Dewey id of its root in the source.
+/// One piece of a source document: a subtree of a fragment document and
+/// the Dewey id of its root in the source.
 #[derive(Clone, Copy)]
-struct Piece<'a> {
-    doc: &'a Document,
-    at: &'a [u32],
+pub struct Piece<'a> {
+    pub doc: &'a Document,
+    pub node: NodeId,
+    pub at: &'a [u32],
+}
+
+/// The source document `doc` is a fragment of, and the pieces of it `doc`
+/// holds: `doc` itself at its origin's label or, for a document of units,
+/// each unit at the label its origin lists for it — the copy of the path
+/// above the units is not a piece.
+pub fn pieces(
+    doc: &Document,
+) -> Result<(&str, impl Iterator<Item = Piece<'_>>), ReconstructError> {
+    let name = || doc.name.clone().unwrap_or_default();
+    let origin = doc.origin.as_ref();
+    let origin = origin.ok_or_else(|| ReconstructError::MissingOrigin { doc: name() })?;
+    let whole = origin.units.is_empty().then_some((NodeId::ROOT, &origin.dewey));
+    let holder = origin.units.first().and_then(|unit| {
+        // the units hang under the end of the document's first-child chain
+        (1..unit.depth()).try_fold(doc.root(), |node, _| node.first_child())
+    });
+    let held = || holder.into_iter().flat_map(|holder| holder.children());
+    if held().count() != origin.units.len() {
+        return Err(ReconstructError::UnitCount { doc: name() });
+    }
+    let units = held().map(|unit| unit.id()).zip(&origin.units);
+    let pieces = whole.into_iter().chain(units);
+    Ok((&origin.source_doc, pieces.map(move |(node, at)| Piece { doc, node, at: at.components() })))
 }
 
 type Pending<'a> = Peekable<std::vec::IntoIter<Piece<'a>>>;
@@ -243,15 +272,16 @@ impl Merge<'_> {
         }
         let mut pending = pieces.into_iter().peekable();
         pending.next(); // the base
-        let mut out = Document::new(base.doc.root_label());
+        let label = base.doc.label_of(base.node);
+        let mut out = Document::new(label);
         let mut at = base.at.to_vec();
         // the root is always kept; a base cut below it has no label path
         let keep = match base.at {
-            [] => self.keep.element(base.doc.root_label()).unwrap_or(&EMPTY),
+            [] => self.keep.element(label).unwrap_or(&EMPTY),
             _ => &WHOLE,
         };
         let into = Some((NodeId::ROOT, keep));
-        self.children(&mut out, into, base.doc, NodeId::ROOT, &mut at, &mut pending)?;
+        self.children(&mut out, into, base.doc, base.node, &mut at, &mut pending)?;
         if let Some(stranded) = pending.next() {
             // the traversal is in document order and so are the pieces:
             // one it never reached hangs under a node that is not there
@@ -329,10 +359,10 @@ impl Merge<'_> {
         at: &mut Vec<u32>,
         pending: &mut Pending<'_>,
     ) -> Result<(), ReconstructError> {
-        let label = piece.doc.root_label();
+        let label = piece.doc.label_of(piece.node);
         let kept = into.and_then(|(dst, keep)| Some((dst, keep.element(label)?)));
         let root = kept.map(|(dst, kept)| (out.add_element(dst, label), kept));
-        self.children(out, root, piece.doc, NodeId::ROOT, at, pending)
+        self.children(out, root, piece.doc, piece.node, at, pending)
     }
 
     fn unreachable(&self, at: &[u32]) -> ReconstructError {
@@ -539,6 +569,33 @@ mod tests {
         // node ids come out in document order: no renumbering pass
         let ids: Vec<_> = reconstruct(&owned, Coverage::Complete).unwrap()[0].ids().collect();
         assert!(ids.windows(2).all(|w| w[0].index() < w[1].index()));
+    }
+
+    /// A document of units: `<Store><Items>` holding `items`, listed at
+    /// `labels`.
+    fn units(items: &str, labels: &[&str]) -> Document {
+        let mut doc = named(&format!("<Store><Items>{items}</Items></Store>"), "store");
+        let units = labels.iter().map(|l| Dewey::parse(l).unwrap()).collect();
+        doc.origin =
+            Some(partix_xml::Origin { source_doc: "store".into(), dewey: Dewey::root(), units });
+        doc
+    }
+
+    #[test]
+    fn units_are_placed_at_their_labels_whichever_document_holds_them() {
+        let doc = store();
+        // the spine keeps the units' container, without the units
+        let spine = proj("/Store", &["/Store/Items/Item"]).apply(&doc);
+        let dvd = units("<Item><Section>DVD</Section></Item>", &["2.2"]);
+        let cd = units("<Item><Section>CD</Section></Item>", &["2.1"]);
+        let all: Vec<Document> = spine.into_iter().chain([dvd, cd]).collect();
+        assert_eq!(reconstruct(&all, Coverage::Complete).unwrap()[0], doc);
+        // a document listing another number of units than it holds
+        let miscounted = units("<Item/>", &["2.1", "2.2"]);
+        assert_eq!(
+            reconstruct(&[miscounted], Coverage::Partial),
+            Err(ReconstructError::UnitCount { doc: "store".into() })
+        );
     }
 
     fn keep(reads: &[&str], iterated: &[&str]) -> Keep {

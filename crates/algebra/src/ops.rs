@@ -72,6 +72,7 @@ impl Projection {
                 out.origin = Some(Origin {
                     source_doc: source.clone(),
                     dewey: doc.dewey_of(root),
+                    units: Vec::new(),
                 });
                 out
             })

@@ -5,7 +5,7 @@
 //! their nodes (paper Sec. 4).
 
 use crate::service::{PartiX, PartixError};
-use partix_frag::Fragmenter;
+use partix_frag::apply::apply_design;
 use partix_xml::Document;
 
 /// What the publisher did with one batch of documents.
@@ -29,9 +29,8 @@ impl PartiX {
         let dist = catalog
             .distribution(collection)
             .ok_or_else(|| PartixError::NoDistribution(collection.to_owned()))?;
-        let fragmenter = Fragmenter::new(dist.design.clone());
         let mut report = PublishReport { documents: docs.len(), ..Default::default() };
-        for (frag_name, frag_docs) in fragmenter.fragment_all(docs) {
+        for (frag_name, frag_docs) in apply_design(&dist.design, docs) {
             let nodes = dist.nodes_of(&frag_name);
             if nodes.is_empty() {
                 return Err(PartixError::Internal(format!("{frag_name} unplaced")));

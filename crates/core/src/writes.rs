@@ -7,7 +7,7 @@
 //! live repository stays a correct fragmentation of its logical
 //! collection as it changes.
 //!
-//! Routing reuses [`partix_frag::apply::apply_fragment`]: the incoming
+//! Routing reuses [`partix_frag::apply::apply_design`]: the incoming
 //! document is fragmented exactly as the bulk publisher would fragment
 //! it, and each non-empty piece is written to every replica of its
 //! fragment. Before any node is touched, the per-document design rules
@@ -35,7 +35,7 @@ use crate::cluster::Node;
 use crate::driver::DriverError;
 use crate::metrics;
 use crate::service::PartiX;
-use partix_frag::apply::apply_fragment;
+use partix_frag::apply::apply_design;
 use partix_frag::def::FragType;
 use partix_frag::{check_correctness, FragMode, FragOp, Violation};
 use partix_storage::WriteOp;
@@ -193,11 +193,7 @@ impl PartiX {
         // would, then re-check the design rules online against this one
         // document before any node is touched.
         let source = [doc];
-        let pieces: Vec<(String, Vec<Document>)> = design
-            .fragments
-            .iter()
-            .map(|frag| (frag.name.clone(), apply_fragment(frag, &source)))
-            .collect();
+        let pieces = apply_design(design, &source);
         if pieces.iter().all(|(_, docs)| docs.is_empty()) {
             return Err(WriteError::UnroutableDocument { collection: collection.into(), name });
         }
@@ -519,6 +515,49 @@ mod tests {
             px.delete("items", "i2").unwrap_err(),
             WriteError::NoSuchDocument { .. }
         ));
+    }
+
+    /// A FragMode2 store put online is stored as publish stores it: its
+    /// rebuild answers as the centralized copy does, units in place.
+    #[test]
+    fn a_fragmode2_put_answers_as_the_centralized_store() {
+        let px = PartiX::new(3, NetworkModel::instantaneous());
+        let p = |s: &str| PathExpr::parse(s).unwrap();
+        let cd = |s: &str| Predicate::parse(&format!(r#"{s}(/Item/Section = "CD")"#)).unwrap();
+        let units = p("/Store/Items/Item");
+        let hybrid = |name, s| FragmentDef::hybrid(name, units.clone(), cd(s), FragMode::SingleDoc);
+        let spine = FragmentDef::vertical("f_spine", p("/Store"), vec![p("/Store/Items")]);
+        let store = CollectionDef::new(
+            "store",
+            Arc::new(virtual_store()),
+            p("/Store"),
+            RepoKind::SingleDocument,
+        );
+        let fragments = vec![hybrid("f_cd", ""), hybrid("f_rest", "not"), spine];
+        let design = FragmentationSchema::new(store, fragments).unwrap();
+        let names = ["f_cd", "f_rest", "f_spine"].into_iter().enumerate();
+        let placements = names.map(|(node, f)| Placement { fragment: f.into(), node }).collect();
+        px.register_distribution(Distribution { design, placements }).unwrap();
+        // CD and DVD items alternate: each fragment holds every other one
+        let item = |k: usize| {
+            let section = ["CD", "DVD"][k % 2];
+            format!("<Item><Code>{k}</Code><Section>{section}</Section></Item>")
+        };
+        let items: String = (1..=4).map(item).collect();
+        let xml = format!("<Store><Sections/><Items>{items}</Items><Employees/></Store>");
+        let mut store = parse(&xml).unwrap();
+        store.name = Some("s".into());
+        px.put("store", store.clone()).unwrap();
+        px.publish_centralized(0, "central", &[store]).unwrap();
+        let values = |items: Vec<partix_query::Item>| {
+            items.iter().map(|item| item.string_value()).collect::<Vec<_>>()
+        };
+        let reads = ["$s/Items/Item[1]/Code", "$s/Items/Item[2]/Code", "$s/Items/Item[3]/Code"];
+        for read in reads.into_iter().chain(["count($s/*[2]/*)"]) {
+            let ask = |c: &str| format!(r#"for $s in collection("{c}")/Store return {read}"#);
+            let want = values(px.execute_centralized(0, &ask("central")).unwrap().items);
+            assert_eq!(values(px.execute(&ask("store")).unwrap().items), want, "{read}");
+        }
     }
 
     #[test]

@@ -23,12 +23,39 @@ impl Fragmenter {
     /// Apply the whole design: returns `(fragment name, documents)` in
     /// definition order.
     pub fn fragment_all(&self, docs: &[Document]) -> Vec<(String, Vec<Document>)> {
-        self.schema
-            .fragments
-            .iter()
-            .map(|frag| (frag.name.clone(), apply_fragment(frag, docs)))
-            .collect()
+        apply_design(&self.schema, docs)
     }
+}
+
+/// Apply every fragment of `design` to `docs`: `(fragment name,
+/// documents)` in definition order. In a hybrid design a vertical fragment
+/// that prunes the units' container (the paper's `F4items := π /Store,
+/// {/Store/Items}`) keeps the container and prunes the units themselves,
+/// so every unit has a parent at its place when the Dewey join puts it
+/// back; the declared design, which the planner reads, is unchanged.
+pub fn apply_design(
+    design: &FragmentationSchema,
+    docs: &[Document],
+) -> Vec<(String, Vec<Document>)> {
+    // (container, units) of every hybrid fragment
+    let mut units: Vec<(PathExpr, &PathExpr)> = (design.fragments.iter())
+        .filter_map(|frag| match &frag.op {
+            FragOp::Hybrid { unit_path, .. } => Some((unit_path.parent_path()?, unit_path)),
+            _ => None,
+        })
+        .collect();
+    units.dedup();
+    let holds_units = |g: &PathExpr| units.iter().any(|(container, _)| container == g);
+    let apply = |frag: &FragmentDef| match &frag.op {
+        FragOp::Vertical { projection } if projection.prune.iter().any(holds_units) => {
+            let others = projection.prune.iter().filter(|g| !holds_units(g));
+            let inside = units.iter().filter(|(c, _)| projection.prune.contains(c));
+            let prune = others.chain(inside.map(|(_, unit)| *unit)).cloned().collect();
+            partix_algebra::project(docs, &Projection::new(projection.path.clone(), prune))
+        }
+        _ => apply_fragment(frag, docs),
+    };
+    design.fragments.iter().map(|frag| (frag.name.clone(), apply(frag))).collect()
 }
 
 /// Apply one fragment definition to a collection's documents.
@@ -93,6 +120,7 @@ fn apply_hybrid(
             out.origin = Some(Origin {
                 source_doc: doc.name.clone().unwrap_or_default(),
                 dewey: partix_xml::Dewey::root(),
+                units: selected.into_iter().filter_map(|unit| Some(unit.origin?.dewey)).collect(),
             });
             vec![out]
         }
@@ -106,7 +134,7 @@ mod tests {
     use partix_path::{eval_path, Predicate};
     use partix_schema::builtin::virtual_store;
     use partix_schema::{CollectionDef, RepoKind};
-    use partix_xml::{parse, to_string};
+    use partix_xml::{parse, to_string, Dewey};
     use std::sync::Arc;
 
     fn p(s: &str) -> PathExpr {
@@ -298,8 +326,14 @@ mod tests {
         assert_eq!(frags[0].1.len(), 1); // CD spine doc
         assert_eq!(frags[1].1.len(), 1); // DVD spine doc
         assert_eq!(frags[2].1.len(), 0); // no other sections
+        // F4 keeps the units' container, without the units
         let f4 = &frags[3].1[0];
-        assert!(f4.root().child_element("Items").is_none());
+        let items = f4.root().child_element("Items").expect("the container stays");
+        assert_eq!(items.children().count(), 0);
         assert!(f4.root().child_element("Sections").is_some());
+        // each FragMode2 document lists where its units sat
+        let units = |k: usize| frags[k].1[0].origin.clone().unwrap().units;
+        assert_eq!(units(0), [Dewey::parse("2.1").unwrap(), Dewey::parse("2.3").unwrap()]);
+        assert_eq!(units(1), [Dewey::parse("2.2").unwrap()]);
     }
 }

@@ -6,15 +6,12 @@
 //!   vertical/hybrid.
 //! * **Disjointness** — no data item appears in two fragments.
 //! * **Reconstruction** — an operator `∇` rebuilds `C` from the
-//!   fragments: `∪` for horizontal, the Dewey join `⋈` for vertical.
-//!   For hybrid designs, reconstruction restores all content; the order
-//!   of *sibling units* selected by different fragments is not tracked
-//!   (like tuple order in relational fragmentation), so verification
-//!   compares canonicalized documents.
+//!   fragments: `∪` for horizontal, the Dewey join `⋈` for vertical and
+//!   hybrid, where each unit is a piece placed by its source label. The
+//!   rebuilt collection must equal the source exactly.
 
-use crate::def::{FragOp, FragmentationSchema};
-use partix_algebra::join::{reconstruct, reconstruct_keeping, Coverage, Keep};
-use partix_path::{eval_path, PathExpr};
+use crate::def::FragmentationSchema;
+use partix_algebra::join::{pieces, reconstruct, reconstruct_keeping, Coverage, Keep, Piece};
 use partix_xml::{to_string, Document, NodeId};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -72,8 +69,7 @@ pub fn check_correctness(
 ) -> CorrectnessReport {
     match design.frag_type() {
         crate::def::FragType::Horizontal => check_horizontal(sources, fragments),
-        crate::def::FragType::Vertical => check_vertical(sources, fragments),
-        crate::def::FragType::Hybrid => check_hybrid(design, sources, fragments),
+        _ => check_node_level(sources, fragments),
     }
 }
 
@@ -117,23 +113,27 @@ fn check_horizontal(
     report
 }
 
-fn check_vertical(
+/// Node-level fragments: the pieces the Dewey join places hold every node
+/// of their source once, and the join rebuilds the source exactly.
+fn check_node_level(
     sources: &[Document],
     fragments: &[(String, Vec<Document>)],
 ) -> CorrectnessReport {
     let mut report = CorrectnessReport::default();
-    let all: Vec<Document> = fragments.iter().flat_map(|(_, d)| d.iter().cloned()).collect();
-    // disjointness at the node level: the fragment node counts of each
-    // source document must sum to the source's node count
-    let mut frag_nodes: HashMap<String, usize> = HashMap::new();
-    for doc in &all {
-        if let Some(origin) = &doc.origin {
-            *frag_nodes.entry(origin.source_doc.clone()).or_default() += doc.len();
-        }
+    let all: Vec<&Document> = fragments.iter().flat_map(|(_, d)| d.iter()).collect();
+    // disjointness at the node level: the node counts of the pieces of
+    // each source document must sum to the source's node count
+    let mut frag_nodes: HashMap<&str, usize> = HashMap::new();
+    let size = |piece: Piece<'_>| match piece.node {
+        NodeId::ROOT => piece.doc.len(),
+        unit => piece.doc.get(unit).map_or(0, |unit| unit.descendants_or_self().count()),
+    };
+    for (source, pieces) in all.iter().filter_map(|doc| pieces(doc).ok()) {
+        *frag_nodes.entry(source).or_default() += pieces.map(size).sum::<usize>();
     }
     for src in sources {
         let key = src.name.clone().unwrap_or_default();
-        let got = frag_nodes.get(&key).copied().unwrap_or(0);
+        let got = frag_nodes.get(key.as_str()).copied().unwrap_or(0);
         match got.cmp(&src.len()) {
             std::cmp::Ordering::Less => {
                 report.violations.push(Violation::Incomplete {
@@ -165,89 +165,8 @@ fn check_vertical(
     report
 }
 
-fn check_hybrid(
-    design: &FragmentationSchema,
-    sources: &[Document],
-    fragments: &[(String, Vec<Document>)],
-) -> CorrectnessReport {
-    let mut report = CorrectnessReport::default();
-    // unit-level accounting: canonical serialization of each selected unit
-    let mut source_units: HashMap<String, isize> = HashMap::new();
-    let mut unit_paths: Vec<&PathExpr> = Vec::new();
-    for frag in &design.fragments {
-        if let FragOp::Hybrid { unit_path, .. } = &frag.op {
-            if !unit_paths.contains(&unit_path) {
-                unit_paths.push(unit_path);
-            }
-        }
-    }
-    for src in sources {
-        for unit_path in &unit_paths {
-            for id in eval_path(src, unit_path) {
-                let unit = src.subtree(id).expect("units are elements");
-                *source_units.entry(to_string(&unit)).or_default() += 1;
-            }
-        }
-    }
-    let mut seen_units = source_units.clone();
-    for ((frag_name, docs), def) in fragments.iter().zip(&design.fragments) {
-        match &def.op {
-            FragOp::Hybrid { unit_path, mode, .. } => {
-                for doc in docs {
-                    match mode {
-                        crate::def::FragMode::ManySmallDocs => {
-                            *seen_units.entry(to_string(doc)).or_default() -= 1;
-                        }
-                        crate::def::FragMode::SingleDoc => {
-                            for id in eval_path(doc, unit_path) {
-                                let unit = doc.subtree(id).expect("unit");
-                                *seen_units.entry(to_string(&unit)).or_default() -= 1;
-                            }
-                        }
-                    }
-                }
-            }
-            FragOp::Vertical { .. } | FragOp::Horizontal { .. } => {
-                let _ = frag_name;
-            }
-        }
-    }
-    for (unit, balance) in &seen_units {
-        let short: String = unit.chars().take(60).collect();
-        if *balance > 0 {
-            report.violations.push(Violation::Incomplete {
-                item: format!("unit {short}… ({balance} occurrence(s) missing)"),
-            });
-        } else if *balance < 0 {
-            report.violations.push(Violation::Overlapping {
-                item: format!("unit {short}… ({} extra occurrence(s))", -balance),
-                fragments: design.fragments.iter().map(|f| f.name.clone()).collect(),
-            });
-        }
-    }
-    // reconstruction up to unit order: canonicalized comparison
-    let rebuilt = reconstruct_any(design, fragments);
-    match rebuilt {
-        Ok(rebuilt) => {
-            let mut src_canon: Vec<String> = sources.iter().map(order_free_form).collect();
-            let mut got_canon: Vec<String> = rebuilt.iter().map(order_free_form).collect();
-            src_canon.sort();
-            got_canon.sort();
-            if src_canon != got_canon {
-                report.violations.push(Violation::NotReconstructible {
-                    detail: "canonicalized reconstruction differs from the source".into(),
-                });
-            }
-        }
-        Err(detail) => report.violations.push(Violation::NotReconstructible { detail }),
-    }
-    report
-}
-
 /// Reassemble the source collection from fragment contents, for any
-/// fragment family. Hybrid reconstruction restores all content; sibling
-/// units selected by different fragments keep fragment order (compare
-/// canonically when order matters).
+/// fragment family.
 ///
 /// For a vertical design `fragments` may hold only some of the design's
 /// fragments, by name: one that is not listed was deliberately not read,
@@ -271,8 +190,8 @@ pub fn reconstruct_any(
 /// the `Arc`s are re-sorted by document name and returned as-is (the
 /// same ordering [`partix_algebra::union`] produces). Vertical/hybrid
 /// designs build new documents — the Dewey join copies each piece once,
-/// straight out of the shared document it was fetched as; a vertical one
-/// only what `keep` reaches of it (all of it without one).
+/// straight out of the shared document it was fetched as, only what `keep`
+/// reaches of it (all of it without one).
 pub fn reconstruct_any_shared(
     design: &FragmentationSchema,
     fragments: &[(String, Vec<Arc<Document>>)],
@@ -295,115 +214,18 @@ pub fn reconstruct_any_shared(
 }
 
 /// The Dewey join of a vertical or hybrid design, over owned or shared
-/// pieces alike; a hybrid one rebuilds whole pieces whatever `keep` says.
+/// pieces alike.
 fn rebuild<D: Borrow<Document>>(
     design: &FragmentationSchema,
     fragments: &[(String, Vec<D>)],
     keep: &Keep,
 ) -> Result<Vec<Document>, String> {
-    if design.frag_type() == crate::def::FragType::Hybrid {
-        return reconstruct_hybrid(design, fragments);
-    }
     let read = |def: &crate::def::FragmentDef| fragments.iter().any(|(name, _)| *name == def.name);
     let coverage =
         if design.fragments.iter().all(read) { Coverage::Complete } else { Coverage::Partial };
     let all: Vec<&Document> =
         fragments.iter().flat_map(|(_, docs)| docs.iter().map(Borrow::borrow)).collect();
     reconstruct_keeping(&all, coverage, keep).map_err(|e| e.to_string())
-}
-
-fn reconstruct_hybrid<D: Borrow<Document>>(
-    design: &FragmentationSchema,
-    fragments: &[(String, Vec<D>)],
-) -> Result<Vec<Document>, String> {
-    // 1. vertical fragments rebuild the spine (with the unit container
-    //    pruned); 2. units from hybrid fragments are reinserted under a
-    //    recreated container.
-    let vertical: Vec<&Document> = fragments
-        .iter()
-        .zip(&design.fragments)
-        .filter(|(_, def)| matches!(def.op, FragOp::Vertical { .. }))
-        .flat_map(|((_, docs), _)| docs.iter().map(Borrow::borrow))
-        .collect();
-    // collect units — a document and the unit's node in it — per source doc
-    let mut units: HashMap<String, Vec<(&Document, NodeId)>> = HashMap::new();
-    let mut container_path: Option<PathExpr> = None;
-    for ((_, docs), def) in fragments.iter().zip(&design.fragments) {
-        if let FragOp::Hybrid { unit_path, mode, .. } = &def.op {
-            let parent = unit_path
-                .parent_path()
-                .ok_or_else(|| "hybrid unit path must have a parent".to_owned())?;
-            if let Some(existing) = &container_path {
-                if *existing != parent {
-                    return Err("hybrid fragments use different unit containers".into());
-                }
-            } else {
-                container_path = Some(parent);
-            }
-            for doc in docs {
-                let doc: &Document = doc.borrow();
-                match mode {
-                    crate::def::FragMode::ManySmallDocs => {
-                        let source = doc
-                            .origin
-                            .as_ref()
-                            .map(|o| o.source_doc.clone())
-                            .unwrap_or_default();
-                        units.entry(source).or_default().push((doc, NodeId::ROOT));
-                    }
-                    crate::def::FragMode::SingleDoc => {
-                        let source = doc.name.clone().unwrap_or_default();
-                        let found = eval_path(doc, unit_path).into_iter().map(|id| (doc, id));
-                        units.entry(source).or_default().extend(found);
-                    }
-                }
-            }
-        }
-    }
-    // a FragMode1 unit carries its place in its source document: the
-    // units go back in document order, whichever fragment held them
-    fn place<'a>((doc, node): &(&'a Document, NodeId)) -> Option<&'a [u32]> {
-        let origin = doc.origin.as_ref().filter(|_| *node == NodeId::ROOT);
-        origin.map(|o| o.dewey.components())
-    }
-    for list in units.values_mut() {
-        if list.iter().all(|unit| place(unit).is_some()) {
-            list.sort_by(|a, b| place(a).cmp(&place(b)));
-        }
-    }
-    let container_path =
-        container_path.ok_or_else(|| "no hybrid fragments in design".to_owned())?;
-    // rebuild: reconstruct spine from vertical pieces — the unit container
-    // is a hole in them — then insert the container with the units
-    let spines = reconstruct(&vertical, Coverage::Partial).map_err(|e| e.to_string())?;
-    let container_label = match &container_path.last_step().map(|s| &s.test) {
-        Some(partix_path::NodeTest::Name(n)) => n.clone(),
-        _ => return Err("unit container must be a named element".into()),
-    };
-    let mut out = Vec::new();
-    for mut doc in spines {
-        let source = doc.name.clone().unwrap_or_default();
-        // find the container's parent in the spine
-        let parent_of_container = container_path
-            .parent_path()
-            .map(|p| eval_path(&doc, &p))
-            .unwrap_or_else(|| vec![NodeId::ROOT]);
-        let Some(&attach) = parent_of_container.first() else {
-            return Err(format!(
-                "cannot locate container parent in spine of {source:?}"
-            ));
-        };
-        let container = doc.add_element(attach, &container_label);
-        for (unit_doc, unit) in units.remove(&source).unwrap_or_default() {
-            if unit_doc.kind_of(unit) != partix_xml::NodeKind::Element {
-                return Err("a hybrid unit must be an element".into());
-            }
-            doc.graft(container, unit_doc, unit);
-        }
-        // the container went in last but need not come last: renumber
-        out.push(doc.normalized());
-    }
-    Ok(out)
 }
 
 /// Structural multiset equality of two document lists (by name when
@@ -419,32 +241,12 @@ fn same_documents(a: &[Document], b: &[Document]) -> bool {
     sa == sb
 }
 
-/// Canonical serialization: children sorted recursively, so documents that
-/// differ only in sibling order compare equal.
-fn order_free_form(doc: &Document) -> String {
-    fn canon(node: partix_xml::NodeRef<'_>) -> String {
-        use partix_xml::NodeKind;
-        match node.kind() {
-            NodeKind::Text => format!("T:{}", node.value().unwrap_or("")),
-            NodeKind::Attribute => {
-                format!("A:{}={}", node.label(), node.value().unwrap_or(""))
-            }
-            NodeKind::Element => {
-                let mut children: Vec<String> = node.children().map(canon).collect();
-                children.sort();
-                format!("E:{}[{}]", node.label(), children.join(","))
-            }
-        }
-    }
-    canon(doc.root())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apply::Fragmenter;
     use crate::def::{FragMode, FragmentDef, FragmentationSchema};
-    use partix_path::Predicate;
+    use partix_path::{PathExpr, Predicate};
     use partix_schema::builtin::virtual_store;
     use partix_schema::{CollectionDef, RepoKind};
     use partix_xml::parse;
@@ -696,13 +498,27 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_hybrid_detected_both_modes() {
+        for mode in [FragMode::SingleDoc, FragMode::ManySmallDocs] {
+            // F1's CD items are F2's too
+            let mut design = storehyb_design(mode);
+            let all = FragmentDef::hybrid("F2", p("/Store/Items/Item"), pr("exists(/Item)"), mode);
+            design.fragments[1] = all;
+            let docs = vec![store_doc()];
+            let frags = Fragmenter::new(design.clone()).fragment_all(&docs);
+            let report = check_correctness(&design, &docs, &frags);
+            let overlap = |v: &Violation| matches!(v, Violation::Overlapping { .. });
+            assert!(report.violations.iter().any(overlap), "{mode:?}: {:?}", report.violations);
+        }
+    }
+
+    #[test]
     fn hybrid_reconstruction_restores_content() {
         let design = storehyb_design(FragMode::SingleDoc);
         let docs = vec![store_doc()];
         let frags = Fragmenter::new(design.clone()).fragment_all(&docs);
         let rebuilt = reconstruct_any(&design, &frags).unwrap();
-        assert_eq!(rebuilt.len(), 1);
-        assert_eq!(order_free_form(&rebuilt[0]), order_free_form(&docs[0]));
+        assert_eq!(rebuilt, docs);
     }
 
     #[test]

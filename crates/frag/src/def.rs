@@ -14,7 +14,7 @@ pub enum FragMode {
     ManySmallDocs,
     /// FragMode2: one document per source document, shaped like the
     /// original but containing only the selected units under the unit
-    /// path's parent spine.
+    /// path's parent spine; its origin lists where each unit sat.
     #[default]
     SingleDoc,
 }

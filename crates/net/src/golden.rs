@@ -30,8 +30,8 @@ fn golden_items() -> Sequence {
         parse(r#"<Item id="7"><Code>12</Code><Name>Dark &amp; Side</Name><Empty/></Item>"#)
             .unwrap();
     doc.name = Some("d1".into());
-    doc.origin =
-        Some(Origin { source_doc: "master".into(), dewey: Dewey::parse("1.2").unwrap() });
+    let (source_doc, dewey) = ("master".into(), Dewey::parse("1.2").unwrap());
+    doc.origin = Some(Origin { source_doc, dewey, units: Vec::new() });
     let paged = Arc::new(Document::from_page(binary::encode(&doc)).unwrap());
     let doc = Arc::new(doc);
     let find = |kind: NodeKind, label: &str| {

@@ -35,8 +35,13 @@
 //!            (u32::MAX = "none" for val_off and links)
 //!   textheap: text_heap_len bytes of UTF-8
 //!   meta:    name  u8 tag (0|1) [+ len u32 + bytes]
-//!            origin u8 tag (0|1) [+ len u32 + bytes + count u32 + count × u32]
+//!            origin u8 tag (0|1|2) [+ len u32 + bytes + dewey]
+//!                   tag 2 adds: units u32 (≥ 1) + units × dewey
+//!   dewey:   count u32 + count × u32
 //! ```
+//!
+//! Tag 2 carries `Origin::units` and is written only when the list is
+//! non-empty; every other origin is tag 1.
 
 use crate::dewey::Dewey;
 use crate::error::XmlError;
@@ -129,14 +134,22 @@ fn put_meta(buf: &mut Vec<u8>, name: Option<&str>, origin: Option<&Origin>) {
     match origin {
         None => buf.push(0),
         Some(origin) => {
-            buf.push(1);
+            buf.push(if origin.units.is_empty() { 1 } else { 2 });
             put_u32(buf, origin.source_doc.len() as u32);
             buf.extend_from_slice(origin.source_doc.as_bytes());
-            put_u32(buf, origin.dewey.components().len() as u32);
-            for &c in origin.dewey.components() {
-                put_u32(buf, c);
+            put_dewey(buf, &origin.dewey);
+            if !origin.units.is_empty() {
+                put_u32(buf, origin.units.len() as u32);
+                origin.units.iter().for_each(|unit| put_dewey(buf, unit));
             }
         }
+    }
+}
+
+fn put_dewey(buf: &mut Vec<u8>, dewey: &Dewey) {
+    put_u32(buf, dewey.components().len() as u32);
+    for &c in dewey.components() {
+        put_u32(buf, c);
     }
 }
 
@@ -316,17 +329,19 @@ impl Layout {
         let name = get_tagged_str(&mut tail)?;
         let origin = match get_u8(&mut tail)? {
             0 => None,
-            1 => {
+            tag @ (1 | 2) => {
                 let source_doc = get_str_u32(&mut tail)?.to_owned();
-                let count = get_u32(&mut tail)? as usize;
-                if count * 4 > tail.len() {
-                    return Err(corrupt("dewey too long"));
+                let dewey = get_dewey(&mut tail)?;
+                let mut units = Vec::new();
+                if tag == 2 {
+                    // every unit takes at least its count's four bytes
+                    let count = get_u32(&mut tail)? as usize;
+                    if count == 0 || count > tail.len() / 4 {
+                        return Err(corrupt("bad unit count"));
+                    }
+                    units = (0..count).map(|_| get_dewey(&mut tail)).collect::<Result<_, _>>()?;
                 }
-                let mut components = Vec::with_capacity(count);
-                for _ in 0..count {
-                    components.push(get_u32(&mut tail)?);
-                }
-                Some(Origin { source_doc, dewey: Dewey::from_vec(components) })
+                Some(Origin { source_doc, dewey, units })
             }
             k => return Err(XmlError::CorruptBinary(format!("bad origin tag {k}"))),
         };
@@ -581,6 +596,18 @@ fn get_str_u32<'a>(buf: &mut &'a [u8]) -> Result<&'a str, XmlError> {
     Ok(s)
 }
 
+fn get_dewey(buf: &mut &[u8]) -> Result<Dewey, XmlError> {
+    let count = get_u32(buf)? as usize;
+    if count > buf.len() / 4 {
+        return Err(corrupt("dewey too long"));
+    }
+    let mut components = Vec::with_capacity(count);
+    for _ in 0..count {
+        components.push(get_u32(buf)?);
+    }
+    Ok(Dewey::from_vec(components))
+}
+
 fn get_tagged_str<'a>(buf: &mut &'a [u8]) -> Result<Option<&'a str>, XmlError> {
     match get_u8(buf)? {
         0 => Ok(None),
@@ -623,6 +650,7 @@ mod tests {
         doc.origin = Some(Origin {
             source_doc: "master".into(),
             dewey: Dewey::parse("1.2").unwrap(),
+            units: Vec::new(),
         });
         doc
     }
@@ -701,6 +729,23 @@ mod tests {
         }
         assert_eq!(paged, doc);
         assert_ne!(edited, doc);
+    }
+
+    #[test]
+    fn unit_labels_roundtrip_and_a_hostile_unit_count_is_corrupt() {
+        let mut doc = sample();
+        let origin = doc.origin.as_mut().unwrap();
+        origin.units = vec![Dewey::parse("1.2").unwrap()];
+        let bytes = encode(&doc).to_vec();
+        assert_eq!(decode(&bytes).unwrap().origin, doc.origin);
+        // the tail ends: unit count 1, then the label (count 2, 1, 2)
+        let at = bytes.len() - 16;
+        assert_eq!(read_u32(&bytes, at), 1);
+        for count in [0, 2, u32::MAX] {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            assert!(matches!(decode(&hostile), Err(XmlError::CorruptBinary(_))), "{count}");
+        }
     }
 
     #[test]

@@ -314,6 +314,10 @@ pub struct Document {
 pub struct Origin {
     pub source_doc: String,
     pub dewey: Dewey,
+    /// The source labels of the units a document of units (a FragMode2
+    /// hybrid fragment) holds, in its document order: the last element on
+    /// its first-child chain holds them as its children. Empty elsewhere.
+    pub units: Vec<Dewey>,
 }
 
 impl Document {

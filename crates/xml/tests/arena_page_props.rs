@@ -76,7 +76,7 @@ fn arb_document() -> impl Strategy<Value = Document> {
     (
         (0..LABELS.len(), arb_attrs(), prop::collection::vec(arb_tree(), 0..4)),
         opt_of(arb_name()),
-        opt_of((arb_name(), prop::collection::vec(1u32..9, 0..4)).boxed()),
+        opt_of((arb_name(), arb_dewey(), prop::collection::vec(arb_dewey(), 0..3)).boxed()),
     )
         .prop_map(|((label, attrs, children), name, origin)| {
             let mut doc = Document::new(LABELS[label]);
@@ -87,12 +87,14 @@ fn arb_document() -> impl Strategy<Value = Document> {
                 build(&mut doc, NodeId::ROOT, child);
             }
             doc.name = name;
-            doc.origin = origin.map(|(source_doc, components)| Origin {
-                source_doc,
-                dewey: Dewey::from_vec(components),
-            });
+            doc.origin =
+                origin.map(|(source_doc, dewey, units)| Origin { source_doc, dewey, units });
             doc
         })
+}
+
+fn arb_dewey() -> BoxedStrategy<Dewey> {
+    prop::collection::vec(1u32..9, 0..4).prop_map(Dewey::from_vec).boxed()
 }
 
 fn build(doc: &mut Document, parent: NodeId, tree: &Tree) {
@@ -198,14 +200,22 @@ fn reference_page(doc: &Document, identity: bool) -> Vec<u8> {
             put_str(&mut page, name);
         }
     }
+    let put_dewey = |page: &mut Vec<u8>, dewey: &Dewey| {
+        page.extend_from_slice(&(dewey.components().len() as u32).to_le_bytes());
+        for c in dewey.components() {
+            page.extend_from_slice(&c.to_le_bytes());
+        }
+    };
     match doc.origin.as_ref().filter(|_| identity) {
         None => page.push(0),
         Some(origin) => {
-            page.push(1);
+            // an origin with units is tag 2: the tag-1 fields, then the units
+            page.push(if origin.units.is_empty() { 1 } else { 2 });
             put_str(&mut page, &origin.source_doc);
-            page.extend_from_slice(&(origin.dewey.components().len() as u32).to_le_bytes());
-            for c in origin.dewey.components() {
-                page.extend_from_slice(&c.to_le_bytes());
+            put_dewey(&mut page, &origin.dewey);
+            if !origin.units.is_empty() {
+                page.extend_from_slice(&(origin.units.len() as u32).to_le_bytes());
+                origin.units.iter().for_each(|unit| put_dewey(&mut page, unit));
             }
         }
     }

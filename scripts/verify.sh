@@ -217,7 +217,8 @@ done
 # that the generator reaches every composition and comparison form; the
 # reducer that prints a failing case small; and the wrong answers the
 # generator found (a position past the first on a cut node, a `for` over
-# documents lacking the part a fragment holds, FragMode1 unit order).
+# documents lacking the part a fragment holds, FragMode1 unit order, the
+# units' container rebuilt last, FragMode2 unit order).
 for named in \
     "properties distributed_equals_centralized" \
     "properties the_generator_reaches_every_composition" \
@@ -229,6 +230,8 @@ for named in \
     "differential a_position_past_the_first_selects_nothing_of_a_cut_node" \
     "differential an_article_without_the_read_part_still_binds_its_for" \
     "differential a_fragmode1_store_is_rebuilt_in_document_order" \
+    "differential a_hybrid_rebuild_puts_the_unit_container_back_where_it_was" \
+    "differential a_fragmode2_rebuild_keeps_its_units_in_document_order" \
     "end_to_end horizontal_distributed_equals_centralized" \
     "end_to_end vertical_distributed_equals_centralized" \
     "end_to_end hybrid_distributed_equals_centralized" \
@@ -251,6 +254,13 @@ done
 # stays within its line budget.
 if grep -rnE 'enum QueryShape|fn arb_query|fn arb_article_query|fn arb_vertical_design|fn assert_no_wrong_data|fn assert_remote_differential|fn local_answers|fn assert_streaming_differential|fn assert_matches_oracle|fn assert_differential|fn multiset|fn stream_slices|fn serve\(' tests; then
     echo "verify: FAIL — a per-suite generator or oracle loop reappeared under tests/" >&2
+    exit 1
+fi
+# one ⋈ for every design: a hybrid design rebuilds through the Dewey join,
+# so the hand-written hybrid rebuild, its order-free checks and the
+# oracle's by-parts comparison stay deleted.
+if grep -rnE 'fn reconstruct_hybrid|fn order_free_form|fn check_hybrid|Parts,' crates tests; then
+    echo "verify: FAIL — a second hybrid rebuild or an order-free comparison reappeared" >&2
     exit 1
 fi
 TEST_LINES="$(find tests -name '*.rs' -print0 | xargs -0 cat | wc -l)"
@@ -525,6 +535,13 @@ fi
 QS_LINES="$(for file in crates/query/src/*.rs crates/storage/src/*.rs; do non_test "$file"; done | wc -l)"
 if [ "$QS_LINES" -gt 5159 ]; then
     echo "verify: FAIL — crates/query/src + crates/storage/src is $QS_LINES lines outside tests (budget 5159)" >&2
+    exit 1
+fi
+# one ⋈ for every design: the fragmentation model and its algebra stay
+# within their line budget outside tests.
+FA_LINES="$(for file in crates/frag/src/*.rs crates/algebra/src/*.rs; do non_test "$file"; done | wc -l)"
+if [ "$FA_LINES" -gt 1388 ]; then
+    echo "verify: FAIL — crates/frag/src + crates/algebra/src is $FA_LINES lines outside tests (budget 1388)" >&2
     exit 1
 fi
 # one comparison: fragment membership, the evaluator and fragment pruning

@@ -19,7 +19,8 @@
 //!   nested FLWORs (whose variable is read, counted or unused),
 //!   constructors, aggregates inside arithmetic and comparisons,
 //!   `exists`, `distinct-values`, `string-join`, a `let`-bound scan and a
-//!   self-join.
+//!   self-join; over a hybrid store also a part or a unit by position and
+//!   its units joined.
 //!
 //! A case is a function of its seed ([`Case::draw`]); [`Case::reduce`]
 //! drops documents and `where` conjuncts while a failure persists.
@@ -566,23 +567,25 @@ fn query(rng: &mut TestRng, family: Family, unit: &ElementDecl, (read, atoms): &
     let numeric = named.unwrap_or_else(|| leaf(rng));
     let agg = *pick(rng, &["count", "count", "count", "sum", "avg", "max"]);
     // aggregates of a `//` path are what a vertical design splits; the
-    // other designs prune on `where` conjuncts
+    // other designs prune on `where` conjuncts; a hybrid one is read around
+    // its units too
     let shape = match rng.below(20) {
-        shape @ 16.. if family != Family::Vertical => shape % 4,
+        shape @ 16.. if family == Family::Horizontal => shape % 4,
+        16.. if family == Family::Hybrid => {
+            let store = format!(r#"for $s in collection("{DIST}")/Store return"#);
+            return whole(match (rng.below(3), 1 + rng.below(4)) {
+                (0, k) => format!("{store} $s/*[{k}]"),
+                (1, k) => format!("{store} $s/Items/Item[{k}]/{}", leaf(rng)),
+                _ => format!(r#"{store} string-join($s/Items/Item/{}, ",")"#, leaf(rng)),
+            });
+        }
         shape => shape,
     };
     let (head, tail) = match shape {
         0..=3 => (scan, format!("return {r}")),
         4 => {
-            // FragMode2 stores no order of units across fragments: there
-            // the key is unique, so no two units tie
-            let key = if family == Family::Hybrid {
-                "Name".to_owned()
-            } else {
-                pick(rng, &singles).clone()
-            };
             let dir = if rng.bool() { " descending" } else { "" };
-            (scan, format!("order by $a/{key}{dir} return {r}"))
+            (scan, format!("order by $a/{}{dir} return {r}", pick(rng, &singles)))
         }
         5 => (
             format!("count({scan}"),

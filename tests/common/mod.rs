@@ -7,9 +7,7 @@
 //! centralized order is defined — an `order by`, at most one item, one
 //! fragment answering, documents rebuilt in document order — as a
 //! multiset elsewhere (fragment concatenation order is not document
-//! order), and by the parts of the joined string for a `string-join` over
-//! a FragMode2 design, whose fragments do not store where their units sat
-//! among the others'. Nothing else is exempted.
+//! order). Nothing else is exempted.
 #![allow(dead_code)] // each suite uses its own part of the fixture
 
 pub mod gen;
@@ -17,7 +15,7 @@ pub mod gen;
 use gen::{Case, Family};
 use partix::engine::{DispatchMode, ExecOptions, Fault, FaultInjector, FaultPlan, PartiX};
 use partix::engine::{PartixError, QueryReport, RetryPolicy};
-use partix::frag::{FragMode, FragOp};
+use partix::frag::FragMode;
 use partix::gen::{gen_articles, gen_store, ArticleProfile, ItemProfile};
 use partix::query::Item;
 use partix_bench::oracle::{canonical, centralized_text, exact};
@@ -70,11 +68,7 @@ impl Route {
     }
 
     fn replicas(&self) -> usize {
-        if matches!(self, Route::Faulted(_)) {
-            2
-        } else {
-            1
-        }
+        1 + usize::from(matches!(self, Route::Faulted(_)))
     }
 }
 
@@ -127,13 +121,12 @@ impl On {
 
 /// Compare `items` with `expected` in the form `query` decides.
 fn agree(
-    px: &PartiX,
     query: &str,
     items: &[Item],
     expected: &[Item],
     report: Option<&QueryReport>,
 ) -> Result<Form, String> {
-    let form = Form::of(px, query, expected, report);
+    let form = Form::of(query, expected, report);
     let (got, want) = (form.apply(items), form.apply(expected));
     match got == want {
         true => Ok(form),
@@ -145,7 +138,7 @@ fn agree(
 /// tenant, beside a rebalance or a write — against the centralized one.
 pub fn check_answer(px: &PartiX, query: &str, items: &[Item]) -> Result<(), String> {
     let central = px.execute_centralized(0, &centralized_text(query)).map_err(|e| message(&e))?;
-    agree(px, query, items, &central.items, None).map(drop)
+    agree(query, items, &central.items, None).map(drop)
 }
 
 /// Every query of `workload`, asked of `px` as it stands, answers as the
@@ -163,24 +156,14 @@ pub enum Form {
     #[default]
     Exact,
     Canonical,
-    Parts,
 }
 
 impl Form {
-    fn of(px: &PartiX, query: &str, expected: &[Item], report: Option<&QueryReport>) -> Form {
-        let catalog = px.catalog();
-        let ops = catalog.distribution(setup::DIST).into_iter().flat_map(|d| &d.design.fragments);
-        let mut ops = ops.map(|f| &f.op);
-        let fragmode2 =
-            ops.any(|op| matches!(op, FragOp::Hybrid { mode: FragMode::SingleDoc, .. }));
-        let one_site = report.is_some_and(|r| r.sites.len() == 1);
-        let rebuilt = report.is_some_and(|r| r.reconstructed) && !fragmode2;
-        if query.contains("string-join") && fragmode2 {
-            Form::Parts
-        } else if query.contains("order by") || expected.len() <= 1 || one_site || rebuilt {
-            Form::Exact
-        } else {
-            Form::Canonical
+    fn of(query: &str, expected: &[Item], report: Option<&QueryReport>) -> Form {
+        let ordered = report.is_some_and(|r| r.sites.len() == 1 || r.reconstructed);
+        match query.contains("order by") || expected.len() <= 1 || ordered {
+            true => Form::Exact,
+            false => Form::Canonical,
         }
     }
 
@@ -188,12 +171,6 @@ impl Form {
         match self {
             Form::Exact => exact(items),
             Form::Canonical => canonical(items),
-            Form::Parts => {
-                let joined = items.iter().map(Item::string_value).collect::<Vec<_>>().join(",");
-                let mut parts: Vec<&str> = joined.split(',').collect();
-                parts.sort_unstable();
-                format!("{} item(s): {}", items.len(), parts.join(","))
-            }
         }
     }
 }
@@ -249,7 +226,7 @@ pub fn check(on: &On, query: &str) -> Result<Verdict, String> {
     let faulted = matches!(on.route, Route::Faulted(_));
     match (ask(on, query)?, central) {
         (Ok((items, report, slices)), Ok(expected)) => {
-            let form = agree(&on.px, query, &items, &expected, report.as_ref())?;
+            let form = agree(query, &items, &expected, report.as_ref())?;
             let (answered, items) = (true, items.len());
             Ok(Verdict { form, answered, items, slices, report, ..Verdict::default() })
         }

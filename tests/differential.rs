@@ -76,9 +76,9 @@ fn hybrid_matches_oracle_both_frag_modes() {
 /// One probe of how a distributed answer composes — `probe` builds the
 /// query over the `Item`s of the distributed collection — on horizontal
 /// designs of 2 / 4 / 8 fragments and on the FragMode2 hybrid: each answer
-/// is the centralized one, item for item (a joined string on the hybrid by
-/// its parts). Shipped whole to every fragment and concatenated, each of
-/// these came back once per fragment or in fragment order.
+/// is the centralized one, item for item. Shipped whole to every fragment
+/// and concatenated, each of these came back once per fragment or in
+/// fragment order.
 fn assert_probe(probe: impl Fn(&str) -> String) {
     let c = format!(r#"collection("{}")"#, setup::DIST);
     let docs = setup::quick_items(80);
@@ -118,9 +118,6 @@ fn distinct_values_are_distinct_across_fragments() {
     assert_probe(|items| format!("count(distinct-values({items}/Section))"));
 }
 
-/// A FragMode2 fragment keeps its own units in order, but not where they
-/// sat among the other fragments' units: on the hybrid the rebuilt
-/// document holds every unit, and the joined string its every part.
 #[test]
 fn string_join_joins_every_fragment_in_document_order() {
     assert_probe(|items| format!(r#"string-join({items}/Section, ",")"#));
@@ -402,6 +399,28 @@ fn a_fragmode1_store_is_rebuilt_in_document_order() {
     let on = On::new(cluster(3, design, placements, &[store], StorageMode::Cold), Route::Buffered);
     let query = format!(r#"string-join(collection("{}")/Store/Items/Item/Code, ",")"#, setup::DIST);
     assert_eq!(assert_answer(&on, &query, "store").form, common::Form::Exact);
+}
+
+/// A hybrid rebuild puts the units' container back among its siblings,
+/// not after them: the second part of the store is its `Items`.
+#[test]
+fn a_hybrid_rebuild_puts_the_unit_container_back_where_it_was() {
+    let store = partix::gen::gen_store(24, ItemProfile::Small, 7);
+    let query = format!(r#"for $s in collection("{}")/Store return count($s/*[2]/*)"#, setup::DIST);
+    for mode in [FragMode::SingleDoc, FragMode::ManySmallDocs] {
+        let on = On::new(setup::hybrid(&store, mode), Route::Buffered);
+        assert_answer(&on, &query, &format!("{mode:?}"));
+    }
+}
+
+/// A FragMode2 document records where each of its units sat: the rebuilt
+/// store lists them in document order, not fragment by fragment.
+#[test]
+fn a_fragmode2_rebuild_keeps_its_units_in_document_order() {
+    let store = partix::gen::gen_store(24, ItemProfile::Small, 7);
+    let on = On::new(setup::hybrid(&store, FragMode::SingleDoc), Route::Buffered);
+    let c = format!(r#"collection("{}")"#, setup::DIST);
+    assert_answer(&on, &format!("for $s in {c}/Store return $s/Items/Item[3]/Code"), "store");
 }
 
 // ------------------------------------------------------ faulted runs --
