@@ -29,7 +29,9 @@
 //!
 //! Every replica write goes through [`Node::apply_write`]. A write
 //! touches data, not the catalog: the meta epoch stays where it is, and
-//! the next read reaches the nodes and sees it.
+//! the next read reaches the nodes and sees it. Deletes go to every
+//! fragment that may hold the name, but only a node the write changes
+//! logs it and pays an fsync ([`partix_storage::wal`]).
 
 use crate::cluster::Node;
 use crate::driver::DriverError;
@@ -121,7 +123,8 @@ pub struct WriteReport {
     pub name: String,
     /// Fragments that received the document (put) or held it (delete).
     pub fragments: Vec<String>,
-    /// Node indices written, in write order.
+    /// Node indices contacted, in write order: a put's target replicas,
+    /// every replica for a delete.
     pub nodes: Vec<usize>,
     /// For puts: true when an existing document was replaced on at least
     /// one replica (an update rather than a fresh insert).
@@ -345,6 +348,7 @@ mod tests {
     use partix_path::{PathExpr, Predicate};
     use partix_schema::builtin::virtual_store;
     use partix_schema::{CollectionDef, RepoKind};
+    use partix_storage::DurableDb;
     use partix_xml::parse;
 
     fn item(name: &str, section: &str, code: u32) -> Document {
@@ -571,5 +575,60 @@ mod tests {
         }
         let r = px.delete("items", "i1").unwrap();
         assert_eq!(r.deleted, 2, "one removal per replica");
+    }
+
+    /// Every write still contacts every fragment it may have to clear,
+    /// but a node whose fragment does not hold the name logs nothing:
+    /// only the nodes a write changes pay an fsync.
+    #[test]
+    fn a_write_fsyncs_only_the_nodes_it_changes() {
+        let px = PartiX::new(4, NetworkModel::instantaneous());
+        let citems = CollectionDef::new(
+            "items",
+            Arc::new(virtual_store()),
+            PathExpr::parse("/Store/Items/Item").unwrap(),
+            RepoKind::MultipleDocuments,
+        );
+        let is = |s: &str| format!(r#"/Item/Section = "{s}""#);
+        let rest = r#"not(/Item/Section = "CD") and not(/Item/Section = "DVD") and
+            not(/Item/Section = "BOOK") and not(/Item/Section = "")"#;
+        let predicates = [is("CD"), is("DVD"), is("BOOK"), rest.to_owned()];
+        let fragments = predicates.iter().enumerate().map(|(i, p)| {
+            FragmentDef::horizontal(&format!("f{i}"), Predicate::parse(p).unwrap())
+        });
+        let design = FragmentationSchema::new(citems, fragments.collect()).unwrap();
+        let placements =
+            (0..4).map(|node| Placement { fragment: format!("f{node}"), node }).collect();
+        px.register_distribution(Distribution { design, placements }).unwrap();
+        let root = std::env::temp_dir().join(format!("partix-wfsync-{}", std::process::id()));
+        let durables: Vec<_> = px
+            .cluster()
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                let durable = Arc::new(DurableDb::open(&root.join(format!("n{i}"))).unwrap());
+                node.set_driver(Arc::clone(&durable) as Arc<dyn crate::PartixDriver>);
+                durable
+            })
+            .collect();
+        let fsyncs = || durables.iter().map(|d| d.fsyncs()).sum::<u64>();
+        let mut last = fsyncs();
+        let mut paid = || {
+            let now = fsyncs();
+            now - std::mem::replace(&mut last, now)
+        };
+        px.put("items", item("i1", "CD", 1)).unwrap();
+        assert_eq!(paid(), 1, "fresh put");
+        assert!(px.put("items", item("i1", "CD", 2)).unwrap().replaced);
+        assert_eq!(paid(), 1, "same-fragment update");
+        assert_eq!(px.put("items", item("i1", "DVD", 2)).unwrap().deleted, 1);
+        assert_eq!(paid(), 2, "cross-fragment move");
+        assert_eq!(px.delete("items", "i1").unwrap().nodes, [0, 1, 2, 3], "every node contacted");
+        assert_eq!(paid(), 1, "delete");
+        let err = px.delete("items", "i1").unwrap_err();
+        assert!(matches!(err, WriteError::NoSuchDocument { .. }), "{err}");
+        assert_eq!(paid(), 0, "delete of an absent name");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

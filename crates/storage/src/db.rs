@@ -386,6 +386,11 @@ impl Database {
         replaced
     }
 
+    /// Whether `collection` holds a document named `name` — one hash probe.
+    pub(crate) fn contains_doc(&self, collection: &str, name: &str) -> bool {
+        self.get(collection).is_some_and(|c| c.read().slot_by_name(name).is_some())
+    }
+
     /// Delete the document named `name` from `collection`. Returns
     /// whether anything was removed (an absent collection or name is a
     /// no-op, keeping deletes idempotent).

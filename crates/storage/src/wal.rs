@@ -6,8 +6,11 @@
 //! append (record → wal.log) → fsync (durability point) → apply (in-memory)
 //! ```
 //!
-//! and is acknowledged only after all three. A node killed anywhere in
-//! that pipeline restarts consistent: [`DurableDb::open`] loads the last
+//! and is acknowledged only after all three — unless it changes nothing:
+//! a delete of a name its collection does not hold is answered `Ok(0)`
+//! from memory, with no record and no fsync, since replaying the log
+//! without it reaches the same state. A node killed anywhere in that
+//! pipeline restarts consistent: [`DurableDb::open`] loads the last
 //! checkpoint ([`Database::save_to`] snapshot) and replays the log.
 //! Replay is torn-tolerant — a record cut short by the crash (length
 //! header incomplete, payload truncated, or checksum mismatch) ends the
@@ -17,8 +20,9 @@
 //! persists the snapshot and truncates the log.
 //!
 //! For the crash/interleaving differential tests, a [`DurableDb`] carries
-//! a one-shot kill point ([`DurableDb::set_kill`]): the next write aborts
-//! at the chosen [`WalStage`] exactly as a `kill -9` there would —
+//! a one-shot kill point ([`DurableDb::set_kill`]): the next write that
+//! reaches the log aborts at the chosen [`WalStage`] exactly as a
+//! `kill -9` there would —
 //! `Append` leaves a torn half-record (lost on replay, and the caller was
 //! never acknowledged), `Fsync`/`Apply` leave a fully durable record that
 //! replay re-applies. After a kill the instance is dead (every call fails
@@ -36,7 +40,7 @@ use parking_lot::Mutex;
 use partix_xml::{binary, Document};
 use std::fmt;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -280,7 +284,6 @@ pub fn replay_file(path: &Path) -> Result<(Vec<WriteOp>, ReplayReport), WalError
 /// checkpoints, and counts both for the benchmarks.
 pub struct Wal {
     file: Mutex<fs::File>,
-    path: PathBuf,
     appends: AtomicU64,
     fsyncs: AtomicU64,
 }
@@ -293,15 +296,9 @@ impl Wal {
         file.seek(SeekFrom::End(0))?;
         Ok(Wal {
             file: Mutex::new(file),
-            path: path.to_owned(),
             appends: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
         })
-    }
-
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Append raw bytes (a full record — or, for crash simulation, a
@@ -349,17 +346,6 @@ impl Wal {
     /// Fsyncs issued since this handle opened (including truncations).
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs.load(Ordering::Acquire)
-    }
-
-    /// Re-read and replay the log from disk (used by tests to prove
-    /// idempotence without reopening the database).
-    pub fn replay(&self) -> Result<(Vec<WriteOp>, ReplayReport), WalError> {
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(0))?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(replay_bytes(&buf))
     }
 }
 
@@ -423,17 +409,13 @@ impl DurableDb {
         &self.db
     }
 
-    /// The directory this database persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The underlying log (counters, size).
     pub fn wal(&self) -> &Wal {
         &self.wal
     }
 
-    /// Arm a one-shot kill point: the next write dies at `stage`.
+    /// Arm a one-shot kill point: the next write that reaches the log
+    /// dies at `stage` (a delete of an absent name never reaches it).
     pub fn set_kill(&self, stage: Option<WalStage>) {
         *self.kill.lock() = stage;
     }
@@ -461,6 +443,16 @@ impl DurableDb {
         let _guard = self.write_lock.lock();
         if self.is_dead() {
             return Err(WalError::Dead);
+        }
+        // A delete that removes nothing is acknowledged from memory. Under
+        // `write_lock` no logged write lands between probe and answer; bulk
+        // `store` (publish, a rebalance copy) bypasses that lock, so a delete
+        // racing a copy of its name removes nothing and the copy lands after
+        // it, logged or skipped, as before (the rebalance's lost-put window).
+        if let WriteOp::Delete { collection, name } = op {
+            if !self.db.contains_doc(collection, name) {
+                return Ok(0);
+            }
         }
         let record = encode_record(op);
         if self.take_kill(WalStage::Append) {
@@ -673,7 +665,7 @@ mod tests {
         }
         let once = state(durable.db());
         // replay the same log on top of the already-recovered state
-        let (ops, _) = durable.wal.replay().unwrap();
+        let (ops, _) = replay_file(&dir.join(WAL_FILE)).unwrap();
         for op in &ops {
             durable.db().apply_write(op);
         }
@@ -752,6 +744,41 @@ mod tests {
         durable.checkpoint().unwrap();
         assert_eq!(durable.fsyncs(), 3); // truncation is durable too
         assert!(durable.wal().is_empty().unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A delete that removes nothing is acknowledged from memory: no
+    /// record, no fsync, no spent kill charge, and the log replays to the
+    /// same state without it.
+    #[test]
+    fn a_delete_of_an_absent_name_writes_no_record() {
+        let dir = tmp_dir("absent-delete");
+        let durable = DurableDb::open(&dir).unwrap();
+        durable.apply(&put("i1", "CD")).unwrap();
+        let delete = |collection: &str, name: &str| WriteOp::Delete {
+            collection: collection.into(),
+            name: name.into(),
+        };
+        let log = |d: &DurableDb| (d.wal().appends(), d.fsyncs(), d.wal().len().unwrap());
+        let before = log(&durable);
+        durable.set_kill(Some(WalStage::Append));
+        for op in [delete("items", "absent"), delete("no-such-collection", "i1")] {
+            assert_eq!(durable.apply(&op).unwrap(), 0, "{op}");
+            assert_eq!(log(&durable), before, "{op} reached the log");
+        }
+        assert!(!durable.is_dead(), "a no-op delete spent the kill charge");
+        durable.set_kill(None);
+        // deleting a present name still goes through the whole pipeline
+        assert_eq!(durable.apply(&delete("items", "i1")).unwrap(), 1);
+        let (appends, fsyncs, len) = before;
+        let (appends_now, fsyncs_now, len_now) = log(&durable);
+        assert_eq!((appends_now, fsyncs_now), (appends + 1, fsyncs + 1));
+        assert!(len_now > len);
+        let live = state(durable.db());
+        drop(durable);
+        let (_, report) = replay_file(&dir.join(WAL_FILE)).unwrap();
+        assert!(!report.torn);
+        assert_eq!(state(DurableDb::open(&dir).unwrap().db()), live);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -507,8 +507,8 @@ fn fuzzed_schedules_converge_to_the_oracle() {
                     );
                 }
                 SchedOp::Kill { stage } => {
-                    // arm the node CD-section writes route to; the
-                    // one-shot charge fires on that node's next write
+                    // arm the node CD-section writes route to; the one-shot
+                    // charge fires on its next write that reaches the log
                     let (_, node) = route_of(&px, "CD");
                     durables[node].set_kill(Some(*stage));
                 }
