@@ -155,7 +155,7 @@ fn walk(
                 walk(c, bindings, counts);
             }
         }
-        Expr::Path(_) | Expr::Str(_) | Expr::Num(_) | Expr::Text(_) => {}
+        Expr::Path(_) | Expr::Str(_) | Expr::Num(_) => {}
     }
 }
 

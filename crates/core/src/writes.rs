@@ -123,8 +123,8 @@ pub struct WriteReport {
     pub name: String,
     /// Fragments that received the document (put) or held it (delete).
     pub fragments: Vec<String>,
-    /// Node indices contacted, in write order: a put's target replicas,
-    /// every replica for a delete.
+    /// Every node contacted, in write order: for a put its target
+    /// replicas, then the replicas of every fragment it clears.
     pub nodes: Vec<usize>,
     /// For puts: true when an existing document was replaced on at least
     /// one replica (an update rather than a fresh insert).
@@ -258,8 +258,8 @@ impl PartiX {
             }
             let op = WriteOp::Delete { collection: frag_name.clone(), name: name.clone() };
             for node_id in dist.nodes_of(frag_name) {
-                let removed = self.write_to_node(node_id, frag_name, &op)?;
-                report.deleted += removed;
+                report.deleted += self.write_to_node(node_id, frag_name, &op)?;
+                report.nodes.push(node_id);
             }
         }
         Ok(report)
@@ -406,7 +406,8 @@ mod tests {
         let px = horizontal_px(1);
         let r = px.put("items", item("i1", "CD", 7)).unwrap();
         assert_eq!(r.fragments, ["f_cd"]);
-        assert_eq!(r.nodes, [0]);
+        // the target replica, then the one `f_rest` is cleared on
+        assert_eq!(r.nodes, [0, 1]);
         assert!(!r.replaced);
         let r = px.put("items", item("i2", "DVD", 8)).unwrap();
         assert_eq!(r.fragments, ["f_rest"]);
@@ -568,7 +569,8 @@ mod tests {
     fn writes_hit_every_replica() {
         let px = horizontal_px(2);
         let r = px.put("items", item("i1", "CD", 7)).unwrap();
-        assert_eq!(r.nodes, [0, 2]);
+        // both `f_cd` replicas written, then both `f_rest` replicas cleared
+        assert_eq!(r.nodes, [0, 2, 1, 3]);
         for node in [0, 2] {
             let db = &px.cluster().node(node).unwrap().db;
             assert_eq!(db.collection_len("f_cd").unwrap(), 1, "replica on node {node}");

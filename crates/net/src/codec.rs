@@ -1,6 +1,6 @@
-//! Binary encoding of the payloads that ride inside frames: queries
-//! (full AST, so no re-parse on the node side), result sequences, and
-//! documents (via the existing `partix-xml` binary format).
+//! Encoding of the payloads that ride inside frames: queries (as XQuery
+//! text, which the node parses), result sequences, and documents (via the
+//! existing `partix-xml` binary format).
 //!
 //! A payload is encoded either on its own ([`Writer::new`]) or straight
 //! into the frame that carries it (`frame_of`): documents and items are
@@ -9,30 +9,19 @@
 //!
 //! Decoding is defensive end to end: every read is bounds-checked, every
 //! collection length is validated against the bytes actually remaining,
-//! and expression nesting is capped — malformed payloads yield
-//! [`ProtocolError::Malformed`], never a panic or an unbounded
-//! allocation.
+//! and a query is read by the query parser, under its nesting bound —
+//! malformed payloads yield [`ProtocolError::Malformed`], never a panic
+//! or an unbounded allocation.
 
 use crate::frame::{self, FrameKind, ProtocolError};
-use partix_path::{Axis, CmpOp, NodeTest, PathExpr, Step};
-use partix_query::ast::{ArithOp, Binding, Clause, SortDir};
-use partix_query::{Expr, Item, PathSource, PathStart, Query, Sequence};
+use partix_path::{Axis, NodeTest};
+use partix_query::ast::{ArithOp, Clause, SortDir};
+use partix_query::lexer::{tokenize, Token};
+use partix_query::{parse_query, Expr, Item, PathSource, PathStart, Query, Sequence};
 use partix_storage::{QueryOutput, QueryStats};
 use partix_xml::{binary, Document, NodeId, NodeKind};
 use std::borrow::Borrow;
 use std::sync::Arc;
-
-/// Decoder recursion cap: deeper expression trees are rejected so a
-/// hostile payload cannot overflow the stack — of this decoder, or of
-/// anything that walks the tree afterwards. The same bound, counted the
-/// same way, as the query parser's ([`partix_path::MAX_DEPTH`]): one
-/// level per node, one per `for` / `let` clause (each scopes what follows
-/// it, and the evaluator nests accordingly), and as many steps per path.
-pub const MAX_EXPR_DEPTH: usize = partix_path::MAX_DEPTH;
-
-fn malformed(what: &str) -> ProtocolError {
-    ProtocolError::Malformed(what.to_owned())
-}
 
 // ---------------------------------------------------------------------
 // Bounds-checked cursor primitives
@@ -133,7 +122,7 @@ impl<'a> Reader<'a> {
     /// peer bug worth surfacing, not ignoring.
     pub fn finish(&self) -> Result<(), ProtocolError> {
         if self.remaining() != 0 {
-            return Err(malformed("trailing bytes after payload"));
+            return Err(ProtocolError::Malformed("trailing bytes after payload".into()));
         }
         Ok(())
     }
@@ -203,369 +192,207 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Query AST
+// Queries, as XQuery text
 // ---------------------------------------------------------------------
 
-pub fn encode_query(q: &Query) -> Vec<u8> {
-    payload_of(|w| put_expr(w, &q.expr))
+/// A query's wire form: the text [`print_query`] writes. Debug builds
+/// check that it parses back to the query itself.
+pub fn put_query(w: &mut Writer, query: &Query) -> Result<(), ProtocolError> {
+    let text = print_query(query)?;
+    debug_assert_eq!(parse_query(&text).ok().as_ref(), Some(query), "{text}");
+    w.put_str(&text);
+    Ok(())
 }
 
-pub fn decode_query(payload: &[u8]) -> Result<Query, ProtocolError> {
-    let mut r = Reader::new(payload);
-    let expr = get_expr(&mut r, 0)?;
-    r.finish()?;
-    Ok(Query { expr })
+/// A query's text, parsed: [`parse_query`] is a node's one query input,
+/// and a text it refuses (one nested past [`partix_path::MAX_DEPTH`], say)
+/// is [`ProtocolError::Malformed`].
+pub fn get_query(r: &mut Reader<'_>, what: &str) -> Result<Query, ProtocolError> {
+    let malformed = |e: &dyn std::fmt::Display| ProtocolError::Malformed(format!("{what}: {e}"));
+    let text = std::str::from_utf8(r.bytes(what)?).map_err(|e| malformed(&e))?;
+    parse_query(text).map_err(|e| malformed(&e))
 }
 
-fn put_expr(w: &mut Writer, expr: &Expr) {
-    match expr {
-        Expr::Flwor { clauses, where_clause, order_by, ret } => {
-            w.put_u8(0);
-            w.put_u32(clauses.len() as u32);
-            for clause in clauses {
-                match clause {
-                    Clause::For(b) => {
-                        w.put_u8(0);
-                        put_binding(w, b);
-                    }
-                    Clause::Let(b) => {
-                        w.put_u8(1);
-                        put_binding(w, b);
-                    }
-                }
-            }
-            put_opt(w, where_clause.as_deref(), put_expr);
-            match order_by {
-                None => w.put_u8(0),
-                Some((key, dir)) => {
-                    w.put_u8(1);
-                    put_expr(w, key);
-                    w.put_u8(match dir {
-                        SortDir::Ascending => 0,
-                        SortDir::Descending => 1,
-                    });
-                }
-            }
-            put_expr(w, ret);
-        }
-        Expr::Path(ps) => {
-            w.put_u8(1);
-            put_path_source(w, ps);
-        }
-        Expr::Str(s) => {
-            w.put_u8(2);
-            w.put_str(s);
-        }
-        Expr::Num(n) => {
-            w.put_u8(3);
-            w.put_f64(*n);
-        }
-        Expr::Cmp { lhs, op, rhs } => {
-            w.put_u8(4);
-            put_expr(w, lhs);
-            w.put_u8(cmp_op_tag(*op));
-            put_expr(w, rhs);
-        }
-        Expr::Arith { lhs, op, rhs } => {
-            w.put_u8(5);
-            put_expr(w, lhs);
-            w.put_u8(match op {
-                ArithOp::Add => 0,
-                ArithOp::Sub => 1,
-                ArithOp::Mul => 2,
-                ArithOp::Div => 3,
-                ArithOp::Mod => 4,
-            });
-            put_expr(w, rhs);
-        }
-        Expr::Neg(e) => {
-            w.put_u8(6);
-            put_expr(w, e);
-        }
-        Expr::If { cond, then, els } => {
-            w.put_u8(7);
-            put_expr(w, cond);
-            put_expr(w, then);
-            put_expr(w, els);
-        }
-        Expr::And(es) => {
-            w.put_u8(8);
-            put_expr_vec(w, es);
-        }
-        Expr::Or(es) => {
-            w.put_u8(9);
-            put_expr_vec(w, es);
-        }
-        Expr::Call { name, args } => {
-            w.put_u8(10);
-            w.put_str(name);
-            put_expr_vec(w, args);
-        }
-        Expr::Element { name, attrs, children } => {
-            w.put_u8(11);
-            w.put_str(name);
-            w.put_u32(attrs.len() as u32);
-            for (k, v) in attrs {
-                w.put_str(k);
-                w.put_str(v);
-            }
-            put_expr_vec(w, children);
-        }
-        Expr::Text(t) => {
-            w.put_u8(12);
-            w.put_str(t);
-        }
-        Expr::Seq(es) => {
-            w.put_u8(13);
-            put_expr_vec(w, es);
-        }
-    }
-}
-
-fn put_expr_vec(w: &mut Writer, es: &[Expr]) {
-    w.put_u32(es.len() as u32);
-    for e in es {
-        put_expr(w, e);
-    }
-}
-
-fn put_opt<T>(w: &mut Writer, v: Option<&T>, enc: impl Fn(&mut Writer, &T)) {
-    match v {
-        None => w.put_u8(0),
-        Some(v) => {
-            w.put_u8(1);
-            enc(w, v);
-        }
-    }
-}
-
-fn put_binding(w: &mut Writer, b: &Binding) {
-    w.put_str(&b.var);
-    put_expr(w, &b.expr);
-}
-
-fn put_path_source(w: &mut Writer, ps: &PathSource) {
-    match &ps.start {
-        PathStart::Collection(name) => {
-            w.put_u8(0);
-            w.put_str(name);
-        }
-        PathStart::Doc(name) => {
-            w.put_u8(1);
-            w.put_str(name);
-        }
-        PathStart::Var(name) => {
-            w.put_u8(2);
-            w.put_str(name);
-        }
-    }
-    put_path_expr(w, &ps.path);
-}
-
-fn put_path_expr(w: &mut Writer, p: &PathExpr) {
-    w.put_bool(p.absolute);
-    w.put_u32(p.steps.len() as u32);
-    for step in &p.steps {
-        w.put_u8(match step.axis {
-            Axis::Child => 0,
-            Axis::Descendant => 1,
-        });
-        match &step.test {
-            NodeTest::Name(n) => {
-                w.put_u8(0);
-                w.put_str(n);
-            }
-            NodeTest::AnyElement => w.put_u8(1),
-            NodeTest::Attribute(n) => {
-                w.put_u8(2);
-                w.put_str(n);
-            }
-        }
-        match step.position {
-            None => w.put_u8(0),
-            Some(p) => {
-                w.put_u8(1);
-                w.put_u32(p);
-            }
-        }
-    }
-}
-
-fn cmp_op_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn get_expr(r: &mut Reader<'_>, depth: usize) -> Result<Expr, ProtocolError> {
-    if depth > MAX_EXPR_DEPTH {
-        return Err(malformed("expression nesting exceeds depth cap"));
-    }
-    let tag = r.u8("expr tag")?;
-    Ok(match tag {
-        0 => {
-            let n = r.seq_len("flwor clauses")?;
-            let mut clauses = Vec::with_capacity(n);
-            for i in 0..n {
-                let binding_kind = r.u8("clause tag")?;
-                let binding = get_binding(r, depth + 1 + i)?;
-                clauses.push(match binding_kind {
-                    0 => Clause::For(binding),
-                    1 => Clause::Let(binding),
-                    other => {
-                        return Err(ProtocolError::Malformed(format!("bad clause tag {other}")))
-                    }
-                });
-            }
-            // what follows the clauses sits below all of them
-            let depth = depth + clauses.len();
-            let where_clause = if r.bool("where present")? {
-                Some(Box::new(get_expr(r, depth + 1)?))
-            } else {
-                None
-            };
-            let order_by = if r.bool("order-by present")? {
-                let key = Box::new(get_expr(r, depth + 1)?);
-                let dir = match r.u8("sort dir")? {
-                    0 => SortDir::Ascending,
-                    1 => SortDir::Descending,
-                    other => {
-                        return Err(ProtocolError::Malformed(format!("bad sort dir {other}")))
-                    }
-                };
-                Some((key, dir))
-            } else {
-                None
-            };
-            let ret = Box::new(get_expr(r, depth + 1)?);
-            Expr::Flwor { clauses, where_clause, order_by, ret }
-        }
-        1 => Expr::Path(get_path_source(r)?),
-        2 => Expr::Str(r.str("string literal")?),
-        3 => Expr::Num(r.f64("numeric literal")?),
-        4 => {
-            let lhs = Box::new(get_expr(r, depth + 1)?);
-            let op = get_cmp_op(r)?;
-            let rhs = Box::new(get_expr(r, depth + 1)?);
-            Expr::Cmp { lhs, op, rhs }
-        }
-        5 => {
-            let lhs = Box::new(get_expr(r, depth + 1)?);
-            let op = match r.u8("arith op")? {
-                0 => ArithOp::Add,
-                1 => ArithOp::Sub,
-                2 => ArithOp::Mul,
-                3 => ArithOp::Div,
-                4 => ArithOp::Mod,
-                other => {
-                    return Err(ProtocolError::Malformed(format!("bad arith op {other}")))
-                }
-            };
-            let rhs = Box::new(get_expr(r, depth + 1)?);
-            Expr::Arith { lhs, op, rhs }
-        }
-        6 => Expr::Neg(Box::new(get_expr(r, depth + 1)?)),
-        7 => {
-            let cond = Box::new(get_expr(r, depth + 1)?);
-            let then = Box::new(get_expr(r, depth + 1)?);
-            let els = Box::new(get_expr(r, depth + 1)?);
-            Expr::If { cond, then, els }
-        }
-        8 => Expr::And(get_expr_vec(r, depth)?),
-        9 => Expr::Or(get_expr_vec(r, depth)?),
-        10 => {
-            let name = r.str("call name")?;
-            let args = get_expr_vec(r, depth)?;
-            Expr::Call { name, args }
-        }
-        11 => {
-            let name = r.str("element name")?;
-            let n = r.seq_len("element attrs")?;
-            let mut attrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = r.str("attr name")?;
-                let v = r.str("attr value")?;
-                attrs.push((k, v));
-            }
-            let children = get_expr_vec(r, depth)?;
-            Expr::Element { name, attrs, children }
-        }
-        12 => Expr::Text(r.str("text literal")?),
-        13 => Expr::Seq(get_expr_vec(r, depth)?),
-        other => return Err(ProtocolError::Malformed(format!("bad expr tag {other}"))),
-    })
-}
-
-fn get_expr_vec(r: &mut Reader<'_>, depth: usize) -> Result<Vec<Expr>, ProtocolError> {
-    let n = r.seq_len("expr list")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_expr(r, depth + 1)?);
-    }
+/// The text [`parse_query`] reads back to `query` exactly, with only the
+/// parentheses the grammar needs, so it nests no deeper than the query.
+/// [`ProtocolError::Unprintable`] for a query no text parses to: a
+/// negative or non-finite number, a string holding both quote kinds, a
+/// one-term `and` / `or` / sequence, a call named `collection`, `doc` or
+/// like a keyword, an absolute path, a name the lexer would split.
+pub fn print_query(query: &Query) -> Result<String, ProtocolError> {
+    let mut out = String::new();
+    print(&mut out, &query.expr, EXPR, false)?;
     Ok(out)
 }
 
-fn get_binding(r: &mut Reader<'_>, depth: usize) -> Result<Binding, ProtocolError> {
-    let var = r.str("binding var")?;
-    let expr = get_expr(r, depth)?;
-    Ok(Binding { var, expr })
-}
+/// The levels of the grammar's `expr` and `or_expr`: anything, and
+/// anything but a FLWOR.
+const EXPR: u8 = 0;
+const OR_EXPR: u8 = 1;
 
-fn get_path_source(r: &mut Reader<'_>) -> Result<PathSource, ProtocolError> {
-    let start = match r.u8("path start tag")? {
-        0 => PathStart::Collection(r.str("collection name")?),
-        1 => PathStart::Doc(r.str("doc name")?),
-        2 => PathStart::Var(r.str("var name")?),
-        other => return Err(ProtocolError::Malformed(format!("bad path start tag {other}"))),
-    };
-    let path = get_path_expr(r)?;
-    Ok(PathSource { start, path })
-}
-
-fn get_path_expr(r: &mut Reader<'_>) -> Result<PathExpr, ProtocolError> {
-    let absolute = r.bool("path absolute")?;
-    let n = r.seq_len("path steps")?;
-    if n > MAX_EXPR_DEPTH {
-        return Err(malformed("path longer than the depth cap"));
+/// The grammar level `expr` parses at, loosest first: a FLWOR, `or`,
+/// `and`, a comparison, `+ -`, `* div mod`, unary `-`, a primary.
+fn level(expr: &Expr) -> u8 {
+    match expr {
+        Expr::Flwor { .. } => EXPR,
+        Expr::Or(_) => OR_EXPR,
+        Expr::And(_) => 2,
+        Expr::Cmp { .. } => 3,
+        Expr::Arith { op: ArithOp::Add | ArithOp::Sub, .. } => 4,
+        Expr::Arith { .. } => 5,
+        Expr::Neg(_) => 6,
+        _ => 7,
     }
-    let mut steps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let axis = match r.u8("axis")? {
-            0 => Axis::Child,
-            1 => Axis::Descendant,
-            other => return Err(ProtocolError::Malformed(format!("bad axis tag {other}"))),
-        };
-        let test = match r.u8("node test tag")? {
-            0 => NodeTest::Name(r.str("step name")?),
-            1 => NodeTest::AnyElement,
-            2 => NodeTest::Attribute(r.str("attribute name")?),
-            other => return Err(ProtocolError::Malformed(format!("bad node test tag {other}"))),
-        };
-        let position = if r.bool("position present")? {
-            Some(r.u32("position")?)
-        } else {
-            None
-        };
-        steps.push(Step { axis, test, position });
-    }
-    Ok(PathExpr { absolute, steps })
 }
 
-fn get_cmp_op(r: &mut Reader<'_>) -> Result<CmpOp, ProtocolError> {
-    Ok(match r.u8("cmp op")? {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        other => return Err(ProtocolError::Malformed(format!("bad cmp op {other}"))),
-    })
+fn unprintable(what: impl Into<String>) -> ProtocolError {
+    ProtocolError::Unprintable(what.into())
+}
+
+/// `expr` where the grammar takes level `min` or a tighter one.
+/// `followed`: an operator comes next, which would extend an `if`'s
+/// `else` branch.
+fn print(out: &mut String, expr: &Expr, min: u8, followed: bool) -> Result<(), ProtocolError> {
+    if level(expr) < min || followed && matches!(expr, Expr::If { .. }) {
+        return list(out, std::slice::from_ref(expr));
+    }
+    match expr {
+        Expr::Flwor { clauses, .. } if clauses.is_empty() => {
+            return Err(unprintable("a FLWOR without clauses"))
+        }
+        Expr::Flwor { clauses, where_clause, order_by, ret } => {
+            for clause in clauses {
+                let (keyword, binding, binds) = match clause {
+                    Clause::For(b) => ("for", b, "in"),
+                    Clause::Let(b) => ("let", b, ":="),
+                };
+                let var = lexed(Token::Var(binding.var.clone()))?;
+                out.push_str(&format!("{keyword} {var} {binds} "));
+                print(out, &binding.expr, OR_EXPR, false)?;
+                out.push(' ');
+            }
+            if let Some(filter) = where_clause {
+                out.push_str("where ");
+                print(out, filter, OR_EXPR, false)?;
+                out.push(' ');
+            }
+            if let Some((key, dir)) = order_by {
+                out.push_str("order by ");
+                print(out, key, OR_EXPR, false)?;
+                out.push_str(if *dir == SortDir::Descending { " descending " } else { " " });
+            }
+            out.push_str("return ");
+            print(out, ret, EXPR, false)?;
+        }
+        Expr::And(terms) | Expr::Or(terms) if terms.len() < 2 => {
+            return Err(unprintable(format!("a {}-term and / or", terms.len())))
+        }
+        Expr::Or(_) => infix(out, " or ", expr, followed)?,
+        Expr::And(_) => infix(out, " and ", expr, followed)?,
+        Expr::Cmp { op, .. } => infix(out, &format!(" {op} "), expr, followed)?,
+        Expr::Arith { op, .. } => infix(out, &format!(" {op} "), expr, followed)?,
+        Expr::Neg(operand) => {
+            out.push('-');
+            print(out, operand, level(expr), followed)?;
+        }
+        Expr::Num(n) => out.push_str(&lexed(Token::Num(*n))?),
+        Expr::Str(s) => out.push_str(&quoted(s)?),
+        Expr::Path(PathSource { path, .. }) if path.absolute => {
+            return Err(unprintable("an absolute path"))
+        }
+        Expr::Path(PathSource { start, path }) => {
+            out.push_str(&match start {
+                PathStart::Collection(source) => format!("collection({})", quoted(source)?),
+                PathStart::Doc(source) => format!("doc({})", quoted(source)?),
+                PathStart::Var(var) => lexed(Token::Var(var.clone()))?,
+            });
+            for step in &path.steps {
+                out.push_str(if step.axis == Axis::Child { "/" } else { "//" });
+                out.push_str(&match &step.test {
+                    NodeTest::Name(n) => lexed(Token::Name(n.clone()))?,
+                    NodeTest::AnyElement => "*".to_owned(),
+                    NodeTest::Attribute(n) => format!("@{}", lexed(Token::Name(n.clone()))?),
+                });
+                match step.position {
+                    Some(0) => return Err(unprintable("a step at position 0")),
+                    Some(p) => out.push_str(&format!("[{p}]")),
+                    None => {}
+                }
+            }
+        }
+        Expr::If { cond, then, els } => {
+            for (keyword, part) in [("if (", cond), (") then ", then), (" else ", els)] {
+                out.push_str(keyword);
+                print(out, part, EXPR, false)?;
+            }
+        }
+        Expr::Call { name, args } => {
+            if matches!(name.as_str(), "collection" | "doc" | "if" | "for" | "let") {
+                return Err(unprintable(format!("a call named {name}")));
+            }
+            out.push_str(&lexed(Token::Name(name.clone()))?);
+            list(out, args)?;
+        }
+        Expr::Seq(items) if items.len() == 1 => return Err(unprintable("a one-item sequence")),
+        Expr::Seq(items) => list(out, items)?,
+        Expr::Element { name, attrs, children } => {
+            out.push_str(&lexed(Token::TagOpen(name.clone()))?);
+            for (attr, value) in attrs {
+                out.push_str(&format!(" {}={}", lexed(Token::Name(attr.clone()))?, quoted(value)?));
+            }
+            out.push('>');
+            for child in children {
+                out.push('{');
+                print(out, child, EXPR, false)?;
+                out.push('}');
+            }
+            out.push_str(&format!("</{name}>"));
+        }
+    }
+    Ok(())
+}
+
+/// `expr`'s operands joined by `op`. Each binds tighter than `expr` but
+/// the left one of an arithmetic chain, which nests to the left.
+fn infix(out: &mut String, op: &str, expr: &Expr, followed: bool) -> Result<(), ProtocolError> {
+    let terms = expr.children();
+    for (i, term) in terms.iter().enumerate() {
+        let chained = i == 0 && matches!(expr, Expr::Arith { .. });
+        out.push_str(if i > 0 { op } else { "" });
+        print(out, term, level(expr) + u8::from(!chained), followed || i + 1 < terms.len())?;
+    }
+    Ok(())
+}
+
+/// `(e1, e2, …)`.
+fn list(out: &mut String, items: &[Expr]) -> Result<(), ProtocolError> {
+    out.push('(');
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(if i > 0 { ", " } else { "" });
+        print(out, item, EXPR, false)?;
+    }
+    out.push(')');
+    Ok(())
+}
+
+/// The lexer's own text for `token`, if the lexer reads it back as
+/// `token` and nothing else: no name or literal is written that the
+/// parser would read otherwise.
+fn lexed(token: Token) -> Result<String, ProtocolError> {
+    let text = token.to_string();
+    match tokenize(&text).as_deref() {
+        Ok([one, _eof]) if one.token == token => Ok(text),
+        _ => Err(unprintable(format!("the token {text}"))),
+    }
+}
+
+/// A string literal: the lexer knows no escapes, so one holding a `"`
+/// takes the other quotes.
+fn quoted(s: &str) -> Result<String, ProtocolError> {
+    if s.contains('"') && !s.contains('\'') {
+        return Ok(format!("'{s}'"));
+    }
+    lexed(Token::Str(s.to_owned()))
 }
 
 // ---------------------------------------------------------------------
@@ -731,38 +558,74 @@ pub fn get_output(r: &mut Reader<'_>) -> Result<QueryOutput, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partix_query::parse_query;
     use partix_xml::parse;
 
-    fn roundtrip_query(text: &str) {
-        let q = parse_query(text).unwrap();
-        let bytes = encode_query(&q);
-        let back = decode_query(&bytes).unwrap();
-        assert_eq!(q, back, "query codec roundtrip for {text}");
+    /// The text printed for `q`, checked to parse back to `q` exactly.
+    fn printed(q: &Query) -> String {
+        let text = print_query(q).unwrap_or_else(|e| panic!("{q:?}: {e}"));
+        assert_eq!(parse_query(&text).as_ref(), Ok(q), "{text}");
+        text
     }
 
     #[test]
-    fn query_roundtrips() {
-        roundtrip_query(r#"collection("items")/Item/Section"#);
-        roundtrip_query(
-            r#"for $i in collection("items")/Item
-               let $s := $i/Section
-               where $s = "CD" and $i/Price < 20
-               order by $i/Name descending
-               return <hit id="1">{$i/Name}</hit>"#,
-        );
-        roundtrip_query(r#"count(collection("items")//Picture[1]/@path)"#);
-        roundtrip_query(r#"if (1 < 2) then -(1 + 2 div 3) else (1, 2, 3)"#);
-        // the parser emits Expr::Text only inside constructors; cover the
-        // tag with a hand-built AST
-        let q = Query {
-            expr: Expr::Element {
-                name: "hit".into(),
-                attrs: vec![("id".into(), "1".into())],
-                children: vec![Expr::Text("label".into())],
-            },
-        };
-        assert_eq!(decode_query(&encode_query(&q)).unwrap(), q);
+    fn query_texts_print_back_to_themselves() {
+        for text in [
+            r#"collection("items")/Item/Section"#,
+            r#"for $i in collection("items")/Item let $s := $i/Section where $s = "CD" and $i/Price < 20 order by $i/Name descending return <hit id="1">{$i/Name}</hit>"#,
+            r#"count(collection("items")//Picture[1]/@path)"#,
+            r#"if (1 < 2) then -(1 + 2 div 3) else (1, 2, 3)"#,
+            r#"<a k='say "hi"'>{<b></b>}{"text"}{()}</a>"#,
+            r#"doc("d1")/Item/* * 2 - -0.5 mod 3"#,
+            r#"($a or $b) and ($c or $d) and $e != 1"#,
+            r#"(1 = 2) = (3 < 4)"#,
+            r#"1 - (2 - 3) * (4 div (5 mod 6))"#,
+            r#"sum(for $x in $y/z return $x) + count(for $x in $y return $x)"#,
+            r#"(if (1) then 2 else 3) + (if (4) then 5 else 6) + if (7) then 8 else 9"#,
+            r#"-(if (1) then 2 else 3) * 4 or 5 and if (6) then 7 else 8"#,
+            r#"for $x in if (1) then 2 else 3 where if (4) then 5 else 6 order by if (7) then 8 else 9 return 10"#,
+            r#"(for $x in (1, 2) return $x, 3)"#,
+        ] {
+            let q = parse_query(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(printed(&q), text);
+        }
+    }
+
+    #[test]
+    fn trees_the_parser_never_builds_print_with_the_parentheses_they_need() {
+        let num = |n: f64| Box::new(Expr::Num(n));
+        let var = |v: &str| Expr::Path(PathSource {
+            start: PathStart::Var(v.into()),
+            path: partix_path::PathExpr { absolute: false, steps: Vec::new() },
+        });
+        let arith = |lhs: Box<Expr>, op, rhs: Box<Expr>| Box::new(Expr::Arith { lhs, op, rhs });
+        for (expr, text) in [
+            (Expr::And(vec![Expr::And(vec![var("a"), var("b")]), var("c")]), "($a and $b) and $c"),
+            (Expr::Or(vec![var("a"), Expr::Or(vec![var("b"), var("c")])]), "$a or ($b or $c)"),
+            (
+                *arith(num(1.0), ArithOp::Add, arith(num(2.0), ArithOp::Sub, num(3.0))),
+                "1 + (2 - 3)",
+            ),
+            (Expr::Neg(Box::new(Expr::Neg(num(1.0)))), "--1"),
+            (Expr::Seq(vec![Expr::Seq(Vec::new()), Expr::Seq(Vec::new())]), "((), ())"),
+            (
+                Expr::Element {
+                    name: "a".into(),
+                    attrs: Vec::new(),
+                    children: vec![Expr::Seq(vec![var("x"), var("y")])],
+                },
+                "<a>{($x, $y)}</a>",
+            ),
+        ] {
+            assert_eq!(printed(&Query { expr }), text);
+        }
+    }
+
+    #[test]
+    fn numbers_print_exactly_without_exponents() {
+        for n in [0.0, 0.1, 1.0 / 3.0, 1e-7, 5e-324, 1e21, f64::MAX, 4294967296.5] {
+            let text = printed(&Query { expr: Expr::Num(n) });
+            assert!(text.bytes().all(|b| b.is_ascii_digit() || b == b'.'), "{text}");
+        }
     }
 
     #[test]
@@ -871,70 +734,5 @@ mod tests {
         assert!(back.stats.index_used);
         assert_eq!(back.stats.result_bytes, 8);
         assert_eq!(back.stats.morsels, 3);
-    }
-
-    #[test]
-    fn truncated_and_garbage_payloads_are_typed_errors() {
-        let q = parse_query(r#"for $i in collection("c")/x return $i"#).unwrap();
-        let bytes = encode_query(&q);
-        for cut in 0..bytes.len() {
-            assert!(decode_query(&bytes[..cut]).is_err(), "cut at {cut} must not decode");
-        }
-        assert!(decode_query(&[200, 1, 2, 3]).is_err());
-        // trailing garbage is rejected too
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(decode_query(&padded).is_err());
-    }
-
-    #[test]
-    fn depth_cap_stops_deep_nesting() {
-        // Neg(Neg(...Num)) deeper than the cap: tag 6 repeated
-        let mut bytes = vec![6u8; MAX_EXPR_DEPTH + 8];
-        bytes.push(3);
-        bytes.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-        let err = decode_query(&bytes).unwrap_err();
-        assert!(matches!(err, ProtocolError::Malformed(ref m) if m.contains("depth")), "{err}");
-    }
-
-    #[test]
-    fn depth_cap_counts_clauses_and_steps() {
-        // every clause nests the evaluation of what follows it, and the
-        // step matcher recurses per step: both count towards the cap
-        let clause = |i: usize| {
-            Clause::For(Binding { var: format!("v{i}"), expr: Expr::Num(1.0) })
-        };
-        let flwor = |clauses: usize| Query {
-            expr: Expr::Flwor {
-                clauses: (0..clauses).map(clause).collect(),
-                where_clause: None,
-                order_by: None,
-                ret: Box::new(Expr::Num(1.0)),
-            },
-        };
-        assert!(decode_query(&encode_query(&flwor(MAX_EXPR_DEPTH - 1))).is_ok());
-        let err = decode_query(&encode_query(&flwor(10 * MAX_EXPR_DEPTH))).unwrap_err();
-        assert!(matches!(err, ProtocolError::Malformed(ref m) if m.contains("depth")), "{err}");
-
-        let path = |steps: usize| Query {
-            expr: Expr::Path(PathSource {
-                start: PathStart::Collection("c".into()),
-                path: PathExpr {
-                    absolute: false,
-                    steps: vec![Step::child("a"); steps],
-                },
-            }),
-        };
-        assert!(decode_query(&encode_query(&path(MAX_EXPR_DEPTH))).is_ok());
-        let err = decode_query(&encode_query(&path(MAX_EXPR_DEPTH + 1))).unwrap_err();
-        assert!(matches!(err, ProtocolError::Malformed(ref m) if m.contains("depth")), "{err}");
-    }
-
-    #[test]
-    fn corrupt_count_does_not_overallocate() {
-        // And-list claiming u32::MAX entries with an empty tail
-        let mut bytes = vec![8u8];
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_query(&bytes).is_err());
     }
 }

@@ -139,6 +139,8 @@ pub enum ProtocolError {
     Truncated { context: &'static str },
     /// The payload passed framing but does not decode.
     Malformed(String),
+    /// A query no XQuery text parses back to: refused before it is sent.
+    Unprintable(String),
     /// A frame was well-formed on its own but violates stream state:
     /// duplicate or out-of-order chunk sequence, a frame of another
     /// stream, a chunk-count mismatch at end-of-stream, an oversized
@@ -167,6 +169,7 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::Truncated { context } => write!(f, "stream truncated in {context}"),
             ProtocolError::Malformed(msg) => write!(f, "malformed payload: {msg}"),
+            ProtocolError::Unprintable(what) => write!(f, "no XQuery text parses to {what}"),
             ProtocolError::Stream(msg) => write!(f, "stream protocol violation: {msg}"),
             ProtocolError::Io(msg) => write!(f, "io: {msg}"),
         }

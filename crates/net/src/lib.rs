@@ -9,9 +9,10 @@
 //! * [`frame`] — length-prefixed, checksummed binary frames under one
 //!   magic: the CRC-32 kernel and the one place a frame is sealed (length
 //!   bound, checksum).
-//! * [`codec`] — defensive payload encoding for queries (full AST),
-//!   result sequences, and documents, written straight into the frame
-//!   that carries them.
+//! * [`codec`] — defensive payload encoding for queries (XQuery text,
+//!   which the node parses: [`codec::print_query`] writes the one text
+//!   that parses back to the query), result sequences, and documents,
+//!   written straight into the frame that carries them.
 //! * [`message`] — the node vocabulary (the driver trait on the wire:
 //!   `Request` in a `Call`, `Response` in a `Reply`) and the one typed,
 //!   retryability-tagged failure, [`WireError`].

@@ -3,10 +3,12 @@
 //! travels in a [`Call`] frame and is answered by exactly one [`Reply`]
 //! frame carrying a [`Response`], or by a
 //! [`StreamError`](crate::stream::StreamError) carrying a [`WireError`].
-//! Everything decodes defensively via the [`crate::codec`] cursor.
+//! Everything decodes defensively via the [`crate::codec`] cursor; a
+//! query travels as its XQuery text and is parsed where it lands.
 
 use crate::codec::{
-    get_documents, get_output, payload_of, put_documents, put_output, Reader, Writer,
+    get_documents, get_output, get_query, payload_of, put_documents, put_output, put_query,
+    Reader, Writer,
 };
 use crate::frame::ProtocolError;
 use partix_query::Query;
@@ -82,9 +84,10 @@ pub enum Request {
     /// Fetch the documents of a collection (reconstruction reads): all of
     /// them, or — with `filter`, a query over that collection returning
     /// document roots — those the node finds it to select. The filter
-    /// travels in the query codec, depth bound included, under a request
-    /// tag of its own: an unfiltered fetch is the bytes it always was, and
-    /// a peer that predates the filter rejects a filtered one by its tag.
+    /// travels as XQuery text like any query, and the node parses it under
+    /// the parser's depth bound. It has a request tag of its own: an
+    /// unfiltered fetch is the bytes it always was, and a peer that
+    /// predates the filter rejects a filtered one by its tag.
     Fetch { collection: String, filter: Option<Query> },
     /// List hosted collection names.
     Collections,
@@ -100,16 +103,20 @@ pub enum Request {
 }
 
 impl Request {
-    pub fn encode(&self) -> Vec<u8> {
-        payload_of(|w| self.put(w))
+    /// The payload, or [`ProtocolError::Unprintable`] for a query that has
+    /// no XQuery text: such a request is never sent.
+    pub fn encode(&self) -> Result<Vec<u8>, ProtocolError> {
+        let mut w = Writer::new();
+        self.put(&mut w)?;
+        Ok(w.into_bytes())
     }
 
     /// Write the payload [`Request::encode`] returns into `w`.
-    pub(crate) fn put(&self, w: &mut Writer) {
+    pub(crate) fn put(&self, w: &mut Writer) -> Result<(), ProtocolError> {
         match self {
             Request::Execute { query } => {
                 w.put_u8(0);
-                w.put_bytes(&crate::codec::encode_query(query));
+                put_query(w, query)?;
             }
             Request::Store { collection, docs } => {
                 w.put_u8(1);
@@ -123,7 +130,7 @@ impl Request {
             Request::Fetch { collection, filter: Some(filter) } => {
                 w.put_u8(7);
                 w.put_str(collection);
-                w.put_bytes(&crate::codec::encode_query(filter));
+                put_query(w, filter)?;
             }
             Request::Collections => w.put_u8(3),
             Request::Drop { collection } => {
@@ -137,10 +144,11 @@ impl Request {
             Request::ExecuteAs { tenant, query } => {
                 w.put_u8(6);
                 w.put_str(tenant);
-                w.put_bytes(&crate::codec::encode_query(query));
+                put_query(w, query)?;
             }
             Request::Ping => w.put_u8(8),
         }
+        Ok(())
     }
 
     pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {
@@ -152,10 +160,7 @@ impl Request {
 
     fn get(r: &mut Reader<'_>) -> Result<Request, ProtocolError> {
         Ok(match r.u8("request tag")? {
-            0 => {
-                let raw = r.bytes("query payload")?;
-                Request::Execute { query: crate::codec::decode_query(raw)? }
-            }
+            0 => Request::Execute { query: get_query(r, "query text")? },
             1 => {
                 let collection = r.str("store collection")?;
                 let docs = get_documents(r)?;
@@ -173,12 +178,11 @@ impl Request {
             }
             6 => {
                 let tenant = decode_tenant_header(r.str("tenant header")?)?;
-                let raw = r.bytes("query payload")?;
-                Request::ExecuteAs { tenant, query: crate::codec::decode_query(raw)? }
+                Request::ExecuteAs { tenant, query: get_query(r, "query text")? }
             }
             7 => {
                 let collection = r.str("fetch collection")?;
-                let filter = crate::codec::decode_query(r.bytes("fetch filter")?)?;
+                let filter = get_query(r, "fetch filter")?;
                 Request::Fetch { collection, filter: Some(filter) }
             }
             8 => Request::Ping,
@@ -295,8 +299,11 @@ pub struct Call {
 }
 
 impl Call {
-    pub fn encode(&self) -> Vec<u8> {
-        payload_of(|w| put_call(w, self.stream, &self.request))
+    /// The payload, or the error [`Request::encode`] fails with.
+    pub fn encode(&self) -> Result<Vec<u8>, ProtocolError> {
+        let mut w = Writer::new();
+        put_call(&mut w, self.stream, &self.request)?;
+        Ok(w.into_bytes())
     }
 
     pub fn decode(payload: &[u8]) -> Result<Call, ProtocolError> {
@@ -308,9 +315,13 @@ impl Call {
 }
 
 /// The payload of a [`Call`] over a borrowed request.
-pub(crate) fn put_call(w: &mut Writer, stream: u64, request: &Request) {
+pub(crate) fn put_call(
+    w: &mut Writer,
+    stream: u64,
+    request: &Request,
+) -> Result<(), ProtocolError> {
     w.put_u64(stream);
-    request.put(w);
+    request.put(w)
 }
 
 /// Node → coordinator: the one answer to a [`Call`], under its stream id.
@@ -442,16 +453,16 @@ mod tests {
             Request::Ping,
         ];
         for req in cases {
-            let back = Request::decode(&req.encode()).unwrap();
+            let back = Request::decode(&req.encode().unwrap()).unwrap();
             // Document lacks PartialEq; compare the re-encoded bytes
             assert_eq!(req.encode(), back.encode());
             // a call is the stream id, then the request as it is
             let call = Call { stream: 7, request: req };
-            let bytes = call.encode();
+            let bytes = call.encode().unwrap();
             assert_eq!(bytes[..8], 7u64.to_le_bytes());
-            assert_eq!(bytes[8..], call.request.encode());
+            assert_eq!(bytes[8..], call.request.encode().unwrap());
             let back = Call::decode(&bytes).unwrap();
-            assert_eq!((back.stream, back.encode()), (7, bytes));
+            assert_eq!((back.stream, back.encode()), (7, Ok(bytes)));
         }
     }
 
@@ -459,13 +470,14 @@ mod tests {
     /// a filtered one is a tag they reject rather than misread.
     #[test]
     fn unfiltered_fetch_keeps_its_bytes_and_a_filter_takes_its_own_tag() {
-        let plain = Request::Fetch { collection: "c".into(), filter: None }.encode();
+        let plain = Request::Fetch { collection: "c".into(), filter: None }.encode().unwrap();
         let mut expected = Writer::new();
         expected.put_u8(2);
         expected.put_str("c");
         assert_eq!(plain, expected.into_bytes());
         let filter = parse_query(r#"for $d in collection("c")/a where $d/b = 1 return $d"#);
-        let filtered = Request::Fetch { collection: "c".into(), filter: filter.ok() }.encode();
+        let filtered = Request::Fetch { collection: "c".into(), filter: filter.ok() };
+        let filtered = filtered.encode().unwrap();
         assert_eq!(filtered[0], 7);
         // what a peer that knows tags 0–6 does with it
         let mut unknown = filtered.clone();
@@ -522,7 +534,7 @@ mod tests {
     fn hostile_tenant_headers_are_typed_errors() {
         let q = parse_query(r#"collection("c")/x"#).unwrap();
         let ok = Request::ExecuteAs { tenant: "t1".into(), query: q.clone() };
-        assert!(Request::decode(&ok.encode()).is_ok());
+        assert!(Request::decode(&ok.encode().unwrap()).is_ok());
         for bad in [
             String::new(),
             "with space".to_string(),
@@ -532,7 +544,7 @@ mod tests {
         ] {
             let req = Request::ExecuteAs { tenant: bad, query: q.clone() };
             assert!(
-                matches!(Request::decode(&req.encode()), Err(ProtocolError::Malformed(_))),
+                matches!(Request::decode(&req.encode().unwrap()), Err(ProtocolError::Malformed(_))),
                 "hostile tenant header must decode to a typed error"
             );
         }
@@ -555,7 +567,7 @@ mod tests {
         assert!(Call::decode(&[0; 8]).is_err());
         assert!(Reply::decode(&[0; 8]).is_err());
         // trailing garbage rejected
-        let mut ok = Request::Collections.encode();
+        let mut ok = Request::Collections.encode().unwrap();
         ok.push(7);
         assert!(Request::decode(&ok).is_err());
     }

@@ -231,12 +231,15 @@ impl RemoteDriver {
 
     /// One call: `request` in a `Call` frame (encoded straight into it),
     /// the node's verdict out of the `Reply` or `StreamError` that answers
-    /// it. A request over the frame cap fails here, unsent: no node would
-    /// accept it, on this connection or another. `Store` and `Write` are
-    /// never replayed on a fresh connection (see [`Request::idempotent`]).
+    /// it. A request over the frame cap, or whose query has no XQuery text,
+    /// fails here, unsent: no node would accept it, on this connection or
+    /// another. `Store` and `Write` are never replayed on a fresh
+    /// connection (see [`Request::idempotent`]).
     fn call(&self, request: &Request) -> Result<Response, WireError> {
         let stream = self.client.next_stream();
-        let opening = frame_of(FrameKind::Call, |w| put_call(w, stream, request)).map_err(|e| {
+        let mut printed = Ok(());
+        let framed = frame_of(FrameKind::Call, |w| printed = put_call(w, stream, request));
+        let opening = printed.and(framed).map_err(|e| {
             WireError::failure(false, format!("{}: request not sent: {e}", self.client.addr()))
         })?;
         let answer = self.client.exchange(&opening, request.idempotent(), |frame| {
@@ -401,7 +404,8 @@ mod tests {
     use crate::frame::{encode_frame, read_frame, MAX_PAYLOAD};
     use crate::message::Call;
     use crate::stream::StreamQuery;
-    use partix_query::{parse_query, Item};
+    use partix_path::{PathExpr, Step};
+    use partix_query::{parse_query, Expr, Item, PathSource, PathStart};
     use partix_xml::parse;
     use std::io::Write;
     use std::net::TcpStream;
@@ -423,7 +427,7 @@ mod tests {
 
     /// One raw call: the verdict out of the `Reply` or `StreamError`.
     fn call(conn: &mut TcpStream, stream: u64, request: Request) -> Result<Response, WireError> {
-        let payload = Call { stream, request }.encode();
+        let payload = Call { stream, request }.encode().unwrap();
         conn.write_all(&encode_frame(FrameKind::Call, &payload)).unwrap();
         let (frame, _) = read_frame(conn).unwrap().unwrap();
         match frame.kind {
@@ -635,6 +639,88 @@ mod tests {
             Err(DriverError::Unavailable(_)) => {}
             other => panic!("expected Unavailable, got {other:?}"),
         }
+    }
+
+    /// A query no XQuery text parses back to fails typed, as an execute
+    /// and as a fetch filter, and the node is never dialed: what it would
+    /// have run is not the query the coordinator planned.
+    fn refused_unsent(expr: Expr) {
+        let (_server, _db) = spawn_node();
+        let driver = RemoteDriver::new(_server.local_addr());
+        let query = Query { expr };
+        let outcomes = [
+            driver.execute(&query).map(|_| ()),
+            driver.try_fetch_filtered("items", &query).map(|_| ()),
+            driver.execute_as("t1", &query).map(|_| ()).map_err(|e| DriverError::Failed(e.message)),
+        ];
+        for outcome in outcomes {
+            match outcome {
+                Err(DriverError::Failed(m)) => {
+                    assert!(m.contains("request not sent: no XQuery text"), "{m}")
+                }
+                other => panic!("{query:?}: expected a typed refusal, got {other:?}"),
+            }
+        }
+        let stats = driver.stats();
+        assert_eq!((stats.connects, stats.bytes_sent), (0, 0), "{query:?} reached the node");
+    }
+
+    fn var(name: &str) -> Expr {
+        Expr::Path(PathSource {
+            start: PathStart::Var(name.into()),
+            path: PathExpr { absolute: false, steps: Vec::new() },
+        })
+    }
+
+    #[test]
+    fn a_negative_number_is_refused_unsent() {
+        refused_unsent(Expr::Num(-1.0));
+        refused_unsent(Expr::Num(-0.0));
+    }
+
+    #[test]
+    fn a_non_finite_number_is_refused_unsent() {
+        for n in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            refused_unsent(Expr::Num(n));
+        }
+    }
+
+    #[test]
+    fn a_string_holding_both_quote_kinds_is_refused_unsent() {
+        refused_unsent(Expr::Str(r#"it's "quoted""#.into()));
+    }
+
+    #[test]
+    fn a_one_term_and_is_refused_unsent() {
+        refused_unsent(Expr::And(vec![var("x")]));
+    }
+
+    #[test]
+    fn a_one_term_or_is_refused_unsent() {
+        refused_unsent(Expr::Or(vec![var("x")]));
+    }
+
+    #[test]
+    fn a_one_item_sequence_is_refused_unsent() {
+        refused_unsent(Expr::Seq(vec![var("x")]));
+    }
+
+    #[test]
+    fn a_call_named_collection_is_refused_unsent() {
+        refused_unsent(Expr::Call { name: "collection".into(), args: vec![Expr::Str("items".into())] });
+    }
+
+    #[test]
+    fn a_call_named_doc_is_refused_unsent() {
+        refused_unsent(Expr::Call { name: "doc".into(), args: vec![Expr::Str("i1".into())] });
+    }
+
+    #[test]
+    fn an_absolute_path_is_refused_unsent() {
+        refused_unsent(Expr::Path(PathSource {
+            start: PathStart::Collection("items".into()),
+            path: PathExpr { absolute: true, steps: vec![Step::child("Item")] },
+        }));
     }
 
     #[test]

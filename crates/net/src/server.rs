@@ -567,7 +567,7 @@ mod tests {
         let mut server = bind(echo);
         // a stream-only endpoint refuses a call by its type, and serves on
         let mut sock = TcpStream::connect(server.addr()).unwrap();
-        let ping = Call { stream: 5, request: Request::Ping }.encode();
+        let ping = Call { stream: 5, request: Request::Ping }.encode().unwrap();
         sock.write_all(&encode_frame(FrameKind::Call, &ping)).unwrap();
         let (frame, _) = frame::read_frame(&mut sock).unwrap().unwrap();
         assert_eq!(frame.kind, FrameKind::StreamError);

@@ -1,27 +1,28 @@
 //! A query that nests thousands of levels must cost its sender a typed
-//! error, not the server its process: the parser's and the codec's depth
-//! bound answer before anything recurses that deep. (A stack overflow is
-//! not a panic, so no firewall catches it.)
+//! error, not the server its process: the parser's depth bound answers
+//! before anything recurses that deep. (A stack overflow is not a panic,
+//! so no firewall catches it.)
 //!
 //! * At a coordinator the text of a stream request is parsed — deep texts
 //!   get a `StreamError`, and the same connection then serves the next
 //!   query.
-//! * At a node an `Execute` call carries the parsed query, a `Fetch` call
-//!   may carry one as its filter; a `Call` frame whose tree is deeper than
-//!   the bound — in nodes, `for` clauses or path steps — is refused, and
-//!   the server goes on serving.
+//! * At a node an `Execute` call carries a query's text, a `Fetch` call
+//!   may carry one as its filter, and the node parses both with the same
+//!   parser; a text nested deeper than the bound — in negations, `for`
+//!   clauses or path steps — is refused, and the server goes on serving.
+//! * What the bound lets through prints back to a text the node accepts:
+//!   the printer adds no nesting the grammar does not need.
 
 use partix_engine::{MetaService, NetworkModel, PartiX};
-use partix_net::codec::Writer;
+use partix_net::codec::{print_query, Writer};
 use partix_net::frame::{encode_frame, read_frame, FrameKind};
 use partix_net::message::{Call, Reply, Request, Response};
 use partix_net::{
     serve_coordinator, NodeServer, StreamCallError, StreamClient, StreamClientConfig, StreamOpts,
     StreamServerConfig,
 };
-use partix_path::{PathExpr, Step};
-use partix_query::ast::{Binding, Clause, Expr, PathSource, PathStart};
-use partix_query::{parse_query, Item, Query};
+use partix_path::MAX_DEPTH;
+use partix_query::{parse_query, Item};
 use partix_storage::Database;
 use std::io::Write;
 use std::net::TcpStream;
@@ -77,42 +78,27 @@ fn coordinator_answers_deep_texts_with_an_error_and_keeps_serving() {
 #[test]
 fn node_server_refuses_deep_query_frames_and_keeps_serving() {
     let mut server = NodeServer::bind("127.0.0.1:0", items_db()).unwrap();
-    let one = || Expr::Num(1.0);
-    let execute =
-        |expr| Call { stream: 1, request: Request::Execute { query: Query { expr } } }.encode();
-    // 10 000 nested negations around a number, as the codec writes them
-    // (built as bytes: this thread could not even drop such a tree)
-    let mut negations = vec![6u8; 10_000];
-    negations.push(3);
-    negations.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-    let mut deep_frame = Writer::new();
-    deep_frame.put_u64(1);
-    deep_frame.put_u8(0);
-    deep_frame.put_bytes(&negations);
-    // the same tree as the filter of a fetch: one codec, one bound
-    let mut deep_filter = Writer::new();
-    deep_filter.put_u64(1);
-    deep_filter.put_u8(7);
-    deep_filter.put_str("items");
-    deep_filter.put_bytes(&negations);
-    let deep = [
-        deep_frame.into_bytes(),
-        deep_filter.into_bytes(),
+    let deep_texts = [
+        nest("-", "1", "", 10_000),
         // one FLWOR of 10 000 clauses: flat in the tree, nested when run
-        execute(Expr::Flwor {
-            clauses: (0..10_000)
-                .map(|i| Clause::For(Binding { var: format!("v{i}"), expr: one() }))
-                .collect(),
-            where_clause: None,
-            order_by: None,
-            ret: Box::new(one()),
-        }),
-        // a path of 10 000 steps
-        execute(Expr::Path(PathSource {
-            start: PathStart::Collection("items".into()),
-            path: PathExpr { absolute: false, steps: vec![Step::child("Item"); 10_000] },
-        })),
+        format!("{}return 1", "for $v in 1 ".repeat(10_000)),
+        format!("collection(\"items\"){}", "/Item".repeat(10_000)),
     ];
+    // built as bytes: no query this deep is ever printed
+    let mut deep = Vec::new();
+    for text in &deep_texts {
+        let mut execute = Writer::new();
+        execute.put_u64(1);
+        execute.put_u8(0);
+        execute.put_str(text);
+        deep.push(execute.into_bytes());
+        let mut fetch = Writer::new();
+        fetch.put_u64(1);
+        fetch.put_u8(7);
+        fetch.put_str("items");
+        fetch.put_str(text);
+        deep.push(fetch.into_bytes());
+    }
     for call in deep {
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
         conn.write_all(&encode_frame(FrameKind::Call, &call)).unwrap();
@@ -121,7 +107,7 @@ fn node_server_refuses_deep_query_frames_and_keeps_serving() {
 
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
         let request = Request::Execute { query: parse_query(COUNT).unwrap() };
-        let call = Call { stream: 2, request }.encode();
+        let call = Call { stream: 2, request }.encode().unwrap();
         conn.write_all(&encode_frame(FrameKind::Call, &call)).unwrap();
         let (frame, _) = read_frame(&mut conn).unwrap().expect("an answer");
         assert_eq!(frame.kind, FrameKind::Reply);
@@ -131,4 +117,39 @@ fn node_server_refuses_deep_query_frames_and_keeps_serving() {
         }
     }
     server.shutdown();
+}
+
+/// The nesting shapes of the query parser's own depth suite
+/// (`crates/query/tests/depth.rs`).
+fn hostile_queries(n: usize) -> Vec<(&'static str, String)> {
+    vec![
+        ("parentheses", nest("(", "1", ")", n)),
+        ("calls", nest("count(", "1", ")", n)),
+        ("conditionals", nest("if (1) then 1 else ", "1", "", n)),
+        ("constructors", nest("<a>", "", "</a>", n)),
+        ("unary minus", nest("-", "1", "", n)),
+        ("braced constructors", nest("<a>{", "1", "}</a>", n)),
+        ("operator chain", nest("1 + ", "1", "", n)),
+        ("multiplication chain", nest("1 * ", "1", "", n)),
+        ("clause chain", format!("for {} return 1", nest("$x in 1, ", "$y in 1", "", n))),
+        ("long path", format!("collection(\"c\"){}", "/a".repeat(n))),
+    ]
+}
+
+#[test]
+fn the_deepest_accepted_queries_print_and_parse_back() {
+    for (shape, _) in hostile_queries(1) {
+        let text = |n| hostile_queries(n).into_iter().find(|(s, _)| *s == shape).unwrap().1;
+        let deepest = (1..=MAX_DEPTH)
+            .rev()
+            .find(|&n| parse_query(&text(n)).is_ok())
+            .unwrap_or_else(|| panic!("no depth of {shape} parses"));
+        let query = parse_query(&text(deepest)).unwrap();
+        let printed = print_query(&query).unwrap_or_else(|e| panic!("{shape}: {e}"));
+        assert_eq!(parse_query(&printed).as_ref(), Ok(&query), "{shape} at depth {deepest}");
+        // and it crosses the wire to a node as it is
+        let request = Request::Execute { query };
+        let back = Request::decode(&request.encode().unwrap()).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{request:?}"), "{shape}");
+    }
 }

@@ -16,10 +16,12 @@ use partix_net::stream::{
     ItemChunk, StreamAssembler, StreamEnd, StreamError, StreamOutcome, StreamQuery, StreamStats,
     MAX_CHUNK_ITEMS,
 };
-use partix_query::parse_query;
-use partix_query::Item;
+use partix_path::{CmpOp, PathExpr, Step};
+use partix_query::ast::{ArithOp, Binding, Clause, SortDir};
+use partix_query::{parse_query, Expr, Item, PathSource, PathStart, Query};
 use partix_storage::{QueryOutput, QueryStats};
 use partix_xml::Document;
+use prop::collection::vec;
 use proptest::prelude::*;
 
 /// Per-block case budget, overridable with `PARTIX_PROPTEST_CASES`.
@@ -59,7 +61,7 @@ fn arb_document() -> impl Strategy<Value = Document> {
     })
 }
 
-/// Query texts spanning every expression family the codec ships: FLWOR
+/// Query texts spanning every expression family the wire ships: FLWOR
 /// with where/order/let, paths with predicates and descendant axes,
 /// comparisons, arithmetic, boolean connectives, conditionals, function
 /// calls, element constructors, and literal text.
@@ -102,6 +104,98 @@ fn arb_item() -> impl Strategy<Value = Item> {
     ]
 }
 
+/// Random query trees, most of which no parser built: any nesting of
+/// every expression kind, with the leaves and names a planner never
+/// writes mixed in — negative and non-finite numbers, strings holding
+/// quotes, one-term `and` / `or` / sequences, names the lexer splits,
+/// calls named like a path source or a keyword, absolute paths.
+fn arb_expr() -> impl Strategy<Value = Expr> {
+    // mostly what a planner writes, so that most trees print
+    fn mostly<T: Clone + 'static>(common: Vec<T>, odd: Vec<T>) -> impl Strategy<Value = T> {
+        (0usize..10, prop::sample::select(common), prop::sample::select(odd))
+            .prop_map(|(roll, common, odd)| if roll == 0 { odd } else { common })
+    }
+    let name = || mostly(vec!["a", "b-c.d", "div", "é"], vec!["for", "x y", "", "1a", "a:b"]);
+    let text = mostly(vec!["", "CD", "it's", "say \"hi\"", "(: :)"], vec!["both ' \""]);
+    let number = mostly(vec![0.0, 1.0, 2.5, 1e21, 1e-7], vec![-1.0, -0.0, f64::NAN, f64::INFINITY]);
+    let path = (name(), prop::collection::vec((name(), 0u32..3), 0..3), 0u8..10, 0u8..3)
+        .prop_map(|(start, steps, absolute, kind)| {
+            let start = match kind {
+                0 => PathStart::Collection(start.to_owned()),
+                1 => PathStart::Doc(start.to_owned()),
+                _ => PathStart::Var(start.to_owned()),
+            };
+            let steps = steps
+                .into_iter()
+                .map(|(n, p)| Step { position: p.checked_sub(1), ..Step::child(n) })
+                .collect();
+            Expr::Path(PathSource { start, path: PathExpr { absolute: absolute == 0, steps } })
+        });
+    let leaf = prop_oneof![
+        text.prop_map(|s| Expr::Str(s.to_owned())),
+        number.prop_map(Expr::Num),
+        path,
+    ];
+    leaf.prop_recursive(4, 24, 3, move |inner| {
+        let list = || {
+            let (many, few) = (vec(inner.clone(), 2..4), vec(inner.clone(), 0..2));
+            (0usize..10, many, few).prop_map(|(roll, many, few)| if roll == 0 { few } else { many })
+        };
+        let two = || (inner.clone(), inner.clone());
+        prop_oneof![
+            list().prop_map(Expr::And),
+            list().prop_map(Expr::Or),
+            list().prop_map(Expr::Seq),
+            two().prop_map(|(l, r)| Expr::Cmp { lhs: l.into(), op: CmpOp::Lt, rhs: r.into() }),
+            (two(), 0usize..5).prop_map(|((l, r), op)| {
+                let op = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div, ArithOp::Mod][op];
+                Expr::Arith { lhs: l.into(), op, rhs: r.into() }
+            }),
+            inner.clone().prop_map(|e| Expr::Neg(e.into())),
+            (two(), inner.clone()).prop_map(|((c, t), e)| Expr::If {
+                cond: c.into(),
+                then: t.into(),
+                els: e.into()
+            }),
+            (name(), list()).prop_map(|(n, args)| Expr::Call { name: n.to_owned(), args }),
+            (name(), list()).prop_map(|(n, children)| Expr::Element {
+                name: n.to_owned(),
+                attrs: vec![("k".into(), "v".into())],
+                children
+            }),
+            (vec((name(), inner.clone(), any::<bool>()), 0..3), two(), any::<bool>())
+                .prop_map(|(bindings, (filter, ret), ordered)| Expr::Flwor {
+                    clauses: bindings
+                        .into_iter()
+                        .map(|(var, expr, bind)| {
+                            let b = Binding { var: var.to_owned(), expr };
+                            if bind { Clause::For(b) } else { Clause::Let(b) }
+                        })
+                        .collect(),
+                    where_clause: Some(filter.clone().into()),
+                    order_by: ordered.then(|| (filter.into(), SortDir::Descending)),
+                    ret: ret.into(),
+                }),
+        ]
+    })
+}
+
+/// The tree generator reaches both outcomes: the property below checks
+/// printed texts, not only refusals.
+#[test]
+fn the_tree_generator_reaches_printed_and_refused_queries() {
+    let mut rng = proptest::test_runner::TestRng::from_seed(7);
+    let (mut printed, mut refused) = (0, 0);
+    for _ in 0..1000 {
+        let Some(expr) = arb_expr().generate(&mut rng) else { continue };
+        match codec::print_query(&Query { expr }) {
+            Ok(_) => printed += 1,
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(printed >= 300 && refused >= 100, "{printed} printed, {refused} refused");
+}
+
 // ------------------------------------------------------- round-trips --
 
 proptest! {
@@ -121,14 +215,25 @@ proptest! {
         prop_assert_eq!(frame.payload, payload);
     }
 
+    /// A query is sent as a text that parses back to it exactly, or not
+    /// at all: never as a different query.
     #[test]
-    fn query_payload_roundtrip(text in arb_query_text()) {
+    fn a_query_prints_to_itself_or_is_refused(expr in arb_expr()) {
+        let query = Query { expr };
+        match codec::print_query(&query) {
+            Ok(text) => prop_assert_eq!(parse_query(&text), Ok(query), "{}", text),
+            Err(e) => prop_assert!(matches!(e, ProtocolError::Unprintable(_)), "{e}"),
+        }
+    }
+
+    #[test]
+    fn query_text_roundtrip(text in arb_query_text()) {
         let query = parse_query(text).expect("strategy queries parse");
-        let bytes = codec::encode_query(&query);
-        let back = codec::decode_query(&bytes).expect("own encoding decodes");
+        let printed = codec::print_query(&query).expect("a parsed query prints");
+        let back = parse_query(&printed).expect("a printed query parses");
         prop_assert_eq!(&back, &query);
-        // and re-encoding is byte-stable
-        prop_assert_eq!(codec::encode_query(&back), bytes);
+        // and printing what came back gives the same text
+        prop_assert_eq!(codec::print_query(&back), Ok(printed));
     }
 
     #[test]
@@ -170,18 +275,18 @@ proptest! {
             Request::Drop { collection: "c".into() },
             Request::Ping,
         ] {
-            let bytes = request.encode();
+            let bytes = request.encode().expect("a parsed query prints");
             let back = Request::decode(&bytes).expect("own encoding decodes");
             // Request has no PartialEq (Document): byte-stability is the contract
-            prop_assert_eq!(back.encode(), bytes.clone());
+            prop_assert_eq!(back.encode(), Ok(bytes.clone()));
             prop_assert_eq!(back.idempotent(), request.idempotent());
             // a call: the stream id, then the request's bytes as they are
-            let call = Call { stream, request }.encode();
+            let call = Call { stream, request }.encode().expect("a parsed query prints");
             prop_assert_eq!(&call[..8], &stream.to_le_bytes());
             prop_assert_eq!(&call[8..], bytes.as_slice());
             let back = Call::decode(&call).expect("own encoding decodes");
             prop_assert_eq!(back.stream, stream);
-            prop_assert_eq!(back.encode(), call.clone());
+            prop_assert_eq!(back.encode(), Ok(call.clone()));
             // every proper prefix is a typed error
             for cut in 0..call.len() {
                 prop_assert!(Call::decode(&call[..cut]).is_err(), "call prefix {cut}");
@@ -268,7 +373,7 @@ proptest! {
         // a call: ExecuteAs carries the header
         let query = parse_query(r#"collection("c")/x"#).unwrap();
         let call = Call { stream, request: Request::ExecuteAs { tenant: tenant.clone(), query } };
-        match Call::decode(&call.encode()) {
+        match Call::decode(&call.encode().expect("the query prints")) {
             Ok(_) => prop_assert!(valid, "invalid tenant {tenant:?} decoded in a call"),
             Err(e) => {
                 prop_assert!(!valid, "valid tenant {tenant:?} rejected in a call: {e}");
@@ -388,7 +493,6 @@ proptest! {
     /// never panics or runaway allocations.
     #[test]
     fn random_bytes_never_panic_payload_decoders(payload in arb_payload()) {
-        let _ = codec::decode_query(&payload);
         let _ = Request::decode(&payload);
         let _ = Response::decode(&payload);
         let _ = WireError::decode(&payload);
@@ -404,19 +508,19 @@ proptest! {
 
     /// Truncating a valid *payload* (inside an intact frame) is a typed
     /// error from the payload decoder — a fetch's, with and without its
-    /// filter, like a bare query's.
+    /// filter, like an execute's.
     #[test]
     fn truncated_payloads_are_typed_errors(text in arb_query_text()) {
         let query = parse_query(text).expect("strategy queries parse");
-        let bytes = codec::encode_query(&query);
+        let bytes = Request::Execute { query: query.clone() }.encode().expect("it prints");
         for cut in 0..bytes.len() {
             prop_assert!(
-                codec::decode_query(&bytes[..cut]).is_err(),
-                "prefix of length {cut} decoded as a full query",
+                Request::decode(&bytes[..cut]).is_err(),
+                "prefix of length {cut} decoded as a full execute",
             );
         }
         for filter in [Some(query), None] {
-            let bytes = Request::Fetch { collection: "c".into(), filter }.encode();
+            let bytes = Request::Fetch { collection: "c".into(), filter }.encode().expect("it prints");
             for cut in 0..bytes.len() {
                 prop_assert!(
                     Request::decode(&bytes[..cut]).is_err(),
@@ -428,7 +532,9 @@ proptest! {
 
     /// A fetch whose filter bytes are corrupted decodes to a typed error
     /// or to some well-formed request — it never panics, and a byte past
-    /// the filter is never ignored.
+    /// the filter is never ignored. (A flipped byte of the text may leave
+    /// another valid text, spaced differently: what decodes is the request
+    /// its own encoding decodes to again.)
     #[test]
     fn corrupted_fetch_filters_never_panic(
         text in arb_query_text(),
@@ -436,11 +542,15 @@ proptest! {
         flip in 1usize..256,
     ) {
         let query = parse_query(text).expect("strategy queries parse");
-        let mut bytes = Request::Fetch { collection: "c".into(), filter: Some(query) }.encode();
+        let filtered = Request::Fetch { collection: "c".into(), filter: Some(query) };
+        let mut bytes = filtered.encode().expect("it prints");
         let pos = pos % bytes.len();
         bytes[pos] ^= flip as u8;
         if let Ok(back) = Request::decode(&bytes) {
-            prop_assert_eq!(back.encode(), bytes, "a decoded request re-encodes to its bytes");
+            let again = back.encode().expect("a parsed query prints");
+            let again = Request::decode(&again).expect("own encoding decodes");
+            // no PartialEq (Document): a request's parts print alike
+            prop_assert_eq!(format!("{again:?}"), format!("{back:?}"));
         }
         bytes.push(0);
         prop_assert!(Request::decode(&bytes).is_err(), "trailing byte accepted");
@@ -693,7 +803,7 @@ fn a_pxn1_frame_gets_a_typed_error_naming_it_and_a_closed_connection() {
     )
     .unwrap();
     for addr in [node.local_addr(), coordinator.addr()] {
-        for frame in [pxn1(4, b""), pxn1(1, &Request::Collections.encode())] {
+        for frame in [pxn1(4, b""), pxn1(1, &Request::Collections.encode().unwrap())] {
             let mut sock = std::net::TcpStream::connect(addr).unwrap();
             sock.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
             sock.write_all(&frame).unwrap();

@@ -112,8 +112,6 @@ pub enum Expr {
         attrs: Vec<(String, String)>,
         children: Vec<Expr>,
     },
-    /// Literal text inside an element constructor.
-    Text(String),
     /// `(e1, e2, …)` — sequence concatenation.
     Seq(Vec<Expr>),
 }
@@ -173,7 +171,7 @@ impl Expr {
             Expr::If { cond, then, els } => vec![cond, then, els],
             Expr::And(es) | Expr::Or(es) | Expr::Seq(es) => es.iter().collect(),
             Expr::Call { args: es, .. } | Expr::Element { children: es, .. } => es.iter().collect(),
-            Expr::Path(_) | Expr::Str(_) | Expr::Num(_) | Expr::Text(_) => Vec::new(),
+            Expr::Path(_) | Expr::Str(_) | Expr::Num(_) => Vec::new(),
         }
     }
 
@@ -194,7 +192,7 @@ impl Expr {
             Expr::Call { args: es, .. } | Expr::Element { children: es, .. } => {
                 es.iter_mut().collect()
             }
-            Expr::Path(_) | Expr::Str(_) | Expr::Num(_) | Expr::Text(_) => Vec::new(),
+            Expr::Path(_) | Expr::Str(_) | Expr::Num(_) => Vec::new(),
         }
     }
 }

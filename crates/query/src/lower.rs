@@ -178,7 +178,7 @@ impl<'q> Lowering<'q> {
     /// fail, whatever the data.
     fn expr(&mut self, expr: &'q Expr) -> (Node, bool) {
         match expr {
-            Expr::Str(s) | Expr::Text(s) => (Node::Const(Item::Str(s.clone())), true),
+            Expr::Str(s) => (Node::Const(Item::Str(s.clone())), true),
             Expr::Num(n) => (Node::Const(Item::Num(*n)), true),
             Expr::Path(ps) => {
                 let mut path = || {

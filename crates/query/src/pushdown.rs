@@ -255,7 +255,7 @@ fn collect_value_paths<'q>(
         Expr::Element { children, .. } => each(&mut children.iter()),
         Expr::Neg(e) => each(&mut std::iter::once(&**e)),
         Expr::If { cond, then, els } => each(&mut [&**cond, &**then, &**els].into_iter()),
-        Expr::Str(_) | Expr::Num(_) | Expr::Text(_) => {}
+        Expr::Str(_) | Expr::Num(_) => {}
     }
 }
 

@@ -189,7 +189,7 @@ impl Gen {
                 let mut children = Vec::new();
                 for _ in 0..self.below(3) {
                     children.push(if self.chance(20) {
-                        Expr::Text(self.pick(VALUES).to_owned())
+                        Expr::Str(self.pick(VALUES).to_owned())
                     } else {
                         self.expr(depth, scope)
                     });

@@ -42,7 +42,6 @@ impl<'a> Interpreter<'a> {
         match expr {
             Expr::Str(s) => Ok(vec![Item::Str(s.clone())]),
             Expr::Num(n) => Ok(vec![Item::Num(*n)]),
-            Expr::Text(t) => Ok(vec![Item::Str(t.clone())]),
             Expr::Path(ps) => self.eval_path_source(ps, env),
             Expr::Seq(es) => {
                 let mut out = Vec::new();

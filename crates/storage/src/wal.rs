@@ -823,7 +823,7 @@ mod tests {
             let n_ops = 1 + (next() % 5) as usize;
             let ops: Vec<WriteOp> = (0..n_ops)
                 .map(|i| {
-                    if next() % 4 == 0 && i > 0 {
+                    if next().is_multiple_of(4) && i > 0 {
                         WriteOp::Delete { collection: "items".into(), name: format!("d{}", i - 1) }
                     } else {
                         put(&format!("d{i}"), ["CD", "DVD", "BOOK"][(next() % 3) as usize])

@@ -372,7 +372,7 @@ struct WatchedDriver {
     inner: Arc<dyn PartixDriver>,
     nap: Duration,
     dead: bool,
-    seen: Arc<Mutex<Vec<(usize, Option<String>)>>>,
+    seen: Seen,
 }
 
 type Seen = Arc<Mutex<Vec<(usize, Option<String>)>>>;

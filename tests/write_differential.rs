@@ -215,6 +215,7 @@ fn interleaved_writes_and_reads_match_oracle() {
 }
 
 // ----------------------------------------------------- WAL kill matrices
+type Recover<'a> = dyn Fn(&PartiX, &mut [Arc<DurableDb>], &Path, usize) + 'a;
 
 /// Drive one kill-point scenario against `px` whose nodes are WAL-backed
 /// (`durables`), with `recover` abstracting how a node comes back
@@ -223,7 +224,7 @@ fn run_kill_matrix(
     px: &PartiX,
     durables: &mut [Arc<DurableDb>],
     root: &Path,
-    recover: &dyn Fn(&PartiX, &mut [Arc<DurableDb>], &Path, usize),
+    recover: &Recover<'_>,
     label: &str,
 ) {
     let workload = workload();
