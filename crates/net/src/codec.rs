@@ -591,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn trees_the_parser_never_builds_print_with_the_parentheses_they_need() {
+    fn nested_operators_print_with_the_parentheses_they_need() {
         let num = |n: f64| Box::new(Expr::Num(n));
         let var = |v: &str| Expr::Path(PathSource {
             start: PathStart::Var(v.into()),

@@ -221,7 +221,12 @@ proptest! {
     fn a_query_prints_to_itself_or_is_refused(expr in arb_expr()) {
         let query = Query { expr };
         match codec::print_query(&query) {
-            Ok(text) => prop_assert_eq!(parse_query(&text), Ok(query), "{}", text),
+            Ok(text) => {
+                // a peer of the retired AST codec reads the first byte as
+                // an expression tag (0–13) and refuses it
+                prop_assert!(text.as_bytes()[0] > 13, "{text}");
+                prop_assert_eq!(parse_query(&text), Ok(query), "{}", text);
+            }
             Err(e) => prop_assert!(matches!(e, ProtocolError::Unprintable(_)), "{e}"),
         }
     }
