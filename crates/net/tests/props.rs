@@ -118,7 +118,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     let name = || mostly(vec!["a", "b-c.d", "div", "é"], vec!["for", "x y", "", "1a", "a:b"]);
     let text = mostly(vec!["", "CD", "it's", "say \"hi\"", "(: :)"], vec!["both ' \""]);
     let number = mostly(vec![0.0, 1.0, 2.5, 1e21, 1e-7], vec![-1.0, -0.0, f64::NAN, f64::INFINITY]);
-    let path = (name(), prop::collection::vec((name(), 0u32..3), 0..3), 0u8..10, 0u8..3)
+    let path = (name(), vec((name(), 0u32..3), 0..3), 0u8..10, 0u8..3)
         .prop_map(|(start, steps, absolute, kind)| {
             let start = match kind {
                 0 => PathStart::Collection(start.to_owned()),
