@@ -633,30 +633,18 @@ fn tenant_registry(
 /// database) as a PartiX network node. Returns the running server and
 /// the address it actually bound — port 0 picks an ephemeral one — so
 /// the binary can print the address before parking, and tests can dial
-/// it directly. `tenants` specs (`name[:class[:max_concurrent
-/// [:max_queued]]]`) gate `ExecuteAs` frames through admission control;
-/// with none given, only anonymous `Execute` frames are served
-/// tenant-less, and any `ExecuteAs` answers a typed unknown-tenant
-/// error.
+/// it directly. A node runs what it is sent: tenancy is the
+/// coordinator's ([`serve_coordinator`]).
 pub fn serve(
     node: usize,
     addr: &str,
     data: Option<&Path>,
-    tenants: &[String],
 ) -> Result<(partix_net::NodeServer, std::net::SocketAddr), CliError> {
     let db = match data {
         Some(dir) => open_or_new(dir)?,
         None => Database::new(),
     };
-    let config = partix_net::ServerConfig {
-        tenancy: tenant_registry(tenants)?.map(|registry| {
-            std::sync::Arc::new(partix_net::ServerTenancy {
-                registry,
-                controller: partix_engine::AdmissionController::default(),
-            })
-        }),
-    };
-    let server = partix_net::NodeServer::bind_driver(addr, std::sync::Arc::new(db), config)
+    let server = partix_net::NodeServer::bind(addr, std::sync::Arc::new(db))
         .map_err(|e| err(format!("serve: cannot bind {addr}: {e}")))?;
     let local = server.local_addr();
     let _ = node; // node id is presentation-only: the wire protocol is symmetric
@@ -667,7 +655,10 @@ pub fn serve(
 /// streaming coordinator. The engine runs the database as its node 0, an
 /// epoch-versioned [`partix_engine::MetaService`] is attached (so more
 /// coordinators could share the catalog), and sub-query results stream
-/// to clients chunk-by-chunk as they complete.
+/// to clients chunk-by-chunk as they complete. `tenants` specs
+/// (`name[:class[:max_concurrent[:max_queued]]]`) attach admission
+/// control: a stream naming a tenant passes its quotas, and an
+/// over-quota one gets a typed rejection with a retry hint.
 pub fn serve_coordinator(
     addr: &str,
     data: Option<&Path>,
@@ -697,28 +688,16 @@ pub fn serve_coordinator(
     Ok((server, local))
 }
 
-/// `partix exec`: run one query against a node server over the wire,
-/// optionally as a named tenant. With `--tenant` the request rides an
-/// `ExecuteAs` call through the server's admission
-/// control, and a rejection comes back as a *typed* error carrying the
-/// server's verdict code and retry hint — rendered here, never a hang
-/// or a silent drop.
-pub fn exec(addr: &str, text: &str, tenant: Option<&str>) -> Result<String, CliError> {
+/// `partix exec`: run one query against a node server over the wire.
+pub fn exec(addr: &str, text: &str) -> Result<String, CliError> {
+    use partix_engine::PartixDriver as _;
     let sock: std::net::SocketAddr =
         addr.parse().map_err(|_| err(format!("exec: bad address {addr} (want HOST:PORT)")))?;
     let driver = partix_net::RemoteDriver::connect(sock)
         .map_err(|e| err(format!("exec: {addr}: {e}")))?;
     let query =
         partix_query::parse_query(text).map_err(|e| err(format!("exec: {e}")))?;
-    let output = match tenant {
-        Some(tenant) => driver.execute_as(tenant, &query).map_err(|e| {
-            err(format!("exec: tenant {tenant:?}: {e} [{:?}]", e.code))
-        })?,
-        None => {
-            use partix_engine::PartixDriver as _;
-            driver.execute(&query).map_err(|e| err(format!("exec: {e}")))?
-        }
-    };
+    let output = driver.execute(&query).map_err(|e| err(format!("exec: {e}")))?;
     let Some(output) = output else {
         return Ok("(collection not on this node)".to_owned());
     };
@@ -726,23 +705,16 @@ pub fn exec(addr: &str, text: &str, tenant: Option<&str>) -> Result<String, CliE
     if rendered.is_empty() {
         rendered.push_str("(empty sequence)");
     }
-    let _ = write!(
-        rendered,
-        "\n-- {} item(s) in {:.6}s{}",
-        output.items.len(),
-        output.stats.elapsed,
-        match tenant {
-            Some(tenant) => format!(", as tenant {tenant:?}"),
-            None => String::new(),
-        },
-    );
+    let (items, elapsed) = (output.items.len(), output.stats.elapsed);
+    let _ = write!(rendered, "\n-- {items} item(s) in {elapsed:.6}s");
     Ok(rendered)
 }
 
 /// `partix stream`: run one query against a pool of coordinators
 /// (comma-separated addresses), streaming the answer and failing over if
 /// a coordinator dies mid-call. With `tenant`, the query runs under that
-/// tenant's admission quotas and priority class on the coordinator.
+/// tenant's admission quotas and priority class on the coordinator, and
+/// a refusal prints its typed verdict and retry hint.
 pub fn stream_query(addrs: &str, text: &str, tenant: Option<&str>) -> Result<String, CliError> {
     use partix_net::{CoordinatorPool, StreamClientConfig, StreamOpts};
     let list: Vec<String> = addrs
@@ -867,11 +839,15 @@ USAGE
                                                     migration
   partix serve --node <N> --addr <HOST:PORT>        run a node server
                 [--data <db-dir>]                   speaking the partix-net
-                [--tenant SPEC]...                  wire protocol (port 0
+                                                    wire protocol (port 0
                                                     binds an ephemeral port;
                                                     the chosen address is
-                                                    printed); each
-                                                    --tenant SPEC is
+                                                    printed)
+  partix serve --coordinator --addr <HOST:PORT>     run a streaming
+                [--data <db-dir>] [--tenant SPEC]...  coordinator: answers
+                                                    stream chunk-by-chunk
+                                                    as sub-queries finish;
+                                                    each --tenant SPEC is
                                                     name[:class[:max_concurrent
                                                     [:max_queued]]] (class:
                                                     interactive/standard/
@@ -880,19 +856,14 @@ USAGE
                                                     over-quota ones get a
                                                     typed rejection with a
                                                     retry-after hint
-  partix serve --coordinator --addr <HOST:PORT>     run a streaming
-                [--data <db-dir>] [--tenant SPEC]...  coordinator: answers
-                                                    stream chunk-by-chunk
-                                                    as sub-queries finish;
-                                                    --tenant as above
   partix exec <HOST:PORT> '<xquery>'                run a query on a node
-                [--tenant NAME]                     server; --tenant
-                                                    runs it under that
-                                                    tenant's quotas and
-                                                    priority class
+                                                    server
   partix stream <HOST:PORT[,HOST:PORT...]> '<xq>'   run a query against a
                 [--tenant NAME]                     coordinator pool
-                                                    (round-robin + failover)
+                                                    (round-robin + failover);
+                                                    --tenant runs it under
+                                                    that tenant's quotas and
+                                                    priority class
   partix ping <HOST:PORT>                           health-check a node
                                                     server over the wire
 
@@ -907,11 +878,10 @@ EXAMPLE
   partix advise 7
   partix rebalance 7
   partix serve --node 0 --addr 127.0.0.1:7401 --data ./db
-  partix serve --node 0 --addr 127.0.0.1:7401 --data ./db \\
+  partix exec 127.0.0.1:7401 'count(collection(\"items\")/Item)'
+  partix serve --coordinator --addr 127.0.0.1:7500 --data ./db \\
                --tenant frontend:interactive:8 --tenant batchy:batch:2:4
-  partix exec 127.0.0.1:7401 'count(collection(\"items\")/Item)' --tenant frontend
-  partix serve --coordinator --addr 127.0.0.1:7500 --data ./db
-  partix stream 127.0.0.1:7500 'count(collection(\"items\")/Item)'
+  partix stream 127.0.0.1:7500 'count(collection(\"items\")/Item)' --tenant frontend
   partix ping 127.0.0.1:7401";
 
 #[cfg(test)]
@@ -1148,39 +1118,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_with_tenants_admits_and_rejects_typed() {
-        let dir = tmp("tenantserve");
+    fn serve_and_exec_answer_over_the_wire() {
+        let dir = tmp("nodeserve");
         let db_dir = dir.join("db");
         let files = write_items(&dir, 6);
         load(&db_dir, "items", &files).unwrap();
-        // frontend: generous quota; suspended: zero concurrency, every
-        // query must come back as a typed rejection
-        let (server, addr) = serve(
-            0,
-            "127.0.0.1:0",
-            Some(&db_dir),
-            &["frontend:interactive:8".to_owned(), "suspended:batch:0:0".to_owned()],
-        )
-        .unwrap();
-        let addr = addr.to_string();
-        let q = r#"count(collection("items")/Item)"#;
-
-        let ok = exec(&addr, q, Some("frontend")).unwrap();
-        assert!(ok.starts_with('6'), "{ok}");
-        assert!(ok.contains("as tenant \"frontend\""), "{ok}");
-
-        // anonymous Execute frames stay ungated
-        let anon = exec(&addr, q, None).unwrap();
-        assert!(anon.starts_with('6'), "{anon}");
-
-        let e = exec(&addr, q, Some("suspended")).unwrap_err().to_string();
-        assert!(e.contains("retry after"), "{e}");
-        assert!(e.contains("AdmissionRejected"), "{e}");
-
-        let e = exec(&addr, q, Some("nobody")).unwrap_err().to_string();
-        assert!(e.contains("unknown tenant"), "{e}");
-        assert!(e.contains("UnknownTenant"), "{e}");
-
+        let (server, addr) = serve(0, "127.0.0.1:0", Some(&db_dir)).unwrap();
+        let out = exec(&addr.to_string(), r#"count(collection("items")/Item)"#).unwrap();
+        assert!(out.starts_with('6') && out.contains("1 item(s)"), "{out}");
         std::mem::drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1206,10 +1151,15 @@ mod tests {
         let anon = stream_query(&addr, q, None).unwrap();
         assert!(anon.starts_with('6'), "{anon}");
 
+        // frontend: generous quota; suspended: zero concurrency, every
+        // query comes back as a typed rejection with its retry hint
         let e = stream_query(&addr, q, Some("suspended")).unwrap_err().to_string();
         assert!(e.contains("quota"), "{e}");
+        assert!(e.contains("retry after"), "{e}");
+        assert!(e.contains("AdmissionRejected"), "{e}");
         let e = stream_query(&addr, q, Some("nobody")).unwrap_err().to_string();
         assert!(e.contains("unknown tenant"), "{e}");
+        assert!(e.contains("UnknownTenant"), "{e}");
 
         std::mem::drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1217,12 +1167,12 @@ mod tests {
 
     #[test]
     fn bad_tenant_specs_are_rejected_at_startup() {
-        let e = serve(0, "127.0.0.1:0", None, &["bad name!".to_owned()])
+        let e = serve_coordinator("127.0.0.1:0", None, &["bad name!".to_owned()])
             .err()
             .expect("invalid spec must fail")
             .to_string();
         assert!(e.contains("invalid tenant name"), "{e}");
-        let e = serve(0, "127.0.0.1:0", None, &["a".to_owned(), "a".to_owned()])
+        let e = serve_coordinator("127.0.0.1:0", None, &["a".to_owned(), "a".to_owned()])
             .err()
             .expect("duplicate spec must fail")
             .to_string();

@@ -60,14 +60,9 @@ fn main() -> ExitCode {
             }
         }
         Some("serve") => return serve(&args[1..]),
-        Some("exec") if args.len() == 3 || args.len() == 5 => {
-            match tenant_flag("exec", &args[3..]) {
-                Ok(tenant) => partix_cli::exec(&args[1], &args[2], tenant.as_deref()),
-                Err(()) => return ExitCode::FAILURE,
-            }
-        }
+        Some("exec") if args.len() == 3 => partix_cli::exec(&args[1], &args[2]),
         Some("stream") if args.len() == 3 || args.len() == 5 => {
-            match tenant_flag("stream", &args[3..]) {
+            match tenant_flag(&args[3..]) {
                 Ok(tenant) => {
                     partix_cli::stream_query(&args[1], &args[2], tenant.as_deref())
                 }
@@ -92,13 +87,13 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parse an optional trailing `--tenant NAME` flag pair.
-fn tenant_flag(command: &str, rest: &[String]) -> Result<Option<String>, ()> {
+/// Parse `stream`'s optional trailing `--tenant NAME` flag pair.
+fn tenant_flag(rest: &[String]) -> Result<Option<String>, ()> {
     match rest {
         [] => Ok(None),
         [flag, name] if flag == "--tenant" => Ok(Some(name.clone())),
         _ => {
-            eprintln!("{command}: unknown trailing flags (expected --tenant NAME)");
+            eprintln!("stream: unknown trailing flags (expected --tenant NAME)");
             Err(())
         }
     }
@@ -125,11 +120,11 @@ fn parse_seed(command: &str, raw: Option<&String>, default: u64) -> Option<u64> 
     }
 }
 
-/// `partix serve --node <N> --addr <HOST:PORT> [--data <db-dir>]
-/// [--tenant SPEC]...`:
-/// bind a node server, announce the chosen address (flushed, so
-/// supervising scripts can scrape it even through a pipe), then serve
-/// until killed.
+/// `partix serve --node <N> --addr <HOST:PORT> [--data <db-dir>]` or
+/// `partix serve --coordinator --addr <HOST:PORT> [--data <db-dir>]
+/// [--tenant SPEC]...`: bind a node server or a coordinator, announce the
+/// chosen address (flushed, so supervising scripts can scrape it even
+/// through a pipe), then serve until killed.
 fn serve(args: &[String]) -> ExitCode {
     let mut node: Option<usize> = None;
     let mut addr: Option<&str> = None;
@@ -192,11 +187,15 @@ fn serve(args: &[String]) -> ExitCode {
             }
         };
     }
+    if !tenants.is_empty() {
+        eprintln!("serve: --tenant needs --coordinator: tenancy is enforced where a query enters");
+        return ExitCode::FAILURE;
+    }
     let (Some(node), Some(addr)) = (node, addr) else {
         eprintln!("serve: --node <N> and --addr <HOST:PORT> are required");
         return ExitCode::FAILURE;
     };
-    match partix_cli::serve(node, addr, data, &tenants) {
+    match partix_cli::serve(node, addr, data) {
         Ok((_server, local)) => {
             use std::io::Write as _;
             println!("node {node} listening on {local}");

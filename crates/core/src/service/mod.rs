@@ -241,20 +241,10 @@ impl PartiX {
     }
 
     /// Resolve a tenant name through the attached registry into the id
-    /// [`ExecOptions::tenant`] wants. `Err` carries a typed
-    /// [`PartixError::AdmissionRejected`] for unknown names, so network
-    /// front-ends can forward it directly.
-    pub fn resolve_tenant(&self, name: &str) -> Result<partix_tenant::TenantId, PartixError> {
-        let reject = |reason: &str| PartixError::AdmissionRejected {
-            tenant: name.to_string(),
-            retry_after_ms: 0,
-            reason: reason.to_string(),
-        };
-        let Some(tenancy) = self.tenancy.get() else {
-            return Err(reject("server has no tenancy configured"));
-        };
-        let tenant = tenancy.registry.by_name(name).ok_or_else(|| reject("unknown tenant"))?;
-        Ok(tenant.id)
+    /// [`ExecOptions::tenant`] wants: `None` when no tenancy is attached
+    /// or the registry has no such name.
+    pub fn resolve_tenant(&self, name: &str) -> Option<partix_tenant::TenantId> {
+        Some(self.tenancy.get()?.registry.by_name(name)?.id)
     }
 
     /// The priority class this query's sub-queries are pooled under:

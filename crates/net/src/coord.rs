@@ -77,7 +77,13 @@ impl Handler for CoordHandler {
         let mut options =
             ExecOptions { allow_partial: query.allow_partial, ..ExecOptions::default() };
         if !query.tenant.is_empty() {
-            options.tenant = Some(self.px.resolve_tenant(&query.tenant).map_err(failure_of)?);
+            let id = self.px.resolve_tenant(&query.tenant).ok_or_else(|| WireError {
+                retryable: false,
+                code: ErrorCode::UnknownTenant,
+                retry_after_ms: 0,
+                message: format!("unknown tenant {:?}", query.tenant),
+            })?;
+            options.tenant = Some(id);
         }
         let report = if query.buffered {
             // diagnostic mode: materialize the whole answer first, then
@@ -126,14 +132,9 @@ fn closed_failure(_: SinkClosed) -> WireError {
 /// own error code plus the controller's back-off hint.
 fn failure_of(err: PartixError) -> WireError {
     if let PartixError::AdmissionRejected { ref tenant, retry_after_ms, ref reason } = err {
-        let code = if reason.contains("unknown tenant") || reason.contains("no tenancy") {
-            ErrorCode::UnknownTenant
-        } else {
-            ErrorCode::AdmissionRejected
-        };
         return WireError {
             retryable: false,
-            code,
+            code: ErrorCode::AdmissionRejected,
             retry_after_ms,
             message: format!("tenant {tenant:?}: {reason}"),
         };
@@ -189,8 +190,12 @@ pub enum StreamCallError {
 impl std::fmt::Display for StreamCallError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StreamCallError::Remote { retryable, message, .. } => {
-                write!(f, "coordinator error (retryable={retryable}): {message}")
+            StreamCallError::Remote { retryable, code, retry_after_ms, message } => {
+                write!(f, "coordinator error [{code:?}] (retryable={retryable}): {message}")?;
+                if *retry_after_ms > 0 {
+                    write!(f, " (retry after {retry_after_ms} ms)")?;
+                }
+                Ok(())
             }
             StreamCallError::Protocol(e) => write!(f, "transport: {e}"),
         }

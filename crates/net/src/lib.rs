@@ -55,7 +55,7 @@ pub use coord::{
 };
 pub use frame::{Frame, FrameKind, ProtocolError, HEADER_LEN, MAX_PAYLOAD, VERSION};
 pub use message::{Call, ErrorCode, Reply, Request, Response, WireError};
-pub use node::{NodeServer, RemoteDriver, ServerConfig, ServerTenancy};
+pub use node::{NodeServer, RemoteDriver, ServerConfig};
 pub use server::{ChunkSink, Handler, Server, SinkClosed};
 pub use stream::{
     ItemChunk, StreamAssembler, StreamEnd, StreamError, StreamOutcome, StreamQuery, StreamStats,

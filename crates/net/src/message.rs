@@ -14,6 +14,7 @@ use crate::frame::ProtocolError;
 use partix_query::Query;
 use partix_storage::{QueryOutput, WriteOp};
 use partix_xml::Document;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Machine-readable classification carried by [`WireError`], so clients
@@ -29,8 +30,8 @@ pub enum ErrorCode {
     /// The tenant's admission quota rejected the query; honor the
     /// `retry_after_ms` hint before retrying.
     AdmissionRejected,
-    /// The tenant header named a tenant this server does not know (or
-    /// the server has no tenancy configured).
+    /// The stream's tenant header named a tenant this coordinator does
+    /// not know (or the coordinator has no tenancy attached).
     UnknownTenant,
 }
 
@@ -53,32 +54,15 @@ impl ErrorCode {
     }
 }
 
-/// Validate a wire-supplied tenant header before it touches any lookup:
-/// hostile bytes (oversized, non-ASCII, control characters) become a
-/// typed [`ProtocolError::Malformed`] at decode time.
-pub(crate) fn decode_tenant_header(name: String) -> Result<String, ProtocolError> {
-    if partix_tenant::valid_tenant_name(&name) {
-        Ok(name)
-    } else {
-        Err(ProtocolError::Malformed(format!(
-            "invalid tenant header ({} bytes; names are 1..={} bytes of [A-Za-z0-9._-])",
-            name.len(),
-            partix_tenant::MAX_TENANT_NAME
-        )))
-    }
-}
-
 /// Coordinator → node, inside a [`Call`]. (`Document` has no equality,
-/// so neither does `Request` — tests compare re-encoded bytes.)
+/// so neither does `Request` — tests compare re-encoded bytes.) A request
+/// to send borrows the query or write op it carries; a decoded one owns
+/// them. Tag 6, a tenant-headed execute, is retired and never reused:
+/// tenancy is enforced where a query enters, at the coordinator.
 #[derive(Debug, Clone)]
-pub enum Request {
+pub enum Request<'a> {
     /// Run a (localized) sub-query against the node's fragments.
-    Execute { query: Query },
-    /// [`Request::Execute`] with a tenant header: the server applies the
-    /// named tenant's admission quotas before running. Servers without
-    /// tenancy configured answer with a typed
-    /// [`ErrorCode::UnknownTenant`] error.
-    ExecuteAs { tenant: String, query: Query },
+    Execute { query: Cow<'a, Query> },
     /// Publish documents into a collection (fragment placement).
     Store { collection: String, docs: Vec<Document> },
     /// Fetch the documents of a collection (reconstruction reads): all of
@@ -88,7 +72,7 @@ pub enum Request {
     /// the parser's depth bound. It has a request tag of its own: an
     /// unfiltered fetch is the bytes it always was, and a peer that
     /// predates the filter rejects a filtered one by its tag.
-    Fetch { collection: String, filter: Option<Query> },
+    Fetch { collection: String, filter: Option<Cow<'a, Query>> },
     /// List hosted collection names.
     Collections,
     /// Drop a collection.
@@ -97,12 +81,12 @@ pub enum Request {
     /// pipeline. Carried in the WAL's own op encoding
     /// ([`partix_storage::wal::encode_op`]) so disk and wire share one
     /// canonical byte form.
-    Write { op: WriteOp },
+    Write { op: Cow<'a, WriteOp> },
     /// Liveness probe, answered with [`Response::Pong`].
     Ping,
 }
 
-impl Request {
+impl Request<'_> {
     /// The payload, or [`ProtocolError::Unprintable`] for a query that has
     /// no XQuery text: such a request is never sent.
     pub fn encode(&self) -> Result<Vec<u8>, ProtocolError> {
@@ -141,26 +125,21 @@ impl Request {
                 w.put_u8(5);
                 w.put_bytes(&partix_storage::wal::encode_op(op));
             }
-            Request::ExecuteAs { tenant, query } => {
-                w.put_u8(6);
-                w.put_str(tenant);
-                put_query(w, query)?;
-            }
             Request::Ping => w.put_u8(8),
         }
         Ok(())
     }
 
-    pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {
+    pub fn decode(payload: &[u8]) -> Result<Request<'static>, ProtocolError> {
         let mut r = Reader::new(payload);
         let req = Request::get(&mut r)?;
         r.finish()?;
         Ok(req)
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Request, ProtocolError> {
+    fn get(r: &mut Reader<'_>) -> Result<Request<'static>, ProtocolError> {
         Ok(match r.u8("request tag")? {
-            0 => Request::Execute { query: get_query(r, "query text")? },
+            0 => Request::Execute { query: Cow::Owned(get_query(r, "query text")?) },
             1 => {
                 let collection = r.str("store collection")?;
                 let docs = get_documents(r)?;
@@ -174,16 +153,12 @@ impl Request {
                 let op = partix_storage::wal::decode_op(raw).ok_or_else(|| {
                     ProtocolError::Malformed("undecodable write op".into())
                 })?;
-                Request::Write { op }
-            }
-            6 => {
-                let tenant = decode_tenant_header(r.str("tenant header")?)?;
-                Request::ExecuteAs { tenant, query: get_query(r, "query text")? }
+                Request::Write { op: Cow::Owned(op) }
             }
             7 => {
                 let collection = r.str("fetch collection")?;
                 let filter = get_query(r, "fetch filter")?;
-                Request::Fetch { collection, filter: Some(filter) }
+                Request::Fetch { collection, filter: Some(Cow::Owned(filter)) }
             }
             8 => Request::Ping,
             other => {
@@ -293,12 +268,12 @@ impl Response {
 /// Coordinator → node: one [`Request`] under a stream id of the caller's
 /// choosing, which the answer carries back.
 #[derive(Debug, Clone)]
-pub struct Call {
+pub struct Call<'a> {
     pub stream: u64,
-    pub request: Request,
+    pub request: Request<'a>,
 }
 
-impl Call {
+impl Call<'_> {
     /// The payload, or the error [`Request::encode`] fails with.
     pub fn encode(&self) -> Result<Vec<u8>, ProtocolError> {
         let mut w = Writer::new();
@@ -306,7 +281,7 @@ impl Call {
         Ok(w.into_bytes())
     }
 
-    pub fn decode(payload: &[u8]) -> Result<Call, ProtocolError> {
+    pub fn decode(payload: &[u8]) -> Result<Call<'static>, ProtocolError> {
         let mut r = Reader::new(payload);
         let call = Call { stream: r.u64("stream id")?, request: Request::get(&mut r)? };
         r.finish()?;
@@ -352,14 +327,11 @@ impl Reply {
 
 /// The typed failure of one stream or call: what a handler returns, what
 /// a [`StreamError`](crate::stream::StreamError) frame carries after its
-/// stream id, and what [`RemoteDriver::execute_as`] hands its caller.
-/// `retryable` maps back onto the driver error taxonomy: `true` →
-/// `DriverError::Unavailable` (the coordinator may fail over to a
-/// replica, a client to another coordinator), `false` →
+/// stream id. `retryable` maps back onto the driver error taxonomy:
+/// `true` → `DriverError::Unavailable` (the coordinator may fail over to
+/// a replica, a client to another coordinator), `false` →
 /// `DriverError::Failed` (the query or the DBMS rejected the request;
 /// retrying elsewhere would just fail again).
-///
-/// [`RemoteDriver::execute_as`]: crate::RemoteDriver::execute_as
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     pub retryable: bool,
@@ -433,22 +405,17 @@ mod tests {
     fn requests_roundtrip() {
         let q = parse_query(r#"for $i in collection("c")/x where $i/y = 1 return $i"#).unwrap();
         let docs = vec![parse("<a><b>1</b></a>").unwrap(), parse("<a k=\"v\"/>").unwrap()];
+        let put = WriteOp::Put { collection: "c".into(), doc: parse("<a><b>1</b></a>").unwrap() };
         let cases = vec![
-            Request::Execute { query: q.clone() },
-            Request::ExecuteAs { tenant: "team-a.prod".into(), query: q.clone() },
+            Request::Execute { query: Cow::Borrowed(&q) },
             Request::Store { collection: "c".into(), docs },
             Request::Fetch { collection: "c".into(), filter: None },
-            Request::Fetch { collection: "c".into(), filter: Some(q.clone()) },
+            Request::Fetch { collection: "c".into(), filter: Some(Cow::Borrowed(&q)) },
             Request::Collections,
             Request::Drop { collection: "c".into() },
+            Request::Write { op: Cow::Borrowed(&put) },
             Request::Write {
-                op: WriteOp::Put {
-                    collection: "c".into(),
-                    doc: parse("<a><b>1</b></a>").unwrap(),
-                },
-            },
-            Request::Write {
-                op: WriteOp::Delete { collection: "c".into(), name: "d1".into() },
+                op: Cow::Owned(WriteOp::Delete { collection: "c".into(), name: "d1".into() }),
             },
             Request::Ping,
         ];
@@ -476,7 +443,8 @@ mod tests {
         expected.put_str("c");
         assert_eq!(plain, expected.into_bytes());
         let filter = parse_query(r#"for $d in collection("c")/a where $d/b = 1 return $d"#);
-        let filtered = Request::Fetch { collection: "c".into(), filter: filter.ok() };
+        let filter = filter.ok().map(Cow::Owned);
+        let filtered = Request::Fetch { collection: "c".into(), filter };
         let filtered = filtered.encode().unwrap();
         assert_eq!(filtered[0], 7);
         // what a peer that knows tags 0–6 does with it
@@ -492,10 +460,8 @@ mod tests {
         assert!(!Request::Store { collection: "c".into(), docs: vec![] }.idempotent());
         // a write may have been applied before the connection died — the
         // transport must not silently replay it
-        assert!(!Request::Write {
-            op: WriteOp::Delete { collection: "c".into(), name: "d".into() }
-        }
-        .idempotent());
+        let delete = WriteOp::Delete { collection: "c".into(), name: "d".into() };
+        assert!(!Request::Write { op: Cow::Owned(delete) }.idempotent());
     }
 
     #[test]
@@ -531,37 +497,26 @@ mod tests {
     }
 
     #[test]
-    fn hostile_tenant_headers_are_typed_errors() {
-        let q = parse_query(r#"collection("c")/x"#).unwrap();
-        let ok = Request::ExecuteAs { tenant: "t1".into(), query: q.clone() };
-        assert!(Request::decode(&ok.encode().unwrap()).is_ok());
-        for bad in [
-            String::new(),
-            "with space".to_string(),
-            "nul\0byte".to_string(),
-            "x".repeat(partix_tenant::MAX_TENANT_NAME + 1),
-            "\u{7f}".to_string(),
-        ] {
-            let req = Request::ExecuteAs { tenant: bad, query: q.clone() };
-            assert!(
-                matches!(Request::decode(&req.encode().unwrap()), Err(ProtocolError::Malformed(_))),
-                "hostile tenant header must decode to a typed error"
-            );
-        }
-        // unknown error-code byte is typed, not defaulted
-        let mut bytes = WireError::failure(false, "x").encode();
-        bytes[1] = 99;
-        assert!(matches!(WireError::decode(&bytes), Err(ProtocolError::Malformed(_))));
-    }
-
-    #[test]
     fn malformed_messages_are_typed() {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[99]).is_err());
         // write tag with an undecodable op payload
         assert!(Request::decode(&[5, 3, 0, 0, 0, 9, 9, 9]).is_err());
+        // the retired tenant-headed execute, as its senders framed it
+        let mut retired = Writer::new();
+        retired.put_u8(6);
+        retired.put_str("t1");
+        put_query(&mut retired, &parse_query(r#"collection("c")/x"#).unwrap()).unwrap();
+        match Request::decode(&retired.into_bytes()) {
+            Err(ProtocolError::Malformed(m)) => assert_eq!(m, "bad request tag 6"),
+            other => panic!("tag 6 must stay retired, got {other:?}"),
+        }
         assert!(Response::decode(&[99]).is_err());
         assert!(WireError::decode(&[2]).is_err());
+        // an unknown error-code byte is typed, not defaulted
+        let mut bytes = WireError::failure(false, "x").encode();
+        bytes[1] = 99;
+        assert!(matches!(WireError::decode(&bytes), Err(ProtocolError::Malformed(_))));
         // a call or reply cut inside its stream id, or carrying nothing after it
         assert!(Call::decode(&[0; 7]).is_err());
         assert!(Call::decode(&[0; 8]).is_err());

@@ -10,8 +10,7 @@
 //!
 //! Failure mapping keeps the coordinator's recovery semantics intact:
 //! * at the node, driver errors become a [`WireError`] tagged with
-//!   retryability (`Unavailable` → retryable, `Failed` → not), admission
-//!   verdicts one with their [`ErrorCode`] and retry hint;
+//!   retryability (`Unavailable` → retryable, `Failed` → not);
 //! * at the coordinator, transport failures (connect refused, reset,
 //!   timeout, malformed answer) → [`DriverError::Unavailable`] — the
 //!   dispatch loop may fail over to a replica — and a typed error from the
@@ -28,45 +27,24 @@
 use crate::client::{Client, StreamClientConfig, Traffic, WireStats};
 use crate::codec::frame_of;
 use crate::frame::{FrameKind, ProtocolError};
-use crate::message::{put_call, ErrorCode, Reply, Request, Response, WireError};
+use crate::message::{put_call, Reply, Request, Response, WireError};
 use crate::server::{Handler, Server};
 use crate::stream::StreamError;
 use partix_engine::metrics::{self, Counter};
 use partix_engine::{wirespan, DriverError, PartixDriver};
 use partix_query::Query;
 use partix_storage::{Database, QueryOutput, WriteOp};
-use partix_tenant::{AdmissionController, TenantRegistry};
 use partix_xml::Document;
+use std::borrow::Cow;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-/// Multi-tenant admission state a node server may enforce for
-/// [`Request::ExecuteAs`] calls. Shared between servers (and with the
-/// engine) via `Arc`.
-pub struct ServerTenancy {
-    pub registry: Arc<TenantRegistry>,
-    pub controller: AdmissionController,
-}
-
-impl std::fmt::Debug for ServerTenancy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerTenancy")
-            .field("tenants", &self.registry.len())
-            .field("controller", &self.controller)
-            .finish()
-    }
-}
-
-/// What a node server can be told.
+/// What a node server can be told: nothing. A node runs what it is sent;
+/// tenancy is enforced once, where a query enters — at the coordinator
+/// (`PartiX::attach_tenancy`).
 #[derive(Debug, Clone, Default)]
-pub struct ServerConfig {
-    /// When set, [`Request::ExecuteAs`] calls pass this admission
-    /// control; when unset they answer a typed
-    /// [`ErrorCode::UnknownTenant`] error. Plain `Execute` calls are
-    /// never gated (the anonymous compatibility path).
-    pub tenancy: Option<Arc<ServerTenancy>>,
-}
+pub struct ServerConfig {}
 
 /// A running node server. Dropping it shuts it down.
 pub struct NodeServer(Server);
@@ -84,10 +62,9 @@ impl NodeServer {
     pub fn bind_driver(
         addr: impl ToSocketAddrs,
         driver: Arc<dyn PartixDriver>,
-        config: ServerConfig,
+        _config: ServerConfig,
     ) -> io::Result<NodeServer> {
-        let handler = NodeHandler { driver, tenancy: config.tenancy };
-        Server::bind(addr, Arc::new(handler)).map(NodeServer)
+        Server::bind(addr, Arc::new(NodeHandler { driver })).map(NodeServer)
     }
 
     /// The address actually bound (resolves port 0).
@@ -105,54 +82,18 @@ impl NodeServer {
 /// [`Handler`] bridging `Call` frames to a [`PartixDriver`].
 struct NodeHandler {
     driver: Arc<dyn PartixDriver>,
-    tenancy: Option<Arc<ServerTenancy>>,
 }
 
 fn driver_failure(err: DriverError) -> WireError {
     WireError::failure(matches!(err, DriverError::Unavailable(_)), err.to_string())
 }
 
-impl NodeHandler {
-    /// Admission control for `tenant`, then the query.
-    fn execute_as(&self, tenant: &str, query: &Query) -> Result<Response, WireError> {
-        let unknown = |message: String| WireError {
-            retryable: false,
-            code: ErrorCode::UnknownTenant,
-            retry_after_ms: 0,
-            message,
-        };
-        let Some(tenancy) = self.tenancy.as_ref() else {
-            return Err(unknown(format!("tenant {tenant:?}: server has no tenancy configured")));
-        };
-        let Some(entry) = tenancy.registry.by_name(tenant) else {
-            return Err(unknown(format!("unknown tenant {tenant:?}")));
-        };
-        metrics::global().counter(&format!("tenant.{tenant}.queries")).inc();
-        let permit = tenancy.controller.admit(&entry, 0).map_err(|rejection| {
-            metrics::global().counter(&format!("tenant.{tenant}.rejected")).inc();
-            // `WireError`'s Display re-appends the retry hint, so the
-            // message carries only the tenant + reason.
-            WireError {
-                retryable: false,
-                code: ErrorCode::AdmissionRejected,
-                retry_after_ms: rejection.retry_after_ms,
-                message: format!("tenant {:?} rejected: {}", rejection.tenant, rejection.reason),
-            }
-        })?;
-        metrics::global().counter(&format!("tenant.{tenant}.admitted")).inc();
-        let result = self.driver.execute(query).map(Response::Output);
-        drop(permit);
-        result.map_err(driver_failure)
-    }
-}
-
 impl Handler for NodeHandler {
-    fn call(&self, request: Request) -> Result<Response, WireError> {
+    fn call(&self, request: Request<'static>) -> Result<Response, WireError> {
         match request {
             Request::Execute { query } => {
                 self.driver.execute(&query).map(Response::Output).map_err(driver_failure)
             }
-            Request::ExecuteAs { tenant, query } => self.execute_as(&tenant, &query),
             Request::Store { collection, docs } => {
                 self.driver.store(&collection, docs);
                 Ok(Response::Stored)
@@ -288,29 +229,13 @@ impl RemoteDriver {
         })
     }
 
-    /// Execute a query as a named tenant ([`Request::ExecuteAs`]),
-    /// preserving the server's typed error verdict — an admission
-    /// rejection arrives as a [`WireError`] whose `code` and
-    /// `retry_after_ms` the caller can act on, never a silent drop or a
-    /// text-only failure.
-    pub fn execute_as(
-        &self,
-        tenant: &str,
-        query: &Query,
-    ) -> Result<Option<QueryOutput>, WireError> {
-        let request = Request::ExecuteAs { tenant: tenant.to_owned(), query: query.clone() };
-        match self.call(&request)? {
-            Response::Output(out) => Ok(out),
-            other => Err(WireError::failure(false, self.mismatched(&other, "ExecuteAs"))),
-        }
-    }
-
     /// A `Fetch` call; the node applies `filter`, if any.
     fn fetch(
         &self,
         collection: &str,
-        filter: Option<Query>,
+        filter: Option<&Query>,
     ) -> Result<Vec<Arc<Document>>, DriverError> {
+        let filter = filter.map(Cow::Borrowed);
         match self.request(&Request::Fetch { collection: collection.to_owned(), filter })? {
             Response::Docs(docs) => Ok(docs),
             other => Err(DriverError::Unavailable(self.mismatched(&other, "Fetch"))),
@@ -332,7 +257,7 @@ fn check_stream(sent: u64, got: u64) -> Result<(), ProtocolError> {
 
 impl PartixDriver for RemoteDriver {
     fn execute(&self, query: &Query) -> Result<Option<QueryOutput>, DriverError> {
-        match self.request(&Request::Execute { query: query.clone() })? {
+        match self.request(&Request::Execute { query: Cow::Borrowed(query) })? {
             Response::Output(out) => Ok(out),
             other => Err(DriverError::Failed(self.mismatched(&other, "Execute"))),
         }
@@ -361,7 +286,7 @@ impl PartixDriver for RemoteDriver {
         collection: &str,
         filter: &Query,
     ) -> Result<Vec<Arc<Document>>, DriverError> {
-        self.fetch(collection, Some(filter.clone()))
+        self.fetch(collection, Some(filter))
     }
 
     fn collections(&self) -> Vec<String> {
@@ -390,7 +315,7 @@ impl PartixDriver for RemoteDriver {
         // Never replayed on an ambiguous transport failure (the node may
         // have logged and applied it) — the coordinator gets a typed
         // Unavailable and decides; see Request::idempotent.
-        match self.request(&Request::Write { op: op.clone() })? {
+        match self.request(&Request::Write { op: Cow::Borrowed(op) })? {
             Response::Written(affected) => Ok(affected),
             other => Err(DriverError::Failed(self.mismatched(&other, "Write"))),
         }
@@ -451,14 +376,14 @@ mod tests {
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
 
         let query = parse_query(COUNT).unwrap();
-        match call(&mut conn, 1, Request::Execute { query }).unwrap() {
+        match call(&mut conn, 1, Request::Execute { query: Cow::Owned(query) }).unwrap() {
             Response::Output(Some(out)) => assert_eq!(out.items[0], Item::Num(6.0)),
             other => panic!("unexpected {other:?}"),
         }
         // absent collection stays the driver's Ok(None) contract
         let query = parse_query(r#"count(collection("absent")/x)"#).unwrap();
         assert!(matches!(
-            call(&mut conn, 2, Request::Execute { query }).unwrap(),
+            call(&mut conn, 2, Request::Execute { query: Cow::Owned(query) }).unwrap(),
             Response::Output(None)
         ));
         match call(&mut conn, 3, Request::Collections).unwrap() {
@@ -494,17 +419,24 @@ mod tests {
     #[test]
     fn malformed_payload_answers_error_and_drops_connection() {
         let (mut server, _db) = spawn_node();
+        // a request tag nobody assigned, and the retired tenant-headed execute
+        for tag in [250, 6] {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            let mut payload = 3u64.to_le_bytes().to_vec();
+            payload.extend_from_slice(&[tag, 1, 2]);
+            conn.write_all(&encode_frame(FrameKind::Call, &payload)).unwrap();
+            let (frame, _) = read_frame(&mut conn).unwrap().unwrap();
+            assert_eq!(frame.kind, FrameKind::StreamError);
+            let err = StreamError::decode(&frame.payload).unwrap();
+            assert_eq!((err.stream, err.error.retryable), (0, false));
+            let bad_tag = format!("bad request tag {tag}");
+            assert!(err.error.message.contains(&bad_tag), "{}", err.error.message);
+            // the server hangs up after a framing error
+            assert!(read_frame(&mut conn).unwrap().is_none());
+        }
+        // and keeps serving
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        // a stream id, then a request tag nobody assigned
-        let mut payload = 3u64.to_le_bytes().to_vec();
-        payload.extend_from_slice(&[250, 1, 2]);
-        conn.write_all(&encode_frame(FrameKind::Call, &payload)).unwrap();
-        let (frame, _) = read_frame(&mut conn).unwrap().unwrap();
-        assert_eq!(frame.kind, FrameKind::StreamError);
-        let err = StreamError::decode(&frame.payload).unwrap();
-        assert_eq!((err.stream, err.error.retryable), (0, false));
-        // the server hangs up after a framing error
-        assert!(read_frame(&mut conn).unwrap().is_none());
+        assert!(matches!(call(&mut conn, 1, Request::Ping).unwrap(), Response::Pong));
         server.shutdown();
     }
 
@@ -532,7 +464,7 @@ mod tests {
                 .unwrap();
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
         let query = parse_query(r#"collection("items")/Item"#).unwrap();
-        let err = call(&mut conn, 1, Request::Execute { query }).unwrap_err();
+        let err = call(&mut conn, 1, Request::Execute { query: Cow::Owned(query) }).unwrap_err();
         assert!(!err.retryable, "the same answer would be as large on a retry");
         assert!(err.message.contains("exceeds the 67108864 B cap"), "{}", err.message);
         // nothing oversized went out, so the stream position is intact
@@ -651,7 +583,6 @@ mod tests {
         let outcomes = [
             driver.execute(&query).map(|_| ()),
             driver.try_fetch_filtered("items", &query).map(|_| ()),
-            driver.execute_as("t1", &query).map(|_| ()).map_err(|e| DriverError::Failed(e.message)),
         ];
         for outcome in outcomes {
             match outcome {

@@ -87,7 +87,7 @@ pub trait Handler: Send + Sync + 'static {
     }
 
     /// Answer a `Call` with the one `Reply` it gets.
-    fn call(&self, _request: Request) -> Result<Response, WireError> {
+    fn call(&self, _request: Request<'static>) -> Result<Response, WireError> {
         Err(WireError::failure(false, "this endpoint serves no calls"))
     }
 }

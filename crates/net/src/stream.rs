@@ -33,6 +33,20 @@ fn stream_err(msg: String) -> ProtocolError {
     ProtocolError::Stream(msg)
 }
 
+/// Validate a wire-supplied tenant header before it touches any lookup:
+/// empty is anonymous, and hostile bytes (oversized, non-ASCII, control
+/// characters) become a typed [`ProtocolError::Malformed`] at decode time.
+fn decode_tenant_header(name: String) -> Result<String, ProtocolError> {
+    if name.is_empty() || partix_tenant::valid_tenant_name(&name) {
+        return Ok(name);
+    }
+    Err(ProtocolError::Malformed(format!(
+        "invalid tenant header ({} bytes; names are 1..={} bytes of [A-Za-z0-9._-])",
+        name.len(),
+        partix_tenant::MAX_TENANT_NAME
+    )))
+}
+
 /// Client → coordinator: open a result stream for one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamQuery {
@@ -78,14 +92,7 @@ impl StreamQuery {
             allow_partial: r.bool("allow_partial")?,
             buffered: r.bool("buffered")?,
             chunk_items: r.u32("chunk_items")?,
-            tenant: {
-                let tenant = r.str("tenant header")?;
-                if tenant.is_empty() {
-                    tenant
-                } else {
-                    crate::message::decode_tenant_header(tenant)?
-                }
-            },
+            tenant: decode_tenant_header(r.str("tenant header")?)?,
         };
         r.finish()?;
         Ok(q)

@@ -24,6 +24,7 @@ use partix_net::{
 use partix_path::MAX_DEPTH;
 use partix_query::{parse_query, Item};
 use partix_storage::Database;
+use std::borrow::Cow;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -106,7 +107,7 @@ fn node_server_refuses_deep_query_frames_and_keeps_serving() {
         assert_eq!(frame.kind, FrameKind::StreamError);
 
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        let request = Request::Execute { query: parse_query(COUNT).unwrap() };
+        let request = Request::Execute { query: Cow::Owned(parse_query(COUNT).unwrap()) };
         let call = Call { stream: 2, request }.encode().unwrap();
         conn.write_all(&encode_frame(FrameKind::Call, &call)).unwrap();
         let (frame, _) = read_frame(&mut conn).unwrap().expect("an answer");
@@ -148,7 +149,7 @@ fn the_deepest_accepted_queries_print_and_parse_back() {
         let printed = print_query(&query).unwrap_or_else(|e| panic!("{shape}: {e}"));
         assert_eq!(parse_query(&printed).as_ref(), Ok(&query), "{shape} at depth {deepest}");
         // and it crosses the wire to a node as it is
-        let request = Request::Execute { query };
+        let request = Request::Execute { query: Cow::Owned(query) };
         let back = Request::decode(&request.encode().unwrap()).unwrap();
         assert_eq!(format!("{back:?}"), format!("{request:?}"), "{shape}");
     }

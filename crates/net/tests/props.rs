@@ -23,6 +23,7 @@ use partix_storage::{QueryOutput, QueryStats};
 use partix_xml::Document;
 use prop::collection::vec;
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 /// Per-block case budget, overridable with `PARTIX_PROPTEST_CASES`.
 fn cases(default_cases: u32) -> ProptestConfig {
@@ -272,10 +273,10 @@ proptest! {
     ) {
         let query = parse_query(text).expect("strategy queries parse");
         for request in [
-            Request::Execute { query: query.clone() },
+            Request::Execute { query: Cow::Borrowed(&query) },
             Request::Store { collection: "c".into(), docs: docs.clone() },
             Request::Fetch { collection: "c".into(), filter: None },
-            Request::Fetch { collection: "c".into(), filter: Some(query.clone()) },
+            Request::Fetch { collection: "c".into(), filter: Some(Cow::Borrowed(&query)) },
             Request::Collections,
             Request::Drop { collection: "c".into() },
             Request::Ping,
@@ -363,11 +364,11 @@ proptest! {
     #![proptest_config(cases(96))]
 
     /// A hostile tenant header — control bytes, separators, oversized
-    /// names — decodes to a typed [`ProtocolError::Malformed`] in both
-    /// openings, never a panic and never a silently accepted identity.
-    /// Valid names always round-trip.
+    /// names — decodes to a typed [`ProtocolError::Malformed`] in a stream
+    /// opening, the one message that carries it: never a panic and never a
+    /// silently accepted identity. Valid names always round-trip.
     #[test]
-    fn hostile_tenant_headers_are_typed_in_both_openings(
+    fn hostile_tenant_headers_are_typed_in_a_stream_opening(
         raw in prop::collection::vec((0usize..256).prop_map(|b| b as u8), 0..100),
         stream in 1u64..1000,
     ) {
@@ -375,17 +376,7 @@ proptest! {
         let valid = !tenant.is_empty()
             && tenant.len() <= 64
             && tenant.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-        // a call: ExecuteAs carries the header
-        let query = parse_query(r#"collection("c")/x"#).unwrap();
-        let call = Call { stream, request: Request::ExecuteAs { tenant: tenant.clone(), query } };
-        match Call::decode(&call.encode().expect("the query prints")) {
-            Ok(_) => prop_assert!(valid, "invalid tenant {tenant:?} decoded in a call"),
-            Err(e) => {
-                prop_assert!(!valid, "valid tenant {tenant:?} rejected in a call: {e}");
-                prop_assert!(matches!(e, ProtocolError::Malformed(_)));
-            }
-        }
-        // a stream: StreamQuery carries it (empty = anonymous, always fine)
+        // empty = anonymous, always fine
         let sq = StreamQuery {
             stream,
             text: "1".into(),
@@ -517,14 +508,14 @@ proptest! {
     #[test]
     fn truncated_payloads_are_typed_errors(text in arb_query_text()) {
         let query = parse_query(text).expect("strategy queries parse");
-        let bytes = Request::Execute { query: query.clone() }.encode().expect("it prints");
+        let bytes = Request::Execute { query: Cow::Borrowed(&query) }.encode().expect("it prints");
         for cut in 0..bytes.len() {
             prop_assert!(
                 Request::decode(&bytes[..cut]).is_err(),
                 "prefix of length {cut} decoded as a full execute",
             );
         }
-        for filter in [Some(query), None] {
+        for filter in [Some(Cow::Owned(query)), None] {
             let bytes = Request::Fetch { collection: "c".into(), filter }.encode().expect("it prints");
             for cut in 0..bytes.len() {
                 prop_assert!(
@@ -547,7 +538,7 @@ proptest! {
         flip in 1usize..256,
     ) {
         let query = parse_query(text).expect("strategy queries parse");
-        let filtered = Request::Fetch { collection: "c".into(), filter: Some(query) };
+        let filtered = Request::Fetch { collection: "c".into(), filter: Some(Cow::Owned(query)) };
         let mut bytes = filtered.encode().expect("it prints");
         let pos = pos % bytes.len();
         bytes[pos] ^= flip as u8;

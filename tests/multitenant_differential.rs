@@ -3,10 +3,9 @@
 //! suspended quotas, seeded node faults — every *admitted* query must
 //! return the centralized oracle's answer byte-for-byte, every refusal
 //! must be a *typed* admission error (code + retry hint), and a
-//! rejection must leave the next answer equal to the oracle's. Both
-//! transports are covered: the in-process engine path and loopback TCP
-//! at both endpoints of the one `PXN2` protocol — the node leg and the
-//! coordinator's streams.
+//! rejection must leave the next answer equal to the oracle's. Tenancy is
+//! enforced once, where a query enters: the in-process engine path and
+//! the coordinator's streams over loopback TCP are both covered.
 
 use partix::engine::{
     AdmissionConfig, AdmissionController, ExecOptions, FaultPlan, PartiX, PartixError,
@@ -126,16 +125,12 @@ fn unknown_tenant_and_missing_tenancy_are_typed() {
     let q = format!(r#"count(collection("{}")/Item)"#, setup::DIST);
 
     let bare = setup::horizontal(&docs, 2);
-    match bare.resolve_tenant("frontend") {
-        Err(PartixError::AdmissionRejected { reason, .. }) => {
-            assert!(reason.contains("no tenancy"), "{reason}");
-        }
-        other => panic!("expected typed rejection, got {other:?}"),
-    }
+    assert_eq!(bare.resolve_tenant("frontend"), None, "no tenancy attached");
 
     let px = setup::horizontal(&docs, 2);
     let (frontend, _, _) = attach_two_tenants(&px);
-    assert!(px.resolve_tenant("nobody").is_err());
+    assert_eq!(px.resolve_tenant("nobody"), None);
+    assert_eq!(px.resolve_tenant("frontend"), Some(frontend));
     // a dangling tenant id (registry from another server) is typed too
     let bogus = TenantId(7);
     match px.execute_with(&q, as_tenant(bogus)) {
@@ -221,64 +216,10 @@ fn a_held_slot_is_a_typed_rejection_and_the_next_answer_matches_oracle() {
         .unwrap_or_else(|e| panic!("answer after the rejection storm: {e}"));
 }
 
-/// Loopback TCP, the node leg: `ExecuteAs` admitted answers are
-/// byte-identical to direct database execution; over-quota and unknown
-/// tenants get typed wire errors with the right code and retry hint.
-#[test]
-fn node_loopback_gates_tenants_with_typed_wire_errors() {
-    use partix::storage::Database;
-    use partix_net::{ErrorCode, NodeServer, RemoteDriver, ServerConfig, ServerTenancy};
-
-    let docs = setup::quick_items(24);
-    let db = Database::new();
-    db.store_all("items", docs.iter().cloned());
-    let oracle = canonical(
-        &db.execute(r#"count(collection("items")/Item)"#).expect("oracle").items,
-    );
-
-    let registry = registry();
-    // a suspended tenant: registered, zero concurrency
-    registry
-        .register(TenantSpec {
-            name: "suspended".to_owned(),
-            class: PriorityClass::Batch,
-            quotas: TenantQuotas { max_concurrent: 0, max_queued: 0, ..TenantQuotas::default() },
-        })
-        .expect("register suspended");
-    let server = NodeServer::bind_driver(
-        "127.0.0.1:0",
-        Arc::new(db),
-        ServerConfig {
-            tenancy: Some(Arc::new(ServerTenancy {
-                registry,
-                controller: AdmissionController::default(),
-            })),
-        },
-    )
-    .expect("bind node server");
-    let driver = RemoteDriver::connect(server.local_addr()).expect("dial");
-    let query = partix::query::parse_query(r#"count(collection("items")/Item)"#).expect("parse");
-
-    let out = driver
-        .execute_as("frontend", &query)
-        .expect("frontend admitted")
-        .expect("collection exists");
-    assert_eq!(canonical(&out.items), oracle);
-
-    let err = driver.execute_as("suspended", &query).expect_err("suspended rejected");
-    assert_eq!(err.code, ErrorCode::AdmissionRejected);
-    assert!(!err.retryable, "admission rejections are not transport-retryable");
-    assert!(err.retry_after_ms > 0, "rejection lost its retry hint");
-    assert!(err.message.contains("quota"), "{}", err.message);
-
-    let err = driver.execute_as("nobody", &query).expect_err("unknown rejected");
-    assert_eq!(err.code, ErrorCode::UnknownTenant);
-    assert!(err.message.contains("unknown tenant"), "{}", err.message);
-}
-
 /// Loopback TCP, the coordinator's streams: the tenant header flows to
-/// the coordinator's engine-side admission, and rejections surface as
-/// typed [`StreamCallError::Remote`] verdicts with the right code.
+/// the coordinator's engine-side admission, admitted answers equal the
+/// oracle, and refusals surface as typed [`StreamCallError::Remote`]
+/// verdicts with the right code and retry hint.
 #[test]
 fn pxn2_loopback_gates_tenants_with_typed_stream_errors() {
     use partix::storage::Database;
@@ -323,16 +264,18 @@ fn pxn2_loopback_gates_tenants_with_typed_stream_errors() {
     assert_eq!(canonical(&result.items), oracle);
 
     match pool.query(q, with_tenant("suspended")) {
-        Err(StreamCallError::Remote { retryable, code, message, .. }) => {
+        Err(StreamCallError::Remote { retryable, code, retry_after_ms, message }) => {
             assert_eq!(code, ErrorCode::AdmissionRejected);
-            assert!(!retryable);
+            assert!(!retryable, "admission rejections are not transport-retryable");
+            assert!(retry_after_ms > 0, "rejection lost its retry hint");
             assert!(message.contains("quota"), "{message}");
         }
         other => panic!("expected typed admission rejection, got {other:?}"),
     }
     match pool.query(q, with_tenant("nobody")) {
-        Err(StreamCallError::Remote { code, message, .. }) => {
+        Err(StreamCallError::Remote { retryable, code, message, .. }) => {
             assert_eq!(code, ErrorCode::UnknownTenant);
+            assert!(!retryable);
             assert!(message.contains("unknown tenant"), "{message}");
         }
         other => panic!("expected typed unknown-tenant error, got {other:?}"),
