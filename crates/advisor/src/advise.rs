@@ -21,7 +21,7 @@
 //! and ordered maps throughout, so `partix advise` gives reproducible
 //! recommendations.
 
-use crate::cost::{self, CostReport, CostWeights, FragmentLoad};
+use crate::cost::{self, CostReport, FragmentLoad};
 use crate::profile::WorkloadProfile;
 use partix_engine::{Distribution, PartiX, Placement};
 use partix_frag::{horizontal_by_values, Fragmenter, FragmentationSchema};
@@ -37,8 +37,6 @@ pub struct AdvisorConfig {
     pub nodes: usize,
     /// PRNG seed — same seed, same advice.
     pub seed: u64,
-    /// Local-search iterations per candidate design.
-    pub swap_iters: usize,
     /// Fragment counts to try for horizontal re-splits (ignored without
     /// [`AdvisorConfig::split_path`]).
     pub candidate_counts: Vec<usize>,
@@ -50,7 +48,6 @@ pub struct AdvisorConfig {
     pub query_log: Vec<String>,
     /// How many mined paths (hottest first) become candidates.
     pub mined_paths: usize,
-    pub weights: CostWeights,
 }
 
 impl AdvisorConfig {
@@ -58,12 +55,10 @@ impl AdvisorConfig {
         AdvisorConfig {
             nodes,
             seed: 42,
-            swap_iters: 200,
             candidate_counts: vec![],
             split_path: None,
             query_log: vec![],
             mined_paths: 2,
-            weights: CostWeights::default(),
         }
     }
 }
@@ -120,6 +115,9 @@ impl fmt::Display for AdviseError {
 
 impl std::error::Error for AdviseError {}
 
+/// Local-search iterations per candidate design.
+const SWAP_ITERS: usize = 200;
+
 /// xorshift64 — deterministic, dependency-free.
 struct Rng(u64);
 
@@ -167,7 +165,7 @@ pub fn advise(
     // the current placement, scored as-is, is the baseline
     let current_loads = design_loads(&current.design, sample, &profile_loads, total_accesses, avg_selectivity);
     let current_placed = placement_map(&current.placements);
-    let current_cost = cost::score(&current_loads, &current_placed, config.nodes, &config.weights);
+    let current_cost = cost::score(&current_loads, &current_placed, config.nodes);
 
     // candidate designs: current + horizontal re-splits. Split paths
     // come from the operator (`split_path`) and from frequency mining
@@ -206,7 +204,7 @@ pub fn advise(
         // decorrelate per-candidate search streams deterministically
         let mut rng = Rng::new(config.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let placed = search_placement(&loads, config, &mut rng);
-        let report = cost::score(&loads, &placed, config.nodes, &config.weights);
+        let report = cost::score(&loads, &placed, config.nodes);
         let better = match &best {
             None => true,
             Some((_, _, best_report)) => report.total_cost < best_report.total_cost,
@@ -367,8 +365,8 @@ fn search_placement(
     if names.is_empty() || nodes < 2 {
         return placed;
     }
-    let mut best_cost = cost::score(loads, &placed, nodes, &config.weights).total_cost;
-    for _ in 0..config.swap_iters {
+    let mut best_cost = cost::score(loads, &placed, nodes).total_cost;
+    for _ in 0..SWAP_ITERS {
         let mut trial = placed.clone();
         match rng.below(4) {
             // move one fragment's first replica to another node
@@ -420,7 +418,7 @@ fn search_placement(
                 replicas.remove(victim);
             }
         }
-        let trial_cost = cost::score(loads, &trial, nodes, &config.weights).total_cost;
+        let trial_cost = cost::score(loads, &trial, nodes).total_cost;
         if trial_cost < best_cost {
             best_cost = trial_cost;
             placed = trial;

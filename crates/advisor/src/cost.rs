@@ -21,24 +21,16 @@
 use crate::profile::WorkloadProfile;
 use std::collections::BTreeMap;
 
-/// Relative weights of the cost terms.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Per byte scanned at a node.
-    pub scan: f64,
-    /// Per byte shipped to the coordinator.
-    pub ship: f64,
-    /// Per byte of (max − mean) node load.
-    pub imbalance: f64,
-}
+// Relative weights of the cost terms: scanning local storage is cheap
+// relative to shipping results over the wire; imbalance is a
+// tie-breaker, not a driver.
 
-impl Default for CostWeights {
-    fn default() -> Self {
-        // scanning local storage is cheap relative to shipping results
-        // over the wire; imbalance is a tie-breaker, not a driver
-        CostWeights { scan: 1.0, ship: 4.0, imbalance: 0.25 }
-    }
-}
+/// Per byte scanned at a node.
+const SCAN_WEIGHT: f64 = 1.0;
+/// Per byte shipped to the coordinator.
+const SHIP_WEIGHT: f64 = 4.0;
+/// Per byte of (max − mean) node load.
+const IMBALANCE_WEIGHT: f64 = 0.25;
 
 /// Cost prediction for one `(design, placement)` candidate.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -94,7 +86,6 @@ pub fn score(
     loads: &BTreeMap<String, FragmentLoad>,
     placements: &BTreeMap<String, Vec<usize>>,
     nodes: usize,
-    weights: &CostWeights,
 ) -> CostReport {
     let mut node_costs = vec![0.0; nodes];
     let mut ship_cost = 0.0;
@@ -104,7 +95,7 @@ pub fn score(
             size_bytes: 0.0,
             selectivity: 1.0,
         });
-        let scan = load.accesses * load.size_bytes * weights.scan;
+        let scan = load.accesses * load.size_bytes * SCAN_WEIGHT;
         if !replicas.is_empty() {
             // round-robin replica selection spreads accesses evenly
             let share = scan / replicas.len() as f64;
@@ -114,7 +105,7 @@ pub fn score(
                 }
             }
         }
-        ship_cost += load.accesses * load.selectivity * load.size_bytes * weights.ship;
+        ship_cost += load.accesses * load.selectivity * load.size_bytes * SHIP_WEIGHT;
     }
     let max_node_cost = node_costs.iter().cloned().fold(0.0, f64::max);
     let mean = if node_costs.is_empty() {
@@ -122,7 +113,7 @@ pub fn score(
     } else {
         node_costs.iter().sum::<f64>() / node_costs.len() as f64
     };
-    let imbalance_cost = (max_node_cost - mean) * weights.imbalance;
+    let imbalance_cost = (max_node_cost - mean) * IMBALANCE_WEIGHT;
     CostReport {
         max_node_cost,
         ship_cost,
@@ -156,9 +147,8 @@ mod tests {
     #[test]
     fn spreading_hot_fragments_beats_colocating_them() {
         let loads = loads();
-        let w = CostWeights::default();
-        let colocated = score(&loads, &place(&[("f_hot", &[0]), ("f_cold", &[0])]), 2, &w);
-        let spread = score(&loads, &place(&[("f_hot", &[0]), ("f_cold", &[1])]), 2, &w);
+        let colocated = score(&loads, &place(&[("f_hot", &[0]), ("f_cold", &[0])]), 2);
+        let spread = score(&loads, &place(&[("f_hot", &[0]), ("f_cold", &[1])]), 2);
         assert!(spread.total_cost < colocated.total_cost);
         assert_eq!(spread.node_costs.len(), 2);
         // ship cost is placement-independent
@@ -168,9 +158,8 @@ mod tests {
     #[test]
     fn replication_halves_the_bottleneck_scan_load() {
         let loads = loads();
-        let w = CostWeights { imbalance: 0.0, ..CostWeights::default() };
-        let single = score(&loads, &place(&[("f_hot", &[0])]), 2, &w);
-        let replicated = score(&loads, &place(&[("f_hot", &[0, 1])]), 2, &w);
+        let single = score(&loads, &place(&[("f_hot", &[0])]), 2);
+        let replicated = score(&loads, &place(&[("f_hot", &[0, 1])]), 2);
         assert!((replicated.max_node_cost * 2.0 - single.max_node_cost).abs() < 1e-9);
     }
 
@@ -183,23 +172,19 @@ mod tests {
                 FragmentLoad { accesses: acc, size_bytes: 100.0, selectivity: 1.0 },
             );
         }
-        let w = CostWeights { scan: 1.0, ship: 0.0, imbalance: 1.0 };
-        // same busiest node (a alone), but packing b+c together idles node 2
-        let even = score(&loads, &place(&[("a", &[0]), ("b", &[1]), ("c", &[2])]), 3, &w);
-        let skewed = score(&loads, &place(&[("a", &[0]), ("b", &[1]), ("c", &[1])]), 3, &w);
+        // same ship cost, but packing b+c together idles node 2
+        let even = score(&loads, &place(&[("a", &[0]), ("b", &[1]), ("c", &[2])]), 3);
+        let skewed = score(&loads, &place(&[("a", &[0]), ("b", &[1]), ("c", &[1])]), 3);
         assert!(skewed.max_node_cost > even.max_node_cost);
+        assert_eq!(even.imbalance_cost, 0.0);
+        assert!(skewed.imbalance_cost > 0.0);
         assert!(skewed.total_cost > even.total_cost);
     }
 
     #[test]
     fn unknown_fragments_and_bad_nodes_are_tolerated() {
         let loads = BTreeMap::new();
-        let report = score(
-            &loads,
-            &place(&[("mystery", &[0]), ("oob", &[99])]),
-            2,
-            &CostWeights::default(),
-        );
+        let report = score(&loads, &place(&[("mystery", &[0]), ("oob", &[99])]), 2);
         assert_eq!(report.total_cost, 0.0);
         assert_eq!(report.node_costs, vec![0.0, 0.0]);
     }

@@ -38,11 +38,11 @@ pub mod rebalance;
 
 pub use advise::{advise, advise_live, collection_sample, Advice, AdviseError, AdvisorConfig};
 pub use mining::{mine_predicates, mined_split_paths, MinedPredicate};
-pub use cost::{score, CostReport, CostWeights, FragmentLoad};
+pub use cost::{score, CostReport, FragmentLoad};
 pub use profile::{
     FragmentStats, NodeStats, StageTotals, WorkloadProfile, WorkloadProfiler,
 };
 pub use rebalance::{
-    rebalance, rebalance_with_observer, MoveRecord, RebalanceError, RebalanceOptions,
-    RebalancePhase, RebalanceReport,
+    rebalance, rebalance_with_observer, MoveRecord, RebalanceError, RebalancePhase,
+    RebalanceReport,
 };

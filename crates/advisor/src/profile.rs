@@ -76,11 +76,6 @@ impl WorkloadProfile {
     pub fn fragment(&self, name: &str) -> Option<&FragmentStats> {
         self.fragments.iter().find(|f| f.fragment == name)
     }
-
-    /// Total result bytes shipped to the coordinator.
-    pub fn total_shipped_bytes(&self) -> u64 {
-        self.fragments.iter().map(|f| f.shipped_bytes).sum()
-    }
 }
 
 #[derive(Debug, Default)]
@@ -222,7 +217,7 @@ mod tests {
         assert_eq!(p.nodes[0].node, 0);
         assert_eq!(p.nodes[0].accesses, 2);
         assert!((p.stages.dispatch_s - 0.5).abs() < 1e-12);
-        assert_eq!(p.total_shipped_bytes(), 700);
+        assert_eq!(p.fragment("f_dvd").unwrap().shipped_bytes, 100);
     }
 
     #[test]

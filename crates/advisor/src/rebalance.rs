@@ -103,21 +103,6 @@ impl fmt::Display for RebalanceError {
 
 impl std::error::Error for RebalanceError {}
 
-/// Options controlling a rebalance.
-#[derive(Debug, Clone)]
-pub struct RebalanceOptions {
-    /// Re-run data-level completeness/disjointness checks after the
-    /// swap (horizontal designs only; placement validation always
-    /// runs). Default on.
-    pub verify: bool,
-}
-
-impl Default for RebalanceOptions {
-    fn default() -> Self {
-        RebalanceOptions { verify: true }
-    }
-}
-
 /// Observable milestones of a running rebalance, in order. Exposed for
 /// callers that must interleave deterministically with a migration —
 /// the write-during-migration differential test injects a write at
@@ -145,9 +130,8 @@ pub fn rebalance(
     px: &PartiX,
     collection: &str,
     target: &[Placement],
-    options: &RebalanceOptions,
 ) -> Result<RebalanceReport, RebalanceError> {
-    rebalance_with_observer(px, collection, target, options, &mut |_| {})
+    rebalance_with_observer(px, collection, target, &mut |_| {})
 }
 
 /// [`rebalance`] with a milestone callback — see [`RebalancePhase`].
@@ -158,7 +142,6 @@ pub fn rebalance_with_observer(
     px: &PartiX,
     collection: &str,
     target: &[Placement],
-    options: &RebalanceOptions,
     observer: &mut dyn FnMut(RebalancePhase),
 ) -> Result<RebalanceReport, RebalanceError> {
     let start = Instant::now();
@@ -284,7 +267,7 @@ pub fn rebalance_with_observer(
         }
         contents.push((fragment.clone(), docs));
     }
-    if options.verify && current.design.frag_type() == FragType::Horizontal {
+    if current.design.frag_type() == FragType::Horizontal {
         // the union of the migrated fragments must itself re-fragment
         // completely and disjointly under the design
         let sources: Vec<Document> =
@@ -390,8 +373,7 @@ mod tests {
     fn migrates_fragments_and_queries_survive() {
         let px = skewed_px();
         let before = count_of(&px);
-        let report =
-            rebalance(&px, "items", &spread(), &RebalanceOptions::default()).unwrap();
+        let report = rebalance(&px, "items", &spread()).unwrap();
         assert!(report.verified);
         assert_eq!(report.moves.len(), 2, "{:?}", report.moves);
         assert!(report.migrated_bytes > 0);
@@ -413,9 +395,8 @@ mod tests {
     #[test]
     fn rebalance_is_idempotent_for_a_matching_target() {
         let px = skewed_px();
-        rebalance(&px, "items", &spread(), &RebalanceOptions::default()).unwrap();
-        let again =
-            rebalance(&px, "items", &spread(), &RebalanceOptions::default()).unwrap();
+        rebalance(&px, "items", &spread()).unwrap();
+        let again = rebalance(&px, "items", &spread()).unwrap();
         assert!(again.moves.is_empty());
         assert_eq!(again.migrated_bytes, 0);
         assert!(again.verified);
@@ -428,16 +409,14 @@ mod tests {
         let mut target = spread();
         target.push(Placement { fragment: "f_cd".into(), node: 1 });
         target.push(Placement { fragment: "f_cd".into(), node: 2 });
-        let report =
-            rebalance(&px, "items", &target, &RebalanceOptions::default()).unwrap();
+        let report = rebalance(&px, "items", &target).unwrap();
         assert!(report.verified);
         assert_eq!(px.catalog().distribution("items").unwrap().nodes_of("f_cd").len(), 3);
         assert_eq!(px.cluster().node(2).unwrap().db.collection_len("f_cd").unwrap(), 10);
         // then shrink back to a single replica on node 2
         let mut shrink = spread();
         shrink[0] = Placement { fragment: "f_cd".into(), node: 2 };
-        let report =
-            rebalance(&px, "items", &shrink, &RebalanceOptions::default()).unwrap();
+        let report = rebalance(&px, "items", &shrink).unwrap();
         assert!(report.verified);
         assert!(px.cluster().node(0).unwrap().db.collection_len("f_cd").is_err());
         assert!(px.cluster().node(1).unwrap().db.collection_len("f_cd").is_err());
@@ -451,25 +430,25 @@ mod tests {
         let mut bad = spread();
         bad[1].node = 9;
         assert!(matches!(
-            rebalance(&px, "items", &bad, &RebalanceOptions::default()),
+            rebalance(&px, "items", &bad),
             Err(RebalanceError::InvalidTarget(_))
         ));
         // unknown fragment
         let mut ghost = spread();
         ghost.push(Placement { fragment: "f_ghost".into(), node: 1 });
         assert!(matches!(
-            rebalance(&px, "items", &ghost, &RebalanceOptions::default()),
+            rebalance(&px, "items", &ghost),
             Err(RebalanceError::InvalidTarget(_))
         ));
         // unplaced fragment
         let missing = vec![Placement { fragment: "f_cd".into(), node: 0 }];
         assert!(matches!(
-            rebalance(&px, "items", &missing, &RebalanceOptions::default()),
+            rebalance(&px, "items", &missing),
             Err(RebalanceError::InvalidTarget(_))
         ));
         // no distribution at all
         assert!(matches!(
-            rebalance(&px, "nope", &spread(), &RebalanceOptions::default()),
+            rebalance(&px, "nope", &spread()),
             Err(RebalanceError::NoDistribution(_))
         ));
         // nothing moved, nothing dropped

@@ -52,9 +52,6 @@ pub fn compare(px: &PartiX, query_id: &str, query: &str, reps: usize) -> Measure
         dist_total += d.report.total();
         last_report = d.report;
     }
-    if std::env::var_os("PARTIX_DEBUG").is_some() {
-        eprintln!("[{query_id}] {last_report}");
-    }
     let reps = reps.max(1) as f64;
     let centralized_s = cent_total / reps;
     let distributed_s = dist_total / reps;

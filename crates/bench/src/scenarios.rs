@@ -28,7 +28,7 @@ use crate::oracle::{canonical, oracle_answers};
 use crate::remote::RemoteCluster;
 use crate::scenario::{turn, Fields, Fleet, Knobs, Op};
 use crate::{queries, setup};
-use partix_advisor::{advise_live, AdvisorConfig, RebalanceOptions, WorkloadProfiler};
+use partix_advisor::{advise_live, AdvisorConfig, WorkloadProfiler};
 use partix_engine::{
     AdmissionConfig, AdmissionController, DispatchMode, ExecOptions, FaultPlan, MetaService,
     NetworkModel, PartiX, PartixDriver, PartixError, PriorityClass, RetryPolicy, Tenancy,
@@ -200,13 +200,8 @@ pub fn rebalance(knobs: &Knobs) -> Fields {
                 }
             }
         });
-        let report = partix_advisor::rebalance(
-            &px,
-            setup::DIST,
-            &advice.placements,
-            &RebalanceOptions::default(),
-        )
-        .expect("live rebalance");
+        let report = partix_advisor::rebalance(&px, setup::DIST, &advice.placements)
+            .expect("live rebalance");
         done.store(true, Ordering::Relaxed);
         probe.join().expect("probe thread");
         report
@@ -455,7 +450,6 @@ pub fn multitenant(knobs: &Knobs) -> Fields {
             // well-behaved tenant never queues (generous quota)
             queue_wait: Duration::from_millis(250),
             retry_after_ms: 50,
-            worker_capacity: 0,
         }),
     });
     println!(

@@ -549,13 +549,8 @@ pub fn rebalance(seed: u64) -> Result<String, CliError> {
     let advice = partix_advisor::advise_live(&px, "items", &profile, &config)
         .map_err(|e| err(e.to_string()))?
         .ok_or_else(|| err("rebalance: collection \"items\" has no distribution"))?;
-    let report = partix_advisor::rebalance(
-        &px,
-        "items",
-        &advice.placements,
-        &partix_advisor::RebalanceOptions::default(),
-    )
-    .map_err(|e| err(e.to_string()))?;
+    let report = partix_advisor::rebalance(&px, "items", &advice.placements)
+        .map_err(|e| err(e.to_string()))?;
 
     let after = px
         .execute(count_q)
@@ -866,6 +861,7 @@ USAGE
                                                     priority class
   partix ping <HOST:PORT>                           health-check a node
                                                     server over the wire
+  partix help                                       print this usage
 
 EXAMPLE
   partix load ./db items item1.xml item2.xml

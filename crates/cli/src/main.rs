@@ -70,9 +70,14 @@ fn main() -> ExitCode {
             }
         }
         Some("ping") if args.len() == 2 => partix_cli::ping(&args[1]),
-        _ => {
+        None | Some("help" | "--help") if args.len() <= 1 => {
             println!("{}", partix_cli::USAGE);
             return ExitCode::SUCCESS;
+        }
+        // an unknown command, or a known one with the wrong arguments
+        _ => {
+            eprintln!("{}", partix_cli::USAGE);
+            return ExitCode::from(2);
         }
     };
     match result {

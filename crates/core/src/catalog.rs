@@ -66,14 +66,6 @@ pub struct Distribution {
 }
 
 impl Distribution {
-    /// Primary node hosting `fragment`, if placed (first placement).
-    pub fn node_of(&self, fragment: &str) -> Option<usize> {
-        self.placements
-            .iter()
-            .find(|p| p.fragment == fragment)
-            .map(|p| p.node)
-    }
-
     /// Every node hosting a replica of `fragment`, in placement order.
     /// Duplicate placements of the same fragment on the same node are
     /// collapsed to one entry (first occurrence wins), so replica rings
@@ -251,9 +243,9 @@ mod tests {
         })
         .unwrap();
         let dist = cat.distribution("items").unwrap();
-        assert_eq!(dist.node_of("f_cd"), Some(0));
-        assert_eq!(dist.node_of("f_rest"), Some(1));
-        assert_eq!(dist.node_of("zzz"), None);
+        assert_eq!(dist.nodes_of("f_cd"), [0]);
+        assert_eq!(dist.nodes_of("f_rest"), [1]);
+        assert!(dist.nodes_of("zzz").is_empty());
         assert_eq!(cat.distributed_collections(), ["items"]);
     }
 
@@ -332,7 +324,6 @@ mod tests {
         .unwrap();
         let dist = cat.distribution("items").unwrap();
         assert_eq!(dist.nodes_of("f_cd"), [0, 1]);
-        assert_eq!(dist.node_of("f_cd"), Some(0));
     }
 
     #[test]
@@ -366,7 +357,6 @@ mod tests {
             ],
         };
         assert_eq!(dist.nodes_of("f_cd"), [2, 0, 1]);
-        assert_eq!(dist.node_of("f_cd"), Some(2));
         // repeated calls are stable (ordering stability for replica rings)
         assert_eq!(dist.nodes_of("f_cd"), dist.nodes_of("f_cd"));
     }

@@ -190,9 +190,11 @@ impl Default for NetworkModel {
 }
 
 impl NetworkModel {
-    /// Time to move `bytes` across one link, including latency.
+    /// Time of one overlapped request/response round trip that brings
+    /// `bytes` of partial results to the coordinator: one latency each
+    /// way, and the results serialized on the coordinator's link.
     pub fn transmission_time(&self, bytes: usize) -> f64 {
-        self.latency_secs + bytes as f64 / self.bandwidth_bytes_per_sec
+        2.0 * self.latency_secs + bytes as f64 / self.bandwidth_bytes_per_sec
     }
 
     /// An infinitely fast network — used to report results "without the
@@ -267,9 +269,9 @@ mod tests {
     #[test]
     fn gigabit_transmission_times() {
         let net = NetworkModel::default();
-        // 125 MB at 125 MB/s ≈ 1 s (+latency)
+        // 125 MB at 125 MB/s ≈ 1 s (+ one latency each way)
         let t = net.transmission_time(125_000_000);
-        assert!((t - 1.000_1).abs() < 1e-9);
+        assert!((t - 1.000_2).abs() < 1e-9);
         // small messages are latency-dominated
         assert!(net.transmission_time(100) < 0.001);
     }

@@ -88,8 +88,8 @@ pub use metrics::{MetricsRegistry, Snapshot};
 pub use report::{QueryReport, SiteReport, SkippedFragment};
 pub use trace::{SpanRecord, StageBreakdown, SubQueryStage, Trace};
 pub use partix_tenant::{
-    Admission, AdmissionConfig, AdmissionController, PriorityClass, TenantId,
-    TenantQuotas, TenantRegistry, TenantSpec,
+    AdmissionConfig, AdmissionController, PriorityClass, TenantId, TenantQuotas,
+    TenantRegistry, TenantSpec,
 };
 pub use runtime::PoolConfig;
 pub use service::{

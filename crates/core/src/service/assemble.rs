@@ -115,12 +115,9 @@ impl PartiX {
             return Err(stream_cancelled());
         }
 
-        // one overlapped request/response round trip; partial results
-        // serialize on the coordinator's link — charged only when the
-        // plan had a task to send
+        // charged only when the plan had a task to send
         if !plan.tasks.is_empty() {
-            report.transmission = 2.0 * self.network.latency_secs
-                + total_bytes as f64 / self.network.bandwidth_bytes_per_sec;
+            report.transmission = self.network.transmission_time(total_bytes);
         }
         report.stages = StageBreakdown {
             parse_s: timing.parse_s,

@@ -15,7 +15,7 @@
 //! lands after a registration is re-run on the current placement.
 
 use super::error::stream_cancelled;
-use super::plan::{Compose, Plan, Task, TaskOp};
+use super::plan::{Compose, Plan, Task, TaskOp, PASSTHROUGH};
 use super::{DispatchMode, ExecOptions, PartiX, PartixError, RetryPolicy, Sink};
 use crate::catalog::Distribution;
 use crate::cluster::Node;
@@ -486,13 +486,21 @@ fn call_node(node: &Node, task: &Task) -> Result<SiteOutput, DispatchError> {
     // and collect what this call's driver recorded
     let _ = wirespan::take();
     let result = match &task.op {
-        // a collection missing on the node is a legitimately *empty*
-        // fragment (the publisher stores nothing when a fragment selects
-        // nothing), answered with an empty result
-        TaskOp::Execute { query } => node
-            .execute_query(query)
-            .map(|out| out.map(SiteOutput::from).unwrap_or_default())
-            .map_err(DispatchError::from),
+        TaskOp::Execute { query } => match node.execute_query(query) {
+            Ok(Some(out)) => Ok(SiteOutput::from(out)),
+            // a passthrough ships the query itself: a collection missing
+            // on the node is the query's error, as in a centralized run
+            Ok(None) if task.fragment == PASSTHROUGH => {
+                let names: Vec<String> =
+                    query.collections().iter().map(|c| format!("{c:?}")).collect();
+                Err(DispatchError::Failed(format!("unknown collection {}", names.join(" or "))))
+            }
+            // elsewhere it is a legitimately *empty* fragment (the
+            // publisher stores nothing when a fragment selects nothing),
+            // answered with an empty result
+            Ok(None) => Ok(SiteOutput::default()),
+            Err(e) => Err(e.into()),
+        },
         TaskOp::Fetch { filter } => {
             let begun = Instant::now();
             node.try_fetch_docs(&task.fragment, filter.as_deref()).map_err(DispatchError::from).map(

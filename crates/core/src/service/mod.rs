@@ -92,8 +92,8 @@ pub enum DispatchMode {
 /// Each sub-query gets up to `max_attempts` tries. A try that fails with
 /// [`DriverError::Unavailable`], fails at the DBMS, or exceeds `timeout`
 /// is retried — on the *next* replica of the fragment when one exists
-/// (mid-flight failover), after an exponential backoff capped at
-/// `backoff_max`. Nodes that crashed or timed out are marked *suspect*
+/// (mid-flight failover), after an exponential backoff (5 ms, doubling,
+/// at most 100 ms). Nodes that crashed or timed out are marked *suspect*
 /// for `suspect_cooldown` so replica selection routes around them until
 /// they recover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +109,6 @@ pub struct RetryPolicy {
     /// it keeps every attempt off the calling thread, which must stay
     /// free to abandon it; with `None` the caller runs one attempt itself.
     pub timeout: Option<Duration>,
-    /// Backoff before the first retry; doubles per retry.
-    pub backoff_base: Duration,
-    /// Upper bound on the backoff.
-    pub backoff_max: Duration,
     /// How long a crashed/timed-out node stays out of replica rotation.
     pub suspect_cooldown: Duration,
 }
@@ -122,18 +118,21 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             timeout: None,
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(100),
             suspect_cooldown: Duration::from_millis(250),
         }
     }
 }
 
+/// Backoff before the first retry; doubles per retry.
+const BACKOFF_BASE: Duration = Duration::from_millis(5);
+/// Upper bound on the backoff.
+const BACKOFF_MAX: Duration = Duration::from_millis(100);
+
 impl RetryPolicy {
     /// Backoff before retry number `retry` (0-based), doubling each time.
     fn backoff(&self, retry: usize) -> Duration {
         let factor = 1u32 << retry.min(16) as u32;
-        self.backoff_base.saturating_mul(factor).min(self.backoff_max)
+        BACKOFF_BASE.saturating_mul(factor).min(BACKOFF_MAX)
     }
 }
 

@@ -58,6 +58,9 @@ pub(super) struct Task {
     pub vars: Vec<usize>,
 }
 
+/// The label of a passthrough plan's one task.
+pub(super) const PASSTHROUGH: &str = "<passthrough>";
+
 fn task(fragment: &str, op: TaskOp, vars: Vec<usize>) -> Arc<Task> {
     Arc::new(Task { fragment: fragment.to_owned(), op, vars })
 }
@@ -145,7 +148,7 @@ impl PartiX {
             None => {
                 // the one plan that ships the query itself, hence the copy
                 let op = TaskOp::Execute { query: Arc::new(query.clone()) };
-                (vec![task("<passthrough>", op, Vec::new())], Compose::Passthrough, 0)
+                (vec![task(PASSTHROUGH, op, Vec::new())], Compose::Passthrough, 0)
             }
         };
         Localized { collections, dist, localization, tasks, compose, pruned }

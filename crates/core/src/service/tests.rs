@@ -1217,3 +1217,48 @@ fn a_passthrough_plan_is_localized_once_its_collection_is_distributed() {
     assert_eq!(localized.items, central.items);
     assert!(px.execute(count).unwrap().report.plan_cache_hit);
 }
+
+/// The retry backoff starts at 5 ms, doubles per retry and stops at
+/// 100 ms.
+#[test]
+fn retry_backoff_doubles_from_5_ms_up_to_100_ms() {
+    let waits: Vec<u64> =
+        (0..=6).map(|retry| RetryPolicy::default().backoff(retry).as_millis() as u64).collect();
+    assert_eq!(waits, vec![5, 10, 20, 40, 80, 100, 100]);
+}
+
+/// A passthrough ships the query itself, so a collection node 0 does not
+/// hold fails it as it fails the centralized run, buffered or streamed,
+/// instead of answering `()`.
+#[test]
+fn a_passthrough_over_an_absent_collection_fails_like_the_centralized_run() {
+    let px = PartiX::new(2, NetworkModel::default());
+    let count = r#"count(collection("items")/Item)"#;
+    let unknown = r#"unknown collection "items""#;
+    let central = px.execute_centralized(0, count).unwrap_err().to_string();
+    assert!(central.contains(unknown), "{central}");
+    let err = px.execute(count).unwrap_err();
+    assert!(matches!(err, PartixError::SubQuery { node: 0, .. }), "{err}");
+    assert!(err.to_string().contains(unknown), "{err}");
+    let mut emitted = Vec::new();
+    let streamed = px.execute_streamed_with(count, ExecOptions::default(), &mut |items| {
+        emitted.extend(items);
+        true
+    });
+    let err = streamed.unwrap_err().to_string();
+    assert!(err.contains(unknown), "{err}");
+    assert!(emitted.is_empty(), "{emitted:?}");
+}
+
+/// A query's modelled transmission is one round trip (a latency each
+/// way) plus its sites' result bytes at the link's bandwidth.
+#[test]
+fn transmission_is_one_round_trip_and_the_shipped_bytes() {
+    let px = horizontal_px(3);
+    let report = px.execute(r#"collection("items")/Item"#).unwrap().report;
+    let bytes: usize = report.sites.iter().map(|s| s.result_bytes).sum();
+    assert!(bytes > 0);
+    let net = NetworkModel::default();
+    let expected = 2.0 * net.latency_secs + bytes as f64 / net.bandwidth_bytes_per_sec;
+    assert_eq!(report.transmission, expected);
+}

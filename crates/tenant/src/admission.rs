@@ -12,21 +12,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The three-way admission decision, as data. [`AdmissionController::decide`]
-/// returns this snapshot form (useful for observability and tests);
-/// [`AdmissionController::admit`] additionally *performs* the decision,
-/// resolving `Queue` into an eventual `Admit` or `Reject` by waiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// A concurrency slot is free: the query runs now.
-    Admit,
-    /// All slots busy but queue quota remains: the query waits, bounded
-    /// by [`AdmissionConfig::queue_wait`].
-    Queue,
-    /// Quota exhausted: the caller should retry after the hint.
-    Reject { retry_after_ms: u64 },
-}
-
 /// A typed admission rejection. Converted into `PartixError` /
 /// wire-protocol error variants at the layers above — never a panic,
 /// never a silent drop.
@@ -57,19 +42,11 @@ pub struct AdmissionConfig {
     pub queue_wait: Duration,
     /// Retry hint stamped on rejections.
     pub retry_after_ms: u64,
-    /// Total worker threads backing the serving process, used to turn
-    /// [`TenantQuotas::worker_share`](crate::TenantQuotas) percentages
-    /// into concrete concurrency caps. `0` disables share capping.
-    pub worker_capacity: usize,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            queue_wait: Duration::from_secs(2),
-            retry_after_ms: 100,
-            worker_capacity: 0,
-        }
+        AdmissionConfig { queue_wait: Duration::from_secs(2), retry_after_ms: 100 }
     }
 }
 
@@ -84,43 +61,6 @@ impl AdmissionController {
         AdmissionController { config }
     }
 
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
-    /// The tenant's effective concurrency limit: its `max_concurrent`
-    /// quota, further capped by its worker share when the controller
-    /// knows the pool size. A non-zero quota with a non-zero share
-    /// never rounds down to zero — the share cap alone cannot lock a
-    /// tenant out entirely.
-    pub fn effective_concurrency(&self, tenant: &Tenant) -> usize {
-        let quota = tenant.quotas.max_concurrent;
-        if self.config.worker_capacity == 0 || quota == 0 {
-            return quota;
-        }
-        let share = tenant.quotas.worker_share.clamp(1, 100) as usize;
-        let cap = (self.config.worker_capacity * share / 100).max(1);
-        quota.min(cap)
-    }
-
-    /// Non-blocking snapshot of what [`admit`](AdmissionController::admit)
-    /// would do right now for a query of `queued_bytes` text bytes.
-    pub fn decide(&self, tenant: &Tenant, queued_bytes: usize) -> Admission {
-        let limit = self.effective_concurrency(tenant);
-        let state = tenant.state.lock().expect("tenant state lock");
-        if state.in_flight < limit {
-            Admission::Admit
-        } else if limit > 0
-            && state.queued < tenant.quotas.max_queued
-            && state.queued_bytes.saturating_add(queued_bytes)
-                <= tenant.quotas.max_queued_bytes
-        {
-            Admission::Queue
-        } else {
-            Admission::Reject { retry_after_ms: self.config.retry_after_ms }
-        }
-    }
-
     /// Admit a query of `queued_bytes` text bytes, waiting (bounded) in
     /// the tenant's queue if its concurrency slots are all busy.
     /// Returns a [`Permit`] whose drop releases the slot, or a typed
@@ -131,7 +71,7 @@ impl AdmissionController {
         tenant: &Arc<Tenant>,
         queued_bytes: usize,
     ) -> Result<Permit, Rejection> {
-        let limit = self.effective_concurrency(tenant);
+        let limit = tenant.quotas.max_concurrent;
         let reject = |reason: &str| Rejection {
             tenant: tenant.name.clone(),
             retry_after_ms: self.config.retry_after_ms,
@@ -239,7 +179,6 @@ mod tests {
         AdmissionController::new(AdmissionConfig {
             queue_wait: Duration::from_millis(50),
             retry_after_ms: 7,
-            worker_capacity: 0,
         })
     }
 
@@ -271,10 +210,7 @@ mod tests {
         });
         let err = quick().admit(&tenant, 1).unwrap_err();
         assert!(err.reason.contains("quota is zero"), "{}", err.reason);
-        assert_eq!(
-            quick().decide(&tenant, 1),
-            Admission::Reject { retry_after_ms: 7 }
-        );
+        assert_eq!(err.retry_after_ms, 7);
     }
 
     #[test]
@@ -289,7 +225,6 @@ mod tests {
             ..AdmissionConfig::default()
         });
         let permit = ctl.admit(&tenant, 1).unwrap();
-        assert_eq!(ctl.decide(&tenant, 1), Admission::Queue);
         let waiter = {
             let tenant = Arc::clone(&tenant);
             let ctl = ctl.clone();
@@ -324,36 +259,11 @@ mod tests {
 
     #[test]
     fn queued_bytes_quota_is_enforced() {
-        let tenant = tenant_with(TenantQuotas {
-            max_concurrent: 1,
-            max_queued: 100,
-            max_queued_bytes: 64,
-            ..TenantQuotas::default()
-        });
+        let tenant =
+            tenant_with(TenantQuotas { max_concurrent: 1, max_queued: 100, max_queued_bytes: 64 });
         let ctl = quick();
         let _held = ctl.admit(&tenant, 1).unwrap();
         let err = ctl.admit(&tenant, 65).unwrap_err();
         assert!(err.reason.contains("byte quota"), "{}", err.reason);
-    }
-
-    #[test]
-    fn worker_share_caps_concurrency() {
-        let tenant = tenant_with(TenantQuotas {
-            max_concurrent: 1000,
-            worker_share: 25,
-            ..TenantQuotas::default()
-        });
-        let ctl = AdmissionController::new(AdmissionConfig {
-            worker_capacity: 16,
-            ..AdmissionConfig::default()
-        });
-        assert_eq!(ctl.effective_concurrency(&tenant), 4);
-        // share can never round a live tenant down to zero slots
-        let tiny = tenant_with(TenantQuotas {
-            max_concurrent: 1000,
-            worker_share: 1,
-            ..TenantQuotas::default()
-        });
-        assert_eq!(ctl.effective_concurrency(&tiny), 1);
     }
 }

@@ -4,8 +4,7 @@
 //! net, and cli can all use them without cycles:
 //!
 //! - [`TenantRegistry`] — named tenants with a [`PriorityClass`] and
-//!   [`TenantQuotas`] (concurrent queries, queue slots, queued bytes,
-//!   worker share).
+//!   [`TenantQuotas`] (concurrent queries, queue slots, queued bytes).
 //! - [`AdmissionController`] — the typed admit/queue/reject decision at
 //!   query entry. Queueing is bounded by a wall-clock deadline, so a
 //!   caller is *always* answered with either a [`Permit`] or a
@@ -20,9 +19,7 @@ mod class;
 mod drr;
 mod registry;
 
-pub use admission::{
-    Admission, AdmissionConfig, AdmissionController, Permit, Rejection,
-};
+pub use admission::{AdmissionConfig, AdmissionController, Permit, Rejection};
 pub use class::PriorityClass;
 pub use drr::DrrScheduler;
 pub use registry::{

@@ -46,22 +46,11 @@ pub struct TenantQuotas {
     /// Total query-text bytes the waiting queries may hold. Bounds the
     /// memory a flooding tenant can park in the admission queue.
     pub max_queued_bytes: usize,
-    /// Share of the worker capacity (percent, clamped to 1..=100) the
-    /// tenant's concurrent queries may occupy when the admission
-    /// controller knows the pool size. A tenant with `worker_share = 25`
-    /// on a 16-worker pool holds at most 4 queries in flight however
-    /// generous `max_concurrent` is.
-    pub worker_share: u32,
 }
 
 impl Default for TenantQuotas {
     fn default() -> TenantQuotas {
-        TenantQuotas {
-            max_concurrent: 64,
-            max_queued: 256,
-            max_queued_bytes: 4 << 20,
-            worker_share: 100,
-        }
+        TenantQuotas { max_concurrent: 64, max_queued: 256, max_queued_bytes: 4 << 20 }
     }
 }
 

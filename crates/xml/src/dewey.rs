@@ -49,12 +49,6 @@ impl Dewey {
         Dewey { components }
     }
 
-    /// True iff `self` is an ancestor of `other` (proper prefix).
-    pub fn is_ancestor_of(&self, other: &Dewey) -> bool {
-        self.components.len() < other.components.len()
-            && other.components[..self.components.len()] == self.components[..]
-    }
-
     /// True iff `self` is `other` or an ancestor of it.
     pub fn is_prefix_of(&self, other: &Dewey) -> bool {
         self.components.len() <= other.components.len()
@@ -149,12 +143,11 @@ mod tests {
         let a = Dewey::parse("1.2").unwrap();
         let b = Dewey::parse("1.2.3").unwrap();
         let c = Dewey::parse("1.3").unwrap();
-        assert!(root.is_ancestor_of(&a));
-        assert!(a.is_ancestor_of(&b));
-        assert!(!a.is_ancestor_of(&a));
+        assert!(root.is_prefix_of(&a));
+        assert!(a.is_prefix_of(&b));
         assert!(a.is_prefix_of(&a));
-        assert!(!a.is_ancestor_of(&c));
-        assert!(!b.is_ancestor_of(&a));
+        assert!(!a.is_prefix_of(&c));
+        assert!(!b.is_prefix_of(&a));
     }
 
     #[test]

@@ -18,35 +18,11 @@ use crate::tree::{Document, NodeId};
 /// and connection threads run on.
 pub const MAX_DEPTH: usize = 256;
 
-/// Parser configuration.
-#[derive(Debug, Clone)]
-pub struct ParseOptions {
-    /// Drop text nodes consisting solely of whitespace between elements
-    /// (indentation). Default `true` — the data model has no mixed content.
-    pub trim_whitespace_text: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> ParseOptions {
-        ParseOptions { trim_whitespace_text: true }
-    }
-}
-
-/// Parse an XML document with default options.
+/// Parse an XML document. Text is trimmed, and a text node of only
+/// whitespace between elements (indentation) is dropped: the data model
+/// has no mixed content.
 pub fn parse(input: &str) -> Result<Document, ParseError> {
-    parse_with(input, &ParseOptions::default())
-}
-
-/// Parse an XML document with explicit options.
-pub fn parse_with(input: &str, options: &ParseOptions) -> Result<Document, ParseError> {
-    let mut parser = Parser {
-        input: input.as_bytes(),
-        pos: 0,
-        line: 1,
-        line_start: 0,
-        depth: 0,
-        options,
-    };
+    let mut parser = Parser { input: input.as_bytes(), pos: 0, line: 1, line_start: 0, depth: 0 };
     parser.document()
 }
 
@@ -57,7 +33,6 @@ struct Parser<'a> {
     line_start: usize,
     /// Elements open around the one being parsed.
     depth: usize,
-    options: &'a ParseOptions,
 }
 
 impl<'a> Parser<'a> {
@@ -362,17 +337,8 @@ impl<'a> Parser<'a> {
     }
 
     fn flush_text(&mut self, doc: &mut Document, node: NodeId, text: &mut String) {
-        let keep = if self.options.trim_whitespace_text {
-            !text.trim().is_empty()
-        } else {
-            !text.is_empty()
-        };
-        if keep {
-            let content: &str = if self.options.trim_whitespace_text {
-                text.trim()
-            } else {
-                text.as_str()
-            };
+        let content = text.trim();
+        if !content.is_empty() {
             doc.add_text(node, content);
         }
         text.clear();
@@ -519,13 +485,6 @@ mod tests {
         let doc = parse("<a>\n  <b>hi</b>\n  <c>ho</c>\n</a>").unwrap();
         let kids: Vec<_> = doc.root().children().collect();
         assert_eq!(kids.len(), 2);
-    }
-
-    #[test]
-    fn whitespace_preserved_when_requested() {
-        let opts = ParseOptions { trim_whitespace_text: false };
-        let doc = parse_with("<a> <b/> </a>", &opts).unwrap();
-        assert_eq!(doc.root().children().count(), 3);
     }
 
     #[test]

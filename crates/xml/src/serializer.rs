@@ -21,33 +21,20 @@ pub fn to_string_pretty(doc: &Document) -> String {
 #[derive(Debug, Clone)]
 pub struct Serializer {
     indent: Option<usize>,
-    /// Emit `<?xml version="1.0"?>` first.
-    pub declaration: bool,
 }
 
 impl Serializer {
     pub fn compact() -> Serializer {
-        Serializer { indent: None, declaration: false }
+        Serializer { indent: None }
     }
 
     pub fn pretty() -> Serializer {
-        Serializer { indent: Some(2), declaration: false }
-    }
-
-    pub fn with_declaration(mut self) -> Serializer {
-        self.declaration = true;
-        self
+        Serializer { indent: Some(2) }
     }
 
     /// Serialize a whole document to a string.
     pub fn serialize(&self, doc: &Document) -> String {
         let mut out = String::with_capacity(doc.approx_size());
-        if self.declaration {
-            out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-            if self.indent.is_some() {
-                out.push('\n');
-            }
-        }
         self.write_node(&mut out, doc.root());
         out
     }
@@ -164,14 +151,6 @@ mod tests {
         let pretty = to_string_pretty(&doc);
         let reparsed = parse(&pretty).unwrap();
         assert_eq!(doc, reparsed);
-    }
-
-    #[test]
-    fn declaration_emitted() {
-        let doc = Document::new("a");
-        let s = Serializer::compact().with_declaration().serialize(&doc);
-        assert!(s.starts_with("<?xml"));
-        assert!(s.ends_with("<a/>"));
     }
 
     #[test]

@@ -502,67 +502,6 @@ impl Document {
         new_id
     }
 
-    /// Deep-copy the subtree rooted at `src_id` in `src` so that it
-    /// becomes the `ordinal`-th (1-based) child of `dst_parent`. Ordinals
-    /// beyond the current child count append at the end.
-    ///
-    /// Note: after positional insertion, node ids are no longer in
-    /// document order (navigation by links stays correct). Use
-    /// [`Document::normalized`] to restore id order when required.
-    pub fn insert_graft_at(
-        &mut self,
-        dst_parent: NodeId,
-        ordinal: u32,
-        src: &Document,
-        src_id: NodeId,
-    ) -> NodeId {
-        let new_id = self.graft(dst_parent, src, src_id); // appended last
-        debug_assert!(ordinal >= 1);
-        let nodes = &mut self.arena_mut().nodes;
-        // locate the node currently at `ordinal` (excluding the new node)
-        let mut before = nodes.get(dst_parent.index()).first_child.get();
-        let mut count = 1u32;
-        while let Some(b) = before {
-            if b == new_id {
-                // new node reached: it is already at/after the target slot
-                return new_id;
-            }
-            if count == ordinal {
-                break;
-            }
-            count += 1;
-            before = nodes.get(b.index()).next_sibling.get();
-        }
-        let Some(before) = before else {
-            return new_id; // ordinal beyond child count: stay appended
-        };
-        // unlink new_id from the tail
-        let prev = nodes.get(new_id.index()).prev_sibling;
-        if let Some(p) = prev.get() {
-            nodes.get_mut(p.index()).next_sibling = OptId::NONE;
-        }
-        nodes.get_mut(dst_parent.index()).last_child = prev;
-        // splice before `before`
-        let before_prev = nodes.get(before.index()).prev_sibling;
-        nodes.get_mut(new_id.index()).prev_sibling = before_prev;
-        nodes.get_mut(new_id.index()).next_sibling = OptId::some(before);
-        nodes.get_mut(before.index()).prev_sibling = OptId::some(new_id);
-        match before_prev.get() {
-            Some(bp) => nodes.get_mut(bp.index()).next_sibling = OptId::some(new_id),
-            None => nodes.get_mut(dst_parent.index()).first_child = OptId::some(new_id),
-        }
-        new_id
-    }
-
-    /// A copy of this document whose node ids are in document order
-    /// (useful after positional insertions).
-    pub fn normalized(&self) -> Document {
-        let mut out = self.subtree(NodeId::ROOT).expect("root is an element");
-        out.name = self.name.clone();
-        out.origin = self.origin.clone();
-        out
-    }
-
     /// Extract the subtree rooted at `id` as a fresh document.
     ///
     /// Fails with [`XmlError::WrongNodeKind`] if `id` is not an element
@@ -1034,54 +973,6 @@ mod tests {
         let s1 = b.add_element(sections, "Section");
         b.add_attribute(s1, "id", "2"); // differs
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn insert_graft_at_positions() {
-        let src = Document::new("X");
-        let mut doc = Document::new("P");
-        doc.add_element(NodeId::ROOT, "a");
-        doc.add_element(NodeId::ROOT, "c");
-        // insert as 2nd child → a, X, c
-        doc.insert_graft_at(NodeId::ROOT, 2, &src, NodeId::ROOT);
-        let labels: Vec<&str> = doc.root().child_elements().map(|n| n.label()).collect();
-        assert_eq!(labels, ["a", "X", "c"]);
-        // insert as 1st child
-        let src2 = Document::new("Y");
-        doc.insert_graft_at(NodeId::ROOT, 1, &src2, NodeId::ROOT);
-        let labels: Vec<&str> = doc.root().child_elements().map(|n| n.label()).collect();
-        assert_eq!(labels, ["Y", "a", "X", "c"]);
-        // ordinal beyond count appends
-        let src3 = Document::new("Z");
-        doc.insert_graft_at(NodeId::ROOT, 99, &src3, NodeId::ROOT);
-        let labels: Vec<&str> = doc.root().child_elements().map(|n| n.label()).collect();
-        assert_eq!(labels, ["Y", "a", "X", "c", "Z"]);
-    }
-
-    #[test]
-    fn normalized_restores_id_order() {
-        let src = Document::new("X");
-        let mut doc = Document::new("P");
-        doc.add_element(NodeId::ROOT, "a");
-        doc.add_element(NodeId::ROOT, "c");
-        doc.insert_graft_at(NodeId::ROOT, 1, &src, NodeId::ROOT);
-        let norm = doc.normalized();
-        assert_eq!(doc, norm);
-        // ids ascend in document order after normalization
-        let ids: Vec<NodeId> = norm.ids().collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted);
-    }
-
-    #[test]
-    fn dewey_correct_after_insertion() {
-        let src = Document::new("X");
-        let mut doc = Document::new("P");
-        doc.add_element(NodeId::ROOT, "a");
-        doc.add_element(NodeId::ROOT, "c");
-        let x = doc.insert_graft_at(NodeId::ROOT, 2, &src, NodeId::ROOT);
-        assert_eq!(doc.dewey_of(x).to_string(), "2");
     }
 
     #[test]

@@ -455,7 +455,7 @@ proptest! {
         // a page-backed document is as good a graft source as an arena
         let (mut into_a, mut into_b) = (Document::new("w"), Document::new("w"));
         into_a.graft(NodeId::ROOT, &paged, NodeId::ROOT);
-        into_b.insert_graft_at(NodeId::ROOT, 1, &doc, NodeId::ROOT);
+        into_b.graft(NodeId::ROOT, &doc, NodeId::ROOT);
         prop_assert_eq!(&into_a, &into_b);
     }
 

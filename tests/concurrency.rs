@@ -567,7 +567,7 @@ fn across_a_rebalance<T: Send>(
     target: &[Placement],
     query: impl FnOnce() -> T + Send,
 ) -> T {
-    use partix_advisor::{rebalance, RebalanceOptions};
+    use partix_advisor::rebalance;
     let (reported, release) = Gate::install(px.cluster().node(held).unwrap());
     // `release` moves in: a failing assertion drops it, which frees the
     // held call instead of leaving the scope waiting for it
@@ -575,7 +575,7 @@ fn across_a_rebalance<T: Send>(
         let running = scope.spawn(query);
         reported.recv_timeout(Duration::from_secs(60)).expect("the query reached the held node");
         let dist = partix_bench::setup::DIST;
-        let report = rebalance(px, dist, target, &RebalanceOptions::default()).expect("rebalance");
+        let report = rebalance(px, dist, target).expect("rebalance");
         assert!(report.verified);
         release.send(()).unwrap();
         running.join().expect("query thread")

@@ -41,7 +41,6 @@ fn attach_two_tenants(px: &PartiX) -> (TenantId, TenantId, Arc<TenantRegistry>) 
         controller: AdmissionController::new(AdmissionConfig {
             queue_wait: Duration::from_millis(100),
             retry_after_ms: 25,
-            worker_capacity: 0,
         }),
     });
     (frontend, analytics, registry)
@@ -198,7 +197,6 @@ fn a_held_slot_is_a_typed_rejection_and_the_next_answer_matches_oracle() {
     let side = AdmissionController::new(AdmissionConfig {
         queue_wait: Duration::from_millis(100),
         retry_after_ms: 25,
-        worker_capacity: 0,
     });
     let held = side
         .admit(&registry.by_name("analytics").expect("analytics"), 0)

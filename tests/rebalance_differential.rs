@@ -13,7 +13,7 @@
 
 use partix::engine::{FaultPlan, PartiX, Placement, RetryPolicy};
 use partix::frag::{apply::apply_fragment, FragmentDef};
-use partix_advisor::{advise_live, AdvisorConfig, RebalanceOptions, WorkloadProfiler};
+use partix_advisor::{advise_live, AdvisorConfig, WorkloadProfiler};
 mod common;
 
 use common::{assert_workload, check_answer};
@@ -88,8 +88,7 @@ fn rebalance_under_query_load(
             })
             .collect();
         report = Some(
-            partix_advisor::rebalance(px, setup::DIST, target, &RebalanceOptions::default())
-                .expect("live rebalance"),
+            partix_advisor::rebalance(px, setup::DIST, target).expect("live rebalance"),
         );
         done.store(true, Ordering::Relaxed);
         for probe in probes {
@@ -253,23 +252,17 @@ fn write_during_migration_lands_in_exactly_one_replica_set() {
     assert_eq!(home, "f1", "probe doc must target the migrating fragment");
 
     let mut injected = false;
-    let report = rebalance_with_observer(
-        &px,
-        setup::DIST,
-        &target,
-        &RebalanceOptions::default(),
-        &mut |phase| {
-            if phase == RebalancePhase::UnionRegistered {
-                // the catalog now routes f1 writes to old AND new homes
-                px.put(setup::DIST, doc.clone()).expect("mid-migration put");
-                px.cluster().node(0).unwrap().db.apply_write(&WriteOp::Put {
-                    collection: setup::CENTRAL.into(),
-                    doc: doc.clone(),
-                });
-                injected = true;
-            }
-        },
-    )
+    let report = rebalance_with_observer(&px, setup::DIST, &target, &mut |phase| {
+        if phase == RebalancePhase::UnionRegistered {
+            // the catalog now routes f1 writes to old AND new homes
+            px.put(setup::DIST, doc.clone()).expect("mid-migration put");
+            px.cluster().node(0).unwrap().db.apply_write(&WriteOp::Put {
+                collection: setup::CENTRAL.into(),
+                doc: doc.clone(),
+            });
+            injected = true;
+        }
+    })
     .expect("rebalance with a mid-flight write");
     assert!(injected, "observer never saw the union window");
     assert!(report.verified, "post-move re-validation must pass despite the extra doc");
@@ -344,8 +337,7 @@ fn an_unreadable_source_fails_the_rebalance_and_retires_nothing() {
 
     let mut wire = RemoteCluster::attach(&px);
     wire.kill(0);
-    let outcome =
-        partix_advisor::rebalance(&px, setup::DIST, &target, &RebalanceOptions::default());
+    let outcome = partix_advisor::rebalance(&px, setup::DIST, &target);
     assert!(
         matches!(outcome, Err(RebalanceError::SourceUnavailable { node: 0, .. })),
         "a rebalance over an unreadable source: {outcome:?}",
@@ -354,8 +346,8 @@ fn an_unreadable_source_fails_the_rebalance_and_retires_nothing() {
 
     wire.restart(0);
     assert_workload(&px, &workload, "after the failed rebalance");
-    let report = partix_advisor::rebalance(&px, setup::DIST, &target, &RebalanceOptions::default())
-        .expect("the source answers again");
+    let report =
+        partix_advisor::rebalance(&px, setup::DIST, &target).expect("the source answers again");
     assert!(report.verified);
     assert_eq!(catalog_pairs(&px), sorted_pairs(&target));
     assert_workload(&px, &workload, "after the retried rebalance");
@@ -376,8 +368,7 @@ fn a_plan_stored_before_a_rebalance_is_localized_again_after_it() {
     }
     let target: Vec<Placement> =
         (0..2).map(|i| Placement { fragment: format!("f{i}"), node: 1 }).collect();
-    let options = RebalanceOptions::default();
-    let report = partix_advisor::rebalance(&px, setup::DIST, &target, &options).expect("rebalance");
+    let report = partix_advisor::rebalance(&px, setup::DIST, &target).expect("rebalance");
     assert!(report.verified);
     for (id, query) in &workload {
         let result = px.execute(query).unwrap_or_else(|e| panic!("{id} after: {e}"));

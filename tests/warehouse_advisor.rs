@@ -15,8 +15,7 @@ use partix::query::Item;
 use partix::schema::{CollectionDef, ElementDecl, Occurs, RepoKind, Schema};
 use partix_bench::oracle::canonical;
 use partix_advisor::{
-    advise_live, mine_predicates, mined_split_paths, AdvisorConfig, RebalanceOptions,
-    WorkloadProfiler,
+    advise_live, mine_predicates, mined_split_paths, AdvisorConfig, WorkloadProfiler,
 };
 use std::sync::Arc;
 
@@ -252,13 +251,8 @@ fn mined_design_rebalances_live_onto_the_advised_placement() {
         .expect("oracle copy");
 
     // … and migrate live onto the advisor's placement
-    let report = partix_advisor::rebalance(
-        &skewed,
-        FACTS,
-        &advice.placements,
-        &RebalanceOptions::default(),
-    )
-    .expect("live rebalance");
+    let report = partix_advisor::rebalance(&skewed, FACTS, &advice.placements)
+        .expect("live rebalance");
     assert!(report.verified, "post-migration validation failed");
     assert!(!report.moves.is_empty(), "nothing migrated off node 0");
     assert!(report.migrated_docs > 0);
