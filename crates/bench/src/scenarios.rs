@@ -30,9 +30,9 @@ use crate::scenario::{turn, Fields, Fleet, Knobs, Op};
 use crate::{queries, setup};
 use partix_advisor::{advise_live, AdvisorConfig, WorkloadProfiler};
 use partix_engine::{
-    AdmissionConfig, AdmissionController, DispatchMode, ExecOptions, FaultPlan, MetaService,
-    NetworkModel, PartiX, PartixDriver, PartixError, PriorityClass, RetryPolicy, Tenancy,
-    TenantId, TenantQuotas, TenantRegistry, TenantSpec,
+    AdmissionConfig, AdmissionController, DispatchMode, ExecOptions, FaultPlan, PartiX,
+    PartixDriver, PartixError, PriorityClass, RetryPolicy, Tenancy, TenantId, TenantQuotas,
+    TenantRegistry, TenantSpec,
 };
 use partix_gen::SECTIONS;
 use partix_net::{
@@ -249,10 +249,9 @@ const REPEATS: usize = 3;
 /// large fleet would explode transient per-sub-query threads) and span
 /// collection off (measurement, not diagnosis). Every query does its
 /// work: each sub-query reaches its node.
-fn serving(mut px: PartiX, meta: &Arc<MetaService>) -> Arc<PartiX> {
+fn serving(mut px: PartiX) -> Arc<PartiX> {
     px.set_dispatch(DispatchMode::Pool);
     px.set_tracing_enabled(false);
-    px.attach_meta(Arc::clone(meta));
     Arc::new(px)
 }
 
@@ -267,15 +266,11 @@ pub fn scaleout(knobs: &Knobs) -> Fields {
         knobs.db_bytes, knobs.fragments, knobs.ops_per_client,
     );
     // the base engine owns catalog registration and document publishing;
-    // it then becomes coordinator replica 0
+    // the coordinators are its replicas, over its nodes and its catalog
     let base = setup::horizontal(&docs, knobs.fragments);
-    let meta = MetaService::with_catalog(base.catalog_snapshot());
     let oracle = oracle_answers(&base, &workload);
-    let mut engines = vec![serving(base, &meta)];
-    for _ in 1..COORDINATORS[COORDINATORS.len() - 1] {
-        let replica = PartiX::with_cluster(engines[0].cluster().share(), NetworkModel::default());
-        engines.push(serving(replica, &meta));
-    }
+    let most = COORDINATORS[COORDINATORS.len() - 1];
+    let engines: Vec<Arc<PartiX>> = (0..most).map(|_| serving(base.replica())).collect();
 
     // One cell: bind `coords` endpoints, warm them, drive the fleet.
     let measure = |coords: usize, mode: &'static str| {

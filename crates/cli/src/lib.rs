@@ -647,10 +647,9 @@ pub fn serve(
 }
 
 /// `partix serve --coordinator`: expose a database directory as a
-/// streaming coordinator. The engine runs the database as its node 0, an
-/// epoch-versioned [`partix_engine::MetaService`] is attached (so more
-/// coordinators could share the catalog), and sub-query results stream
-/// to clients chunk-by-chunk as they complete. `tenants` specs
+/// streaming coordinator. The engine runs the database as its node 0,
+/// and sub-query results stream to clients chunk-by-chunk as they
+/// complete. `tenants` specs
 /// (`name[:class[:max_concurrent[:max_queued]]]`) attach admission
 /// control: a stream naming a tenant passes its quotas, and an
 /// over-quota one gets a typed rejection with a retry hint.
@@ -659,7 +658,7 @@ pub fn serve_coordinator(
     data: Option<&Path>,
     tenants: &[String],
 ) -> Result<(partix_net::StreamServer, std::net::SocketAddr), CliError> {
-    use partix_engine::{MetaService, NetworkModel, PartiX, Tenancy};
+    use partix_engine::{NetworkModel, PartiX, Tenancy};
     let db = match data {
         Some(dir) => open_or_new(dir)?,
         None => Database::new(),
@@ -669,7 +668,6 @@ pub fn serve_coordinator(
         .node(0)
         .ok_or_else(|| err("serve: coordinator has no node 0"))?
         .set_driver(std::sync::Arc::new(db));
-    px.attach_meta(MetaService::with_catalog(px.catalog_snapshot()));
     if let Some(registry) = tenant_registry(tenants)? {
         px.attach_tenancy(Tenancy::new(registry));
     }

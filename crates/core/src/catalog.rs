@@ -1,7 +1,6 @@
-//! The catalog services: schemas, collections, distributions.
+//! The distribution catalog: each collection's design and placements.
 
 use partix_frag::FragmentationSchema;
-use partix_schema::Schema;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -128,14 +127,14 @@ impl Distribution {
     }
 }
 
-/// The XML Schema Catalog Service and XML Distribution Catalog Service
-/// (paper Sec. 4), merged into one registry.
-#[derive(Debug, Default, Clone)]
+/// The XML Distribution Catalog Service (paper Sec. 4). A design's
+/// data-type schema travels with it, in its [`partix_schema::CollectionDef`].
+#[derive(Debug, Default)]
 pub struct Catalog {
-    schemas: HashMap<String, Arc<Schema>>,
     // Arc'd so per-query lookups can take a reference-count bump instead
     // of deep-cloning the whole design + placement list.
     distributions: HashMap<String, Arc<Distribution>>,
+    epoch: u64,
 }
 
 impl Catalog {
@@ -143,46 +142,31 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register a data-type schema.
-    pub fn register_schema(&mut self, schema: Arc<Schema>) {
-        self.schemas.insert(schema.name.clone(), schema);
-    }
-
-    pub fn schema(&self, name: &str) -> Option<&Arc<Schema>> {
-        self.schemas.get(name)
-    }
-
     /// Register a collection's fragmentation design + allocation. The
-    /// design is validated (fragment rules and placement completeness).
-    /// Replaces any previous distribution of the collection atomically:
-    /// queries holding the old `Arc` finish against the old placements.
-    ///
-    /// Node indices cannot be range-checked here (the catalog does not
-    /// know the cluster size) — use [`Catalog::register_distribution_on`]
-    /// or go through `PartiX::register_distribution`, which does.
+    /// design is validated (fragment rules, placement completeness, and
+    /// node indices against a cluster of `nodes` nodes). Replaces any
+    /// previous distribution of the collection atomically: queries
+    /// holding the old `Arc` finish against the old placements.
     pub fn register_distribution(
-        &mut self,
-        distribution: Distribution,
-    ) -> Result<(), DistributionError> {
-        distribution
-            .design
-            .validate()
-            .map_err(|e| DistributionError::Design(e.to_string()))?;
-        distribution.validate()?;
-        let name = distribution.design.collection.name.clone();
-        self.distributions.insert(name, Arc::new(distribution));
-        Ok(())
-    }
-
-    /// [`Catalog::register_distribution`] with the placement node indices
-    /// checked against a cluster of `nodes` nodes.
-    pub fn register_distribution_on(
         &mut self,
         distribution: Distribution,
         nodes: usize,
     ) -> Result<(), DistributionError> {
         distribution.validate_against(nodes)?;
-        self.register_distribution(distribution)
+        distribution
+            .design
+            .validate()
+            .map_err(|e| DistributionError::Design(e.to_string()))?;
+        let name = distribution.design.collection.name.clone();
+        self.distributions.insert(name, Arc::new(distribution));
+        self.epoch += 1;
+        Ok(())
+    }
+
+    /// How many registrations this catalog has taken: every coordinator
+    /// sharing it reads the same number.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Distribution of a collection, if fragmented.
@@ -232,31 +216,37 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let mut cat = Catalog::new();
-        cat.register_schema(Arc::new(virtual_store()));
-        assert!(cat.schema("virtual_store").is_some());
-        cat.register_distribution(Distribution {
-            design: design(),
-            placements: vec![
-                Placement { fragment: "f_cd".into(), node: 0 },
-                Placement { fragment: "f_rest".into(), node: 1 },
-            ],
-        })
+        assert_eq!(cat.epoch(), 0);
+        cat.register_distribution(
+            Distribution {
+                design: design(),
+                placements: vec![
+                    Placement { fragment: "f_cd".into(), node: 0 },
+                    Placement { fragment: "f_rest".into(), node: 1 },
+                ],
+            },
+            2,
+        )
         .unwrap();
         let dist = cat.distribution("items").unwrap();
         assert_eq!(dist.nodes_of("f_cd"), [0]);
         assert_eq!(dist.nodes_of("f_rest"), [1]);
         assert!(dist.nodes_of("zzz").is_empty());
         assert_eq!(cat.distributed_collections(), ["items"]);
+        assert_eq!(cat.epoch(), 1);
     }
 
     #[test]
     fn missing_placement_rejected() {
         let mut cat = Catalog::new();
         let err = cat
-            .register_distribution(Distribution {
-                design: design(),
-                placements: vec![Placement { fragment: "f_cd".into(), node: 0 }],
-            })
+            .register_distribution(
+                Distribution {
+                    design: design(),
+                    placements: vec![Placement { fragment: "f_cd".into(), node: 0 }],
+                },
+                2,
+            )
             .unwrap_err();
         assert_eq!(err, DistributionError::Unplaced { fragment: "f_rest".into() });
         assert!(err.to_string().contains("f_rest"));
@@ -266,7 +256,7 @@ mod tests {
     fn empty_distribution_rejected() {
         let mut cat = Catalog::new();
         let err = cat
-            .register_distribution(Distribution { design: design(), placements: vec![] })
+            .register_distribution(Distribution { design: design(), placements: vec![] }, 2)
             .unwrap_err();
         // the first fragment of the design is reported unplaced
         assert_eq!(err, DistributionError::Unplaced { fragment: "f_cd".into() });
@@ -277,14 +267,17 @@ mod tests {
     fn unknown_fragment_placement_rejected() {
         let mut cat = Catalog::new();
         let err = cat
-            .register_distribution(Distribution {
-                design: design(),
-                placements: vec![
-                    Placement { fragment: "f_cd".into(), node: 0 },
-                    Placement { fragment: "f_rest".into(), node: 1 },
-                    Placement { fragment: "f_typo".into(), node: 0 },
-                ],
-            })
+            .register_distribution(
+                Distribution {
+                    design: design(),
+                    placements: vec![
+                        Placement { fragment: "f_cd".into(), node: 0 },
+                        Placement { fragment: "f_rest".into(), node: 1 },
+                        Placement { fragment: "f_typo".into(), node: 0 },
+                    ],
+                },
+                2,
+            )
             .unwrap_err();
         assert_eq!(err, DistributionError::UnknownFragment { fragment: "f_typo".into() });
     }
@@ -302,25 +295,30 @@ mod tests {
         // without a cluster size the placement passes structural checks…
         assert!(dist.validate().is_ok());
         // …but the node-range gate rejects it
-        let err = cat.register_distribution_on(dist, 2).unwrap_err();
+        let err = cat.register_distribution(dist, 2).unwrap_err();
         assert_eq!(
             err,
             DistributionError::NodeOutOfRange { fragment: "f_rest".into(), node: 7, nodes: 2 }
         );
         assert!(cat.distribution("items").is_none());
+        // a refused registration leaves the epoch where it was
+        assert_eq!(cat.epoch(), 0);
     }
 
     #[test]
     fn replicas_allowed_on_distinct_nodes() {
         let mut cat = Catalog::new();
-        cat.register_distribution(Distribution {
-            design: design(),
-            placements: vec![
-                Placement { fragment: "f_cd".into(), node: 0 },
-                Placement { fragment: "f_cd".into(), node: 1 },
-                Placement { fragment: "f_rest".into(), node: 1 },
-            ],
-        })
+        cat.register_distribution(
+            Distribution {
+                design: design(),
+                placements: vec![
+                    Placement { fragment: "f_cd".into(), node: 0 },
+                    Placement { fragment: "f_cd".into(), node: 1 },
+                    Placement { fragment: "f_rest".into(), node: 1 },
+                ],
+            },
+            2,
+        )
         .unwrap();
         let dist = cat.distribution("items").unwrap();
         assert_eq!(dist.nodes_of("f_cd"), [0, 1]);
@@ -330,14 +328,17 @@ mod tests {
     fn duplicate_replica_on_same_node_rejected() {
         let mut cat = Catalog::new();
         let err = cat
-            .register_distribution(Distribution {
-                design: design(),
-                placements: vec![
-                    Placement { fragment: "f_cd".into(), node: 0 },
-                    Placement { fragment: "f_cd".into(), node: 0 },
-                    Placement { fragment: "f_rest".into(), node: 1 },
-                ],
-            })
+            .register_distribution(
+                Distribution {
+                    design: design(),
+                    placements: vec![
+                        Placement { fragment: "f_cd".into(), node: 0 },
+                        Placement { fragment: "f_cd".into(), node: 0 },
+                        Placement { fragment: "f_rest".into(), node: 1 },
+                    ],
+                },
+                2,
+            )
             .unwrap_err();
         assert_eq!(err, DistributionError::DuplicateReplica { fragment: "f_cd".into(), node: 0 });
     }

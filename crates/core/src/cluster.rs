@@ -150,7 +150,7 @@ impl Cluster {
     /// coordinators share one set of DBMS nodes: each coordinator owns
     /// its own `Cluster` wrapper, but the `Arc<Node>`s (databases,
     /// drivers, availability) are the same objects.
-    pub fn share(&self) -> Cluster {
+    pub(crate) fn share(&self) -> Cluster {
         Cluster { nodes: self.nodes.clone() }
     }
 

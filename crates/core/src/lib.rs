@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!            ┌────────────────────── PartiX ──────────────────────┐
-//!  XQuery ──▶│ Schema Catalog │ Distribution Catalog │ Publisher  │
+//!  XQuery ──▶│        Distribution Catalog       │    Publisher   │
 //!            │          Distributed Query Service                 │
 //!            └──────┬───────────────┬────────────────┬────────────┘
 //!              sub-query        sub-query        sub-query
@@ -16,9 +16,11 @@
 //!            └────────────┘  └────────────┘  └────────────┘
 //! ```
 //!
-//! * [`catalog`] — the XML Schema Catalog Service and the XML
-//!   Distribution Catalog Service: schemas, collections, fragmentation
-//!   designs and fragment placement.
+//! * [`catalog`] — the XML Distribution Catalog Service: each
+//!   collection's fragmentation design and fragment placement, one
+//!   catalog shared by every [`PartiX::replica`]. A design's data-type
+//!   schema lives in its collection definition
+//!   ([`partix_schema::CollectionDef`]), not in the catalog.
 //! * [`cluster`] — nodes (each a [`partix_storage::Database`]), the
 //!   cluster, and the network model used to charge transmission times
 //!   (the paper: result bytes ÷ Gigabit Ethernet speed).
@@ -69,7 +71,6 @@ pub mod cluster;
 pub mod driver;
 pub mod faults;
 pub mod localize;
-pub mod meta;
 pub mod metrics;
 pub mod publisher;
 pub mod report;
@@ -83,7 +84,6 @@ pub use catalog::{Catalog, Distribution, DistributionError, Placement};
 pub use cluster::{Cluster, NetworkModel, Node};
 pub use driver::{DriverError, PartixDriver};
 pub use faults::{Fault, FaultInjector, FaultPlan, InjectionStats};
-pub use meta::MetaService;
 pub use metrics::{MetricsRegistry, Snapshot};
 pub use report::{QueryReport, SiteReport, SkippedFragment};
 pub use trace::{SpanRecord, StageBreakdown, SubQueryStage, Trace};

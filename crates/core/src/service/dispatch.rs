@@ -125,6 +125,9 @@ struct Flight {
     /// Its `attempts`, the count of attempts made, tags their answers.
     stage: SubQueryStage,
     last_error: Option<DispatchError>,
+    /// Replicas whose DBMS failed this flight: the failure is the
+    /// DBMS's answer, so the flight does not ask them again.
+    rejected: Vec<usize>,
     /// The distribution the next or running attempt takes its replica
     /// from: the plan's, then the current one at each landing.
     dist: Option<Arc<Distribution>>,
@@ -183,7 +186,8 @@ impl PartiX {
             .map(|(task, &node)| {
                 let fragment = task.fragment.clone();
                 let stage = SubQueryStage { fragment, node, ..Default::default() };
-                Flight { stage, last_error: None, dist: dist.clone(), phase: Phase::Idle }
+                let dist = dist.clone();
+                Flight { stage, last_error: None, rejected: vec![], dist, phase: Phase::Idle }
             })
             .collect();
 
@@ -259,7 +263,8 @@ impl PartiX {
 /// each against the best replica *currently* live and not suspect,
 /// walking the replica ring of the flight's distribution on every failure
 /// (mid-flight failover). Crashes and deadline expiries mark the node
-/// suspect; a successful answer clears the flag. Each step returns the
+/// suspect; a successful answer clears the flag. A replica whose DBMS
+/// failed the flight is skipped from then on. Each step returns the
 /// outcome once landed.
 impl Gather<'_> {
     /// Start the flight's next attempt — the first at once (`on_caller`:
@@ -277,9 +282,13 @@ impl Gather<'_> {
         // each attempt starts one step further around the replica ring,
         // moving past whichever replica just failed
         let ring = f.dist.as_ref().map_or_else(|| vec![bound], |d| d.nodes_of(&task.fragment));
-        let start = ring.iter().position(|&id| id == bound).unwrap_or(0);
+        let start = ring.iter().position(|&id| id == bound).unwrap_or(0).wrapping_add(attempt);
+        let ring: Vec<usize> = (0..ring.len())
+            .map(|k| ring[start.wrapping_add(k) % ring.len()])
+            .filter(|id| !f.rejected.contains(id))
+            .collect();
         let next = (attempt < self.policy.max_attempts.max(1))
-            .then(|| self.px.first_usable(&ring, start.wrapping_add(attempt)))
+            .then(|| self.px.first_usable(&ring, 0))
             .flatten();
         let Some(node_id) = next else {
             f.phase = Phase::Landed;
@@ -393,10 +402,11 @@ impl Gather<'_> {
                 let error = attempted.err().filter(|_| !late).unwrap_or(DispatchError::Timeout);
                 // a DBMS that processed and rejected the attempt is
                 // healthy (another replica may still answer, e.g. a
-                // fault injected on this one only); a crashed or
-                // hanging node is not
-                if !matches!(error, DispatchError::Failed(_)) {
-                    node.mark_suspect(self.policy.suspect_cooldown);
+                // fault injected on this one only) but would answer the
+                // same again; a crashed or hanging node is neither
+                match error {
+                    DispatchError::Failed(_) => f.rejected.push(node.id),
+                    _ => node.mark_suspect(self.policy.suspect_cooldown),
                 }
                 f.stage.timeouts += usize::from(matches!(error, DispatchError::Timeout));
                 f.last_error = Some(error);
@@ -405,11 +415,10 @@ impl Gather<'_> {
         }
     }
 
-    /// The collection's distribution now, once caught up with the meta
-    /// service; `None` for a passthrough plan, which no placement binds.
+    /// The collection's distribution now; `None` for a passthrough plan,
+    /// which no placement binds.
     fn current_distribution(&self) -> Option<Arc<Distribution>> {
         let collection = &self.planned?.design.collection.name;
-        self.px.sync_with_meta();
         self.px.catalog.read().distribution(collection).cloned()
     }
 

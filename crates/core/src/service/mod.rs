@@ -52,7 +52,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use partix_query::Sequence;
 use partix_storage::QueryOutput;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -90,12 +90,15 @@ pub enum DispatchMode {
 /// Retry/deadline policy applied to every dispatched sub-query.
 ///
 /// Each sub-query gets up to `max_attempts` tries. A try that fails with
-/// [`DriverError::Unavailable`], fails at the DBMS, or exceeds `timeout`
-/// is retried — on the *next* replica of the fragment when one exists
-/// (mid-flight failover), after an exponential backoff (5 ms, doubling,
-/// at most 100 ms). Nodes that crashed or timed out are marked *suspect*
-/// for `suspect_cooldown` so replica selection routes around them until
-/// they recover.
+/// [`DriverError::Unavailable`] or exceeds `timeout` is retried — on the
+/// *next* replica of the fragment when one exists (mid-flight failover),
+/// after an exponential backoff (5 ms, doubling, at most 100 ms). Nodes
+/// that crashed or timed out are marked *suspect* for `suspect_cooldown`
+/// so replica selection routes around them until they recover. A try the
+/// DBMS failed ([`DriverError::Failed`]) would fail alike on that
+/// replica: it is retried, after the same backoff, only on a replica that
+/// has not failed the sub-query yet, and with none left the sub-query
+/// fails with that error at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per sub-query (1 = no retries).
@@ -172,7 +175,9 @@ impl Tenancy {
 
 /// The PartiX middleware instance.
 pub struct PartiX {
-    catalog: RwLock<Catalog>,
+    /// Shared by every [`PartiX::replica`]: a registration through one
+    /// is what all of them read next.
+    catalog: Arc<RwLock<Catalog>>,
     cluster: Cluster,
     network: NetworkModel,
     dispatch: DispatchMode,
@@ -187,11 +192,6 @@ pub struct PartiX {
     /// wall times in [`QueryReport::stages`] are always measured — they
     /// cost a handful of `Instant::now()` reads; spans allocate.
     tracing: AtomicBool,
-    /// The replicated-catalog meta service this coordinator follows
-    /// (none = standalone coordinator owning its catalog).
-    meta: OnceLock<Arc<crate::meta::MetaService>>,
-    /// Last meta epoch this coordinator synced its catalog at.
-    meta_seen: AtomicU64,
     /// Multi-tenant admission + scheduling state (none = anonymous
     /// single-tenant serving, the historical behavior).
     tenancy: OnceLock<Tenancy>,
@@ -200,15 +200,20 @@ pub struct PartiX {
 impl PartiX {
     /// A middleware over `nodes` fresh DBMS nodes.
     pub fn new(nodes: usize, network: NetworkModel) -> PartiX {
-        PartiX::with_cluster(Cluster::new(nodes), network)
+        PartiX::over(Cluster::new(nodes), Arc::default(), network)
     }
 
-    /// A middleware over an existing set of nodes — the replicated-
-    /// coordinator constructor: several `PartiX` instances built over
-    /// [`Cluster::share`]d views coordinate the same DBMS nodes.
-    pub fn with_cluster(cluster: Cluster, network: NetworkModel) -> PartiX {
+    /// Another coordinator over the same nodes and the same catalog: a
+    /// distribution registered through either is the one both read next.
+    /// Plan cache, worker pool, replica rotation, settings and tenancy
+    /// are its own, at their defaults.
+    pub fn replica(&self) -> PartiX {
+        PartiX::over(self.cluster.share(), Arc::clone(&self.catalog), self.network)
+    }
+
+    fn over(cluster: Cluster, catalog: Arc<RwLock<Catalog>>, network: NetworkModel) -> PartiX {
         PartiX {
-            catalog: RwLock::new(Catalog::new()),
+            catalog,
             cluster,
             network,
             dispatch: DispatchMode::default(),
@@ -218,8 +223,6 @@ impl PartiX {
             retry: RwLock::new(RetryPolicy::default()),
             rotation: Mutex::new(HashMap::new()),
             tracing: AtomicBool::new(true),
-            meta: OnceLock::new(),
-            meta_seen: AtomicU64::new(0),
             tenancy: OnceLock::new(),
         }
     }
@@ -294,52 +297,6 @@ impl PartiX {
                 })
             }
         }
-    }
-
-    /// Attach this coordinator to a replicated-catalog meta service and
-    /// pull its current snapshot. From here on the coordinator is
-    /// *stateless*: catalog mutations route through the meta service
-    /// (epoch bump), and every query entry point re-syncs when the epoch
-    /// moved. Can only be attached once.
-    pub fn attach_meta(&self, meta: Arc<crate::meta::MetaService>) {
-        if self.meta.set(meta).is_err() {
-            panic!("a coordinator can attach to a meta service only once");
-        }
-        self.sync_with_meta();
-    }
-
-    /// The attached meta service, if any.
-    pub fn meta(&self) -> Option<&Arc<crate::meta::MetaService>> {
-        self.meta.get()
-    }
-
-    /// The meta epoch this coordinator last synced at (0 = standalone or
-    /// never synced). The failover differential asserts all coordinators
-    /// converge to the same epoch after a rebalance.
-    pub fn meta_epoch_seen(&self) -> u64 {
-        self.meta_seen.load(Ordering::Acquire)
-    }
-
-    /// A deep-enough copy of the current catalog (values are `Arc`s) for
-    /// seeding a [`crate::meta::MetaService`] from a standalone
-    /// coordinator's state.
-    pub fn catalog_snapshot(&self) -> Catalog {
-        self.catalog.read().clone()
-    }
-
-    /// When the meta epoch moved since the last sync, replace the local
-    /// catalog with the meta snapshot. Cheap when nothing changed: one
-    /// atomic load against the meta epoch.
-    pub fn sync_with_meta(&self) {
-        let Some(meta) = self.meta.get() else { return };
-        let seen = self.meta_seen.load(Ordering::Acquire);
-        if meta.epoch() == seen {
-            return;
-        }
-        let (epoch, catalog) = meta.snapshot();
-        *self.catalog.write() = catalog;
-        metrics::global().counter("partix.meta.syncs").inc();
-        self.meta_seen.store(epoch, Ordering::Release);
     }
 
     /// Enable/disable per-query span collection (on by default; see
@@ -439,15 +396,6 @@ impl PartiX {
         self.catalog.read()
     }
 
-    pub fn register_schema(&self, schema: Arc<partix_schema::Schema>) {
-        if let Some(meta) = self.meta.get() {
-            meta.register_schema(schema);
-            self.sync_with_meta();
-        } else {
-            self.catalog.write().register_schema(schema);
-        }
-    }
-
     /// Register (or atomically replace) a collection's distribution.
     /// Placements are validated against the design *and* the cluster
     /// size: an unknown fragment name or out-of-range node index is a
@@ -455,17 +403,10 @@ impl PartiX {
     /// mis-dispatch. Queries in flight keep their plan: a task whose
     /// answer lands after the swap is re-run on the new placements.
     pub fn register_distribution(&self, dist: Distribution) -> Result<(), PartixError> {
-        if let Some(meta) = self.meta.get() {
-            meta.register_distribution_on(dist, self.cluster.len())
-                .map_err(PartixError::InvalidDistribution)?;
-            self.sync_with_meta();
-            Ok(())
-        } else {
-            self.catalog
-                .write()
-                .register_distribution_on(dist, self.cluster.len())
-                .map_err(PartixError::InvalidDistribution)
-        }
+        self.catalog
+            .write()
+            .register_distribution(dist, self.cluster.len())
+            .map_err(PartixError::InvalidDistribution)
     }
 
     /// Execute an XQuery over the distributed repository. Repeated query
@@ -532,7 +473,7 @@ impl PartiX {
         Ok(DistributedResult { items: Vec::new(), report })
     }
 
-    /// The one query entry: meta sync, admission (the permit is the
+    /// The one query entry: admission (the permit is the
     /// tenant's concurrency slot, held until return), tracing, failure
     /// counting and the tenant's latency histogram around
     /// [`PartiX::run_admitted`].
@@ -542,7 +483,6 @@ impl PartiX {
         options: ExecOptions,
         sink: &mut Sink<'_>,
     ) -> Result<QueryReport, PartixError> {
-        self.sync_with_meta();
         let permit = self.admit(options, text.len())?;
         let started = Instant::now();
         let trace = if self.tracing_enabled() { Trace::new() } else { Trace::disabled() };

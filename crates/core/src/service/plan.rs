@@ -182,7 +182,7 @@ impl PartiX {
         let (mut tasks, mut nodes, mut skipped) = (Vec::new(), Vec::new(), Vec::new());
         for task in &local.tasks {
             // a passthrough runs on node 0
-            let node = local.dist.as_ref().map_or(Ok(0), |d| self.replica(d, &task.fragment));
+            let node = local.dist.as_ref().map_or(Ok(0), |d| self.pick_replica(d, &task.fragment));
             match node {
                 Ok(node) => {
                     tasks.push(Arc::clone(task));
@@ -203,7 +203,7 @@ impl PartiX {
     /// hammering the first placement; errors if every replica is down (a
     /// fragment replicated on several nodes survives node failures
     /// transparently).
-    fn replica(&self, dist: &Distribution, fragment: &str) -> Result<usize, PartixError> {
+    fn pick_replica(&self, dist: &Distribution, fragment: &str) -> Result<usize, PartixError> {
         let replicas = dist.nodes_of(fragment);
         if replicas.is_empty() {
             return Err(PartixError::Internal(format!("{fragment} unplaced")));

@@ -1250,6 +1250,35 @@ fn a_passthrough_over_an_absent_collection_fails_like_the_centralized_run() {
     assert!(emitted.is_empty(), "{emitted:?}");
 }
 
+/// A DBMS that failed a sub-query fails it alike when asked again: the
+/// flight does not re-send it to that replica, and with no other replica
+/// it fails at once, with no backoff.
+#[test]
+fn a_dbms_failure_is_not_re_sent_to_the_replica_that_gave_it() {
+    use crate::faults::FaultInjector;
+    let px = PartiX::new(2, NetworkModel::default());
+    let injector = FaultInjector::install(px.cluster().node(0).unwrap(), vec![]);
+    let err = px.execute(r#"count(collection("items")/Item)"#).unwrap_err();
+    assert!(matches!(err, PartixError::SubQuery { node: 0, .. }), "{err}");
+    assert!(err.to_string().contains(r#"unknown collection "items""#), "{err}");
+    assert_eq!(injector.stats().calls, 1);
+}
+
+/// Replicas share one catalog: what one registers, every one reads next,
+/// under the same epoch.
+#[test]
+fn a_registration_through_a_replica_is_what_every_replica_reads() {
+    let base = horizontal_px(3);
+    let replica = base.replica();
+    let epoch = base.catalog().epoch();
+    assert_eq!(replica.catalog().epoch(), epoch);
+    shift_placements(&replica, 3);
+    assert_eq!(base.catalog().epoch(), epoch + 1);
+    let (ours, theirs) = (base.catalog(), replica.catalog());
+    let dist = |catalog: &Catalog| Arc::as_ptr(catalog.distribution("items").unwrap());
+    assert_eq!(dist(&ours), dist(&theirs));
+}
+
 /// A query's modelled transmission is one round trip (a latency each
 /// way) plus its sites' result bytes at the link's bandwidth.
 #[test]

@@ -17,9 +17,9 @@
 //! matching several is a typed [`WriteError::Correctness`] (disjointness
 //! would break). Nothing is silently dropped.
 //!
-//! [`WriteOp::Put`] is an **upsert** keyed by document name, so `insert`
-//! and `update` are the same idempotent primitive — retrying a timed-out
-//! write converges instead of duplicating. An update that changes the
+//! [`WriteOp::Put`] is an **upsert** keyed by document name, so an
+//! insert and an update are the same idempotent primitive — retrying a
+//! timed-out write converges instead of duplicating. An update that changes the
 //! routing value (say an Item's `Section` flips from `"CD"` to `"DVD"`)
 //! is a *cross-fragment move*: the coordinator first puts the new piece
 //! on its target fragment, then deletes the stale piece from every other
@@ -28,8 +28,8 @@
 //! the (idempotent) write after recovery.
 //!
 //! Every replica write goes through [`Node::apply_write`]. A write
-//! touches data, not the catalog: the meta epoch stays where it is, and
-//! the next read reaches the nodes and sees it. Deletes go to every
+//! touches data, not the catalog: the catalog epoch stays where it is,
+//! and the next read reaches the nodes and sees it. Deletes go to every
 //! fragment that may hold the name, but only a node the write changes
 //! logs it and pays an fsync ([`partix_storage::wal`]).
 
@@ -139,23 +139,9 @@ impl PartiX {
     /// fragmentation design. See the module docs for ordering and crash
     /// semantics. Returns a typed [`WriteError`] — never a silent drop.
     pub fn put(&self, collection: &str, doc: Document) -> Result<WriteReport, WriteError> {
-        self.sync_with_meta();
         let outcome = self.put_inner(collection, doc);
         record_write_metrics("partix.writes.puts", outcome.is_err());
         outcome
-    }
-
-    /// Alias of [`PartiX::put`] for callers thinking in INSERT terms:
-    /// put is an upsert, so inserting an existing name replaces it.
-    pub fn insert(&self, collection: &str, doc: Document) -> Result<WriteReport, WriteError> {
-        self.put(collection, doc)
-    }
-
-    /// Alias of [`PartiX::put`] for callers thinking in UPDATE terms.
-    /// Updating a document whose routing value changed moves it across
-    /// fragments (put to target, then delete stale pieces).
-    pub fn update(&self, collection: &str, doc: Document) -> Result<WriteReport, WriteError> {
-        self.put(collection, doc)
     }
 
     /// Delete one named document wherever the design placed it. The
@@ -163,7 +149,6 @@ impl PartiX {
     /// so the delete broadcasts to every replica of every fragment;
     /// disjointness guarantees at most one fragment actually removes it.
     pub fn delete(&self, collection: &str, name: &str) -> Result<WriteReport, WriteError> {
-        self.sync_with_meta();
         let outcome = self.delete_inner(collection, name);
         record_write_metrics("partix.writes.deletes", outcome.is_err());
         outcome
@@ -413,7 +398,7 @@ mod tests {
         assert_eq!(r.fragments, ["f_rest"]);
         assert_eq!(count(&px, r#"count(collection("items")/Item)"#), 2.0);
         // in-place update: same name, same routing value, new content
-        let r = px.insert("items", item("i1", "CD", 9)).unwrap();
+        let r = px.put("items", item("i1", "CD", 9)).unwrap();
         assert!(r.replaced);
         assert_eq!(count(&px, r#"count(collection("items")/Item)"#), 2.0);
         assert_eq!(
@@ -433,7 +418,7 @@ mod tests {
         px.put("items", item("i1", "CD", 7)).unwrap();
         assert_eq!(count(&px, cd_count), 1.0);
         // the Section flips: the document must move f_cd → f_rest
-        let r = px.update("items", item("i1", "DVD", 7)).unwrap();
+        let r = px.put("items", item("i1", "DVD", 7)).unwrap();
         assert_eq!(r.fragments, ["f_rest"]);
         assert_eq!(r.deleted, 1, "stale piece cleared off f_cd");
         assert_eq!(count(&px, r#"count(collection("items")/Item)"#), 1.0);

@@ -59,6 +59,8 @@ pub struct WireStats {
     pub bytes_recv: u64,
     pub connects: u64,
     pub reconnects: u64,
+    /// Connections closed on return because the idle list was full.
+    pub closed: u64,
 }
 
 /// Wire bytes (header + payload) and wall time of one exchange.
@@ -91,6 +93,7 @@ pub(crate) struct Client {
     bytes_recv: AtomicU64,
     connects: AtomicU64,
     reconnects: AtomicU64,
+    closed: AtomicU64,
 }
 
 impl Client {
@@ -106,6 +109,7 @@ impl Client {
             bytes_recv: AtomicU64::new(0),
             connects: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
+            closed: AtomicU64::new(0),
         }
     }
 
@@ -124,6 +128,7 @@ impl Client {
             bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
             connects: self.connects.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
+            closed: self.closed.load(Ordering::Relaxed),
         }
     }
 
@@ -142,8 +147,7 @@ impl Client {
     /// Dial now and pool the connection: fails fast where the first
     /// exchange otherwise would.
     pub(crate) fn warm(&self) -> Result<(), ProtocolError> {
-        let conn = self.dial()?;
-        self.checkin(conn);
+        self.checkin(self.dial()?);
         Ok(())
     }
 
@@ -166,12 +170,12 @@ impl Client {
 
     fn checkin(&self, conn: Conn) {
         let mut idle = self.idle.lock();
-        if idle.len() < MAX_IDLE {
-            idle.push(conn);
-            return;
+        if idle.len() >= MAX_IDLE {
+            drop(idle);
+            self.closed.fetch_add(1, Ordering::Relaxed);
+            return self.discard(conn);
         }
-        drop(idle);
-        self.discard(conn);
+        idle.push(conn);
     }
 
     fn discard(&self, conn: Conn) {
@@ -193,10 +197,7 @@ impl Client {
     ) -> Result<(T, Traffic), ProtocolError> {
         let pooled = self.idle.lock().pop();
         let reused = pooled.is_some();
-        let conn = match pooled {
-            Some(conn) => conn,
-            None => self.dial()?,
-        };
+        let conn = pooled.map_or_else(|| self.dial(), Ok)?;
         let failed = match self.converse(conn, opening, &mut on_frame) {
             Ok(done) => return Ok(done),
             Err(failed) => failed,

@@ -3,12 +3,11 @@
 //! them over the one [`Client`], and [`CoordinatorPool`] fails them over
 //! across coordinator replicas.
 //!
-//! Any number of coordinators can serve the *same* repository: each holds
-//! its own [`PartiX`] front-end sharing the cluster's nodes
-//! ([`partix_engine::Cluster`] is `share()`-able) and attaches to one
-//! [`partix_engine::MetaService`], which keeps their distribution
-//! catalogs convergent through epoch bumps. The coordinators are
-//! stateless and queries are idempotent reads, so failover is a pure
+//! Any number of coordinators can serve the *same* repository: each is a
+//! [`PartiX::replica`] of one engine, over the same nodes and the same
+//! distribution catalog, so a registration through any of them is what
+//! all of them read next. The coordinators hold no state a query needs
+//! and queries are idempotent reads, so failover is a pure
 //! retry: when one dies mid-stream (connect failure, mid-frame EOF, or a
 //! retryable server verdict) the pool re-issues the query on the next.
 //! Killing one coordinator mid-workload costs its in-flight queries one
@@ -65,7 +64,7 @@ impl CoordHandler {
             fragments_pruned: report.fragments_pruned as u32,
             docs_scanned: report.sites.iter().map(|s| s.docs_scanned as u64).sum(),
             partial: report.partial,
-            catalog_epoch: self.px.meta_epoch_seen(),
+            catalog_epoch: self.px.catalog().epoch(),
             elapsed: started.elapsed().as_secs_f64(),
         }
     }

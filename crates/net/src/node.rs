@@ -701,8 +701,13 @@ mod tests {
                 });
             }
         });
+        // a thread dials only when the idle list is empty, so no more than
+        // THREADS connections are ever open at once; one returned to a
+        // full idle list is closed, and the next checkout may dial again
         let stats = driver.stats();
-        assert!(stats.connects <= THREADS as u64, "{stats:?}");
+        let open = (stats.connects - stats.closed) as usize;
+        assert!(open <= THREADS, "{stats:?}");
+        assert_eq!(open, driver.pooled_connections(), "{stats:?}");
         assert_eq!(stats.reconnects, 0);
         assert!(driver.pooled_connections() <= MAX_IDLE);
         driver.drain_pool();

@@ -167,8 +167,8 @@ pub struct StreamStats {
     pub docs_scanned: u64,
     /// True when the answer is missing fragments (`allow_partial`).
     pub partial: bool,
-    /// The coordinator's catalog epoch at answer time (0 = standalone
-    /// coordinator with no meta service attached).
+    /// The coordinator's catalog epoch at answer time: how many
+    /// registrations the catalog its replicas share has taken.
     pub catalog_epoch: u64,
     /// Coordinator wall time in seconds (informational; not compared).
     pub elapsed: f64,

@@ -13,7 +13,7 @@
 //! * What the bound lets through prints back to a text the node accepts:
 //!   the printer adds no nesting the grammar does not need.
 
-use partix_engine::{MetaService, NetworkModel, PartiX};
+use partix_engine::{NetworkModel, PartiX};
 use partix_net::codec::{print_query, Writer};
 use partix_net::frame::{encode_frame, read_frame, FrameKind};
 use partix_net::message::{Call, Reply, Request, Response};
@@ -49,7 +49,6 @@ fn nest(open: &str, core: &str, close: &str, n: usize) -> String {
 fn coordinator_answers_deep_texts_with_an_error_and_keeps_serving() {
     let px = PartiX::new(1, NetworkModel::instantaneous());
     px.cluster().node(0).expect("node 0").set_driver(items_db());
-    px.attach_meta(MetaService::with_catalog(px.catalog_snapshot()));
     let server = serve_coordinator("127.0.0.1:0", Arc::new(px), StreamServerConfig::default())
         .expect("bind coordinator");
     let client = StreamClient::connect(&server.addr().to_string(), StreamClientConfig::default())

@@ -86,7 +86,6 @@ fn main() {
 
     // Distribute across two nodes and query.
     let px = PartiX::new(2, NetworkModel::default());
-    px.register_schema(schema);
     px.register_distribution(Distribution {
         design,
         placements: vec![

@@ -1,16 +1,14 @@
-//! Coordinator-replication failover differential: three stateless
-//! coordinators front one shared cluster through an epoch-versioned
-//! [`partix::engine::MetaService`]. One coordinator is killed
+//! Coordinator-replication failover differential: three coordinators,
+//! replicas of one engine ([`PartiX::replica`]), front one shared cluster
+//! and one shared distribution catalog. One coordinator is killed
 //! mid-workload while seeded fault injectors gnaw at the DBMS nodes;
 //! [`partix_net::CoordinatorPool`] clients must fail over to the
 //! survivors, every answered query must match the centralized oracle
 //! (typed errors are allowed, wrong or truncated data is not), and after
 //! a catalog rebalance every coordinator — including the one whose
-//! transport died — must converge to the same meta epoch.
+//! transport died — must read the same, bumped catalog epoch.
 
-use partix::engine::{
-    DispatchMode, Distribution, FaultPlan, MetaService, NetworkModel, PartiX, RetryPolicy,
-};
+use partix::engine::{DispatchMode, Distribution, FaultPlan, PartiX, RetryPolicy};
 use partix_bench::oracle::canonical;
 use partix_bench::{queries, setup};
 use partix_net::{
@@ -27,22 +25,20 @@ const QUERIES_PER_CLIENT: usize = 30;
 const FRAGMENTS: usize = 4;
 const REPLICAS: usize = 2;
 
-/// Build the replica fleet: the base engine (which owns publishing)
-/// plus `COORDINATORS - 1` stateless clones over the shared cluster,
-/// all attached to one meta service.
-fn coordinator_fleet(base: PartiX, meta: &Arc<MetaService>) -> Vec<Arc<PartiX>> {
-    let mut base = base;
-    base.set_dispatch(DispatchMode::Pool);
-    base.attach_meta(Arc::clone(meta));
-    let base = Arc::new(base);
-    let mut engines = vec![Arc::clone(&base)];
-    for _ in 1..COORDINATORS {
-        let mut px = PartiX::with_cluster(base.cluster().share(), NetworkModel::default());
+/// Build the fleet: `COORDINATORS` replicas of the base engine (which
+/// owns publishing), over its nodes and its catalog, each with the
+/// failover run's deadline.
+fn coordinator_fleet(base: &PartiX) -> Vec<Arc<PartiX>> {
+    let fleet = (0..COORDINATORS).map(|_| {
+        let mut px = base.replica();
         px.set_dispatch(DispatchMode::Pool);
-        px.attach_meta(Arc::clone(meta));
-        engines.push(Arc::new(px));
-    }
-    engines
+        px.set_retry_policy(RetryPolicy {
+            timeout: Some(Duration::from_millis(500)),
+            ..RetryPolicy::default()
+        });
+        Arc::new(px)
+    });
+    fleet.collect()
 }
 
 #[test]
@@ -60,18 +56,7 @@ fn killing_a_coordinator_mid_workload_fails_over_without_wrong_data() {
         .collect();
 
     let base = setup::horizontal_replicated(&docs, FRAGMENTS, REPLICAS);
-    base.set_retry_policy(RetryPolicy {
-        timeout: Some(Duration::from_millis(500)),
-        ..RetryPolicy::default()
-    });
-    let meta = MetaService::with_catalog(base.catalog_snapshot());
-    let engines = coordinator_fleet(base, &meta);
-    for px in &engines[1..] {
-        px.set_retry_policy(RetryPolicy {
-            timeout: Some(Duration::from_millis(500)),
-            ..RetryPolicy::default()
-        });
-    }
+    let engines = coordinator_fleet(&base);
 
     // seeded node faults on the shared cluster — every coordinator sees
     // the same flaky DBMS nodes; the replicated placement keeps each
@@ -146,7 +131,7 @@ fn killing_a_coordinator_mid_workload_fails_over_without_wrong_data() {
 
     // -------------------------------------------- epoch convergence --
     // heal the cluster (uninstall the injectors), then rebalance:
-    // re-register the collection's distribution through the meta service
+    // re-register the collection's distribution through one coordinator
     // (an epoch bump, exactly what a placement swap does)
     let injected = |inj: &Arc<partix::engine::FaultInjector>| {
         inj.stats().injected_errors + inj.stats().injected_outages
@@ -156,19 +141,18 @@ fn killing_a_coordinator_mid_workload_fails_over_without_wrong_data() {
     for (i, driver) in clean_drivers.into_iter().enumerate() {
         engines[0].cluster().node(i).expect("node").set_driver(driver);
     }
-    let before = meta.epoch();
+    let before = engines[0].catalog().epoch();
     let dist: Distribution = {
-        let catalog = engines[0].catalog_snapshot();
+        let catalog = engines[0].catalog();
         let dist = catalog.distribution(setup::DIST).expect("registered distribution");
         (**dist).clone()
     };
     engines[0].register_distribution(dist).expect("rebalance re-registration");
-    let epoch = meta.wait_for(before + 1, Duration::from_secs(5));
-    assert!(epoch > before, "the rebalance must bump the meta epoch");
+    let epoch = base.catalog().epoch();
+    assert_eq!(epoch, before + 1, "the rebalance must bump the catalog epoch once");
 
-    // survivors observe the new epoch on their next served query; the
-    // killed coordinator's *engine* is stateless and converges the same
-    // way once it executes again (as it would after a restart)
+    // survivors serve their next query under the new epoch; the killed
+    // coordinator's *engine* reads the same catalog and answers alike
     for (i, px) in engines.iter().enumerate() {
         if i + 1 < COORDINATORS {
             let client = partix_net::StreamClient::connect(
@@ -188,9 +172,9 @@ fn killing_a_coordinator_mid_workload_fails_over_without_wrong_data() {
             px.execute(&workload[0].1).expect("killed coordinator's engine still executes");
         }
         assert_eq!(
-            px.meta_epoch_seen(),
+            px.catalog().epoch(),
             epoch,
-            "coordinator {i} did not converge to the rebalance epoch",
+            "coordinator {i} does not read the rebalance epoch",
         );
     }
 }

@@ -189,13 +189,13 @@ fn interleaved_writes_and_reads_match_oracle() {
 
     // in-place update (same routing value, new content)
     let doc = item("w00", "CD", 1900);
-    px.update(setup::DIST, doc.clone()).unwrap();
+    px.put(setup::DIST, doc.clone()).unwrap();
     oracle_put(&px, &doc);
     assert_workload(&px, &workload, "after in-place update");
 
     // cross-fragment move: w01's Section flips DVD → SPORT
     let doc = item("w01", "SPORT", 901);
-    let report = px.update(setup::DIST, doc.clone()).unwrap();
+    let report = px.put(setup::DIST, doc.clone()).unwrap();
     assert_eq!(report.deleted, 1, "stale DVD piece must be cleared");
     oracle_put(&px, &doc);
     assert_workload(&px, &workload, "after cross-fragment move");
